@@ -21,13 +21,14 @@ fn main() {
         idx.sort_by(|&a, &b| sch.finish[b].total_cmp(&sch.finish[a]));
         println!("{name}: makespan {:.3}", sch.makespan);
         for &i in idx.iter().take(8) {
-            let t = tg.task(heterog_sched::TaskId(i as u32));
+            let id = heterog_sched::TaskId(i as u32);
+            let t = tg.task(id);
             println!(
                 "  {:.4}..{:.4}  {:>10}  {}",
                 sch.start[i],
                 sch.finish[i],
                 format!("{}", t.proc),
-                t.name
+                tg.task_name(id)
             );
         }
     }

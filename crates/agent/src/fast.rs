@@ -87,11 +87,10 @@ impl HeteroGPlanner {
             total_units: (self.passes * n) as u64,
         });
 
-        // Anchor an incremental evaluator on the incumbent: single-group
-        // neighborhood moves that keep the replica split (PS<->AllReduce
-        // flips) are then served by an aggregation-only staged recompile
-        // instead of a full compile+simulate; replica-changing moves fall
-        // back to the full pipeline inside the evaluator, bit-identically.
+        // Anchor an incremental evaluator on the incumbent: a single-group
+        // neighborhood move re-lowers only the lowering segments whose
+        // placements it changed and copies the rest of the incumbent's
+        // task graph, bit-identically to a full compile+simulate.
         let rank_based = OrderPolicy::RankBased;
         let mut evaluator = IncrementalEvaluator::new(
             g,
@@ -110,37 +109,53 @@ impl HeteroGPlanner {
             .collect();
         order.sort_by(|&a, &b| group_cost[b].total_cmp(&group_cost[a]));
 
+        // Incumbent moves so far, and per group the move count at its last
+        // visit with that visit's best candidate, kept only when it found
+        // no improvement: revisiting such a group with no move since would
+        // re-score the same candidates against the same incumbent, so the
+        // visit is skipped and its remembered best re-emitted.
+        let mut moves: u64 = 0;
+        let mut settled: Vec<Option<(u64, (usize, f64))>> = vec![None; n];
         let mut visited: u64 = 0;
         for pass in 0..self.passes {
             let mut improved = false;
             for &gi in &order {
-                let current_action = actions[gi];
-                let first = if self.allow_mp { 0 } else { m };
-                let candidates: Vec<usize> = (first..space.len())
-                    .filter(|&a| a != current_action)
-                    .collect();
-                let best = par_map(&candidates, |&a| {
-                    let mut trial = actions.clone();
-                    trial[gi] = a;
-                    let s = actions_to_strategy(g, cluster, &grouping, &trial);
-                    let (e, _) = evaluator.evaluate_perturbed(Perturbation::Strategy(&s));
-                    (a, objective(&e, cluster))
-                })
-                .into_iter()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("candidates");
-                evals += candidates.len() as u64;
+                let best = match settled[gi] {
+                    Some((at, best)) if at == moves => best,
+                    _ => {
+                        let current_action = actions[gi];
+                        let first = if self.allow_mp { 0 } else { m };
+                        let candidates: Vec<usize> = (first..space.len())
+                            .filter(|&a| a != current_action)
+                            .collect();
+                        evals += candidates.len() as u64;
+                        par_map(&candidates, |&a| {
+                            let mut trial = actions.clone();
+                            trial[gi] = a;
+                            let s = actions_to_strategy(g, cluster, &grouping, &trial);
+                            let (e, _) = evaluator.evaluate_perturbed(Perturbation::Strategy(&s));
+                            (a, objective(&e, cluster))
+                        })
+                        .into_iter()
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .expect("candidates")
+                    }
+                };
                 if best.1 + 1e-9 < cur_obj {
                     actions[gi] = best.0;
                     cur_obj = best.1;
                     improved = true;
-                    // The incumbent moved: re-anchor so later groups'
-                    // comm flips stay on the staged fast path.
+                    moves += 1;
+                    settled[gi] = None;
+                    // The incumbent moved: re-anchor so later candidates
+                    // splice from the new incumbent's lowering.
                     evaluator.rebase(
                         cluster,
                         &actions_to_strategy(g, cluster, &grouping, &actions),
                         &rank_based,
                     );
+                } else {
+                    settled[gi] = Some((moves, best));
                 }
                 visited += 1;
                 heterog_events::emit_with(|| {

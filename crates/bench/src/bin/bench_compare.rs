@@ -239,20 +239,16 @@ fn main() -> ExitCode {
     let strategy_space = fresh.get("wins").is_some() || baseline.get("wins").is_some();
     let archive = fresh.get("overhead_pct").is_some() || baseline.get("overhead_pct").is_some();
     let serve = fresh.get("plans_per_sec").is_some() || baseline.get("plans_per_sec").is_some();
-    let (gated, gated_optional, gated_higher, informational): (
-        &[&str],
-        &[&str],
-        &[&str],
-        &[&str],
-    ) = if strategy_space {
-        (&SS_GATED, &[], &[], &SS_INFORMATIONAL)
-    } else if archive {
-        (&[], &[], &ARCH_GATED_HIGHER, &ARCH_INFORMATIONAL)
-    } else if serve {
-        (&[], &SERVE_GATED, &[], &SERVE_INFORMATIONAL)
-    } else {
-        (&GATED, &GATED_OPTIONAL, &[], &INFORMATIONAL)
-    };
+    let (gated, gated_optional, gated_higher, informational): (&[&str], &[&str], &[&str], &[&str]) =
+        if strategy_space {
+            (&SS_GATED, &[], &[], &SS_INFORMATIONAL)
+        } else if archive {
+            (&[], &[], &ARCH_GATED_HIGHER, &ARCH_INFORMATIONAL)
+        } else if serve {
+            (&[], &SERVE_GATED, &[], &SERVE_INFORMATIONAL)
+        } else {
+            (&GATED, &GATED_OPTIONAL, &[], &INFORMATIONAL)
+        };
 
     println!("bench compare: {baseline_path} (baseline) vs {fresh_path} (fresh)");
     println!(
@@ -320,7 +316,11 @@ fn main() -> ExitCode {
         // Higher is worse (e.g. archiver overhead growing). A baseline
         // near zero would make the relative delta explode, so fall back
         // to gating on the absolute rise there.
-        let delta = if b.abs() > 1e-9 { (f - b) / b.abs() } else { f - b };
+        let delta = if b.abs() > 1e-9 {
+            (f - b) / b.abs()
+        } else {
+            f - b
+        };
         let regressed = delta > max_regression;
         println!(
             "{key:<32}{b:>14.3}{f:>14.3}{:>9.1}%  {}",

@@ -212,9 +212,7 @@ fn main() {
         "  incremental resim:   {pert_inc_secs:8.3}s  {pert_inc_rate:9.1} evals/s \
          (+{inc_setup_secs:.3}s one-time anchor)"
     );
-    println!(
-        "  speedup: {pert_speedup:.2}x (target >=10x)   bit-identical: {pert_identical}"
-    );
+    println!("  speedup: {pert_speedup:.2}x (target >=10x)   bit-identical: {pert_identical}");
 
     // Hand-formatted JSON: flat numbers at fixed precision, so the
     // artifact is identical across toolchains.

@@ -171,7 +171,10 @@ fn main() {
         100.0 * cross_tenant_hit_rate
     );
     println!("  eval cache:    {:.1}% hit", 100.0 * evalcache_hit_rate);
-    println!("  degraded: {}, rejected: {}", stats.degraded, stats.rejected);
+    println!(
+        "  degraded: {}, rejected: {}",
+        stats.degraded, stats.rejected
+    );
 
     assert!(
         stats.cross_tenant_hits > 0,

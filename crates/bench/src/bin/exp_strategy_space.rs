@@ -36,9 +36,7 @@ struct Candidate {
     strategy: Strategy,
 }
 
-fn best_feasible<'a>(
-    evals: &'a [(Candidate, Evaluation)],
-) -> Option<(&'a Candidate, &'a Evaluation)> {
+fn best_feasible(evals: &[(Candidate, Evaluation)]) -> Option<(&Candidate, &Evaluation)> {
     evals
         .iter()
         .filter(|(_, e)| !e.oom)
@@ -145,15 +143,14 @@ fn main() {
         let (nc, ne) = best_feasible(&narrow_evals).expect("a replicate baseline fits in memory");
         let (wc, we) = best_feasible(&widened_evals).expect("a widened seed fits in memory");
         let win = we.iteration_time < ne.iteration_time;
-        let improvement_pct =
-            (ne.iteration_time - we.iteration_time) / ne.iteration_time * 100.0;
+        let improvement_pct = (ne.iteration_time - we.iteration_time) / ne.iteration_time * 100.0;
         if win {
             wins += 1;
         }
         improvements.push(improvement_pct);
 
         // Incremental-vs-full identity on the winning widened plan:
-        // cluster perturbations replayed through the staged evaluator
+        // cluster perturbations replayed through the incremental evaluator
         // must not change a single bit of the verdict.
         let policy = OrderPolicy::RankBased;
         let ev = IncrementalEvaluator::new(&g, &cost, &cluster, &wc.strategy, &policy);

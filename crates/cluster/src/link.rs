@@ -132,8 +132,8 @@ mod tests {
 
     #[test]
     fn bandwidth_ordering_is_sane() {
-        assert!(bandwidth::NVLINK > bandwidth::PCIE);
-        assert!(bandwidth::PCIE > bandwidth::NIC_100GBE);
-        assert!(bandwidth::NIC_100GBE > bandwidth::NIC_50GBE);
+        const { assert!(bandwidth::NVLINK > bandwidth::PCIE) };
+        const { assert!(bandwidth::PCIE > bandwidth::NIC_100GBE) };
+        const { assert!(bandwidth::NIC_100GBE > bandwidth::NIC_50GBE) };
     }
 }

@@ -1,12 +1,10 @@
 //! Gradient-aggregation lowering: PS push/pull and AllReduce (ring or
 //! hierarchical) expansion into link-occupancy tasks.
 
-use std::sync::Arc;
-
 use heterog_cluster::{Cluster, DeviceId};
-use heterog_graph::{Node, OpKind, Phase, TensorMeta};
+use heterog_graph::{Node, OpId, OpKind, Phase, TensorMeta};
 use heterog_profile::{path_time, CostEstimator};
-use heterog_sched::{Proc, Task, TaskGraph, TaskId, TaskName};
+use heterog_sched::{Proc, Tag, Task, TaskGraph, TaskId, TaskName};
 
 use crate::price::{CollectiveKind, CollectiveRec, PriceBook, PsRound};
 use crate::xfer::emit_transfer;
@@ -105,11 +103,27 @@ impl PsLoadTracker {
         }
     }
 
+    /// Empties the tracker for a cluster with `num_servers` servers,
+    /// keeping its buffers.
+    pub(crate) fn reset(&mut self, num_servers: usize) {
+        for v in [&mut self.ingress, &mut self.egress] {
+            v.clear();
+            v.resize(num_servers, 0.0);
+        }
+    }
+
     fn load(&self, server: usize) -> f64 {
         self.ingress[server].max(self.egress[server])
     }
 
-    fn commit(&mut self, cluster: &Cluster, devices: &[DeviceId], ps: DeviceId, bytes: u64) {
+    /// Adds a round's cross-server traffic to its server's NIC.
+    pub(crate) fn commit(
+        &mut self,
+        cluster: &Cluster,
+        devices: &[DeviceId],
+        ps: DeviceId,
+        bytes: u64,
+    ) {
         let srv = cluster.device(ps).server as usize;
         let nic = cluster.servers()[srv].nic_bps;
         let cross = devices
@@ -121,17 +135,17 @@ impl PsLoadTracker {
     }
 }
 
-/// Chooses the PS device minimizing the estimated aggregation completion
-/// including the NIC traffic already committed to earlier tensors, and
-/// commits this tensor's traffic to the tracker.
-pub fn choose_ps_balanced<C: CostEstimator>(
+/// The PS device minimizing the estimated aggregation completion
+/// including the NIC traffic already committed to earlier tensors
+/// (ties: the earliest device), without committing this tensor.
+pub fn pick_ps<C: CostEstimator>(
     cluster: &Cluster,
     cost: &C,
     devices: &[DeviceId],
     bytes: u64,
-    tracker: &mut PsLoadTracker,
+    tracker: &PsLoadTracker,
 ) -> DeviceId {
-    let ps = *devices
+    *devices
         .iter()
         .min_by(|&&a, &&b| {
             let ea = ps_estimate(cluster, cost, devices, a, bytes)
@@ -140,7 +154,18 @@ pub fn choose_ps_balanced<C: CostEstimator>(
                 + tracker.load(cluster.device(b).server as usize);
             ea.total_cmp(&eb)
         })
-        .expect("at least one device");
+        .expect("at least one device")
+}
+
+/// [`pick_ps`], then commits this tensor's traffic to the tracker.
+pub fn choose_ps_balanced<C: CostEstimator>(
+    cluster: &Cluster,
+    cost: &C,
+    devices: &[DeviceId],
+    bytes: u64,
+    tracker: &mut PsLoadTracker,
+) -> DeviceId {
+    let ps = pick_ps(cluster, cost, devices, bytes, tracker);
     tracker.commit(cluster, devices, ps, bytes);
     ps
 }
@@ -255,7 +280,7 @@ pub fn emit_ps<C: CostEstimator>(
     tg: &mut TaskGraph,
     cluster: &Cluster,
     cost: &C,
-    base: &Arc<str>,
+    op: OpId,
     devices: &[DeviceId],
     ready: &[Vec<TaskId>],
     bytes: u64,
@@ -276,8 +301,8 @@ pub fn emit_ps<C: CostEstimator>(
     let agg = tg.add_task(
         Task::new(
             TaskName::Tagged {
-                base: base.clone(),
-                tag: "ps_agg",
+                op,
+                tag: Tag::PsAgg,
                 dev: ps.0,
             },
             OpKind::GradAggregate,
@@ -301,7 +326,7 @@ pub fn emit_ps<C: CostEstimator>(
         if d == ps {
             continue;
         }
-        let segs = emit_transfer(tg, cluster, cost, base, "push/xfer", d, ps, bytes);
+        let segs = emit_transfer(tg, cluster, cost, op, Tag::PushXfer, d, ps, bytes);
         for s in segs {
             for &r in &ready[i] {
                 tg.add_dep(r, s);
@@ -316,12 +341,12 @@ pub fn emit_ps<C: CostEstimator>(
         if d == ps {
             continue;
         }
-        let segs = emit_transfer(tg, cluster, cost, base, "pull/xfer", ps, d, bytes);
+        let segs = emit_transfer(tg, cluster, cost, op, Tag::PullXfer, ps, d, bytes);
         // A zero-cost arrival marker on the destination joins the segments.
         let arrive = tg.add_task(Task::new(
             TaskName::Tagged {
-                base: base.clone(),
-                tag: "pull_done",
+                op,
+                tag: Tag::PullDone,
                 dev: d.0,
             },
             OpKind::GradAggregate,
@@ -349,7 +374,7 @@ pub fn emit_allreduce<C: CostEstimator>(
     tg: &mut TaskGraph,
     cluster: &Cluster,
     cost: &C,
-    base: &Arc<str>,
+    op: OpId,
     devices: &[DeviceId],
     ready: &[Vec<TaskId>],
     bytes: u64,
@@ -366,8 +391,8 @@ pub fn emit_allreduce<C: CostEstimator>(
         let d = devices[0];
         let join = tg.add_task(Task::new(
             TaskName::Tagged {
-                base: base.clone(),
-                tag: "local_join",
+                op,
+                tag: Tag::LocalJoin,
                 dev: d.0,
             },
             OpKind::GradAggregate,
@@ -383,11 +408,11 @@ pub fn emit_allreduce<C: CostEstimator>(
     let ring_t = ring_estimate(cluster, cost, devices, bytes);
     let hier_t = hierarchical_estimate(cluster, cost, devices, bytes);
     let (dur, tag) = if hier_t < ring_t {
-        (hier_t, "hier")
+        (hier_t, Tag::Hier)
     } else {
-        (ring_t, "ring")
+        (ring_t, Tag::Ring)
     };
-    if tag == "hier" {
+    if tag == Tag::Hier {
         COLLECTIVES_HIER.inc();
     } else {
         COLLECTIVES_RING.inc();
@@ -409,11 +434,7 @@ pub fn emit_allreduce<C: CostEstimator>(
         .into_iter()
         .map(|lid| {
             tg.add_task(Task::new(
-                TaskName::OnLink {
-                    base: base.clone(),
-                    tag,
-                    label: cluster.link(heterog_cluster::LinkId(lid)).label.clone(),
-                },
+                TaskName::OnLink { op, tag, link: lid },
                 OpKind::NcclAllReduce,
                 Proc::Link(lid),
                 dur,
@@ -443,8 +464,8 @@ pub fn emit_allreduce<C: CostEstimator>(
         // already accounted at the gradient producer.
         let done = tg.add_task(Task::new(
             TaskName::Tagged {
-                base: base.clone(),
-                tag: "ar_done",
+                op,
+                tag: Tag::ArDone,
                 dev: d.0,
             },
             OpKind::GradAggregate,
@@ -473,7 +494,7 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
     tg: &mut TaskGraph,
     cluster: &Cluster,
     _cost: &C,
-    base: &Arc<str>,
+    op: OpId,
     devices: &[DeviceId],
     ready: &[Vec<TaskId>],
     bytes: u64,
@@ -484,8 +505,8 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
     assert_eq!(devices.len(), ready.len());
     assert_eq!(devices.len(), marker_bytes.len());
     let (op_kind, tag, done_tag) = match kind {
-        CollectiveKind::AllGather => (OpKind::AllGather, "ag", "ag_done"),
-        CollectiveKind::ReduceScatter => (OpKind::ReduceScatter, "rs", "rs_done"),
+        CollectiveKind::AllGather => (OpKind::AllGather, Tag::AllGather, Tag::AgDone),
+        CollectiveKind::ReduceScatter => (OpKind::ReduceScatter, Tag::ReduceScatter, Tag::RsDone),
         CollectiveKind::AllReduce => {
             unreachable!("AllReduce goes through emit_allreduce")
         }
@@ -499,8 +520,8 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
         let d = devices[0];
         let join = tg.add_task(Task::new(
             TaskName::Tagged {
-                base: base.clone(),
-                tag: "local_join",
+                op,
+                tag: Tag::LocalJoin,
                 dev: d.0,
             },
             OpKind::GradAggregate,
@@ -535,11 +556,7 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
         .into_iter()
         .map(|lid| {
             tg.add_task(Task::new(
-                TaskName::OnLink {
-                    base: base.clone(),
-                    tag,
-                    label: cluster.link(heterog_cluster::LinkId(lid)).label.clone(),
-                },
+                TaskName::OnLink { op, tag, link: lid },
                 op_kind,
                 Proc::Link(lid),
                 dur,
@@ -566,7 +583,7 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
         let done = tg.add_task(
             Task::new(
                 TaskName::Tagged {
-                    base: base.clone(),
+                    op,
                     tag: done_tag,
                     dev: d.0,
                 },
@@ -689,9 +706,16 @@ mod tests {
             .collect();
         let mut tr = PsLoadTracker::new(c.servers().len());
         let mut book = PriceBook::default();
-        let w0: Arc<str> = Arc::from("w0");
         let out = emit_ps(
-            &mut tg, &c, &cost, &w0, &devices, &ready, 4 << 20, &mut tr, &mut book,
+            &mut tg,
+            &c,
+            &cost,
+            OpId(0),
+            &devices,
+            &ready,
+            4 << 20,
+            &mut tr,
+            &mut book,
         );
         assert_eq!(out.len(), 3);
         assert_eq!(book.ps_rounds.len(), 1);
@@ -732,9 +756,16 @@ mod tests {
         let bytes: u64 = 105 << 20; // ~0.01s per 100GbE NIC pass
         let mut tr = PsLoadTracker::new(c.servers().len());
         let mut book = PriceBook::default();
-        let w0: Arc<str> = Arc::from("w0");
         let _ = emit_ps(
-            &mut tg, &c, &cost, &w0, &devices, &ready, bytes, &mut tr, &mut book,
+            &mut tg,
+            &c,
+            &cost,
+            OpId(0),
+            &devices,
+            &ready,
+            bytes,
+            &mut tr,
+            &mut book,
         );
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         // 6 cross-server pushes serialize into the PS box, then 6 pulls
@@ -760,10 +791,16 @@ mod tests {
                 ))]
             })
             .collect();
-        let w0: Arc<str> = Arc::from("w0");
         let mut book = PriceBook::default();
         let out = emit_allreduce(
-            &mut tg, &c, &cost, &w0, &devices, &ready, 4 << 20, &mut book,
+            &mut tg,
+            &c,
+            &cost,
+            OpId(0),
+            &devices,
+            &ready,
+            4 << 20,
+            &mut book,
         );
         assert_eq!(out.len(), 8);
         assert_eq!(book.collectives.len(), 1);
@@ -805,7 +842,7 @@ mod tests {
             &mut tg,
             &c,
             &GroundTruthCost,
-            &Arc::from("w"),
+            OpId(0),
             &[DeviceId(0)],
             &ready,
             1 << 20,
@@ -826,8 +863,7 @@ mod tests {
         let ar = ring_estimate(&c, &GroundTruthCost, &d, bytes);
         assert!(one < ar, "one-pass {one} vs AR {ar}");
         assert!(
-            (2.0 * (one - NCCL_LAUNCH_OVERHEAD_S) - (ar - NCCL_LAUNCH_OVERHEAD_S)).abs()
-                < 0.1 * ar,
+            (2.0 * (one - NCCL_LAUNCH_OVERHEAD_S) - (ar - NCCL_LAUNCH_OVERHEAD_S)).abs() < 0.1 * ar,
             "one-pass {one} should be ~half of AR {ar}"
         );
         assert_eq!(one_pass_estimate(&c, &d[..1], bytes), 0.0);
@@ -848,7 +884,7 @@ mod tests {
             &mut tg,
             &c,
             &cost,
-            &Arc::from("act"),
+            OpId(0),
             &devices,
             &ready,
             8 << 20,

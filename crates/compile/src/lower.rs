@@ -1,16 +1,42 @@
 //! The main lowering: (graph, cluster, cost model, strategy) -> placed,
 //! priced task graph.
+//!
+//! ## Segments
+//!
+//! One lowering emits its task graph as an ordered sequence of
+//! segments, each a function of a few placements:
+//!
+//! * `R(op)` — the op's replica tasks (its replicas and shard marker);
+//! * `W(u)` — the wiring of op `u`'s out-edges: transfers, Split/Concat
+//!   and the cached all-gather or reduce-scatter of a sharded `u` (the
+//!   replicas of `u` and of its successors);
+//! * `A(g)` — gradient aggregation for parameter-gradient op `g` (`g`'s
+//!   whole placement, communication method included, the replicas of
+//!   its ApplyGradient and, for PS, the NIC load earlier PS rounds
+//!   committed).
+//!
+//! All `R` segments come first, then all `W`, then all `A`, each in op
+//! order. [`compile_logged`] records where each segment's tasks,
+//! `add_dep` calls and price-book entries start and end. [`splice_into`]
+//! builds another placement's graph from that base: it copies every
+//! segment whose inputs are unchanged, with task ids remapped and its
+//! recorded `add_dep` calls replayed through the same dedup set, and
+//! re-runs only the dirty ones through the same `Lowerer` code a full
+//! compile runs. The result equals a fresh [`compile_priced`] task for
+//! task, edge for edge and price-book entry for entry.
 
 use std::sync::Arc;
 
 use heterog_cluster::{Cluster, DeviceId};
 use heterog_graph::{Graph, Node, OpId, OpKind, Phase, TensorMeta};
 use heterog_profile::CostEstimator;
-use heterog_sched::{Proc, Task, TaskGraph, TaskId, TaskName};
+use heterog_sched::{NameTable, Pass, Proc, Tag, Task, TaskGraph, TaskId, TaskName};
 
-use crate::collective::{emit_allreduce, emit_one_pass_collective, emit_ps, PsLoadTracker};
+use crate::collective::{
+    emit_allreduce, emit_one_pass_collective, emit_ps, pick_ps, PsLoadTracker,
+};
 use crate::placement::{resolve_placements, OpPlacement};
-use crate::price::{CollectiveKind, PriceBook};
+use crate::price::{CollectiveKind, CollectiveRec, PriceBook, PsRound};
 use crate::strategy::{CommMethod, Strategy};
 
 static COMPILATIONS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
@@ -35,9 +61,26 @@ static CONCAT_TASKS: heterog_telemetry::Counter = heterog_telemetry::Counter::ne
 /// with stateful optimizers; TF1 allocates all three persistently).
 pub const OPTIMIZER_STATE_FACTOR: u64 = 3;
 
-/// One shared, refcounted name base per op.
-fn base_names(g: &Graph) -> Vec<Arc<str>> {
-    g.iter().map(|(_, n)| Arc::from(n.name.as_str())).collect()
+/// The strings every task graph compiled from `g` on `cluster` indexes:
+/// op names and link labels, built once per compile and shared by every
+/// graph spliced from it.
+fn name_table(g: &Graph, cluster: &Cluster) -> Arc<NameTable> {
+    Arc::new(NameTable::new(
+        g.iter().map(|(_, n)| n.name.as_str().into()).collect(),
+        cluster.links().iter().map(|l| l.label.clone()).collect(),
+    ))
+}
+
+/// An empty task graph labelled `label`, over `cluster`'s processors,
+/// naming tasks from `g`.
+fn empty_graph(label: String, g: &Graph, cluster: &Cluster) -> TaskGraph {
+    let mut tg = TaskGraph::new(
+        label,
+        cluster.num_devices() as u32,
+        cluster.num_links() as u32,
+    );
+    tg.set_names(name_table(g, cluster));
+    tg
 }
 
 /// Op kinds whose outputs are computed in place (or fused) by real
@@ -54,12 +97,43 @@ fn is_in_place(kind: OpKind) -> bool {
 }
 
 /// Compiler knobs.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompileOptions {
     /// Force PS for every aggregation (PS-only ablation).
     pub force_ps: bool,
     /// Force AllReduce for every aggregation (AR-only ablation).
     pub force_allreduce: bool,
+}
+
+/// The ApplyGradient op consuming gradient op `gid`'s output, if any.
+fn apply_of(g: &Graph, gid: OpId) -> Option<OpId> {
+    g.succs(gid)
+        .iter()
+        .copied()
+        .find(|&s| g.node(s).kind == OpKind::ApplyGradient)
+}
+
+/// One lowering segment (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seg {
+    /// `R(op)`: the op's replica tasks.
+    Replicas(OpId),
+    /// `W(u)`: the wiring of `u`'s out-edges.
+    Wiring(OpId),
+    /// `A(grad)`: aggregation of `grad`'s gradient into `apply`.
+    Aggregate { grad: OpId, apply: OpId },
+}
+
+/// Every segment of a lowering of `g`, in emission order.
+fn segments(g: &Graph) -> impl Iterator<Item = Seg> + '_ {
+    let aggregations = g
+        .iter()
+        .filter(|(_, n)| n.kind.produces_param_grad())
+        .filter_map(move |(grad, _)| apply_of(g, grad).map(|apply| Seg::Aggregate { grad, apply }));
+    g.op_ids()
+        .map(Seg::Replicas)
+        .chain(g.op_ids().map(Seg::Wiring))
+        .chain(aggregations)
 }
 
 /// Compiles the single-GPU training graph into a distributed task graph
@@ -86,8 +160,8 @@ pub fn compile_with_options<C: CostEstimator>(
     compile_with_book(g, cluster, cost, strategy, opts, &mut book)
 }
 
-/// [`compile_with_options`] that also records the non-derivable pricing
-/// decisions (PS choices, AllReduce collectives) into `book`, enabling
+/// [`compile_with_options`] that also appends the non-derivable pricing
+/// decisions (PS choices, collectives) to `book`, enabling
 /// [`crate::price::reprice`] under perturbed clusters.
 pub fn compile_with_book<C: CostEstimator>(
     g: &Graph,
@@ -100,44 +174,17 @@ pub fn compile_with_book<C: CostEstimator>(
     let _span = heterog_telemetry::span("compile");
     COMPILATIONS.inc();
     let placements = resolve_placements(g, cluster, strategy);
-    let mut lw = Lowerer {
-        g,
-        cluster,
-        cost,
-        tg: TaskGraph::new(
-            format!("{}@dist", g.name),
-            cluster.num_devices() as u32,
-            cluster.num_links() as u32,
-        ),
-        placements,
-        op_tasks: vec![Vec::new(); g.len()],
-        ps_loads: PsLoadTracker::new(cluster.servers().len()),
-        base_names: base_names(g),
-        suffix: Arc::from(""),
-        pin_params: true,
-        emit_applies: true,
-        share_override: None,
-        book: PriceBook::default(),
-        gathered: vec![None; g.len()],
-        scattered: vec![None; g.len()],
-    };
-    lw.create_replica_tasks();
-    lw.wire_edges();
-    book.ps_rounds.append(&mut lw.book.ps_rounds);
-    book.collectives.append(&mut lw.book.collectives);
-    emit_aggregation_pass(
-        &mut lw.tg,
+    let mut tg = TaskGraph::default();
+    let mut scratch = SpliceScratch::default();
+    let lowering = Lowering {
         g,
         cluster,
         cost,
         opts,
-        &lw.placements,
-        &lw.op_tasks,
-        &lw.base_names,
-        &mut lw.ps_loads,
-        book,
-    );
-    lw.tg
+        placements: &placements,
+    };
+    lowering.run(None, None, &mut tg, book, true, &mut scratch);
+    tg
 }
 
 /// [`compile`] returning the [`PriceBook`] alongside the task graph.
@@ -148,127 +195,218 @@ pub fn compile_priced<C: CostEstimator>(
     strategy: &Strategy,
 ) -> (TaskGraph, PriceBook) {
     let mut book = PriceBook::default();
-    let tg = compile_with_book(g, cluster, cost, strategy, CompileOptions::default(), &mut book);
+    let tg = compile_with_book(
+        g,
+        cluster,
+        cost,
+        strategy,
+        CompileOptions::default(),
+        &mut book,
+    );
     (tg, book)
 }
 
-/// A compilation paused after replica creation and edge wiring — i.e.
-/// everything *except* gradient aggregation, which is the only stage
-/// that reads the per-op communication method or the cluster's prices
-/// beyond task durations. [`StagedCompile::finish`] clones the pre-
-/// aggregation graph and runs the aggregation stage for any strategy
-/// whose replica placement matches (e.g. a PS<->AllReduce flip), bit-
-/// identical to a fresh `compile` at a fraction of the cost.
-#[derive(Debug, Clone)]
-pub struct StagedCompile {
-    pre_agg: TaskGraph,
-    placements: Vec<OpPlacement>,
-    op_tasks: Vec<Vec<TaskId>>,
-    base_names: Vec<Arc<str>>,
-    /// Pricing records produced during wiring (shard-boundary all-gather
-    /// and reduce-scatter collectives), replayed into the caller's book
-    /// on every [`StagedCompile::finish`] — the cloned pre-aggregation
-    /// graph preserves the recorded task ids.
-    wire_book: PriceBook,
+/// Where one segment of a logged lowering put its output: half-open
+/// ranges of task ids, of recorded `add_dep` calls, and of the price
+/// book's PS rounds and collectives.
+#[derive(Debug, Clone, Copy)]
+struct SegRecord {
+    seg: Seg,
+    tasks: [u32; 2],
+    deps: [u32; 2],
+    ps_rounds: [u32; 2],
+    collectives: [u32; 2],
 }
 
-/// Compiles `g` up to (but excluding) gradient aggregation.
-pub fn compile_staged<C: CostEstimator>(
+/// The segment log of one lowering ([`compile_logged`]): the placements
+/// it lowered, where each segment's output starts and ends, every
+/// `add_dep` call in order before dedup, and the PS load tracker before
+/// each aggregation segment.
+#[derive(Debug, Clone, Default)]
+pub struct SegmentLog {
+    opts: CompileOptions,
+    placements: Vec<OpPlacement>,
+    segs: Vec<SegRecord>,
+    deps: Vec<(u32, u32)>,
+    trackers: Vec<PsLoadTracker>,
+}
+
+impl SegmentLog {
+    /// Number of segments.
+    pub fn len(&self) -> usize {
+        self.segs.len()
+    }
+
+    /// True when the log holds no segment.
+    pub fn is_empty(&self) -> bool {
+        self.segs.is_empty()
+    }
+}
+
+/// [`compile_priced`] that also records the [`SegmentLog`] other
+/// placements splice from ([`splice_into`]). Same graph and book.
+pub fn compile_logged<C: CostEstimator>(
     g: &Graph,
     cluster: &Cluster,
     cost: &C,
     strategy: &Strategy,
-) -> StagedCompile {
-    let _span = heterog_telemetry::span("compile_staged");
+) -> (TaskGraph, PriceBook, SegmentLog) {
+    let _span = heterog_telemetry::span("compile");
+    COMPILATIONS.inc();
     let placements = resolve_placements(g, cluster, strategy);
-    let mut lw = Lowerer {
+    let (mut tg, mut book, mut log) = Default::default();
+    let lowering = Lowering {
         g,
         cluster,
         cost,
-        tg: TaskGraph::new(
-            format!("{}@dist", g.name),
-            cluster.num_devices() as u32,
-            cluster.num_links() as u32,
-        ),
-        placements,
-        op_tasks: vec![Vec::new(); g.len()],
-        ps_loads: PsLoadTracker::new(cluster.servers().len()),
-        base_names: base_names(g),
-        suffix: Arc::from(""),
-        pin_params: true,
-        emit_applies: true,
-        share_override: None,
-        book: PriceBook::default(),
-        gathered: vec![None; g.len()],
-        scattered: vec![None; g.len()],
+        opts: CompileOptions::default(),
+        placements: &placements,
     };
-    lw.create_replica_tasks();
-    lw.wire_edges();
-    StagedCompile {
-        pre_agg: lw.tg,
-        placements: lw.placements,
-        op_tasks: lw.op_tasks,
-        base_names: lw.base_names,
-        wire_book: lw.book,
+    lowering.run(
+        None,
+        Some(&mut log),
+        &mut tg,
+        &mut book,
+        true,
+        &mut SpliceScratch::default(),
+    );
+    log.placements = placements;
+    (tg, book, log)
+}
+
+/// A splice base: a graph [`compile_logged`] built, with its book and
+/// segment log.
+#[derive(Debug, Clone, Copy)]
+pub struct SpliceBase<'b> {
+    /// The base task graph.
+    pub tg: &'b TaskGraph,
+    /// Its price book.
+    pub book: &'b PriceBook,
+    /// Its segment log.
+    pub log: &'b SegmentLog,
+}
+
+/// Buffers [`splice_into`] reuses from one call to the next.
+#[derive(Debug, Default)]
+pub struct SpliceScratch {
+    /// Per-op replica task ids of the graph being built.
+    op_tasks: Vec<Vec<TaskId>>,
+    /// Base task id -> spliced task id, valid for copied segments.
+    remap: Vec<u32>,
+    /// Per-op: did the replicas (or shard marker) move from the base?
+    moved: Vec<bool>,
+    tracker: PsLoadTracker,
+    /// Receives dirty segments' book entries when the caller wants none.
+    book: PriceBook,
+}
+
+/// Lowers `placements` into `out` by splicing from `base`: segments
+/// whose inputs equal the base's are copied with task ids remapped,
+/// the rest re-lowered on `cluster`, which must be the cluster the base
+/// was compiled on. The result (and, when given, `book`, which is
+/// cleared first) equals [`compile_priced`] of a strategy resolving to
+/// `placements` bit for bit. Returns the number of base segments
+/// reused; 0 means every segment was re-lowered.
+#[allow(clippy::too_many_arguments)]
+pub fn splice_into<C: CostEstimator>(
+    g: &Graph,
+    cluster: &Cluster,
+    cost: &C,
+    placements: &[OpPlacement],
+    base: SpliceBase<'_>,
+    out: &mut TaskGraph,
+    book: Option<&mut PriceBook>,
+    scratch: &mut SpliceScratch,
+) -> usize {
+    let _span = heterog_telemetry::span("splice");
+    COMPILATIONS.inc();
+    let lowering = Lowering {
+        g,
+        cluster,
+        cost,
+        opts: base.log.opts,
+        placements,
+    };
+    match book {
+        Some(book) => {
+            book.clear();
+            lowering.run(Some(base), None, out, book, true, scratch)
+        }
+        None => {
+            let mut sink = std::mem::take(&mut scratch.book);
+            sink.clear();
+            let reused = lowering.run(Some(base), None, out, &mut sink, false, scratch);
+            scratch.book = sink;
+            reused
+        }
     }
 }
 
-impl StagedCompile {
-    /// The placements this staged compilation was built from.
-    pub fn placements(&self) -> &[OpPlacement] {
-        &self.placements
-    }
+/// The inputs of one plain (single-pass) lowering.
+struct Lowering<'a, C: CostEstimator> {
+    g: &'a Graph,
+    cluster: &'a Cluster,
+    cost: &'a C,
+    opts: CompileOptions,
+    placements: &'a [OpPlacement],
+}
 
-    /// True when `other`'s replica placement matches this staged
-    /// compilation's per-op replicas exactly — the precondition for
-    /// [`StagedCompile::finish`]. Communication methods may differ;
-    /// shard dimensions may not (a Shard<->Dp flip with identical shares
-    /// changes the wiring, not just aggregation).
-    pub fn replicas_match(&self, other: &[OpPlacement]) -> bool {
-        self.placements.len() == other.len()
-            && self
-                .placements
-                .iter()
-                .zip(other)
-                .all(|(a, b)| a.replicas == b.replicas && a.shard_dim == b.shard_dim)
-    }
-
-    /// Completes the compilation by running the aggregation stage with
-    /// `placements`' communication methods (replicas must match — see
-    /// [`StagedCompile::replicas_match`]). `cluster` must be
-    /// structure-compatible with the one the stage was built on; its
-    /// prices are used for the aggregation tasks, so callers re-pricing
-    /// under a perturbed cluster should follow with
-    /// [`crate::price::reprice_into`] on the result.
-    pub fn finish<C: CostEstimator>(
+impl<C: CostEstimator> Lowering<'_, C> {
+    /// Lowers every segment into `out` and `book`: copied from `base`
+    /// where clean (book entries only when `copy_book`), else emitted,
+    /// recording each into `log` when given. Returns the number of
+    /// segments copied.
+    fn run(
         &self,
-        g: &Graph,
-        cluster: &Cluster,
-        cost: &C,
-        placements: &[OpPlacement],
-        opts: CompileOptions,
+        base: Option<SpliceBase<'_>>,
+        log: Option<&mut SegmentLog>,
+        out: &mut TaskGraph,
         book: &mut PriceBook,
-    ) -> TaskGraph {
-        debug_assert!(self.replicas_match(placements));
-        COMPILATIONS.inc();
-        let mut tg = self.pre_agg.clone();
-        book.ps_rounds.extend(self.wire_book.ps_rounds.iter().cloned());
-        book.collectives
-            .extend(self.wire_book.collectives.iter().cloned());
-        let mut ps_loads = PsLoadTracker::new(cluster.servers().len());
-        emit_aggregation_pass(
-            &mut tg,
+        copy_book: bool,
+        scratch: &mut SpliceScratch,
+    ) -> usize {
+        let g = self.g;
+        match base {
+            Some(b) => out.reset_like(b.tg),
+            None => *out = empty_graph(format!("{}@dist", g.name), g, self.cluster),
+        }
+        let SpliceScratch {
+            op_tasks,
+            remap,
+            moved,
+            tracker,
+            ..
+        } = scratch;
+        op_tasks.resize_with(g.len(), Vec::new);
+        tracker.reset(self.cluster.servers().len());
+        let mut lw = Lowerer {
             g,
-            cluster,
-            cost,
-            opts,
-            placements,
-            &self.op_tasks,
-            &self.base_names,
-            &mut ps_loads,
+            cluster: self.cluster,
+            cost: self.cost,
+            opts: self.opts,
+            placements: self.placements,
+            tg: out,
             book,
-        );
-        tg
+            op_tasks,
+            ps_loads: tracker,
+            pass: Pass::Single,
+            pin_params: true,
+            emit_applies: true,
+            share_override: None,
+            gathered: None,
+            scattered: None,
+        };
+        match (base, log) {
+            (Some(base), _) => lw.splice(base, remap, moved, copy_book),
+            (None, Some(log)) => {
+                lw.emit_logged(log);
+                0
+            }
+            (None, None) => {
+                segments(g).for_each(|seg| lw.emit(seg));
+                0
+            }
+        }
     }
 }
 
@@ -301,11 +439,7 @@ pub fn compile_pipelined<C: CostEstimator>(
     let placements = resolve_placements(g, cluster, strategy);
     let micro_batches = crate::placement::split_batch(g.batch_size, micros as u64);
 
-    let mut tg = TaskGraph::new(
-        format!("{}@dist-pipe{micros}", g.name),
-        cluster.num_devices() as u32,
-        cluster.num_links() as u32,
-    );
+    let mut tg = empty_graph(format!("{}@dist-pipe{micros}", g.name), g, cluster);
     // Collected per-op replica tasks across micro-batches, for the final
     // aggregation pass.
     let mut tasks_by_micro: Vec<Vec<Vec<TaskId>>> = Vec::new();
@@ -328,34 +462,39 @@ pub fn compile_pipelined<C: CostEstimator>(
             .iter()
             .map(|p| crate::placement::split_batch(mb, p.replicas.len() as u64))
             .collect();
+        let mut op_tasks = vec![Vec::new(); g.len()];
+        let mut unused_loads = PsLoadTracker::new(cluster.servers().len());
+        let mut book = PriceBook::default();
         let mut lw = Lowerer {
             g,
             cluster,
             cost,
-            tg,
-            placements: placements.clone(),
-            op_tasks: vec![Vec::new(); g.len()],
-            ps_loads: PsLoadTracker::new(cluster.servers().len()),
-            base_names: base_names(g),
-            suffix: format!("~u{mi}").into(),
+            opts,
+            placements: &placements,
+            tg: &mut tg,
+            book: &mut book,
+            op_tasks: &mut op_tasks,
+            ps_loads: &mut unused_loads,
+            pass: Pass::Micro(mi as u32),
             pin_params: mi == active[0].0,
             emit_applies: mi == last_mi,
-            share_override: Some(shares),
-            book: PriceBook::default(),
-            gathered: vec![None; g.len()],
-            scattered: vec![None; g.len()],
+            share_override: Some(&shares),
+            gathered: None,
+            scattered: None,
         };
-        lw.create_replica_tasks();
-        lw.wire_edges();
+        for seg in segments(g) {
+            if !matches!(seg, Seg::Aggregate { .. }) {
+                lw.emit(seg);
+            }
+        }
         if mi == last_mi {
-            for (i, t) in lw.op_tasks.iter().enumerate() {
-                if g.node(heterog_graph::OpId(i as u32)).kind == OpKind::ApplyGradient {
+            for (i, t) in op_tasks.iter().enumerate() {
+                if g.node(OpId(i as u32)).kind == OpKind::ApplyGradient {
                     final_apply_tasks[i] = t.clone();
                 }
             }
         }
-        tasks_by_micro.push(lw.op_tasks.clone());
-        tg = lw.tg;
+        tasks_by_micro.push(op_tasks);
     }
 
     // One aggregation per parameter, consuming every micro-batch's
@@ -395,67 +534,46 @@ pub fn compile_iterations<C: CostEstimator>(
 ) -> TaskGraph {
     let iterations = iterations.max(1);
     let placements = resolve_placements(g, cluster, strategy);
-    let mut tg = TaskGraph::new(
-        format!("{}@dist-x{iterations}", g.name),
-        cluster.num_devices() as u32,
-        cluster.num_links() as u32,
-    );
+    let mut tg = empty_graph(format!("{}@dist-x{iterations}", g.name), g, cluster);
 
     // Map each parameterized forward op -> its ApplyGradient op.
-    let mut apply_of: Vec<Option<OpId>> = vec![None; g.len()];
+    let mut apply_of_fwd: Vec<Option<OpId>> = vec![None; g.len()];
     for (gid, node) in g.iter() {
         if let Some(f) = node.grad_of {
-            if let Some(a) = g
-                .succs(gid)
-                .iter()
-                .copied()
-                .find(|&s| g.node(s).kind == OpKind::ApplyGradient)
-            {
-                apply_of[f.index()] = Some(a);
+            if let Some(a) = apply_of(g, gid) {
+                apply_of_fwd[f.index()] = Some(a);
             }
         }
     }
 
     let mut prev_tasks: Option<Vec<Vec<TaskId>>> = None;
     for it in 0..iterations {
+        let mut op_tasks = vec![Vec::new(); g.len()];
+        let mut ps_loads = PsLoadTracker::new(cluster.servers().len());
+        let mut book = PriceBook::default();
         let mut lw = Lowerer {
             g,
             cluster,
             cost,
-            tg,
-            placements: placements.clone(),
-            op_tasks: vec![Vec::new(); g.len()],
-            ps_loads: PsLoadTracker::new(cluster.servers().len()),
-            base_names: base_names(g),
-            suffix: format!("~i{it}").into(),
+            opts,
+            placements: &placements,
+            tg: &mut tg,
+            book: &mut book,
+            op_tasks: &mut op_tasks,
+            ps_loads: &mut ps_loads,
+            pass: Pass::Iter(it),
             pin_params: it == 0,
             emit_applies: true,
             share_override: None,
-            book: PriceBook::default(),
-            gathered: vec![None; g.len()],
-            scattered: vec![None; g.len()],
+            gathered: None,
+            scattered: None,
         };
-        lw.create_replica_tasks();
-        lw.wire_edges();
-        emit_aggregation_pass(
-            &mut lw.tg,
-            g,
-            cluster,
-            cost,
-            opts,
-            &lw.placements,
-            &lw.op_tasks,
-            &lw.base_names,
-            &mut lw.ps_loads,
-            &mut PriceBook::default(),
-        );
-        let op_tasks = lw.op_tasks.clone();
-        tg = lw.tg;
+        segments(g).for_each(|seg| lw.emit(seg));
 
         // Cross-iteration: this iteration's parameter readers wait for
         // the previous iteration's updates of the same parameters.
         if let Some(prev) = &prev_tasks {
-            for (fid, apply) in apply_of.iter().enumerate() {
+            for (fid, apply) in apply_of_fwd.iter().enumerate() {
                 let Some(apply) = apply else { continue };
                 for (&prev_apply, &cur_f) in prev[apply.index()].iter().zip(&op_tasks[fid]) {
                     tg.add_dep(prev_apply, cur_f);
@@ -485,12 +603,7 @@ fn emit_cross_micro_aggregation<C: CostEstimator>(
         if !node.kind.produces_param_grad() {
             continue;
         }
-        let Some(apply) = g
-            .succs(gid)
-            .iter()
-            .copied()
-            .find(|&s| g.node(s).kind == OpKind::ApplyGradient)
-        else {
+        let Some(apply) = apply_of(g, gid) else {
             continue;
         };
         let gp = &placements[gid.index()];
@@ -518,7 +631,7 @@ fn emit_cross_micro_aggregation<C: CostEstimator>(
 
         // Sharded parameters: every device owns its slice's gradient —
         // apply locally, no cross-device aggregation (see
-        // `emit_aggregation_pass`).
+        // `Lowerer::aggregate`).
         if gp.shard_dim.is_some() {
             for (rs, &a) in ready.iter().zip(applies) {
                 for &r in rs {
@@ -534,21 +647,13 @@ fn emit_cross_micro_aggregation<C: CostEstimator>(
             }
             continue;
         }
-        let comm = if opts.force_ps {
-            CommMethod::Ps
-        } else if opts.force_allreduce {
-            CommMethod::AllReduce
-        } else {
-            gp.comm
-        };
-        let base: Arc<str> = Arc::from(node.name.as_str());
         let mut book = PriceBook::default();
-        let avail = match comm {
+        let avail = match aggregation_method(opts, gp) {
             CommMethod::Ps => emit_ps(
-                tg, cluster, cost, &base, &devices, &ready, bytes, ps_loads, &mut book,
+                tg, cluster, cost, gid, &devices, &ready, bytes, ps_loads, &mut book,
             ),
             CommMethod::AllReduce => {
-                emit_allreduce(tg, cluster, cost, &base, &devices, &ready, bytes, &mut book)
+                emit_allreduce(tg, cluster, cost, gid, &devices, &ready, bytes, &mut book)
             }
         };
         for (a, t) in avail.iter().zip(applies) {
@@ -557,122 +662,310 @@ fn emit_cross_micro_aggregation<C: CostEstimator>(
     }
 }
 
+/// The aggregation method of a gradient placed at `gp`: the placement's
+/// own, unless `opts` forces one.
+fn aggregation_method(opts: CompileOptions, gp: &OpPlacement) -> CommMethod {
+    if opts.force_ps {
+        CommMethod::Ps
+    } else if opts.force_allreduce {
+        CommMethod::AllReduce
+    } else {
+        gp.comm
+    }
+}
+
+/// True when lowering a gradient placed at `gp` runs a PS round: it is
+/// neither sharded nor on one device, and aggregates by PS.
+fn runs_ps_round(opts: CompileOptions, gp: &OpPlacement) -> bool {
+    gp.shard_dim.is_none()
+        && gp.replicas.iter().any(|r| r.0 != gp.replicas[0].0)
+        && aggregation_method(opts, gp) == CommMethod::Ps
+}
+
+/// The state one lowering pass emits with. Every path — full compile,
+/// logged compile, splice, pipelined and multi-iteration compiles —
+/// emits segments through [`Lowerer::emit`].
 struct Lowerer<'a, C: CostEstimator> {
     g: &'a Graph,
     cluster: &'a Cluster,
     cost: &'a C,
-    tg: TaskGraph,
-    placements: Vec<OpPlacement>,
-    op_tasks: Vec<Vec<TaskId>>,
-    ps_loads: PsLoadTracker,
-    /// Per-op shared name bases: every task name derived from op `i`
-    /// holds a refcounted clone of `base_names[i]` instead of a
-    /// formatted copy (lazy [`TaskName`]s — rendering happens only on
-    /// export/debug, never on the compile→schedule→simulate hot path).
-    base_names: Vec<Arc<str>>,
-    /// Micro-batch pipelining support (the §7 extension): task-name
-    /// suffix, whether this pass pins parameters (only the first
+    opts: CompileOptions,
+    placements: &'a [OpPlacement],
+    tg: &'a mut TaskGraph,
+    book: &'a mut PriceBook,
+    /// Per-op replica task ids emitted (or copied) by this pass.
+    op_tasks: &'a mut [Vec<TaskId>],
+    ps_loads: &'a mut PsLoadTracker,
+    /// Micro-batch pipelining support (the §7 extension): the replica
+    /// names' pass, whether this pass pins parameters (only the first
     /// micro-batch does), whether ApplyGradient tasks are emitted (only
     /// the last micro-batch's pass does), and optional per-op per-replica
     /// share overrides replacing the placement's full-batch shares.
-    suffix: Arc<str>,
+    pass: Pass,
     pin_params: bool,
     emit_applies: bool,
-    share_override: Option<Vec<Vec<u64>>>,
-    /// Pricing decisions made while *wiring* (the SPMD shard boundaries'
-    /// all-gather / reduce-scatter collectives), merged into the caller's
-    /// book after lowering so re-pricing can patch them.
-    book: PriceBook,
-    /// Per-op cached all-gather completion markers: every consumer of a
-    /// sharded forward op shares one collective instead of re-gathering.
-    gathered: Vec<Option<Vec<TaskId>>>,
-    /// Per-op cached reduce-scatter completion markers (sharded backward
-    /// boundaries), shared across consumers likewise.
-    scattered: Vec<Option<Vec<TaskId>>>,
+    share_override: Option<&'a [Vec<u64>]>,
+    /// The current `W(u)`'s all-gather completion markers: every
+    /// consumer of a sharded forward op shares one collective instead of
+    /// re-gathering.
+    gathered: Option<Vec<TaskId>>,
+    /// The current `W(u)`'s reduce-scatter completion markers (sharded
+    /// backward boundaries), shared across consumers likewise.
+    scattered: Option<Vec<TaskId>>,
 }
 
-impl<'a, C: CostEstimator> Lowerer<'a, C> {
-    fn create_replica_tasks(&mut self) {
-        for (id, node) in self.g.iter() {
-            if node.kind == OpKind::ApplyGradient && !self.emit_applies {
-                continue; // pipelined: updates happen once, after the last micro-batch
+impl<C: CostEstimator> Lowerer<'_, C> {
+    /// Emits one segment.
+    fn emit(&mut self, seg: Seg) {
+        match seg {
+            Seg::Replicas(op) => self.replica_tasks(op),
+            Seg::Wiring(u) => self.wire_from(u),
+            Seg::Aggregate { grad, apply } => self.aggregate(grad, apply),
+        }
+    }
+
+    /// Emits every segment, recording each into `log`.
+    fn emit_logged(&mut self, log: &mut SegmentLog) {
+        self.tg.start_dep_log();
+        for seg in segments(self.g) {
+            if matches!(seg, Seg::Aggregate { .. }) {
+                log.trackers.push(self.ps_loads.clone());
             }
-            let placement = self.placements[id.index()].clone();
-            // SPMD-sharded ops partition their output and parameters
-            // *exactly* (slices sum to the full tensor, largest-remainder
-            // rounding), rather than pricing each replica independently.
-            let shard_shares: Vec<u64> = placement.replicas.iter().map(|r| r.1).collect();
-            let shard_total: u64 = shard_shares.iter().sum();
-            let param_slices: Option<Vec<u64>> = placement
-                .shard_dim
-                .map(|_| heterog_graph::proportional_split(node.param_bytes, &shard_shares));
-            let mut param_assigned: Vec<DeviceId> = Vec::new();
-            for (ri, &(dev, full_share)) in placement.replicas.iter().enumerate() {
-                let share = match &self.share_override {
-                    Some(sh) => sh[id.index()][ri],
-                    None => full_share,
-                };
-                let device = self.cluster.device(dev);
-                // A throttled device (speed_factor < 1) runs every op
-                // proportionally slower than its model's nominal speed.
-                let duration = self.cost.op_time(node, device.model, share) / device.speed_factor;
-                let mut task = Task::new(
-                    TaskName::Replica {
-                        base: self.base_names[id.index()].clone(),
-                        suffix: self.suffix.clone(),
-                        dev: dev.0,
-                        replica: ri as u32,
-                    },
-                    node.kind,
-                    Proc::Gpu(dev.0),
-                    duration,
-                )
-                .with_origin(id)
-                .with_batch_share(share)
-                // ApplyGradient updates parameters in place; elementwise
-                // ops are fused/in-place in real frameworks and add no
-                // resident memory (their output sizes still price any
-                // transfers, which read the node metadata directly).
-                .with_output_bytes(
-                    if node.kind == OpKind::ApplyGradient || is_in_place(node.kind) {
-                        0
-                    } else if placement.shard_dim.is_some() {
-                        node.output.shard_bytes(shard_total, &shard_shares, ri)
-                    } else {
-                        node.output.bytes(share)
-                    },
-                );
-                // Parameters are pinned once per distinct device, along
-                // with the optimizer's per-parameter state (and only by
-                // the first micro-batch's pass). A sharded op pins only
-                // its slice of the parameters — the SPMD memory payoff.
-                if self.pin_params && node.param_bytes > 0 && !param_assigned.contains(&dev) {
-                    let pinned = match &param_slices {
-                        Some(slices) => slices[ri],
-                        None => node.param_bytes,
-                    };
-                    task = task.with_param_bytes(pinned * OPTIMIZER_STATE_FACTOR);
-                    param_assigned.push(dev);
+            let start = self.marks();
+            self.emit(seg);
+            let end = self.marks();
+            log.segs.push(SegRecord {
+                seg,
+                tasks: [start[0], end[0]],
+                deps: [start[1], end[1]],
+                ps_rounds: [start[2], end[2]],
+                collectives: [start[3], end[3]],
+            });
+        }
+        log.deps = self.tg.take_dep_log();
+        log.opts = self.opts;
+    }
+
+    /// Current task, recorded-dep, PS-round and collective counts.
+    fn marks(&self) -> [u32; 4] {
+        [
+            self.tg.len() as u32,
+            self.tg.dep_log().len() as u32,
+            self.book.ps_rounds.len() as u32,
+            self.book.collectives.len() as u32,
+        ]
+    }
+
+    /// Splices from `base` (see [`splice_into`]); returns the number of
+    /// segments copied.
+    fn splice(
+        &mut self,
+        base: SpliceBase<'_>,
+        remap: &mut Vec<u32>,
+        moved: &mut Vec<bool>,
+        copy_book: bool,
+    ) -> usize {
+        let log = base.log;
+        moved.clear();
+        moved.extend(
+            log.placements
+                .iter()
+                .zip(self.placements)
+                .map(|(a, b)| a.replicas != b.replicas || a.shard_dim != b.shard_dim),
+        );
+        // Entries of re-lowered segments keep stale values; copied
+        // segments only reference copied segments' tasks.
+        remap.resize(base.tg.len(), u32::MAX);
+        // While true, every PS round so far chose and committed what the
+        // base's did, so the tracker need not be maintained: the base's
+        // snapshot before a segment is exact.
+        let mut tracker_is_base = true;
+        let mut aggregations = 0;
+        let mut reused = 0;
+        for rec in &log.segs {
+            let clean = match rec.seg {
+                Seg::Replicas(op) => !moved[op.index()],
+                Seg::Wiring(u) => {
+                    !moved[u.index()] && self.g.succs(u).iter().all(|v| !moved[v.index()])
                 }
-                let tid = self.tg.add_task(task);
-                self.op_tasks[id.index()].push(tid);
-                REPLICA_TASKS.inc();
+                Seg::Aggregate { grad, apply } => {
+                    let snapshot = &log.trackers[aggregations];
+                    aggregations += 1;
+                    let gp = &self.placements[grad.index()];
+                    let base_round = (rec.ps_rounds[0] < rec.ps_rounds[1])
+                        .then(|| &base.book.ps_rounds[rec.ps_rounds[0] as usize]);
+                    if log.placements[grad.index()] != *gp || moved[apply.index()] {
+                        if tracker_is_base && (base_round.is_some() || runs_ps_round(self.opts, gp))
+                        {
+                            self.ps_loads.clone_from(snapshot);
+                            tracker_is_base = false;
+                        }
+                        false
+                    } else {
+                        match base_round {
+                            // Earlier rounds committed different loads:
+                            // the base's choice stands only if the
+                            // greedy chooser still makes it.
+                            Some(r) if !tracker_is_base => {
+                                let pick = pick_ps(
+                                    self.cluster,
+                                    self.cost,
+                                    &r.devices,
+                                    r.bytes,
+                                    self.ps_loads,
+                                );
+                                if pick == r.chosen {
+                                    self.ps_loads
+                                        .commit(self.cluster, &r.devices, pick, r.bytes);
+                                }
+                                pick == r.chosen
+                            }
+                            _ => true,
+                        }
+                    }
+                }
+            };
+            if clean {
+                self.copy_segment(base, rec, remap, copy_book);
+                reused += 1;
+            } else {
+                self.emit(rec.seg);
+            }
+        }
+        reused
+    }
+
+    /// Appends a copy of the base's segment `rec`: its tasks, its
+    /// recorded `add_dep` calls (remapped, through the dedup set) and,
+    /// when `copy_book`, its price-book entries.
+    fn copy_segment(
+        &mut self,
+        base: SpliceBase<'_>,
+        rec: &SegRecord,
+        remap: &mut [u32],
+        copy_book: bool,
+    ) {
+        let [t0, t1] = rec.tasks;
+        let start = self.tg.copy_tasks(base.tg, t0 as usize..t1 as usize).0;
+        for (i, r) in remap[t0 as usize..t1 as usize].iter_mut().enumerate() {
+            *r = start + i as u32;
+        }
+        if let Seg::Replicas(op) = rec.seg {
+            let ids = &mut self.op_tasks[op.index()];
+            ids.clear();
+            ids.extend((start..start + (t1 - t0)).map(TaskId));
+        }
+        let at = |t: TaskId| {
+            debug_assert_ne!(remap[t.index()], u32::MAX, "copied segment references {t}");
+            TaskId(remap[t.index()])
+        };
+        for &(s, d) in &base.log.deps[rec.deps[0] as usize..rec.deps[1] as usize] {
+            self.tg.add_dep(at(TaskId(s)), at(TaskId(d)));
+        }
+        if copy_book {
+            let [p0, p1] = rec.ps_rounds;
+            for r in &base.book.ps_rounds[p0 as usize..p1 as usize] {
+                self.book.ps_rounds.push(PsRound {
+                    devices: r.devices.clone(),
+                    bytes: r.bytes,
+                    chosen: r.chosen,
+                    agg: at(r.agg),
+                });
+            }
+            let [c0, c1] = rec.collectives;
+            for c in &base.book.collectives[c0 as usize..c1 as usize] {
+                self.book.collectives.push(CollectiveRec {
+                    kind: c.kind,
+                    devices: c.devices.clone(),
+                    bytes: c.bytes,
+                    link_tasks: c.link_tasks.iter().map(|&t| at(t)).collect(),
+                });
             }
         }
     }
 
-    fn wire_edges(&mut self) {
-        for u in self.g.op_ids() {
-            for &v in self.g.succs(u) {
-                // Parameter-gradient -> ApplyGradient edges are realized
-                // by the aggregation lowering instead.
-                if self.g.node(u).kind.produces_param_grad()
-                    && self.g.node(v).kind == OpKind::ApplyGradient
-                {
-                    continue;
-                }
-                self.wire(u, v);
+    /// `R(id)`: the op's replica tasks.
+    fn replica_tasks(&mut self, id: OpId) {
+        self.op_tasks[id.index()].clear();
+        let node = self.g.node(id);
+        if node.kind == OpKind::ApplyGradient && !self.emit_applies {
+            return; // pipelined: updates happen once, after the last micro-batch
+        }
+        let placement = &self.placements[id.index()];
+        // SPMD-sharded ops partition their output and parameters
+        // *exactly* (slices sum to the full tensor, largest-remainder
+        // rounding), rather than pricing each replica independently.
+        let shard_shares: Vec<u64> = placement.replicas.iter().map(|r| r.1).collect();
+        let shard_total: u64 = shard_shares.iter().sum();
+        let param_slices: Option<Vec<u64>> = placement
+            .shard_dim
+            .map(|_| heterog_graph::proportional_split(node.param_bytes, &shard_shares));
+        let mut param_assigned: Vec<DeviceId> = Vec::new();
+        for (ri, &(dev, full_share)) in placement.replicas.iter().enumerate() {
+            let share = match self.share_override {
+                Some(sh) => sh[id.index()][ri],
+                None => full_share,
+            };
+            let device = self.cluster.device(dev);
+            // A throttled device (speed_factor < 1) runs every op
+            // proportionally slower than its model's nominal speed.
+            let duration = self.cost.op_time(node, device.model, share) / device.speed_factor;
+            let mut task = Task::new(
+                TaskName::Replica {
+                    op: id,
+                    pass: self.pass,
+                    dev: dev.0,
+                    replica: ri as u32,
+                },
+                node.kind,
+                Proc::Gpu(dev.0),
+                duration,
+            )
+            .with_origin(id)
+            .with_batch_share(share)
+            // ApplyGradient updates parameters in place; elementwise
+            // ops are fused/in-place in real frameworks and add no
+            // resident memory (their output sizes still price any
+            // transfers, which read the node metadata directly).
+            .with_output_bytes(
+                if node.kind == OpKind::ApplyGradient || is_in_place(node.kind) {
+                    0
+                } else if placement.shard_dim.is_some() {
+                    node.output.shard_bytes(shard_total, &shard_shares, ri)
+                } else {
+                    node.output.bytes(share)
+                },
+            );
+            // Parameters are pinned once per distinct device, along
+            // with the optimizer's per-parameter state (and only by
+            // the first micro-batch's pass). A sharded op pins only
+            // its slice of the parameters — the SPMD memory payoff.
+            if self.pin_params && node.param_bytes > 0 && !param_assigned.contains(&dev) {
+                let pinned = match &param_slices {
+                    Some(slices) => slices[ri],
+                    None => node.param_bytes,
+                };
+                task = task.with_param_bytes(pinned * OPTIMIZER_STATE_FACTOR);
+                param_assigned.push(dev);
             }
+            let tid = self.tg.add_task(task);
+            self.op_tasks[id.index()].push(tid);
+            REPLICA_TASKS.inc();
+        }
+    }
+
+    /// `W(u)`: wires every out-edge of `u`.
+    fn wire_from(&mut self, u: OpId) {
+        self.gathered = None;
+        self.scattered = None;
+        let g = self.g;
+        for &v in g.succs(u) {
+            // Parameter-gradient -> ApplyGradient edges are realized
+            // by the aggregation lowering instead.
+            if g.node(u).kind.produces_param_grad() && g.node(v).kind == OpKind::ApplyGradient {
+                continue;
+            }
+            self.wire(u, v);
         }
     }
 
@@ -682,12 +975,12 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
         if self.op_tasks[u.index()].is_empty() || self.op_tasks[v.index()].is_empty() {
             return; // endpoint not emitted in this pass (pipelined applies)
         }
-        let mut pu = self.placements[u.index()].clone();
-        let pv = self.placements[v.index()].clone();
+        let (g, placements) = (self.g, self.placements);
+        let pu = &placements[u.index()];
+        let pv = &placements[v.index()];
         let mut tu = self.op_tasks[u.index()].clone();
         let tv = self.op_tasks[v.index()].clone();
-        let node_u = self.g.node(u).clone();
-        let base_u = self.base_names[u.index()].clone();
+        let node_u = g.node(u);
 
         // Identical distributions: replica-to-replica, no communication.
         // For *sharded* ops this only holds between an op and its own
@@ -695,7 +988,7 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
         // distinct ops sharded identically still exchange full tensors.
         if pu.replicas == pv.replicas
             && pu.shard_dim == pv.shard_dim
-            && (pu.shard_dim.is_none() || self.g.node(v).grad_of == Some(u))
+            && (pu.shard_dim.is_none() || g.node(v).grad_of == Some(u))
         {
             for (a, b) in tu.iter().zip(&tv) {
                 self.tg.add_dep(*a, *b);
@@ -713,8 +1006,7 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
         // ordinary DP distribution the generic logic below reconciles.
         if pu.shard_dim.is_some() && !pu.single_instance() {
             if node_u.phase == Phase::Backward {
-                tu = self.reduce_scattered(u, &node_u, &base_u);
-                pu.shard_dim = None;
+                tu = self.reduce_scattered(u, node_u);
                 // Post-scatter the distribution may now match the
                 // consumer exactly (e.g. a DP op with the same shares).
                 if pu.replicas == pv.replicas && pv.shard_dim.is_none() {
@@ -724,7 +1016,7 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
                     return;
                 }
             } else {
-                let markers = self.gathered(u, &node_u, &base_u);
+                let markers = self.gathered(u, node_u);
                 let participants: Vec<DeviceId> = pu.replicas.iter().map(|r| r.0).collect();
                 let total: u64 = pu.replicas.iter().map(|r| r.1).sum();
                 for (i, &(d, share)) in pv.replicas.iter().enumerate() {
@@ -738,7 +1030,7 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
                     };
                     match participants.iter().position(|&p| p == d) {
                         Some(j) => self.tg.add_dep(markers[j], tv[i]),
-                        None => self.connect(markers[0], tv[i], participants[0], d, bytes, &base_u),
+                        None => self.connect(markers[0], tv[i], participants[0], d, bytes, u),
                     }
                 }
                 return;
@@ -755,11 +1047,11 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
             let (src_dev, src_task) = if pu.single_instance() {
                 (pu.replicas[0].0, tu[0])
             } else {
-                let hub = heaviest_device(&pu);
-                let concat = self.structural_task(OpKind::Concat, hub, full, &base_u);
+                let hub = heaviest_device(pu);
+                let concat = self.structural_task(OpKind::Concat, hub, full, u);
                 for (i, &(d, share)) in pu.replicas.iter().enumerate() {
                     let bytes = node_u.output.bytes(share);
-                    self.connect(tu[i], concat, d, hub, bytes, &base_u);
+                    self.connect(tu[i], concat, d, hub, bytes, u);
                 }
                 (hub, concat)
             };
@@ -767,7 +1059,7 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
                 if d == src_dev {
                     self.tg.add_dep(src_task, tv[i]);
                 } else {
-                    self.connect(src_task, tv[i], src_dev, d, full, &base_u);
+                    self.connect(src_task, tv[i], src_dev, d, full, u);
                 }
             }
             return;
@@ -778,15 +1070,15 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
             if pv.single_instance() {
                 let (v_dev, _) = pv.replicas[0];
                 let bytes = node_u.output.bytes(u_share);
-                self.connect(tu[0], tv[0], u_dev, v_dev, bytes, &base_u);
+                self.connect(tu[0], tv[0], u_dev, v_dev, bytes, u);
             } else if node_u.output.has_batch_dim() {
                 // Scatter: Split on u's device, shard transfers out.
                 let total = node_u.output.bytes(u_share);
-                let split = self.structural_task(OpKind::Split, u_dev, total, &base_u);
+                let split = self.structural_task(OpKind::Split, u_dev, total, u);
                 self.tg.add_dep(tu[0], split);
                 for (i, &(d, share)) in pv.replicas.iter().enumerate() {
                     let bytes = node_u.output.bytes(share);
-                    self.connect(split, tv[i], u_dev, d, bytes, &base_u);
+                    self.connect(split, tv[i], u_dev, d, bytes, u);
                 }
             } else {
                 // Broadcast a batch-less tensor to every consumer device.
@@ -801,19 +1093,19 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
                             } else {
                                 // Arrival marker joining the path segments.
                                 let segs = crate::xfer::emit_transfer(
-                                    &mut self.tg,
+                                    self.tg,
                                     self.cluster,
                                     self.cost,
-                                    &base_u,
-                                    "xfer",
+                                    u,
+                                    Tag::Xfer,
                                     u_dev,
                                     d,
                                     bytes,
                                 );
                                 let arrive = self.tg.add_task(Task::new(
                                     TaskName::Tagged {
-                                        base: base_u.clone(),
-                                        tag: "bcast_done",
+                                        op: u,
+                                        tag: Tag::BcastDone,
                                         dev: d.0,
                                     },
                                     OpKind::NoOp,
@@ -840,10 +1132,10 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
             // Gather: transfers into a Concat on v's device.
             let (v_dev, _) = pv.replicas[0];
             let total = node_u.output.bytes(pu.replicas.iter().map(|r| r.1).sum());
-            let concat = self.structural_task(OpKind::Concat, v_dev, total, &base_u);
+            let concat = self.structural_task(OpKind::Concat, v_dev, total, u);
             for (i, &(d, share)) in pu.replicas.iter().enumerate() {
                 let bytes = node_u.output.bytes(share);
-                self.connect(tu[i], concat, d, v_dev, bytes, &base_u);
+                self.connect(tu[i], concat, d, v_dev, bytes, u);
             }
             self.tg.add_dep(concat, tv[0]);
             return;
@@ -865,16 +1157,16 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
             })
             .0;
         let total = node_u.output.bytes(pu.replicas.iter().map(|r| r.1).sum());
-        let concat = self.structural_task(OpKind::Concat, hub, total, &base_u);
+        let concat = self.structural_task(OpKind::Concat, hub, total, u);
         for (i, &(d, share)) in pu.replicas.iter().enumerate() {
             let bytes = node_u.output.bytes(share);
-            self.connect(tu[i], concat, d, hub, bytes, &base_u);
+            self.connect(tu[i], concat, d, hub, bytes, u);
         }
-        let split = self.structural_task(OpKind::Split, hub, total, &base_u);
+        let split = self.structural_task(OpKind::Split, hub, total, u);
         self.tg.add_dep(concat, split);
         for (i, &(d, share)) in pv.replicas.iter().enumerate() {
             let bytes = node_u.output.bytes(share);
-            self.connect(split, tv[i], hub, d, bytes, &base_u);
+            self.connect(split, tv[i], hub, d, bytes, u);
         }
     }
 
@@ -886,14 +1178,14 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
         from: DeviceId,
         to: DeviceId,
         bytes: u64,
-        base: &Arc<str>,
+        op: OpId,
     ) {
         crate::xfer::connect_via_transfer(
-            &mut self.tg,
+            self.tg,
             self.cluster,
             self.cost,
-            base,
-            "xfer",
+            op,
+            Tag::Xfer,
             a,
             b,
             from,
@@ -903,29 +1195,29 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
     }
 
     /// A Split/Concat task priced as a memory-bound op over `bytes`.
-    fn structural_task(
-        &mut self,
-        kind: OpKind,
-        dev: DeviceId,
-        bytes: u64,
-        base: &Arc<str>,
-    ) -> TaskId {
+    fn structural_task(&mut self, kind: OpKind, dev: DeviceId, bytes: u64, op: OpId) -> TaskId {
         let elems = bytes / 4;
         let node = Node::new("struct", kind, Phase::Forward)
             .with_output(TensorMeta::fixed(elems))
             .with_flops(0.0, elems as f64);
         let device = self.cluster.device(dev);
         let duration = self.cost.op_time(&node, device.model, 0) / device.speed_factor;
-        match kind {
-            OpKind::Split => SPLIT_TASKS.inc(),
-            OpKind::Concat => CONCAT_TASKS.inc(),
-            _ => {}
-        }
+        let tag = match kind {
+            OpKind::Split => {
+                SPLIT_TASKS.inc();
+                Tag::Split
+            }
+            OpKind::Concat => {
+                CONCAT_TASKS.inc();
+                Tag::Concat
+            }
+            _ => unreachable!("structural tasks are Split or Concat"),
+        };
         self.tg.add_task(
             Task::new(
                 TaskName::Tagged {
-                    base: base.clone(),
-                    tag: kind.mnemonic(),
+                    op,
+                    tag,
                     dev: dev.0,
                 },
                 kind,
@@ -941,35 +1233,32 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
     /// collective). Each participant's completion marker is charged the
     /// gathered *remainder* (the full tensor minus the slice it already
     /// owns), so peak memory reflects the materialized full activation.
-    fn gathered(&mut self, u: OpId, node: &Node, base: &Arc<str>) -> Vec<TaskId> {
-        if let Some(m) = &self.gathered[u.index()] {
+    fn gathered(&mut self, u: OpId, node: &Node) -> Vec<TaskId> {
+        if let Some(m) = &self.gathered {
             return m.clone();
         }
-        let p = self.placements[u.index()].clone();
+        let p = &self.placements[u.index()];
         let devices: Vec<DeviceId> = p.replicas.iter().map(|r| r.0).collect();
         let shares: Vec<u64> = p.replicas.iter().map(|r| r.1).collect();
         let total: u64 = shares.iter().sum();
         let full = node.output.bytes(total);
-        let ready: Vec<Vec<TaskId>> = self.op_tasks[u.index()]
-            .iter()
-            .map(|&t| vec![t])
-            .collect();
+        let ready: Vec<Vec<TaskId>> = self.op_tasks[u.index()].iter().map(|&t| vec![t]).collect();
         let marker_bytes: Vec<u64> = (0..devices.len())
             .map(|i| full - node.output.shard_bytes(total, &shares, i))
             .collect();
         let m = emit_one_pass_collective(
-            &mut self.tg,
+            self.tg,
             self.cluster,
             self.cost,
-            base,
+            u,
             &devices,
             &ready,
             full,
             CollectiveKind::AllGather,
             &marker_bytes,
-            &mut self.book,
+            self.book,
         );
-        self.gathered[u.index()] = Some(m.clone());
+        self.gathered = Some(m.clone());
         m
     }
 
@@ -977,82 +1266,40 @@ impl<'a, C: CostEstimator> Lowerer<'a, C> {
     /// sums across its shard group (cached). Afterwards each participant
     /// owns its share-sized slice of the summed tensor in place, so the
     /// markers carry no extra bytes.
-    fn reduce_scattered(&mut self, u: OpId, node: &Node, base: &Arc<str>) -> Vec<TaskId> {
-        if let Some(m) = &self.scattered[u.index()] {
+    fn reduce_scattered(&mut self, u: OpId, node: &Node) -> Vec<TaskId> {
+        if let Some(m) = &self.scattered {
             return m.clone();
         }
-        let p = self.placements[u.index()].clone();
+        let p = &self.placements[u.index()];
         let devices: Vec<DeviceId> = p.replicas.iter().map(|r| r.0).collect();
         let total: u64 = p.replicas.iter().map(|r| r.1).sum();
         let full = node.output.bytes(total);
-        let ready: Vec<Vec<TaskId>> = self.op_tasks[u.index()]
-            .iter()
-            .map(|&t| vec![t])
-            .collect();
+        let ready: Vec<Vec<TaskId>> = self.op_tasks[u.index()].iter().map(|&t| vec![t]).collect();
         let marker_bytes = vec![0u64; devices.len()];
         let m = emit_one_pass_collective(
-            &mut self.tg,
+            self.tg,
             self.cluster,
             self.cost,
-            base,
+            u,
             &devices,
             &ready,
             full,
             CollectiveKind::ReduceScatter,
             &marker_bytes,
-            &mut self.book,
+            self.book,
         );
-        self.scattered[u.index()] = Some(m.clone());
+        self.scattered = Some(m.clone());
         m
     }
-}
 
-/// The device hosting the largest total share of a placement (ties go to
-/// the earliest replica's device).
-fn heaviest_device(p: &OpPlacement) -> DeviceId {
-    let mut best = (p.replicas[0].0, 0u64);
-    for &(d, _) in &p.replicas {
-        let total: u64 = p.replicas.iter().filter(|r| r.0 == d).map(|r| r.1).sum();
-        if total > best.1 {
-            best = (d, total);
-        }
-    }
-    best.0
-}
-
-/// The gradient-aggregation stage of lowering, shared by the one-shot
-/// compile path, [`compile_iterations`], and [`StagedCompile::finish`].
-/// Reads per-op communication methods from `placements` (subject to the
-/// force-PS/AR overrides in `opts`), appends the aggregation tasks to
-/// `tg`, and records their pricing decisions into `book`.
-#[allow(clippy::too_many_arguments)]
-fn emit_aggregation_pass<C: CostEstimator>(
-    tg: &mut TaskGraph,
-    g: &Graph,
-    cluster: &Cluster,
-    cost: &C,
-    opts: CompileOptions,
-    placements: &[OpPlacement],
-    op_tasks: &[Vec<TaskId>],
-    base_names: &[Arc<str>],
-    ps_loads: &mut PsLoadTracker,
-    book: &mut PriceBook,
-) {
-    for (gid, node) in g.iter() {
-        if !node.kind.produces_param_grad() {
-            continue;
-        }
-        let Some(apply) = g
-            .succs(gid)
-            .iter()
-            .copied()
-            .find(|&s| g.node(s).kind == OpKind::ApplyGradient)
-        else {
-            continue; // gradient without an update consumer
-        };
-
-        let gp = &placements[gid.index()];
-        let g_tasks = &op_tasks[gid.index()];
+    /// `A(gid)`: aggregates `gid`'s replica gradients into `apply`'s
+    /// tasks. Reads the gradient's communication method (subject to the
+    /// force-PS/AR overrides) and records its pricing decisions into the
+    /// book.
+    fn aggregate(&mut self, gid: OpId, apply: OpId) {
+        let node = self.g.node(gid);
+        let gp = &self.placements[gid.index()];
+        let g_tasks = &self.op_tasks[gid.index()];
         let bytes = node.output.bytes(0).max(node.output.bytes(1));
         let devices = gp.devices();
 
@@ -1072,7 +1319,7 @@ fn emit_aggregation_pass<C: CostEstimator>(
             })
             .collect();
 
-        let apply_tasks = &op_tasks[apply.index()];
+        let apply_tasks = self.op_tasks[apply.index()].clone();
         debug_assert_eq!(
             apply_tasks.len(),
             devices.len(),
@@ -1085,41 +1332,55 @@ fn emit_aggregation_pass<C: CostEstimator>(
         // sharding payoff — the per-iteration gradient collective
         // vanishes, traded for the (smaller) forward all-gather.
         if gp.shard_dim.is_some() {
-            for (rs, &a) in ready.iter().zip(apply_tasks) {
+            for (rs, &a) in ready.iter().zip(&apply_tasks) {
                 for &r in rs {
-                    tg.add_dep(r, a);
+                    self.tg.add_dep(r, a);
                 }
             }
-            continue;
+            return;
         }
 
         if devices.len() == 1 {
             for &r in &ready[0] {
-                tg.add_dep(r, apply_tasks[0]);
+                self.tg.add_dep(r, apply_tasks[0]);
             }
-            continue;
+            return;
         }
 
-        let comm = if opts.force_ps {
-            CommMethod::Ps
-        } else if opts.force_allreduce {
-            CommMethod::AllReduce
-        } else {
-            gp.comm
-        };
-        let base = base_names[gid.index()].clone();
-        let avail = match comm {
+        let (tg, cluster, cost) = (&mut *self.tg, self.cluster, self.cost);
+        let avail = match aggregation_method(self.opts, gp) {
             CommMethod::Ps => emit_ps(
-                tg, cluster, cost, &base, &devices, &ready, bytes, ps_loads, book,
+                tg,
+                cluster,
+                cost,
+                gid,
+                &devices,
+                &ready,
+                bytes,
+                self.ps_loads,
+                self.book,
             ),
             CommMethod::AllReduce => {
-                emit_allreduce(tg, cluster, cost, &base, &devices, &ready, bytes, book)
+                emit_allreduce(tg, cluster, cost, gid, &devices, &ready, bytes, self.book)
             }
         };
-        for (a, t) in avail.iter().zip(apply_tasks) {
+        for (a, t) in avail.iter().zip(&apply_tasks) {
             tg.add_dep(*a, *t);
         }
     }
+}
+
+/// The device hosting the largest total share of a placement (ties go to
+/// the earliest replica's device).
+fn heaviest_device(p: &OpPlacement) -> DeviceId {
+    let mut best = (p.replicas[0].0, 0u64);
+    for &(d, _) in &p.replicas {
+        let total: u64 = p.replicas.iter().filter(|r| r.0 == d).map(|r| r.1).sum();
+        if total > best.1 {
+            best = (d, total);
+        }
+    }
+    best.0
 }
 
 #[cfg(test)]
@@ -1127,7 +1388,7 @@ mod tests {
     use super::*;
     use heterog_cluster::paper_testbed_8gpu;
     use heterog_graph::DType;
-    use heterog_graph::GraphBuilder;
+    use heterog_graph::{GraphBuilder, ModelSpec};
     use heterog_profile::GroundTruthCost;
     use heterog_sched::{list_schedule, OrderPolicy};
 
@@ -1170,7 +1431,7 @@ mod tests {
             assert!(
                 (t2.duration - 2.0 * t.duration).abs() <= 1e-12 * t.duration.max(1.0),
                 "task {} expected 2x of {}, got {}",
-                t.name.render(),
+                healthy.task_name(id),
                 t.duration,
                 t2.duration
             );
@@ -1424,7 +1685,10 @@ mod tests {
         let c = paper_testbed_8gpu();
         let s = shard_strategy(&g, &c);
         let (tg, book) = compile_priced(&g, &c, &GroundTruthCost, &s);
-        let ag = tg.iter().filter(|(_, t)| t.kind == OpKind::AllGather).count();
+        let ag = tg
+            .iter()
+            .filter(|(_, t)| t.kind == OpKind::AllGather)
+            .count();
         let rs = tg
             .iter()
             .filter(|(_, t)| t.kind == OpKind::ReduceScatter)
@@ -1495,46 +1759,112 @@ mod tests {
         assert_eq!(ags, 1, "the forward all-gather must be cached");
     }
 
-    #[test]
-    fn staged_finish_is_bit_identical_for_shard_plans() {
-        let g = tiny(64);
-        let c = paper_testbed_8gpu();
-        let s = shard_strategy(&g, &c);
-        let (fresh, fresh_book) = compile_priced(&g, &c, &GroundTruthCost, &s);
-        let staged = compile_staged(&g, &c, &GroundTruthCost, &s);
-        let placements = resolve_placements(&g, &c, &s);
-        assert!(staged.replicas_match(&placements));
-        let mut book = PriceBook::default();
-        let fin = staged.finish(
-            &g,
-            &c,
-            &GroundTruthCost,
-            &placements,
-            CompileOptions::default(),
-            &mut book,
-        );
-        assert_eq!(fresh.len(), fin.len());
-        for (id, t) in fresh.iter() {
-            let t2 = fin.task(id);
-            assert_eq!(t.duration.to_bits(), t2.duration.to_bits());
-            assert_eq!(t.output_bytes, t2.output_bytes);
+    /// Asserts `a` equals `b` task for task (rendered name, kind,
+    /// processor, duration bits, byte counts, origin, batch share), edge
+    /// for edge in insertion order, and book entry for entry.
+    fn assert_same_lowering(a: (&TaskGraph, &PriceBook), b: (&TaskGraph, &PriceBook)) {
+        let ((ta, ba), (tb, bb)) = (a, b);
+        assert_eq!(ta.len(), tb.len());
+        for id in ta.task_ids() {
+            let (x, y) = (ta.task(id), tb.task(id));
+            assert_eq!(ta.task_name(id).to_string(), tb.task_name(id).to_string());
+            assert_eq!((x.kind, x.proc), (y.kind, y.proc));
+            assert_eq!(x.duration.to_bits(), y.duration.to_bits());
+            assert_eq!(
+                (x.output_bytes, x.param_bytes, x.comm_bytes),
+                (y.output_bytes, y.param_bytes, y.comm_bytes)
+            );
+            assert_eq!((x.origin, x.batch_share), (y.origin, y.batch_share));
         }
-        assert_eq!(fresh_book.collectives.len(), book.collectives.len());
+        assert!(ta.edges().eq(tb.edges()), "edge lists differ");
+        assert_eq!(ba, bb);
+    }
+
+    fn splice(
+        g: &Graph,
+        c: &Cluster,
+        base: &Strategy,
+        s: &Strategy,
+    ) -> (TaskGraph, PriceBook, usize) {
+        let (btg, bbook, log) = compile_logged(g, c, &GroundTruthCost, base);
+        let (mut tg, mut book) = (TaskGraph::default(), PriceBook::default());
+        let reused = splice_into(
+            g,
+            c,
+            &GroundTruthCost,
+            &resolve_placements(g, c, s),
+            SpliceBase {
+                tg: &btg,
+                book: &bbook,
+                log: &log,
+            },
+            &mut tg,
+            Some(&mut book),
+            &mut SpliceScratch::default(),
+        );
+        (tg, book, reused)
     }
 
     #[test]
-    fn shard_dim_flip_defeats_replicas_match() {
-        // Same proportional shares, but Shard vs Dp wiring differ: the
-        // staged fast path must refuse.
+    fn logged_compile_equals_plain_compile() {
         let g = tiny(64);
         let c = paper_testbed_8gpu();
-        let staged = compile_staged(&g, &c, &GroundTruthCost, &shard_strategy(&g, &c));
-        let dp = resolve_placements(
-            &g,
-            &c,
-            &Strategy::proportional(g.len(), &c, CommMethod::AllReduce),
-        );
-        assert!(!staged.replicas_match(&dp));
+        for s in [
+            shard_strategy(&g, &c),
+            Strategy::proportional(g.len(), &c, CommMethod::Ps),
+        ] {
+            let (tg, book) = compile_priced(&g, &c, &GroundTruthCost, &s);
+            let (ltg, lbook, log) = compile_logged(&g, &c, &GroundTruthCost, &s);
+            assert_same_lowering((&tg, &book), (&ltg, &lbook));
+            assert!(!log.is_empty());
+        }
+    }
+
+    #[test]
+    fn splice_is_bit_identical_for_shard_plans() {
+        let g = tiny(64);
+        let c = paper_testbed_8gpu();
+        let base = shard_strategy(&g, &c);
+        let mut s = base.clone();
+        let (l2, _) = g.iter().find(|(_, n)| n.name == "l2/matmul").unwrap();
+        s.per_op[l2.index()] = crate::OpStrategy::Mp(DeviceId(3));
+        let (tg, book, reused) = splice(&g, &c, &base, &s);
+        assert!(reused > 0, "unchanged segments must be copied");
+        let (fresh, fresh_book) = compile_priced(&g, &c, &GroundTruthCost, &s);
+        assert_same_lowering((&tg, &book), (&fresh, &fresh_book));
+    }
+
+    #[test]
+    fn shard_dim_flip_rewires_instead_of_copying() {
+        // Same proportional shares, but Shard and Dp wire differently:
+        // every segment of a flipped op must be re-lowered.
+        let g = tiny(64);
+        let c = paper_testbed_8gpu();
+        let dp = Strategy::proportional(g.len(), &c, CommMethod::AllReduce);
+        let (tg, book, reused) = splice(&g, &c, &shard_strategy(&g, &c), &dp);
+        let (fresh, fresh_book) = compile_priced(&g, &c, &GroundTruthCost, &dp);
+        assert_same_lowering((&tg, &book), (&fresh, &fresh_book));
+        assert!(reused < compile_logged(&g, &c, &GroundTruthCost, &dp).2.len());
+    }
+
+    #[test]
+    fn comm_flip_relowers_only_aggregation_and_replays_ps_choices() {
+        let g = ModelSpec::new(heterog_graph::BenchmarkModel::MobileNetV2, 32).build();
+        let c = paper_testbed_8gpu();
+        let base = Strategy::even(g.len(), &c, CommMethod::Ps);
+        // Flip the first few gradients to AllReduce: later PS rounds see
+        // different committed NIC loads and must replay their choice.
+        let mut s = base.clone();
+        for (id, _) in g.iter().filter(|(_, n)| n.has_params()).take(3) {
+            s.per_op[id.index()] = crate::OpStrategy::even(&c, CommMethod::AllReduce);
+        }
+        let (tg, book, reused) = splice(&g, &c, &base, &s);
+        let (fresh, fresh_book) = compile_priced(&g, &c, &GroundTruthCost, &s);
+        assert_same_lowering((&tg, &book), (&fresh, &fresh_book));
+        let log = compile_logged(&g, &c, &GroundTruthCost, &base).2;
+        // Every R and W segment is copied; at least the three flipped A
+        // segments are not.
+        assert!(reused >= 2 * g.len() && reused + 3 <= log.len());
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::collective::{
 };
 
 /// One recorded parameter-server aggregation round, in emission order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PsRound {
     /// Participating devices (aggregation group), in placement order.
     pub devices: Vec<DeviceId>,
@@ -59,7 +59,7 @@ pub enum CollectiveKind {
 }
 
 /// One recorded collective (n >= 2 devices).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveRec {
     /// Which collective this is (selects the re-pricing formula).
     pub kind: CollectiveKind,
@@ -72,8 +72,8 @@ pub struct CollectiveRec {
 }
 
 /// The non-derivable pricing decisions of one compilation, recorded by
-/// `compile_priced` (and by `StagedCompile::finish`).
-#[derive(Debug, Clone, Default)]
+/// `compile_priced` (and copied, ids remapped, by `splice_into`).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PriceBook {
     /// PS rounds in emission order (the greedy chooser is stateful, so
     /// order matters when replaying it).
@@ -266,7 +266,7 @@ mod tests {
                 ta.duration.to_bits(),
                 tb.duration.to_bits(),
                 "duration mismatch at {}: {} vs {}",
-                ta.name.render(),
+                a.task_name(id),
                 ta.duration,
                 tb.duration
             );

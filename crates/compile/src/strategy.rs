@@ -221,9 +221,7 @@ impl OpStrategy {
         match self {
             OpStrategy::Mp(_) => 1,
             OpStrategy::Dp { replicas, .. } => replicas.iter().sum(),
-            OpStrategy::Shard { shards, .. } => {
-                shards.iter().filter(|&&w| w > 0).count() as u32
-            }
+            OpStrategy::Shard { shards, .. } => shards.iter().filter(|&&w| w > 0).count() as u32,
         }
     }
 
@@ -304,10 +302,8 @@ impl Strategy {
                         // A longer vector that still weights a trailing
                         // (removed) device is the elastic hazard; name
                         // that device rather than just the length.
-                        if let Some((i, _)) = shards
-                            .iter()
-                            .enumerate()
-                            .find(|&(i, &w)| i >= m && w > 0)
+                        if let Some((i, _)) =
+                            shards.iter().enumerate().find(|&(i, &w)| i >= m && w > 0)
                         {
                             return Err(StrategyError::ShardDeviceMissing {
                                 op,
@@ -485,7 +481,7 @@ mod tests {
         let mut s2 = Strategy::even(1, &c, CommMethod::Ps);
         s2.per_op[0] = OpStrategy::Shard {
             dim: 0,
-            shards: vec![0u32; 9].iter().enumerate().map(|(i, _)| u32::from(i < 8)).collect(),
+            shards: (0..9).map(|i| u32::from(i < 8)).collect(),
         };
         assert!(matches!(
             s2.validate(&c),

@@ -1,12 +1,10 @@
 //! Transfer emission: one task per path segment, occupied concurrently
 //! (cut-through through the switch — see `heterog-cluster`'s link model).
 
-use std::sync::Arc;
-
 use heterog_cluster::{Cluster, DeviceId, LinkKind};
-use heterog_graph::OpKind;
+use heterog_graph::{OpId, OpKind};
 use heterog_profile::CostEstimator;
-use heterog_sched::{Proc, Task, TaskGraph, TaskId, TaskName};
+use heterog_sched::{Proc, Tag, Task, TaskGraph, TaskId, TaskName};
 
 static TRANSFER_TASKS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
     "heterog_compile_transfer_tasks_total",
@@ -42,16 +40,16 @@ fn record_link_bytes(kind: LinkKind, bytes: u64) {
 /// must make the producer feed every returned task and the consumer wait
 /// on every returned task.
 ///
-/// Segment names render as `"{base}/{tag}@{label}"` but are stored
-/// lazily ([`TaskName::OnLink`]): three refcount bumps instead of a
-/// `format!` per segment on the compile hot path.
+/// Segment names render as `"{op}/{tag}@{label}"` but are stored as
+/// indices ([`TaskName::OnLink`]): no `format!` and no refcount per
+/// segment on the compile hot path.
 #[allow(clippy::too_many_arguments)]
 pub fn emit_transfer<C: CostEstimator>(
     tg: &mut TaskGraph,
     cluster: &Cluster,
     cost: &C,
-    base: &Arc<str>,
-    tag: &'static str,
+    op: OpId,
+    tag: Tag,
     from: DeviceId,
     to: DeviceId,
     bytes: u64,
@@ -67,9 +65,9 @@ pub fn emit_transfer<C: CostEstimator>(
             tg.add_task(
                 Task::new(
                     TaskName::OnLink {
-                        base: base.clone(),
+                        op,
                         tag,
-                        label: link.label.clone(),
+                        link: lid.0,
                     },
                     OpKind::Transfer,
                     Proc::Link(lid.0),
@@ -89,15 +87,15 @@ pub fn connect_via_transfer<C: CostEstimator>(
     tg: &mut TaskGraph,
     cluster: &Cluster,
     cost: &C,
-    base: &Arc<str>,
-    tag: &'static str,
+    op: OpId,
+    tag: Tag,
     producer: TaskId,
     consumer: TaskId,
     from: DeviceId,
     to: DeviceId,
     bytes: u64,
 ) {
-    let segs = emit_transfer(tg, cluster, cost, base, tag, from, to, bytes);
+    let segs = emit_transfer(tg, cluster, cost, op, tag, from, to, bytes);
     if segs.is_empty() {
         tg.add_dep(producer, consumer);
         return;
@@ -115,9 +113,7 @@ mod tests {
     use heterog_profile::GroundTruthCost;
     use heterog_sched::{list_schedule, OrderPolicy};
 
-    fn base(s: &str) -> Arc<str> {
-        Arc::from(s)
-    }
+    const X: OpId = OpId(0);
 
     #[test]
     fn same_device_transfer_is_empty() {
@@ -127,8 +123,8 @@ mod tests {
             &mut tg,
             &c,
             &GroundTruthCost,
-            &base("x"),
-            "xfer",
+            X,
+            Tag::Xfer,
             DeviceId(0),
             DeviceId(0),
             1 << 20,
@@ -145,16 +141,20 @@ mod tests {
             &mut tg,
             &c,
             &GroundTruthCost,
-            &base("x"),
-            "xfer",
+            X,
+            Tag::Xfer,
             DeviceId(0),
             DeviceId(1),
             1 << 20,
         );
         assert_eq!(segs.len(), 1);
-        // Lazy name renders exactly like the old eager format.
+        // The index name renders exactly like the old eager format.
+        tg.set_names(std::sync::Arc::new(heterog_sched::NameTable::new(
+            vec!["x".into()],
+            c.links().iter().map(|l| l.label.clone()).collect(),
+        )));
         assert_eq!(
-            tg.task(segs[0]).name.to_string(),
+            tg.task_name(segs[0]).to_string(),
             format!(
                 "x/xfer@{}",
                 c.link(c.path_between(DeviceId(0), DeviceId(1)).unwrap()[0])
@@ -174,8 +174,8 @@ mod tests {
             &mut tg,
             &c,
             &cost,
-            &base("x"),
-            "xfer",
+            X,
+            Tag::Xfer,
             src,
             dst,
             DeviceId(0),
@@ -203,15 +203,15 @@ mod tests {
         let mut tg = TaskGraph::new("t", 8, c.num_links() as u32);
         let dst_dev = DeviceId(0);
         let sink = tg.add_task(Task::new("sink", OpKind::NoOp, Proc::Gpu(0), 0.0));
-        let push = base("push");
+
         for i in 2..8 {
             let p = tg.add_task(Task::new("src", OpKind::NoOp, Proc::Gpu(i), 0.0));
             connect_via_transfer(
                 &mut tg,
                 &c,
                 &cost,
-                &push,
-                "xfer",
+                X,
+                Tag::Xfer,
                 p,
                 sink,
                 DeviceId(i),

@@ -334,7 +334,7 @@ pub fn elastic_run(
 /// Runs one repair according to the policy; `strategy` has already been
 /// validity-migrated onto the mutated cluster. When `evaluator` is
 /// present (incremental mode), candidate scoring goes through its
-/// staged/dirty-region fast paths instead of fresh compiles — the
+/// splice and dirty-region fast paths instead of fresh compiles — the
 /// chosen strategy is identical either way.
 #[allow(clippy::too_many_arguments)]
 fn repair(
@@ -590,7 +590,10 @@ mod tests {
         let fast = run(true);
         let slow = run(false);
         let (rf, rs) = (&fast.report, &slow.report);
-        assert_eq!(rf.baseline_makespan.to_bits(), rs.baseline_makespan.to_bits());
+        assert_eq!(
+            rf.baseline_makespan.to_bits(),
+            rs.baseline_makespan.to_bits()
+        );
         assert_eq!(rf.final_makespan.to_bits(), rs.final_makespan.to_bits());
         assert_eq!(rf.decisions.len(), rs.decisions.len());
         let (mut fast_evals, mut slow_evals) = (0u64, 0u64);

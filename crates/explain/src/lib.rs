@@ -333,7 +333,10 @@ mod tests {
     fn shard_plan_report_attributes_gather_and_scatter_time() {
         let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
         let c = paper_testbed_8gpu();
-        let s = Strategy::uniform(g.len(), heterog_compile::OpStrategy::shard_proportional(&c, 0));
+        let s = Strategy::uniform(
+            g.len(),
+            heterog_compile::OpStrategy::shard_proportional(&c, 0),
+        );
         let tg = compile(&g, &c, &GroundTruthCost, &s);
         let policy = OrderPolicy::RankBased;
         let r = simulate(&tg, &c.memory_capacities(), &policy);

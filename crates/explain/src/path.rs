@@ -196,7 +196,7 @@ pub fn critical_path(tg: &TaskGraph, s: &Schedule) -> CriticalPath {
         total_idle += idle_before;
         segments.push(PathSegment {
             task: cur.index() as u32,
-            name: task.name.to_string(),
+            name: tg.task_name(cur).to_string(),
             proc: task.proc,
             kind: segment_kind(task),
             start,

@@ -272,7 +272,7 @@ pub fn default_interventions(cluster: &Cluster, strategy: &Strategy) -> Vec<Inte
 
 /// Evaluates one intervention through the cheapest sound incremental
 /// path: cluster-only interventions re-price + dirty-region re-simulate,
-/// comm flips finish the staged compile, order flips re-simulate the
+/// comm flips splice from the base lowering, order flips re-simulate the
 /// cached graph, and device removal (structure change) falls back to the
 /// full pipeline inside the evaluator. Bit-identical to a fresh
 /// compile + simulate in every case.
@@ -515,7 +515,10 @@ mod tests {
             to: CommMethod::AllReduce,
         };
         let reason = iv.skip_reason(&c, &s).expect("flip must not apply");
-        assert!(reason.contains("shard"), "reason names the variant: {reason}");
+        assert!(
+            reason.contains("shard"),
+            "reason names the variant: {reason}"
+        );
         let base = evaluate(&g, &c, &GroundTruthCost, &s).iteration_time;
         let out = run_whatif(
             &g,

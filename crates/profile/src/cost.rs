@@ -1,10 +1,9 @@
 //! Cost estimation interfaces: the analytic ground-truth oracle and the
 //! regression-fitted cost model.
 
-use std::collections::HashMap;
-
 use heterog_cluster::{Cluster, DeviceId, GpuModel, Link, LinkId};
 use heterog_graph::{Node, OpKind};
+use heterog_telemetry::hash::FastMap;
 
 use crate::efficiency::{kind_utilization, launch_overhead_s};
 use crate::linreg::LinearFit;
@@ -61,13 +60,15 @@ impl CostEstimator for GroundTruthCost {
 /// — `time = a * flops + b` — and per link processor —
 /// `time = a * bytes + b` (§3.3: "build a linear regression model to
 /// predict computation time ... and a linear regression model for
-/// transfer time prediction over each link").
+/// transfer time prediction over each link"). Every `op_time` and
+/// `transfer_time` looks a fit up, so the maps use the workspace's
+/// multiplicative hasher rather than SipHash.
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
     /// Fit per (kind, model): x = FLOPs, y = seconds.
-    pub op_fits: HashMap<(OpKind, GpuModel), LinearFit>,
+    pub op_fits: FastMap<(OpKind, GpuModel), LinearFit>,
     /// Fit per link processor: x = bytes, y = seconds.
-    pub link_fits: HashMap<LinkId, LinearFit>,
+    pub link_fits: FastMap<LinkId, LinearFit>,
 }
 
 impl CostEstimator for CostModel {

@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use heterog_telemetry::hash::FastMap;
 use heterog_telemetry::rng::ChaCha8Rng;
 
 use heterog_cluster::Cluster;
@@ -99,7 +100,7 @@ impl Profiler {
 
         // Link profiling: transfer a sweep of sizes over each directed link.
         let sizes: [u64; 5] = [64 << 10, 1 << 20, 8 << 20, 64 << 20, 256 << 20];
-        let mut link_fits = HashMap::new();
+        let mut link_fits = FastMap::default();
         for link in cluster.links() {
             let mut pts = Vec::with_capacity(sizes.len() * self.config.repeats);
             for &s in &sizes {

@@ -152,7 +152,7 @@ pub fn render_dashboard(runs: &[StoredRun]) -> String {
         for (planner, pts) in series {
             n_runs += pts.len();
             for p in pts.iter() {
-                if p.best_makespan.is_finite() && best.map_or(true, |(_, b)| p.best_makespan < b) {
+                if p.best_makespan.is_finite() && best.is_none_or(|(_, b)| p.best_makespan < b) {
                     best = Some((planner, p.best_makespan));
                 }
             }
@@ -186,7 +186,7 @@ pub fn render_dashboard(runs: &[StoredRun]) -> String {
         any_strip = true;
         let prev = with_digest[with_digest.len() - 2];
         let last = with_digest[with_digest.len() - 1];
-        let d = heterog_explain::diff(&digests[prev.id.as_str()], &digests[last.id.as_str()]);
+        let d = heterog_explain::diff(digests[prev.id.as_str()], digests[last.id.as_str()]);
         let (class, verdict) = if d.is_clean() {
             ("ok", format!("clean ({} improved)", d.improvements.len()))
         } else {

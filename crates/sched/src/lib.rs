@@ -33,4 +33,4 @@ pub use list::{
 };
 pub use rank::{critical_path, critical_path_from, upward_ranks, upward_ranks_into, RankScratch};
 pub use strict::strict_schedule;
-pub use task::{Proc, Task, TaskGraph, TaskId, TaskName};
+pub use task::{NameRef, NameTable, Pass, Proc, Tag, Task, TaskGraph, TaskId, TaskName};

@@ -980,7 +980,9 @@ mod tests {
         let mut tg = TaskGraph::new("ragged", procs, 0);
         let mut state = seed;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 33
         };
         let ids: Vec<TaskId> = (0..tasks)
@@ -1010,7 +1012,15 @@ mod tests {
             let mut scratch = ScheduleScratch::default();
             let mut out = Schedule::default();
             let mut log = CheckpointLog::default();
-            list_schedule_recorded(&tg, &policy, 10, &mut scratch, &mut out, &mut NoHook, &mut log);
+            list_schedule_recorded(
+                &tg,
+                &policy,
+                10,
+                &mut scratch,
+                &mut out,
+                &mut NoHook,
+                &mut log,
+            );
             assert_eq!(plain.makespan.to_bits(), out.makespan.to_bits());
             assert_eq!(plain.start, out.start);
             assert_eq!(plain.finish, out.finish);
@@ -1043,7 +1053,15 @@ mod tests {
                 let mut scratch = ScheduleScratch::default();
                 let mut out = Schedule::default();
                 let mut log = CheckpointLog::default();
-                list_schedule_recorded(&tg, &policy, 8, &mut scratch, &mut out, &mut NoHook, &mut log);
+                list_schedule_recorded(
+                    &tg,
+                    &policy,
+                    8,
+                    &mut scratch,
+                    &mut out,
+                    &mut NoHook,
+                    &mut log,
+                );
 
                 // Perturb the task that was dispatched last.
                 let victim = (0..tg.len())

@@ -11,15 +11,20 @@
 //!   invalidated on mutation. Iteration order matches the old
 //!   `Vec<Vec<TaskId>>` representation exactly (per-source insertion
 //!   order), so schedules are bit-identical.
-//! * **Lazy task names.** A [`TaskName`] stores shared `Arc<str>`
-//!   components and renders the human-readable string only when asked
-//!   (display, tracing) — the compiler no longer
-//!   `format!`s a `String` per task on the reward path.
+//! * **Index task names.** A [`TaskName`] is plain data — op id, role
+//!   [`Tag`], device or replica, link id and [`Pass`] — that indexes a
+//!   per-graph [`NameTable`] held by one `Arc`. Copying a task copies
+//!   no string and bumps no refcount, so two threads splicing task
+//!   graphs from one shared base do not contend on a cache line; the
+//!   human-readable string is rendered only when asked
+//!   ([`TaskGraph::task_name`]).
+//! * **Fast edge dedup.** `add_dep` dedups through a set hashed with
+//!   the workspace's multiplicative hasher, not SipHash.
 
-use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use heterog_graph::{OpId, OpKind};
+use heterog_telemetry::hash::FastSet;
 
 /// Index of a task inside a [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,72 +70,150 @@ impl std::fmt::Display for Proc {
     }
 }
 
-/// A lazily-rendered task name.
+/// Role of a compiler-inserted task, rendered into its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Tag {
+    /// Split structural task (`"split"`).
+    Split,
+    /// Concat structural task (`"concat"`).
+    Concat,
+    /// Activation transfer segment (`"xfer"`).
+    Xfer,
+    /// PS push segment (`"push/xfer"`).
+    PushXfer,
+    /// PS pull segment (`"pull/xfer"`).
+    PullXfer,
+    /// PS reduction (`"ps_agg"`).
+    PsAgg,
+    /// PS pull arrival marker (`"pull_done"`).
+    PullDone,
+    /// AllReduce completion marker (`"ar_done"`).
+    ArDone,
+    /// Single-device gradient join (`"local_join"`).
+    LocalJoin,
+    /// Broadcast arrival marker (`"bcast_done"`).
+    BcastDone,
+    /// Ring AllReduce link occupancy (`"ring"`).
+    Ring,
+    /// Hierarchical AllReduce link occupancy (`"hier"`).
+    Hier,
+    /// All-gather link occupancy (`"ag"`).
+    AllGather,
+    /// All-gather completion marker (`"ag_done"`).
+    AgDone,
+    /// Reduce-scatter link occupancy (`"rs"`).
+    ReduceScatter,
+    /// Reduce-scatter completion marker (`"rs_done"`).
+    RsDone,
+}
+
+impl Tag {
+    /// The tag as it appears in rendered names.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Tag::Split => "split",
+            Tag::Concat => "concat",
+            Tag::Xfer => "xfer",
+            Tag::PushXfer => "push/xfer",
+            Tag::PullXfer => "pull/xfer",
+            Tag::PsAgg => "ps_agg",
+            Tag::PullDone => "pull_done",
+            Tag::ArDone => "ar_done",
+            Tag::LocalJoin => "local_join",
+            Tag::BcastDone => "bcast_done",
+            Tag::Ring => "ring",
+            Tag::Hier => "hier",
+            Tag::AllGather => "ag",
+            Tag::AgDone => "ag_done",
+            Tag::ReduceScatter => "rs",
+            Tag::RsDone => "rs_done",
+        }
+    }
+}
+
+/// Which lowering pass emitted a replica task: the single pass of a
+/// plain compile, one micro-batch of a pipelined compile, or one
+/// iteration of a multi-iteration compile. Rendered as the name suffix
+/// `""`, `"~u{n}"` or `"~i{n}"`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Pass {
+    /// A plain one-pass compile.
+    Single,
+    /// Micro-batch `n` of a pipelined compile.
+    Micro(u32),
+    /// Iteration `n` of a multi-iteration compile.
+    Iter(u32),
+}
+
+impl std::fmt::Display for Pass {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Pass::Single => Ok(()),
+            Pass::Micro(n) => write!(f, "~u{n}"),
+            Pass::Iter(n) => write!(f, "~i{n}"),
+        }
+    }
+}
+
+/// The strings a graph's [`TaskName`]s index: one name per op of the
+/// source graph and one label per link of the cluster. A compiled graph
+/// holds its table behind one `Arc`, shared by every graph spliced from
+/// it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NameTable {
+    ops: Vec<Box<str>>,
+    links: Vec<Arc<str>>,
+}
+
+impl NameTable {
+    /// A table of op names (indexed by op id) and link labels (indexed
+    /// by link id).
+    pub fn new(ops: Vec<Box<str>>, links: Vec<Arc<str>>) -> Self {
+        NameTable { ops, links }
+    }
+}
+
+/// A task name as indices into its graph's [`NameTable`].
 ///
-/// The compiler emits millions of tasks across a planner search; naming
-/// each with `format!` dominated compile-time allocations. The composed
-/// variants hold `Arc<str>` pieces shared across tasks and render the
-/// exact same strings the old eager formatting produced:
+/// The compiler emits millions of tasks across a planner search, so a
+/// name is plain `Copy`-sized data; [`TaskGraph::task_name`] renders it:
 ///
-/// * [`TaskName::Replica`] -> `"{base}{suffix}@G{dev}#{replica}"`
-/// * [`TaskName::Tagged`]  -> `"{base}/{tag}@G{dev}"`
-/// * [`TaskName::OnLink`]  -> `"{base}/{tag}@{label}"`
-#[derive(Debug, Clone)]
+/// * [`TaskName::Replica`] -> `"{op}{pass}@G{dev}#{replica}"`
+/// * [`TaskName::Tagged`]  -> `"{op}/{tag}@G{dev}"`
+/// * [`TaskName::OnLink`]  -> `"{op}/{tag}@{link label}"`
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskName {
-    /// A fully materialized name.
+    /// A fully materialized name (hand-built graphs and tests).
     Full(Box<str>),
-    /// A per-replica compute task: `"{base}{suffix}@G{dev}#{replica}"`.
+    /// A per-replica compute task.
     Replica {
-        /// Originating op name.
-        base: Arc<str>,
-        /// Pass suffix (`""`, `"~u3"`, `"~i1"`, ...).
-        suffix: Arc<str>,
+        /// Originating op.
+        op: OpId,
+        /// The lowering pass that emitted it.
+        pass: Pass,
         /// GPU index.
         dev: u32,
         /// Replica index within the op's placement.
         replica: u32,
     },
-    /// A structural/marker task on a GPU: `"{base}/{tag}@G{dev}"`.
+    /// A structural/marker task on a GPU.
     Tagged {
-        /// Originating op name.
-        base: Arc<str>,
-        /// Role tag (`"split"`, `"ps_agg"`, `"ar_done"`, ...).
-        tag: &'static str,
+        /// Originating op.
+        op: OpId,
+        /// Role tag.
+        tag: Tag,
         /// GPU index.
         dev: u32,
     },
-    /// A communication task on a link: `"{base}/{tag}@{label}"`.
+    /// A communication task on a link.
     OnLink {
-        /// Originating op name.
-        base: Arc<str>,
-        /// Role tag (`"xfer"`, `"push/xfer"`, `"ring"`, ...).
-        tag: &'static str,
-        /// The link's label (e.g. `"G0->G1"`, `"srv2.in"`).
-        label: Arc<str>,
+        /// Originating op.
+        op: OpId,
+        /// Role tag.
+        tag: Tag,
+        /// Link index.
+        link: u32,
     },
-}
-
-impl TaskName {
-    /// Renders the name to an owned `String`.
-    pub fn render(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl std::fmt::Display for TaskName {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TaskName::Full(s) => f.write_str(s),
-            TaskName::Replica {
-                base,
-                suffix,
-                dev,
-                replica,
-            } => write!(f, "{base}{suffix}@G{dev}#{replica}"),
-            TaskName::Tagged { base, tag, dev } => write!(f, "{base}/{tag}@G{dev}"),
-            TaskName::OnLink { base, tag, label } => write!(f, "{base}/{tag}@{label}"),
-        }
-    }
 }
 
 impl From<String> for TaskName {
@@ -145,10 +228,43 @@ impl From<&str> for TaskName {
     }
 }
 
+/// A [`TaskName`] with the table it indexes; `Display` renders it.
+#[derive(Debug, Clone, Copy)]
+pub struct NameRef<'a> {
+    name: &'a TaskName,
+    table: &'a NameTable,
+}
+
+impl std::fmt::Display for NameRef<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let op = |i: &OpId| &self.table.ops[i.index()];
+        match self.name {
+            TaskName::Full(s) => f.write_str(s),
+            TaskName::Replica {
+                op: o,
+                pass,
+                dev,
+                replica,
+            } => write!(f, "{}{pass}@G{dev}#{replica}", op(o)),
+            TaskName::Tagged { op: o, tag, dev } => {
+                write!(f, "{}/{}@G{dev}", op(o), tag.as_str())
+            }
+            TaskName::OnLink { op: o, tag, link } => write!(
+                f,
+                "{}/{}@{}",
+                op(o),
+                tag.as_str(),
+                self.table.links[*link as usize]
+            ),
+        }
+    }
+}
+
 /// One schedulable task (computation op replica or communication op).
 #[derive(Debug, Clone)]
 pub struct Task {
-    /// Human-readable name, e.g. `"b3/conv2d_7@G2"` (lazily rendered).
+    /// Name, e.g. `"b3/conv2d_7@G2#0"` once rendered through
+    /// [`TaskGraph::task_name`].
     pub name: TaskName,
     /// Op kind (communication kinds run on link processors).
     pub kind: OpKind,
@@ -234,10 +350,19 @@ struct Csr {
 impl Csr {
     /// Builds both directions with a stable counting sort: per-source
     /// (and per-destination) order equals edge insertion order, matching
-    /// the former `Vec<Vec<TaskId>>` push order exactly.
-    fn build(n: usize, edges: &[(u32, u32)]) -> Csr {
-        let mut succ_off = vec![0u32; n + 1];
-        let mut pred_off = vec![0u32; n + 1];
+    /// the former `Vec<Vec<TaskId>>` push order exactly. Reuses this
+    /// index's buffers.
+    fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) {
+        let Csr {
+            succ_off,
+            succ_idx,
+            pred_off,
+            pred_idx,
+        } = self;
+        for off in [&mut *succ_off, &mut *pred_off] {
+            off.clear();
+            off.resize(n + 1, 0);
+        }
         for &(s, d) in edges {
             succ_off[s as usize + 1] += 1;
             pred_off[d as usize + 1] += 1;
@@ -246,21 +371,24 @@ impl Csr {
             succ_off[i + 1] += succ_off[i];
             pred_off[i + 1] += pred_off[i];
         }
-        let mut succ_cursor = succ_off.clone();
-        let mut pred_cursor = pred_off.clone();
-        let mut succ_idx = vec![TaskId(0); edges.len()];
-        let mut pred_idx = vec![TaskId(0); edges.len()];
-        for &(s, d) in edges {
-            succ_idx[succ_cursor[s as usize] as usize] = TaskId(d);
-            succ_cursor[s as usize] += 1;
-            pred_idx[pred_cursor[d as usize] as usize] = TaskId(s);
-            pred_cursor[d as usize] += 1;
+        for idx in [&mut *succ_idx, &mut *pred_idx] {
+            idx.clear();
+            idx.resize(edges.len(), TaskId(0));
         }
-        Csr {
-            succ_off,
-            succ_idx,
-            pred_off,
-            pred_idx,
+        // Fill back to front, decrementing each row's end cursor: the
+        // offsets end up at the rows' starts and every row keeps
+        // insertion order.
+        for &(s, d) in edges.iter().rev() {
+            succ_off[s as usize + 1] -= 1;
+            succ_idx[succ_off[s as usize + 1] as usize] = TaskId(d);
+            pred_off[d as usize + 1] -= 1;
+            pred_idx[pred_off[d as usize + 1] as usize] = TaskId(s);
+        }
+        // Each row start moved down to the previous row's start; shift
+        // the offsets back up by one row.
+        for off in [&mut *succ_off, &mut *pred_off] {
+            off.copy_within(1..n + 1, 0);
+            off[n] = edges.len() as u32;
         }
     }
 }
@@ -270,7 +398,7 @@ fn edge_key(src: u32, dst: u32) -> u64 {
 }
 
 /// The placed task DAG.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct TaskGraph {
     /// Label (usually `<model>@<strategy>`).
     pub name: String,
@@ -278,13 +406,45 @@ pub struct TaskGraph {
     pub num_gpus: u32,
     /// Number of link processors.
     pub num_links: u32,
+    /// The strings the tasks' [`TaskName`]s index.
+    names: Arc<NameTable>,
     tasks: Vec<Task>,
     /// `(src, dst)` precedence edges in insertion order, deduplicated.
     edges: Vec<(u32, u32)>,
     /// Dedup index over `edges`.
-    edge_set: HashSet<u64>,
+    edge_set: FastSet<u64>,
+    /// When on, every `add_dep` call in order, before dedup.
+    dep_log: Option<Vec<(u32, u32)>>,
     /// Lazily-built CSR adjacency; cleared by any mutation.
     csr: OnceLock<Csr>,
+    /// The buffers of the last cleared index, reused by the next
+    /// [`TaskGraph::build_index`].
+    spare: Csr,
+}
+
+impl Clone for TaskGraph {
+    fn clone(&self) -> Self {
+        let mut out = TaskGraph::default();
+        out.clone_from(self);
+        out
+    }
+
+    /// Reuses `self`'s buffers: re-pricing clones the base graph into
+    /// one per-thread scratch graph per query.
+    fn clone_from(&mut self, src: &Self) {
+        self.reset_like(src);
+        self.tasks.clone_from(&src.tasks);
+        self.edges.clone_from(&src.edges);
+        self.edge_set.clone_from(&src.edge_set);
+        self.dep_log.clone_from(&src.dep_log);
+        if let Some(c) = src.csr.get() {
+            self.spare.succ_off.clone_from(&c.succ_off);
+            self.spare.succ_idx.clone_from(&c.succ_idx);
+            self.spare.pred_off.clone_from(&c.pred_off);
+            self.spare.pred_idx.clone_from(&c.pred_idx);
+            let _ = self.csr.set(std::mem::take(&mut self.spare));
+        }
+    }
 }
 
 impl TaskGraph {
@@ -294,10 +454,7 @@ impl TaskGraph {
             name: name.into(),
             num_gpus,
             num_links,
-            tasks: Vec::new(),
-            edges: Vec::new(),
-            edge_set: HashSet::new(),
-            csr: OnceLock::new(),
+            ..TaskGraph::default()
         }
     }
 
@@ -311,6 +468,41 @@ impl TaskGraph {
         self.tasks.is_empty()
     }
 
+    fn invalidate(&mut self) {
+        if let Some(c) = self.csr.take() {
+            self.spare = c;
+        }
+    }
+
+    /// Sets the table this graph's task names index.
+    pub fn set_names(&mut self, names: Arc<NameTable>) {
+        self.names = names;
+    }
+
+    /// Task `id`'s name, rendered by `Display`.
+    pub fn task_name(&self, id: TaskId) -> NameRef<'_> {
+        NameRef {
+            name: &self.tasks[id.index()].name,
+            table: &self.names,
+        }
+    }
+
+    /// Empties the graph into `like`'s label, processor counts and name
+    /// table, keeping every buffer's capacity.
+    pub fn reset_like(&mut self, like: &TaskGraph) {
+        self.name.clone_from(&like.name);
+        self.num_gpus = like.num_gpus;
+        self.num_links = like.num_links;
+        if !Arc::ptr_eq(&self.names, &like.names) {
+            self.names = like.names.clone();
+        }
+        self.tasks.clear();
+        self.edges.clear();
+        self.edge_set.clear();
+        self.dep_log = None;
+        self.invalidate();
+    }
+
     /// Adds a task, panicking if its processor is out of range (builder
     /// misuse is a bug, not a runtime condition).
     pub fn add_task(&mut self, task: Task) -> TaskId {
@@ -320,7 +512,17 @@ impl TaskGraph {
         }
         let id = TaskId(self.tasks.len() as u32);
         self.tasks.push(task);
-        self.csr.take();
+        self.invalidate();
+        id
+    }
+
+    /// Appends copies of `src`'s tasks `range` (processors already
+    /// checked there); returns the first copy's id.
+    pub fn copy_tasks(&mut self, src: &TaskGraph, range: std::ops::Range<usize>) -> TaskId {
+        debug_assert!(self.num_gpus == src.num_gpus && self.num_links == src.num_links);
+        let id = TaskId(self.tasks.len() as u32);
+        self.tasks.extend_from_slice(&src.tasks[range]);
+        self.invalidate();
         id
     }
 
@@ -329,9 +531,40 @@ impl TaskGraph {
     pub fn add_dep(&mut self, src: TaskId, dst: TaskId) {
         assert!(src.index() < self.tasks.len() && dst.index() < self.tasks.len());
         assert_ne!(src, dst, "self-dependency on {src}");
+        if let Some(log) = &mut self.dep_log {
+            log.push((src.0, dst.0));
+        }
         if self.edge_set.insert(edge_key(src.0, dst.0)) {
             self.edges.push((src.0, dst.0));
-            self.csr.take();
+            self.invalidate();
+        }
+    }
+
+    /// Starts recording every later `add_dep` call, duplicates included
+    /// ([`TaskGraph::dep_log`]).
+    pub fn start_dep_log(&mut self) {
+        self.dep_log = Some(Vec::new());
+    }
+
+    /// The `add_dep` calls recorded since [`TaskGraph::start_dep_log`],
+    /// as `(src, dst)` in call order (empty when not recording).
+    pub fn dep_log(&self) -> &[(u32, u32)] {
+        self.dep_log.as_deref().unwrap_or(&[])
+    }
+
+    /// Stops recording and returns the recorded calls.
+    pub fn take_dep_log(&mut self) -> Vec<(u32, u32)> {
+        self.dep_log.take().unwrap_or_default()
+    }
+
+    /// Builds the adjacency index now, into the buffers of the last
+    /// cleared one, so a graph rebuilt in place every query stops
+    /// allocating once its buffers have grown.
+    pub fn build_index(&mut self) {
+        if self.csr.get().is_none() {
+            let mut c = std::mem::take(&mut self.spare);
+            c.rebuild(self.tasks.len(), &self.edges);
+            let _ = self.csr.set(c);
         }
     }
 
@@ -359,8 +592,11 @@ impl TaskGraph {
     }
 
     fn csr(&self) -> &Csr {
-        self.csr
-            .get_or_init(|| Csr::build(self.tasks.len(), &self.edges))
+        self.csr.get_or_init(|| {
+            let mut c = Csr::default();
+            c.rebuild(self.tasks.len(), &self.edges);
+            c
+        })
     }
 
     /// Successors of `id`.
@@ -385,6 +621,11 @@ impl TaskGraph {
     pub fn in_degree(&self, id: TaskId) -> usize {
         let c = self.csr();
         (c.pred_off[id.index() + 1] - c.pred_off[id.index()]) as usize
+    }
+
+    /// Precedence edges `(src, dst)` in insertion order.
+    pub fn edges(&self) -> impl Iterator<Item = (TaskId, TaskId)> + '_ {
+        self.edges.iter().map(|&(s, d)| (TaskId(s), TaskId(d)))
     }
 
     /// Number of precedence edges.
@@ -537,27 +778,96 @@ mod tests {
 
     #[test]
     fn lazy_names_render_like_eager_formatting() {
-        use std::sync::Arc;
-        let base: Arc<str> = Arc::from("b3/conv2d_7");
-        let suffix: Arc<str> = Arc::from("~u2");
-        let replica = TaskName::Replica {
-            base: base.clone(),
-            suffix,
-            dev: 2,
-            replica: 1,
-        };
-        assert_eq!(replica.to_string(), "b3/conv2d_7~u2@G2#1");
-        let tagged = TaskName::Tagged {
-            base: base.clone(),
-            tag: "ps_agg",
-            dev: 0,
-        };
-        assert_eq!(tagged.to_string(), "b3/conv2d_7/ps_agg@G0");
-        let on_link = TaskName::OnLink {
-            base,
-            tag: "push/xfer",
-            label: Arc::from("srv1.in"),
-        };
-        assert_eq!(on_link.to_string(), "b3/conv2d_7/push/xfer@srv1.in");
+        let mut tg = TaskGraph::new("t", 4, 2);
+        tg.set_names(Arc::new(NameTable::new(
+            vec!["input".into(), "b3/conv2d_7".into()],
+            vec![Arc::from("G0->G1"), Arc::from("srv1.in")],
+        )));
+        let mut named =
+            |name: TaskName, proc: Proc| tg.add_task(Task::new(name, OpKind::NoOp, proc, 0.0));
+        let replica = named(
+            TaskName::Replica {
+                op: OpId(1),
+                pass: Pass::Micro(2),
+                dev: 2,
+                replica: 1,
+            },
+            Proc::Gpu(2),
+        );
+        let plain = named(
+            TaskName::Replica {
+                op: OpId(1),
+                pass: Pass::Single,
+                dev: 0,
+                replica: 0,
+            },
+            Proc::Gpu(0),
+        );
+        let tagged = named(
+            TaskName::Tagged {
+                op: OpId(1),
+                tag: Tag::PsAgg,
+                dev: 0,
+            },
+            Proc::Gpu(0),
+        );
+        let on_link = named(
+            TaskName::OnLink {
+                op: OpId(1),
+                tag: Tag::PushXfer,
+                link: 1,
+            },
+            Proc::Link(1),
+        );
+        let full = named("free-form".into(), Proc::Gpu(3));
+        assert_eq!(tg.task_name(replica).to_string(), "b3/conv2d_7~u2@G2#1");
+        assert_eq!(tg.task_name(plain).to_string(), "b3/conv2d_7@G0#0");
+        assert_eq!(tg.task_name(tagged).to_string(), "b3/conv2d_7/ps_agg@G0");
+        assert_eq!(
+            tg.task_name(on_link).to_string(),
+            "b3/conv2d_7/push/xfer@srv1.in"
+        );
+        assert_eq!(tg.task_name(full).to_string(), "free-form");
+    }
+
+    #[test]
+    fn index_rebuilt_in_place_matches_lazy_build() {
+        let mut tg = TaskGraph::new("t", 1, 0);
+        let ids: Vec<TaskId> = (0..6)
+            .map(|i| tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, Proc::Gpu(0), 1.0)))
+            .collect();
+        for &(a, b) in &[(0, 3), (0, 1), (2, 4), (0, 4), (1, 5), (3, 5)] {
+            tg.add_dep(ids[a], ids[b]);
+        }
+        let lazy = tg.clone();
+        // Two rounds through the spare buffers: reset, refill, rebuild.
+        for _ in 0..2 {
+            let src = lazy.clone();
+            tg.reset_like(&src);
+            tg.copy_tasks(&src, 0..src.len());
+            for &(a, b) in &[(0, 3), (0, 1), (2, 4), (0, 4), (1, 5), (3, 5)] {
+                tg.add_dep(ids[a], ids[b]);
+            }
+            tg.build_index();
+            for id in tg.task_ids() {
+                assert_eq!(tg.succs(id), lazy.succs(id));
+                assert_eq!(tg.preds(id), lazy.preds(id));
+            }
+        }
+    }
+
+    #[test]
+    fn dep_log_records_duplicates_in_call_order() {
+        let mut tg = TaskGraph::new("t", 1, 0);
+        let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
+        let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
+        tg.add_dep(a, b);
+        tg.start_dep_log();
+        tg.add_dep(b, a);
+        tg.add_dep(a, b);
+        assert_eq!(tg.dep_log(), &[(1, 0), (0, 1)]);
+        assert_eq!(tg.num_edges(), 2);
+        assert_eq!(tg.take_dep_log(), vec![(1, 0), (0, 1)]);
+        assert!(tg.dep_log().is_empty());
     }
 }

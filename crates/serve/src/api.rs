@@ -77,10 +77,7 @@ pub fn parse_request(
         if !allowed.iter().any(|t| t == &tenant) {
             return Err(ApiError {
                 status: 403,
-                message: format!(
-                    "unknown tenant {tenant:?} (valid: {})",
-                    allowed.join(", ")
-                ),
+                message: format!("unknown tenant {tenant:?} (valid: {})", allowed.join(", ")),
             });
         }
     }

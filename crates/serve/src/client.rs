@@ -72,8 +72,7 @@ fn parse_response(raw: &[u8]) -> std::io::Result<HttpResponse> {
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
         .ok_or_else(|| bad("no header terminator in response"))?;
-    let head =
-        std::str::from_utf8(&raw[..head_end]).map_err(|_| bad("response head not utf-8"))?;
+    let head = std::str::from_utf8(&raw[..head_end]).map_err(|_| bad("response head not utf-8"))?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next().ok_or_else(|| bad("empty response"))?;
     let status: u16 = status_line
@@ -112,8 +111,8 @@ fn decode_chunked(mut data: &[u8]) -> std::io::Result<Vec<u8>> {
             .ok_or_else(|| bad("truncated chunk size line"))?;
         let size_str =
             std::str::from_utf8(&data[..line_end]).map_err(|_| bad("chunk size not utf-8"))?;
-        let size = usize::from_str_radix(size_str.trim(), 16)
-            .map_err(|_| bad("chunk size not hex"))?;
+        let size =
+            usize::from_str_radix(size_str.trim(), 16).map_err(|_| bad("chunk size not hex"))?;
         data = &data[line_end + 2..];
         if size == 0 {
             return Ok(out);

@@ -194,8 +194,9 @@ impl Engine {
         sub.poll_into(&mut scratch);
         scratch.clear();
 
-        let degraded =
-            self.degrade_depth > 0 && queue_depth >= self.degrade_depth && spec.planner == "heterog";
+        let degraded = self.degrade_depth > 0
+            && queue_depth >= self.degrade_depth
+            && spec.planner == "heterog";
         let effective: &str = if degraded {
             self.counters.degraded.fetch_add(1, Ordering::Relaxed);
             DEGRADED_TOTAL.inc();
@@ -214,9 +215,13 @@ impl Engine {
                 let (strategy, memo_hit, cross_tenant) =
                     self.resolve_strategy(job, &g, cluster, effective);
                 self.capture(job, &mut sub, &mut scratch);
-                let eval = self
-                    .cache
-                    .evaluate_with_policy(&g, cluster, &GroundTruthCost, &strategy, &policy);
+                let eval = self.cache.evaluate_with_policy(
+                    &g,
+                    cluster,
+                    &GroundTruthCost,
+                    &strategy,
+                    &policy,
+                );
                 let body = plan_body(spec, &g, cluster, effective, degraded, &strategy, &eval);
                 Stage {
                     body,
@@ -229,9 +234,13 @@ impl Engine {
                 let (strategy, memo_hit, cross_tenant) =
                     self.resolve_strategy(job, &g, cluster, effective);
                 self.capture(job, &mut sub, &mut scratch);
-                let eval = self
-                    .cache
-                    .evaluate_with_policy(&g, cluster, &GroundTruthCost, &strategy, &policy);
+                let eval = self.cache.evaluate_with_policy(
+                    &g,
+                    cluster,
+                    &GroundTruthCost,
+                    &strategy,
+                    &policy,
+                );
                 let task_graph = heterog_compile::compile(&g, cluster, &GroundTruthCost, &strategy);
                 let opts = heterog_explain::ExplainOptions {
                     top_k: *top_k,
@@ -422,7 +431,12 @@ impl Engine {
         lock(&self.memo).len()
     }
 
-    fn capture(&self, job: &Job, sub: &mut heterog_events::Subscription, scratch: &mut Vec<heterog_events::Event>) {
+    fn capture(
+        &self,
+        job: &Job,
+        sub: &mut heterog_events::Subscription,
+        scratch: &mut Vec<heterog_events::Event>,
+    ) {
         scratch.clear();
         sub.poll_into(scratch);
         if !scratch.is_empty() {

@@ -97,7 +97,10 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     }
     let content_length: usize = headers
         .get("content-length")
-        .map(|v| v.parse().map_err(|_| HttpError::Malformed("bad content-length")))
+        .map(|v| {
+            v.parse()
+                .map_err(|_| HttpError::Malformed("bad content-length"))
+        })
         .transpose()?
         .unwrap_or(0);
     if content_length > MAX_BODY {

@@ -149,8 +149,8 @@ impl Server {
     /// (satisfying "bind failure names the port"): the CLI surfaces it
     /// verbatim and exits nonzero.
     pub fn spawn(cfg: ServeConfig) -> Result<Server, String> {
-        let listener = TcpListener::bind(&cfg.addr)
-            .map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
+        let listener =
+            TcpListener::bind(&cfg.addr).map_err(|e| format!("cannot bind {}: {e}", cfg.addr))?;
         let addr = listener
             .local_addr()
             .map_err(|e| format!("cannot resolve bound address: {e}"))?;
@@ -294,13 +294,7 @@ fn handle_connection(mut stream: TcpStream, s: &Shared) {
 fn route(stream: &mut TcpStream, req: &Request, s: &Shared) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
-            let _ = respond(
-                stream,
-                200,
-                "application/json",
-                &[],
-                b"{\"status\":\"ok\"}",
-            );
+            let _ = respond(stream, 200, "application/json", &[], b"{\"status\":\"ok\"}");
         }
         ("GET", "/metrics") => {
             QUEUE_DEPTH.set(s.queue.depth() as f64);

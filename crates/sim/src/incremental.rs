@@ -266,7 +266,11 @@ impl IncrementalSim {
     ) -> ResimOutcome {
         let _span = heterog_telemetry::span("resim");
         let n = self.base.len();
-        assert_eq!(patched.len(), n, "resim requires the base graph's structure");
+        assert_eq!(
+            patched.len(),
+            n,
+            "resim requires the base graph's structure"
+        );
         let num_gpus = self.base.num_gpus as usize;
         assert!(capacities.len() >= num_gpus, "capacity per GPU required");
         RESIMS.inc();
@@ -304,8 +308,14 @@ impl IncrementalSim {
             // Same durations => same schedule and peaks; only the OOM
             // verdict depends on the query's capacities.
             out.clone_from(&self.base_report);
-            for g in 0..num_gpus {
-                out.memory.oom[g] = out.memory.peak_bytes[g] > capacities[g];
+            let memory = &mut out.memory;
+            let per_gpu = memory
+                .oom
+                .iter_mut()
+                .zip(&memory.peak_bytes)
+                .zip(capacities);
+            for ((oom, &peak), &capacity) in per_gpu.take(num_gpus) {
+                *oom = peak > capacity;
             }
             UNCHANGED.inc();
             TASKS_SKIPPED.add(n as u64);
@@ -378,13 +388,28 @@ impl IncrementalSim {
                     events,
                     remaining,
                 };
-                list_schedule_observed_with(patched, priorities, sched, &mut out.schedule, &mut hook);
+                list_schedule_observed_with(
+                    patched,
+                    priorities,
+                    sched,
+                    &mut out.schedule,
+                    &mut hook,
+                );
                 FULL_REPLAYS.inc();
                 ResimOutcome::Replayed
             }
         };
 
-        finalize_report(patched, capacities, &self.active, events, cur, peak, intervals, out);
+        finalize_report(
+            patched,
+            capacities,
+            &self.active,
+            events,
+            cur,
+            peak,
+            intervals,
+            out,
+        );
 
         let replayed = match outcome {
             ResimOutcome::Resumed { skipped, .. } => n - skipped,
@@ -549,7 +574,13 @@ mod tests {
                 &mut scratch,
             );
             let mut want = SimReport::default();
-            simulate_into(&tg, &capacities, &OrderPolicy::RankBased, &mut scratch, &mut want);
+            simulate_into(
+                &tg,
+                &capacities,
+                &OrderPolicy::RankBased,
+                &mut scratch,
+                &mut want,
+            );
             assert!(bitwise_eq(inc.base_report(), &want));
             assert!(inc.num_checkpoints() > 0);
         }
@@ -688,7 +719,13 @@ mod tests {
             "expected a resume, got {outcome:?}"
         );
         let mut want = SimReport::default();
-        simulate_into(&patched, &capacities, &OrderPolicy::Fifo, &mut scratch, &mut want);
+        simulate_into(
+            &patched,
+            &capacities,
+            &OrderPolicy::Fifo,
+            &mut scratch,
+            &mut want,
+        );
         assert!(bitwise_eq(&got, &want));
     }
 

@@ -254,12 +254,13 @@ pub fn simulate_into(
             makespan: out.schedule.makespan,
             oom_devices,
         });
-        for g in 0..num_gpus {
-            if memory.oom[g] {
+        let per_gpu = memory.oom.iter().zip(&memory.peak_bytes).zip(capacities);
+        for (g, ((&oom, &peak_bytes), &capacity_bytes)) in per_gpu.enumerate().take(num_gpus) {
+            if oom {
                 heterog_events::emit(heterog_events::EventKind::Oom {
                     device: g as u64,
-                    peak_bytes: memory.peak_bytes[g],
-                    capacity_bytes: capacities[g],
+                    peak_bytes,
+                    capacity_bytes,
                 });
             }
         }
@@ -277,7 +278,7 @@ pub(crate) fn finalize_report(
     tg: &TaskGraph,
     capacities: &[u64],
     active: &[bool],
-    events: &mut Vec<(f64, u32, i64)>,
+    events: &mut [(f64, u32, i64)],
     cur: &mut Vec<i64>,
     peak: &mut Vec<i64>,
     intervals: &mut Vec<(f64, f64)>,

@@ -61,7 +61,7 @@ pub fn chrome_trace_json(tg: &TaskGraph, s: &Schedule) -> String {
     for (id, task) in tg.iter() {
         events.push(format!(
             r#"{{"name":"{}","cat":"{}","ph":"X","ts":{},"dur":{},"pid":0,"tid":{},"args":{{"kind":"{}"}}}}"#,
-            json_escape(&task.name.to_string()),
+            json_escape(&tg.task_name(id).to_string()),
             if task.proc.is_link() { "comm" } else { "compute" },
             us(s.start[id.index()]),
             us(task.duration),

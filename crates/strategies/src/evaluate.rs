@@ -6,6 +6,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use heterog_cluster::Cluster;
 use heterog_compile::{compile, Strategy};
@@ -46,8 +47,9 @@ pub struct EvalStats {
     /// Whole evaluation contexts evicted when a cache hit capacity.
     pub cache_evictions: u64,
     /// Perturbed evaluations served by an incremental fast path
-    /// (re-price + dirty-region re-simulation, staged recompile, or
-    /// cached-graph reorder) instead of a full compile + simulate.
+    /// (re-price + dirty-region re-simulation, a task graph spliced from
+    /// the base's lowering, or cached-graph reorder) instead of a full
+    /// compile + simulate.
     pub incremental_fast: u64,
     /// Perturbed evaluations that fell back to the full pipeline.
     pub incremental_full: u64,
@@ -131,8 +133,7 @@ pub fn evaluate_with_policy<C: CostEstimator>(
     policy: &OrderPolicy,
 ) -> Evaluation {
     let _span = heterog_telemetry::span("evaluate");
-    EVALUATIONS.inc();
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let tg = compile(g, cluster, cost, strategy);
     let mut report = SimReport::default();
     SIM_SCRATCH.with(|s| {
@@ -144,17 +145,24 @@ pub fn evaluate_with_policy<C: CostEstimator>(
             &mut report,
         )
     });
-    record_evaluation(started.elapsed().as_nanos() as u64);
-    let oom = report.memory.any_oom();
-    heterog_events::emit_with(|| heterog_events::EventKind::StrategyEvaluated {
-        makespan: report.iteration_time,
-        oom,
-    });
-    Evaluation {
+    let eval = Evaluation {
         iteration_time: report.iteration_time,
-        oom,
+        oom: report.memory.any_oom(),
         report,
-    }
+    };
+    count_full_evaluation(started, &eval);
+    eval
+}
+
+/// Counts a full compile + simulate that started at `started` and
+/// emits its `StrategyEvaluated` event.
+pub(crate) fn count_full_evaluation(started: Instant, eval: &Evaluation) {
+    EVALUATIONS.inc();
+    record_evaluation(started.elapsed().as_nanos() as u64);
+    heterog_events::emit_with(|| heterog_events::EventKind::StrategyEvaluated {
+        makespan: eval.iteration_time,
+        oom: eval.oom,
+    });
 }
 
 /// Steady-state per-iteration time under cross-iteration pipelining:

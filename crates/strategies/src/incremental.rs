@@ -11,15 +11,20 @@
 //! |-------------------------|---------------------------------------------|
 //! | `Policy`                | re-simulate the cached task graph (no compile) |
 //! | `Cluster`               | [`reprice_into`] + dirty-region [`IncrementalSim::resim`] |
-//! | `Strategy`              | [`StagedCompile::finish`] (aggregation stage only) + simulate |
-//! | `ClusterAndStrategy`    | staged finish, then re-price onto the new cluster |
+//! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
+//! | `ClusterAndStrategy`    | splice on the base cluster, then re-price onto the new cluster |
+//!
+//! A strategy change resolves the candidate's placements once and
+//! diffs them against the base's: an op's replica tasks, the wiring of
+//! its out-edges and its gradient aggregation are re-lowered only when
+//! a placement they read moved (see `heterog_compile::lower`).
 //!
 //! Every fast path is **bit-identical** to the full
 //! [`evaluate_with_policy`] it replaces — the unit tests compare all
 //! report fields by bit pattern. Whenever a precondition fails (cluster
-//! structure changed, replica placement moved, the greedy PS chooser
-//! would flip), the evaluator silently falls back to the full pipeline
-//! and reports [`EvalMode::Full`].
+//! structure changed, the greedy PS chooser would flip under a new
+//! cluster), or a splice could reuse no segment, the evaluator falls
+//! back to the full pipeline and reports [`EvalMode::Full`].
 //!
 //! Fast-path evaluations intentionally do **not** count toward
 //! [`crate::eval_stats`]'s `evaluations`/`eval_seconds` (those meter
@@ -27,14 +32,14 @@
 //! `incremental_fast` / `incremental_full` so report footers can show
 //! the hit rate.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::Mutex;
+use std::time::Instant;
 
 use heterog_cluster::Cluster;
 use heterog_compile::{
-    compile_priced, compile_staged, reprice_into, resolve_placements, structure_compatible,
-    CompileOptions, PriceBook, StagedCompile, Strategy,
+    compile_logged, reprice_into, resolve_placements, splice_into, structure_compatible, PriceBook,
+    SegmentLog, SpliceBase, SpliceScratch, Strategy,
 };
 use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
@@ -42,8 +47,9 @@ use heterog_sched::{OrderPolicy, TaskGraph};
 use heterog_sim::{
     simulate_into, IncrementalSim, ResimOptions, ResimOutcome, SimReport, SimScratch,
 };
+use heterog_telemetry::lock;
 
-use crate::evaluate::{evaluate_with_policy, record_evaluation, Evaluation};
+use crate::evaluate::{count_full_evaluation, evaluate_with_policy, record_evaluation, Evaluation};
 
 static INCREMENTAL_EVALS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
     "heterog_strategies_incremental_evals_total",
@@ -95,9 +101,9 @@ pub enum EvalMode {
     Base,
     /// Re-priced task graph + dirty-region re-simulation.
     Incremental(ResimOutcome),
-    /// Aggregation-only recompile ([`StagedCompile::finish`]) +
+    /// Task graph spliced from the base's lowering ([`splice_into`]) +
     /// simulate.
-    Staged,
+    Spliced,
     /// Cached task graph re-simulated under a different order policy.
     Reordered,
     /// Full compile + simulate fallback.
@@ -111,39 +117,21 @@ impl EvalMode {
     }
 }
 
-/// Per-thread patch buffers: the re-priced task graph, the simulator
-/// scratch, and the report each perturbed evaluation writes into. Kept
-/// thread-local so a `Sync` evaluator can serve pool workers without
-/// locking.
+/// Patch buffers: the spliced and re-priced task graphs, the spliced
+/// graph's price book, the splice and simulator scratch, and the report
+/// each perturbed evaluation writes into. An evaluator pools them, one
+/// per thread evaluating through it at once, so a `Sync` evaluator
+/// serves pool workers without sharing a buffer, the per-candidate path
+/// stops allocating once they have grown, and their memory goes with
+/// the evaluator.
+#[derive(Debug, Default)]
 struct PatchScratch {
     tg: TaskGraph,
+    spliced: TaskGraph,
     book: PriceBook,
+    splice: SpliceScratch,
     sim: SimScratch,
     report: SimReport,
-}
-
-impl Default for PatchScratch {
-    fn default() -> Self {
-        PatchScratch {
-            tg: TaskGraph::new("patch-scratch", 0, 0),
-            book: PriceBook::default(),
-            sim: SimScratch::default(),
-            report: SimReport::default(),
-        }
-    }
-}
-
-thread_local! {
-    static PATCH: RefCell<PatchScratch> = RefCell::new(PatchScratch::default());
-}
-
-fn with_patch<R>(f: impl FnOnce(&mut PatchScratch) -> R) -> R {
-    PATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut ps) => f(&mut ps),
-        // Re-entrant use (an evaluator constructed inside another's
-        // closure): fall back to a throwaway scratch.
-        Err(_) => f(&mut PatchScratch::default()),
-    })
 }
 
 fn eval_of(report: &SimReport) -> Evaluation {
@@ -168,11 +156,13 @@ pub struct IncrementalEvaluator<'a, C: CostEstimator> {
     capacities: Vec<u64>,
     opts: ResimOptions,
     book: PriceBook,
+    /// The base lowering's segments, which strategy perturbations
+    /// splice from.
+    log: SegmentLog,
     sim: IncrementalSim,
-    /// Built lazily on the first `Strategy` perturbation: planners that
-    /// only perturb clusters never pay for the staged compile.
-    staged: OnceLock<StagedCompile>,
     base: Evaluation,
+    /// Idle patch buffers (see [`PatchScratch`]).
+    patches: Mutex<Vec<PatchScratch>>,
 }
 
 impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
@@ -199,13 +189,26 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         policy: &OrderPolicy,
         opts: ResimOptions,
     ) -> Self {
+        Self::build(g, cost, cluster, strategy, policy, opts, Vec::new())
+    }
+
+    /// [`IncrementalEvaluator::with_options`] reusing `patches`.
+    fn build(
+        g: &'a Graph,
+        cost: &'a C,
+        cluster: &Cluster,
+        strategy: &Strategy,
+        policy: &OrderPolicy,
+        opts: ResimOptions,
+        mut patches: Vec<PatchScratch>,
+    ) -> Self {
         let _span = heterog_telemetry::span("incremental_evaluator_new");
         let started = std::time::Instant::now();
-        let (tg, book) = compile_priced(g, cluster, cost, strategy);
+        let (tg, book, log) = compile_logged(g, cluster, cost, strategy);
         let capacities = cluster.memory_capacities();
-        let sim = with_patch(|ps| {
-            IncrementalSim::new(tg, &capacities, policy.clone(), opts, &mut ps.sim)
-        });
+        let mut ps = patches.pop().unwrap_or_default();
+        let sim = IncrementalSim::new(tg, &capacities, policy.clone(), opts, &mut ps.sim);
+        patches.push(ps);
         let base = eval_of(sim.base_report());
         record_evaluation(started.elapsed().as_nanos() as u64);
         heterog_events::emit_with(|| heterog_events::EventKind::StrategyEvaluated {
@@ -221,9 +224,10 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             capacities,
             opts,
             book,
+            log,
             sim,
-            staged: OnceLock::new(),
             base,
+            patches: Mutex::new(patches),
         }
     }
 
@@ -250,7 +254,19 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// Re-anchors the evaluator on a new base deployment (full compile +
     /// simulate). Elastic training calls this after committing a repair.
     pub fn rebase(&mut self, cluster: &Cluster, strategy: &Strategy, policy: &OrderPolicy) {
-        *self = Self::with_options(self.g, self.cost, cluster, strategy, policy, self.opts);
+        let patches = std::mem::take(&mut *lock(&self.patches));
+        *self = Self::build(
+            self.g, self.cost, cluster, strategy, policy, self.opts, patches,
+        );
+    }
+
+    /// Runs `f` on an idle patch buffer (a new one when every pooled
+    /// buffer is in use), then returns the buffer to the pool.
+    fn with_patch<R>(&self, f: impl FnOnce(&mut PatchScratch) -> R) -> R {
+        let mut ps = lock(&self.patches).pop().unwrap_or_default();
+        let out = f(&mut ps);
+        lock(&self.patches).push(ps);
+        out
     }
 
     /// Evaluates the perturbed deployment, bit-identical to
@@ -276,7 +292,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
 
     fn dispatch(&self, p: Perturbation<'_>) -> (Evaluation, EvalMode) {
         match p {
-            Perturbation::Policy(p2) => with_patch(|ps| {
+            Perturbation::Policy(p2) => self.with_patch(|ps| {
                 simulate_into(
                     self.sim.base_graph(),
                     &self.capacities,
@@ -291,17 +307,15 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 if *s2 == self.strategy {
                     return (self.base.clone(), EvalMode::Base);
                 }
-                match self.eval_staged(&self.cluster, s2, false) {
-                    Some(r) => r,
-                    None => self.full(&self.cluster, s2),
-                }
+                self.eval_spliced(&self.cluster, s2, false)
+                    .unwrap_or_else(|| self.full(&self.cluster, s2))
             }
             Perturbation::ClusterAndStrategy(c2, s2) => {
                 if *s2 == self.strategy {
                     return self.eval_cluster(c2);
                 }
                 if structure_compatible(&self.cluster, c2) {
-                    if let Some(r) = self.eval_staged(c2, s2, true) {
+                    if let Some(r) = self.eval_spliced(c2, s2, true) {
                         return r;
                     }
                 }
@@ -312,8 +326,15 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
 
     fn eval_cluster(&self, c2: &Cluster) -> (Evaluation, EvalMode) {
         if structure_compatible(&self.cluster, c2) {
-            let served = with_patch(|ps| {
-                match reprice_into(self.g, self.sim.base_graph(), &self.book, c2, self.cost, &mut ps.tg) {
+            let served = self.with_patch(|ps| {
+                match reprice_into(
+                    self.g,
+                    self.sim.base_graph(),
+                    &self.book,
+                    c2,
+                    self.cost,
+                    &mut ps.tg,
+                ) {
                     Ok(()) => {
                         let caps = c2.memory_capacities();
                         let outcome = self.sim.resim(&ps.tg, &caps, &mut ps.sim, &mut ps.report);
@@ -329,51 +350,70 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         self.full(c2, &self.strategy)
     }
 
-    /// Aggregation-only recompile for a replica-preserving strategy
-    /// change; `reprice` additionally re-prices the result onto `c2`
-    /// (which must be structure-compatible with the base cluster).
-    fn eval_staged(
+    /// Splices `s2`'s task graph from the base lowering and simulates
+    /// it. With `reprice`, the splice runs on the base cluster and the
+    /// result is re-priced onto `c2` (structure-compatible with it);
+    /// `None` when the greedy PS chooser would pick differently on
+    /// `c2`. A splice that reuses no segment was a full compile and is
+    /// counted as one.
+    fn eval_spliced(
         &self,
         c2: &Cluster,
         s2: &Strategy,
         reprice: bool,
     ) -> Option<(Evaluation, EvalMode)> {
+        let started = Instant::now();
         let placements = resolve_placements(self.g, c2, s2);
-        let staged = self
-            .staged
-            .get_or_init(|| compile_staged(self.g, &self.cluster, self.cost, &self.strategy));
-        if !staged.replicas_match(&placements) {
-            return None;
-        }
-        with_patch(|ps| {
-            let PatchScratch { tg: ptg, book, sim, report } = ps;
-            book.clear();
-            // Finish on the *base* cluster so the pre-aggregation tasks
-            // (priced at staged-compile time) and the new aggregation
-            // tasks agree; re-price moves everything to `c2` at once.
-            let tg = staged.finish(
-                self.g,
-                &self.cluster,
-                self.cost,
-                &placements,
-                CompileOptions::default(),
+        let base = SpliceBase {
+            tg: self.sim.base_graph(),
+            book: &self.book,
+            log: &self.log,
+        };
+        self.with_patch(|ps| {
+            let PatchScratch {
+                tg,
+                spliced,
                 book,
-            );
-            let patched: &TaskGraph = if reprice {
-                match reprice_into(self.g, &tg, book, c2, self.cost, ptg) {
-                    Ok(()) => ptg,
-                    Err(_) => return None,
-                }
+                splice,
+                sim,
+                report,
+            } = ps;
+            let c2_caps;
+            let (reused, caps): (usize, &[u64]) = if reprice {
+                let reused = splice_into(
+                    self.g,
+                    &self.cluster,
+                    self.cost,
+                    &placements,
+                    base,
+                    spliced,
+                    Some(book),
+                    splice,
+                );
+                reprice_into(self.g, spliced, book, c2, self.cost, tg).ok()?;
+                c2_caps = c2.memory_capacities();
+                (reused, &c2_caps)
             } else {
-                &tg
+                let reused = splice_into(
+                    self.g,
+                    &self.cluster,
+                    self.cost,
+                    &placements,
+                    base,
+                    tg,
+                    None,
+                    splice,
+                );
+                (reused, &self.capacities)
             };
-            let caps = if reprice {
-                c2.memory_capacities()
-            } else {
-                self.capacities.clone()
-            };
-            simulate_into(patched, &caps, &self.policy, sim, report);
-            Some((eval_of(report), EvalMode::Staged))
+            tg.build_index();
+            simulate_into(tg, caps, &self.policy, sim, report);
+            let eval = eval_of(report);
+            if reused == 0 {
+                count_full_evaluation(started, &eval);
+                return Some((eval, EvalMode::Full));
+            }
+            Some((eval, EvalMode::Spliced))
         })
     }
 
@@ -477,7 +517,7 @@ mod tests {
         let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &pol);
         let s2 = switch_comm(&s, CommMethod::Ps);
         let mode = assert_matches_full(&ev, &g, Perturbation::Strategy(&s2), &c, &s2, &pol);
-        assert_eq!(mode, EvalMode::Staged);
+        assert_eq!(mode, EvalMode::Spliced);
         // Same strategy again: served from the cached base.
         let (_, mode) = ev.evaluate_perturbed(Perturbation::Strategy(&s));
         assert_eq!(mode, EvalMode::Base);
@@ -509,7 +549,7 @@ mod tests {
             &pol,
         );
         assert!(
-            matches!(mode, EvalMode::Staged | EvalMode::Full),
+            matches!(mode, EvalMode::Spliced | EvalMode::Full),
             "got {mode:?}"
         );
     }
@@ -597,8 +637,8 @@ mod tests {
             "shard plans must reprice incrementally, got {mode:?}"
         );
         // A Shard->Dp flip changes the wiring (collectives appear and
-        // vanish), not just aggregation: the staged fast path must
-        // refuse and fall back to a full compile — never a wrong answer.
+        // vanish), not just aggregation: every op's segments are
+        // re-lowered, which is a full compile — never a wrong answer.
         let dp = Strategy::proportional(g.len(), &c, CommMethod::AllReduce);
         let mode = assert_matches_full(&ev, &g, Perturbation::Strategy(&dp), &c, &dp, &pol);
         assert_eq!(mode, EvalMode::Full);

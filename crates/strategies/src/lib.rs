@@ -17,9 +17,9 @@ pub mod baselines;
 pub mod cache;
 pub mod evaluate;
 pub mod flexflow;
-pub mod incremental;
 pub mod grouping;
 pub mod hetpipe;
+pub mod incremental;
 pub mod planner;
 pub mod post;
 pub mod repair;

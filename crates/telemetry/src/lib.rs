@@ -6,7 +6,8 @@
 //! Chrome/Perfetto trace JSON and a plain JSON snapshot. Since it sits
 //! below every other crate, it also holds the workspace's one JSON
 //! reader and writer ([`json`]), its seeded generators ([`rng`]), its
-//! worker pool ([`par`]) and its poison-free [`lock`].
+//! worker pool ([`par`]), its hasher for integer keys ([`hash`]) and its
+//! poison-free [`lock`].
 //!
 //! ## Design
 //!
@@ -30,6 +31,7 @@
 //! namespace (sim, compile, sched, agent, strategies, core).
 
 pub mod export;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod par;

@@ -51,9 +51,9 @@ fn main() {
         if missed > 0 {
             eprintln!("\n(consumer lagged: {missed} events dropped)");
         }
-        if total > 0 {
-            let width = 30;
-            let filled = (done * width / total) as usize;
+        let width = 30;
+        if let Some(filled) = (done * width).checked_div(total) {
+            let filled = filled as usize;
             eprint!(
                 "\r[{}{}] episode {done}/{total}  best {best:.4} s/iter  {evals} evals",
                 "#".repeat(filled),

@@ -36,14 +36,20 @@ fn main() {
     let r = client::post_json(addr, "/v1/plan", body).expect("plan request");
     println!("\nalice plan -> HTTP {}", r.status);
     println!("  job:      {}", r.header("x-heterog-job").unwrap_or("?"));
-    println!("  planner:  {}", r.header("x-heterog-planner").unwrap_or("?"));
+    println!(
+        "  planner:  {}",
+        r.header("x-heterog-planner").unwrap_or("?")
+    );
     println!("  body:     {}", r.text());
 
     // Bob asks for the identical spec: the shared memo answers without
     // planning again, and the response bytes are identical to alice's.
     let body = r#"{"tenant":"bob","model":"mobilenet","planner":"CP-AR","wait":true}"#;
     let r2 = client::post_json(addr, "/v1/plan", body).expect("plan request");
-    println!("\nbob, same spec -> HTTP {} (cross-tenant cache)", r2.status);
+    println!(
+        "\nbob, same spec -> HTTP {} (cross-tenant cache)",
+        r2.status
+    );
     println!("  identical bytes: {}", r.body == r2.body);
 
     // Fire-and-forget: a 202 with a job id, then stream its events as

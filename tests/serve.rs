@@ -57,22 +57,16 @@ fn rejects_unknown_model_tenant_and_planner() {
     };
     let (server, addr) = spawn(cfg);
 
-    let r = client::post_json(
-        addr,
-        "/v1/plan",
-        r#"{"tenant":"alice","model":"alexnet"}"#,
-    )
-    .unwrap();
+    let r = client::post_json(addr, "/v1/plan", r#"{"tenant":"alice","model":"alexnet"}"#).unwrap();
     assert_eq!(r.status, 400);
     assert!(r.text().contains("unknown model"), "{}", r.text());
-    assert!(r.text().contains("mobilenet"), "list the valid names: {}", r.text());
+    assert!(
+        r.text().contains("mobilenet"),
+        "list the valid names: {}",
+        r.text()
+    );
 
-    let r = client::post_json(
-        addr,
-        "/v1/plan",
-        r#"{"tenant":"mallory","model":"vgg19"}"#,
-    )
-    .unwrap();
+    let r = client::post_json(addr, "/v1/plan", r#"{"tenant":"mallory","model":"vgg19"}"#).unwrap();
     assert_eq!(r.status, 403);
     assert!(r.text().contains("alice, bob"), "{}", r.text());
 
@@ -221,7 +215,11 @@ fn coalesced_identical_requests_return_identical_bytes() {
     assert_eq!(blocker.join().unwrap().status, 200);
 
     let bodies: HashSet<Vec<u8>> = responses.iter().map(|r| r.body.clone()).collect();
-    assert_eq!(bodies.len(), 1, "coalesced responses must be byte-identical");
+    assert_eq!(
+        bodies.len(),
+        1,
+        "coalesced responses must be byte-identical"
+    );
     let jobs: HashSet<_> = responses
         .iter()
         .map(|r| r.header("x-heterog-job").unwrap().to_string())
@@ -252,9 +250,8 @@ fn deep_backlog_degrades_search_to_heuristic() {
     let mut handles = Vec::new();
     for batch in [32u64, 48, 64, 80, 96, 112] {
         handles.push(std::thread::spawn(move || {
-            let body = format!(
-                r#"{{"tenant":"alice","model":"vgg19","batch":{batch},"wait":true}}"#
-            );
+            let body =
+                format!(r#"{{"tenant":"alice","model":"vgg19","batch":{batch},"wait":true}}"#);
             client::post_json(addr, "/v1/plan", &body).unwrap()
         }));
     }
@@ -326,7 +323,11 @@ fn event_stream_seqs_are_gap_free() {
     // The completed job also answers a plain status poll.
     let status = client::get(addr, &format!("/v1/jobs/{job}")).unwrap();
     assert_eq!(status.status, 200);
-    assert!(status.text().contains("\"status\":\"done\""), "{}", status.text());
+    assert!(
+        status.text().contains("\"status\":\"done\""),
+        "{}",
+        status.text()
+    );
     server.shutdown();
 }
 

@@ -1,0 +1,260 @@
+//! A task graph spliced from an incumbent's lowering equals a fresh
+//! compile. The incumbents are the fast planner's on MobileNet-v2,
+//! VGG-19 and Transformer-6L, plus uniform CP-PS and SH-CP deployments.
+//! One-group moves of the planner's action space (all of them for one
+//! model, a seeded sample of 100 for the others) are spliced with
+//! `splice_into` and compared with `compile_priced` task by task, edge
+//! by edge in insertion order and price-book entry by entry; a subset
+//! also goes through `IncrementalEvaluator::evaluate_perturbed`, whose
+//! report must equal `evaluate_with_policy`'s bit for bit.
+
+use heterog_agent::{actions_to_strategy, ActionSpace, HeteroGPlanner};
+use heterog_cluster::{paper_testbed_8gpu, Cluster, LinkKind};
+use heterog_compile::{
+    compile_logged, compile_priced, resolve_placements, splice_into, PriceBook, SpliceBase,
+    SpliceScratch, Strategy,
+};
+use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
+use heterog_profile::GroundTruthCost;
+use heterog_sched::{OrderPolicy, TaskGraph};
+use heterog_strategies::{
+    evaluate_with_policy, group_ops, grouping::avg_op_times, EvalMode, Evaluation, Grouping,
+    IncrementalEvaluator, Perturbation,
+};
+use heterog_telemetry::rng::SplitMix64;
+
+/// Groups per model: few enough that a debug-profile planner run and
+/// every move stay fast.
+const GROUPS: usize = 8;
+
+struct Case {
+    g: Graph,
+    cluster: Cluster,
+    grouping: Grouping,
+    actions: Vec<usize>,
+}
+
+impl Case {
+    /// `spec` on the 8-GPU testbed with the planner's grouping; `actions`
+    /// picks the incumbent's per-group actions (given the group count).
+    fn new(spec: ModelSpec, actions: impl FnOnce(&Graph, &Cluster) -> Vec<usize>) -> Case {
+        let g = spec.build();
+        let cluster = paper_testbed_8gpu();
+        let grouping = group_ops(&g, &avg_op_times(&g, &cluster, &GroundTruthCost), GROUPS);
+        let actions = actions(&g, &cluster);
+        assert_eq!(actions.len(), grouping.len());
+        Case {
+            g,
+            cluster,
+            grouping,
+            actions,
+        }
+    }
+
+    /// The fast planner's final incumbent on `spec`.
+    fn planned(spec: ModelSpec) -> Case {
+        Case::new(spec, |g, c| {
+            let planner = HeteroGPlanner {
+                groups: GROUPS,
+                passes: 1,
+                allow_mp: true,
+            };
+            planner.plan_detailed(g, c, &GroundTruthCost).2
+        })
+    }
+
+    /// Every group on one action.
+    fn uniform(spec: ModelSpec, action: usize) -> Case {
+        Case::new(spec, |g, c| {
+            let n = group_ops(g, &avg_op_times(g, c, &GroundTruthCost), GROUPS).len();
+            vec![action; n]
+        })
+    }
+
+    fn strategy(&self, actions: &[usize]) -> Strategy {
+        actions_to_strategy(&self.g, &self.cluster, &self.grouping, actions)
+    }
+
+    /// Every one-group move `(group, action)` off the incumbent.
+    fn moves(&self) -> Vec<(usize, usize)> {
+        let space = ActionSpace::new(&self.cluster);
+        (0..self.actions.len())
+            .flat_map(|gi| (0..space.len()).map(move |a| (gi, a)))
+            .filter(|&(gi, a)| self.actions[gi] != a)
+            .collect()
+    }
+
+    /// A seeded sample of `n` distinct moves.
+    fn sampled_moves(&self, n: usize, seed: u64) -> Vec<(usize, usize)> {
+        let mut moves = self.moves();
+        let mut rng = SplitMix64::new(seed);
+        for i in (1..moves.len()).rev() {
+            moves.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        moves.truncate(n);
+        moves
+    }
+
+    fn moved(&self, (gi, a): (usize, usize)) -> Strategy {
+        let mut trial = self.actions.clone();
+        trial[gi] = a;
+        self.strategy(&trial)
+    }
+}
+
+fn assert_same_graph(spliced: &TaskGraph, fresh: &TaskGraph, what: &str) {
+    assert_eq!(spliced.len(), fresh.len(), "{what}: task count");
+    for id in fresh.task_ids() {
+        let (a, b) = (spliced.task(id), fresh.task(id));
+        let at = || format!("{what}: task {id} ({})", fresh.task_name(id));
+        assert_eq!(
+            spliced.task_name(id).to_string(),
+            fresh.task_name(id).to_string(),
+            "{}",
+            at()
+        );
+        assert_eq!((a.kind, a.proc), (b.kind, b.proc), "{}", at());
+        assert_eq!(a.duration.to_bits(), b.duration.to_bits(), "{}", at());
+        assert_eq!(
+            (a.output_bytes, a.param_bytes, a.comm_bytes),
+            (b.output_bytes, b.param_bytes, b.comm_bytes),
+            "{}",
+            at()
+        );
+        assert_eq!(
+            (a.origin, a.batch_share),
+            (b.origin, b.batch_share),
+            "{}",
+            at()
+        );
+    }
+    assert!(
+        spliced.edges().eq(fresh.edges()),
+        "{what}: edges differ in content or insertion order"
+    );
+}
+
+fn assert_same_eval(got: &Evaluation, want: &Evaluation, what: &str) {
+    assert_eq!(
+        got.iteration_time.to_bits(),
+        want.iteration_time.to_bits(),
+        "{what}"
+    );
+    assert_eq!(got.oom, want.oom, "{what}");
+    // `{:?}` prints each f64 in its shortest round-trip form: equal
+    // strings mean equal bits.
+    assert_eq!(
+        format!("{:?}", got.report),
+        format!("{:?}", want.report),
+        "{what}"
+    );
+}
+
+/// Splices every move in `moves` from `case`'s incumbent and compares
+/// it with a fresh compile; every `eval_every`-th move is also
+/// evaluated through the incremental evaluator. Returns the modes seen.
+fn check(case: &Case, moves: &[(usize, usize)], eval_every: usize) -> Vec<EvalMode> {
+    let (g, c, cost) = (&case.g, &case.cluster, &GroundTruthCost);
+    let base_s = case.strategy(&case.actions);
+    let (btg, bbook, log) = compile_logged(g, c, cost, &base_s);
+    let base = SpliceBase {
+        tg: &btg,
+        book: &bbook,
+        log: &log,
+    };
+    let policy = OrderPolicy::RankBased;
+    let ev = IncrementalEvaluator::new(g, cost, c, &base_s, &policy);
+    let (mut tg, mut book, mut scratch) = (
+        TaskGraph::default(),
+        PriceBook::default(),
+        SpliceScratch::default(),
+    );
+    let mut modes = Vec::new();
+    for (i, &mv) in moves.iter().enumerate() {
+        let what = format!("{} move {mv:?}", g.name);
+        let s2 = case.moved(mv);
+        let placements = resolve_placements(g, c, &s2);
+        splice_into(
+            g,
+            c,
+            cost,
+            &placements,
+            base,
+            &mut tg,
+            Some(&mut book),
+            &mut scratch,
+        );
+        let (fresh, fresh_book) = compile_priced(g, c, cost, &s2);
+        assert_same_graph(&tg, &fresh, &what);
+        assert!(book == fresh_book, "{what}: price books differ");
+        if i % eval_every == 0 {
+            let (got, mode) = ev.evaluate_perturbed(Perturbation::Strategy(&s2));
+            assert_same_eval(&got, &evaluate_with_policy(g, c, cost, &s2, &policy), &what);
+            modes.push(mode);
+        }
+    }
+    modes
+}
+
+#[test]
+fn every_move_of_the_mobilenet_incumbent_splices_exactly() {
+    let case = Case::planned(ModelSpec::new(BenchmarkModel::MobileNetV2, 64));
+    let moves = case.moves();
+    assert!(moves.len() >= 100);
+    let modes = check(&case, &moves, 4);
+    assert!(modes.iter().all(|m| *m == EvalMode::Spliced), "{modes:?}");
+}
+
+#[test]
+fn sampled_moves_of_the_vgg_incumbent_splice_exactly() {
+    let case = Case::planned(ModelSpec::new(BenchmarkModel::Vgg19, 64));
+    check(&case, &case.sampled_moves(100, 19), 4);
+}
+
+#[test]
+fn sampled_moves_of_the_transformer_incumbent_splice_exactly() {
+    let case = Case::planned(ModelSpec::with_layers(BenchmarkModel::Transformer, 96, 6));
+    check(&case, &case.sampled_moves(100, 6), 4);
+}
+
+#[test]
+fn sampled_moves_of_a_cp_ps_deployment_splice_exactly() {
+    // Every aggregation is a PS round: moves that change an early
+    // round's load make later clean rounds replay their choice.
+    let m = paper_testbed_8gpu().num_devices();
+    let case = Case::uniform(ModelSpec::new(BenchmarkModel::MobileNetV2, 64), m + 2);
+    check(&case, &case.sampled_moves(100, 2), 4);
+}
+
+#[test]
+fn sampled_moves_of_an_sh_cp_deployment_splice_exactly() {
+    // Sharded ops wire through cached all-gathers and reduce-scatters,
+    // whose collectives land in the price book during wiring.
+    let m = paper_testbed_8gpu().num_devices();
+    let case = Case::uniform(ModelSpec::new(BenchmarkModel::Vgg19, 64), m + 5);
+    check(&case, &case.sampled_moves(100, 5), 4);
+}
+
+#[test]
+fn cluster_and_strategy_moves_match_full_evaluation_on_a_slowed_nic() {
+    let m = paper_testbed_8gpu().num_devices();
+    let case = Case::uniform(ModelSpec::new(BenchmarkModel::MobileNetV2, 64), m + 2);
+    let (g, c, cost) = (&case.g, &case.cluster, &GroundTruthCost);
+    let policy = OrderPolicy::RankBased;
+    let ev = IncrementalEvaluator::new(g, cost, c, &case.strategy(&case.actions), &policy);
+    let slowed = c.with_scaled_link(Some(LinkKind::NicOut), 0.25);
+    let mut modes = Vec::new();
+    for mv in case.sampled_moves(6, 11) {
+        let s2 = case.moved(mv);
+        let (got, mode) = ev.evaluate_perturbed(Perturbation::ClusterAndStrategy(&slowed, &s2));
+        let want = evaluate_with_policy(g, &slowed, cost, &s2, &policy);
+        assert_same_eval(&got, &want, &format!("move {mv:?} on a slowed NIC"));
+        modes.push(mode);
+    }
+    assert!(
+        modes
+            .iter()
+            .all(|m| matches!(m, EvalMode::Spliced | EvalMode::Full)),
+        "{modes:?}"
+    );
+}
