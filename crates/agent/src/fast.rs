@@ -6,6 +6,12 @@
 //! MP placement, even/proportional replication, PS/AllReduce — with the
 //! simulator (§3.3) as its objective, including the OOM penalty that
 //! steers large models toward the MP-heavy placements of Table 3.
+//!
+//! A group visit scores every one-group move of the incumbent. Each
+//! candidate's task graph is spliced from the incumbent's lowering; it
+//! is simulated only when its busiest processor's load could still let
+//! it win, so the visit's choice equals scoring every candidate bit for
+//! bit (see [`best_candidate`]).
 
 use heterog_cluster::Cluster;
 use heterog_compile::Strategy;
@@ -13,8 +19,8 @@ use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::OrderPolicy;
 use heterog_strategies::{
-    evaluate, group_ops, grouping::avg_op_times, Evaluation, IncrementalEvaluator, Perturbation,
-    Planner,
+    evaluate, group_ops, grouping::avg_op_times, load_exceeds, Bounded, Evaluation,
+    IncrementalEvaluator, Perturbation, Planner,
 };
 use heterog_telemetry::par::par_map;
 
@@ -128,17 +134,20 @@ impl HeteroGPlanner {
                         let candidates: Vec<usize> = (first..space.len())
                             .filter(|&a| a != current_action)
                             .collect();
+                        // `evals` counts candidates considered, simulated
+                        // or not.
                         evals += candidates.len() as u64;
-                        par_map(&candidates, |&a| {
+                        // Bound each candidate by its spliced graph's
+                        // busiest processor; simulate those that can win.
+                        best_candidate(&candidates, cur_obj, |a, limit| {
                             let mut trial = actions.clone();
                             trial[gi] = a;
                             let s = actions_to_strategy(g, cluster, &grouping, &trial);
-                            let (e, _) = evaluator.evaluate_perturbed(Perturbation::Strategy(&s));
-                            (a, objective(&e, cluster))
+                            match evaluator.evaluate_bounded(Perturbation::Strategy(&s), limit) {
+                                Bounded::Evaluated(e, _) => Ok(objective(&e, cluster)),
+                                Bounded::Pruned(load) => Err(load),
+                            }
                         })
-                        .into_iter()
-                        .min_by(|a, b| a.1.total_cmp(&b.1))
-                        .expect("candidates")
                     }
                 };
                 if best.1 + 1e-9 < cur_obj {
@@ -232,9 +241,55 @@ impl heterog_profile::CostEstimator for SyncCost<'_> {
     }
 }
 
+/// The visit's best `(action, objective)` among `candidates`, equal bit
+/// for bit to scoring every candidate and taking the first minimum.
+/// `score(a, limit)` returns the candidate's objective, or `Err(load)`
+/// when its busiest processor's `load` exceeds `limit` and it was not
+/// simulated; the objective is at least the iteration time, which is at
+/// least that load.
+///
+/// Phase 1 scores every candidate in parallel against the incumbent's
+/// objective `cur_obj`, known before the visit, so which candidates are
+/// simulated depends on values only, never on thread timing. Phase 2
+/// simulates pruned candidates in ascending-load order until the next
+/// load exceeds the best objective so far. Every candidate left
+/// unsimulated then has an objective above the best, its load alone
+/// exceeding it, so it can neither win nor tie.
+fn best_candidate(
+    candidates: &[usize],
+    cur_obj: f64,
+    score: impl Fn(usize, f64) -> Result<f64, f64> + Sync,
+) -> (usize, f64) {
+    let mut scored = par_map(candidates, |&a| score(a, cur_obj));
+    let mut best = scored
+        .iter()
+        .filter_map(|r| r.ok())
+        .fold(f64::INFINITY, f64::min);
+    let mut pruned: Vec<(f64, usize)> = scored
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| r.err().map(|load| (load, i)))
+        .collect();
+    pruned.sort_by(|a, b| a.0.total_cmp(&b.0));
+    for (load, i) in pruned {
+        if load_exceeds(load, best) {
+            break;
+        }
+        let obj = score(candidates[i], f64::INFINITY).expect("no load exceeds an infinite limit");
+        best = best.min(obj);
+        scored[i] = Ok(obj);
+    }
+    candidates
+        .iter()
+        .zip(scored)
+        .filter_map(|(&a, r)| r.ok().map(|obj| (a, obj)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("candidates")
+}
+
 /// Search objective: iteration time, with infeasible (OOM) strategies
 /// ranked by how badly they overflow so repair has a gradient to follow.
-fn objective(e: &Evaluation, cluster: &Cluster) -> f64 {
+pub fn objective(e: &Evaluation, cluster: &Cluster) -> f64 {
     if !e.oom {
         return e.iteration_time;
     }

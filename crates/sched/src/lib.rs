@@ -27,9 +27,10 @@ pub mod task;
 
 pub use instance::{adversarial_priorities, worst_case_instance};
 pub use list::{
-    list_schedule, list_schedule_into, list_schedule_observed, list_schedule_observed_with,
-    list_schedule_recorded, list_schedule_resumed, makespan_lower_bound, CheckpointLog, NoHook,
-    OrderPolicy, Schedule, ScheduleHook, ScheduleScratch,
+    busiest_processor_load, list_schedule, list_schedule_into, list_schedule_observed,
+    list_schedule_observed_with, list_schedule_recorded, list_schedule_resumed,
+    makespan_lower_bound, CheckpointLog, NoHook, OrderPolicy, Schedule, ScheduleHook,
+    ScheduleScratch,
 };
 pub use rank::{critical_path, critical_path_from, upward_ranks, upward_ranks_into, RankScratch};
 pub use strict::strict_schedule;

@@ -809,12 +809,20 @@ pub fn list_schedule_resumed<H: ScheduleHook>(
 /// problem exactly. One upward-rank sweep covers both terms.
 pub fn makespan_lower_bound(tg: &TaskGraph) -> f64 {
     let ranks = upward_ranks(tg);
-    let mut per_proc = vec![0.0f64; tg.num_procs()];
+    busiest_processor_load(tg, &mut Vec::new()).max(critical_path_from(&ranks))
+}
+
+/// The heaviest single processor's total work, summed into `per_proc`
+/// (one slot per dense processor index). Every processor runs one task
+/// at a time, so no schedule of `tg` finishes sooner. Reads only the
+/// task arena: it needs no [`TaskGraph::build_index`].
+pub fn busiest_processor_load(tg: &TaskGraph, per_proc: &mut Vec<f64>) -> f64 {
+    per_proc.clear();
+    per_proc.resize(tg.num_procs(), 0.0);
     for (_, t) in tg.iter() {
         per_proc[tg.proc_index(t.proc)] += t.duration;
     }
-    let heaviest = per_proc.into_iter().fold(0.0f64, f64::max);
-    heaviest.max(critical_path_from(&ranks))
+    per_proc.iter().copied().fold(0.0f64, f64::max)
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! | `Cluster`               | [`reprice_into`] + dirty-region [`IncrementalSim::resim`] |
 //! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
 //! | `ClusterAndStrategy`    | splice on the base cluster, then re-price onto the new cluster |
+//! | any, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a spliced graph whose busiest processor already carries more work than the limit is not simulated: [`Bounded::Pruned`] |
 //!
 //! A strategy change resolves the candidate's placements once and
 //! diffs them against the base's: an op's replica tasks, the wiring of
@@ -30,7 +31,8 @@
 //! [`crate::eval_stats`]'s `evaluations`/`eval_seconds` (those meter
 //! full compile+simulate runs); they are tallied separately in
 //! `incremental_fast` / `incremental_full` so report footers can show
-//! the hit rate.
+//! the hit rate. Pruned candidates count in neither; they are tallied
+//! by the gated `heterog_strategies_pruned_evals_total` counter.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -43,7 +45,7 @@ use heterog_compile::{
 };
 use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
-use heterog_sched::{OrderPolicy, TaskGraph};
+use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph};
 use heterog_sim::{
     simulate_into, IncrementalSim, ResimOptions, ResimOutcome, SimReport, SimScratch,
 };
@@ -54,6 +56,11 @@ use crate::evaluate::{count_full_evaluation, evaluate_with_policy, record_evalua
 static INCREMENTAL_EVALS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
     "heterog_strategies_incremental_evals_total",
     "Perturbed evaluations served by an incremental fast path",
+);
+
+static PRUNED_EVALS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
+    "heterog_strategies_pruned_evals_total",
+    "Perturbed evaluations left unsimulated because their busiest processor's load exceeded the limit",
 );
 
 static INCREMENTAL_FALLBACKS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
@@ -117,13 +124,44 @@ impl EvalMode {
     }
 }
 
+/// Outcome of [`IncrementalEvaluator::evaluate_bounded`].
+#[derive(Debug, Clone)]
+pub enum Bounded {
+    /// Simulated, exactly as [`IncrementalEvaluator::evaluate_perturbed`]
+    /// would have.
+    Evaluated(Box<Evaluation>, EvalMode),
+    /// Not simulated: the spliced task graph's busiest processor carries
+    /// this much work, which [`load_exceeds`] the limit. The iteration
+    /// time is at least this load.
+    Pruned(f64),
+}
+
+impl Bounded {
+    fn evaluated(eval: Evaluation, mode: EvalMode) -> Bounded {
+        Bounded::Evaluated(Box::new(eval), mode)
+    }
+}
+
+/// Relative slack on a busiest-processor load before it counts as
+/// exceeding a limit. The load is summed in task order and the
+/// simulator's makespan in schedule order; on the task graphs here the
+/// two orders differ by ~1e-12 relative.
+const LOAD_MARGIN: f64 = 1e-9;
+
+/// True when a task graph whose busiest processor carries `load` has an
+/// iteration time strictly above `limit`, float summation order
+/// included.
+pub fn load_exceeds(load: f64, limit: f64) -> bool {
+    load * (1.0 - LOAD_MARGIN) > limit
+}
+
 /// Patch buffers: the spliced and re-priced task graphs, the spliced
 /// graph's price book, the splice and simulator scratch, and the report
-/// each perturbed evaluation writes into. An evaluator pools them, one
-/// per thread evaluating through it at once, so a `Sync` evaluator
-/// serves pool workers without sharing a buffer, the per-candidate path
-/// stops allocating once they have grown, and their memory goes with
-/// the evaluator.
+/// each perturbed evaluation writes into, plus the per-processor load a
+/// bounded one sums. An evaluator pools them, one per thread evaluating
+/// through it at once, so a `Sync` evaluator serves pool workers without
+/// sharing a buffer, the per-candidate path stops allocating once they
+/// have grown, and their memory goes with the evaluator.
 #[derive(Debug, Default)]
 struct PatchScratch {
     tg: TaskGraph,
@@ -132,6 +170,7 @@ struct PatchScratch {
     splice: SpliceScratch,
     sim: SimScratch,
     report: SimReport,
+    load: Vec<f64>,
 }
 
 fn eval_of(report: &SimReport) -> Evaluation {
@@ -274,23 +313,46 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// path served it.
     pub fn evaluate_perturbed(&self, p: Perturbation<'_>) -> (Evaluation, EvalMode) {
         let _span = heterog_telemetry::span("evaluate_perturbed");
-        let (eval, mode) = self.dispatch(p);
-        if mode.is_fast() {
-            INC_FAST.fetch_add(1, Ordering::Relaxed);
-            INCREMENTAL_EVALS.inc();
-            // `Full` already emitted inside `evaluate_with_policy`.
-            heterog_events::emit_with(|| heterog_events::EventKind::StrategyEvaluated {
-                makespan: eval.iteration_time,
-                oom: eval.oom,
-            });
-        } else {
-            INC_FULL.fetch_add(1, Ordering::Relaxed);
-            INCREMENTAL_FALLBACKS.inc();
+        match self.evaluate_within(p, f64::INFINITY) {
+            Bounded::Evaluated(eval, mode) => (*eval, mode),
+            Bounded::Pruned(load) => unreachable!("load {load} exceeds no infinite limit"),
         }
-        (eval, mode)
     }
 
-    fn dispatch(&self, p: Perturbation<'_>) -> (Evaluation, EvalMode) {
+    /// [`IncrementalEvaluator::evaluate_perturbed`], unless the spliced
+    /// task graph's busiest processor, GPU or link, carries work that
+    /// [`load_exceeds`] `limit`: then the graph is not simulated and the
+    /// load is returned instead. A pruned candidate counts in neither
+    /// `incremental_fast` nor `incremental_full` and emits no
+    /// `StrategyEvaluated` event. Only spliced paths are bounded; every
+    /// other path evaluates as `evaluate_perturbed` does.
+    pub fn evaluate_bounded(&self, p: Perturbation<'_>, limit: f64) -> Bounded {
+        let _span = heterog_telemetry::span("evaluate_bounded");
+        self.evaluate_within(p, limit)
+    }
+
+    fn evaluate_within(&self, p: Perturbation<'_>, limit: f64) -> Bounded {
+        let out = self.dispatch(p, limit);
+        match &out {
+            Bounded::Pruned(_) => PRUNED_EVALS.inc(),
+            Bounded::Evaluated(eval, mode) if mode.is_fast() => {
+                INC_FAST.fetch_add(1, Ordering::Relaxed);
+                INCREMENTAL_EVALS.inc();
+                // `Full` already emitted inside `evaluate_with_policy`.
+                heterog_events::emit_with(|| heterog_events::EventKind::StrategyEvaluated {
+                    makespan: eval.iteration_time,
+                    oom: eval.oom,
+                });
+            }
+            Bounded::Evaluated(..) => {
+                INC_FULL.fetch_add(1, Ordering::Relaxed);
+                INCREMENTAL_FALLBACKS.inc();
+            }
+        }
+        out
+    }
+
+    fn dispatch(&self, p: Perturbation<'_>, limit: f64) -> Bounded {
         match p {
             Perturbation::Policy(p2) => self.with_patch(|ps| {
                 simulate_into(
@@ -300,14 +362,14 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                     &mut ps.sim,
                     &mut ps.report,
                 );
-                (eval_of(&ps.report), EvalMode::Reordered)
+                Bounded::evaluated(eval_of(&ps.report), EvalMode::Reordered)
             }),
             Perturbation::Cluster(c2) => self.eval_cluster(c2),
             Perturbation::Strategy(s2) => {
                 if *s2 == self.strategy {
-                    return (self.base.clone(), EvalMode::Base);
+                    return Bounded::evaluated(self.base.clone(), EvalMode::Base);
                 }
-                self.eval_spliced(&self.cluster, s2, false)
+                self.eval_spliced(&self.cluster, s2, false, limit)
                     .unwrap_or_else(|| self.full(&self.cluster, s2))
             }
             Perturbation::ClusterAndStrategy(c2, s2) => {
@@ -315,7 +377,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                     return self.eval_cluster(c2);
                 }
                 if structure_compatible(&self.cluster, c2) {
-                    if let Some(r) = self.eval_spliced(c2, s2, true) {
+                    if let Some(r) = self.eval_spliced(c2, s2, true, limit) {
                         return r;
                     }
                 }
@@ -324,7 +386,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         }
     }
 
-    fn eval_cluster(&self, c2: &Cluster) -> (Evaluation, EvalMode) {
+    fn eval_cluster(&self, c2: &Cluster) -> Bounded {
         if structure_compatible(&self.cluster, c2) {
             let served = self.with_patch(|ps| {
                 match reprice_into(
@@ -338,7 +400,10 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                     Ok(()) => {
                         let caps = c2.memory_capacities();
                         let outcome = self.sim.resim(&ps.tg, &caps, &mut ps.sim, &mut ps.report);
-                        Some((eval_of(&ps.report), EvalMode::Incremental(outcome)))
+                        Some(Bounded::evaluated(
+                            eval_of(&ps.report),
+                            EvalMode::Incremental(outcome),
+                        ))
                     }
                     Err(_) => None,
                 }
@@ -351,17 +416,19 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     }
 
     /// Splices `s2`'s task graph from the base lowering and simulates
-    /// it. With `reprice`, the splice runs on the base cluster and the
-    /// result is re-priced onto `c2` (structure-compatible with it);
-    /// `None` when the greedy PS chooser would pick differently on
-    /// `c2`. A splice that reuses no segment was a full compile and is
+    /// it, unless its busiest processor's load exceeds `limit`. With
+    /// `reprice`, the splice runs on the base cluster and the result is
+    /// re-priced onto `c2` (structure-compatible with it); `None` when
+    /// the greedy PS chooser would pick differently on `c2`. A splice
+    /// that reuses no segment was a full compile and, when simulated, is
     /// counted as one.
     fn eval_spliced(
         &self,
         c2: &Cluster,
         s2: &Strategy,
         reprice: bool,
-    ) -> Option<(Evaluation, EvalMode)> {
+        limit: f64,
+    ) -> Option<Bounded> {
         let started = Instant::now();
         let placements = resolve_placements(self.g, c2, s2);
         let base = SpliceBase {
@@ -377,6 +444,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 splice,
                 sim,
                 report,
+                load,
             } = ps;
             let c2_caps;
             let (reused, caps): (usize, &[u64]) = if reprice {
@@ -406,19 +474,25 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 );
                 (reused, &self.capacities)
             };
+            if limit < f64::INFINITY {
+                let busiest = busiest_processor_load(tg, load);
+                if load_exceeds(busiest, limit) {
+                    return Some(Bounded::Pruned(busiest));
+                }
+            }
             tg.build_index();
             simulate_into(tg, caps, &self.policy, sim, report);
             let eval = eval_of(report);
             if reused == 0 {
                 count_full_evaluation(started, &eval);
-                return Some((eval, EvalMode::Full));
+                return Some(Bounded::evaluated(eval, EvalMode::Full));
             }
-            Some((eval, EvalMode::Spliced))
+            Some(Bounded::evaluated(eval, EvalMode::Spliced))
         })
     }
 
-    fn full(&self, cluster: &Cluster, strategy: &Strategy) -> (Evaluation, EvalMode) {
-        (
+    fn full(&self, cluster: &Cluster, strategy: &Strategy) -> Bounded {
+        Bounded::evaluated(
             evaluate_with_policy(self.g, cluster, self.cost, strategy, &self.policy),
             EvalMode::Full,
         )
@@ -521,6 +595,35 @@ mod tests {
         // Same strategy again: served from the cached base.
         let (_, mode) = ev.evaluate_perturbed(Perturbation::Strategy(&s));
         assert_eq!(mode, EvalMode::Base);
+    }
+
+    #[test]
+    fn bounded_evaluation_simulates_only_within_the_limit() {
+        let (g, c, s) = setup();
+        let pol = OrderPolicy::RankBased;
+        let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &pol);
+        let s2 = switch_comm(&s, CommMethod::Ps);
+        let (want, _) = ev.evaluate_perturbed(Perturbation::Strategy(&s2));
+        let Bounded::Pruned(load) = ev.evaluate_bounded(Perturbation::Strategy(&s2), 0.0) else {
+            panic!("a positive load exceeds a zero limit");
+        };
+        assert!(load > 0.0 && !load_exceeds(load, want.iteration_time));
+        assert!(matches!(
+            ev.evaluate_bounded(Perturbation::Strategy(&s2), load * 0.999),
+            Bounded::Pruned(_)
+        ));
+        let Bounded::Evaluated(got, mode) =
+            ev.evaluate_bounded(Perturbation::Strategy(&s2), want.iteration_time)
+        else {
+            panic!("a load within the candidate's own makespan is simulated");
+        };
+        assert_eq!(mode, EvalMode::Spliced);
+        assert!(bitwise_eq(&got.report, &want.report));
+        // The base itself is never bounded.
+        assert!(matches!(
+            ev.evaluate_bounded(Perturbation::Strategy(&s), 0.0),
+            Bounded::Evaluated(_, EvalMode::Base)
+        ));
     }
 
     #[test]

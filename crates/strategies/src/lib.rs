@@ -33,7 +33,7 @@ pub use evaluate::{
 pub use flexflow::FlexFlowPlanner;
 pub use grouping::{group_ops, Grouping};
 pub use hetpipe::HetPipePlanner;
-pub use incremental::{EvalMode, IncrementalEvaluator, Perturbation};
+pub use incremental::{load_exceeds, Bounded, EvalMode, IncrementalEvaluator, Perturbation};
 pub use planner::Planner;
 pub use post::PostPlanner;
 pub use repair::{

@@ -8,10 +8,11 @@
 use heterog_graph::OpKind;
 use heterog_profile::LinearFit;
 use heterog_sched::{
-    list_schedule, makespan_lower_bound, strict_schedule, upward_ranks, OrderPolicy, Proc, Task,
-    TaskGraph,
+    busiest_processor_load, list_schedule, makespan_lower_bound, strict_schedule, upward_ranks,
+    OrderPolicy, Proc, Task, TaskGraph,
 };
-use heterog_sim::memory_usage;
+use heterog_sim::{memory_usage, simulate};
+use heterog_strategies::load_exceeds;
 use heterog_telemetry::rng::{for_each_seed, ChaCha8Rng};
 
 /// `len` draws from `0..below`, with `len` drawn from `lens`.
@@ -80,6 +81,28 @@ fn list_schedule_is_valid_and_bounded() {
             assert!(s.makespan >= lb - 1e-9);
             assert!(s.makespan <= tg.total_work() + 1e-9);
             assert!(s.makespan <= tg.num_procs() as f64 * lb + 1e-9);
+        }
+    });
+}
+
+/// The busiest processor's summed work never exceeds the simulated
+/// iteration time, under either order policy, but for rounding: the
+/// load is summed in task order, the makespan in schedule order. The
+/// search prunes candidates whose load [`load_exceeds`] the incumbent,
+/// so that test must never hold against the candidate's own makespan.
+#[test]
+fn busiest_processor_load_bounds_iteration_time() {
+    let mut per_proc = Vec::new();
+    for_each_seed(64, |rng| {
+        let tg = task_graph(rng, 64, 2, 1);
+        let load = busiest_processor_load(&tg, &mut per_proc);
+        for policy in [OrderPolicy::RankBased, OrderPolicy::Fifo] {
+            let it = simulate(&tg, &[u64::MAX; 2], &policy).iteration_time;
+            assert!(
+                load <= it * (1.0 + 1e-12),
+                "load {load} above iteration time {it}"
+            );
+            assert!(!load_exceeds(load, it));
         }
     });
 }

@@ -1,0 +1,438 @@
+//! The fast planner bounds each candidate by its busiest processor and
+//! simulates only candidates that can still win. A reference loop here
+//! scores every candidate through `evaluate_perturbed`, as the planner
+//! did before the bound; on MobileNet-v2, VGG-19, Transformer-6L and a
+//! cluster where data parallelism overflows memory, `plan_detailed`
+//! must return the reference's actions, strategy and evaluation bit for
+//! bit and emit the same `SearchIteration` stream.
+//!
+//! The reference also records each candidate's busiest-processor load.
+//! Every load must be at most the candidate's simulated iteration time,
+//! and the planner must simulate exactly the candidates the two-phase
+//! scheme picks from those values: the same number at any thread count.
+
+use std::sync::Mutex;
+
+use heterog_agent::fast::objective;
+use heterog_agent::{actions_to_strategy, ActionSpace, HeteroGPlanner};
+use heterog_cluster::{paper_testbed_8gpu, topology::Server, Cluster, Device, GpuModel};
+use heterog_compile::Strategy;
+use heterog_events::EventKind;
+use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
+use heterog_profile::GroundTruthCost;
+use heterog_sched::OrderPolicy;
+use heterog_strategies::{
+    evaluate, group_ops, grouping::avg_op_times, load_exceeds, Bounded, Evaluation,
+    IncrementalEvaluator, Perturbation,
+};
+
+/// The event bus is process-global: tests that read it take turns.
+static BUS: Mutex<()> = Mutex::new(());
+
+struct Case {
+    name: &'static str,
+    g: Graph,
+    cluster: Cluster,
+    planner: HeteroGPlanner,
+}
+
+impl Case {
+    fn testbed(name: &'static str, spec: ModelSpec, groups: usize) -> Case {
+        Case {
+            name,
+            g: spec.build(),
+            cluster: paper_testbed_8gpu(),
+            planner: HeteroGPlanner {
+                groups,
+                passes: 2,
+                allow_mp: true,
+            },
+        }
+    }
+
+    /// VGG-19 on four 3.4 GiB GPUs, where every uniform data-parallel
+    /// start overflows memory (the setting of the planner's
+    /// `finds_feasible_plan_when_dp_ooms`).
+    fn oom_prone() -> Case {
+        let servers = vec![
+            Server {
+                name: "a".into(),
+                nic_bps: 10e9,
+                nvlink: true,
+            },
+            Server {
+                name: "b".into(),
+                nic_bps: 5e9,
+                nvlink: false,
+            },
+        ];
+        let mut devices = vec![
+            Device::new(GpuModel::TeslaV100, 0),
+            Device::new(GpuModel::TeslaV100, 0),
+            Device::new(GpuModel::Gtx1080Ti, 1),
+            Device::new(GpuModel::Gtx1080Ti, 1),
+        ];
+        for d in &mut devices {
+            d.memory_bytes = 3481 << 20;
+        }
+        Case {
+            name: "vgg19-oom",
+            g: ModelSpec::new(BenchmarkModel::Vgg19, 16).build(),
+            cluster: Cluster::new(servers, devices),
+            planner: HeteroGPlanner {
+                groups: 12,
+                passes: 2,
+                allow_mp: true,
+            },
+        }
+    }
+}
+
+fn cases() -> Vec<Case> {
+    vec![
+        Case::testbed(
+            "mobilenet",
+            ModelSpec::new(BenchmarkModel::MobileNetV2, 192),
+            16,
+        ),
+        Case::testbed("vgg19", ModelSpec::new(BenchmarkModel::Vgg19, 192), 16),
+        Case::testbed(
+            "transformer",
+            ModelSpec::with_layers(BenchmarkModel::Transformer, 720, 6),
+            12,
+        ),
+        Case::oom_prone(),
+    ]
+}
+
+/// The compared fields of one `SearchIteration` event; objectives as
+/// bit patterns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Visit {
+    pass: u64,
+    visited: u64,
+    evals: u64,
+    best_makespan: u64,
+    candidate_makespan: u64,
+}
+
+/// One scored candidate of a reference visit.
+struct Scored {
+    action: usize,
+    objective: f64,
+    /// The busiest-processor load `evaluate_bounded` computes, `None`
+    /// when its path is not bounded (the candidate equals the incumbent).
+    load: Option<f64>,
+}
+
+struct Outcome {
+    strategy: Strategy,
+    eval: Evaluation,
+    actions: Vec<usize>,
+    visits: Vec<Visit>,
+    /// `StrategyEvaluated` events of the plan: the pruned planner's as
+    /// observed, or the reference's prediction of them.
+    strategy_evaluated: u64,
+    /// Candidates considered.
+    considered: u64,
+}
+
+/// How many of a visit's candidates the two-phase scheme simulates:
+/// those whose load does not exceed the incumbent's objective, then the
+/// rest in ascending-load order until a load exceeds the best objective
+/// so far.
+fn simulated_by_scheme(scored: &[Scored], cur_obj: f64) -> u64 {
+    let bounded = |s: &Scored| s.load.filter(|&l| load_exceeds(l, cur_obj));
+    let mut count = 0;
+    let mut best = f64::INFINITY;
+    let mut pruned = Vec::new();
+    for s in scored {
+        match bounded(s) {
+            Some(load) => pruned.push((load, s.objective)),
+            None => {
+                count += 1;
+                best = best.min(s.objective);
+            }
+        }
+    }
+    pruned.sort_by(|a, b| a.0.total_cmp(&b.0));
+    for (load, obj) in pruned {
+        if load_exceeds(load, best) {
+            break;
+        }
+        count += 1;
+        best = best.min(obj);
+    }
+    count
+}
+
+/// `plan_detailed`'s search with every candidate scored through
+/// `evaluate_perturbed`, plus each candidate's busiest-processor load;
+/// also returns how many candidates the scheme leaves unsimulated.
+fn reference(case: &Case) -> (Outcome, u64) {
+    let (g, cluster, cost) = (&case.g, &case.cluster, &GroundTruthCost);
+    let space = ActionSpace::new(cluster);
+    let times = avg_op_times(g, cluster, cost);
+    let grouping = group_ops(g, &times, case.planner.groups);
+    let n = grouping.len();
+    let m = cluster.num_devices();
+    let to_strategy = |acts: &[usize]| actions_to_strategy(g, cluster, &grouping, acts);
+
+    let uniform_actions = [m, m + 1, m + 2, m + 3];
+    let (mut actions, mut cur_obj) = uniform_actions
+        .iter()
+        .map(|&a| {
+            let acts = vec![a; n];
+            let e = evaluate(g, cluster, cost, &to_strategy(&acts));
+            (acts, objective(&e, cluster))
+        })
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("four baselines");
+    let mut evals = uniform_actions.len() as u64;
+    // The baselines and the evaluator's anchor.
+    let mut strategy_evaluated = evals + 1;
+    let mut unsimulated = 0;
+
+    let rank_based = OrderPolicy::RankBased;
+    let mut evaluator =
+        IncrementalEvaluator::new(g, cost, cluster, &to_strategy(&actions), &rank_based);
+    let mut order: Vec<usize> = (0..n).collect();
+    let group_cost: Vec<f64> = grouping
+        .members
+        .iter()
+        .map(|ms| ms.iter().map(|op| times[op.index()]).sum())
+        .collect();
+    order.sort_by(|&a, &b| group_cost[b].total_cmp(&group_cost[a]));
+
+    let mut moves: u64 = 0;
+    let mut settled: Vec<Option<(u64, (usize, f64))>> = vec![None; n];
+    let mut visited: u64 = 0;
+    let mut visits = Vec::new();
+    for pass in 0..case.planner.passes {
+        let mut improved = false;
+        for &gi in &order {
+            let best = match settled[gi] {
+                Some((at, best)) if at == moves => best,
+                _ => {
+                    let first = if case.planner.allow_mp { 0 } else { m };
+                    let candidates: Vec<usize> =
+                        (first..space.len()).filter(|&a| a != actions[gi]).collect();
+                    evals += candidates.len() as u64;
+                    let scored: Vec<Scored> = candidates
+                        .iter()
+                        .map(|&a| {
+                            let mut trial = actions.clone();
+                            trial[gi] = a;
+                            let s = to_strategy(&trial);
+                            let (e, _) = evaluator.evaluate_perturbed(Perturbation::Strategy(&s));
+                            let load =
+                                match evaluator.evaluate_bounded(Perturbation::Strategy(&s), 0.0) {
+                                    Bounded::Pruned(load) => Some(load),
+                                    Bounded::Evaluated(..) => None,
+                                };
+                            if let Some(load) = load {
+                                let it = e.iteration_time;
+                                assert!(
+                                    load <= it * (1.0 + 1e-12) && !load_exceeds(load, it),
+                                    "{}: busiest load {load} above iteration time {it}",
+                                    case.name,
+                                );
+                            }
+                            Scored {
+                                action: a,
+                                objective: objective(&e, cluster),
+                                load,
+                            }
+                        })
+                        .collect();
+                    let simulated = simulated_by_scheme(&scored, cur_obj);
+                    strategy_evaluated += simulated;
+                    unsimulated += scored.len() as u64 - simulated;
+                    scored
+                        .iter()
+                        .map(|s| (s.action, s.objective))
+                        .min_by(|a, b| a.1.total_cmp(&b.1))
+                        .expect("candidates")
+                }
+            };
+            if best.1 + 1e-9 < cur_obj {
+                actions[gi] = best.0;
+                cur_obj = best.1;
+                improved = true;
+                moves += 1;
+                settled[gi] = None;
+                evaluator.rebase(cluster, &to_strategy(&actions), &rank_based);
+                strategy_evaluated += 1;
+            } else {
+                settled[gi] = Some((moves, best));
+            }
+            visited += 1;
+            visits.push(Visit {
+                pass: pass as u64,
+                visited,
+                evals,
+                best_makespan: cur_obj.to_bits(),
+                candidate_makespan: best.1.to_bits(),
+            });
+        }
+        if !improved {
+            break;
+        }
+    }
+
+    let strategy = to_strategy(&actions);
+    let eval = if *evaluator.strategy() == strategy {
+        evaluator.base().clone()
+    } else {
+        strategy_evaluated += 1;
+        evaluate(g, cluster, cost, &strategy)
+    };
+    let outcome = Outcome {
+        strategy,
+        eval,
+        actions,
+        visits,
+        strategy_evaluated,
+        considered: evals,
+    };
+    (outcome, unsimulated)
+}
+
+/// `plan_detailed` on `case`, with its `SearchIteration` stream and
+/// its count of `StrategyEvaluated` events read off the event bus.
+fn planned(case: &Case) -> Outcome {
+    let _bus = BUS.lock().unwrap_or_else(|e| e.into_inner());
+    heterog_events::reset();
+    heterog_events::enable_with_capacity(1 << 20);
+    let mut sub = heterog_events::subscribe();
+    let (strategy, eval, actions) =
+        case.planner
+            .plan_detailed(&case.g, &case.cluster, &GroundTruthCost);
+    heterog_events::disable();
+    let (events, missed) = sub.poll();
+    heterog_events::reset();
+    assert_eq!(missed, 0, "{}: the event ring overflowed", case.name);
+
+    let mut visits = Vec::new();
+    let mut strategy_evaluated = 0;
+    for e in events {
+        match e.kind {
+            EventKind::SearchIteration {
+                pass,
+                visited,
+                evals,
+                best_makespan,
+                candidate_makespan,
+                ..
+            } => visits.push(Visit {
+                pass,
+                visited,
+                evals,
+                best_makespan: best_makespan.to_bits(),
+                candidate_makespan: candidate_makespan.to_bits(),
+            }),
+            EventKind::StrategyEvaluated { .. } => strategy_evaluated += 1,
+            _ => {}
+        }
+    }
+    let considered = visits.last().map_or(0, |v| v.evals);
+    Outcome {
+        strategy,
+        eval,
+        actions,
+        visits,
+        strategy_evaluated,
+        considered,
+    }
+}
+
+fn assert_same_evaluation(name: &str, a: &Evaluation, b: &Evaluation) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        a.iteration_time.to_bits(),
+        b.iteration_time.to_bits(),
+        "{name}"
+    );
+    assert_eq!(a.oom, b.oom, "{name}");
+    let (ra, rb) = (&a.report, &b.report);
+    assert_eq!(
+        ra.computation_time.to_bits(),
+        rb.computation_time.to_bits(),
+        "{name}"
+    );
+    assert_eq!(
+        ra.communication_time.to_bits(),
+        rb.communication_time.to_bits(),
+        "{name}"
+    );
+    assert_eq!(bits(&ra.gpu_busy), bits(&rb.gpu_busy), "{name}");
+    assert_eq!(bits(&ra.link_busy), bits(&rb.link_busy), "{name}");
+    assert_eq!(ra.memory.peak_bytes, rb.memory.peak_bytes, "{name}");
+    assert_eq!(ra.memory.param_bytes, rb.memory.param_bytes, "{name}");
+    assert_eq!(ra.memory.oom, rb.memory.oom, "{name}");
+}
+
+#[test]
+fn pruned_search_matches_scoring_every_candidate() {
+    let mut pruned_any = false;
+    for case in cases() {
+        let got = planned(&case);
+        let (want, unsimulated) = reference(&case);
+        let name = case.name;
+        assert_eq!(got.actions, want.actions, "{name}: actions");
+        assert!(got.strategy == want.strategy, "{name}: strategy");
+        assert_same_evaluation(name, &got.eval, &want.eval);
+        assert_eq!(got.visits, want.visits, "{name}: SearchIteration stream");
+        assert_eq!(
+            got.strategy_evaluated, want.strategy_evaluated,
+            "{name}: simulated candidates"
+        );
+        // Counted candidates stay the candidates considered.
+        assert_eq!(got.considered, want.considered, "{name}: evals");
+        pruned_any |= unsimulated > 0;
+    }
+    assert!(pruned_any, "no case left a candidate unsimulated");
+}
+
+/// Prints the `StrategyEvaluated` count of each case's plan, for
+/// [`simulated_candidates_do_not_depend_on_threads`] to run under
+/// different pool sizes.
+#[test]
+#[ignore = "run by simulated_candidates_do_not_depend_on_threads"]
+fn print_simulated_candidates() {
+    for case in cases().into_iter().filter(|c| c.name != "vgg19") {
+        println!(
+            "simulated {} {}",
+            case.name,
+            planned(&case).strategy_evaluated
+        );
+    }
+}
+
+/// The pool size is fixed per process (`RAYON_NUM_THREADS`), so this
+/// re-runs the test binary at one and at two threads.
+#[test]
+fn simulated_candidates_do_not_depend_on_threads() {
+    let counts = |threads: &str| {
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "print_simulated_candidates",
+                "--exact",
+                "--ignored",
+                "--show-output",
+                "--test-threads=1",
+            ])
+            .env("RAYON_NUM_THREADS", threads)
+            .output()
+            .expect("re-run the test binary");
+        assert!(out.status.success(), "{threads} threads: {out:?}");
+        let lines: Vec<String> = String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .filter(|l| l.starts_with("simulated "))
+            .map(str::to_owned)
+            .collect();
+        assert_eq!(lines.len(), 3, "{threads} threads: {lines:?}");
+        lines
+    };
+    assert_eq!(counts("1"), counts("2"));
+}
