@@ -131,8 +131,9 @@ fn main() {
     // RL agent's neighborhood moves all evaluate *small deltas* of one
     // base deployment. Replay the same perturbation stream through the
     // full pipeline (fresh compile+simulate per query, the seed path)
-    // and through the incremental evaluator (re-price + dirty-region
-    // resim); both must be bit-identical.
+    // and through the incremental evaluator (re-price, then reuse the
+    // base report or simulate once, no compile); both must be
+    // bit-identical.
     let (pert_pool_n, pert_repeats) = if smoke { (6, 4) } else { (24, 8) };
     let base_strategy = Strategy::even(g.len(), &cluster, CommMethod::AllReduce);
     let kinds = [

@@ -130,10 +130,11 @@ TRAIN:
 EXPLAIN:
   --top-k N             keep the N best what-if interventions (default 5)
   --no-whatif           skip the what-if sensitivity loop
-  --no-incremental      score each what-if with a fresh full simulation
-                        instead of dirty-region re-simulation (also valid
-                        under ELASTIC for repair scoring; results are
-                        bit-identical either way, only the cost changes)
+  --no-incremental      score each what-if with a fresh compile and
+                        simulation instead of the incremental evaluator
+                        (also valid under ELASTIC for repair scoring;
+                        results are bit-identical either way, only the
+                        cost changes)
   --html-out <file>     self-contained HTML report with embedded timeline
   --json-out <file>     machine-readable report (diffable artifact)
   --diff-against <file> run-diff this plan against a previous --json-out

@@ -64,7 +64,7 @@ pub struct ElasticOptions {
     /// so this bounds memory across long fault storms.
     pub cache_contexts: usize,
     /// Score repair candidates through the incremental evaluator
-    /// (dirty-region re-simulation anchored on the degraded deployment)
+    /// (anchored on the degraded deployment, no compile per candidate)
     /// instead of fresh compile+simulate runs. Makespans are
     /// bit-identical either way; only the repair-effort accounting
     /// (`repair_evals`, stalls) shrinks.
@@ -198,7 +198,7 @@ pub fn elastic_run(
                 // cluster — this is the fault's measured impact. With
                 // incremental repair the same evaluation anchors an
                 // [`IncrementalEvaluator`] that then scores repair
-                // candidates by dirty-region re-simulation.
+                // candidates without a compile each.
                 let evaluator = opts.incremental.then(|| {
                     IncrementalEvaluator::new(g, &cost, state.cluster(), &strategy, &opts.order)
                 });
@@ -334,7 +334,7 @@ pub fn elastic_run(
 /// Runs one repair according to the policy; `strategy` has already been
 /// validity-migrated onto the mutated cluster. When `evaluator` is
 /// present (incremental mode), candidate scoring goes through its
-/// splice and dirty-region fast paths instead of fresh compiles — the
+/// splice and re-pricing fast paths instead of fresh compiles — the
 /// chosen strategy is identical either way.
 #[allow(clippy::too_many_arguments)]
 fn repair(

@@ -118,16 +118,16 @@ pub enum EventKind {
         /// Iterations stalled at the degraded makespan.
         stall_iterations: u64,
     },
-    /// An incremental re-simulation replayed only the dirty suffix of a
+    /// An incremental re-simulation answered a re-priced copy of a
     /// previously simulated task graph (what-if sweeps, repair scoring,
     /// RL reward probes).
     IncrementalResim {
-        /// Tasks actually re-executed (graph size minus the skipped
-        /// prefix; equals `total` on a full compile-free replay).
+        /// Tasks re-executed: 0 when the base report was reused, else
+        /// `total` (one fresh simulation).
         replayed: u64,
         /// Tasks in the graph.
         total: u64,
-        /// Duration- or priority-dirty tasks that triggered the replay.
+        /// Tasks whose duration differs from the base graph's.
         dirty: u64,
         /// Makespan of the perturbed schedule.
         makespan: f64,

@@ -145,7 +145,7 @@ pub struct ExplainOptions {
     /// the deployment.
     pub interventions: Option<Vec<Intervention>>,
     /// Serve what-if interventions through the incremental evaluator
-    /// (dirty-region re-simulation). Off = fresh compile+simulate per
+    /// (one shared compile). Off = fresh compile+simulate per
     /// intervention; results are bit-identical either way.
     pub incremental: bool,
 }

@@ -271,10 +271,10 @@ pub fn default_interventions(cluster: &Cluster, strategy: &Strategy) -> Vec<Inte
 }
 
 /// Evaluates one intervention through the cheapest sound incremental
-/// path: cluster-only interventions re-price + dirty-region re-simulate,
-/// comm flips splice from the base lowering, order flips re-simulate the
-/// cached graph, and device removal (structure change) falls back to the
-/// full pipeline inside the evaluator. Bit-identical to a fresh
+/// path: cluster-only interventions re-price the cached graph and
+/// simulate it once, comm flips splice from the base lowering, order
+/// flips re-simulate the cached graph, and device removal (structure
+/// change) falls back to the full pipeline inside the evaluator. Bit-identical to a fresh
 /// compile + simulate in every case.
 fn eval_intervention(
     ev: &IncrementalEvaluator<'_, GroundTruthCost>,
@@ -306,8 +306,8 @@ fn eval_intervention(
 
 /// Re-simulates every intervention and returns the outcomes ranked by
 /// predicted improvement (largest `delta` first), truncated to `top_k`.
-/// Uses the incremental evaluator (one shared compile, dirty-region
-/// replay per intervention); see [`run_whatif_with`] for the escape
+/// Uses the incremental evaluator (one shared compile, no compile per
+/// intervention); see [`run_whatif_with`] for the escape
 /// hatch.
 pub fn run_whatif(
     g: &Graph,

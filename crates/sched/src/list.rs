@@ -90,14 +90,6 @@ pub trait ScheduleHook {
     fn on_finish(&mut self, task: TaskId, time: f64) {
         let _ = (task, time);
     }
-    /// [`list_schedule_recorded`] captured a resumable cut (checkpoint
-    /// number `idx`, 0-based). Stateful hooks snapshot their own state
-    /// here so a later [`list_schedule_resumed`] from this cut can
-    /// restore it; the default does nothing.
-    #[inline]
-    fn on_checkpoint(&mut self, idx: usize) {
-        let _ = idx;
-    }
 }
 
 /// The do-nothing observer.
@@ -240,53 +232,7 @@ pub fn list_schedule_observed<H: ScheduleHook>(
         }
     };
     let fifo = matches!(policy, OrderPolicy::Fifo);
-    schedule_full(tg, priorities, fifo, ready, busy, indeg, events, out, hook);
-}
 
-/// [`list_schedule_observed`] with the priority vector supplied by the
-/// caller instead of derived from the policy: `Some(p)` behaves exactly
-/// like `OrderPolicy::Priorities`/`RankBased` run with those priorities
-/// (no rank sweep), `None` like `OrderPolicy::Fifo`. This is the entry
-/// point the incremental re-simulator uses — it has already computed the
-/// perturbed graph's ranks to diff them against the base run's.
-pub fn list_schedule_observed_with<H: ScheduleHook>(
-    tg: &TaskGraph,
-    priorities: Option<&[f64]>,
-    scratch: &mut ScheduleScratch,
-    out: &mut Schedule,
-    hook: &mut H,
-) {
-    let ScheduleScratch {
-        ready,
-        busy,
-        indeg,
-        events,
-        ..
-    } = scratch;
-    let (prio, fifo) = match priorities {
-        Some(p) => {
-            assert_eq!(p.len(), tg.len(), "priority vector length mismatch");
-            (Prio::Slice(p), false)
-        }
-        None => (Prio::Uniform, true),
-    };
-    schedule_full(tg, prio, fifo, ready, busy, indeg, events, out, hook);
-}
-
-/// Shared full-run driver: reset buffers, seed sources, drain the event
-/// loop.
-#[allow(clippy::too_many_arguments)]
-fn schedule_full<H: ScheduleHook>(
-    tg: &TaskGraph,
-    priorities: Prio<'_>,
-    fifo: bool,
-    ready: &mut Vec<BinaryHeap<Key>>,
-    busy: &mut Vec<bool>,
-    indeg: &mut Vec<u32>,
-    events: &mut BinaryHeap<Done>,
-    out: &mut Schedule,
-    hook: &mut H,
-) {
     let _span = heterog_telemetry::span("list_schedule");
     let telemetry_on = heterog_telemetry::enabled();
     let wall_start = telemetry_on.then(std::time::Instant::now);
@@ -336,21 +282,37 @@ fn schedule_full<H: ScheduleHook>(
         dispatch(p, now, tg, ready, busy, &mut out.start, events, hook);
     }
 
-    run_loop(
-        tg,
-        priorities,
-        fifo,
-        telemetry_on,
-        ready,
-        busy,
-        indeg,
-        events,
-        out,
-        hook,
-        &mut now,
-        &mut arrival_seq,
-        &mut completed,
-    );
+    // The event loop proper: drain completions, release successors,
+    // dispatch.
+    while let Some(Done { time, task }) = events.pop() {
+        debug_assert!(time >= now - 1e-12);
+        now = time;
+        out.finish[task.index()] = now;
+        completed += 1;
+        let p = tg.proc_index(tg.task(task).proc);
+        out.proc_busy[p] += tg.task(task).duration;
+        busy[p] = false;
+        hook.on_finish(task, now);
+
+        // Newly-ready successors.
+        for &s in tg.succs(task) {
+            indeg[s.index()] -= 1;
+            if indeg[s.index()] == 0 {
+                push_ready(
+                    tg,
+                    s,
+                    priorities,
+                    fifo,
+                    telemetry_on,
+                    ready,
+                    &mut arrival_seq,
+                );
+                let sp = tg.proc_index(tg.task(s).proc);
+                dispatch(sp, now, tg, ready, busy, &mut out.start, events, hook);
+            }
+        }
+        dispatch(p, now, tg, ready, busy, &mut out.start, events, hook);
+    }
 
     assert_eq!(completed, n, "deadlock: task graph must be acyclic");
     TASKS_SCHEDULED.add(n as u64);
@@ -384,47 +346,6 @@ fn push_ready(
     }
 }
 
-/// The event loop proper: drain completions, release successors,
-/// dispatch. Shared between full runs and checkpoint-resumed runs.
-#[allow(clippy::too_many_arguments)]
-fn run_loop<H: ScheduleHook>(
-    tg: &TaskGraph,
-    priorities: Prio<'_>,
-    fifo: bool,
-    telemetry_on: bool,
-    ready: &mut [BinaryHeap<Key>],
-    busy: &mut [bool],
-    indeg: &mut [u32],
-    events: &mut BinaryHeap<Done>,
-    out: &mut Schedule,
-    hook: &mut H,
-    now: &mut f64,
-    arrival_seq: &mut u64,
-    completed: &mut usize,
-) {
-    while let Some(Done { time, task }) = events.pop() {
-        debug_assert!(time >= *now - 1e-12);
-        *now = time;
-        out.finish[task.index()] = *now;
-        *completed += 1;
-        let p = tg.proc_index(tg.task(task).proc);
-        out.proc_busy[p] += tg.task(task).duration;
-        busy[p] = false;
-        hook.on_finish(task, *now);
-
-        // Newly-ready successors.
-        for &s in tg.succs(task) {
-            indeg[s.index()] -= 1;
-            if indeg[s.index()] == 0 {
-                push_ready(tg, s, priorities, fifo, telemetry_on, ready, arrival_seq);
-                let sp = tg.proc_index(tg.task(s).proc);
-                dispatch(sp, *now, tg, ready, busy, &mut out.start, events, hook);
-            }
-        }
-        dispatch(p, *now, tg, ready, busy, &mut out.start, events, hook);
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn dispatch<H: ScheduleHook>(
     p: usize,
@@ -448,359 +369,6 @@ fn dispatch<H: ScheduleHook>(
             task: key.task,
         });
     }
-}
-
-/// One resumable cut of the event loop: the complete scheduler state at
-/// the moment the cut was captured (between two completion events, after
-/// all dispatches for the earlier event settled).
-#[derive(Debug, Clone, Default)]
-struct Checkpoint {
-    time: f64,
-    completed: usize,
-    arrival_seq: u64,
-    /// Tasks dispatched (started) strictly before this cut.
-    dispatched: u32,
-    /// Tasks pushed onto ready heaps strictly before this cut.
-    pushes: u32,
-    ready: Vec<BinaryHeap<Key>>,
-    busy: Vec<bool>,
-    indeg: Vec<u32>,
-    events: BinaryHeap<Done>,
-    start: Vec<f64>,
-    finish: Vec<f64>,
-    proc_busy: Vec<f64>,
-}
-
-/// Checkpoints and per-task event positions recorded by
-/// [`list_schedule_recorded`] over one *base* run, enabling
-/// [`list_schedule_resumed`] to replay only the suffix of a perturbed
-/// run whose prefix provably matches the base run.
-///
-/// Validity rule (see `best_resumable`): resuming from cut `k` is exact
-/// iff no *duration-dirty* task was dispatched before `k` (its stale
-/// completion time would sit in the restored event queue or have steered
-/// the prefix) and no *priority-dirty* task was pushed ready before `k`
-/// (its stale key would sit in — or have been popped in the wrong order
-/// from — a restored ready heap).
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointLog {
-    fifo: bool,
-    /// The priority vector the base run used (empty under FIFO).
-    ranks: Vec<f64>,
-    /// Global push counter value when each task entered a ready heap.
-    push_pos: Vec<u32>,
-    /// Global dispatch counter value when each task started.
-    dispatch_pos: Vec<u32>,
-    checkpoints: Vec<Checkpoint>,
-}
-
-impl CheckpointLog {
-    /// Number of cuts captured.
-    pub fn num_checkpoints(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Whether the base run used FIFO ordering.
-    pub fn fifo(&self) -> bool {
-        self.fifo
-    }
-
-    /// The priority vector the base run was scheduled with (empty under
-    /// FIFO). Diff new priorities against this to find priority-dirty
-    /// tasks.
-    pub fn ranks(&self) -> &[f64] {
-        &self.ranks
-    }
-
-    /// Tasks already completed at cut `k` — the work a resume from `k`
-    /// skips.
-    pub fn completed_at(&self, k: usize) -> usize {
-        self.checkpoints[k].completed
-    }
-
-    /// The latest cut from which a replay is exact for the given dirty
-    /// sets, or `None` if even the earliest cut is invalid (callers then
-    /// fall back to a full replay).
-    pub fn best_resumable(
-        &self,
-        duration_dirty: &[TaskId],
-        priority_dirty: &[TaskId],
-    ) -> Option<usize> {
-        let min_dispatch = duration_dirty
-            .iter()
-            .map(|t| self.dispatch_pos[t.index()])
-            .min()
-            .unwrap_or(u32::MAX);
-        let min_push = priority_dirty
-            .iter()
-            .map(|t| self.push_pos[t.index()])
-            .min()
-            .unwrap_or(u32::MAX);
-        // Checkpoints are in increasing (dispatched, pushes) order; take
-        // the last valid one.
-        self.checkpoints
-            .iter()
-            .rposition(|ck| ck.dispatched <= min_dispatch && ck.pushes <= min_push)
-    }
-}
-
-/// [`list_schedule_observed`] that additionally records resumable
-/// checkpoints every `interval` task completions (0 = record positions
-/// only, no cuts) into `log`. The schedule produced is bit-identical to
-/// the unrecorded run; recording costs one `O(state)` clone per cut.
-///
-/// The hook's [`ScheduleHook::on_checkpoint`] fires at each cut so
-/// stateful observers (the simulator's memory tracker) can snapshot
-/// alongside.
-#[allow(clippy::too_many_arguments)]
-pub fn list_schedule_recorded<H: ScheduleHook>(
-    tg: &TaskGraph,
-    policy: &OrderPolicy,
-    interval: usize,
-    scratch: &mut ScheduleScratch,
-    out: &mut Schedule,
-    hook: &mut H,
-    log: &mut CheckpointLog,
-) {
-    let _span = heterog_telemetry::span("list_schedule");
-    let telemetry_on = heterog_telemetry::enabled();
-    let wall_start = telemetry_on.then(std::time::Instant::now);
-    let n = tg.len();
-    let num_procs = tg.num_procs();
-
-    let ScheduleScratch {
-        ready,
-        busy,
-        indeg,
-        events,
-        ranks,
-        rank_scratch,
-    } = scratch;
-
-    log.fifo = matches!(policy, OrderPolicy::Fifo);
-    log.ranks.clear();
-    let priorities: Prio<'_> = match policy {
-        OrderPolicy::RankBased => {
-            upward_ranks_into(tg, rank_scratch, ranks);
-            log.ranks.extend_from_slice(ranks);
-            Prio::Slice(ranks)
-        }
-        OrderPolicy::Fifo => Prio::Uniform,
-        OrderPolicy::Priorities(p) => {
-            assert_eq!(p.len(), n, "priority vector length mismatch");
-            log.ranks.extend_from_slice(p);
-            Prio::Slice(p)
-        }
-    };
-    let fifo = log.fifo;
-    log.push_pos.clear();
-    log.push_pos.resize(n, u32::MAX);
-    log.dispatch_pos.clear();
-    log.dispatch_pos.resize(n, u32::MAX);
-    log.checkpoints.clear();
-
-    if ready.len() < num_procs {
-        ready.resize_with(num_procs, BinaryHeap::new);
-    }
-    let ready = &mut ready[..num_procs];
-    for h in ready.iter_mut() {
-        h.clear();
-    }
-    busy.clear();
-    busy.resize(num_procs, false);
-    indeg.clear();
-    indeg.extend(tg.task_ids().map(|t| tg.in_degree(t) as u32));
-    events.clear();
-    out.start.clear();
-    out.start.resize(n, f64::NAN);
-    out.finish.clear();
-    out.finish.resize(n, f64::NAN);
-    out.proc_busy.clear();
-    out.proc_busy.resize(num_procs, 0.0);
-
-    let mut arrival_seq: u64 = 0;
-    let mut completed = 0usize;
-    let mut pushes: u32 = 0;
-    let mut dispatched: u32 = 0;
-
-    macro_rules! push_ready_rec {
-        ($t:expr) => {{
-            let t = $t;
-            log.push_pos[t.index()] = pushes;
-            pushes += 1;
-            push_ready(
-                tg,
-                t,
-                priorities,
-                fifo,
-                telemetry_on,
-                ready,
-                &mut arrival_seq,
-            );
-        }};
-    }
-    macro_rules! dispatch_rec {
-        ($p:expr, $now:expr) => {{
-            let p = $p;
-            if !busy[p] {
-                if let Some(key) = ready[p].pop() {
-                    busy[p] = true;
-                    out.start[key.task.index()] = $now;
-                    log.dispatch_pos[key.task.index()] = dispatched;
-                    dispatched += 1;
-                    hook.on_start(key.task, $now);
-                    events.push(Done {
-                        time: $now + tg.task(key.task).duration,
-                        task: key.task,
-                    });
-                }
-            }
-        }};
-    }
-
-    for t in tg.task_ids() {
-        if indeg[t.index()] == 0 {
-            push_ready_rec!(t);
-        }
-    }
-    let mut now = 0.0f64;
-    for p in 0..num_procs {
-        dispatch_rec!(p, now);
-    }
-
-    let mut next_mark = if interval == 0 { usize::MAX } else { interval };
-    loop {
-        // Capture at the loop top: the state after the previous event
-        // (and all of its dispatches) fully settled.
-        if completed >= next_mark && completed < n {
-            log.checkpoints.push(Checkpoint {
-                time: now,
-                completed,
-                arrival_seq,
-                dispatched,
-                pushes,
-                ready: ready.to_vec(),
-                busy: busy.clone(),
-                indeg: indeg.clone(),
-                events: events.clone(),
-                start: out.start.clone(),
-                finish: out.finish.clone(),
-                proc_busy: out.proc_busy.clone(),
-            });
-            hook.on_checkpoint(log.checkpoints.len() - 1);
-            next_mark = completed + interval;
-        }
-        let Some(Done { time, task }) = events.pop() else {
-            break;
-        };
-        debug_assert!(time >= now - 1e-12);
-        now = time;
-        out.finish[task.index()] = now;
-        completed += 1;
-        let p = tg.proc_index(tg.task(task).proc);
-        out.proc_busy[p] += tg.task(task).duration;
-        busy[p] = false;
-        hook.on_finish(task, now);
-        for &s in tg.succs(task) {
-            indeg[s.index()] -= 1;
-            if indeg[s.index()] == 0 {
-                push_ready_rec!(s);
-                let sp = tg.proc_index(tg.task(s).proc);
-                dispatch_rec!(sp, now);
-            }
-        }
-        dispatch_rec!(p, now);
-    }
-
-    assert_eq!(completed, n, "deadlock: task graph must be acyclic");
-    TASKS_SCHEDULED.add(n as u64);
-    if let Some(t0) = wall_start {
-        SCHEDULE_SECONDS.observe(t0.elapsed().as_secs_f64());
-    }
-    out.makespan = now;
-}
-
-/// Resumes a schedule of `tg` (a graph with the *same structure* as the
-/// recorded base, possibly different durations) from checkpoint `k` of
-/// `log`. `priorities` are the perturbed graph's priorities (`None` for
-/// FIFO — must match the recorded policy's mode). The caller must have
-/// validated `k` via [`CheckpointLog::best_resumable`]; the result is
-/// then bit-identical to a full run on `tg`.
-pub fn list_schedule_resumed<H: ScheduleHook>(
-    tg: &TaskGraph,
-    priorities: Option<&[f64]>,
-    log: &CheckpointLog,
-    k: usize,
-    scratch: &mut ScheduleScratch,
-    out: &mut Schedule,
-    hook: &mut H,
-) {
-    let _span = heterog_telemetry::span("list_schedule");
-    let telemetry_on = heterog_telemetry::enabled();
-    let wall_start = telemetry_on.then(std::time::Instant::now);
-    let n = tg.len();
-    let num_procs = tg.num_procs();
-    let ck = &log.checkpoints[k];
-    assert_eq!(
-        priorities.is_none(),
-        log.fifo,
-        "resume ordering mode must match the recorded run"
-    );
-    let (prio, fifo) = match priorities {
-        Some(p) => {
-            assert_eq!(p.len(), n, "priority vector length mismatch");
-            (Prio::Slice(p), false)
-        }
-        None => (Prio::Uniform, true),
-    };
-
-    let ScheduleScratch {
-        ready,
-        busy,
-        indeg,
-        events,
-        ..
-    } = scratch;
-    if ready.len() < num_procs {
-        ready.resize_with(num_procs, BinaryHeap::new);
-    }
-    let ready = &mut ready[..num_procs];
-    for (h, src) in ready.iter_mut().zip(&ck.ready) {
-        h.clone_from(src);
-    }
-    busy.clone_from(&ck.busy);
-    indeg.clone_from(&ck.indeg);
-    events.clone_from(&ck.events);
-    out.start.clone_from(&ck.start);
-    out.finish.clone_from(&ck.finish);
-    out.proc_busy.clone_from(&ck.proc_busy);
-
-    let mut now = ck.time;
-    let mut arrival_seq = ck.arrival_seq;
-    let mut completed = ck.completed;
-
-    run_loop(
-        tg,
-        prio,
-        fifo,
-        telemetry_on,
-        ready,
-        busy,
-        indeg,
-        events,
-        out,
-        hook,
-        &mut now,
-        &mut arrival_seq,
-        &mut completed,
-    );
-
-    assert_eq!(completed, n, "deadlock: task graph must be acyclic");
-    TASKS_SCHEDULED.add((n - ck.completed) as u64);
-    if let Some(t0) = wall_start {
-        SCHEDULE_SECONDS.observe(t0.elapsed().as_secs_f64());
-    }
-    out.makespan = now;
 }
 
 /// A lower bound on the optimal makespan `T*`: the max of the critical
@@ -980,162 +548,6 @@ mod tests {
                 assert_eq!(fresh.proc_busy, out.proc_busy);
             }
         }
-    }
-
-    /// Deterministic ragged DAG for checkpoint tests: `procs` processors,
-    /// chains of varying length with cross-proc edges.
-    fn ragged(procs: u32, tasks: u32, seed: u64) -> TaskGraph {
-        let mut tg = TaskGraph::new("ragged", procs, 0);
-        let mut state = seed;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let ids: Vec<TaskId> = (0..tasks)
-            .map(|i| {
-                let p = (next() % procs as u64) as u32;
-                let d = 0.25 + (next() % 16) as f64 * 0.125;
-                tg.add_task(g(&format!("t{i}"), p, d))
-            })
-            .collect();
-        for (i, &id) in ids.iter().enumerate().skip(1) {
-            // 1-2 predecessors from earlier tasks.
-            for _ in 0..(1 + next() % 2) {
-                let p = ids[(next() % i as u64) as usize];
-                if p != id {
-                    tg.add_dep(p, id);
-                }
-            }
-        }
-        tg
-    }
-
-    #[test]
-    fn recorded_run_matches_plain_run() {
-        let tg = ragged(4, 60, 7);
-        for policy in [OrderPolicy::RankBased, OrderPolicy::Fifo] {
-            let plain = list_schedule(&tg, &policy);
-            let mut scratch = ScheduleScratch::default();
-            let mut out = Schedule::default();
-            let mut log = CheckpointLog::default();
-            list_schedule_recorded(
-                &tg,
-                &policy,
-                10,
-                &mut scratch,
-                &mut out,
-                &mut NoHook,
-                &mut log,
-            );
-            assert_eq!(plain.makespan.to_bits(), out.makespan.to_bits());
-            assert_eq!(plain.start, out.start);
-            assert_eq!(plain.finish, out.finish);
-            assert!(log.num_checkpoints() >= 3, "{}", log.num_checkpoints());
-        }
-    }
-
-    #[test]
-    fn observed_with_matches_policy_forms() {
-        let tg = ragged(3, 40, 11);
-        let ranks = crate::rank::upward_ranks(&tg);
-        let mut scratch = ScheduleScratch::default();
-        let mut out = Schedule::default();
-        list_schedule_observed_with(&tg, Some(&ranks), &mut scratch, &mut out, &mut NoHook);
-        let rank_run = list_schedule(&tg, &OrderPolicy::RankBased);
-        assert_eq!(rank_run.start, out.start);
-        list_schedule_observed_with(&tg, None, &mut scratch, &mut out, &mut NoHook);
-        let fifo_run = list_schedule(&tg, &OrderPolicy::Fifo);
-        assert_eq!(fifo_run.start, out.start);
-    }
-
-    #[test]
-    fn resume_after_duration_change_is_bit_identical() {
-        // Perturb one late task's duration; resume from the best valid
-        // cut and compare against a fresh full run of the perturbed
-        // graph, bitwise.
-        for seed in [3u64, 9, 21] {
-            let tg = ragged(4, 80, seed);
-            for policy in [OrderPolicy::Fifo, OrderPolicy::RankBased] {
-                let mut scratch = ScheduleScratch::default();
-                let mut out = Schedule::default();
-                let mut log = CheckpointLog::default();
-                list_schedule_recorded(
-                    &tg,
-                    &policy,
-                    8,
-                    &mut scratch,
-                    &mut out,
-                    &mut NoHook,
-                    &mut log,
-                );
-
-                // Perturb the task that was dispatched last.
-                let victim = (0..tg.len())
-                    .max_by_key(|&i| out.finish[i].to_bits())
-                    .map(|i| TaskId(i as u32))
-                    .unwrap();
-                let mut tg2 = tg.clone();
-                tg2.task_mut(victim).duration *= 3.0;
-
-                let duration_dirty = [victim];
-                let (new_ranks, priority_dirty): (Vec<f64>, Vec<TaskId>) = match policy {
-                    OrderPolicy::Fifo => (Vec::new(), Vec::new()),
-                    _ => {
-                        let nr = crate::rank::upward_ranks(&tg2);
-                        let dirty = (0..tg.len())
-                            .filter(|&i| nr[i].to_bits() != log.ranks()[i].to_bits())
-                            .map(|i| TaskId(i as u32))
-                            .collect();
-                        (nr, dirty)
-                    }
-                };
-                let Some(k) = log.best_resumable(&duration_dirty, &priority_dirty) else {
-                    continue; // every cut invalidated; nothing to test
-                };
-                let prio = match policy {
-                    OrderPolicy::Fifo => None,
-                    _ => Some(new_ranks.as_slice()),
-                };
-                let mut resumed = Schedule::default();
-                list_schedule_resumed(&tg2, prio, &log, k, &mut scratch, &mut resumed, &mut NoHook);
-                let fresh = list_schedule(&tg2, &policy);
-                assert_eq!(fresh.makespan.to_bits(), resumed.makespan.to_bits());
-                assert_eq!(fresh.start, resumed.start);
-                assert_eq!(fresh.finish, resumed.finish);
-                assert_eq!(fresh.proc_busy, resumed.proc_busy);
-            }
-        }
-    }
-
-    #[test]
-    fn best_resumable_rejects_early_dirty_tasks() {
-        let tg = ragged(2, 30, 5);
-        let mut scratch = ScheduleScratch::default();
-        let mut out = Schedule::default();
-        let mut log = CheckpointLog::default();
-        list_schedule_recorded(
-            &tg,
-            &OrderPolicy::Fifo,
-            5,
-            &mut scratch,
-            &mut out,
-            &mut NoHook,
-            &mut log,
-        );
-        assert!(log.num_checkpoints() > 0);
-        // The very first dispatched task invalidates every cut.
-        let first = (0..tg.len())
-            .min_by_key(|&i| out.start[i].to_bits())
-            .map(|i| TaskId(i as u32))
-            .unwrap();
-        assert_eq!(log.best_resumable(&[first], &[]), None);
-        // An empty dirty set can resume from the last cut.
-        assert_eq!(
-            log.best_resumable(&[], &[]),
-            Some(log.num_checkpoints() - 1)
-        );
     }
 
     #[test]

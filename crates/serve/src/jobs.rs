@@ -283,13 +283,17 @@ impl JobTable {
 
     /// Admits a request: attaches to an identical in-flight job
     /// (returning `(job, true)`), or registers a fresh one
-    /// (`(job, false)`), which the caller must then enqueue.
+    /// (`(job, false)`), which the caller must then enqueue. A job that
+    /// already finished is not joined even before its key is released:
+    /// waiters wake on completion, before the worker releases the key.
     pub fn create_or_attach(&self, tenant: &str, spec: JobSpec) -> (Arc<Job>, bool) {
         let key = spec.coalesce_key();
         let mut inner = lock(&self.inner);
         if let Some(id) = inner.active.get(&key) {
             if let Some(job) = inner.jobs.get(id) {
-                return (Arc::clone(job), true);
+                if !job.state().is_terminal() {
+                    return (Arc::clone(job), true);
+                }
             }
         }
         inner.next_id += 1;
@@ -369,6 +373,32 @@ mod tests {
         let (d, coalesced_d) = table.create_or_attach("carol", spec("heterog"));
         assert!(!coalesced_d);
         assert_ne!(a.id, d.id);
+    }
+
+    #[test]
+    fn finished_jobs_are_not_joined_before_release() {
+        let table = JobTable::new();
+        let (a, _) = table.create_or_attach("alice", spec("CP-AR"));
+        a.set_running();
+        a.complete(Arc::new(JobResult {
+            body: "{}".into(),
+            planner_used: "CP-AR".into(),
+            degraded: false,
+            memo_hit: false,
+            cross_tenant: false,
+            makespan: 0.1,
+            oom: false,
+        }));
+        // The worker has not released the key yet.
+        let (b, coalesced) = table.create_or_attach("bob", spec("CP-AR"));
+        assert!(!coalesced, "a finished job must not take new requests");
+        assert_ne!(a.id, b.id);
+        // The fresh job now owns the key: repeats coalesce onto it, and
+        // releasing the old job leaves it in place.
+        table.release(&a);
+        let (c, coalesced) = table.create_or_attach("carol", spec("CP-AR"));
+        assert!(coalesced);
+        assert_eq!(b.id, c.id);
     }
 
     #[test]

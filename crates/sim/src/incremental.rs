@@ -1,45 +1,30 @@
-//! Incremental re-simulation: dirty-region replay.
+//! Incremental re-simulation: reuse the base report, or simulate once.
 //!
 //! The planners spend most of their budget evaluating *perturbations* of
 //! a strategy they already simulated — a device slowed down, one link's
-//! bandwidth changed, one replica moved. A full simulation rebuilds the
-//! whole schedule from scratch even though the perturbed graph shares
-//! its structure with the base and most task durations are bitwise
-//! unchanged. [`IncrementalSim`] records checkpoints of the base run's
-//! scheduler *and* memory-accounting state at evenly spaced cuts, then
-//! answers a perturbed query by
+//! bandwidth changed. Re-pricing such a change keeps the task graph's
+//! structure and rewrites only durations. [`IncrementalSim`] simulates
+//! the base graph once and answers a re-priced graph in one of two ways:
 //!
-//! 1. computing the **duration-dirty** set (tasks whose duration bits
-//!    differ from the base) and, under rank-based ordering, the
-//!    **priority-dirty** set (tasks whose upward rank bits differ),
-//! 2. short-circuiting to the cached base report when both are empty
-//!    (only the OOM flags are re-derived against the query capacities),
-//! 3. resuming from the latest checkpoint unaffected by any dirty task
-//!    (see [`CheckpointLog::best_resumable`]) and replaying only the
-//!    suffix, or
-//! 4. falling back to a full — but still compile-free — replay when the
-//!    dirty set exceeds [`ResimOptions::fallback_dirty_frac`] or no
-//!    checkpoint is valid.
+//! 1. no task duration differs bitwise from the base: the cached base
+//!    report is copied and only the OOM flags are re-derived against the
+//!    query's capacities ([`ResimOutcome::Unchanged`]);
+//! 2. otherwise: one fresh simulation of the re-priced graph
+//!    ([`ResimOutcome::Replayed`]).
 //!
-//! Every path funnels through the same `finalize_report` as
-//! [`crate::simulate_into`], and a resumed replay restores the exact
-//! alloc/free event prefix and reference counts captured at the cut, so
-//! results are **bit-identical** to a fresh simulation of the perturbed
-//! graph: same makespan bits, same peaks, same OOM flags, same report
-//! digests. The tests assert this over randomized perturbations.
+//! The replay runs the same body as [`crate::simulate_into`], so results
+//! are **bit-identical** to a fresh simulation of the perturbed graph:
+//! same makespan bits, same peaks, same OOM flags, same report digests.
 //!
 //! Deliberately *not* counted: the plain-simulation telemetry
-//! (`heterog_sim_simulations_total` etc.) — incremental replays have
-//! their own counters so existing "one simulation per evaluation"
-//! invariants keep holding.
+//! (`heterog_sim_simulations_total`, `SimEpoch`, `Oom`) — incremental
+//! queries have their own counters so existing "one simulation per
+//! evaluation" invariants keep holding.
 
-use heterog_sched::{
-    list_schedule_observed_with, list_schedule_recorded, list_schedule_resumed, upward_ranks_into,
-    CheckpointLog, OrderPolicy, Proc, ScheduleHook, TaskGraph, TaskId,
-};
+use heterog_sched::{OrderPolicy, TaskGraph};
 use heterog_telemetry::{Counter, Histogram};
 
-use crate::report::{finalize_report, MemHook, SimReport, SimScratch};
+use crate::report::{simulate_uncounted, SimReport, SimScratch};
 
 static RESIMS: Counter = Counter::new(
     "heterog_sim_incremental_resims_total",
@@ -47,15 +32,11 @@ static RESIMS: Counter = Counter::new(
 );
 static UNCHANGED: Counter = Counter::new(
     "heterog_sim_incremental_unchanged_total",
-    "Re-simulations answered from the cached base report (empty dirty set)",
-);
-static RESUMED: Counter = Counter::new(
-    "heterog_sim_incremental_resumed_total",
-    "Re-simulations that replayed only a dirty suffix from a checkpoint",
+    "Re-simulations answered from the cached base report (no duration changed)",
 );
 static FULL_REPLAYS: Counter = Counter::new(
     "heterog_sim_incremental_full_replays_total",
-    "Re-simulations that fell back to a full (compile-free) replay",
+    "Re-simulations answered by one fresh simulation of the patched graph",
 );
 static TASKS_SKIPPED: Counter = Counter::new(
     "heterog_sim_incremental_tasks_skipped_total",
@@ -63,29 +44,8 @@ static TASKS_SKIPPED: Counter = Counter::new(
 );
 static DIRTY_SET_SIZE: Histogram = Histogram::new(
     "heterog_sim_incremental_dirty_tasks",
-    "Dirty-set size (duration- plus priority-dirty tasks) per re-simulation",
+    "Tasks whose duration changed, per re-simulation",
 );
-
-/// Tuning knobs for [`IncrementalSim`].
-#[derive(Debug, Clone, Copy)]
-pub struct ResimOptions {
-    /// Checkpoint spacing as a fraction of the task count: a cut is
-    /// captured every `max(1, n * frac)` completions. Smaller = finer
-    /// resume granularity, more memory per checkpoint set.
-    pub checkpoint_interval_frac: f64,
-    /// Above this dirty fraction a resume saves too little to be worth
-    /// the restore; go straight to the full replay path.
-    pub fallback_dirty_frac: f64,
-}
-
-impl Default for ResimOptions {
-    fn default() -> Self {
-        ResimOptions {
-            checkpoint_interval_frac: 0.125,
-            fallback_dirty_frac: 0.35,
-        }
-    }
-}
 
 /// Which path a [`IncrementalSim::resim`] call took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,147 +53,35 @@ pub enum ResimOutcome {
     /// No task duration differed from the base: the cached report was
     /// copied and only the OOM flags re-derived.
     Unchanged,
-    /// Resumed from checkpoint `from`; the `skipped` tasks completed
-    /// before the cut were not re-executed.
-    Resumed { from: usize, skipped: usize },
-    /// Full compile-free replay (dirty set too large or no valid cut).
+    /// One fresh simulation of the patched graph.
     Replayed,
 }
 
-/// Memory-accounting state at a checkpoint: how many alloc/free events
-/// had been emitted (a prefix of the base run's event list, in emission
-/// order) and the remaining-consumer counts.
-#[derive(Debug, Clone)]
-struct MemSnap {
-    events_len: usize,
-    remaining: Vec<u32>,
-}
-
-/// Wraps the fused memory hook and snapshots its state whenever the
-/// scheduler captures a checkpoint, keeping both views of a cut (queues
-/// and allocations) consistent by construction.
-struct RecordingMemHook<'a, 'b> {
-    inner: MemHook<'a>,
-    snaps: &'b mut Vec<MemSnap>,
-}
-
-impl ScheduleHook for RecordingMemHook<'_, '_> {
-    #[inline]
-    fn on_start(&mut self, task: TaskId, time: f64) {
-        self.inner.on_start(task, time);
-    }
-
-    #[inline]
-    fn on_finish(&mut self, task: TaskId, time: f64) {
-        self.inner.on_finish(task, time);
-    }
-
-    fn on_checkpoint(&mut self, _idx: usize) {
-        self.snaps.push(MemSnap {
-            events_len: self.inner.events.len(),
-            remaining: self.inner.remaining.to_vec(),
-        });
-    }
-}
-
-/// A simulated base run plus everything needed to re-simulate duration
-/// perturbations of the same task-graph structure cheaply. Queries take
-/// `&self`, so one base can serve many threads' scratches.
+/// A simulated base run, kept to answer duration perturbations of the
+/// same task-graph structure. Queries take `&self`, so one base can
+/// serve many threads' scratches.
 #[derive(Debug, Clone)]
 pub struct IncrementalSim {
     base: TaskGraph,
     policy: OrderPolicy,
-    opts: ResimOptions,
-    log: CheckpointLog,
     base_report: SimReport,
-    /// The base run's alloc/free events in emission order (unsorted —
-    /// `MemSnap::events_len` indexes into this).
-    base_mem_events: Vec<(f64, u32, i64)>,
-    mem_snaps: Vec<MemSnap>,
-    /// Cached pre-pass: pinned parameter bytes and activity per GPU,
-    /// consumer counts per task — placement-determined, so shared by
-    /// every duration perturbation.
-    param_bytes: Vec<u64>,
-    active: Vec<bool>,
-    out_deg: Vec<u32>,
 }
 
 impl IncrementalSim {
-    /// Simulates `base` once under `policy`, recording checkpoints.
+    /// Simulates `base` once under `policy`.
     pub fn new(
         base: TaskGraph,
         capacities: &[u64],
         policy: OrderPolicy,
-        opts: ResimOptions,
         scratch: &mut SimScratch,
     ) -> Self {
         let _span = heterog_telemetry::span("incremental_sim_new");
-        let num_gpus = base.num_gpus as usize;
-        assert!(capacities.len() >= num_gpus, "capacity per GPU required");
-
-        let mut param_bytes = vec![0u64; num_gpus];
-        let mut active = vec![false; num_gpus];
-        let mut out_deg = Vec::with_capacity(base.len());
-        for (id, task) in base.iter() {
-            out_deg.push(base.out_degree(id) as u32);
-            if let Proc::Gpu(g) = task.proc {
-                param_bytes[g as usize] += task.param_bytes;
-                active[g as usize] = true;
-            }
-        }
-
-        let interval = ((base.len() as f64 * opts.checkpoint_interval_frac) as usize).max(1);
         let mut base_report = SimReport::default();
-        base_report.memory.param_bytes.clone_from(&param_bytes);
-        scratch.remaining.clone_from(&out_deg);
-        scratch.events.clear();
-        let mut mem_snaps = Vec::new();
-        let mut log = CheckpointLog::default();
-        {
-            let mut hook = RecordingMemHook {
-                inner: MemHook {
-                    tg: &base,
-                    events: &mut scratch.events,
-                    remaining: &mut scratch.remaining,
-                },
-                snaps: &mut mem_snaps,
-            };
-            list_schedule_recorded(
-                &base,
-                &policy,
-                interval,
-                &mut scratch.sched,
-                &mut base_report.schedule,
-                &mut hook,
-                &mut log,
-            );
-        }
-        debug_assert_eq!(mem_snaps.len(), log.num_checkpoints());
-        // Keep the emission-order event list *before* finalize sorts its
-        // working copy: resumes splice a prefix of it.
-        let base_mem_events = scratch.events.clone();
-        finalize_report(
-            &base,
-            capacities,
-            &active,
-            &mut scratch.events,
-            &mut scratch.cur,
-            &mut scratch.peak,
-            &mut scratch.intervals,
-            &mut base_report,
-        );
-
+        simulate_uncounted(&base, capacities, &policy, scratch, &mut base_report);
         IncrementalSim {
             base,
             policy,
-            opts,
-            log,
             base_report,
-            base_mem_events,
-            mem_snaps,
-            param_bytes,
-            active,
-            out_deg,
         }
     }
 
@@ -247,11 +95,6 @@ impl IncrementalSim {
     /// The base run's report.
     pub fn base_report(&self) -> &SimReport {
         &self.base_report
-    }
-
-    /// Checkpoints captured by the base run.
-    pub fn num_checkpoints(&self) -> usize {
-        self.log.num_checkpoints()
     }
 
     /// Re-simulates a duration perturbation of the base graph into
@@ -275,36 +118,25 @@ impl IncrementalSim {
         assert!(capacities.len() >= num_gpus, "capacity per GPU required");
         RESIMS.inc();
 
-        let SimScratch {
-            sched,
-            events,
-            remaining,
-            cur,
-            peak,
-            intervals,
-            dirty,
-            prio_dirty,
-            new_ranks,
-            rank_scratch,
-            ..
-        } = scratch;
-
-        // Duration-dirty set, bitwise: the contract is bit-identity, so
+        // Duration-dirty tasks, bitwise: the contract is bit-identity, so
         // any bit flip counts and -0.0 vs 0.0 rewrites are not "equal".
-        dirty.clear();
-        for ((id, b), (_, p)) in self.base.iter().zip(patched.iter()) {
-            debug_assert_eq!(
-                (b.proc, b.output_bytes, b.param_bytes),
-                (p.proc, p.output_bytes, p.param_bytes),
-                "resim contract: only durations may change ({})",
-                id
-            );
-            if b.duration.to_bits() != p.duration.to_bits() {
-                dirty.push(id);
-            }
-        }
+        let dirty = self
+            .base
+            .iter()
+            .zip(patched.iter())
+            .filter(|((id, b), (_, p))| {
+                debug_assert_eq!(
+                    (b.proc, b.output_bytes, b.param_bytes),
+                    (p.proc, p.output_bytes, p.param_bytes),
+                    "resim contract: only durations may change ({})",
+                    id
+                );
+                b.duration.to_bits() != p.duration.to_bits()
+            })
+            .count();
+        DIRTY_SET_SIZE.observe(dirty as f64);
 
-        if dirty.is_empty() {
+        if dirty == 0 {
             // Same durations => same schedule and peaks; only the OOM
             // verdict depends on the query's capacities.
             out.clone_from(&self.base_report);
@@ -319,104 +151,14 @@ impl IncrementalSim {
             }
             UNCHANGED.inc();
             TASKS_SKIPPED.add(n as u64);
-            DIRTY_SET_SIZE.observe(0.0);
             emit_resim_event(0, n, 0, out.iteration_time);
             return ResimOutcome::Unchanged;
         }
 
-        // Priority-dirty set. Fixed priorities (FIFO / explicit) never
-        // go priority-dirty; rank-based ordering re-derives ranks on the
-        // patched graph and diffs them bitwise against the base.
-        prio_dirty.clear();
-        let priorities: Option<&[f64]> = match &self.policy {
-            OrderPolicy::Fifo => None,
-            OrderPolicy::Priorities(_) => Some(self.log.ranks()),
-            OrderPolicy::RankBased => {
-                upward_ranks_into(patched, rank_scratch, new_ranks);
-                let old = self.log.ranks();
-                for (i, (new, old)) in new_ranks.iter().zip(old).enumerate() {
-                    if new.to_bits() != old.to_bits() {
-                        prio_dirty.push(TaskId(i as u32));
-                    }
-                }
-                Some(new_ranks)
-            }
-        };
-
-        let total_dirty = dirty.len() + prio_dirty.len();
-        DIRTY_SET_SIZE.observe(total_dirty as f64);
-
-        out.memory.param_bytes.clone_from(&self.param_bytes);
-        let resume_at = if total_dirty as f64 > self.opts.fallback_dirty_frac * n as f64 {
-            None
-        } else {
-            self.log.best_resumable(dirty, prio_dirty)
-        };
-
-        let outcome = match resume_at {
-            Some(k) => {
-                // Restore the memory accounting exactly as it stood at
-                // the cut, then replay the suffix.
-                let snap = &self.mem_snaps[k];
-                events.clear();
-                events.extend_from_slice(&self.base_mem_events[..snap.events_len]);
-                remaining.clone_from(&snap.remaining);
-                let mut hook = MemHook {
-                    tg: patched,
-                    events,
-                    remaining,
-                };
-                list_schedule_resumed(
-                    patched,
-                    priorities,
-                    &self.log,
-                    k,
-                    sched,
-                    &mut out.schedule,
-                    &mut hook,
-                );
-                let skipped = self.log.completed_at(k);
-                RESUMED.inc();
-                TASKS_SKIPPED.add(skipped as u64);
-                ResimOutcome::Resumed { from: k, skipped }
-            }
-            None => {
-                events.clear();
-                remaining.clone_from(&self.out_deg);
-                let mut hook = MemHook {
-                    tg: patched,
-                    events,
-                    remaining,
-                };
-                list_schedule_observed_with(
-                    patched,
-                    priorities,
-                    sched,
-                    &mut out.schedule,
-                    &mut hook,
-                );
-                FULL_REPLAYS.inc();
-                ResimOutcome::Replayed
-            }
-        };
-
-        finalize_report(
-            patched,
-            capacities,
-            &self.active,
-            events,
-            cur,
-            peak,
-            intervals,
-            out,
-        );
-
-        let replayed = match outcome {
-            ResimOutcome::Resumed { skipped, .. } => n - skipped,
-            _ => n,
-        };
-        emit_resim_event(replayed, n, total_dirty, out.iteration_time);
-        outcome
+        simulate_uncounted(patched, capacities, &self.policy, scratch, out);
+        FULL_REPLAYS.inc();
+        emit_resim_event(n, n, dirty, out.iteration_time);
+        ResimOutcome::Replayed
     }
 }
 
@@ -435,6 +177,8 @@ fn emit_resim_event(replayed: usize, total: usize, dirty: usize, makespan: f64) 
 pub struct IncrementalSimStats {
     pub resims: u64,
     pub unchanged: u64,
+    /// Always 0: no re-simulation resumes part-way any more. Kept so
+    /// readers of this struct still build.
     pub resumed: u64,
     pub full_replays: u64,
     pub tasks_skipped: u64,
@@ -445,7 +189,7 @@ pub fn incremental_sim_stats() -> IncrementalSimStats {
     IncrementalSimStats {
         resims: RESIMS.get(),
         unchanged: UNCHANGED.get(),
-        resumed: RESUMED.get(),
+        resumed: 0,
         full_replays: FULL_REPLAYS.get(),
         tasks_skipped: TASKS_SKIPPED.get(),
     }
@@ -456,7 +200,7 @@ mod tests {
     use super::*;
     use crate::report::simulate_into;
     use heterog_graph::OpKind;
-    use heterog_sched::Task;
+    use heterog_sched::{Proc, Task, TaskId};
 
     /// Deterministic pseudo-random layered DAG mixing GPU and link tasks,
     /// mirroring the shape `compile` emits (compute on GPUs, transfers on
@@ -532,95 +276,63 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
-    fn assert_resim_matches_fresh(
-        base: &TaskGraph,
-        patched: &TaskGraph,
-        policy: &OrderPolicy,
-        opts: ResimOptions,
-    ) -> ResimOutcome {
+    fn base_sim(base: &TaskGraph, policy: OrderPolicy) -> IncrementalSim {
         let capacities = caps(base.num_gpus as usize);
-        let mut scratch = SimScratch::default();
-        let inc = IncrementalSim::new(
+        IncrementalSim::new(
             base.clone(),
             &capacities,
-            policy.clone(),
-            opts,
-            &mut scratch,
-        );
+            policy,
+            &mut SimScratch::default(),
+        )
+    }
+
+    /// Resimulates `patched` against `inc` under `capacities` and checks
+    /// the report bitwise against a fresh `simulate_into`.
+    fn assert_resim_matches_fresh(
+        inc: &IncrementalSim,
+        patched: &TaskGraph,
+        capacities: &[u64],
+    ) -> (ResimOutcome, SimReport) {
+        let mut scratch = SimScratch::default();
         let mut got = SimReport::default();
-        let outcome = inc.resim(patched, &capacities, &mut scratch, &mut got);
+        let outcome = inc.resim(patched, capacities, &mut scratch, &mut got);
         let mut want = SimReport::default();
-        simulate_into(patched, &capacities, policy, &mut scratch, &mut want);
+        simulate_into(patched, capacities, &inc.policy, &mut scratch, &mut want);
         assert!(
             bitwise_eq(&got, &want),
             "resim ({outcome:?}) diverged: got {} want {}",
             got.iteration_time,
             want.iteration_time
         );
-        outcome
+        (outcome, got)
     }
 
     #[test]
     fn base_report_matches_plain_simulation() {
         for seed in [1u64, 7, 13] {
             let tg = ragged(4, 2, 160, seed);
-            let capacities = caps(4);
-            let mut scratch = SimScratch::default();
-            let inc = IncrementalSim::new(
-                tg.clone(),
-                &capacities,
-                OrderPolicy::RankBased,
-                ResimOptions::default(),
-                &mut scratch,
-            );
-            let mut want = SimReport::default();
-            simulate_into(
-                &tg,
-                &capacities,
-                &OrderPolicy::RankBased,
-                &mut scratch,
-                &mut want,
-            );
-            assert!(bitwise_eq(inc.base_report(), &want));
-            assert!(inc.num_checkpoints() > 0);
+            let inc = base_sim(&tg, OrderPolicy::RankBased);
+            let (_, got) = assert_resim_matches_fresh(&inc, &tg, &caps(4));
+            assert!(bitwise_eq(inc.base_report(), &got));
         }
     }
 
     #[test]
     fn unchanged_query_short_circuits() {
         let tg = ragged(4, 2, 120, 3);
-        let capacities = caps(4);
-        let mut scratch = SimScratch::default();
-        let inc = IncrementalSim::new(
-            tg.clone(),
-            &capacities,
-            OrderPolicy::RankBased,
-            ResimOptions::default(),
-            &mut scratch,
-        );
-        let mut got = SimReport::default();
-        let outcome = inc.resim(&tg, &capacities, &mut scratch, &mut got);
+        let inc = base_sim(&tg, OrderPolicy::RankBased);
+        let (outcome, _) = assert_resim_matches_fresh(&inc, &tg, &caps(4));
         assert_eq!(outcome, ResimOutcome::Unchanged);
-        assert!(bitwise_eq(&got, inc.base_report()));
     }
 
     #[test]
     fn unchanged_query_rederives_oom_for_new_capacities() {
         let tg = ragged(4, 2, 120, 3);
-        let capacities = caps(4);
-        let mut scratch = SimScratch::default();
-        let inc = IncrementalSim::new(
-            tg.clone(),
-            &capacities,
-            OrderPolicy::RankBased,
-            ResimOptions::default(),
-            &mut scratch,
-        );
+        let inc = base_sim(&tg, OrderPolicy::RankBased);
         // Shrink device 0 below its peak: same schedule, new verdict.
-        let mut tight = capacities.clone();
+        let mut tight = caps(4);
         tight[0] = inc.base_report().memory.peak_bytes[0].saturating_sub(1);
-        let mut got = SimReport::default();
-        let outcome = inc.resim(&tg, &tight, &mut scratch, &mut got);
+        let (outcome, got) = assert_resim_matches_fresh(&inc, &tg, &tight);
         assert_eq!(outcome, ResimOutcome::Unchanged);
         assert!(got.memory.oom[0]);
         assert!(!inc.base_report().memory.oom[0]);
@@ -647,60 +359,29 @@ mod tests {
                     let task = patched.task_mut(t);
                     task.duration *= factor;
                 }
-                assert_resim_matches_fresh(&base, &patched, &policy, ResimOptions::default());
+                let inc = base_sim(&base, policy.clone());
+                assert_resim_matches_fresh(&inc, &patched, &caps(4));
             }
         }
     }
 
     #[test]
-    fn forced_fallback_is_bit_identical() {
+    fn every_task_dirty_replays_bit_identically() {
         let base = ragged(4, 2, 140, 23);
         let mut patched = base.clone();
-        // Dirty every task => guaranteed to exceed any sane threshold.
         for i in 0..base.len() {
             patched.task_mut(TaskId(i as u32)).duration *= 1.25;
         }
-        let outcome = assert_resim_matches_fresh(
-            &base,
-            &patched,
-            &OrderPolicy::RankBased,
-            ResimOptions::default(),
-        );
+        let inc = base_sim(&base, OrderPolicy::RankBased);
+        let (outcome, _) = assert_resim_matches_fresh(&inc, &patched, &caps(4));
         assert_eq!(outcome, ResimOutcome::Replayed);
     }
 
     #[test]
-    fn zero_fallback_threshold_forces_full_replay_path() {
-        let base = ragged(4, 2, 140, 29);
-        let mut patched = base.clone();
-        patched.task_mut(TaskId((base.len() - 1) as u32)).duration *= 3.0;
-        let outcome = assert_resim_matches_fresh(
-            &base,
-            &patched,
-            &OrderPolicy::Fifo,
-            ResimOptions {
-                fallback_dirty_frac: 0.0,
-                ..ResimOptions::default()
-            },
-        );
-        assert_eq!(outcome, ResimOutcome::Replayed);
-    }
-
-    #[test]
-    fn late_perturbation_resumes_under_fifo() {
-        // Under FIFO, priorities never go dirty, so perturbing a task
-        // dispatched late must resume from some checkpoint.
+    fn late_perturbation_replays_under_fifo() {
+        // Perturb the task that finishes last under FIFO.
         let base = ragged(4, 2, 200, 31);
-        let capacities = caps(4);
-        let mut scratch = SimScratch::default();
-        let inc = IncrementalSim::new(
-            base.clone(),
-            &capacities,
-            OrderPolicy::Fifo,
-            ResimOptions::default(),
-            &mut scratch,
-        );
-        // The task that finishes last is dispatched last (or near it).
+        let inc = base_sim(&base, OrderPolicy::Fifo);
         let last = inc
             .base_report()
             .schedule
@@ -712,44 +393,23 @@ mod tests {
             .unwrap();
         let mut patched = base.clone();
         patched.task_mut(last).duration *= 2.0;
-        let mut got = SimReport::default();
-        let outcome = inc.resim(&patched, &capacities, &mut scratch, &mut got);
-        assert!(
-            matches!(outcome, ResimOutcome::Resumed { skipped, .. } if skipped > 0),
-            "expected a resume, got {outcome:?}"
-        );
-        let mut want = SimReport::default();
-        simulate_into(
-            &patched,
-            &capacities,
-            &OrderPolicy::Fifo,
-            &mut scratch,
-            &mut want,
-        );
-        assert!(bitwise_eq(&got, &want));
+        let (outcome, _) = assert_resim_matches_fresh(&inc, &patched, &caps(4));
+        assert_eq!(outcome, ResimOutcome::Replayed);
     }
 
     #[test]
-    fn checkpoint_boundary_perturbations_are_bit_identical() {
-        // Dirty exactly the first task (invalidates every cut) and
-        // exactly the last (valid at the final cut) — the two boundary
-        // cases of `best_resumable`.
+    fn first_and_last_task_perturbations_are_bit_identical() {
+        // Dirty exactly the first task and exactly the last, under both
+        // rank-based and FIFO ordering.
         let base = ragged(3, 1, 130, 41);
         for idx in [0usize, 129] {
             let mut patched = base.clone();
             patched.task_mut(TaskId(idx as u32)).duration += 0.5;
-            assert_resim_matches_fresh(
-                &base,
-                &patched,
-                &OrderPolicy::RankBased,
-                ResimOptions::default(),
-            );
-            assert_resim_matches_fresh(
-                &base,
-                &patched,
-                &OrderPolicy::Fifo,
-                ResimOptions::default(),
-            );
+            for policy in [OrderPolicy::RankBased, OrderPolicy::Fifo] {
+                let inc = base_sim(&base, policy);
+                let (outcome, _) = assert_resim_matches_fresh(&inc, &patched, &caps(3));
+                assert_eq!(outcome, ResimOutcome::Replayed);
+            }
         }
     }
 
@@ -758,15 +418,7 @@ mod tests {
         // One base, many successive perturbed queries against the same
         // IncrementalSim — the planner-loop usage pattern.
         let base = ragged(4, 2, 160, 53);
-        let capacities = caps(4);
-        let mut scratch = SimScratch::default();
-        let inc = IncrementalSim::new(
-            base.clone(),
-            &capacities,
-            OrderPolicy::RankBased,
-            ResimOptions::default(),
-            &mut scratch,
-        );
+        let inc = base_sim(&base, OrderPolicy::RankBased);
         let mut state = 77u64;
         let mut rnd = move || {
             state = state
@@ -780,17 +432,7 @@ mod tests {
                 let t = TaskId((rnd() % base.len() as u64) as u32);
                 patched.task_mut(t).duration *= 0.25 + (rnd() % 400) as f64 * 0.01;
             }
-            let mut got = SimReport::default();
-            inc.resim(&patched, &capacities, &mut scratch, &mut got);
-            let mut want = SimReport::default();
-            simulate_into(
-                &patched,
-                &capacities,
-                &OrderPolicy::RankBased,
-                &mut scratch,
-                &mut want,
-            );
-            assert!(bitwise_eq(&got, &want));
+            assert_resim_matches_fresh(&inc, &patched, &caps(4));
         }
     }
 
@@ -800,11 +442,7 @@ mod tests {
         let prios: Vec<f64> = (0..100).map(|i| ((i * 37) % 100) as f64).collect();
         let mut patched = base.clone();
         patched.task_mut(TaskId(90)).duration *= 4.0;
-        assert_resim_matches_fresh(
-            &base,
-            &patched,
-            &OrderPolicy::Priorities(prios),
-            ResimOptions::default(),
-        );
+        let inc = base_sim(&base, OrderPolicy::Priorities(prios));
+        assert_resim_matches_fresh(&inc, &patched, &caps(3));
     }
 }

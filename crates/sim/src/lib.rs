@@ -27,9 +27,7 @@ pub mod report;
 pub mod trace;
 
 pub use gantt::{render_gantt, render_gpu_gantt};
-pub use incremental::{
-    incremental_sim_stats, IncrementalSim, IncrementalSimStats, ResimOptions, ResimOutcome,
-};
+pub use incremental::{incremental_sim_stats, IncrementalSim, IncrementalSimStats, ResimOutcome};
 pub use memory::{memory_usage, MemoryReport};
 pub use report::{simulate, simulate_into, time_breakdown, SimReport, SimScratch};
 pub use trace::chrome_trace_json;

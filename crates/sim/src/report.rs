@@ -84,22 +84,15 @@ impl SimReport {
 /// makes simulation allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
-    pub(crate) sched: ScheduleScratch,
+    sched: ScheduleScratch,
     /// (time, gpu, ±bytes) alloc/free events collected by the hook.
-    pub(crate) events: Vec<(f64, u32, i64)>,
+    events: Vec<(f64, u32, i64)>,
     /// Remaining-consumer counts per task (reference counting).
-    pub(crate) remaining: Vec<u32>,
-    pub(crate) cur: Vec<i64>,
-    pub(crate) peak: Vec<i64>,
-    pub(crate) active: Vec<bool>,
-    pub(crate) intervals: Vec<(f64, f64)>,
-    /// Duration-dirty tasks of the current incremental resim.
-    pub(crate) dirty: Vec<heterog_sched::TaskId>,
-    /// Priority-dirty tasks of the current incremental resim.
-    pub(crate) prio_dirty: Vec<heterog_sched::TaskId>,
-    /// The perturbed graph's upward ranks (incremental resim).
-    pub(crate) new_ranks: Vec<f64>,
-    pub(crate) rank_scratch: heterog_sched::RankScratch,
+    remaining: Vec<u32>,
+    cur: Vec<i64>,
+    peak: Vec<i64>,
+    active: Vec<bool>,
+    intervals: Vec<(f64, f64)>,
 }
 
 /// The fused memory tracker: observes the scheduling event loop and
@@ -109,10 +102,10 @@ pub struct SimScratch {
 /// which happens while processing the last consumer's completion event,
 /// i.e. at the max consumer finish time (tasks without consumers free at
 /// their own finish).
-pub(crate) struct MemHook<'a> {
-    pub(crate) tg: &'a TaskGraph,
-    pub(crate) events: &'a mut Vec<(f64, u32, i64)>,
-    pub(crate) remaining: &'a mut [u32],
+struct MemHook<'a> {
+    tg: &'a TaskGraph,
+    events: &'a mut Vec<(f64, u32, i64)>,
+    remaining: &'a mut [u32],
 }
 
 impl MemHook<'_> {
@@ -195,46 +188,8 @@ pub fn simulate_into(
     out: &mut SimReport,
 ) {
     let _span = heterog_telemetry::span("simulate");
+    simulate_uncounted(tg, capacities, policy, scratch, out);
     let num_gpus = tg.num_gpus as usize;
-    assert!(capacities.len() >= num_gpus, "capacity per GPU required");
-
-    let SimScratch {
-        sched,
-        events,
-        remaining,
-        cur,
-        peak,
-        active,
-        intervals,
-        ..
-    } = scratch;
-
-    // Pinned parameters and per-GPU activity in one pre-pass; seed the
-    // reference counts with each task's consumer count.
-    let memory = &mut out.memory;
-    memory.param_bytes.clear();
-    memory.param_bytes.resize(num_gpus, 0);
-    active.clear();
-    active.resize(num_gpus, false);
-    remaining.clear();
-    remaining.reserve(tg.len());
-    for (id, task) in tg.iter() {
-        remaining.push(tg.out_degree(id) as u32);
-        if let Proc::Gpu(g) = task.proc {
-            memory.param_bytes[g as usize] += task.param_bytes;
-            active[g as usize] = true;
-        }
-    }
-
-    events.clear();
-    let mut hook = MemHook {
-        tg,
-        events,
-        remaining,
-    };
-    list_schedule_observed(tg, policy, sched, &mut out.schedule, &mut hook);
-
-    finalize_report(tg, capacities, active, events, cur, peak, intervals, out);
     let memory = &out.memory;
 
     SIMULATIONS.inc();
@@ -267,25 +222,53 @@ pub fn simulate_into(
     }
 }
 
-/// Everything downstream of the event loop: sort the alloc/free events,
-/// sweep peaks, charge workspace, derive OOM flags, and fill the busy /
-/// overlap / iteration-time fields. `out.memory.param_bytes` and
-/// `out.schedule` must already be populated. Shared verbatim by
-/// [`simulate_into`] and the incremental re-simulator so both produce
-/// bit-identical reports from identical schedules.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finalize_report(
+/// [`simulate_into`] without its counters and events: the incremental
+/// re-simulator runs this so that `heterog_sim_simulations_total`,
+/// `SimEpoch` and `Oom` count plain simulations only.
+pub(crate) fn simulate_uncounted(
     tg: &TaskGraph,
     capacities: &[u64],
-    active: &[bool],
-    events: &mut [(f64, u32, i64)],
-    cur: &mut Vec<i64>,
-    peak: &mut Vec<i64>,
-    intervals: &mut Vec<(f64, f64)>,
+    policy: &OrderPolicy,
+    scratch: &mut SimScratch,
     out: &mut SimReport,
 ) {
     let num_gpus = tg.num_gpus as usize;
+    assert!(capacities.len() >= num_gpus, "capacity per GPU required");
+
+    let SimScratch {
+        sched,
+        events,
+        remaining,
+        cur,
+        peak,
+        active,
+        intervals,
+    } = scratch;
+
+    // Pinned parameters and per-GPU activity in one pre-pass; seed the
+    // reference counts with each task's consumer count.
     let memory = &mut out.memory;
+    memory.param_bytes.clear();
+    memory.param_bytes.resize(num_gpus, 0);
+    active.clear();
+    active.resize(num_gpus, false);
+    remaining.clear();
+    remaining.reserve(tg.len());
+    for (id, task) in tg.iter() {
+        remaining.push(tg.out_degree(id) as u32);
+        if let Proc::Gpu(g) = task.proc {
+            memory.param_bytes[g as usize] += task.param_bytes;
+            active[g as usize] = true;
+        }
+    }
+
+    events.clear();
+    let mut hook = MemHook {
+        tg,
+        events,
+        remaining,
+    };
+    list_schedule_observed(tg, policy, sched, &mut out.schedule, &mut hook);
 
     // Sweep: sort by time; at equal times apply frees before allocations
     // — reference counts drop the moment the last consumer completes, so

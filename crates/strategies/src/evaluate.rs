@@ -47,9 +47,9 @@ pub struct EvalStats {
     /// Whole evaluation contexts evicted when a cache hit capacity.
     pub cache_evictions: u64,
     /// Perturbed evaluations served by an incremental fast path
-    /// (re-price + dirty-region re-simulation, a task graph spliced from
-    /// the base's lowering, or cached-graph reorder) instead of a full
-    /// compile + simulate.
+    /// (a re-priced task graph, a task graph spliced from the base's
+    /// lowering, or cached-graph reorder) instead of a full compile +
+    /// simulate.
     pub incremental_fast: u64,
     /// Perturbed evaluations that fell back to the full pipeline.
     pub incremental_full: u64,

@@ -10,7 +10,7 @@
 //! | [`Perturbation`]        | fast path                                   |
 //! |-------------------------|---------------------------------------------|
 //! | `Policy`                | re-simulate the cached task graph (no compile) |
-//! | `Cluster`               | [`reprice_into`] + dirty-region [`IncrementalSim::resim`] |
+//! | `Cluster`               | [`reprice_into`] + [`IncrementalSim::resim`] (the base report when no duration changed, else one simulation) |
 //! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
 //! | `ClusterAndStrategy`    | splice on the base cluster, then re-price onto the new cluster |
 //! | any, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a spliced graph whose busiest processor already carries more work than the limit is not simulated: [`Bounded::Pruned`] |
@@ -46,9 +46,7 @@ use heterog_compile::{
 use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph};
-use heterog_sim::{
-    simulate_into, IncrementalSim, ResimOptions, ResimOutcome, SimReport, SimScratch,
-};
+use heterog_sim::{simulate_into, IncrementalSim, ResimOutcome, SimReport, SimScratch};
 use heterog_telemetry::lock;
 
 use crate::evaluate::{count_full_evaluation, evaluate_with_policy, record_evaluation, Evaluation};
@@ -106,7 +104,10 @@ pub enum EvalMode {
     /// The perturbation equals the base deployment; the cached base
     /// evaluation was returned.
     Base,
-    /// Re-priced task graph + dirty-region re-simulation.
+    /// Re-priced task graph, answered by [`IncrementalSim::resim`]: the
+    /// base report when no task duration changed
+    /// ([`ResimOutcome::Unchanged`]), else one simulation of the
+    /// re-priced graph ([`ResimOutcome::Replayed`]), with no compile.
     Incremental(ResimOutcome),
     /// Task graph spliced from the base's lowering ([`splice_into`]) +
     /// simulate.
@@ -182,7 +183,7 @@ fn eval_of(report: &SimReport) -> Evaluation {
 }
 
 /// Cache of compiled artifacts for one base deployment, serving
-/// perturbed evaluations through dirty-region re-simulation. `&self`
+/// perturbed evaluations without a fresh compile. `&self`
 /// methods only — the evaluator is `Sync` (scratch is thread-local) so
 /// planners can fan candidate evaluations across pool workers.
 #[derive(Debug)]
@@ -193,7 +194,6 @@ pub struct IncrementalEvaluator<'a, C: CostEstimator> {
     strategy: Strategy,
     policy: OrderPolicy,
     capacities: Vec<u64>,
-    opts: ResimOptions,
     book: PriceBook,
     /// The base lowering's segments, which strategy perturbations
     /// splice from.
@@ -215,30 +215,16 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         strategy: &Strategy,
         policy: &OrderPolicy,
     ) -> Self {
-        Self::with_options(g, cost, cluster, strategy, policy, ResimOptions::default())
+        Self::build(g, cost, cluster, strategy, policy, Vec::new())
     }
 
-    /// [`IncrementalEvaluator::new`] with explicit checkpoint/fallback
-    /// tuning.
-    pub fn with_options(
-        g: &'a Graph,
-        cost: &'a C,
-        cluster: &Cluster,
-        strategy: &Strategy,
-        policy: &OrderPolicy,
-        opts: ResimOptions,
-    ) -> Self {
-        Self::build(g, cost, cluster, strategy, policy, opts, Vec::new())
-    }
-
-    /// [`IncrementalEvaluator::with_options`] reusing `patches`.
+    /// [`IncrementalEvaluator::new`] reusing `patches`.
     fn build(
         g: &'a Graph,
         cost: &'a C,
         cluster: &Cluster,
         strategy: &Strategy,
         policy: &OrderPolicy,
-        opts: ResimOptions,
         mut patches: Vec<PatchScratch>,
     ) -> Self {
         let _span = heterog_telemetry::span("incremental_evaluator_new");
@@ -246,7 +232,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         let (tg, book, log) = compile_logged(g, cluster, cost, strategy);
         let capacities = cluster.memory_capacities();
         let mut ps = patches.pop().unwrap_or_default();
-        let sim = IncrementalSim::new(tg, &capacities, policy.clone(), opts, &mut ps.sim);
+        let sim = IncrementalSim::new(tg, &capacities, policy.clone(), &mut ps.sim);
         patches.push(ps);
         let base = eval_of(sim.base_report());
         record_evaluation(started.elapsed().as_nanos() as u64);
@@ -261,7 +247,6 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             strategy: strategy.clone(),
             policy: policy.clone(),
             capacities,
-            opts,
             book,
             log,
             sim,
@@ -294,9 +279,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// simulate). Elastic training calls this after committing a repair.
     pub fn rebase(&mut self, cluster: &Cluster, strategy: &Strategy, policy: &OrderPolicy) {
         let patches = std::mem::take(&mut *lock(&self.patches));
-        *self = Self::build(
-            self.g, self.cost, cluster, strategy, policy, self.opts, patches,
-        );
+        *self = Self::build(self.g, self.cost, cluster, strategy, policy, patches);
     }
 
     /// Runs `f` on an idle patch buffer (a new one when every pooled

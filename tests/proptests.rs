@@ -361,14 +361,6 @@ mod compile_props {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental re-simulation properties: any sequence of perturbed queries
-// against an `IncrementalEvaluator` must be bit-identical to a fresh full
-// compile+schedule+simulate of the same deployment, for every checkpoint
-// spacing and fallback threshold (including the degenerate ones: 0.0 forces
-// the full-replay path on every query, 1.0 forbids it).
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
 // Widened-strategy-space properties (ROADMAP item 2): sharded plans must be
 // shape- and memory-consistent — shard slices partition the full batch,
 // activation and parameter tensors exactly; the per-device pinned-parameter
@@ -603,12 +595,17 @@ mod shard_props {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Incremental evaluation properties: any sequence of perturbed queries
+// against an `IncrementalEvaluator` must be bit-identical to a fresh full
+// compile+schedule+simulate of the same deployment.
+// ---------------------------------------------------------------------------
+
 mod incremental_props {
     use super::*;
     use heterog_cluster::{paper_testbed_4gpu, Cluster, DeviceId, GpuModel, LinkKind};
     use heterog_compile::{CommMethod, OpStrategy, Strategy as PlanStrategy};
     use heterog_profile::GroundTruthCost;
-    use heterog_sim::ResimOptions;
     use heterog_strategies::{
         evaluate_with_policy, Evaluation, IncrementalEvaluator, Perturbation,
     };
@@ -692,11 +689,9 @@ mod incremental_props {
     }
 
     /// Random perturbation sequences served incrementally match the
-    /// full pipeline bit for bit, across checkpoint spacings
-    /// (boundary cases included) and fallback thresholds (0.0 =
-    /// always fall back, 1.0 = never). Each case pays one full
-    /// evaluation per perturbed query for the reference result, so the
-    /// case count stays modest.
+    /// full pipeline bit for bit. Each case pays one full evaluation per
+    /// perturbed query for the reference result, so the case count
+    /// stays modest.
     #[test]
     fn perturbation_sequences_are_bit_identical() {
         for_each_seed(12, |rng| {
@@ -704,18 +699,11 @@ mod incremental_props {
             let specs: Vec<PertSpec> = (0..rng.gen_range(1..5usize))
                 .map(|_| random_pert(rng))
                 .collect();
-            let ckpt = [0.02, 0.125, 0.5, 1.0][rng.gen_range(0..4usize)];
-            let fallback = [0.0, 0.35, 1.0][rng.gen_range(0..3usize)];
             let cluster = paper_testbed_4gpu();
             let cost = GroundTruthCost;
             let base_s = PlanStrategy::even(g.len(), &cluster, CommMethod::AllReduce);
             let policy = OrderPolicy::RankBased;
-            let opts = ResimOptions {
-                checkpoint_interval_frac: ckpt,
-                fallback_dirty_frac: fallback,
-            };
-            let ev =
-                IncrementalEvaluator::with_options(&g, &cost, &cluster, &base_s, &policy, opts);
+            let ev = IncrementalEvaluator::new(&g, &cost, &cluster, &base_s, &policy);
             assert_bits_eq(
                 ev.base(),
                 &evaluate_with_policy(&g, &cluster, &cost, &base_s, &policy),

@@ -12,8 +12,8 @@ use heterog::telemetry::json;
 use heterog::{get_runner, HeterogConfig};
 use heterog_cluster::paper_testbed_8gpu;
 use heterog_graph::{BenchmarkModel, ModelSpec, OpKind};
-use heterog_sched::{OrderPolicy, Proc, Task, TaskGraph};
-use heterog_sim::simulate;
+use heterog_sched::{OrderPolicy, Proc, Task, TaskGraph, TaskId};
+use heterog_sim::{simulate, IncrementalSim, ResimOutcome, SimReport, SimScratch};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -65,6 +65,38 @@ fn per_gpu_duration_sums_match_gpu_busy() {
         Some(tg.len() as u64)
     );
     assert_eq!(snap.counter("heterog_sim_simulations_total"), Some(1));
+}
+
+#[test]
+fn incremental_resims_count_apart_from_plain_simulations() {
+    let _g = locked();
+    telemetry::reset();
+    telemetry::enable();
+    let counter = |name| telemetry::snapshot().counter(name).unwrap_or(0);
+    let names = [
+        "heterog_sim_incremental_unchanged_total",
+        "heterog_sim_incremental_full_replays_total",
+        "heterog_sim_simulations_total",
+    ];
+    let before = names.map(counter);
+
+    let tg = demo_graph();
+    let caps = [8 << 30, 8 << 30];
+    let mut scratch = SimScratch::default();
+    let inc = IncrementalSim::new(tg.clone(), &caps, OrderPolicy::RankBased, &mut scratch);
+    let mut out = SimReport::default();
+    let unchanged = inc.resim(&tg, &caps, &mut scratch, &mut out);
+    let mut patched = tg.clone();
+    patched.task_mut(TaskId(0)).duration *= 2.0;
+    let replayed = inc.resim(&patched, &caps, &mut scratch, &mut out);
+    let after = names.map(counter);
+    telemetry::disable();
+
+    assert_eq!(unchanged, ResimOutcome::Unchanged);
+    assert_eq!(replayed, ResimOutcome::Replayed);
+    assert_eq!(after[0] - before[0], 1, "{}", names[0]);
+    assert_eq!(after[1] - before[1], 1, "{}", names[1]);
+    assert_eq!(after[2], before[2], "{} must not move", names[2]);
 }
 
 #[test]
