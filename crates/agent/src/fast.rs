@@ -8,13 +8,17 @@
 //! steers large models toward the MP-heavy placements of Table 3.
 //!
 //! A group visit scores every one-group move of the incumbent. Each
-//! candidate's task graph is spliced from the incumbent's lowering; it
-//! is simulated only when its busiest processor's load could still let
-//! it win, so the visit's choice equals scoring every candidate bit for
-//! bit (see [`best_candidate`]).
+//! candidate is described to the incremental evaluator as "the
+//! incumbent with this group re-decided as this action"
+//! ([`Perturbation::Group`]): only the group's placements are resolved
+//! again, no `Strategy` is built, and the task graph is spliced from the
+//! incumbent's lowering. A candidate is simulated only when exact lower
+//! bounds on its iteration time (its busiest processor's load, then the
+//! head–body–tail bound) could still let it win, so the visit's choice
+//! equals scoring every candidate bit for bit (see [`best_candidate`]).
 
 use heterog_cluster::Cluster;
-use heterog_compile::Strategy;
+use heterog_compile::{OpStrategy, Strategy};
 use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::OrderPolicy;
@@ -60,7 +64,7 @@ impl Default for HeteroGPlanner {
 impl HeteroGPlanner {
     /// Plans and also returns the final evaluation and the per-group
     /// actions (used by the Table 2/3 histogram experiments).
-    pub fn plan_detailed<C: CostEstimator + Sync>(
+    pub fn plan_detailed<C: CostEstimator>(
         &self,
         g: &Graph,
         cluster: &Cluster,
@@ -106,6 +110,9 @@ impl HeteroGPlanner {
             &rank_based,
         );
 
+        // Every action's per-op decision, decoded once for all visits.
+        let decoded: Vec<OpStrategy> = (0..space.len()).map(|a| space.decode(a, cluster)).collect();
+
         // Visit groups heaviest-first.
         let mut order: Vec<usize> = (0..n).collect();
         let group_cost: Vec<f64> = grouping
@@ -137,15 +144,15 @@ impl HeteroGPlanner {
                         // `evals` counts candidates considered, simulated
                         // or not.
                         evals += candidates.len() as u64;
-                        // Bound each candidate by its spliced graph's
-                        // busiest processor; simulate those that can win.
+                        // Bound each candidate's spliced graph; simulate
+                        // those that can win.
+                        let ops = &grouping.members[gi];
                         best_candidate(&candidates, cur_obj, |a, limit| {
-                            let mut trial = actions.clone();
-                            trial[gi] = a;
-                            let s = actions_to_strategy(g, cluster, &grouping, &trial);
-                            match evaluator.evaluate_bounded(Perturbation::Strategy(&s), limit) {
+                            let to = &decoded[a];
+                            match evaluator.evaluate_bounded(Perturbation::Group { ops, to }, limit)
+                            {
                                 Bounded::Evaluated(e, _) => Ok(objective(&e, cluster)),
-                                Bounded::Pruned(load) => Err(load),
+                                Bounded::Pruned(bound) => Err(bound),
                             }
                         })
                     }
@@ -211,49 +218,23 @@ impl Planner for HeteroGPlanner {
     }
 
     fn plan(&self, g: &Graph, cluster: &Cluster, cost: &dyn CostEstimator) -> Strategy {
-        // `dyn CostEstimator` isn't Sync; bridge through a snapshotting
-        // adapter is overkill — re-dispatch through a Sync wrapper.
-        let wrapper = SyncCost(cost);
-        self.plan_detailed(g, cluster, &wrapper).0
-    }
-}
-
-/// `&dyn CostEstimator` made Sync for [`par_map`]: cost estimators in this
-/// workspace are pure functions of their inputs (the trait has no &mut
-/// methods and all implementations are immutable), so sharing the
-/// reference across threads is sound. Also used by the trainer's batched
-/// rollouts, which fan candidate evaluations out over the same pool.
-pub(crate) struct SyncCost<'a>(pub(crate) &'a dyn CostEstimator);
-
-unsafe impl Sync for SyncCost<'_> {}
-
-impl heterog_profile::CostEstimator for SyncCost<'_> {
-    fn op_time(
-        &self,
-        node: &heterog_graph::Node,
-        model: heterog_cluster::GpuModel,
-        batch: u64,
-    ) -> f64 {
-        self.0.op_time(node, model, batch)
-    }
-    fn transfer_time(&self, link: &heterog_cluster::Link, bytes: u64) -> f64 {
-        self.0.transfer_time(link, bytes)
+        self.plan_detailed(g, cluster, &cost).0
     }
 }
 
 /// The visit's best `(action, objective)` among `candidates`, equal bit
 /// for bit to scoring every candidate and taking the first minimum.
-/// `score(a, limit)` returns the candidate's objective, or `Err(load)`
-/// when its busiest processor's `load` exceeds `limit` and it was not
-/// simulated; the objective is at least the iteration time, which is at
-/// least that load.
+/// `score(a, limit)` returns the candidate's objective, or `Err(bound)`
+/// when a lower `bound` on its iteration time exceeds `limit` and it was
+/// not simulated; the objective is at least the iteration time, which
+/// is at least that bound.
 ///
 /// Phase 1 scores every candidate in parallel against the incumbent's
 /// objective `cur_obj`, known before the visit, so which candidates are
 /// simulated depends on values only, never on thread timing. Phase 2
-/// simulates pruned candidates in ascending-load order until the next
-/// load exceeds the best objective so far. Every candidate left
-/// unsimulated then has an objective above the best, its load alone
+/// simulates pruned candidates in ascending-bound order until the next
+/// bound exceeds the best objective so far. Every candidate left
+/// unsimulated then has an objective above the best, its bound alone
 /// exceeding it, so it can neither win nor tie.
 fn best_candidate(
     candidates: &[usize],
@@ -268,14 +249,14 @@ fn best_candidate(
     let mut pruned: Vec<(f64, usize)> = scored
         .iter()
         .enumerate()
-        .filter_map(|(i, r)| r.err().map(|load| (load, i)))
+        .filter_map(|(i, r)| r.err().map(|bound| (bound, i)))
         .collect();
     pruned.sort_by(|a, b| a.0.total_cmp(&b.0));
-    for (load, i) in pruned {
-        if load_exceeds(load, best) {
+    for (bound, i) in pruned {
+        if load_exceeds(bound, best) {
             break;
         }
-        let obj = score(candidates[i], f64::INFINITY).expect("no load exceeds an infinite limit");
+        let obj = score(candidates[i], f64::INFINITY).expect("no bound exceeds an infinite limit");
         best = best.min(obj);
         scored[i] = Ok(obj);
     }

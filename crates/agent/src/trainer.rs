@@ -18,7 +18,6 @@ use heterog_telemetry::par::par_map;
 use heterog_telemetry::rng::{splitmix64, ChaCha8Rng};
 
 use crate::action::{actions_to_strategy, ActionSpace};
-use crate::fast::SyncCost;
 use crate::features::{encode_features, graph_edges, FeatureConfig};
 use crate::policy::{PolicyConfig, PolicyNet};
 
@@ -234,7 +233,6 @@ impl RlAgent {
         let wall_start = telemetry_on.then(std::time::Instant::now);
         let mut total_evals: u64 = 0;
         let k = self.cfg.rollout_k.max(1);
-        let sync_cost = SyncCost(cost);
         heterog_events::emit_with(|| heterog_events::EventKind::RunStarted {
             phase: "rl-train".into(),
             total_units: self.cfg.episodes as u64,
@@ -272,12 +270,10 @@ impl RlAgent {
             let evals: Vec<Evaluation> = if k == 1 || self.cfg.serial_eval {
                 strategies
                     .iter()
-                    .map(|s| cache.evaluate(graph, cluster, &sync_cost, s))
+                    .map(|s| cache.evaluate(graph, cluster, cost, s))
                     .collect()
             } else {
-                par_map(&strategies, |s| {
-                    cache.evaluate(graph, cluster, &sync_cost, s)
-                })
+                par_map(&strategies, |s| cache.evaluate(graph, cluster, cost, s))
             };
             total_evals += k as u64;
             let rewards: Vec<f64> = evals.iter().map(Evaluation::reward).collect();

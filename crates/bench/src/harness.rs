@@ -240,6 +240,6 @@ pub fn fmt_s(x: f64) -> String {
 
 /// The cost estimator pair used across experiments: planners see fitted
 /// costs, measurements use ground truth.
-pub fn ground_truth() -> impl CostEstimator + Sync + Copy {
+pub fn ground_truth() -> impl CostEstimator + Copy {
     GroundTruthCost
 }

@@ -36,6 +36,6 @@ pub use lower::{
     compile_with_book, compile_with_options, splice_into, CompileOptions, SegmentLog, SpliceBase,
     SpliceScratch,
 };
-pub use placement::{resolve_placements, OpPlacement};
+pub use placement::{resolve_group_into, resolve_placements, OpPlacement};
 pub use price::{reprice, reprice_into, structure_compatible, PriceBook, RepriceError};
 pub use strategy::{CommMethod, OpStrategy, Strategy, StrategyError};

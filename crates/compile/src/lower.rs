@@ -232,6 +232,11 @@ pub struct SegmentLog {
 }
 
 impl SegmentLog {
+    /// The placements the logged lowering lowered.
+    pub fn placements(&self) -> &[OpPlacement] {
+        &self.placements
+    }
+
     /// Number of segments.
     pub fn len(&self) -> usize {
         self.segs.len()

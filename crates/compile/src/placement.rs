@@ -12,7 +12,7 @@
 //!   the parameters (synchronous SGD updates every replica).
 
 use heterog_cluster::{Cluster, DeviceId};
-use heterog_graph::{proportional_split, Graph, OpId, OpKind};
+use heterog_graph::{proportional_split, Graph, Node, OpId, OpKind};
 
 use crate::strategy::{CommMethod, OpStrategy, Strategy};
 
@@ -141,50 +141,128 @@ pub fn resolve_placements(g: &Graph, cluster: &Cluster, strategy: &Strategy) -> 
         g.len(),
         "strategy must cover every op"
     );
-    let batch = g.batch_size;
-    let mut out: Vec<OpPlacement> = Vec::with_capacity(g.len());
+    let (batch, m) = (g.batch_size, cluster.num_devices());
 
     // Pass 1: base placements from the strategy.
-    for (id, node) in g.iter() {
-        let s = &strategy.per_op[id.index()];
-        let placement = match s {
-            OpStrategy::Mp(d) => OpPlacement {
-                replicas: vec![(*d, batch)],
+    let mut out: Vec<OpPlacement> = g
+        .iter()
+        .map(|(id, node)| {
+            let mut p = OpPlacement {
+                replicas: Vec::new(),
                 comm: CommMethod::AllReduce,
                 shard_dim: None,
-            },
-            OpStrategy::Dp { replicas, comm } => {
-                assert_eq!(
-                    replicas.len(),
-                    cluster.num_devices(),
-                    "replica vector length"
-                );
-                if node.batch_splittable {
-                    let mut devs: Vec<DeviceId> = Vec::new();
+            };
+            place_op(node, batch, m, &strategy.per_op[id.index()], &mut p);
+            p
+        })
+        .collect();
+
+    // Pass 2: colocate parameter-gradient ops with their forward op.
+    for (id, node) in g.iter() {
+        if let Some(f) = node.grad_of {
+            colocate_grad(&mut out, id, f);
+        }
+    }
+
+    // Pass 3: ApplyGradient gets one instance per parameter-holding
+    // device of its gradient producer.
+    for (id, node) in g.iter() {
+        if node.kind == OpKind::ApplyGradient {
+            if let Some(p) = grad_producer_of_apply(g, id) {
+                place_apply(&mut out, id, p, batch);
+            }
+        }
+    }
+
+    out
+}
+
+/// The placements of a group move, equal to [`resolve_placements`] of
+/// the base strategy with every op in `ops` re-decided as `to`, given
+/// `base`, that strategy's placements. `out` starts as a copy of `base`
+/// made field by field into its own buffers, so a warm `out` does not
+/// allocate; then only the placements the move can change are resolved
+/// again, by the passes [`resolve_placements`] runs:
+///
+/// * pass 1 for the ops in `ops` whose placement is their own (not a
+///   gradient op, nor an ApplyGradient with a gradient producer);
+/// * pass 2 for the gradient ops of ops in `ops`;
+/// * pass 3 for the ApplyGradient ops those fed.
+///
+/// `ops` must be sorted ascending, as `Grouping::members` are. Gradient
+/// ops differentiate forward ops (`grad_of` never names a gradient op),
+/// as every graph builder makes them.
+pub fn resolve_group_into(
+    g: &Graph,
+    cluster: &Cluster,
+    base: &[OpPlacement],
+    ops: &[OpId],
+    to: &OpStrategy,
+    out: &mut Vec<OpPlacement>,
+) {
+    assert_eq!(base.len(), g.len(), "base placements must cover every op");
+    debug_assert!(ops.windows(2).all(|w| w[0] < w[1]), "ops must be sorted");
+    let (batch, m) = (g.batch_size, cluster.num_devices());
+    out.truncate(base.len());
+    let copied = out.len();
+    for (o, b) in out.iter_mut().zip(base) {
+        o.replicas.clone_from(&b.replicas);
+        o.comm = b.comm;
+        o.shard_dim = b.shard_dim;
+    }
+    out.extend_from_slice(&base[copied..]);
+    for &i in ops {
+        let node = g.node(i);
+        let derived = node.grad_of.is_some()
+            || (node.kind == OpKind::ApplyGradient && grad_producer_of_apply(g, i).is_some());
+        if !derived {
+            place_op(node, batch, m, to, &mut out[i.index()]);
+            if node.kind.produces_param_grad() {
+                place_applies_of(g, out, i, batch);
+            }
+        }
+    }
+    for (id, node) in g.iter() {
+        if let Some(f) = node.grad_of {
+            if ops.binary_search(&f).is_ok() {
+                colocate_grad(out, id, f);
+                place_applies_of(g, out, id, batch);
+            }
+        }
+    }
+}
+
+/// Pass 1 for one op: the placement `s` alone gives `node`, written
+/// over `out` (its replica buffer reused).
+fn place_op(node: &Node, batch: u64, num_devices: usize, s: &OpStrategy, out: &mut OpPlacement) {
+    let single = |out: &mut OpPlacement, d: DeviceId, comm: CommMethod| {
+        out.replicas.clear();
+        out.replicas.push((d, batch));
+        out.comm = comm;
+        out.shard_dim = None;
+    };
+    match s {
+        OpStrategy::Mp(d) => single(out, *d, CommMethod::AllReduce),
+        OpStrategy::Dp { replicas, comm } => {
+            assert_eq!(replicas.len(), num_devices, "replica vector length");
+            if node.batch_splittable {
+                // Shares are dealt per logical replica as `split_batch`
+                // deals them, then same-device replicas merge into one
+                // physical replica with the combined share — running two
+                // half-size replicas back-to-back on one GPU is
+                // cost-equivalent to one double-share replica, minus
+                // pointless per-op overhead (and it is what a real
+                // deployment executes).
+                let n: u64 = replicas.iter().map(|&c| u64::from(c)).sum();
+                let reps = &mut out.replicas;
+                reps.clear();
+                if let (Some(share), Some(rem)) = (batch.checked_div(n), batch.checked_rem(n)) {
+                    let mut k = 0;
                     for (d, &count) in replicas.iter().enumerate() {
+                        let d = DeviceId(d as u32);
                         for _ in 0..count {
-                            devs.push(DeviceId(d as u32));
-                        }
-                    }
-                    if devs.is_empty() {
-                        // Degenerate zero-replica decision: fall back to MP
-                        // on device 0.
-                        OpPlacement {
-                            replicas: vec![(DeviceId(0), batch)],
-                            comm: *comm,
-                            shard_dim: None,
-                        }
-                    } else {
-                        // Shares are dealt per logical replica, then
-                        // same-device replicas merge into one physical
-                        // replica with the combined share — running two
-                        // half-size replicas back-to-back on one GPU is
-                        // cost-equivalent to one double-share replica,
-                        // minus pointless per-op overhead (and it is what
-                        // a real deployment executes).
-                        let shares = split_batch(batch, devs.len() as u64);
-                        let mut reps: Vec<(DeviceId, u64)> = Vec::new();
-                        for (d, s) in devs.into_iter().zip(shares) {
+                            let s = share + u64::from(k < rem);
+                            k += 1;
                             if s == 0 {
                                 continue;
                             }
@@ -193,78 +271,76 @@ pub fn resolve_placements(g: &Graph, cluster: &Cluster, strategy: &Strategy) -> 
                                 None => reps.push((d, s)),
                             }
                         }
-                        if reps.is_empty() {
-                            OpPlacement {
-                                replicas: vec![(DeviceId(0), batch)],
-                                comm: *comm,
-                                shard_dim: None,
-                            }
-                        } else {
-                            OpPlacement {
-                                replicas: reps,
-                                comm: *comm,
-                                shard_dim: None,
-                            }
-                        }
-                    }
-                } else {
-                    // Not batch-splittable: single instance on the device
-                    // with the largest replica count (ties: lowest id).
-                    let best = replicas
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
-                        .map(|(i, _)| DeviceId(i as u32))
-                        .unwrap_or(DeviceId(0));
-                    OpPlacement {
-                        replicas: vec![(best, batch)],
-                        comm: *comm,
-                        shard_dim: None,
                     }
                 }
+                if reps.is_empty() {
+                    // Degenerate zero-replica decision: fall back to MP
+                    // on device 0.
+                    single(out, DeviceId(0), *comm);
+                } else {
+                    out.comm = *comm;
+                    out.shard_dim = None;
+                }
+            } else {
+                // Not batch-splittable: single instance on the device
+                // with the largest replica count (ties: lowest id).
+                let best = replicas
+                    .iter()
+                    .enumerate()
+                    .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
+                    .map(|(i, _)| DeviceId(i as u32))
+                    .unwrap_or(DeviceId(0));
+                single(out, best, *comm);
             }
-            OpStrategy::Shard { dim, shards } => {
-                assert_eq!(shards.len(), cluster.num_devices(), "shard vector length");
-                resolve_shard(batch, shards, node.batch_splittable, *dim)
-            }
-        };
-        out.push(placement);
-    }
-
-    // Pass 2: colocate parameter-gradient ops with their forward op.
-    for (id, node) in g.iter() {
-        if let Some(f) = node.grad_of {
-            let mut p = out[f.index()].clone();
-            p.comm = out[f.index()].comm;
-            out[id.index()] = p;
+        }
+        OpStrategy::Shard { dim, shards } => {
+            assert_eq!(shards.len(), num_devices, "shard vector length");
+            *out = resolve_shard(batch, shards, node.batch_splittable, *dim);
         }
     }
+}
 
-    // Pass 3: ApplyGradient gets one instance per parameter-holding
-    // device of its gradient producer.
-    for (id, node) in g.iter() {
-        if node.kind != OpKind::ApplyGradient {
-            continue;
-        }
-        // The (unique) predecessor that produces this op's gradient.
-        let producer = g
-            .preds(id)
-            .iter()
-            .copied()
-            .find(|p| g.node(*p).kind.produces_param_grad());
-        if let Some(p) = producer {
-            let devices = out[p.index()].devices();
-            out[id.index()] = OpPlacement {
-                replicas: devices.into_iter().map(|d| (d, batch)).collect(),
-                comm: out[p.index()].comm,
-                // Carried so lowering knows the update applies to an owned
-                // parameter slice (no aggregation collective precedes it).
-                shard_dim: out[p.index()].shard_dim,
-            };
+/// Pass 2 for one gradient op: `grad` takes its forward op `fwd`'s
+/// placement.
+fn colocate_grad(out: &mut [OpPlacement], grad: OpId, fwd: OpId) {
+    let mut replicas = std::mem::take(&mut out[grad.index()].replicas);
+    let f = &out[fwd.index()];
+    replicas.clone_from(&f.replicas);
+    out[grad.index()] = OpPlacement {
+        replicas,
+        comm: f.comm,
+        shard_dim: f.shard_dim,
+    };
+}
+
+/// Pass 3 for one ApplyGradient op: one full-batch instance per
+/// distinct device of its gradient producer.
+fn place_apply(out: &mut [OpPlacement], apply: OpId, producer: OpId, batch: u64) {
+    let mut replicas = std::mem::take(&mut out[apply.index()].replicas);
+    replicas.clear();
+    let p = &out[producer.index()];
+    for &(d, _) in &p.replicas {
+        if !replicas.iter().any(|&(rd, _)| rd == d) {
+            replicas.push((d, batch));
         }
     }
+    out[apply.index()] = OpPlacement {
+        replicas,
+        comm: p.comm,
+        // Carried so lowering knows the update applies to an owned
+        // parameter slice (no aggregation collective precedes it).
+        shard_dim: p.shard_dim,
+    };
+}
 
-    out
+/// Pass 3 for every ApplyGradient op `producer` feeds.
+fn place_applies_of(g: &Graph, out: &mut [OpPlacement], producer: OpId, batch: u64) {
+    for &a in g.succs(producer) {
+        if g.node(a).kind == OpKind::ApplyGradient && grad_producer_of_apply(g, a) == Some(producer)
+        {
+            place_apply(out, a, producer, batch);
+        }
+    }
 }
 
 /// The gradient producer feeding an `ApplyGradient` op, if any.
@@ -399,6 +475,32 @@ mod tests {
                 assert_eq!(p[id.index()].shard_dim, None);
             }
         }
+    }
+
+    #[test]
+    fn group_move_equals_resolving_the_moved_strategy() {
+        let g = tiny();
+        let c = paper_testbed_8gpu();
+        let base = Strategy::even(g.len(), &c, CommMethod::Ps);
+        let base_placements = resolve_placements(&g, &c, &base);
+        let fwd = g.iter().find(|(_, n)| n.has_params()).unwrap().0;
+        let mut out = Vec::new();
+        for to in [
+            OpStrategy::Mp(DeviceId(3)),
+            OpStrategy::proportional(&c, CommMethod::AllReduce),
+            OpStrategy::shard_proportional(&c, 0),
+        ] {
+            let mut moved = base.clone();
+            moved.per_op[fwd.index()] = to.clone();
+            resolve_group_into(&g, &c, &base_placements, &[fwd], &to, &mut out);
+            assert_eq!(out, resolve_placements(&g, &c, &moved), "{to:?}");
+        }
+        // Moving every op is resolving a uniform strategy.
+        let all: Vec<OpId> = g.op_ids().collect();
+        let to = OpStrategy::Mp(DeviceId(5));
+        resolve_group_into(&g, &c, &base_placements, &all, &to, &mut out);
+        let uniform = Strategy::uniform(g.len(), to);
+        assert_eq!(out, resolve_placements(&g, &c, &uniform));
     }
 
     #[test]

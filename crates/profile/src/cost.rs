@@ -12,7 +12,11 @@ use crate::linreg::LinearFit;
 /// link. The simulator and all planners are generic over this, so the
 /// same code runs against the "hardware" (ground truth) and against the
 /// profiler's fitted model.
-pub trait CostEstimator {
+///
+/// Estimators are pure functions of their inputs, shared by the pool
+/// workers that evaluate search candidates in parallel: `Sync` is part
+/// of the contract.
+pub trait CostEstimator: Sync {
     /// Execution time (seconds) of `node` on a GPU of `model` when
     /// processing `batch` samples.
     fn op_time(&self, node: &Node, model: GpuModel, batch: u64) -> f64;

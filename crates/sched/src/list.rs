@@ -101,7 +101,8 @@ impl ScheduleHook for NoHook {}
 /// Reusable buffers for [`list_schedule_into`]: per-processor ready
 /// heaps, the event queue, indegrees and rank buffers. A warm scratch
 /// (one prior call on a graph at least as large) makes scheduling
-/// allocation-free.
+/// allocation-free. [`head_body_tail_bound_into`] borrows the rank and
+/// indegree buffers too, plus one vector of heads of its own.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     ready: Vec<BinaryHeap<Key>>,
@@ -110,6 +111,7 @@ pub struct ScheduleScratch {
     events: BinaryHeap<Done>,
     ranks: Vec<f64>,
     rank_scratch: RankScratch,
+    heads: Vec<f64>,
 }
 
 /// Heap key: higher priority first; among equals, lower sequence first.
@@ -218,6 +220,7 @@ pub fn list_schedule_observed<H: ScheduleHook>(
         events,
         ranks,
         rank_scratch,
+        ..
     } = scratch;
 
     let priorities: Prio<'_> = match policy {
@@ -380,6 +383,112 @@ pub fn makespan_lower_bound(tg: &TaskGraph) -> f64 {
     busiest_processor_load(tg, &mut Vec::new()).max(critical_path_from(&ranks))
 }
 
+/// A lower bound on the makespan of every schedule of `tg`, at least
+/// [`makespan_lower_bound`]: the one-machine head–body–tail relaxation.
+///
+/// A task's *head* is the longest path from the sources up to its start
+/// and its *tail* the longest path from its finish to the sinks (the
+/// largest upward rank among its successors). Take any set `S` of tasks on
+/// one processor. No task of `S` starts before the smallest head in
+/// `S`; the processor runs them one at a time, so the last of them
+/// finishes no sooner than that head plus their summed durations, and
+/// its own tail still follows. So every schedule takes at least
+/// `min head(S) + work(S) + min tail(S)`. Per processor, the sets
+/// tried are the prefixes of its tasks sorted by head, largest first
+/// (for a given smallest head, the prefix holds the most work). The
+/// bound is the largest such value, the busiest processor's load (the
+/// whole set, summed in task order exactly as
+/// [`busiest_processor_load`] sums it) and the critical path.
+///
+/// Heads never exceed starts in any schedule: a head is a maximum of
+/// float sums along a path, the schedule's start times are such sums
+/// with idle gaps added, and float addition is monotone. The simulated
+/// iteration time is that schedule's makespan, and the search objective
+/// is at least the iteration time. Work and tails are summed in another
+/// order than the schedule's clock adds them, which callers absorb with
+/// a relative margin (`heterog_strategies::load_exceeds`).
+///
+/// Reuses `scratch`'s rank buffers (the upward ranks become tails in
+/// place, the topological order is the rank sweep's) and its indegree
+/// vector (the per-processor task lists): allocation-free once warm.
+pub fn head_body_tail_bound_into(tg: &TaskGraph, scratch: &mut ScheduleScratch) -> f64 {
+    let ScheduleScratch {
+        indeg: by_proc,
+        ranks,
+        rank_scratch,
+        heads,
+        ..
+    } = scratch;
+    upward_ranks_into(tg, rank_scratch, ranks);
+    let mut best = critical_path_from(ranks);
+    let RankScratch {
+        indeg: offsets,
+        order,
+    } = rank_scratch;
+
+    // Heads pushed forward and tails pulled back, both in the rank
+    // sweep's topological order: a task's successors come after it, so
+    // their ranks are still unconverted when its tail reads them.
+    heads.clear();
+    heads.resize(tg.len(), 0.0);
+    for &id in order.iter() {
+        let i = id.index();
+        let finish = heads[i] + tg.task(id).duration;
+        let mut tail = 0.0f64;
+        for &s in tg.succs(id) {
+            heads[s.index()] = heads[s.index()].max(finish);
+            tail = tail.max(ranks[s.index()]);
+        }
+        ranks[i] = tail;
+    }
+    let tails = &ranks[..];
+
+    // Task indices grouped by processor, in task order within each.
+    let num_procs = tg.num_procs();
+    offsets.clear();
+    offsets.resize(num_procs + 1, 0);
+    for (_, t) in tg.iter() {
+        offsets[tg.proc_index(t.proc) + 1] += 1;
+    }
+    for p in 0..num_procs {
+        offsets[p + 1] += offsets[p];
+    }
+    by_proc.clear();
+    by_proc.resize(tg.len(), 0);
+    for (id, t) in tg.iter() {
+        let slot = &mut offsets[tg.proc_index(t.proc)];
+        by_proc[*slot as usize] = id.0;
+        *slot += 1;
+    }
+
+    // `offsets[p]` now ends processor `p`'s run.
+    let mut start = 0;
+    for p in 0..num_procs {
+        let tasks = &mut by_proc[start..offsets[p] as usize];
+        start = offsets[p] as usize;
+        let load = tasks
+            .iter()
+            .fold(0.0, |sum, &i| sum + tg.task(TaskId(i)).duration);
+        best = best.max(load);
+        // Largest head first; among equal heads the larger tail first,
+        // which keeps each prefix's smallest tail as large as it can be.
+        tasks.sort_unstable_by(|&a, &b| {
+            let (a, b) = (a as usize, b as usize);
+            heads[b]
+                .total_cmp(&heads[a])
+                .then(tails[b].total_cmp(&tails[a]))
+                .then(a.cmp(&b))
+        });
+        let (mut work, mut min_tail) = (0.0f64, f64::INFINITY);
+        for &i in tasks.iter() {
+            work += tg.task(TaskId(i)).duration;
+            min_tail = min_tail.min(tails[i as usize]);
+            best = best.max(heads[i as usize] + work + min_tail);
+        }
+    }
+    best
+}
+
 /// The heaviest single processor's total work, summed into `per_proc`
 /// (one slot per dense processor index). Every processor runs one task
 /// at a time, so no schedule of `tg` finishes sooner. Reads only the
@@ -480,6 +589,32 @@ mod tests {
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         assert!(s.makespan >= lb - 1e-12, "{} < {}", s.makespan, lb);
         assert_eq!(lb, 8.0); // critical path a->c
+    }
+
+    #[test]
+    fn head_body_tail_bound_sees_release_and_delivery_times() {
+        // GPU 1 runs `b` and `c`, both released by `a` (3.0 on GPU 0) and
+        // both followed by `d` (4.0 on GPU 0): 3 + (2 + 2) + 4 = 11,
+        // above both the critical path (9) and the busiest load (7).
+        let mut tg = TaskGraph::new("hbt", 2, 0);
+        let a = tg.add_task(g("a", 0, 3.0));
+        let b = tg.add_task(g("b", 1, 2.0));
+        let c = tg.add_task(g("c", 1, 2.0));
+        let d = tg.add_task(g("d", 0, 4.0));
+        for t in [b, c] {
+            tg.add_dep(a, t);
+            tg.add_dep(t, d);
+        }
+        assert_eq!(makespan_lower_bound(&tg), 9.0);
+        let mut scratch = ScheduleScratch::default();
+        assert_eq!(head_body_tail_bound_into(&tg, &mut scratch), 11.0);
+        assert_eq!(list_schedule(&tg, &OrderPolicy::RankBased).makespan, 11.0);
+        // A warm scratch gives the same bound, and scheduling with it
+        // afterwards is unaffected.
+        assert_eq!(head_body_tail_bound_into(&tg, &mut scratch), 11.0);
+        let mut out = Schedule::default();
+        list_schedule_into(&tg, &OrderPolicy::RankBased, &mut scratch, &mut out);
+        assert_eq!(out.makespan, 11.0);
     }
 
     #[test]

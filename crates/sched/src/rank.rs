@@ -11,8 +11,8 @@ static RANK_SECONDS: heterog_telemetry::Histogram = heterog_telemetry::Histogram
 /// [`upward_ranks_into`] performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct RankScratch {
-    indeg: Vec<u32>,
-    order: Vec<TaskId>,
+    pub(crate) indeg: Vec<u32>,
+    pub(crate) order: Vec<TaskId>,
 }
 
 /// Computes the paper's rank for every task:

@@ -29,5 +29,7 @@ pub mod trace;
 pub use gantt::{render_gantt, render_gpu_gantt};
 pub use incremental::{incremental_sim_stats, IncrementalSim, IncrementalSimStats, ResimOutcome};
 pub use memory::{memory_usage, MemoryReport};
-pub use report::{simulate, simulate_into, time_breakdown, SimReport, SimScratch};
+pub use report::{
+    makespan_bound_into, simulate, simulate_into, time_breakdown, SimReport, SimScratch,
+};
 pub use trace::chrome_trace_json;

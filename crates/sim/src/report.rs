@@ -7,8 +7,8 @@
 //! over the graph, zero heap allocations after warm-up.
 
 use heterog_sched::{
-    list_schedule_observed, OrderPolicy, Proc, Schedule, ScheduleHook, ScheduleScratch, TaskGraph,
-    TaskId,
+    head_body_tail_bound_into, list_schedule_observed, OrderPolicy, Proc, Schedule, ScheduleHook,
+    ScheduleScratch, TaskGraph, TaskId,
 };
 use heterog_telemetry::{Counter, Gauge, Histogram};
 
@@ -220,6 +220,15 @@ pub fn simulate_into(
             }
         }
     }
+}
+
+/// A lower bound on the iteration time [`simulate_into`] would report
+/// for `tg` under any order policy, computed without simulating: the
+/// head–body–tail bound of [`head_body_tail_bound_into`], in `scratch`'s
+/// scheduling buffers. At least the busiest processor's load and the
+/// critical path.
+pub fn makespan_bound_into(tg: &TaskGraph, scratch: &mut SimScratch) -> f64 {
+    head_body_tail_bound_into(tg, &mut scratch.sched)
 }
 
 /// [`simulate_into`] without its counters and events: the incremental

@@ -12,13 +12,17 @@
 //! | `Policy`                | re-simulate the cached task graph (no compile) |
 //! | `Cluster`               | [`reprice_into`] + [`IncrementalSim::resim`] (the base report when no duration changed, else one simulation) |
 //! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
+//! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
 //! | `ClusterAndStrategy`    | splice on the base cluster, then re-price onto the new cluster |
-//! | any, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a spliced graph whose busiest processor already carries more work than the limit is not simulated: [`Bounded::Pruned`] |
+//! | any, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a spliced graph that a lower bound on its iteration time (busiest processor, then the head–body–tail bound of [`makespan_bound_into`]) puts above the limit is not simulated: [`Bounded::Pruned`] |
 //!
 //! A strategy change resolves the candidate's placements once and
 //! diffs them against the base's: an op's replica tasks, the wiring of
 //! its out-edges and its gradient aggregation are re-lowered only when
-//! a placement they read moved (see `heterog_compile::lower`).
+//! a placement they read moved (see `heterog_compile::lower`). A group
+//! move starts from a copy of the base's placements and resolves only
+//! the group's ops, their gradient ops and the ApplyGradient ops those
+//! feed.
 //!
 //! Every fast path is **bit-identical** to the full
 //! [`evaluate_with_policy`] it replaces — the unit tests compare all
@@ -40,13 +44,16 @@ use std::time::Instant;
 
 use heterog_cluster::Cluster;
 use heterog_compile::{
-    compile_logged, reprice_into, resolve_placements, splice_into, structure_compatible, PriceBook,
-    SegmentLog, SpliceBase, SpliceScratch, Strategy,
+    compile_logged, reprice_into, resolve_group_into, resolve_placements, splice_into,
+    structure_compatible, OpPlacement, OpStrategy, PriceBook, SegmentLog, SpliceBase,
+    SpliceScratch, Strategy,
 };
-use heterog_graph::Graph;
+use heterog_graph::{Graph, OpId};
 use heterog_profile::CostEstimator;
 use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph};
-use heterog_sim::{simulate_into, IncrementalSim, ResimOutcome, SimReport, SimScratch};
+use heterog_sim::{
+    makespan_bound_into, simulate_into, IncrementalSim, ResimOutcome, SimReport, SimScratch,
+};
 use heterog_telemetry::lock;
 
 use crate::evaluate::{count_full_evaluation, evaluate_with_policy, record_evaluation, Evaluation};
@@ -58,7 +65,7 @@ static INCREMENTAL_EVALS: heterog_telemetry::Counter = heterog_telemetry::Counte
 
 static PRUNED_EVALS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
     "heterog_strategies_pruned_evals_total",
-    "Perturbed evaluations left unsimulated because their busiest processor's load exceeded the limit",
+    "Perturbed evaluations left unsimulated because a lower bound on their iteration time exceeded the limit",
 );
 
 static INCREMENTAL_FALLBACKS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
@@ -92,6 +99,16 @@ pub enum Perturbation<'p> {
     /// Same cluster and order policy under a changed Part-I strategy
     /// (e.g. a PS <-> AllReduce communication flip).
     Strategy(&'p Strategy),
+    /// The base strategy with every op in `ops` (sorted ascending, as
+    /// `Grouping::members` are) re-decided as `to`: a search's one-group
+    /// move, evaluated exactly as `Strategy` of the moved strategy would
+    /// be, without building that strategy.
+    Group {
+        /// The moved ops.
+        ops: &'p [OpId],
+        /// Their new decision.
+        to: &'p OpStrategy,
+    },
     /// Same deployment under a different execution-order policy.
     Policy(&'p OrderPolicy),
     /// Cluster and strategy both changed — elastic repair candidates.
@@ -131,9 +148,10 @@ pub enum Bounded {
     /// Simulated, exactly as [`IncrementalEvaluator::evaluate_perturbed`]
     /// would have.
     Evaluated(Box<Evaluation>, EvalMode),
-    /// Not simulated: the spliced task graph's busiest processor carries
-    /// this much work, which [`load_exceeds`] the limit. The iteration
-    /// time is at least this load.
+    /// Not simulated: this lower bound on the spliced task graph's
+    /// iteration time (its busiest processor's load, or else the
+    /// head–body–tail bound of [`makespan_bound_into`]) [`load_exceeds`]
+    /// the limit.
     Pruned(f64),
 }
 
@@ -143,28 +161,31 @@ impl Bounded {
     }
 }
 
-/// Relative slack on a busiest-processor load before it counts as
-/// exceeding a limit. The load is summed in task order and the
-/// simulator's makespan in schedule order; on the task graphs here the
-/// two orders differ by ~1e-12 relative.
+/// Relative slack on a lower bound before it counts as exceeding a
+/// limit. The bounds sum work in task or head order and the simulator's
+/// makespan in schedule order; on the task graphs here the two orders
+/// differ by ~1e-12 relative.
 const LOAD_MARGIN: f64 = 1e-9;
 
-/// True when a task graph whose busiest processor carries `load` has an
-/// iteration time strictly above `limit`, float summation order
+/// True when a task graph whose iteration time is bounded below by
+/// `load` (its busiest processor's load, or the head–body–tail bound)
+/// has an iteration time strictly above `limit`, float summation order
 /// included.
 pub fn load_exceeds(load: f64, limit: f64) -> bool {
     load * (1.0 - LOAD_MARGIN) > limit
 }
 
-/// Patch buffers: the spliced and re-priced task graphs, the spliced
-/// graph's price book, the splice and simulator scratch, and the report
-/// each perturbed evaluation writes into, plus the per-processor load a
-/// bounded one sums. An evaluator pools them, one per thread evaluating
-/// through it at once, so a `Sync` evaluator serves pool workers without
-/// sharing a buffer, the per-candidate path stops allocating once they
-/// have grown, and their memory goes with the evaluator.
+/// Patch buffers: the candidate's placements, the spliced and
+/// re-priced task graphs, the spliced graph's price book, the splice and
+/// simulator scratch, and the report each perturbed evaluation writes
+/// into, plus the per-processor load a bounded one sums. An evaluator
+/// pools them, one per thread evaluating through it at once, so a
+/// `Sync` evaluator serves pool workers without sharing a buffer, the
+/// per-candidate path stops allocating once they have grown, and their
+/// memory goes with the evaluator.
 #[derive(Debug, Default)]
 struct PatchScratch {
+    placements: Vec<OpPlacement>,
     tg: TaskGraph,
     spliced: TaskGraph,
     book: PriceBook,
@@ -172,6 +193,14 @@ struct PatchScratch {
     sim: SimScratch,
     report: SimReport,
     load: Vec<f64>,
+}
+
+/// The placements a strategy perturbation lowers: a whole strategy's,
+/// or the base's with one group moved.
+#[derive(Clone, Copy)]
+enum Moved<'p> {
+    Strategy(&'p Strategy),
+    Group(&'p [OpId], &'p OpStrategy),
 }
 
 fn eval_of(report: &SimReport) -> Evaluation {
@@ -302,10 +331,13 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         }
     }
 
-    /// [`IncrementalEvaluator::evaluate_perturbed`], unless the spliced
-    /// task graph's busiest processor, GPU or link, carries work that
-    /// [`load_exceeds`] `limit`: then the graph is not simulated and the
-    /// load is returned instead. A pruned candidate counts in neither
+    /// [`IncrementalEvaluator::evaluate_perturbed`], unless a lower
+    /// bound on the spliced task graph's iteration time [`load_exceeds`]
+    /// `limit`: then the graph is not simulated and that bound is
+    /// returned instead. The busiest processor's load, GPU or link, is
+    /// tried first, as it needs no adjacency index; only when it does not
+    /// prune is the index built and the head–body–tail bound of
+    /// [`makespan_bound_into`] tried. A pruned candidate counts in neither
     /// `incremental_fast` nor `incremental_full` and emits no
     /// `StrategyEvaluated` event. Only spliced paths are bounded; every
     /// other path evaluates as `evaluate_perturbed` does.
@@ -352,15 +384,22 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 if *s2 == self.strategy {
                     return Bounded::evaluated(self.base.clone(), EvalMode::Base);
                 }
-                self.eval_spliced(&self.cluster, s2, false, limit)
+                self.eval_spliced(&self.cluster, Moved::Strategy(s2), false, limit)
                     .unwrap_or_else(|| self.full(&self.cluster, s2))
+            }
+            Perturbation::Group { ops, to } => {
+                if ops.iter().all(|op| self.strategy.per_op[op.index()] == *to) {
+                    return Bounded::evaluated(self.base.clone(), EvalMode::Base);
+                }
+                self.eval_spliced(&self.cluster, Moved::Group(ops, to), false, limit)
+                    .expect("a splice on the base cluster always lowers")
             }
             Perturbation::ClusterAndStrategy(c2, s2) => {
                 if *s2 == self.strategy {
                     return self.eval_cluster(c2);
                 }
                 if structure_compatible(&self.cluster, c2) {
-                    if let Some(r) = self.eval_spliced(c2, s2, true, limit) {
+                    if let Some(r) = self.eval_spliced(c2, Moved::Strategy(s2), true, limit) {
                         return r;
                     }
                 }
@@ -398,22 +437,21 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         self.full(c2, &self.strategy)
     }
 
-    /// Splices `s2`'s task graph from the base lowering and simulates
-    /// it, unless its busiest processor's load exceeds `limit`. With
-    /// `reprice`, the splice runs on the base cluster and the result is
-    /// re-priced onto `c2` (structure-compatible with it); `None` when
-    /// the greedy PS chooser would pick differently on `c2`. A splice
-    /// that reuses no segment was a full compile and, when simulated, is
-    /// counted as one.
+    /// Splices the task graph of the `moved` placements from the base
+    /// lowering and simulates it, unless a lower bound on its iteration
+    /// time exceeds `limit`. With `reprice`, the splice runs on the base
+    /// cluster and the result is re-priced onto `c2` (structure-compatible
+    /// with it); `None` when the greedy PS chooser would pick differently
+    /// on `c2`. A splice that reuses no segment was a full compile and,
+    /// when simulated, is counted as one.
     fn eval_spliced(
         &self,
         c2: &Cluster,
-        s2: &Strategy,
+        moved: Moved<'_>,
         reprice: bool,
         limit: f64,
     ) -> Option<Bounded> {
         let started = Instant::now();
-        let placements = resolve_placements(self.g, c2, s2);
         let base = SpliceBase {
             tg: self.sim.base_graph(),
             book: &self.book,
@@ -421,6 +459,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         };
         self.with_patch(|ps| {
             let PatchScratch {
+                placements,
                 tg,
                 spliced,
                 book,
@@ -429,13 +468,19 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 report,
                 load,
             } = ps;
+            match moved {
+                Moved::Strategy(s2) => *placements = resolve_placements(self.g, c2, s2),
+                Moved::Group(ops, to) => {
+                    resolve_group_into(self.g, c2, self.log.placements(), ops, to, placements)
+                }
+            }
             let c2_caps;
             let (reused, caps): (usize, &[u64]) = if reprice {
                 let reused = splice_into(
                     self.g,
                     &self.cluster,
                     self.cost,
-                    &placements,
+                    placements,
                     base,
                     spliced,
                     Some(book),
@@ -449,7 +494,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                     self.g,
                     &self.cluster,
                     self.cost,
-                    &placements,
+                    placements,
                     base,
                     tg,
                     None,
@@ -461,6 +506,11 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 let busiest = busiest_processor_load(tg, load);
                 if load_exceeds(busiest, limit) {
                     return Some(Bounded::Pruned(busiest));
+                }
+                tg.build_index();
+                let bound = makespan_bound_into(tg, sim);
+                if load_exceeds(bound, limit) {
+                    return Some(Bounded::Pruned(bound));
                 }
             }
             tg.build_index();
@@ -607,6 +657,28 @@ mod tests {
             ev.evaluate_bounded(Perturbation::Strategy(&s), 0.0),
             Bounded::Evaluated(_, EvalMode::Base)
         ));
+    }
+
+    #[test]
+    fn head_body_tail_bound_prunes_within_the_busiest_load() {
+        let (g, c, s) = setup();
+        let pol = OrderPolicy::RankBased;
+        let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &pol);
+        let s2 = switch_comm(&s, CommMethod::Ps);
+        let Bounded::Pruned(load) = ev.evaluate_bounded(Perturbation::Strategy(&s2), 0.0) else {
+            panic!("a positive load exceeds a zero limit");
+        };
+        let (tg, _) = heterog_compile::compile_priced(&g, &c, &GroundTruthCost, &s2);
+        let bound = makespan_bound_into(&tg, &mut SimScratch::default());
+        assert!(load_exceeds(bound, load), "bound {bound}, load {load}");
+        // A limit the load stays within but the bound exceeds: pruned,
+        // and the bound returned.
+        match ev.evaluate_bounded(Perturbation::Strategy(&s2), load) {
+            Bounded::Pruned(b) => assert_eq!(b.to_bits(), bound.to_bits()),
+            Bounded::Evaluated(..) => panic!("the bound {bound} exceeds the limit {load}"),
+        }
+        let (want, _) = ev.evaluate_perturbed(Perturbation::Strategy(&s2));
+        assert!(!load_exceeds(bound, want.iteration_time));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 use heterog_graph::OpKind;
 use heterog_profile::LinearFit;
 use heterog_sched::{
-    busiest_processor_load, list_schedule, makespan_lower_bound, strict_schedule, upward_ranks,
-    OrderPolicy, Proc, Task, TaskGraph,
+    busiest_processor_load, critical_path, list_schedule, makespan_lower_bound, strict_schedule,
+    upward_ranks, OrderPolicy, Proc, Task, TaskGraph,
 };
-use heterog_sim::{memory_usage, simulate};
+use heterog_sim::{makespan_bound_into, memory_usage, simulate, SimScratch};
 use heterog_strategies::load_exceeds;
 use heterog_telemetry::rng::{for_each_seed, ChaCha8Rng};
 
@@ -103,6 +103,35 @@ fn busiest_processor_load_bounds_iteration_time() {
                 "load {load} above iteration time {it}"
             );
             assert!(!load_exceeds(load, it));
+        }
+    });
+}
+
+/// The head–body–tail bound the search prunes with is at least the
+/// busiest processor's load and the critical path, and at most the
+/// simulated iteration time under either order policy but for rounding,
+/// so [`load_exceeds`] never holds against the candidate's own makespan.
+/// One scratch serves every draw, warm from graphs of other sizes.
+#[test]
+fn head_body_tail_bound_bounds_iteration_time() {
+    let mut per_proc = Vec::new();
+    let mut scratch = SimScratch::default();
+    for_each_seed(64, |rng| {
+        for tg in [task_graph(rng, 64, 2, 1), task_graph(rng, 24, 3, 2)] {
+            let bound = makespan_bound_into(&tg, &mut scratch);
+            let load = busiest_processor_load(&tg, &mut per_proc);
+            assert!(bound >= load, "bound {bound} below busiest load {load}");
+            let cp = critical_path(&tg);
+            assert!(bound >= cp, "bound {bound} below critical path {cp}");
+            for policy in [OrderPolicy::RankBased, OrderPolicy::Fifo] {
+                let caps = vec![u64::MAX; tg.num_gpus as usize];
+                let it = simulate(&tg, &caps, &policy).iteration_time;
+                assert!(
+                    bound <= it * (1.0 + 1e-12),
+                    "bound {bound} above iteration time {it}"
+                );
+                assert!(!load_exceeds(bound, it));
+            }
         }
     });
 }

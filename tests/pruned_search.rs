@@ -1,26 +1,31 @@
-//! The fast planner bounds each candidate by its busiest processor and
+//! The fast planner bounds each candidate's iteration time from below
+//! (its busiest processor's load, then the head–body–tail bound) and
 //! simulates only candidates that can still win. A reference loop here
-//! scores every candidate through `evaluate_perturbed`, as the planner
-//! did before the bound; on MobileNet-v2, VGG-19, Transformer-6L and a
-//! cluster where data parallelism overflows memory, `plan_detailed`
-//! must return the reference's actions, strategy and evaluation bit for
-//! bit and emit the same `SearchIteration` stream.
+//! scores every candidate through `evaluate_perturbed` of the whole
+//! moved strategy, as the planner did before the bounds and group
+//! moves; on MobileNet-v2, VGG-19, Transformer-6L and a cluster where
+//! data parallelism overflows memory, `plan_detailed` must return the
+//! reference's actions, strategy and evaluation bit for bit and emit
+//! the same `SearchIteration` stream.
 //!
-//! The reference also records each candidate's busiest-processor load.
-//! Every load must be at most the candidate's simulated iteration time,
-//! and the planner must simulate exactly the candidates the two-phase
-//! scheme picks from those values: the same number at any thread count.
+//! The reference also records each candidate's busiest-processor load
+//! and head–body–tail bound. Both must be at most the candidate's
+//! simulated iteration time, and the planner must simulate exactly the
+//! candidates the two-phase scheme picks from those values: the same
+//! number at any thread count, and on VGG-19 and Transformer-6L fewer
+//! than pruning on the busiest load alone would.
 
 use std::sync::Mutex;
 
 use heterog_agent::fast::objective;
 use heterog_agent::{actions_to_strategy, ActionSpace, HeteroGPlanner};
 use heterog_cluster::{paper_testbed_8gpu, topology::Server, Cluster, Device, GpuModel};
-use heterog_compile::Strategy;
+use heterog_compile::{compile_priced, Strategy};
 use heterog_events::EventKind;
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
 use heterog_sched::OrderPolicy;
+use heterog_sim::{makespan_bound_into, SimScratch};
 use heterog_strategies::{
     evaluate, group_ops, grouping::avg_op_times, load_exceeds, Bounded, Evaluation,
     IncrementalEvaluator, Perturbation,
@@ -120,9 +125,20 @@ struct Visit {
 struct Scored {
     action: usize,
     objective: f64,
-    /// The busiest-processor load `evaluate_bounded` computes, `None`
-    /// when its path is not bounded (the candidate equals the incumbent).
-    load: Option<f64>,
+    /// The busiest-processor load and the head–body–tail bound of the
+    /// candidate's task graph, `None` when `evaluate_bounded`'s path is
+    /// not bounded (the candidate equals the incumbent).
+    bounds: Option<(f64, f64)>,
+}
+
+/// Which lower bounds a pruning scheme tries.
+#[derive(Clone, Copy)]
+enum Scheme {
+    /// The busiest processor's load alone.
+    Busiest,
+    /// The planner's: the busiest load, and when it does not prune, the
+    /// head–body–tail bound.
+    HeadBodyTail,
 }
 
 struct Outcome {
@@ -137,12 +153,21 @@ struct Outcome {
     considered: u64,
 }
 
-/// How many of a visit's candidates the two-phase scheme simulates:
-/// those whose load does not exceed the incumbent's objective, then the
-/// rest in ascending-load order until a load exceeds the best objective
-/// so far.
-fn simulated_by_scheme(scored: &[Scored], cur_obj: f64) -> u64 {
-    let bounded = |s: &Scored| s.load.filter(|&l| load_exceeds(l, cur_obj));
+/// How many of a visit's candidates the two-phase scheme simulates when
+/// it prunes with `scheme`'s bounds: those with no bound exceeding the
+/// incumbent's objective, then the rest in ascending order of the bound
+/// that pruned them until that bound exceeds the best objective so far.
+fn simulated_by_scheme(scored: &[Scored], cur_obj: f64, scheme: Scheme) -> u64 {
+    let bounded = |s: &Scored| {
+        let (load, bound) = s.bounds?;
+        if load_exceeds(load, cur_obj) {
+            return Some(load);
+        }
+        match scheme {
+            Scheme::Busiest => None,
+            Scheme::HeadBodyTail => Some(bound).filter(|&b| load_exceeds(b, cur_obj)),
+        }
+    };
     let mut count = 0;
     let mut best = f64::INFINITY;
     let mut pruned = Vec::new();
@@ -166,10 +191,20 @@ fn simulated_by_scheme(scored: &[Scored], cur_obj: f64) -> u64 {
     count
 }
 
+/// What the reference's candidates tally.
+struct Tally {
+    /// Candidates the planner's scheme leaves unsimulated.
+    unsimulated: u64,
+    /// Candidates pruning on the busiest load alone would simulate.
+    simulated_by_busiest: u64,
+    /// Candidates the planner's scheme simulates.
+    simulated: u64,
+}
+
 /// `plan_detailed`'s search with every candidate scored through
-/// `evaluate_perturbed`, plus each candidate's busiest-processor load;
-/// also returns how many candidates the scheme leaves unsimulated.
-fn reference(case: &Case) -> (Outcome, u64) {
+/// `evaluate_perturbed`, plus each candidate's busiest-processor load
+/// and head–body–tail bound, read off a fresh compile of its strategy.
+fn reference(case: &Case) -> (Outcome, Tally) {
     let (g, cluster, cost) = (&case.g, &case.cluster, &GroundTruthCost);
     let space = ActionSpace::new(cluster);
     let times = avg_op_times(g, cluster, cost);
@@ -191,7 +226,12 @@ fn reference(case: &Case) -> (Outcome, u64) {
     let mut evals = uniform_actions.len() as u64;
     // The baselines and the evaluator's anchor.
     let mut strategy_evaluated = evals + 1;
-    let mut unsimulated = 0;
+    let mut tally = Tally {
+        unsimulated: 0,
+        simulated_by_busiest: 0,
+        simulated: 0,
+    };
+    let mut sim = SimScratch::default();
 
     let rank_based = OrderPolicy::RankBased;
     let mut evaluator =
@@ -225,29 +265,37 @@ fn reference(case: &Case) -> (Outcome, u64) {
                             trial[gi] = a;
                             let s = to_strategy(&trial);
                             let (e, _) = evaluator.evaluate_perturbed(Perturbation::Strategy(&s));
-                            let load =
+                            let bounds =
                                 match evaluator.evaluate_bounded(Perturbation::Strategy(&s), 0.0) {
-                                    Bounded::Pruned(load) => Some(load),
+                                    Bounded::Pruned(load) => {
+                                        let (tg, _) = compile_priced(g, cluster, cost, &s);
+                                        Some((load, makespan_bound_into(&tg, &mut sim)))
+                                    }
                                     Bounded::Evaluated(..) => None,
                                 };
-                            if let Some(load) = load {
+                            if let Some((load, bound)) = bounds {
                                 let it = e.iteration_time;
-                                assert!(
-                                    load <= it * (1.0 + 1e-12) && !load_exceeds(load, it),
-                                    "{}: busiest load {load} above iteration time {it}",
-                                    case.name,
-                                );
+                                for (what, b) in [("busiest load", load), ("bound", bound)] {
+                                    assert!(
+                                        b <= it * (1.0 + 1e-12) && !load_exceeds(b, it),
+                                        "{}: {what} {b} above iteration time {it}",
+                                        case.name,
+                                    );
+                                }
                             }
                             Scored {
                                 action: a,
                                 objective: objective(&e, cluster),
-                                load,
+                                bounds,
                             }
                         })
                         .collect();
-                    let simulated = simulated_by_scheme(&scored, cur_obj);
+                    let simulated = simulated_by_scheme(&scored, cur_obj, Scheme::HeadBodyTail);
                     strategy_evaluated += simulated;
-                    unsimulated += scored.len() as u64 - simulated;
+                    tally.simulated += simulated;
+                    tally.unsimulated += scored.len() as u64 - simulated;
+                    tally.simulated_by_busiest +=
+                        simulated_by_scheme(&scored, cur_obj, Scheme::Busiest);
                     scored
                         .iter()
                         .map(|s| (s.action, s.objective))
@@ -295,7 +343,7 @@ fn reference(case: &Case) -> (Outcome, u64) {
         strategy_evaluated,
         considered: evals,
     };
-    (outcome, unsimulated)
+    (outcome, tally)
 }
 
 /// `plan_detailed` on `case`, with its `SearchIteration` stream and
@@ -377,7 +425,7 @@ fn pruned_search_matches_scoring_every_candidate() {
     let mut pruned_any = false;
     for case in cases() {
         let got = planned(&case);
-        let (want, unsimulated) = reference(&case);
+        let (want, tally) = reference(&case);
         let name = case.name;
         assert_eq!(got.actions, want.actions, "{name}: actions");
         assert!(got.strategy == want.strategy, "{name}: strategy");
@@ -389,7 +437,15 @@ fn pruned_search_matches_scoring_every_candidate() {
         );
         // Counted candidates stay the candidates considered.
         assert_eq!(got.considered, want.considered, "{name}: evals");
-        pruned_any |= unsimulated > 0;
+        pruned_any |= tally.unsimulated > 0;
+        if matches!(name, "vgg19" | "transformer") {
+            assert!(
+                tally.simulated < tally.simulated_by_busiest,
+                "{name}: the head–body–tail bound simulates {} candidates, the busiest load alone {}",
+                tally.simulated,
+                tally.simulated_by_busiest,
+            );
+        }
     }
     assert!(pruned_any, "no case left a candidate unsimulated");
 }
