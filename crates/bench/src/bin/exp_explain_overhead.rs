@@ -85,20 +85,8 @@ fn main() {
         std::hint::black_box(rep.makespan);
     });
 
-    // Same sweep with incremental resimulation disabled: every what-if
-    // pays a fresh compile+simulate, the pre-incremental cost model.
-    let noinc_opts = ExplainOptions {
-        incremental: false,
-        ..ExplainOptions::default()
-    };
-    let noinc_s = time(&mut || {
-        let rep = explain(&g, &cluster, &strategy, &tg, &policy, &report, &noinc_opts);
-        std::hint::black_box(rep.makespan);
-    });
-
     let analysis_ratio = analysis_s / eval_s;
     let whatif_evals = (full_s - analysis_s) / eval_s;
-    let whatif_evals_noinc = (noinc_s - analysis_s) / eval_s;
     println!("one evaluation:          {:.3} ms", eval_s * 1e3);
     println!(
         "explain (analysis only): {:.3} ms ({analysis_ratio:.2}x one evaluation)",
@@ -108,10 +96,6 @@ fn main() {
         "explain (full, {num_whatifs} what-ifs): {:.3} ms (~{whatif_evals:.1} evaluation-equivalents of what-if work, target <=2)",
         full_s * 1e3
     );
-    println!(
-        "explain (full, no incremental):  {:.3} ms (~{whatif_evals_noinc:.1} evaluation-equivalents)",
-        noinc_s * 1e3
-    );
 
     let json = format!(
         "{{\n  \"model\": \"mobilenet_v2\",\n  \"batch_size\": 64,\n  \
@@ -119,11 +103,9 @@ fn main() {
          \"rounds\": {rounds},\n  \"evaluate_secs\": {eval_s:.6},\n  \
          \"explain_analysis_secs\": {analysis_s:.6},\n  \
          \"explain_full_secs\": {full_s:.6},\n  \
-         \"explain_full_noincremental_secs\": {noinc_s:.6},\n  \
          \"default_whatifs\": {num_whatifs},\n  \
          \"analysis_vs_evaluate\": {analysis_ratio:.4},\n  \
          \"whatif_evaluation_equivalents\": {whatif_evals:.4},\n  \
-         \"whatif_evaluation_equivalents_noincremental\": {whatif_evals_noinc:.4},\n  \
          \"whatif_eval_equivalents_target\": 2.0,\n  \
          \"whatif_meets_target\": {meets}\n}}\n",
         meets = whatif_evals <= 2.0,

@@ -46,7 +46,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let flags = parse_flags(&args[1..]);
-    let result = match cmd.as_str() {
+    let result = check_flags(cmd, &flags).and_then(|()| match cmd.as_str() {
         "plan" => cmd_plan(&flags),
         "explain" => cmd_explain(&flags),
         "compare" => cmd_compare(&flags),
@@ -65,7 +65,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
-    };
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -79,11 +79,11 @@ const USAGE: &str = "heterog-cli — HeteroG deployment planner
 
 USAGE:
   heterog-cli plan    --model <name> [--batch N] [--layers N] [--cluster spec.json] [--planner heterog|EV-PS|EV-AR|CP-PS|CP-AR|Horovod|FlexFlow|Post|HetPipe|Shard-CP|Shard-CP-PS] [--fifo] [--metrics-out <file.prom>] [--trace-out <file.json>]
-  heterog-cli explain --model <name> [--batch N] [--layers N] [--cluster spec.json] [--planner <name>] [--top-k N] [--no-whatif] [--no-incremental] [--html-out <file.html>] [--json-out <file.json>] [--diff-against <file.json>]
+  heterog-cli explain --model <name> [--batch N] [--layers N] [--cluster spec.json] [--planner <name>] [--top-k N] [--no-whatif] [--html-out <file.html>] [--json-out <file.json>] [--diff-against <file.json>]
   heterog-cli compare --model <name> [--batch N] [--layers N] [--cluster spec.json]
   heterog-cli trace   --model <name> [--batch N] [--layers N] [--cluster spec.json] --out <file.json>
   heterog-cli train   --model <name> [--batch N] [--layers N] [--cluster spec.json] [--episodes N] [--seed N] [--rollout-k N] [--groups N]
-  heterog-cli elastic --model <name> [--batch N] [--cluster spec.json] [--planner <name>] [--iters N] [--policy full-replan|migrate-replicas|collective-fallback|compare] [--no-incremental] [--faults <script> | --seed N [--num-faults N]] [--json-out <file.json>]
+  heterog-cli elastic --model <name> [--batch N] [--cluster spec.json] [--planner <name>] [--iters N] [--policy full-replan|migrate-replicas|collective-fallback|compare] [--faults <script> | --seed N [--num-faults N]] [--json-out <file.json>]
   heterog-cli serve   [--addr HOST:PORT] [--workers N] [--max-pending N] [--degrade-depth N] [--quantum N] [--tenants a,b,c] [--cache-shards N] [--search-groups N] [--runs-dir <dir> | --no-archive]
   heterog-cli runs    list [--model <name>] [--planner <name>] [--fingerprint N] [--seed N]
   heterog-cli runs    show <id-prefix>
@@ -130,11 +130,6 @@ TRAIN:
 EXPLAIN:
   --top-k N             keep the N best what-if interventions (default 5)
   --no-whatif           skip the what-if sensitivity loop
-  --no-incremental      score each what-if with a fresh compile and
-                        simulation instead of the incremental evaluator
-                        (also valid under ELASTIC for repair scoring;
-                        results are bit-identical either way, only the
-                        cost changes)
   --html-out <file>     self-contained HTML report with embedded timeline
   --json-out <file>     machine-readable report (diffable artifact)
   --diff-against <file> run-diff this plan against a previous --json-out
@@ -184,6 +179,56 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
         }
     }
     map
+}
+
+/// Flags `parse_model` and `parse_cluster` read.
+const MODEL_FLAGS: &str = "model batch layers cluster";
+/// Flags `config_for` reads.
+const CONFIG_FLAGS: &str = "planner fifo";
+/// Flags `setup_events` and `runs_root` read.
+const EVENT_FLAGS: &str = "progress events-out flight-out no-archive runs-dir";
+
+/// Fails on the first flag, in name order, that `cmd` does not read, so
+/// a typo or a retired flag is an error rather than silently ignored.
+/// `runs` and the flagless commands are not checked.
+fn check_flags(cmd: &str, flags: &HashMap<String, String>) -> Result<(), String> {
+    let known = match cmd {
+        "plan" => [
+            MODEL_FLAGS,
+            CONFIG_FLAGS,
+            EVENT_FLAGS,
+            "metrics-out trace-out",
+        ]
+        .join(" "),
+        "explain" => [
+            MODEL_FLAGS,
+            CONFIG_FLAGS,
+            EVENT_FLAGS,
+            "top-k no-whatif html-out json-out diff-against",
+        ]
+        .join(" "),
+        "compare" => MODEL_FLAGS.to_string(),
+        "trace" => [MODEL_FLAGS, CONFIG_FLAGS, "out"].join(" "),
+        "train" => [MODEL_FLAGS, EVENT_FLAGS, "episodes seed rollout-k groups"].join(" "),
+        "elastic" => [
+            MODEL_FLAGS,
+            CONFIG_FLAGS,
+            EVENT_FLAGS,
+            "iters policy compare faults seed num-faults json-out",
+        ]
+        .join(" "),
+        "serve" => "addr workers max-pending degrade-depth quantum tenants cache-shards \
+                    search-groups runs-dir no-archive"
+            .to_string(),
+        _ => return Ok(()),
+    };
+    let unknown = flags
+        .keys()
+        .filter(|key| !known.split_whitespace().any(|k| k == key.as_str()));
+    match unknown.min() {
+        Some(key) => Err(format!("unknown flag --{key} for {cmd}")),
+        None => Ok(()),
+    }
 }
 
 fn parse_model(flags: &HashMap<String, String>) -> Result<ModelSpec, String> {
@@ -469,9 +514,6 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
     if flags.contains_key("no-whatif") {
         opts.run_whatif = false;
     }
-    if flags.contains_key("no-incremental") {
-        opts.incremental = false;
-    }
     let planner_name = flags
         .get("planner")
         .map(String::as_str)
@@ -654,9 +696,6 @@ fn cmd_elastic(flags: &HashMap<String, String>) -> Result<(), String> {
         if opts.iterations == 0 {
             return Err("--iters must be at least 1".into());
         }
-    }
-    if flags.contains_key("no-incremental") {
-        opts.incremental = false;
     }
 
     // The timeline: explicit script, or deterministic generation.

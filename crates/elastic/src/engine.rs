@@ -16,7 +16,7 @@ use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::OrderPolicy;
 use heterog_strategies::{
-    eval_stats, migrate_replicas, rebalance_replicas, switch_comm, DeviceMap, EvalCache,
+    eval_stats, evaluate_with_policy, migrate_replicas, rebalance_replicas, switch_comm, DeviceMap,
     Evaluation, IncrementalEvaluator, Perturbation, Planner,
 };
 
@@ -60,15 +60,6 @@ pub struct ElasticOptions {
     /// keeps executing the degraded plan. Converts `repair_evals` into
     /// stalled iterations.
     pub evals_per_iteration: u64,
-    /// `EvalCache` context capacity — one context per cluster mutation,
-    /// so this bounds memory across long fault storms.
-    pub cache_contexts: usize,
-    /// Score repair candidates through the incremental evaluator
-    /// (anchored on the degraded deployment, no compile per candidate)
-    /// instead of fresh compile+simulate runs. Makespans are
-    /// bit-identical either way; only the repair-effort accounting
-    /// (`repair_evals`, stalls) shrinks.
-    pub incremental: bool,
 }
 
 impl Default for ElasticOptions {
@@ -78,8 +69,6 @@ impl Default for ElasticOptions {
             policy: RepairPolicy::FullReplan,
             order: OrderPolicy::RankBased,
             evals_per_iteration: 25,
-            cache_contexts: 16,
-            incremental: true,
         }
     }
 }
@@ -128,14 +117,13 @@ pub fn elastic_run(
     opts: &ElasticOptions,
 ) -> ElasticOutcome {
     let _span = heterog_telemetry::span("elastic.run");
-    let cache = EvalCache::with_capacity(opts.cache_contexts.max(1));
     let mut state = ClusterState::new(cluster.clone());
 
     let mut strategy = planner.plan(g, state.cluster(), cost);
     strategy
         .validate(state.cluster())
         .expect("planner produced an undeployable strategy");
-    let mut current = cache.evaluate_with_policy(g, state.cluster(), &cost, &strategy, &opts.order);
+    let mut current = evaluate_with_policy(g, state.cluster(), &cost, &strategy, &opts.order);
     let baseline_makespan = current.iteration_time;
 
     heterog_events::emit_with(|| heterog_events::EventKind::RunStarted {
@@ -195,53 +183,23 @@ pub fn elastic_run(
             }
             if !applied.is_empty() {
                 // Detection: simulate the carried plan on the mutated
-                // cluster — this is the fault's measured impact. With
-                // incremental repair the same evaluation anchors an
-                // [`IncrementalEvaluator`] that then scores repair
-                // candidates without a compile each.
-                let evaluator = opts.incremental.then(|| {
-                    IncrementalEvaluator::new(g, &cost, state.cluster(), &strategy, &opts.order)
-                });
-                let degraded = match &evaluator {
-                    Some(ev) => ev.base().clone(),
-                    None => cache.evaluate_with_policy(
-                        g,
-                        state.cluster(),
-                        &cost,
-                        &strategy,
-                        &opts.order,
-                    ),
-                };
+                // cluster — this is the fault's measured impact. The same
+                // evaluation anchors an [`IncrementalEvaluator`] that then
+                // scores repair candidates without a compile each.
+                let evaluator =
+                    IncrementalEvaluator::new(g, &cost, state.cluster(), &strategy, &opts.order);
+                degraded_makespan = evaluator.base().iteration_time;
 
                 let evals_before = eval_stats().evaluations;
                 let started = std::time::Instant::now();
                 let (repaired_strategy, action) = repair(
-                    g,
-                    &state,
-                    cost,
-                    planner,
-                    &cache,
-                    evaluator.as_ref(),
-                    &strategy,
-                    &applied,
-                    opts,
+                    g, &state, cost, planner, &evaluator, &strategy, &applied, opts,
                 );
                 repaired_strategy
                     .validate(state.cluster())
                     .expect("repair produced a strategy referencing missing devices");
-                let repaired = match &evaluator {
-                    Some(ev) => {
-                        ev.evaluate_perturbed(Perturbation::Strategy(&repaired_strategy))
-                            .0
-                    }
-                    None => cache.evaluate_with_policy(
-                        g,
-                        state.cluster(),
-                        &cost,
-                        &repaired_strategy,
-                        &opts.order,
-                    ),
-                };
+                let (repaired, _) =
+                    evaluator.evaluate_perturbed(Perturbation::Strategy(&repaired_strategy));
                 RECOVERY_SECONDS.observe(started.elapsed().as_secs_f64());
                 let repair_evals = eval_stats().evaluations - evals_before;
                 let stall = if opts.evals_per_iteration == 0 {
@@ -249,13 +207,13 @@ pub fn elastic_run(
                 } else {
                     repair_evals.div_ceil(opts.evals_per_iteration)
                 };
-                let cost_s = (1 + stall) as f64
-                    * (degraded.iteration_time - repaired.iteration_time).max(0.0);
+                let cost_s =
+                    (1 + stall) as f64 * (degraded_makespan - repaired.iteration_time).max(0.0);
                 recovery_cost_s += cost_s;
                 heterog_events::emit_with(|| heterog_events::EventKind::Repair {
                     iteration: i,
                     action: action.to_string(),
-                    degraded_makespan: degraded.iteration_time,
+                    degraded_makespan,
                     repaired_makespan: repaired.iteration_time,
                     repair_evals,
                     stall_iterations: stall,
@@ -269,7 +227,7 @@ pub fn elastic_run(
                         .join("; "),
                     action: action.to_string(),
                     pre_fault_makespan: pre_fault,
-                    degraded_makespan: degraded.iteration_time,
+                    degraded_makespan,
                     repaired_makespan: repaired.iteration_time,
                     repair_evals,
                     stall_iterations: stall,
@@ -278,7 +236,6 @@ pub fn elastic_run(
                     oom_after: repaired.oom,
                 });
 
-                degraded_makespan = degraded.iteration_time;
                 degraded_left = stall;
                 strategy = repaired_strategy;
                 current = repaired;
@@ -332,18 +289,16 @@ pub fn elastic_run(
 }
 
 /// Runs one repair according to the policy; `strategy` has already been
-/// validity-migrated onto the mutated cluster. When `evaluator` is
-/// present (incremental mode), candidate scoring goes through its
-/// splice and re-pricing fast paths instead of fresh compiles — the
-/// chosen strategy is identical either way.
+/// validity-migrated onto the mutated cluster, where `evaluator` is
+/// anchored. Candidates are scored through its splice fast path, bit
+/// for bit as a fresh compile and simulation would score them.
 #[allow(clippy::too_many_arguments)]
 fn repair(
     g: &Graph,
     state: &ClusterState,
     cost: &dyn CostEstimator,
     planner: &dyn Planner,
-    cache: &EvalCache,
-    evaluator: Option<&IncrementalEvaluator<'_, &dyn CostEstimator>>,
+    evaluator: &IncrementalEvaluator<'_, &dyn CostEstimator>,
     strategy: &Strategy,
     applied: &[&FaultEvent],
     opts: &ElasticOptions,
@@ -391,10 +346,7 @@ fn repair(
             ];
             let mut best: Option<(Strategy, &'static str, Evaluation)> = None;
             for (cand, label) in candidates {
-                let eval = match evaluator {
-                    Some(ev) => ev.evaluate_perturbed(Perturbation::Strategy(&cand)).0,
-                    None => cache.evaluate_with_policy(g, cluster, &cost, &cand, &opts.order),
-                };
+                let (eval, _) = evaluator.evaluate_perturbed(Perturbation::Strategy(&cand));
                 let better = match &best {
                     None => true,
                     Some((_, _, b)) => {
@@ -569,48 +521,27 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_full_repairs_choose_identical_plans() {
+    fn repaired_makespans_match_fresh_evaluation() {
         let (g, c) = setup();
         let script = FaultScript::parse("3:link:nicout:0.25,8:linkup:nicout").unwrap();
-        let run = |incremental| {
-            elastic_run(
-                &g,
-                &c,
-                &GroundTruthCost,
-                &CpArPlanner,
-                &script,
-                &ElasticOptions {
-                    iterations: 14,
-                    policy: RepairPolicy::CollectiveFallback,
-                    incremental,
-                    ..ElasticOptions::default()
-                },
-            )
+        let opts = ElasticOptions {
+            iterations: 14,
+            policy: RepairPolicy::CollectiveFallback,
+            ..ElasticOptions::default()
         };
-        let fast = run(true);
-        let slow = run(false);
-        let (rf, rs) = (&fast.report, &slow.report);
-        assert_eq!(
-            rf.baseline_makespan.to_bits(),
-            rs.baseline_makespan.to_bits()
-        );
-        assert_eq!(rf.final_makespan.to_bits(), rs.final_makespan.to_bits());
-        assert_eq!(rf.decisions.len(), rs.decisions.len());
-        let (mut fast_evals, mut slow_evals) = (0u64, 0u64);
-        for (a, b) in rf.decisions.iter().zip(&rs.decisions) {
-            // Same fault, same chosen repair, same simulated makespans —
-            // only the effort accounting may differ.
-            assert_eq!(a.action, b.action);
-            assert_eq!(a.degraded_makespan.to_bits(), b.degraded_makespan.to_bits());
-            assert_eq!(a.repaired_makespan.to_bits(), b.repaired_makespan.to_bits());
-            fast_evals += a.repair_evals;
-            slow_evals += b.repair_evals;
-        }
-        assert!(
-            fast_evals < slow_evals,
-            "incremental repair must cut fresh evaluations ({fast_evals} vs {slow_evals})"
-        );
-        assert_eq!(fast.strategy, slow.strategy);
+        let out = elastic_run(&g, &c, &GroundTruthCost, &CpArPlanner, &script, &opts);
+        let r = &out.report;
+        let fresh = |cluster: &Cluster, s: &Strategy| {
+            evaluate_with_policy(&g, cluster, &GroundTruthCost, s, &opts.order).iteration_time
+        };
+        let planned = CpArPlanner.plan(&g, &c, &GroundTruthCost);
+        assert_eq!(r.baseline_makespan.to_bits(), fresh(&c, &planned).to_bits());
+        // Repairs are scored through the incremental evaluator; the plan
+        // in force at the end must simulate to the same bits afresh.
+        let last = r.decisions.last().expect("the script applies two faults");
+        let final_fresh = fresh(&out.cluster, &out.strategy);
+        assert_eq!(last.repaired_makespan.to_bits(), final_fresh.to_bits());
+        assert_eq!(r.final_makespan.to_bits(), final_fresh.to_bits());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 pub enum RepairPolicy {
     /// Re-run the full planner on the mutated cluster. Best repaired
     /// throughput, highest recovery cost (the planner's whole search
-    /// re-runs, warm-started through the shared `EvalCache`).
+    /// re-runs).
     FullReplan,
     /// Keep the plan's shape: evict replicas from lost devices and
     /// redistribute them proportionally to the survivors' effective

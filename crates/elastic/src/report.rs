@@ -41,8 +41,9 @@ pub struct RepairDecision {
     pub degraded_makespan: f64,
     /// Makespan of the repaired plan, seconds.
     pub repaired_makespan: f64,
-    /// Fresh strategy evaluations the repair consumed (cache hits are
-    /// free; this is the deterministic recovery-effort measure).
+    /// Fresh strategy evaluations the repair consumed (those the
+    /// incremental evaluator serves on a fast path are free; this is the
+    /// deterministic recovery-effort measure).
     pub repair_evals: u64,
     /// Iterations (beyond the fault iteration itself) the run kept
     /// executing the degraded plan while the repair was computed.

@@ -144,10 +144,6 @@ pub struct ExplainOptions {
     /// Intervention set; `None` derives [`default_interventions`] from
     /// the deployment.
     pub interventions: Option<Vec<Intervention>>,
-    /// Serve what-if interventions through the incremental evaluator
-    /// (one shared compile). Off = fresh compile+simulate per
-    /// intervention; results are bit-identical either way.
-    pub incremental: bool,
 }
 
 impl Default for ExplainOptions {
@@ -156,7 +152,6 @@ impl Default for ExplainOptions {
             top_k: 5,
             run_whatif: true,
             interventions: None,
-            incremental: true,
         }
     }
 }
@@ -247,7 +242,7 @@ pub fn explain(
                 derived.as_slice()
             }
         };
-        run_whatif_with(
+        run_whatif(
             graph,
             cluster,
             strategy,
@@ -255,7 +250,6 @@ pub fn explain(
             report.iteration_time,
             interventions,
             opts.top_k,
-            opts.incremental,
         )
     } else {
         Vec::new()

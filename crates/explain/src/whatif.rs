@@ -307,8 +307,7 @@ fn eval_intervention(
 /// Re-simulates every intervention and returns the outcomes ranked by
 /// predicted improvement (largest `delta` first), truncated to `top_k`.
 /// Uses the incremental evaluator (one shared compile, no compile per
-/// intervention); see [`run_whatif_with`] for the escape
-/// hatch.
+/// intervention).
 pub fn run_whatif(
     g: &Graph,
     cluster: &Cluster,
@@ -331,10 +330,11 @@ pub fn run_whatif(
 }
 
 /// [`run_whatif`] with an explicit incremental toggle. With
-/// `incremental` off, every intervention pays a fresh compile+simulate
-/// (the pre-incremental behaviour, kept as a verification path: both
-/// modes produce bit-identical outcomes). One scratch is shared across
-/// the loop either way.
+/// `incremental` off, every intervention pays a fresh compile+simulate.
+/// That branch is a reference only: `explain` always passes `true`
+/// through [`run_whatif`], the benchmark calls this with `true`, and
+/// `incremental_and_full_whatif_are_bit_identical` checks the
+/// evaluator's outcomes against the `false` branch bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn run_whatif_with(
     g: &Graph,

@@ -246,7 +246,6 @@ impl Engine {
                     top_k: *top_k,
                     run_whatif: *whatif,
                     interventions: None,
-                    incremental: true,
                 };
                 let report = heterog_explain::explain(
                     &g,

@@ -1,25 +1,27 @@
-//! Incremental re-simulation: reuse the base report, or simulate once.
+//! Re-simulation of a re-priced task graph: reuse the base report, or
+//! simulate once.
 //!
 //! The planners spend most of their budget evaluating *perturbations* of
 //! a strategy they already simulated — a device slowed down, one link's
 //! bandwidth changed. Re-pricing such a change keeps the task graph's
-//! structure and rewrites only durations. [`IncrementalSim`] simulates
-//! the base graph once and answers a re-priced graph in one of two ways:
+//! structure and rewrites only durations. [`resimulate_into`] answers a
+//! re-priced graph from the base graph and its report in one of two
+//! ways:
 //!
-//! 1. no task duration differs bitwise from the base: the cached base
-//!    report is copied and only the OOM flags are re-derived against the
-//!    query's capacities ([`ResimOutcome::Unchanged`]);
-//! 2. otherwise: one fresh simulation of the re-priced graph
-//!    ([`ResimOutcome::Replayed`]).
+//! 1. no task duration differs bitwise from the base: the base report is
+//!    copied and only the OOM flags are re-derived against the query's
+//!    capacities (it returns `true`);
+//! 2. otherwise: one fresh simulation of the re-priced graph (`false`).
 //!
-//! The replay runs the same body as [`crate::simulate_into`], so results
-//! are **bit-identical** to a fresh simulation of the perturbed graph:
-//! same makespan bits, same peaks, same OOM flags, same report digests.
+//! The simulation runs the same body as [`crate::simulate_into`], so
+//! results are **bit-identical** to a fresh simulation of the perturbed
+//! graph: same makespan bits, same peaks, same OOM flags, same report
+//! digests.
 //!
 //! Deliberately *not* counted: the plain-simulation telemetry
-//! (`heterog_sim_simulations_total`, `SimEpoch`, `Oom`) — incremental
-//! queries have their own counters so existing "one simulation per
-//! evaluation" invariants keep holding.
+//! (`heterog_sim_simulations_total`, `SimEpoch`, `Oom`) — re-simulations
+//! have their own counters so existing "one simulation per evaluation"
+//! invariants keep holding.
 
 use heterog_sched::{OrderPolicy, TaskGraph};
 use heterog_telemetry::{Counter, Histogram};
@@ -38,128 +40,78 @@ static FULL_REPLAYS: Counter = Counter::new(
     "heterog_sim_incremental_full_replays_total",
     "Re-simulations answered by one fresh simulation of the patched graph",
 );
-static TASKS_SKIPPED: Counter = Counter::new(
-    "heterog_sim_incremental_tasks_skipped_total",
-    "Tasks whose base schedule entries were reused instead of re-executed",
-);
 static DIRTY_SET_SIZE: Histogram = Histogram::new(
     "heterog_sim_incremental_dirty_tasks",
     "Tasks whose duration changed, per re-simulation",
 );
 
-/// Which path a [`IncrementalSim::resim`] call took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResimOutcome {
-    /// No task duration differed from the base: the cached report was
-    /// copied and only the OOM flags re-derived.
-    Unchanged,
-    /// One fresh simulation of the patched graph.
-    Replayed,
-}
+/// Re-simulates `patched`, a duration perturbation of `base` whose run
+/// under `policy` produced `base_report`, into `out`: bit-identical to
+/// `simulate_into(patched, capacities, policy, ..)`. Returns true when
+/// no duration changed and the base report was reused.
+///
+/// `patched` must keep `base`'s structure (tasks, edges, placements,
+/// byte sizes) and may only change durations — `heterog_compile`'s
+/// repricer guarantees this.
+pub fn resimulate_into(
+    base: &TaskGraph,
+    base_report: &SimReport,
+    patched: &TaskGraph,
+    capacities: &[u64],
+    policy: &OrderPolicy,
+    scratch: &mut SimScratch,
+    out: &mut SimReport,
+) -> bool {
+    let _span = heterog_telemetry::span("resim");
+    let n = base.len();
+    assert_eq!(
+        patched.len(),
+        n,
+        "resim requires the base graph's structure"
+    );
+    let num_gpus = base.num_gpus as usize;
+    assert!(capacities.len() >= num_gpus, "capacity per GPU required");
+    RESIMS.inc();
 
-/// A simulated base run, kept to answer duration perturbations of the
-/// same task-graph structure. Queries take `&self`, so one base can
-/// serve many threads' scratches.
-#[derive(Debug, Clone)]
-pub struct IncrementalSim {
-    base: TaskGraph,
-    policy: OrderPolicy,
-    base_report: SimReport,
-}
+    // Duration-dirty tasks, bitwise: the contract is bit-identity, so
+    // any bit flip counts and -0.0 vs 0.0 rewrites are not "equal".
+    let dirty = base
+        .iter()
+        .zip(patched.iter())
+        .filter(|((id, b), (_, p))| {
+            debug_assert_eq!(
+                (b.proc, b.output_bytes, b.param_bytes),
+                (p.proc, p.output_bytes, p.param_bytes),
+                "resim contract: only durations may change ({})",
+                id
+            );
+            b.duration.to_bits() != p.duration.to_bits()
+        })
+        .count();
+    DIRTY_SET_SIZE.observe(dirty as f64);
 
-impl IncrementalSim {
-    /// Simulates `base` once under `policy`.
-    pub fn new(
-        base: TaskGraph,
-        capacities: &[u64],
-        policy: OrderPolicy,
-        scratch: &mut SimScratch,
-    ) -> Self {
-        let _span = heterog_telemetry::span("incremental_sim_new");
-        let mut base_report = SimReport::default();
-        simulate_uncounted(&base, capacities, &policy, scratch, &mut base_report);
-        IncrementalSim {
-            base,
-            policy,
-            base_report,
+    if dirty == 0 {
+        // Same durations => same schedule and peaks; only the OOM
+        // verdict depends on the query's capacities.
+        out.clone_from(base_report);
+        let memory = &mut out.memory;
+        let per_gpu = memory
+            .oom
+            .iter_mut()
+            .zip(&memory.peak_bytes)
+            .zip(capacities);
+        for ((oom, &peak), &capacity) in per_gpu.take(num_gpus) {
+            *oom = peak > capacity;
         }
+        UNCHANGED.inc();
+        emit_resim_event(0, n, 0, out.iteration_time);
+        return true;
     }
 
-    /// The graph the base run simulated. Perturbed queries must preserve
-    /// its structure (tasks, edges, placements, byte sizes) and may only
-    /// change durations — `heterog_compile`'s repricer guarantees this.
-    pub fn base_graph(&self) -> &TaskGraph {
-        &self.base
-    }
-
-    /// The base run's report.
-    pub fn base_report(&self) -> &SimReport {
-        &self.base_report
-    }
-
-    /// Re-simulates a duration perturbation of the base graph into
-    /// `out`, bit-identical to `simulate_into(patched, ...)` under the
-    /// base policy. Returns which path produced the answer.
-    pub fn resim(
-        &self,
-        patched: &TaskGraph,
-        capacities: &[u64],
-        scratch: &mut SimScratch,
-        out: &mut SimReport,
-    ) -> ResimOutcome {
-        let _span = heterog_telemetry::span("resim");
-        let n = self.base.len();
-        assert_eq!(
-            patched.len(),
-            n,
-            "resim requires the base graph's structure"
-        );
-        let num_gpus = self.base.num_gpus as usize;
-        assert!(capacities.len() >= num_gpus, "capacity per GPU required");
-        RESIMS.inc();
-
-        // Duration-dirty tasks, bitwise: the contract is bit-identity, so
-        // any bit flip counts and -0.0 vs 0.0 rewrites are not "equal".
-        let dirty = self
-            .base
-            .iter()
-            .zip(patched.iter())
-            .filter(|((id, b), (_, p))| {
-                debug_assert_eq!(
-                    (b.proc, b.output_bytes, b.param_bytes),
-                    (p.proc, p.output_bytes, p.param_bytes),
-                    "resim contract: only durations may change ({})",
-                    id
-                );
-                b.duration.to_bits() != p.duration.to_bits()
-            })
-            .count();
-        DIRTY_SET_SIZE.observe(dirty as f64);
-
-        if dirty == 0 {
-            // Same durations => same schedule and peaks; only the OOM
-            // verdict depends on the query's capacities.
-            out.clone_from(&self.base_report);
-            let memory = &mut out.memory;
-            let per_gpu = memory
-                .oom
-                .iter_mut()
-                .zip(&memory.peak_bytes)
-                .zip(capacities);
-            for ((oom, &peak), &capacity) in per_gpu.take(num_gpus) {
-                *oom = peak > capacity;
-            }
-            UNCHANGED.inc();
-            TASKS_SKIPPED.add(n as u64);
-            emit_resim_event(0, n, 0, out.iteration_time);
-            return ResimOutcome::Unchanged;
-        }
-
-        simulate_uncounted(patched, capacities, &self.policy, scratch, out);
-        FULL_REPLAYS.inc();
-        emit_resim_event(n, n, dirty, out.iteration_time);
-        ResimOutcome::Replayed
-    }
+    simulate_uncounted(patched, capacities, policy, scratch, out);
+    FULL_REPLAYS.inc();
+    emit_resim_event(n, n, dirty, out.iteration_time);
+    false
 }
 
 fn emit_resim_event(replayed: usize, total: usize, dirty: usize, makespan: f64) {
@@ -171,7 +123,7 @@ fn emit_resim_event(replayed: usize, total: usize, dirty: usize, makespan: f64) 
     });
 }
 
-/// Snapshot of the incremental-replay counters (always readable; the
+/// Snapshot of the re-simulation counters (always readable; the
 /// counters only advance while telemetry is enabled).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IncrementalSimStats {
@@ -181,17 +133,15 @@ pub struct IncrementalSimStats {
     /// readers of this struct still build.
     pub resumed: u64,
     pub full_replays: u64,
-    pub tasks_skipped: u64,
 }
 
-/// Reads the process-global incremental-replay counters.
+/// Reads the process-global re-simulation counters.
 pub fn incremental_sim_stats() -> IncrementalSimStats {
     IncrementalSimStats {
         resims: RESIMS.get(),
         unchanged: UNCHANGED.get(),
         resumed: 0,
         full_replays: FULL_REPLAYS.get(),
-        tasks_skipped: TASKS_SKIPPED.get(),
     }
 }
 
@@ -276,66 +226,89 @@ mod tests {
                 .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
-    fn base_sim(base: &TaskGraph, policy: OrderPolicy) -> IncrementalSim {
-        let capacities = caps(base.num_gpus as usize);
-        IncrementalSim::new(
-            base.clone(),
-            &capacities,
-            policy,
-            &mut SimScratch::default(),
-        )
+    /// A simulated base run: what [`resimulate_into`] answers against.
+    struct Base {
+        tg: TaskGraph,
+        policy: OrderPolicy,
+        report: SimReport,
     }
 
-    /// Resimulates `patched` against `inc` under `capacities` and checks
-    /// the report bitwise against a fresh `simulate_into`.
+    fn base_sim(base: &TaskGraph, policy: OrderPolicy) -> Base {
+        let capacities = caps(base.num_gpus as usize);
+        let mut report = SimReport::default();
+        simulate_uncounted(
+            base,
+            &capacities,
+            &policy,
+            &mut SimScratch::default(),
+            &mut report,
+        );
+        Base {
+            tg: base.clone(),
+            policy,
+            report,
+        }
+    }
+
+    /// Resimulates `patched` against `base` under `capacities` and checks
+    /// the report bitwise against a fresh `simulate_into`. Returns whether
+    /// the base report was reused, and the report.
     fn assert_resim_matches_fresh(
-        inc: &IncrementalSim,
+        base: &Base,
         patched: &TaskGraph,
         capacities: &[u64],
-    ) -> (ResimOutcome, SimReport) {
+    ) -> (bool, SimReport) {
         let mut scratch = SimScratch::default();
         let mut got = SimReport::default();
-        let outcome = inc.resim(patched, capacities, &mut scratch, &mut got);
+        let reused = resimulate_into(
+            &base.tg,
+            &base.report,
+            patched,
+            capacities,
+            &base.policy,
+            &mut scratch,
+            &mut got,
+        );
         let mut want = SimReport::default();
-        simulate_into(patched, capacities, &inc.policy, &mut scratch, &mut want);
+        simulate_into(patched, capacities, &base.policy, &mut scratch, &mut want);
         assert!(
             bitwise_eq(&got, &want),
-            "resim ({outcome:?}) diverged: got {} want {}",
+            "resim (reused: {reused}) diverged: got {} want {}",
             got.iteration_time,
             want.iteration_time
         );
-        (outcome, got)
+        (reused, got)
     }
 
     #[test]
     fn base_report_matches_plain_simulation() {
         for seed in [1u64, 7, 13] {
             let tg = ragged(4, 2, 160, seed);
-            let inc = base_sim(&tg, OrderPolicy::RankBased);
-            let (_, got) = assert_resim_matches_fresh(&inc, &tg, &caps(4));
-            assert!(bitwise_eq(inc.base_report(), &got));
+            let run = base_sim(&tg, OrderPolicy::RankBased);
+            let (_, got) = assert_resim_matches_fresh(&run, &tg, &caps(4));
+            assert!(bitwise_eq(&run.report, &got));
         }
     }
 
     #[test]
     fn unchanged_query_short_circuits() {
         let tg = ragged(4, 2, 120, 3);
-        let inc = base_sim(&tg, OrderPolicy::RankBased);
-        let (outcome, _) = assert_resim_matches_fresh(&inc, &tg, &caps(4));
-        assert_eq!(outcome, ResimOutcome::Unchanged);
+        let run = base_sim(&tg, OrderPolicy::RankBased);
+        let (reused, _) = assert_resim_matches_fresh(&run, &tg, &caps(4));
+        assert!(reused);
     }
 
     #[test]
     fn unchanged_query_rederives_oom_for_new_capacities() {
         let tg = ragged(4, 2, 120, 3);
-        let inc = base_sim(&tg, OrderPolicy::RankBased);
+        let run = base_sim(&tg, OrderPolicy::RankBased);
         // Shrink device 0 below its peak: same schedule, new verdict.
         let mut tight = caps(4);
-        tight[0] = inc.base_report().memory.peak_bytes[0].saturating_sub(1);
-        let (outcome, got) = assert_resim_matches_fresh(&inc, &tg, &tight);
-        assert_eq!(outcome, ResimOutcome::Unchanged);
+        tight[0] = run.report.memory.peak_bytes[0].saturating_sub(1);
+        let (reused, got) = assert_resim_matches_fresh(&run, &tg, &tight);
+        assert!(reused);
         assert!(got.memory.oom[0]);
-        assert!(!inc.base_report().memory.oom[0]);
+        assert!(!run.report.memory.oom[0]);
     }
 
     #[test]
@@ -359,8 +332,8 @@ mod tests {
                     let task = patched.task_mut(t);
                     task.duration *= factor;
                 }
-                let inc = base_sim(&base, policy.clone());
-                assert_resim_matches_fresh(&inc, &patched, &caps(4));
+                let run = base_sim(&base, policy.clone());
+                assert_resim_matches_fresh(&run, &patched, &caps(4));
             }
         }
     }
@@ -372,18 +345,18 @@ mod tests {
         for i in 0..base.len() {
             patched.task_mut(TaskId(i as u32)).duration *= 1.25;
         }
-        let inc = base_sim(&base, OrderPolicy::RankBased);
-        let (outcome, _) = assert_resim_matches_fresh(&inc, &patched, &caps(4));
-        assert_eq!(outcome, ResimOutcome::Replayed);
+        let run = base_sim(&base, OrderPolicy::RankBased);
+        let (reused, _) = assert_resim_matches_fresh(&run, &patched, &caps(4));
+        assert!(!reused);
     }
 
     #[test]
     fn late_perturbation_replays_under_fifo() {
         // Perturb the task that finishes last under FIFO.
         let base = ragged(4, 2, 200, 31);
-        let inc = base_sim(&base, OrderPolicy::Fifo);
-        let last = inc
-            .base_report()
+        let run = base_sim(&base, OrderPolicy::Fifo);
+        let last = run
+            .report
             .schedule
             .finish
             .iter()
@@ -393,8 +366,8 @@ mod tests {
             .unwrap();
         let mut patched = base.clone();
         patched.task_mut(last).duration *= 2.0;
-        let (outcome, _) = assert_resim_matches_fresh(&inc, &patched, &caps(4));
-        assert_eq!(outcome, ResimOutcome::Replayed);
+        let (reused, _) = assert_resim_matches_fresh(&run, &patched, &caps(4));
+        assert!(!reused);
     }
 
     #[test]
@@ -406,19 +379,19 @@ mod tests {
             let mut patched = base.clone();
             patched.task_mut(TaskId(idx as u32)).duration += 0.5;
             for policy in [OrderPolicy::RankBased, OrderPolicy::Fifo] {
-                let inc = base_sim(&base, policy);
-                let (outcome, _) = assert_resim_matches_fresh(&inc, &patched, &caps(3));
-                assert_eq!(outcome, ResimOutcome::Replayed);
+                let run = base_sim(&base, policy);
+                let (reused, _) = assert_resim_matches_fresh(&run, &patched, &caps(3));
+                assert!(!reused);
             }
         }
     }
 
     #[test]
     fn perturbation_sequences_are_bit_identical() {
-        // One base, many successive perturbed queries against the same
-        // IncrementalSim — the planner-loop usage pattern.
+        // One base, many successive perturbed queries against it — the
+        // planner-loop usage pattern.
         let base = ragged(4, 2, 160, 53);
-        let inc = base_sim(&base, OrderPolicy::RankBased);
+        let run = base_sim(&base, OrderPolicy::RankBased);
         let mut state = 77u64;
         let mut rnd = move || {
             state = state
@@ -432,7 +405,7 @@ mod tests {
                 let t = TaskId((rnd() % base.len() as u64) as u32);
                 patched.task_mut(t).duration *= 0.25 + (rnd() % 400) as f64 * 0.01;
             }
-            assert_resim_matches_fresh(&inc, &patched, &caps(4));
+            assert_resim_matches_fresh(&run, &patched, &caps(4));
         }
     }
 
@@ -442,7 +415,7 @@ mod tests {
         let prios: Vec<f64> = (0..100).map(|i| ((i * 37) % 100) as f64).collect();
         let mut patched = base.clone();
         patched.task_mut(TaskId(90)).duration *= 4.0;
-        let inc = base_sim(&base, OrderPolicy::Priorities(prios));
-        assert_resim_matches_fresh(&inc, &patched, &caps(3));
+        let run = base_sim(&base, OrderPolicy::Priorities(prios));
+        assert_resim_matches_fresh(&run, &patched, &caps(3));
     }
 }

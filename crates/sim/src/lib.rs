@@ -27,9 +27,10 @@ pub mod report;
 pub mod trace;
 
 pub use gantt::{render_gantt, render_gpu_gantt};
-pub use incremental::{incremental_sim_stats, IncrementalSim, IncrementalSimStats, ResimOutcome};
+pub use incremental::{incremental_sim_stats, resimulate_into, IncrementalSimStats};
 pub use memory::{memory_usage, MemoryReport};
 pub use report::{
-    makespan_bound_into, simulate, simulate_into, time_breakdown, SimReport, SimScratch,
+    makespan_bound_into, simulate, simulate_into, simulate_uncounted, time_breakdown, SimReport,
+    SimScratch,
 };
 pub use trace::chrome_trace_json;

@@ -231,10 +231,11 @@ pub fn makespan_bound_into(tg: &TaskGraph, scratch: &mut SimScratch) -> f64 {
     head_body_tail_bound_into(tg, &mut scratch.sched)
 }
 
-/// [`simulate_into`] without its counters and events: the incremental
-/// re-simulator runs this so that `heterog_sim_simulations_total`,
-/// `SimEpoch` and `Oom` count plain simulations only.
-pub(crate) fn simulate_uncounted(
+/// [`simulate_into`] without its counters and events: re-simulations
+/// ([`crate::resimulate_into`]) and the base runs they answer against
+/// use this, so that `heterog_sim_simulations_total`, `SimEpoch` and
+/// `Oom` count plain simulations only.
+pub fn simulate_uncounted(
     tg: &TaskGraph,
     capacities: &[u64],
     policy: &OrderPolicy,

@@ -3,14 +3,14 @@
 //!
 //! [`IncrementalEvaluator`] pins one *base* deployment (graph, cluster,
 //! strategy, order policy), compiles it once with a
-//! [`heterog_compile::PriceBook`], and builds a
-//! [`heterog_sim::IncrementalSim`] over the result. Perturbed
-//! deployments are then evaluated by the cheapest sound path:
+//! [`heterog_compile::PriceBook`] and simulates the result once, keeping
+//! the task graph and its report. Perturbed deployments are then
+//! evaluated by the cheapest sound path:
 //!
 //! | [`Perturbation`]        | fast path                                   |
 //! |-------------------------|---------------------------------------------|
 //! | `Policy`                | re-simulate the cached task graph (no compile) |
-//! | `Cluster`               | [`reprice_into`] + [`IncrementalSim::resim`] (the base report when no duration changed, else one simulation) |
+//! | `Cluster`               | [`reprice_into`] + [`resimulate_into`] (the base report when no duration changed, else one simulation) |
 //! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
 //! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
 //! | `ClusterAndStrategy`    | splice on the base cluster, then re-price onto the new cluster |
@@ -52,7 +52,7 @@ use heterog_graph::{Graph, OpId};
 use heterog_profile::CostEstimator;
 use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph};
 use heterog_sim::{
-    makespan_bound_into, simulate_into, IncrementalSim, ResimOutcome, SimReport, SimScratch,
+    makespan_bound_into, resimulate_into, simulate_into, simulate_uncounted, SimReport, SimScratch,
 };
 use heterog_telemetry::lock;
 
@@ -121,11 +121,10 @@ pub enum EvalMode {
     /// The perturbation equals the base deployment; the cached base
     /// evaluation was returned.
     Base,
-    /// Re-priced task graph, answered by [`IncrementalSim::resim`]: the
-    /// base report when no task duration changed
-    /// ([`ResimOutcome::Unchanged`]), else one simulation of the
-    /// re-priced graph ([`ResimOutcome::Replayed`]), with no compile.
-    Incremental(ResimOutcome),
+    /// Re-priced task graph, answered by [`resimulate_into`]: the base
+    /// report when no task duration changed, else one simulation of the
+    /// re-priced graph, with no compile.
+    Repriced,
     /// Task graph spliced from the base's lowering ([`splice_into`]) +
     /// simulate.
     Spliced,
@@ -227,7 +226,10 @@ pub struct IncrementalEvaluator<'a, C: CostEstimator> {
     /// The base lowering's segments, which strategy perturbations
     /// splice from.
     log: SegmentLog,
-    sim: IncrementalSim,
+    /// The base task graph: re-priced by cluster perturbations,
+    /// re-simulated by policy ones, spliced from by strategy ones.
+    tg: TaskGraph,
+    /// The base evaluation; its report is the one re-simulations reuse.
     base: Evaluation,
     /// Idle patch buffers (see [`PatchScratch`]).
     patches: Mutex<Vec<PatchScratch>>,
@@ -261,9 +263,14 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         let (tg, book, log) = compile_logged(g, cluster, cost, strategy);
         let capacities = cluster.memory_capacities();
         let mut ps = patches.pop().unwrap_or_default();
-        let sim = IncrementalSim::new(tg, &capacities, policy.clone(), &mut ps.sim);
+        let mut report = SimReport::default();
+        simulate_uncounted(&tg, &capacities, policy, &mut ps.sim, &mut report);
         patches.push(ps);
-        let base = eval_of(sim.base_report());
+        let base = Evaluation {
+            iteration_time: report.iteration_time,
+            oom: report.memory.any_oom(),
+            report,
+        };
         record_evaluation(started.elapsed().as_nanos() as u64);
         heterog_events::emit_with(|| heterog_events::EventKind::StrategyEvaluated {
             makespan: base.iteration_time,
@@ -278,7 +285,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             capacities,
             book,
             log,
-            sim,
+            tg,
             base,
             patches: Mutex::new(patches),
         }
@@ -370,13 +377,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     fn dispatch(&self, p: Perturbation<'_>, limit: f64) -> Bounded {
         match p {
             Perturbation::Policy(p2) => self.with_patch(|ps| {
-                simulate_into(
-                    self.sim.base_graph(),
-                    &self.capacities,
-                    p2,
-                    &mut ps.sim,
-                    &mut ps.report,
-                );
+                simulate_into(&self.tg, &self.capacities, p2, &mut ps.sim, &mut ps.report);
                 Bounded::evaluated(eval_of(&ps.report), EvalMode::Reordered)
             }),
             Perturbation::Cluster(c2) => self.eval_cluster(c2),
@@ -411,24 +412,17 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     fn eval_cluster(&self, c2: &Cluster) -> Bounded {
         if structure_compatible(&self.cluster, c2) {
             let served = self.with_patch(|ps| {
-                match reprice_into(
-                    self.g,
-                    self.sim.base_graph(),
-                    &self.book,
-                    c2,
-                    self.cost,
-                    &mut ps.tg,
-                ) {
-                    Ok(()) => {
-                        let caps = c2.memory_capacities();
-                        let outcome = self.sim.resim(&ps.tg, &caps, &mut ps.sim, &mut ps.report);
-                        Some(Bounded::evaluated(
-                            eval_of(&ps.report),
-                            EvalMode::Incremental(outcome),
-                        ))
-                    }
-                    Err(_) => None,
-                }
+                reprice_into(self.g, &self.tg, &self.book, c2, self.cost, &mut ps.tg).ok()?;
+                resimulate_into(
+                    &self.tg,
+                    &self.base.report,
+                    &ps.tg,
+                    &c2.memory_capacities(),
+                    &self.policy,
+                    &mut ps.sim,
+                    &mut ps.report,
+                );
+                Some(Bounded::evaluated(eval_of(&ps.report), EvalMode::Repriced))
             });
             if let Some(r) = served {
                 return r;
@@ -453,7 +447,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     ) -> Option<Bounded> {
         let started = Instant::now();
         let base = SpliceBase {
-            tg: self.sim.base_graph(),
+            tg: &self.tg,
             book: &self.book,
             log: &self.log,
         };
@@ -610,10 +604,7 @@ mod tests {
             c.with_device_model(DeviceId(3), GpuModel::TeslaK80),
         ] {
             let mode = assert_matches_full(&ev, &g, Perturbation::Cluster(&c2), &c2, &s, &pol);
-            assert!(
-                matches!(mode, EvalMode::Incremental(_)),
-                "expected incremental, got {mode:?}"
-            );
+            assert_eq!(mode, EvalMode::Repriced);
         }
     }
 
@@ -790,9 +781,10 @@ mod tests {
         let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &pol);
         let c2 = c.with_scaled_link(Some(LinkKind::Pcie), 0.5);
         let mode = assert_matches_full(&ev, &g, Perturbation::Cluster(&c2), &c2, &s, &pol);
-        assert!(
-            matches!(mode, EvalMode::Incremental(_)),
-            "shard plans must reprice incrementally, got {mode:?}"
+        assert_eq!(
+            mode,
+            EvalMode::Repriced,
+            "shard plans must reprice incrementally"
         );
         // A Shard->Dp flip changes the wiring (collectives appear and
         // vanish), not just aggregation: every op's segments are

@@ -390,3 +390,38 @@ fn elastic_rejects_bad_policy_and_bad_script() {
         .expect("run cli");
     assert!(!out.status.success());
 }
+
+#[test]
+fn unknown_flags_exit_nonzero_and_name_the_flag() {
+    let store = std::env::temp_dir().join(format!("heterog_cli_badflag_{}", std::process::id()));
+    std::fs::remove_dir_all(&store).ok();
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["explain", "--model", "mobilenet", "--no-incremental"],
+            "--no-incremental",
+        ),
+        (
+            &["plan", "--model", "mobilenet", "--no-whatif"],
+            "--no-whatif",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = cli()
+            .args(args)
+            .env("HETEROG_RUNS_DIR", &store)
+            .output()
+            .expect("run cli");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            err.contains(&format!("unknown flag {flag} for {}", args[0])),
+            "stderr: {err}"
+        );
+        assert!(!err.contains("planning"), "rejected before planning: {err}");
+    }
+    assert!(
+        !store.exists() || std::fs::read_dir(&store).unwrap().next().is_none(),
+        "a rejected flag must not archive"
+    );
+    std::fs::remove_dir_all(&store).ok();
+}
