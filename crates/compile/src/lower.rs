@@ -16,14 +16,15 @@
 //!   committed).
 //!
 //! All `R` segments come first, then all `W`, then all `A`, each in op
-//! order. [`compile_logged`] records where each segment's tasks,
-//! `add_dep` calls and price-book entries start and end. [`splice_into`]
-//! builds another placement's graph from that base: it copies every
-//! segment whose inputs are unchanged, with task ids remapped and its
-//! recorded `add_dep` calls replayed through the same dedup set, and
-//! re-runs only the dirty ones through the same `Lowerer` code a full
-//! compile runs. The result equals a fresh [`compile_priced`] task for
-//! task, edge for edge and price-book entry for entry.
+//! order. Every edge is added once, by the segment that emits it.
+//! [`compile_logged`] records where each segment's tasks, edges and
+//! price-book entries start and end. [`splice_into`] builds another
+//! placement's graph from that base: it copies every segment whose
+//! inputs are unchanged, its tasks and its range of the base's edges
+//! with task ids remapped, and re-runs only the dirty ones through the
+//! same `Lowerer` code a full compile runs. The result equals a fresh
+//! [`compile_priced`] task for task, edge for edge and price-book entry
+//! for entry.
 
 use std::sync::Arc;
 
@@ -207,27 +208,28 @@ pub fn compile_priced<C: CostEstimator>(
 }
 
 /// Where one segment of a logged lowering put its output: half-open
-/// ranges of task ids, of recorded `add_dep` calls, and of the price
+/// ranges of task ids, of the base graph's edge list, and of the price
 /// book's PS rounds and collectives.
 #[derive(Debug, Clone, Copy)]
 struct SegRecord {
     seg: Seg,
     tasks: [u32; 2],
-    deps: [u32; 2],
+    edges: [u32; 2],
     ps_rounds: [u32; 2],
     collectives: [u32; 2],
 }
 
 /// The segment log of one lowering ([`compile_logged`]): the placements
-/// it lowered, where each segment's output starts and ends, every
-/// `add_dep` call in order before dedup, and the PS load tracker before
-/// each aggregation segment.
+/// it lowered, where each segment's output starts and ends in the
+/// lowered graph's tasks, edges and price book, and the PS load tracker
+/// before each aggregation segment. The lowering adds each edge once,
+/// so a segment's edges are one range of the graph's own edge list; the
+/// log keeps no copy of them.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentLog {
     opts: CompileOptions,
     placements: Vec<OpPlacement>,
     segs: Vec<SegRecord>,
-    deps: Vec<(u32, u32)>,
     trackers: Vec<PsLoadTracker>,
 }
 
@@ -731,7 +733,6 @@ impl<C: CostEstimator> Lowerer<'_, C> {
 
     /// Emits every segment, recording each into `log`.
     fn emit_logged(&mut self, log: &mut SegmentLog) {
-        self.tg.start_dep_log();
         for seg in segments(self.g) {
             if matches!(seg, Seg::Aggregate { .. }) {
                 log.trackers.push(self.ps_loads.clone());
@@ -742,20 +743,19 @@ impl<C: CostEstimator> Lowerer<'_, C> {
             log.segs.push(SegRecord {
                 seg,
                 tasks: [start[0], end[0]],
-                deps: [start[1], end[1]],
+                edges: [start[1], end[1]],
                 ps_rounds: [start[2], end[2]],
                 collectives: [start[3], end[3]],
             });
         }
-        log.deps = self.tg.take_dep_log();
         log.opts = self.opts;
     }
 
-    /// Current task, recorded-dep, PS-round and collective counts.
+    /// Current task, edge, PS-round and collective counts.
     fn marks(&self) -> [u32; 4] {
         [
             self.tg.len() as u32,
-            self.tg.dep_log().len() as u32,
+            self.tg.num_edges() as u32,
             self.book.ps_rounds.len() as u32,
             self.book.collectives.len() as u32,
         ]
@@ -840,9 +840,9 @@ impl<C: CostEstimator> Lowerer<'_, C> {
         reused
     }
 
-    /// Appends a copy of the base's segment `rec`: its tasks, its
-    /// recorded `add_dep` calls (remapped, through the dedup set) and,
-    /// when `copy_book`, its price-book entries.
+    /// Appends a copy of the base's segment `rec`: its tasks, its edges
+    /// (remapped, as one range) and, when `copy_book`, its price-book
+    /// entries.
     fn copy_segment(
         &mut self,
         base: SpliceBase<'_>,
@@ -864,9 +864,8 @@ impl<C: CostEstimator> Lowerer<'_, C> {
             debug_assert_ne!(remap[t.index()], u32::MAX, "copied segment references {t}");
             TaskId(remap[t.index()])
         };
-        for &(s, d) in &base.log.deps[rec.deps[0] as usize..rec.deps[1] as usize] {
-            self.tg.add_dep(at(TaskId(s)), at(TaskId(d)));
-        }
+        let [e0, e1] = rec.edges;
+        self.tg.copy_deps(base.tg, e0 as usize..e1 as usize, remap);
         if copy_book {
             let [p0, p1] = rec.ps_rounds;
             for r in &base.book.ps_rounds[p0 as usize..p1 as usize] {

@@ -101,8 +101,8 @@ impl ScheduleHook for NoHook {}
 /// Reusable buffers for [`list_schedule_into`]: per-processor ready
 /// heaps, the event queue, indegrees and rank buffers. A warm scratch
 /// (one prior call on a graph at least as large) makes scheduling
-/// allocation-free. [`head_body_tail_bound_into`] borrows the rank and
-/// indegree buffers too, plus one vector of heads of its own.
+/// allocation-free. [`head_body_tail_bound_into`] borrows the rank
+/// buffers too, plus vectors of heads and sort keys of its own.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     ready: Vec<BinaryHeap<Key>>,
@@ -112,6 +112,38 @@ pub struct ScheduleScratch {
     ranks: Vec<f64>,
     rank_scratch: RankScratch,
     heads: Vec<f64>,
+    hbt_keys: Vec<HbtKey>,
+}
+
+/// A head–body–tail sort key: `(desc(head), desc(tail), task index)`.
+/// Ascending key order is descending head, then descending tail, then
+/// ascending index.
+type HbtKey = (u64, u64, u32);
+
+/// The `u64` whose unsigned order is [`f64::total_cmp`]'s: all bits
+/// flipped for a negative sign, the sign bit set otherwise.
+#[inline]
+fn total_order_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
+    }
+}
+
+/// A key whose ascending unsigned order is `x`'s descending
+/// [`f64::total_cmp`] order.
+#[inline]
+fn desc(x: f64) -> u64 {
+    !total_order_bits(x)
+}
+
+/// The value [`desc`] encoded.
+#[inline]
+fn undesc(k: u64) -> f64 {
+    let b = !k;
+    f64::from_bits(if b >> 63 == 1 { b & !(1 << 63) } else { !b })
 }
 
 /// Heap key: higher priority first; among equals, lower sequence first.
@@ -408,15 +440,19 @@ pub fn makespan_lower_bound(tg: &TaskGraph) -> f64 {
 /// order than the schedule's clock adds them, which callers absorb with
 /// a relative margin (`heterog_strategies::load_exceeds`).
 ///
+/// Each processor's tasks are sorted as packed `(head, tail, index)`
+/// keys whose unsigned order is the descending [`f64::total_cmp`] order
+/// of head, then of tail, then the ascending index.
+///
 /// Reuses `scratch`'s rank buffers (the upward ranks become tails in
-/// place, the topological order is the rank sweep's) and its indegree
-/// vector (the per-processor task lists): allocation-free once warm.
+/// place, the topological order is the rank sweep's) and its key
+/// vector: allocation-free once warm.
 pub fn head_body_tail_bound_into(tg: &TaskGraph, scratch: &mut ScheduleScratch) -> f64 {
     let ScheduleScratch {
-        indeg: by_proc,
         ranks,
         rank_scratch,
         heads,
+        hbt_keys: keys,
         ..
     } = scratch;
     upward_ranks_into(tg, rank_scratch, ranks);
@@ -443,7 +479,8 @@ pub fn head_body_tail_bound_into(tg: &TaskGraph, scratch: &mut ScheduleScratch) 
     }
     let tails = &ranks[..];
 
-    // Task indices grouped by processor, in task order within each.
+    // One sort key per task, grouped by processor, in task order within
+    // each.
     let num_procs = tg.num_procs();
     offsets.clear();
     offsets.resize(num_procs + 1, 0);
@@ -453,37 +490,32 @@ pub fn head_body_tail_bound_into(tg: &TaskGraph, scratch: &mut ScheduleScratch) 
     for p in 0..num_procs {
         offsets[p + 1] += offsets[p];
     }
-    by_proc.clear();
-    by_proc.resize(tg.len(), 0);
+    keys.clear();
+    keys.resize(tg.len(), (0, 0, 0));
     for (id, t) in tg.iter() {
         let slot = &mut offsets[tg.proc_index(t.proc)];
-        by_proc[*slot as usize] = id.0;
+        let i = id.index();
+        keys[*slot as usize] = (desc(heads[i]), desc(tails[i]), id.0);
         *slot += 1;
     }
 
     // `offsets[p]` now ends processor `p`'s run.
     let mut start = 0;
     for p in 0..num_procs {
-        let tasks = &mut by_proc[start..offsets[p] as usize];
+        let run = &mut keys[start..offsets[p] as usize];
         start = offsets[p] as usize;
-        let load = tasks
+        let load = run
             .iter()
-            .fold(0.0, |sum, &i| sum + tg.task(TaskId(i)).duration);
+            .fold(0.0, |sum, k| sum + tg.task(TaskId(k.2)).duration);
         best = best.max(load);
         // Largest head first; among equal heads the larger tail first,
         // which keeps each prefix's smallest tail as large as it can be.
-        tasks.sort_unstable_by(|&a, &b| {
-            let (a, b) = (a as usize, b as usize);
-            heads[b]
-                .total_cmp(&heads[a])
-                .then(tails[b].total_cmp(&tails[a]))
-                .then(a.cmp(&b))
-        });
+        run.sort_unstable();
         let (mut work, mut min_tail) = (0.0f64, f64::INFINITY);
-        for &i in tasks.iter() {
+        for &(head, tail, i) in run.iter() {
             work += tg.task(TaskId(i)).duration;
-            min_tail = min_tail.min(tails[i as usize]);
-            best = best.max(heads[i as usize] + work + min_tail);
+            min_tail = min_tail.min(undesc(tail));
+            best = best.max(undesc(head) + work + min_tail);
         }
     }
     best
@@ -615,6 +647,113 @@ mod tests {
         let mut out = Schedule::default();
         list_schedule_into(&tg, &OrderPolicy::RankBased, &mut scratch, &mut out);
         assert_eq!(out.makespan, 11.0);
+    }
+
+    /// The head–body–tail bound with task indices sorted by a
+    /// comparator reading the head and tail tables: the reference the
+    /// packed-key sort must equal bit for bit.
+    fn bound_by_index(tg: &TaskGraph) -> f64 {
+        let mut ranks = upward_ranks(tg);
+        let mut best = critical_path_from(&ranks);
+        let order = tg.topo_order();
+        let mut heads = vec![0.0f64; tg.len()];
+        for &id in &order {
+            let i = id.index();
+            let finish = heads[i] + tg.task(id).duration;
+            let mut tail = 0.0f64;
+            for &s in tg.succs(id) {
+                heads[s.index()] = heads[s.index()].max(finish);
+                tail = tail.max(ranks[s.index()]);
+            }
+            ranks[i] = tail;
+        }
+        let tails = &ranks;
+        for p in 0..tg.num_procs() {
+            let mut tasks: Vec<u32> = tg
+                .iter()
+                .filter(|(_, t)| tg.proc_index(t.proc) == p)
+                .map(|(id, _)| id.0)
+                .collect();
+            let load = tasks
+                .iter()
+                .fold(0.0, |sum, &i| sum + tg.task(TaskId(i)).duration);
+            best = best.max(load);
+            tasks.sort_unstable_by(|&a, &b| {
+                let (a, b) = (a as usize, b as usize);
+                heads[b]
+                    .total_cmp(&heads[a])
+                    .then(tails[b].total_cmp(&tails[a]))
+                    .then(a.cmp(&b))
+            });
+            let (mut work, mut min_tail) = (0.0f64, f64::INFINITY);
+            for &i in &tasks {
+                work += tg.task(TaskId(i)).duration;
+                min_tail = min_tail.min(tails[i as usize]);
+                best = best.max(heads[i as usize] + work + min_tail);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn packed_key_order_is_descending_total_cmp() {
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            2.0,
+        ];
+        for &a in &values {
+            assert_eq!(undesc(desc(a)).to_bits(), a.to_bits());
+            for &b in &values {
+                assert_eq!(desc(a).cmp(&desc(b)), b.total_cmp(&a), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_key_bound_equals_index_sorted_bound() {
+        let mut rng = heterog_telemetry::rng::SplitMix64::new(23);
+        let mut scratch = ScheduleScratch::default();
+        for case in 0..200 {
+            let (gpus, links) = (1 + case % 3, case % 2);
+            let mut tg = TaskGraph::new("ties", gpus, links);
+            let n = 2 + rng.below(40) as usize;
+            for i in 0..n {
+                let d = [0.0, 0.5, 1.0, 2.0][rng.below(4) as usize];
+                let p = rng.below(u64::from(gpus + links)) as u32;
+                let proc = if p < gpus {
+                    Proc::Gpu(p)
+                } else {
+                    Proc::Link(p - gpus)
+                };
+                let id = tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, proc, d));
+                for j in 0..i {
+                    if rng.below(4) == 0 {
+                        tg.add_dep(TaskId(j as u32), id);
+                    }
+                }
+            }
+            let want = bound_by_index(&tg);
+            let got = head_body_tail_bound_into(&tg, &mut scratch);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "case {case}: {got} vs {want}"
+            );
+        }
     }
 
     #[test]

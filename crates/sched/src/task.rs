@@ -18,13 +18,15 @@
 //!   graphs from one shared base do not contend on a cache line; the
 //!   human-readable string is rendered only when asked
 //!   ([`TaskGraph::task_name`]).
-//! * **Fast edge dedup.** `add_dep` dedups through a set hashed with
-//!   the workspace's multiplicative hasher, not SipHash.
+//! * **Edges appended, checked once.** Builders add each edge once, so
+//!   `add_dep` only appends and a splice copies a whole segment's edges
+//!   as one remapped range ([`TaskGraph::copy_deps`]). Building the
+//!   index checks that no edge repeats, with a stamp per task rather
+//!   than a hash, and panics naming both tasks if one does.
 
 use std::sync::{Arc, OnceLock};
 
 use heterog_graph::{OpId, OpKind};
-use heterog_telemetry::hash::FastSet;
 
 /// Index of a task inside a [`TaskGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -345,19 +347,24 @@ struct Csr {
     succ_idx: Vec<TaskId>,
     pred_off: Vec<u32>,
     pred_idx: Vec<TaskId>,
+    /// Per task, one more than the last source whose row named it: the
+    /// duplicate check's scratch, never read outside `rebuild`.
+    stamp: Vec<u32>,
 }
 
 impl Csr {
     /// Builds both directions with a stable counting sort: per-source
     /// (and per-destination) order equals edge insertion order, matching
     /// the former `Vec<Vec<TaskId>>` push order exactly. Reuses this
-    /// index's buffers.
-    fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) {
+    /// index's buffers. Returns the first repeated edge (by source, then
+    /// row order), if any.
+    fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) -> Option<(u32, u32)> {
         let Csr {
             succ_off,
             succ_idx,
             pred_off,
             pred_idx,
+            stamp,
         } = self;
         for off in [&mut *succ_off, &mut *pred_off] {
             off.clear();
@@ -390,11 +397,20 @@ impl Csr {
             off.copy_within(1..n + 1, 0);
             off[n] = edges.len() as u32;
         }
+        // A repeated edge repeats a successor within its source's row.
+        stamp.clear();
+        stamp.resize(n, 0);
+        for s in 0..n {
+            let row = &succ_idx[succ_off[s] as usize..succ_off[s + 1] as usize];
+            for &d in row {
+                if stamp[d.index()] == s as u32 + 1 {
+                    return Some((s as u32, d.0));
+                }
+                stamp[d.index()] = s as u32 + 1;
+            }
+        }
+        None
     }
-}
-
-fn edge_key(src: u32, dst: u32) -> u64 {
-    ((src as u64) << 32) | dst as u64
 }
 
 /// The placed task DAG.
@@ -409,12 +425,8 @@ pub struct TaskGraph {
     /// The strings the tasks' [`TaskName`]s index.
     names: Arc<NameTable>,
     tasks: Vec<Task>,
-    /// `(src, dst)` precedence edges in insertion order, deduplicated.
+    /// `(src, dst)` precedence edges in insertion order, each once.
     edges: Vec<(u32, u32)>,
-    /// Dedup index over `edges`.
-    edge_set: FastSet<u64>,
-    /// When on, every `add_dep` call in order, before dedup.
-    dep_log: Option<Vec<(u32, u32)>>,
     /// Lazily-built CSR adjacency; cleared by any mutation.
     csr: OnceLock<Csr>,
     /// The buffers of the last cleared index, reused by the next
@@ -435,8 +447,6 @@ impl Clone for TaskGraph {
         self.reset_like(src);
         self.tasks.clone_from(&src.tasks);
         self.edges.clone_from(&src.edges);
-        self.edge_set.clone_from(&src.edge_set);
-        self.dep_log.clone_from(&src.dep_log);
         if let Some(c) = src.csr.get() {
             self.spare.succ_off.clone_from(&c.succ_off);
             self.spare.succ_idx.clone_from(&c.succ_idx);
@@ -498,8 +508,6 @@ impl TaskGraph {
         }
         self.tasks.clear();
         self.edges.clear();
-        self.edge_set.clear();
-        self.dep_log = None;
         self.invalidate();
     }
 
@@ -526,35 +534,33 @@ impl TaskGraph {
         id
     }
 
-    /// Adds a precedence edge `src -> dst`. Duplicate edges are ignored
-    /// (replica wiring naturally produces a few).
+    /// Adds a precedence edge `src -> dst`. Each edge must be added
+    /// once: building the index panics on a repeat (builder misuse, like
+    /// an out-of-range processor).
     pub fn add_dep(&mut self, src: TaskId, dst: TaskId) {
         assert!(src.index() < self.tasks.len() && dst.index() < self.tasks.len());
         assert_ne!(src, dst, "self-dependency on {src}");
-        if let Some(log) = &mut self.dep_log {
-            log.push((src.0, dst.0));
-        }
-        if self.edge_set.insert(edge_key(src.0, dst.0)) {
-            self.edges.push((src.0, dst.0));
-            self.invalidate();
-        }
+        self.edges.push((src.0, dst.0));
+        self.invalidate();
     }
 
-    /// Starts recording every later `add_dep` call, duplicates included
-    /// ([`TaskGraph::dep_log`]).
-    pub fn start_dep_log(&mut self) {
-        self.dep_log = Some(Vec::new());
-    }
-
-    /// The `add_dep` calls recorded since [`TaskGraph::start_dep_log`],
-    /// as `(src, dst)` in call order (empty when not recording).
-    pub fn dep_log(&self) -> &[(u32, u32)] {
-        self.dep_log.as_deref().unwrap_or(&[])
-    }
-
-    /// Stops recording and returns the recorded calls.
-    pub fn take_dep_log(&mut self) -> Vec<(u32, u32)> {
-        self.dep_log.take().unwrap_or_default()
+    /// Appends copies of `src`'s edges `range`, in order, with both ends
+    /// mapped through `remap` (a `src` task id to one of this graph's):
+    /// the edges of a segment a splice copies. The mapped ends are
+    /// bounds-checked once for the whole range.
+    pub fn copy_deps(&mut self, src: &TaskGraph, range: std::ops::Range<usize>, remap: &[u32]) {
+        let edges = &src.edges[range];
+        let mut top = 0;
+        self.edges.extend(edges.iter().map(|&(s, d)| {
+            let e = (remap[s as usize], remap[d as usize]);
+            top = top.max(e.0).max(e.1);
+            e
+        }));
+        assert!(
+            edges.is_empty() || (top as usize) < self.tasks.len(),
+            "copied edge to t{top} out of range"
+        );
+        self.invalidate();
     }
 
     /// Builds the adjacency index now, into the buffers of the last
@@ -563,8 +569,19 @@ impl TaskGraph {
     pub fn build_index(&mut self) {
         if self.csr.get().is_none() {
             let mut c = std::mem::take(&mut self.spare);
-            c.rebuild(self.tasks.len(), &self.edges);
+            self.check_no_repeat(c.rebuild(self.tasks.len(), &self.edges));
             let _ = self.csr.set(c);
+        }
+    }
+
+    /// Panics naming both tasks of a repeated edge.
+    fn check_no_repeat(&self, repeat: Option<(u32, u32)>) {
+        if let Some((s, d)) = repeat {
+            panic!(
+                "duplicate edge {} -> {} (t{s} -> t{d})",
+                self.task_name(TaskId(s)),
+                self.task_name(TaskId(d))
+            );
         }
     }
 
@@ -594,7 +611,7 @@ impl TaskGraph {
     fn csr(&self) -> &Csr {
         self.csr.get_or_init(|| {
             let mut c = Csr::default();
-            c.rebuild(self.tasks.len(), &self.edges);
+            self.check_no_repeat(c.rebuild(self.tasks.len(), &self.edges));
             c
         })
     }
@@ -709,13 +726,14 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_deps_ignored() {
+    #[should_panic(expected = "duplicate edge a -> b (t0 -> t1)")]
+    fn duplicate_edge_panics_when_indexed() {
         let mut tg = TaskGraph::new("t", 1, 0);
         let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
         let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
         tg.add_dep(a, b);
         tg.add_dep(a, b);
-        assert_eq!(tg.succs(a).len(), 1);
+        tg.build_index();
     }
 
     #[test]
@@ -854,20 +872,5 @@ mod tests {
                 assert_eq!(tg.preds(id), lazy.preds(id));
             }
         }
-    }
-
-    #[test]
-    fn dep_log_records_duplicates_in_call_order() {
-        let mut tg = TaskGraph::new("t", 1, 0);
-        let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
-        let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
-        tg.add_dep(a, b);
-        tg.start_dep_log();
-        tg.add_dep(b, a);
-        tg.add_dep(a, b);
-        assert_eq!(tg.dep_log(), &[(1, 0), (0, 1)]);
-        assert_eq!(tg.num_edges(), 2);
-        assert_eq!(tg.take_dep_log(), vec![(1, 0), (0, 1)]);
-        assert!(tg.dep_log().is_empty());
     }
 }

@@ -462,10 +462,13 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 report,
                 load,
             } = ps;
-            match moved {
-                Moved::Strategy(s2) => *placements = resolve_placements(self.g, c2, s2),
-                Moved::Group(ops, to) => {
-                    resolve_group_into(self.g, c2, self.log.placements(), ops, to, placements)
+            {
+                let _span = heterog_telemetry::span("resolve");
+                match moved {
+                    Moved::Strategy(s2) => *placements = resolve_placements(self.g, c2, s2),
+                    Moved::Group(ops, to) => {
+                        resolve_group_into(self.g, c2, self.log.placements(), ops, to, placements)
+                    }
                 }
             }
             let c2_caps;
@@ -497,6 +500,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 (reused, &self.capacities)
             };
             if limit < f64::INFINITY {
+                let _span = heterog_telemetry::span("bound");
                 let busiest = busiest_processor_load(tg, load);
                 if load_exceeds(busiest, limit) {
                     return Some(Bounded::Pruned(busiest));

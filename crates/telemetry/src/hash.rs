@@ -1,6 +1,5 @@
 //! The workspace's hasher for small integer keys on the evaluation
-//! path: the task graph's edge-dedup set (one insert per `add_dep`) and
-//! the fitted cost model's lookups (one per `op_time` and
+//! path: the fitted cost model's lookups (one per `op_time` and
 //! `transfer_time`). std's default SipHash is keyed against hash
 //! flooding, which these process-internal keys do not need, and costs
 //! several times more per call.
@@ -11,7 +10,7 @@
 //! deterministic (no per-process seed). No caller iterates these maps,
 //! so the hash order never reaches an output.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd 64-bit constant (the fractional part of the golden ratio).
@@ -74,12 +73,10 @@ pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 /// A `HashMap` hashed with [`FastHasher`].
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;
 
-/// A `HashSet` hashed with [`FastHasher`].
-pub type FastSet<T> = HashSet<T, FastBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of<T: Hash>(x: T) -> u64 {
@@ -95,8 +92,8 @@ mod tests {
 
     #[test]
     fn high_key_bits_reach_low_hash_bits() {
-        // Edge keys put the source in the high word: keys differing only
-        // there must still spread over a small table's buckets.
+        // Keys differing only in their high word must still spread over
+        // a small table's buckets.
         let mut buckets = HashSet::new();
         for src in 0..64u64 {
             buckets.insert(hash_of(src << 32) & 63);
@@ -114,7 +111,7 @@ mod tests {
         m.insert((1, 7), 0.5);
         assert_eq!(m.get(&(1, 7)), Some(&0.5));
         assert_eq!(m.get(&(7, 1)), None);
-        let mut s: FastSet<u64> = FastSet::default();
+        let mut s: HashSet<u64, FastBuildHasher> = HashSet::default();
         assert!(s.insert(9));
         assert!(!s.insert(9));
     }

@@ -6,13 +6,18 @@
 //! `splice_into` and compared with `compile_priced` task by task, edge
 //! by edge in insertion order and price-book entry by entry; a subset
 //! also goes through `IncrementalEvaluator::evaluate_perturbed`, whose
-//! report must equal `evaluate_with_policy`'s bit for bit.
+//! report must equal `evaluate_with_policy`'s bit for bit. Splices copy
+//! a segment's edges as one range, which is sound because every
+//! lowering (plain, pipelined and multi-iteration) adds each edge once.
+
+use std::collections::HashSet;
 
 use heterog_agent::{actions_to_strategy, ActionSpace, HeteroGPlanner};
-use heterog_cluster::{paper_testbed_8gpu, Cluster, LinkKind};
+use heterog_cluster::{paper_testbed_12gpu, paper_testbed_8gpu, Cluster, DeviceId, LinkKind};
 use heterog_compile::{
-    compile_logged, compile_priced, resolve_placements, splice_into, PriceBook, SpliceBase,
-    SpliceScratch, Strategy,
+    compile_iterations, compile_logged, compile_pipelined, compile_priced, resolve_placements,
+    splice_into, CommMethod, CompileOptions, OpStrategy, PriceBook, SpliceBase, SpliceScratch,
+    Strategy,
 };
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
@@ -257,4 +262,61 @@ fn cluster_and_strategy_moves_match_full_evaluation_on_a_slowed_nic() {
             .all(|m| matches!(m, EvalMode::Spliced | EvalMode::Full)),
         "{modes:?}"
     );
+}
+
+/// A seeded strategy of runs of ops (1 to 8 long) sharing one choice
+/// among MP on any device, EV and CP with PS or AllReduce, and even or
+/// proportional sharding.
+fn mixed_strategy(num_ops: usize, cluster: &Cluster, rng: &mut SplitMix64) -> Strategy {
+    let m = cluster.num_devices() as u64;
+    let mut per_op = Vec::with_capacity(num_ops);
+    while per_op.len() < num_ops {
+        let s = match rng.below(m + 6) {
+            0 => OpStrategy::even(cluster, CommMethod::Ps),
+            1 => OpStrategy::even(cluster, CommMethod::AllReduce),
+            2 => OpStrategy::proportional(cluster, CommMethod::Ps),
+            3 => OpStrategy::proportional(cluster, CommMethod::AllReduce),
+            4 => OpStrategy::shard_even(cluster, 0),
+            5 => OpStrategy::shard_proportional(cluster, 0),
+            d => OpStrategy::Mp(DeviceId((d - 6) as u32)),
+        };
+        let run = (1 + rng.below(8) as usize).min(num_ops - per_op.len());
+        per_op.extend(std::iter::repeat_n(s, run));
+    }
+    Strategy::from_per_op(per_op)
+}
+
+/// `tg` indexes without a repeated edge, and its edge count is the
+/// number of distinct pairs.
+fn assert_each_edge_once(tg: &mut TaskGraph, what: &str) {
+    tg.build_index();
+    let distinct: HashSet<_> = tg.edges().collect();
+    assert_eq!(tg.num_edges(), distinct.len(), "{what}: repeated edges");
+}
+
+#[test]
+fn lowering_emits_each_edge_once() {
+    let cost = &GroundTruthCost;
+    let mut rng = SplitMix64::new(23);
+    for cluster in [paper_testbed_8gpu(), paper_testbed_12gpu()] {
+        let m = cluster.num_devices();
+        for model in BenchmarkModel::all() {
+            let g = ModelSpec::new(model, model.default_batch_8gpu()).build();
+            for k in 0..2 {
+                let s = mixed_strategy(g.len(), &cluster, &mut rng);
+                let what = format!("{} on {m} GPUs, strategy {k}", g.name);
+                assert_each_edge_once(&mut compile_priced(&g, &cluster, cost, &s).0, &what);
+            }
+            let s = mixed_strategy(g.len(), &cluster, &mut rng);
+            let opts = CompileOptions::default();
+            for micros in [2, 4] {
+                let what = format!("{} on {m} GPUs, {micros} micro-batches", g.name);
+                let mut tg = compile_pipelined(&g, &cluster, cost, &s, opts, micros);
+                assert_each_edge_once(&mut tg, &what);
+            }
+            let what = format!("{} on {m} GPUs, 2 iterations", g.name);
+            let mut tg = compile_iterations(&g, &cluster, cost, &s, opts, 2);
+            assert_each_edge_once(&mut tg, &what);
+        }
+    }
 }
