@@ -4,8 +4,8 @@
 //! configured [`RepairPolicy`].
 //!
 //! Recovery accounting is deterministic: repair effort is measured in
-//! fresh strategy evaluations (`repair_evals`, via the process-global
-//! evaluation counter), converted into stalled iterations by the
+//! fresh strategy evaluations (`repair_evals`, counted over the repair
+//! alone by `count_evaluations`), converted into stalled iterations by the
 //! `evals_per_iteration` control-plane throughput model. Wall-clock
 //! repair latency goes to the recovery-seconds telemetry histogram
 //! only — never into the report, so same-seed runs are byte-identical.
@@ -16,8 +16,8 @@ use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::OrderPolicy;
 use heterog_strategies::{
-    eval_stats, evaluate_with_policy, migrate_replicas, rebalance_replicas, switch_comm, DeviceMap,
-    Evaluation, IncrementalEvaluator, Perturbation, Planner,
+    count_evaluations, evaluate_with_policy, migrate_replicas, rebalance_replicas, switch_comm,
+    DeviceMap, Evaluation, IncrementalEvaluator, Perturbation, Planner,
 };
 
 use crate::fault::{FaultEvent, FaultScript};
@@ -190,18 +190,20 @@ pub fn elastic_run(
                     IncrementalEvaluator::new(g, &cost, state.cluster(), &strategy, &opts.order);
                 degraded_makespan = evaluator.base().iteration_time;
 
-                let evals_before = eval_stats().evaluations;
                 let started = std::time::Instant::now();
-                let (repaired_strategy, action) = repair(
-                    g, &state, cost, planner, &evaluator, &strategy, &applied, opts,
-                );
-                repaired_strategy
-                    .validate(state.cluster())
-                    .expect("repair produced a strategy referencing missing devices");
-                let (repaired, _) =
-                    evaluator.evaluate_perturbed(Perturbation::Strategy(&repaired_strategy));
+                let ((repaired_strategy, action, repaired), repair_evals) =
+                    count_evaluations(|| {
+                        let (repaired_strategy, action) = repair(
+                            g, &state, cost, planner, &evaluator, &strategy, &applied, opts,
+                        );
+                        repaired_strategy
+                            .validate(state.cluster())
+                            .expect("repair produced a strategy referencing missing devices");
+                        let (repaired, _) = evaluator
+                            .evaluate_perturbed(Perturbation::Strategy(&repaired_strategy));
+                        (repaired_strategy, action, repaired)
+                    });
                 RECOVERY_SECONDS.observe(started.elapsed().as_secs_f64());
-                let repair_evals = eval_stats().evaluations - evals_before;
                 let stall = if opts.evals_per_iteration == 0 {
                     0
                 } else {

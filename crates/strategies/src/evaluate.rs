@@ -29,6 +29,15 @@ static EVAL_NANOS: AtomicU64 = AtomicU64::new(0);
 pub(crate) fn record_evaluation(nanos: u64) {
     EVAL_COUNT.fetch_add(1, Ordering::Relaxed);
     EVAL_NANOS.fetch_add(nanos, Ordering::Relaxed);
+    heterog_telemetry::tally::bump();
+}
+
+/// Runs `f` and returns its result with the number of strategy
+/// evaluations it ran, the ones on pool workers included. Unlike a
+/// before/after difference of [`eval_stats`], evaluations that other
+/// threads run meanwhile are not counted.
+pub fn count_evaluations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    heterog_telemetry::tally::tally(f)
 }
 
 /// Process-wide planner-loop statistics (always on, cheap relaxed

@@ -6,7 +6,7 @@
 //! Chrome/Perfetto trace JSON and a plain JSON snapshot. Since it sits
 //! below every other crate, it also holds the workspace's one JSON
 //! reader and writer ([`json`]), its seeded generators ([`rng`]), its
-//! worker pool ([`par`]), its hasher for integer keys ([`hash`]) and its
+//! worker pool ([`par`]), its per-run counts ([`tally`]), its hasher for integer keys ([`hash`]) and its
 //! poison-free [`lock`].
 //!
 //! ## Design
@@ -39,6 +39,7 @@ pub mod rng;
 pub mod snapshot;
 pub mod span;
 mod sync;
+pub mod tally;
 
 pub use export::{
     chrome_span_events, chrome_trace, json_snapshot, merge_chrome_traces, prometheus_text,

@@ -8,7 +8,8 @@
 //! process, so thread-local scratch (the incremental evaluator's
 //! simulator buffers) survives between calls. Items are claimed one at
 //! a time from a shared counter and each result lands in its input
-//! slot.
+//! slot. A worker counts its items in the caller's open
+//! [`crate::tally`]s.
 //!
 //! The thread count, caller included, is `RAYON_NUM_THREADS` when set
 //! to a positive integer (the variable's name is kept from the pool
@@ -140,13 +141,16 @@ where
         *slots[i].lock().expect("a result slot is written once") = Some(r);
     };
     let latch = Arc::new(Latch::default());
+    let open = crate::tally::open();
     let panicked = {
         let guard = WaitOnDrop(Arc::clone(&latch));
         let work = &work;
         for _ in 0..helpers {
             let done = Arc::clone(&latch);
+            let open = open.clone();
             let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let panicked = catch_unwind(AssertUnwindSafe(work)).is_err();
+                let panicked =
+                    crate::tally::with_open(open, || catch_unwind(AssertUnwindSafe(work)).is_err());
                 done.finish(panicked);
             });
             // SAFETY: the job borrows `work`, and through it `items`, `f`,
