@@ -175,7 +175,7 @@ impl HeteroGPlanner {
                 }
                 visited += 1;
                 heterog_events::emit_with(|| {
-                    let stats = heterog_strategies::eval_stats();
+                    let stats = heterog_strategies::run_eval_stats();
                     heterog_events::EventKind::SearchIteration {
                         pass: pass as u64,
                         visited,

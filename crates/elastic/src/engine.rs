@@ -191,7 +191,7 @@ pub fn elastic_run(
                 degraded_makespan = evaluator.base().iteration_time;
 
                 let started = std::time::Instant::now();
-                let ((repaired_strategy, action, repaired), repair_evals) =
+                let ((repaired_strategy, action, repaired), repair_stats) =
                     count_evaluations(|| {
                         let (repaired_strategy, action) = repair(
                             g, &state, cost, planner, &evaluator, &strategy, &applied, opts,
@@ -204,6 +204,7 @@ pub fn elastic_run(
                         (repaired_strategy, action, repaired)
                     });
                 RECOVERY_SECONDS.observe(started.elapsed().as_secs_f64());
+                let repair_evals = repair_stats.evaluations;
                 let stall = if opts.evals_per_iteration == 0 {
                     0
                 } else {

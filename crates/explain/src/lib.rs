@@ -26,6 +26,7 @@ use heterog_compile::Strategy;
 use heterog_graph::Graph;
 use heterog_sched::{OrderPolicy, TaskGraph};
 use heterog_sim::SimReport;
+use heterog_strategies::EvalStats;
 use heterog_telemetry::{Counter, Gauge, Histogram};
 
 pub mod attribution;
@@ -66,73 +67,6 @@ pub(crate) static BEST_WHATIF_DELTA: Gauge = Gauge::new(
     "heterog_explain_best_whatif_delta_seconds",
     "Predicted makespan improvement of the best-ranked intervention",
 );
-
-/// Planner-loop health counters surfaced in the report footer. Filled
-/// from `heterog_strategies`' process-global statistics, which are
-/// always on — visible without `HETEROG_TELEMETRY=1`.
-#[derive(Debug, Clone, Default)]
-pub struct EvalStatsSnapshot {
-    /// Strategy evaluations (compile + simulate) this process ran.
-    pub evaluations: u64,
-    /// Wall time spent inside evaluations, seconds.
-    pub eval_seconds: f64,
-    /// Evaluations served from an `EvalCache`.
-    pub cache_hits: u64,
-    /// Evaluations computed on cache miss.
-    pub cache_misses: u64,
-    /// Whole evaluation contexts evicted when a cache hit capacity.
-    pub cache_evictions: u64,
-    /// Perturbed evaluations served by an incremental fast path.
-    pub incremental_fast: u64,
-    /// Perturbed evaluations that fell back to a full compile+simulate.
-    pub incremental_full: u64,
-}
-
-impl EvalStatsSnapshot {
-    /// Evaluation throughput (0 when no time was recorded).
-    pub fn evals_per_sec(&self) -> f64 {
-        if self.eval_seconds > 0.0 {
-            self.evaluations as f64 / self.eval_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Cache hit rate over all cached lookups (0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        let total = (self.cache_hits + self.cache_misses) as f64;
-        if total > 0.0 {
-            self.cache_hits as f64 / total
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of perturbed evaluations served incrementally (0 when
-    /// none were attempted).
-    pub fn incremental_hit_rate(&self) -> f64 {
-        let total = (self.incremental_fast + self.incremental_full) as f64;
-        if total > 0.0 {
-            self.incremental_fast as f64 / total
-        } else {
-            0.0
-        }
-    }
-}
-
-impl From<heterog_strategies::evaluate::EvalStats> for EvalStatsSnapshot {
-    fn from(s: heterog_strategies::evaluate::EvalStats) -> Self {
-        EvalStatsSnapshot {
-            evaluations: s.evaluations,
-            eval_seconds: s.eval_seconds,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            cache_evictions: s.cache_evictions,
-            incremental_fast: s.incremental_fast,
-            incremental_full: s.incremental_full,
-        }
-    }
-}
 
 /// Knobs for [`explain`].
 #[derive(Debug, Clone)]
@@ -189,8 +123,9 @@ pub struct ExplainReport {
     pub stragglers: StragglerReport,
     /// Ranked what-if outcomes (empty when disabled).
     pub whatif: Vec<WhatIfOutcome>,
-    /// Planner-loop health for the footer.
-    pub eval_stats: EvalStatsSnapshot,
+    /// Planner-loop health for the footer: the run's own counts
+    /// ([`heterog_strategies::run_eval_stats`]), always on.
+    pub eval_stats: EvalStats,
 }
 
 impl ExplainReport {
@@ -273,7 +208,7 @@ pub fn explain(
         devices,
         stragglers,
         whatif,
-        eval_stats: heterog_strategies::evaluate::eval_stats().into(),
+        eval_stats: heterog_strategies::run_eval_stats(),
     }
 }
 

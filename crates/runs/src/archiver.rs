@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use heterog_events::{Event, EventKind, EventSink, RunManifest};
-use heterog_telemetry::lock;
+use heterog_telemetry::{lock, TelemetrySnapshot};
 
 use crate::store::{allocate_run_id, RunParts, RunStore, StoredEvaluation, FLIGHT_FILE};
 
@@ -24,6 +24,7 @@ struct Shared {
     manifest: RunManifest,
     digest_json: Mutex<Option<String>>,
     evaluation: Mutex<Option<StoredEvaluation>>,
+    telemetry_json: Mutex<Option<String>>,
     finished: AtomicBool,
     archived: Mutex<Option<PathBuf>>,
 }
@@ -44,6 +45,7 @@ impl ArchiveHandle {
             manifest,
             digest_json: Mutex::new(None),
             evaluation: Mutex::new(None),
+            telemetry_json: Mutex::new(None),
             finished: AtomicBool::new(false),
             archived: Mutex::new(None),
         }))
@@ -69,12 +71,7 @@ impl ArchiveHandle {
 
     /// Attaches the final plan's [`heterog_explain::ReportDigest`].
     pub fn set_digest(&self, digest: &heterog_explain::ReportDigest) {
-        self.set_digest_json(digest.to_json());
-    }
-
-    /// Attaches a pre-serialized digest verbatim (stored bit-identically).
-    pub fn set_digest_json(&self, json: String) {
-        *lock(&self.0.digest_json) = Some(json);
+        *lock(&self.0.digest_json) = Some(digest.to_json());
     }
 
     /// Attaches the terminal evaluation.
@@ -82,11 +79,18 @@ impl ArchiveHandle {
         *lock(&self.0.evaluation) = Some(eval);
     }
 
-    /// Marks the run terminal and emits the closing
-    /// [`EventKind::RunFinished`] event. Call this after the last
-    /// result is known and *before* draining the pump: the archiver
-    /// only writes for runs that reached this point.
+    /// Marks the run terminal, captures the run's counts
+    /// ([`heterog_telemetry::tally::current`]) for `telemetry.json` and
+    /// emits the closing [`EventKind::RunFinished`] event. Call this on
+    /// the run's thread, after the last result is known and *before*
+    /// draining the pump: the archiver only writes for runs that reached
+    /// this point.
     pub fn mark_finished(&self, outcome: &str, makespan: f64, oom: bool) {
+        let counts = TelemetrySnapshot {
+            counters: heterog_telemetry::tally::current(),
+            ..TelemetrySnapshot::default()
+        };
+        *lock(&self.0.telemetry_json) = Some(heterog_telemetry::json_snapshot(&counts));
         self.0.finished.store(true, Ordering::SeqCst);
         heterog_events::emit(EventKind::RunFinished {
             outcome: outcome.to_string(),
@@ -146,9 +150,7 @@ impl EventSink for RunArchiver {
             lines: std::mem::take(&mut self.lines),
             digest_json: lock(&shared.digest_json).clone(),
             evaluation: lock(&shared.evaluation).clone(),
-            telemetry_json: Some(heterog_telemetry::json_snapshot(
-                &heterog_telemetry::snapshot(),
-            )),
+            telemetry_json: lock(&shared.telemetry_json).take(),
         };
         let store = RunStore::open(shared.root.clone());
         match store.archive(&parts) {
@@ -235,5 +237,31 @@ mod tests {
         let eval = std::fs::read_to_string(dir.join(crate::store::EVALUATION_FILE)).unwrap();
         std::fs::remove_dir_all(&root).ok();
         assert!(eval.contains("\"makespan\": 0.5"));
+    }
+
+    #[test]
+    fn telemetry_holds_the_scope_counts_at_mark_finished() {
+        static OUTCOMES: heterog_telemetry::Counter =
+            heterog_telemetry::Counter::always("heterog_test_archiver_outcomes_total", "test");
+        let root = temp_root("scope");
+        std::fs::remove_dir_all(&root).ok();
+        let handle = ArchiveHandle::new(&root, RunManifest::default());
+        OUTCOMES.add(5);
+        heterog_telemetry::tally::tally(|| {
+            OUTCOMES.add(2);
+            handle.mark_finished("ok", 0.5, false);
+            OUTCOMES.add(7);
+        });
+        let mut sink = RunArchiver::new(handle.clone());
+        sink.finish();
+        let dir = handle.archived_to().expect("flagged run must archive");
+        let text = std::fs::read_to_string(dir.join(crate::store::TELEMETRY_FILE)).unwrap();
+        std::fs::remove_dir_all(&root).ok();
+        let v = heterog_telemetry::json::parse(&text).expect("telemetry.json parses");
+        assert_eq!(
+            v["counters"]["heterog_test_archiver_outcomes_total"].as_u64(),
+            Some(2)
+        );
+        assert_eq!(v["spans"].as_array().map(|s| s.len()), Some(0));
     }
 }

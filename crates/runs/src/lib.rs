@@ -8,7 +8,7 @@
 //!   events.jsonl      # manifest header + full event stream (+ gap markers)
 //!   digest.json       # heterog-explain ReportDigest of the final plan
 //!   evaluation.json   # terminal outcome: makespan, OOM, throughput
-//!   telemetry.json    # counter/timer snapshot at archive time
+//!   telemetry.json    # the run's own evaluation counts at mark_finished
 //!   flight.json       # only present when the flight recorder dumped
 //! ```
 //!

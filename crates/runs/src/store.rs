@@ -11,7 +11,8 @@
 //!   This is what `runs diff` compares.
 //! * `evaluation.json` — the terminal [`StoredEvaluation`]: outcome,
 //!   makespan, throughput, wall time.
-//! * `telemetry.json` — a full telemetry snapshot at archive time.
+//! * `telemetry.json` — the run's own always-on counts (evaluations,
+//!   cache and incremental outcomes, ...) when it was marked finished.
 //! * `flight.json` — present only when the flight recorder fired
 //!   (panic, injected fault, or `--flight-out` routed here).
 //!
@@ -149,7 +150,7 @@ pub struct RunParts {
     pub digest_json: Option<String>,
     /// Terminal evaluation, when the command produced one.
     pub evaluation: Option<StoredEvaluation>,
-    /// Telemetry snapshot JSON, when captured.
+    /// The run's counts as telemetry-snapshot JSON, when captured.
     pub telemetry_json: Option<String>,
 }
 

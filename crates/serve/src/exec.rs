@@ -157,7 +157,10 @@ impl Engine {
     /// observed at dequeue time — the degradation signal.
     pub fn execute(&self, job: &Job, queue_depth: usize) {
         job.set_running();
-        match catch_unwind(AssertUnwindSafe(|| self.run(job, queue_depth))) {
+        // One tally scope per job: its explain footer, search events and
+        // archive count this job's evaluations, not the daemon's.
+        let run = || heterog_telemetry::tally::tally(|| self.run(job, queue_depth)).0;
+        match catch_unwind(AssertUnwindSafe(run)) {
             Ok(result) => {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
                 JOBS_COMPLETED.inc();

@@ -14,7 +14,9 @@
 //! pairs and compare strategies by equality, so hash collisions can
 //! never return a wrong evaluation. The map is guarded by a `Mutex` and
 //! hit/miss counters are atomic: batched rollouts probe it from pool
-//! workers concurrently. Misses are computed *outside* the lock —
+//! workers concurrently. Each outcome also counts once in an always-on
+//! counter shared by all caches ([`crate::EvalStats`]). Misses are
+//! computed *outside* the lock —
 //! concurrent misses on the same key may both evaluate (the pipeline is
 //! deterministic, so both compute the identical value and the second
 //! insert is a no-op).
@@ -49,36 +51,22 @@ use heterog_compile::Strategy;
 use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::OrderPolicy;
+use heterog_telemetry::Counter;
 
 use crate::evaluate::{evaluate_with_policy, Evaluation};
 
-static CACHE_HITS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
+pub(crate) static HITS: Counter = Counter::always(
     "heterog_strategies_eval_cache_hits_total",
     "Strategy evaluations served from the cache",
 );
-static CACHE_MISSES: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
+pub(crate) static MISSES: Counter = Counter::always(
     "heterog_strategies_eval_cache_misses_total",
     "Strategy evaluations computed on cache miss",
 );
-static CACHE_EVICTIONS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
+pub(crate) static EVICTIONS: Counter = Counter::always(
     "heterog_strategies_eval_cache_evicted_contexts_total",
     "Whole evaluation contexts evicted when the cache hit capacity",
 );
-
-// Process-global totals across every cache instance, always on (not
-// gated on `HETEROG_TELEMETRY`) — surfaced by explain-report footers
-// via [`crate::evaluate::eval_stats`].
-static GLOBAL_HITS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_MISSES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn global_cache_totals() -> (u64, u64, u64) {
-    (
-        GLOBAL_HITS.load(Ordering::Relaxed),
-        GLOBAL_MISSES.load(Ordering::Relaxed),
-        GLOBAL_EVICTIONS.load(Ordering::Relaxed),
-    )
-}
 
 /// Contexts a default-constructed cache holds before evicting. One
 /// context per (graph, cluster fingerprint, order policy); a planner
@@ -204,8 +192,7 @@ impl EvalCache {
         let key = full_key(ctx, strategy);
         if let Some(hit) = self.lookup(ctx, key, strategy) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-            CACHE_HITS.inc();
+            HITS.inc();
             return hit;
         }
         // Compute outside the lock: evaluations are orders of magnitude
@@ -213,8 +200,7 @@ impl EvalCache {
         // a racing duplicate computation is wasteful but never wrong.
         let eval = evaluate_with_policy(g, cluster, cost, strategy, policy);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-        CACHE_MISSES.inc();
+        MISSES.inc();
         let mut inner = self.shard(ctx);
         if !inner.ctx_keys.contains_key(&ctx) {
             while inner.ctx_order.len() >= self.capacity {
@@ -222,8 +208,7 @@ impl EvalCache {
                 for k in inner.ctx_keys.remove(&oldest).unwrap_or_default() {
                     inner.map.remove(&k);
                 }
-                CACHE_EVICTIONS.inc();
-                GLOBAL_EVICTIONS.fetch_add(1, Ordering::Relaxed);
+                EVICTIONS.inc();
             }
             inner.ctx_order.push_back(ctx);
         }

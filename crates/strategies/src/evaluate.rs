@@ -5,7 +5,6 @@
 //! overflow").
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use heterog_cluster::Cluster;
@@ -14,38 +13,32 @@ use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::OrderPolicy;
 use heterog_sim::{simulate_into, SimReport, SimScratch};
+use heterog_telemetry::{tally, Counter};
 
-static EVALUATIONS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
+// Each outcome is one always-on counter: it is the process-wide metric
+// and also counts in every open `tally` scope, the run's own count.
+static EVALUATIONS: Counter = Counter::always(
     "heterog_strategies_evaluations_total",
     "Strategy evaluations (compile + simulate) performed",
 );
+static EVAL_NANOS: Counter = Counter::always(
+    "heterog_strategies_evaluation_nanoseconds_total",
+    "Wall time spent inside strategy evaluations, nanoseconds",
+);
 
-// Process-global planner-loop counters. Unlike the telemetry statics
-// above these are NOT gated on `HETEROG_TELEMETRY`: explain-report
-// footers surface them unconditionally.
-static EVAL_COUNT: AtomicU64 = AtomicU64::new(0);
-static EVAL_NANOS: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn record_evaluation(nanos: u64) {
-    EVAL_COUNT.fetch_add(1, Ordering::Relaxed);
-    EVAL_NANOS.fetch_add(nanos, Ordering::Relaxed);
-    heterog_telemetry::tally::bump();
+/// Runs `f` and returns its result with the evaluation outcomes it
+/// counted, on pool workers too, but not those of other threads.
+pub fn count_evaluations<R>(f: impl FnOnce() -> R) -> (R, EvalStats) {
+    let (r, t) = tally::tally(f);
+    (r, EvalStats::read(|c| t.get(c)))
 }
 
-/// Runs `f` and returns its result with the number of strategy
-/// evaluations it ran, the ones on pool workers included. Unlike a
-/// before/after difference of [`eval_stats`], evaluations that other
-/// threads run meanwhile are not counted.
-pub fn count_evaluations<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    heterog_telemetry::tally::tally(f)
-}
-
-/// Process-wide planner-loop statistics (always on, cheap relaxed
-/// atomics): evaluation count and wall time across every planner and
-/// thread, plus global [`crate::EvalCache`] hit/miss totals.
+/// Planner-loop statistics (always on): evaluation count and wall time,
+/// plus [`crate::EvalCache`] and [`crate::IncrementalEvaluator`] outcomes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EvalStats {
-    /// Strategy evaluations (compile + simulate) this process ran.
+    /// Strategy evaluations (compile + simulate), an incremental
+    /// evaluator's base builds included.
     pub evaluations: u64,
     /// Wall time spent inside evaluations, seconds.
     pub eval_seconds: f64,
@@ -65,31 +58,57 @@ pub struct EvalStats {
 }
 
 impl EvalStats {
+    /// The outcome counters, each read through `get`.
+    fn read(get: impl Fn(&'static Counter) -> u64) -> EvalStats {
+        use crate::{cache, incremental};
+        EvalStats {
+            evaluations: get(&EVALUATIONS),
+            eval_seconds: get(&EVAL_NANOS) as f64 * 1e-9,
+            cache_hits: get(&cache::HITS),
+            cache_misses: get(&cache::MISSES),
+            cache_evictions: get(&cache::EVICTIONS),
+            incremental_fast: get(&incremental::FAST),
+            incremental_full: get(&incremental::FULL),
+        }
+    }
+
+    /// Evaluation throughput (0 when no time was recorded).
+    pub fn evals_per_sec(&self) -> f64 {
+        ratio(self.evaluations as f64, self.eval_seconds)
+    }
+
+    /// Cache hit rate over all cached lookups (0 when unused).
+    pub fn hit_rate(&self) -> f64 {
+        let lookups = self.cache_hits + self.cache_misses;
+        ratio(self.cache_hits as f64, lookups as f64)
+    }
+
     /// Fraction of perturbed evaluations served incrementally; 0 when
     /// none were attempted.
     pub fn incremental_hit_rate(&self) -> f64 {
         let total = self.incremental_fast + self.incremental_full;
-        if total == 0 {
-            0.0
-        } else {
-            self.incremental_fast as f64 / total as f64
-        }
+        ratio(self.incremental_fast as f64, total as f64)
     }
 }
 
-/// Snapshots the process-global planner-loop statistics.
-pub fn eval_stats() -> EvalStats {
-    let (hits, misses, evictions) = crate::cache::global_cache_totals();
-    let (incremental_fast, incremental_full) = crate::incremental::incremental_totals();
-    EvalStats {
-        evaluations: EVAL_COUNT.load(Ordering::Relaxed),
-        eval_seconds: EVAL_NANOS.load(Ordering::Relaxed) as f64 * 1e-9,
-        cache_hits: hits,
-        cache_misses: misses,
-        cache_evictions: evictions,
-        incremental_fast,
-        incremental_full,
+/// `num / den`, or 0 when `den` is not positive.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
     }
+}
+
+/// The process-wide planner-loop statistics, every thread and run.
+pub fn eval_stats() -> EvalStats {
+    EvalStats::read(|c| c.get())
+}
+
+/// The current run's planner-loop statistics: the innermost open
+/// [`tally`] scope's, or the process's when none is open.
+pub fn run_eval_stats() -> EvalStats {
+    EvalStats::read(tally::read)
 }
 
 /// Outcome of evaluating one strategy.
@@ -167,7 +186,7 @@ pub fn evaluate_with_policy<C: CostEstimator>(
 /// emits its `StrategyEvaluated` event.
 pub(crate) fn count_full_evaluation(started: Instant, eval: &Evaluation) {
     EVALUATIONS.inc();
-    record_evaluation(started.elapsed().as_nanos() as u64);
+    EVAL_NANOS.add(started.elapsed().as_nanos() as u64);
     heterog_events::emit_with(|| heterog_events::EventKind::StrategyEvaluated {
         makespan: eval.iteration_time,
         oom: eval.oom,

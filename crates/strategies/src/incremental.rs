@@ -32,13 +32,13 @@
 //! back to the full pipeline and reports [`EvalMode::Full`].
 //!
 //! Fast-path evaluations intentionally do **not** count toward
-//! [`crate::eval_stats`]'s `evaluations`/`eval_seconds` (those meter
-//! full compile+simulate runs); they are tallied separately in
+//! [`crate::EvalStats`]'s `evaluations`/`eval_seconds` (those meter
+//! full compile+simulate runs, the base build included); they count as
 //! `incremental_fast` / `incremental_full` so report footers can show
-//! the hit rate. Pruned candidates count in neither; they are tallied
-//! by the gated `heterog_strategies_pruned_evals_total` counter.
+//! the hit rate. Pruned candidates count in neither, only in
+//! `heterog_strategies_pruned_evals_total`. All are always-on counters
+//! that a run reads in its own scope ([`crate::run_eval_stats`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -54,37 +54,22 @@ use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph};
 use heterog_sim::{
     makespan_bound_into, resimulate_into, simulate_into, simulate_uncounted, SimReport, SimScratch,
 };
-use heterog_telemetry::lock;
+use heterog_telemetry::{lock, Counter};
 
-use crate::evaluate::{count_full_evaluation, evaluate_with_policy, record_evaluation, Evaluation};
+use crate::evaluate::{count_full_evaluation, evaluate_with_policy, Evaluation};
 
-static INCREMENTAL_EVALS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
+pub(crate) static FAST: Counter = Counter::always(
     "heterog_strategies_incremental_evals_total",
     "Perturbed evaluations served by an incremental fast path",
 );
-
-static PRUNED_EVALS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
-    "heterog_strategies_pruned_evals_total",
-    "Perturbed evaluations left unsimulated because a lower bound on their iteration time exceeded the limit",
-);
-
-static INCREMENTAL_FALLBACKS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
+pub(crate) static FULL: Counter = Counter::always(
     "heterog_strategies_incremental_fallbacks_total",
     "Perturbed evaluations that fell back to a full compile + simulate",
 );
-
-// Always-on process totals (like EVAL_COUNT in `evaluate`): explain
-// footers surface the incremental hit rate unconditionally.
-static INC_FAST: AtomicU64 = AtomicU64::new(0);
-static INC_FULL: AtomicU64 = AtomicU64::new(0);
-
-/// (fast-path evals, full fallbacks) across the whole process.
-pub(crate) fn incremental_totals() -> (u64, u64) {
-    (
-        INC_FAST.load(Ordering::Relaxed),
-        INC_FULL.load(Ordering::Relaxed),
-    )
-}
+static PRUNED: Counter = Counter::always(
+    "heterog_strategies_pruned_evals_total",
+    "Perturbed evaluations left unsimulated because a lower bound on their iteration time exceeded the limit",
+);
 
 /// A deployment change relative to an [`IncrementalEvaluator`]'s base.
 ///
@@ -271,11 +256,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             oom: report.memory.any_oom(),
             report,
         };
-        record_evaluation(started.elapsed().as_nanos() as u64);
-        heterog_events::emit_with(|| heterog_events::EventKind::StrategyEvaluated {
-            makespan: base.iteration_time,
-            oom: base.oom,
-        });
+        count_full_evaluation(started, &base);
         IncrementalEvaluator {
             g,
             cost,
@@ -296,19 +277,9 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         &self.base
     }
 
-    /// The base cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     /// The base strategy.
     pub fn strategy(&self) -> &Strategy {
         &self.strategy
-    }
-
-    /// The base order policy.
-    pub fn policy(&self) -> &OrderPolicy {
-        &self.policy
     }
 
     /// Re-anchors the evaluator on a new base deployment (full compile +
@@ -356,20 +327,16 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     fn evaluate_within(&self, p: Perturbation<'_>, limit: f64) -> Bounded {
         let out = self.dispatch(p, limit);
         match &out {
-            Bounded::Pruned(_) => PRUNED_EVALS.inc(),
+            Bounded::Pruned(_) => PRUNED.inc(),
             Bounded::Evaluated(eval, mode) if mode.is_fast() => {
-                INC_FAST.fetch_add(1, Ordering::Relaxed);
-                INCREMENTAL_EVALS.inc();
+                FAST.inc();
                 // `Full` already emitted inside `evaluate_with_policy`.
                 heterog_events::emit_with(|| heterog_events::EventKind::StrategyEvaluated {
                     makespan: eval.iteration_time,
                     oom: eval.oom,
                 });
             }
-            Bounded::Evaluated(..) => {
-                INC_FULL.fetch_add(1, Ordering::Relaxed);
-                INCREMENTAL_FALLBACKS.inc();
-            }
+            Bounded::Evaluated(..) => FULL.inc(),
         }
         out
     }
@@ -731,20 +698,17 @@ mod tests {
         let pol = OrderPolicy::RankBased;
         let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &pol);
         let c2 = c.with_scaled_link(Some(LinkKind::Pcie), 0.5);
-        let before = crate::eval_stats();
-        let (fast_before, _) = incremental_totals();
-        let (_, mode) = ev.evaluate_perturbed(Perturbation::Cluster(&c2));
+        let ((_, mode), stats) =
+            crate::count_evaluations(|| ev.evaluate_perturbed(Perturbation::Cluster(&c2)));
         assert!(mode.is_fast());
-        let after = crate::eval_stats();
-        let (fast_after, _) = incremental_totals();
-        assert!(fast_after > fast_before);
-        assert!(after.incremental_fast > before.incremental_fast);
-        // Other tests run concurrently, so only check this thread did
-        // not add a *full* evaluation through the fast path: the
-        // incremental counter moved without a matching fallback.
         assert_eq!(
-            after.incremental_full, before.incremental_full,
-            "fast path must not fall back"
+            (
+                stats.incremental_fast,
+                stats.incremental_full,
+                stats.evaluations
+            ),
+            (1, 0, 0),
+            "a fast path counts once as fast and never as a full evaluation"
         );
     }
 

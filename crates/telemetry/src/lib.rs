@@ -6,8 +6,8 @@
 //! Chrome/Perfetto trace JSON and a plain JSON snapshot. Since it sits
 //! below every other crate, it also holds the workspace's one JSON
 //! reader and writer ([`json`]), its seeded generators ([`rng`]), its
-//! worker pool ([`par`]), its per-run counts ([`tally`]), its hasher for integer keys ([`hash`]) and its
-//! poison-free [`lock`].
+//! worker pool ([`par`]), its per-run counts ([`tally`]), its hasher
+//! for integer keys ([`hash`]) and its poison-free [`lock`].
 //!
 //! ## Design
 //!
@@ -19,6 +19,10 @@
 //!   `AtomicBool` load and returns. The planner search loops call these
 //!   millions of times, so this is the load-bearing property (asserted
 //!   by `disabled_counter_overhead_is_negligible`).
+//! * **Always-on counters for what a run spent.** A [`Counter::always`]
+//!   records with telemetry off too and also counts in every open
+//!   [`tally`] scope: one static per planner outcome serves both the
+//!   process-wide metric and the count of the run that spent it.
 //! * **Thread-safe.** All recording paths take `&'static self` and
 //!   synchronize with atomics (metrics) or a `std::sync::Mutex` (spans),
 //!   so planner workers can record from any thread.

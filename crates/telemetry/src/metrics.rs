@@ -13,6 +13,7 @@
 //! is free and recording never takes a lock (counters/gauges) or takes
 //! one only for registration (first use).
 
+use crate::snapshot::CounterSnapshot;
 use crate::sync::lock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -83,11 +84,15 @@ pub(crate) fn registry() -> &'static Mutex<Vec<MetricRef>> {
     &REGISTRY
 }
 
-/// Monotonically increasing `u64` counter.
+/// Monotonically increasing `u64` counter. A [`Counter::new`] counter
+/// records only while telemetry is enabled; a [`Counter::always`] one
+/// records either way and also counts in the recording thread's open
+/// [`crate::tally`] scopes.
 pub struct Counter {
     pub(crate) name: &'static str,
     pub(crate) help: &'static str,
     pub(crate) value: AtomicU64,
+    pub(crate) always: bool,
     registered: AtomicBool,
 }
 
@@ -97,17 +102,29 @@ impl Counter {
             name,
             help,
             value: AtomicU64::new(0),
+            always: false,
             registered: AtomicBool::new(false),
+        }
+    }
+
+    /// An always-on counter that also counts in open tally scopes.
+    pub const fn always(name: &'static str, help: &'static str) -> Self {
+        Counter {
+            always: true,
+            ..Counter::new(name, help)
         }
     }
 
     #[inline]
     pub fn add(&'static self, n: u64) {
-        if !enabled() {
+        if !self.always && !enabled() {
             return;
         }
         self.ensure_registered();
         self.value.fetch_add(n, Ordering::Relaxed);
+        if self.always {
+            crate::tally::add(self, n);
+        }
     }
 
     #[inline]
@@ -115,9 +132,18 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (0 until first enabled use).
+    /// Current value (0 until first recorded use).
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
+    }
+
+    /// This counter's name and help with `value`.
+    pub(crate) fn snapshot(&self, value: u64) -> CounterSnapshot {
+        CounterSnapshot {
+            name: self.name,
+            help: self.help,
+            value,
+        }
     }
 
     fn ensure_registered(&'static self) {

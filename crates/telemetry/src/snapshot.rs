@@ -81,11 +81,7 @@ pub fn snapshot() -> TelemetrySnapshot {
     let mut snap = TelemetrySnapshot::default();
     for m in lock(registry()).iter() {
         match m {
-            MetricRef::Counter(c) => snap.counters.push(CounterSnapshot {
-                name: c.name,
-                help: c.help,
-                value: c.value.load(Ordering::Relaxed),
-            }),
+            MetricRef::Counter(c) => snap.counters.push(c.snapshot(c.get())),
             MetricRef::Gauge(g) => snap.gauges.push(GaugeSnapshot {
                 name: g.name,
                 help: g.help,

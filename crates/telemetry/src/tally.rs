@@ -1,57 +1,111 @@
 //! Counts scoped to one piece of work rather than to the process.
 //!
-//! [`tally`] opens a count on the calling thread, runs a closure and
-//! returns how many [`bump`]s landed while it ran. [`crate::par::par_map`]
-//! carries the caller's open counts onto the pool workers that run its
-//! items, so work fanned out by the closure is counted too, while work
-//! that other threads run at the same time is not. This is what makes a
-//! count such as "evaluations a repair ran" independent of whatever else
-//! the process is doing.
+//! [`tally`] opens a scope on the calling thread, runs a closure and
+//! returns what the always-on counters ([`Counter::always`]) counted
+//! while it ran. [`crate::par::par_map`] carries the caller's open
+//! scopes onto the pool workers that run its items, so work fanned out
+//! by the closure is counted too, while work that other threads run at
+//! the same time is not. [`read`] and [`current`] give the innermost
+//! open scope's counts, or the process-wide values when none is open.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// The counts open on one thread, innermost last.
-pub(crate) type Open = Vec<Arc<AtomicU64>>;
+use crate::metrics::{registry, MetricRef};
+use crate::snapshot::CounterSnapshot;
+use crate::sync::lock;
+use crate::Counter;
+
+/// The always-on counters that counted in one scope, with their counts.
+type Counts = Vec<CounterSnapshot>;
+
+/// The scopes open on one thread, innermost last.
+pub(crate) type Open = Vec<Arc<Mutex<Counts>>>;
 
 thread_local! {
     static OPEN: RefCell<Open> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` and returns its result with the number of [`bump`]s made
-/// while it ran, on this thread or by `par_map` items it started.
-/// Tallies nest: a bump counts in every tally open around it.
-pub fn tally<R>(f: impl FnOnce() -> R) -> (R, u64) {
+/// What the always-on counters counted in one [`tally`] scope.
+#[derive(Clone)]
+pub struct Tally(Counts);
+
+impl Tally {
+    /// `c`'s count in this scope (0 for a gated counter).
+    pub fn get(&self, c: &Counter) -> u64 {
+        let counted = self.0.iter().find(|s| s.name == c.name);
+        counted.map_or(0, |s| s.value)
+    }
+}
+
+/// Runs `f` and returns its result with what the always-on counters
+/// counted while it ran, on this thread or in `par_map` items it
+/// started. Scopes nest: a count lands in every scope open around it.
+pub fn tally<R>(f: impl FnOnce() -> R) -> (R, Tally) {
     struct Close;
     impl Drop for Close {
         fn drop(&mut self) {
             OPEN.with(|o| o.borrow_mut().pop());
         }
     }
-    let count = Arc::new(AtomicU64::new(0));
-    OPEN.with(|o| o.borrow_mut().push(Arc::clone(&count)));
+    let scope = Arc::default();
+    OPEN.with(|o| o.borrow_mut().push(Arc::clone(&scope)));
     let close = Close;
     let r = f();
     drop(close);
-    (r, count.load(Ordering::Relaxed))
+    let counts = std::mem::take(&mut *lock(&scope));
+    (r, Tally(counts))
 }
 
-/// Adds one to every tally open on this thread; a no-op when none is.
-pub fn bump() {
+/// Adds `n` to `c`'s count in every scope open on this thread.
+pub(crate) fn add(c: &Counter, n: u64) {
     OPEN.with(|o| {
-        for count in o.borrow().iter() {
-            count.fetch_add(1, Ordering::Relaxed);
+        for scope in o.borrow().iter() {
+            let mut counts = lock(scope);
+            match counts.iter_mut().find(|s| s.name == c.name) {
+                Some(s) => s.value += n,
+                None => counts.push(c.snapshot(n)),
+            }
         }
     });
 }
 
-/// The tallies open on this thread, to hand to a pool job.
+/// The innermost scope open on this thread, if any.
+fn innermost() -> Option<Tally> {
+    OPEN.with(|o| o.borrow().last().map(|s| Tally(lock(s).clone())))
+}
+
+/// `c`'s count in the innermost scope open on this thread, or its
+/// process-wide value when none is open.
+pub fn read(c: &Counter) -> u64 {
+    innermost().map_or_else(|| c.get(), |t| t.get(c))
+}
+
+/// The counts [`read`] gives for every always-on counter that counted,
+/// sorted by name.
+pub fn current() -> Vec<CounterSnapshot> {
+    let mut out = innermost().map_or_else(
+        || {
+            lock(registry())
+                .iter()
+                .filter_map(|m| match m {
+                    MetricRef::Counter(c) if c.always => Some(c.snapshot(c.get())),
+                    _ => None,
+                })
+                .collect()
+        },
+        |t| t.0,
+    );
+    out.sort_by_key(|c| c.name);
+    out
+}
+
+/// The scopes open on this thread, to hand to a pool job.
 pub(crate) fn open() -> Open {
     OPEN.with(|o| o.borrow().clone())
 }
 
-/// Runs `f` with `open` as this thread's open tallies, then restores
+/// Runs `f` with `open` as this thread's open scopes, then restores
 /// the ones it had, also when `f` panics.
 pub(crate) fn with_open<R>(open: Open, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Open>);
@@ -72,39 +126,68 @@ mod tests {
     use super::*;
     use crate::par::par_map;
 
+    static A: Counter = Counter::always("heterog_test_tally_a_total", "test");
+    static B: Counter = Counter::always("heterog_test_tally_b_total", "test");
+    static GATED: Counter = Counter::new("heterog_test_tally_gated_total", "test");
+
     #[test]
-    fn counts_bumps_inside_only() {
-        bump();
-        let ((), n) = tally(|| {
-            bump();
-            bump();
+    fn counts_adds_inside_only() {
+        A.inc();
+        let ((), t) = tally(|| {
+            A.inc();
+            A.add(2);
+            B.inc();
         });
-        bump();
-        assert_eq!(n, 2);
+        A.inc();
+        assert_eq!((t.get(&A), t.get(&B)), (3, 1));
     }
 
     #[test]
     fn nested_tallies_both_count() {
         let (inner, outer) = tally(|| {
-            bump();
-            tally(bump).1
+            A.inc();
+            tally(|| A.inc()).1
         });
-        assert_eq!((inner, outer), (1, 2));
+        assert_eq!((inner.get(&A), outer.get(&A)), (1, 2));
+    }
+
+    #[test]
+    fn gated_counters_do_not_count_in_scopes() {
+        let ((), t) = tally(|| {
+            GATED.inc();
+            assert!(current().is_empty());
+        });
+        assert_eq!(t.get(&GATED), 0);
+    }
+
+    #[test]
+    fn read_sees_the_innermost_scope() {
+        tally(|| {
+            B.add(4);
+            let ((), _) = tally(|| {
+                B.inc();
+                assert_eq!(read(&B), 1);
+                assert_eq!(read(&A), 0);
+                let counts: Vec<_> = current().iter().map(|c| (c.name, c.value)).collect();
+                assert_eq!(counts, [(B.name, 1)]);
+            });
+            assert_eq!(read(&B), 5);
+        });
     }
 
     #[test]
     fn par_map_items_count_in_the_callers_tally() {
         let items: Vec<u64> = (0..300).collect();
-        let (sum, n) = tally(|| {
+        let (sum, t) = tally(|| {
             par_map(&items, |&x| {
-                bump();
+                A.inc();
                 x
             })
             .iter()
             .sum::<u64>()
         });
         assert_eq!(sum, 299 * 300 / 2);
-        assert_eq!(n, 300);
+        assert_eq!(t.get(&A), 300);
     }
 
     #[test]
@@ -113,10 +196,11 @@ mod tests {
         let run = || {
             tally(|| {
                 for _ in 0..20 {
-                    par_map(&items, |_| bump());
+                    par_map(&items, |_| A.inc());
                 }
             })
             .1
+            .get(&A)
         };
         let (a, b) = std::thread::scope(|s| {
             let a = s.spawn(run);

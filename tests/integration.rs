@@ -192,3 +192,51 @@ fn search_planners_run_on_fitted_costs() {
         assert!(e.iteration_time.is_finite(), "{}", planner.name());
     }
 }
+
+/// Two plans run on two threads at once each count, in their own
+/// scope, exactly the evaluation outcomes they count when run alone:
+/// neither sees the other's evaluations, also when their `par_map`
+/// items run on shared pool workers.
+#[test]
+fn concurrent_plans_count_their_own_evaluations() {
+    use heterog_strategies::{count_evaluations, EvalStats};
+    use std::sync::Barrier;
+    let cluster = paper_testbed_8gpu();
+    let plans = [(BenchmarkModel::MobileNetV2, 6), (BenchmarkModel::Vgg19, 4)];
+    let run = |(model, groups): (BenchmarkModel, usize), start: Option<&Barrier>| {
+        let g = ModelSpec::new(model, 64).build();
+        if let Some(start) = start {
+            start.wait();
+        }
+        let planner = HeteroGPlanner {
+            groups,
+            passes: 1,
+            allow_mp: true,
+        };
+        count_evaluations(|| planner.plan(&g, &cluster, &GroundTruthCost))
+    };
+    let counts = |s: EvalStats| {
+        (
+            s.evaluations,
+            s.cache_hits,
+            s.cache_misses,
+            s.cache_evictions,
+            s.incremental_fast,
+            s.incremental_full,
+        )
+    };
+    let alone: Vec<_> = plans.iter().map(|&p| run(p, None)).collect();
+    let start = &Barrier::new(plans.len());
+    let together: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = plans
+            .iter()
+            .map(|&p| s.spawn(move || run(p, Some(start))))
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for ((model, _), (a, t)) in plans.iter().zip(alone.iter().zip(&together)) {
+        assert_eq!(a.0, t.0, "{model}: the same plan");
+        assert!(a.1.evaluations > 0, "{model}: the plan evaluated");
+        assert_eq!(counts(a.1), counts(t.1), "{model}: alone vs concurrent");
+    }
+}

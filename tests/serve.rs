@@ -389,6 +389,60 @@ fn metrics_expose_queue_depth_and_cache_counters() {
     server.shutdown();
 }
 
+#[test]
+fn tenants_identical_explains_report_their_own_eval_counts() {
+    let (server, addr) = spawn(quick_cfg());
+    // Warm the plan memo and the eval cache: both explains then take
+    // the same path, a memo hit and a cache hit.
+    let warm = client::post_json(
+        addr,
+        "/v1/plan?wait=1",
+        r#"{"tenant":"alice","model":"mobilenet","batch":64,"planner":"CP-AR"}"#,
+    )
+    .unwrap();
+    assert_eq!(warm.status, 200, "{}", warm.text());
+
+    // Each tenant's explain (with what-ifs) is admitted after the other
+    // tenant's search, which the second worker runs beside it.
+    let mut stats = Vec::new();
+    for (tenant, other, batch) in [("alice", "bob", 32), ("bob", "alice", 48)] {
+        let search = format!(
+            r#"{{"tenant":"{other}","model":"mobilenet","batch":{batch},"planner":"heterog"}}"#
+        );
+        let queued = client::post_json(addr, "/v1/plan", &search).unwrap();
+        assert_eq!(queued.status, 202, "{}", queued.text());
+        let body = format!(
+            r#"{{"tenant":"{tenant}","model":"mobilenet","batch":64,"planner":"CP-AR","top_k":3,"whatif":true,"wait":true}}"#
+        );
+        let r = client::post_json(addr, "/v1/explain", &body).unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+        let v = heterog_telemetry::json::parse(&r.text()).expect("explain body parses");
+        let e = &v["report"]["eval_stats"];
+        let counts: Vec<(&str, Option<u64>)> = [
+            "evaluations",
+            "cache_hits",
+            "cache_misses",
+            "cache_evictions",
+            "incremental_fast",
+            "incremental_full",
+        ]
+        .into_iter()
+        .map(|k| (k, e[k].as_u64()))
+        .collect();
+        let rate = e["incremental_hit_rate"].as_f64();
+        stats.push((counts, rate.map(f64::to_bits)));
+    }
+    assert!(stats[0].0.iter().all(|(_, v)| v.is_some()), "{stats:?}");
+    assert_eq!(
+        stats[0].0[1].1,
+        Some(1),
+        "the warmed cache served the explain"
+    );
+    assert!(stats[0].0[4].1 > Some(0), "the what-ifs ran incrementally");
+    assert_eq!(stats[0], stats[1], "alice's and bob's explain counts");
+    server.shutdown();
+}
+
 // ---- shared eval-cache shard concurrency --------------------------------
 
 mod cache_props {
