@@ -145,14 +145,16 @@ ELASTIC:
 
 SERVE:
   Runs the multi-tenant planning daemon: POST /v1/plan|explain|elastic,
-  GET /v1/jobs/<id> and /v1/jobs/<id>/events (JSONL stream), /healthz,
-  /metrics (Prometheus). Identical in-flight requests coalesce onto one
-  job, tenants are scheduled deficit-round-robin over a shared eval
-  cache, and past --degrade-depth pending jobs a `heterog` search
-  degrades to the CP-AR heuristic (the response says so).
+  GET /v1/jobs/<id> and /v1/jobs/<id>/events (JSONL stream; 410 once a
+  finished job is retired), /healthz, /metrics (Prometheus). Identical
+  in-flight requests coalesce onto one job, tenants are scheduled
+  deficit-round-robin over a shared eval cache, and past
+  --degrade-depth pending jobs a `heterog` search degrades to the
+  CP-AR heuristic (the response says so).
   --addr HOST:PORT      bind address (default 127.0.0.1:7807; port 0 = ephemeral)
   --workers N           planner worker threads (default 2)
-  --max-pending N       admission-queue capacity; 429 past it (default 64)
+  --max-pending N       admission-queue capacity; 429 past it (default 64).
+                        Also the finished jobs kept for /v1/jobs/<id>
   --degrade-depth N     backlog at which searches degrade; 0 = never (default 8)
   --quantum N           deficit-round-robin cost quantum (default 4)
   --tenants a,b,c       tenant allowlist (default: accept any tenant)
@@ -860,11 +862,13 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
 
     // A bind failure propagates as `cannot bind <addr>: ...`, which main
     // prints and turns into a nonzero exit.
+    let kept = cfg.max_pending;
     let server = heterog_serve::Server::spawn(cfg)?;
     eprintln!("heterog-serve listening on http://{}", server.local_addr());
     eprintln!(
         "  POST /v1/plan /v1/explain /v1/elastic    GET /v1/jobs/<id>[/events] /healthz /metrics"
     );
+    eprintln!("  /v1/jobs/<id> keeps the last {kept} finished jobs; older ids answer 410");
     // The daemon runs until the process is killed.
     loop {
         std::thread::park();

@@ -7,7 +7,11 @@
 //!    [`Strategy`]. Tenants asking for the same deployment skip the
 //!    search entirely; the entry remembers which tenant planted it, so
 //!    a hit from a different tenant is counted as *cross-tenant* — the
-//!    measurable form of "similar clusters warm each other".
+//!    measurable form of "similar clusters warm each other". The memo
+//!    holds as many entries as the eval cache holds contexts
+//!    (shards × contexts per shard) and evicts the least recently used
+//!    one, so every cold cluster costs one slot, not one more strategy
+//!    for the life of the daemon.
 //! 2. The process-wide sharded [`EvalCache`]: every memoized strategy is
 //!    still re-evaluated through it, so repeated requests turn into
 //!    cache hits instead of fresh compile→schedule→simulate runs, and
@@ -59,12 +63,6 @@ use crate::jobs::{Job, JobKind, JobResult};
 /// in the paper's comparison set.
 pub const DEGRADED_PLANNER: &str = "CP-AR";
 
-/// Plan-memo entries retained before the memo is wholesale cleared. A
-/// service sees a bounded model zoo × planner set, so this is far above
-/// steady state; the clear is a safety valve against adversarial spec
-/// churn, not an LRU.
-const MEMO_CAPACITY: usize = 4096;
-
 static DEGRADED_TOTAL: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
     "heterog_serve_degraded_total",
     "Jobs where load shedding downgraded the search planner to the heuristic baseline",
@@ -113,13 +111,60 @@ pub struct EngineCounters {
 struct MemoEntry {
     strategy: Strategy,
     first_tenant: String,
+    /// The memo's clock at the entry's last insert or hit.
+    last_used: u64,
+}
+
+/// The plan memo: at most `capacity` strategies, least recently used
+/// evicted first.
+struct Memo {
+    entries: HashMap<u64, MemoEntry>,
+    capacity: usize,
+    /// Ticks once per hit or insert; orders entries by recency.
+    clock: u64,
+}
+
+impl Memo {
+    fn get(&mut self, key: u64) -> Option<(Strategy, String)> {
+        let e = self.entries.get_mut(&key)?;
+        self.clock += 1;
+        e.last_used = self.clock;
+        Some((e.strategy.clone(), e.first_tenant.clone()))
+    }
+
+    /// Plants `strategy` under `key` unless an entry is already there
+    /// (the first tenant keeps the credit). A full memo first drops its
+    /// least recently used entry: a scan of at most `capacity` entries,
+    /// paid only on a miss, next to a whole planner run.
+    fn insert(&mut self, key: u64, strategy: Strategy, tenant: &str) {
+        if self.entries.contains_key(&key) {
+            return;
+        }
+        if self.entries.len() >= self.capacity {
+            let lru = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(&k, _)| k);
+            if let Some(lru) = lru {
+                self.entries.remove(&lru);
+            }
+        }
+        self.clock += 1;
+        let entry = MemoEntry {
+            strategy,
+            first_tenant: tenant.to_string(),
+            last_used: self.clock,
+        };
+        self.entries.insert(key, entry);
+    }
 }
 
 /// The shared planning engine: memo + eval cache + degradation policy.
 pub struct Engine {
     /// The process-wide sharded evaluation cache.
     pub cache: EvalCache,
-    memo: Mutex<HashMap<u64, MemoEntry>>,
+    memo: Mutex<Memo>,
     /// Queue depth at/past which `heterog` requests degrade (0 = never).
     pub degrade_depth: usize,
     /// Search width for `heterog` requests (candidate groups).
@@ -133,7 +178,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with `shards`×`contexts_per_shard` of eval cache.
+    /// An engine with `shards`×`contexts_per_shard` of eval cache and
+    /// a plan memo of as many entries.
     pub fn new(
         shards: usize,
         contexts_per_shard: usize,
@@ -142,9 +188,15 @@ impl Engine {
         search_passes: usize,
         archive_root: Option<PathBuf>,
     ) -> Self {
+        let cache = EvalCache::sharded(shards, contexts_per_shard);
+        let memo = Memo {
+            entries: HashMap::new(),
+            capacity: cache.num_shards() * cache.capacity(),
+            clock: 0,
+        };
         Engine {
-            cache: EvalCache::sharded(shards, contexts_per_shard),
-            memo: Mutex::new(HashMap::new()),
+            cache,
+            memo: Mutex::new(memo),
             degrade_depth,
             search_groups,
             search_passes,
@@ -380,7 +432,8 @@ impl Engine {
         effective: &str,
     ) -> (Strategy, bool, bool) {
         let key = memo_key(&job.spec.model, cluster, effective, job.spec.fifo);
-        if let Some((strategy, first_tenant)) = self.memo_lookup(key) {
+        let hit = lock(&self.memo).get(key);
+        if let Some((strategy, first_tenant)) = hit {
             let cross = first_tenant != job.tenant;
             self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
             MEMO_HITS.inc();
@@ -395,7 +448,7 @@ impl Engine {
         self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
         let planner = self.planner_for(effective);
         let strategy = planner.plan(g, cluster, &GroundTruthCost);
-        self.memo_insert(key, strategy.clone(), &job.tenant);
+        lock(&self.memo).insert(key, strategy.clone(), &job.tenant);
         (strategy, false, false)
     }
 
@@ -411,26 +464,10 @@ impl Engine {
         }
     }
 
-    fn memo_lookup(&self, key: u64) -> Option<(Strategy, String)> {
-        let memo = lock(&self.memo);
-        memo.get(&key)
-            .map(|e| (e.strategy.clone(), e.first_tenant.clone()))
-    }
-
-    fn memo_insert(&self, key: u64, strategy: Strategy, tenant: &str) {
-        let mut memo = lock(&self.memo);
-        if memo.len() >= MEMO_CAPACITY {
-            memo.clear();
-        }
-        memo.entry(key).or_insert(MemoEntry {
-            strategy,
-            first_tenant: tenant.to_string(),
-        });
-    }
-
-    /// Strategies currently memoized.
+    /// Strategies currently memoized (at most shards × contexts per
+    /// shard).
     pub fn memo_len(&self) -> usize {
-        lock(&self.memo).len()
+        lock(&self.memo).entries.len()
     }
 
     fn capture(
@@ -584,4 +621,46 @@ fn elastic_body(
         eval.oom,
         report.to_json(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jobs::{JobSpec, JobTable};
+    use heterog_cluster::paper_testbed_8gpu;
+    use heterog_graph::{BenchmarkModel, ModelSpec};
+
+    /// Serves a CP-AR MobileNet-v2 plan at `batch`; true on a memo hit.
+    fn plan(engine: &Engine, table: &JobTable, batch: u64) -> bool {
+        let spec = JobSpec {
+            kind: JobKind::Plan,
+            model: ModelSpec::new(BenchmarkModel::MobileNetV2, batch),
+            cluster: paper_testbed_8gpu(),
+            planner: "CP-AR".to_string(),
+            fifo: false,
+        };
+        let (job, _) = table.create_or_attach("alice", spec);
+        engine.execute(&job, 0);
+        table.release(&job);
+        job.wait().expect("a CP-AR plan succeeds").memo_hit
+    }
+
+    #[test]
+    fn memo_holds_the_cache_budget_and_evicts_the_least_recently_used() {
+        let engine = Engine::new(1, 4, 0, 4, 1, None);
+        let table = JobTable::new();
+        for batch in (8..=80).step_by(8) {
+            assert!(!plan(&engine, &table, batch), "batch {batch} is cold");
+        }
+        assert_eq!(engine.memo_len(), 4, "1 shard × 4 contexts");
+
+        // The memo holds batches 56..=80, least recent first. A hit on
+        // 56 makes 64 the least recent, so the next miss evicts 64.
+        assert!(plan(&engine, &table, 56));
+        assert!(!plan(&engine, &table, 88));
+        assert_eq!(engine.memo_len(), 4);
+        assert!(plan(&engine, &table, 56), "the refreshed spec survives");
+        assert!(!plan(&engine, &table, 64), "the evicted spec misses again");
+        assert_eq!(engine.memo_len(), 4);
+    }
 }

@@ -146,6 +146,7 @@ fn reason(status: u16) -> &'static str {
         403 => "Forbidden",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        410 => "Gone",
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",

@@ -10,9 +10,17 @@
 //! fanned-out response body is byte-identical. The moment the job
 //! completes its key is released; later repeats become new jobs and hit
 //! the plan memo instead (see [`crate::exec`]).
+//!
+//! The table keeps every queued and running job, but only the last
+//! `retention` finished ones (the daemon's `max_pending`): a released
+//! job joins a FIFO of finished ids, and past the bound the oldest is
+//! dropped. Waiters and event followers hold their own `Arc<Job>`, so
+//! retiring a job never cuts an answer short; only a later
+//! `GET /v1/jobs/<id>` sees it gone ([`JobTable::assigned`] tells a
+//! retired id from one never assigned).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -254,6 +262,8 @@ struct TableInner {
     jobs: HashMap<String, Arc<Job>>,
     /// coalesce key -> id of the in-flight job owning it.
     active: HashMap<u64, String>,
+    /// Ids of released finished jobs still in `jobs`, oldest first.
+    finished: VecDeque<String>,
     next_id: u64,
 }
 
@@ -261,6 +271,7 @@ struct TableInner {
 /// index that powers coalescing.
 pub struct JobTable {
     inner: Mutex<TableInner>,
+    retention: usize,
 }
 
 impl Default for JobTable {
@@ -270,15 +281,28 @@ impl Default for JobTable {
 }
 
 impl JobTable {
-    /// An empty table.
+    /// An empty table keeping the default daemon's `max_pending`
+    /// finished jobs.
     pub fn new() -> Self {
+        Self::with_retention(crate::ServeConfig::default().max_pending)
+    }
+
+    /// An empty table keeping the last `retention` finished jobs.
+    pub fn with_retention(retention: usize) -> Self {
         JobTable {
             inner: Mutex::new(TableInner {
                 jobs: HashMap::new(),
                 active: HashMap::new(),
+                finished: VecDeque::new(),
                 next_id: 0,
             }),
+            retention,
         }
+    }
+
+    /// Finished jobs the table keeps before retiring the oldest.
+    pub fn retention(&self) -> usize {
+        self.retention
     }
 
     /// Admits a request: attaches to an identical in-flight job
@@ -304,12 +328,19 @@ impl JobTable {
         (job, false)
     }
 
-    /// Releases the coalescing key once `job` is terminal (or was
-    /// rejected by the queue), so later repeats become fresh jobs.
+    /// Called once per job when it is terminal: releases the
+    /// coalescing key, so later repeats become fresh jobs, and queues
+    /// the job for retirement. Past `retention` finished jobs the
+    /// oldest is dropped.
     pub fn release(&self, job: &Job) {
         let mut inner = lock(&self.inner);
         if inner.active.get(&job.key).map(String::as_str) == Some(job.id.as_str()) {
             inner.active.remove(&job.key);
+        }
+        inner.finished.push_back(job.id.clone());
+        while inner.finished.len() > self.retention {
+            let oldest = inner.finished.pop_front().expect("longer than retention");
+            inner.jobs.remove(&oldest);
         }
     }
 
@@ -327,12 +358,23 @@ impl JobTable {
         lock(&self.inner).jobs.get(id).cloned()
     }
 
-    /// Total jobs ever registered (and still retained).
+    /// True when `id` names a job this table registered, whether it is
+    /// still held or was since retired (or forgotten at admission).
+    pub fn assigned(&self, id: &str) -> bool {
+        let n = id
+            .strip_prefix("job-")
+            .and_then(|n| n.parse::<u64>().ok())
+            .unwrap_or(0);
+        n >= 1 && n <= lock(&self.inner).next_id && format!("job-{n:06}") == id
+    }
+
+    /// Jobs currently held: every queued and running job plus at most
+    /// `retention` finished ones.
     pub fn len(&self) -> usize {
         lock(&self.inner).jobs.len()
     }
 
-    /// True when no job was ever admitted.
+    /// True when the table holds no job.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -345,13 +387,36 @@ mod tests {
     use heterog_graph::BenchmarkModel;
 
     fn spec(planner: &str) -> JobSpec {
+        spec_at(planner, 64)
+    }
+
+    fn spec_at(planner: &str, batch: u64) -> JobSpec {
         JobSpec {
             kind: JobKind::Plan,
-            model: ModelSpec::new(BenchmarkModel::MobileNetV2, 64),
+            model: ModelSpec::new(BenchmarkModel::MobileNetV2, batch),
             cluster: paper_testbed_8gpu(),
             planner: planner.to_string(),
             fifo: false,
         }
+    }
+
+    fn result() -> Arc<JobResult> {
+        Arc::new(JobResult {
+            body: "{}".into(),
+            planner_used: "CP-AR".into(),
+            degraded: false,
+            memo_hit: false,
+            cross_tenant: false,
+            makespan: 0.1,
+            oom: false,
+        })
+    }
+
+    /// What a worker does with a dequeued job.
+    fn run_to_done(table: &JobTable, job: &Job) {
+        job.set_running();
+        job.complete(result());
+        table.release(job);
     }
 
     #[test]
@@ -380,15 +445,7 @@ mod tests {
         let table = JobTable::new();
         let (a, _) = table.create_or_attach("alice", spec("CP-AR"));
         a.set_running();
-        a.complete(Arc::new(JobResult {
-            body: "{}".into(),
-            planner_used: "CP-AR".into(),
-            degraded: false,
-            memo_hit: false,
-            cross_tenant: false,
-            makespan: 0.1,
-            oom: false,
-        }));
+        a.complete(result());
         // The worker has not released the key yet.
         let (b, coalesced) = table.create_or_attach("bob", spec("CP-AR"));
         assert!(!coalesced, "a finished job must not take new requests");
@@ -420,16 +477,65 @@ mod tests {
         let j = Arc::clone(&job);
         let t = std::thread::spawn(move || j.wait().map(|r| r.body.clone()));
         job.set_running();
-        job.complete(Arc::new(JobResult {
-            body: "{}".into(),
-            planner_used: "CP-AR".into(),
-            degraded: false,
-            memo_hit: false,
-            cross_tenant: false,
-            makespan: 0.1,
-            oom: false,
-        }));
+        job.complete(result());
         assert_eq!(t.join().unwrap().unwrap(), "{}");
         assert_eq!(job.state().status(), "done");
+    }
+
+    #[test]
+    fn only_the_last_retention_finished_jobs_are_kept() {
+        let bound = 3;
+        let table = JobTable::with_retention(bound);
+        let (queued, _) = table.create_or_attach("alice", spec_at("CP-AR", 1));
+        let (running, _) = table.create_or_attach("alice", spec_at("CP-AR", 2));
+        running.set_running();
+        let finished: Vec<_> = (0..bound as u64 + 4)
+            .map(|i| {
+                let (job, coalesced) = table.create_or_attach("bob", spec_at("CP-AR", 10 + i));
+                assert!(!coalesced);
+                run_to_done(&table, &job);
+                job
+            })
+            .collect();
+        assert_eq!(
+            table.len(),
+            bound + 2,
+            "{bound} finished + queued + running"
+        );
+        assert!(table.get(&queued.id).is_some());
+        assert!(table.get(&running.id).is_some());
+        let (retired, kept) = finished.split_at(finished.len() - bound);
+        for job in retired {
+            assert!(table.get(&job.id).is_none(), "{} is retired", job.id);
+            assert!(table.assigned(&job.id));
+        }
+        for job in kept {
+            assert!(table.get(&job.id).is_some(), "{} is kept", job.id);
+        }
+        // A retired job still answers whoever holds it.
+        assert_eq!(retired[0].wait().unwrap().body, "{}");
+
+        // Ids never assigned: past the counter, or not in the id format.
+        assert!(!table.assigned("job-999999"));
+        assert!(!table.assigned("job-0"));
+        assert!(!table.assigned("job-1"));
+        assert!(!table.assigned("nope"));
+
+        // Coalescing onto an in-flight job still works after retirements,
+        // and that job is kept until it finishes.
+        let (a, coalesced_a) = table.create_or_attach("alice", spec_at("CP-AR", 99));
+        let (b, coalesced_b) = table.create_or_attach("bob", spec_at("CP-AR", 99));
+        assert!(!coalesced_a);
+        assert!(coalesced_b);
+        assert_eq!(a.id, b.id);
+        let (c, coalesced_c) = table.create_or_attach("carol", spec_at("CP-AR", 2));
+        assert!(coalesced_c, "the running job takes repeats");
+        assert_eq!(c.id, running.id);
+        run_to_done(&table, &a);
+        assert!(
+            table.get(&a.id).is_some(),
+            "the newest finished job is kept"
+        );
+        assert_eq!(table.len(), bound + 2);
     }
 }

@@ -41,10 +41,16 @@
 //! | `POST /v1/plan` | plan a deployment (async: `202` + job id; `"wait": true` blocks) |
 //! | `POST /v1/explain` | plan + explain report |
 //! | `POST /v1/elastic` | plan + simulated fault/repair run |
-//! | `GET /v1/jobs/<id>` | job status + result when done |
-//! | `GET /v1/jobs/<id>/events` | the job's event window as chunked JSONL |
+//! | `GET /v1/jobs/<id>` | job status + result when done; `410` once retired |
+//! | `GET /v1/jobs/<id>/events` | the job's event window as chunked JSONL; `410` once retired |
 //! | `GET /healthz` | liveness |
 //! | `GET /metrics` | Prometheus text from `heterog-telemetry` |
+//!
+//! The daemon keeps every queued and running job and the last
+//! `max_pending` finished ones ([`jobs`]); the plan memo holds
+//! `cache_shards × cache_contexts` strategies, least recently used
+//! evicted first ([`exec`]). Neither grows with the number of requests
+//! served.
 //!
 //! See `DESIGN.md` §14 for the policy table and `examples/serve_client.rs`
 //! for a complete round trip.

@@ -20,7 +20,7 @@ use heterog_telemetry::{json_escape, lock};
 use crate::api::{parse_request, ApiError};
 use crate::exec::Engine;
 use crate::http::{error_body, read_request, respond, ChunkedWriter, HttpError, Request};
-use crate::jobs::{JobState, JobTable};
+use crate::jobs::{Job, JobState, JobTable};
 use crate::queue::AdmissionQueue;
 
 static REQUESTS_TOTAL: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
@@ -52,7 +52,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Planner worker threads.
     pub workers: usize,
-    /// Admission-queue capacity; beyond it requests get 429.
+    /// Admission-queue capacity; beyond it requests get 429. Also the
+    /// finished jobs kept for `GET /v1/jobs/<id>`; older ones get 410.
     pub max_pending: usize,
     /// Queue depth at/past which `heterog` searches degrade to the
     /// heuristic baseline (0 disables degradation).
@@ -63,7 +64,8 @@ pub struct ServeConfig {
     pub tenants: Option<Vec<String>>,
     /// Eval-cache shards.
     pub cache_shards: usize,
-    /// Eval-cache contexts retained per shard.
+    /// Eval-cache contexts retained per shard. The plan memo holds
+    /// `cache_shards × cache_contexts` strategies.
     pub cache_contexts: usize,
     /// Search width (candidate groups) for `heterog` requests.
     pub search_groups: usize,
@@ -170,7 +172,7 @@ impl Server {
                 cfg.archive_root.clone(),
             ),
             queue: AdmissionQueue::new(cfg.max_pending, cfg.quantum),
-            table: JobTable::new(),
+            table: JobTable::with_retention(cfg.max_pending),
             requests: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -427,15 +429,33 @@ fn handle_submit(stream: &mut TcpStream, req: &Request, s: &Shared, kind: &str) 
     }
 }
 
+/// The job `id` names, or `None` after answering 410 for a retired job
+/// and 404 for an id the table never assigned.
+fn find_job(stream: &mut TcpStream, s: &Shared, id: &str) -> Option<Arc<Job>> {
+    if let Some(job) = s.table.get(id) {
+        return Some(job);
+    }
+    let (status, message) = if s.table.assigned(id) {
+        let kept = s.table.retention();
+        (
+            410,
+            format!("job {id:?} was retired; the daemon keeps the last {kept} finished jobs"),
+        )
+    } else {
+        (404, format!("unknown job {id:?}"))
+    };
+    let _ = respond(
+        stream,
+        status,
+        "application/json",
+        &[],
+        error_body(&message).as_bytes(),
+    );
+    None
+}
+
 fn handle_job_status(stream: &mut TcpStream, s: &Shared, id: &str) {
-    let Some(job) = s.table.get(id) else {
-        let _ = respond(
-            stream,
-            404,
-            "application/json",
-            &[],
-            error_body(&format!("unknown job {id:?}")).as_bytes(),
-        );
+    let Some(job) = find_job(stream, s, id) else {
         return;
     };
     let state = job.state();
@@ -462,14 +482,7 @@ fn handle_job_status(stream: &mut TcpStream, s: &Shared, id: &str) {
 /// Streams the job's captured event window as chunked JSONL, following
 /// a live job until it completes.
 fn handle_events(stream: &mut TcpStream, s: &Shared, id: &str) {
-    let Some(job) = s.table.get(id) else {
-        let _ = respond(
-            stream,
-            404,
-            "application/json",
-            &[],
-            error_body(&format!("unknown job {id:?}")).as_bytes(),
-        );
+    let Some(job) = find_job(stream, s, id) else {
         return;
     };
     let Ok(mut w) = ChunkedWriter::begin(stream, 200, "application/jsonl") else {

@@ -443,6 +443,48 @@ fn tenants_identical_explains_report_their_own_eval_counts() {
     server.shutdown();
 }
 
+#[test]
+fn finished_jobs_past_max_pending_are_retired_with_410() {
+    let cfg = ServeConfig {
+        max_pending: 2,
+        ..quick_cfg()
+    };
+    let (server, addr) = spawn(cfg);
+    let mut served = Vec::new();
+    for batch in [8, 16, 24, 32, 40, 48] {
+        let body = format!(
+            r#"{{"tenant":"alice","model":"mobilenet","batch":{batch},"planner":"CP-AR","wait":true}}"#
+        );
+        let r = client::post_json(addr, "/v1/plan", &body).unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+        served.push((r.header("x-heterog-job").unwrap().to_string(), r.text()));
+    }
+
+    let (first, _) = &served[0];
+    let retired = format!("job {first:?} was retired; the daemon keeps the last 2 finished jobs");
+    for path in [
+        format!("/v1/jobs/{first}"),
+        format!("/v1/jobs/{first}/events"),
+    ] {
+        let r = client::get(addr, &path).unwrap();
+        assert_eq!(r.status, 410, "{path}: {}", r.text());
+        let v = heterog_telemetry::json::parse(&r.text()).expect("error body parses");
+        assert_eq!(v["error"].as_str(), Some(retired.as_str()));
+    }
+
+    let (last, body) = served.last().unwrap();
+    let r = client::get(addr, &format!("/v1/jobs/{last}")).unwrap();
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert_eq!(
+        r.text(),
+        format!("{{\"job_id\":\"{last}\",\"status\":\"done\",\"result\":{body}}}")
+    );
+
+    let never = client::get(addr, "/v1/jobs/job-999999").unwrap();
+    assert_eq!(never.status, 404, "{}", never.text());
+    server.shutdown();
+}
+
 // ---- shared eval-cache shard concurrency --------------------------------
 
 mod cache_props {
