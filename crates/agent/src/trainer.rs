@@ -7,6 +7,8 @@
 //! ... weights are updated by policy gradients [with an entropy
 //! regularizer and a moving-average baseline]."
 
+use std::collections::HashMap;
+
 use heterog_cluster::Cluster;
 use heterog_compile::Strategy;
 use heterog_graph::Graph;
@@ -166,6 +168,10 @@ pub struct RlAgent {
     /// set of distinct strategies; hits skip the whole
     /// compile→schedule→simulate pipeline.
     cache: EvalCache,
+    /// Best feasible sampled strategy and its iteration time per
+    /// (graph name, batch size, cluster fingerprint), kept across train
+    /// calls; [`RlAgent::plan`] falls back to it.
+    best: HashMap<(String, u64, u64), (f64, Strategy)>,
 }
 
 impl RlAgent {
@@ -179,6 +185,7 @@ impl RlAgent {
             adam,
             rng,
             cache: EvalCache::new(),
+            best: HashMap::new(),
         }
     }
 
@@ -358,10 +365,24 @@ impl RlAgent {
             TRAIN_CACHE_HIT_RATE.set(self.cache.hit_rate());
         }
 
-        ctxs.into_iter().map(|c| c.record).collect()
+        let fingerprint = cluster.fingerprint();
+        ctxs.into_iter()
+            .map(|c| {
+                if let Some((t, strategy)) = c.best {
+                    let key = (c.graph.name.clone(), c.graph.batch_size, fingerprint);
+                    if self.best.get(&key).is_none_or(|(kept, _)| t < *kept) {
+                        self.best.insert(key, (t, strategy));
+                    }
+                }
+                c.record
+            })
+            .collect()
     }
 
-    /// Greedy (argmax) strategy from the current policy for `g`.
+    /// The strategy the trained agent deploys for `g`: the greedy
+    /// (argmax) decode of the current policy, unless that decode
+    /// overflows memory or is slower than the best feasible strategy
+    /// sampled while training on `g` and `cluster`; then that one.
     /// Panics if the agent was never trained.
     pub fn plan<C: CostEstimator>(&mut self, g: &Graph, cluster: &Cluster, cost: &C) -> Strategy {
         let net = self.net.as_mut().expect("train before plan");
@@ -369,7 +390,17 @@ impl RlAgent {
         let grouping = group_ops(g, &avg_op_times(g, cluster, cost), self.cfg.groups);
         let logits = net.forward(&features, &graph_edges(g), &grouping);
         let actions = argmax_rows(&softmax_rows(&logits));
-        actions_to_strategy(g, cluster, &grouping, &actions)
+        let greedy = actions_to_strategy(g, cluster, &grouping, &actions);
+        let key = (g.name.clone(), g.batch_size, cluster.fingerprint());
+        let Some((best_time, best)) = self.best.get(&key) else {
+            return greedy;
+        };
+        let decoded = self.cache.evaluate(g, cluster, cost, &greedy);
+        if decoded.oom || decoded.iteration_time > *best_time {
+            best.clone()
+        } else {
+            greedy
+        }
     }
 
     /// Whether the agent holds a trained network.
@@ -428,6 +459,31 @@ mod tests {
         assert_eq!(s.per_op.len(), g.len());
         let e = evaluate(&g, &c, &GroundTruthCost, &s);
         assert!(e.iteration_time.is_finite());
+    }
+
+    #[test]
+    fn plan_is_no_worse_than_the_best_feasible_sample() {
+        let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+        let c = paper_testbed_8gpu();
+        let mut agent = RlAgent::new(TrainerConfig {
+            groups: 4,
+            ..tiny_cfg(3)
+        });
+        let rec = agent.train(&[&g], &c, &GroundTruthCost).remove(0);
+        assert!(rec.best_time.is_finite(), "a feasible sample exists");
+        let e = evaluate(
+            &g,
+            &c,
+            &GroundTruthCost,
+            &agent.plan(&g, &c, &GroundTruthCost),
+        );
+        assert!(!e.oom);
+        assert!(
+            e.iteration_time <= rec.best_time,
+            "{} > {}",
+            e.iteration_time,
+            rec.best_time
+        );
     }
 
     #[test]

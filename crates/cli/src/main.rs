@@ -654,7 +654,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
         rec.best_time,
         rec.best_episode + 1
     );
-    println!("greedy policy:     {:.4} s/iter", eval.iteration_time);
+    println!("learned plan:      {:.4} s/iter", eval.iteration_time);
     println!("episodes to best:  {}", rec.episodes_to_within(1e-9).max(1));
     if let Some(h) = session.archive() {
         let outcome = if eval.oom { "oom" } else { "ok" };

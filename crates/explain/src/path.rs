@@ -121,7 +121,11 @@ impl CriticalPath {
 }
 
 /// Extracts the simulated critical path from a scheduled task graph.
+///
+/// Panics unless `s` holds a start and a finish time for every task of
+/// `tg`; an evaluation served by the eval cache has none.
 pub fn critical_path(tg: &TaskGraph, s: &Schedule) -> CriticalPath {
+    s.assert_covers(tg.len());
     if tg.is_empty() {
         return CriticalPath::default();
     }
@@ -276,6 +280,22 @@ mod tests {
         assert_eq!(cp.len(), 2);
         assert_eq!(cp.segments[1].edge, PathEdge::ProcOrder);
         assert!((cp.coverage() - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule has 0 task times, task graph has")]
+    fn a_cached_evaluation_has_no_task_times_to_walk() {
+        use heterog_cluster::paper_testbed_8gpu;
+        use heterog_compile::{compile, CommMethod, Strategy};
+        use heterog_graph::{BenchmarkModel, ModelSpec};
+        use heterog_profile::GroundTruthCost;
+
+        let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 32).build();
+        let c = paper_testbed_8gpu();
+        let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
+        let tg = compile(&g, &c, &GroundTruthCost, &s);
+        let cached = heterog_strategies::EvalCache::new().evaluate(&g, &c, &GroundTruthCost, &s);
+        critical_path(&tg, &cached.report.schedule);
     }
 
     #[test]

@@ -64,6 +64,18 @@ pub struct Schedule {
 }
 
 impl Schedule {
+    /// Panics, naming both lengths, unless the schedule holds a start
+    /// and a finish time for each of the task graph's `tasks` tasks. A
+    /// cached evaluation's schedule keeps no task times.
+    pub fn assert_covers(&self, tasks: usize) {
+        let times = self.start.len();
+        assert!(
+            times == tasks && self.finish.len() == tasks,
+            "schedule has {times} task times, task graph has {tasks} tasks \
+             (cached evaluations carry no task times)"
+        );
+    }
+
     /// Utilization of processor `p` (busy / makespan).
     pub fn utilization(&self, proc: usize) -> f64 {
         if self.makespan <= 0.0 {

@@ -16,7 +16,12 @@
 //!    still re-evaluated through it, so repeated requests turn into
 //!    cache hits instead of fresh compile→schedule→simulate runs, and
 //!    concurrent tenants with *different* contexts land on different
-//!    shards (no lock convoy).
+//!    shards (no lock convoy). The cache keeps evaluations without
+//!    their per-task times, so a cached evaluation costs per-device
+//!    numbers, not a schedule. An explain, which walks the schedule,
+//!    compiles the task graph once: on a miss that compile and its
+//!    simulation are what the cache entry is made from; on a hit it is
+//!    simulated once more for its task times.
 //!
 //! **Degradation** is decided here, at execution time, from the queue
 //! depth the worker observed when it dequeued the job: past the
@@ -46,14 +51,14 @@ use std::time::Instant;
 
 use heterog_agent::HeteroGPlanner;
 use heterog_cluster::Cluster;
-use heterog_compile::Strategy;
+use heterog_compile::{compile, Strategy};
 use heterog_elastic::{ElasticOptions, FaultScript, RepairPolicy};
 use heterog_events::{EventKind, EventSink, RunManifest};
 use heterog_graph::Graph;
 use heterog_profile::GroundTruthCost;
 use heterog_runs::{ArchiveHandle, RunArchiver, StoredEvaluation};
-use heterog_sched::OrderPolicy;
-use heterog_strategies::{EvalCache, Evaluation};
+use heterog_sched::{OrderPolicy, TaskGraph};
+use heterog_strategies::{evaluate_compiled, EvalCache, Evaluation};
 use heterog_telemetry::{json_escape, json_f64, lock};
 
 use crate::jobs::{Job, JobKind, JobResult};
@@ -289,14 +294,8 @@ impl Engine {
                 let (strategy, memo_hit, cross_tenant) =
                     self.resolve_strategy(job, &g, cluster, effective);
                 self.capture(job, &mut sub, &mut scratch);
-                let eval = self.cache.evaluate_with_policy(
-                    &g,
-                    cluster,
-                    &GroundTruthCost,
-                    &strategy,
-                    &policy,
-                );
-                let task_graph = heterog_compile::compile(&g, cluster, &GroundTruthCost, &strategy);
+                let (eval, task_graph) =
+                    self.evaluate_with_schedule(&g, cluster, &strategy, &policy);
                 let opts = heterog_explain::ExplainOptions {
                     top_k: *top_k,
                     run_whatif: *whatif,
@@ -450,6 +449,38 @@ impl Engine {
         let strategy = planner.plan(g, cluster, &GroundTruthCost);
         lock(&self.memo).insert(key, strategy.clone(), &job.tenant);
         (strategy, false, false)
+    }
+
+    /// The cached evaluation of `strategy` with its full report, per-task
+    /// times included, plus the task graph they index: one compile and
+    /// one simulate on a hit or a miss. A miss keeps the compile and the
+    /// report of the evaluation it caches; a hit, whose cached evaluation
+    /// has no task times, compiles and simulates for them.
+    fn evaluate_with_schedule(
+        &self,
+        g: &Graph,
+        cluster: &Cluster,
+        strategy: &Strategy,
+        policy: &OrderPolicy,
+    ) -> (Evaluation, TaskGraph) {
+        let mut kept = None;
+        let mut eval = self
+            .cache
+            .evaluate_or_insert_with(g, cluster, strategy, policy, || {
+                let _span = heterog_telemetry::span("evaluate");
+                let started = Instant::now();
+                let tg = compile(g, cluster, &GroundTruthCost, strategy);
+                let eval = evaluate_compiled(&tg, cluster, policy, started);
+                kept = Some((tg, eval.report.clone()));
+                eval
+            });
+        let (tg, report) = kept.unwrap_or_else(|| {
+            let tg = compile(g, cluster, &GroundTruthCost, strategy);
+            let report = heterog::sim::simulate(&tg, &cluster.memory_capacities(), policy);
+            (tg, report)
+        });
+        eval.report = report;
+        (eval, tg)
     }
 
     fn planner_for(&self, name: &str) -> Box<dyn heterog_strategies::Planner> {

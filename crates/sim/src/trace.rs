@@ -29,7 +29,11 @@ fn us(seconds: f64) -> f64 {
 /// array, which both `chrome://tracing` and Perfetto accept). Events are
 /// built as strings directly — the schema is fixed and flat, and this
 /// keeps the exporter dependency-free.
+///
+/// Panics unless `s` holds a start and a finish time for every task of
+/// `tg`; an evaluation served by the eval cache has none.
 pub fn chrome_trace_json(tg: &TaskGraph, s: &Schedule) -> String {
+    s.assert_covers(tg.len());
     let mut events = Vec::with_capacity(2 * tg.len() + 2 * tg.num_procs() + 2);
 
     // Track metadata: one named process, one named thread per GPU and
@@ -147,6 +151,15 @@ mod tests {
         tg.add_dep(x, b);
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         (tg, s)
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule has 0 task times, task graph has 3 tasks")]
+    fn a_schedule_without_task_times_is_named() {
+        let (tg, mut s) = demo();
+        s.start.clear();
+        s.finish.clear();
+        chrome_trace_json(&tg, &s);
     }
 
     #[test]

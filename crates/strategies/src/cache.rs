@@ -12,14 +12,26 @@
 //! cluster's structural [`fingerprint`](heterog_cluster::Cluster::fingerprint),
 //! and the strategy's own hash; buckets store `(Strategy, Evaluation)`
 //! pairs and compare strategies by equality, so hash collisions can
-//! never return a wrong evaluation. The map is guarded by a `Mutex` and
+//! never return a wrong evaluation.
+//!
+//! The cache keeps evaluations, not schedules: a stored [`Evaluation`]
+//! keeps every field but its per-task times (`report.schedule.start`
+//! and `finish`, 16 bytes per task), which are emptied before the entry
+//! is stored *and* before a miss returns it, so a hit and a miss return
+//! the same value. Planners, served plans and the RL reward read only
+//! the makespan, OOM flag, memory report and busy times; a caller that
+//! needs the task times (an explain's critical path, a Chrome trace)
+//! simulates the task graph it compiled.
+//!
+//! The map is guarded by a `Mutex` and
 //! hit/miss counters are atomic: batched rollouts probe it from pool
 //! workers concurrently. Each outcome also counts once in an always-on
 //! counter shared by all caches ([`crate::EvalStats`]). Misses are
 //! computed *outside* the lock —
 //! concurrent misses on the same key may both evaluate (the pipeline is
 //! deterministic, so both compute the identical value and the second
-//! insert is a no-op).
+//! insert is a no-op). Every miss goes through one insert path,
+//! [`EvalCache::evaluate_or_insert_with`].
 //!
 //! The map can be split into independent shards, each behind its own
 //! `Mutex`, so a planning *service* where many tenants evaluate
@@ -188,6 +200,25 @@ impl EvalCache {
         strategy: &Strategy,
         policy: &OrderPolicy,
     ) -> Evaluation {
+        self.evaluate_or_insert_with(g, cluster, strategy, policy, || {
+            evaluate_with_policy(g, cluster, cost, strategy, policy)
+        })
+    }
+
+    /// The cached evaluation of `strategy` on `g` and `cluster` under
+    /// `policy`, or on a miss the one `compute` returns, which must be
+    /// what [`crate::evaluate_with_policy`] gives for these inputs.
+    /// `compute` runs once per miss, outside the lock, and never on a
+    /// hit. Hit or miss, the returned evaluation has no per-task times
+    /// (see the module doc).
+    pub fn evaluate_or_insert_with(
+        &self,
+        g: &Graph,
+        cluster: &Cluster,
+        strategy: &Strategy,
+        policy: &OrderPolicy,
+        compute: impl FnOnce() -> Evaluation,
+    ) -> Evaluation {
         let ctx = context_key(g, cluster, policy);
         let key = full_key(ctx, strategy);
         if let Some(hit) = self.lookup(ctx, key, strategy) {
@@ -198,7 +229,9 @@ impl EvalCache {
         // Compute outside the lock: evaluations are orders of magnitude
         // slower than the map operations, and they are deterministic, so
         // a racing duplicate computation is wasteful but never wrong.
-        let eval = evaluate_with_policy(g, cluster, cost, strategy, policy);
+        let mut eval = compute();
+        eval.report.schedule.start = Vec::new();
+        eval.report.schedule.finish = Vec::new();
         self.misses.fetch_add(1, Ordering::Relaxed);
         MISSES.inc();
         let mut inner = self.shard(ctx);
@@ -322,26 +355,115 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts `e` equals `fresh` bit for bit in every field the cache
+    /// keeps, and carries no per-task times.
+    fn assert_kept_fields_equal(e: &Evaluation, fresh: &Evaluation) {
+        assert_eq!(e.iteration_time.to_bits(), fresh.iteration_time.to_bits());
+        assert_eq!(e.oom, fresh.oom);
+        let (r, f) = (&e.report, &fresh.report);
+        assert_eq!(r.iteration_time.to_bits(), f.iteration_time.to_bits());
+        assert_eq!(r.memory.peak_bytes, f.memory.peak_bytes);
+        assert_eq!(r.memory.param_bytes, f.memory.param_bytes);
+        assert_eq!(r.memory.oom, f.memory.oom);
+        assert_eq!(bits(&r.gpu_busy), bits(&f.gpu_busy));
+        assert_eq!(bits(&r.link_busy), bits(&f.link_busy));
+        assert_eq!(r.computation_time.to_bits(), f.computation_time.to_bits());
+        assert_eq!(
+            r.communication_time.to_bits(),
+            f.communication_time.to_bits()
+        );
+        assert_eq!(r.schedule.makespan.to_bits(), f.schedule.makespan.to_bits());
+        assert_eq!(bits(&r.schedule.proc_busy), bits(&f.schedule.proc_busy));
+        assert!(r.schedule.start.is_empty() && r.schedule.finish.is_empty());
+    }
+
     #[test]
     fn cached_result_equals_fresh_evaluation() {
         let g = mobilenet();
         let c = paper_testbed_8gpu();
         let s = Strategy::proportional(g.len(), &c, CommMethod::Ps);
         let fresh = crate::evaluate(&g, &c, &GroundTruthCost, &s);
+        assert!(!fresh.report.schedule.start.is_empty());
         for shards in SHARDS {
             let cache = EvalCache::sharded(shards, 2);
             let miss = cache.evaluate(&g, &c, &GroundTruthCost, &s);
             let hit = cache.evaluate(&g, &c, &GroundTruthCost, &s);
-            for e in [&miss, &hit] {
-                assert_eq!(e.iteration_time.to_bits(), fresh.iteration_time.to_bits());
-                assert_eq!(e.oom, fresh.oom);
-                assert_eq!(
-                    e.report.schedule.makespan.to_bits(),
-                    fresh.report.schedule.makespan.to_bits()
-                );
-                assert_eq!(e.report.memory.peak_bytes, fresh.report.memory.peak_bytes);
-            }
+            assert_kept_fields_equal(&miss, &fresh);
+            assert_kept_fields_equal(&hit, &fresh);
             assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn compute_runs_once_on_a_miss_and_never_on_a_hit() {
+        let g = mobilenet();
+        let c = paper_testbed_8gpu();
+        let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
+        let policy = OrderPolicy::RankBased;
+        let fresh = crate::evaluate(&g, &c, &GroundTruthCost, &s);
+        for shards in SHARDS {
+            let cache = EvalCache::sharded(shards, DEFAULT_CONTEXT_CAPACITY);
+            let calls = std::cell::Cell::new(0);
+            let compute = || {
+                calls.set(calls.get() + 1);
+                fresh.clone()
+            };
+            let miss = cache.evaluate_or_insert_with(&g, &c, &s, &policy, compute);
+            assert_eq!(calls.get(), 1, "{shards} shards: one compute per miss");
+            let hit = cache.evaluate_or_insert_with(&g, &c, &s, &policy, compute);
+            assert_eq!(calls.get(), 1, "{shards} shards: no compute on a hit");
+            assert_eq!((cache.hits(), cache.misses()), (1, 1));
+            assert_kept_fields_equal(&miss, &fresh);
+            assert_kept_fields_equal(&hit, &fresh);
+            // The cached evaluation path and the explicit one share
+            // entries.
+            cache.evaluate(&g, &c, &GroundTruthCost, &s);
+            assert_eq!((cache.hits(), cache.misses(), calls.get()), (2, 1, 1));
+        }
+    }
+
+    #[test]
+    fn a_competing_insert_of_the_same_key_is_a_no_op() {
+        let g = mobilenet();
+        let c = paper_testbed_8gpu();
+        let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
+        let policy = OrderPolicy::RankBased;
+        let fresh = crate::evaluate(&g, &c, &GroundTruthCost, &s);
+        for shards in SHARDS {
+            let cache = EvalCache::sharded(shards, DEFAULT_CONTEXT_CAPACITY);
+            // The outer miss computes outside the lock; while it does, a
+            // competing miss on the same key computes and inserts first.
+            let outer = cache.evaluate_or_insert_with(&g, &c, &s, &policy, || {
+                let inner = cache.evaluate_or_insert_with(&g, &c, &s, &policy, || fresh.clone());
+                assert_kept_fields_equal(&inner, &fresh);
+                let mut late = fresh.clone();
+                late.iteration_time += 1.0;
+                late
+            });
+            assert_eq!(outer.iteration_time, fresh.iteration_time + 1.0);
+            assert!(outer.report.schedule.start.is_empty());
+            assert_eq!((cache.hits(), cache.misses()), (0, 2));
+            assert_eq!((cache.len(), cache.contexts()), (1, 1), "{shards} shards");
+            let keys: usize = cache
+                .shards
+                .iter()
+                .map(|sh| {
+                    sh.lock()
+                        .unwrap()
+                        .ctx_keys
+                        .values()
+                        .map(Vec::len)
+                        .sum::<usize>()
+                })
+                .sum();
+            assert_eq!(keys, 1, "the late insert records no second key");
+            // The first insert stays: a hit returns it.
+            let hit = cache.evaluate_or_insert_with(&g, &c, &s, &policy, || unreachable!());
+            assert_kept_fields_equal(&hit, &fresh);
         }
     }
 

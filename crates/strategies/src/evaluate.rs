@@ -11,7 +11,7 @@ use heterog_cluster::Cluster;
 use heterog_compile::{compile, Strategy};
 use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
-use heterog_sched::OrderPolicy;
+use heterog_sched::{OrderPolicy, TaskGraph};
 use heterog_sim::{simulate_into, SimReport, SimScratch};
 use heterog_telemetry::{tally, Counter};
 
@@ -118,7 +118,11 @@ pub struct Evaluation {
     pub iteration_time: f64,
     /// Whether any device overflowed its memory.
     pub oom: bool,
-    /// The full simulator report.
+    /// The simulator report. A fresh evaluation carries the whole
+    /// schedule; one returned by an [`crate::EvalCache`] carries every
+    /// field but the per-task times (`schedule.start` and
+    /// `schedule.finish` are empty). A caller that needs task times
+    /// simulates the task graph it compiled.
     pub report: SimReport,
 }
 
@@ -163,10 +167,22 @@ pub fn evaluate_with_policy<C: CostEstimator>(
     let _span = heterog_telemetry::span("evaluate");
     let started = Instant::now();
     let tg = compile(g, cluster, cost, strategy);
+    evaluate_compiled(&tg, cluster, policy, started)
+}
+
+/// Simulates the compiled task graph `tg` on `cluster` and counts one
+/// full evaluation that started at `started` (pass the instant before
+/// the compile, so the evaluation time covers it).
+pub fn evaluate_compiled(
+    tg: &TaskGraph,
+    cluster: &Cluster,
+    policy: &OrderPolicy,
+    started: Instant,
+) -> Evaluation {
     let mut report = SimReport::default();
     SIM_SCRATCH.with(|s| {
         simulate_into(
-            &tg,
+            tg,
             &cluster.memory_capacities(),
             policy,
             &mut s.borrow_mut(),

@@ -28,8 +28,8 @@ pub mod seed;
 pub use baselines::{CpArPlanner, CpPsPlanner, EvArPlanner, EvPsPlanner, HorovodPlanner};
 pub use cache::EvalCache;
 pub use evaluate::{
-    count_evaluations, eval_stats, evaluate, evaluate_with_policy, run_eval_stats,
-    steady_state_iteration_time, EvalStats, Evaluation,
+    count_evaluations, eval_stats, evaluate, evaluate_compiled, evaluate_with_policy,
+    run_eval_stats, steady_state_iteration_time, EvalStats, Evaluation,
 };
 pub use flexflow::FlexFlowPlanner;
 pub use grouping::{group_ops, Grouping};

@@ -49,7 +49,7 @@ fn main() {
 
     let learned = agent.plan(&g, &cluster, &GroundTruthCost);
     let t_learned = evaluate(&g, &cluster, &GroundTruthCost, &learned).iteration_time;
-    println!("greedy policy strategy: {t_learned:.3} s/iter");
+    println!("learned plan:          {t_learned:.3} s/iter");
 
     // Reference points.
     let search = HeteroGPlanner {

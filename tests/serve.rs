@@ -443,6 +443,74 @@ fn tenants_identical_explains_report_their_own_eval_counts() {
     server.shutdown();
 }
 
+/// An explain body's `report`, without its run-scoped `eval_stats`.
+fn report_without_eval_stats(body: &str) -> String {
+    use heterog_telemetry::json::{parse, Value};
+    let v = parse(body).expect("explain body parses");
+    let Value::Object(members) = &v["report"] else {
+        panic!("report is an object: {body}");
+    };
+    let kept = members.iter().filter(|(k, _)| k != "eval_stats");
+    Value::Object(kept.cloned().collect()).to_string_pretty()
+}
+
+#[test]
+fn an_explain_served_from_the_cache_equals_the_one_that_missed() {
+    use heterog::cluster::paper_testbed_8gpu;
+    use heterog::graph::{BenchmarkModel, ModelSpec};
+    use heterog::profile::GroundTruthCost;
+    use heterog::sched::OrderPolicy;
+    use heterog_telemetry::json::parse;
+
+    let (server, addr) = spawn(quick_cfg());
+    // Nothing has evaluated this spec: alice's explain misses the plan
+    // memo and the eval cache, bob's repeat hits both.
+    let mut bodies = Vec::new();
+    for tenant in ["alice", "bob"] {
+        let body = format!(
+            r#"{{"tenant":"{tenant}","model":"mobilenet","batch":32,"planner":"CP-AR","wait":true}}"#
+        );
+        let r = client::post_json(addr, "/v1/explain", &body).unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+        bodies.push(r.text());
+    }
+    server.shutdown();
+
+    let miss = parse(&bodies[0]).unwrap();
+    let e = &miss["report"]["eval_stats"];
+    assert_eq!(e["evaluations"].as_u64(), Some(1), "{}", bodies[0]);
+    assert_eq!(e["cache_misses"].as_u64(), Some(1), "{}", bodies[0]);
+    let hit = parse(&bodies[1]).unwrap();
+    assert_eq!(hit["report"]["eval_stats"]["cache_hits"].as_u64(), Some(1));
+    assert_eq!(
+        report_without_eval_stats(&bodies[0]),
+        report_without_eval_stats(&bodies[1]),
+        "a cache hit's explain equals the miss's"
+    );
+
+    // The served critical path is the one a fresh compile + simulate
+    // gives in process.
+    let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 32).build();
+    let c = paper_testbed_8gpu();
+    let s = heterog::try_baseline_planner("CP-AR")
+        .unwrap()
+        .plan(&g, &c, &GroundTruthCost);
+    let policy = OrderPolicy::RankBased;
+    let tg = heterog::compile::compile(&g, &c, &GroundTruthCost, &s);
+    let report = heterog::sim::simulate(&tg, &c.memory_capacities(), &policy);
+    let opts = heterog::explain::ExplainOptions {
+        top_k: 3,
+        run_whatif: false,
+        interventions: None,
+    };
+    let local = heterog::explain::explain(&g, &c, &s, &tg, &policy, &report, &opts);
+    let local = parse(&heterog::explain::to_json(&local)).unwrap();
+    assert_eq!(
+        miss["report"]["critical_path"].to_string_pretty(),
+        local["critical_path"].to_string_pretty()
+    );
+}
+
 #[test]
 fn finished_jobs_past_max_pending_are_retired_with_410() {
     let cfg = ServeConfig {
