@@ -38,4 +38,4 @@ pub use lower::{
 };
 pub use placement::{resolve_group_into, resolve_placements, OpPlacement};
 pub use price::{reprice, reprice_into, structure_compatible, PriceBook, RepriceError};
-pub use strategy::{CommMethod, OpStrategy, Strategy, StrategyError};
+pub use strategy::{CommMethod, OpStrategy, PackedStrategy, Strategy, StrategyError};

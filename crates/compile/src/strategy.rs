@@ -17,6 +17,8 @@
 //! an all-gather where a sharded output feeds a non-sharded consumer
 //! and a reduce-scatter on the backward boundary.
 
+use std::collections::HashMap;
+
 use heterog_cluster::{Cluster, DeviceId};
 
 /// Human-readable roster of a cluster's devices, e.g.
@@ -365,6 +367,76 @@ impl Strategy {
     }
 }
 
+/// A [`Strategy`] packed for storage: each distinct per-op decision
+/// once, in first-use order, plus one `u32` index per op. A baseline
+/// uses one decision and a HeteroG plan a few (it decides per op
+/// group), so the packed form costs about 4 bytes per op instead of an
+/// [`OpStrategy`] per op, each DP or Shard one with a heap vector of its
+/// own. Packing is canonical: equal per-op decisions always give an
+/// equal packed value, so the derived `Eq` is semantic equality.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedStrategy {
+    /// Distinct decisions in the order ops first use them.
+    decisions: Box<[OpStrategy]>,
+    /// `decisions[index[op]]` is op `op`'s decision.
+    index: Box<[u32]>,
+}
+
+impl PackedStrategy {
+    /// Packs `strategy`, in time linear in its op count: an op whose
+    /// decision equals its predecessor's reuses that index without a
+    /// hash lookup.
+    pub fn pack(strategy: &Strategy) -> Self {
+        let mut decisions = Vec::new();
+        let mut seen: HashMap<&OpStrategy, u32> = HashMap::new();
+        let mut prev: Option<(&OpStrategy, u32)> = None;
+        let index = strategy
+            .per_op
+            .iter()
+            .map(|s| {
+                let i = match prev {
+                    Some((p, i)) if p == s => i,
+                    _ => *seen.entry(s).or_insert_with(|| {
+                        decisions.push(s.clone());
+                        (decisions.len() - 1) as u32
+                    }),
+                };
+                prev = Some((s, i));
+                i
+            })
+            .collect();
+        PackedStrategy {
+            decisions: decisions.into_boxed_slice(),
+            index,
+        }
+    }
+
+    /// The strategy this was packed from.
+    pub fn unpack(&self) -> Strategy {
+        Strategy::from_per_op(
+            self.index
+                .iter()
+                .map(|&i| self.decision(i).clone())
+                .collect(),
+        )
+    }
+
+    /// Whether `strategy` has exactly the packed per-op decisions,
+    /// compared op by op without unpacking.
+    pub fn matches(&self, strategy: &Strategy) -> bool {
+        self.index.len() == strategy.per_op.len()
+            && self
+                .index
+                .iter()
+                .zip(&strategy.per_op)
+                .all(|(&i, s)| self.decision(i) == s)
+    }
+
+    fn decision(&self, i: u32) -> &OpStrategy {
+        &self.decisions[i as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,5 +584,82 @@ mod tests {
         assert_eq!(dp[1], 9); // EV-AR
         assert_eq!(dp[2], 1); // CP-PS
         assert_eq!(dp[5], 1); // Shard
+    }
+
+    /// `pack` then `unpack` is the identity, and `matches` accepts the
+    /// packed strategy itself.
+    fn assert_round_trips(s: &Strategy) -> PackedStrategy {
+        let p = PackedStrategy::pack(s);
+        assert_eq!(p.index.len(), s.per_op.len());
+        assert_eq!(&p.unpack(), s);
+        assert!(p.matches(s));
+        assert_eq!(PackedStrategy::pack(&p.unpack()), p, "packing is canonical");
+        p
+    }
+
+    #[test]
+    fn a_uniform_strategy_packs_to_one_decision() {
+        let c = paper_testbed_8gpu();
+        let s = Strategy::proportional(40, &c, CommMethod::AllReduce);
+        let p = assert_round_trips(&s);
+        assert_eq!(&p.decisions[..], &s.per_op[..1]);
+    }
+
+    #[test]
+    fn a_mixed_strategy_packs_each_decision_once_in_first_use_order() {
+        let c = paper_testbed_8gpu();
+        let mut s = Strategy::even(12, &c, CommMethod::AllReduce);
+        s.per_op[0] = OpStrategy::Mp(DeviceId(3));
+        s.per_op[5] = OpStrategy::shard_proportional(&c, 0);
+        s.per_op[6] = OpStrategy::Mp(DeviceId(3));
+        s.per_op[9] = OpStrategy::proportional(&c, CommMethod::Ps);
+        let p = assert_round_trips(&s);
+        assert_eq!(
+            &p.decisions[..],
+            [
+                OpStrategy::Mp(DeviceId(3)),
+                OpStrategy::even(&c, CommMethod::AllReduce),
+                OpStrategy::shard_proportional(&c, 0),
+                OpStrategy::proportional(&c, CommMethod::Ps),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_strategy_whose_every_op_differs_packs_every_decision() {
+        let per_op: Vec<OpStrategy> = (0..300u32)
+            .map(|i| match i % 3 {
+                0 => OpStrategy::Dp {
+                    replicas: vec![i, 1, 2],
+                    comm: CommMethod::Ps,
+                },
+                1 => OpStrategy::Shard {
+                    dim: i,
+                    shards: vec![1, 1, 1],
+                },
+                _ => OpStrategy::Mp(DeviceId(i)),
+            })
+            .collect();
+        let s = Strategy::from_per_op(per_op);
+        let p = assert_round_trips(&s);
+        assert_eq!(&p.decisions[..], &s.per_op[..]);
+    }
+
+    #[test]
+    fn matches_rejects_one_changed_op_and_a_different_op_count() {
+        let c = paper_testbed_8gpu();
+        let s = Strategy::even(10, &c, CommMethod::AllReduce);
+        let p = PackedStrategy::pack(&s);
+        let mut changed = s.clone();
+        changed.per_op[7] = OpStrategy::even(&c, CommMethod::Ps);
+        assert!(!p.matches(&changed));
+        let mut replica = s.clone();
+        if let OpStrategy::Dp { replicas, .. } = &mut replica.per_op[9] {
+            replicas[4] = 2;
+        }
+        assert!(!p.matches(&replica));
+        assert!(!p.matches(&Strategy::even(9, &c, CommMethod::AllReduce)));
+        assert!(!p.matches(&Strategy::even(11, &c, CommMethod::AllReduce)));
+        assert!(!PackedStrategy::pack(&Strategy::from_per_op(Vec::new())).matches(&s));
     }
 }

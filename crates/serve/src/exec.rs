@@ -4,14 +4,16 @@
 //!
 //! 1. A **plan memo** keyed on (model spec, cluster fingerprint,
 //!    *effective* planner, order policy) holding the chosen
-//!    [`Strategy`]. Tenants asking for the same deployment skip the
-//!    search entirely; the entry remembers which tenant planted it, so
-//!    a hit from a different tenant is counted as *cross-tenant* — the
-//!    measurable form of "similar clusters warm each other". The memo
-//!    holds as many entries as the eval cache holds contexts
-//!    (shards × contexts per shard) and evicts the least recently used
-//!    one, so every cold cluster costs one slot, not one more strategy
-//!    for the life of the daemon.
+//!    [`Strategy`], packed ([`PackedStrategy`]: each distinct per-op
+//!    decision once plus a `u32` index per op) and unpacked on a hit.
+//!    Tenants asking for the same deployment skip the search entirely;
+//!    the entry remembers which tenant planted it, so a hit from a
+//!    different tenant is counted as *cross-tenant* — the measurable
+//!    form of "similar clusters warm each other". The memo holds as
+//!    many entries as the eval cache holds contexts (shards × contexts
+//!    per shard) and evicts the least recently used one, so every cold
+//!    cluster costs one slot, not one more strategy for the life of the
+//!    daemon.
 //! 2. The process-wide sharded [`EvalCache`]: every memoized strategy is
 //!    still re-evaluated through it, so repeated requests turn into
 //!    cache hits instead of fresh compile→schedule→simulate runs, and
@@ -51,7 +53,7 @@ use std::time::Instant;
 
 use heterog_agent::HeteroGPlanner;
 use heterog_cluster::Cluster;
-use heterog_compile::{compile, Strategy};
+use heterog_compile::{compile, PackedStrategy, Strategy};
 use heterog_elastic::{ElasticOptions, FaultScript, RepairPolicy};
 use heterog_events::{EventKind, EventSink, RunManifest};
 use heterog_graph::Graph;
@@ -114,7 +116,7 @@ pub struct EngineCounters {
 }
 
 struct MemoEntry {
-    strategy: Strategy,
+    strategy: PackedStrategy,
     first_tenant: String,
     /// The memo's clock at the entry's last insert or hit.
     last_used: u64,
@@ -134,14 +136,14 @@ impl Memo {
         let e = self.entries.get_mut(&key)?;
         self.clock += 1;
         e.last_used = self.clock;
-        Some((e.strategy.clone(), e.first_tenant.clone()))
+        Some((e.strategy.unpack(), e.first_tenant.clone()))
     }
 
-    /// Plants `strategy` under `key` unless an entry is already there
-    /// (the first tenant keeps the credit). A full memo first drops its
-    /// least recently used entry: a scan of at most `capacity` entries,
-    /// paid only on a miss, next to a whole planner run.
-    fn insert(&mut self, key: u64, strategy: Strategy, tenant: &str) {
+    /// Plants `strategy`, packed, under `key` unless an entry is already
+    /// there (the first tenant keeps the credit). A full memo first
+    /// drops its least recently used entry: a scan of at most `capacity`
+    /// entries, paid only on a miss, next to a whole planner run.
+    fn insert(&mut self, key: u64, strategy: &Strategy, tenant: &str) {
         if self.entries.contains_key(&key) {
             return;
         }
@@ -157,7 +159,7 @@ impl Memo {
         }
         self.clock += 1;
         let entry = MemoEntry {
-            strategy,
+            strategy: PackedStrategy::pack(strategy),
             first_tenant: tenant.to_string(),
             last_used: self.clock,
         };
@@ -447,7 +449,7 @@ impl Engine {
         self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
         let planner = self.planner_for(effective);
         let strategy = planner.plan(g, cluster, &GroundTruthCost);
-        lock(&self.memo).insert(key, strategy.clone(), &job.tenant);
+        lock(&self.memo).insert(key, &strategy, &job.tenant);
         (strategy, false, false)
     }
 

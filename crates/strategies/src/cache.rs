@@ -10,9 +10,13 @@
 //!
 //! Keys combine the graph's identity (name, op count, batch size), the
 //! cluster's structural [`fingerprint`](heterog_cluster::Cluster::fingerprint),
-//! and the strategy's own hash; buckets store `(Strategy, Evaluation)`
-//! pairs and compare strategies by equality, so hash collisions can
-//! never return a wrong evaluation.
+//! and the strategy's own hash; buckets store `(PackedStrategy,
+//! Evaluation)` pairs and compare each stored strategy with the
+//! requested one op by op ([`PackedStrategy::matches`]), so hash
+//! collisions can never return a wrong evaluation. A packed strategy
+//! keeps each distinct per-op decision once plus a `u32` index per op,
+//! so an entry's key costs about 4 bytes per op, not one
+//! [`OpStrategy`](heterog_compile::OpStrategy) with its heap vector.
 //!
 //! The cache keeps evaluations, not schedules: a stored [`Evaluation`]
 //! keeps every field but its per-task times (`report.schedule.start`
@@ -59,7 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use heterog_cluster::Cluster;
-use heterog_compile::Strategy;
+use heterog_compile::{PackedStrategy, Strategy};
 use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::OrderPolicy;
@@ -89,8 +93,9 @@ pub const DEFAULT_CONTEXT_CAPACITY: usize = 64;
 #[derive(Debug, Default)]
 struct Shard {
     /// `hash(context, strategy)` -> strategies sharing that hash. The
-    /// equality check on the stored strategy makes collisions harmless.
-    map: HashMap<u64, Vec<(Strategy, Evaluation)>>,
+    /// op-by-op match against the stored strategy makes collisions
+    /// harmless.
+    map: HashMap<u64, Vec<(PackedStrategy, Evaluation)>>,
     /// Every full key inserted under a given context, for eviction.
     ctx_keys: HashMap<u64, Vec<u64>>,
     /// Contexts in insertion order; front is evicted first.
@@ -234,6 +239,7 @@ impl EvalCache {
         eval.report.schedule.finish = Vec::new();
         self.misses.fetch_add(1, Ordering::Relaxed);
         MISSES.inc();
+        let packed = PackedStrategy::pack(strategy);
         let mut inner = self.shard(ctx);
         if !inner.ctx_keys.contains_key(&ctx) {
             while inner.ctx_order.len() >= self.capacity {
@@ -246,8 +252,8 @@ impl EvalCache {
             inner.ctx_order.push_back(ctx);
         }
         let bucket = inner.map.entry(key).or_default();
-        if !bucket.iter().any(|(s, _)| s == strategy) {
-            bucket.push((strategy.clone(), eval.clone()));
+        if !bucket.iter().any(|(s, _)| s.matches(strategy)) {
+            bucket.push((packed, eval.clone()));
             inner.ctx_keys.entry(ctx).or_default().push(key);
         }
         eval
@@ -258,7 +264,7 @@ impl EvalCache {
             .map
             .get(&key)?
             .iter()
-            .find(|(s, _)| s == strategy)
+            .find(|(s, _)| s.matches(strategy))
             .map(|(_, e)| e.clone())
     }
 
@@ -464,6 +470,50 @@ mod tests {
             // The first insert stays: a hit returns it.
             let hit = cache.evaluate_or_insert_with(&g, &c, &s, &policy, || unreachable!());
             assert_kept_fields_equal(&hit, &fresh);
+        }
+    }
+
+    /// A stored entry answers only a strategy equal to it op for op: with
+    /// strategy A's entry planted under B's full key, as a hash collision
+    /// would leave it, evaluating B misses and returns B's evaluation.
+    #[test]
+    fn a_colliding_entry_for_another_strategy_is_not_returned() {
+        let g = mobilenet();
+        let c = paper_testbed_8gpu();
+        let a = Strategy::even(g.len(), &c, CommMethod::AllReduce);
+        let b = Strategy::proportional(g.len(), &c, CommMethod::Ps);
+        let policy = OrderPolicy::RankBased;
+        let eval_a = crate::evaluate(&g, &c, &GroundTruthCost, &a);
+        let eval_b = crate::evaluate(&g, &c, &GroundTruthCost, &b);
+        assert_ne!(eval_a.iteration_time, eval_b.iteration_time);
+        for shards in SHARDS {
+            let cache = EvalCache::sharded(shards, DEFAULT_CONTEXT_CAPACITY);
+            let ctx = context_key(&g, &c, &policy);
+            let key_b = full_key(ctx, &b);
+            {
+                let mut shard = cache.shard(ctx);
+                shard.ctx_order.push_back(ctx);
+                shard.ctx_keys.insert(ctx, vec![key_b]);
+                let planted = (PackedStrategy::pack(&a), eval_a.clone());
+                shard.map.insert(key_b, vec![planted]);
+            }
+            let calls = std::cell::Cell::new(0);
+            let compute = || {
+                calls.set(calls.get() + 1);
+                eval_b.clone()
+            };
+            let got = cache.evaluate_or_insert_with(&g, &c, &b, &policy, compute);
+            assert_eq!(
+                calls.get(),
+                1,
+                "{shards} shards: A's entry must not answer B"
+            );
+            assert_kept_fields_equal(&got, &eval_b);
+            // B now sits beside A in the same bucket, and hits.
+            assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 2));
+            let hit = cache.evaluate_or_insert_with(&g, &c, &b, &policy, compute);
+            assert_eq!(calls.get(), 1, "{shards} shards: B's own entry hits");
+            assert_kept_fields_equal(&hit, &eval_b);
         }
     }
 

@@ -130,6 +130,38 @@ mod tests {
         assert_eq!(snap.spans[0].path, "plan/compile");
     }
 
+    /// Spans opened in `par_map` jobs nest under the caller's open span,
+    /// on the pool workers as on the calling thread. On a 1-vCPU host the
+    /// pool has no helpers, every item runs on the caller, and this test
+    /// passes trivially.
+    #[test]
+    fn spans_keep_their_parent_on_pool_workers() {
+        let _g = lock(&TEST_LOCK);
+        reset();
+        enable();
+        {
+            let _outer = span("outer");
+            let items: Vec<u32> = (0..64).collect();
+            par::par_map(&items, |_| {
+                let _inner = span("inner");
+                // Slow items let a helper claim some before the caller has
+                // run them all; the assertions hold however they split.
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            });
+        }
+        let snap = snapshot();
+        disable();
+        reset();
+        let inner: Vec<&str> = snap
+            .spans
+            .iter()
+            .map(|s| s.path.as_str())
+            .filter(|p| p.ends_with("inner"))
+            .collect();
+        assert_eq!(inner.len(), 64, "{inner:?}");
+        assert!(inner.iter().all(|&p| p == "outer/inner"), "{inner:?}");
+    }
+
     #[test]
     fn top_spans_aggregates_by_path() {
         let _g = lock(&TEST_LOCK);

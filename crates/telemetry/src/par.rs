@@ -9,7 +9,8 @@
 //! simulator buffers) survives between calls. Items are claimed one at
 //! a time from a shared counter and each result lands in its input
 //! slot. A worker counts its items in the caller's open
-//! [`crate::tally`]s.
+//! [`crate::tally`]s and, when telemetry records, nests its spans under
+//! the caller's open [`crate::span()`]s.
 //!
 //! The thread count, caller included, is `RAYON_NUM_THREADS` when set
 //! to a positive integer (the variable's name is kept from the pool
@@ -142,15 +143,18 @@ where
     };
     let latch = Arc::new(Latch::default());
     let open = crate::tally::open();
+    let spans = crate::span::open();
     let panicked = {
         let guard = WaitOnDrop(Arc::clone(&latch));
         let work = &work;
         for _ in 0..helpers {
             let done = Arc::clone(&latch);
             let open = open.clone();
+            let spans = spans.clone();
             let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                let panicked =
-                    crate::tally::with_open(open, || catch_unwind(AssertUnwindSafe(work)).is_err());
+                let panicked = crate::span::with_open(spans, || {
+                    crate::tally::with_open(open, || catch_unwind(AssertUnwindSafe(work)).is_err())
+                });
                 done.finish(panicked);
             });
             // SAFETY: the job borrows `work`, and through it `items`, `f`,

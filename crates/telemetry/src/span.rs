@@ -4,6 +4,8 @@
 //! a guard; dropping the guard records a `SpanRecord` whose `path` is
 //! the `/`-joined stack at entry (`"plan/compile"`). Paths make the
 //! export self-describing without threading parent ids around.
+//! [`crate::par::par_map`] hands its pool jobs the caller's stack, so a
+//! span opened on a worker nests under the span that fanned it out.
 
 use crate::sync::lock;
 use std::cell::RefCell;
@@ -84,6 +86,27 @@ impl Drop for SpanGuard {
         };
         lock(&RECORDS).push(rec);
     }
+}
+
+/// The spans open on this thread, to hand to a pool job; `None` when
+/// telemetry is off, so a disabled `par_map` copies nothing.
+pub(crate) fn open() -> Option<Vec<&'static str>> {
+    crate::metrics::enabled().then(|| STACK.with(|s| s.borrow().clone()))
+}
+
+/// Runs `f` with `open` as this thread's span stack, then restores the
+/// one it had, also when `f` panics. With `None`, `f` runs on the
+/// thread's own stack.
+pub(crate) fn with_open<R>(open: Option<Vec<&'static str>>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Vec<&'static str>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            STACK.with(|s| *s.borrow_mut() = std::mem::take(&mut self.0));
+        }
+    }
+    let Some(open) = open else { return f() };
+    let _restore = Restore(STACK.with(|s| std::mem::replace(&mut *s.borrow_mut(), open)));
+    f()
 }
 
 /// Snapshot of all completed spans so far.

@@ -331,34 +331,36 @@ fn event_stream_seqs_are_gap_free() {
     server.shutdown();
 }
 
+/// Bob's repeat of alice's spec is a memo hit that returns her body byte
+/// for byte, for a uniform CP-AR plan and for a searched `heterog` plan
+/// that mixes MP and DP decisions (VGG-19@64 under `quick_cfg`), so a
+/// wrong unpack of the memo's packed strategy would show in
+/// `strategy_mix` and `makespan_s`.
 #[test]
 fn repeat_plans_hit_the_memo_across_tenants() {
-    let (server, addr) = spawn(quick_cfg());
-    let first = client::post_json(
-        addr,
-        "/v1/plan?wait=1",
-        r#"{"tenant":"alice","model":"vgg19","planner":"CP-AR"}"#,
-    )
-    .unwrap();
-    assert_eq!(first.status, 200);
-    let second = client::post_json(
-        addr,
-        "/v1/plan?wait=1",
-        r#"{"tenant":"bob","model":"vgg19","planner":"CP-AR"}"#,
-    )
-    .unwrap();
-    assert_eq!(second.status, 200);
-    assert_eq!(
-        first.body, second.body,
-        "identical specs must produce identical plan bytes for every tenant"
-    );
-    let stats = server.stats();
-    assert!(stats.memo_hits >= 1, "{stats:?}");
-    assert!(
-        stats.cross_tenant_hits >= 1,
-        "bob's hit rides on alice's entry: {stats:?}"
-    );
-    server.shutdown();
+    for planner in ["CP-AR", "heterog"] {
+        let (server, addr) = spawn(quick_cfg());
+        let request = |tenant: &str| {
+            format!(r#"{{"tenant":"{tenant}","model":"vgg19","batch":64,"planner":"{planner}"}}"#)
+        };
+        let first = client::post_json(addr, "/v1/plan?wait=1", &request("alice")).unwrap();
+        assert_eq!(first.status, 200, "{planner}");
+        let uniform = first.text().contains(r#""mp_pct":0.0,"#);
+        assert_eq!(uniform, planner == "CP-AR", "{}", first.text());
+        let second = client::post_json(addr, "/v1/plan?wait=1", &request("bob")).unwrap();
+        assert_eq!(second.status, 200, "{planner}");
+        assert_eq!(
+            first.body, second.body,
+            "{planner}: identical specs must produce identical plan bytes for every tenant"
+        );
+        let stats = server.stats();
+        assert_eq!(stats.memo_hits, 1, "{planner}: {stats:?}");
+        assert_eq!(
+            stats.cross_tenant_hits, 1,
+            "{planner}: bob's hit rides on alice's entry: {stats:?}"
+        );
+        server.shutdown();
+    }
 }
 
 #[test]
