@@ -188,7 +188,7 @@ pub fn write_results<T: ToJson + ?Sized>(name: &str, value: &T) {
     if heterog_telemetry::enabled() {
         let snap = heterog_telemetry::snapshot();
         let tpath = dir.join(format!("{name}.telemetry.json"));
-        if let Err(e) = std::fs::write(&tpath, heterog_telemetry::export::json_snapshot(&snap)) {
+        if let Err(e) = std::fs::write(&tpath, snap.to_value().to_string_pretty()) {
             eprintln!("warning: could not write {}: {e}", tpath.display());
         } else {
             eprintln!("(telemetry snapshot written to {})", tpath.display());

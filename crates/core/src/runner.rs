@@ -81,11 +81,11 @@ impl DistRunner {
     /// The Chrome-tracing timeline of one iteration with the host-side
     /// planning/compilation spans merged in as a second process lane.
     pub fn trace_json_with_spans(&self) -> String {
-        let snap = heterog_telemetry::snapshot();
-        heterog_telemetry::merge_chrome_traces(
-            &self.trace_json(),
-            &heterog_telemetry::chrome_span_events(&snap),
-        )
+        let mut events = heterog_sim::chrome_trace_events(&self.task_graph, &self.report.schedule);
+        events.extend(heterog_telemetry::chrome_span_events(
+            &heterog_telemetry::snapshot(),
+        ));
+        heterog_telemetry::json::Value::Array(events).to_string()
     }
 
     /// A snapshot of every metric and span recorded so far in this

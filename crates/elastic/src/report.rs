@@ -2,8 +2,8 @@
 //! markers, repair decisions, and the recovery accounting — plus text
 //! and JSON renderers.
 //!
-//! The JSON is hand-rolled (same as the explain and telemetry
-//! artifacts) and deliberately excludes wall-clock measurements: a
+//! The JSON is a `heterog_telemetry::json::Value` and deliberately
+//! excludes wall-clock measurements: a
 //! report is a pure function of `(graph, cluster, cost model, planner,
 //! fault script, options)`, so two runs with the same `--seed` produce
 //! byte-identical JSON. Wall-clock repair latency is measured by the
@@ -11,7 +11,8 @@
 //! never by the canonical artifact.
 
 use heterog_explain::{diff, ReportDigest};
-use heterog_telemetry::{json_escape, json_f64};
+use heterog_telemetry::json::{ToJson, Value};
+use heterog_telemetry::json_object;
 
 /// One scheduled fault, as it landed on the run.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,109 +102,10 @@ pub struct ElasticRunReport {
 }
 
 impl ElasticRunReport {
-    /// The JSON artifact, written by hand in a fixed layout.
+    /// The JSON artifact, pretty-printed from [`ToJson::to_value`].
     /// Deterministic: the same seed and inputs yield the same bytes.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"model\": \"{}\",\n", json_escape(&self.model)));
-        s.push_str(&format!("  \"batch_size\": {},\n", self.batch_size));
-        s.push_str(&format!(
-            "  \"policy\": \"{}\",\n",
-            json_escape(&self.policy)
-        ));
-        s.push_str(&format!(
-            "  \"planner\": \"{}\",\n",
-            json_escape(&self.planner)
-        ));
-        s.push_str(&format!("  \"iterations\": {},\n", self.iterations));
-        s.push_str(&format!(
-            "  \"faults_script\": \"{}\",\n",
-            json_escape(&self.faults_script)
-        ));
-        s.push_str(&format!(
-            "  \"baseline_makespan\": {},\n",
-            json_f64(self.baseline_makespan)
-        ));
-        s.push_str(&format!(
-            "  \"final_makespan\": {},\n",
-            json_f64(self.final_makespan)
-        ));
-        s.push_str(&format!(
-            "  \"total_time\": {},\n",
-            json_f64(self.total_time)
-        ));
-        s.push_str(&format!("  \"time_lost\": {},\n", json_f64(self.time_lost)));
-        s.push_str(&format!(
-            "  \"recovery_cost_s\": {},\n",
-            json_f64(self.recovery_cost_s)
-        ));
-        s.push_str(&format!("  \"final_devices\": {},\n", self.final_devices));
-        s.push_str(&format!("  \"final_oom\": {},\n", self.final_oom));
-        s.push_str("  \"faults\": [");
-        for (i, f) in self.faults.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"iteration\": {}, \"label\": \"{}\", \"applied\": {}}}",
-                f.iteration,
-                json_escape(&f.label),
-                f.applied
-            ));
-        }
-        s.push_str(if self.faults.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        s.push_str("  \"decisions\": [");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"iteration\": {}, \"fault\": \"{}\", \"action\": \"{}\", \
-                 \"pre_fault_makespan\": {}, \"degraded_makespan\": {}, \
-                 \"repaired_makespan\": {}, \"repair_evals\": {}, \
-                 \"stall_iterations\": {}, \"recovery_cost_s\": {}, \
-                 \"devices_after\": {}, \"oom_after\": {}}}",
-                d.iteration,
-                json_escape(&d.fault),
-                json_escape(&d.action),
-                json_f64(d.pre_fault_makespan),
-                json_f64(d.degraded_makespan),
-                json_f64(d.repaired_makespan),
-                d.repair_evals,
-                d.stall_iterations,
-                json_f64(d.recovery_cost_s),
-                d.devices_after,
-                d.oom_after
-            ));
-        }
-        s.push_str(if self.decisions.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-        s.push_str("  \"makespans\": [");
-        for (i, m) in self.makespans.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&json_f64(*m));
-        }
-        s.push_str("],\n");
-        let dg = &self.digest;
-        s.push_str(&format!(
-            "  \"digest\": {{\"makespan\": {}, \"mean_gpu_utilization\": {}, \"oom\": {}}}\n",
-            json_f64(dg.makespan),
-            json_f64(dg.mean_gpu_utilization),
-            dg.oom
-        ));
-        s.push('}');
-        s.push('\n');
-        s
+        self.to_value().to_string_pretty()
     }
 
     /// A one-screen human rendering: header, fault timeline sparkline,
@@ -278,6 +180,55 @@ impl ElasticRunReport {
             self.final_devices,
             self.final_oom
         )
+    }
+}
+
+/// The run as a JSON document, also embedded whole in served elastic
+/// bodies.
+impl ToJson for ElasticRunReport {
+    fn to_value(&self) -> Value {
+        let faults = self.faults.iter().map(|f| {
+            json_object! { "iteration" => f.iteration, "label" => &f.label, "applied" => f.applied }
+        });
+        let decisions = self.decisions.iter().map(|d| {
+            json_object! {
+                "iteration" => d.iteration,
+                "fault" => &d.fault,
+                "action" => &d.action,
+                "pre_fault_makespan" => d.pre_fault_makespan,
+                "degraded_makespan" => d.degraded_makespan,
+                "repaired_makespan" => d.repaired_makespan,
+                "repair_evals" => d.repair_evals,
+                "stall_iterations" => d.stall_iterations,
+                "recovery_cost_s" => d.recovery_cost_s,
+                "devices_after" => d.devices_after,
+                "oom_after" => d.oom_after,
+            }
+        });
+        let dg = &self.digest;
+        json_object! {
+            "model" => &self.model,
+            "batch_size" => self.batch_size,
+            "policy" => &self.policy,
+            "planner" => &self.planner,
+            "iterations" => self.iterations,
+            "faults_script" => &self.faults_script,
+            "baseline_makespan" => self.baseline_makespan,
+            "final_makespan" => self.final_makespan,
+            "total_time" => self.total_time,
+            "time_lost" => self.time_lost,
+            "recovery_cost_s" => self.recovery_cost_s,
+            "final_devices" => self.final_devices,
+            "final_oom" => self.final_oom,
+            "faults" => Value::Array(faults.collect()),
+            "decisions" => Value::Array(decisions.collect()),
+            "makespans" => &self.makespans,
+            "digest" => json_object! {
+                "makespan" => dg.makespan,
+                "mean_gpu_utilization" => dg.mean_gpu_utilization,
+                "oom" => dg.oom,
+            },
+        }
     }
 }
 
@@ -400,19 +351,21 @@ mod tests {
         let r = demo();
         let j = r.to_json();
         assert_eq!(j, r.to_json());
-        for needle in [
-            "\"model\": \"mobilenet\"",
-            "\"policy\": \"migrate-replicas\"",
-            "\"faults_script\": \"2:fail:0\"",
-            "\"decisions\": [",
-            "\"repair_evals\": 1",
-            "\"makespans\": [1.0, 1.0, 1.5, 1.25]",
-            "\"digest\": {\"makespan\": 1.25",
-        ] {
-            assert!(j.contains(needle), "missing {needle:?} in:\n{j}");
-        }
         let v = heterog_telemetry::json::parse(&j).expect("the artifact is JSON");
+        assert_eq!(v["model"].as_str(), Some("mobilenet"));
+        assert_eq!(v["policy"].as_str(), Some("migrate-replicas"));
+        assert_eq!(v["faults_script"].as_str(), Some("2:fail:0"));
+        assert_eq!(v["decisions"].as_array().map(<[_]>::len), Some(1));
+        assert_eq!(v["decisions"][0]["repair_evals"].as_u64(), Some(1));
+        let makespans: Vec<f64> = v["makespans"]
+            .as_array()
+            .expect("a makespan series")
+            .iter()
+            .filter_map(|m| m.as_f64())
+            .collect();
+        assert_eq!(makespans, [1.0, 1.0, 1.5, 1.25]);
         assert_eq!(v["digest"]["makespan"].as_f64(), Some(1.25));
+        assert_eq!(j, v.to_string_pretty(), "written in the pretty layout");
     }
 
     #[test]

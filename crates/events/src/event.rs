@@ -1,6 +1,7 @@
 //! Event types and their JSONL encoding.
 
-use heterog_telemetry::{json_escape, json_f64};
+use heterog_telemetry::json::{ToJson, Value};
+use heterog_telemetry::json_object;
 
 /// One event on the bus: a monotone sequence number (assigned under the
 /// ring lock, so the full stream is gap-free 0..n), a timestamp in
@@ -179,21 +180,26 @@ impl EventKind {
 
 impl Event {
     /// One self-describing JSON line (no trailing newline):
-    /// `{"seq":12,"ts":0.004210,"type":"rl_episode",...}`.
+    /// `{"seq":12,"ts":0.00421,"type":"rl_episode",...}`.
     pub fn to_json_line(&self) -> String {
-        let mut line = format!(
-            "{{\"seq\":{},\"ts\":{:.6},\"type\":\"{}\"",
-            self.seq,
-            self.ts,
-            self.kind.name()
-        );
+        self.to_value().to_string()
+    }
+}
+
+/// `seq`, `ts` (rounded to microseconds), the `type` tag, then the
+/// payload's fields in declaration order.
+impl ToJson for Event {
+    fn to_value(&self) -> Value {
+        let mut members = vec![
+            ("seq", self.seq.to_value()),
+            ("ts", ((self.ts * 1e6).round() / 1e6).to_value()),
+            ("type", self.kind.name().to_value()),
+        ];
         match &self.kind {
-            EventKind::RunStarted { phase, total_units } => {
-                line.push_str(&format!(
-                    ",\"phase\":\"{}\",\"total_units\":{total_units}",
-                    json_escape(phase)
-                ));
-            }
+            EventKind::RunStarted { phase, total_units } => members.extend([
+                ("phase", phase.to_value()),
+                ("total_units", total_units.to_value()),
+            ]),
             EventKind::SearchIteration {
                 pass,
                 visited,
@@ -202,13 +208,15 @@ impl Event {
                 candidate_makespan,
                 cache_hits,
                 cache_misses,
-            } => {
-                line.push_str(&format!(
-                    ",\"pass\":{pass},\"visited\":{visited},\"evals\":{evals},\"best_makespan\":{},\"candidate_makespan\":{},\"cache_hits\":{cache_hits},\"cache_misses\":{cache_misses}",
-                    json_f64(*best_makespan),
-                    json_f64(*candidate_makespan),
-                ));
-            }
+            } => members.extend([
+                ("pass", pass.to_value()),
+                ("visited", visited.to_value()),
+                ("evals", evals.to_value()),
+                ("best_makespan", best_makespan.to_value()),
+                ("candidate_makespan", candidate_makespan.to_value()),
+                ("cache_hits", cache_hits.to_value()),
+                ("cache_misses", cache_misses.to_value()),
+            ]),
             EventKind::RlEpisode {
                 episode,
                 reward,
@@ -217,59 +225,52 @@ impl Event {
                 best_time,
                 cache_hits,
                 cache_misses,
-            } => {
-                line.push_str(&format!(
-                    ",\"episode\":{episode},\"reward\":{},\"baseline\":{},\"entropy\":{},\"best_time\":{},\"cache_hits\":{cache_hits},\"cache_misses\":{cache_misses}",
-                    json_f64(*reward),
-                    json_f64(*baseline),
-                    json_f64(*entropy),
-                    json_f64(*best_time),
-                ));
-            }
+            } => members.extend([
+                ("episode", episode.to_value()),
+                ("reward", reward.to_value()),
+                ("baseline", baseline.to_value()),
+                ("entropy", entropy.to_value()),
+                ("best_time", best_time.to_value()),
+                ("cache_hits", cache_hits.to_value()),
+                ("cache_misses", cache_misses.to_value()),
+            ]),
             EventKind::StrategyEvaluated { makespan, oom } => {
-                line.push_str(&format!(
-                    ",\"makespan\":{},\"oom\":{oom}",
-                    json_f64(*makespan)
-                ));
+                members.extend([("makespan", makespan.to_value()), ("oom", oom.to_value())])
             }
             EventKind::SimEpoch {
                 tasks,
                 makespan,
                 oom_devices,
-            } => {
-                line.push_str(&format!(
-                    ",\"tasks\":{tasks},\"makespan\":{},\"oom_devices\":{oom_devices}",
-                    json_f64(*makespan)
-                ));
-            }
+            } => members.extend([
+                ("tasks", tasks.to_value()),
+                ("makespan", makespan.to_value()),
+                ("oom_devices", oom_devices.to_value()),
+            ]),
             EventKind::Oom {
                 device,
                 peak_bytes,
                 capacity_bytes,
-            } => {
-                line.push_str(&format!(
-                    ",\"device\":{device},\"peak_bytes\":{peak_bytes},\"capacity_bytes\":{capacity_bytes}"
-                ));
-            }
+            } => members.extend([
+                ("device", device.to_value()),
+                ("peak_bytes", peak_bytes.to_value()),
+                ("capacity_bytes", capacity_bytes.to_value()),
+            ]),
             EventKind::ElasticIteration {
                 iteration,
                 makespan,
-            } => {
-                line.push_str(&format!(
-                    ",\"iteration\":{iteration},\"makespan\":{}",
-                    json_f64(*makespan)
-                ));
-            }
+            } => members.extend([
+                ("iteration", iteration.to_value()),
+                ("makespan", makespan.to_value()),
+            ]),
             EventKind::Fault {
                 iteration,
                 label,
                 applied,
-            } => {
-                line.push_str(&format!(
-                    ",\"iteration\":{iteration},\"label\":\"{}\",\"applied\":{applied}",
-                    json_escape(label)
-                ));
-            }
+            } => members.extend([
+                ("iteration", iteration.to_value()),
+                ("label", label.to_value()),
+                ("applied", applied.to_value()),
+            ]),
             EventKind::Repair {
                 iteration,
                 action,
@@ -277,43 +278,47 @@ impl Event {
                 repaired_makespan,
                 repair_evals,
                 stall_iterations,
-            } => {
-                line.push_str(&format!(
-                    ",\"iteration\":{iteration},\"action\":\"{}\",\"degraded_makespan\":{},\"repaired_makespan\":{},\"repair_evals\":{repair_evals},\"stall_iterations\":{stall_iterations}",
-                    json_escape(action),
-                    json_f64(*degraded_makespan),
-                    json_f64(*repaired_makespan),
-                ));
-            }
+            } => members.extend([
+                ("iteration", iteration.to_value()),
+                ("action", action.to_value()),
+                ("degraded_makespan", degraded_makespan.to_value()),
+                ("repaired_makespan", repaired_makespan.to_value()),
+                ("repair_evals", repair_evals.to_value()),
+                ("stall_iterations", stall_iterations.to_value()),
+            ]),
             EventKind::IncrementalResim {
                 replayed,
                 total,
                 dirty,
                 makespan,
-            } => {
-                line.push_str(&format!(
-                    ",\"replayed\":{replayed},\"total\":{total},\"dirty\":{dirty},\"makespan\":{}",
-                    json_f64(*makespan)
-                ));
-            }
+            } => members.extend([
+                ("replayed", replayed.to_value()),
+                ("total", total.to_value()),
+                ("dirty", dirty.to_value()),
+                ("makespan", makespan.to_value()),
+            ]),
             EventKind::RunFinished {
                 outcome,
                 makespan,
                 oom,
-            } => {
-                line.push_str(&format!(
-                    ",\"outcome\":\"{}\",\"makespan\":{},\"oom\":{oom}",
-                    json_escape(outcome),
-                    json_f64(*makespan)
-                ));
-            }
-            EventKind::Probe { producer, index } => {
-                line.push_str(&format!(",\"producer\":{producer},\"index\":{index}"));
-            }
+            } => members.extend([
+                ("outcome", outcome.to_value()),
+                ("makespan", makespan.to_value()),
+                ("oom", oom.to_value()),
+            ]),
+            EventKind::Probe { producer, index } => members.extend([
+                ("producer", producer.to_value()),
+                ("index", index.to_value()),
+            ]),
         }
-        line.push('}');
-        line
+        Value::object(members)
     }
+}
+
+/// The `"type":"gap"` line a stream writer emits where the ring
+/// overflowed past it: `missed` events were lost there.
+pub fn gap_line(missed: u64) -> String {
+    json_object! { "type" => "gap", "missed" => missed }.to_string()
 }
 
 #[cfg(test)]
@@ -331,11 +336,36 @@ mod tests {
             },
         };
         let line = e.to_json_line();
-        assert!(line.starts_with("{\"seq\":7,\"ts\":1.500000,"));
-        assert!(line.contains("\"type\":\"strategy_evaluated\""));
-        assert!(line.contains("\"makespan\":0.25"));
-        assert!(line.contains("\"oom\":false"));
-        assert!(line.ends_with('}'));
+        let v = heterog_telemetry::json::parse(&line).expect("an event line is JSON");
+        assert_eq!(v["seq"].as_u64(), Some(7));
+        assert_eq!(v["ts"].as_f64(), Some(1.5));
+        assert_eq!(v["type"].as_str(), Some("strategy_evaluated"));
+        assert_eq!(v["makespan"].as_f64(), Some(0.25));
+        assert_eq!(v["oom"].as_bool(), Some(false));
+        assert!(
+            line.starts_with("{\"seq\":7,\"ts\":1.5,\"type\":"),
+            "seq, ts and type lead the line: {line}"
+        );
+    }
+
+    #[test]
+    fn ts_is_rounded_to_microseconds() {
+        for (ts, text) in [
+            (0.0042101234, "0.00421"),
+            (12.0000004, "12.0"),
+            (0.0, "0.0"),
+        ] {
+            let e = Event {
+                seq: 0,
+                ts,
+                kind: EventKind::Probe {
+                    producer: 0,
+                    index: 0,
+                },
+            };
+            let line = e.to_json_line();
+            assert!(line.contains(&format!("\"ts\":{text},")), "{line}");
+        }
     }
 
     #[test]

@@ -13,35 +13,25 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use std::sync::Mutex;
 
-use heterog_telemetry::{json_escape, lock};
+use heterog_telemetry::{json_object, lock};
 
 use crate::bus::snapshot_ring;
 use crate::manifest::manifest;
 
 /// Builds the flight-recorder document: manifest + last-N event window +
-/// dropped counter + telemetry snapshot, as pretty-enough JSON. `reason`
+/// dropped counter + telemetry snapshot, pretty-printed. `reason`
 /// records why the dump fired (`panic`, `fault-injected`, `requested`).
 pub fn flight_json(reason: &str) -> String {
     let (events, dropped) = snapshot_ring();
-    let manifest_json = manifest()
-        .map(|m| m.to_json())
-        .unwrap_or_else(|| "null".to_string());
-    let telemetry = heterog_telemetry::json_snapshot(&heterog_telemetry::snapshot());
-    let mut out = String::with_capacity(events.len() * 96 + telemetry.len() + 512);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"reason\": \"{}\",\n", json_escape(reason)));
-    out.push_str(&format!("  \"manifest\": {manifest_json},\n"));
-    out.push_str(&format!("  \"dropped_events\": {dropped},\n"));
-    out.push_str(&format!("  \"window_len\": {},\n", events.len()));
-    out.push_str("  \"events\": [\n");
-    for (i, e) in events.iter().enumerate() {
-        let sep = if i + 1 == events.len() { "" } else { "," };
-        out.push_str(&format!("    {}{sep}\n", e.to_json_line()));
+    json_object! {
+        "reason" => reason,
+        "manifest" => &manifest(),
+        "dropped_events" => dropped,
+        "window_len" => events.len(),
+        "events" => &events,
+        "telemetry" => &heterog_telemetry::snapshot(),
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"telemetry\": {telemetry}\n"));
-    out.push_str("}\n");
-    out
+    .to_string_pretty()
 }
 
 /// Writes the flight document to `path` (creating parent directories —
@@ -118,6 +108,7 @@ mod tests {
     use crate::bus::{emit, enable_with_capacity, reset, TEST_LOCK};
     use crate::event::EventKind;
     use crate::manifest::{clear_manifest, set_manifest, RunManifest};
+    use heterog_telemetry::json::{self, Value};
 
     #[test]
     fn flight_json_carries_manifest_window_and_telemetry() {
@@ -139,15 +130,18 @@ mod tests {
         let doc = flight_json("fault-injected");
         reset();
         clear_manifest();
-        assert!(doc.contains("\"reason\": \"fault-injected\""));
-        assert!(doc.contains("\"command\":\"elastic\""));
-        assert!(doc.contains("\"dropped_events\": 2"));
-        assert!(doc.contains("\"window_len\": 3"));
+        let v = json::parse(&doc).expect("the flight document is JSON");
+        assert_eq!(v["reason"].as_str(), Some("fault-injected"));
+        assert_eq!(v["manifest"]["command"].as_str(), Some("elastic"));
+        assert_eq!(v["dropped_events"].as_u64(), Some(2));
+        assert_eq!(v["window_len"].as_u64(), Some(3));
+        let events = v["events"].as_array().expect("an event window");
+        assert_eq!(v["window_len"].as_u64(), Some(events.len() as u64));
         // Window holds the *last* three events.
-        assert!(doc.contains("\"index\":4"));
-        assert!(!doc.contains("\"index\":0,"));
-        assert!(doc.contains("\"telemetry\":"));
-        assert!(doc.contains("\"counters\""));
+        let indices: Vec<u64> = events.iter().filter_map(|e| e["index"].as_u64()).collect();
+        assert!(indices.contains(&4));
+        assert!(!indices.contains(&0));
+        assert!(matches!(v["telemetry"]["counters"], Value::Object(_)));
     }
 
     #[test]
@@ -156,8 +150,9 @@ mod tests {
         reset();
         clear_manifest();
         let doc = flight_json("requested");
-        assert!(doc.contains("\"manifest\": null"));
-        assert!(doc.contains("\"events\": [\n  ]"));
+        let v = json::parse(&doc).expect("the flight document is JSON");
+        assert_eq!(v.get("manifest"), Some(&Value::Null));
+        assert_eq!(v["events"].as_array(), Some(&[][..]));
     }
 
     #[test]
@@ -169,7 +164,8 @@ mod tests {
         dump_flight(&path, "requested").unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(body.contains("\"reason\": \"requested\""));
+        let v = json::parse(&body).expect("the dump is JSON");
+        assert_eq!(v["reason"].as_str(), Some("requested"));
     }
 
     #[test]

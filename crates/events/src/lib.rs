@@ -46,7 +46,7 @@ pub use bus::{
     disable, dropped, emit, emit_with, emitted, enable, enable_with_capacity, enabled, reset,
     snapshot_ring, subscribe, Subscription, DEFAULT_CAPACITY,
 };
-pub use event::{Event, EventKind};
+pub use event::{gap_line, Event, EventKind};
 pub use flight::{
     default_flight_file, default_flight_path, dump_flight, flight_json, install_panic_hook,
     set_default_flight_file,

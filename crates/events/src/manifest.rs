@@ -8,8 +8,8 @@
 
 use std::sync::Mutex;
 
-use heterog_telemetry::json::{self, json_escape, Value};
-use heterog_telemetry::lock;
+use heterog_telemetry::json::{self, ToJson, Value};
+use heterog_telemetry::{json_object, lock};
 
 /// Everything needed to reproduce the run this stream came from.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -42,25 +42,26 @@ impl RunManifest {
     /// One self-describing JSON line (no trailing newline), tagged
     /// `"type":"manifest"` so stream consumers can key on it.
     pub fn to_json(&self) -> String {
-        let argv: Vec<String> = self
-            .argv
-            .iter()
-            .map(|a| format!("\"{}\"", json_escape(a)))
-            .collect();
-        format!(
-            "{{\"type\":\"manifest\",\"command\":\"{}\",\"argv\":[{}],\"model\":\"{}\",\"batch_size\":{},\"cluster_fingerprint\":{},\"num_devices\":{},\"planner\":\"{}\",\"seed\":{},\"version\":\"{}\",\"started_unix\":{},\"events_capacity\":{}}}",
-            json_escape(&self.command),
-            argv.join(","),
-            json_escape(&self.model),
-            self.batch_size,
-            self.cluster_fingerprint,
-            self.num_devices,
-            json_escape(&self.planner),
-            self.seed,
-            json_escape(&self.version),
-            self.started_unix,
-            self.events_capacity,
-        )
+        self.to_value().to_string()
+    }
+}
+
+impl ToJson for RunManifest {
+    fn to_value(&self) -> Value {
+        json_object! {
+            "type" => "manifest",
+            "command" => &self.command,
+            "argv" => &self.argv,
+            "model" => &self.model,
+            "batch_size" => self.batch_size,
+            "cluster_fingerprint" => self.cluster_fingerprint,
+            "num_devices" => self.num_devices,
+            "planner" => &self.planner,
+            "seed" => self.seed,
+            "version" => &self.version,
+            "started_unix" => self.started_unix,
+            "events_capacity" => self.events_capacity,
+        }
     }
 }
 

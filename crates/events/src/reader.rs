@@ -53,29 +53,45 @@ impl EventLog {
     }
 }
 
-fn num(v: &Value, key: &str) -> Option<f64> {
-    match v.get(key)? {
-        Value::Null => Some(f64::NAN),
-        x => x.as_f64(),
+/// Why an event line did not decode.
+enum Undecodable {
+    /// A `type` tag this decoder does not know (a newer writer): the
+    /// line is skipped.
+    UnknownTag,
+    /// A known tag missing a required field: the line was cut mid-write
+    /// and the stream truncates there.
+    MissingField,
+}
+
+fn num(v: &Value, key: &str) -> Result<f64, Undecodable> {
+    match v.get(key) {
+        Some(Value::Null) => Ok(f64::NAN),
+        x => x.and_then(Value::as_f64).ok_or(Undecodable::MissingField),
     }
 }
 
-fn uint(v: &Value, key: &str) -> Option<u64> {
-    v.get(key)?.as_u64()
+fn uint(v: &Value, key: &str) -> Result<u64, Undecodable> {
+    v.get(key)
+        .and_then(Value::as_u64)
+        .ok_or(Undecodable::MissingField)
 }
 
-fn string(v: &Value, key: &str) -> Option<String> {
-    Some(v.get(key)?.as_str()?.to_string())
+fn string(v: &Value, key: &str) -> Result<String, Undecodable> {
+    v.get(key)
+        .and_then(Value::as_str)
+        .map(str::to_string)
+        .ok_or(Undecodable::MissingField)
 }
 
-fn boolean(v: &Value, key: &str) -> Option<bool> {
-    v.get(key)?.as_bool()
+fn boolean(v: &Value, key: &str) -> Result<bool, Undecodable> {
+    v.get(key)
+        .and_then(Value::as_bool)
+        .ok_or(Undecodable::MissingField)
 }
 
-/// Decodes one event line. `None` = structurally valid JSON but not a
-/// decodable event (missing fields); the caller truncates there.
-fn decode_kind(v: &Value, tag: &str) -> Option<EventKind> {
-    Some(match tag {
+/// Decodes one event line's payload by its `type` tag.
+fn decode_kind(v: &Value, tag: &str) -> Result<EventKind, Undecodable> {
+    Ok(match tag {
         "run_started" => EventKind::RunStarted {
             phase: string(v, "phase")?,
             total_units: uint(v, "total_units")?,
@@ -144,7 +160,7 @@ fn decode_kind(v: &Value, tag: &str) -> Option<EventKind> {
             producer: uint(v, "producer")?,
             index: uint(v, "index")?,
         },
-        _ => return None,
+        _ => return Err(Undecodable::UnknownTag),
     })
 }
 
@@ -190,24 +206,20 @@ pub fn parse_jsonl(text: &str) -> EventLog {
                 log.missed += uint(&v, "missed").unwrap_or(0);
             }
             tag => {
-                let (Some(seq), Some(ts)) = (uint(&v, "seq"), num(&v, "ts")) else {
+                let (Ok(seq), Ok(ts)) = (uint(&v, "seq"), num(&v, "ts")) else {
                     log.truncated = true;
                     break;
                 };
                 match decode_kind(&v, tag) {
-                    Some(kind) => {
+                    Ok(kind) => {
                         if prev_seq.is_some_and(|p| seq <= p) {
                             log.out_of_order += 1;
                         }
                         prev_seq = Some(seq);
                         log.events.push(Event { seq, ts, kind });
                     }
-                    None if !KNOWN_TAGS.contains(&tag) => {
-                        log.unknown += 1;
-                    }
-                    None => {
-                        // A known tag with missing fields: the line was
-                        // cut mid-write.
+                    Err(Undecodable::UnknownTag) => log.unknown += 1,
+                    Err(Undecodable::MissingField) => {
                         log.truncated = true;
                         break;
                     }
@@ -217,23 +229,6 @@ pub fn parse_jsonl(text: &str) -> EventLog {
     }
     log
 }
-
-/// Every `type` tag this decoder understands (used to tell "unknown
-/// event from a newer writer" apart from "known event cut mid-write").
-const KNOWN_TAGS: [&str; 12] = [
-    "run_started",
-    "search_iteration",
-    "rl_episode",
-    "strategy_evaluated",
-    "sim_epoch",
-    "oom",
-    "elastic_iteration",
-    "fault",
-    "repair",
-    "incremental_resim",
-    "run_finished",
-    "probe",
-];
 
 /// [`parse_jsonl`] over a file.
 pub fn read_jsonl(path: &Path) -> std::io::Result<EventLog> {

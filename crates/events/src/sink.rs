@@ -16,7 +16,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::bus::subscribe;
-use crate::event::Event;
+use crate::event::{gap_line, Event};
 use crate::manifest::RunManifest;
 
 /// A consumer of the event stream. Implementations must not block for
@@ -53,7 +53,7 @@ impl EventSink for JsonlSink {
     }
 
     fn on_gap(&mut self, n: u64) {
-        let _ = writeln!(self.out, "{{\"type\":\"gap\",\"missed\":{n}}}");
+        let _ = writeln!(self.out, "{}", gap_line(n));
     }
 
     fn finish(&mut self) {

@@ -1,14 +1,14 @@
 //! Report renderers: terminal table, JSON artifact, and a
 //! self-contained HTML page embedding the Chrome-trace timeline.
 //!
-//! JSON and HTML are built with plain string formatting, matching the
-//! workspace convention (`heterog_sim::chrome_trace_json`,
-//! `heterog_telemetry::export`); the JSON artifact reads back through
-//! [`crate::diff::digest_from_json`].
+//! The JSON artifact is a [`Value`] written by `heterog_telemetry::json`
+//! and reads back through [`crate::diff::digest_from_json`]; the text
+//! and HTML views are built with plain string formatting.
 
 use std::fmt::Write as _;
 
-use heterog_telemetry::{json_escape, json_f64};
+use heterog_telemetry::json::{ToJson, Value};
+use heterog_telemetry::json_object;
 
 use crate::{ExplainReport, PathEdge};
 
@@ -218,151 +218,112 @@ pub fn render_text(rep: &ExplainReport) -> String {
     out
 }
 
-/// Renders the report as a standalone JSON document (the `--json-out`
-/// artifact; [`crate::diff::digest_from_json`] parses it back).
+/// Renders the report as a standalone, pretty-printed JSON document
+/// (the `--json-out` artifact; [`crate::diff::digest_from_json`] parses
+/// it back).
 pub fn to_json(rep: &ExplainReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"model\": \"{}\",", json_escape(&rep.model));
-    let _ = writeln!(out, "  \"batch_size\": {},", rep.batch_size);
-    let _ = writeln!(out, "  \"num_gpus\": {},", rep.num_gpus);
-    let _ = writeln!(out, "  \"num_links\": {},", rep.num_links);
-    let _ = writeln!(out, "  \"makespan\": {},", json_f64(rep.makespan));
-    let _ = writeln!(out, "  \"overlap_ratio\": {},", json_f64(rep.overlap_ratio));
-    let _ = writeln!(
-        out,
-        "  \"mean_gpu_utilization\": {},",
-        json_f64(rep.mean_gpu_utilization)
-    );
-    let _ = writeln!(out, "  \"oom\": {},", rep.oom);
+    rep.to_value().to_string_pretty()
+}
 
-    let a = &rep.attribution;
-    let _ = writeln!(
-        out,
-        "  \"attribution\": {{\"compute\": {}, \"collective\": {}, \"transfer\": {}, \"idle\": {}}},",
-        json_f64(a.compute),
-        json_f64(a.collective),
-        json_f64(a.transfer),
-        json_f64(a.idle)
-    );
-
-    let cb = &rep.collectives;
-    let _ = writeln!(
-        out,
-        "  \"collectives\": {{\"all_reduce_s\": {}, \"all_gather_s\": {}, \"reduce_scatter_s\": {}}},",
-        json_f64(cb.all_reduce_s),
-        json_f64(cb.all_gather_s),
-        json_f64(cb.reduce_scatter_s)
-    );
-
-    out.push_str("  \"critical_path\": [");
-    for (i, s) in rep.critical_path.segments.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"task\": {}, \"name\": \"{}\", \"proc\": \"{}\", \"kind\": \"{}\", \
-             \"start\": {}, \"duration\": {}, \"idle_before\": {}, \"slack\": {}}}",
-            s.task,
-            json_escape(&s.name),
-            s.proc,
-            s.kind.label(),
-            json_f64(s.start),
-            json_f64(s.duration),
-            json_f64(s.idle_before),
-            json_f64(s.slack)
-        );
+/// The report as a JSON document, also embedded whole in served
+/// explain bodies.
+impl ToJson for ExplainReport {
+    fn to_value(&self) -> Value {
+        let (a, cb, e) = (&self.attribution, &self.collectives, &self.eval_stats);
+        let (st, m) = (&self.stragglers, &self.stragglers.strategy_mix);
+        let segments = self.critical_path.segments.iter().map(|s| {
+            json_object! {
+                "task" => s.task,
+                "name" => &s.name,
+                "proc" => &s.proc.to_string(),
+                "kind" => s.kind.label(),
+                "start" => s.start,
+                "duration" => s.duration,
+                "idle_before" => s.idle_before,
+                "slack" => s.slack,
+            }
+        });
+        let devices = self.devices.iter().map(|d| {
+            json_object! {
+                "id" => d.id,
+                "model" => &d.model,
+                "server" => d.server,
+                "busy" => d.busy,
+                "utilization" => d.utilization,
+                "critical_s" => d.critical_s,
+                "peak_mem_bytes" => d.peak_mem_bytes,
+                "oom" => d.oom,
+            }
+        });
+        let link_classes = st.link_classes.iter().map(|l| {
+            json_object! {
+                "kind" => &l.kind,
+                "count" => l.count,
+                "busy" => l.busy,
+                "critical_s" => l.critical_s,
+            }
+        });
+        let whatif = self.whatif.iter().map(|w| {
+            json_object! {
+                "label" => &w.label,
+                "makespan" => w.makespan,
+                "delta" => w.delta,
+                "oom" => w.oom,
+            }
+        });
+        json_object! {
+            "model" => &self.model,
+            "batch_size" => self.batch_size,
+            "num_gpus" => self.num_gpus,
+            "num_links" => self.num_links,
+            "makespan" => self.makespan,
+            "overlap_ratio" => self.overlap_ratio,
+            "mean_gpu_utilization" => self.mean_gpu_utilization,
+            "oom" => self.oom,
+            "attribution" => json_object! {
+                "compute" => a.compute,
+                "collective" => a.collective,
+                "transfer" => a.transfer,
+                "idle" => a.idle,
+            },
+            "collectives" => json_object! {
+                "all_reduce_s" => cb.all_reduce_s,
+                "all_gather_s" => cb.all_gather_s,
+                "reduce_scatter_s" => cb.reduce_scatter_s,
+            },
+            "critical_path" => Value::Array(segments.collect()),
+            "critical_path_idle" => self.critical_path.total_idle,
+            "devices" => Value::Array(devices.collect()),
+            "link_classes" => Value::Array(link_classes.collect()),
+            "stragglers" => json_object! {
+                "gating_device" => &st.gating_device,
+                "gating_model" => &st.gating_model,
+                "gating_link_class" => &st.gating_link_class,
+                "replica_imbalance" => st.replica_imbalance,
+            },
+            "strategy_mix" => json_object! {
+                "mp" => m.mp,
+                "ev_ps" => m.ev_ps,
+                "ev_ar" => m.ev_ar,
+                "cp_ps" => m.cp_ps,
+                "cp_ar" => m.cp_ar,
+                "other_dp" => m.other_dp,
+                "shard" => m.shard,
+            },
+            "whatif" => Value::Array(whatif.collect()),
+            "eval_stats" => json_object! {
+                "evaluations" => e.evaluations,
+                "eval_seconds" => e.eval_seconds,
+                "evals_per_sec" => e.evals_per_sec(),
+                "cache_hits" => e.cache_hits,
+                "cache_misses" => e.cache_misses,
+                "cache_evictions" => e.cache_evictions,
+                "incremental_fast" => e.incremental_fast,
+                "incremental_full" => e.incremental_full,
+                "incremental_hit_rate" => e.incremental_hit_rate(),
+            },
+        }
     }
-    let _ = writeln!(out, "\n  ],");
-    let _ = writeln!(
-        out,
-        "  \"critical_path_idle\": {},",
-        json_f64(rep.critical_path.total_idle)
-    );
-
-    out.push_str("  \"devices\": [");
-    for (i, d) in rep.devices.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"id\": {}, \"model\": \"{}\", \"server\": {}, \"busy\": {}, \
-             \"utilization\": {}, \"critical_s\": {}, \"peak_mem_bytes\": {}, \"oom\": {}}}",
-            d.id,
-            json_escape(&d.model),
-            d.server,
-            json_f64(d.busy),
-            json_f64(d.utilization),
-            json_f64(d.critical_s),
-            d.peak_mem_bytes,
-            d.oom
-        );
-    }
-    let _ = writeln!(out, "\n  ],");
-
-    out.push_str("  \"link_classes\": [");
-    for (i, l) in rep.stragglers.link_classes.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"kind\": \"{}\", \"count\": {}, \"busy\": {}, \"critical_s\": {}}}",
-            json_escape(&l.kind),
-            l.count,
-            json_f64(l.busy),
-            json_f64(l.critical_s)
-        );
-    }
-    let _ = writeln!(out, "\n  ],");
-
-    let st = &rep.stragglers;
-    let _ = writeln!(
-        out,
-        "  \"stragglers\": {{\"gating_device\": {}, \"gating_model\": {}, \"gating_link_class\": {}, \"replica_imbalance\": {}}},",
-        st.gating_device
-            .map_or("null".to_string(), |d| d.to_string()),
-        st.gating_model
-            .as_ref()
-            .map_or("null".to_string(), |m| format!("\"{}\"", json_escape(m))),
-        st.gating_link_class
-            .as_ref()
-            .map_or("null".to_string(), |k| format!("\"{}\"", json_escape(k))),
-        json_f64(st.replica_imbalance)
-    );
-
-    let m = &st.strategy_mix;
-    let _ = writeln!(
-        out,
-        "  \"strategy_mix\": {{\"mp\": {}, \"ev_ps\": {}, \"ev_ar\": {}, \"cp_ps\": {}, \"cp_ar\": {}, \"other_dp\": {}, \"shard\": {}}},",
-        m.mp, m.ev_ps, m.ev_ar, m.cp_ps, m.cp_ar, m.other_dp, m.shard
-    );
-
-    out.push_str("  \"whatif\": [");
-    for (i, w) in rep.whatif.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"label\": \"{}\", \"makespan\": {}, \"delta\": {}, \"oom\": {}}}",
-            json_escape(&w.label),
-            json_f64(w.makespan),
-            json_f64(w.delta),
-            w.oom
-        );
-    }
-    let _ = writeln!(out, "\n  ],");
-
-    let e = &rep.eval_stats;
-    let _ = writeln!(
-        out,
-        "  \"eval_stats\": {{\"evaluations\": {}, \"eval_seconds\": {}, \"evals_per_sec\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"cache_evictions\": {}, \"incremental_fast\": {}, \"incremental_full\": {}, \"incremental_hit_rate\": {}}}",
-        e.evaluations,
-        json_f64(e.eval_seconds),
-        json_f64(e.evals_per_sec()),
-        e.cache_hits,
-        e.cache_misses,
-        e.cache_evictions,
-        e.incremental_fast,
-        e.incremental_full,
-        json_f64(e.incremental_hit_rate())
-    );
-    out.push_str("}\n");
-    out
 }
 
 fn html_esc(s: &str) -> String {

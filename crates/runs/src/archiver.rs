@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use heterog_events::{Event, EventKind, EventSink, RunManifest};
+use heterog_telemetry::json::ToJson;
 use heterog_telemetry::{lock, TelemetrySnapshot};
 
 use crate::store::{allocate_run_id, RunParts, RunStore, StoredEvaluation, FLIGHT_FILE};
@@ -90,7 +91,7 @@ impl ArchiveHandle {
             counters: heterog_telemetry::tally::current(),
             ..TelemetrySnapshot::default()
         };
-        *lock(&self.0.telemetry_json) = Some(heterog_telemetry::json_snapshot(&counts));
+        *lock(&self.0.telemetry_json) = Some(counts.to_value().to_string_pretty());
         self.0.finished.store(true, Ordering::SeqCst);
         heterog_events::emit(EventKind::RunFinished {
             outcome: outcome.to_string(),
@@ -134,8 +135,7 @@ impl EventSink for RunArchiver {
     }
 
     fn on_gap(&mut self, n: u64) {
-        self.lines
-            .push(format!("{{\"type\":\"gap\",\"missed\":{n}}}"));
+        self.lines.push(heterog_events::gap_line(n));
     }
 
     fn finish(&mut self) {

@@ -61,7 +61,8 @@ use heterog_profile::GroundTruthCost;
 use heterog_runs::{ArchiveHandle, RunArchiver, StoredEvaluation};
 use heterog_sched::{OrderPolicy, TaskGraph};
 use heterog_strategies::{evaluate_compiled, EvalCache, Evaluation};
-use heterog_telemetry::{json_escape, json_f64, lock};
+use heterog_telemetry::json::{ToJson, Value};
+use heterog_telemetry::{json_object, lock};
 
 use crate::jobs::{Job, JobKind, JobResult};
 
@@ -312,7 +313,12 @@ impl Engine {
                     &eval.report,
                     &opts,
                 );
-                let body = explain_body(spec, effective, degraded, &eval, &report);
+                let rest = [
+                    ("makespan_s", eval.iteration_time.to_value()),
+                    ("oom", eval.oom.to_value()),
+                    ("report", report.to_value()),
+                ];
+                let body = result_body("explain", spec, effective, degraded, rest);
                 Stage {
                     body,
                     eval: Some(eval),
@@ -355,7 +361,12 @@ impl Engine {
                     &outcome.strategy,
                     &policy,
                 );
-                let body = elastic_body(spec, effective, degraded, &eval, &outcome.report);
+                let rest = [
+                    ("final_makespan_s", eval.iteration_time.to_value()),
+                    ("final_oom", eval.oom.to_value()),
+                    ("report", outcome.report.to_value()),
+                ];
+                let body = result_body("elastic", spec, effective, degraded, rest);
                 Stage {
                     body,
                     eval: Some(eval),
@@ -576,15 +587,26 @@ fn memo_key(
     h.finish()
 }
 
-fn result_head(spec: &crate::jobs::JobSpec, effective: &str, degraded: bool) -> String {
-    format!(
-        "\"model\":\"{}\",\"batch\":{},\"planner\":\"{}\",\"planner_used\":\"{}\",\"degraded\":{}",
-        json_escape(&spec.model.label()),
-        spec.model.batch_size,
-        json_escape(&spec.planner),
-        json_escape(effective),
-        degraded
-    )
+/// A served result body, compact: `kind`, the request (`model`,
+/// `batch`, `planner`), the planner that ran and whether it was a
+/// degraded fallback, then the kind's own members `rest`.
+fn result_body<'a>(
+    kind: &str,
+    spec: &crate::jobs::JobSpec,
+    effective: &str,
+    degraded: bool,
+    rest: impl IntoIterator<Item = (&'a str, Value)>,
+) -> String {
+    let mut members = vec![
+        ("kind", kind.to_value()),
+        ("model", spec.model.label().to_value()),
+        ("batch", spec.model.batch_size.to_value()),
+        ("planner", spec.planner.to_value()),
+        ("planner_used", effective.to_value()),
+        ("degraded", degraded.to_value()),
+    ];
+    members.extend(rest);
+    Value::object(members).to_string()
 }
 
 fn plan_body(
@@ -599,61 +621,28 @@ fn plan_body(
     let (mp, dp) = strategy.histogram(cluster);
     let total = g.len().max(1) as f64;
     let mp_total: usize = mp.iter().sum();
-    let peaks: Vec<String> = eval
-        .report
-        .memory
-        .peak_bytes
-        .iter()
-        .map(|b| b.to_string())
-        .collect();
-    format!(
-        "{{\"kind\":\"plan\",{},\"cluster_fingerprint\":{},\"devices\":{},\"makespan_s\":{},\"samples_per_second\":{},\"oom\":{},\"peak_memory_bytes\":[{}],\"strategy_mix\":{{\"mp_pct\":{},\"shard_pct\":{}}}}}",
-        result_head(spec, effective, degraded),
-        cluster.fingerprint(),
-        cluster.num_devices(),
-        json_f64(eval.iteration_time),
-        json_f64(if eval.iteration_time > 0.0 {
-            spec.model.batch_size as f64 / eval.iteration_time
-        } else {
-            0.0
-        }),
-        eval.oom,
-        peaks.join(","),
-        json_f64(100.0 * mp_total as f64 / total),
-        json_f64(100.0 * dp[5] as f64 / total),
-    )
-}
-
-fn explain_body(
-    spec: &crate::jobs::JobSpec,
-    effective: &str,
-    degraded: bool,
-    eval: &Evaluation,
-    report: &heterog_explain::ExplainReport,
-) -> String {
-    format!(
-        "{{\"kind\":\"explain\",{},\"makespan_s\":{},\"oom\":{},\"report\":{}}}",
-        result_head(spec, effective, degraded),
-        json_f64(eval.iteration_time),
-        eval.oom,
-        heterog_explain::to_json(report),
-    )
-}
-
-fn elastic_body(
-    spec: &crate::jobs::JobSpec,
-    effective: &str,
-    degraded: bool,
-    eval: &Evaluation,
-    report: &heterog_elastic::ElasticRunReport,
-) -> String {
-    format!(
-        "{{\"kind\":\"elastic\",{},\"final_makespan_s\":{},\"final_oom\":{},\"report\":{}}}",
-        result_head(spec, effective, degraded),
-        json_f64(eval.iteration_time),
-        eval.oom,
-        report.to_json(),
-    )
+    let samples_per_second = if eval.iteration_time > 0.0 {
+        spec.model.batch_size as f64 / eval.iteration_time
+    } else {
+        0.0
+    };
+    let mix = json_object! {
+        "mp_pct" => 100.0 * mp_total as f64 / total,
+        "shard_pct" => 100.0 * dp[5] as f64 / total,
+    };
+    let rest = [
+        ("cluster_fingerprint", cluster.fingerprint().to_value()),
+        ("devices", cluster.num_devices().to_value()),
+        ("makespan_s", eval.iteration_time.to_value()),
+        ("samples_per_second", samples_per_second.to_value()),
+        ("oom", eval.oom.to_value()),
+        (
+            "peak_memory_bytes",
+            eval.report.memory.peak_bytes.to_value(),
+        ),
+        ("strategy_mix", mix),
+    ];
+    result_body("plan", spec, effective, degraded, rest)
 }
 
 #[cfg(test)]

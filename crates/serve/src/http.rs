@@ -12,6 +12,8 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
+use heterog_telemetry::json_object;
+
 /// Upper bound on request head (request line + headers) bytes.
 const MAX_HEAD: usize = 16 * 1024;
 /// Upper bound on request body bytes.
@@ -226,5 +228,5 @@ impl<'a> ChunkedWriter<'a> {
 
 /// Convenience: a `{"error": ...}` body.
 pub fn error_body(msg: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", heterog_telemetry::json_escape(msg))
+    json_object! { "error" => msg }.to_string()
 }

@@ -15,7 +15,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use heterog_telemetry::{json_escape, lock};
+use heterog_telemetry::json::ToJson;
+use heterog_telemetry::{json_object, lock};
 
 use crate::api::{parse_request, ApiError};
 use crate::exec::Engine;
@@ -296,7 +297,8 @@ fn handle_connection(mut stream: TcpStream, s: &Shared) {
 fn route(stream: &mut TcpStream, req: &Request, s: &Shared) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
-            let _ = respond(stream, 200, "application/json", &[], b"{\"status\":\"ok\"}");
+            let body = json_object! { "status" => "ok" }.to_string();
+            let _ = respond(stream, 200, "application/json", &[], body.as_bytes());
         }
         ("GET", "/metrics") => {
             QUEUE_DEPTH.set(s.queue.depth() as f64);
@@ -391,12 +393,10 @@ fn handle_submit(stream: &mut TcpStream, req: &Request, s: &Shared, kind: &str) 
         ),
     ];
     if !parsed.wait {
-        let body = format!(
-            "{{\"job_id\":\"{}\",\"status\":\"{}\",\"coalesced\":{}}}",
-            json_escape(&job.id),
-            json_escape(job.state().status()),
-            coalesced
-        );
+        let status = job.state().status();
+        let body =
+            json_object! { "job_id" => &job.id, "status" => status, "coalesced" => coalesced }
+                .to_string();
         let _ = respond(stream, 202, "application/json", &headers, body.as_bytes());
         return;
     }
@@ -460,21 +460,17 @@ fn handle_job_status(stream: &mut TcpStream, s: &Shared, id: &str) {
     };
     let state = job.state();
     let body = match &state {
+        // The stored result body is already JSON: wrap it as it is
+        // rather than parse it back into a value.
         JobState::Done(result) => format!(
-            "{{\"job_id\":\"{}\",\"status\":\"done\",\"result\":{}}}",
-            json_escape(&job.id),
+            "{{\"job_id\":{},\"status\":\"done\",\"result\":{}}}",
+            job.id.to_value(),
             result.body
         ),
-        JobState::Failed(e) => format!(
-            "{{\"job_id\":\"{}\",\"status\":\"failed\",\"error\":\"{}\"}}",
-            json_escape(&job.id),
-            json_escape(e)
-        ),
-        other => format!(
-            "{{\"job_id\":\"{}\",\"status\":\"{}\"}}",
-            json_escape(&job.id),
-            json_escape(other.status())
-        ),
+        JobState::Failed(e) => {
+            json_object! { "job_id" => &job.id, "status" => "failed", "error" => e }.to_string()
+        }
+        other => json_object! { "job_id" => &job.id, "status" => other.status() }.to_string(),
     };
     let _ = respond(stream, 200, "application/json", &[], body.as_bytes());
 }

@@ -33,4 +33,4 @@ pub use report::{
     makespan_bound_into, simulate, simulate_into, simulate_uncounted, time_breakdown, SimReport,
     SimScratch,
 };
-pub use trace::chrome_trace_json;
+pub use trace::{chrome_trace_events, chrome_trace_json};

@@ -10,7 +10,8 @@
 //! Fig. 1/2 timelines do.
 
 use heterog_sched::{Proc, Schedule, TaskGraph};
-use heterog_telemetry::json_escape;
+use heterog_telemetry::json::Value;
+use heterog_telemetry::json_object;
 
 /// Trace tid of a processor: GPUs use their id, links sit at 1000+.
 fn proc_tid(p: Proc) -> u64 {
@@ -20,58 +21,89 @@ fn proc_tid(p: Proc) -> u64 {
     }
 }
 
-/// Seconds -> integer-or-decimal microsecond timestamp literal.
+/// Seconds -> microseconds, the format's time unit.
 fn us(seconds: f64) -> f64 {
     seconds * 1e6
 }
 
-/// Renders the schedule as a Chrome-tracing JSON string (a flat event
-/// array, which both `chrome://tracing` and Perfetto accept). Events are
-/// built as strings directly — the schema is fixed and flat, and this
-/// keeps the exporter dependency-free.
+/// A metadata event (`"ph":"M"`) for the simulator lane.
+fn metadata(name: &str, tid: u64, args: Value) -> Value {
+    json_object! { "name" => name, "ph" => "M", "pid" => 0u64, "tid" => tid, "args" => args }
+}
+
+/// Both ends of flow arrow `id`: it leaves track `from` at `t0` (`"s"`)
+/// and enters track `to` at `t1` (`"f"`).
+fn flow(id: u64, (t0, from): (f64, u64), (t1, to): (f64, u64)) -> [Value; 2] {
+    [
+        json_object! {
+            "name" => "xfer",
+            "cat" => "flow",
+            "ph" => "s",
+            "id" => id,
+            "ts" => us(t0),
+            "pid" => 0u64,
+            "tid" => from,
+        },
+        json_object! {
+            "name" => "xfer",
+            "cat" => "flow",
+            "ph" => "f",
+            "bp" => "e",
+            "id" => id,
+            "ts" => us(t1),
+            "pid" => 0u64,
+            "tid" => to,
+        },
+    ]
+}
+
+/// The schedule as Chrome-tracing events, in the simulator's process
+/// lane (pid 0). Append other lanes' events (the host spans of
+/// `heterog_telemetry::chrome_span_events`) before writing the array.
 ///
 /// Panics unless `s` holds a start and a finish time for every task of
 /// `tg`; an evaluation served by the eval cache has none.
-pub fn chrome_trace_json(tg: &TaskGraph, s: &Schedule) -> String {
+pub fn chrome_trace_events(tg: &TaskGraph, s: &Schedule) -> Vec<Value> {
     s.assert_covers(tg.len());
     let mut events = Vec::with_capacity(2 * tg.len() + 2 * tg.num_procs() + 2);
 
     // Track metadata: one named process, one named thread per GPU and
     // per link. sort_index keeps GPUs above links in the Perfetto UI.
-    events.push(format!(
-        r#"{{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{{"name":"heterog simulator: {}"}}}}"#,
-        json_escape(&tg.name)
+    let process = format!("heterog simulator: {}", tg.name);
+    events.push(metadata(
+        "process_name",
+        0,
+        json_object! { "name" => &process },
     ));
-    for g in 0..tg.num_gpus {
-        events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{g},"args":{{"name":"GPU{g}"}}}}"#
+    let tracks = (0..tg.num_gpus)
+        .map(|g| (g as u64, format!("GPU{g}")))
+        .chain((0..tg.num_links).map(|l| (1000 + l as u64, format!("Link{l}"))));
+    for (tid, label) in tracks {
+        events.push(metadata(
+            "thread_name",
+            tid,
+            json_object! { "name" => &label },
         ));
-        events.push(format!(
-            r#"{{"name":"thread_sort_index","ph":"M","pid":0,"tid":{g},"args":{{"sort_index":{g}}}}}"#
-        ));
-    }
-    for l in 0..tg.num_links {
-        let tid = 1000 + l as u64;
-        events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},"args":{{"name":"Link{l}"}}}}"#
-        ));
-        events.push(format!(
-            r#"{{"name":"thread_sort_index","ph":"M","pid":0,"tid":{tid},"args":{{"sort_index":{tid}}}}}"#
+        events.push(metadata(
+            "thread_sort_index",
+            tid,
+            json_object! { "sort_index" => tid },
         ));
     }
 
     // One complete event per task, on its processor's track
     // (microsecond timestamps, as the format expects).
     for (id, task) in tg.iter() {
-        events.push(format!(
-            r#"{{"name":"{}","cat":"{}","ph":"X","ts":{},"dur":{},"pid":0,"tid":{},"args":{{"kind":"{}"}}}}"#,
-            json_escape(&tg.task_name(id).to_string()),
-            if task.proc.is_link() { "comm" } else { "compute" },
-            us(s.start[id.index()]),
-            us(task.duration),
-            proc_tid(task.proc),
-            json_escape(task.kind.mnemonic()),
-        ));
+        events.push(json_object! {
+            "name" => &tg.task_name(id).to_string(),
+            "cat" => if task.proc.is_link() { "comm" } else { "compute" },
+            "ph" => "X",
+            "ts" => us(s.start[id.index()]),
+            "dur" => us(task.duration),
+            "pid" => 0u64,
+            "tid" => proc_tid(task.proc),
+            "args" => json_object! { "kind" => task.kind.mnemonic() },
+        });
     }
 
     // Flow arrows through every transfer task: producer -> transfer and
@@ -86,30 +118,16 @@ pub fn chrome_trace_json(tg: &TaskGraph, s: &Schedule) -> String {
         let tid = proc_tid(task.proc);
         for &p in tg.preds(id) {
             flow_id += 1;
-            events.push(format!(
-                r#"{{"name":"xfer","cat":"flow","ph":"s","id":{flow_id},"ts":{},"pid":0,"tid":{}}}"#,
-                us(s.finish[p.index()]),
-                proc_tid(tg.task(p).proc),
-            ));
-            events.push(format!(
-                r#"{{"name":"xfer","cat":"flow","ph":"f","bp":"e","id":{flow_id},"ts":{},"pid":0,"tid":{tid}}}"#,
-                us(s.start[id.index()]),
-            ));
+            let from = (s.finish[p.index()], proc_tid(tg.task(p).proc));
+            events.extend(flow(flow_id, from, (s.start[id.index()], tid)));
         }
         for &c in tg.succs(id) {
             if tg.task(c).proc.is_link() {
                 continue; // next hop draws its own incoming arrow
             }
             flow_id += 1;
-            events.push(format!(
-                r#"{{"name":"xfer","cat":"flow","ph":"s","id":{flow_id},"ts":{},"pid":0,"tid":{tid}}}"#,
-                us(s.finish[id.index()]),
-            ));
-            events.push(format!(
-                r#"{{"name":"xfer","cat":"flow","ph":"f","bp":"e","id":{flow_id},"ts":{},"pid":0,"tid":{}}}"#,
-                us(s.start[c.index()]),
-                proc_tid(tg.task(c).proc),
-            ));
+            let to = (s.start[c.index()], proc_tid(tg.task(c).proc));
+            events.extend(flow(flow_id, (s.finish[id.index()], tid), to));
         }
     }
 
@@ -124,13 +142,22 @@ pub fn chrome_trace_json(tg: &TaskGraph, s: &Schedule) -> String {
     let mut total_bytes = 0u64;
     for (finish, bytes) in completions {
         total_bytes += bytes;
-        events.push(format!(
-            r#"{{"name":"transferred_bytes","ph":"C","pid":0,"tid":0,"ts":{},"args":{{"bytes":{total_bytes}}}}}"#,
-            us(finish),
-        ));
+        events.push(json_object! {
+            "name" => "transferred_bytes",
+            "ph" => "C",
+            "pid" => 0u64,
+            "tid" => 0u64,
+            "ts" => us(finish),
+            "args" => json_object! { "bytes" => total_bytes },
+        });
     }
+    events
+}
 
-    format!("[{}]", events.join(","))
+/// The schedule as a Chrome-tracing JSON array (compact), which both
+/// `chrome://tracing` and Perfetto load; see [`chrome_trace_events`].
+pub fn chrome_trace_json(tg: &TaskGraph, s: &Schedule) -> String {
+    Value::Array(chrome_trace_events(tg, s)).to_string()
 }
 
 #[cfg(test)]

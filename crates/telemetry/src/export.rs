@@ -1,8 +1,9 @@
-//! Exporters: Prometheus text exposition, JSON snapshot, and Chrome /
-//! Perfetto trace events. All output is built with plain string
-//! formatting over [`crate::json`]'s escaper and number writer.
+//! Exporters: Prometheus text exposition, the JSON snapshot and Chrome /
+//! Perfetto trace events. The JSON ones are [`Value`]s, written by
+//! [`crate::json`].
 
-use crate::json::{json_escape, json_f64};
+use crate::json::{ToJson, Value};
+use crate::json_object;
 use crate::snapshot::TelemetrySnapshot;
 use std::fmt::Write as _;
 
@@ -61,114 +62,77 @@ pub fn prometheus_text(snap: &TelemetrySnapshot) -> String {
     out
 }
 
-/// Render a snapshot as a standalone JSON document:
+/// A snapshot as one JSON document:
 /// `{"counters": {...}, "gauges": {...}, "histograms": {...},
-///   "spans": [...]}`.
-pub fn json_snapshot(snap: &TelemetrySnapshot) -> String {
-    let mut out = String::from("{\n  \"counters\": {");
-    for (i, c) in snap.counters.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(out, "{sep}\n    \"{}\": {}", json_escape(c.name), c.value);
+///   "spans": [...]}`, each histogram as its count, sum and p50/p90/p99.
+impl ToJson for TelemetrySnapshot {
+    fn to_value(&self) -> Value {
+        let histograms = self.histograms.iter().map(|h| {
+            let summary = json_object! {
+                "count" => h.count,
+                "sum" => h.sum,
+                "p50" => h.quantile(0.5),
+                "p90" => h.quantile(0.9),
+                "p99" => h.quantile(0.99),
+            };
+            (h.name, summary)
+        });
+        let spans = self.spans.iter().map(|s| {
+            json_object! {
+                "path" => &s.path,
+                "start_us" => s.start_us,
+                "dur_us" => s.dur_us,
+                "thread" => s.thread,
+            }
+        });
+        json_object! {
+            "counters" => Value::object(self.counters.iter().map(|c| (c.name, c.value.to_value()))),
+            "gauges" => Value::object(self.gauges.iter().map(|g| (g.name, g.value.to_value()))),
+            "histograms" => Value::object(histograms),
+            "spans" => Value::Array(spans.collect()),
+        }
     }
-    out.push_str("\n  },\n  \"gauges\": {");
-    for (i, g) in snap.gauges.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    \"{}\": {}",
-            json_escape(g.name),
-            json_f64(g.value)
-        );
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    for (i, h) in snap.histograms.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}}}",
-            json_escape(h.name),
-            h.count,
-            json_f64(h.sum),
-            json_f64(h.quantile(0.5)),
-            json_f64(h.quantile(0.9)),
-            json_f64(h.quantile(0.99))
-        );
-    }
-    out.push_str("\n  },\n  \"spans\": [");
-    for (i, s) in snap.spans.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            out,
-            "{sep}\n    {{\"path\": \"{}\", \"start_us\": {}, \"dur_us\": {}, \"thread\": {}}}",
-            json_escape(&s.path),
-            s.start_us,
-            s.dur_us,
-            s.thread
-        );
-    }
-    out.push_str("\n  ]\n}\n");
-    out
 }
 
 /// Host-side pid used for span events in merged traces; simulator
 /// traces use pid 0, so host spans get their own process lane.
 pub const HOST_PID: u32 = 1;
 
-/// Render completed spans as individual Chrome trace event objects
-/// (`"ph":"X"` complete events plus process/thread `"ph":"M"` metadata),
-/// ready to splice into a trace array with [`merge_chrome_traces`].
-pub fn chrome_span_events(snap: &TelemetrySnapshot) -> Vec<String> {
-    let mut events = Vec::new();
-    events.push(format!(
-        "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{HOST_PID},\"tid\":0,\
-         \"args\":{{\"name\":\"heterog host (planner/compiler)\"}}}}"
-    ));
+/// Completed spans as Chrome trace events (`"ph":"X"` complete events
+/// plus process/thread `"ph":"M"` metadata) in the host lane, ready to
+/// append to the simulator's events (`heterog_sim::chrome_trace_events`)
+/// so Perfetto loads both as one timeline.
+pub fn chrome_span_events(snap: &TelemetrySnapshot) -> Vec<Value> {
+    let metadata = |name: &str, tid: u64, label: &str| {
+        json_object! {
+            "name" => name,
+            "ph" => "M",
+            "pid" => HOST_PID,
+            "tid" => tid,
+            "args" => json_object! { "name" => label },
+        }
+    };
     let mut threads: Vec<u64> = snap.spans.iter().map(|s| s.thread).collect();
     threads.sort_unstable();
     threads.dedup();
-    for t in &threads {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{HOST_PID},\"tid\":{t},\
-             \"args\":{{\"name\":\"host thread {t}\"}}}}"
-        ));
+    let mut events = vec![metadata(
+        "process_name",
+        0,
+        "heterog host (planner/compiler)",
+    )];
+    for &t in &threads {
+        events.push(metadata("thread_name", t, &format!("host thread {t}")));
     }
-    for s in &snap.spans {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"cat\":\"host\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":{HOST_PID},\"tid\":{}}}",
-            json_escape(&s.path),
-            s.start_us,
-            s.dur_us,
-            s.thread
-        ));
-    }
-    events
-}
-
-/// A complete standalone Chrome trace (JSON array) of the host spans.
-pub fn chrome_trace(snap: &TelemetrySnapshot) -> String {
-    merge_chrome_traces("[]", &chrome_span_events(snap))
-}
-
-/// Splice extra event objects into an existing Chrome trace JSON array
-/// (e.g. the simulator trace from `heterog_sim::chrome_trace_json`),
-/// producing one array Perfetto loads as a single timeline.
-pub fn merge_chrome_traces(base_json_array: &str, extra_events: &[String]) -> String {
-    let trimmed = base_json_array.trim_end();
-    let Some(body) = trimmed.strip_suffix(']') else {
-        // Not an array; fall back to just the extra events.
-        return merge_chrome_traces("[]", extra_events);
-    };
-    let body = body.trim_end();
-    let base_is_empty = body.trim_start() == "[";
-    let mut out = String::from(body);
-    for (i, ev) in extra_events.iter().enumerate() {
-        if i > 0 || !base_is_empty {
-            out.push(',');
+    events.extend(snap.spans.iter().map(|s| {
+        json_object! {
+            "name" => &s.path,
+            "cat" => "host",
+            "ph" => "X",
+            "ts" => s.start_us,
+            "dur" => s.dur_us,
+            "pid" => HOST_PID,
+            "tid" => s.thread,
         }
-        out.push('\n');
-        out.push_str(ev);
-    }
-    out.push_str("\n]");
-    out
+    }));
+    events
 }

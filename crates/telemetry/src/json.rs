@@ -7,10 +7,13 @@
 //!   nesting deeper than [`MAX_DEPTH`], so outside input (serve request
 //!   bodies) cannot overflow a worker's stack. Every failure is a named
 //!   [`ErrorKind`], never a panic.
-//! * Writing uses serde_json's compact and 2-space pretty layouts and
-//!   its float form ([`json_f64`]), so files first written through
-//!   serde_json stay byte-identical.
-//! * [`ToJson`] covers the std types experiment results are built from.
+//! * Writing uses serde_json's compact layout ([`Value`]'s `Display`)
+//!   and its 2-space pretty one ([`Value::to_string_pretty`]), with its
+//!   float form, so files first written through serde_json stay
+//!   byte-identical. Every document the workspace emits is built as a
+//!   [`Value`] and written here: string escaping and number form are
+//!   private to this module.
+//! * [`ToJson`] covers the std types documents are built from.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,8 +27,7 @@ pub const MAX_DEPTH: usize = 128;
 /// quotes): quote, backslash, newline, carriage return and tab get
 /// their short escapes, other control characters become `\u00XX`, and
 /// everything else — non-ASCII included — passes through as UTF-8.
-/// Every JSON writer in the workspace escapes through this one function.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -48,7 +50,7 @@ pub fn json_escape(s: &str) -> String {
 /// magnitudes in `[1e-5, 1e16)` (`1.0`, `0.125`, `0.00001`), exponent
 /// form outside it (`1e-7`, `1.5e16`). NaN and infinities, which JSON
 /// cannot carry, become `null`.
-pub fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if !v.is_finite() {
         return "null".into();
     }
@@ -666,6 +668,24 @@ impl ToJson for f64 {
     }
 }
 
+impl ToJson for u64 {
+    fn to_value(&self) -> Value {
+        Value::U64(*self)
+    }
+}
+
+impl ToJson for u32 {
+    fn to_value(&self) -> Value {
+        Value::U64(u64::from(*self))
+    }
+}
+
+impl ToJson for usize {
+    fn to_value(&self) -> Value {
+        Value::U64(*self as u64)
+    }
+}
+
 impl ToJson for str {
     fn to_value(&self) -> Value {
         Value::String(self.to_string())
@@ -710,6 +730,38 @@ impl<T: ToJson> ToJson for BTreeMap<String, T> {
                 .collect(),
         )
     }
+}
+
+/// What a [`json_object!`](crate::json_object) member accepts: a built
+/// [`Value`] (moved in) or anything [`ToJson`] that is `Copy` — numbers,
+/// booleans and references such as `&String` or `&Vec<f64>`.
+pub trait IntoValue {
+    /// This value as a JSON [`Value`].
+    fn into_value(self) -> Value;
+}
+
+impl IntoValue for Value {
+    fn into_value(self) -> Value {
+        self
+    }
+}
+
+impl<T: ToJson + Copy> IntoValue for T {
+    fn into_value(self) -> Value {
+        self.to_value()
+    }
+}
+
+/// A JSON object [`Value`] written like the document it builds, members
+/// in the given order: `json_object! { "model" => &r.model, "batch" => r.batch }`.
+/// Each value is [`IntoValue`].
+#[macro_export]
+macro_rules! json_object {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        $crate::json::Value::Object(vec![
+            $(($key.to_string(), $crate::json::IntoValue::into_value($value))),*
+        ])
+    };
 }
 
 /// A pair writes as a two-element array.
@@ -902,6 +954,20 @@ mod tests {
             .field("n", "a number", Value::as_f64)
             .unwrap_err();
         assert_eq!(not_object.kind, ErrorKind::NotAnObject);
+    }
+
+    #[test]
+    fn json_object_keeps_member_order_and_moves_values_in() {
+        let name = String::from("a\"b");
+        let nested = crate::json_object! { "n" => 1u32 };
+        let v = crate::json_object! {
+            "s" => &name, "u" => 7usize, "f" => 0.5, "b" => true, "o" => nested,
+            "none" => &None::<f64>, "xs" => &vec![2u64, 3],
+        };
+        assert_eq!(
+            v.to_string(),
+            r#"{"s":"a\"b","u":7,"f":0.5,"b":true,"o":{"n":1},"none":null,"xs":[2,3]}"#
+        );
     }
 
     #[test]

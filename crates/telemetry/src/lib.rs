@@ -45,10 +45,7 @@ pub mod span;
 mod sync;
 pub mod tally;
 
-pub use export::{
-    chrome_span_events, chrome_trace, json_snapshot, merge_chrome_traces, prometheus_text,
-};
-pub use json::{json_escape, json_f64};
+pub use export::{chrome_span_events, prometheus_text};
 pub use metrics::{disable, enable, enable_from_env, enabled, reset, Counter, Gauge, Histogram};
 pub use snapshot::{
     snapshot, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, TelemetrySnapshot,
@@ -59,6 +56,7 @@ pub use sync::lock;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
     use std::sync::Mutex;
 
     // Telemetry state is process-global; serialize the tests that
@@ -266,7 +264,7 @@ mod tests {
         TEST_HISTO.observe(0.5);
         let snap = snapshot();
         let text = prometheus_text(&snap);
-        let json = json_snapshot(&snap);
+        let json = snap.to_value().to_string_pretty();
         disable();
         reset();
         let h = snap
@@ -293,20 +291,5 @@ mod tests {
         // below the 0.5s outlier that dominates p99.
         assert!(h.quantile(0.5) < 0.02);
         assert!(h.quantile(0.99) > 0.1);
-    }
-
-    #[test]
-    fn merge_traces_concatenates_event_arrays() {
-        let base = r#"[{"name":"a","ph":"X"}]"#;
-        let extra = vec![r#"{"name":"b","ph":"X"}"#.to_string()];
-        let merged = merge_chrome_traces(base, &extra);
-        assert!(merged.starts_with('['));
-        assert!(merged.ends_with(']'));
-        assert!(merged.contains(r#""name":"a""#));
-        assert!(merged.contains(r#""name":"b""#));
-        // Empty base array also merges.
-        let merged2 = merge_chrome_traces("[]", &extra);
-        assert!(merged2.contains(r#""name":"b""#));
-        assert!(!merged2.contains("[,"));
     }
 }

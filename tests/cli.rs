@@ -4,8 +4,17 @@ use std::process::Command;
 
 use heterog_telemetry::json;
 
+/// The CLI, archiving into a per-process temporary run store rather than
+/// `.heterog/runs` under the working directory (the source tree under
+/// `cargo test`). Tests that check the store set their own
+/// `HETEROG_RUNS_DIR`, which overrides this one.
 fn cli() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_heterog-cli"))
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_heterog-cli"));
+    cmd.env(
+        "HETEROG_RUNS_DIR",
+        std::env::temp_dir().join(format!("heterog_cli_runs_{}", std::process::id())),
+    );
+    cmd
 }
 
 #[test]
@@ -24,7 +33,10 @@ fn unknown_model_error_lists_valid_names() {
 
 #[test]
 fn elastic_runs_scripted_fault_and_writes_json() {
-    let json_path = std::env::temp_dir().join("heterog_cli_elastic_test.json");
+    let json_path = std::env::temp_dir().join(format!(
+        "heterog_cli_elastic_test_{}.json",
+        std::process::id()
+    ));
     let out = cli()
         .args([
             "elastic",
@@ -147,6 +159,61 @@ fn progress_and_events_do_not_change_plan_stdout() {
     assert!(
         n_events > 10,
         "a plan search should stream many events, got {n_events}"
+    );
+}
+
+/// On two threads the search's `evaluate_bounded` spans run on both the
+/// caller and the pool worker, and each keeps its `fast_plan` parent.
+#[test]
+fn traced_two_thread_plan_keeps_span_parents() {
+    let trace_path =
+        std::env::temp_dir().join(format!("heterog_cli_trace_{}.json", std::process::id()));
+    let out = cli()
+        .env("RAYON_NUM_THREADS", "2")
+        .args([
+            "plan",
+            "--model",
+            "mobilenet",
+            "--no-archive",
+            "--trace-out",
+            trace_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("run cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let text = std::fs::read_to_string(&trace_path).expect("trace file");
+    std::fs::remove_file(&trace_path).ok();
+    let trace = json::parse(&text).expect("the trace is JSON");
+    let events = trace.as_array().expect("a trace event array");
+    for pid in [0, 1] {
+        assert!(
+            events.iter().any(|e| e["pid"].as_u64() == Some(pid)),
+            "no events in lane {pid}"
+        );
+    }
+    let evals: Vec<&json::Value> = events
+        .iter()
+        .filter(|e| e["ph"].as_str() == Some("X"))
+        .filter(|e| {
+            let leaf = e["name"].as_str().and_then(|n| n.rsplit('/').next());
+            leaf == Some("evaluate_bounded")
+        })
+        .collect();
+    assert!(!evals.is_empty(), "no evaluate_bounded spans");
+    for e in &evals {
+        let name = e["name"].as_str().unwrap();
+        assert!(
+            name.contains("/fast_plan/"),
+            "span without its parent: {name}"
+        );
+    }
+    let mut tids: Vec<u64> = evals.iter().filter_map(|e| e["tid"].as_u64()).collect();
+    tids.sort_unstable();
+    tids.dedup();
+    assert!(
+        tids.len() >= 2,
+        "evaluate_bounded ran on threads {tids:?} only"
     );
 }
 
