@@ -21,10 +21,12 @@
 //! Run: `cargo run --release -p heterog-bench --bin exp_elastic_recovery`
 //! (pass `--smoke` for a seconds-scale CI configuration).
 
+use std::path::Path;
 use std::time::Instant;
 
 use heterog::elastic::{elastic_run, ElasticOptions, FaultScript, RepairPolicy};
 use heterog_agent::HeteroGPlanner;
+use heterog_bench::{round_to, write_json};
 use heterog_cluster::{paper_testbed_8gpu, DeviceId};
 use heterog_compile::compile;
 use heterog_graph::{BenchmarkModel, ModelSpec};
@@ -32,6 +34,8 @@ use heterog_profile::GroundTruthCost;
 use heterog_sched::OrderPolicy;
 use heterog_sim::simulate;
 use heterog_strategies::{migrate_replicas, DeviceMap, Planner};
+use heterog_telemetry::json::{ToJson, Value};
+use heterog_telemetry::json_object;
 
 struct ModelRow {
     name: &'static str,
@@ -156,47 +160,32 @@ fn main() {
         rows.len()
     );
 
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!("  \"iterations\": {iters},\n"));
-    json.push_str(&format!("  \"failed_device\": {failed},\n"));
-    json.push_str(&format!("  \"migrate_faster_models\": {migrate_wins},\n"));
-    json.push_str(
-        "  \"policies\": [\"full-replan\", \"migrate-replicas\", \"collective-fallback\"],\n",
-    );
-    json.push_str("  \"models\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"model\": \"{}\", \"full_replan_wall_s\": {:.6}, \"migrate_wall_s\": {:.6}, \
-             \"migrate_below_replan\": {}, \"replan_makespan_s\": {:.6}, \
-             \"migrate_makespan_s\": {:.6}, \"repair_evals\": [{}, {}, {}], \
-             \"recovery_cost_s\": [{:.6}, {:.6}, {:.6}], \"time_lost_s\": [{:.6}, {:.6}, {:.6}], \
-             \"final_makespan_s\": [{:.6}, {:.6}, {:.6}]}}{}\n",
-            r.name,
-            r.replan_wall_s,
-            r.migrate_wall_s,
-            r.migrate_wall_s < r.replan_wall_s,
-            r.replan_makespan,
-            r.migrate_makespan,
-            r.repair_evals[0],
-            r.repair_evals[1],
-            r.repair_evals[2],
-            r.recovery_cost_s[0],
-            r.recovery_cost_s[1],
-            r.recovery_cost_s[2],
-            r.time_lost_s[0],
-            r.time_lost_s[1],
-            r.time_lost_s[2],
-            r.final_makespan[0],
-            r.final_makespan[1],
-            r.final_makespan[2],
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = "BENCH_elastic_recovery.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("(results written to {path})"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
+    let rounded = |xs: [f64; 3]| xs.map(|x| round_to(x, 6)).to_vec().to_value();
+    let models: Vec<Value> = rows
+        .iter()
+        .map(|r| {
+            json_object! {
+                "model" => r.name,
+                "full_replan_wall_s" => round_to(r.replan_wall_s, 6),
+                "migrate_wall_s" => round_to(r.migrate_wall_s, 6),
+                "migrate_below_replan" => r.migrate_wall_s < r.replan_wall_s,
+                "replan_makespan_s" => round_to(r.replan_makespan, 6),
+                "migrate_makespan_s" => round_to(r.migrate_makespan, 6),
+                "repair_evals" => &r.repair_evals[..],
+                "recovery_cost_s" => rounded(r.recovery_cost_s),
+                "time_lost_s" => rounded(r.time_lost_s),
+                "final_makespan_s" => rounded(r.final_makespan),
+            }
+        })
+        .collect();
+    let policies: Vec<&str> = RepairPolicy::ALL.iter().map(RepairPolicy::name).collect();
+    let doc = json_object! {
+        "smoke" => smoke,
+        "iterations" => iters,
+        "failed_device" => failed,
+        "migrate_faster_models" => migrate_wins,
+        "policies" => &policies,
+        "models" => Value::Array(models),
+    };
+    write_json(Path::new("BENCH_elastic_recovery.json"), &doc);
 }

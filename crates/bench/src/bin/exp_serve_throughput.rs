@@ -15,11 +15,14 @@
 //! with p50/p99 latency, plans/sec, the coalesce rate, and the memo /
 //! eval-cache / cross-tenant hit rates.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use heterog_bench::{round_to, write_json};
 use heterog_serve::{client, ServeConfig, Server};
+use heterog_telemetry::json_object;
 use heterog_telemetry::rng::SplitMix64;
 
 const TENANTS: &[&str] = &["alice", "bob", "carol", "dave"];
@@ -85,33 +88,40 @@ fn main() {
                     let roll = rng.below(100);
                     let (path, body) = if roll < 2 {
                         // ~2% elastic: tiny fault-free run.
-                        (
-                            "/v1/elastic",
-                            format!(
-                                r#"{{"tenant":"{tenant}","model":"{model}","batch":{batch},"planner":"CP-AR","iterations":3,"faults":0,"wait":true}}"#
-                            ),
-                        )
+                        let body = json_object! {
+                            "tenant" => tenant,
+                            "model" => model,
+                            "batch" => batch,
+                            "planner" => "CP-AR",
+                            "iterations" => 3u64,
+                            "faults" => 0u64,
+                            "wait" => true,
+                        };
+                        ("/v1/elastic", body)
                     } else if roll < 12 {
                         // ~10% explain.
-                        (
-                            "/v1/explain",
-                            format!(
-                                r#"{{"tenant":"{tenant}","model":"{model}","batch":{batch},"planner":"CP-AR","top_k":3,"wait":true}}"#
-                            ),
-                        )
+                        let body = json_object! {
+                            "tenant" => tenant,
+                            "model" => model,
+                            "batch" => batch,
+                            "planner" => "CP-AR",
+                            "top_k" => 3u64,
+                            "wait" => true,
+                        };
+                        ("/v1/explain", body)
                     } else {
-                        (
-                            "/v1/plan",
-                            format!(
-                                r#"{{"tenant":"{tenant}","model":"{model}","batch":{batch},"planner":"CP-AR","wait":true}}"#
-                            ),
-                        )
+                        let body = json_object! {
+                            "tenant" => tenant,
+                            "model" => model,
+                            "batch" => batch,
+                            "planner" => "CP-AR",
+                            "wait" => true,
+                        };
+                        ("/v1/plan", body)
                     };
                     let t0 = Instant::now();
-                    match client::post_json(addr, path, &body) {
-                        Ok(r) if r.status == 200 => {
-                            lat_ms.push(t0.elapsed().as_secs_f64() * 1e3)
-                        }
+                    match client::post_json(addr, path, &body.to_string()) {
+                        Ok(r) if r.status == 200 => lat_ms.push(t0.elapsed().as_secs_f64() * 1e3),
                         Ok(r) => {
                             eprintln!("request failed ({}): {}", r.status, r.text());
                             errors.fetch_add(1, Ordering::Relaxed);
@@ -182,13 +192,22 @@ fn main() {
         TENANTS.len()
     );
 
-    let json = format!(
-        "{{\n  \"smoke\": {smoke},\n  \"requests\": {},\n  \"tenants\": {},\n  \"client_threads\": {threads},\n  \"workers\": {workers},\n  \"duration_s\": {duration_s:.4},\n  \"plans_per_sec\": {plans_per_sec:.2},\n  \"p50_ms\": {p50_ms:.3},\n  \"p99_ms\": {p99_ms:.3},\n  \"coalesce_rate\": {coalesce_rate:.4},\n  \"memo_hit_rate\": {memo_hit_rate:.4},\n  \"cross_tenant_hit_rate\": {cross_tenant_hit_rate:.4},\n  \"evalcache_hit_rate\": {evalcache_hit_rate:.4},\n  \"degraded\": {},\n  \"rejected\": {}\n}}\n",
-        lat_ms.len(),
-        TENANTS.len().min(threads),
-        stats.degraded,
-        stats.rejected
-    );
-    std::fs::write("BENCH_serve_throughput.json", json).expect("write artifact");
-    println!("wrote BENCH_serve_throughput.json");
+    let doc = json_object! {
+        "smoke" => smoke,
+        "requests" => lat_ms.len(),
+        "tenants" => TENANTS.len().min(threads),
+        "client_threads" => threads,
+        "workers" => workers,
+        "duration_s" => round_to(duration_s, 4),
+        "plans_per_sec" => round_to(plans_per_sec, 2),
+        "p50_ms" => round_to(p50_ms, 3),
+        "p99_ms" => round_to(p99_ms, 3),
+        "coalesce_rate" => round_to(coalesce_rate, 4),
+        "memo_hit_rate" => round_to(memo_hit_rate, 4),
+        "cross_tenant_hit_rate" => round_to(cross_tenant_hit_rate, 4),
+        "evalcache_hit_rate" => round_to(evalcache_hit_rate, 4),
+        "degraded" => stats.degraded,
+        "rejected" => stats.rejected,
+    };
+    write_json(Path::new("BENCH_serve_throughput.json"), &doc);
 }

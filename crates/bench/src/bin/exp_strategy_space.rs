@@ -19,17 +19,18 @@
 //! `bench_compare` gates on its `wins` / `mean_improvement_pct` fields.
 //!
 //! Run: `cargo run --release -p heterog-bench --bin exp_strategy_space`
-//! (pass `--smoke` for a seconds-scale CI configuration).
 
-use std::fmt::Write as _;
+use std::path::Path;
 
-use heterog_bench::{evaluate, Strategy};
+use heterog_bench::{evaluate, round_to, write_json, Strategy};
 use heterog_cluster::{paper_testbed_8gpu, LinkKind};
 use heterog_compile::{CommMethod, OpStrategy};
 use heterog_graph::{BenchmarkModel, ModelSpec};
 use heterog_profile::GroundTruthCost;
 use heterog_sched::OrderPolicy;
 use heterog_strategies::{Evaluation, IncrementalEvaluator, Perturbation, Planner, ShardCpPlanner};
+use heterog_telemetry::json::{ToJson, Value};
+use heterog_telemetry::json_object;
 
 struct Candidate {
     name: &'static str,
@@ -46,23 +47,15 @@ fn best_feasible(evals: &[(Candidate, Evaluation)]) -> Option<(&Candidate, &Eval
 
 fn main() {
     heterog_bench::bench_init();
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let cluster = paper_testbed_8gpu();
     let cost = GroundTruthCost;
 
-    let specs: Vec<ModelSpec> = if smoke {
-        vec![
-            ModelSpec::new(BenchmarkModel::Vgg19, 64),
-            ModelSpec::with_layers(BenchmarkModel::BertLarge, 24, 12),
-        ]
-    } else {
-        vec![
-            ModelSpec::new(BenchmarkModel::Vgg19, 192),
-            ModelSpec::new(BenchmarkModel::ResNet200, 192),
-            ModelSpec::with_layers(BenchmarkModel::BertLarge, 48, 24),
-            ModelSpec::with_layers(BenchmarkModel::XlnetLarge, 48, 24),
-        ]
-    };
+    let specs = [
+        ModelSpec::new(BenchmarkModel::Vgg19, 192),
+        ModelSpec::new(BenchmarkModel::ResNet200, 192),
+        ModelSpec::with_layers(BenchmarkModel::BertLarge, 48, 24),
+        ModelSpec::with_layers(BenchmarkModel::XlnetLarge, 48, 24),
+    ];
 
     println!("=== Widened strategy space: Shard vs replicate/MP-only (8 GPUs) ===");
     println!(
@@ -73,9 +66,9 @@ fn main() {
     let mut wins = 0usize;
     let mut improvements: Vec<f64> = Vec::new();
     let mut all_identical = true;
-    let mut rows_json = String::new();
+    let mut rows = Vec::new();
 
-    for (mi, spec) in specs.iter().enumerate() {
+    for spec in &specs {
         let g = spec.build();
 
         // The fastest single device hosts the MP-only candidate.
@@ -180,21 +173,16 @@ fn main() {
             improvement_pct
         );
 
-        let sep = if mi == 0 { "" } else { "," };
-        let _ = write!(
-            rows_json,
-            "{sep}\n    {{\"model\": \"{}\", \"narrow_best\": \"{}\", \"narrow_s\": {:.6}, \
-             \"widened_best\": \"{}\", \"widened_s\": {:.6}, \"improvement_pct\": {:.3}, \
-             \"win\": {}, \"incremental_bit_identical\": {}}}",
-            spec.label(),
-            nc.name,
-            ne.iteration_time,
-            wc.name,
-            we.iteration_time,
-            improvement_pct,
-            win,
-            identical
-        );
+        rows.push(json_object! {
+            "model" => spec.label().to_value(),
+            "narrow_best" => nc.name,
+            "narrow_s" => round_to(ne.iteration_time, 6),
+            "widened_best" => wc.name,
+            "widened_s" => round_to(we.iteration_time, 6),
+            "improvement_pct" => round_to(improvement_pct, 3),
+            "win" => win,
+            "incremental_bit_identical" => identical,
+        });
     }
 
     let mean_improvement = improvements.iter().sum::<f64>() / improvements.len().max(1) as f64;
@@ -203,21 +191,18 @@ fn main() {
          incremental bit-identical: {all_identical}",
         specs.len()
     );
-    let required = if smoke { 1 } else { 2 };
     assert!(
-        wins >= required,
-        "the widened space must strictly beat the best replicate/MP-only plan on >={required} models"
+        wins >= 2,
+        "the widened space must strictly beat the best replicate/MP-only plan on >=2 models"
     );
 
-    let json = format!(
-        "{{\n  \"cluster\": \"paper_testbed_8gpu\",\n  \"smoke\": {smoke},\n  \"models\": {},\n  \
-         \"wins\": {wins},\n  \"mean_improvement_pct\": {mean_improvement:.3},\n  \
-         \"incremental_bit_identical\": {all_identical},\n  \"rows\": [{rows_json}\n  ]\n}}\n",
-        specs.len()
-    );
-    let path = "BENCH_strategy_space.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("(results written to {path})"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
+    let doc = json_object! {
+        "cluster" => "paper_testbed_8gpu",
+        "models" => specs.len(),
+        "wins" => wins,
+        "mean_improvement_pct" => round_to(mean_improvement, 3),
+        "incremental_bit_identical" => all_identical,
+        "rows" => Value::Array(rows),
+    };
+    write_json(Path::new("BENCH_strategy_space.json"), &doc);
 }

@@ -7,7 +7,7 @@ use std::path::Path;
 use heterog_agent::HeteroGPlanner;
 use heterog_cluster::Cluster;
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
-use heterog_profile::{CostEstimator, CostModel, GroundTruthCost, Profiler};
+use heterog_profile::{CostModel, GroundTruthCost, Profiler};
 use heterog_sched::OrderPolicy;
 use heterog_strategies::{evaluate_with_policy, Evaluation, Planner};
 use heterog_telemetry::json::{ToJson, Value};
@@ -171,17 +171,29 @@ pub fn format_speedup_table(rows: &[Row], reference: &str, planners: &[&str]) ->
     out
 }
 
+/// Writes `value` as pretty JSON to `path`. A failed write exits the
+/// process nonzero naming the path, so a gate reading the file never
+/// sees a stale copy.
+pub fn write_json(path: &Path, value: &Value) {
+    if let Err(e) = std::fs::write(path, value.to_string_pretty()) {
+        eprintln!("error: could not write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    eprintln!("(results written to {})", path.display());
+}
+
+/// `x` rounded to `decimals` places, as `format!("{x:.decimals$}")`
+/// prints it: artifact numbers keep their printed precision.
+pub fn round_to(x: f64, decimals: usize) -> f64 {
+    format!("{x:.decimals$}").parse().unwrap_or(x)
+}
+
 /// Writes a result as pretty JSON to `results/<name>.json` (relative to
 /// the workspace root when run via `cargo run`).
 pub fn write_results<T: ToJson + ?Sized>(name: &str, value: &T) {
     let dir = Path::new("results");
     let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.json"));
-    if let Err(e) = std::fs::write(&path, value.to_value().to_string_pretty()) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        eprintln!("(results written to {})", path.display());
-    }
+    write_json(&dir.join(format!("{name}.json")), &value.to_value());
     // When telemetry is recording, drop the counter/span snapshot next
     // to the result so BENCH_*.json entries carry counters, not just
     // times.
@@ -236,10 +248,4 @@ pub fn cell(e: &Evaluation) -> Option<f64> {
 /// Pretty seconds.
 pub fn fmt_s(x: f64) -> String {
     format!("{x:.3}s")
-}
-
-/// The cost estimator pair used across experiments: planners see fitted
-/// costs, measurements use ground truth.
-pub fn ground_truth() -> impl CostEstimator + Copy {
-    GroundTruthCost
 }

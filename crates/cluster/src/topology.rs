@@ -215,11 +215,6 @@ impl Cluster {
         by
     }
 
-    /// Sum of all devices' memory, bytes.
-    pub fn total_memory(&self) -> u64 {
-        self.devices.iter().map(|d| d.memory_bytes).sum()
-    }
-
     /// Per-GPU memory capacities in device order (what the simulator's
     /// OOM check consumes).
     pub fn memory_capacities(&self) -> Vec<u64> {

@@ -45,11 +45,6 @@ impl OpPlacement {
         seen
     }
 
-    /// True when all replicas sit on one device.
-    pub fn single_device(&self) -> bool {
-        self.devices().len() == 1
-    }
-
     /// True when there is exactly one replica.
     pub fn single_instance(&self) -> bool {
         self.replicas.len() == 1

@@ -226,16 +226,6 @@ impl OpStrategy {
             OpStrategy::Shard { shards, .. } => shards.iter().filter(|&&w| w > 0).count() as u32,
         }
     }
-
-    /// True for data-parallel strategies.
-    pub fn is_dp(&self) -> bool {
-        matches!(self, OpStrategy::Dp { .. })
-    }
-
-    /// True for SPMD-sharded strategies.
-    pub fn is_shard(&self) -> bool {
-        matches!(self, OpStrategy::Shard { .. })
-    }
 }
 
 /// A complete Part-I strategy: one decision per op of the original graph.

@@ -37,12 +37,6 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    /// Events of one kind, by its `type` tag.
-    pub fn of_kind<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a Event> {
-        let want = name.to_string();
-        self.events.iter().filter(move |e| e.kind.name() == want)
-    }
-
     /// The terminal [`EventKind::RunFinished`] event, when the stream
     /// carried one — its absence marks a crashed or aborted run.
     pub fn finished(&self) -> Option<&Event> {

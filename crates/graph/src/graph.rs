@@ -139,11 +139,6 @@ impl Graph {
         &self.nodes[id.index()]
     }
 
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, id: OpId) -> &mut Node {
-        &mut self.nodes[id.index()]
-    }
-
     /// All node ids in arena order.
     pub fn op_ids(&self) -> impl Iterator<Item = OpId> + '_ {
         (0..self.nodes.len() as u32).map(OpId)

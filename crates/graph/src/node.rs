@@ -104,12 +104,6 @@ impl Node {
         self
     }
 
-    /// Overrides batch-splittability.
-    pub fn with_splittable(mut self, splittable: bool) -> Self {
-        self.batch_splittable = splittable;
-        self
-    }
-
     /// Marks this node as producing the parameter gradient of `op`.
     pub fn with_grad_of(mut self, op: OpId) -> Self {
         self.grad_of = Some(op);

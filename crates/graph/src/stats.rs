@@ -59,11 +59,6 @@ impl GraphStats {
             max_param_bytes,
         }
     }
-
-    /// Parameter size in mebibytes (convenience for reports).
-    pub fn param_mib(&self) -> f64 {
-        self.param_bytes as f64 / (1024.0 * 1024.0)
-    }
 }
 
 /// Histogram of op kinds, for model-zoo sanity reporting.

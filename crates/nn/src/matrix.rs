@@ -159,22 +159,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise product.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let data = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Adds a row-vector (`1 x cols`) to every row.
     pub fn add_row_broadcast(&self, bias: &[f64]) -> Matrix {
         assert_eq!(bias.len(), self.cols);

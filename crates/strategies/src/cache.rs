@@ -402,6 +402,28 @@ mod tests {
             assert_kept_fields_equal(&hit, &fresh);
             assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
         }
+        // Pool workers sharing one cache, each strategy visited three
+        // times so hits and racing misses mix, answer what serial
+        // evaluation does.
+        let distinct: Vec<Strategy> = [CommMethod::Ps, CommMethod::AllReduce]
+            .into_iter()
+            .flat_map(|m| {
+                [
+                    Strategy::even(g.len(), &c, m),
+                    Strategy::proportional(g.len(), &c, m),
+                ]
+            })
+            .collect();
+        let visits: Vec<&Strategy> = (0..3).flat_map(|_| &distinct).collect();
+        for shards in SHARDS {
+            let cache = EvalCache::sharded(shards, 2);
+            let shared = heterog_telemetry::par::par_map(&visits, |s| {
+                cache.evaluate(&g, &c, &GroundTruthCost, s)
+            });
+            for (e, s) in shared.iter().zip(&visits) {
+                assert_kept_fields_equal(e, &crate::evaluate(&g, &c, &GroundTruthCost, s));
+            }
+        }
     }
 
     #[test]

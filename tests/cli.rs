@@ -2,6 +2,7 @@
 
 use std::process::Command;
 
+use heterog::runs::{RunStore, EVENTS_FILE};
 use heterog_telemetry::json;
 
 /// The CLI, archiving into a per-process temporary run store rather than
@@ -334,9 +335,10 @@ fn failed_invocation_leaves_no_run_directory() {
 fn runs_store_archives_lists_diffs_and_gcs() {
     let store = std::env::temp_dir().join(format!("heterog_cli_store_{}", std::process::id()));
     std::fs::remove_dir_all(&store).ok();
-    let plan = |batch: &str| {
+    let plan = |batch: &str, extra: &[&str]| {
         let out = cli()
             .args(["plan", "--model", "mobilenet", "--batch", batch])
+            .args(extra)
             .env("HETEROG_RUNS_DIR", &store)
             .output()
             .expect("run cli");
@@ -345,10 +347,28 @@ fn runs_store_archives_lists_diffs_and_gcs() {
             "stderr: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        archived_id(&out.stderr)
+        out
     };
-    let baseline = plan("64");
-    let bigger = plan("256");
+    let archived = plan("64", &[]);
+    let baseline = archived_id(&archived.stderr);
+    let bigger = archived_id(&plan("256", &[]).stderr);
+
+    // Archiving observes the run without changing what it prints.
+    assert_eq!(
+        String::from_utf8_lossy(&plan("64", &["--no-archive"]).stdout),
+        String::from_utf8_lossy(&archived.stdout)
+    );
+
+    // The stored stream, loaded back and re-serialized, is the file
+    // byte for byte.
+    let run = RunStore::open(&store).load(&baseline).expect("load run");
+    assert_eq!(run.log.missed, 0, "a plan's stream fits the bus");
+    let mut rebuilt = run.manifest().to_json() + "\n";
+    for e in &run.log.events {
+        rebuilt.push_str(&(e.to_json_line() + "\n"));
+    }
+    let on_disk = std::fs::read_to_string(run.dir.join(EVENTS_FILE)).expect("events file");
+    assert!(rebuilt == on_disk, "re-serialized {EVENTS_FILE} differs");
 
     // list sees both runs.
     let out = cli()
