@@ -11,20 +11,8 @@ use heterog_graph::{Graph, Phase};
 use heterog_nn::Matrix;
 use heterog_profile::CostEstimator;
 
-/// Feature-encoding knobs.
-#[derive(Debug, Clone)]
-pub struct FeatureConfig {
-    /// Scale for log-compressed byte counts.
-    pub byte_log_scale: f64,
-}
-
-impl Default for FeatureConfig {
-    fn default() -> Self {
-        FeatureConfig {
-            byte_log_scale: 1.0 / 30.0,
-        }
-    }
-}
+/// Scale for log-compressed byte counts.
+const BYTE_LOG_SCALE: f64 = 1.0 / 30.0;
 
 /// Encodes the node feature matrix. Feature layout per op:
 ///
@@ -35,12 +23,7 @@ impl Default for FeatureConfig {
 ///    (normalized like op times);
 /// 4. batch-splittable flag, parameter-gradient flag;
 /// 5. one-hot training phase (forward / backward / update).
-pub fn encode_features<C: CostEstimator>(
-    g: &Graph,
-    cluster: &Cluster,
-    cost: &C,
-    cfg: &FeatureConfig,
-) -> Matrix {
+pub fn encode_features<C: CostEstimator>(g: &Graph, cluster: &Cluster, cost: &C) -> Matrix {
     let mut models: Vec<_> = cluster.devices().iter().map(|d| d.model).collect();
     models.sort_by_key(|m| m.name());
     models.dedup();
@@ -71,8 +54,8 @@ pub fn encode_features<C: CostEstimator>(
             row[j] = t / tmax;
         }
         let mut c = models.len();
-        row[c] = (n.output_bytes(batch) as f64 + 1.0).ln() * cfg.byte_log_scale;
-        row[c + 1] = (n.param_bytes as f64 + 1.0).ln() * cfg.byte_log_scale;
+        row[c] = (n.output_bytes(batch) as f64 + 1.0).ln() * BYTE_LOG_SCALE;
+        row[c + 1] = (n.param_bytes as f64 + 1.0).ln() * BYTE_LOG_SCALE;
         c += 2;
         row[c] = (n.output_bytes(batch) as f64 / mean_bw) / tmax.max(1e-9);
         c += 1;
@@ -106,7 +89,7 @@ mod tests {
     fn feature_matrix_shape_and_ranges() {
         let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 32).build();
         let c = paper_testbed_8gpu();
-        let x = encode_features(&g, &c, &GroundTruthCost, &FeatureConfig::default());
+        let x = encode_features(&g, &c, &GroundTruthCost);
         assert_eq!(x.rows, g.len());
         // 3 distinct models + 2 + 1 + 2 + 3 = 11 features.
         assert_eq!(x.cols, 11);
@@ -124,7 +107,7 @@ mod tests {
     fn phase_onehot_is_exclusive() {
         let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 32).build();
         let c = paper_testbed_8gpu();
-        let x = encode_features(&g, &c, &GroundTruthCost, &FeatureConfig::default());
+        let x = encode_features(&g, &c, &GroundTruthCost);
         for i in 0..x.rows {
             let s: f64 = (8..11).map(|j| x.get(i, j)).sum();
             assert_eq!(s, 1.0);

@@ -30,6 +30,6 @@ pub mod trainer;
 
 pub use action::{actions_to_strategy, ActionSpace};
 pub use fast::HeteroGPlanner;
-pub use features::{encode_features, graph_edges, FeatureConfig};
+pub use features::{encode_features, graph_edges};
 pub use policy::{PolicyConfig, PolicyNet};
 pub use trainer::{RlAgent, TrainRecord, TrainerConfig};

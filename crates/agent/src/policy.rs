@@ -41,22 +41,6 @@ impl Default for PolicyConfig {
     }
 }
 
-impl PolicyConfig {
-    /// The paper's full-size configuration (§5): 12 GAT layers x 8
-    /// heads, 8 strategy-network layers.
-    pub fn paper_scale() -> Self {
-        PolicyConfig {
-            gat_layers: 12,
-            gat_heads: 8,
-            gat_head_dim: 8,
-            tf_blocks: 8,
-            tf_heads: 8,
-            tf_ff: 256,
-            seed: 0x6A17,
-        }
-    }
-}
-
 /// The end-to-end policy network.
 #[derive(Debug, Clone)]
 pub struct PolicyNet {
@@ -201,12 +185,12 @@ mod tests {
     use heterog_profile::GroundTruthCost;
     use heterog_strategies::{group_ops, grouping::avg_op_times};
 
-    use crate::features::{encode_features, graph_edges, FeatureConfig};
+    use crate::features::{encode_features, graph_edges};
 
     fn setup() -> (Matrix, Vec<(u32, u32)>, Grouping) {
         let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 32).build();
         let c = paper_testbed_8gpu();
-        let x = encode_features(&g, &c, &GroundTruthCost, &FeatureConfig::default());
+        let x = encode_features(&g, &c, &GroundTruthCost);
         let e = graph_edges(&g);
         let grouping = group_ops(&g, &avg_op_times(&g, &c, &GroundTruthCost), 16);
         (x, e, grouping)

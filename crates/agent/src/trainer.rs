@@ -20,7 +20,7 @@ use heterog_telemetry::par::par_map;
 use heterog_telemetry::rng::{splitmix64, ChaCha8Rng};
 
 use crate::action::{actions_to_strategy, ActionSpace};
-use crate::features::{encode_features, graph_edges, FeatureConfig};
+use crate::features::{encode_features, graph_edges};
 use crate::policy::{PolicyConfig, PolicyNet};
 
 static EPISODES: heterog_telemetry::Counter =
@@ -63,6 +63,13 @@ fn mean_row_entropy(probs: &Matrix) -> f64 {
     total / probs.rows as f64
 }
 
+/// Adam learning rate.
+const LR: f64 = 3e-3;
+/// Entropy-bonus coefficient λ (§4.1.3's exploration regularizer).
+const ENTROPY_COEFF: f64 = 0.05;
+/// Moving-average baseline decay.
+const BASELINE_DECAY: f64 = 0.9;
+
 /// RL training configuration.
 #[derive(Debug, Clone)]
 pub struct TrainerConfig {
@@ -70,12 +77,6 @@ pub struct TrainerConfig {
     pub policy: PolicyConfig,
     /// Total training episodes (round-robin over the training graphs).
     pub episodes: usize,
-    /// Adam learning rate.
-    pub lr: f64,
-    /// Entropy-bonus coefficient λ (§4.1.3's exploration regularizer).
-    pub entropy_coeff: f64,
-    /// Moving-average baseline decay.
-    pub baseline_decay: f64,
     /// Operation groups (the paper's N, up to 2000).
     pub groups: usize,
     /// Sampling seed.
@@ -99,9 +100,6 @@ impl Default for TrainerConfig {
         TrainerConfig {
             policy: PolicyConfig::default(),
             episodes: 200,
-            lr: 3e-3,
-            entropy_coeff: 0.05,
-            baseline_decay: 0.9,
             groups: 32,
             seed: 0x5EED,
             rollout_k: 1,
@@ -177,7 +175,7 @@ pub struct RlAgent {
 impl RlAgent {
     /// New, untrained agent.
     pub fn new(cfg: TrainerConfig) -> Self {
-        let adam = Adam::new(cfg.lr);
+        let adam = Adam::new(LR);
         let rng = heterog_nn::init::seeded_rng(cfg.seed);
         RlAgent {
             cfg,
@@ -208,7 +206,7 @@ impl RlAgent {
         let mut ctxs: Vec<GraphCtx> = graphs
             .iter()
             .map(|g| {
-                let features = encode_features(g, cluster, cost, &FeatureConfig::default());
+                let features = encode_features(g, cluster, cost);
                 let grouping = group_ops(g, &avg_op_times(g, cluster, cost), self.cfg.groups);
                 GraphCtx {
                     features,
@@ -308,8 +306,7 @@ impl RlAgent {
                 ctx.baseline = reward;
                 ctx.baseline_init = true;
             } else {
-                ctx.baseline = self.cfg.baseline_decay * ctx.baseline
-                    + (1.0 - self.cfg.baseline_decay) * reward;
+                ctx.baseline = BASELINE_DECAY * ctx.baseline + (1.0 - BASELINE_DECAY) * reward;
             }
 
             EPISODES.inc();
@@ -335,7 +332,7 @@ impl RlAgent {
             for (ci, actions) in all_actions.iter().enumerate() {
                 let pg = PolicyGradient {
                     advantage: rewards[ci] - ctx.baseline,
-                    entropy_coeff: self.cfg.entropy_coeff,
+                    entropy_coeff: ENTROPY_COEFF,
                 };
                 let d = pg.logits_grad(&probs, actions);
                 match &mut dlogits {
@@ -386,7 +383,7 @@ impl RlAgent {
     /// Panics if the agent was never trained.
     pub fn plan<C: CostEstimator>(&mut self, g: &Graph, cluster: &Cluster, cost: &C) -> Strategy {
         let net = self.net.as_mut().expect("train before plan");
-        let features = encode_features(g, cluster, cost, &FeatureConfig::default());
+        let features = encode_features(g, cluster, cost);
         let grouping = group_ops(g, &avg_op_times(g, cluster, cost), self.cfg.groups);
         let logits = net.forward(&features, &graph_edges(g), &grouping);
         let actions = argmax_rows(&softmax_rows(&logits));

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use heterog_bench::*;
 use heterog_cluster::paper_testbed_8gpu;
-use heterog_compile::{compile_pipelined, CompileOptions};
+use heterog_compile::compile_pipelined;
 use heterog_graph::{BenchmarkModel, ModelSpec};
 use heterog_profile::GroundTruthCost;
 use heterog_sched::{list_schedule, OrderPolicy};
@@ -40,14 +40,7 @@ fn main() {
         let mut row: BTreeMap<String, f64> = BTreeMap::new();
         print!("{:<34}", spec.label());
         for micros in [1u32, 2, 4, 8] {
-            let tg = compile_pipelined(
-                &g,
-                &cluster,
-                &GroundTruthCost,
-                &strategy,
-                CompileOptions::default(),
-                micros,
-            );
+            let tg = compile_pipelined(&g, &cluster, &GroundTruthCost, &strategy, micros);
             let t = list_schedule(&tg, &OrderPolicy::RankBased).makespan;
             print!("{t:>10.3}");
             row.insert(format!("micros_{micros}"), t);

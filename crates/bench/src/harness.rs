@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use heterog::HeterogConfig;
 use heterog_agent::HeteroGPlanner;
 use heterog_cluster::Cluster;
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
@@ -226,9 +227,8 @@ pub fn measure_baseline(
     cluster: &Cluster,
     fitted: &CostModel,
 ) -> Evaluation {
-    let planner = heterog::runner::baseline_planner(name);
     plan_and_measure(
-        planner.as_ref(),
+        HeterogConfig::baseline(name).planner.as_ref(),
         graph,
         cluster,
         fitted,

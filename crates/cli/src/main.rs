@@ -84,7 +84,7 @@ USAGE:
   heterog-cli trace   --model <name> [--batch N] [--layers N] [--cluster spec.json] --out <file.json>
   heterog-cli train   --model <name> [--batch N] [--layers N] [--cluster spec.json] [--episodes N] [--seed N] [--rollout-k N] [--groups N]
   heterog-cli elastic --model <name> [--batch N] [--cluster spec.json] [--planner <name>] [--iters N] [--policy full-replan|migrate-replicas|collective-fallback|compare] [--faults <script> | --seed N [--num-faults N]] [--json-out <file.json>]
-  heterog-cli serve   [--addr HOST:PORT] [--workers N] [--max-pending N] [--degrade-depth N] [--quantum N] [--tenants a,b,c] [--cache-shards N] [--search-groups N] [--runs-dir <dir> | --no-archive]
+  heterog-cli serve   [--addr HOST:PORT] [--workers N] [--max-pending N] [--tenants a,b,c] [--runs-dir <dir> | --no-archive]
   heterog-cli runs    list [--model <name>] [--planner <name>] [--fingerprint N] [--seed N]
   heterog-cli runs    show <id-prefix>
   heterog-cli runs    diff <before-id> <after-id>      nonzero exit on regression
@@ -148,18 +148,14 @@ SERVE:
   GET /v1/jobs/<id> and /v1/jobs/<id>/events (JSONL stream; 410 once a
   finished job is retired), /healthz, /metrics (Prometheus). Identical
   in-flight requests coalesce onto one job, tenants are scheduled
-  deficit-round-robin over a shared eval cache, and past
-  --degrade-depth pending jobs a `heterog` search degrades to the
-  CP-AR heuristic (the response says so).
+  deficit-round-robin (quantum 4) over a shared eval cache of 8
+  shards, and past 8 pending jobs a `heterog` search (12 groups)
+  degrades to the CP-AR heuristic (the response says so).
   --addr HOST:PORT      bind address (default 127.0.0.1:7807; port 0 = ephemeral)
   --workers N           planner worker threads (default 2)
   --max-pending N       admission-queue capacity; 429 past it (default 64).
                         Also the finished jobs kept for /v1/jobs/<id>
-  --degrade-depth N     backlog at which searches degrade; 0 = never (default 8)
-  --quantum N           deficit-round-robin cost quantum (default 4)
   --tenants a,b,c       tenant allowlist (default: accept any tenant)
-  --cache-shards N      shared eval-cache shards (default 8)
-  --search-groups N     `heterog` search width (default 12)
   Completed jobs are archived into the run store (--runs-dir or
   $HETEROG_RUNS_DIR, default .heterog/runs; --no-archive disables), so
   `heterog-cli runs list` sees every served plan.";
@@ -219,9 +215,7 @@ fn check_flags(cmd: &str, flags: &HashMap<String, String>) -> Result<(), String>
             "iters policy compare faults seed num-faults json-out",
         ]
         .join(" "),
-        "serve" => "addr workers max-pending degrade-depth quantum tenants cache-shards \
-                    search-groups runs-dir no-archive"
-            .to_string(),
+        "serve" => "addr workers max-pending tenants runs-dir no-archive".to_string(),
         _ => return Ok(()),
     };
     let unknown = flags
@@ -270,11 +264,7 @@ use heterog::BASELINE_PLANNER_NAMES as BASELINE_PLANNERS;
 fn config_for(flags: &HashMap<String, String>) -> Result<HeterogConfig, String> {
     let mut cfg = match flags.get("planner").map(String::as_str) {
         None | Some("heterog") | Some("HeteroG") => HeterogConfig::default(),
-        Some(name) if BASELINE_PLANNERS.contains(&name) => {
-            // Leak one small string per process to satisfy the 'static
-            // baseline-name API; fine for a CLI.
-            HeterogConfig::baseline(Box::leak(name.to_string().into_boxed_str()))
-        }
+        Some(name) if BASELINE_PLANNERS.contains(&name) => HeterogConfig::baseline(name),
         Some(other) => {
             return Err(format!(
                 "unknown planner {other:?} (valid: heterog, {})",
@@ -574,7 +564,7 @@ fn cmd_compare(flags: &HashMap<String, String>) -> Result<(), String> {
         let cfg = if name == "heterog" {
             HeterogConfig::default()
         } else {
-            HeterogConfig::baseline(Box::leak(name.to_string().into_boxed_str()))
+            HeterogConfig::baseline(name)
         };
         let runner = get_runner(|| spec.build(), cluster, cfg);
         let stats = runner.run(1);
@@ -840,10 +830,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     numeric(flags, "workers", &mut cfg.workers)?;
     numeric(flags, "max-pending", &mut cfg.max_pending)?;
-    numeric(flags, "degrade-depth", &mut cfg.degrade_depth)?;
-    numeric(flags, "quantum", &mut cfg.quantum)?;
-    numeric(flags, "cache-shards", &mut cfg.cache_shards)?;
-    numeric(flags, "search-groups", &mut cfg.search_groups)?;
     if let Some(t) = flags.get("tenants") {
         let list: Vec<String> = t
             .split(',')

@@ -268,6 +268,24 @@ pub fn hierarchical_estimate<C: CostEstimator>(
     2.0 * intra + ring
 }
 
+/// The AllReduce structure a collective over `devices` runs and its
+/// duration: hierarchical when its estimate is strictly lower, else
+/// ring. Lowering and re-pricing both decide through this.
+pub fn allreduce_choice<C: CostEstimator>(
+    cluster: &Cluster,
+    cost: &C,
+    devices: &[DeviceId],
+    bytes: u64,
+) -> (f64, Tag) {
+    let ring_t = ring_estimate(cluster, cost, devices, bytes);
+    let hier_t = hierarchical_estimate(cluster, cost, devices, bytes);
+    if hier_t < ring_t {
+        (hier_t, Tag::Hier)
+    } else {
+        (ring_t, Tag::Ring)
+    }
+}
+
 /// Emits PS aggregation into `tg`: pushes from each device's ready
 /// gradient into a `GradAggregate` on the PS, then pulls back out.
 /// `ready[d]` is the task holding device `d`'s locally-combined gradient;
@@ -405,13 +423,7 @@ pub fn emit_allreduce<C: CostEstimator>(
         return vec![join];
     }
 
-    let ring_t = ring_estimate(cluster, cost, devices, bytes);
-    let hier_t = hierarchical_estimate(cluster, cost, devices, bytes);
-    let (dur, tag) = if hier_t < ring_t {
-        (hier_t, Tag::Hier)
-    } else {
-        (ring_t, Tag::Ring)
-    };
+    let (dur, tag) = allreduce_choice(cluster, cost, devices, bytes);
     if tag == Tag::Hier {
         COLLECTIVES_HIER.inc();
     } else {

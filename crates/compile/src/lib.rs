@@ -32,9 +32,8 @@ pub mod strategy;
 pub mod xfer;
 
 pub use lower::{
-    compile, compile_iterations, compile_logged, compile_pipelined, compile_priced,
-    compile_with_book, compile_with_options, splice_into, CompileOptions, SegmentLog, SpliceBase,
-    SpliceScratch,
+    compile, compile_iterations, compile_logged, compile_pipelined, compile_priced, splice_into,
+    SegmentLog, SpliceBase, SpliceScratch,
 };
 pub use placement::{resolve_group_into, resolve_placements, OpPlacement};
 pub use price::{reprice, reprice_into, structure_compatible, PriceBook, RepriceError};

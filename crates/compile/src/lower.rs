@@ -97,15 +97,6 @@ fn is_in_place(kind: OpKind) -> bool {
     )
 }
 
-/// Compiler knobs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Force PS for every aggregation (PS-only ablation).
-    pub force_ps: bool,
-    /// Force AllReduce for every aggregation (AR-only ablation).
-    pub force_allreduce: bool,
-}
-
 /// The ApplyGradient op consuming gradient op `gid`'s output, if any.
 fn apply_of(g: &Graph, gid: OpId) -> Option<OpId> {
     g.succs(gid)
@@ -146,63 +137,35 @@ pub fn compile<C: CostEstimator>(
     cost: &C,
     strategy: &Strategy,
 ) -> TaskGraph {
-    compile_with_options(g, cluster, cost, strategy, CompileOptions::default())
+    compile_priced(g, cluster, cost, strategy).0
 }
 
-/// [`compile`] with explicit [`CompileOptions`].
-pub fn compile_with_options<C: CostEstimator>(
-    g: &Graph,
-    cluster: &Cluster,
-    cost: &C,
-    strategy: &Strategy,
-    opts: CompileOptions,
-) -> TaskGraph {
-    let mut book = PriceBook::default();
-    compile_with_book(g, cluster, cost, strategy, opts, &mut book)
-}
-
-/// [`compile_with_options`] that also appends the non-derivable pricing
-/// decisions (PS choices, collectives) to `book`, enabling
-/// [`crate::price::reprice`] under perturbed clusters.
-pub fn compile_with_book<C: CostEstimator>(
-    g: &Graph,
-    cluster: &Cluster,
-    cost: &C,
-    strategy: &Strategy,
-    opts: CompileOptions,
-    book: &mut PriceBook,
-) -> TaskGraph {
-    let _span = heterog_telemetry::span("compile");
-    COMPILATIONS.inc();
-    let placements = resolve_placements(g, cluster, strategy);
-    let mut tg = TaskGraph::default();
-    let mut scratch = SpliceScratch::default();
-    let lowering = Lowering {
-        g,
-        cluster,
-        cost,
-        opts,
-        placements: &placements,
-    };
-    lowering.run(None, None, &mut tg, book, true, &mut scratch);
-    tg
-}
-
-/// [`compile`] returning the [`PriceBook`] alongside the task graph.
+/// [`compile`] returning the [`PriceBook`] alongside the task graph: the
+/// non-derivable pricing decisions (PS choices, collectives) that
+/// [`crate::price::reprice`] replays under perturbed clusters.
 pub fn compile_priced<C: CostEstimator>(
     g: &Graph,
     cluster: &Cluster,
     cost: &C,
     strategy: &Strategy,
 ) -> (TaskGraph, PriceBook) {
-    let mut book = PriceBook::default();
-    let tg = compile_with_book(
+    let _span = heterog_telemetry::span("compile");
+    COMPILATIONS.inc();
+    let placements = resolve_placements(g, cluster, strategy);
+    let (mut tg, mut book) = Default::default();
+    let lowering = Lowering {
         g,
         cluster,
         cost,
-        strategy,
-        CompileOptions::default(),
+        placements: &placements,
+    };
+    lowering.run(
+        None,
+        None,
+        &mut tg,
         &mut book,
+        true,
+        &mut SpliceScratch::default(),
     );
     (tg, book)
 }
@@ -227,7 +190,6 @@ struct SegRecord {
 /// log keeps no copy of them.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentLog {
-    opts: CompileOptions,
     placements: Vec<OpPlacement>,
     segs: Vec<SegRecord>,
     trackers: Vec<PsLoadTracker>,
@@ -266,7 +228,6 @@ pub fn compile_logged<C: CostEstimator>(
         g,
         cluster,
         cost,
-        opts: CompileOptions::default(),
         placements: &placements,
     };
     lowering.run(
@@ -331,7 +292,6 @@ pub fn splice_into<C: CostEstimator>(
         g,
         cluster,
         cost,
-        opts: base.log.opts,
         placements,
     };
     match book {
@@ -354,7 +314,6 @@ struct Lowering<'a, C: CostEstimator> {
     g: &'a Graph,
     cluster: &'a Cluster,
     cost: &'a C,
-    opts: CompileOptions,
     placements: &'a [OpPlacement],
 }
 
@@ -390,7 +349,6 @@ impl<C: CostEstimator> Lowering<'_, C> {
             g,
             cluster: self.cluster,
             cost: self.cost,
-            opts: self.opts,
             placements: self.placements,
             tg: out,
             book,
@@ -434,12 +392,11 @@ pub fn compile_pipelined<C: CostEstimator>(
     cluster: &Cluster,
     cost: &C,
     strategy: &Strategy,
-    opts: CompileOptions,
     micros: u32,
 ) -> TaskGraph {
     let micros = micros.max(1);
     if micros == 1 {
-        return compile_with_options(g, cluster, cost, strategy, opts);
+        return compile(g, cluster, cost, strategy);
     }
     let _span = heterog_telemetry::span("compile_pipelined");
     COMPILATIONS.inc();
@@ -476,7 +433,6 @@ pub fn compile_pipelined<C: CostEstimator>(
             g,
             cluster,
             cost,
-            opts,
             placements: &placements,
             tg: &mut tg,
             book: &mut book,
@@ -511,7 +467,6 @@ pub fn compile_pipelined<C: CostEstimator>(
         g,
         cluster,
         cost,
-        opts,
         &placements,
         &tasks_by_micro,
         &final_apply_tasks,
@@ -536,7 +491,6 @@ pub fn compile_iterations<C: CostEstimator>(
     cluster: &Cluster,
     cost: &C,
     strategy: &Strategy,
-    opts: CompileOptions,
     iterations: u32,
 ) -> TaskGraph {
     let iterations = iterations.max(1);
@@ -562,7 +516,6 @@ pub fn compile_iterations<C: CostEstimator>(
             g,
             cluster,
             cost,
-            opts,
             placements: &placements,
             tg: &mut tg,
             book: &mut book,
@@ -600,7 +553,6 @@ fn emit_cross_micro_aggregation<C: CostEstimator>(
     g: &Graph,
     cluster: &Cluster,
     cost: &C,
-    opts: CompileOptions,
     placements: &[OpPlacement],
     tasks_by_micro: &[Vec<Vec<TaskId>>],
     apply_tasks: &[Vec<TaskId>],
@@ -655,7 +607,7 @@ fn emit_cross_micro_aggregation<C: CostEstimator>(
             continue;
         }
         let mut book = PriceBook::default();
-        let avail = match aggregation_method(opts, gp) {
+        let avail = match gp.comm {
             CommMethod::Ps => emit_ps(
                 tg, cluster, cost, gid, &devices, &ready, bytes, ps_loads, &mut book,
             ),
@@ -669,24 +621,12 @@ fn emit_cross_micro_aggregation<C: CostEstimator>(
     }
 }
 
-/// The aggregation method of a gradient placed at `gp`: the placement's
-/// own, unless `opts` forces one.
-fn aggregation_method(opts: CompileOptions, gp: &OpPlacement) -> CommMethod {
-    if opts.force_ps {
-        CommMethod::Ps
-    } else if opts.force_allreduce {
-        CommMethod::AllReduce
-    } else {
-        gp.comm
-    }
-}
-
 /// True when lowering a gradient placed at `gp` runs a PS round: it is
 /// neither sharded nor on one device, and aggregates by PS.
-fn runs_ps_round(opts: CompileOptions, gp: &OpPlacement) -> bool {
+fn runs_ps_round(gp: &OpPlacement) -> bool {
     gp.shard_dim.is_none()
         && gp.replicas.iter().any(|r| r.0 != gp.replicas[0].0)
-        && aggregation_method(opts, gp) == CommMethod::Ps
+        && gp.comm == CommMethod::Ps
 }
 
 /// The state one lowering pass emits with. Every path — full compile,
@@ -696,7 +636,6 @@ struct Lowerer<'a, C: CostEstimator> {
     g: &'a Graph,
     cluster: &'a Cluster,
     cost: &'a C,
-    opts: CompileOptions,
     placements: &'a [OpPlacement],
     tg: &'a mut TaskGraph,
     book: &'a mut PriceBook,
@@ -748,7 +687,6 @@ impl<C: CostEstimator> Lowerer<'_, C> {
                 collectives: [start[3], end[3]],
             });
         }
-        log.opts = self.opts;
     }
 
     /// Current task, edge, PS-round and collective counts.
@@ -800,8 +738,7 @@ impl<C: CostEstimator> Lowerer<'_, C> {
                     let base_round = (rec.ps_rounds[0] < rec.ps_rounds[1])
                         .then(|| &base.book.ps_rounds[rec.ps_rounds[0] as usize]);
                     if log.placements[grad.index()] != *gp || moved[apply.index()] {
-                        if tracker_is_base && (base_round.is_some() || runs_ps_round(self.opts, gp))
-                        {
+                        if tracker_is_base && (base_round.is_some() || runs_ps_round(gp)) {
                             self.ps_loads.clone_from(snapshot);
                             tracker_is_base = false;
                         }
@@ -1352,7 +1289,7 @@ impl<C: CostEstimator> Lowerer<'_, C> {
         }
 
         let (tg, cluster, cost) = (&mut *self.tg, self.cluster, self.cost);
-        let avail = match aggregation_method(self.opts, gp) {
+        let avail = match gp.comm {
             CommMethod::Ps => emit_ps(
                 tg,
                 cluster,
@@ -1544,34 +1481,11 @@ mod tests {
     }
 
     #[test]
-    fn force_ps_option_overrides_strategy() {
-        let g = tiny(64);
-        let c = paper_testbed_8gpu();
-        let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
-        let tg = compile_with_options(
-            &g,
-            &c,
-            &GroundTruthCost,
-            &s,
-            CompileOptions {
-                force_ps: true,
-                force_allreduce: false,
-            },
-        );
-        assert_eq!(
-            tg.iter()
-                .filter(|(_, t)| t.kind == OpKind::NcclAllReduce)
-                .count(),
-            0
-        );
-    }
-
-    #[test]
     fn pipelined_preserves_batch_and_single_update() {
         let g = tiny(64);
         let c = paper_testbed_8gpu();
         let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
-        let tg = compile_pipelined(&g, &c, &GroundTruthCost, &s, CompileOptions::default(), 4);
+        let tg = compile_pipelined(&g, &c, &GroundTruthCost, &s, 4);
         // Every splittable op's replicas across all micro-batches process
         // the full global batch exactly once.
         for (id, node) in g.iter() {
@@ -1611,7 +1525,7 @@ mod tests {
         let c = paper_testbed_8gpu();
         let s = Strategy::even(g.len(), &c, CommMethod::Ps);
         let plain = compile(&g, &c, &GroundTruthCost, &s);
-        let pipe1 = compile_pipelined(&g, &c, &GroundTruthCost, &s, CompileOptions::default(), 1);
+        let pipe1 = compile_pipelined(&g, &c, &GroundTruthCost, &s, 1);
         assert_eq!(plain.len(), pipe1.len());
     }
 
@@ -1638,12 +1552,12 @@ mod tests {
             }
         }
         let t1 = list_schedule(
-            &compile_pipelined(&g, &c, &GroundTruthCost, &s, CompileOptions::default(), 1),
+            &compile_pipelined(&g, &c, &GroundTruthCost, &s, 1),
             &OrderPolicy::RankBased,
         )
         .makespan;
         let t4 = list_schedule(
-            &compile_pipelined(&g, &c, &GroundTruthCost, &s, CompileOptions::default(), 4),
+            &compile_pipelined(&g, &c, &GroundTruthCost, &s, 4),
             &OrderPolicy::RankBased,
         )
         .makespan;
@@ -1655,8 +1569,8 @@ mod tests {
         let g = tiny(64);
         let c = paper_testbed_8gpu();
         let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
-        let one = compile_iterations(&g, &c, &GroundTruthCost, &s, CompileOptions::default(), 1);
-        let three = compile_iterations(&g, &c, &GroundTruthCost, &s, CompileOptions::default(), 3);
+        let one = compile_iterations(&g, &c, &GroundTruthCost, &s, 1);
+        let three = compile_iterations(&g, &c, &GroundTruthCost, &s, 3);
         assert_eq!(three.len(), 3 * one.len());
         // Params pinned once, not per iteration.
         let (fid, fnode) = g.iter().find(|(_, n)| n.name == "l1/matmul").unwrap();

@@ -8,8 +8,9 @@
 //! only decisions that are not recoverable from task fields are the
 //! gradient-aggregation ones: which device a PS round chose (a greedy,
 //! load-tracked choice) and which devices/bytes an AllReduce collective
-//! spans. [`PriceBook`] records exactly those, so
-//! [`reprice`] can clone the base graph and patch every duration for a
+//! spans. [`PriceBook`] records exactly those, so [`reprice`] can clone
+//! the base graph and patch every duration (and each AllReduce's
+//! ring/hierarchical choice, which only names its link tasks) for a
 //! *structurally identical* cluster (speed, bandwidth, or model changes
 //! — not removals/joins) in one linear pass, bit-identical to a fresh
 //! `compile` on the perturbed cluster.
@@ -23,11 +24,10 @@
 use heterog_cluster::{Cluster, DeviceId, LinkId};
 use heterog_graph::{Graph, Node, OpKind, Phase, TensorMeta};
 use heterog_profile::CostEstimator;
-use heterog_sched::{Proc, TaskGraph, TaskId};
+use heterog_sched::{Proc, TaskGraph, TaskId, TaskName};
 
 use crate::collective::{
-    choose_ps_balanced, hierarchical_estimate, one_pass_estimate, reduce_time, ring_estimate,
-    PsLoadTracker,
+    allreduce_choice, choose_ps_balanced, one_pass_estimate, reduce_time, PsLoadTracker,
 };
 
 /// One recorded parameter-server aggregation round, in emission order.
@@ -147,7 +147,9 @@ pub(crate) fn structural_duration<C: CostEstimator>(
 
 /// Re-prices `base` (compiled on a structurally identical cluster) under
 /// `cluster`, writing the patched clone into `out`. Graph structure,
-/// task ids, and edges are preserved; only durations change. The caller
+/// task ids, and edges are preserved; durations change, and so does an
+/// AllReduce link task's `ring`/`hier` tag when the re-priced estimate
+/// picks the other structure, so `out` equals a fresh compile. The caller
 /// must have checked [`structure_compatible`] — routing is assumed
 /// identical.
 pub fn reprice_into<C: CostEstimator>(
@@ -214,23 +216,21 @@ pub fn reprice_into<C: CostEstimator>(
         );
     }
     for coll in &book.collectives {
-        let dur = match coll.kind {
+        let (dur, new_tag) = match coll.kind {
             CollectiveKind::AllReduce => {
-                let ring_t = ring_estimate(cluster, cost, &coll.devices, coll.bytes);
-                let hier_t = hierarchical_estimate(cluster, cost, &coll.devices, coll.bytes);
-                // Same tie-break as `emit_allreduce` (hier wins strictly).
-                if hier_t < ring_t {
-                    hier_t
-                } else {
-                    ring_t
-                }
+                let (dur, tag) = allreduce_choice(cluster, cost, &coll.devices, coll.bytes);
+                (dur, Some(tag))
             }
             CollectiveKind::AllGather | CollectiveKind::ReduceScatter => {
-                one_pass_estimate(cluster, &coll.devices, coll.bytes)
+                (one_pass_estimate(cluster, &coll.devices, coll.bytes), None)
             }
         };
         for &lt in &coll.link_tasks {
-            out.task_mut(lt).duration = dur;
+            let t = out.task_mut(lt);
+            t.duration = dur;
+            if let (Some(new_tag), TaskName::OnLink { tag, .. }) = (new_tag, &mut t.name) {
+                *tag = new_tag;
+            }
         }
     }
     Ok(())
@@ -272,6 +272,7 @@ mod tests {
             );
             assert_eq!(ta.proc, tb.proc);
             assert_eq!(ta.output_bytes, tb.output_bytes);
+            assert_eq!(a.task_name(id).to_string(), b.task_name(id).to_string());
         }
     }
 

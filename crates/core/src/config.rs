@@ -1,47 +1,33 @@
 //! The `heterog_config` object (§3.5).
 
-use heterog_agent::{HeteroGPlanner, TrainerConfig};
+use heterog_agent::HeteroGPlanner;
 use heterog_profile::ProfilerConfig;
+use heterog_strategies::Planner;
 
-/// Which strategy maker produces the deployment plan.
-#[derive(Debug, Clone)]
-pub enum PlannerChoice {
-    /// The simulator-guided greedy/local-search planner (default; fast).
-    Search(HeteroGPlanner),
-    /// The GNN + REINFORCE agent of §4.1, trained from scratch on this
-    /// model (slow; see `examples/train_agent.rs`).
-    Learned(TrainerConfig),
-    /// A fixed named baseline: "EV-PS", "EV-AR", "CP-PS", "CP-AR",
-    /// "Horovod", "FlexFlow", "Post" or "HetPipe".
-    Baseline(&'static str),
-}
+use crate::runner::try_baseline_planner;
 
 /// Configuration accepted by [`crate::get_runner`], mirroring the
 /// paper's optional `heterog_config` argument (§3.5: "extra arguments if
 /// needed (e.g., ... whether to use default execution order or our order
 /// scheduling algorithm)").
-#[derive(Debug, Clone)]
 pub struct HeterogConfig {
-    /// Strategy maker.
-    pub planner: PlannerChoice,
+    /// Strategy maker: HeteroG's search by default, or a named baseline
+    /// ([`HeterogConfig::baseline`]). The runner keeps it, so the
+    /// elastic runtime can replan with it.
+    pub planner: Box<dyn Planner>,
     /// `true` = HeteroG's rank-based order scheduling (§4.2);
     /// `false` = the engine's default FIFO order (the §6.6 baseline).
     pub order_scheduling: bool,
-    /// Profiler settings (batch fractions, repeats, measurement noise).
+    /// Profiler settings; the planner sees the fitted cost model.
     pub profiler: ProfilerConfig,
-    /// Plan against the profiler's fitted cost model (`true`, the
-    /// paper's pipeline) or against the ground-truth oracle (`false`,
-    /// useful in tests).
-    pub use_fitted_costs: bool,
 }
 
 impl Default for HeterogConfig {
     fn default() -> Self {
         HeterogConfig {
-            planner: PlannerChoice::Search(HeteroGPlanner::default()),
+            planner: Box::new(HeteroGPlanner::default()),
             order_scheduling: true,
             profiler: ProfilerConfig::default(),
-            use_fitted_costs: true,
         }
     }
 }
@@ -50,7 +36,7 @@ impl HeterogConfig {
     /// A smaller/faster search for examples, tests and doctests.
     pub fn quick() -> Self {
         HeterogConfig {
-            planner: PlannerChoice::Search(HeteroGPlanner {
+            planner: Box::new(HeteroGPlanner {
                 groups: 12,
                 passes: 1,
                 allow_mp: true,
@@ -59,10 +45,14 @@ impl HeterogConfig {
         }
     }
 
-    /// Uses a named baseline planner instead of HeteroG.
-    pub fn baseline(name: &'static str) -> Self {
+    /// Uses the named baseline planner instead of HeteroG.
+    ///
+    /// # Panics
+    /// On a name not in [`crate::BASELINE_PLANNER_NAMES`].
+    pub fn baseline(name: &str) -> Self {
         HeterogConfig {
-            planner: PlannerChoice::Baseline(name),
+            planner: try_baseline_planner(name)
+                .unwrap_or_else(|| panic!("unknown baseline planner {name:?}")),
             ..Default::default()
         }
     }
@@ -76,14 +66,22 @@ mod tests {
     fn default_uses_search_with_order_scheduling() {
         let c = HeterogConfig::default();
         assert!(c.order_scheduling);
-        assert!(matches!(c.planner, PlannerChoice::Search(_)));
+        assert_eq!(c.planner.name(), "HeteroG");
     }
 
     #[test]
     fn quick_is_smaller() {
-        match HeterogConfig::quick().planner {
-            PlannerChoice::Search(p) => assert!(p.groups < HeteroGPlanner::default().groups),
-            _ => panic!("quick must use search"),
-        }
+        use heterog_cluster::paper_testbed_4gpu;
+        use heterog_graph::{BenchmarkModel, ModelSpec};
+        use heterog_profile::GroundTruthCost;
+        use heterog_strategies::count_evaluations;
+
+        let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 32).build();
+        let c = paper_testbed_4gpu();
+        let evals = |cfg: HeterogConfig| {
+            let (_, stats) = count_evaluations(|| cfg.planner.plan(&g, &c, &GroundTruthCost));
+            stats.evaluations + stats.incremental_fast
+        };
+        assert!(evals(HeterogConfig::quick()) < evals(HeterogConfig::default()));
     }
 }

@@ -29,11 +29,8 @@
 pub mod config;
 pub mod runner;
 
-pub use config::{HeterogConfig, PlannerChoice};
-pub use runner::{
-    baseline_planner, get_runner, try_baseline_planner, DistRunner, RunStats,
-    BASELINE_PLANNER_NAMES,
-};
+pub use config::HeterogConfig;
+pub use runner::{get_runner, try_baseline_planner, DistRunner, RunStats, BASELINE_PLANNER_NAMES};
 
 // Re-export the workspace so `heterog` is a one-stop dependency.
 pub use heterog_agent as agent;

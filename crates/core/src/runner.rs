@@ -1,10 +1,9 @@
 //! `get_runner` and the distributed runner (§3.5).
 
-use heterog_agent::{HeteroGPlanner, RlAgent};
 use heterog_cluster::Cluster;
 use heterog_compile::{compile, Strategy};
 use heterog_graph::Graph;
-use heterog_profile::{CostEstimator, GroundTruthCost, Profiler};
+use heterog_profile::{GroundTruthCost, Profiler};
 use heterog_sched::{OrderPolicy, TaskGraph};
 use heterog_sim::{simulate, SimReport};
 use heterog_strategies::{
@@ -12,7 +11,7 @@ use heterog_strategies::{
     HorovodPlanner, Planner, PostPlanner, ShardCpPlanner,
 };
 
-use crate::config::{HeterogConfig, PlannerChoice};
+use crate::config::HeterogConfig;
 
 /// Statistics from running `steps` training iterations.
 #[derive(Debug, Clone)]
@@ -94,16 +93,6 @@ impl DistRunner {
         heterog_telemetry::snapshot()
     }
 
-    /// A polling cursor over the live event stream ([`heterog_events`]).
-    /// The bus is process-global; this is a convenience for embedders
-    /// (e.g. a serve daemon) that hold a runner and want to stream
-    /// search/sim/elastic progress to clients over a channel instead of
-    /// a file. Call [`heterog_events::enable`] first — the bus is off
-    /// (and near-free) by default.
-    pub fn subscribe_events(&self) -> heterog_events::Subscription {
-        heterog_events::subscribe()
-    }
-
     /// Explains the deployment: simulated critical path, makespan
     /// attribution, stragglers, and ranked what-if interventions.
     pub fn explain(&self) -> heterog_explain::ExplainReport {
@@ -131,9 +120,7 @@ impl DistRunner {
     /// iterations against `script`'s fault timeline, repairing the plan
     /// with `opts.policy` whenever the cluster changes under it. The
     /// run starts from this runner's cluster but re-plans from scratch
-    /// so the report's baseline matches its own planner (for the
-    /// `Learned` choice the search planner stands in — retraining the
-    /// RL agent mid-run would dominate recovery cost).
+    /// so the report's baseline matches its own planner.
     pub fn elastic_run(
         &self,
         script: &heterog_elastic::FaultScript,
@@ -163,33 +150,11 @@ pub fn get_runner(
     let graph = model_func();
 
     // Profile (the paper's Profiler; §3.3).
-    let fitted;
-    let cost: &dyn CostEstimator = if config.use_fitted_costs {
-        fitted = Profiler::new(config.profiler.clone()).profile(&[&graph], &device_info);
-        &fitted
-    } else {
-        &GroundTruthCost
-    };
+    let fitted = Profiler::new(config.profiler).profile(&[&graph], &device_info);
 
-    // Strategy making. Besides the strategy itself, keep a planner the
-    // elastic runtime can re-invoke on a mutated cluster; the learned
-    // agent is plan-once, so the search planner stands in for replans.
+    // Strategy making.
     let plan_span = heterog_telemetry::span("plan");
-    let (strategy, planner): (Strategy, Box<dyn Planner>) = match &config.planner {
-        PlannerChoice::Search(p) => (p.plan(&graph, &device_info, cost), Box::new(p.clone())),
-        PlannerChoice::Learned(tc) => {
-            let mut agent = RlAgent::new(tc.clone());
-            agent.train(&[&graph], &device_info, &cost);
-            (
-                agent.plan(&graph, &device_info, &cost),
-                Box::new(HeteroGPlanner::default()),
-            )
-        }
-        PlannerChoice::Baseline(name) => {
-            let p = baseline_planner(name);
-            (p.plan(&graph, &device_info, cost), p)
-        }
-    };
+    let strategy = config.planner.plan(&graph, &device_info, &fitted);
     drop(plan_span);
 
     // Order enforcement choice.
@@ -212,11 +177,11 @@ pub fn get_runner(
         task_graph: truth_graph,
         order,
         report,
-        planner,
+        planner: config.planner,
     }
 }
 
-/// Every baseline planner name [`baseline_planner`] resolves, in the
+/// Every baseline planner name [`try_baseline_planner`] resolves, in the
 /// paper's comparison order. The CLI's `compare` command and the serve
 /// API's planner validation both enumerate this list.
 pub const BASELINE_PLANNER_NAMES: [&str; 10] = [
@@ -249,14 +214,6 @@ pub fn try_baseline_planner(name: &str) -> Option<Box<dyn Planner>> {
         }),
         _ => return None,
     })
-}
-
-/// Resolves a baseline planner by name.
-///
-/// # Panics
-/// On a name not in [`BASELINE_PLANNER_NAMES`].
-pub fn baseline_planner(name: &str) -> Box<dyn Planner> {
-    try_baseline_planner(name).unwrap_or_else(|| panic!("unknown baseline planner {name:?}"))
 }
 
 #[cfg(test)]
@@ -303,13 +260,14 @@ mod tests {
             paper_testbed_8gpu(),
             HeterogConfig::baseline("EV-AR"),
         );
+        assert_eq!(runner.planner.name(), "EV-AR");
         assert!(runner.run(1).per_iteration_s > 0.0);
     }
 
     #[test]
     #[should_panic(expected = "unknown baseline")]
     fn unknown_baseline_panics() {
-        baseline_planner("nope");
+        HeterogConfig::baseline("nope");
     }
 
     #[test]

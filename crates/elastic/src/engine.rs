@@ -6,7 +6,7 @@
 //! Recovery accounting is deterministic: repair effort is measured in
 //! fresh strategy evaluations (`repair_evals`, counted over the repair
 //! alone by `count_evaluations`), converted into stalled iterations by the
-//! `evals_per_iteration` control-plane throughput model. Wall-clock
+//! [`EVALS_PER_ITERATION`] control-plane throughput model. Wall-clock
 //! repair latency goes to the recovery-seconds telemetry histogram
 //! only — never into the report, so same-seed runs are byte-identical.
 
@@ -46,6 +46,12 @@ static RECOVERY_SECONDS: heterog_telemetry::Histogram = heterog_telemetry::Histo
     "Wall-clock time spent computing plan repairs",
 );
 
+/// Control-plane throughput model: fresh strategy evaluations the repair
+/// machinery completes per training iteration while the run keeps
+/// executing the degraded plan. Converts `repair_evals` into stalled
+/// iterations.
+pub const EVALS_PER_ITERATION: u64 = 25;
+
 /// Tunables of an elastic run.
 #[derive(Debug, Clone)]
 pub struct ElasticOptions {
@@ -55,11 +61,6 @@ pub struct ElasticOptions {
     pub policy: RepairPolicy,
     /// Execution-order policy for every simulation.
     pub order: OrderPolicy,
-    /// Control-plane throughput model: fresh strategy evaluations the
-    /// repair machinery completes per training iteration while the run
-    /// keeps executing the degraded plan. Converts `repair_evals` into
-    /// stalled iterations.
-    pub evals_per_iteration: u64,
 }
 
 impl Default for ElasticOptions {
@@ -68,7 +69,6 @@ impl Default for ElasticOptions {
             iterations: 50,
             policy: RepairPolicy::FullReplan,
             order: OrderPolicy::RankBased,
-            evals_per_iteration: 25,
         }
     }
 }
@@ -205,11 +205,7 @@ pub fn elastic_run(
                     });
                 RECOVERY_SECONDS.observe(started.elapsed().as_secs_f64());
                 let repair_evals = repair_stats.evaluations;
-                let stall = if opts.evals_per_iteration == 0 {
-                    0
-                } else {
-                    repair_evals.div_ceil(opts.evals_per_iteration)
-                };
+                let stall = repair_evals.div_ceil(EVALS_PER_ITERATION);
                 let cost_s =
                     (1 + stall) as f64 * (degraded_makespan - repaired.iteration_time).max(0.0);
                 recovery_cost_s += cost_s;

@@ -234,31 +234,7 @@ impl ToJson for ElasticRunReport {
 
 /// Unicode sparkline of the makespan series (bucketed to <= 60 columns).
 fn sparkline(series: &[f64]) -> String {
-    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    if series.is_empty() {
-        return String::new();
-    }
-    let cols = series.len().min(60);
-    let per = series.len() as f64 / cols as f64;
-    let buckets: Vec<f64> = (0..cols)
-        .map(|c| {
-            let lo = (c as f64 * per) as usize;
-            let hi = (((c + 1) as f64 * per) as usize).clamp(lo + 1, series.len());
-            series[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
-        })
-        .collect();
-    let min = buckets.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = buckets.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    buckets
-        .iter()
-        .map(|&v| {
-            if max <= min {
-                BARS[0]
-            } else {
-                BARS[(((v - min) / (max - min)) * 7.0).round() as usize]
-            }
-        })
-        .collect()
+    heterog_events::sparkline(series, 60)
 }
 
 /// Renders the comparison of two elastic runs of the *same* model and

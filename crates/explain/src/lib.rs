@@ -43,7 +43,7 @@ pub use diff::{
     diff, digest_from_json, quick_digest, render_diff_text, DiffEntry, ExplainDiff, ReportDigest,
 };
 pub use path::{critical_path, segment_kind, CriticalPath, PathEdge, PathSegment, SegmentKind};
-pub use render::{render_html, render_text, to_json};
+pub use render::{html_esc, render_html, render_text, to_json};
 pub use whatif::{
     default_interventions, run_whatif, run_whatif_with, strategy_without_device, switch_comm,
     Intervention, WhatIfOutcome,
@@ -73,11 +73,9 @@ pub(crate) static BEST_WHATIF_DELTA: Gauge = Gauge::new(
 pub struct ExplainOptions {
     /// How many ranked what-if interventions to keep.
     pub top_k: usize,
-    /// Whether to run the what-if sensitivity loop at all.
+    /// Whether to run the what-if sensitivity loop, over the
+    /// deployment's [`default_interventions`], at all.
     pub run_whatif: bool,
-    /// Intervention set; `None` derives [`default_interventions`] from
-    /// the deployment.
-    pub interventions: Option<Vec<Intervention>>,
 }
 
 impl Default for ExplainOptions {
@@ -85,7 +83,6 @@ impl Default for ExplainOptions {
         ExplainOptions {
             top_k: 5,
             run_whatif: true,
-            interventions: None,
         }
     }
 }
@@ -169,21 +166,13 @@ pub fn explain(
     let devices = device_rows(cluster, report, &attr);
     let stragglers = stragglers(cluster, strategy, report, &attr, &devices);
     let whatif = if opts.run_whatif {
-        let derived;
-        let interventions = match &opts.interventions {
-            Some(ivs) => ivs.as_slice(),
-            None => {
-                derived = default_interventions(cluster, strategy);
-                derived.as_slice()
-            }
-        };
         run_whatif(
             graph,
             cluster,
             strategy,
             policy,
             report.iteration_time,
-            interventions,
+            &default_interventions(cluster, strategy),
             opts.top_k,
         )
     } else {

@@ -326,10 +326,12 @@ impl ToJson for ExplainReport {
     }
 }
 
-fn html_esc(s: &str) -> String {
+/// Minimal HTML escaping for text nodes and attribute values.
+pub fn html_esc(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")
+        .replace('"', "&quot;")
 }
 
 /// Renders a self-contained HTML report: every table from the terminal

@@ -18,7 +18,6 @@
 //! tricks.
 
 pub mod builder;
-pub mod dot;
 pub mod graph;
 pub mod node;
 pub mod op;
@@ -28,7 +27,6 @@ pub mod topo;
 pub mod zoo;
 
 pub use builder::GraphBuilder;
-pub use dot::to_dot;
 pub use graph::{Edge, Graph, GraphError, OpId};
 pub use node::{Node, Phase};
 pub use op::OpKind;

@@ -23,29 +23,25 @@ use heterog_graph::Graph;
 use crate::cost::{CostEstimator, CostModel, GroundTruthCost};
 use crate::linreg::LinearFit;
 
+/// Representative batch sizes to measure at, as fractions of the
+/// graph's global batch (the paper profiles "different representative
+/// batch sizes").
+const BATCH_FRACTIONS: [f64; 4] = [0.125, 0.25, 0.5, 1.0];
+/// Repeated measurements per point.
+const REPEATS: usize = 3;
+/// Relative measurement noise (std-dev of the multiplicative factor).
+const NOISE: f64 = 0.03;
+
 /// Profiler configuration.
 #[derive(Debug, Clone)]
 pub struct ProfilerConfig {
-    /// Representative batch sizes to measure at, as fractions of the
-    /// graph's global batch (the paper profiles "different representative
-    /// batch sizes").
-    pub batch_fractions: Vec<f64>,
-    /// Repeated measurements per point.
-    pub repeats: usize,
-    /// Relative measurement noise (std-dev of the multiplicative factor).
-    pub noise: f64,
     /// RNG seed for reproducible "measurements".
     pub seed: u64,
 }
 
 impl Default for ProfilerConfig {
     fn default() -> Self {
-        ProfilerConfig {
-            batch_fractions: vec![0.125, 0.25, 0.5, 1.0],
-            repeats: 3,
-            noise: 0.03,
-            seed: 0x4E57_0001,
-        }
+        ProfilerConfig { seed: 0x4E57_0001 }
     }
 }
 
@@ -78,11 +74,11 @@ impl Profiler {
         for g in graphs {
             for (_, node) in g.iter() {
                 for &model in &models {
-                    for &frac in &self.config.batch_fractions {
+                    for frac in BATCH_FRACTIONS {
                         let batch = ((g.batch_size as f64 * frac).round() as u64).max(1);
                         let truth = GroundTruthCost.op_time(node, model, batch);
-                        for _ in 0..self.config.repeats {
-                            let noisy = truth * noise_factor(&mut rng, self.config.noise);
+                        for _ in 0..REPEATS {
+                            let noisy = truth * noise_factor(&mut rng, NOISE);
                             op_samples
                                 .entry((node.kind, model))
                                 .or_default()
@@ -102,11 +98,11 @@ impl Profiler {
         let sizes: [u64; 5] = [64 << 10, 1 << 20, 8 << 20, 64 << 20, 256 << 20];
         let mut link_fits = FastMap::default();
         for link in cluster.links() {
-            let mut pts = Vec::with_capacity(sizes.len() * self.config.repeats);
+            let mut pts = Vec::with_capacity(sizes.len() * REPEATS);
             for &s in &sizes {
                 let truth = link.transfer_time(s);
-                for _ in 0..self.config.repeats {
-                    pts.push((s as f64, truth * noise_factor(&mut rng, self.config.noise)));
+                for _ in 0..REPEATS {
+                    pts.push((s as f64, truth * noise_factor(&mut rng, NOISE)));
                 }
             }
             link_fits.insert(link.id, LinearFit::fit(&pts));
@@ -182,11 +178,7 @@ mod tests {
         let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 32).build();
         let cluster = paper_testbed_8gpu();
         let a = Profiler::default().profile(&[&g], &cluster);
-        let cfg = ProfilerConfig {
-            seed: 7,
-            ..Default::default()
-        };
-        let b = Profiler::new(cfg).profile(&[&g], &cluster);
+        let b = Profiler::new(ProfilerConfig { seed: 7 }).profile(&[&g], &cluster);
         let k = (OpKind::Conv2D, GpuModel::TeslaV100);
         assert_ne!(a.op_fits.get(&k).unwrap(), b.op_fits.get(&k).unwrap());
     }

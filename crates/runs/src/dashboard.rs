@@ -15,6 +15,8 @@
 
 use std::collections::BTreeMap;
 
+use heterog_explain::html_esc;
+
 use crate::analytics::{timelines, TimelinePoint};
 use crate::store::StoredRun;
 
@@ -24,14 +26,6 @@ const PAD: f64 = 34.0;
 const PALETTE: [&str; 8] = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#17becf", "#8c564b", "#7f7f7f",
 ];
-
-/// Minimal HTML escaping for text nodes and attribute values.
-fn esc(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
-}
 
 fn fmt_s(v: f64) -> String {
     if v.is_finite() {
@@ -60,7 +54,7 @@ fn model_chart(model: &str, series: &[(&str, &[TimelinePoint])]) -> String {
     let mut svg = format!(
         "<svg viewBox=\"0 0 {CHART_W} {CHART_H}\" width=\"{CHART_W}\" height=\"{CHART_H}\" \
          role=\"img\" aria-label=\"best makespan over runs for {}\">\n",
-        esc(model)
+        html_esc(model)
     );
     svg.push_str(&format!(
         "<text x=\"4\" y=\"{:.1}\" class=\"axis\">{}s</text>\n<text x=\"4\" y=\"{:.1}\" class=\"axis\">{}s</text>\n",
@@ -98,7 +92,7 @@ fn model_chart(model: &str, series: &[(&str, &[TimelinePoint])]) -> String {
             "<text x=\"{:.1}\" y=\"{:.1}\" fill=\"{color}\" class=\"legend\">{}</text>\n",
             CHART_W - PAD + 4.0,
             y(finite_pts.last().unwrap().best_makespan),
-            esc(planner)
+            html_esc(planner)
         ));
     }
     svg.push_str("</svg>\n");
@@ -141,7 +135,7 @@ pub fn render_dashboard(runs: &[StoredRun]) -> String {
 
     html.push_str("<h2>Best makespan over runs</h2>\n");
     for (model, series) in &by_model {
-        html.push_str(&format!("<h3>{}</h3>\n", esc(model)));
+        html.push_str(&format!("<h3>{}</h3>\n", html_esc(model)));
         html.push_str(&model_chart(model, series));
     }
 
@@ -160,8 +154,8 @@ pub fn render_dashboard(runs: &[StoredRun]) -> String {
         let (winner, makespan) = best.unwrap_or(("-", f64::NAN));
         html.push_str(&format!(
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>\n",
-            esc(model),
-            esc(winner),
+            html_esc(model),
+            html_esc(winner),
             fmt_s(makespan),
             series.len(),
             n_runs
@@ -195,10 +189,10 @@ pub fn render_dashboard(runs: &[StoredRun]) -> String {
         html.push_str(&format!(
             "<tr class=\"{class}\"><td>{}</td><td>{}</td><td><code>{}</code></td>\
              <td><code>{}</code></td><td>{verdict}</td></tr>\n",
-            esc(model),
-            esc(planner),
-            esc(&prev.id),
-            esc(&last.id),
+            html_esc(model),
+            html_esc(planner),
+            html_esc(&prev.id),
+            html_esc(&last.id),
         ));
     }
     if !any_strip {

@@ -63,11 +63,6 @@ pub fn critical_path(tg: &TaskGraph) -> f64 {
     critical_path_from(&upward_ranks(tg))
 }
 
-/// Ranks a specific task (convenience for tests/debugging).
-pub fn rank_of(tg: &TaskGraph, id: TaskId) -> f64 {
-    upward_ranks(tg)[id.index()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,15 +109,6 @@ mod tests {
         assert_eq!(r[a.index()], 4.0);
         assert_eq!(r[b.index()], 7.0);
         assert_eq!(critical_path(&tg), 7.0);
-    }
-
-    #[test]
-    fn rank_of_matches_bulk() {
-        let mut tg = TaskGraph::new("c", 1, 0);
-        let a = tg.add_task(t(1.5));
-        let b = tg.add_task(t(2.5));
-        tg.add_dep(a, b);
-        assert_eq!(rank_of(&tg, a), 4.0);
     }
 
     #[test]

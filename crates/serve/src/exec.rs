@@ -302,7 +302,6 @@ impl Engine {
                 let opts = heterog_explain::ExplainOptions {
                     top_k: *top_k,
                     run_whatif: *whatif,
-                    interventions: None,
                 };
                 let report = heterog_explain::explain(
                     &g,
@@ -340,7 +339,6 @@ impl Engine {
                     iterations: *iterations,
                     policy: RepairPolicy::parse(repair).expect("policy validated at admission"),
                     order: policy.clone(),
-                    ..ElasticOptions::default()
                 };
                 let outcome = heterog_elastic::elastic_run(
                     &g,

@@ -65,4 +65,4 @@ pub mod server;
 
 pub use jobs::{Job, JobKind, JobResult, JobSpec, JobState};
 pub use queue::AdmissionQueue;
-pub use server::{ServeConfig, ServeStats, Server};
+pub use server::{ServeConfig, ServeStats, Server, DEGRADE_DEPTH, QUANTUM};

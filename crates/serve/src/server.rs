@@ -45,8 +45,16 @@ static JOB_SECONDS: heterog_telemetry::Histogram = heterog_telemetry::Histogram:
     "End-to-end latency of waited requests (admission to response)",
 );
 
+/// Default queue depth at/past which `heterog` searches degrade to the
+/// CP-AR heuristic.
+pub const DEGRADE_DEPTH: usize = 8;
+/// Default deficit-round-robin quantum (cost units granted per visit).
+pub const QUANTUM: u64 = 4;
+
 /// Daemon configuration. `Default` gives a local single-tenant-friendly
-/// setup; the CLI maps flags onto these fields 1:1.
+/// setup. The CLI sets `addr`, `workers`, `max_pending`, `tenants` and
+/// `archive_root`; the rest keep their defaults outside tests and
+/// benchmarks.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7807` (port 0 = ephemeral).
@@ -82,13 +90,13 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7807".to_string(),
             workers: 2,
             max_pending: 64,
-            degrade_depth: 8,
-            quantum: 4,
+            degrade_depth: DEGRADE_DEPTH,
+            quantum: QUANTUM,
             tenants: None,
             cache_shards: 8,
             cache_contexts: 32,
-            // The CLI's `--quick` search shape: wide enough to beat the
-            // baselines, cheap enough for interactive latency.
+            // `HeterogConfig::quick`'s search shape: wide enough to beat
+            // the baselines, cheap enough for interactive latency.
             search_groups: 12,
             search_passes: 1,
             archive_root: None,

@@ -20,13 +20,11 @@
 //! communication breakdown (Fig. 8) on top of the resulting schedule,
 //! and exports Chrome-tracing timelines for inspection.
 
-pub mod gantt;
 pub mod incremental;
 pub mod memory;
 pub mod report;
 pub mod trace;
 
-pub use gantt::{render_gantt, render_gpu_gantt};
 pub use incremental::{incremental_sim_stats, resimulate_into, IncrementalSimStats};
 pub use memory::{memory_usage, MemoryReport};
 pub use report::{

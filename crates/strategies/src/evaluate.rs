@@ -221,16 +221,16 @@ pub fn steady_state_iteration_time<C: CostEstimator>(
     strategy: &Strategy,
     policy: &OrderPolicy,
 ) -> f64 {
-    use heterog_compile::{compile_iterations, CompileOptions};
+    use heterog_compile::compile_iterations;
     use heterog_sched::list_schedule;
     let (k_lo, k_hi) = (2u32, 4u32);
     let lo = list_schedule(
-        &compile_iterations(g, cluster, cost, strategy, CompileOptions::default(), k_lo),
+        &compile_iterations(g, cluster, cost, strategy, k_lo),
         policy,
     )
     .makespan;
     let hi = list_schedule(
-        &compile_iterations(g, cluster, cost, strategy, CompileOptions::default(), k_hi),
+        &compile_iterations(g, cluster, cost, strategy, k_hi),
         policy,
     )
     .makespan;

@@ -20,6 +20,9 @@ use crate::evaluate::evaluate;
 use crate::grouping::{avg_op_times, group_ops};
 use crate::planner::Planner;
 
+/// Metropolis temperature (in seconds of iteration time).
+const TEMPERATURE: f64 = 0.05;
+
 /// MCMC search configuration.
 #[derive(Debug, Clone)]
 pub struct FlexFlowPlanner {
@@ -27,8 +30,6 @@ pub struct FlexFlowPlanner {
     pub iterations: usize,
     /// Operation groups searched over.
     pub groups: usize,
-    /// Metropolis temperature (in seconds of iteration time).
-    pub temperature: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -38,7 +39,6 @@ impl Default for FlexFlowPlanner {
         FlexFlowPlanner {
             iterations: 150,
             groups: 48,
-            temperature: 0.05,
             seed: 0xF1EF,
         }
     }
@@ -83,7 +83,7 @@ impl Planner for FlexFlowPlanner {
             let eval = evaluate(g, cluster, &cost, &proposal);
             let (old, new) = (penalized(&cur_eval), penalized(&eval));
             let accept = new <= old || {
-                let p = ((old - new) / self.temperature).exp();
+                let p = ((old - new) / TEMPERATURE).exp();
                 rng.gen_range(0.0..1.0) < p
             };
             if accept {

@@ -21,6 +21,11 @@ use crate::evaluate::evaluate;
 use crate::grouping::{avg_op_times, group_ops};
 use crate::planner::Planner;
 
+/// Elite fraction retained per CEM iteration.
+const ELITE_FRAC: f64 = 0.25;
+/// Distribution smoothing toward the elite frequencies.
+const ALPHA: f64 = 0.7;
+
 /// Cross-entropy search configuration.
 #[derive(Debug, Clone)]
 pub struct PostPlanner {
@@ -28,10 +33,6 @@ pub struct PostPlanner {
     pub iterations: usize,
     /// Placements sampled per iteration.
     pub samples: usize,
-    /// Elite fraction retained.
-    pub elite_frac: f64,
-    /// Distribution smoothing toward the elite frequencies.
-    pub alpha: f64,
     /// Operation groups.
     pub groups: usize,
     /// RNG seed.
@@ -43,8 +44,6 @@ impl Default for PostPlanner {
         PostPlanner {
             iterations: 8,
             samples: 16,
-            elite_frac: 0.25,
-            alpha: 0.7,
             groups: 48,
             seed: 0x9057,
         }
@@ -76,7 +75,7 @@ impl Planner for PostPlanner {
                 scored.push((t, placement));
             }
             scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let elite = ((self.samples as f64 * self.elite_frac).ceil() as usize).max(1);
+            let elite = ((self.samples as f64 * ELITE_FRAC).ceil() as usize).max(1);
             if best.as_ref().is_none_or(|(bt, _)| scored[0].0 < *bt) {
                 best = Some(scored[0].clone());
             }
@@ -88,7 +87,7 @@ impl Planner for PostPlanner {
                 }
             }
             for i in 0..probs.data.len() {
-                probs.data[i] = (1.0 - self.alpha) * probs.data[i] + self.alpha * freq.data[i];
+                probs.data[i] = (1.0 - ALPHA) * probs.data[i] + ALPHA * freq.data[i];
             }
         }
 

@@ -61,7 +61,7 @@ fn main() {
     let t_search = evaluate(&g, &cluster, &GroundTruthCost, &s).iteration_time;
     println!("search planner:         {t_search:.3} s/iter");
     for b in ["EV-AR", "CP-AR"] {
-        let p = heterog::runner::baseline_planner(b);
+        let p = heterog::HeterogConfig::baseline(b).planner;
         let s = p.plan(&g, &cluster, &GroundTruthCost);
         let t = evaluate(&g, &cluster, &GroundTruthCost, &s).iteration_time;
         println!("{b:<22}: {t:.3} s/iter");

@@ -503,7 +503,6 @@ fn an_explain_served_from_the_cache_equals_the_one_that_missed() {
     let opts = heterog::explain::ExplainOptions {
         top_k: 3,
         run_whatif: false,
-        interventions: None,
     };
     let local = heterog::explain::explain(&g, &c, &s, &tg, &policy, &report, &opts);
     let local = parse(&heterog::explain::to_json(&local)).unwrap();

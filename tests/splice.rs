@@ -16,8 +16,7 @@ use heterog_agent::{actions_to_strategy, ActionSpace, HeteroGPlanner};
 use heterog_cluster::{paper_testbed_12gpu, paper_testbed_8gpu, Cluster, DeviceId, LinkKind};
 use heterog_compile::{
     compile_iterations, compile_logged, compile_pipelined, compile_priced, resolve_placements,
-    splice_into, CommMethod, CompileOptions, OpStrategy, PriceBook, SpliceBase, SpliceScratch,
-    Strategy,
+    splice_into, CommMethod, OpStrategy, PriceBook, SpliceBase, SpliceScratch, Strategy,
 };
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
@@ -308,14 +307,13 @@ fn lowering_emits_each_edge_once() {
                 assert_each_edge_once(&mut compile_priced(&g, &cluster, cost, &s).0, &what);
             }
             let s = mixed_strategy(g.len(), &cluster, &mut rng);
-            let opts = CompileOptions::default();
             for micros in [2, 4] {
                 let what = format!("{} on {m} GPUs, {micros} micro-batches", g.name);
-                let mut tg = compile_pipelined(&g, &cluster, cost, &s, opts, micros);
+                let mut tg = compile_pipelined(&g, &cluster, cost, &s, micros);
                 assert_each_edge_once(&mut tg, &what);
             }
             let what = format!("{} on {m} GPUs, 2 iterations", g.name);
-            let mut tg = compile_iterations(&g, &cluster, cost, &s, opts, 2);
+            let mut tg = compile_iterations(&g, &cluster, cost, &s, 2);
             assert_each_edge_once(&mut tg, &what);
         }
     }
