@@ -14,8 +14,9 @@
 //! again, no `Strategy` is built, and the task graph is spliced from the
 //! incumbent's lowering. A candidate is simulated only when exact lower
 //! bounds on its iteration time (its busiest processor's load, then the
-//! head–body–tail bound) could still let it win, so the visit's choice
-//! equals scoring every candidate bit for bit (see [`best_candidate`]).
+//! head–body–tail bound) could still let it beat the incumbent, so every
+//! move equals scoring every candidate bit for bit (see
+//! [`best_candidate`]).
 
 use heterog_cluster::Cluster;
 use heterog_compile::{OpStrategy, Strategy};
@@ -23,8 +24,8 @@ use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::OrderPolicy;
 use heterog_strategies::{
-    evaluate, group_ops, grouping::avg_op_times, load_exceeds, Bounded, Evaluation,
-    IncrementalEvaluator, Perturbation, Planner,
+    evaluate, group_ops, grouping::avg_op_times, Bounded, Evaluation, IncrementalEvaluator,
+    Perturbation, Planner,
 };
 use heterog_telemetry::par::par_map;
 
@@ -145,7 +146,7 @@ impl HeteroGPlanner {
                         // or not.
                         evals += candidates.len() as u64;
                         // Bound each candidate's spliced graph; simulate
-                        // those that can win.
+                        // those that can beat the incumbent.
                         let ops = &grouping.members[gi];
                         best_candidate(&candidates, cur_obj, |a, limit| {
                             let to = &decoded[a];
@@ -222,48 +223,32 @@ impl Planner for HeteroGPlanner {
     }
 }
 
-/// The visit's best `(action, objective)` among `candidates`, equal bit
-/// for bit to scoring every candidate and taking the first minimum.
-/// `score(a, limit)` returns the candidate's objective, or `Err(bound)`
-/// when a lower `bound` on its iteration time exceeds `limit` and it was
-/// not simulated; the objective is at least the iteration time, which
-/// is at least that bound.
+/// The visit's best `(action, value)` among `candidates`: the first
+/// minimum, in candidate order, of each candidate's objective if it was
+/// simulated, else the bound that pruned it. `score(a, limit)` returns
+/// the candidate's objective, or `Err(bound)` when a lower `bound` on
+/// its iteration time exceeds `limit` and it was not simulated; the
+/// objective is at least the iteration time, which is at least that
+/// bound.
 ///
-/// Phase 1 scores every candidate in parallel against the incumbent's
+/// Every candidate is scored once, in parallel, against the incumbent's
 /// objective `cur_obj`, known before the visit, so which candidates are
-/// simulated depends on values only, never on thread timing. Phase 2
-/// simulates pruned candidates in ascending-bound order until the next
-/// bound exceeds the best objective so far. Every candidate left
-/// unsimulated then has an objective above the best, its bound alone
-/// exceeding it, so it can neither win nor tie.
+/// simulated depends on values only, never on thread timing. A
+/// candidate that beats the incumbent has every bound at most its
+/// objective, below `cur_obj`, so it was simulated; a pruned one's
+/// bound and objective both exceed `cur_obj`. So whenever the value
+/// returned beats `cur_obj`, it is the exact first minimum over every
+/// candidate's objective. Otherwise it is a lower bound on every
+/// candidate's objective.
 fn best_candidate(
     candidates: &[usize],
     cur_obj: f64,
     score: impl Fn(usize, f64) -> Result<f64, f64> + Sync,
 ) -> (usize, f64) {
-    let mut scored = par_map(candidates, |&a| score(a, cur_obj));
-    let mut best = scored
-        .iter()
-        .filter_map(|r| r.ok())
-        .fold(f64::INFINITY, f64::min);
-    let mut pruned: Vec<(f64, usize)> = scored
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.err().map(|bound| (bound, i)))
-        .collect();
-    pruned.sort_by(|a, b| a.0.total_cmp(&b.0));
-    for (bound, i) in pruned {
-        if load_exceeds(bound, best) {
-            break;
-        }
-        let obj = score(candidates[i], f64::INFINITY).expect("no bound exceeds an infinite limit");
-        best = best.min(obj);
-        scored[i] = Ok(obj);
-    }
     candidates
         .iter()
-        .zip(scored)
-        .filter_map(|(&a, r)| r.ok().map(|obj| (a, obj)))
+        .zip(par_map(candidates, |&a| score(a, cur_obj)))
+        .map(|(&a, r)| (a, r.unwrap_or_else(|bound| bound)))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("candidates")
 }

@@ -1,6 +1,6 @@
-//! Asserts the schedule+simulate hot path is allocation-free after
-//! warm-up — the property the evaluation engine's scratch reuse exists
-//! to provide.
+//! Asserts the schedule+simulate hot path and the head–body–tail bound
+//! are allocation-free after warm-up — the property the evaluation
+//! engine's scratch reuse exists to provide.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting `#[global_allocator]`; a single `#[test]` keeps other
@@ -14,7 +14,7 @@ use heterog_compile::{compile, CommMethod, Strategy};
 use heterog_graph::{BenchmarkModel, ModelSpec};
 use heterog_profile::GroundTruthCost;
 use heterog_sched::{list_schedule_into, OrderPolicy, Schedule, ScheduleScratch};
-use heterog_sim::{simulate_into, SimReport, SimScratch};
+use heterog_sim::{makespan_bound_into, simulate_into, SimReport, SimScratch};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -76,6 +76,18 @@ fn schedule_and_simulate_are_allocation_free_after_warmup() {
         sim_allocs, 0,
         "simulate_into allocated {sim_allocs} times after warm-up"
     );
+
+    // The bound the search prunes with, stopping early under a finite
+    // limit and running to the end under an infinite one, borrows the
+    // same scratch.
+    let full = makespan_bound_into(&tg, f64::INFINITY, &mut sim_scratch);
+    for limit in [full * (1.0 - 2e-9), f64::INFINITY] {
+        let (bound_allocs, _) = allocs_during(|| makespan_bound_into(&tg, limit, &mut sim_scratch));
+        assert_eq!(
+            bound_allocs, 0,
+            "makespan_bound_into with limit {limit} allocated {bound_allocs} times after warm-up"
+        );
+    }
 
     // Steady state across *different* task graphs (what a search's miss
     // path looks like): after one adapting pass over each graph — ready

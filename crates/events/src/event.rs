@@ -39,7 +39,9 @@ pub enum EventKind {
         evals: u64,
         /// Best objective so far (seconds; OOM-inflated when infeasible).
         best_makespan: f64,
-        /// Best candidate objective of this visit.
+        /// Lowest of this visit's simulated candidates' objectives and
+        /// pruned candidates' bounds: at most every candidate's
+        /// objective, and the objective moved to when the visit moved.
         candidate_makespan: f64,
         /// Process-global eval-cache hits at this point.
         cache_hits: u64,

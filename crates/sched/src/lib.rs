@@ -28,8 +28,8 @@ pub mod task;
 pub use instance::{adversarial_priorities, worst_case_instance};
 pub use list::{
     busiest_processor_load, head_body_tail_bound_into, list_schedule, list_schedule_into,
-    list_schedule_observed, makespan_lower_bound, NoHook, OrderPolicy, Schedule, ScheduleHook,
-    ScheduleScratch,
+    list_schedule_observed, load_exceeds, makespan_lower_bound, NoHook, OrderPolicy, Schedule,
+    ScheduleHook, ScheduleScratch,
 };
 pub use rank::{critical_path, critical_path_from, upward_ranks, upward_ranks_into, RankScratch};
 pub use strict::strict_schedule;

@@ -114,7 +114,8 @@ impl ScheduleHook for NoHook {}
 /// heaps, the event queue, indegrees and rank buffers. A warm scratch
 /// (one prior call on a graph at least as large) makes scheduling
 /// allocation-free. [`head_body_tail_bound_into`] borrows the rank
-/// buffers too, plus vectors of heads and sort keys of its own.
+/// buffers too, plus vectors of heads, sort keys and processor loads of
+/// its own.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     ready: Vec<BinaryHeap<Key>>,
@@ -125,6 +126,8 @@ pub struct ScheduleScratch {
     rank_scratch: RankScratch,
     heads: Vec<f64>,
     hbt_keys: Vec<HbtKey>,
+    /// `(load, processor)`, visited busiest first.
+    proc_loads: Vec<(f64, u32)>,
 }
 
 /// A head–body–tail sort key: `(desc(head), desc(tail), task index)`.
@@ -427,8 +430,24 @@ pub fn makespan_lower_bound(tg: &TaskGraph) -> f64 {
     busiest_processor_load(tg, &mut Vec::new()).max(critical_path_from(&ranks))
 }
 
+/// Relative slack on a lower bound before it counts as exceeding a
+/// limit. The bounds sum work in task or head order and the simulator's
+/// makespan in schedule order; on the task graphs here the two orders
+/// differ by ~1e-12 relative.
+const LOAD_MARGIN: f64 = 1e-9;
+
+/// True when a task graph whose iteration time is bounded below by
+/// `load` (its busiest processor's load, or the head–body–tail bound)
+/// has an iteration time strictly above `limit`, float summation order
+/// included.
+pub fn load_exceeds(load: f64, limit: f64) -> bool {
+    load * (1.0 - LOAD_MARGIN) > limit
+}
+
 /// A lower bound on the makespan of every schedule of `tg`, at least
-/// [`makespan_lower_bound`]: the one-machine head–body–tail relaxation.
+/// [`makespan_lower_bound`]: the one-machine head–body–tail relaxation,
+/// or, once a partial maximum of it [`load_exceeds`] `limit`, that
+/// partial maximum.
 ///
 /// A task's *head* is the longest path from the sources up to its start
 /// and its *tail* the longest path from its finish to the sinks (the
@@ -449,26 +468,38 @@ pub fn makespan_lower_bound(tg: &TaskGraph) -> f64 {
 /// with idle gaps added, and float addition is monotone. The simulated
 /// iteration time is that schedule's makespan, and the search objective
 /// is at least the iteration time. Work and tails are summed in another
-/// order than the schedule's clock adds them, which callers absorb with
-/// a relative margin (`heterog_strategies::load_exceeds`).
+/// order than the schedule's clock adds them, which [`load_exceeds`]
+/// absorbs with a relative margin.
+///
+/// The critical path comes first, then the processors in descending
+/// load order, ties by index; the bound returns as soon as its running
+/// maximum [`load_exceeds`] `limit`. The maximum only grows, so the
+/// returned value exceeds `limit` exactly when the full bound does, is
+/// never above it, and equals it whenever it does not exceed `limit`.
+/// With `f64::INFINITY` it is the full bound, bit for bit: a maximum
+/// does not depend on visit order.
 ///
 /// Each processor's tasks are sorted as packed `(head, tail, index)`
 /// keys whose unsigned order is the descending [`f64::total_cmp`] order
 /// of head, then of tail, then the ascending index.
 ///
 /// Reuses `scratch`'s rank buffers (the upward ranks become tails in
-/// place, the topological order is the rank sweep's) and its key
-/// vector: allocation-free once warm.
-pub fn head_body_tail_bound_into(tg: &TaskGraph, scratch: &mut ScheduleScratch) -> f64 {
+/// place, the topological order is the rank sweep's) and its key and
+/// load vectors: allocation-free once warm.
+pub fn head_body_tail_bound_into(tg: &TaskGraph, limit: f64, scratch: &mut ScheduleScratch) -> f64 {
     let ScheduleScratch {
         ranks,
         rank_scratch,
         heads,
         hbt_keys: keys,
+        proc_loads,
         ..
     } = scratch;
     upward_ranks_into(tg, rank_scratch, ranks);
     let mut best = critical_path_from(ranks);
+    if load_exceeds(best, limit) {
+        return best;
+    }
     let RankScratch {
         indeg: offsets,
         order,
@@ -492,12 +523,16 @@ pub fn head_body_tail_bound_into(tg: &TaskGraph, scratch: &mut ScheduleScratch) 
     let tails = &ranks[..];
 
     // One sort key per task, grouped by processor, in task order within
-    // each.
+    // each; each processor's load summed in task order.
     let num_procs = tg.num_procs();
     offsets.clear();
     offsets.resize(num_procs + 1, 0);
+    proc_loads.clear();
+    proc_loads.extend((0..num_procs as u32).map(|p| (0.0, p)));
     for (_, t) in tg.iter() {
-        offsets[tg.proc_index(t.proc) + 1] += 1;
+        let p = tg.proc_index(t.proc);
+        offsets[p + 1] += 1;
+        proc_loads[p].0 += t.duration;
     }
     for p in 0..num_procs {
         offsets[p + 1] += offsets[p];
@@ -511,15 +546,17 @@ pub fn head_body_tail_bound_into(tg: &TaskGraph, scratch: &mut ScheduleScratch) 
         *slot += 1;
     }
 
-    // `offsets[p]` now ends processor `p`'s run.
-    let mut start = 0;
-    for p in 0..num_procs {
-        let run = &mut keys[start..offsets[p] as usize];
-        start = offsets[p] as usize;
-        let load = run
-            .iter()
-            .fold(0.0, |sum, k| sum + tg.task(TaskId(k.2)).duration);
+    // `offsets[p]` now ends processor `p`'s run and `offsets[p - 1]`
+    // starts it.
+    proc_loads.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    for &(load, p) in proc_loads.iter() {
         best = best.max(load);
+        if load_exceeds(best, limit) {
+            return best;
+        }
+        let p = p as usize;
+        let start = if p == 0 { 0 } else { offsets[p - 1] as usize };
+        let run = &mut keys[start..offsets[p] as usize];
         // Largest head first; among equal heads the larger tail first,
         // which keeps each prefix's smallest tail as large as it can be.
         run.sort_unstable();
@@ -651,11 +688,17 @@ mod tests {
         }
         assert_eq!(makespan_lower_bound(&tg), 9.0);
         let mut scratch = ScheduleScratch::default();
-        assert_eq!(head_body_tail_bound_into(&tg, &mut scratch), 11.0);
+        assert_eq!(
+            head_body_tail_bound_into(&tg, f64::INFINITY, &mut scratch),
+            11.0
+        );
         assert_eq!(list_schedule(&tg, &OrderPolicy::RankBased).makespan, 11.0);
         // A warm scratch gives the same bound, and scheduling with it
         // afterwards is unaffected.
-        assert_eq!(head_body_tail_bound_into(&tg, &mut scratch), 11.0);
+        assert_eq!(
+            head_body_tail_bound_into(&tg, f64::INFINITY, &mut scratch),
+            11.0
+        );
         let mut out = Schedule::default();
         list_schedule_into(&tg, &OrderPolicy::RankBased, &mut scratch, &mut out);
         assert_eq!(out.makespan, 11.0);
@@ -759,7 +802,7 @@ mod tests {
                 }
             }
             let want = bound_by_index(&tg);
-            let got = head_body_tail_bound_into(&tg, &mut scratch);
+            let got = head_body_tail_bound_into(&tg, f64::INFINITY, &mut scratch);
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),

@@ -35,12 +35,14 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Why a request could not be parsed; maps onto a 4xx.
+/// Why a request could not be parsed: a 400 when malformed, a 413 when
+/// too large, no answer on a socket error.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Connection closed or unreadable mid-request.
+    /// The socket failed mid-request (timeout, reset).
     Io(std::io::Error),
-    /// Malformed request line or headers.
+    /// Malformed request line, headers or body framing, including a
+    /// connection closed before the head or body was complete.
     Malformed(&'static str),
     /// Head or body over the fixed caps.
     TooLarge,

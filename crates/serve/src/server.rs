@@ -287,17 +287,23 @@ fn handle_connection(mut stream: TcpStream, s: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let req = match read_request(&mut stream) {
         Ok(r) => r,
-        Err(HttpError::TooLarge) => {
+        Err(HttpError::Io(_)) => return, // timed out or reset: no reply
+        Err(e) => {
+            let status = if matches!(e, HttpError::TooLarge) {
+                413
+            } else {
+                400
+            };
+            let body = error_body(&e.to_string());
             let _ = respond(
                 &mut stream,
-                413,
+                status,
                 "application/json",
                 &[],
-                error_body("request too large").as_bytes(),
+                body.as_bytes(),
             );
             return;
         }
-        Err(_) => return, // unreadable; nothing sane to answer
     };
     route(&mut stream, &req, s);
 }

@@ -225,10 +225,11 @@ pub fn simulate_into(
 /// A lower bound on the iteration time [`simulate_into`] would report
 /// for `tg` under any order policy, computed without simulating: the
 /// head–body–tail bound of [`head_body_tail_bound_into`], in `scratch`'s
-/// scheduling buffers. At least the busiest processor's load and the
-/// critical path.
-pub fn makespan_bound_into(tg: &TaskGraph, scratch: &mut SimScratch) -> f64 {
-    head_body_tail_bound_into(tg, &mut scratch.sched)
+/// scheduling buffers, which stops once it exceeds `limit`
+/// (`f64::INFINITY` for the full bound). The full bound is at least the
+/// busiest processor's load and the critical path.
+pub fn makespan_bound_into(tg: &TaskGraph, limit: f64, scratch: &mut SimScratch) -> f64 {
+    head_body_tail_bound_into(tg, limit, &mut scratch.sched)
 }
 
 /// [`simulate_into`] without its counters and events: re-simulations

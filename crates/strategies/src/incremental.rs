@@ -14,7 +14,7 @@
 //! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
 //! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
 //! | `ClusterAndStrategy`    | splice on the base cluster, then re-price onto the new cluster |
-//! | any, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a spliced graph that a lower bound on its iteration time (busiest processor, then the head–body–tail bound of [`makespan_bound_into`]) puts above the limit is not simulated: [`Bounded::Pruned`] |
+//! | any, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a spliced graph that a lower bound on its iteration time (busiest processor, then the head–body–tail bound of [`makespan_bound_into`], which stops once it exceeds the limit) puts above the limit is not simulated: [`Bounded::Pruned`] |
 //!
 //! A strategy change resolves the candidate's placements once and
 //! diffs them against the base's: an op's replica tasks, the wiring of
@@ -50,7 +50,7 @@ use heterog_compile::{
 };
 use heterog_graph::{Graph, OpId};
 use heterog_profile::CostEstimator;
-use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph};
+use heterog_sched::{busiest_processor_load, load_exceeds, OrderPolicy, TaskGraph};
 use heterog_sim::{
     makespan_bound_into, resimulate_into, simulate_into, simulate_uncounted, SimReport, SimScratch,
 };
@@ -132,10 +132,11 @@ pub enum Bounded {
     /// Simulated, exactly as [`IncrementalEvaluator::evaluate_perturbed`]
     /// would have.
     Evaluated(Box<Evaluation>, EvalMode),
-    /// Not simulated: this lower bound on the spliced task graph's
-    /// iteration time (its busiest processor's load, or else the
-    /// head–body–tail bound of [`makespan_bound_into`]) [`load_exceeds`]
-    /// the limit.
+    /// Not simulated: a lower bound on the spliced task graph's
+    /// iteration time that [`load_exceeds`] the limit. It is the busiest
+    /// processor's load, or else the head–body–tail bound of
+    /// [`makespan_bound_into`] as far as it got before exceeding the
+    /// limit, so it may be below the full bound.
     Pruned(f64),
 }
 
@@ -143,20 +144,6 @@ impl Bounded {
     fn evaluated(eval: Evaluation, mode: EvalMode) -> Bounded {
         Bounded::Evaluated(Box::new(eval), mode)
     }
-}
-
-/// Relative slack on a lower bound before it counts as exceeding a
-/// limit. The bounds sum work in task or head order and the simulator's
-/// makespan in schedule order; on the task graphs here the two orders
-/// differ by ~1e-12 relative.
-const LOAD_MARGIN: f64 = 1e-9;
-
-/// True when a task graph whose iteration time is bounded below by
-/// `load` (its busiest processor's load, or the head–body–tail bound)
-/// has an iteration time strictly above `limit`, float summation order
-/// included.
-pub fn load_exceeds(load: f64, limit: f64) -> bool {
-    load * (1.0 - LOAD_MARGIN) > limit
 }
 
 /// Patch buffers: the candidate's placements, the spliced and
@@ -315,7 +302,8 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// returned instead. The busiest processor's load, GPU or link, is
     /// tried first, as it needs no adjacency index; only when it does not
     /// prune is the index built and the head–body–tail bound of
-    /// [`makespan_bound_into`] tried. A pruned candidate counts in neither
+    /// [`makespan_bound_into`] tried, which returns as soon as it exceeds
+    /// `limit`. A pruned candidate counts in neither
     /// `incremental_fast` nor `incremental_full` and emits no
     /// `StrategyEvaluated` event. Only spliced paths are bounded; every
     /// other path evaluates as `evaluate_perturbed` does.
@@ -473,7 +461,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                     return Some(Bounded::Pruned(busiest));
                 }
                 tg.build_index();
-                let bound = makespan_bound_into(tg, sim);
+                let bound = makespan_bound_into(tg, limit, sim);
                 if load_exceeds(bound, limit) {
                     return Some(Bounded::Pruned(bound));
                 }
@@ -631,12 +619,15 @@ mod tests {
             panic!("a positive load exceeds a zero limit");
         };
         let (tg, _) = heterog_compile::compile_priced(&g, &c, &GroundTruthCost, &s2);
-        let bound = makespan_bound_into(&tg, &mut SimScratch::default());
+        let bound = makespan_bound_into(&tg, f64::INFINITY, &mut SimScratch::default());
         assert!(load_exceeds(bound, load), "bound {bound}, load {load}");
         // A limit the load stays within but the bound exceeds: pruned,
-        // and the bound returned.
+        // with a bound that exceeds the limit and is at most the full one.
         match ev.evaluate_bounded(Perturbation::Strategy(&s2), load) {
-            Bounded::Pruned(b) => assert_eq!(b.to_bits(), bound.to_bits()),
+            Bounded::Pruned(b) => assert!(
+                load_exceeds(b, load) && b <= bound,
+                "returned {b}, full bound {bound}, limit {load}"
+            ),
             Bounded::Evaluated(..) => panic!("the bound {bound} exceeds the limit {load}"),
         }
         let (want, _) = ev.evaluate_perturbed(Perturbation::Strategy(&s2));

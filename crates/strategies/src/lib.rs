@@ -33,8 +33,9 @@ pub use evaluate::{
 };
 pub use flexflow::FlexFlowPlanner;
 pub use grouping::{group_ops, Grouping};
+pub use heterog_sched::load_exceeds;
 pub use hetpipe::HetPipePlanner;
-pub use incremental::{load_exceeds, Bounded, EvalMode, IncrementalEvaluator, Perturbation};
+pub use incremental::{Bounded, EvalMode, IncrementalEvaluator, Perturbation};
 pub use planner::Planner;
 pub use post::PostPlanner;
 pub use repair::{

@@ -118,7 +118,7 @@ fn head_body_tail_bound_bounds_iteration_time() {
     let mut scratch = SimScratch::default();
     for_each_seed(64, |rng| {
         for tg in [task_graph(rng, 64, 2, 1), task_graph(rng, 24, 3, 2)] {
-            let bound = makespan_bound_into(&tg, &mut scratch);
+            let bound = makespan_bound_into(&tg, f64::INFINITY, &mut scratch);
             let load = busiest_processor_load(&tg, &mut per_proc);
             assert!(bound >= load, "bound {bound} below busiest load {load}");
             let cp = critical_path(&tg);
@@ -131,6 +131,49 @@ fn head_body_tail_bound_bounds_iteration_time() {
                     "bound {bound} above iteration time {it}"
                 );
                 assert!(!load_exceeds(bound, it));
+            }
+        }
+    });
+}
+
+/// With a finite limit the head–body–tail bound returns once a partial
+/// maximum [`load_exceeds`] the limit. The limits sit at, inside the
+/// margin below, beyond the margin below and just above the full bound,
+/// and at and inside the margin below the busiest load. Against each,
+/// the bound makes the full bound's prune decision, is never above the
+/// full bound, and equals it bit for bit whenever it does not exceed
+/// the limit. The full bound is itself checked against the busiest load
+/// and the critical path, so a bound that scans no processor fails too.
+#[test]
+fn early_stopping_bound_makes_the_full_bounds_decision() {
+    let mut per_proc = Vec::new();
+    let mut scratch = SimScratch::default();
+    for_each_seed(64, |rng| {
+        for tg in [task_graph(rng, 64, 2, 1), task_graph(rng, 24, 3, 2)] {
+            let full = makespan_bound_into(&tg, f64::INFINITY, &mut scratch);
+            let load = busiest_processor_load(&tg, &mut per_proc);
+            assert!(full >= load, "bound {full} below busiest load {load}");
+            let cp = critical_path(&tg);
+            assert!(full >= cp, "bound {full} below critical path {cp}");
+            for limit in [
+                full,
+                full * (1.0 - 5e-10),
+                full * (1.0 - 2e-9),
+                full * (1.0 + 5e-10),
+                load,
+                load * (1.0 - 5e-10),
+            ] {
+                let got = makespan_bound_into(&tg, limit, &mut scratch);
+                let exceeds = load_exceeds(got, limit);
+                assert_eq!(
+                    exceeds,
+                    load_exceeds(full, limit),
+                    "limit {limit}: returned {got}, full bound {full}"
+                );
+                assert!(got <= full, "limit {limit}: returned {got} above {full}");
+                if !exceeds {
+                    assert_eq!(got.to_bits(), full.to_bits(), "limit {limit}");
+                }
             }
         }
     });

@@ -1,19 +1,23 @@
 //! The fast planner bounds each candidate's iteration time from below
 //! (its busiest processor's load, then the head–body–tail bound) and
-//! simulates only candidates that can still win. A reference loop here
-//! scores every candidate through `evaluate_perturbed` of the whole
-//! moved strategy, as the planner did before the bounds and group
-//! moves; on MobileNet-v2, VGG-19, Transformer-6L and a cluster where
-//! data parallelism overflows memory, `plan_detailed` must return the
+//! simulates only candidates that can still beat the incumbent. A
+//! reference loop here scores every candidate through
+//! `evaluate_perturbed` of the whole moved strategy, as the planner did
+//! before the bounds and group moves, and moves on the exact best; on
+//! MobileNet-v2, VGG-19, Transformer-6L and a cluster where data
+//! parallelism overflows memory, `plan_detailed` must return the
 //! reference's actions, strategy and evaluation bit for bit and emit
-//! the same `SearchIteration` stream.
+//! the same `SearchIteration` stream. A visit's `candidate_makespan` is
+//! the lowest of the simulated candidates' objectives and the pruned
+//! candidates' bounds, which the reference reads off
+//! `evaluate_bounded` of the whole moved strategy.
 //!
 //! The reference also records each candidate's busiest-processor load
 //! and head–body–tail bound. Both must be at most the candidate's
 //! simulated iteration time, and the planner must simulate exactly the
-//! candidates the two-phase scheme picks from those values: the same
-//! number at any thread count, and on VGG-19 and Transformer-6L fewer
-//! than pruning on the busiest load alone would.
+//! candidates those values leave unpruned: the same number at any
+//! thread count, and on VGG-19 and Transformer-6L fewer than pruning on
+//! the busiest load alone would.
 
 use std::sync::Mutex;
 
@@ -125,6 +129,9 @@ struct Visit {
 struct Scored {
     action: usize,
     objective: f64,
+    /// What `evaluate_bounded` against the incumbent's objective
+    /// returns: the objective when simulated, else the pruning bound.
+    bounded: f64,
     /// The busiest-processor load and the head–body–tail bound of the
     /// candidate's task graph, `None` when `evaluate_bounded`'s path is
     /// not bounded (the candidate equals the incumbent).
@@ -153,42 +160,17 @@ struct Outcome {
     considered: u64,
 }
 
-/// How many of a visit's candidates the two-phase scheme simulates when
-/// it prunes with `scheme`'s bounds: those with no bound exceeding the
-/// incumbent's objective, then the rest in ascending order of the bound
-/// that pruned them until that bound exceeds the best objective so far.
+/// How many of a visit's candidates pruning with `scheme`'s bounds
+/// simulates: those with no bound exceeding the incumbent's objective.
 fn simulated_by_scheme(scored: &[Scored], cur_obj: f64, scheme: Scheme) -> u64 {
-    let bounded = |s: &Scored| {
-        let (load, bound) = s.bounds?;
-        if load_exceeds(load, cur_obj) {
-            return Some(load);
-        }
-        match scheme {
-            Scheme::Busiest => None,
-            Scheme::HeadBodyTail => Some(bound).filter(|&b| load_exceeds(b, cur_obj)),
-        }
+    let pruned = |s: &Scored| {
+        let Some((load, bound)) = s.bounds else {
+            return false;
+        };
+        load_exceeds(load, cur_obj)
+            || matches!(scheme, Scheme::HeadBodyTail) && load_exceeds(bound, cur_obj)
     };
-    let mut count = 0;
-    let mut best = f64::INFINITY;
-    let mut pruned = Vec::new();
-    for s in scored {
-        match bounded(s) {
-            Some(load) => pruned.push((load, s.objective)),
-            None => {
-                count += 1;
-                best = best.min(s.objective);
-            }
-        }
-    }
-    pruned.sort_by(|a, b| a.0.total_cmp(&b.0));
-    for (load, obj) in pruned {
-        if load_exceeds(load, best) {
-            break;
-        }
-        count += 1;
-        best = best.min(obj);
-    }
-    count
+    scored.iter().filter(|s| !pruned(s)).count() as u64
 }
 
 /// What the reference's candidates tally.
@@ -245,7 +227,10 @@ fn reference(case: &Case) -> (Outcome, Tally) {
     order.sort_by(|&a, &b| group_cost[b].total_cmp(&group_cost[a]));
 
     let mut moves: u64 = 0;
-    let mut settled: Vec<Option<(u64, (usize, f64))>> = vec![None; n];
+    // Per group: the move count at its last visit, with that visit's
+    // exact and bounded best `(action, value)`.
+    type Best = (usize, f64);
+    let mut settled: Vec<Option<(u64, (Best, Best))>> = vec![None; n];
     let mut visited: u64 = 0;
     let mut visits = Vec::new();
     for pass in 0..case.planner.passes {
@@ -265,14 +250,16 @@ fn reference(case: &Case) -> (Outcome, Tally) {
                             trial[gi] = a;
                             let s = to_strategy(&trial);
                             let (e, _) = evaluator.evaluate_perturbed(Perturbation::Strategy(&s));
-                            let bounds =
-                                match evaluator.evaluate_bounded(Perturbation::Strategy(&s), 0.0) {
-                                    Bounded::Pruned(load) => {
-                                        let (tg, _) = compile_priced(g, cluster, cost, &s);
-                                        Some((load, makespan_bound_into(&tg, &mut sim)))
-                                    }
-                                    Bounded::Evaluated(..) => None,
-                                };
+                            let bounds = match evaluator
+                                .evaluate_bounded(Perturbation::Strategy(&s), 0.0)
+                            {
+                                Bounded::Pruned(load) => {
+                                    let (tg, _) = compile_priced(g, cluster, cost, &s);
+                                    let bound = makespan_bound_into(&tg, f64::INFINITY, &mut sim);
+                                    Some((load, bound))
+                                }
+                                Bounded::Evaluated(..) => None,
+                            };
                             if let Some((load, bound)) = bounds {
                                 let it = e.iteration_time;
                                 for (what, b) in [("busiest load", load), ("bound", bound)] {
@@ -283,9 +270,17 @@ fn reference(case: &Case) -> (Outcome, Tally) {
                                     );
                                 }
                             }
+                            let objective = objective(&e, cluster);
+                            let bounded = match evaluator
+                                .evaluate_bounded(Perturbation::Strategy(&s), cur_obj)
+                            {
+                                Bounded::Evaluated(..) => objective,
+                                Bounded::Pruned(bound) => bound,
+                            };
                             Scored {
                                 action: a,
-                                objective: objective(&e, cluster),
+                                objective,
+                                bounded,
                                 bounds,
                             }
                         })
@@ -296,23 +291,35 @@ fn reference(case: &Case) -> (Outcome, Tally) {
                     tally.unsimulated += scored.len() as u64 - simulated;
                     tally.simulated_by_busiest +=
                         simulated_by_scheme(&scored, cur_obj, Scheme::Busiest);
-                    scored
-                        .iter()
-                        .map(|s| (s.action, s.objective))
-                        .min_by(|a, b| a.1.total_cmp(&b.1))
-                        .expect("candidates")
+                    let first_min = |value: fn(&Scored) -> f64| {
+                        scored
+                            .iter()
+                            .map(|s| (s.action, value(s)))
+                            .min_by(|a, b| a.1.total_cmp(&b.1))
+                            .expect("candidates")
+                    };
+                    (first_min(|s| s.objective), first_min(|s| s.bounded))
                 }
             };
-            if best.1 + 1e-9 < cur_obj {
-                actions[gi] = best.0;
-                cur_obj = best.1;
+            // The exact best decides the move; the event carries the
+            // bounded best, equal to it whenever the visit moves.
+            let (exact, best) = best;
+            if exact.1 + 1e-9 < cur_obj {
+                assert_eq!(
+                    (best.0, best.1.to_bits()),
+                    (exact.0, exact.1.to_bits()),
+                    "{}: a move's bounded best is the exact best",
+                    case.name
+                );
+                actions[gi] = exact.0;
+                cur_obj = exact.1;
                 improved = true;
                 moves += 1;
                 settled[gi] = None;
                 evaluator.rebase(cluster, &to_strategy(&actions), &rank_based);
                 strategy_evaluated += 1;
             } else {
-                settled[gi] = Some((moves, best));
+                settled[gi] = Some((moves, (exact, best)));
             }
             visited += 1;
             visits.push(Visit {

@@ -7,7 +7,8 @@
 //! planning, response bytes — is exercised, not a mocked router.
 
 use std::collections::HashSet;
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use heterog_serve::{client, ServeConfig, Server};
@@ -138,6 +139,47 @@ fn rejects_oversized_clusters_and_malformed_bodies() {
     ] {
         let r = client::post_json(addr, "/v1/plan", body).unwrap();
         assert_eq!(r.status, 400, "{body}: {}", r.text());
+    }
+    // The daemon is still serving.
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    server.shutdown();
+}
+
+/// Writes `raw` to the daemon as is, half-closes the connection and
+/// returns everything the daemon answers.
+fn raw_exchange(addr: SocketAddr, raw: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(raw.as_bytes()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    reply
+}
+
+#[test]
+fn malformed_requests_get_a_named_400() {
+    let (server, addr) = spawn(quick_cfg());
+    for (raw, error) in [
+        (
+            "POST /v1/plan HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+            "malformed request: bad content-length",
+        ),
+        (
+            "GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n",
+            "malformed request: header without colon",
+        ),
+        (
+            "POST /v1/plan HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}",
+            "malformed request: connection closed mid-body",
+        ),
+    ] {
+        let reply = raw_exchange(addr, raw);
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{raw:?}: {reply:?}");
+        let body = format!("{{\"error\":\"{error}\"}}");
+        assert!(
+            reply.ends_with(&format!("\r\n\r\n{body}")),
+            "{raw:?}: {reply:?}"
+        );
     }
     // The daemon is still serving.
     assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
