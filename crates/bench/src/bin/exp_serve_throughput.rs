@@ -157,8 +157,6 @@ fn main() {
     let memo_lookups = (stats.memo_hits + stats.memo_misses).max(1) as f64;
     let memo_hit_rate = stats.memo_hits as f64 / memo_lookups;
     let cross_tenant_hit_rate = stats.cross_tenant_hits as f64 / memo_lookups;
-    let eval_lookups = (stats.eval_cache_hits + stats.eval_cache_misses).max(1) as f64;
-    let evalcache_hit_rate = stats.eval_cache_hits as f64 / eval_lookups;
 
     println!(
         "serve throughput ({} tenants x {} threads, {} requests, {} workers):",
@@ -180,7 +178,6 @@ fn main() {
         100.0 * memo_hit_rate,
         100.0 * cross_tenant_hit_rate
     );
-    println!("  eval cache:    {:.1}% hit", 100.0 * evalcache_hit_rate);
     println!(
         "  degraded: {}, rejected: {}",
         stats.degraded, stats.rejected
@@ -205,7 +202,6 @@ fn main() {
         "coalesce_rate" => round_to(coalesce_rate, 4),
         "memo_hit_rate" => round_to(memo_hit_rate, 4),
         "cross_tenant_hit_rate" => round_to(cross_tenant_hit_rate, 4),
-        "evalcache_hit_rate" => round_to(evalcache_hit_rate, 4),
         "degraded" => stats.degraded,
         "rejected" => stats.rejected,
     };

@@ -148,8 +148,8 @@ SERVE:
   GET /v1/jobs/<id> and /v1/jobs/<id>/events (JSONL stream; 410 once a
   finished job is retired), /healthz, /metrics (Prometheus). Identical
   in-flight requests coalesce onto one job, tenants are scheduled
-  deficit-round-robin (quantum 4) over a shared eval cache of 8
-  shards, and past 8 pending jobs a `heterog` search (12 groups)
+  deficit-round-robin (quantum 4) over a shared plan memo of 256
+  plans, and past 8 pending jobs a `heterog` search (12 groups)
   degrades to the CP-AR heuristic (the response says so).
   --addr HOST:PORT      bind address (default 127.0.0.1:7807; port 0 = ephemeral)
   --workers N           planner worker threads (default 2)
@@ -239,6 +239,9 @@ fn parse_model(flags: &HashMap<String, String>) -> Result<ModelSpec, String> {
         Some(b) => b.parse().map_err(|_| format!("bad --batch {b:?}"))?,
         None => model.default_batch_8gpu(),
     };
+    if batch == 0 {
+        return Err("--batch must be at least 1".into());
+    }
     let layers = match flags.get("layers") {
         Some(l) => l.parse().map_err(|_| format!("bad --layers {l:?}"))?,
         None => model.default_layers(),

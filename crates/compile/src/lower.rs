@@ -17,14 +17,14 @@
 //!
 //! All `R` segments come first, then all `W`, then all `A`, each in op
 //! order. Every edge is added once, by the segment that emits it.
-//! [`compile_logged`] records where each segment's tasks, edges and
-//! price-book entries start and end. [`splice_into`] builds another
-//! placement's graph from that base: it copies every segment whose
-//! inputs are unchanged, its tasks and its range of the base's edges
-//! with task ids remapped, and re-runs only the dirty ones through the
-//! same `Lowerer` code a full compile runs. The result equals a fresh
-//! [`compile_priced`] task for task, edge for edge and price-book entry
-//! for entry.
+//! [`compile_logged`] records where each segment's tasks, edges and PS
+//! rounds start and end. [`splice_into`] builds another placement's
+//! graph from that base: it copies every segment whose inputs are
+//! unchanged, its tasks and its range of the base's edges with task ids
+//! remapped, and re-runs only the dirty ones through the same `Lowerer`
+//! code a full compile runs. The result equals a fresh
+//! [`compile_priced`] graph task for task and edge for edge. A spliced
+//! graph has no price book: nothing re-prices it.
 
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ use crate::collective::{
     emit_allreduce, emit_one_pass_collective, emit_ps, pick_ps, PsLoadTracker,
 };
 use crate::placement::{resolve_placements, OpPlacement};
-use crate::price::{CollectiveKind, CollectiveRec, PriceBook, PsRound};
+use crate::price::{CollectiveKind, PriceBook};
 use crate::strategy::{CommMethod, Strategy};
 
 static COMPILATIONS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
@@ -164,7 +164,6 @@ pub fn compile_priced<C: CostEstimator>(
         None,
         &mut tg,
         &mut book,
-        true,
         &mut SpliceScratch::default(),
     );
     (tg, book)
@@ -172,19 +171,18 @@ pub fn compile_priced<C: CostEstimator>(
 
 /// Where one segment of a logged lowering put its output: half-open
 /// ranges of task ids, of the base graph's edge list, and of the price
-/// book's PS rounds and collectives.
+/// book's PS rounds, whose choices a splice replays.
 #[derive(Debug, Clone, Copy)]
 struct SegRecord {
     seg: Seg,
     tasks: [u32; 2],
     edges: [u32; 2],
     ps_rounds: [u32; 2],
-    collectives: [u32; 2],
 }
 
 /// The segment log of one lowering ([`compile_logged`]): the placements
 /// it lowered, where each segment's output starts and ends in the
-/// lowered graph's tasks, edges and price book, and the PS load tracker
+/// lowered graph's tasks, edges and PS rounds, and the PS load tracker
 /// before each aggregation segment. The lowering adds each edge once,
 /// so a segment's edges are one range of the graph's own edge list; the
 /// log keeps no copy of them.
@@ -235,7 +233,6 @@ pub fn compile_logged<C: CostEstimator>(
         Some(&mut log),
         &mut tg,
         &mut book,
-        true,
         &mut SpliceScratch::default(),
     );
     log.placements = placements;
@@ -264,18 +261,18 @@ pub struct SpliceScratch {
     /// Per-op: did the replicas (or shard marker) move from the base?
     moved: Vec<bool>,
     tracker: PsLoadTracker,
-    /// Receives dirty segments' book entries when the caller wants none.
+    /// Receives the dirty segments' price-book entries, which a splice
+    /// discards.
     book: PriceBook,
 }
 
 /// Lowers `placements` into `out` by splicing from `base`: segments
 /// whose inputs equal the base's are copied with task ids remapped,
 /// the rest re-lowered on `cluster`, which must be the cluster the base
-/// was compiled on. The result (and, when given, `book`, which is
-/// cleared first) equals [`compile_priced`] of a strategy resolving to
-/// `placements` bit for bit. Returns the number of base segments
-/// reused; 0 means every segment was re-lowered.
-#[allow(clippy::too_many_arguments)]
+/// was compiled on. The result equals the task graph [`compile_priced`]
+/// gives for a strategy resolving to `placements`, bit for bit. Returns
+/// the number of base segments reused; 0 means every segment was
+/// re-lowered.
 pub fn splice_into<C: CostEstimator>(
     g: &Graph,
     cluster: &Cluster,
@@ -283,7 +280,6 @@ pub fn splice_into<C: CostEstimator>(
     placements: &[OpPlacement],
     base: SpliceBase<'_>,
     out: &mut TaskGraph,
-    book: Option<&mut PriceBook>,
     scratch: &mut SpliceScratch,
 ) -> usize {
     let _span = heterog_telemetry::span("splice");
@@ -294,19 +290,11 @@ pub fn splice_into<C: CostEstimator>(
         cost,
         placements,
     };
-    match book {
-        Some(book) => {
-            book.clear();
-            lowering.run(Some(base), None, out, book, true, scratch)
-        }
-        None => {
-            let mut sink = std::mem::take(&mut scratch.book);
-            sink.clear();
-            let reused = lowering.run(Some(base), None, out, &mut sink, false, scratch);
-            scratch.book = sink;
-            reused
-        }
-    }
+    let mut sink = std::mem::take(&mut scratch.book);
+    sink.clear();
+    let reused = lowering.run(Some(base), None, out, &mut sink, scratch);
+    scratch.book = sink;
+    reused
 }
 
 /// The inputs of one plain (single-pass) lowering.
@@ -318,8 +306,8 @@ struct Lowering<'a, C: CostEstimator> {
 }
 
 impl<C: CostEstimator> Lowering<'_, C> {
-    /// Lowers every segment into `out` and `book`: copied from `base`
-    /// where clean (book entries only when `copy_book`), else emitted,
+    /// Lowers every segment into `out`: copied from `base` where clean,
+    /// else emitted, with the emitted ones' price-book entries in `book`,
     /// recording each into `log` when given. Returns the number of
     /// segments copied.
     fn run(
@@ -328,7 +316,6 @@ impl<C: CostEstimator> Lowering<'_, C> {
         log: Option<&mut SegmentLog>,
         out: &mut TaskGraph,
         book: &mut PriceBook,
-        copy_book: bool,
         scratch: &mut SpliceScratch,
     ) -> usize {
         let g = self.g;
@@ -362,7 +349,7 @@ impl<C: CostEstimator> Lowering<'_, C> {
             scattered: None,
         };
         match (base, log) {
-            (Some(base), _) => lw.splice(base, remap, moved, copy_book),
+            (Some(base), _) => lw.splice(base, remap, moved),
             (None, Some(log)) => {
                 lw.emit_logged(log);
                 0
@@ -684,18 +671,16 @@ impl<C: CostEstimator> Lowerer<'_, C> {
                 tasks: [start[0], end[0]],
                 edges: [start[1], end[1]],
                 ps_rounds: [start[2], end[2]],
-                collectives: [start[3], end[3]],
             });
         }
     }
 
-    /// Current task, edge, PS-round and collective counts.
-    fn marks(&self) -> [u32; 4] {
+    /// Current task, edge and PS-round counts.
+    fn marks(&self) -> [u32; 3] {
         [
             self.tg.len() as u32,
             self.tg.num_edges() as u32,
             self.book.ps_rounds.len() as u32,
-            self.book.collectives.len() as u32,
         ]
     }
 
@@ -706,7 +691,6 @@ impl<C: CostEstimator> Lowerer<'_, C> {
         base: SpliceBase<'_>,
         remap: &mut Vec<u32>,
         moved: &mut Vec<bool>,
-        copy_book: bool,
     ) -> usize {
         let log = base.log;
         moved.clear();
@@ -768,7 +752,7 @@ impl<C: CostEstimator> Lowerer<'_, C> {
                 }
             };
             if clean {
-                self.copy_segment(base, rec, remap, copy_book);
+                self.copy_segment(base, rec, remap);
                 reused += 1;
             } else {
                 self.emit(rec.seg);
@@ -777,16 +761,9 @@ impl<C: CostEstimator> Lowerer<'_, C> {
         reused
     }
 
-    /// Appends a copy of the base's segment `rec`: its tasks, its edges
-    /// (remapped, as one range) and, when `copy_book`, its price-book
-    /// entries.
-    fn copy_segment(
-        &mut self,
-        base: SpliceBase<'_>,
-        rec: &SegRecord,
-        remap: &mut [u32],
-        copy_book: bool,
-    ) {
+    /// Appends a copy of the base's segment `rec`: its tasks and its
+    /// edges (remapped, as one range).
+    fn copy_segment(&mut self, base: SpliceBase<'_>, rec: &SegRecord, remap: &mut [u32]) {
         let [t0, t1] = rec.tasks;
         let start = self.tg.copy_tasks(base.tg, t0 as usize..t1 as usize).0;
         for (i, r) in remap[t0 as usize..t1 as usize].iter_mut().enumerate() {
@@ -797,32 +774,8 @@ impl<C: CostEstimator> Lowerer<'_, C> {
             ids.clear();
             ids.extend((start..start + (t1 - t0)).map(TaskId));
         }
-        let at = |t: TaskId| {
-            debug_assert_ne!(remap[t.index()], u32::MAX, "copied segment references {t}");
-            TaskId(remap[t.index()])
-        };
         let [e0, e1] = rec.edges;
         self.tg.copy_deps(base.tg, e0 as usize..e1 as usize, remap);
-        if copy_book {
-            let [p0, p1] = rec.ps_rounds;
-            for r in &base.book.ps_rounds[p0 as usize..p1 as usize] {
-                self.book.ps_rounds.push(PsRound {
-                    devices: r.devices.clone(),
-                    bytes: r.bytes,
-                    chosen: r.chosen,
-                    agg: at(r.agg),
-                });
-            }
-            let [c0, c1] = rec.collectives;
-            for c in &base.book.collectives[c0 as usize..c1 as usize] {
-                self.book.collectives.push(CollectiveRec {
-                    kind: c.kind,
-                    devices: c.devices.clone(),
-                    bytes: c.bytes,
-                    link_tasks: c.link_tasks.iter().map(|&t| at(t)).collect(),
-                });
-            }
-        }
     }
 
     /// `R(id)`: the op's replica tasks.
@@ -1677,11 +1630,10 @@ mod tests {
         assert_eq!(ags, 1, "the forward all-gather must be cached");
     }
 
-    /// Asserts `a` equals `b` task for task (rendered name, kind,
-    /// processor, duration bits, byte counts, origin, batch share), edge
-    /// for edge in insertion order, and book entry for entry.
-    fn assert_same_lowering(a: (&TaskGraph, &PriceBook), b: (&TaskGraph, &PriceBook)) {
-        let ((ta, ba), (tb, bb)) = (a, b);
+    /// Asserts `ta` equals `tb` task for task (rendered name, kind,
+    /// processor, duration bits, byte counts, origin, batch share) and
+    /// edge for edge in insertion order.
+    fn assert_same_graph(ta: &TaskGraph, tb: &TaskGraph) {
         assert_eq!(ta.len(), tb.len());
         for id in ta.task_ids() {
             let (x, y) = (ta.task(id), tb.task(id));
@@ -1695,17 +1647,11 @@ mod tests {
             assert_eq!((x.origin, x.batch_share), (y.origin, y.batch_share));
         }
         assert!(ta.edges().eq(tb.edges()), "edge lists differ");
-        assert_eq!(ba, bb);
     }
 
-    fn splice(
-        g: &Graph,
-        c: &Cluster,
-        base: &Strategy,
-        s: &Strategy,
-    ) -> (TaskGraph, PriceBook, usize) {
+    fn splice(g: &Graph, c: &Cluster, base: &Strategy, s: &Strategy) -> (TaskGraph, usize) {
         let (btg, bbook, log) = compile_logged(g, c, &GroundTruthCost, base);
-        let (mut tg, mut book) = (TaskGraph::default(), PriceBook::default());
+        let mut tg = TaskGraph::default();
         let reused = splice_into(
             g,
             c,
@@ -1717,10 +1663,9 @@ mod tests {
                 log: &log,
             },
             &mut tg,
-            Some(&mut book),
             &mut SpliceScratch::default(),
         );
-        (tg, book, reused)
+        (tg, reused)
     }
 
     #[test]
@@ -1733,7 +1678,8 @@ mod tests {
         ] {
             let (tg, book) = compile_priced(&g, &c, &GroundTruthCost, &s);
             let (ltg, lbook, log) = compile_logged(&g, &c, &GroundTruthCost, &s);
-            assert_same_lowering((&tg, &book), (&ltg, &lbook));
+            assert_same_graph(&tg, &ltg);
+            assert_eq!(book, lbook);
             assert!(!log.is_empty());
         }
     }
@@ -1746,10 +1692,9 @@ mod tests {
         let mut s = base.clone();
         let (l2, _) = g.iter().find(|(_, n)| n.name == "l2/matmul").unwrap();
         s.per_op[l2.index()] = crate::OpStrategy::Mp(DeviceId(3));
-        let (tg, book, reused) = splice(&g, &c, &base, &s);
+        let (tg, reused) = splice(&g, &c, &base, &s);
         assert!(reused > 0, "unchanged segments must be copied");
-        let (fresh, fresh_book) = compile_priced(&g, &c, &GroundTruthCost, &s);
-        assert_same_lowering((&tg, &book), (&fresh, &fresh_book));
+        assert_same_graph(&tg, &compile(&g, &c, &GroundTruthCost, &s));
     }
 
     #[test]
@@ -1759,9 +1704,8 @@ mod tests {
         let g = tiny(64);
         let c = paper_testbed_8gpu();
         let dp = Strategy::proportional(g.len(), &c, CommMethod::AllReduce);
-        let (tg, book, reused) = splice(&g, &c, &shard_strategy(&g, &c), &dp);
-        let (fresh, fresh_book) = compile_priced(&g, &c, &GroundTruthCost, &dp);
-        assert_same_lowering((&tg, &book), (&fresh, &fresh_book));
+        let (tg, reused) = splice(&g, &c, &shard_strategy(&g, &c), &dp);
+        assert_same_graph(&tg, &compile(&g, &c, &GroundTruthCost, &dp));
         assert!(reused < compile_logged(&g, &c, &GroundTruthCost, &dp).2.len());
     }
 
@@ -1776,9 +1720,8 @@ mod tests {
         for (id, _) in g.iter().filter(|(_, n)| n.has_params()).take(3) {
             s.per_op[id.index()] = crate::OpStrategy::even(&c, CommMethod::AllReduce);
         }
-        let (tg, book, reused) = splice(&g, &c, &base, &s);
-        let (fresh, fresh_book) = compile_priced(&g, &c, &GroundTruthCost, &s);
-        assert_same_lowering((&tg, &book), (&fresh, &fresh_book));
+        let (tg, reused) = splice(&g, &c, &base, &s);
+        assert_same_graph(&tg, &compile(&g, &c, &GroundTruthCost, &s));
         let log = compile_logged(&g, &c, &GroundTruthCost, &base).2;
         // Every R and W segment is copied; at least the three flipped A
         // segments are not.

@@ -72,7 +72,7 @@ pub struct CollectiveRec {
 }
 
 /// The non-derivable pricing decisions of one compilation, recorded by
-/// `compile_priced` (and copied, ids remapped, by `splice_into`).
+/// `compile_priced` and `compile_logged`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PriceBook {
     /// PS rounds in emission order (the greedy chooser is stateful, so

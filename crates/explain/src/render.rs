@@ -199,14 +199,13 @@ pub fn render_text(rep: &ExplainReport) -> String {
     let e = &rep.eval_stats;
     let _ = writeln!(
         out,
-        "\nplanner loop: {} evaluations in {:.2} s ({:.0} evals/s), eval cache: {} hits / {} misses ({} hit rate), {} contexts evicted",
+        "\nplanner loop: {} evaluations in {:.2} s ({:.0} evals/s), eval cache: {} hits / {} misses ({} hit rate)",
         e.evaluations,
         e.eval_seconds,
         e.evals_per_sec(),
         e.cache_hits,
         e.cache_misses,
         pct(e.hit_rate()),
-        e.cache_evictions,
     );
     let _ = writeln!(
         out,
@@ -317,7 +316,6 @@ impl ToJson for ExplainReport {
                 "evals_per_sec" => e.evals_per_sec(),
                 "cache_hits" => e.cache_hits,
                 "cache_misses" => e.cache_misses,
-                "cache_evictions" => e.cache_evictions,
                 "incremental_fast" => e.incremental_fast,
                 "incremental_full" => e.incremental_full,
                 "incremental_hit_rate" => e.incremental_hit_rate(),
@@ -487,14 +485,13 @@ pub fn render_html(rep: &ExplainReport, trace_json: &str) -> String {
 
     let e = &rep.eval_stats;
     let footer = format!(
-        "planner loop: {} evaluations in {:.2} s ({:.0} evals/s) — eval cache {} hits / {} misses ({} hit rate), {} contexts evicted — incremental {} fast / {} full ({} served incrementally)",
+        "planner loop: {} evaluations in {:.2} s ({:.0} evals/s) — eval cache {} hits / {} misses ({} hit rate) — incremental {} fast / {} full ({} served incrementally)",
         e.evaluations,
         e.eval_seconds,
         e.evals_per_sec(),
         e.cache_hits,
         e.cache_misses,
         pct(e.hit_rate()),
-        e.cache_evictions,
         e.incremental_fast,
         e.incremental_full,
         pct(e.incremental_hit_rate())

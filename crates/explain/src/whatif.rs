@@ -15,7 +15,7 @@ use heterog_graph::Graph;
 use heterog_profile::GroundTruthCost;
 use heterog_sched::OrderPolicy;
 use heterog_sim::{simulate_into, SimReport, SimScratch};
-use heterog_strategies::{Evaluation, IncrementalEvaluator, Perturbation};
+use heterog_strategies::{evaluate_with_policy, Evaluation, IncrementalEvaluator, Perturbation};
 
 // The perturbation operators started here and moved to
 // `heterog_strategies::repair` when the elastic runtime needed them for
@@ -272,12 +272,13 @@ pub fn default_interventions(cluster: &Cluster, strategy: &Strategy) -> Vec<Inte
 
 /// Evaluates one intervention through the cheapest sound incremental
 /// path: cluster-only interventions re-price the cached graph and
-/// simulate it once, comm flips splice from the base lowering, order
-/// flips re-simulate the cached graph, and device removal (structure
-/// change) falls back to the full pipeline inside the evaluator. Bit-identical to a fresh
-/// compile + simulate in every case.
+/// simulate it once, comm flips splice from the base lowering, and
+/// order flips re-simulate the cached graph. Device removal changes the
+/// cluster's structure, so it runs the full pipeline. Bit-identical to
+/// a fresh compile + simulate in every case.
 fn eval_intervention(
     ev: &IncrementalEvaluator<'_, GroundTruthCost>,
+    g: &Graph,
     iv: &Intervention,
     cluster: &Cluster,
     strategy: &Strategy,
@@ -290,8 +291,7 @@ fn eval_intervention(
         }
         Intervention::RemoveDevice { .. } => {
             let (c2, s2, _) = iv.apply(cluster, strategy, policy);
-            ev.evaluate_perturbed(Perturbation::ClusterAndStrategy(&c2, &s2))
-                .0
+            evaluate_with_policy(g, &c2, &GroundTruthCost, &s2, policy)
         }
         Intervention::SwitchComm { .. } => {
             let (_, s2, _) = iv.apply(cluster, strategy, policy);
@@ -382,7 +382,7 @@ pub fn run_whatif_with(
         let started = std::time::Instant::now();
         let (makespan, oom) = match &evaluator {
             Some(ev) => {
-                let e = eval_intervention(ev, iv, cluster, strategy, policy);
+                let e = eval_intervention(ev, g, iv, cluster, strategy, policy);
                 (e.iteration_time, e.oom)
             }
             None => {

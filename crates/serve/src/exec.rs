@@ -1,29 +1,24 @@
 //! Job execution: where a validated request meets the planner stack.
 //!
-//! The engine owns the two layers of cross-tenant sharing:
+//! The engine owns the cross-tenant sharing: a **plan memo** keyed on
+//! (model spec, cluster fingerprint, *effective* planner, order policy).
+//! An entry holds the chosen [`Strategy`], packed ([`PackedStrategy`]:
+//! each distinct per-op decision once plus a `u32` index per op) and
+//! unpacked on a hit, and its [`Evaluation`] without per-task times.
+//! Tenants asking for the same deployment skip the search and the
+//! evaluation: a repeated plan is one memo lookup. Keys are compared
+//! whole, so two specs never share an entry. The entry remembers which
+//! tenant planted it, so a hit from a different tenant is counted as
+//! *cross-tenant* — the measurable form of "similar clusters warm each
+//! other". The memo holds `cache_shards × cache_contexts` entries and
+//! evicts the least recently used one, so every cold cluster costs one
+//! slot, not one more strategy for the life of the daemon.
 //!
-//! 1. A **plan memo** keyed on (model spec, cluster fingerprint,
-//!    *effective* planner, order policy) holding the chosen
-//!    [`Strategy`], packed ([`PackedStrategy`]: each distinct per-op
-//!    decision once plus a `u32` index per op) and unpacked on a hit.
-//!    Tenants asking for the same deployment skip the search entirely;
-//!    the entry remembers which tenant planted it, so a hit from a
-//!    different tenant is counted as *cross-tenant* — the measurable
-//!    form of "similar clusters warm each other". The memo holds as
-//!    many entries as the eval cache holds contexts (shards × contexts
-//!    per shard) and evicts the least recently used one, so every cold
-//!    cluster costs one slot, not one more strategy for the life of the
-//!    daemon.
-//! 2. The process-wide sharded [`EvalCache`]: every memoized strategy is
-//!    still re-evaluated through it, so repeated requests turn into
-//!    cache hits instead of fresh compile→schedule→simulate runs, and
-//!    concurrent tenants with *different* contexts land on different
-//!    shards (no lock convoy). The cache keeps evaluations without
-//!    their per-task times, so a cached evaluation costs per-device
-//!    numbers, not a schedule. An explain, which walks the schedule,
-//!    compiles the task graph once: on a miss that compile and its
-//!    simulation are what the cache entry is made from; on a hit it is
-//!    simulated once more for its task times.
+//! An explain, which walks the schedule, compiles the task graph once:
+//! on a miss that compile and its simulation are the evaluation the
+//! memo keeps; on a hit it is simulated once more for its task times.
+//! An elastic job plans and re-plans inside its fault script, so the
+//! memo does not apply to it; it evaluates its final deployment afresh.
 //!
 //! **Degradation** is decided here, at execution time, from the queue
 //! depth the worker observed when it dequeued the job: past the
@@ -42,9 +37,7 @@
 //! jobs' events may interleave into each other's windows (documented
 //! in DESIGN §14).
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,11 +49,11 @@ use heterog_cluster::Cluster;
 use heterog_compile::{compile, PackedStrategy, Strategy};
 use heterog_elastic::{ElasticOptions, FaultScript, RepairPolicy};
 use heterog_events::{EventKind, EventSink, RunManifest};
-use heterog_graph::Graph;
+use heterog_graph::{Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
 use heterog_runs::{ArchiveHandle, RunArchiver, StoredEvaluation};
-use heterog_sched::{OrderPolicy, TaskGraph};
-use heterog_strategies::{evaluate_compiled, EvalCache, Evaluation};
+use heterog_sched::OrderPolicy;
+use heterog_strategies::{evaluate_compiled, evaluate_with_policy, Evaluation};
 use heterog_telemetry::json::{ToJson, Value};
 use heterog_telemetry::{json_object, lock};
 
@@ -116,35 +109,67 @@ pub struct EngineCounters {
     pub archived: AtomicU64,
 }
 
+/// The memo key: everything that determines the *strategy*, nothing
+/// that doesn't. Keyed on the effective planner, so degraded searches
+/// share the baseline's slot and never poison the full-search entry.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct MemoKey {
+    model: ModelSpec,
+    cluster_fingerprint: u64,
+    planner: String,
+    fifo: bool,
+}
+
+impl MemoKey {
+    fn new(job: &Job, effective: &str) -> MemoKey {
+        MemoKey {
+            model: job.spec.model,
+            cluster_fingerprint: job.spec.cluster.fingerprint(),
+            planner: effective.to_string(),
+            fifo: job.spec.fifo,
+        }
+    }
+}
+
 struct MemoEntry {
     strategy: PackedStrategy,
+    /// The strategy's evaluation, without per-task times.
+    eval: Evaluation,
     first_tenant: String,
     /// The memo's clock at the entry's last insert or hit.
     last_used: u64,
 }
 
-/// The plan memo: at most `capacity` strategies, least recently used
+/// The plan memo: at most `capacity` plans, least recently used
 /// evicted first.
 struct Memo {
-    entries: HashMap<u64, MemoEntry>,
+    entries: HashMap<MemoKey, MemoEntry>,
     capacity: usize,
     /// Ticks once per hit or insert; orders entries by recency.
     clock: u64,
 }
 
 impl Memo {
-    fn get(&mut self, key: u64) -> Option<(Strategy, String)> {
-        let e = self.entries.get_mut(&key)?;
+    /// The entry under `key`: its strategy, unpacked, its evaluation
+    /// without per-task times, and whether a tenant other than `tenant`
+    /// planted it.
+    fn get(&mut self, key: &MemoKey, tenant: &str) -> Option<(Strategy, Evaluation, bool)> {
+        let e = self.entries.get_mut(key)?;
         self.clock += 1;
         e.last_used = self.clock;
-        Some((e.strategy.unpack(), e.first_tenant.clone()))
+        Some((
+            e.strategy.unpack(),
+            e.eval.clone(),
+            e.first_tenant != tenant,
+        ))
     }
 
-    /// Plants `strategy`, packed, under `key` unless an entry is already
-    /// there (the first tenant keeps the credit). A full memo first
-    /// drops its least recently used entry: a scan of at most `capacity`
-    /// entries, paid only on a miss, next to a whole planner run.
-    fn insert(&mut self, key: u64, strategy: &Strategy, tenant: &str) {
+    /// Plants `strategy`, packed, and `eval`, without its per-task
+    /// times, under `key` unless an entry is already there (the first
+    /// tenant keeps the credit). A full memo first drops its least
+    /// recently used entry: a scan of at most `capacity` entries, paid
+    /// only on a miss, next to a whole planner run.
+    fn insert(&mut self, key: MemoKey, strategy: &Strategy, eval: &Evaluation, tenant: &str) {
         if self.entries.contains_key(&key) {
             return;
         }
@@ -153,7 +178,7 @@ impl Memo {
                 .entries
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k);
+                .map(|(k, _)| k.clone());
             if let Some(lru) = lru {
                 self.entries.remove(&lru);
             }
@@ -161,6 +186,7 @@ impl Memo {
         self.clock += 1;
         let entry = MemoEntry {
             strategy: PackedStrategy::pack(strategy),
+            eval: eval.clone().without_task_times(),
             first_tenant: tenant.to_string(),
             last_used: self.clock,
         };
@@ -168,10 +194,8 @@ impl Memo {
     }
 }
 
-/// The shared planning engine: memo + eval cache + degradation policy.
+/// The shared planning engine: plan memo + degradation policy.
 pub struct Engine {
-    /// The process-wide sharded evaluation cache.
-    pub cache: EvalCache,
     memo: Mutex<Memo>,
     /// Queue depth at/past which `heterog` requests degrade (0 = never).
     pub degrade_depth: usize,
@@ -186,8 +210,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with `shards`×`contexts_per_shard` of eval cache and
-    /// a plan memo of as many entries.
+    /// An engine whose plan memo holds `shards`×`contexts_per_shard`
+    /// entries (each factor at least 1).
     pub fn new(
         shards: usize,
         contexts_per_shard: usize,
@@ -196,14 +220,12 @@ impl Engine {
         search_passes: usize,
         archive_root: Option<PathBuf>,
     ) -> Self {
-        let cache = EvalCache::sharded(shards, contexts_per_shard);
         let memo = Memo {
             entries: HashMap::new(),
-            capacity: cache.num_shards() * cache.capacity(),
+            capacity: shards.max(1) * contexts_per_shard.max(1),
             clock: 0,
         };
         Engine {
-            cache,
             memo: Mutex::new(memo),
             degrade_depth,
             search_groups,
@@ -275,30 +297,42 @@ impl Engine {
 
         let result = match &spec.kind {
             JobKind::Plan => {
-                let (strategy, memo_hit, cross_tenant) =
-                    self.resolve_strategy(job, &g, cluster, effective);
+                let key = MemoKey::new(job, effective);
+                let (strategy, eval, memo) = match self.recall(job, &key) {
+                    Some((strategy, eval, cross_tenant)) => (strategy, eval, Some(cross_tenant)),
+                    None => {
+                        let strategy = self.plan(&g, cluster, effective);
+                        let eval =
+                            evaluate_with_policy(&g, cluster, &GroundTruthCost, &strategy, &policy);
+                        lock(&self.memo).insert(key, &strategy, &eval, &job.tenant);
+                        (strategy, eval, None)
+                    }
+                };
                 self.capture(job, &mut sub, &mut scratch);
-                let eval = self.cache.evaluate_with_policy(
-                    &g,
-                    cluster,
-                    &GroundTruthCost,
-                    &strategy,
-                    &policy,
-                );
                 let body = plan_body(spec, &g, cluster, effective, degraded, &strategy, &eval);
-                Stage {
-                    body,
-                    eval: Some(eval),
-                    memo_hit,
-                    cross_tenant,
-                }
+                Stage { body, eval, memo }
             }
             JobKind::Explain { top_k, whatif } => {
-                let (strategy, memo_hit, cross_tenant) =
-                    self.resolve_strategy(job, &g, cluster, effective);
+                let key = MemoKey::new(job, effective);
+                let (strategy, task_graph, eval, memo) = match self.recall(job, &key) {
+                    Some((strategy, mut eval, cross_tenant)) => {
+                        // The memo keeps no task times: simulate them.
+                        let tg = compile(&g, cluster, &GroundTruthCost, &strategy);
+                        let caps = cluster.memory_capacities();
+                        eval.report = heterog::sim::simulate(&tg, &caps, &policy);
+                        (strategy, tg, eval, Some(cross_tenant))
+                    }
+                    None => {
+                        let strategy = self.plan(&g, cluster, effective);
+                        let _span = heterog_telemetry::span("evaluate");
+                        let started = Instant::now();
+                        let tg = compile(&g, cluster, &GroundTruthCost, &strategy);
+                        let eval = evaluate_compiled(&tg, cluster, &policy, started);
+                        lock(&self.memo).insert(key, &strategy, &eval, &job.tenant);
+                        (strategy, tg, eval, None)
+                    }
+                };
                 self.capture(job, &mut sub, &mut scratch);
-                let (eval, task_graph) =
-                    self.evaluate_with_schedule(&g, cluster, &strategy, &policy);
                 let opts = heterog_explain::ExplainOptions {
                     top_k: *top_k,
                     run_whatif: *whatif,
@@ -318,12 +352,7 @@ impl Engine {
                     ("report", report.to_value()),
                 ];
                 let body = result_body("explain", spec, effective, degraded, rest);
-                Stage {
-                    body,
-                    eval: Some(eval),
-                    memo_hit,
-                    cross_tenant,
-                }
+                Stage { body, eval, memo }
             }
             JobKind::Elastic {
                 iterations,
@@ -349,10 +378,7 @@ impl Engine {
                     &opts,
                 );
                 self.capture(job, &mut sub, &mut scratch);
-                // Price the surviving deployment through the shared
-                // cache: the final makespan is then cross-tenant warm
-                // like any plan result.
-                let eval = self.cache.evaluate_with_policy(
+                let eval = evaluate_with_policy(
                     &g,
                     &outcome.cluster,
                     &GroundTruthCost,
@@ -367,30 +393,23 @@ impl Engine {
                 let body = result_body("elastic", spec, effective, degraded, rest);
                 Stage {
                     body,
-                    eval: Some(eval),
-                    memo_hit: false,
-                    cross_tenant: false,
+                    eval,
+                    memo: None,
                 }
             }
         };
 
-        let (makespan, oom) = result
-            .eval
-            .as_ref()
-            .map(|e| (e.iteration_time, e.oom))
-            .unwrap_or((0.0, false));
+        let (makespan, oom) = (result.eval.iteration_time, result.eval.oom);
         let outcome_str = if oom { "oom" } else { "ok" };
 
         // Terminal signal + archive. mark_finished emits RunFinished on
         // the bus; the final capture below folds it into the window.
         let archive = self.archive_handle(job, cluster, effective);
         if let Some(handle) = &archive {
-            if let Some(eval) = &result.eval {
-                handle.set_digest(&heterog_explain::quick_digest(
-                    &spec.model.label(),
-                    &eval.report,
-                ));
-            }
+            handle.set_digest(&heterog_explain::quick_digest(
+                &spec.model.label(),
+                &result.eval.report,
+            ));
             handle.set_evaluation(StoredEvaluation {
                 outcome: outcome_str.to_string(),
                 makespan,
@@ -426,72 +445,34 @@ impl Engine {
             body: result.body,
             planner_used: effective.to_string(),
             degraded,
-            memo_hit: result.memo_hit,
-            cross_tenant: result.cross_tenant,
+            memo_hit: result.memo.is_some(),
+            cross_tenant: result.memo == Some(true),
             makespan,
             oom,
         }
     }
 
-    /// Memoized planning: returns (strategy, memo_hit, cross_tenant).
-    fn resolve_strategy(
-        &self,
-        job: &Job,
-        g: &Graph,
-        cluster: &Cluster,
-        effective: &str,
-    ) -> (Strategy, bool, bool) {
-        let key = memo_key(&job.spec.model, cluster, effective, job.spec.fifo);
-        let hit = lock(&self.memo).get(key);
-        if let Some((strategy, first_tenant)) = hit {
-            let cross = first_tenant != job.tenant;
-            self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
-            MEMO_HITS.inc();
-            if cross {
-                self.counters
-                    .cross_tenant_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                MEMO_CROSS_TENANT.inc();
-            }
-            return (strategy, true, cross);
+    /// [`Memo::get`] for `job`'s tenant, counting the hit or miss.
+    fn recall(&self, job: &Job, key: &MemoKey) -> Option<(Strategy, Evaluation, bool)> {
+        let Some((strategy, eval, cross)) = lock(&self.memo).get(key, &job.tenant) else {
+            self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        self.counters.memo_hits.fetch_add(1, Ordering::Relaxed);
+        MEMO_HITS.inc();
+        if cross {
+            self.counters
+                .cross_tenant_hits
+                .fetch_add(1, Ordering::Relaxed);
+            MEMO_CROSS_TENANT.inc();
         }
-        self.counters.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let planner = self.planner_for(effective);
-        let strategy = planner.plan(g, cluster, &GroundTruthCost);
-        lock(&self.memo).insert(key, &strategy, &job.tenant);
-        (strategy, false, false)
+        Some((strategy, eval, cross))
     }
 
-    /// The cached evaluation of `strategy` with its full report, per-task
-    /// times included, plus the task graph they index: one compile and
-    /// one simulate on a hit or a miss. A miss keeps the compile and the
-    /// report of the evaluation it caches; a hit, whose cached evaluation
-    /// has no task times, compiles and simulates for them.
-    fn evaluate_with_schedule(
-        &self,
-        g: &Graph,
-        cluster: &Cluster,
-        strategy: &Strategy,
-        policy: &OrderPolicy,
-    ) -> (Evaluation, TaskGraph) {
-        let mut kept = None;
-        let mut eval = self
-            .cache
-            .evaluate_or_insert_with(g, cluster, strategy, policy, || {
-                let _span = heterog_telemetry::span("evaluate");
-                let started = Instant::now();
-                let tg = compile(g, cluster, &GroundTruthCost, strategy);
-                let eval = evaluate_compiled(&tg, cluster, policy, started);
-                kept = Some((tg, eval.report.clone()));
-                eval
-            });
-        let (tg, report) = kept.unwrap_or_else(|| {
-            let tg = compile(g, cluster, &GroundTruthCost, strategy);
-            let report = heterog::sim::simulate(&tg, &cluster.memory_capacities(), policy);
-            (tg, report)
-        });
-        eval.report = report;
-        (eval, tg)
+    /// Runs the `effective` planner: a memo miss.
+    fn plan(&self, g: &Graph, cluster: &Cluster, effective: &str) -> Strategy {
+        self.planner_for(effective)
+            .plan(g, cluster, &GroundTruthCost)
     }
 
     fn planner_for(&self, name: &str) -> Box<dyn heterog_strategies::Planner> {
@@ -506,8 +487,7 @@ impl Engine {
         }
     }
 
-    /// Strategies currently memoized (at most shards × contexts per
-    /// shard).
+    /// Plans currently memoized (at most shards × contexts per shard).
     pub fn memo_len(&self) -> usize {
         lock(&self.memo).entries.len()
     }
@@ -563,26 +543,9 @@ impl Engine {
 
 struct Stage {
     body: String,
-    eval: Option<Evaluation>,
-    memo_hit: bool,
-    cross_tenant: bool,
-}
-
-/// The memo key: everything that determines the *strategy*, nothing
-/// that doesn't. Keyed on the effective planner, so degraded searches
-/// share the baseline's slot and never poison the full-search entry.
-fn memo_key(
-    model: &heterog_graph::ModelSpec,
-    cluster: &Cluster,
-    effective: &str,
-    fifo: bool,
-) -> u64 {
-    let mut h = DefaultHasher::new();
-    model.hash(&mut h);
-    cluster.fingerprint().hash(&mut h);
-    effective.hash(&mut h);
-    fifo.hash(&mut h);
-    h.finish()
+    eval: Evaluation,
+    /// `Some(cross_tenant)` on a memo hit.
+    memo: Option<bool>,
 }
 
 /// A served result body, compact: `kind`, the request (`model`,
@@ -648,10 +611,11 @@ mod tests {
     use super::*;
     use crate::jobs::{JobSpec, JobTable};
     use heterog_cluster::paper_testbed_8gpu;
-    use heterog_graph::{BenchmarkModel, ModelSpec};
+    use heterog_graph::BenchmarkModel;
+    use heterog_strategies::count_evaluations;
 
-    /// Serves a CP-AR MobileNet-v2 plan at `batch`; true on a memo hit.
-    fn plan(engine: &Engine, table: &JobTable, batch: u64) -> bool {
+    /// Serves a CP-AR MobileNet-v2 plan at `batch`.
+    fn plan(engine: &Engine, table: &JobTable, batch: u64) -> Arc<JobResult> {
         let spec = JobSpec {
             kind: JobKind::Plan,
             model: ModelSpec::new(BenchmarkModel::MobileNetV2, batch),
@@ -662,25 +626,42 @@ mod tests {
         let (job, _) = table.create_or_attach("alice", spec);
         engine.execute(&job, 0);
         table.release(&job);
-        job.wait().expect("a CP-AR plan succeeds").memo_hit
+        job.wait().expect("a CP-AR plan succeeds")
     }
 
     #[test]
     fn memo_holds_the_cache_budget_and_evicts_the_least_recently_used() {
         let engine = Engine::new(1, 4, 0, 4, 1, None);
         let table = JobTable::new();
+        let hit = |batch| plan(&engine, &table, batch).memo_hit;
         for batch in (8..=80).step_by(8) {
-            assert!(!plan(&engine, &table, batch), "batch {batch} is cold");
+            assert!(!hit(batch), "batch {batch} is cold");
         }
         assert_eq!(engine.memo_len(), 4, "1 shard × 4 contexts");
 
         // The memo holds batches 56..=80, least recent first. A hit on
         // 56 makes 64 the least recent, so the next miss evicts 64.
-        assert!(plan(&engine, &table, 56));
-        assert!(!plan(&engine, &table, 88));
+        assert!(hit(56));
+        assert!(!hit(88));
         assert_eq!(engine.memo_len(), 4);
-        assert!(plan(&engine, &table, 56), "the refreshed spec survives");
-        assert!(!plan(&engine, &table, 64), "the evicted spec misses again");
+        assert!(hit(56), "the refreshed spec survives");
+        assert!(!hit(64), "the evicted spec misses again");
         assert_eq!(engine.memo_len(), 4);
+    }
+
+    #[test]
+    fn a_memo_hit_serves_a_repeated_plan_without_evaluating() {
+        let engine = Engine::new(1, 4, 0, 4, 1, None);
+        let table = JobTable::new();
+        let (first, cold) = count_evaluations(|| plan(&engine, &table, 64));
+        let (second, warm) = count_evaluations(|| plan(&engine, &table, 64));
+        assert!(!first.memo_hit && second.memo_hit);
+        assert_eq!(cold.evaluations, 1, "a miss evaluates the planned strategy");
+        assert_eq!(
+            (warm.evaluations, warm.cache_hits, warm.cache_misses),
+            (0, 0, 0),
+            "a hit is one memo lookup"
+        );
+        assert_eq!(first.body, second.body);
     }
 }

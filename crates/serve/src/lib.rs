@@ -16,14 +16,12 @@
 //!   (model, cluster, planner) requests in flight collapse onto one
 //!   planning job whose result fans out to every waiter, byte for
 //!   byte. Dashboards and retry loops stop costing extra searches.
-//! * **Cross-tenant caching** ([`exec`]) — results memoize on the
-//!   *content* of the request (graph identity + cluster
-//!   [`fingerprint`](heterog_cluster::Cluster::fingerprint) + planner),
-//!   never on the tenant, and strategy evaluations flow through one
-//!   process-wide sharded [`EvalCache`](heterog_strategies::EvalCache)
-//!   — tenants with similar clusters warm each other, the transfer
-//!   argument Placeto makes for learned planners applied to priced
-//!   state.
+//! * **Cross-tenant caching** ([`exec`]) — a plan and its evaluation
+//!   memoize on the *content* of the request (model spec + cluster
+//!   [`fingerprint`](heterog_cluster::Cluster::fingerprint) + planner +
+//!   order policy), never on the tenant — tenants with similar clusters
+//!   warm each other, the transfer argument Placeto makes for learned
+//!   planners applied to priced state.
 //! * **Graceful degradation** ([`exec`]) — when the backlog passes a
 //!   threshold the expensive search planner downgrades to the greedy
 //!   heuristic baseline. The response records `degraded: true` and
@@ -48,8 +46,8 @@
 //!
 //! The daemon keeps every queued and running job and the last
 //! `max_pending` finished ones ([`jobs`]); the plan memo holds
-//! `cache_shards × cache_contexts` strategies, least recently used
-//! evicted first ([`exec`]). Neither grows with the number of requests
+//! `cache_shards × cache_contexts` plans, least recently used evicted
+//! first ([`exec`]). Neither grows with the number of requests
 //! served.
 //!
 //! See `DESIGN.md` §14 for the policy table and `examples/serve_client.rs`

@@ -71,10 +71,11 @@ pub struct ServeConfig {
     pub quantum: u64,
     /// Tenant allowlist; `None` accepts any tenant name.
     pub tenants: Option<Vec<String>>,
-    /// Eval-cache shards.
+    /// One factor of the plan memo's capacity: the memo holds
+    /// `cache_shards × cache_contexts` plans.
     pub cache_shards: usize,
-    /// Eval-cache contexts retained per shard. The plan memo holds
-    /// `cache_shards × cache_contexts` strategies.
+    /// The other factor of the plan memo's capacity (see
+    /// `cache_shards`).
     pub cache_contexts: usize,
     /// Search width (candidate groups) for `heterog` requests.
     pub search_groups: usize,
@@ -127,10 +128,6 @@ pub struct ServeStats {
     pub cross_tenant_hits: u64,
     /// Jobs archived into the run store.
     pub archived: u64,
-    /// Shared eval-cache hits.
-    pub eval_cache_hits: u64,
-    /// Shared eval-cache misses.
-    pub eval_cache_misses: u64,
     /// Current queue depth.
     pub queue_depth: usize,
 }
@@ -253,8 +250,6 @@ fn stats_of(s: &Shared) -> ServeStats {
         memo_misses: c.memo_misses.load(Ordering::Relaxed),
         cross_tenant_hits: c.cross_tenant_hits.load(Ordering::Relaxed),
         archived: c.archived.load(Ordering::Relaxed),
-        eval_cache_hits: s.engine.cache.hits(),
-        eval_cache_misses: s.engine.cache.misses(),
         queue_depth: s.queue.depth(),
     }
 }

@@ -1,12 +1,10 @@
 //! Strategy-evaluation cache.
 //!
-//! Every planner and the RL agent score candidate strategies through the
-//! same compile→schedule→simulate pipeline, and searches revisit
-//! strategies constantly: MCMC proposals walk back over earlier states,
-//! CEM elites recur across rounds, and the RL agent's sampled placements
-//! collapse onto a small set of distinct strategies once the policy
-//! sharpens. Caching `(graph, cluster, strategy) -> Evaluation` turns
-//! all of those repeats into hash lookups.
+//! The RL agent scores its sampled strategies through the
+//! compile→schedule→simulate pipeline (the §3.3 reward oracle), and its
+//! sampled placements collapse onto a small set of distinct strategies
+//! once the policy sharpens. Caching `(graph, cluster, strategy) ->
+//! Evaluation` turns those repeats into hash lookups.
 //!
 //! Keys combine the graph's identity (name, op count, batch size), the
 //! cluster's structural [`fingerprint`](heterog_cluster::Cluster::fingerprint),
@@ -22,42 +20,23 @@
 //! keeps every field but its per-task times (`report.schedule.start`
 //! and `finish`, 16 bytes per task), which are emptied before the entry
 //! is stored *and* before a miss returns it, so a hit and a miss return
-//! the same value. Planners, served plans and the RL reward read only
-//! the makespan, OOM flag, memory report and busy times; a caller that
-//! needs the task times (an explain's critical path, a Chrome trace)
-//! simulates the task graph it compiled.
+//! the same value. The RL reward reads only the makespan and OOM flag;
+//! a caller that needs the task times (an explain's critical path, a
+//! Chrome trace) simulates the task graph it compiled.
 //!
-//! The map is guarded by a `Mutex` and
-//! hit/miss counters are atomic: batched rollouts probe it from pool
-//! workers concurrently. Each outcome also counts once in an always-on
-//! counter shared by all caches ([`crate::EvalStats`]). Misses are
-//! computed *outside* the lock —
-//! concurrent misses on the same key may both evaluate (the pipeline is
-//! deterministic, so both compute the identical value and the second
-//! insert is a no-op). Every miss goes through one insert path,
-//! [`EvalCache::evaluate_or_insert_with`].
+//! The map is guarded by one `Mutex` and hit/miss counters are atomic:
+//! batched rollouts probe it from pool workers concurrently. Each
+//! outcome also counts once in an always-on counter shared by all
+//! caches ([`crate::EvalStats`]). Misses are computed *outside* the
+//! lock — concurrent misses on the same key may both evaluate (the
+//! pipeline is deterministic, so both compute the identical value and
+//! the second insert is a no-op).
 //!
-//! The map can be split into independent shards, each behind its own
-//! `Mutex`, so a planning *service* where many tenants evaluate
-//! strategies for different (model, cluster) pairs at once does not
-//! serialize every lookup on one lock. Each context routes to one shard
-//! by its context hash: every strategy evaluated for one
-//! (graph, cluster, policy) lives on one shard, so a planner run touches
-//! exactly one lock, and tenants with the same graph and cluster
-//! [`fingerprint`](heterog_cluster::Cluster::fingerprint) warm each
-//! other's entries. One shard is the plain single-lock cache.
-//!
-//! The cache is bounded per *context* (one context = one
-//! graph/cluster-fingerprint/policy combination): the elastic runtime
-//! re-plans on a mutated cluster after every fault, and each mutation
-//! has a fresh fingerprint, so an unbounded cache would accumulate one
-//! dead context per fault forever. When the number of distinct contexts
-//! on a shard exceeds its capacity, that shard's oldest-inserted
-//! context's entries are evicted wholesale. Hit/miss counters are
-//! monotone and unaffected by eviction (an evicted entry simply misses
-//! again).
+//! The cache is unbounded. Its user, the RL agent, holds one context
+//! per (graph, cluster fingerprint, order policy) it trains or plans
+//! on, and at most as many entries as distinct strategies it sampled.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -67,7 +46,7 @@ use heterog_compile::{PackedStrategy, Strategy};
 use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::OrderPolicy;
-use heterog_telemetry::Counter;
+use heterog_telemetry::{lock, Counter};
 
 use crate::evaluate::{evaluate_with_policy, Evaluation};
 
@@ -79,44 +58,17 @@ pub(crate) static MISSES: Counter = Counter::always(
     "heterog_strategies_eval_cache_misses_total",
     "Strategy evaluations computed on cache miss",
 );
-pub(crate) static EVICTIONS: Counter = Counter::always(
-    "heterog_strategies_eval_cache_evicted_contexts_total",
-    "Whole evaluation contexts evicted when the cache hit capacity",
-);
 
-/// Contexts a default-constructed cache holds before evicting. One
-/// context per (graph, cluster fingerprint, order policy); a planner
-/// run uses one, an elastic run uses one per cluster mutation. 64 is
-/// far above any run in the repo while still bounding a fault-storm.
-pub const DEFAULT_CONTEXT_CAPACITY: usize = 64;
-
+/// A concurrent memo of strategy evaluations for one or more
+/// (graph, cluster, policy) contexts.
 #[derive(Debug, Default)]
-struct Shard {
+pub struct EvalCache {
     /// `hash(context, strategy)` -> strategies sharing that hash. The
     /// op-by-op match against the stored strategy makes collisions
     /// harmless.
-    map: HashMap<u64, Vec<(PackedStrategy, Evaluation)>>,
-    /// Every full key inserted under a given context, for eviction.
-    ctx_keys: HashMap<u64, Vec<u64>>,
-    /// Contexts in insertion order; front is evicted first.
-    ctx_order: VecDeque<u64>,
-}
-
-/// A concurrent, bounded memo of strategy evaluations for one or more
-/// (graph, cluster) contexts, split over one or more shards.
-#[derive(Debug)]
-pub struct EvalCache {
-    shards: Box<[Mutex<Shard>]>,
-    /// Contexts each shard holds before evicting.
-    capacity: usize,
+    map: Mutex<HashMap<u64, Vec<(PackedStrategy, Evaluation)>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-impl Default for EvalCache {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_CONTEXT_CAPACITY)
-    }
 }
 
 /// 64-bit key context: what besides the strategy determines the result.
@@ -143,46 +95,9 @@ fn full_key(ctx: u64, strategy: &Strategy) -> u64 {
 }
 
 impl EvalCache {
-    /// An empty single-shard cache holding up to
-    /// [`DEFAULT_CONTEXT_CAPACITY`] contexts.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty single-shard cache bounded to `contexts` distinct
-    /// (graph, cluster, policy) contexts (minimum 1). When a new
-    /// context would exceed the bound, the oldest-inserted context's
-    /// entries are dropped.
-    pub fn with_capacity(contexts: usize) -> Self {
-        Self::sharded(1, contexts)
-    }
-
-    /// An empty cache of `shards` independent shards (minimum 1), each
-    /// bounded to `contexts_per_shard` contexts (minimum 1).
-    pub fn sharded(shards: usize, contexts_per_shard: usize) -> Self {
-        EvalCache {
-            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
-            capacity: contexts_per_shard.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Maximum distinct contexts each shard retains.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard every evaluation of context `ctx` goes through.
-    fn shard(&self, ctx: u64) -> std::sync::MutexGuard<'_, Shard> {
-        self.shards[(ctx % self.shards.len() as u64) as usize]
-            .lock()
-            .expect("eval cache poisoned")
     }
 
     /// Cached [`crate::evaluate`]: rank-based order policy.
@@ -196,7 +111,8 @@ impl EvalCache {
         self.evaluate_with_policy(g, cluster, cost, strategy, &OrderPolicy::RankBased)
     }
 
-    /// Cached [`crate::evaluate_with_policy`].
+    /// Cached [`crate::evaluate_with_policy`]. Hit or miss, the returned
+    /// evaluation has no per-task times (see the module doc).
     pub fn evaluate_with_policy<C: CostEstimator>(
         &self,
         g: &Graph,
@@ -214,9 +130,8 @@ impl EvalCache {
     /// `policy`, or on a miss the one `compute` returns, which must be
     /// what [`crate::evaluate_with_policy`] gives for these inputs.
     /// `compute` runs once per miss, outside the lock, and never on a
-    /// hit. Hit or miss, the returned evaluation has no per-task times
-    /// (see the module doc).
-    pub fn evaluate_or_insert_with(
+    /// hit.
+    fn evaluate_or_insert_with(
         &self,
         g: &Graph,
         cluster: &Cluster,
@@ -224,9 +139,12 @@ impl EvalCache {
         policy: &OrderPolicy,
         compute: impl FnOnce() -> Evaluation,
     ) -> Evaluation {
-        let ctx = context_key(g, cluster, policy);
-        let key = full_key(ctx, strategy);
-        if let Some(hit) = self.lookup(ctx, key, strategy) {
+        let key = full_key(context_key(g, cluster, policy), strategy);
+        let hit = lock(&self.map)
+            .get(&key)
+            .and_then(|bucket| bucket.iter().find(|(s, _)| s.matches(strategy)))
+            .map(|(_, e)| e.clone());
+        if let Some(hit) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
             HITS.inc();
             return hit;
@@ -234,38 +152,16 @@ impl EvalCache {
         // Compute outside the lock: evaluations are orders of magnitude
         // slower than the map operations, and they are deterministic, so
         // a racing duplicate computation is wasteful but never wrong.
-        let mut eval = compute();
-        eval.report.schedule.start = Vec::new();
-        eval.report.schedule.finish = Vec::new();
+        let eval = compute().without_task_times();
         self.misses.fetch_add(1, Ordering::Relaxed);
         MISSES.inc();
         let packed = PackedStrategy::pack(strategy);
-        let mut inner = self.shard(ctx);
-        if !inner.ctx_keys.contains_key(&ctx) {
-            while inner.ctx_order.len() >= self.capacity {
-                let oldest = inner.ctx_order.pop_front().expect("order tracks ctx_keys");
-                for k in inner.ctx_keys.remove(&oldest).unwrap_or_default() {
-                    inner.map.remove(&k);
-                }
-                EVICTIONS.inc();
-            }
-            inner.ctx_order.push_back(ctx);
-        }
-        let bucket = inner.map.entry(key).or_default();
+        let mut map = lock(&self.map);
+        let bucket = map.entry(key).or_default();
         if !bucket.iter().any(|(s, _)| s.matches(strategy)) {
             bucket.push((packed, eval.clone()));
-            inner.ctx_keys.entry(ctx).or_default().push(key);
         }
         eval
-    }
-
-    fn lookup(&self, ctx: u64, key: u64, strategy: &Strategy) -> Option<Evaluation> {
-        self.shard(ctx)
-            .map
-            .get(&key)?
-            .iter()
-            .find(|(s, _)| s.matches(strategy))
-            .map(|(_, e)| e.clone())
     }
 
     /// Evaluations served from the cache.
@@ -278,21 +174,9 @@ impl EvalCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Distinct strategies currently stored (shrinks on eviction).
+    /// Distinct strategies currently stored.
     pub fn len(&self) -> usize {
-        self.sum_over_shards(|s| s.map.values().map(Vec::len).sum())
-    }
-
-    /// Distinct (graph, cluster, policy) contexts currently resident.
-    pub fn contexts(&self) -> usize {
-        self.sum_over_shards(|s| s.ctx_order.len())
-    }
-
-    fn sum_over_shards(&self, f: impl Fn(&Shard) -> usize) -> usize {
-        self.shards
-            .iter()
-            .map(|s| f(&s.lock().expect("eval cache poisoned")))
-            .sum()
+        lock(&self.map).values().map(Vec::len).sum()
     }
 
     /// True when nothing is cached yet.
@@ -325,40 +209,24 @@ mod tests {
         ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build()
     }
 
-    /// Shard counts every behavioural test runs under; 1 is the plain
-    /// single-lock cache.
-    const SHARDS: [usize; 3] = [1, 2, 4];
-
     #[test]
     fn hit_and_miss_counters_track_reuse() {
         let g = mobilenet();
         let c = paper_testbed_8gpu();
         let s1 = Strategy::even(g.len(), &c, CommMethod::AllReduce);
         let s2 = Strategy::even(g.len(), &c, CommMethod::Ps);
-        for shards in SHARDS {
-            let cache = EvalCache::sharded(shards, DEFAULT_CONTEXT_CAPACITY);
-            assert_eq!(cache.num_shards(), shards);
-            cache.evaluate(&g, &c, &GroundTruthCost, &s1);
-            assert_eq!((cache.hits(), cache.misses()), (0, 1));
-            cache.evaluate(&g, &c, &GroundTruthCost, &s1);
-            assert_eq!((cache.hits(), cache.misses()), (1, 1));
-            cache.evaluate(&g, &c, &GroundTruthCost, &s2);
-            assert_eq!((cache.hits(), cache.misses()), (1, 2));
-            cache.evaluate(&g, &c, &GroundTruthCost, &s2);
-            cache.evaluate(&g, &c, &GroundTruthCost, &s1);
-            assert_eq!((cache.hits(), cache.misses()), (3, 2));
-            assert_eq!(cache.len(), 2);
-            assert_eq!(cache.contexts(), 1);
-            assert!((cache.hit_rate() - 0.6).abs() < 1e-12);
-            // The whole context lives on exactly one shard.
-            let occupied: Vec<usize> = cache
-                .shards
-                .iter()
-                .map(|s| s.lock().unwrap().map.values().map(Vec::len).sum())
-                .filter(|&n| n > 0)
-                .collect();
-            assert_eq!(occupied, vec![2], "{shards} shards");
-        }
+        let cache = EvalCache::new();
+        cache.evaluate(&g, &c, &GroundTruthCost, &s1);
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        cache.evaluate(&g, &c, &GroundTruthCost, &s1);
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        cache.evaluate(&g, &c, &GroundTruthCost, &s2);
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        cache.evaluate(&g, &c, &GroundTruthCost, &s2);
+        cache.evaluate(&g, &c, &GroundTruthCost, &s1);
+        assert_eq!((cache.hits(), cache.misses()), (3, 2));
+        assert_eq!(cache.len(), 2);
+        assert!((cache.hit_rate() - 0.6).abs() < 1e-12);
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -394,14 +262,12 @@ mod tests {
         let s = Strategy::proportional(g.len(), &c, CommMethod::Ps);
         let fresh = crate::evaluate(&g, &c, &GroundTruthCost, &s);
         assert!(!fresh.report.schedule.start.is_empty());
-        for shards in SHARDS {
-            let cache = EvalCache::sharded(shards, 2);
-            let miss = cache.evaluate(&g, &c, &GroundTruthCost, &s);
-            let hit = cache.evaluate(&g, &c, &GroundTruthCost, &s);
-            assert_kept_fields_equal(&miss, &fresh);
-            assert_kept_fields_equal(&hit, &fresh);
-            assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
-        }
+        let cache = EvalCache::new();
+        let miss = cache.evaluate(&g, &c, &GroundTruthCost, &s);
+        let hit = cache.evaluate(&g, &c, &GroundTruthCost, &s);
+        assert_kept_fields_equal(&miss, &fresh);
+        assert_kept_fields_equal(&hit, &fresh);
+        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
         // Pool workers sharing one cache, each strategy visited three
         // times so hits and racing misses mix, answer what serial
         // evaluation does.
@@ -415,15 +281,63 @@ mod tests {
             })
             .collect();
         let visits: Vec<&Strategy> = (0..3).flat_map(|_| &distinct).collect();
-        for shards in SHARDS {
-            let cache = EvalCache::sharded(shards, 2);
-            let shared = heterog_telemetry::par::par_map(&visits, |s| {
-                cache.evaluate(&g, &c, &GroundTruthCost, s)
-            });
-            for (e, s) in shared.iter().zip(&visits) {
-                assert_kept_fields_equal(e, &crate::evaluate(&g, &c, &GroundTruthCost, s));
-            }
+        let cache = EvalCache::new();
+        let shared = heterog_telemetry::par::par_map(&visits, |s| {
+            cache.evaluate(&g, &c, &GroundTruthCost, s)
+        });
+        for (e, s) in shared.iter().zip(&visits) {
+            assert_kept_fields_equal(e, &crate::evaluate(&g, &c, &GroundTruthCost, s));
         }
+    }
+
+    /// Threads hammering one cache over several contexts get what a
+    /// fresh evaluation gives, bit for bit, and every lookup counts as a
+    /// hit or a miss. Threads racing on a context's first lookup may
+    /// each miss, so the miss count is bounded, not exact.
+    #[test]
+    fn concurrent_lookups_stay_coherent() {
+        heterog_telemetry::rng::for_each_seed(4, |rng| {
+            let nbatches = rng.gen_range(1..4usize);
+            let seed = rng.gen_range(0..1000usize) as u64;
+            let threads = rng.gen_range(2..4usize);
+            // Derive `nbatches` distinct batch sizes from the seed
+            // (7 is coprime to 31, so the residues never collide).
+            let batches: Vec<u64> = (0..nbatches as u64)
+                .map(|i| 8 * (1 + (seed + 7 * i) % 31))
+                .collect();
+            let cluster = paper_testbed_8gpu();
+            let fresh: Vec<_> = batches
+                .iter()
+                .map(|&b| {
+                    let g = ModelSpec::new(BenchmarkModel::MobileNetV2, b).build();
+                    let s =
+                        crate::Planner::plan(&crate::CpArPlanner, &g, &cluster, &GroundTruthCost);
+                    let e = crate::evaluate(&g, &cluster, &GroundTruthCost, &s);
+                    (g, s, e)
+                })
+                .collect();
+            let cache = EvalCache::new();
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(|| {
+                        for (g, s, expected) in &fresh {
+                            let got = cache.evaluate(g, &cluster, &GroundTruthCost, s);
+                            assert_eq!(
+                                got.iteration_time.to_bits(),
+                                expected.iteration_time.to_bits(),
+                                "cached evaluation must bit-match a fresh one"
+                            );
+                            assert_eq!(got.oom, expected.oom);
+                        }
+                    });
+                }
+            });
+            let total = (threads * batches.len()) as u64;
+            assert_eq!(cache.hits() + cache.misses(), total);
+            assert_eq!(cache.len(), batches.len());
+            assert!(cache.misses() >= batches.len() as u64);
+            assert!(cache.misses() <= total);
+        });
     }
 
     #[test]
@@ -433,25 +347,22 @@ mod tests {
         let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
         let policy = OrderPolicy::RankBased;
         let fresh = crate::evaluate(&g, &c, &GroundTruthCost, &s);
-        for shards in SHARDS {
-            let cache = EvalCache::sharded(shards, DEFAULT_CONTEXT_CAPACITY);
-            let calls = std::cell::Cell::new(0);
-            let compute = || {
-                calls.set(calls.get() + 1);
-                fresh.clone()
-            };
-            let miss = cache.evaluate_or_insert_with(&g, &c, &s, &policy, compute);
-            assert_eq!(calls.get(), 1, "{shards} shards: one compute per miss");
-            let hit = cache.evaluate_or_insert_with(&g, &c, &s, &policy, compute);
-            assert_eq!(calls.get(), 1, "{shards} shards: no compute on a hit");
-            assert_eq!((cache.hits(), cache.misses()), (1, 1));
-            assert_kept_fields_equal(&miss, &fresh);
-            assert_kept_fields_equal(&hit, &fresh);
-            // The cached evaluation path and the explicit one share
-            // entries.
-            cache.evaluate(&g, &c, &GroundTruthCost, &s);
-            assert_eq!((cache.hits(), cache.misses(), calls.get()), (2, 1, 1));
-        }
+        let cache = EvalCache::new();
+        let calls = std::cell::Cell::new(0);
+        let compute = || {
+            calls.set(calls.get() + 1);
+            fresh.clone()
+        };
+        let miss = cache.evaluate_or_insert_with(&g, &c, &s, &policy, compute);
+        assert_eq!(calls.get(), 1, "one compute per miss");
+        let hit = cache.evaluate_or_insert_with(&g, &c, &s, &policy, compute);
+        assert_eq!(calls.get(), 1, "no compute on a hit");
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_kept_fields_equal(&miss, &fresh);
+        assert_kept_fields_equal(&hit, &fresh);
+        // The cached evaluation path and the explicit one share entries.
+        cache.evaluate(&g, &c, &GroundTruthCost, &s);
+        assert_eq!((cache.hits(), cache.misses(), calls.get()), (2, 1, 1));
     }
 
     #[test]
@@ -461,38 +372,23 @@ mod tests {
         let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
         let policy = OrderPolicy::RankBased;
         let fresh = crate::evaluate(&g, &c, &GroundTruthCost, &s);
-        for shards in SHARDS {
-            let cache = EvalCache::sharded(shards, DEFAULT_CONTEXT_CAPACITY);
-            // The outer miss computes outside the lock; while it does, a
-            // competing miss on the same key computes and inserts first.
-            let outer = cache.evaluate_or_insert_with(&g, &c, &s, &policy, || {
-                let inner = cache.evaluate_or_insert_with(&g, &c, &s, &policy, || fresh.clone());
-                assert_kept_fields_equal(&inner, &fresh);
-                let mut late = fresh.clone();
-                late.iteration_time += 1.0;
-                late
-            });
-            assert_eq!(outer.iteration_time, fresh.iteration_time + 1.0);
-            assert!(outer.report.schedule.start.is_empty());
-            assert_eq!((cache.hits(), cache.misses()), (0, 2));
-            assert_eq!((cache.len(), cache.contexts()), (1, 1), "{shards} shards");
-            let keys: usize = cache
-                .shards
-                .iter()
-                .map(|sh| {
-                    sh.lock()
-                        .unwrap()
-                        .ctx_keys
-                        .values()
-                        .map(Vec::len)
-                        .sum::<usize>()
-                })
-                .sum();
-            assert_eq!(keys, 1, "the late insert records no second key");
-            // The first insert stays: a hit returns it.
-            let hit = cache.evaluate_or_insert_with(&g, &c, &s, &policy, || unreachable!());
-            assert_kept_fields_equal(&hit, &fresh);
-        }
+        let cache = EvalCache::new();
+        // The outer miss computes outside the lock; while it does, a
+        // competing miss on the same key computes and inserts first.
+        let outer = cache.evaluate_or_insert_with(&g, &c, &s, &policy, || {
+            let inner = cache.evaluate_or_insert_with(&g, &c, &s, &policy, || fresh.clone());
+            assert_kept_fields_equal(&inner, &fresh);
+            let mut late = fresh.clone();
+            late.iteration_time += 1.0;
+            late
+        });
+        assert_eq!(outer.iteration_time, fresh.iteration_time + 1.0);
+        assert!(outer.report.schedule.start.is_empty());
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(cache.len(), 1, "the late insert stores no second entry");
+        // The first insert stays: a hit returns it.
+        let hit = cache.evaluate_or_insert_with(&g, &c, &s, &policy, || unreachable!());
+        assert_kept_fields_equal(&hit, &fresh);
     }
 
     /// A stored entry answers only a strategy equal to it op for op: with
@@ -508,35 +404,23 @@ mod tests {
         let eval_a = crate::evaluate(&g, &c, &GroundTruthCost, &a);
         let eval_b = crate::evaluate(&g, &c, &GroundTruthCost, &b);
         assert_ne!(eval_a.iteration_time, eval_b.iteration_time);
-        for shards in SHARDS {
-            let cache = EvalCache::sharded(shards, DEFAULT_CONTEXT_CAPACITY);
-            let ctx = context_key(&g, &c, &policy);
-            let key_b = full_key(ctx, &b);
-            {
-                let mut shard = cache.shard(ctx);
-                shard.ctx_order.push_back(ctx);
-                shard.ctx_keys.insert(ctx, vec![key_b]);
-                let planted = (PackedStrategy::pack(&a), eval_a.clone());
-                shard.map.insert(key_b, vec![planted]);
-            }
-            let calls = std::cell::Cell::new(0);
-            let compute = || {
-                calls.set(calls.get() + 1);
-                eval_b.clone()
-            };
-            let got = cache.evaluate_or_insert_with(&g, &c, &b, &policy, compute);
-            assert_eq!(
-                calls.get(),
-                1,
-                "{shards} shards: A's entry must not answer B"
-            );
-            assert_kept_fields_equal(&got, &eval_b);
-            // B now sits beside A in the same bucket, and hits.
-            assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 2));
-            let hit = cache.evaluate_or_insert_with(&g, &c, &b, &policy, compute);
-            assert_eq!(calls.get(), 1, "{shards} shards: B's own entry hits");
-            assert_kept_fields_equal(&hit, &eval_b);
-        }
+        let cache = EvalCache::new();
+        let key_b = full_key(context_key(&g, &c, &policy), &b);
+        let planted = (PackedStrategy::pack(&a), eval_a.clone());
+        lock(&cache.map).insert(key_b, vec![planted]);
+        let calls = std::cell::Cell::new(0);
+        let compute = || {
+            calls.set(calls.get() + 1);
+            eval_b.clone()
+        };
+        let got = cache.evaluate_or_insert_with(&g, &c, &b, &policy, compute);
+        assert_eq!(calls.get(), 1, "A's entry must not answer B");
+        assert_kept_fields_equal(&got, &eval_b);
+        // B now sits beside A in the same bucket, and hits.
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 2));
+        let hit = cache.evaluate_or_insert_with(&g, &c, &b, &policy, compute);
+        assert_eq!(calls.get(), 1, "B's own entry hits");
+        assert_kept_fields_equal(&hit, &eval_b);
     }
 
     #[test]
@@ -545,22 +429,19 @@ mod tests {
         let fast = uniform_cluster(GpuModel::TeslaV100, 8, 4, 10e9);
         let slow = uniform_cluster(GpuModel::TeslaV100, 8, 4, 1e9);
         let s = Strategy::even(g.len(), &fast, CommMethod::AllReduce);
-        for shards in SHARDS {
-            let cache = EvalCache::sharded(shards, DEFAULT_CONTEXT_CAPACITY);
-            let on_fast = cache.evaluate(&g, &fast, &GroundTruthCost, &s);
-            // Same graph, same strategy, different hardware: must be a
-            // miss and must produce the slow cluster's own (different)
-            // time.
-            let on_slow = cache.evaluate(&g, &slow, &GroundTruthCost, &s);
-            assert_eq!((cache.hits(), cache.misses()), (0, 2));
-            assert_eq!(cache.contexts(), 2);
-            assert!(
-                on_slow.iteration_time > on_fast.iteration_time,
-                "slow NIC must simulate slower: {} vs {}",
-                on_slow.iteration_time,
-                on_fast.iteration_time
-            );
-        }
+        let cache = EvalCache::new();
+        let on_fast = cache.evaluate(&g, &fast, &GroundTruthCost, &s);
+        // Same graph, same strategy, different hardware: must be a miss
+        // and must produce the slow cluster's own (different) time.
+        let on_slow = cache.evaluate(&g, &slow, &GroundTruthCost, &s);
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(cache.len(), 2);
+        assert!(
+            on_slow.iteration_time > on_fast.iteration_time,
+            "slow NIC must simulate slower: {} vs {}",
+            on_slow.iteration_time,
+            on_fast.iteration_time
+        );
     }
 
     #[test]
@@ -572,39 +453,5 @@ mod tests {
         cache.evaluate_with_policy(&g, &c, &GroundTruthCost, &s, &OrderPolicy::RankBased);
         cache.evaluate_with_policy(&g, &c, &GroundTruthCost, &s, &OrderPolicy::Fifo);
         assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn capacity_evicts_oldest_context_and_keeps_counters_correct() {
-        let g = mobilenet();
-        let c1 = uniform_cluster(GpuModel::TeslaV100, 4, 4, 10e9);
-        let c2 = uniform_cluster(GpuModel::TeslaV100, 4, 4, 5e9);
-        let c3 = uniform_cluster(GpuModel::TeslaV100, 4, 4, 1e9);
-        let cache = EvalCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        let s = Strategy::even(g.len(), &c1, CommMethod::AllReduce);
-
-        cache.evaluate(&g, &c1, &GroundTruthCost, &s); // miss, ctx1 in
-        cache.evaluate(&g, &c2, &GroundTruthCost, &s); // miss, ctx2 in
-        assert_eq!(cache.contexts(), 2);
-        cache.evaluate(&g, &c3, &GroundTruthCost, &s); // miss, evicts ctx1
-        assert_eq!(cache.contexts(), 2);
-        assert_eq!(cache.len(), 2, "evicted context's entries are gone");
-
-        // ctx2 and ctx3 survived: both hit.
-        cache.evaluate(&g, &c2, &GroundTruthCost, &s);
-        cache.evaluate(&g, &c3, &GroundTruthCost, &s);
-        assert_eq!((cache.hits(), cache.misses()), (2, 3));
-
-        // ctx1 was evicted: same inputs miss again, and the fresh value
-        // still equals a direct evaluation (eviction never corrupts).
-        let fresh = crate::evaluate(&g, &c1, &GroundTruthCost, &s);
-        let re = cache.evaluate(&g, &c1, &GroundTruthCost, &s);
-        assert_eq!((cache.hits(), cache.misses()), (2, 4));
-        assert_eq!(re.iteration_time.to_bits(), fresh.iteration_time.to_bits());
-        // Re-inserting ctx1 evicted the then-oldest ctx2.
-        assert_eq!(cache.contexts(), 2);
-        cache.evaluate(&g, &c2, &GroundTruthCost, &s);
-        assert_eq!((cache.hits(), cache.misses()), (2, 5));
     }
 }

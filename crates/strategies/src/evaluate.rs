@@ -46,8 +46,6 @@ pub struct EvalStats {
     pub cache_hits: u64,
     /// Evaluations computed on cache miss.
     pub cache_misses: u64,
-    /// Whole evaluation contexts evicted when a cache hit capacity.
-    pub cache_evictions: u64,
     /// Perturbed evaluations served by an incremental fast path
     /// (a re-priced task graph, a task graph spliced from the base's
     /// lowering, or cached-graph reorder) instead of a full compile +
@@ -66,7 +64,6 @@ impl EvalStats {
             eval_seconds: get(&EVAL_NANOS) as f64 * 1e-9,
             cache_hits: get(&cache::HITS),
             cache_misses: get(&cache::MISSES),
-            cache_evictions: get(&cache::EVICTIONS),
             incremental_fast: get(&incremental::FAST),
             incremental_full: get(&incremental::FULL),
         }
@@ -119,14 +116,22 @@ pub struct Evaluation {
     /// Whether any device overflowed its memory.
     pub oom: bool,
     /// The simulator report. A fresh evaluation carries the whole
-    /// schedule; one returned by an [`crate::EvalCache`] carries every
-    /// field but the per-task times (`schedule.start` and
-    /// `schedule.finish` are empty). A caller that needs task times
-    /// simulates the task graph it compiled.
+    /// schedule; a memoized one ([`Evaluation::without_task_times`])
+    /// carries every field but the per-task times. A caller that needs
+    /// task times simulates the task graph it compiled.
     pub report: SimReport,
 }
 
 impl Evaluation {
+    /// This evaluation without its per-task times (`report.schedule`'s
+    /// `start` and `finish`, 16 bytes per task), as [`crate::EvalCache`]
+    /// and the serve plan memo keep it.
+    pub fn without_task_times(mut self) -> Evaluation {
+        self.report.schedule.start = Vec::new();
+        self.report.schedule.finish = Vec::new();
+        self
+    }
+
     /// The paper's RL reward: `-sqrt(T)`, multiplied by 10 on OOM
     /// (§4.1.3).
     pub fn reward(&self) -> f64 {

@@ -13,7 +13,6 @@
 //! | `Cluster`               | [`reprice_into`] + [`resimulate_into`] (the base report when no duration changed, else one simulation) |
 //! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
 //! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
-//! | `ClusterAndStrategy`    | splice on the base cluster, then re-price onto the new cluster |
 //! | any, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a spliced graph that a lower bound on its iteration time (busiest processor, then the head–body–tail bound of [`makespan_bound_into`], which stops once it exceeds the limit) puts above the limit is not simulated: [`Bounded::Pruned`] |
 //!
 //! A strategy change resolves the candidate's placements once and
@@ -96,8 +95,6 @@ pub enum Perturbation<'p> {
     },
     /// Same deployment under a different execution-order policy.
     Policy(&'p OrderPolicy),
-    /// Cluster and strategy both changed — elastic repair candidates.
-    ClusterAndStrategy(&'p Cluster, &'p Strategy),
 }
 
 /// Which path served an [`IncrementalEvaluator::evaluate_perturbed`].
@@ -146,20 +143,18 @@ impl Bounded {
     }
 }
 
-/// Patch buffers: the candidate's placements, the spliced and
-/// re-priced task graphs, the spliced graph's price book, the splice and
-/// simulator scratch, and the report each perturbed evaluation writes
-/// into, plus the per-processor load a bounded one sums. An evaluator
-/// pools them, one per thread evaluating through it at once, so a
-/// `Sync` evaluator serves pool workers without sharing a buffer, the
-/// per-candidate path stops allocating once they have grown, and their
-/// memory goes with the evaluator.
+/// Patch buffers: the candidate's placements, the spliced or re-priced
+/// task graph, the splice and simulator scratch, and the report each
+/// perturbed evaluation writes into, plus the per-processor load a
+/// bounded one sums. An evaluator pools them, one per thread
+/// evaluating through it at once, so a `Sync` evaluator serves pool
+/// workers without sharing a buffer, the per-candidate path stops
+/// allocating once they have grown, and their memory goes with the
+/// evaluator.
 #[derive(Debug, Default)]
 struct PatchScratch {
     placements: Vec<OpPlacement>,
     tg: TaskGraph,
-    spliced: TaskGraph,
-    book: PriceBook,
     splice: SpliceScratch,
     sim: SimScratch,
     report: SimReport,
@@ -340,26 +335,13 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 if *s2 == self.strategy {
                     return Bounded::evaluated(self.base.clone(), EvalMode::Base);
                 }
-                self.eval_spliced(&self.cluster, Moved::Strategy(s2), false, limit)
-                    .unwrap_or_else(|| self.full(&self.cluster, s2))
+                self.eval_spliced(Moved::Strategy(s2), limit)
             }
             Perturbation::Group { ops, to } => {
                 if ops.iter().all(|op| self.strategy.per_op[op.index()] == *to) {
                     return Bounded::evaluated(self.base.clone(), EvalMode::Base);
                 }
-                self.eval_spliced(&self.cluster, Moved::Group(ops, to), false, limit)
-                    .expect("a splice on the base cluster always lowers")
-            }
-            Perturbation::ClusterAndStrategy(c2, s2) => {
-                if *s2 == self.strategy {
-                    return self.eval_cluster(c2);
-                }
-                if structure_compatible(&self.cluster, c2) {
-                    if let Some(r) = self.eval_spliced(c2, Moved::Strategy(s2), true, limit) {
-                        return r;
-                    }
-                }
-                self.full(c2, s2)
+                self.eval_spliced(Moved::Group(ops, to), limit)
             }
         }
     }
@@ -383,23 +365,15 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 return r;
             }
         }
-        self.full(c2, &self.strategy)
+        let eval = evaluate_with_policy(self.g, c2, self.cost, &self.strategy, &self.policy);
+        Bounded::evaluated(eval, EvalMode::Full)
     }
 
     /// Splices the task graph of the `moved` placements from the base
     /// lowering and simulates it, unless a lower bound on its iteration
-    /// time exceeds `limit`. With `reprice`, the splice runs on the base
-    /// cluster and the result is re-priced onto `c2` (structure-compatible
-    /// with it); `None` when the greedy PS chooser would pick differently
-    /// on `c2`. A splice that reuses no segment was a full compile and,
-    /// when simulated, is counted as one.
-    fn eval_spliced(
-        &self,
-        c2: &Cluster,
-        moved: Moved<'_>,
-        reprice: bool,
-        limit: f64,
-    ) -> Option<Bounded> {
+    /// time exceeds `limit`. A splice that reuses no segment was a full
+    /// compile and, when simulated, is counted as one.
+    fn eval_spliced(&self, moved: Moved<'_>, limit: f64) -> Bounded {
         let started = Instant::now();
         let base = SpliceBase {
             tg: &self.tg,
@@ -410,8 +384,6 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             let PatchScratch {
                 placements,
                 tg,
-                spliced,
-                book,
                 splice,
                 sim,
                 report,
@@ -419,76 +391,51 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             } = ps;
             {
                 let _span = heterog_telemetry::span("resolve");
+                let c = &self.cluster;
                 match moved {
-                    Moved::Strategy(s2) => *placements = resolve_placements(self.g, c2, s2),
+                    Moved::Strategy(s2) => *placements = resolve_placements(self.g, c, s2),
                     Moved::Group(ops, to) => {
-                        resolve_group_into(self.g, c2, self.log.placements(), ops, to, placements)
+                        resolve_group_into(self.g, c, self.log.placements(), ops, to, placements)
                     }
                 }
             }
-            let c2_caps;
-            let (reused, caps): (usize, &[u64]) = if reprice {
-                let reused = splice_into(
-                    self.g,
-                    &self.cluster,
-                    self.cost,
-                    placements,
-                    base,
-                    spliced,
-                    Some(book),
-                    splice,
-                );
-                reprice_into(self.g, spliced, book, c2, self.cost, tg).ok()?;
-                c2_caps = c2.memory_capacities();
-                (reused, &c2_caps)
-            } else {
-                let reused = splice_into(
-                    self.g,
-                    &self.cluster,
-                    self.cost,
-                    placements,
-                    base,
-                    tg,
-                    None,
-                    splice,
-                );
-                (reused, &self.capacities)
-            };
+            let reused = splice_into(
+                self.g,
+                &self.cluster,
+                self.cost,
+                placements,
+                base,
+                tg,
+                splice,
+            );
             if limit < f64::INFINITY {
                 let _span = heterog_telemetry::span("bound");
                 let busiest = busiest_processor_load(tg, load);
                 if load_exceeds(busiest, limit) {
-                    return Some(Bounded::Pruned(busiest));
+                    return Bounded::Pruned(busiest);
                 }
                 tg.build_index();
                 let bound = makespan_bound_into(tg, limit, sim);
                 if load_exceeds(bound, limit) {
-                    return Some(Bounded::Pruned(bound));
+                    return Bounded::Pruned(bound);
                 }
             }
             tg.build_index();
-            simulate_into(tg, caps, &self.policy, sim, report);
+            simulate_into(tg, &self.capacities, &self.policy, sim, report);
             let eval = eval_of(report);
             if reused == 0 {
                 count_full_evaluation(started, &eval);
-                return Some(Bounded::evaluated(eval, EvalMode::Full));
+                return Bounded::evaluated(eval, EvalMode::Full);
             }
-            Some(Bounded::evaluated(eval, EvalMode::Spliced))
+            Bounded::evaluated(eval, EvalMode::Spliced)
         })
-    }
-
-    fn full(&self, cluster: &Cluster, strategy: &Strategy) -> Bounded {
-        Bounded::evaluated(
-            evaluate_with_policy(self.g, cluster, self.cost, strategy, &self.policy),
-            EvalMode::Full,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repair::{strategy_without_device, switch_comm};
+    use crate::repair::switch_comm;
     use heterog_cluster::{paper_testbed_8gpu, DeviceId, GpuModel, LinkKind};
     use heterog_compile::CommMethod;
     use heterog_graph::{BenchmarkModel, ModelSpec};
@@ -642,45 +589,6 @@ mod tests {
         let fifo = OrderPolicy::Fifo;
         let mode = assert_matches_full(&ev, &g, Perturbation::Policy(&fifo), &c, &s, &fifo);
         assert_eq!(mode, EvalMode::Reordered);
-    }
-
-    #[test]
-    fn combined_perturbation_chains_staged_and_reprice() {
-        let (g, c, s) = setup();
-        let pol = OrderPolicy::RankBased;
-        let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &pol);
-        let c2 = c.with_scaled_link(Some(LinkKind::NicOut), 0.25);
-        let s2 = switch_comm(&s, CommMethod::Ps);
-        let mode = assert_matches_full(
-            &ev,
-            &g,
-            Perturbation::ClusterAndStrategy(&c2, &s2),
-            &c2,
-            &s2,
-            &pol,
-        );
-        assert!(
-            matches!(mode, EvalMode::Spliced | EvalMode::Full),
-            "got {mode:?}"
-        );
-    }
-
-    #[test]
-    fn structure_change_falls_back_to_full() {
-        let (g, c, s) = setup();
-        let pol = OrderPolicy::RankBased;
-        let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &pol);
-        let c2 = c.without_device(DeviceId(7));
-        let s2 = strategy_without_device(&s, 7);
-        let mode = assert_matches_full(
-            &ev,
-            &g,
-            Perturbation::ClusterAndStrategy(&c2, &s2),
-            &c2,
-            &s2,
-            &pol,
-        );
-        assert_eq!(mode, EvalMode::Full);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn main() {
     for line in metrics.text().lines().filter(|l| {
         l.starts_with("heterog_serve_requests_total")
             || l.starts_with("heterog_serve_queue_depth")
-            || l.starts_with("heterog_strategies_eval_cache_hits_total")
+            || l.starts_with("heterog_serve_plan_memo_hits_total")
     }) {
         println!("  {line}");
     }

@@ -478,21 +478,31 @@ fn elastic_rejects_bad_policy_and_bad_script() {
     assert!(!out.status.success());
 }
 
+/// An unread flag or a zero batch exits nonzero with a named error,
+/// before any planning or archiving.
 #[test]
 fn unknown_flags_exit_nonzero_and_name_the_flag() {
     let store = std::env::temp_dir().join(format!("heterog_cli_badflag_{}", std::process::id()));
     std::fs::remove_dir_all(&store).ok();
-    let cases: [(&[&str], &str); 2] = [
+    let cases: [(&[&str], &str); 4] = [
         (
             &["explain", "--model", "mobilenet", "--no-incremental"],
-            "--no-incremental",
+            "unknown flag --no-incremental for explain",
         ),
         (
             &["plan", "--model", "mobilenet", "--no-whatif"],
-            "--no-whatif",
+            "unknown flag --no-whatif for plan",
+        ),
+        (
+            &["plan", "--model", "mobilenet", "--batch", "0"],
+            "--batch must be at least 1",
+        ),
+        (
+            &["explain", "--model", "mobilenet", "--batch", "0"],
+            "--batch must be at least 1",
         ),
     ];
-    for (args, flag) in cases {
+    for (args, message) in cases {
         let out = cli()
             .args(args)
             .env("HETEROG_RUNS_DIR", &store)
@@ -500,10 +510,7 @@ fn unknown_flags_exit_nonzero_and_name_the_flag() {
             .expect("run cli");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{args:?} must fail");
-        assert!(
-            err.contains(&format!("unknown flag {flag} for {}", args[0])),
-            "stderr: {err}"
-        );
+        assert!(err.contains(message), "stderr: {err}");
         assert!(!err.contains("planning"), "rejected before planning: {err}");
     }
     assert!(

@@ -220,7 +220,6 @@ fn concurrent_plans_count_their_own_evaluations() {
             s.evaluations,
             s.cache_hits,
             s.cache_misses,
-            s.cache_evictions,
             s.incremental_fast,
             s.incremental_full,
         )

@@ -707,25 +707,18 @@ mod incremental_props {
         Strategy(Vec<usize>),
         /// Flip the order policy (true = FIFO).
         Policy(bool),
-        /// Cluster and strategy changed together.
-        Combined(usize, usize, Vec<usize>),
     }
 
-    /// One of the five perturbation kinds, each equally likely.
+    /// One of the four perturbation kinds, each equally likely.
     fn random_pert(rng: &mut ChaCha8Rng) -> PertSpec {
-        match rng.gen_range(0..5usize) {
+        match rng.gen_range(0..4usize) {
             0 => {
                 let kind = (rng.gen_range(0..2usize) == 1).then(|| rng.gen_range(0..4usize));
                 PertSpec::ScaleLink(kind, rng.gen_range(0.25..2.0))
             }
             1 => PertSpec::SwapModel(rng.gen_range(0..4usize), rng.gen_range(0..4usize)),
             2 => PertSpec::Strategy(super::choices(rng, 1..24, 8)),
-            3 => PertSpec::Policy(rng.gen_range(0..2usize) == 1),
-            _ => PertSpec::Combined(
-                rng.gen_range(0..4usize),
-                rng.gen_range(0..4usize),
-                super::choices(rng, 1..24, 8),
-            ),
+            _ => PertSpec::Policy(rng.gen_range(0..2usize) == 1),
         }
     }
 
@@ -808,14 +801,6 @@ mod incremental_props {
                         };
                         let (got, _) = ev.evaluate_perturbed(Perturbation::Policy(&p2));
                         let want = evaluate_with_policy(&g, &cluster, &cost, &base_s, &p2);
-                        assert_bits_eq(&got, &want);
-                    }
-                    PertSpec::Combined(dev, model, choices) => {
-                        let c2 = cluster.with_device_model(DeviceId(*dev as u32), MODELS[*model]);
-                        let s2 = strategy_from(&c2, g.len(), choices);
-                        let (got, _) =
-                            ev.evaluate_perturbed(Perturbation::ClusterAndStrategy(&c2, &s2));
-                        let want = evaluate_with_policy(&g, &c2, &cost, &s2, &policy);
                         assert_bits_eq(&got, &want);
                     }
                 }

@@ -1,5 +1,4 @@
-//! End-to-end tests of the `heterog-serve` daemon over a real socket,
-//! plus a shard-concurrency property test for the shared eval cache.
+//! End-to-end tests of the `heterog-serve` daemon over a real socket.
 //!
 //! Every test spawns its own daemon on an ephemeral port and talks to
 //! it through `heterog_serve::client`, so the full path — TCP accept,
@@ -9,7 +8,6 @@
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::Arc;
 
 use heterog_serve::{client, ServeConfig, Server};
 
@@ -408,7 +406,7 @@ fn repeat_plans_hit_the_memo_across_tenants() {
 #[test]
 fn metrics_expose_queue_depth_and_cache_counters() {
     let (server, addr) = spawn(quick_cfg());
-    // Twice: the repeat hits the eval cache, which registers the hit
+    // Twice: the repeat hits the plan memo, which registers the hit
     // counter in the telemetry snapshot.
     for _ in 0..2 {
         let r = client::post_json(
@@ -426,7 +424,7 @@ fn metrics_expose_queue_depth_and_cache_counters() {
         "heterog_serve_queue_depth",
         "heterog_serve_requests_total",
         "heterog_serve_jobs_completed_total",
-        "heterog_strategies_eval_cache_hits_total",
+        "heterog_serve_plan_memo_hits_total",
     ] {
         assert!(text.contains(metric), "missing {metric} in:\n{text}");
     }
@@ -436,8 +434,8 @@ fn metrics_expose_queue_depth_and_cache_counters() {
 #[test]
 fn tenants_identical_explains_report_their_own_eval_counts() {
     let (server, addr) = spawn(quick_cfg());
-    // Warm the plan memo and the eval cache: both explains then take
-    // the same path, a memo hit and a cache hit.
+    // Warm the plan memo: both explains then take the same path, a
+    // memo hit.
     let warm = client::post_json(
         addr,
         "/v1/plan?wait=1",
@@ -466,7 +464,6 @@ fn tenants_identical_explains_report_their_own_eval_counts() {
             "evaluations",
             "cache_hits",
             "cache_misses",
-            "cache_evictions",
             "incremental_fast",
             "incremental_full",
         ]
@@ -478,11 +475,11 @@ fn tenants_identical_explains_report_their_own_eval_counts() {
     }
     assert!(stats[0].0.iter().all(|(_, v)| v.is_some()), "{stats:?}");
     assert_eq!(
-        stats[0].0[1].1,
-        Some(1),
-        "the warmed cache served the explain"
+        server.stats().memo_hits,
+        2,
+        "the warmed memo served both explains"
     );
-    assert!(stats[0].0[4].1 > Some(0), "the what-ifs ran incrementally");
+    assert!(stats[0].0[3].1 > Some(0), "the what-ifs ran incrementally");
     assert_eq!(stats[0], stats[1], "alice's and bob's explain counts");
     server.shutdown();
 }
@@ -507,8 +504,8 @@ fn an_explain_served_from_the_cache_equals_the_one_that_missed() {
     use heterog_telemetry::json::parse;
 
     let (server, addr) = spawn(quick_cfg());
-    // Nothing has evaluated this spec: alice's explain misses the plan
-    // memo and the eval cache, bob's repeat hits both.
+    // Nothing has planned this spec: alice's explain misses the plan
+    // memo, bob's repeat hits it.
     let mut bodies = Vec::new();
     for tenant in ["alice", "bob"] {
         let body = format!(
@@ -518,18 +515,17 @@ fn an_explain_served_from_the_cache_equals_the_one_that_missed() {
         assert_eq!(r.status, 200, "{}", r.text());
         bodies.push(r.text());
     }
+    let stats = server.stats();
     server.shutdown();
 
     let miss = parse(&bodies[0]).unwrap();
     let e = &miss["report"]["eval_stats"];
     assert_eq!(e["evaluations"].as_u64(), Some(1), "{}", bodies[0]);
-    assert_eq!(e["cache_misses"].as_u64(), Some(1), "{}", bodies[0]);
-    let hit = parse(&bodies[1]).unwrap();
-    assert_eq!(hit["report"]["eval_stats"]["cache_hits"].as_u64(), Some(1));
+    assert_eq!((stats.memo_misses, stats.memo_hits), (1, 1), "{stats:?}");
     assert_eq!(
         report_without_eval_stats(&bodies[0]),
         report_without_eval_stats(&bodies[1]),
-        "a cache hit's explain equals the miss's"
+        "a memo hit's explain equals the miss's"
     );
 
     // The served critical path is the one a fresh compile + simulate
@@ -594,80 +590,4 @@ fn finished_jobs_past_max_pending_are_retired_with_410() {
     let never = client::get(addr, "/v1/jobs/job-999999").unwrap();
     assert_eq!(never.status, 404, "{}", never.text());
     server.shutdown();
-}
-
-// ---- shared eval-cache shard concurrency --------------------------------
-
-mod cache_props {
-    use super::*;
-    use heterog_cluster::paper_testbed_8gpu;
-    use heterog_graph::{BenchmarkModel, ModelSpec};
-    use heterog_profile::GroundTruthCost;
-    use heterog_strategies::{evaluate, EvalCache};
-    use heterog_telemetry::rng::for_each_seed;
-
-    /// Hammering one sharded cache from several threads over a random
-    /// set of contexts must (a) return bit-identical results to a fresh
-    /// evaluation, and (b) account every lookup as a hit or a miss with
-    /// each context planted in exactly one shard.
-    #[test]
-    fn concurrent_shards_stay_coherent() {
-        for_each_seed(4, |rng| {
-            let shards = rng.gen_range(1..5usize);
-            let nbatches = rng.gen_range(1..4usize);
-            let seed = rng.gen_range(0..1000usize) as u64;
-            let threads = rng.gen_range(2..4usize);
-            // Derive `nbatches` distinct batch sizes from the seed
-            // (7 is coprime to 31, so the residues never collide).
-            let batches: Vec<u64> = (0..nbatches as u64)
-                .map(|i| 8 * (1 + (seed + 7 * i) % 31))
-                .collect();
-            let cluster = paper_testbed_8gpu();
-            let planner = heterog::try_baseline_planner("CP-AR").unwrap();
-            let cache = Arc::new(EvalCache::sharded(shards, 16));
-            assert_eq!(cache.num_shards(), shards.max(1));
-
-            let mut fresh = Vec::new();
-            for &b in &batches {
-                let g = ModelSpec::new(BenchmarkModel::Vgg19, b).build();
-                let s = planner.plan(&g, &cluster, &GroundTruthCost);
-                let e = evaluate(&g, &cluster, &GroundTruthCost, &s);
-                fresh.push((g, s, e));
-            }
-            let fresh = Arc::new(fresh);
-
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cache = Arc::clone(&cache);
-                    let cluster = cluster.clone();
-                    let fresh = Arc::clone(&fresh);
-                    std::thread::spawn(move || {
-                        for (g, s, expected) in fresh.iter() {
-                            let got = cache.evaluate(g, &cluster, &GroundTruthCost, s);
-                            assert_eq!(
-                                got.iteration_time.to_bits(),
-                                expected.iteration_time.to_bits(),
-                                "cached evaluation must bit-match a fresh one"
-                            );
-                            assert_eq!(got.oom, expected.oom);
-                        }
-                    })
-                })
-                .collect();
-            for w in workers {
-                w.join().unwrap();
-            }
-
-            // Every lookup is accounted as a hit or a miss, and each
-            // context lands in exactly one shard. Threads racing on the
-            // first lookup of a context may each record a miss, so the
-            // miss count is bounded, not exact.
-            let total = (threads * batches.len()) as u64;
-            assert_eq!(cache.hits() + cache.misses(), total);
-            assert_eq!(cache.contexts(), batches.len());
-            assert!(cache.misses() >= batches.len() as u64);
-            assert!(cache.misses() <= total);
-            assert_eq!(cache.hits(), total - cache.misses());
-        });
-    }
 }
