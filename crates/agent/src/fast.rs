@@ -2,8 +2,9 @@
 //! paper's action space, scored by the simulator.
 //!
 //! This is the workhorse behind the table/figure benches: it explores the
-//! same `N x (M+4)` decision space as the RL agent (§4.1.2) — per-group
-//! MP placement, even/proportional replication, PS/AllReduce — with the
+//! same `N x (M+6)` decision space as the RL agent (§4.1.2, widened) —
+//! per-group MP placement, even/proportional replication, PS/AllReduce,
+//! even/proportional sharding — with the
 //! simulator (§3.3) as its objective, including the OOM penalty that
 //! steers large models toward the MP-heavy placements of Table 3.
 //!

@@ -3,8 +3,9 @@
 //! HeteroG's Strategy Maker (§3.3, §4.1): the GNN-based Agent and the
 //! simulator-guided planner.
 //!
-//! Two planners share the same `N x (M+4)` action space (MP on one of
-//! `M` GPUs, or {even, proportional} DP x {PS, AllReduce}):
+//! Two planners share the same `N x (M+6)` action space (MP on one of
+//! `M` GPUs, {even, proportional} DP x {PS, AllReduce}, or even or
+//! proportional sharding; see [`ActionSpace`]):
 //!
 //! * [`RlAgent`] — the paper's learned policy: a sparse multi-head GAT
 //!   encodes per-node embeddings from profiled features, embeddings are

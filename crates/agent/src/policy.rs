@@ -1,5 +1,6 @@
 //! The policy network: GAT encoder -> per-group pooling -> Transformer
-//! strategy network -> `N x (M+4)` logits (§4.1.1–4.1.2, Fig. 6).
+//! strategy network -> `N x (M+6)` logits (§4.1.1–4.1.2, Fig. 6, with the
+//! action space widened by two sharding actions).
 
 use heterog_nn::dense::Activation;
 use heterog_nn::gat::neighbor_lists;
@@ -52,7 +53,7 @@ pub struct PolicyNet {
     pub pool: Dense,
     /// Strategy-network blocks.
     pub blocks: Vec<TransformerBlock>,
-    /// Logit head (`d -> M + 4`).
+    /// Logit head (`d -> M + 6`).
     pub head: Dense,
     cache: Option<Cache>,
 }
@@ -65,7 +66,7 @@ struct Cache {
 
 impl PolicyNet {
     /// Builds the network for `feature_dim` input features and
-    /// `num_actions = M + 4` outputs.
+    /// `num_actions = M + 6` outputs.
     pub fn new(cfg: &PolicyConfig, feature_dim: usize, num_actions: usize) -> Self {
         let mut rng = heterog_nn::init::seeded_rng(cfg.seed);
         let d = cfg.gat_heads * cfg.gat_head_dim;

@@ -37,7 +37,7 @@ use heterog::events as ev;
 use heterog::runs;
 use heterog::{get_runner, HeterogConfig};
 use heterog_cluster::{paper_testbed_8gpu, Cluster, ClusterSpec};
-use heterog_graph::{BenchmarkModel, ModelSpec};
+use heterog_graph::{BenchmarkModel, ModelSpec, MAX_LAYERS};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -246,6 +246,9 @@ fn parse_model(flags: &HashMap<String, String>) -> Result<ModelSpec, String> {
         Some(l) => l.parse().map_err(|_| format!("bad --layers {l:?}"))?,
         None => model.default_layers(),
     };
+    if layers > MAX_LAYERS {
+        return Err(format!("--layers must be at most {MAX_LAYERS}"));
+    }
     Ok(ModelSpec::with_layers(model, batch, layers))
 }
 

@@ -4,8 +4,9 @@
 use heterog_cluster::{Cluster, DeviceId};
 use heterog_graph::{Node, OpId, OpKind, Phase, TensorMeta};
 use heterog_profile::{path_time, CostEstimator};
-use heterog_sched::{Proc, Tag, Task, TaskGraph, TaskId, TaskName};
+use heterog_sched::{Proc, Tag, Task, TaskId, TaskName};
 
+use crate::lower::TaskSink;
 use crate::price::{CollectiveKind, CollectiveRec, PriceBook, PsRound};
 use crate::xfer::emit_transfer;
 
@@ -295,7 +296,7 @@ pub fn allreduce_choice<C: CostEstimator>(
 /// [`crate::price`]).
 #[allow(clippy::too_many_arguments)]
 pub fn emit_ps<C: CostEstimator>(
-    tg: &mut TaskGraph,
+    tg: &mut impl TaskSink,
     cluster: &Cluster,
     cost: &C,
     op: OpId,
@@ -389,7 +390,7 @@ pub fn emit_ps<C: CostEstimator>(
 /// serialize naturally).
 #[allow(clippy::too_many_arguments)]
 pub fn emit_allreduce<C: CostEstimator>(
-    tg: &mut TaskGraph,
+    tg: &mut impl TaskSink,
     cluster: &Cluster,
     cost: &C,
     op: OpId,
@@ -503,7 +504,7 @@ pub fn emit_allreduce<C: CostEstimator>(
 /// with the collective's kind so re-pricing patches the right formula.
 #[allow(clippy::too_many_arguments)]
 pub fn emit_one_pass_collective<C: CostEstimator>(
-    tg: &mut TaskGraph,
+    tg: &mut impl TaskSink,
     cluster: &Cluster,
     _cost: &C,
     op: OpId,
@@ -647,7 +648,7 @@ mod tests {
     use super::*;
     use heterog_cluster::paper_testbed_8gpu;
     use heterog_profile::GroundTruthCost;
-    use heterog_sched::{list_schedule, OrderPolicy};
+    use heterog_sched::{list_schedule, OrderPolicy, TaskGraph};
 
     fn all8() -> Vec<DeviceId> {
         (0..8).map(DeviceId).collect()

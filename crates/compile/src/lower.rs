@@ -20,11 +20,18 @@
 //! [`compile_logged`] records where each segment's tasks, edges and PS
 //! rounds start and end. [`splice_into`] builds another placement's
 //! graph from that base: it copies every segment whose inputs are
-//! unchanged, its tasks and its range of the base's edges with task ids
-//! remapped, and re-runs only the dirty ones through the same `Lowerer`
-//! code a full compile runs. The result equals a fresh
-//! [`compile_priced`] graph task for task and edge for edge. A spliced
-//! graph has no price book: nothing re-prices it.
+//! unchanged, each run of consecutive such segments as one range of
+//! tasks and one of the base's edges with task ids remapped, and
+//! re-runs only the dirty ones through the same `Lowerer` code a full
+//! compile runs. The result equals a fresh [`compile_priced`] graph
+//! task for task and edge for edge. A spliced graph has no price book:
+//! nothing re-prices it.
+//!
+//! [`splice_loads`] walks the same segments with the same clean/dirty
+//! decisions but builds nothing: it takes the dirty segments' base
+//! tasks out of the base's per-processor loads and re-lowers those
+//! segments into a [`TaskSink`] that only adds up work per processor,
+//! which prices a candidate's busiest processor before any splice.
 
 use std::sync::Arc;
 
@@ -103,6 +110,52 @@ fn apply_of(g: &Graph, gid: OpId) -> Option<OpId> {
         .iter()
         .copied()
         .find(|&s| g.node(s).kind == OpKind::ApplyGradient)
+}
+
+/// Where a lowering puts the tasks and edges it emits: a [`TaskGraph`],
+/// or, in [`splice_loads`], a sum that keeps only each processor's
+/// work.
+pub trait TaskSink {
+    /// Adds a task; returns its id.
+    fn add_task(&mut self, task: Task) -> TaskId;
+    /// Adds a precedence edge `src -> dst`.
+    fn add_dep(&mut self, src: TaskId, dst: TaskId);
+}
+
+impl TaskSink for TaskGraph {
+    fn add_task(&mut self, task: Task) -> TaskId {
+        TaskGraph::add_task(self, task)
+    }
+
+    fn add_dep(&mut self, src: TaskId, dst: TaskId) {
+        TaskGraph::add_dep(self, src, dst)
+    }
+}
+
+/// A sink that adds each task's duration to its processor's slot of
+/// `loads` (GPUs first, as [`TaskGraph::proc_index`] orders them),
+/// drops every edge, and hands out placeholder ids.
+struct LoadSum<'l> {
+    loads: &'l mut [f64],
+    num_gpus: usize,
+}
+
+impl LoadSum<'_> {
+    fn slot(&mut self, proc: Proc) -> &mut f64 {
+        match proc {
+            Proc::Gpu(i) => &mut self.loads[i as usize],
+            Proc::Link(i) => &mut self.loads[self.num_gpus + i as usize],
+        }
+    }
+}
+
+impl TaskSink for LoadSum<'_> {
+    fn add_task(&mut self, task: Task) -> TaskId {
+        *self.slot(task.proc) += task.duration;
+        TaskId(u32::MAX)
+    }
+
+    fn add_dep(&mut self, _: TaskId, _: TaskId) {}
 }
 
 /// One lowering segment (see the module docs).
@@ -251,7 +304,8 @@ pub struct SpliceBase<'b> {
     pub log: &'b SegmentLog,
 }
 
-/// Buffers [`splice_into`] reuses from one call to the next.
+/// Buffers [`splice_into`] and [`splice_loads`] reuse from one call to
+/// the next.
 #[derive(Debug, Default)]
 pub struct SpliceScratch {
     /// Per-op replica task ids of the graph being built.
@@ -262,7 +316,7 @@ pub struct SpliceScratch {
     moved: Vec<bool>,
     tracker: PsLoadTracker,
     /// Receives the dirty segments' price-book entries, which a splice
-    /// discards.
+    /// and its load pass discard.
     book: PriceBook,
 }
 
@@ -297,6 +351,49 @@ pub fn splice_into<C: CostEstimator>(
     reused
 }
 
+/// The per-processor loads of the task graph [`splice_into`] would
+/// build for `placements` from `base`, without building it. `loads`
+/// holds the base graph's loads on entry, one slot per processor with
+/// GPUs first (as [`heterog_sched::busiest_processor_load`] sums them),
+/// and the candidate's on return. The segments are walked as a splice
+/// walks them, PS rounds replayed alike; each dirty segment's base
+/// tasks are taken out of the loads and the tasks it re-lowers to
+/// added, and no task or edge is stored. The loads are summed in
+/// another order than a sum over the spliced graph, so they may differ
+/// from one in the last bits. Not counted as a compilation.
+pub fn splice_loads<C: CostEstimator>(
+    g: &Graph,
+    cluster: &Cluster,
+    cost: &C,
+    placements: &[OpPlacement],
+    base: SpliceBase<'_>,
+    loads: &mut [f64],
+    scratch: &mut SpliceScratch,
+) {
+    let _span = heterog_telemetry::span("splice_loads");
+    let lowering = Lowering {
+        g,
+        cluster,
+        cost,
+        placements,
+    };
+    let SpliceScratch {
+        op_tasks,
+        moved,
+        tracker,
+        book,
+        ..
+    } = scratch;
+    book.clear();
+    let mut sum = LoadSum {
+        loads,
+        num_gpus: base.tg.num_gpus as usize,
+    };
+    lowering
+        .lowerer(&mut sum, book, op_tasks, tracker)
+        .price(base, moved);
+}
+
 /// The inputs of one plain (single-pass) lowering.
 struct Lowering<'a, C: CostEstimator> {
     g: &'a Graph,
@@ -306,6 +403,35 @@ struct Lowering<'a, C: CostEstimator> {
 }
 
 impl<C: CostEstimator> Lowering<'_, C> {
+    /// A single-pass [`Lowerer`] emitting into `out`, with `book`,
+    /// per-op replica ids and a reset PS tracker.
+    fn lowerer<'s, O: TaskSink>(
+        &'s self,
+        out: &'s mut O,
+        book: &'s mut PriceBook,
+        op_tasks: &'s mut Vec<Vec<TaskId>>,
+        tracker: &'s mut PsLoadTracker,
+    ) -> Lowerer<'s, C, O> {
+        op_tasks.resize_with(self.g.len(), Vec::new);
+        tracker.reset(self.cluster.servers().len());
+        Lowerer {
+            g: self.g,
+            cluster: self.cluster,
+            cost: self.cost,
+            placements: self.placements,
+            tg: out,
+            book,
+            op_tasks,
+            ps_loads: tracker,
+            pass: Pass::Single,
+            pin_params: true,
+            emit_applies: true,
+            share_override: None,
+            gathered: None,
+            scattered: None,
+        }
+    }
+
     /// Lowers every segment into `out`: copied from `base` where clean,
     /// else emitted, with the emitted ones' price-book entries in `book`,
     /// recording each into `log` when given. Returns the number of
@@ -330,24 +456,7 @@ impl<C: CostEstimator> Lowering<'_, C> {
             tracker,
             ..
         } = scratch;
-        op_tasks.resize_with(g.len(), Vec::new);
-        tracker.reset(self.cluster.servers().len());
-        let mut lw = Lowerer {
-            g,
-            cluster: self.cluster,
-            cost: self.cost,
-            placements: self.placements,
-            tg: out,
-            book,
-            op_tasks,
-            ps_loads: tracker,
-            pass: Pass::Single,
-            pin_params: true,
-            emit_applies: true,
-            share_override: None,
-            gathered: None,
-            scattered: None,
-        };
+        let mut lw = self.lowerer(out, book, op_tasks, tracker);
         match (base, log) {
             (Some(base), _) => lw.splice(base, remap, moved),
             (None, Some(log)) => {
@@ -617,14 +726,14 @@ fn runs_ps_round(gp: &OpPlacement) -> bool {
 }
 
 /// The state one lowering pass emits with. Every path — full compile,
-/// logged compile, splice, pipelined and multi-iteration compiles —
-/// emits segments through [`Lowerer::emit`].
-struct Lowerer<'a, C: CostEstimator> {
+/// logged compile, splice, the splice's load pass, pipelined and
+/// multi-iteration compiles — emits segments through [`Lowerer::emit`].
+struct Lowerer<'a, C: CostEstimator, O: TaskSink = TaskGraph> {
     g: &'a Graph,
     cluster: &'a Cluster,
     cost: &'a C,
     placements: &'a [OpPlacement],
-    tg: &'a mut TaskGraph,
+    tg: &'a mut O,
     book: &'a mut PriceBook,
     /// Per-op replica task ids emitted (or copied) by this pass.
     op_tasks: &'a mut [Vec<TaskId>],
@@ -647,16 +756,31 @@ struct Lowerer<'a, C: CostEstimator> {
     scattered: Option<Vec<TaskId>>,
 }
 
-impl<C: CostEstimator> Lowerer<'_, C> {
-    /// Emits one segment.
-    fn emit(&mut self, seg: Seg) {
-        match seg {
-            Seg::Replicas(op) => self.replica_tasks(op),
-            Seg::Wiring(u) => self.wire_from(u),
-            Seg::Aggregate { grad, apply } => self.aggregate(grad, apply),
-        }
+impl<C: CostEstimator> Lowerer<'_, C, LoadSum<'_>> {
+    /// The splice's load pass (see [`splice_loads`]): walks `base`'s
+    /// segments as [`Lowerer::splice`] does, and for each dirty one
+    /// takes its base tasks' durations out of the loads and emits its
+    /// re-lowered tasks into them. A clean `R(op)` leaves placeholder
+    /// ids, one per base replica.
+    fn price(&mut self, base: SpliceBase<'_>, moved: &mut Vec<bool>) {
+        self.walk(base, moved, |lw, rec, clean| {
+            let [t0, t1] = rec.tasks;
+            if !clean {
+                for i in t0..t1 {
+                    let t = base.tg.task(TaskId(i));
+                    *lw.tg.slot(t.proc) -= t.duration;
+                }
+                lw.emit(rec.seg);
+            } else if let Seg::Replicas(op) = rec.seg {
+                let ids = &mut lw.op_tasks[op.index()];
+                ids.clear();
+                ids.resize((t1 - t0) as usize, TaskId(u32::MAX));
+            }
+        });
     }
+}
 
+impl<C: CostEstimator> Lowerer<'_, C> {
     /// Emits every segment, recording each into `log`.
     fn emit_logged(&mut self, log: &mut SegmentLog) {
         for seg in segments(self.g) {
@@ -685,12 +809,85 @@ impl<C: CostEstimator> Lowerer<'_, C> {
     }
 
     /// Splices from `base` (see [`splice_into`]); returns the number of
-    /// segments copied.
+    /// segments copied. Each run of consecutive clean segments is copied
+    /// as one range of tasks and one of edges, before the next dirty
+    /// segment is emitted.
     fn splice(
         &mut self,
         base: SpliceBase<'_>,
         remap: &mut Vec<u32>,
         moved: &mut Vec<bool>,
+    ) -> usize {
+        // Entries of re-lowered segments keep stale values; copied
+        // segments only reference copied segments' tasks.
+        remap.resize(base.tg.len(), u32::MAX);
+        // The pending run of clean segments: where its first task's copy
+        // will land, and its base task and edge ranges so far.
+        let mut run: Option<(u32, [u32; 2], [u32; 2])> = None;
+        let reused = self.walk(base, moved, |lw, rec, clean| {
+            if !clean {
+                if let Some((_, tasks, edges)) = run.take() {
+                    lw.copy_run(base, tasks, edges, remap);
+                }
+                lw.emit(rec.seg);
+                return;
+            }
+            let (dst, tasks, edges) = run.get_or_insert((lw.tg.len() as u32, rec.tasks, rec.edges));
+            (tasks[1], edges[1]) = (rec.tasks[1], rec.edges[1]);
+            if let Seg::Replicas(op) = rec.seg {
+                let first = *dst + (rec.tasks[0] - tasks[0]);
+                let ids = &mut lw.op_tasks[op.index()];
+                ids.clear();
+                ids.extend((first..first + (rec.tasks[1] - rec.tasks[0])).map(TaskId));
+            }
+        });
+        if let Some((_, tasks, edges)) = run {
+            self.copy_run(base, tasks, edges, remap);
+        }
+        reused
+    }
+
+    /// Appends a copy of the base's tasks `tasks` and, remapped, its
+    /// edges `edges`: one run of consecutive clean segments.
+    fn copy_run(
+        &mut self,
+        base: SpliceBase<'_>,
+        [t0, t1]: [u32; 2],
+        [e0, e1]: [u32; 2],
+        remap: &mut [u32],
+    ) {
+        let start = self.tg.copy_tasks(base.tg, t0 as usize..t1 as usize).0;
+        for (i, r) in remap[t0 as usize..t1 as usize].iter_mut().enumerate() {
+            *r = start + i as u32;
+        }
+        self.tg.copy_deps(base.tg, e0 as usize..e1 as usize, remap);
+    }
+}
+
+impl<C: CostEstimator, O: TaskSink> Lowerer<'_, C, O> {
+    /// Emits one segment.
+    fn emit(&mut self, seg: Seg) {
+        match seg {
+            Seg::Replicas(op) => self.replica_tasks(op),
+            Seg::Wiring(u) => self.wire_from(u),
+            Seg::Aggregate { grad, apply } => self.aggregate(grad, apply),
+        }
+    }
+
+    /// Walks `base`'s segments in order and hands each to `visit` with
+    /// whether it is clean: its inputs equal the base's, so the base's
+    /// output for it stands. A dirty segment must be emitted by `visit`,
+    /// and a clean `R(op)` must leave `op`'s replica ids in `op_tasks`.
+    /// The walk keeps the PS load tracker: a dirty aggregation starts
+    /// from the base's snapshot when PS rounds are at stake, and a clean
+    /// one replays its base round once earlier rounds diverged, turning
+    /// dirty when the greedy chooser would now pick another server.
+    /// Returns the number of clean segments.
+    fn walk(
+        &mut self,
+        base: SpliceBase<'_>,
+        moved: &mut Vec<bool>,
+        mut visit: impl FnMut(&mut Self, &SegRecord, bool),
     ) -> usize {
         let log = base.log;
         moved.clear();
@@ -700,9 +897,6 @@ impl<C: CostEstimator> Lowerer<'_, C> {
                 .zip(self.placements)
                 .map(|(a, b)| a.replicas != b.replicas || a.shard_dim != b.shard_dim),
         );
-        // Entries of re-lowered segments keep stale values; copied
-        // segments only reference copied segments' tasks.
-        remap.resize(base.tg.len(), u32::MAX);
         // While true, every PS round so far chose and committed what the
         // base's did, so the tracker need not be maintained: the base's
         // snapshot before a segment is exact.
@@ -751,31 +945,10 @@ impl<C: CostEstimator> Lowerer<'_, C> {
                     }
                 }
             };
-            if clean {
-                self.copy_segment(base, rec, remap);
-                reused += 1;
-            } else {
-                self.emit(rec.seg);
-            }
+            reused += usize::from(clean);
+            visit(self, rec, clean);
         }
         reused
-    }
-
-    /// Appends a copy of the base's segment `rec`: its tasks and its
-    /// edges (remapped, as one range).
-    fn copy_segment(&mut self, base: SpliceBase<'_>, rec: &SegRecord, remap: &mut [u32]) {
-        let [t0, t1] = rec.tasks;
-        let start = self.tg.copy_tasks(base.tg, t0 as usize..t1 as usize).0;
-        for (i, r) in remap[t0 as usize..t1 as usize].iter_mut().enumerate() {
-            *r = start + i as u32;
-        }
-        if let Seg::Replicas(op) = rec.seg {
-            let ids = &mut self.op_tasks[op.index()];
-            ids.clear();
-            ids.extend((start..start + (t1 - t0)).map(TaskId));
-        }
-        let [e0, e1] = rec.edges;
-        self.tg.copy_deps(base.tg, e0 as usize..e1 as usize, remap);
     }
 
     /// `R(id)`: the op's replica tasks.

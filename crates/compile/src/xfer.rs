@@ -4,7 +4,9 @@
 use heterog_cluster::{Cluster, DeviceId, LinkKind};
 use heterog_graph::{OpId, OpKind};
 use heterog_profile::CostEstimator;
-use heterog_sched::{Proc, Tag, Task, TaskGraph, TaskId, TaskName};
+use heterog_sched::{Proc, Tag, Task, TaskId, TaskName};
+
+use crate::lower::TaskSink;
 
 static TRANSFER_TASKS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
     "heterog_compile_transfer_tasks_total",
@@ -45,7 +47,7 @@ fn record_link_bytes(kind: LinkKind, bytes: u64) {
 /// segment on the compile hot path.
 #[allow(clippy::too_many_arguments)]
 pub fn emit_transfer<C: CostEstimator>(
-    tg: &mut TaskGraph,
+    tg: &mut impl TaskSink,
     cluster: &Cluster,
     cost: &C,
     op: OpId,
@@ -84,7 +86,7 @@ pub fn emit_transfer<C: CostEstimator>(
 /// devices coincide.
 #[allow(clippy::too_many_arguments)]
 pub fn connect_via_transfer<C: CostEstimator>(
-    tg: &mut TaskGraph,
+    tg: &mut impl TaskSink,
     cluster: &Cluster,
     cost: &C,
     op: OpId,
@@ -111,7 +113,7 @@ mod tests {
     use super::*;
     use heterog_cluster::paper_testbed_8gpu;
     use heterog_profile::GroundTruthCost;
-    use heterog_sched::{list_schedule, OrderPolicy};
+    use heterog_sched::{list_schedule, OrderPolicy, TaskGraph};
 
     const X: OpId = OpId(0);
 

@@ -163,6 +163,12 @@ impl std::fmt::Display for BenchmarkModel {
     }
 }
 
+/// Largest layer count a [`ModelSpec`] may be asked for, by a served
+/// request or on the command line. Well above the deepest
+/// configuration the repository plans (48 layers), and small enough
+/// that an accepted request cannot build an unbounded graph.
+pub const MAX_LAYERS: u32 = 256;
+
 /// A fully-specified model instantiation: which architecture, at what
 /// global batch size, with how many layers (for depth-parameterized
 /// models).

@@ -4,8 +4,9 @@
 //!
 //! The paper's Agent is a graph attention network (GAT, 12 multi-head
 //! attention layers, 8 heads) feeding a Transformer strategy network
-//! whose `N x (M+4)` softmax output selects a parallelism/communication
-//! action per operation group, trained end-to-end with REINFORCE.
+//! whose softmax output selects a parallelism/communication action per
+//! operation group (`N x (M+4)` in the paper, `N x (M+6)` here with two
+//! sharding actions), trained end-to-end with REINFORCE.
 //! No mature deep-learning framework exists for this in Rust, so this
 //! crate implements the needed pieces from scratch:
 //!

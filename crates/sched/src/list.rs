@@ -299,7 +299,7 @@ pub fn list_schedule_observed<H: ScheduleHook>(
     busy.clear();
     busy.resize(num_procs, false);
     indeg.clear();
-    indeg.extend(tg.task_ids().map(|t| tg.in_degree(t) as u32));
+    indeg.extend_from_slice(tg.in_degrees());
     events.clear();
     out.start.clear();
     out.start.resize(n, f64::NAN);
@@ -483,48 +483,50 @@ pub fn load_exceeds(load: f64, limit: f64) -> bool {
 /// keys whose unsigned order is the descending [`f64::total_cmp`] order
 /// of head, then of tail, then the ascending index.
 ///
-/// Reuses `scratch`'s rank buffers (the upward ranks become tails in
-/// place, the topological order is the rank sweep's) and its key and
-/// load vectors: allocation-free once warm.
+/// Two sweeps over the edges: a forward Kahn pass settles each task's
+/// head when the task is dequeued, and one reverse pass over that order
+/// gives each task's tail and the critical path (the largest duration +
+/// tail, each the upward rank [`upward_ranks_into`] sums). Reuses
+/// `scratch`'s rank buffers and its head, key and load vectors:
+/// allocation-free once warm.
 pub fn head_body_tail_bound_into(tg: &TaskGraph, limit: f64, scratch: &mut ScheduleScratch) -> f64 {
     let ScheduleScratch {
         ranks,
-        rank_scratch,
+        rank_scratch: RankScratch { indeg, order },
         heads,
         hbt_keys: keys,
         proc_loads,
         ..
     } = scratch;
-    upward_ranks_into(tg, rank_scratch, ranks);
-    let mut best = critical_path_from(ranks);
-    if load_exceeds(best, limit) {
-        return best;
-    }
-    let RankScratch {
-        indeg: offsets,
-        order,
-    } = rank_scratch;
+    let n = tg.len();
 
-    // Heads pushed forward and tails pulled back, both in the rank
-    // sweep's topological order: a task's successors come after it, so
-    // their ranks are still unconverted when its tail reads them.
+    // Forward: every predecessor has pushed its finish into a task's
+    // head by the time the queue reaches the task.
+    indeg.clear();
+    indeg.extend_from_slice(tg.in_degrees());
     heads.clear();
-    heads.resize(tg.len(), 0.0);
-    for &id in order.iter() {
-        let i = id.index();
-        let finish = heads[i] + tg.task(id).duration;
-        let mut tail = 0.0f64;
+    heads.resize(n, 0.0);
+    order.clear();
+    order.extend(tg.task_ids().filter(|t| indeg[t.index()] == 0));
+    let mut next = 0;
+    while let Some(&id) = order.get(next) {
+        next += 1;
+        let finish = heads[id.index()] + tg.task(id).duration;
         for &s in tg.succs(id) {
-            heads[s.index()] = heads[s.index()].max(finish);
-            tail = tail.max(ranks[s.index()]);
+            let j = s.index();
+            heads[j] = heads[j].max(finish);
+            indeg[j] -= 1;
+            if indeg[j] == 0 {
+                order.push(s);
+            }
         }
-        ranks[i] = tail;
     }
-    let tails = &ranks[..];
+    assert_eq!(order.len(), n, "task graph contains a cycle");
 
-    // One sort key per task, grouped by processor, in task order within
-    // each; each processor's load summed in task order.
+    // Each processor's load, summed in task order, and the start of its
+    // run of sort keys.
     let num_procs = tg.num_procs();
+    let offsets = indeg;
     offsets.clear();
     offsets.resize(num_procs + 1, 0);
     proc_loads.clear();
@@ -537,13 +539,30 @@ pub fn head_body_tail_bound_into(tg: &TaskGraph, limit: f64, scratch: &mut Sched
     for p in 0..num_procs {
         offsets[p + 1] += offsets[p];
     }
+
+    // Backward: a task's successors come after it in `order`, so their
+    // ranks are final when its tail reads them. One sort key per task,
+    // grouped by processor.
+    ranks.clear();
+    ranks.resize(n, 0.0);
     keys.clear();
-    keys.resize(tg.len(), (0, 0, 0));
-    for (id, t) in tg.iter() {
+    keys.resize(n, (0, 0, 0));
+    let mut best = 0.0f64;
+    for &id in order.iter().rev() {
+        let (i, t) = (id.index(), tg.task(id));
+        let tail = tg
+            .succs(id)
+            .iter()
+            .map(|s| ranks[s.index()])
+            .fold(0.0f64, f64::max);
+        ranks[i] = t.duration + tail;
+        best = best.max(ranks[i]);
         let slot = &mut offsets[tg.proc_index(t.proc)];
-        let i = id.index();
-        keys[*slot as usize] = (desc(heads[i]), desc(tails[i]), id.0);
+        keys[*slot as usize] = (desc(heads[i]), desc(tail), id.0);
         *slot += 1;
+    }
+    if load_exceeds(best, limit) {
+        return best;
     }
 
     // `offsets[p]` now ends processor `p`'s run and `offsets[p - 1]`

@@ -6,11 +6,11 @@
 //! reward path allocation-light:
 //!
 //! * **CSR adjacency.** Edges are stored as a flat insertion-ordered
-//!   list; the successor/predecessor index (`succ_off`/`succ_idx` plus
-//!   the pred counterpart) is built lazily on first traversal and
-//!   invalidated on mutation. Iteration order matches the old
-//!   `Vec<Vec<TaskId>>` representation exactly (per-source insertion
-//!   order), so schedules are bit-identical.
+//!   list; the successor rows and in-degrees are built lazily on first
+//!   traversal, the predecessor rows on the first [`TaskGraph::preds`]
+//!   call, and both are invalidated on mutation. Iteration order
+//!   matches the old `Vec<Vec<TaskId>>` representation exactly
+//!   (per-source insertion order), so schedules are bit-identical.
 //! * **Index task names.** A [`TaskName`] is plain data — op id, role
 //!   [`Tag`], device or replica, link id and [`Pass`] — that indexes a
 //!   per-graph [`NameTable`] held by one `Arc`. Copying a task copies
@@ -24,7 +24,7 @@
 //!   index checks that no edge repeats, with a stamp per task rather
 //!   than a hash, and panics naming both tasks if one does.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use heterog_graph::{OpId, OpKind};
 
@@ -338,71 +338,101 @@ impl Task {
     }
 }
 
-/// Compressed-sparse-row adjacency, built lazily from the edge list.
-/// `succ_idx[succ_off[i]..succ_off[i+1]]` are `i`'s successors in
-/// insertion order (likewise for predecessors).
-#[derive(Debug, Clone, Default)]
+/// Compressed-sparse-row adjacency, built lazily from the edge list:
+/// each task's successors in insertion order, and its in-degree. The
+/// predecessor rows, which only a few readers want, are filled on the
+/// first [`TaskGraph::preds`] call.
+#[derive(Debug, Default)]
 struct Csr {
-    succ_off: Vec<u32>,
-    succ_idx: Vec<TaskId>,
-    pred_off: Vec<u32>,
-    pred_idx: Vec<TaskId>,
+    succs: Rows,
+    indeg: Vec<u32>,
+    preds: OnceLock<Rows>,
+    /// The buffers of the last cleared predecessor rows, which the next
+    /// fill reuses; behind a lock because that fill runs through `&self`.
+    spare_preds: Mutex<Rows>,
     /// Per task, one more than the last source whose row named it: the
     /// duplicate check's scratch, never read outside `rebuild`.
     stamp: Vec<u32>,
 }
 
-impl Csr {
-    /// Builds both directions with a stable counting sort: per-source
-    /// (and per-destination) order equals edge insertion order, matching
-    /// the former `Vec<Vec<TaskId>>` push order exactly. Reuses this
-    /// index's buffers. Returns the first repeated edge (by source, then
-    /// row order), if any.
-    fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) -> Option<(u32, u32)> {
-        let Csr {
-            succ_off,
-            succ_idx,
-            pred_off,
-            pred_idx,
-            stamp,
-        } = self;
-        for off in [&mut *succ_off, &mut *pred_off] {
-            off.clear();
-            off.resize(n + 1, 0);
-        }
-        for &(s, d) in edges {
-            succ_off[s as usize + 1] += 1;
-            pred_off[d as usize + 1] += 1;
-        }
-        for i in 0..n {
-            succ_off[i + 1] += succ_off[i];
-            pred_off[i + 1] += pred_off[i];
-        }
-        for idx in [&mut *succ_idx, &mut *pred_idx] {
-            idx.clear();
-            idx.resize(edges.len(), TaskId(0));
-        }
+/// One direction's rows: `idx[off[i]..off[i+1]]` are task `i`'s.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    off: Vec<u32>,
+    idx: Vec<TaskId>,
+}
+
+impl Rows {
+    /// Fills the rows of `edges` keyed by `key` (source or destination)
+    /// with `value` (the other end), each row in edge insertion order: a
+    /// stable counting sort over `counts`, the row lengths. Reuses the
+    /// buffers.
+    fn fill(
+        &mut self,
+        counts: &[u32],
+        edges: &[(u32, u32)],
+        key: impl Fn((u32, u32)) -> (u32, u32),
+    ) {
+        let n = counts.len();
+        let Rows { off, idx } = self;
+        // `off[i + 1]` ends row `i`.
+        off.clear();
+        off.push(0);
+        let mut end = 0;
+        off.extend(counts.iter().map(|&c| {
+            end += c;
+            end
+        }));
+        idx.clear();
+        idx.resize(edges.len(), TaskId(0));
         // Fill back to front, decrementing each row's end cursor: the
-        // offsets end up at the rows' starts and every row keeps
+        // cursors end up at the rows' starts and every row keeps
         // insertion order.
-        for &(s, d) in edges.iter().rev() {
-            succ_off[s as usize + 1] -= 1;
-            succ_idx[succ_off[s as usize + 1] as usize] = TaskId(d);
-            pred_off[d as usize + 1] -= 1;
-            pred_idx[pred_off[d as usize + 1] as usize] = TaskId(s);
+        for &e in edges.iter().rev() {
+            let (k, v) = key(e);
+            off[k as usize + 1] -= 1;
+            idx[off[k as usize + 1] as usize] = TaskId(v);
         }
         // Each row start moved down to the previous row's start; shift
         // the offsets back up by one row.
-        for off in [&mut *succ_off, &mut *pred_off] {
-            off.copy_within(1..n + 1, 0);
-            off[n] = edges.len() as u32;
-        }
-        // A repeated edge repeats a successor within its source's row.
+        off.copy_within(1..n + 1, 0);
+        off[n] = edges.len() as u32;
+    }
+
+    fn row(&self, i: usize) -> &[TaskId] {
+        &self.idx[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+}
+
+impl Csr {
+    /// Builds the successor rows and in-degrees with a stable counting
+    /// sort: per-source order equals edge insertion order, matching the
+    /// former `Vec<Vec<TaskId>>` push order exactly. Reuses this index's
+    /// buffers, and keeps the predecessor rows' for their next fill.
+    /// Returns the first repeated edge (by source, then row order), if
+    /// any.
+    fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) -> Option<(u32, u32)> {
+        self.clear_preds();
+        let Csr {
+            succs,
+            indeg,
+            stamp,
+            ..
+        } = self;
+        // Row lengths: out-degrees in `stamp`, for now, and in-degrees.
         stamp.clear();
         stamp.resize(n, 0);
+        indeg.clear();
+        indeg.resize(n, 0);
+        for &(s, d) in edges {
+            stamp[s as usize] += 1;
+            indeg[d as usize] += 1;
+        }
+        succs.fill(stamp, edges, |e| e);
+        // A repeated edge repeats a successor within its source's row.
+        stamp.fill(0);
         for s in 0..n {
-            let row = &succ_idx[succ_off[s] as usize..succ_off[s + 1] as usize];
-            for &d in row {
+            for &d in succs.row(s) {
                 if stamp[d.index()] == s as u32 + 1 {
                     return Some((s as u32, d.0));
                 }
@@ -410,6 +440,36 @@ impl Csr {
             }
         }
         None
+    }
+
+    /// The spare predecessor buffers.
+    fn spare_rows(&mut self) -> &mut Rows {
+        self.spare_preds
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Empties the predecessor rows into their spare buffers.
+    fn clear_preds(&mut self) {
+        if let Some(rows) = self.preds.take() {
+            *self.spare_rows() = rows;
+        }
+    }
+
+    /// The predecessor rows, filled from `edges` on the first call.
+    #[inline]
+    fn preds(&self, edges: &[(u32, u32)]) -> &Rows {
+        self.preds.get_or_init(|| self.fill_preds(edges))
+    }
+
+    /// Fills the predecessor rows into the spare buffers. Kept out of
+    /// line: [`Csr::preds`] is read in the simulator's event loop.
+    #[cold]
+    #[inline(never)]
+    fn fill_preds(&self, edges: &[(u32, u32)]) -> Rows {
+        let mut rows = std::mem::take(&mut *heterog_telemetry::lock(&self.spare_preds));
+        rows.fill(&self.indeg, edges, |(s, d)| (d, s));
+        rows
     }
 }
 
@@ -448,11 +508,16 @@ impl Clone for TaskGraph {
         self.tasks.clone_from(&src.tasks);
         self.edges.clone_from(&src.edges);
         if let Some(c) = src.csr.get() {
-            self.spare.succ_off.clone_from(&c.succ_off);
-            self.spare.succ_idx.clone_from(&c.succ_idx);
-            self.spare.pred_off.clone_from(&c.pred_off);
-            self.spare.pred_idx.clone_from(&c.pred_idx);
-            let _ = self.csr.set(std::mem::take(&mut self.spare));
+            let spare = &mut self.spare;
+            spare.succs.clone_from(&c.succs);
+            spare.indeg.clone_from(&c.indeg);
+            spare.clear_preds();
+            if let Some(rows) = c.preds.get() {
+                let mut copy = std::mem::take(spare.spare_rows());
+                copy.clone_from(rows);
+                let _ = spare.preds.set(copy);
+            }
+            let _ = self.csr.set(std::mem::take(spare));
         }
     }
 }
@@ -618,26 +683,28 @@ impl TaskGraph {
 
     /// Successors of `id`.
     pub fn succs(&self, id: TaskId) -> &[TaskId] {
-        let c = self.csr();
-        &c.succ_idx[c.succ_off[id.index()] as usize..c.succ_off[id.index() + 1] as usize]
+        self.csr().succs.row(id.index())
     }
 
-    /// Predecessors of `id`.
+    /// Predecessors of `id`. The first call after a mutation fills every
+    /// task's predecessor row.
     pub fn preds(&self, id: TaskId) -> &[TaskId] {
-        let c = self.csr();
-        &c.pred_idx[c.pred_off[id.index()] as usize..c.pred_off[id.index() + 1] as usize]
+        self.csr().preds(&self.edges).row(id.index())
     }
 
     /// Number of successors of `id`.
     pub fn out_degree(&self, id: TaskId) -> usize {
-        let c = self.csr();
-        (c.succ_off[id.index() + 1] - c.succ_off[id.index()]) as usize
+        self.succs(id).len()
     }
 
     /// Number of predecessors of `id`.
     pub fn in_degree(&self, id: TaskId) -> usize {
-        let c = self.csr();
-        (c.pred_off[id.index() + 1] - c.pred_off[id.index()]) as usize
+        self.csr().indeg[id.index()] as usize
+    }
+
+    /// Every task's number of predecessors, indexed by task.
+    pub fn in_degrees(&self) -> &[u32] {
+        &self.csr().indeg
     }
 
     /// Precedence edges `(src, dst)` in insertion order.
@@ -684,7 +751,7 @@ impl TaskGraph {
     pub fn topo_order_into(&self, indeg: &mut Vec<u32>, order: &mut Vec<TaskId>) {
         let n = self.len();
         indeg.clear();
-        indeg.extend(self.task_ids().map(|t| self.in_degree(t) as u32));
+        indeg.extend_from_slice(self.in_degrees());
         order.clear();
         order.reserve(n);
         for t in self.task_ids() {
@@ -846,6 +913,33 @@ mod tests {
             "b3/conv2d_7/push/xfer@srv1.in"
         );
         assert_eq!(tg.task_name(full).to_string(), "free-form");
+    }
+
+    #[test]
+    fn predecessor_rows_follow_the_graph_they_were_cloned_from() {
+        let chain = |n: u32, skip: bool| {
+            let mut tg = TaskGraph::new("t", 1, 0);
+            for i in 0..n {
+                tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, Proc::Gpu(0), 1.0));
+            }
+            for i in 1..n {
+                tg.add_dep(TaskId(i - 1), TaskId(i));
+                if skip && i > 1 {
+                    tg.add_dep(TaskId(i - 2), TaskId(i));
+                }
+            }
+            tg
+        };
+        let (mut tg, mut other) = (chain(4, false), chain(5, true));
+        tg.build_index();
+        other.build_index();
+        assert_eq!(tg.preds(TaskId(2)), &[TaskId(1)]);
+        tg.clone_from(&other);
+        for id in other.task_ids() {
+            assert_eq!(tg.preds(id), other.preds(id));
+            assert_eq!(tg.in_degree(id), other.preds(id).len());
+        }
+        assert_eq!(tg.preds(TaskId(2)), &[TaskId(1), TaskId(0)]);
     }
 
     #[test]

@@ -8,16 +8,10 @@
 
 use heterog_cluster::{paper_testbed_8gpu, ClusterSpec};
 use heterog_elastic::RepairPolicy;
-use heterog_graph::{BenchmarkModel, ModelSpec};
+use heterog_graph::{BenchmarkModel, ModelSpec, MAX_LAYERS};
 use heterog_telemetry::json::{self, Value};
 
 use crate::jobs::{JobKind, JobSpec};
-
-/// Largest `"layers"` a request may ask for. Well above the deepest
-/// configuration the repository plans (48 layers), and small enough
-/// that an accepted request cannot make a worker build an unbounded
-/// graph.
-pub const MAX_LAYERS: u32 = 256;
 
 /// A rejected request: HTTP status plus the error message for the
 /// `{"error": ...}` body.
@@ -47,6 +41,19 @@ pub struct ParsedRequest {
     pub spec: JobSpec,
     /// Block the HTTP response until the job completes.
     pub wait: bool,
+}
+
+/// Member `key` of `v` read by `read`: `None` when absent, a named 400
+/// saying it must be `what` when present with another type.
+fn optional<'v, T>(
+    v: &'v Value,
+    key: &str,
+    read: fn(&'v Value) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>, ApiError> {
+    v.get(key)
+        .map(|x| read(x).ok_or_else(|| ApiError::bad_request(format!("\"{key}\" must be {what}"))))
+        .transpose()
 }
 
 /// Parses and validates a `POST /v1/<kind>` body.
@@ -108,9 +115,7 @@ pub fn parse_request(
     };
     let model = ModelSpec::with_layers(model, batch, layers);
 
-    let planner = v
-        .get("planner")
-        .and_then(Value::as_str)
+    let planner = optional(&v, "planner", Value::as_str, "a string")?
         .unwrap_or("heterog")
         .to_string();
     if planner != "heterog" && !heterog::BASELINE_PLANNER_NAMES.contains(&planner.as_str()) {
@@ -127,30 +132,26 @@ pub fn parse_request(
         None => paper_testbed_8gpu(),
     };
 
-    let fifo = v.get("fifo").and_then(Value::as_bool).unwrap_or(false);
-    let wait = wait_query || v.get("wait").and_then(Value::as_bool).unwrap_or(false);
+    let flag = |key| optional(&v, key, Value::as_bool, "true or false");
+    let count = |key| optional(&v, key, Value::as_u64, "a non-negative integer");
+    let fifo = flag("fifo")?.unwrap_or(false);
+    let wait = flag("wait")?.unwrap_or(false) || wait_query;
 
     let kind = match kind {
         "plan" => JobKind::Plan,
         "explain" => JobKind::Explain {
-            top_k: v.get("top_k").and_then(Value::as_u64).unwrap_or(3) as usize,
-            whatif: v.get("whatif").and_then(Value::as_bool).unwrap_or(false),
+            top_k: count("top_k")?.unwrap_or(3) as usize,
+            whatif: flag("whatif")?.unwrap_or(false),
         },
         "elastic" => {
-            let policy = v
-                .get("policy")
-                .and_then(Value::as_str)
+            let policy = optional(&v, "policy", Value::as_str, "a string")?
                 .unwrap_or("migrate-replicas")
                 .to_string();
             RepairPolicy::parse(&policy).map_err(ApiError::bad_request)?;
             JobKind::Elastic {
-                iterations: v
-                    .get("iterations")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(20)
-                    .clamp(1, 10_000),
-                faults: v.get("faults").and_then(Value::as_u64).unwrap_or(2).min(64) as usize,
-                seed: v.get("seed").and_then(Value::as_u64).unwrap_or(0),
+                iterations: count("iterations")?.unwrap_or(20).clamp(1, 10_000),
+                faults: count("faults")?.unwrap_or(2).min(64) as usize,
+                seed: count("seed")?.unwrap_or(0),
                 policy,
             }
         }
@@ -292,6 +293,30 @@ mod tests {
         }
         let err = parse_request("plan", b"{\"tenant\":\"\xff\"}", false, None).unwrap_err();
         assert_eq!(err.status, 400);
+    }
+
+    #[test]
+    fn mistyped_optional_fields_are_named_400s() {
+        for (kind, field, value) in [
+            ("plan", "fifo", r#""yes""#),
+            ("plan", "wait", "1"),
+            ("plan", "planner", "5"),
+            ("explain", "top_k", r#""5""#),
+            ("explain", "whatif", "null"),
+            ("elastic", "policy", "[]"),
+            ("elastic", "iterations", "-3"),
+            ("elastic", "faults", "1.5"),
+            ("elastic", "seed", "{}"),
+        ] {
+            let body = format!(r#"{{"tenant":"a","model":"mobilenet","{field}":{value}}}"#);
+            let err = parse_request(kind, body.as_bytes(), false, None).unwrap_err();
+            assert_eq!(err.status, 400, "{body}: {}", err.message);
+            assert!(
+                err.message.starts_with(&format!("\"{field}\" must be")),
+                "{body}: {}",
+                err.message
+            );
+        }
     }
 
     #[test]

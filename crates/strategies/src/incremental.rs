@@ -13,7 +13,7 @@
 //! | `Cluster`               | [`reprice_into`] + [`resimulate_into`] (the base report when no duration changed, else one simulation) |
 //! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
 //! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
-//! | any, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a spliced graph that a lower bound on its iteration time (busiest processor, then the head–body–tail bound of [`makespan_bound_into`], which stops once it exceeds the limit) puts above the limit is not simulated: [`Bounded::Pruned`] |
+//! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); only a candidate it leaves in is spliced and given the head–body–tail bound of [`makespan_bound_into`], which stops once it exceeds the limit |
 //!
 //! A strategy change resolves the candidate's placements once and
 //! diffs them against the base's: an op's replica tasks, the wiring of
@@ -44,7 +44,7 @@ use std::time::Instant;
 use heterog_cluster::Cluster;
 use heterog_compile::{
     compile_logged, reprice_into, resolve_group_into, resolve_placements, splice_into,
-    structure_compatible, OpPlacement, OpStrategy, PriceBook, SegmentLog, SpliceBase,
+    splice_loads, structure_compatible, OpPlacement, OpStrategy, PriceBook, SegmentLog, SpliceBase,
     SpliceScratch, Strategy,
 };
 use heterog_graph::{Graph, OpId};
@@ -129,11 +129,13 @@ pub enum Bounded {
     /// Simulated, exactly as [`IncrementalEvaluator::evaluate_perturbed`]
     /// would have.
     Evaluated(Box<Evaluation>, EvalMode),
-    /// Not simulated: a lower bound on the spliced task graph's
+    /// Not simulated: a lower bound on the candidate task graph's
     /// iteration time that [`load_exceeds`] the limit. It is the busiest
-    /// processor's load, or else the head–body–tail bound of
-    /// [`makespan_bound_into`] as far as it got before exceeding the
-    /// limit, so it may be below the full bound.
+    /// processor's load as [`splice_loads`] prices it before any splice
+    /// (summed in another order than over the graph, so it may differ
+    /// from that sum in the last bits), or else the head–body–tail bound
+    /// of [`makespan_bound_into`] on the spliced graph as far as it got
+    /// before exceeding the limit, so it may be below the full bound.
     Pruned(f64),
 }
 
@@ -145,10 +147,10 @@ impl Bounded {
 
 /// Patch buffers: the candidate's placements, the spliced or re-priced
 /// task graph, the splice and simulator scratch, and the report each
-/// perturbed evaluation writes into, plus the per-processor load a
-/// bounded one sums. An evaluator pools them, one per thread
-/// evaluating through it at once, so a `Sync` evaluator serves pool
-/// workers without sharing a buffer, the per-candidate path stops
+/// perturbed evaluation writes into, plus the per-processor loads a
+/// bounded one prices before splicing. An evaluator pools them, one per
+/// thread evaluating through it at once, so a `Sync` evaluator serves
+/// pool workers without sharing a buffer, the per-candidate path stops
 /// allocating once they have grown, and their memory goes with the
 /// evaluator.
 #[derive(Debug, Default)]
@@ -196,6 +198,9 @@ pub struct IncrementalEvaluator<'a, C: CostEstimator> {
     /// The base task graph: re-priced by cluster perturbations,
     /// re-simulated by policy ones, spliced from by strategy ones.
     tg: TaskGraph,
+    /// The base task graph's per-processor loads, which a bounded
+    /// strategy perturbation adjusts by its dirty segments.
+    loads: Vec<f64>,
     /// The base evaluation; its report is the one re-simulations reuse.
     base: Evaluation,
     /// Idle patch buffers (see [`PatchScratch`]).
@@ -228,6 +233,8 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         let _span = heterog_telemetry::span("incremental_evaluator_new");
         let started = std::time::Instant::now();
         let (tg, book, log) = compile_logged(g, cluster, cost, strategy);
+        let mut loads = Vec::new();
+        busiest_processor_load(&tg, &mut loads);
         let capacities = cluster.memory_capacities();
         let mut ps = patches.pop().unwrap_or_default();
         let mut report = SimReport::default();
@@ -249,6 +256,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             book,
             log,
             tg,
+            loads,
             base,
             patches: Mutex::new(patches),
         }
@@ -292,14 +300,15 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     }
 
     /// [`IncrementalEvaluator::evaluate_perturbed`], unless a lower
-    /// bound on the spliced task graph's iteration time [`load_exceeds`]
-    /// `limit`: then the graph is not simulated and that bound is
-    /// returned instead. The busiest processor's load, GPU or link, is
-    /// tried first, as it needs no adjacency index; only when it does not
-    /// prune is the index built and the head–body–tail bound of
-    /// [`makespan_bound_into`] tried, which returns as soon as it exceeds
-    /// `limit`. A pruned candidate counts in neither
-    /// `incremental_fast` nor `incremental_full` and emits no
+    /// bound on the candidate task graph's iteration time
+    /// [`load_exceeds`] `limit`: then the graph is not simulated and that
+    /// bound is returned instead. The busiest processor's load, GPU or
+    /// link, is tried first, priced from the base's loads and the dirty
+    /// segments with no splice ([`splice_loads`]); only when it does not
+    /// prune is the graph spliced, its index built and the
+    /// head–body–tail bound of [`makespan_bound_into`] tried, which
+    /// returns as soon as it exceeds `limit`. A pruned candidate counts
+    /// in neither `incremental_fast` nor `incremental_full` and emits no
     /// `StrategyEvaluated` event. Only spliced paths are bounded; every
     /// other path evaluates as `evaluate_perturbed` does.
     pub fn evaluate_bounded(&self, p: Perturbation<'_>, limit: f64) -> Bounded {
@@ -371,8 +380,11 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
 
     /// Splices the task graph of the `moved` placements from the base
     /// lowering and simulates it, unless a lower bound on its iteration
-    /// time exceeds `limit`. A splice that reuses no segment was a full
-    /// compile and, when simulated, is counted as one.
+    /// time exceeds `limit`. At a finite limit the busiest processor's
+    /// load is priced before any splice ([`splice_loads`]), and only a
+    /// candidate it leaves in is spliced and given the head–body–tail
+    /// bound. A splice that reuses no segment was a full compile and,
+    /// when simulated, is counted as one.
     fn eval_spliced(&self, moved: Moved<'_>, limit: f64) -> Bounded {
         let started = Instant::now();
         let base = SpliceBase {
@@ -399,6 +411,24 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                     }
                 }
             }
+            let bounded = limit < f64::INFINITY;
+            if bounded {
+                let _span = heterog_telemetry::span("bound");
+                load.clone_from(&self.loads);
+                splice_loads(
+                    self.g,
+                    &self.cluster,
+                    self.cost,
+                    placements,
+                    base,
+                    load,
+                    splice,
+                );
+                let busiest = load.iter().copied().fold(0.0f64, f64::max);
+                if load_exceeds(busiest, limit) {
+                    return Bounded::Pruned(busiest);
+                }
+            }
             let reused = splice_into(
                 self.g,
                 &self.cluster,
@@ -408,19 +438,14 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 tg,
                 splice,
             );
-            if limit < f64::INFINITY {
+            tg.build_index();
+            if bounded {
                 let _span = heterog_telemetry::span("bound");
-                let busiest = busiest_processor_load(tg, load);
-                if load_exceeds(busiest, limit) {
-                    return Bounded::Pruned(busiest);
-                }
-                tg.build_index();
                 let bound = makespan_bound_into(tg, limit, sim);
                 if load_exceeds(bound, limit) {
                     return Bounded::Pruned(bound);
                 }
             }
-            tg.build_index();
             simulate_into(tg, &self.capacities, &self.policy, sim, report);
             let eval = eval_of(report);
             if reused == 0 {

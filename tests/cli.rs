@@ -484,7 +484,7 @@ fn elastic_rejects_bad_policy_and_bad_script() {
 fn unknown_flags_exit_nonzero_and_name_the_flag() {
     let store = std::env::temp_dir().join(format!("heterog_cli_badflag_{}", std::process::id()));
     std::fs::remove_dir_all(&store).ok();
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (
             &["explain", "--model", "mobilenet", "--no-incremental"],
             "unknown flag --no-incremental for explain",
@@ -500,6 +500,10 @@ fn unknown_flags_exit_nonzero_and_name_the_flag() {
         (
             &["explain", "--model", "mobilenet", "--batch", "0"],
             "--batch must be at least 1",
+        ),
+        (
+            &["plan", "--model", "transformer", "--layers", "257"],
+            "--layers must be at most 256",
         ),
     ];
     for (args, message) in cases {

@@ -8,15 +8,22 @@
 //!   `resolve_placements(actions_to_strategy(..))` field for field;
 //! * `evaluate_perturbed(Group { .. })` gives
 //!   `evaluate_perturbed(Strategy(..))` bit for bit, `EvalMode`
-//!   included.
+//!   included;
+//! * `evaluate_bounded` at a zero limit prunes both on the same bits,
+//!   within 1e-12 relative of the busiest processor's load of a fresh
+//!   compile of the moved strategy (the load is priced before any
+//!   splice), and at the moved strategy's own iteration time prunes
+//!   neither.
 
 use heterog_agent::{actions_to_strategy, ActionSpace};
 use heterog_cluster::{paper_testbed_8gpu, topology::Server, Cluster, Device, GpuModel};
-use heterog_compile::{resolve_group_into, resolve_placements, OpStrategy};
+use heterog_compile::{compile, resolve_group_into, resolve_placements, OpStrategy};
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
-use heterog_sched::OrderPolicy;
-use heterog_strategies::{group_ops, grouping::avg_op_times, IncrementalEvaluator, Perturbation};
+use heterog_sched::{busiest_processor_load, OrderPolicy};
+use heterog_strategies::{
+    group_ops, grouping::avg_op_times, Bounded, EvalMode, IncrementalEvaluator, Perturbation,
+};
 use heterog_telemetry::rng::SplitMix64;
 
 /// Groups per model: few enough that every move stays fast in debug.
@@ -102,6 +109,34 @@ fn check(g: &Graph, cluster: &Cluster, seed: u64) {
                 format!("{:?}", want.report),
                 "{what}"
             );
+
+            let group = Perturbation::Group { ops, to };
+            let whole = Perturbation::Strategy(&moved);
+            match (
+                ev.evaluate_bounded(group, 0.0),
+                ev.evaluate_bounded(whole, 0.0),
+            ) {
+                (Bounded::Pruned(a), Bounded::Pruned(b)) => {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+                    let exact =
+                        busiest_processor_load(&compile(g, cluster, cost, &moved), &mut Vec::new());
+                    assert!(
+                        (a - exact).abs() <= 1e-12 * exact,
+                        "{what}: load {a} priced before splicing, {exact} after"
+                    );
+                }
+                (Bounded::Evaluated(_, EvalMode::Base), Bounded::Evaluated(_, EvalMode::Base)) => {}
+                (a, b) => panic!("{what}: group {a:?}, strategy {b:?}"),
+            }
+            for p in [group, whole] {
+                assert!(
+                    matches!(
+                        ev.evaluate_bounded(p, want.iteration_time),
+                        Bounded::Evaluated(..)
+                    ),
+                    "{what}: pruned at its own iteration time"
+                );
+            }
         }
     }
 }

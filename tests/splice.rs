@@ -5,9 +5,12 @@
 //! model, a seeded sample of 100 for the others) are spliced with
 //! `splice_into` and compared with `compile` task by task and edge by
 //! edge in insertion order; a subset also goes through `IncrementalEvaluator::evaluate_perturbed`, whose
-//! report must equal `evaluate_with_policy`'s bit for bit. Splices copy
-//! a segment's edges as one range, which is sound because every
-//! lowering (plain, pipelined and multi-iteration) adds each edge once.
+//! report must equal `evaluate_with_policy`'s bit for bit. Every move's
+//! per-processor loads priced with `splice_loads`, before any splice,
+//! must equal the fresh compile's to within 1e-12 of its busiest load.
+//! Splices copy a run of segments' edges as one range, which is sound
+//! because every lowering (plain, pipelined and multi-iteration) adds
+//! each edge once.
 
 use std::collections::HashSet;
 
@@ -15,11 +18,12 @@ use heterog_agent::{actions_to_strategy, ActionSpace, HeteroGPlanner};
 use heterog_cluster::{paper_testbed_12gpu, paper_testbed_8gpu, Cluster, DeviceId};
 use heterog_compile::{
     compile, compile_iterations, compile_logged, compile_pipelined, compile_priced,
-    resolve_placements, splice_into, CommMethod, OpStrategy, SpliceBase, SpliceScratch, Strategy,
+    resolve_placements, splice_into, splice_loads, CommMethod, OpStrategy, SpliceBase,
+    SpliceScratch, Strategy,
 };
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
-use heterog_sched::{OrderPolicy, TaskGraph};
+use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph};
 use heterog_strategies::{
     evaluate_with_policy, group_ops, grouping::avg_op_times, EvalMode, Evaluation, Grouping,
     IncrementalEvaluator, Perturbation,
@@ -168,13 +172,26 @@ fn check(case: &Case, moves: &[(usize, usize)], eval_every: usize) -> Vec<EvalMo
     let policy = OrderPolicy::RankBased;
     let ev = IncrementalEvaluator::new(g, cost, c, &base_s, &policy);
     let (mut tg, mut scratch) = (TaskGraph::default(), SpliceScratch::default());
+    let mut base_loads = Vec::new();
+    busiest_processor_load(&btg, &mut base_loads);
+    let (mut loads, mut want_loads) = (Vec::new(), Vec::new());
     let mut modes = Vec::new();
     for (i, &mv) in moves.iter().enumerate() {
         let what = format!("{} move {mv:?}", g.name);
         let s2 = case.moved(mv);
         let placements = resolve_placements(g, c, &s2);
+        loads.clone_from(&base_loads);
+        splice_loads(g, c, cost, &placements, base, &mut loads, &mut scratch);
         splice_into(g, c, cost, &placements, base, &mut tg, &mut scratch);
-        assert_same_graph(&tg, &compile(g, c, cost, &s2), &what);
+        let fresh = compile(g, c, cost, &s2);
+        assert_same_graph(&tg, &fresh, &what);
+        let busiest = busiest_processor_load(&fresh, &mut want_loads);
+        for (p, (got, want)) in loads.iter().zip(&want_loads).enumerate() {
+            assert!(
+                (got - want).abs() <= 1e-12 * busiest,
+                "{what}: processor {p} load {got} priced before splicing, {want} compiled"
+            );
+        }
         if i % eval_every == 0 {
             let (got, mode) = ev.evaluate_perturbed(Perturbation::Strategy(&s2));
             assert_same_eval(&got, &evaluate_with_policy(g, c, cost, &s2, &policy), &what);
