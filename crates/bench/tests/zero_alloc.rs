@@ -1,6 +1,6 @@
-//! Asserts the schedule+simulate hot path and the head–body–tail bound
-//! are allocation-free after warm-up — the property the evaluation
-//! engine's scratch reuse exists to provide.
+//! Asserts the schedule+simulate hot path, under every order policy,
+//! and the head–body–tail bound are allocation-free after warm-up — the
+//! property the evaluation engine's scratch reuse exists to provide.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting `#[global_allocator]`; a single `#[test]` keeps other
@@ -43,6 +43,17 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.load(Ordering::Relaxed) - before, r)
 }
 
+/// Every order policy by name, with `Priorities` drawn from a few values
+/// so that ties occur, for a task graph of `n` tasks.
+fn policies(n: usize) -> [(&'static str, OrderPolicy); 3] {
+    let priorities = (0..n).map(|i| (i % 7) as f64).collect();
+    [
+        ("rank-based", OrderPolicy::RankBased),
+        ("fifo", OrderPolicy::Fifo),
+        ("priorities", OrderPolicy::Priorities(priorities)),
+    ]
+}
+
 #[test]
 fn schedule_and_simulate_are_allocation_free_after_warmup() {
     // Telemetry stays disabled (the default): the no-op recorder must
@@ -52,60 +63,64 @@ fn schedule_and_simulate_are_allocation_free_after_warmup() {
     let s = Strategy::even(g.len(), &cluster, CommMethod::AllReduce);
     let tg = compile(&g, &cluster, &GroundTruthCost, &s);
     let caps = cluster.memory_capacities();
-    let policy = OrderPolicy::RankBased;
 
-    let mut sched_scratch = ScheduleScratch::default();
-    let mut sched_out = Schedule::default();
-    let mut sim_scratch = SimScratch::default();
-    let mut sim_out = SimReport::default();
-
-    // Warm up: the first call on the largest graph sizes every buffer.
-    list_schedule_into(&tg, &policy, &mut sched_scratch, &mut sched_out);
-    simulate_into(&tg, &caps, &policy, &mut sim_scratch, &mut sim_out);
-
-    let (sched_allocs, ()) =
-        allocs_during(|| list_schedule_into(&tg, &policy, &mut sched_scratch, &mut sched_out));
-    assert_eq!(
-        sched_allocs, 0,
-        "list_schedule_into allocated {sched_allocs} times after warm-up"
-    );
-
-    let (sim_allocs, ()) =
-        allocs_during(|| simulate_into(&tg, &caps, &policy, &mut sim_scratch, &mut sim_out));
-    assert_eq!(
-        sim_allocs, 0,
-        "simulate_into allocated {sim_allocs} times after warm-up"
-    );
-
-    // The bound the search prunes with, stopping early under a finite
-    // limit and running to the end under an infinite one, borrows the
-    // same scratch.
-    let full = makespan_bound_into(&tg, f64::INFINITY, &mut sim_scratch);
-    for limit in [full * (1.0 - 2e-9), f64::INFINITY] {
-        let (bound_allocs, _) = allocs_during(|| makespan_bound_into(&tg, limit, &mut sim_scratch));
-        assert_eq!(
-            bound_allocs, 0,
-            "makespan_bound_into with limit {limit} allocated {bound_allocs} times after warm-up"
-        );
-    }
-
-    // Steady state across *different* task graphs (what a search's miss
-    // path looks like): after one adapting pass over each graph — ready
-    // heaps grow to the running-max depth, which is data-dependent —
-    // alternating between them stays at zero.
+    // A second graph for the alternating check below.
     let g2 = ModelSpec::new(BenchmarkModel::MobileNetV2, 32).build();
     let s2 = Strategy::even(g2.len(), &cluster, CommMethod::Ps);
     let tg2 = compile(&g2, &cluster, &GroundTruthCost, &s2);
-    simulate_into(&tg2, &caps, &policy, &mut sim_scratch, &mut sim_out);
-    let (alternating_allocs, ()) = allocs_during(|| {
-        simulate_into(&tg, &caps, &policy, &mut sim_scratch, &mut sim_out);
-        simulate_into(&tg2, &caps, &policy, &mut sim_scratch, &mut sim_out);
-        simulate_into(&tg, &caps, &policy, &mut sim_scratch, &mut sim_out);
-    });
-    assert_eq!(
-        alternating_allocs, 0,
-        "alternating graphs allocated {alternating_allocs} times after warm-up"
-    );
 
-    assert!(sim_out.iteration_time > 0.0);
+    for ((name, policy), (_, policy2)) in policies(tg.len()).iter().zip(&policies(tg2.len())) {
+        let mut sched_scratch = ScheduleScratch::default();
+        let mut sched_out = Schedule::default();
+        let mut sim_scratch = SimScratch::default();
+        let mut sim_out = SimReport::default();
+
+        // Warm up: the first call on the largest graph sizes every buffer.
+        list_schedule_into(&tg, policy, &mut sched_scratch, &mut sched_out);
+        simulate_into(&tg, &caps, policy, &mut sim_scratch, &mut sim_out);
+
+        let (sched_allocs, ()) =
+            allocs_during(|| list_schedule_into(&tg, policy, &mut sched_scratch, &mut sched_out));
+        assert_eq!(
+            sched_allocs, 0,
+            "list_schedule_into under {name} allocated {sched_allocs} times after warm-up"
+        );
+
+        let (sim_allocs, ()) =
+            allocs_during(|| simulate_into(&tg, &caps, policy, &mut sim_scratch, &mut sim_out));
+        assert_eq!(
+            sim_allocs, 0,
+            "simulate_into under {name} allocated {sim_allocs} times after warm-up"
+        );
+
+        // The bound the search prunes with, stopping early under a
+        // finite limit and running to the end under an infinite one,
+        // borrows the same scratch.
+        let full = makespan_bound_into(&tg, f64::INFINITY, &mut sim_scratch);
+        for limit in [full * (1.0 - 2e-9), f64::INFINITY] {
+            let (bound_allocs, _) =
+                allocs_during(|| makespan_bound_into(&tg, limit, &mut sim_scratch));
+            assert_eq!(
+                bound_allocs, 0,
+                "makespan_bound_into with limit {limit} allocated {bound_allocs} times after warm-up"
+            );
+        }
+
+        // Steady state across *different* task graphs (what a search's
+        // miss path looks like): after one adapting pass over each graph
+        // — ready heaps grow to the running-max depth, which is
+        // data-dependent — alternating between them stays at zero.
+        simulate_into(&tg2, &caps, policy2, &mut sim_scratch, &mut sim_out);
+        let (alternating_allocs, ()) = allocs_during(|| {
+            simulate_into(&tg, &caps, policy, &mut sim_scratch, &mut sim_out);
+            simulate_into(&tg2, &caps, policy2, &mut sim_scratch, &mut sim_out);
+            simulate_into(&tg, &caps, policy, &mut sim_scratch, &mut sim_out);
+        });
+        assert_eq!(
+            alternating_allocs, 0,
+            "alternating graphs under {name} allocated {alternating_allocs} times after warm-up"
+        );
+
+        assert!(sim_out.iteration_time > 0.0);
+    }
 }

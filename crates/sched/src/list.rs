@@ -18,8 +18,16 @@
 //!   [`ScheduleHook`] at every task start/finish, which is how the
 //!   simulator fuses memory accounting into the event loop without the
 //!   scheduler depending on it.
+//!
+//! The event loop compares plain integers. Every heap entry is one
+//! `u128`: an order word in the high half and the complemented task id
+//! in the low half, so a max-heap pops the largest order word first and,
+//! among equal words, the lowest task id. A ready task's order word is
+//! its priority's [`f64::total_cmp`] bits, or under FIFO its complemented
+//! arrival index; a completion's is its finish time, descending. Each
+//! task's processor and duration are copied into columns once per call,
+//! so the loop reads no [`crate::Task`].
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::rank::{critical_path_from, upward_ranks, upward_ranks_into, RankScratch};
@@ -88,8 +96,8 @@ impl Schedule {
 
 /// Observer called from inside the scheduling event loop. Monomorphized,
 /// so [`NoHook`] compiles to the plain loop. The simulator's memory
-/// tracker implements this to collect alloc/free events in the same pass
-/// that computes the schedule.
+/// tracker implements this to apply allocations and frees in the same
+/// pass that computes the schedule. Calls come in nondecreasing time.
 pub trait ScheduleHook {
     /// `task` was dispatched at `time`.
     #[inline]
@@ -111,17 +119,19 @@ pub struct NoHook;
 impl ScheduleHook for NoHook {}
 
 /// Reusable buffers for [`list_schedule_into`]: per-processor ready
-/// heaps, the event queue, indegrees and rank buffers. A warm scratch
-/// (one prior call on a graph at least as large) makes scheduling
-/// allocation-free. [`head_body_tail_bound_into`] borrows the rank
-/// buffers too, plus vectors of heads, sort keys and processor loads of
-/// its own.
+/// heaps, the event queue, indegrees, the per-task processor and
+/// duration columns and rank buffers. A warm scratch (one prior call on
+/// a graph at least as large) makes scheduling allocation-free.
+/// [`head_body_tail_bound_into`] borrows the rank buffers too, plus
+/// vectors of heads, sort keys and processor loads of its own.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
-    ready: Vec<BinaryHeap<Key>>,
+    ready: Vec<BinaryHeap<u128>>,
     busy: Vec<bool>,
     indeg: Vec<u32>,
-    events: BinaryHeap<Done>,
+    events: BinaryHeap<u128>,
+    proc: Vec<u32>,
+    dur: Vec<f64>,
     ranks: Vec<f64>,
     rank_scratch: RankScratch,
     heads: Vec<f64>,
@@ -161,73 +171,18 @@ fn undesc(k: u64) -> f64 {
     f64::from_bits(if b >> 63 == 1 { b & !(1 << 63) } else { !b })
 }
 
-/// Heap key: higher priority first; among equals, lower sequence first.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Key {
-    priority: f64,
-    seq: u64, // lower = earlier; encodes id or arrival order
-    task: TaskId,
+/// A heap entry: `word` in the high half, the complemented task id in
+/// the low half. A max-heap pops the largest `word` first and, among
+/// equal words, the lowest task id.
+#[inline]
+fn pack(word: u64, task: usize) -> u128 {
+    u128::from(word) << 64 | u128::from(!(task as u64))
 }
 
-impl Eq for Key {}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.priority
-            .total_cmp(&other.priority)
-            .then_with(|| other.seq.cmp(&self.seq)) // lower seq = greater key
-    }
-}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Completion event in the global event queue (earliest first; ties by
-/// task id for determinism).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Done {
-    time: f64,
-    task: TaskId,
-}
-
-impl Eq for Done {}
-
-impl Ord for Done {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.task.cmp(&self.task))
-    }
-}
-
-impl PartialOrd for Done {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A borrowed view of per-task priorities. `Fifo` uses a uniform view
-/// (ordering comes from arrival seq) and `Priorities` borrows the
-/// caller's vector — neither allocates.
-#[derive(Clone, Copy)]
-enum Prio<'a> {
-    Uniform,
-    Slice(&'a [f64]),
-}
-
-impl Prio<'_> {
-    #[inline]
-    fn get(self, i: usize) -> f64 {
-        match self {
-            Prio::Uniform => 0.0,
-            Prio::Slice(s) => s[i],
-        }
-    }
+/// The task id [`pack`] stored.
+#[inline]
+fn task_of(key: u128) -> usize {
+    !(key as u64) as usize
 }
 
 /// Executes `tg` under `policy` and returns the schedule. Allocates
@@ -265,23 +220,25 @@ pub fn list_schedule_observed<H: ScheduleHook>(
         busy,
         indeg,
         events,
+        proc,
+        dur,
         ranks,
         rank_scratch,
         ..
     } = scratch;
 
-    let priorities: Prio<'_> = match policy {
+    // `None` under FIFO, whose order comes from arrival.
+    let priorities: Option<&[f64]> = match policy {
         OrderPolicy::RankBased => {
             upward_ranks_into(tg, rank_scratch, ranks);
-            Prio::Slice(ranks)
+            Some(ranks)
         }
-        OrderPolicy::Fifo => Prio::Uniform, // ordering comes from arrival seq
+        OrderPolicy::Fifo => None,
         OrderPolicy::Priorities(p) => {
             assert_eq!(p.len(), tg.len(), "priority vector length mismatch");
-            Prio::Slice(p)
+            Some(p)
         }
     };
-    let fifo = matches!(policy, OrderPolicy::Fifo);
 
     let _span = heterog_telemetry::span("list_schedule");
     let telemetry_on = heterog_telemetry::enabled();
@@ -301,6 +258,12 @@ pub fn list_schedule_observed<H: ScheduleHook>(
     indeg.clear();
     indeg.extend_from_slice(tg.in_degrees());
     events.clear();
+    proc.clear();
+    dur.clear();
+    for (_, t) in tg.iter() {
+        proc.push(tg.proc_index(t.proc) as u32);
+        dur.push(t.duration);
+    }
     out.start.clear();
     out.start.resize(n, f64::NAN);
     out.finish.clear();
@@ -308,60 +271,92 @@ pub fn list_schedule_observed<H: ScheduleHook>(
     out.proc_busy.clear();
     out.proc_busy.resize(num_procs, 0.0);
 
-    let mut arrival_seq: u64 = 0;
-    let mut completed = 0usize;
+    // Higher priority first, ties to the lower id; under FIFO, the
+    // earlier arrival first.
+    let mut arrivals = 0u64;
+    let mut ready_key = |t: usize| {
+        let word = match priorities {
+            Some(p) => total_order_bits(p[t]),
+            None => {
+                arrivals += 1;
+                !arrivals
+            }
+        };
+        pack(word, t)
+    };
 
     // Seed with dependency-free tasks (in id order, defining FIFO arrival).
-    for t in tg.task_ids() {
-        if indeg[t.index()] == 0 {
-            push_ready(
-                tg,
-                t,
-                priorities,
-                fifo,
-                telemetry_on,
-                ready,
-                &mut arrival_seq,
-            );
-        }
-    }
-
-    // Dispatch everything possible at t = 0.
-    let mut now = 0.0f64;
-    for p in 0..num_procs {
-        dispatch(p, now, tg, ready, busy, &mut out.start, events, hook);
-    }
-
-    // The event loop proper: drain completions, release successors,
-    // dispatch.
-    while let Some(Done { time, task }) = events.pop() {
-        debug_assert!(time >= now - 1e-12);
-        now = time;
-        out.finish[task.index()] = now;
-        completed += 1;
-        let p = tg.proc_index(tg.task(task).proc);
-        out.proc_busy[p] += tg.task(task).duration;
-        busy[p] = false;
-        hook.on_finish(task, now);
-
-        // Newly-ready successors.
-        for &s in tg.succs(task) {
-            indeg[s.index()] -= 1;
-            if indeg[s.index()] == 0 {
-                push_ready(
-                    tg,
-                    s,
-                    priorities,
-                    fifo,
-                    telemetry_on,
-                    ready,
-                    &mut arrival_seq,
-                );
-                let sp = tg.proc_index(tg.task(s).proc);
-                dispatch(sp, now, tg, ready, busy, &mut out.start, events, hook);
+    for t in 0..n {
+        if indeg[t] == 0 {
+            let queue = &mut ready[proc[t] as usize];
+            queue.push(ready_key(t));
+            if telemetry_on {
+                QUEUE_DEPTH_HIWATER.record_max(queue.len() as f64);
             }
         }
-        dispatch(p, now, tg, ready, busy, &mut out.start, events, hook);
+    }
+
+    // Each round offers processors their best ready task: every
+    // processor at t = 0, afterwards the one whose task just finished.
+    let mut now = 0.0f64;
+    let mut completed = 0usize;
+    let mut offers = 0..num_procs;
+    loop {
+        for p in offers {
+            if busy[p] {
+                continue;
+            }
+            if let Some(key) = ready[p].pop() {
+                let t = task_of(key);
+                busy[p] = true;
+                out.start[t] = now;
+                hook.on_start(TaskId(t as u32), now);
+                events.push(pack(desc(now + dur[t]), t));
+            }
+        }
+        let Some(event) = events.pop() else { break };
+        let t = task_of(event);
+        let time = undesc((event >> 64) as u64);
+        debug_assert!(time >= now);
+        now = time;
+        out.finish[t] = now;
+        completed += 1;
+        let p = proc[t] as usize;
+        out.proc_busy[p] += dur[t];
+        busy[p] = false;
+        hook.on_finish(TaskId(t as u32), now);
+
+        // Each newly ready successor joins its processor's queue; an
+        // idle processor starts its best ready task at once, before the
+        // next successor arrives and before its own offer. On an idle
+        // processor the successor is swapped for the queue's best task
+        // when that one is better, which is a push and a pop in one.
+        for &s in tg.succs(TaskId(t as u32)) {
+            let s = s.index();
+            indeg[s] -= 1;
+            if indeg[s] > 0 {
+                continue;
+            }
+            let (q, mut key) = (proc[s] as usize, ready_key(s));
+            if telemetry_on {
+                QUEUE_DEPTH_HIWATER.record_max((ready[q].len() + 1) as f64);
+            }
+            if busy[q] {
+                ready[q].push(key);
+                continue;
+            }
+            if let Some(mut best) = ready[q].peek_mut() {
+                if *best > key {
+                    key = std::mem::replace(&mut *best, key);
+                }
+            }
+            let t = task_of(key);
+            busy[q] = true;
+            out.start[t] = now;
+            hook.on_start(TaskId(t as u32), now);
+            events.push(pack(desc(now + dur[t]), t));
+        }
+        offers = p..p + 1;
     }
 
     assert_eq!(completed, n, "deadlock: task graph must be acyclic");
@@ -370,55 +365,6 @@ pub fn list_schedule_observed<H: ScheduleHook>(
         SCHEDULE_SECONDS.observe(t0.elapsed().as_secs_f64());
     }
     out.makespan = now;
-}
-
-/// Enqueue a ready task on its processor's heap.
-#[inline]
-fn push_ready(
-    tg: &TaskGraph,
-    t: TaskId,
-    priorities: Prio<'_>,
-    fifo: bool,
-    telemetry_on: bool,
-    ready: &mut [BinaryHeap<Key>],
-    seq: &mut u64,
-) {
-    let p = tg.proc_index(tg.task(t).proc);
-    let s = if fifo { *seq } else { t.0 as u64 };
-    *seq += 1;
-    ready[p].push(Key {
-        priority: priorities.get(t.index()),
-        seq: s,
-        task: t,
-    });
-    if telemetry_on {
-        QUEUE_DEPTH_HIWATER.record_max(ready[p].len() as f64);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dispatch<H: ScheduleHook>(
-    p: usize,
-    now: f64,
-    tg: &TaskGraph,
-    ready: &mut [BinaryHeap<Key>],
-    busy: &mut [bool],
-    start: &mut [f64],
-    events: &mut BinaryHeap<Done>,
-    hook: &mut H,
-) {
-    if busy[p] {
-        return;
-    }
-    if let Some(key) = ready[p].pop() {
-        busy[p] = true;
-        start[key.task.index()] = now;
-        hook.on_start(key.task, now);
-        events.push(Done {
-            time: now + tg.task(key.task).duration,
-            task: key.task,
-        });
-    }
 }
 
 /// A lower bound on the optimal makespan `T*`: the max of the critical
@@ -828,6 +774,204 @@ mod tests {
                 "case {case}: {got} vs {want}"
             );
         }
+    }
+
+    /// The scheduler before packed keys: comparator-ordered `Key` and
+    /// `Done` entries in `BinaryHeap`s, reading every `Task`. The
+    /// reference the packed-key scheduler must equal bit for bit.
+    mod reference {
+        use super::*;
+        use std::cmp::Ordering;
+
+        /// Higher priority first; among equals, lower sequence first.
+        #[derive(Clone, Copy, PartialEq)]
+        struct Key {
+            priority: f64,
+            seq: u64,
+            task: TaskId,
+        }
+
+        impl Eq for Key {}
+
+        impl Ord for Key {
+            fn cmp(&self, other: &Self) -> Ordering {
+                self.priority
+                    .total_cmp(&other.priority)
+                    .then_with(|| other.seq.cmp(&self.seq))
+            }
+        }
+
+        impl PartialOrd for Key {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        /// Earliest completion first; ties by task id.
+        #[derive(Clone, Copy, PartialEq)]
+        struct Done {
+            time: f64,
+            task: TaskId,
+        }
+
+        impl Eq for Done {}
+
+        impl Ord for Done {
+            fn cmp(&self, other: &Self) -> Ordering {
+                other
+                    .time
+                    .total_cmp(&self.time)
+                    .then_with(|| other.task.cmp(&self.task))
+            }
+        }
+
+        impl PartialOrd for Done {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        struct State<'a> {
+            tg: &'a TaskGraph,
+            priorities: Vec<f64>,
+            fifo: bool,
+            seq: u64,
+            ready: Vec<BinaryHeap<Key>>,
+            busy: Vec<bool>,
+            events: BinaryHeap<Done>,
+            out: Schedule,
+        }
+
+        impl State<'_> {
+            fn push_ready(&mut self, t: TaskId) {
+                let p = self.tg.proc_index(self.tg.task(t).proc);
+                let seq = if self.fifo { self.seq } else { t.0 as u64 };
+                self.seq += 1;
+                self.ready[p].push(Key {
+                    priority: self.priorities[t.index()],
+                    seq,
+                    task: t,
+                });
+            }
+
+            fn dispatch(&mut self, p: usize, now: f64) {
+                if self.busy[p] {
+                    return;
+                }
+                if let Some(key) = self.ready[p].pop() {
+                    self.busy[p] = true;
+                    self.out.start[key.task.index()] = now;
+                    self.events.push(Done {
+                        time: now + self.tg.task(key.task).duration,
+                        task: key.task,
+                    });
+                }
+            }
+        }
+
+        pub fn schedule(tg: &TaskGraph, policy: &OrderPolicy) -> Schedule {
+            let (n, num_procs) = (tg.len(), tg.num_procs());
+            let priorities = match policy {
+                OrderPolicy::RankBased => upward_ranks(tg),
+                OrderPolicy::Fifo => vec![0.0; n],
+                OrderPolicy::Priorities(p) => p.clone(),
+            };
+            let mut st = State {
+                tg,
+                priorities,
+                fifo: matches!(policy, OrderPolicy::Fifo),
+                seq: 0,
+                ready: (0..num_procs).map(|_| BinaryHeap::new()).collect(),
+                busy: vec![false; num_procs],
+                events: BinaryHeap::new(),
+                out: Schedule {
+                    makespan: 0.0,
+                    start: vec![f64::NAN; n],
+                    finish: vec![f64::NAN; n],
+                    proc_busy: vec![0.0; num_procs],
+                },
+            };
+            let mut indeg = tg.in_degrees().to_vec();
+            for t in tg.task_ids() {
+                if indeg[t.index()] == 0 {
+                    st.push_ready(t);
+                }
+            }
+            let mut now = 0.0f64;
+            for p in 0..num_procs {
+                st.dispatch(p, now);
+            }
+            while let Some(Done { time, task }) = st.events.pop() {
+                now = time;
+                st.out.finish[task.index()] = now;
+                let p = tg.proc_index(tg.task(task).proc);
+                st.out.proc_busy[p] += tg.task(task).duration;
+                st.busy[p] = false;
+                for &s in tg.succs(task) {
+                    indeg[s.index()] -= 1;
+                    if indeg[s.index()] == 0 {
+                        st.push_ready(s);
+                        st.dispatch(tg.proc_index(tg.task(s).proc), now);
+                    }
+                }
+                st.dispatch(p, now);
+            }
+            st.out.makespan = now;
+            st.out
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn packed_keys_schedule_as_the_comparator_reference() {
+        let mut scratch = ScheduleScratch::default();
+        let mut out = Schedule::default();
+        heterog_telemetry::rng::for_each_seed(300, |rng| {
+            let gpus = rng.gen_range(1..4usize) as u32;
+            let links = rng.gen_range(0..3usize) as u32;
+            let mut tg = TaskGraph::new("ref", gpus, links);
+            let n = rng.gen_range(1..60usize);
+            for i in 0..n {
+                // Few distinct dyadic durations, zero among them: equal
+                // finish times and instant tasks are common.
+                let d = [0.0, 0.25, 0.5, 1.0, 1.5][rng.gen_range(0..5usize)];
+                let p = rng.gen_range(0..(gpus + links) as usize) as u32;
+                let proc = if p < gpus {
+                    Proc::Gpu(p)
+                } else {
+                    Proc::Link(p - gpus)
+                };
+                let id = tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, proc, d));
+                for j in 0..i {
+                    if rng.gen_range(0..5usize) == 0 {
+                        tg.add_dep(TaskId(j as u32), id);
+                    }
+                }
+            }
+            // Priorities drawn from a few values, so ties are frequent.
+            let priorities = (0..n)
+                .map(|_| [-1.0, 0.0, 0.0, 2.0][rng.gen_range(0..4usize)])
+                .collect();
+            for policy in [
+                OrderPolicy::RankBased,
+                OrderPolicy::Fifo,
+                OrderPolicy::Priorities(priorities),
+            ] {
+                let want = reference::schedule(&tg, &policy);
+                list_schedule_into(&tg, &policy, &mut scratch, &mut out);
+                assert_eq!(
+                    out.makespan.to_bits(),
+                    want.makespan.to_bits(),
+                    "{policy:?}"
+                );
+                assert_eq!(bits(&out.start), bits(&want.start), "{policy:?}");
+                assert_eq!(bits(&out.finish), bits(&want.finish), "{policy:?}");
+                assert_eq!(bits(&out.proc_busy), bits(&want.proc_busy), "{policy:?}");
+            }
+        });
     }
 
     #[test]

@@ -4,11 +4,14 @@
 //! per call, while [`simulate_into`] reuses a caller-owned [`SimScratch`]
 //! and output report, and fuses the reference-counted memory accounting
 //! (§5) into the scheduling event loop via a [`ScheduleHook`] — one pass
-//! over the graph, zero heap allocations after warm-up.
+//! over the graph, zero heap allocations after warm-up. The hook folds
+//! each allocation and free into per-GPU running totals as it happens
+//! and records link intervals in start order, so neither memory events
+//! nor intervals are stored and sorted.
 
 use heterog_sched::{
     head_body_tail_bound_into, list_schedule_observed, OrderPolicy, Proc, Schedule, ScheduleHook,
-    ScheduleScratch, TaskGraph, TaskId,
+    ScheduleScratch, Task, TaskGraph, TaskId,
 };
 use heterog_telemetry::{Counter, Gauge, Histogram};
 
@@ -79,42 +82,62 @@ impl SimReport {
     }
 }
 
-/// Reusable buffers for [`simulate_into`]: scheduling scratch plus the
-/// memory-sweep event list and per-GPU accumulators. A warm scratch
-/// makes simulation allocation-free.
+/// Reusable buffers for [`simulate_into`]: scheduling scratch, the
+/// reference counts, the per-GPU memory accumulators and the link
+/// intervals in start order. A warm scratch makes simulation
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct SimScratch {
     sched: ScheduleScratch,
-    /// (time, gpu, ±bytes) alloc/free events collected by the hook.
-    events: Vec<(f64, u32, i64)>,
     /// Remaining-consumer counts per task (reference counting).
     remaining: Vec<u32>,
     cur: Vec<i64>,
     peak: Vec<i64>,
+    /// Per GPU, the time of its last allocation or free.
+    last: Vec<f64>,
     active: Vec<bool>,
     intervals: Vec<(f64, f64)>,
 }
 
 /// The fused memory tracker: observes the scheduling event loop and
-/// collects alloc/free events exactly as [`crate::memory::memory_usage`]
-/// derives them after the fact. An output allocates at its producer's
-/// dispatch; it frees when its remaining-consumer count hits zero —
-/// which happens while processing the last consumer's completion event,
-/// i.e. at the max consumer finish time (tasks without consumers free at
-/// their own finish).
+/// applies each alloc/free as [`crate::memory::memory_usage`] derives
+/// them after the fact. An output allocates at its producer's dispatch;
+/// it frees when its remaining-consumer count hits zero — which happens
+/// while processing the last consumer's completion event, i.e. at the
+/// max consumer finish time (tasks without consumers free at their own
+/// finish).
+///
+/// The events arrive in nondecreasing time. The post-hoc sweep applies
+/// a timestamp's frees before its allocations, so within one timestamp
+/// a GPU's running total first falls, then rises: its peak there is the
+/// larger of its totals before and after the timestamp. So each GPU's
+/// total is folded into its peak only when the GPU's next event comes
+/// at a later time, and once more at the end. The peaks are integers
+/// and equal the sweep's exactly. Each link task's interval is recorded
+/// at its start, which keeps the intervals in start order.
 struct MemHook<'a> {
     tg: &'a TaskGraph,
-    events: &'a mut Vec<(f64, u32, i64)>,
     remaining: &'a mut [u32],
+    cur: &'a mut [i64],
+    peak: &'a mut [i64],
+    last: &'a mut [f64],
+    intervals: &'a mut Vec<(f64, f64)>,
 }
 
 impl MemHook<'_> {
+    /// Applies `sign` times `task`'s output bytes at `time` on its GPU.
+    /// A link task holds none: in-flight bytes are accounted at endpoints.
     #[inline]
-    fn gpu_bytes(&self, t: TaskId) -> Option<(u32, i64)> {
-        let task = self.tg.task(t);
-        match task.proc {
-            Proc::Gpu(g) if task.output_bytes > 0 => Some((g, task.output_bytes as i64)),
-            _ => None, // in-flight bytes accounted at endpoints
+    fn apply(&mut self, task: &Task, time: f64, sign: i64) {
+        if let Proc::Gpu(g) = task.proc {
+            if task.output_bytes > 0 {
+                let g = g as usize;
+                if time > self.last[g] {
+                    self.peak[g] = self.peak[g].max(self.cur[g]);
+                    self.last[g] = time;
+                }
+                self.cur[g] += sign * task.output_bytes as i64;
+            }
         }
     }
 }
@@ -122,8 +145,13 @@ impl MemHook<'_> {
 impl ScheduleHook for MemHook<'_> {
     #[inline]
     fn on_start(&mut self, task: TaskId, time: f64) {
-        if let Some((g, bytes)) = self.gpu_bytes(task) {
-            self.events.push((time, g, bytes));
+        let task = self.tg.task(task);
+        if task.proc.is_link() {
+            if task.duration > 0.0 {
+                self.intervals.push((time, time + task.duration));
+            }
+        } else {
+            self.apply(task, time, 1);
         }
     }
 
@@ -132,17 +160,14 @@ impl ScheduleHook for MemHook<'_> {
         // Completion events arrive in nondecreasing time order, so when a
         // predecessor's count hits zero here, `time` equals the maximum
         // finish over its consumers — the seed accounting's release time.
+        let tg = self.tg;
         if self.remaining[task.index()] == 0 {
-            if let Some((g, bytes)) = self.gpu_bytes(task) {
-                self.events.push((time, g, -bytes));
-            }
+            self.apply(tg.task(task), time, -1);
         }
-        for &p in self.tg.preds(task) {
+        for &p in tg.preds(task) {
             self.remaining[p.index()] -= 1;
             if self.remaining[p.index()] == 0 {
-                if let Some((g, bytes)) = self.gpu_bytes(p) {
-                    self.events.push((time, g, -bytes));
-                }
+                self.apply(tg.task(p), time, -1);
             }
         }
     }
@@ -248,10 +273,10 @@ pub fn simulate_uncounted(
 
     let SimScratch {
         sched,
-        events,
         remaining,
         cur,
         peak,
+        last,
         active,
         intervals,
     } = scratch;
@@ -273,38 +298,29 @@ pub fn simulate_uncounted(
         }
     }
 
-    events.clear();
-    let mut hook = MemHook {
-        tg,
-        events,
-        remaining,
-    };
-    list_schedule_observed(tg, policy, sched, &mut out.schedule, &mut hook);
-
-    // Sweep: sort by time; at equal times apply frees before allocations
-    // — reference counts drop the moment the last consumer completes, so
-    // an op starting at exactly that timestamp sees the memory returned
-    // (TensorFlow's allocator behaves the same way). Remaining ties are
-    // independent (different GPUs) or identical deltas, so the unstable
-    // sort yields the same peaks as the seed's stable sort.
-    events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-
     cur.clear();
     cur.extend(memory.param_bytes.iter().map(|&p| p as i64));
     peak.clear();
     peak.extend_from_slice(cur);
-    for &(_, gpu, delta) in events.iter() {
-        let g = gpu as usize;
-        cur[g] += delta;
-        peak[g] = peak[g].max(cur[g]);
-    }
+    last.clear();
+    last.resize(num_gpus, f64::NEG_INFINITY);
+    intervals.clear();
+    let mut hook = MemHook {
+        tg,
+        remaining,
+        cur,
+        peak,
+        last,
+        intervals,
+    };
+    list_schedule_observed(tg, policy, sched, &mut out.schedule, &mut hook);
 
     // Charge the framework's resident workspace on every active GPU and
     // derive the OOM flags.
     memory.peak_bytes.clear();
     memory.oom.clear();
     for g in 0..num_gpus {
-        let mut p = peak[g].max(0) as u64;
+        let mut p = peak[g].max(cur[g]).max(0) as u64;
         if active[g] {
             p += RUNTIME_WORKSPACE_BYTES;
         }
@@ -319,25 +335,19 @@ pub fn simulate_uncounted(
     out.link_busy
         .extend_from_slice(&out.schedule.proc_busy[num_gpus..]);
     out.computation_time = out.gpu_busy.iter().cloned().fold(0.0, f64::max);
-    out.communication_time = link_active_union(tg, &out.schedule, intervals);
+    out.communication_time = link_active_union(intervals);
     out.iteration_time = out.schedule.makespan;
 }
 
-/// Union length of all intervals during which >= 1 link is transferring.
-fn link_active_union(tg: &TaskGraph, s: &Schedule, intervals: &mut Vec<(f64, f64)>) -> f64 {
-    intervals.clear();
-    intervals.extend(
-        tg.iter()
-            .filter(|(_, t)| t.proc.is_link() && t.duration > 0.0)
-            .map(|(id, _)| (s.start[id.index()], s.finish[id.index()])),
-    );
-    if intervals.is_empty() {
+/// Union length of all intervals during which >= 1 link is transferring,
+/// given in start order. Equal starts need no order among themselves:
+/// they merge into one segment whatever their order.
+fn link_active_union(intervals: &[(f64, f64)]) -> f64 {
+    let Some((&(mut cs, mut ce), rest)) = intervals.split_first() else {
         return 0.0;
-    }
-    intervals.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    };
     let mut total = 0.0;
-    let (mut cs, mut ce) = intervals[0];
-    for &(st, fi) in &intervals[1..] {
+    for &(st, fi) in rest {
         if st <= ce {
             ce = ce.max(fi);
         } else {
@@ -520,22 +530,95 @@ mod tests {
         tg
     }
 
-    #[test]
-    fn fused_memory_matches_post_hoc_accounting() {
-        let tg = busy_graph();
-        let caps = [1u64 << 31, 1 << 31, 1 << 31];
+    /// Union length of the link intervals, sorted by start: the
+    /// reference for the sort-free union.
+    fn sorted_link_union(tg: &TaskGraph, s: &Schedule) -> f64 {
+        let mut intervals: Vec<(f64, f64)> = tg
+            .iter()
+            .filter(|(_, t)| t.proc.is_link() && t.duration > 0.0)
+            .map(|(id, _)| (s.start[id.index()], s.finish[id.index()]))
+            .collect();
+        intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
+        link_active_union(&intervals)
+    }
+
+    /// Simulates `tg` under both policies and checks the streaming peaks
+    /// against [`memory_usage`] on the simulated schedule (plus the
+    /// workspace on active GPUs), and the communication time against
+    /// [`sorted_link_union`], bit for bit.
+    fn check_against_post_hoc(tg: &TaskGraph, caps: &[u64]) {
         for policy in [OrderPolicy::RankBased, OrderPolicy::Fifo] {
-            let r = simulate(&tg, &caps, &policy);
-            let reference = memory_usage(&tg, &r.schedule, &caps);
+            let r = simulate(tg, caps, &policy);
+            let reference = memory_usage(tg, &r.schedule, caps);
             for g in 0..tg.num_gpus as usize {
-                let workspace = if g < 2 { RUNTIME_WORKSPACE_BYTES } else { 0 };
+                let active = tg.iter().any(|(_, t)| t.proc == Proc::Gpu(g as u32));
+                let workspace = if active { RUNTIME_WORKSPACE_BYTES } else { 0 };
                 assert_eq!(
                     r.memory.peak_bytes[g],
                     reference.peak_bytes[g] + workspace,
-                    "gpu {g} under {policy:?}"
+                    "{}: gpu {g} under {policy:?}",
+                    tg.name
                 );
                 assert_eq!(r.memory.param_bytes[g], reference.param_bytes[g]);
             }
+            assert_eq!(
+                r.communication_time.to_bits(),
+                sorted_link_union(tg, &r.schedule).to_bits(),
+                "{} under {policy:?}",
+                tg.name
+            );
+        }
+    }
+
+    #[test]
+    fn fused_memory_matches_post_hoc_accounting() {
+        check_against_post_hoc(&busy_graph(), &[1u64 << 31, 1 << 31, 1 << 31]);
+    }
+
+    #[test]
+    fn streaming_peaks_match_post_hoc_accounting_on_random_graphs() {
+        heterog_telemetry::rng::for_each_seed(200, |rng| {
+            let gpus = rng.gen_range(1..4usize) as u32;
+            let links = rng.gen_range(0..3usize) as u32;
+            let mut tg = TaskGraph::new(format!("random{gpus}x{links}"), gpus, links);
+            let n = rng.gen_range(1..50usize);
+            for i in 0..n {
+                // Zero durations make allocations and frees share
+                // timestamps; few distinct sizes make equal deltas common.
+                let d = [0.0, 0.0, 0.5, 1.0][rng.gen_range(0..4usize)];
+                let p = rng.gen_range(0..(gpus + links) as usize) as u32;
+                let task = if p < gpus {
+                    Task::new(format!("t{i}"), OpKind::Conv2D, Proc::Gpu(p), d)
+                        .with_output_bytes([0, 16, 16, 48][rng.gen_range(0..4usize)])
+                        .with_param_bytes([0, 8][rng.gen_range(0..2usize)])
+                } else {
+                    Task::new(format!("t{i}"), OpKind::Transfer, Proc::Link(p - gpus), d)
+                };
+                let id = tg.add_task(task);
+                for j in 0..i {
+                    if rng.gen_range(0..4usize) == 0 {
+                        tg.add_dep(TaskId(j as u32), id);
+                    }
+                }
+            }
+            check_against_post_hoc(&tg, &[1 << 31; 3]);
+        });
+    }
+
+    #[test]
+    fn streaming_peaks_match_post_hoc_accounting_on_compiled_models() {
+        use heterog_compile::{compile, CommMethod, Strategy};
+        use heterog_graph::{BenchmarkModel, ModelSpec};
+        let cluster = heterog_cluster::paper_testbed_8gpu();
+        let caps = cluster.memory_capacities();
+        for (model, comm) in [
+            (BenchmarkModel::MobileNetV2, CommMethod::AllReduce),
+            (BenchmarkModel::Vgg19, CommMethod::Ps),
+        ] {
+            let g = ModelSpec::new(model, 32).build();
+            let s = Strategy::proportional(g.len(), &cluster, comm);
+            let tg = compile(&g, &cluster, &heterog_profile::GroundTruthCost, &s);
+            check_against_post_hoc(&tg, &caps);
         }
     }
 
