@@ -176,17 +176,12 @@ impl HeteroGPlanner {
                     settled[gi] = Some((moves, best));
                 }
                 visited += 1;
-                heterog_events::emit_with(|| {
-                    let stats = heterog_strategies::run_eval_stats();
-                    heterog_events::EventKind::SearchIteration {
-                        pass: pass as u64,
-                        visited,
-                        evals,
-                        best_makespan: cur_obj,
-                        candidate_makespan: best.1,
-                        cache_hits: stats.cache_hits,
-                        cache_misses: stats.cache_misses,
-                    }
+                heterog_events::emit_with(|| heterog_events::EventKind::SearchIteration {
+                    pass: pass as u64,
+                    visited,
+                    evals,
+                    best_makespan: cur_obj,
+                    candidate_makespan: best.1,
                 });
             }
             if !improved {

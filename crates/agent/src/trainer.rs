@@ -15,7 +15,7 @@ use heterog_graph::Graph;
 use heterog_nn::policy::argmax_rows;
 use heterog_nn::{sample_categorical, softmax_rows, Adam, Matrix, PolicyGradient};
 use heterog_profile::CostEstimator;
-use heterog_strategies::{group_ops, grouping::avg_op_times, EvalCache, Evaluation, Grouping};
+use heterog_strategies::{evaluate, group_ops, grouping::avg_op_times, Evaluation, Grouping};
 use heterog_telemetry::par::par_map;
 use heterog_telemetry::rng::{splitmix64, ChaCha8Rng};
 
@@ -40,10 +40,6 @@ static EPISODE_ENTROPY: heterog_telemetry::Gauge = heterog_telemetry::Gauge::new
 static TRAIN_EVALS_PER_SEC: heterog_telemetry::Gauge = heterog_telemetry::Gauge::new(
     "heterog_agent_train_evals_per_sec",
     "Candidate evaluations per wall-clock second of the last train call",
-);
-static TRAIN_CACHE_HIT_RATE: heterog_telemetry::Gauge = heterog_telemetry::Gauge::new(
-    "heterog_agent_eval_cache_hit_rate",
-    "Evaluation-cache hit rate of the agent's lifetime so far",
 );
 
 /// Mean Shannon entropy of each row of a probability matrix, in nats.
@@ -84,15 +80,9 @@ pub struct TrainerConfig {
     /// Candidate rollouts per episode (the batched-rollout K). With
     /// K = 1 the trainer is bit-identical to the original serial path;
     /// K > 1 samples K placements from the episode's (fixed) policy,
-    /// evaluates them in parallel through the shared [`EvalCache`], and
-    /// averages their policy gradients — more reward signal per forward/
-    /// backward pass.
+    /// evaluates them in parallel, and averages their policy gradients —
+    /// more reward signal per forward/backward pass.
     pub rollout_k: usize,
-    /// Force serial candidate evaluation even when `rollout_k > 1`.
-    /// Results are identical either way (each candidate draws from its
-    /// own seed-derived RNG stream and evaluation is pure); this exists
-    /// so tests can assert exactly that.
-    pub serial_eval: bool,
 }
 
 impl Default for TrainerConfig {
@@ -103,7 +93,6 @@ impl Default for TrainerConfig {
             groups: 32,
             seed: 0x5EED,
             rollout_k: 1,
-            serial_eval: false,
         }
     }
 }
@@ -132,14 +121,16 @@ pub struct TrainRecord {
 
 impl TrainRecord {
     /// Episodes until a sampled strategy got within `tol` of the best
-    /// (the "time to find the best strategy" of Table 6).
-    pub fn episodes_to_within(&self, tol: f64) -> usize {
+    /// (the "time to find the best strategy" of Table 6): all of them
+    /// when no episode's reward reached it, `None` when no sampled
+    /// strategy fit in memory.
+    pub fn episodes_to_within(&self, tol: f64) -> Option<usize> {
+        if !self.best_time.is_finite() {
+            return None;
+        }
         let target = -(self.best_time * (1.0 + tol)).sqrt();
-        self.rewards
-            .iter()
-            .position(|&r| r >= target)
-            .map(|p| p + 1)
-            .unwrap_or(self.rewards.len())
+        let reached = self.rewards.iter().position(|&r| r >= target);
+        Some(reached.map_or(self.rewards.len(), |p| p + 1))
     }
 }
 
@@ -161,11 +152,6 @@ pub struct RlAgent {
     net: Option<PolicyNet>,
     adam: Adam,
     rng: ChaCha8Rng,
-    /// Strategy-evaluation memo shared across episodes and train calls.
-    /// As the policy sharpens, sampled placements collapse onto a small
-    /// set of distinct strategies; hits skip the whole
-    /// compile→schedule→simulate pipeline.
-    cache: EvalCache,
     /// Best feasible sampled strategy and its iteration time per
     /// (graph name, batch size, cluster fingerprint), kept across train
     /// calls; [`RlAgent::plan`] falls back to it.
@@ -182,14 +168,8 @@ impl RlAgent {
             net: None,
             adam,
             rng,
-            cache: EvalCache::new(),
             best: HashMap::new(),
         }
-    }
-
-    /// Evaluation-cache hits/misses accumulated by this agent.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
     }
 
     /// Trains on `graphs` (round-robin) for `cfg.episodes` episodes.
@@ -270,16 +250,8 @@ impl RlAgent {
                 .iter()
                 .map(|a| actions_to_strategy(&ctx.graph, cluster, &ctx.grouping, a))
                 .collect();
-            let cache = &self.cache;
             let graph = &ctx.graph;
-            let evals: Vec<Evaluation> = if k == 1 || self.cfg.serial_eval {
-                strategies
-                    .iter()
-                    .map(|s| cache.evaluate(graph, cluster, cost, s))
-                    .collect()
-            } else {
-                par_map(&strategies, |s| cache.evaluate(graph, cluster, cost, s))
-            };
+            let evals = par_map(&strategies, |s| evaluate(graph, cluster, cost, s));
             total_evals += k as u64;
             let rewards: Vec<f64> = evals.iter().map(Evaluation::reward).collect();
 
@@ -321,8 +293,6 @@ impl RlAgent {
                 baseline: ctx.baseline,
                 entropy: mean_row_entropy(&probs),
                 best_time: ctx.record.best_time,
-                cache_hits: cache.hits(),
-                cache_misses: cache.misses(),
             });
 
             // Policy-gradient step: sum the per-candidate gradients and
@@ -359,7 +329,6 @@ impl RlAgent {
             if secs > 0.0 {
                 TRAIN_EVALS_PER_SEC.set(total_evals as f64 / secs);
             }
-            TRAIN_CACHE_HIT_RATE.set(self.cache.hit_rate());
         }
 
         let fingerprint = cluster.fingerprint();
@@ -392,7 +361,7 @@ impl RlAgent {
         let Some((best_time, best)) = self.best.get(&key) else {
             return greedy;
         };
-        let decoded = self.cache.evaluate(g, cluster, cost, &greedy);
+        let decoded = evaluate(g, cluster, cost, &greedy);
         if decoded.oom || decoded.iteration_time > *best_time {
             best.clone()
         } else {
@@ -409,10 +378,9 @@ impl RlAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heterog_cluster::paper_testbed_8gpu;
+    use heterog_cluster::{paper_testbed_8gpu, Device};
     use heterog_graph::{BenchmarkModel, ModelSpec};
     use heterog_profile::GroundTruthCost;
-    use heterog_strategies::evaluate;
 
     fn tiny_cfg(episodes: usize) -> TrainerConfig {
         TrainerConfig {
@@ -496,6 +464,9 @@ mod tests {
         assert_eq!(recs[0].rewards.len(), 10);
     }
 
+    /// Two runs agree bit for bit. CI runs this crate's tests again at
+    /// `RAYON_NUM_THREADS=1`, where every batch evaluates serially, so
+    /// the serial and parallel evaluation modes are both checked.
     #[test]
     fn batched_rollouts_are_deterministic_across_runs_and_eval_modes() {
         let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
@@ -504,11 +475,8 @@ mod tests {
             rollout_k: 3,
             ..tiny_cfg(6)
         };
-        let run = |serial: bool| {
-            let mut agent = RlAgent::new(TrainerConfig {
-                serial_eval: serial,
-                ..cfg.clone()
-            });
+        let run = || {
+            let mut agent = RlAgent::new(cfg.clone());
             let recs = agent.train(&[&g], &c, &GroundTruthCost);
             let plan = agent.plan(&g, &c, &GroundTruthCost);
             let net = agent.net.as_mut().expect("trained");
@@ -519,22 +487,16 @@ mod tests {
                 .collect();
             (recs, plan, policy)
         };
-        let (recs_a, plan_a, policy_a) = run(false);
-        let (recs_b, plan_b, policy_b) = run(false);
-        let (recs_c, plan_c, policy_c) = run(true);
+        let (recs_a, plan_a, policy_a) = run();
+        let (recs_b, plan_b, policy_b) = run();
         let bits = |recs: &[TrainRecord]| -> Vec<u64> {
             recs[0].rewards.iter().map(|r| r.to_bits()).collect()
         };
-        // Two parallel runs: bit-identical rewards, network parameters
-        // and plans.
+        // Bit-identical rewards, network parameters and plans: thread
+        // scheduling does not leak into results.
         assert_eq!(bits(&recs_a), bits(&recs_b));
         assert_eq!(policy_a, policy_b);
         assert_eq!(plan_a, plan_b);
-        // Serial evaluation of the same batch: also identical — thread
-        // scheduling must not leak into results.
-        assert_eq!(bits(&recs_a), bits(&recs_c));
-        assert_eq!(policy_a, policy_c);
-        assert_eq!(plan_a, plan_c);
     }
 
     #[test]
@@ -545,9 +507,9 @@ mod tests {
         let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
         let c = paper_testbed_8gpu();
         let mut agent = RlAgent::new(tiny_cfg(4));
-        let recs = agent.train(&[&g], &c, &GroundTruthCost);
-        let (hits, misses) = agent.cache_stats();
-        assert_eq!(hits + misses, 4, "one evaluation per episode at K=1");
+        let (recs, stats) =
+            heterog_strategies::count_evaluations(|| agent.train(&[&g], &c, &GroundTruthCost));
+        assert_eq!(stats.evaluations, 4, "one evaluation per episode at K=1");
 
         let mut replay = RlAgent::new(tiny_cfg(4));
         let recs2 = replay.train(&[&g], &c, &GroundTruthCost);
@@ -574,6 +536,27 @@ mod tests {
             best_episode: 3,
         };
         // target reward for tol 0.2: -sqrt(1.2) ≈ -1.095.
-        assert_eq!(rec.episodes_to_within(0.2), 3);
+        assert_eq!(rec.episodes_to_within(0.2), Some(3));
+    }
+
+    #[test]
+    fn a_run_without_a_feasible_sample_never_learns() {
+        // Every replica needs far more than a 1 MiB device holds.
+        let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+        let testbed = paper_testbed_8gpu();
+        let tiny = testbed
+            .devices()
+            .iter()
+            .map(|d| Device {
+                memory_bytes: 1 << 20,
+                ..*d
+            })
+            .collect();
+        let c = Cluster::new(testbed.servers().to_vec(), tiny);
+        let mut agent = RlAgent::new(tiny_cfg(3));
+        let rec = agent.train(&[&g], &c, &GroundTruthCost).remove(0);
+        assert_eq!(rec.best_time, f64::INFINITY);
+        assert_eq!(rec.episodes_to_within(1e-9), None);
+        assert_eq!(rec.episodes_to_within(0.05), None);
     }
 }

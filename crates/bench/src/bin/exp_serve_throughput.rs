@@ -13,7 +13,7 @@
 //! Run: `cargo run --release -p heterog-bench --bin exp_serve_throughput`
 //! (add `--smoke` for a CI-sized run). Writes `BENCH_serve_throughput.json`
 //! with p50/p99 latency, plans/sec, the coalesce rate, and the memo /
-//! eval-cache / cross-tenant hit rates.
+//! cross-tenant hit rates.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

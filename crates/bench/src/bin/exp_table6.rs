@@ -91,17 +91,24 @@ fn main() {
         let rec_f = pre.train(&[&graphs[i]], &cluster, &GroundTruthCost);
         let eps_fine = rec_f[0].episodes_to_within(0.05);
 
-        let ratio = eps_fine as f64 / eps_scratch.max(1) as f64;
+        // A run that never sampled a feasible strategy never learned:
+        // it prints `never` and records null.
+        let ratio = match (eps_fine, eps_scratch) {
+            (Some(f), Some(s)) => f as f64 / s.max(1) as f64,
+            _ => f64::NAN,
+        };
+        let never = |eps: Option<usize>| eps.map_or("never".to_string(), |n| n.to_string());
         println!(
             "{:<16}{:>14}{:>16}{:>8.1}%",
             spec.model.display_name(),
-            eps_scratch,
-            eps_fine,
+            never(eps_scratch),
+            never(eps_fine),
             100.0 * ratio
         );
+        let episodes = |eps: Option<usize>| eps.map_or(f64::NAN, |n| n as f64);
         let mut m = BTreeMap::new();
-        m.insert("from_scratch_episodes".into(), eps_scratch as f64);
-        m.insert("fine_tune_episodes".into(), eps_fine as f64);
+        m.insert("from_scratch_episodes".into(), episodes(eps_scratch));
+        m.insert("fine_tune_episodes".into(), episodes(eps_fine));
         m.insert("ratio".into(), ratio);
         m.insert("scratch_best_time_s".into(), rec_s[0].best_time);
         m.insert("fine_tune_best_time_s".into(), rec_f[0].best_time);

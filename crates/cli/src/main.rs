@@ -101,7 +101,7 @@ OBSERVABILITY (plan):
 
 LIVE EVENTS (plan, train, elastic):
   --progress            live status line on stderr (~10 Hz): completion,
-                        best-makespan sparkline, evals/s, cache hit rate, ETA
+                        best-makespan sparkline, evals/s, ETA
   --events-out <file>   stream every pipeline event as one JSON line, after
                         a run-manifest header (model, cluster fingerprint,
                         seed, argv) with monotone sequence numbers
@@ -651,7 +651,11 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
         rec.best_episode + 1
     );
     println!("learned plan:      {:.4} s/iter", eval.iteration_time);
-    println!("episodes to best:  {}", rec.episodes_to_within(1e-9).max(1));
+    println!(
+        "episodes to best:  {}",
+        rec.episodes_to_within(1e-9)
+            .map_or("never".to_string(), |n| n.to_string())
+    );
     if let Some(h) = session.archive() {
         let outcome = if eval.oom { "oom" } else { "ok" };
         h.set_digest(&heterog::explain::quick_digest(&spec.label(), &eval.report));
@@ -1089,12 +1093,12 @@ fn runs_timeline(store: &runs::RunStore, flags: &HashMap<String, String>) -> Res
         printed = true;
         println!("{model} / {planner}");
         println!(
-            "  {:<22}{:>12}{:>12}{:>10}{:>9}{:>8}{:>6}",
-            "run", "started", "best s/it", "evals/s", "cache", "repair", "OOM"
+            "  {:<22}{:>12}{:>12}{:>10}{:>8}{:>6}",
+            "run", "started", "best s/it", "evals/s", "repair", "OOM"
         );
         for p in points {
             println!(
-                "  {:<22}{:>12}{:>12}{:>10.1}{:>8.0}%{:>8}{:>6}",
+                "  {:<22}{:>12}{:>12}{:>10.1}{:>8}{:>6}",
                 p.id,
                 p.started_unix,
                 if p.best_makespan.is_finite() {
@@ -1103,7 +1107,6 @@ fn runs_timeline(store: &runs::RunStore, flags: &HashMap<String, String>) -> Res
                     "-".into()
                 },
                 p.evals_per_sec,
-                100.0 * p.cache_hit_rate,
                 p.repair_evals,
                 if p.oom { "yes" } else { "no" }
             );

@@ -330,9 +330,8 @@ impl Cluster {
     /// server, memory) and link processors (kind, bandwidth, latency).
     ///
     /// Two clusters with the same fingerprint present the same hardware
-    /// to the compiler and simulator, so strategy evaluations cached
-    /// under one are valid for the other (see `heterog-strategies`'s
-    /// `EvalCache`). Floats hash by bit pattern.
+    /// to the compiler and simulator, so a plan or evaluation kept for
+    /// one is valid for the other. Floats hash by bit pattern.
     pub fn fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();

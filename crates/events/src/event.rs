@@ -43,10 +43,6 @@ pub enum EventKind {
         /// pruned candidates' bounds: at most every candidate's
         /// objective, and the objective moved to when the visit moved.
         candidate_makespan: f64,
-        /// Process-global eval-cache hits at this point.
-        cache_hits: u64,
-        /// Process-global eval-cache misses at this point.
-        cache_misses: u64,
     },
     /// One REINFORCE episode of the RL agent.
     RlEpisode {
@@ -60,10 +56,6 @@ pub enum EventKind {
         entropy: f64,
         /// Best sampled iteration time so far, seconds.
         best_time: f64,
-        /// Agent eval-cache hits so far.
-        cache_hits: u64,
-        /// Agent eval-cache misses so far.
-        cache_misses: u64,
     },
     /// One strategy went through compile → schedule → simulate.
     StrategyEvaluated {
@@ -121,20 +113,6 @@ pub enum EventKind {
         /// Iterations stalled at the degraded makespan.
         stall_iterations: u64,
     },
-    /// An incremental re-simulation answered a re-priced copy of a
-    /// previously simulated task graph (what-if sweeps, repair scoring,
-    /// RL reward probes).
-    IncrementalResim {
-        /// Tasks re-executed: 0 when the base report was reused, else
-        /// `total` (one fresh simulation).
-        replayed: u64,
-        /// Tasks in the graph.
-        total: u64,
-        /// Tasks whose duration differs from the base graph's.
-        dirty: u64,
-        /// Makespan of the perturbed schedule.
-        makespan: f64,
-    },
     /// The invocation reached a terminal state and its results are
     /// final. Emitted exactly once, last, by the CLI (and any embedder
     /// that wants its runs archived): the run archiver refuses to
@@ -173,7 +151,6 @@ impl EventKind {
             EventKind::ElasticIteration { .. } => "elastic_iteration",
             EventKind::Fault { .. } => "fault",
             EventKind::Repair { .. } => "repair",
-            EventKind::IncrementalResim { .. } => "incremental_resim",
             EventKind::RunFinished { .. } => "run_finished",
             EventKind::Probe { .. } => "probe",
         }
@@ -208,16 +185,12 @@ impl ToJson for Event {
                 evals,
                 best_makespan,
                 candidate_makespan,
-                cache_hits,
-                cache_misses,
             } => members.extend([
                 ("pass", pass.to_value()),
                 ("visited", visited.to_value()),
                 ("evals", evals.to_value()),
                 ("best_makespan", best_makespan.to_value()),
                 ("candidate_makespan", candidate_makespan.to_value()),
-                ("cache_hits", cache_hits.to_value()),
-                ("cache_misses", cache_misses.to_value()),
             ]),
             EventKind::RlEpisode {
                 episode,
@@ -225,16 +198,12 @@ impl ToJson for Event {
                 baseline,
                 entropy,
                 best_time,
-                cache_hits,
-                cache_misses,
             } => members.extend([
                 ("episode", episode.to_value()),
                 ("reward", reward.to_value()),
                 ("baseline", baseline.to_value()),
                 ("entropy", entropy.to_value()),
                 ("best_time", best_time.to_value()),
-                ("cache_hits", cache_hits.to_value()),
-                ("cache_misses", cache_misses.to_value()),
             ]),
             EventKind::StrategyEvaluated { makespan, oom } => {
                 members.extend([("makespan", makespan.to_value()), ("oom", oom.to_value())])
@@ -287,17 +256,6 @@ impl ToJson for Event {
                 ("repaired_makespan", repaired_makespan.to_value()),
                 ("repair_evals", repair_evals.to_value()),
                 ("stall_iterations", stall_iterations.to_value()),
-            ]),
-            EventKind::IncrementalResim {
-                replayed,
-                total,
-                dirty,
-                makespan,
-            } => members.extend([
-                ("replayed", replayed.to_value()),
-                ("total", total.to_value()),
-                ("dirty", dirty.to_value()),
-                ("makespan", makespan.to_value()),
             ]),
             EventKind::RunFinished {
                 outcome,
@@ -381,8 +339,6 @@ mod tests {
                 baseline: 0.0,
                 entropy: 0.5,
                 best_time: f64::INFINITY,
-                cache_hits: 0,
-                cache_misses: 1,
             },
         };
         assert!(e.to_json_line().contains("\"best_time\":null"));
@@ -418,8 +374,6 @@ mod tests {
                 evals: 0,
                 best_makespan: 0.0,
                 candidate_makespan: 0.0,
-                cache_hits: 0,
-                cache_misses: 0,
             },
             EventKind::RlEpisode {
                 episode: 0,
@@ -427,8 +381,6 @@ mod tests {
                 baseline: 0.0,
                 entropy: 0.0,
                 best_time: 0.0,
-                cache_hits: 0,
-                cache_misses: 0,
             },
             EventKind::StrategyEvaluated {
                 makespan: 0.0,
@@ -460,12 +412,6 @@ mod tests {
                 repaired_makespan: 0.0,
                 repair_evals: 0,
                 stall_iterations: 0,
-            },
-            EventKind::IncrementalResim {
-                replayed: 0,
-                total: 0,
-                dirty: 0,
-                makespan: 0.0,
             },
             EventKind::RunFinished {
                 outcome: "ok".into(),

@@ -4,7 +4,7 @@
 //! **stderr** (stdout is reserved for results, so `--progress` cannot
 //! change output bytes), redrawn in place with `\r` and throttled to
 //! ~10 Hz. Shows phase, completion, a best-makespan sparkline, evals/s,
-//! cache hit rate, and an ETA extrapolated from [`EventKind::RunStarted`]'s
+//! and an ETA extrapolated from [`EventKind::RunStarted`]'s
 //! `total_units`.
 
 use std::io::Write;
@@ -64,8 +64,6 @@ pub struct ProgressRenderer {
     best: Option<f64>,
     history: Vec<f64>,
     evals: u64,
-    cache_hits: u64,
-    cache_misses: u64,
     started: Instant,
     last_render: Option<Instant>,
     drew_anything: bool,
@@ -87,8 +85,6 @@ impl ProgressRenderer {
             best: None,
             history: Vec::new(),
             evals: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             started: Instant::now(),
             last_render: None,
             drew_anything: false,
@@ -131,13 +127,6 @@ impl ProgressRenderer {
         }
         if self.evals > 0 {
             line.push_str(&format!("{:.0} evals/s ", self.evals as f64 / elapsed));
-        }
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups > 0 {
-            line.push_str(&format!(
-                "cache {:.0}% ",
-                100.0 * self.cache_hits as f64 / lookups as f64
-            ));
         }
         if self.total > 0 && self.done > 0 && self.done < self.total {
             let eta = elapsed * (self.total - self.done) as f64 / self.done as f64;
@@ -187,26 +176,16 @@ impl EventSink for ProgressRenderer {
                 visited,
                 evals,
                 best_makespan,
-                cache_hits,
-                cache_misses,
                 ..
             } => {
                 self.done = *visited;
                 self.evals = *evals;
-                self.cache_hits = *cache_hits;
-                self.cache_misses = *cache_misses;
                 self.note_best(*best_makespan);
             }
             EventKind::RlEpisode {
-                episode,
-                best_time,
-                cache_hits,
-                cache_misses,
-                ..
+                episode, best_time, ..
             } => {
                 self.done = episode + 1;
-                self.cache_hits = *cache_hits;
-                self.cache_misses = *cache_misses;
                 self.note_best(*best_time);
             }
             EventKind::StrategyEvaluated { .. } => {
@@ -296,14 +275,11 @@ mod tests {
         p.total = 100;
         p.done = 25;
         p.evals = 50;
-        p.cache_hits = 30;
-        p.cache_misses = 10;
         p.note_best(2.0);
         p.note_best(1.5);
         let line = p.line();
         assert!(line.starts_with("plan-search 25/100 (25%)"));
         assert!(line.contains("best 1.5000s"));
-        assert!(line.contains("cache 75%"));
         assert!(line.contains("eta "));
     }
 

@@ -96,8 +96,6 @@ fn decode_kind(v: &Value, tag: &str) -> Result<EventKind, Undecodable> {
             evals: uint(v, "evals")?,
             best_makespan: num(v, "best_makespan")?,
             candidate_makespan: num(v, "candidate_makespan")?,
-            cache_hits: uint(v, "cache_hits")?,
-            cache_misses: uint(v, "cache_misses")?,
         },
         "rl_episode" => EventKind::RlEpisode {
             episode: uint(v, "episode")?,
@@ -105,8 +103,6 @@ fn decode_kind(v: &Value, tag: &str) -> Result<EventKind, Undecodable> {
             baseline: num(v, "baseline")?,
             entropy: num(v, "entropy")?,
             best_time: num(v, "best_time")?,
-            cache_hits: uint(v, "cache_hits")?,
-            cache_misses: uint(v, "cache_misses")?,
         },
         "strategy_evaluated" => EventKind::StrategyEvaluated {
             makespan: num(v, "makespan")?,
@@ -138,12 +134,6 @@ fn decode_kind(v: &Value, tag: &str) -> Result<EventKind, Undecodable> {
             repaired_makespan: num(v, "repaired_makespan")?,
             repair_evals: uint(v, "repair_evals")?,
             stall_iterations: uint(v, "stall_iterations")?,
-        },
-        "incremental_resim" => EventKind::IncrementalResim {
-            replayed: uint(v, "replayed")?,
-            total: uint(v, "total")?,
-            dirty: uint(v, "dirty")?,
-            makespan: num(v, "makespan")?,
         },
         "run_finished" => EventKind::RunFinished {
             outcome: string(v, "outcome")?,

@@ -53,8 +53,6 @@ fn all_kinds() -> Vec<Event> {
                 evals: 17,
                 best_makespan: 0.125,
                 candidate_makespan: 0.5,
-                cache_hits: 4,
-                cache_misses: 13,
             },
         ),
         event(
@@ -65,8 +63,6 @@ fn all_kinds() -> Vec<Event> {
                 baseline: -0.25,
                 entropy: 1.5,
                 best_time: 0.25,
-                cache_hits: 1,
-                cache_misses: 2,
             },
         ),
         event(
@@ -120,15 +116,6 @@ fn all_kinds() -> Vec<Event> {
         ),
         event(
             9,
-            EventKind::IncrementalResim {
-                replayed: 128,
-                total: 4096,
-                dirty: 16,
-                makespan: 0.25,
-            },
-        ),
-        event(
-            10,
             EventKind::RunFinished {
                 outcome: "ok".into(),
                 makespan: 0.25,
@@ -136,7 +123,7 @@ fn all_kinds() -> Vec<Event> {
             },
         ),
         event(
-            11,
+            10,
             EventKind::Probe {
                 producer: 1,
                 index: 0,

@@ -123,7 +123,7 @@ impl CriticalPath {
 /// Extracts the simulated critical path from a scheduled task graph.
 ///
 /// Panics unless `s` holds a start and a finish time for every task of
-/// `tg`; an evaluation served by the eval cache has none.
+/// `tg`; an evaluation the serve plan memo kept has none.
 pub fn critical_path(tg: &TaskGraph, s: &Schedule) -> CriticalPath {
     s.assert_covers(tg.len());
     if tg.is_empty() {
@@ -294,7 +294,9 @@ mod tests {
         let c = paper_testbed_8gpu();
         let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
         let tg = compile(&g, &c, &GroundTruthCost, &s);
-        let cached = heterog_strategies::EvalCache::new().evaluate(&g, &c, &GroundTruthCost, &s);
+        // As the serve plan memo keeps it.
+        let cached =
+            heterog_strategies::evaluate(&g, &c, &GroundTruthCost, &s).without_task_times();
         critical_path(&tg, &cached.report.schedule);
     }
 

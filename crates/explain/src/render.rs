@@ -199,13 +199,10 @@ pub fn render_text(rep: &ExplainReport) -> String {
     let e = &rep.eval_stats;
     let _ = writeln!(
         out,
-        "\nplanner loop: {} evaluations in {:.2} s ({:.0} evals/s), eval cache: {} hits / {} misses ({} hit rate)",
+        "\nplanner loop: {} evaluations in {:.2} s ({:.0} evals/s)",
         e.evaluations,
         e.eval_seconds,
         e.evals_per_sec(),
-        e.cache_hits,
-        e.cache_misses,
-        pct(e.hit_rate()),
     );
     let _ = writeln!(
         out,
@@ -314,8 +311,6 @@ impl ToJson for ExplainReport {
                 "evaluations" => e.evaluations,
                 "eval_seconds" => e.eval_seconds,
                 "evals_per_sec" => e.evals_per_sec(),
-                "cache_hits" => e.cache_hits,
-                "cache_misses" => e.cache_misses,
                 "incremental_fast" => e.incremental_fast,
                 "incremental_full" => e.incremental_full,
                 "incremental_hit_rate" => e.incremental_hit_rate(),
@@ -485,13 +480,10 @@ pub fn render_html(rep: &ExplainReport, trace_json: &str) -> String {
 
     let e = &rep.eval_stats;
     let footer = format!(
-        "planner loop: {} evaluations in {:.2} s ({:.0} evals/s) — eval cache {} hits / {} misses ({} hit rate) — incremental {} fast / {} full ({} served incrementally)",
+        "planner loop: {} evaluations in {:.2} s ({:.0} evals/s) — incremental {} fast / {} full ({} served incrementally)",
         e.evaluations,
         e.eval_seconds,
         e.evals_per_sec(),
-        e.cache_hits,
-        e.cache_misses,
-        pct(e.hit_rate()),
         e.incremental_fast,
         e.incremental_full,
         pct(e.incremental_hit_rate())
@@ -599,7 +591,7 @@ mod tests {
         assert!(text.contains("simulated critical path"));
         assert!(text.contains("what-if"));
         assert!(text.contains("planner loop:"));
-        assert!(text.contains("eval cache:"));
+        assert!(text.contains("incremental:"));
     }
 
     #[test]

@@ -19,8 +19,6 @@ pub struct TimelinePoint {
     pub best_makespan: f64,
     /// Strategy evaluations per second of stream time.
     pub evals_per_sec: f64,
-    /// Eval-cache hit rate at the end of the run (0 when unused).
-    pub cache_hit_rate: f64,
     /// Total evaluations spent on elastic repairs.
     pub repair_evals: u64,
     /// Whether the run ended OOM.
@@ -56,8 +54,6 @@ pub fn timeline_point(run: &StoredRun) -> TimelinePoint {
     let mut best = f64::INFINITY;
     let mut evals = 0u64;
     let mut evaluated = 0u64;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
     let mut repair_evals = 0u64;
     let mut last_ts = 0.0f64;
     let mut oom = false;
@@ -72,25 +68,12 @@ pub fn timeline_point(run: &StoredRun) -> TimelinePoint {
             EventKind::SearchIteration {
                 evals: ev,
                 best_makespan,
-                cache_hits,
-                cache_misses,
                 ..
             } => {
                 evals = *ev;
-                hits = *cache_hits;
-                misses = *cache_misses;
                 note(*best_makespan);
             }
-            EventKind::RlEpisode {
-                best_time,
-                cache_hits,
-                cache_misses,
-                ..
-            } => {
-                hits = *cache_hits;
-                misses = *cache_misses;
-                note(*best_time);
-            }
+            EventKind::RlEpisode { best_time, .. } => note(*best_time),
             EventKind::StrategyEvaluated { makespan, oom } => {
                 evaluated += 1;
                 if !*oom {
@@ -116,18 +99,12 @@ pub fn timeline_point(run: &StoredRun) -> TimelinePoint {
         oom |= eval.oom;
     }
     let evals = evals.max(evaluated);
-    let lookups = hits + misses;
     TimelinePoint {
         id: run.id.clone(),
         started_unix: manifest.started_unix,
         best_makespan: if best.is_finite() { best } else { f64::NAN },
         evals_per_sec: if last_ts > 0.0 {
             evals as f64 / last_ts
-        } else {
-            0.0
-        },
-        cache_hit_rate: if lookups > 0 {
-            hits as f64 / lookups as f64
         } else {
             0.0
         },
@@ -180,7 +157,7 @@ mod tests {
     #[test]
     fn timeline_point_folds_the_stream() {
         let log = stream(&[
-            r#"{"seq":0,"ts":0.5,"type":"search_iteration","pass":0,"visited":4,"evals":40,"best_makespan":0.2,"candidate_makespan":0.3,"cache_hits":30,"cache_misses":10}"#,
+            r#"{"seq":0,"ts":0.5,"type":"search_iteration","pass":0,"visited":4,"evals":40,"best_makespan":0.2,"candidate_makespan":0.3}"#,
             r#"{"seq":1,"ts":1.0,"type":"repair","iteration":9,"action":"full-replan","degraded_makespan":0.4,"repaired_makespan":0.2,"repair_evals":7,"stall_iterations":1}"#,
             r#"{"seq":2,"ts":2.0,"type":"run_finished","outcome":"ok","makespan":0.2,"oom":false}"#,
         ]);
@@ -196,7 +173,33 @@ mod tests {
         assert_eq!(p.best_makespan, 0.2);
         assert_eq!(p.repair_evals, 7);
         assert!((p.evals_per_sec - 20.0).abs() < 1e-9);
-        assert!((p.cache_hit_rate - 0.75).abs() < 1e-9);
         assert!(!p.oom);
+    }
+
+    /// Streams written while events still carried eval-cache counters
+    /// and re-simulation lines load: the extra fields are ignored and
+    /// the retired event kind counts as unknown.
+    #[test]
+    fn logs_with_retired_fields_and_kinds_still_load() {
+        let log = stream(&[
+            r#"{"seq":0,"ts":0.5,"type":"search_iteration","pass":0,"visited":4,"evals":40,"best_makespan":0.3,"candidate_makespan":0.4,"cache_hits":0,"cache_misses":0}"#,
+            r#"{"seq":1,"ts":0.75,"type":"incremental_resim","replayed":0,"total":4096,"dirty":0,"makespan":0.35}"#,
+            r#"{"seq":2,"ts":1.0,"type":"rl_episode","episode":0,"reward":-0.5,"baseline":-0.5,"entropy":1.5,"best_time":0.25,"cache_hits":6,"cache_misses":44}"#,
+            r#"{"seq":3,"ts":2.0,"type":"run_finished","outcome":"ok","makespan":0.25,"oom":false}"#,
+        ]);
+        assert!(!log.truncated);
+        assert_eq!((log.events.len(), log.unknown), (3, 1));
+        assert_eq!(search_progress(&log), vec![0.3, 0.25]);
+        let run = StoredRun {
+            id: "r0-old".into(),
+            dir: std::path::PathBuf::new(),
+            log,
+            digest: None,
+            evaluation: None,
+            has_flight: false,
+        };
+        let p = timeline_point(&run);
+        assert_eq!(p.best_makespan, 0.25);
+        assert!((p.evals_per_sec - 20.0).abs() < 1e-9);
     }
 }

@@ -20,15 +20,44 @@
 //! communication breakdown (Fig. 8) on top of the resulting schedule,
 //! and exports Chrome-tracing timelines for inspection.
 
-pub mod incremental;
 pub mod memory;
 pub mod report;
 pub mod trace;
 
-pub use incremental::{incremental_sim_stats, resimulate_into, IncrementalSimStats};
 pub use memory::{memory_usage, MemoryReport};
 pub use report::{
     makespan_bound_into, simulate, simulate_into, simulate_uncounted, time_breakdown, SimReport,
     SimScratch,
 };
 pub use trace::{chrome_trace_events, chrome_trace_json};
+
+static RESIMS: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
+    "heterog_sim_incremental_resims_total",
+    "Re-priced task graphs answered against a simulated base",
+);
+
+/// Counts one re-priced task graph answered against a simulated base
+/// (`heterog_strategies::IncrementalEvaluator`'s cluster perturbations),
+/// while telemetry is enabled.
+pub fn count_resim() {
+    RESIMS.inc();
+}
+
+/// The re-simulation counter as the benchmark reads it. ROADMAP item 6
+/// removes this struct with the benchmark's next change.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IncrementalSimStats {
+    /// Re-priced task graphs answered against a simulated base.
+    pub resims: u64,
+    /// Always 0: nothing resumes a simulation part-way. ROADMAP item 6
+    /// removes it.
+    pub resumed: u64,
+}
+
+/// Reads the re-simulation counter. ROADMAP item 6 removes it.
+pub fn incremental_sim_stats() -> IncrementalSimStats {
+    IncrementalSimStats {
+        resims: RESIMS.get(),
+        resumed: 0,
+    }
+}

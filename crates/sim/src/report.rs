@@ -257,10 +257,10 @@ pub fn makespan_bound_into(tg: &TaskGraph, limit: f64, scratch: &mut SimScratch)
     head_body_tail_bound_into(tg, limit, &mut scratch.sched)
 }
 
-/// [`simulate_into`] without its counters and events: re-simulations
-/// ([`crate::resimulate_into`]) and the base runs they answer against
-/// use this, so that `heterog_sim_simulations_total`, `SimEpoch` and
-/// `Oom` count plain simulations only.
+/// [`simulate_into`] without its counters and events: re-simulations of
+/// re-priced task graphs and the base runs they answer against use
+/// this, so that `heterog_sim_simulations_total`, `SimEpoch` and `Oom`
+/// count plain simulations only.
 pub fn simulate_uncounted(
     tg: &TaskGraph,
     capacities: &[u64],

@@ -62,7 +62,7 @@ fn flow(id: u64, (t0, from): (f64, u64), (t1, to): (f64, u64)) -> [Value; 2] {
 /// `heterog_telemetry::chrome_span_events`) before writing the array.
 ///
 /// Panics unless `s` holds a start and a finish time for every task of
-/// `tg`; an evaluation served by the eval cache has none.
+/// `tg`; an evaluation the serve plan memo kept has none.
 pub fn chrome_trace_events(tg: &TaskGraph, s: &Schedule) -> Vec<Value> {
     s.assert_covers(tg.len());
     let mut events = Vec::with_capacity(2 * tg.len() + 2 * tg.num_procs() + 2);

@@ -34,7 +34,7 @@ pub fn count_evaluations<R>(f: impl FnOnce() -> R) -> (R, EvalStats) {
 }
 
 /// Planner-loop statistics (always on): evaluation count and wall time,
-/// plus [`crate::EvalCache`] and [`crate::IncrementalEvaluator`] outcomes.
+/// plus [`crate::IncrementalEvaluator`] outcomes.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EvalStats {
     /// Strategy evaluations (compile + simulate), an incremental
@@ -42,9 +42,10 @@ pub struct EvalStats {
     pub evaluations: u64,
     /// Wall time spent inside evaluations, seconds.
     pub eval_seconds: f64,
-    /// Evaluations served from any `EvalCache`.
+    /// Always 0: nothing caches evaluations. Kept for the frozen
+    /// benchmark; ROADMAP item 6 removes it.
     pub cache_hits: u64,
-    /// Evaluations computed on cache miss.
+    /// Always 0. ROADMAP item 6 removes it.
     pub cache_misses: u64,
     /// Perturbed evaluations served by an incremental fast path
     /// (a re-priced task graph, a task graph spliced from the base's
@@ -58,12 +59,12 @@ pub struct EvalStats {
 impl EvalStats {
     /// The outcome counters, each read through `get`.
     fn read(get: impl Fn(&'static Counter) -> u64) -> EvalStats {
-        use crate::{cache, incremental};
+        use crate::incremental;
         EvalStats {
             evaluations: get(&EVALUATIONS),
             eval_seconds: get(&EVAL_NANOS) as f64 * 1e-9,
-            cache_hits: get(&cache::HITS),
-            cache_misses: get(&cache::MISSES),
+            cache_hits: 0,
+            cache_misses: 0,
             incremental_fast: get(&incremental::FAST),
             incremental_full: get(&incremental::FULL),
         }
@@ -72,12 +73,6 @@ impl EvalStats {
     /// Evaluation throughput (0 when no time was recorded).
     pub fn evals_per_sec(&self) -> f64 {
         ratio(self.evaluations as f64, self.eval_seconds)
-    }
-
-    /// Cache hit rate over all cached lookups (0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        ratio(self.cache_hits as f64, lookups as f64)
     }
 
     /// Fraction of perturbed evaluations served incrementally; 0 when
@@ -124,8 +119,8 @@ pub struct Evaluation {
 
 impl Evaluation {
     /// This evaluation without its per-task times (`report.schedule`'s
-    /// `start` and `finish`, 16 bytes per task), as [`crate::EvalCache`]
-    /// and the serve plan memo keep it.
+    /// `start` and `finish`, 16 bytes per task), as the serve plan memo
+    /// keeps it.
     pub fn without_task_times(mut self) -> Evaluation {
         self.report.schedule.start = Vec::new();
         self.report.schedule.finish = Vec::new();

@@ -10,7 +10,7 @@
 //! | [`Perturbation`]        | fast path                                   |
 //! |-------------------------|---------------------------------------------|
 //! | `Policy`                | re-simulate the cached task graph (no compile) |
-//! | `Cluster`               | [`reprice_into`] + [`resimulate_into`] (the base report when no duration changed, else one simulation) |
+//! | `Cluster`               | [`reprice_into`], then the base evaluation with its OOM flags re-derived when no duration changed bitwise, else one simulation of the re-priced graph |
 //! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
 //! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
 //! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); only a candidate it leaves in is spliced and given the head–body–tail bound of [`makespan_bound_into`], which stops once it exceeds the limit |
@@ -51,7 +51,7 @@ use heterog_graph::{Graph, OpId};
 use heterog_profile::CostEstimator;
 use heterog_sched::{busiest_processor_load, load_exceeds, OrderPolicy, TaskGraph};
 use heterog_sim::{
-    makespan_bound_into, resimulate_into, simulate_into, simulate_uncounted, SimReport, SimScratch,
+    count_resim, makespan_bound_into, simulate_into, simulate_uncounted, SimReport, SimScratch,
 };
 use heterog_telemetry::{lock, Counter};
 
@@ -103,9 +103,9 @@ pub enum EvalMode {
     /// The perturbation equals the base deployment; the cached base
     /// evaluation was returned.
     Base,
-    /// Re-priced task graph, answered by [`resimulate_into`]: the base
-    /// report when no task duration changed, else one simulation of the
-    /// re-priced graph, with no compile.
+    /// Re-priced task graph, with no compile: the base evaluation with
+    /// its OOM flags re-derived when no task duration changed, else one
+    /// simulation of the re-priced graph.
     Repriced,
     /// Task graph spliced from the base's lowering ([`splice_into`]) +
     /// simulate.
@@ -355,20 +355,34 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         }
     }
 
+    /// Re-prices the base task graph for `c2`. When no duration changed
+    /// bitwise, the schedule and memory peaks are the base's and only
+    /// the OOM flags depend on `c2`'s capacities; otherwise the
+    /// re-priced graph is simulated once. Either way the result is
+    /// bit-identical to a fresh simulation of the re-priced graph.
     fn eval_cluster(&self, c2: &Cluster) -> Bounded {
         if structure_compatible(&self.cluster, c2) {
+            let capacities = c2.memory_capacities();
             let served = self.with_patch(|ps| {
                 reprice_into(self.g, &self.tg, &self.book, c2, self.cost, &mut ps.tg).ok()?;
-                resimulate_into(
-                    &self.tg,
-                    &self.base.report,
-                    &ps.tg,
-                    &c2.memory_capacities(),
-                    &self.policy,
-                    &mut ps.sim,
-                    &mut ps.report,
-                );
-                Some(Bounded::evaluated(eval_of(&ps.report), EvalMode::Repriced))
+                count_resim();
+                let unchanged = (self.tg.iter().zip(ps.tg.iter()))
+                    .all(|((_, b), (_, p))| b.duration.to_bits() == p.duration.to_bits());
+                let eval = if unchanged {
+                    let mut eval = self.base.clone();
+                    let memory = &mut eval.report.memory;
+                    let per_gpu = memory.oom.iter_mut().zip(&memory.peak_bytes);
+                    for ((oom, &peak), &capacity) in per_gpu.zip(&capacities) {
+                        *oom = peak > capacity;
+                    }
+                    eval.oom = memory.any_oom();
+                    eval
+                } else {
+                    let policy = &self.policy;
+                    simulate_uncounted(&ps.tg, &capacities, policy, &mut ps.sim, &mut ps.report);
+                    eval_of(&ps.report)
+                };
+                Some(Bounded::evaluated(eval, EvalMode::Repriced))
             });
             if let Some(r) = served {
                 return r;
@@ -461,7 +475,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
 mod tests {
     use super::*;
     use crate::repair::switch_comm;
-    use heterog_cluster::{paper_testbed_8gpu, DeviceId, GpuModel, LinkKind};
+    use heterog_cluster::{paper_testbed_8gpu, Device, DeviceId, GpuModel, LinkKind};
     use heterog_compile::CommMethod;
     use heterog_graph::{BenchmarkModel, ModelSpec};
     use heterog_profile::GroundTruthCost;
@@ -537,6 +551,52 @@ mod tests {
             let mode = assert_matches_full(&ev, &g, Perturbation::Cluster(&c2), &c2, &s, &pol);
             assert_eq!(mode, EvalMode::Repriced);
         }
+    }
+
+    /// Shrinking one device's memory below its peak changes no duration:
+    /// the base evaluation answers it, with that device's OOM flag set,
+    /// bit for bit as a full evaluation on the shrunk cluster.
+    #[test]
+    fn unchanged_query_rederives_oom_for_new_capacities() {
+        let (g, c, s) = setup();
+        let pol = OrderPolicy::RankBased;
+        let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &pol);
+        let peak = ev.base().report.memory.peak_bytes[2];
+        assert!(!ev.base().oom);
+        let devices = (c.devices().iter().enumerate())
+            .map(|(i, d)| Device {
+                memory_bytes: if i == 2 { peak - 1 } else { d.memory_bytes },
+                ..*d
+            })
+            .collect();
+        let tight = Cluster::new(c.servers().to_vec(), devices);
+        // The equal-durations branch's condition holds.
+        let mut repriced = TaskGraph::default();
+        reprice_into(
+            &g,
+            &ev.tg,
+            &ev.book,
+            &tight,
+            &GroundTruthCost,
+            &mut repriced,
+        )
+        .unwrap();
+        let durations =
+            |tg: &TaskGraph| -> Vec<u64> { tg.iter().map(|(_, t)| t.duration.to_bits()).collect() };
+        assert_eq!(durations(&repriced), durations(&ev.tg));
+
+        let p = Perturbation::Cluster(&tight);
+        let mode = assert_matches_full(&ev, &g, p, &tight, &s, &pol);
+        assert_eq!(mode, EvalMode::Repriced);
+        let (got, _) = ev.evaluate_perturbed(p);
+        let want = evaluate_with_policy(&g, &tight, &GroundTruthCost, &s, &pol);
+        let times = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let (gs, ws) = (&got.report.schedule, &want.report.schedule);
+        assert_eq!(gs.makespan.to_bits(), ws.makespan.to_bits());
+        assert_eq!(times(&gs.start), times(&ws.start));
+        assert_eq!(times(&gs.finish), times(&ws.finish));
+        assert!(got.oom && got.report.memory.oom[2]);
+        assert_eq!(got.report.memory.oom.iter().filter(|&&o| o).count(), 1);
     }
 
     #[test]

@@ -14,7 +14,6 @@ pub(crate) static SEARCH_ITERATIONS: heterog_telemetry::Counter = heterog_teleme
 );
 
 pub mod baselines;
-pub mod cache;
 pub mod evaluate;
 pub mod flexflow;
 pub mod grouping;
@@ -26,7 +25,6 @@ pub mod repair;
 pub mod seed;
 
 pub use baselines::{CpArPlanner, CpPsPlanner, EvArPlanner, EvPsPlanner, HorovodPlanner};
-pub use cache::EvalCache;
 pub use evaluate::{
     count_evaluations, eval_stats, evaluate, evaluate_compiled, evaluate_with_policy,
     run_eval_stats, steady_state_iteration_time, EvalStats, Evaluation,

@@ -14,8 +14,8 @@ use heterog_cluster::{paper_testbed_8gpu, LinkKind};
 use heterog_compile::{CommMethod, Strategy};
 use heterog_graph::{BenchmarkModel, ModelSpec, OpKind};
 use heterog_profile::GroundTruthCost;
-use heterog_sched::{OrderPolicy, Proc, Task, TaskGraph, TaskId};
-use heterog_sim::{resimulate_into, simulate, simulate_uncounted, SimReport, SimScratch};
+use heterog_sched::{OrderPolicy, Proc, Task, TaskGraph};
+use heterog_sim::simulate;
 use heterog_strategies::{EvalMode, IncrementalEvaluator, Perturbation};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -77,34 +77,27 @@ fn incremental_resims_count_apart_from_plain_simulations() {
     telemetry::enable();
     let counter = |name| telemetry::snapshot().counter(name).unwrap_or(0);
     let names = [
-        "heterog_sim_incremental_unchanged_total",
-        "heterog_sim_incremental_full_replays_total",
+        "heterog_sim_incremental_resims_total",
         "heterog_sim_simulations_total",
     ];
+    let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+    let c = paper_testbed_8gpu();
+    let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
+    let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &OrderPolicy::RankBased);
     let before = names.map(counter);
-
-    let tg = demo_graph();
-    let caps = [8 << 30, 8 << 30];
-    let mut scratch = SimScratch::default();
-    let policy = OrderPolicy::RankBased;
-    let mut base = SimReport::default();
-    simulate_uncounted(&tg, &caps, &policy, &mut scratch, &mut base);
-    let mut resim = |patched: &TaskGraph, out: &mut SimReport| {
-        resimulate_into(&tg, &base, patched, &caps, &policy, &mut scratch, out)
-    };
-    let mut out = SimReport::default();
-    let unchanged = resim(&tg, &mut out);
-    let mut patched = tg.clone();
-    patched.task_mut(TaskId(0)).duration *= 2.0;
-    let replayed = resim(&patched, &mut out);
+    // The base cluster re-prices to the base's durations, which reuse
+    // the base report; a slower PCIe changes them and simulates once.
+    let (_, same) = ev.evaluate_perturbed(Perturbation::Cluster(&c));
+    let mid = names.map(counter);
+    let slow_pcie = c.with_scaled_link(Some(LinkKind::Pcie), 0.5);
+    let (_, slower) = ev.evaluate_perturbed(Perturbation::Cluster(&slow_pcie));
     let after = names.map(counter);
     telemetry::disable();
 
-    assert!(unchanged, "an unperturbed graph reuses the base report");
-    assert!(!replayed, "a changed duration is simulated afresh");
-    assert_eq!(after[0] - before[0], 1, "{}", names[0]);
-    assert_eq!(after[1] - before[1], 1, "{}", names[1]);
-    assert_eq!(after[2], before[2], "{} must not move", names[2]);
+    assert_eq!((same, slower), (EvalMode::Repriced, EvalMode::Repriced));
+    assert_eq!(mid[0] - before[0], 1, "{}", names[0]);
+    assert_eq!(after[0] - mid[0], 1, "{}", names[0]);
+    assert_eq!(after[1], before[1], "{} must not move", names[1]);
 }
 
 #[test]
