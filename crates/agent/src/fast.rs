@@ -13,11 +13,13 @@
 //! incumbent with this group re-decided as this action"
 //! ([`Perturbation::Group`]): only the group's placements are resolved
 //! again, no `Strategy` is built, and the task graph is spliced from the
-//! incumbent's lowering. A candidate is simulated only when exact lower
-//! bounds on its iteration time (its busiest processor's load, then the
-//! head–body–tail bound) could still let it beat the incumbent, so every
-//! move equals scoring every candidate bit for bit (see
-//! [`best_candidate`]).
+//! incumbent's lowering. A candidate whose busiest processor's load
+//! already exceeds the incumbent's objective is not spliced; the others
+//! are simulated with that objective as the limit, and a simulation
+//! stops as soon as a running lower bound on its iteration time (paper
+//! §4.2's upward rank, and each processor's unstarted work) exceeds it.
+//! Both bounds are sound, so every move equals scoring every candidate
+//! bit for bit (see [`best_candidate`]).
 
 use heterog_cluster::Cluster;
 use heterog_compile::{OpStrategy, Strategy};
@@ -146,8 +148,8 @@ impl HeteroGPlanner {
                         // `evals` counts candidates considered, simulated
                         // or not.
                         evals += candidates.len() as u64;
-                        // Bound each candidate's spliced graph; simulate
-                        // those that can beat the incumbent.
+                        // Simulate each candidate only while it can still
+                        // beat the incumbent.
                         let ops = &grouping.members[gi];
                         best_candidate(&candidates, cur_obj, |a, limit| {
                             let to = &decoded[a];
@@ -221,11 +223,10 @@ impl Planner for HeteroGPlanner {
 
 /// The visit's best `(action, value)` among `candidates`: the first
 /// minimum, in candidate order, of each candidate's objective if it was
-/// simulated, else the bound that pruned it. `score(a, limit)` returns
-/// the candidate's objective, or `Err(bound)` when a lower `bound` on
-/// its iteration time exceeds `limit` and it was not simulated; the
-/// objective is at least the iteration time, which is at least that
-/// bound.
+/// simulated to the end, else the bound that pruned it. `score(a,
+/// limit)` returns the candidate's objective, or `Err(bound)` when a
+/// lower `bound` on its iteration time exceeds `limit`; the objective is
+/// at least the iteration time, which is at least that bound.
 ///
 /// Every candidate is scored once, in parallel, against the incumbent's
 /// objective `cur_obj`, known before the visit, so which candidates are

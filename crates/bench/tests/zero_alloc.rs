@@ -1,6 +1,7 @@
 //! Asserts the schedule+simulate hot path, under every order policy,
-//! and the head–body–tail bound are allocation-free after warm-up — the
-//! property the evaluation engine's scratch reuse exists to provide.
+//! and the search's bounded simulation, stopped or run to the end, are
+//! allocation-free after warm-up — the property the evaluation engine's
+//! scratch reuse exists to provide.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting `#[global_allocator]`; a single `#[test]` keeps other
@@ -14,7 +15,7 @@ use heterog_compile::{compile, CommMethod, Strategy};
 use heterog_graph::{BenchmarkModel, ModelSpec};
 use heterog_profile::GroundTruthCost;
 use heterog_sched::{list_schedule_into, OrderPolicy, Schedule, ScheduleScratch};
-use heterog_sim::{makespan_bound_into, simulate_into, SimReport, SimScratch};
+use heterog_sim::{simulate_into, simulate_within, SimReport, SimScratch};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -93,16 +94,20 @@ fn schedule_and_simulate_are_allocation_free_after_warmup() {
             "simulate_into under {name} allocated {sim_allocs} times after warm-up"
         );
 
-        // The bound the search prunes with, stopping early under a
-        // finite limit and running to the end under an infinite one,
-        // borrows the same scratch.
-        let full = makespan_bound_into(&tg, f64::INFINITY, &mut sim_scratch);
-        for limit in [full * (1.0 - 2e-9), f64::INFINITY] {
-            let (bound_allocs, _) =
-                allocs_during(|| makespan_bound_into(&tg, limit, &mut sim_scratch));
+        // The search's bounded simulation, stopped below the makespan
+        // and run to the end at it. A finite limit needs the rank sweep
+        // that FIFO and explicit priorities skip, so one bounded call
+        // warms its buffer first.
+        let makespan = sim_out.iteration_time;
+        for (limit, stops) in [(makespan * (1.0 - 2e-9), true), (makespan, false)] {
+            simulate_within(&tg, &caps, policy, limit, &mut sim_scratch, &mut sim_out);
+            let (bounded_allocs, stopped) = allocs_during(|| {
+                simulate_within(&tg, &caps, policy, limit, &mut sim_scratch, &mut sim_out)
+            });
+            assert_eq!(stopped.is_some(), stops, "{name} at limit {limit}");
             assert_eq!(
-                bound_allocs, 0,
-                "makespan_bound_into with limit {limit} allocated {bound_allocs} times after warm-up"
+                bounded_allocs, 0,
+                "simulate_within under {name} at limit {limit} allocated {bounded_allocs} times after warm-up"
             );
         }
 

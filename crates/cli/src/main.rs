@@ -37,7 +37,7 @@ use heterog::events as ev;
 use heterog::runs;
 use heterog::{get_runner, HeterogConfig};
 use heterog_cluster::{paper_testbed_8gpu, Cluster, ClusterSpec};
-use heterog_graph::{BenchmarkModel, ModelSpec, MAX_LAYERS};
+use heterog_graph::{BenchmarkModel, ModelSpec, MAX_BATCH, MAX_LAYERS};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -241,6 +241,9 @@ fn parse_model(flags: &HashMap<String, String>) -> Result<ModelSpec, String> {
     };
     if batch == 0 {
         return Err("--batch must be at least 1".into());
+    }
+    if batch > MAX_BATCH {
+        return Err(format!("--batch must be at most {MAX_BATCH}"));
     }
     let layers = match flags.get("layers") {
         Some(l) => l.parse().map_err(|_| format!("bad --layers {l:?}"))?,

@@ -32,4 +32,4 @@ pub use node::{Node, Phase};
 pub use op::OpKind;
 pub use stats::GraphStats;
 pub use tensor::{proportional_split, DType, TensorMeta};
-pub use zoo::{BenchmarkModel, ModelSpec, MAX_LAYERS};
+pub use zoo::{BenchmarkModel, ModelSpec, MAX_BATCH, MAX_LAYERS};

@@ -169,6 +169,17 @@ impl std::fmt::Display for BenchmarkModel {
 /// that an accepted request cannot build an unbounded graph.
 pub const MAX_LAYERS: u32 = 256;
 
+/// Largest global batch a [`ModelSpec`] may be asked for, by a served
+/// request or on the command line: 16x the largest batch the
+/// repository plans (65,536). The simulator sums each GPU's bytes in
+/// `i64`. The zoo's largest model per sample, XLNet-large at
+/// [`MAX_LAYERS`] layers, outputs about 12.8 GB of activations per
+/// sample, so at this batch all of its outputs and parameters together
+/// stay about 700x below `i64::MAX`, with room for the copies and
+/// optimizer state that lowering adds. A larger batch could wrap those
+/// sums or saturate a tensor's byte size.
+pub const MAX_BATCH: u64 = 1 << 20;
+
 /// A fully-specified model instantiation: which architecture, at what
 /// global batch size, with how many layers (for depth-parameterized
 /// models).
@@ -271,6 +282,19 @@ mod tests {
                 s.grad_producers, s.param_ops,
                 "{m}: every param op needs exactly one grad producer"
             );
+        }
+    }
+
+    #[test]
+    fn max_batch_keeps_every_byte_sum_far_inside_i64() {
+        for m in BenchmarkModel::all() {
+            // CNNs ignore the layer count.
+            let g = ModelSpec::with_layers(m, MAX_BATCH, MAX_LAYERS).build();
+            let bytes: u128 = g
+                .iter()
+                .map(|(_, n)| u128::from(n.output_bytes(MAX_BATCH)) + u128::from(n.param_bytes))
+                .sum();
+            assert!(bytes * 256 < i64::MAX as u128, "{m}: {bytes} bytes");
         }
     }
 

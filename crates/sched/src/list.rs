@@ -17,7 +17,9 @@
 //! * [`list_schedule_observed`] — additionally invokes a monomorphized
 //!   [`ScheduleHook`] at every task start/finish, which is how the
 //!   simulator fuses memory accounting into the event loop without the
-//!   scheduler depending on it.
+//!   scheduler depending on it, and stops once a running lower bound
+//!   on the makespan exceeds a limit, which is how the search drops a
+//!   candidate that cannot beat its incumbent.
 //!
 //! The event loop compares plain integers. Every heap entry is one
 //! `u128`: an order word in the high half and the complemented task id
@@ -120,10 +122,11 @@ impl ScheduleHook for NoHook {}
 
 /// Reusable buffers for [`list_schedule_into`]: per-processor ready
 /// heaps, the event queue, indegrees, the per-task processor and
-/// duration columns and rank buffers. A warm scratch (one prior call on
-/// a graph at least as large) makes scheduling allocation-free.
-/// [`head_body_tail_bound_into`] borrows the rank buffers too, plus
-/// vectors of heads, sort keys and processor loads of its own.
+/// duration columns, rank buffers and per-processor loads. A warm
+/// scratch (one prior call on a graph at least as large) makes
+/// scheduling allocation-free. [`head_body_tail_bound_into`] borrows
+/// the rank buffers and loads too, plus vectors of heads and sort keys
+/// of its own.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     ready: Vec<BinaryHeap<u128>>,
@@ -134,10 +137,11 @@ pub struct ScheduleScratch {
     dur: Vec<f64>,
     ranks: Vec<f64>,
     rank_scratch: RankScratch,
+    /// Per-processor loads; a bounded schedule counts each down to the
+    /// work its processor has not started.
+    loads: Vec<f64>,
     heads: Vec<f64>,
     hbt_keys: Vec<HbtKey>,
-    /// `(load, processor)`, visited busiest first.
-    proc_loads: Vec<(f64, u32)>,
 }
 
 /// A head–body–tail sort key: `(desc(head), desc(tail), task index)`.
@@ -203,18 +207,30 @@ pub fn list_schedule_into(
     scratch: &mut ScheduleScratch,
     out: &mut Schedule,
 ) {
-    list_schedule_observed(tg, policy, scratch, out, &mut NoHook);
+    let full = list_schedule_observed(tg, policy, f64::INFINITY, scratch, out, &mut NoHook);
+    debug_assert!(full.is_ok(), "no bound exceeds an infinite limit");
 }
 
 /// [`list_schedule_into`] with a [`ScheduleHook`] observing every task
-/// start and finish. The hook does not influence the schedule.
+/// start and finish (the hook does not influence the schedule), stopped
+/// once the schedule is sure to end after `limit`.
+///
+/// At a finite `limit` each dispatch of task `t` on processor `p` at
+/// `now` raises a running lower bound on the makespan to `now + rank(t)`
+/// (the longest path from `t`'s start to a sink) and to `now + dur(t) +
+/// unstarted(p)` (`p` runs its unstarted tasks one at a time after `t`).
+/// Once the bound [`load_exceeds`] `limit` it is returned as `Err`, with
+/// `out` and the hook partial. The last task to finish raises the bound
+/// to the makespan, so every schedule that ends beyond `limit` by the
+/// margin is cut; one that completes is the unbounded one, bit for bit.
 pub fn list_schedule_observed<H: ScheduleHook>(
     tg: &TaskGraph,
     policy: &OrderPolicy,
+    limit: f64,
     scratch: &mut ScheduleScratch,
     out: &mut Schedule,
     hook: &mut H,
-) {
+) -> Result<(), f64> {
     let ScheduleScratch {
         ready,
         busy,
@@ -224,15 +240,17 @@ pub fn list_schedule_observed<H: ScheduleHook>(
         dur,
         ranks,
         rank_scratch,
+        loads: unstarted,
         ..
     } = scratch;
 
+    let bounded = limit < f64::INFINITY;
+    if bounded || matches!(policy, OrderPolicy::RankBased) {
+        upward_ranks_into(tg, rank_scratch, ranks);
+    }
     // `None` under FIFO, whose order comes from arrival.
     let priorities: Option<&[f64]> = match policy {
-        OrderPolicy::RankBased => {
-            upward_ranks_into(tg, rank_scratch, ranks);
-            Some(ranks)
-        }
+        OrderPolicy::RankBased => Some(ranks),
         OrderPolicy::Fifo => None,
         OrderPolicy::Priorities(p) => {
             assert_eq!(p.len(), tg.len(), "priority vector length mismatch");
@@ -260,9 +278,13 @@ pub fn list_schedule_observed<H: ScheduleHook>(
     events.clear();
     proc.clear();
     dur.clear();
+    unstarted.clear();
+    unstarted.resize(num_procs, 0.0);
     for (_, t) in tg.iter() {
-        proc.push(tg.proc_index(t.proc) as u32);
+        let p = tg.proc_index(t.proc);
+        proc.push(p as u32);
         dur.push(t.duration);
+        unstarted[p] += t.duration;
     }
     out.start.clear();
     out.start.resize(n, f64::NAN);
@@ -283,6 +305,21 @@ pub fn list_schedule_observed<H: ScheduleHook>(
             }
         };
         pack(word, t)
+    };
+    // Raises the running bound for `t` starting at `now`.
+    let mut bound = 0.0f64;
+    let mut raise = |t: usize, now: f64| {
+        if !bounded {
+            return Ok(());
+        }
+        let p = proc[t] as usize;
+        unstarted[p] -= dur[t];
+        bound = bound.max(now + ranks[t]).max(now + dur[t] + unstarted[p]);
+        if load_exceeds(bound, limit) {
+            Err(bound)
+        } else {
+            Ok(())
+        }
     };
 
     // Seed with dependency-free tasks (in id order, defining FIFO arrival).
@@ -308,6 +345,7 @@ pub fn list_schedule_observed<H: ScheduleHook>(
             }
             if let Some(key) = ready[p].pop() {
                 let t = task_of(key);
+                raise(t, now)?;
                 busy[p] = true;
                 out.start[t] = now;
                 hook.on_start(TaskId(t as u32), now);
@@ -351,6 +389,7 @@ pub fn list_schedule_observed<H: ScheduleHook>(
                 }
             }
             let t = task_of(key);
+            raise(t, now)?;
             busy[q] = true;
             out.start[t] = now;
             hook.on_start(TaskId(t as u32), now);
@@ -365,6 +404,7 @@ pub fn list_schedule_observed<H: ScheduleHook>(
         SCHEDULE_SECONDS.observe(t0.elapsed().as_secs_f64());
     }
     out.makespan = now;
+    Ok(())
 }
 
 /// A lower bound on the optimal makespan `T*`: the max of the critical
@@ -383,17 +423,15 @@ pub fn makespan_lower_bound(tg: &TaskGraph) -> f64 {
 const LOAD_MARGIN: f64 = 1e-9;
 
 /// True when a task graph whose iteration time is bounded below by
-/// `load` (its busiest processor's load, or the head–body–tail bound)
-/// has an iteration time strictly above `limit`, float summation order
-/// included.
+/// `load` (its busiest processor's load, or a bound a schedule raises
+/// as it runs) has an iteration time strictly above `limit`, float
+/// summation order included.
 pub fn load_exceeds(load: f64, limit: f64) -> bool {
     load * (1.0 - LOAD_MARGIN) > limit
 }
 
 /// A lower bound on the makespan of every schedule of `tg`, at least
-/// [`makespan_lower_bound`]: the one-machine head–body–tail relaxation,
-/// or, once a partial maximum of it [`load_exceeds`] `limit`, that
-/// partial maximum.
+/// [`makespan_lower_bound`]: the one-machine head–body–tail relaxation.
 ///
 /// A task's *head* is the longest path from the sources up to its start
 /// and its *tail* the longest path from its finish to the sinks (the
@@ -412,62 +450,38 @@ pub fn load_exceeds(load: f64, limit: f64) -> bool {
 /// Heads never exceed starts in any schedule: a head is a maximum of
 /// float sums along a path, the schedule's start times are such sums
 /// with idle gaps added, and float addition is monotone. The simulated
-/// iteration time is that schedule's makespan, and the search objective
-/// is at least the iteration time. Work and tails are summed in another
-/// order than the schedule's clock adds them, which [`load_exceeds`]
-/// absorbs with a relative margin.
-///
-/// The critical path comes first, then the processors in descending
-/// load order, ties by index; the bound returns as soon as its running
-/// maximum [`load_exceeds`] `limit`. The maximum only grows, so the
-/// returned value exceeds `limit` exactly when the full bound does, is
-/// never above it, and equals it whenever it does not exceed `limit`.
-/// With `f64::INFINITY` it is the full bound, bit for bit: a maximum
-/// does not depend on visit order.
+/// iteration time is that schedule's makespan. Work and tails are
+/// summed in another order than the schedule's clock adds them, which
+/// [`load_exceeds`] absorbs with a relative margin.
 ///
 /// Each processor's tasks are sorted as packed `(head, tail, index)`
 /// keys whose unsigned order is the descending [`f64::total_cmp`] order
 /// of head, then of tail, then the ascending index.
 ///
-/// Two sweeps over the edges: a forward Kahn pass settles each task's
-/// head when the task is dequeued, and one reverse pass over that order
-/// gives each task's tail and the critical path (the largest duration +
-/// tail, each the upward rank [`upward_ranks_into`] sums). Reuses
-/// `scratch`'s rank buffers and its head, key and load vectors:
-/// allocation-free once warm.
-pub fn head_body_tail_bound_into(tg: &TaskGraph, limit: f64, scratch: &mut ScheduleScratch) -> f64 {
+/// The upward-rank sweep of [`upward_ranks_into`] gives each task's
+/// tail and the critical path; one forward pass over its topological
+/// order settles the heads. Reuses `scratch`'s rank buffers and its
+/// head, key and load vectors: allocation-free once warm.
+pub fn head_body_tail_bound_into(tg: &TaskGraph, scratch: &mut ScheduleScratch) -> f64 {
     let ScheduleScratch {
         ranks,
-        rank_scratch: RankScratch { indeg, order },
+        rank_scratch,
         heads,
         hbt_keys: keys,
-        proc_loads,
+        loads,
         ..
     } = scratch;
-    let n = tg.len();
-
-    // Forward: every predecessor has pushed its finish into a task's
-    // head by the time the queue reaches the task.
-    indeg.clear();
-    indeg.extend_from_slice(tg.in_degrees());
+    upward_ranks_into(tg, rank_scratch, ranks);
+    let mut best = critical_path_from(ranks);
+    let RankScratch { indeg, order } = rank_scratch;
     heads.clear();
-    heads.resize(n, 0.0);
-    order.clear();
-    order.extend(tg.task_ids().filter(|t| indeg[t.index()] == 0));
-    let mut next = 0;
-    while let Some(&id) = order.get(next) {
-        next += 1;
+    heads.resize(tg.len(), 0.0);
+    for &id in order.iter() {
         let finish = heads[id.index()] + tg.task(id).duration;
         for &s in tg.succs(id) {
-            let j = s.index();
-            heads[j] = heads[j].max(finish);
-            indeg[j] -= 1;
-            if indeg[j] == 0 {
-                order.push(s);
-            }
+            heads[s.index()] = heads[s.index()].max(finish);
         }
     }
-    assert_eq!(order.len(), n, "task graph contains a cycle");
 
     // Each processor's load, summed in task order, and the start of its
     // run of sort keys.
@@ -475,51 +489,34 @@ pub fn head_body_tail_bound_into(tg: &TaskGraph, limit: f64, scratch: &mut Sched
     let offsets = indeg;
     offsets.clear();
     offsets.resize(num_procs + 1, 0);
-    proc_loads.clear();
-    proc_loads.extend((0..num_procs as u32).map(|p| (0.0, p)));
+    loads.clear();
+    loads.resize(num_procs, 0.0);
     for (_, t) in tg.iter() {
         let p = tg.proc_index(t.proc);
         offsets[p + 1] += 1;
-        proc_loads[p].0 += t.duration;
+        loads[p] += t.duration;
     }
     for p in 0..num_procs {
         offsets[p + 1] += offsets[p];
     }
-
-    // Backward: a task's successors come after it in `order`, so their
-    // ranks are final when its tail reads them. One sort key per task,
-    // grouped by processor.
-    ranks.clear();
-    ranks.resize(n, 0.0);
+    // One sort key per task, grouped by processor.
     keys.clear();
-    keys.resize(n, (0, 0, 0));
-    let mut best = 0.0f64;
-    for &id in order.iter().rev() {
-        let (i, t) = (id.index(), tg.task(id));
+    keys.resize(tg.len(), (0, 0, 0));
+    for (id, t) in tg.iter() {
         let tail = tg
             .succs(id)
             .iter()
             .map(|s| ranks[s.index()])
             .fold(0.0f64, f64::max);
-        ranks[i] = t.duration + tail;
-        best = best.max(ranks[i]);
         let slot = &mut offsets[tg.proc_index(t.proc)];
-        keys[*slot as usize] = (desc(heads[i]), desc(tail), id.0);
+        keys[*slot as usize] = (desc(heads[id.index()]), desc(tail), id.0);
         *slot += 1;
-    }
-    if load_exceeds(best, limit) {
-        return best;
     }
 
     // `offsets[p]` now ends processor `p`'s run and `offsets[p - 1]`
     // starts it.
-    proc_loads.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-    for &(load, p) in proc_loads.iter() {
+    for (p, &load) in loads.iter().enumerate() {
         best = best.max(load);
-        if load_exceeds(best, limit) {
-            return best;
-        }
-        let p = p as usize;
         let start = if p == 0 { 0 } else { offsets[p - 1] as usize };
         let run = &mut keys[start..offsets[p] as usize];
         // Largest head first; among equal heads the larger tail first,
@@ -653,17 +650,11 @@ mod tests {
         }
         assert_eq!(makespan_lower_bound(&tg), 9.0);
         let mut scratch = ScheduleScratch::default();
-        assert_eq!(
-            head_body_tail_bound_into(&tg, f64::INFINITY, &mut scratch),
-            11.0
-        );
+        assert_eq!(head_body_tail_bound_into(&tg, &mut scratch), 11.0);
         assert_eq!(list_schedule(&tg, &OrderPolicy::RankBased).makespan, 11.0);
         // A warm scratch gives the same bound, and scheduling with it
         // afterwards is unaffected.
-        assert_eq!(
-            head_body_tail_bound_into(&tg, f64::INFINITY, &mut scratch),
-            11.0
-        );
+        assert_eq!(head_body_tail_bound_into(&tg, &mut scratch), 11.0);
         let mut out = Schedule::default();
         list_schedule_into(&tg, &OrderPolicy::RankBased, &mut scratch, &mut out);
         assert_eq!(out.makespan, 11.0);
@@ -767,7 +758,7 @@ mod tests {
                 }
             }
             let want = bound_by_index(&tg);
-            let got = head_body_tail_bound_into(&tg, f64::INFINITY, &mut scratch);
+            let got = head_body_tail_bound_into(&tg, &mut scratch);
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
@@ -1043,6 +1034,30 @@ mod tests {
     }
 
     #[test]
+    fn bounded_schedule_stops_once_its_bound_exceeds_the_limit() {
+        // GPU 0 runs `a` (1.0) then `b` (2.0); GPU 1 runs `c` (5.0). At
+        // t = 0 `a` raises the bound to 3.0 and `c` to 5.0.
+        let mut tg = TaskGraph::new("b", 2, 0);
+        let a = tg.add_task(g("a", 0, 1.0));
+        let b = tg.add_task(g("b", 0, 2.0));
+        tg.add_dep(a, b);
+        tg.add_task(g("c", 1, 5.0));
+        let mut scratch = ScheduleScratch::default();
+        for policy in [OrderPolicy::RankBased, OrderPolicy::Fifo] {
+            let want = list_schedule(&tg, &policy);
+            assert_eq!(want.makespan, 5.0);
+            let mut out = Schedule::default();
+            let mut run = |limit| {
+                list_schedule_observed(&tg, &policy, limit, &mut scratch, &mut out, &mut NoHook)
+            };
+            assert_eq!(run(2.5), Err(3.0));
+            assert_eq!(run(4.0), Err(5.0));
+            assert_eq!(run(5.0), Ok(()));
+            assert_eq!((out.start, out.finish), (want.start, want.finish));
+        }
+    }
+
+    #[test]
     fn hook_sees_every_start_and_finish_in_time_order() {
         struct Recorder {
             starts: Vec<(TaskId, f64)>,
@@ -1068,13 +1083,9 @@ mod tests {
         };
         let mut scratch = ScheduleScratch::default();
         let mut out = Schedule::default();
-        list_schedule_observed(
-            &tg,
-            &OrderPolicy::RankBased,
-            &mut scratch,
-            &mut out,
-            &mut hook,
-        );
+        let policy = OrderPolicy::RankBased;
+        let full = list_schedule_observed(&tg, &policy, 3.0, &mut scratch, &mut out, &mut hook);
+        assert_eq!(full, Ok(()));
         assert_eq!(hook.starts.len(), 3);
         assert_eq!(hook.finishes.len(), 3);
         for (t, time) in &hook.starts {

@@ -8,7 +8,7 @@
 
 use heterog_cluster::{paper_testbed_8gpu, ClusterSpec};
 use heterog_elastic::RepairPolicy;
-use heterog_graph::{BenchmarkModel, ModelSpec, MAX_LAYERS};
+use heterog_graph::{BenchmarkModel, ModelSpec, MAX_BATCH, MAX_LAYERS};
 use heterog_telemetry::json::{self, Value};
 
 use crate::jobs::{JobKind, JobSpec};
@@ -97,8 +97,12 @@ pub fn parse_request(
     let batch = match v.get("batch") {
         Some(b) => b
             .as_u64()
-            .filter(|&b| b > 0)
-            .ok_or_else(|| ApiError::bad_request("\"batch\" must be a positive integer"))?,
+            .filter(|&b| (1..=MAX_BATCH).contains(&b))
+            .ok_or_else(|| {
+                ApiError::bad_request(format!(
+                    "\"batch\" must be an integer from 1 to {MAX_BATCH}"
+                ))
+            })?,
         None => model.default_batch_8gpu(),
     };
     let layers = match v.get("layers") {
@@ -253,6 +257,25 @@ mod tests {
             assert!(err.message.contains("\"layers\""), "{}", err.message);
             assert!(
                 err.message.contains(&MAX_LAYERS.to_string()),
+                "{}",
+                err.message
+            );
+        }
+    }
+
+    #[test]
+    fn batch_above_the_bound_is_rejected() {
+        let body = |batch: u64| {
+            format!(r#"{{"tenant":"a","model":"mobilenet","batch":{batch}}}"#).into_bytes()
+        };
+        let ok = parse_request("plan", &body(MAX_BATCH), false, None).unwrap();
+        assert_eq!(ok.spec.model.batch_size, MAX_BATCH);
+        for bad in [0, MAX_BATCH + 1, u64::MAX] {
+            let err = parse_request("plan", &body(bad), false, None).unwrap_err();
+            assert_eq!(err.status, 400);
+            assert!(err.message.contains("\"batch\""), "{}", err.message);
+            assert!(
+                err.message.contains(&MAX_BATCH.to_string()),
                 "{}",
                 err.message
             );

@@ -26,7 +26,7 @@ pub mod trace;
 
 pub use memory::{memory_usage, MemoryReport};
 pub use report::{
-    makespan_bound_into, simulate, simulate_into, simulate_uncounted, time_breakdown, SimReport,
+    simulate, simulate_into, simulate_uncounted, simulate_within, time_breakdown, SimReport,
     SimScratch,
 };
 pub use trace::{chrome_trace_events, chrome_trace_json};

@@ -1,17 +1,18 @@
 //! Simulation driver and the per-iteration report.
 //!
-//! The driver exists in two layers: [`simulate`] allocates fresh buffers
-//! per call, while [`simulate_into`] reuses a caller-owned [`SimScratch`]
-//! and output report, and fuses the reference-counted memory accounting
-//! (§5) into the scheduling event loop via a [`ScheduleHook`] — one pass
-//! over the graph, zero heap allocations after warm-up. The hook folds
-//! each allocation and free into per-GPU running totals as it happens
-//! and records link intervals in start order, so neither memory events
-//! nor intervals are stored and sorted.
+//! [`simulate_into`] reuses a caller-owned [`SimScratch`] and output
+//! report ([`simulate`] a thread-local scratch) and fuses the
+//! reference-counted memory accounting (§5) into the scheduling event
+//! loop via a [`ScheduleHook`] — one pass over the graph, zero heap
+//! allocations after warm-up. The hook folds each allocation and free
+//! into per-GPU running totals as it happens and records link intervals
+//! in start order, so neither memory events nor intervals are stored
+//! and sorted. [`simulate_within`] stops once the schedule is sure to
+//! end after a limit.
 
 use heterog_sched::{
-    head_body_tail_bound_into, list_schedule_observed, OrderPolicy, Proc, Schedule, ScheduleHook,
-    ScheduleScratch, Task, TaskGraph, TaskId,
+    list_schedule_observed, OrderPolicy, Proc, Schedule, ScheduleHook, ScheduleScratch, Task,
+    TaskGraph, TaskId,
 };
 use heterog_telemetry::{Counter, Gauge, Histogram};
 
@@ -185,26 +186,16 @@ impl ScheduleHook for MemHook<'_> {
 /// [`simulate_into`].
 pub fn simulate(tg: &TaskGraph, capacities: &[u64], policy: &OrderPolicy) -> SimReport {
     thread_local! {
-        static SCRATCH: std::cell::RefCell<SimScratch> =
-            std::cell::RefCell::new(SimScratch::default());
+        static SCRATCH: std::cell::RefCell<SimScratch> = Default::default();
     }
     let mut out = SimReport::default();
-    SCRATCH.with(|s| {
-        // A fresh scratch covers the (impossible today) reentrant case.
-        match s.try_borrow_mut() {
-            Ok(mut scratch) => simulate_into(tg, capacities, policy, &mut scratch, &mut out),
-            Err(_) => {
-                let mut scratch = SimScratch::default();
-                simulate_into(tg, capacities, policy, &mut scratch, &mut out)
-            }
-        }
-    });
+    SCRATCH.with(|s| simulate_into(tg, capacities, policy, &mut s.borrow_mut(), &mut out));
     out
 }
 
-/// [`simulate`] into caller-owned scratch and output buffers, with the
-/// memory pass fused into the scheduling event loop — zero heap
-/// allocations per call after warm-up.
+/// [`simulate`] into caller-owned scratch and output buffers, zero heap
+/// allocations per call after warm-up: [`simulate_within`] at an
+/// infinite limit, which always runs to the end.
 pub fn simulate_into(
     tg: &TaskGraph,
     capacities: &[u64],
@@ -212,30 +203,46 @@ pub fn simulate_into(
     scratch: &mut SimScratch,
     out: &mut SimReport,
 ) {
+    simulate_within(tg, capacities, policy, f64::INFINITY, scratch, out);
+}
+
+/// [`simulate_into`], stopped once the schedule is sure to end after
+/// `limit` (see [`list_schedule_observed`]): then it returns the running
+/// bound it stopped at, leaves `out` partial, counts no simulation and
+/// emits no event. It returns `None` when it ran to the end.
+pub fn simulate_within(
+    tg: &TaskGraph,
+    capacities: &[u64],
+    policy: &OrderPolicy,
+    limit: f64,
+    scratch: &mut SimScratch,
+    out: &mut SimReport,
+) -> Option<f64> {
     let _span = heterog_telemetry::span("simulate");
-    simulate_uncounted(tg, capacities, policy, scratch, out);
-    let num_gpus = tg.num_gpus as usize;
+    if let Some(bound) = simulate_uncounted(tg, capacities, policy, limit, scratch, out) {
+        return Some(bound);
+    }
     let memory = &out.memory;
+    let oom_devices = memory.oom.iter().filter(|&&o| o).count() as u64;
 
     SIMULATIONS.inc();
     // The event-driven scheduler processes exactly one completion event
     // per task.
     EVENTS_PROCESSED.add(tg.len() as u64);
-    OOM_DEVICES.add(memory.oom.iter().filter(|&&o| o).count() as u64);
+    OOM_DEVICES.add(oom_devices);
     if let Some(&peak) = memory.peak_bytes.iter().max() {
         MEMORY_PEAK.record_max(peak as f64);
     }
     ITERATION_TIME.observe(out.schedule.makespan);
 
     if heterog_events::enabled() {
-        let oom_devices = memory.oom.iter().filter(|&&o| o).count() as u64;
         heterog_events::emit(heterog_events::EventKind::SimEpoch {
             tasks: tg.len() as u64,
             makespan: out.schedule.makespan,
             oom_devices,
         });
         let per_gpu = memory.oom.iter().zip(&memory.peak_bytes).zip(capacities);
-        for (g, ((&oom, &peak_bytes), &capacity_bytes)) in per_gpu.enumerate().take(num_gpus) {
+        for (g, ((&oom, &peak_bytes), &capacity_bytes)) in per_gpu.enumerate() {
             if oom {
                 heterog_events::emit(heterog_events::EventKind::Oom {
                     device: g as u64,
@@ -245,29 +252,21 @@ pub fn simulate_into(
             }
         }
     }
+    None
 }
 
-/// A lower bound on the iteration time [`simulate_into`] would report
-/// for `tg` under any order policy, computed without simulating: the
-/// head–body–tail bound of [`head_body_tail_bound_into`], in `scratch`'s
-/// scheduling buffers, which stops once it exceeds `limit`
-/// (`f64::INFINITY` for the full bound). The full bound is at least the
-/// busiest processor's load and the critical path.
-pub fn makespan_bound_into(tg: &TaskGraph, limit: f64, scratch: &mut SimScratch) -> f64 {
-    head_body_tail_bound_into(tg, limit, &mut scratch.sched)
-}
-
-/// [`simulate_into`] without its counters and events: re-simulations of
-/// re-priced task graphs and the base runs they answer against use
-/// this, so that `heterog_sim_simulations_total`, `SimEpoch` and `Oom`
-/// count plain simulations only.
+/// [`simulate_within`] without its counters and events: re-simulations
+/// of re-priced task graphs and the base runs they answer against use
+/// this at an infinite limit, so that `heterog_sim_simulations_total`,
+/// `SimEpoch` and `Oom` count plain simulations only.
 pub fn simulate_uncounted(
     tg: &TaskGraph,
     capacities: &[u64],
     policy: &OrderPolicy,
+    limit: f64,
     scratch: &mut SimScratch,
     out: &mut SimReport,
-) {
+) -> Option<f64> {
     let num_gpus = tg.num_gpus as usize;
     assert!(capacities.len() >= num_gpus, "capacity per GPU required");
 
@@ -313,7 +312,10 @@ pub fn simulate_uncounted(
         last,
         intervals,
     };
-    list_schedule_observed(tg, policy, sched, &mut out.schedule, &mut hook);
+    let schedule = &mut out.schedule;
+    if let Err(bound) = list_schedule_observed(tg, policy, limit, sched, schedule, &mut hook) {
+        return Some(bound);
+    }
 
     // Charge the framework's resident workspace on every active GPU and
     // derive the OOM flags.
@@ -328,15 +330,13 @@ pub fn simulate_uncounted(
         memory.oom.push(p > capacities[g]);
     }
 
-    out.gpu_busy.clear();
-    out.gpu_busy
-        .extend_from_slice(&out.schedule.proc_busy[..num_gpus]);
-    out.link_busy.clear();
-    out.link_busy
-        .extend_from_slice(&out.schedule.proc_busy[num_gpus..]);
+    let (gpu_busy, link_busy) = out.schedule.proc_busy.split_at(num_gpus);
+    gpu_busy.clone_into(&mut out.gpu_busy);
+    link_busy.clone_into(&mut out.link_busy);
     out.computation_time = out.gpu_busy.iter().cloned().fold(0.0, f64::max);
     out.communication_time = link_active_union(intervals);
     out.iteration_time = out.schedule.makespan;
+    None
 }
 
 /// Union length of all intervals during which >= 1 link is transferring,

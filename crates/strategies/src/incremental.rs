@@ -13,7 +13,7 @@
 //! | `Cluster`               | [`reprice_into`], then the base evaluation with its OOM flags re-derived when no duration changed bitwise, else one simulation of the re-priced graph |
 //! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
 //! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
-//! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); only a candidate it leaves in is spliced and given the head–body–tail bound of [`makespan_bound_into`], which stops once it exceeds the limit |
+//! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated to the end: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); a candidate it leaves in is spliced and simulated by [`simulate_within`], which stops once its running bound exceeds the limit |
 //!
 //! A strategy change resolves the candidate's placements once and
 //! diffs them against the base's: an op's replica tasks, the wiring of
@@ -51,7 +51,7 @@ use heterog_graph::{Graph, OpId};
 use heterog_profile::CostEstimator;
 use heterog_sched::{busiest_processor_load, load_exceeds, OrderPolicy, TaskGraph};
 use heterog_sim::{
-    count_resim, makespan_bound_into, simulate_into, simulate_uncounted, SimReport, SimScratch,
+    count_resim, simulate_into, simulate_uncounted, simulate_within, SimReport, SimScratch,
 };
 use heterog_telemetry::{lock, Counter};
 
@@ -129,13 +129,13 @@ pub enum Bounded {
     /// Simulated, exactly as [`IncrementalEvaluator::evaluate_perturbed`]
     /// would have.
     Evaluated(Box<Evaluation>, EvalMode),
-    /// Not simulated: a lower bound on the candidate task graph's
-    /// iteration time that [`load_exceeds`] the limit. It is the busiest
-    /// processor's load as [`splice_loads`] prices it before any splice
-    /// (summed in another order than over the graph, so it may differ
-    /// from that sum in the last bits), or else the head–body–tail bound
-    /// of [`makespan_bound_into`] on the spliced graph as far as it got
-    /// before exceeding the limit, so it may be below the full bound.
+    /// Not simulated to the end: a lower bound on the candidate task
+    /// graph's iteration time that [`load_exceeds`] the limit. It is the
+    /// busiest processor's load as [`splice_loads`] prices it before any
+    /// splice (summed in another order than over the graph, so it may
+    /// differ from that sum in the last bits), or else the running bound
+    /// at which [`simulate_within`] stopped the spliced graph's
+    /// simulation, at most its iteration time but for rounding.
     Pruned(f64),
 }
 
@@ -238,7 +238,8 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         let capacities = cluster.memory_capacities();
         let mut ps = patches.pop().unwrap_or_default();
         let mut report = SimReport::default();
-        simulate_uncounted(&tg, &capacities, policy, &mut ps.sim, &mut report);
+        let sim = &mut ps.sim;
+        simulate_uncounted(&tg, &capacities, policy, f64::INFINITY, sim, &mut report);
         patches.push(ps);
         let base = Evaluation {
             iteration_time: report.iteration_time,
@@ -301,16 +302,16 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
 
     /// [`IncrementalEvaluator::evaluate_perturbed`], unless a lower
     /// bound on the candidate task graph's iteration time
-    /// [`load_exceeds`] `limit`: then the graph is not simulated and that
-    /// bound is returned instead. The busiest processor's load, GPU or
-    /// link, is tried first, priced from the base's loads and the dirty
-    /// segments with no splice ([`splice_loads`]); only when it does not
-    /// prune is the graph spliced, its index built and the
-    /// head–body–tail bound of [`makespan_bound_into`] tried, which
-    /// returns as soon as it exceeds `limit`. A pruned candidate counts
-    /// in neither `incremental_fast` nor `incremental_full` and emits no
-    /// `StrategyEvaluated` event. Only spliced paths are bounded; every
-    /// other path evaluates as `evaluate_perturbed` does.
+    /// [`load_exceeds`] `limit`: then that bound is returned instead. The
+    /// busiest processor's load, GPU or link, is tried first, priced from
+    /// the base's loads and the dirty segments with no splice
+    /// ([`splice_loads`]); only when it does not prune is the graph
+    /// spliced, its index built and [`simulate_within`] run, which stops
+    /// as soon as its running bound exceeds `limit`. A pruned candidate
+    /// counts in neither `incremental_fast` nor `incremental_full`, nor as
+    /// a simulation, and emits no `StrategyEvaluated` event. Only spliced
+    /// paths are bounded; every other path evaluates as
+    /// `evaluate_perturbed` does.
     pub fn evaluate_bounded(&self, p: Perturbation<'_>, limit: f64) -> Bounded {
         let _span = heterog_telemetry::span("evaluate_bounded");
         self.evaluate_within(p, limit)
@@ -378,8 +379,8 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                     eval.oom = memory.any_oom();
                     eval
                 } else {
-                    let policy = &self.policy;
-                    simulate_uncounted(&ps.tg, &capacities, policy, &mut ps.sim, &mut ps.report);
+                    let (policy, sim, report) = (&self.policy, &mut ps.sim, &mut ps.report);
+                    simulate_uncounted(&ps.tg, &capacities, policy, f64::INFINITY, sim, report);
                     eval_of(&ps.report)
                 };
                 Some(Bounded::evaluated(eval, EvalMode::Repriced))
@@ -393,12 +394,11 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     }
 
     /// Splices the task graph of the `moved` placements from the base
-    /// lowering and simulates it, unless a lower bound on its iteration
-    /// time exceeds `limit`. At a finite limit the busiest processor's
-    /// load is priced before any splice ([`splice_loads`]), and only a
-    /// candidate it leaves in is spliced and given the head–body–tail
-    /// bound. A splice that reuses no segment was a full compile and,
-    /// when simulated, is counted as one.
+    /// lowering and simulates it within `limit`. At a finite limit the
+    /// busiest processor's load is priced before any splice
+    /// ([`splice_loads`]), and only a candidate it leaves in is spliced.
+    /// A splice that reuses no segment was a full compile and, when
+    /// simulated to the end, is counted as one.
     fn eval_spliced(&self, moved: Moved<'_>, limit: f64) -> Bounded {
         let started = Instant::now();
         let base = SpliceBase {
@@ -425,8 +425,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                     }
                 }
             }
-            let bounded = limit < f64::INFINITY;
-            if bounded {
+            if limit < f64::INFINITY {
                 let _span = heterog_telemetry::span("bound");
                 load.clone_from(&self.loads);
                 splice_loads(
@@ -453,14 +452,10 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 splice,
             );
             tg.build_index();
-            if bounded {
-                let _span = heterog_telemetry::span("bound");
-                let bound = makespan_bound_into(tg, limit, sim);
-                if load_exceeds(bound, limit) {
-                    return Bounded::Pruned(bound);
-                }
+            let policy = &self.policy;
+            if let Some(bound) = simulate_within(tg, &self.capacities, policy, limit, sim, report) {
+                return Bounded::Pruned(bound);
             }
-            simulate_into(tg, &self.capacities, &self.policy, sim, report);
             let eval = eval_of(report);
             if reused == 0 {
                 count_full_evaluation(started, &eval);
@@ -642,28 +637,29 @@ mod tests {
     }
 
     #[test]
-    fn head_body_tail_bound_prunes_within_the_busiest_load() {
+    fn bounded_simulation_prunes_within_the_busiest_load() {
         let (g, c, s) = setup();
         let pol = OrderPolicy::RankBased;
         let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &pol);
         let s2 = switch_comm(&s, CommMethod::Ps);
-        let Bounded::Pruned(load) = ev.evaluate_bounded(Perturbation::Strategy(&s2), 0.0) else {
+        let p = Perturbation::Strategy(&s2);
+        let Bounded::Pruned(load) = ev.evaluate_bounded(p, 0.0) else {
             panic!("a positive load exceeds a zero limit");
         };
-        let (tg, _) = heterog_compile::compile_priced(&g, &c, &GroundTruthCost, &s2);
-        let bound = makespan_bound_into(&tg, f64::INFINITY, &mut SimScratch::default());
-        assert!(load_exceeds(bound, load), "bound {bound}, load {load}");
-        // A limit the load stays within but the bound exceeds: pruned,
-        // with a bound that exceeds the limit and is at most the full one.
-        match ev.evaluate_bounded(Perturbation::Strategy(&s2), load) {
+        let it = ev.evaluate_perturbed(p).0.iteration_time;
+        assert!(load_exceeds(it, load), "iteration time {it}, load {load}");
+        // A limit the load stays within but the iteration time exceeds:
+        // the simulation stops with a bound that exceeds the limit and is
+        // at most the iteration time, and counts only as pruned.
+        let (got, t) = heterog_telemetry::tally::tally(|| ev.evaluate_bounded(p, load));
+        match got {
             Bounded::Pruned(b) => assert!(
-                load_exceeds(b, load) && b <= bound,
-                "returned {b}, full bound {bound}, limit {load}"
+                load_exceeds(b, load) && b <= it * (1.0 + 1e-12),
+                "stopped at {b}, iteration time {it}, limit {load}"
             ),
-            Bounded::Evaluated(..) => panic!("the bound {bound} exceeds the limit {load}"),
+            Bounded::Evaluated(..) => panic!("the iteration time {it} exceeds the limit {load}"),
         }
-        let (want, _) = ev.evaluate_perturbed(Perturbation::Strategy(&s2));
-        assert!(!load_exceeds(bound, want.iteration_time));
+        assert_eq!((t.get(&PRUNED), t.get(&FAST), t.get(&FULL)), (1, 0, 0));
     }
 
     #[test]

@@ -478,13 +478,16 @@ fn elastic_rejects_bad_policy_and_bad_script() {
     assert!(!out.status.success());
 }
 
-/// An unread flag or a zero batch exits nonzero with a named error,
-/// before any planning or archiving.
+/// An unread flag, or a batch or layer count out of range, exits
+/// nonzero with a named error, before any planning or archiving.
 #[test]
 fn unknown_flags_exit_nonzero_and_name_the_flag() {
     let store = std::env::temp_dir().join(format!("heterog_cli_badflag_{}", std::process::id()));
     std::fs::remove_dir_all(&store).ok();
-    let cases: [(&[&str], &str); 5] = [
+    let above_max_batch = (heterog_graph::MAX_BATCH + 1).to_string();
+    let u64_max = u64::MAX.to_string();
+    let max_batch_message = format!("--batch must be at most {}", heterog_graph::MAX_BATCH);
+    let cases: [(&[&str], &str); 7] = [
         (
             &["explain", "--model", "mobilenet", "--no-incremental"],
             "unknown flag --no-incremental for explain",
@@ -504,6 +507,14 @@ fn unknown_flags_exit_nonzero_and_name_the_flag() {
         (
             &["plan", "--model", "transformer", "--layers", "257"],
             "--layers must be at most 256",
+        ),
+        (
+            &["plan", "--model", "mobilenet", "--batch", &above_max_batch],
+            &max_batch_message,
+        ),
+        (
+            &["explain", "--model", "mobilenet", "--batch", &u64_max],
+            &max_batch_message,
         ),
     ];
     for (args, message) in cases {

@@ -8,10 +8,12 @@
 use heterog_graph::OpKind;
 use heterog_profile::LinearFit;
 use heterog_sched::{
-    busiest_processor_load, critical_path, list_schedule, makespan_lower_bound, strict_schedule,
-    upward_ranks, OrderPolicy, Proc, Task, TaskGraph,
+    busiest_processor_load, critical_path, head_body_tail_bound_into, list_schedule,
+    makespan_lower_bound, strict_schedule, upward_ranks, OrderPolicy, Proc, ScheduleScratch, Task,
+    TaskGraph,
 };
-use heterog_sim::{makespan_bound_into, memory_usage, simulate, SimScratch};
+use heterog_sim::memory::RUNTIME_WORKSPACE_BYTES;
+use heterog_sim::{memory_usage, simulate, simulate_within, SimReport, SimScratch};
 use heterog_strategies::load_exceeds;
 use heterog_telemetry::rng::{for_each_seed, ChaCha8Rng};
 
@@ -107,18 +109,18 @@ fn busiest_processor_load_bounds_iteration_time() {
     });
 }
 
-/// The head–body–tail bound the search prunes with is at least the
-/// busiest processor's load and the critical path, and at most the
-/// simulated iteration time under either order policy but for rounding,
-/// so [`load_exceeds`] never holds against the candidate's own makespan.
-/// One scratch serves every draw, warm from graphs of other sizes.
+/// The head–body–tail bound is at least the busiest processor's load
+/// and the critical path, and at most the simulated iteration time
+/// under either order policy but for rounding, so [`load_exceeds`]
+/// never holds against the task graph's own makespan. One scratch
+/// serves every draw, warm from graphs of other sizes.
 #[test]
 fn head_body_tail_bound_bounds_iteration_time() {
     let mut per_proc = Vec::new();
-    let mut scratch = SimScratch::default();
+    let mut scratch = ScheduleScratch::default();
     for_each_seed(64, |rng| {
         for tg in [task_graph(rng, 64, 2, 1), task_graph(rng, 24, 3, 2)] {
-            let bound = makespan_bound_into(&tg, f64::INFINITY, &mut scratch);
+            let bound = head_body_tail_bound_into(&tg, &mut scratch);
             let load = busiest_processor_load(&tg, &mut per_proc);
             assert!(bound >= load, "bound {bound} below busiest load {load}");
             let cp = critical_path(&tg);
@@ -136,47 +138,58 @@ fn head_body_tail_bound_bounds_iteration_time() {
     });
 }
 
-/// With a finite limit the head–body–tail bound returns once a partial
-/// maximum [`load_exceeds`] the limit. The limits sit at, inside the
-/// margin below, beyond the margin below and just above the full bound,
-/// and at and inside the margin below the busiest load. Against each,
-/// the bound makes the full bound's prune decision, is never above the
-/// full bound, and equals it bit for bit whenever it does not exceed
-/// the limit. The full bound is itself checked against the busiest load
-/// and the critical path, so a bound that scans no processor fails too.
+/// A simulation within a limit either runs to the end, equal to the
+/// unbounded simulation in every `SimReport` field (schedule, memory
+/// peaks and OOM flags included; the `Debug` forms print each float's
+/// shortest round-trip digits, so equal forms are equal bits), or stops
+/// with a bound that [`load_exceeds`] the limit and is at most the
+/// makespan but for rounding. A run whose makespan exceeds the limit
+/// always stops. The limits sit at 0, the busiest load, the makespan,
+/// inside the margin on either side of it, beyond the margin below it
+/// and at infinity, under both order policies; the capacities leave
+/// some GPUs out of memory. One scratch serves every run, so a stopped
+/// run must leave nothing behind that the next one reads.
 #[test]
-fn early_stopping_bound_makes_the_full_bounds_decision() {
+fn bounded_simulation_completes_bit_for_bit_or_stops_beyond_the_limit() {
     let mut per_proc = Vec::new();
-    let mut scratch = SimScratch::default();
+    let (mut scratch, mut out) = (SimScratch::default(), SimReport::default());
+    let (mut stopped, mut completed, mut oom) = (0, 0, 0);
     for_each_seed(64, |rng| {
         for tg in [task_graph(rng, 64, 2, 1), task_graph(rng, 24, 3, 2)] {
-            let full = makespan_bound_into(&tg, f64::INFINITY, &mut scratch);
             let load = busiest_processor_load(&tg, &mut per_proc);
-            assert!(full >= load, "bound {full} below busiest load {load}");
-            let cp = critical_path(&tg);
-            assert!(full >= cp, "bound {full} below critical path {cp}");
-            for limit in [
-                full,
-                full * (1.0 - 5e-10),
-                full * (1.0 - 2e-9),
-                full * (1.0 + 5e-10),
-                load,
-                load * (1.0 - 5e-10),
-            ] {
-                let got = makespan_bound_into(&tg, limit, &mut scratch);
-                let exceeds = load_exceeds(got, limit);
-                assert_eq!(
-                    exceeds,
-                    load_exceeds(full, limit),
-                    "limit {limit}: returned {got}, full bound {full}"
-                );
-                assert!(got <= full, "limit {limit}: returned {got} above {full}");
-                if !exceeds {
-                    assert_eq!(got.to_bits(), full.to_bits(), "limit {limit}");
+            let caps = vec![RUNTIME_WORKSPACE_BYTES + 4000; tg.num_gpus as usize];
+            for policy in [OrderPolicy::RankBased, OrderPolicy::Fifo] {
+                let want = simulate(&tg, &caps, &policy);
+                let it = want.iteration_time;
+                oom += usize::from(want.memory.any_oom());
+                for limit in [
+                    0.0,
+                    load,
+                    it,
+                    it * (1.0 - 5e-10),
+                    it * (1.0 + 5e-10),
+                    it * (1.0 - 2e-9),
+                    f64::INFINITY,
+                ] {
+                    match simulate_within(&tg, &caps, &policy, limit, &mut scratch, &mut out) {
+                        None => {
+                            completed += 1;
+                            assert!(!load_exceeds(it, limit), "makespan {it}, limit {limit}");
+                            assert_eq!(format!("{out:?}"), format!("{want:?}"), "limit {limit}");
+                        }
+                        Some(bound) => {
+                            stopped += 1;
+                            assert!(
+                                load_exceeds(bound, limit) && bound <= it * (1.0 + 1e-12),
+                                "stopped at {bound}, limit {limit}, makespan {it}"
+                            );
+                        }
+                    }
                 }
             }
         }
     });
+    assert!(stopped > 0 && completed > 0 && oom > 0);
 }
 
 /// Strict per-device order with rank priorities always completes and
@@ -433,8 +446,9 @@ mod compile_props {
 }
 
 // ---------------------------------------------------------------------------
-// Widened-strategy-space properties (ROADMAP item 2): sharded plans must be
-// shape- and memory-consistent — shard slices partition the full batch,
+// Properties of sharded plans (the SPMD sharding actions of the widened
+// strategy space): they must be shape- and memory-consistent — shard
+// slices partition the full batch,
 // activation and parameter tensors exactly; the per-device pinned-parameter
 // accounting derived from the strategy's shard arithmetic alone matches
 // `simulate`'s memory report; and `Strategy::validate` rejects shard vectors
