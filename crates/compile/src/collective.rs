@@ -322,13 +322,12 @@ pub fn emit_ps<C: CostEstimator>(
             TaskName::Tagged {
                 op,
                 tag: Tag::PsAgg,
-                dev: ps.0,
             },
             OpKind::GradAggregate,
             Proc::Gpu(ps.0),
             reduce_time(cost, cluster, ps, bytes, devices.len()),
         )
-        .with_output_bytes(bytes),
+        .with_bytes(bytes),
     );
     book.ps_rounds.push(PsRound {
         devices: devices.to_vec(),
@@ -366,7 +365,6 @@ pub fn emit_ps<C: CostEstimator>(
             TaskName::Tagged {
                 op,
                 tag: Tag::PullDone,
-                dev: d.0,
             },
             OpKind::GradAggregate,
             Proc::Gpu(d.0),
@@ -412,7 +410,6 @@ pub fn emit_allreduce<C: CostEstimator>(
             TaskName::Tagged {
                 op,
                 tag: Tag::LocalJoin,
-                dev: d.0,
             },
             OpKind::GradAggregate,
             Proc::Gpu(d.0),
@@ -447,7 +444,7 @@ pub fn emit_allreduce<C: CostEstimator>(
         .into_iter()
         .map(|lid| {
             tg.add_task(Task::new(
-                TaskName::OnLink { op, tag, link: lid },
+                TaskName::OnLink { op, tag },
                 OpKind::NcclAllReduce,
                 Proc::Link(lid),
                 dur,
@@ -479,7 +476,6 @@ pub fn emit_allreduce<C: CostEstimator>(
             TaskName::Tagged {
                 op,
                 tag: Tag::ArDone,
-                dev: d.0,
             },
             OpKind::GradAggregate,
             Proc::Gpu(d.0),
@@ -535,7 +531,6 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
             TaskName::Tagged {
                 op,
                 tag: Tag::LocalJoin,
-                dev: d.0,
             },
             OpKind::GradAggregate,
             Proc::Gpu(d.0),
@@ -569,7 +564,7 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
         .into_iter()
         .map(|lid| {
             tg.add_task(Task::new(
-                TaskName::OnLink { op, tag, link: lid },
+                TaskName::OnLink { op, tag },
                 op_kind,
                 Proc::Link(lid),
                 dur,
@@ -595,16 +590,12 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
     for (i, &d) in devices.iter().enumerate() {
         let done = tg.add_task(
             Task::new(
-                TaskName::Tagged {
-                    op,
-                    tag: done_tag,
-                    dev: d.0,
-                },
+                TaskName::Tagged { op, tag: done_tag },
                 OpKind::GradAggregate,
                 Proc::Gpu(d.0),
                 0.0,
             )
-            .with_output_bytes(marker_bytes[i]),
+            .with_bytes(marker_bytes[i]),
         );
         for &lt in &link_tasks {
             tg.add_dep(lt, done);
@@ -908,8 +899,8 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(book.collectives.len(), 1);
         assert_eq!(book.collectives[0].kind, CollectiveKind::AllGather);
-        assert_eq!(tg.task(out[0]).output_bytes, 6 << 20);
-        assert_eq!(tg.task(out[1]).output_bytes, 2 << 20);
+        assert_eq!(tg.task(out[0]).bytes, 6 << 20);
+        assert_eq!(tg.task(out[1]).bytes, 2 << 20);
         let link_dur = tg.task(book.collectives[0].link_tasks[0]).duration;
         assert!((link_dur - one_pass_estimate(&c, &devices, 8 << 20)).abs() < 1e-12);
         let s = list_schedule(&tg, &OrderPolicy::RankBased);

@@ -360,7 +360,9 @@ pub fn splice_into<C: CostEstimator>(
 /// tasks are taken out of the loads and the tasks it re-lowers to
 /// added, and no task or edge is stored. The loads are summed in
 /// another order than a sum over the spliced graph, so they may differ
-/// from one in the last bits. Not counted as a compilation.
+/// from one in the last bits. Not counted as a compilation. Returns
+/// the number of clean segments, as [`splice_into`] would reuse: when
+/// it is every segment, that splice would copy the base graph whole.
 pub fn splice_loads<C: CostEstimator>(
     g: &Graph,
     cluster: &Cluster,
@@ -369,7 +371,7 @@ pub fn splice_loads<C: CostEstimator>(
     base: SpliceBase<'_>,
     loads: &mut [f64],
     scratch: &mut SpliceScratch,
-) {
+) -> usize {
     let _span = heterog_telemetry::span("splice_loads");
     let lowering = Lowering {
         g,
@@ -391,7 +393,7 @@ pub fn splice_loads<C: CostEstimator>(
     };
     lowering
         .lowerer(&mut sum, book, op_tasks, tracker)
-        .price(base, moved);
+        .price(base, moved)
 }
 
 /// The inputs of one plain (single-pass) lowering.
@@ -423,7 +425,7 @@ impl<C: CostEstimator> Lowering<'_, C> {
             book,
             op_tasks,
             ps_loads: tracker,
-            pass: Pass::Single,
+            pass: Pass::SINGLE,
             pin_params: true,
             emit_applies: true,
             share_override: None,
@@ -534,7 +536,7 @@ pub fn compile_pipelined<C: CostEstimator>(
             book: &mut book,
             op_tasks: &mut op_tasks,
             ps_loads: &mut unused_loads,
-            pass: Pass::Micro(mi as u32),
+            pass: Pass::micro(mi as u32),
             pin_params: mi == active[0].0,
             emit_applies: mi == last_mi,
             share_override: Some(&shares),
@@ -617,7 +619,7 @@ pub fn compile_iterations<C: CostEstimator>(
             book: &mut book,
             op_tasks: &mut op_tasks,
             ps_loads: &mut ps_loads,
-            pass: Pass::Iter(it),
+            pass: Pass::iteration(it),
             pin_params: it == 0,
             emit_applies: true,
             share_override: None,
@@ -761,8 +763,8 @@ impl<C: CostEstimator> Lowerer<'_, C, LoadSum<'_>> {
     /// segments as [`Lowerer::splice`] does, and for each dirty one
     /// takes its base tasks' durations out of the loads and emits its
     /// re-lowered tasks into them. A clean `R(op)` leaves placeholder
-    /// ids, one per base replica.
-    fn price(&mut self, base: SpliceBase<'_>, moved: &mut Vec<bool>) {
+    /// ids, one per base replica. Returns the number of clean segments.
+    fn price(&mut self, base: SpliceBase<'_>, moved: &mut Vec<bool>) -> usize {
         self.walk(base, moved, |lw, rec, clean| {
             let [t0, t1] = rec.tasks;
             if !clean {
@@ -776,7 +778,7 @@ impl<C: CostEstimator> Lowerer<'_, C, LoadSum<'_>> {
                 ids.clear();
                 ids.resize((t1 - t0) as usize, TaskId(u32::MAX));
             }
-        });
+        })
     }
 }
 
@@ -981,20 +983,20 @@ impl<C: CostEstimator, O: TaskSink> Lowerer<'_, C, O> {
                 TaskName::Replica {
                     op: id,
                     pass: self.pass,
-                    dev: dev.0,
                     replica: ri as u32,
                 },
                 node.kind,
                 Proc::Gpu(dev.0),
                 duration,
             )
-            .with_origin(id)
-            .with_batch_share(share)
+            .with_batch_share(
+                u32::try_from(share).expect("a batch share is at most the batch, far below 2^32"),
+            )
             // ApplyGradient updates parameters in place; elementwise
             // ops are fused/in-place in real frameworks and add no
             // resident memory (their output sizes still price any
             // transfers, which read the node metadata directly).
-            .with_output_bytes(
+            .with_bytes(
                 if node.kind == OpKind::ApplyGradient || is_in_place(node.kind) {
                     0
                 } else if placement.shard_dim.is_some() {
@@ -1173,7 +1175,6 @@ impl<C: CostEstimator, O: TaskSink> Lowerer<'_, C, O> {
                                     TaskName::Tagged {
                                         op: u,
                                         tag: Tag::BcastDone,
-                                        dev: d.0,
                                     },
                                     OpKind::NoOp,
                                     Proc::Gpu(d.0),
@@ -1282,16 +1283,12 @@ impl<C: CostEstimator, O: TaskSink> Lowerer<'_, C, O> {
         };
         self.tg.add_task(
             Task::new(
-                TaskName::Tagged {
-                    op,
-                    tag,
-                    dev: dev.0,
-                },
+                TaskName::Tagged { op, tag },
                 kind,
                 Proc::Gpu(dev.0),
                 duration,
             )
-            .with_output_bytes(bytes),
+            .with_bytes(bytes),
         )
     }
 
@@ -1524,7 +1521,7 @@ mod tests {
         let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
         let tg = compile(&g, &c, &GroundTruthCost, &s);
         let (fid, _) = g.iter().find(|(_, n)| n.name == "l1/matmul").unwrap();
-        let replicas = tg.iter().filter(|(_, t)| t.origin == Some(fid)).count();
+        let replicas = tg.iter().filter(|(_, t)| t.origin() == Some(fid)).count();
         assert_eq!(replicas, 8);
     }
 
@@ -1569,7 +1566,7 @@ mod tests {
         let (fid, fnode) = g.iter().find(|(_, n)| n.name == "l1/matmul").unwrap();
         let pinned: u64 = tg
             .iter()
-            .filter(|(_, t)| t.origin == Some(fid))
+            .filter(|(_, t)| t.origin() == Some(fid))
             .map(|(_, t)| t.param_bytes)
             .sum();
         assert_eq!(pinned, fnode.param_bytes * OPTIMIZER_STATE_FACTOR * 8);
@@ -1584,8 +1581,8 @@ mod tests {
         let (fid, _) = g.iter().find(|(_, n)| n.name == "l1/matmul").unwrap();
         let total_share: u64 = tg
             .iter()
-            .filter(|(_, t)| t.origin == Some(fid))
-            .map(|(_, t)| t.batch_share)
+            .filter(|(_, t)| t.origin() == Some(fid))
+            .map(|(_, t)| u64::from(t.batch_share))
             .sum();
         assert_eq!(total_share, 192);
     }
@@ -1620,15 +1617,15 @@ mod tests {
             }
             let total: u64 = tg
                 .iter()
-                .filter(|(_, t)| t.origin == Some(id))
-                .map(|(_, t)| t.batch_share)
+                .filter(|(_, t)| t.origin() == Some(id))
+                .map(|(_, t)| u64::from(t.batch_share))
                 .sum();
             assert_eq!(total, 64, "{}", node.name);
         }
         // Exactly one set of ApplyGradient tasks (synchronous updates).
         for (id, node) in g.iter() {
             if node.kind == OpKind::ApplyGradient {
-                let applies = tg.iter().filter(|(_, t)| t.origin == Some(id)).count();
+                let applies = tg.iter().filter(|(_, t)| t.origin() == Some(id)).count();
                 assert_eq!(applies, 8, "{}: one apply per device copy", node.name);
             }
         }
@@ -1636,7 +1633,7 @@ mod tests {
         let (fid, fnode) = g.iter().find(|(_, n)| n.name == "l1/matmul").unwrap();
         let pinned: u64 = tg
             .iter()
-            .filter(|(_, t)| t.origin == Some(fid))
+            .filter(|(_, t)| t.origin() == Some(fid))
             .map(|(_, t)| t.param_bytes)
             .sum();
         assert_eq!(pinned, fnode.param_bytes * OPTIMIZER_STATE_FACTOR * 8);
@@ -1702,7 +1699,7 @@ mod tests {
         let (fid, fnode) = g.iter().find(|(_, n)| n.name == "l1/matmul").unwrap();
         let pinned: u64 = three
             .iter()
-            .filter(|(_, t)| t.origin == Some(fid))
+            .filter(|(_, t)| t.origin() == Some(fid))
             .map(|(_, t)| t.param_bytes)
             .sum();
         assert_eq!(pinned, fnode.param_bytes * OPTIMIZER_STATE_FACTOR * 8);
@@ -1765,7 +1762,7 @@ mod tests {
         let (fid, fnode) = g.iter().find(|(_, n)| n.name == "l1/matmul").unwrap();
         let pinned: u64 = tg
             .iter()
-            .filter(|(_, t)| t.origin == Some(fid))
+            .filter(|(_, t)| t.origin() == Some(fid))
             .map(|(_, t)| t.param_bytes)
             .sum();
         // Slices partition the parameters exactly once across the
@@ -1774,8 +1771,8 @@ mod tests {
         // Output slices partition the full activation exactly.
         let out: u64 = tg
             .iter()
-            .filter(|(_, t)| t.origin == Some(fid))
-            .map(|(_, t)| t.output_bytes)
+            .filter(|(_, t)| t.origin() == Some(fid))
+            .map(|(_, t)| t.bytes)
             .sum();
         assert_eq!(out, fnode.output.bytes(64));
     }
@@ -1813,11 +1810,8 @@ mod tests {
             assert_eq!(ta.task_name(id).to_string(), tb.task_name(id).to_string());
             assert_eq!((x.kind, x.proc), (y.kind, y.proc));
             assert_eq!(x.duration.to_bits(), y.duration.to_bits());
-            assert_eq!(
-                (x.output_bytes, x.param_bytes, x.comm_bytes),
-                (y.output_bytes, y.param_bytes, y.comm_bytes)
-            );
-            assert_eq!((x.origin, x.batch_share), (y.origin, y.batch_share));
+            assert_eq!((x.bytes, x.param_bytes), (y.bytes, y.param_bytes));
+            assert_eq!((x.origin(), x.batch_share), (y.origin(), y.batch_share));
         }
         assert!(ta.edges().eq(tb.edges()), "edge lists differ");
     }

@@ -2,8 +2,8 @@
 //! recompiling.
 //!
 //! Most of a compiled [`TaskGraph`] is *derivable*: replica tasks carry
-//! their `origin` op and `batch_share`, structural Split/Concat tasks
-//! carry their `output_bytes`, and transfer tasks carry `comm_bytes` —
+//! their op (`Task::origin`) and `batch_share`, and structural
+//! Split/Concat tasks and transfer tasks carry their `bytes` —
 //! enough to recompute every duration from the cost model alone. The
 //! only decisions that are not recoverable from task fields are the
 //! gradient-aggregation ones: which device a PS round chose (a greedy,
@@ -176,17 +176,17 @@ pub fn reprice_into<C: CostEstimator>(
         let t = base.task(id);
         let new_duration = match t.proc {
             Proc::Gpu(_) => {
-                if let Some(op) = t.origin {
+                if let Some(op) = t.origin() {
                     let dev = match t.proc {
                         Proc::Gpu(d) => cluster.device(DeviceId(d)),
                         Proc::Link(_) => unreachable!(),
                     };
-                    cost.op_time(g.node(op), dev.model, t.batch_share) / dev.speed_factor
+                    cost.op_time(g.node(op), dev.model, u64::from(t.batch_share)) / dev.speed_factor
                 } else {
                     match t.kind {
                         OpKind::Split | OpKind::Concat => {
                             let Proc::Gpu(d) = t.proc else { unreachable!() };
-                            structural_duration(cluster, cost, d, t.kind, t.output_bytes)
+                            structural_duration(cluster, cost, d, t.kind, t.bytes)
                         }
                         // Zero-duration markers (pull_done / ar_done /
                         // local_join / bcast_done) and the ps_agg
@@ -197,7 +197,7 @@ pub fn reprice_into<C: CostEstimator>(
                 }
             }
             Proc::Link(l) => match t.kind {
-                OpKind::Transfer => cost.transfer_time(cluster.link(LinkId(l)), t.comm_bytes),
+                OpKind::Transfer => cost.transfer_time(cluster.link(LinkId(l)), t.bytes),
                 // Collective link tasks are patched from the book below.
                 OpKind::NcclAllReduce | OpKind::AllGather | OpKind::ReduceScatter => continue,
                 _ => return Err(RepriceError::Underivable),
@@ -271,7 +271,7 @@ mod tests {
                 tb.duration
             );
             assert_eq!(ta.proc, tb.proc);
-            assert_eq!(ta.output_bytes, tb.output_bytes);
+            assert_eq!(ta.bytes, tb.bytes);
             assert_eq!(a.task_name(id).to_string(), b.task_name(id).to_string());
         }
     }

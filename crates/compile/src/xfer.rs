@@ -66,16 +66,12 @@ pub fn emit_transfer<C: CostEstimator>(
             record_link_bytes(link.kind, bytes);
             tg.add_task(
                 Task::new(
-                    TaskName::OnLink {
-                        op,
-                        tag,
-                        link: lid.0,
-                    },
+                    TaskName::OnLink { op, tag },
                     OpKind::Transfer,
                     Proc::Link(lid.0),
                     cost.transfer_time(link, bytes),
                 )
-                .with_comm_bytes(bytes),
+                .with_bytes(bytes),
             )
         })
         .collect()

@@ -193,14 +193,16 @@ pub fn elastic_run(
                 let started = std::time::Instant::now();
                 let ((repaired_strategy, action, repaired), repair_stats) =
                     count_evaluations(|| {
-                        let (repaired_strategy, action) = repair(
+                        let (repaired_strategy, action, scored) = repair(
                             g, &state, cost, planner, &evaluator, &strategy, &applied, opts,
                         );
                         repaired_strategy
                             .validate(state.cluster())
                             .expect("repair produced a strategy referencing missing devices");
-                        let (repaired, _) = evaluator
-                            .evaluate_perturbed(Perturbation::Strategy(&repaired_strategy));
+                        let repaired = scored.unwrap_or_else(|| {
+                            let p = Perturbation::Strategy(&repaired_strategy);
+                            evaluator.evaluate_perturbed(p).0
+                        });
                         (repaired_strategy, action, repaired)
                     });
                 RECOVERY_SECONDS.observe(started.elapsed().as_secs_f64());
@@ -290,7 +292,9 @@ pub fn elastic_run(
 /// Runs one repair according to the policy; `strategy` has already been
 /// validity-migrated onto the mutated cluster, where `evaluator` is
 /// anchored. Candidates are scored through its splice fast path, bit
-/// for bit as a fresh compile and simulation would score them.
+/// for bit as a fresh compile and simulation would score them. Returns
+/// the repaired strategy, the action taken and, when the policy scored
+/// candidates, the chosen one's evaluation.
 #[allow(clippy::too_many_arguments)]
 fn repair(
     g: &Graph,
@@ -301,13 +305,13 @@ fn repair(
     strategy: &Strategy,
     applied: &[&FaultEvent],
     opts: &ElasticOptions,
-) -> (Strategy, &'static str) {
+) -> (Strategy, &'static str, Option<Evaluation>) {
     let cluster = state.cluster();
     let (shape_changed, speed_changed) = classify(applied);
     match opts.policy {
         RepairPolicy::FullReplan => {
             REPLANS.inc();
-            (planner.plan(g, cluster, cost), "full-replan")
+            (planner.plan(g, cluster, cost), "full-replan", None)
         }
         RepairPolicy::MigrateReplicas => {
             MIGRATIONS.inc();
@@ -318,13 +322,14 @@ fn repair(
                 (
                     rebalance_replicas(strategy, &map, cluster),
                     "migrate-replicas(rebalance)",
+                    None,
                 )
             } else if shape_changed {
                 // The carried strategy was already migrated per event.
-                (strategy.clone(), "migrate-replicas")
+                (strategy.clone(), "migrate-replicas", None)
             } else {
                 // Link-only fault: nothing to move.
-                (strategy.clone(), "migrate-replicas(no-op)")
+                (strategy.clone(), "migrate-replicas(no-op)", None)
             }
         }
         RepairPolicy::CollectiveFallback => {
@@ -357,8 +362,8 @@ fn repair(
                     best = Some((cand, label, eval));
                 }
             }
-            let (s, label, _) = best.expect("non-empty candidate set");
-            (s, label)
+            let (s, label, eval) = best.expect("non-empty candidate set");
+            (s, label, Some(eval))
         }
     }
 }

@@ -11,13 +11,17 @@
 //!   call, and both are invalidated on mutation. Iteration order
 //!   matches the old `Vec<Vec<TaskId>>` representation exactly
 //!   (per-source insertion order), so schedules are bit-identical.
-//! * **Index task names.** A [`TaskName`] is plain data — op id, role
-//!   [`Tag`], device or replica, link id and [`Pass`] — that indexes a
-//!   per-graph [`NameTable`] held by one `Arc`. Copying a task copies
-//!   no string and bumps no refcount, so two threads splicing task
-//!   graphs from one shared base do not contend on a cache line; the
-//!   human-readable string is rendered only when asked
+//! * **Index task names.** A [`TaskName`] is 16 bytes of plain data —
+//!   op id, role [`Tag`], replica index and [`Pass`] — that indexes a
+//!   per-graph [`NameTable`] held by one `Arc`; the device or link a
+//!   name renders is read from the task's [`Proc`]. Copying a task
+//!   copies no string and bumps no refcount, so two threads splicing
+//!   task graphs from one shared base do not contend on a cache line;
+//!   the human-readable string is rendered only when asked
 //!   ([`TaskGraph::task_name`]).
+//! * **Each fact once.** A [`Task`] is 56 bytes: its op comes from its
+//!   name ([`Task::origin`]), and one field holds a GPU task's output
+//!   bytes or a link task's payload.
 //! * **Edges appended, checked once.** Builders add each edge once, so
 //!   `add_dep` only appends and a splice copies a whole segment's edges
 //!   as one remapped range ([`TaskGraph::copy_deps`]). Building the
@@ -136,23 +140,43 @@ impl Tag {
 /// Which lowering pass emitted a replica task: the single pass of a
 /// plain compile, one micro-batch of a pipelined compile, or one
 /// iteration of a multi-iteration compile. Rendered as the name suffix
-/// `""`, `"~u{n}"` or `"~i{n}"`.
+/// `""`, `"~u{n}"` or `"~i{n}"`. Packed into one `u32`, the kind in the
+/// top two bits and `n` below them, so a [`TaskName`] stays 16 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Pass {
+pub struct Pass(u32);
+
+impl Pass {
+    /// The kind's lowest bit: `n` takes the 30 bits below it.
+    const KIND_SHIFT: u32 = 30;
+    const MICRO: u32 = 1;
+    const ITER: u32 = 2;
+
     /// A plain one-pass compile.
-    Single,
+    pub const SINGLE: Pass = Pass(0);
+
     /// Micro-batch `n` of a pipelined compile.
-    Micro(u32),
+    pub fn micro(n: u32) -> Pass {
+        Pass::packed(Pass::MICRO, n)
+    }
+
     /// Iteration `n` of a multi-iteration compile.
-    Iter(u32),
+    pub fn iteration(n: u32) -> Pass {
+        Pass::packed(Pass::ITER, n)
+    }
+
+    fn packed(kind: u32, n: u32) -> Pass {
+        assert!(n < 1 << Pass::KIND_SHIFT, "pass index {n} out of range");
+        Pass(kind << Pass::KIND_SHIFT | n)
+    }
 }
 
 impl std::fmt::Display for Pass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Pass::Single => Ok(()),
-            Pass::Micro(n) => write!(f, "~u{n}"),
-            Pass::Iter(n) => write!(f, "~i{n}"),
+        let n = self.0 & ((1 << Pass::KIND_SHIFT) - 1);
+        match self.0 >> Pass::KIND_SHIFT {
+            Pass::MICRO => write!(f, "~u{n}"),
+            Pass::ITER => write!(f, "~i{n}"),
+            _ => Ok(()),
         }
     }
 }
@@ -175,26 +199,28 @@ impl NameTable {
     }
 }
 
-/// A task name as indices into its graph's [`NameTable`].
+/// A task name as indices into its graph's [`NameTable`], rendered at
+/// the task's processor.
 ///
 /// The compiler emits millions of tasks across a planner search, so a
-/// name is plain `Copy`-sized data; [`TaskGraph::task_name`] renders it:
+/// name is 16 bytes of `Copy`-sized data and holds no device or link
+/// index; [`TaskGraph::task_name`] renders it, `{at}` being `G{gpu}` or
+/// the link's label:
 ///
-/// * [`TaskName::Replica`] -> `"{op}{pass}@G{dev}#{replica}"`
-/// * [`TaskName::Tagged`]  -> `"{op}/{tag}@G{dev}"`
-/// * [`TaskName::OnLink`]  -> `"{op}/{tag}@{link label}"`
+/// * [`TaskName::Replica`] -> `"{op}{pass}@{at}#{replica}"`
+/// * [`TaskName::Tagged`]  -> `"{op}/{tag}@{at}"` (a GPU task)
+/// * [`TaskName::OnLink`]  -> `"{op}/{tag}@{at}"` (a link task)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskName {
-    /// A fully materialized name (hand-built graphs and tests).
-    Full(Box<str>),
+    /// A fully materialized name (hand-built graphs and tests), behind a
+    /// thin pointer so that the compiler's names stay 16 bytes.
+    Full(Box<Box<str>>),
     /// A per-replica compute task.
     Replica {
         /// Originating op.
         op: OpId,
         /// The lowering pass that emitted it.
         pass: Pass,
-        /// GPU index.
-        dev: u32,
         /// Replica index within the op's placement.
         replica: u32,
     },
@@ -204,8 +230,6 @@ pub enum TaskName {
         op: OpId,
         /// Role tag.
         tag: Tag,
-        /// GPU index.
-        dev: u32,
     },
     /// A communication task on a link.
     OnLink {
@@ -213,28 +237,38 @@ pub enum TaskName {
         op: OpId,
         /// Role tag.
         tag: Tag,
-        /// Link index.
-        link: u32,
     },
 }
 
 impl From<String> for TaskName {
     fn from(s: String) -> Self {
-        TaskName::Full(s.into_boxed_str())
+        TaskName::Full(Box::new(s.into_boxed_str()))
     }
 }
 
 impl From<&str> for TaskName {
     fn from(s: &str) -> Self {
-        TaskName::Full(s.into())
+        TaskName::Full(Box::new(s.into()))
     }
 }
 
-/// A [`TaskName`] with the table it indexes; `Display` renders it.
+/// A [`TaskName`] with its task's processor and the table it indexes;
+/// `Display` renders it.
 #[derive(Debug, Clone, Copy)]
 pub struct NameRef<'a> {
     name: &'a TaskName,
+    proc: Proc,
     table: &'a NameTable,
+}
+
+impl NameRef<'_> {
+    /// Writes where the task runs: `G{gpu}`, or its link's label.
+    fn write_at(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.proc {
+            Proc::Gpu(_) => write!(f, "{}", self.proc),
+            Proc::Link(l) => f.write_str(&self.table.links[l as usize]),
+        }
+    }
 }
 
 impl std::fmt::Display for NameRef<'_> {
@@ -245,24 +279,22 @@ impl std::fmt::Display for NameRef<'_> {
             TaskName::Replica {
                 op: o,
                 pass,
-                dev,
                 replica,
-            } => write!(f, "{}{pass}@G{dev}#{replica}", op(o)),
-            TaskName::Tagged { op: o, tag, dev } => {
-                write!(f, "{}/{}@G{dev}", op(o), tag.as_str())
+            } => {
+                write!(f, "{}{pass}@", op(o))?;
+                self.write_at(f)?;
+                write!(f, "#{replica}")
             }
-            TaskName::OnLink { op: o, tag, link } => write!(
-                f,
-                "{}/{}@{}",
-                op(o),
-                tag.as_str(),
-                self.table.links[*link as usize]
-            ),
+            TaskName::Tagged { op: o, tag } | TaskName::OnLink { op: o, tag } => {
+                write!(f, "{}/{}@", op(o), tag.as_str())?;
+                self.write_at(f)
+            }
         }
     }
 }
 
 /// One schedulable task (computation op replica or communication op).
+/// Each fact is stored once: 56 bytes, checked by a test.
 #[derive(Debug, Clone)]
 pub struct Task {
     /// Name, e.g. `"b3/conv2d_7@G2#0"` once rendered through
@@ -274,21 +306,19 @@ pub struct Task {
     pub proc: Proc,
     /// Estimated execution/transfer time, seconds (the paper's `p_i`).
     pub duration: f64,
-    /// Bytes of output (activation) memory this task materializes on its
-    /// GPU; 0 for link tasks. Used by the simulator's memory tracking.
-    pub output_bytes: u64,
+    /// On a GPU, the output (activation) bytes this task materializes,
+    /// which the simulator's memory tracking charges to that GPU. On a
+    /// link, the payload a transfer carries; collective link tasks carry
+    /// none (their price-book entries hold the collective's bytes).
+    pub bytes: u64,
     /// Persistent parameter bytes this task pins on its GPU (weights).
     pub param_bytes: u64,
-    /// The original single-GPU op this task derives from (None for
-    /// compiler-inserted structural/communication ops).
-    pub origin: Option<OpId>,
-    /// Samples processed by this replica (0 for non-batch tasks) —
-    /// recorded for debugging/traces.
-    pub batch_share: u64,
-    /// Payload bytes carried by a link task (0 for compute tasks).
-    /// Together with `origin`/`batch_share` this makes task durations
+    /// Samples processed by this replica (0 for non-batch tasks). With
+    /// [`Task::origin`] and a transfer's payload it makes task durations
     /// re-derivable after a hardware perturbation without recompiling.
-    pub comm_bytes: u64,
+    /// A share never exceeds the batch, which is at most
+    /// `heterog_graph::MAX_BATCH`.
+    pub batch_share: u32,
 }
 
 impl Task {
@@ -299,17 +329,16 @@ impl Task {
             kind,
             proc,
             duration,
-            output_bytes: 0,
+            bytes: 0,
             param_bytes: 0,
-            origin: None,
             batch_share: 0,
-            comm_bytes: 0,
         }
     }
 
-    /// Sets output (activation) bytes.
-    pub fn with_output_bytes(mut self, bytes: u64) -> Self {
-        self.output_bytes = bytes;
+    /// Sets [`Task::bytes`]: a GPU task's output bytes or a link task's
+    /// payload.
+    pub fn with_bytes(mut self, bytes: u64) -> Self {
+        self.bytes = bytes;
         self
     }
 
@@ -319,22 +348,19 @@ impl Task {
         self
     }
 
-    /// Records the originating single-GPU op.
-    pub fn with_origin(mut self, op: OpId) -> Self {
-        self.origin = Some(op);
-        self
-    }
-
     /// Records this replica's batch share.
-    pub fn with_batch_share(mut self, share: u64) -> Self {
+    pub fn with_batch_share(mut self, share: u32) -> Self {
         self.batch_share = share;
         self
     }
 
-    /// Records the payload bytes of a link task.
-    pub fn with_comm_bytes(mut self, bytes: u64) -> Self {
-        self.comm_bytes = bytes;
-        self
+    /// The single-GPU op a replica task derives from; `None` for
+    /// compiler-inserted structural and communication tasks.
+    pub fn origin(&self) -> Option<OpId> {
+        match self.name {
+            TaskName::Replica { op, .. } => Some(op),
+            _ => None,
+        }
     }
 }
 
@@ -556,8 +582,10 @@ impl TaskGraph {
 
     /// Task `id`'s name, rendered by `Display`.
     pub fn task_name(&self, id: TaskId) -> NameRef<'_> {
+        let task = &self.tasks[id.index()];
         NameRef {
-            name: &self.tasks[id.index()].name,
+            name: &task.name,
+            proc: task.proc,
             table: &self.names,
         }
     }
@@ -873,8 +901,7 @@ mod tests {
         let replica = named(
             TaskName::Replica {
                 op: OpId(1),
-                pass: Pass::Micro(2),
-                dev: 2,
+                pass: Pass::micro(2),
                 replica: 1,
             },
             Proc::Gpu(2),
@@ -882,8 +909,7 @@ mod tests {
         let plain = named(
             TaskName::Replica {
                 op: OpId(1),
-                pass: Pass::Single,
-                dev: 0,
+                pass: Pass::SINGLE,
                 replica: 0,
             },
             Proc::Gpu(0),
@@ -892,7 +918,6 @@ mod tests {
             TaskName::Tagged {
                 op: OpId(1),
                 tag: Tag::PsAgg,
-                dev: 0,
             },
             Proc::Gpu(0),
         );
@@ -900,11 +925,18 @@ mod tests {
             TaskName::OnLink {
                 op: OpId(1),
                 tag: Tag::PushXfer,
-                link: 1,
             },
             Proc::Link(1),
         );
         let full = named("free-form".into(), Proc::Gpu(3));
+        let iteration = named(
+            TaskName::Replica {
+                op: OpId(0),
+                pass: Pass::iteration(3),
+                replica: 0,
+            },
+            Proc::Gpu(1),
+        );
         assert_eq!(tg.task_name(replica).to_string(), "b3/conv2d_7~u2@G2#1");
         assert_eq!(tg.task_name(plain).to_string(), "b3/conv2d_7@G0#0");
         assert_eq!(tg.task_name(tagged).to_string(), "b3/conv2d_7/ps_agg@G0");
@@ -913,6 +945,38 @@ mod tests {
             "b3/conv2d_7/push/xfer@srv1.in"
         );
         assert_eq!(tg.task_name(full).to_string(), "free-form");
+        assert_eq!(tg.task_name(iteration).to_string(), "input~i3@G1#0");
+    }
+
+    /// Each fact is stored once: the name holds no device or link index
+    /// (its task's processor does), the op is the name's, and output and
+    /// payload bytes share one field.
+    #[test]
+    fn tasks_and_names_stay_compact() {
+        assert!(
+            std::mem::size_of::<Task>() <= 56,
+            "{}",
+            std::mem::size_of::<Task>()
+        );
+        assert!(std::mem::size_of::<TaskName>() <= 16);
+        assert_eq!(std::mem::size_of::<Pass>(), 4);
+    }
+
+    #[test]
+    fn only_replica_tasks_have_an_origin() {
+        let replica = TaskName::Replica {
+            op: OpId(4),
+            pass: Pass::SINGLE,
+            replica: 0,
+        };
+        let task = |name: TaskName| Task::new(name, OpKind::NoOp, Proc::Gpu(0), 0.0);
+        assert_eq!(task(replica).origin(), Some(OpId(4)));
+        let tagged = TaskName::Tagged {
+            op: OpId(4),
+            tag: Tag::Split,
+        };
+        assert_eq!(task(tagged).origin(), None);
+        assert_eq!(task("a".into()).origin(), None);
     }
 
     #[test]

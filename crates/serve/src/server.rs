@@ -311,7 +311,8 @@ fn route(stream: &mut TcpStream, req: &Request, s: &Shared) {
         }
         ("GET", "/metrics") => {
             QUEUE_DEPTH.set(s.queue.depth() as f64);
-            let text = heterog_telemetry::prometheus_text(&heterog_telemetry::snapshot());
+            // The text reads no spans: copy the metrics alone.
+            let text = heterog_telemetry::prometheus_text(&heterog_telemetry::metrics_snapshot());
             let _ = respond(
                 stream,
                 200,

@@ -53,13 +53,13 @@ pub fn memory_usage(tg: &TaskGraph, schedule: &Schedule, capacities: &[u64]) -> 
             Proc::Link(_) => continue, // in-flight bytes accounted at endpoints
         };
         param_bytes[gpu] += task.param_bytes;
-        if task.output_bytes == 0 {
+        if task.bytes == 0 {
             continue;
         }
         let alloc_t = schedule.start[id.index()];
         let free_t = release_time(tg, schedule, id);
-        events.push((alloc_t, gpu, task.output_bytes as i64));
-        events.push((free_t, gpu, -(task.output_bytes as i64)));
+        events.push((alloc_t, gpu, task.bytes as i64));
+        events.push((free_t, gpu, -(task.bytes as i64)));
     }
 
     // Sweep: sort by time; at equal times apply frees before allocations
@@ -131,9 +131,9 @@ mod tests {
         // on one GPU, but b's output lives to its release (no consumers =
         // own finish). Expected peak: a(100) + b(10) while b runs = 110.
         let mut tg = TaskGraph::new("m", 1, 0);
-        let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0).with_output_bytes(100));
-        let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0).with_output_bytes(10));
-        let c = tg.add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(0), 1.0).with_output_bytes(10));
+        let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(100));
+        let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(10));
+        let c = tg.add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(10));
         tg.add_dep(a, b);
         tg.add_dep(a, c);
         let s = run(&tg);
@@ -144,7 +144,7 @@ mod tests {
     #[test]
     fn oom_detected() {
         let mut tg = TaskGraph::new("o", 1, 0);
-        tg.add_task(Task::new("big", OpKind::NoOp, Proc::Gpu(0), 1.0).with_output_bytes(2_000));
+        tg.add_task(Task::new("big", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(2_000));
         let s = run(&tg);
         let m = memory_usage(&tg, &s, &[1_000]);
         assert!(m.any_oom());
@@ -154,7 +154,7 @@ mod tests {
     #[test]
     fn link_tasks_consume_no_gpu_memory() {
         let mut tg = TaskGraph::new("l", 1, 1);
-        tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 1.0).with_output_bytes(999));
+        tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 1.0).with_bytes(999));
         let s = run(&tg);
         let m = memory_usage(&tg, &s, &[10]);
         assert_eq!(m.peak_bytes[0], 0);
@@ -166,9 +166,9 @@ mod tests {
         // a -> b -> c on one GPU, each 100B out: peak is 200 (producer +
         // consumer), not 300, because a frees when b finishes.
         let mut tg = TaskGraph::new("s", 1, 0);
-        let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0).with_output_bytes(100));
-        let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0).with_output_bytes(100));
-        let c = tg.add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(0), 1.0).with_output_bytes(100));
+        let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(100));
+        let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(100));
+        let c = tg.add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(100));
         tg.add_dep(a, b);
         tg.add_dep(b, c);
         let s = run(&tg);

@@ -131,13 +131,13 @@ impl MemHook<'_> {
     #[inline]
     fn apply(&mut self, task: &Task, time: f64, sign: i64) {
         if let Proc::Gpu(g) = task.proc {
-            if task.output_bytes > 0 {
+            if task.bytes > 0 {
                 let g = g as usize;
                 if time > self.last[g] {
                     self.peak[g] = self.peak[g].max(self.cur[g]);
                     self.last[g] = time;
                 }
-                self.cur[g] += sign * task.output_bytes as i64;
+                self.cur[g] += sign * task.bytes as i64;
             }
         }
     }
@@ -395,8 +395,7 @@ mod tests {
     fn demo_graph() -> TaskGraph {
         // GPU0: a(1.0) -> link x(0.5) -> GPU1: b(1.0); GPU0 also c(2.0).
         let mut tg = TaskGraph::new("demo", 2, 1);
-        let a =
-            tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0).with_output_bytes(64));
+        let a = tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0).with_bytes(64));
         let x = tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5));
         let b = tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(1), 1.0));
         tg.add_task(Task::new("c", OpKind::Conv2D, Proc::Gpu(0), 2.0));
@@ -479,7 +478,7 @@ mod tests {
     #[test]
     fn oom_propagates_into_report() {
         let mut tg = TaskGraph::new("o", 1, 0);
-        tg.add_task(Task::new("big", OpKind::NoOp, Proc::Gpu(0), 1.0).with_output_bytes(100));
+        tg.add_task(Task::new("big", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(100));
         let r = simulate(&tg, &[10], &OrderPolicy::RankBased);
         assert!(r.memory.any_oom());
     }
@@ -508,15 +507,13 @@ mod tests {
         let mut tg = TaskGraph::new("busy", 3, 2);
         let a = tg.add_task(
             Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0)
-                .with_output_bytes(100)
+                .with_bytes(100)
                 .with_param_bytes(40),
         );
-        let b =
-            tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(0), 2.0).with_output_bytes(30));
+        let b = tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(0), 2.0).with_bytes(30));
         let x = tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5));
         let y = tg.add_task(Task::new("y", OpKind::Transfer, Proc::Link(1), 0.25));
-        let c =
-            tg.add_task(Task::new("c", OpKind::Conv2D, Proc::Gpu(1), 1.5).with_output_bytes(60));
+        let c = tg.add_task(Task::new("c", OpKind::Conv2D, Proc::Gpu(1), 1.5).with_bytes(60));
         let d = tg.add_task(
             Task::new("d", OpKind::ApplyGradient, Proc::Gpu(1), 0.5).with_param_bytes(10),
         );
@@ -589,7 +586,7 @@ mod tests {
                 let p = rng.gen_range(0..(gpus + links) as usize) as u32;
                 let task = if p < gpus {
                     Task::new(format!("t{i}"), OpKind::Conv2D, Proc::Gpu(p), d)
-                        .with_output_bytes([0, 16, 16, 48][rng.gen_range(0..4usize)])
+                        .with_bytes([0, 16, 16, 48][rng.gen_range(0..4usize)])
                         .with_param_bytes([0, 8][rng.gen_range(0..2usize)])
                 } else {
                     Task::new(format!("t{i}"), OpKind::Transfer, Proc::Link(p - gpus), d)

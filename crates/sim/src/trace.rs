@@ -5,9 +5,9 @@
 //! task, metadata events (`"ph": "M"`) naming the process and every
 //! GPU/link track, flow arrows (`"ph": "s"` / `"f"`) following tensors
 //! across devices through transfer tasks, and a cumulative
-//! `transferred_bytes` counter series (`"ph": "C"`). Handy for
-//! eyeballing computation/communication overlap the way the paper's
-//! Fig. 1/2 timelines do.
+//! `transferred_bytes` counter series (`"ph": "C"`) of transfer
+//! payloads. Handy for eyeballing computation/communication overlap
+//! the way the paper's Fig. 1/2 timelines do.
 
 use heterog_sched::{Proc, Schedule, TaskGraph};
 use heterog_telemetry::json::Value;
@@ -131,12 +131,13 @@ pub fn chrome_trace_events(tg: &TaskGraph, s: &Schedule) -> Vec<Value> {
         }
     }
 
-    // Cumulative transferred-bytes counter, stepped at each transfer
-    // completion.
+    // Cumulative transferred-bytes counter, stepped at each link task's
+    // completion by its payload. Collective link tasks carry no payload
+    // (their bytes live in the price book), so they step it by 0.
     let mut completions: Vec<(f64, u64)> = tg
         .iter()
         .filter(|(_, t)| t.proc.is_link())
-        .map(|(id, t)| (s.finish[id.index()], t.output_bytes))
+        .map(|(id, t)| (s.finish[id.index()], t.bytes))
         .collect();
     completions.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut total_bytes = 0u64;
@@ -169,10 +170,8 @@ mod tests {
 
     fn demo() -> (TaskGraph, Schedule) {
         let mut tg = TaskGraph::new("t", 2, 1);
-        let a =
-            tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0).with_output_bytes(64));
-        let x =
-            tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5).with_output_bytes(64));
+        let a = tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0).with_bytes(64));
+        let x = tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5).with_bytes(64));
         let b = tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(1), 1.0));
         tg.add_dep(a, x);
         tg.add_dep(x, b);

@@ -13,7 +13,7 @@
 //! | `Cluster`               | [`reprice_into`], then the base evaluation with its OOM flags re-derived when no duration changed bitwise, else one simulation of the re-priced graph |
 //! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
 //! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
-//! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated to the end: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); a candidate it leaves in is spliced and simulated by [`simulate_within`], which stops once its running bound exceeds the limit |
+//! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated to the end: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); a candidate with no dirty segment is the base graph and gets the base evaluation; any other it leaves in is spliced and simulated by [`simulate_within`], which stops once its running bound exceeds the limit |
 //!
 //! A strategy change resolves the candidate's placements once and
 //! diffs them against the base's: an op's replica tasks, the wiring of
@@ -100,8 +100,9 @@ pub enum Perturbation<'p> {
 /// Which path served an [`IncrementalEvaluator::evaluate_perturbed`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvalMode {
-    /// The perturbation equals the base deployment; the cached base
-    /// evaluation was returned.
+    /// The perturbation equals the base deployment, or (bounded) lowers
+    /// to the base's task graph; the cached base evaluation was
+    /// returned.
     Base,
     /// Re-priced task graph, with no compile: the base evaluation with
     /// its OOM flags re-derived when no task duration changed, else one
@@ -307,11 +308,16 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// the base's loads and the dirty segments with no splice
     /// ([`splice_loads`]); only when it does not prune is the graph
     /// spliced, its index built and [`simulate_within`] run, which stops
-    /// as soon as its running bound exceeds `limit`. A pruned candidate
-    /// counts in neither `incremental_fast` nor `incremental_full`, nor as
-    /// a simulation, and emits no `StrategyEvaluated` event. Only spliced
-    /// paths are bounded; every other path evaluates as
-    /// `evaluate_perturbed` does.
+    /// as soon as its running bound exceeds `limit`. A candidate whose
+    /// every lowering segment is clean (the move changed only decisions
+    /// the lowering ignores, such as PS vs AllReduce for ops without
+    /// parameter gradients) lowers to the base graph: it returns the
+    /// base evaluation as [`EvalMode::Base`], with no splice and no
+    /// simulation, unless the base's own time exceeds `limit`. A pruned
+    /// candidate counts in neither `incremental_fast` nor
+    /// `incremental_full`, nor as a simulation, and emits no
+    /// `StrategyEvaluated` event. Only spliced paths are bounded; every
+    /// other path evaluates as `evaluate_perturbed` does.
     pub fn evaluate_bounded(&self, p: Perturbation<'_>, limit: f64) -> Bounded {
         let _span = heterog_telemetry::span("evaluate_bounded");
         self.evaluate_within(p, limit)
@@ -396,7 +402,9 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// Splices the task graph of the `moved` placements from the base
     /// lowering and simulates it within `limit`. At a finite limit the
     /// busiest processor's load is priced before any splice
-    /// ([`splice_loads`]), and only a candidate it leaves in is spliced.
+    /// ([`splice_loads`]), and only a candidate it leaves in is spliced;
+    /// one whose segments are all clean is the base deployment's graph,
+    /// answered with the base evaluation ([`EvalMode::Base`]).
     /// A splice that reuses no segment was a full compile and, when
     /// simulated to the end, is counted as one.
     fn eval_spliced(&self, moved: Moved<'_>, limit: f64) -> Bounded {
@@ -428,7 +436,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             if limit < f64::INFINITY {
                 let _span = heterog_telemetry::span("bound");
                 load.clone_from(&self.loads);
-                splice_loads(
+                let clean = splice_loads(
                     self.g,
                     &self.cluster,
                     self.cost,
@@ -440,6 +448,13 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 let busiest = load.iter().copied().fold(0.0f64, f64::max);
                 if load_exceeds(busiest, limit) {
                     return Bounded::Pruned(busiest);
+                }
+                // The move changed only what the lowering ignores: the
+                // splice would copy the base graph whole, and simulating
+                // it within a limit the base's time does not exceed would
+                // give the base's evaluation.
+                if clean == self.log.len() && !load_exceeds(self.base.iteration_time, limit) {
+                    return Bounded::evaluated(self.base.clone(), EvalMode::Base);
                 }
             }
             let reused = splice_into(

@@ -48,7 +48,8 @@ pub mod tally;
 pub use export::{chrome_span_events, prometheus_text};
 pub use metrics::{disable, enable, enable_from_env, enabled, reset, Counter, Gauge, Histogram};
 pub use snapshot::{
-    snapshot, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, TelemetrySnapshot,
+    metrics_snapshot, snapshot, CounterSnapshot, GaugeSnapshot, HistogramSnapshot,
+    TelemetrySnapshot,
 };
 pub use span::{span, SpanGuard, SpanRecord};
 pub use sync::lock;
@@ -216,6 +217,20 @@ mod tests {
         assert!(text.contains("# TYPE heterog_test_latency_seconds histogram"));
         assert!(text.contains("heterog_test_latency_seconds_bucket{le=\"+Inf\"}"));
         assert!(text.contains("heterog_test_latency_seconds_count 1"));
+    }
+
+    #[test]
+    fn metrics_snapshot_copies_no_spans_and_renders_the_same_text() {
+        let _g = lock(&TEST_LOCK);
+        reset();
+        enable();
+        TEST_COUNTER.inc();
+        drop(span("recorded"));
+        let (metrics, full) = (metrics_snapshot(), snapshot());
+        disable();
+        reset();
+        assert!(metrics.spans.is_empty() && !full.spans.is_empty());
+        assert_eq!(prometheus_text(&metrics), prometheus_text(&full));
     }
 
     #[test]

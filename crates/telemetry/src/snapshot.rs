@@ -78,6 +78,16 @@ pub struct TelemetrySnapshot {
 
 /// Take a snapshot of the global registry and span log.
 pub fn snapshot() -> TelemetrySnapshot {
+    TelemetrySnapshot {
+        spans: crate::span::completed(),
+        ..metrics_snapshot()
+    }
+}
+
+/// Take a snapshot of the global registry alone, with no spans: all that
+/// [`crate::prometheus_text`] reads, without copying a span log that
+/// grows for a long-lived process's whole life.
+pub fn metrics_snapshot() -> TelemetrySnapshot {
     let mut snap = TelemetrySnapshot::default();
     for m in lock(registry()).iter() {
         match m {
@@ -109,7 +119,6 @@ pub fn snapshot() -> TelemetrySnapshot {
     snap.counters.sort_by_key(|c| c.name);
     snap.gauges.sort_by_key(|g| g.name);
     snap.histograms.sort_by_key(|h| h.name);
-    snap.spans = crate::span::completed();
     snap
 }
 

@@ -5,10 +5,10 @@ use heterog::{get_runner, HeterogConfig};
 use heterog_agent::HeteroGPlanner;
 use heterog_cluster::{paper_testbed_12gpu, paper_testbed_4gpu, paper_testbed_8gpu};
 use heterog_compile::{compile, CommMethod, Strategy};
-use heterog_graph::{BenchmarkModel, ModelSpec};
+use heterog_graph::{BenchmarkModel, ModelSpec, OpKind};
 use heterog_profile::{GroundTruthCost, Profiler};
 use heterog_sched::{list_schedule, OrderPolicy};
-use heterog_sim::{simulate, time_breakdown};
+use heterog_sim::{chrome_trace_events, simulate, time_breakdown};
 use heterog_strategies::{evaluate, Planner};
 
 #[test]
@@ -230,4 +230,29 @@ fn concurrent_plans_count_their_own_evaluations() {
         assert!(a.1.evaluations > 0, "{model}: the plan evaluated");
         assert_eq!(counts(a.1), counts(t.1), "{model}: alone vs concurrent");
     }
+}
+
+/// The trace's `transferred_bytes` counter sums the payloads of a
+/// compiled plan's transfers: on CP-PS every gradient is pushed and
+/// pulled over links, so its last value is the sum over Transfer tasks.
+#[test]
+fn trace_counter_sums_compiled_transfer_payloads() {
+    let cluster = paper_testbed_8gpu();
+    let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 32).build();
+    let s = Strategy::proportional(g.len(), &cluster, CommMethod::Ps);
+    let tg = compile(&g, &cluster, &GroundTruthCost, &s);
+    let r = simulate(&tg, &cluster.memory_capacities(), &OrderPolicy::RankBased);
+    let payloads: u64 = tg
+        .iter()
+        .filter(|(_, t)| t.kind == OpKind::Transfer)
+        .map(|(_, t)| t.bytes)
+        .sum();
+    let last = chrome_trace_events(&tg, &r.schedule)
+        .iter()
+        .rev()
+        .find(|e| e["name"].as_str() == Some("transferred_bytes"))
+        .and_then(|e| e["args"]["bytes"].as_u64())
+        .expect("counter steps");
+    assert!(payloads > 0);
+    assert_eq!(last, payloads);
 }

@@ -39,7 +39,7 @@ fn task_graph(rng: &mut ChaCha8Rng, max_tasks: usize, gpus: u32, links: u32) -> 
             } else {
                 (Proc::Link(p - gpus), OpKind::Transfer)
             };
-            tg.add_task(Task::new(format!("t{i}"), kind, proc, dur).with_output_bytes(bytes))
+            tg.add_task(Task::new(format!("t{i}"), kind, proc, dur).with_bytes(bytes))
         })
         .collect();
     for i in 0..ids.len() {
@@ -252,7 +252,7 @@ fn memory_accounting_invariants() {
         let total_out: u64 = tg
             .iter()
             .filter(|(_, t)| !t.proc.is_link())
-            .map(|(_, t)| t.output_bytes + t.param_bytes)
+            .map(|(_, t)| t.bytes + t.param_bytes)
             .sum();
         assert!(mem.peak_bytes.iter().sum::<u64>() <= total_out);
     });
@@ -411,15 +411,15 @@ mod compile_props {
                 }
                 let total: u64 = tg
                     .iter()
-                    .filter(|(_, t)| t.origin == Some(id))
-                    .map(|(_, t)| t.batch_share)
+                    .filter(|(_, t)| t.origin() == Some(id))
+                    .map(|(_, t)| u64::from(t.batch_share))
                     .sum();
                 assert_eq!(total, g.batch_size, "{}", node.name);
             }
             // Every original op materialized at least once.
             for id in g.op_ids() {
                 assert!(
-                    tg.iter().any(|(_, t)| t.origin == Some(id)),
+                    tg.iter().any(|(_, t)| t.origin() == Some(id)),
                     "op {id} lost in lowering"
                 );
             }
@@ -571,14 +571,14 @@ mod shard_props {
             assert!(s.validate(&cluster).is_ok());
             let tg = compile(&g, &cluster, &GroundTruthCost, &s);
             for (id, node) in g.iter() {
-                let tasks: Vec<_> = tg.iter().filter(|(_, t)| t.origin == Some(id)).collect();
+                let tasks: Vec<_> = tg.iter().filter(|(_, t)| t.origin() == Some(id)).collect();
                 assert!(!tasks.is_empty(), "op {} lost in lowering", &node.name);
                 if node.batch_splittable {
-                    let total: u64 = tasks.iter().map(|(_, t)| t.batch_share).sum();
+                    let total: u64 = tasks.iter().map(|(_, t)| u64::from(t.batch_share)).sum();
                     assert_eq!(total, g.batch_size, "batch not conserved at {}", &node.name);
                 }
                 if node.kind == OpKind::MatMul && node.phase == heterog_graph::Phase::Forward {
-                    let out: u64 = tasks.iter().map(|(_, t)| t.output_bytes).sum();
+                    let out: u64 = tasks.iter().map(|(_, t)| t.bytes).sum();
                     assert_eq!(
                         out,
                         node.output.bytes(g.batch_size),

@@ -38,8 +38,8 @@ fn batch_conservation_across_strategies() {
                 }
                 let total: u64 = tg
                     .iter()
-                    .filter(|(_, t)| t.origin == Some(id))
-                    .map(|(_, t)| t.batch_share)
+                    .filter(|(_, t)| t.origin() == Some(id))
+                    .map(|(_, t)| u64::from(t.batch_share))
                     .sum();
                 assert_eq!(total, 192, "{m}: {} lost samples", node.name);
             }
@@ -66,12 +66,12 @@ fn apply_gradient_mirrors_parameter_devices() {
             .expect("every grad has an update");
         let grad_devs: std::collections::BTreeSet<_> = tg
             .iter()
-            .filter(|(_, t)| t.origin == Some(gid))
+            .filter(|(_, t)| t.origin() == Some(gid))
             .map(|(_, t)| t.proc)
             .collect();
         let apply_devs: std::collections::BTreeSet<_> = tg
             .iter()
-            .filter(|(_, t)| t.origin == Some(apply))
+            .filter(|(_, t)| t.origin() == Some(apply))
             .map(|(_, t)| t.proc)
             .collect();
         assert_eq!(grad_devs, apply_devs, "{}", node.name);
@@ -102,12 +102,12 @@ fn every_apply_depends_on_every_replica_gradient() {
             .unwrap();
         let grads: Vec<_> = tg
             .iter()
-            .filter(|(_, t)| t.origin == Some(gid))
+            .filter(|(_, t)| t.origin() == Some(gid))
             .map(|(i, _)| i)
             .collect();
         let applies: Vec<_> = tg
             .iter()
-            .filter(|(_, t)| t.origin == Some(apply))
+            .filter(|(_, t)| t.origin() == Some(apply))
             .map(|(i, _)| i)
             .collect();
         assert_eq!(grads.len(), 8, "{}", node.name);
@@ -145,7 +145,7 @@ fn mp_parameters_exist_once() {
     let (fc1, _) = g.iter().find(|(_, n)| n.name == "fc1/matmul").unwrap();
     s.per_op[fc1.index()] = OpStrategy::Mp(DeviceId(1));
     let tg = compile(&g, &cluster, &GroundTruthCost, &s);
-    let fc1_tasks: Vec<_> = tg.iter().filter(|(_, t)| t.origin == Some(fc1)).collect();
+    let fc1_tasks: Vec<_> = tg.iter().filter(|(_, t)| t.origin() == Some(fc1)).collect();
     assert_eq!(fc1_tasks.len(), 1);
     assert_eq!(fc1_tasks[0].1.proc, Proc::Gpu(1));
     let pinned: u64 = fc1_tasks.iter().map(|(_, t)| t.param_bytes).sum();
@@ -158,7 +158,11 @@ fn mp_parameters_exist_once() {
         .iter()
         .find(|(_, n)| n.grad_of == Some(fc1))
         .expect("fc1 has a gradient producer");
-    let wgrad_task = tg.iter().find(|(_, t)| t.origin == Some(wgrad)).unwrap().0;
+    let wgrad_task = tg
+        .iter()
+        .find(|(_, t)| t.origin() == Some(wgrad))
+        .unwrap()
+        .0;
     // Successors must not include collective/transfer tasks.
     for &s in tg.succs(wgrad_task) {
         let k = tg.task(s).kind;

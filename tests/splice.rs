@@ -8,6 +8,9 @@
 //! report must equal `evaluate_with_policy`'s bit for bit. Every move's
 //! per-processor loads priced with `splice_loads`, before any splice,
 //! must equal the fresh compile's to within 1e-12 of its busiest load.
+//! A move whose segments `splice_loads` finds all clean splices to the
+//! incumbent's own graph, and a bounded evaluation answers it with the
+//! base evaluation.
 //! Splices copy a run of segments' edges as one range, which is sound
 //! because every lowering (plain, pipelined and multi-iteration) adds
 //! each edge once.
@@ -25,8 +28,8 @@ use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
 use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph};
 use heterog_strategies::{
-    evaluate_with_policy, group_ops, grouping::avg_op_times, EvalMode, Evaluation, Grouping,
-    IncrementalEvaluator, Perturbation,
+    evaluate_with_policy, group_ops, grouping::avg_op_times, Bounded, EvalMode, Evaluation,
+    Grouping, IncrementalEvaluator, Perturbation,
 };
 use heterog_telemetry::rng::SplitMix64;
 
@@ -45,9 +48,18 @@ impl Case {
     /// `spec` on the 8-GPU testbed with the planner's grouping; `actions`
     /// picks the incumbent's per-group actions (given the group count).
     fn new(spec: ModelSpec, actions: impl FnOnce(&Graph, &Cluster) -> Vec<usize>) -> Case {
+        Case::grouped(spec, GROUPS, actions)
+    }
+
+    /// [`Case::new`] with `groups` groups.
+    fn grouped(
+        spec: ModelSpec,
+        groups: usize,
+        actions: impl FnOnce(&Graph, &Cluster) -> Vec<usize>,
+    ) -> Case {
         let g = spec.build();
         let cluster = paper_testbed_8gpu();
-        let grouping = group_ops(&g, &avg_op_times(&g, &cluster, &GroundTruthCost), GROUPS);
+        let grouping = group_ops(&g, &avg_op_times(&g, &cluster, &GroundTruthCost), groups);
         let actions = actions(&g, &cluster);
         assert_eq!(actions.len(), grouping.len());
         Case {
@@ -123,14 +135,14 @@ fn assert_same_graph(spliced: &TaskGraph, fresh: &TaskGraph, what: &str) {
         assert_eq!((a.kind, a.proc), (b.kind, b.proc), "{}", at());
         assert_eq!(a.duration.to_bits(), b.duration.to_bits(), "{}", at());
         assert_eq!(
-            (a.output_bytes, a.param_bytes, a.comm_bytes),
-            (b.output_bytes, b.param_bytes, b.comm_bytes),
+            (a.bytes, a.param_bytes),
+            (b.bytes, b.param_bytes),
             "{}",
             at()
         );
         assert_eq!(
-            (a.origin, a.batch_share),
-            (b.origin, b.batch_share),
+            (a.origin(), a.batch_share),
+            (b.origin(), b.batch_share),
             "{}",
             at()
         );
@@ -292,5 +304,70 @@ fn lowering_emits_each_edge_once() {
             let mut tg = compile_iterations(&g, &cluster, cost, &s, 2);
             assert_each_edge_once(&mut tg, &what);
         }
+    }
+}
+
+/// Checks every move in `moves` whose lowering segments `splice_loads`
+/// finds all clean: the splice equals the incumbent's own graph task for
+/// task and edge for edge, and a bounded group move answers it with the
+/// base evaluation, bit for bit a full evaluation of the moved strategy.
+/// Returns those moves.
+fn check_all_clean(case: &Case, moves: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let (g, c, cost) = (&case.g, &case.cluster, &GroundTruthCost);
+    let base_s = case.strategy(&case.actions);
+    let (btg, bbook, log) = compile_logged(g, c, cost, &base_s);
+    let base = SpliceBase {
+        tg: &btg,
+        book: &bbook,
+        log: &log,
+    };
+    let policy = OrderPolicy::RankBased;
+    let ev = IncrementalEvaluator::new(g, cost, c, &base_s, &policy);
+    let space = ActionSpace::new(c);
+    let (mut tg, mut scratch) = (TaskGraph::default(), SpliceScratch::default());
+    let (mut base_loads, mut loads) = (Vec::new(), Vec::new());
+    busiest_processor_load(&btg, &mut base_loads);
+    let mut clean_moves = Vec::new();
+    for &(gi, a) in moves {
+        let what = format!("{} move {:?}", g.name, (gi, a));
+        let s2 = case.moved((gi, a));
+        let placements = resolve_placements(g, c, &s2);
+        loads.clone_from(&base_loads);
+        if splice_loads(g, c, cost, &placements, base, &mut loads, &mut scratch) < log.len() {
+            continue;
+        }
+        clean_moves.push((gi, a));
+        splice_into(g, c, cost, &placements, base, &mut tg, &mut scratch);
+        assert_same_graph(&tg, &btg, &what);
+        let to = space.decode(a, c);
+        let ops = &case.grouping.members[gi];
+        match ev.evaluate_bounded(Perturbation::Group { ops, to: &to }, f64::MAX) {
+            Bounded::Evaluated(got, EvalMode::Base) => {
+                assert_same_eval(&got, &evaluate_with_policy(g, c, cost, &s2, &policy), &what)
+            }
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+    clean_moves
+}
+
+#[test]
+fn moves_the_lowering_ignores_answer_with_the_base_evaluation() {
+    // VGG-19 on uniform CP-AR at the planner's default 48 groups, the
+    // search's start: flipping a group without parameter gradients (the
+    // first) to CP-PS changes no lowering segment.
+    let m = paper_testbed_8gpu().num_devices();
+    let (cp_ps, cp_ar) = (m + 2, m + 3);
+    let spec = ModelSpec::new(BenchmarkModel::Vgg19, 64);
+    let vgg = Case::grouped(spec, 48, |g, c| {
+        vec![cp_ar; group_ops(g, &avg_op_times(g, c, &GroundTruthCost), 48).len()]
+    });
+    assert!(check_all_clean(&vgg, &vgg.moves()).contains(&(0, cp_ps)));
+    for spec in [
+        ModelSpec::new(BenchmarkModel::MobileNetV2, 64),
+        ModelSpec::with_layers(BenchmarkModel::Transformer, 96, 6),
+    ] {
+        let case = Case::planned(spec);
+        check_all_clean(&case, &case.moves());
     }
 }

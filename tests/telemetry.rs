@@ -27,7 +27,7 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
 /// Two GPUs + one link with some overlap, generous memory.
 fn demo_graph() -> TaskGraph {
     let mut tg = TaskGraph::new("demo", 2, 1);
-    let a = tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0).with_output_bytes(64));
+    let a = tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0).with_bytes(64));
     let x = tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5));
     let b = tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(1), 1.0));
     tg.add_task(Task::new("c", OpKind::Conv2D, Proc::Gpu(0), 2.0));
