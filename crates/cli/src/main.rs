@@ -546,7 +546,9 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
         print!("{}", heterog::explain::render_diff_text(&d));
     }
     if let Some(h) = session.archive() {
-        let digest = report.digest();
+        // The quick digest every archived run stores, so that `runs diff`
+        // compares an explain run with a plan run of the same deployment.
+        let digest = heterog::explain::quick_digest(&spec.label(), &runner.report);
         let outcome = if digest.oom { "oom" } else { "ok" };
         h.set_evaluation(runs::StoredEvaluation {
             outcome: outcome.into(),

@@ -32,6 +32,11 @@
 //! tasks out of the base's per-processor loads and re-lowers those
 //! segments into a [`TaskSink`] that only adds up work per processor,
 //! which prices a candidate's busiest processor before any splice.
+//!
+//! [`log_compiled`] logs a graph [`compile`] already built: it re-runs
+//! the lowering into a sink that stores nothing and only numbers the
+//! tasks and edges as that graph numbers them, so the graph is held
+//! once.
 
 use std::sync::Arc;
 
@@ -130,6 +135,67 @@ impl TaskSink for TaskGraph {
     fn add_dep(&mut self, src: TaskId, dst: TaskId) {
         TaskGraph::add_dep(self, src, dst)
     }
+}
+
+/// A sink that numbers what it receives as a [`TaskGraph`] would, so
+/// that a segment log can record where each segment starts and ends.
+trait Numbered: TaskSink {
+    /// The tasks and edges received so far.
+    fn counts(&self) -> [u32; 2];
+}
+
+impl Numbered for TaskGraph {
+    fn counts(&self) -> [u32; 2] {
+        [self.len() as u32, self.num_edges() as u32]
+    }
+}
+
+/// A sink that stores nothing: it numbers the tasks and edges of a
+/// lowering of the placements `tg` was lowered from, which are `tg`'s,
+/// and in debug builds checks each against `tg`'s.
+struct Replay<'t> {
+    tg: &'t TaskGraph,
+    tasks: u32,
+    edges: u32,
+}
+
+impl TaskSink for Replay<'_> {
+    fn add_task(&mut self, task: Task) -> TaskId {
+        let id = TaskId(self.tasks);
+        debug_assert!(
+            id.index() < self.tg.len() && same_task(self.tg.task(id), &task),
+            "lowered task {id} differs from the logged graph's"
+        );
+        self.tasks += 1;
+        id
+    }
+
+    fn add_dep(&mut self, src: TaskId, dst: TaskId) {
+        debug_assert_eq!(
+            self.tg.edge(self.edges as usize),
+            Some((src, dst)),
+            "lowered edge {} differs from the logged graph's",
+            self.edges
+        );
+        self.edges += 1;
+    }
+}
+
+impl Numbered for Replay<'_> {
+    fn counts(&self) -> [u32; 2] {
+        [self.tasks, self.edges]
+    }
+}
+
+/// Whether two tasks are equal, durations bit for bit.
+fn same_task(a: &Task, b: &Task) -> bool {
+    a.name == b.name
+        && a.kind == b.kind
+        && a.proc == b.proc
+        && a.duration.to_bits() == b.duration.to_bits()
+        && a.bytes == b.bytes
+        && a.param_bytes == b.param_bytes
+        && a.batch_share == b.batch_share
 }
 
 /// A sink that adds each task's duration to its processor's slot of
@@ -290,6 +356,48 @@ pub fn compile_logged<C: CostEstimator>(
     );
     log.placements = placements;
     (tg, book, log)
+}
+
+/// The price book and segment log [`compile_logged`] gives for
+/// `strategy`, where `tg` is the graph [`compile`] lowers `strategy` to
+/// (on the same graph, cluster and cost model): the lowering runs again
+/// into a sink that stores no task or edge, so `tg` is the only copy of
+/// the graph and its log's ranges index `tg`. Panics unless the
+/// lowering numbers exactly `tg`'s tasks and edges; in debug builds,
+/// also unless it emits `tg` itself, task for task and edge for edge.
+/// Not counted as a compilation.
+pub fn log_compiled<C: CostEstimator>(
+    g: &Graph,
+    cluster: &Cluster,
+    cost: &C,
+    strategy: &Strategy,
+    tg: &TaskGraph,
+) -> (PriceBook, SegmentLog) {
+    let _span = heterog_telemetry::span("log_compiled");
+    let placements = resolve_placements(g, cluster, strategy);
+    let (mut book, mut log) = <(PriceBook, SegmentLog)>::default();
+    let (mut op_tasks, mut tracker) = (Vec::new(), PsLoadTracker::default());
+    let lowering = Lowering {
+        g,
+        cluster,
+        cost,
+        placements: &placements,
+    };
+    let mut replay = Replay {
+        tg,
+        tasks: 0,
+        edges: 0,
+    };
+    lowering
+        .lowerer(&mut replay, &mut book, &mut op_tasks, &mut tracker)
+        .emit_logged(&mut log);
+    assert_eq!(
+        replay.counts(),
+        [tg.len() as u32, tg.num_edges() as u32],
+        "the lowering's task and edge counts differ from the logged graph's"
+    );
+    log.placements = placements;
+    (book, log)
 }
 
 /// A splice base: a graph [`compile_logged`] built, with its book and
@@ -782,7 +890,7 @@ impl<C: CostEstimator> Lowerer<'_, C, LoadSum<'_>> {
     }
 }
 
-impl<C: CostEstimator> Lowerer<'_, C> {
+impl<C: CostEstimator, O: Numbered> Lowerer<'_, C, O> {
     /// Emits every segment, recording each into `log`.
     fn emit_logged(&mut self, log: &mut SegmentLog) {
         for seg in segments(self.g) {
@@ -803,13 +911,12 @@ impl<C: CostEstimator> Lowerer<'_, C> {
 
     /// Current task, edge and PS-round counts.
     fn marks(&self) -> [u32; 3] {
-        [
-            self.tg.len() as u32,
-            self.tg.num_edges() as u32,
-            self.book.ps_rounds.len() as u32,
-        ]
+        let [tasks, edges] = self.tg.counts();
+        [tasks, edges, self.book.ps_rounds.len() as u32]
     }
+}
 
+impl<C: CostEstimator> Lowerer<'_, C> {
     /// Splices from `base` (see [`splice_into`]); returns the number of
     /// segments copied. Each run of consecutive clean segments is copied
     /// as one range of tasks and one of edges, before the next dirty
@@ -1849,6 +1956,34 @@ mod tests {
             assert_eq!(book, lbook);
             assert!(!log.is_empty());
         }
+    }
+
+    /// Logging a compiled graph gives the book and log a logged compile
+    /// does, with no second graph.
+    #[test]
+    fn logging_a_compiled_graph_equals_a_logged_compile() {
+        let g = tiny(64);
+        let c = paper_testbed_8gpu();
+        for s in [
+            shard_strategy(&g, &c),
+            Strategy::proportional(g.len(), &c, CommMethod::Ps),
+        ] {
+            let tg = compile(&g, &c, &GroundTruthCost, &s);
+            let (book, log) = log_compiled(&g, &c, &GroundTruthCost, &s, &tg);
+            let (_, lbook, llog) = compile_logged(&g, &c, &GroundTruthCost, &s);
+            assert_eq!(book, lbook);
+            assert_eq!(format!("{log:?}"), format!("{llog:?}"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "from the logged graph's")]
+    fn logging_another_strategys_graph_panics() {
+        let g = tiny(64);
+        let c = paper_testbed_8gpu();
+        let ps = Strategy::proportional(g.len(), &c, CommMethod::Ps);
+        let tg = compile(&g, &c, &GroundTruthCost, &shard_strategy(&g, &c));
+        log_compiled(&g, &c, &GroundTruthCost, &ps, &tg);
     }
 
     #[test]

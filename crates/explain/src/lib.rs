@@ -24,9 +24,10 @@
 use heterog_cluster::Cluster;
 use heterog_compile::Strategy;
 use heterog_graph::Graph;
+use heterog_profile::GroundTruthCost;
 use heterog_sched::{OrderPolicy, TaskGraph};
 use heterog_sim::SimReport;
-use heterog_strategies::EvalStats;
+use heterog_strategies::{EvalStats, IncrementalEvaluator};
 use heterog_telemetry::{Counter, Gauge, Histogram};
 
 pub mod attribution;
@@ -144,9 +145,14 @@ impl ExplainReport {
 
 /// Builds the [`ExplainReport`] for one simulated deployment.
 ///
-/// `graph`/`strategy` are needed (beyond the compiled `task_graph`) so
-/// what-if interventions can recompile under perturbed clusters, and so
-/// imbalance findings tie back to the strategy that placed the work.
+/// `task_graph` must be `compile(graph, cluster, &GroundTruthCost,
+/// strategy)` and `report` its simulation under `policy`, task times
+/// included: the critical path walks them, and the what-if evaluator
+/// anchors on both ([`IncrementalEvaluator::anchored`]), so no base
+/// deployment is compiled or simulated again. `graph`/`strategy` let
+/// what-if interventions re-lower under perturbed clusters and
+/// strategies, and tie imbalance findings back to the strategy that
+/// placed the work.
 pub fn explain(
     graph: &Graph,
     cluster: &Cluster,
@@ -166,7 +172,12 @@ pub fn explain(
     let devices = device_rows(cluster, report, &attr);
     let stragglers = stragglers(cluster, strategy, report, &attr, &devices);
     let whatif = if opts.run_whatif {
-        run_whatif(
+        let _span = heterog_telemetry::span("explain.whatif");
+        let cost = &GroundTruthCost;
+        let evaluator = IncrementalEvaluator::anchored(
+            graph, cost, cluster, strategy, policy, task_graph, report,
+        );
+        whatif::rank_interventions(
             graph,
             cluster,
             strategy,
@@ -174,6 +185,7 @@ pub fn explain(
             report.iteration_time,
             &default_interventions(cluster, strategy),
             opts.top_k,
+            Some(&evaluator),
         )
     } else {
         Vec::new()

@@ -294,9 +294,8 @@ mod tests {
         let c = paper_testbed_8gpu();
         let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
         let tg = compile(&g, &c, &GroundTruthCost, &s);
-        // As the serve plan memo keeps it.
-        let cached =
-            heterog_strategies::evaluate(&g, &c, &GroundTruthCost, &s).without_task_times();
+        // Evaluations, the serve plan memo's included, keep no task times.
+        let cached = heterog_strategies::evaluate(&g, &c, &GroundTruthCost, &s);
         critical_path(&tg, &cached.report.schedule);
     }
 

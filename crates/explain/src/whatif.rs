@@ -2,12 +2,16 @@
 //! hardware or strategy and rank interventions by predicted makespan
 //! delta.
 //!
-//! Each intervention clones the cluster/strategy, applies one concrete
-//! change ("NIC links at 2x bandwidth", "G3 upgraded to a V100", "PS ->
-//! ring all-reduce"), recompiles against the analytic ground-truth cost
-//! oracle and re-simulates. The loop shares one [`SimScratch`] across all
-//! interventions, so after the first (largest) graph it stays on the
-//! allocation-free hot path the planners use.
+//! Each intervention clones the cluster/strategy and applies one
+//! concrete change ("NIC links at 2x bandwidth", "G3 upgraded to a
+//! V100", "PS -> ring all-reduce"), priced by the analytic ground-truth
+//! cost oracle. An [`IncrementalEvaluator`] on the base deployment
+//! evaluates it by the cheapest sound path: a cluster change re-prices
+//! the base graph, a comm flip splices from the base lowering, an order
+//! flip re-simulates the base graph, and only a device removal compiles
+//! afresh. [`crate::explain`] anchors that evaluator on the graph and
+//! report its caller already holds; [`run_whatif`] compiles the base
+//! itself. One loop serves both.
 
 use heterog_cluster::{Cluster, DeviceId, GpuModel, LinkKind};
 use heterog_compile::{compile, CommMethod, OpStrategy, Strategy};
@@ -306,8 +310,8 @@ fn eval_intervention(
 
 /// Re-simulates every intervention and returns the outcomes ranked by
 /// predicted improvement (largest `delta` first), truncated to `top_k`.
-/// Uses the incremental evaluator (one shared compile, no compile per
-/// intervention).
+/// Uses the incremental evaluator (one compile of the base, and a
+/// compile per intervention only for device removal).
 pub fn run_whatif(
     g: &Graph,
     cluster: &Cluster,
@@ -331,8 +335,8 @@ pub fn run_whatif(
 
 /// [`run_whatif`] with an explicit incremental toggle. With
 /// `incremental` off, every intervention pays a fresh compile+simulate.
-/// That branch is a reference only: `explain` always passes `true`
-/// through [`run_whatif`], the benchmark calls this with `true`, and
+/// That branch is a reference only: `explain` ranks through an anchored
+/// evaluator, the benchmark calls this with `true`, and
 /// `incremental_and_full_whatif_are_bit_identical` checks the
 /// evaluator's outcomes against the `false` branch bit for bit.
 #[allow(clippy::too_many_arguments)]
@@ -347,17 +351,34 @@ pub fn run_whatif_with(
     incremental: bool,
 ) -> Vec<WhatIfOutcome> {
     let _span = heterog_telemetry::span("explain.whatif");
-    let evaluator = if incremental && !interventions.is_empty() {
-        Some(IncrementalEvaluator::new(
-            g,
-            &GroundTruthCost,
-            cluster,
-            strategy,
-            policy,
-        ))
-    } else {
-        None
-    };
+    let evaluator = (incremental && !interventions.is_empty())
+        .then(|| IncrementalEvaluator::new(g, &GroundTruthCost, cluster, strategy, policy));
+    rank_interventions(
+        g,
+        cluster,
+        strategy,
+        policy,
+        base_makespan,
+        interventions,
+        top_k,
+        evaluator.as_ref(),
+    )
+}
+
+/// The what-if loop: evaluates every applicable intervention through
+/// `evaluator`, or by a fresh compile+simulate when there is none, and
+/// ranks the outcomes as [`run_whatif`] documents.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn rank_interventions(
+    g: &Graph,
+    cluster: &Cluster,
+    strategy: &Strategy,
+    policy: &OrderPolicy,
+    base_makespan: f64,
+    interventions: &[Intervention],
+    top_k: usize,
+    evaluator: Option<&IncrementalEvaluator<'_, GroundTruthCost>>,
+) -> Vec<WhatIfOutcome> {
     let mut scratch = SimScratch::default();
     let mut report = SimReport::default();
     let mut out = Vec::with_capacity(interventions.len());
@@ -380,7 +401,7 @@ pub fn run_whatif_with(
             continue;
         }
         let started = std::time::Instant::now();
-        let (makespan, oom) = match &evaluator {
+        let (makespan, oom) = match evaluator {
             Some(ev) => {
                 let e = eval_intervention(ev, g, iv, cluster, strategy, policy);
                 (e.iteration_time, e.oom)

@@ -75,14 +75,15 @@ pub struct Schedule {
 
 impl Schedule {
     /// Panics, naming both lengths, unless the schedule holds a start
-    /// and a finish time for each of the task graph's `tasks` tasks. A
-    /// cached evaluation's schedule keeps no task times.
+    /// and a finish time for each of the task graph's `tasks` tasks. An
+    /// evaluation's schedule keeps no task times; a simulation's own
+    /// report does.
     pub fn assert_covers(&self, tasks: usize) {
         let times = self.start.len();
         assert!(
             times == tasks && self.finish.len() == tasks,
             "schedule has {times} task times, task graph has {tasks} tasks \
-             (cached evaluations carry no task times)"
+             (evaluations carry no task times)"
         );
     }
 
@@ -274,7 +275,7 @@ pub fn list_schedule_observed<H: ScheduleHook>(
     busy.clear();
     busy.resize(num_procs, false);
     indeg.clear();
-    indeg.extend_from_slice(tg.in_degrees());
+    indeg.extend(tg.in_degrees());
     events.clear();
     proc.clear();
     dur.clear();
@@ -882,7 +883,7 @@ mod tests {
                     proc_busy: vec![0.0; num_procs],
                 },
             };
-            let mut indeg = tg.in_degrees().to_vec();
+            let mut indeg: Vec<u32> = tg.in_degrees().collect();
             for t in tg.task_ids() {
                 if indeg[t.index()] == 0 {
                     st.push_ready(t);

@@ -6,11 +6,12 @@
 //! reward path allocation-light:
 //!
 //! * **CSR adjacency.** Edges are stored as a flat insertion-ordered
-//!   list; the successor rows and in-degrees are built lazily on first
-//!   traversal, the predecessor rows on the first [`TaskGraph::preds`]
-//!   call, and both are invalidated on mutation. Iteration order
-//!   matches the old `Vec<Vec<TaskId>>` representation exactly
-//!   (per-source insertion order), so schedules are bit-identical.
+//!   list; the successor and predecessor rows are built together on
+//!   first traversal (or by [`TaskGraph::build_index`]) and invalidated
+//!   on mutation, and in-degrees are the predecessor rows' lengths.
+//!   Iteration order matches the old `Vec<Vec<TaskId>>` representation
+//!   exactly (per-source insertion order), so schedules are
+//!   bit-identical.
 //! * **Index task names.** A [`TaskName`] is 16 bytes of plain data —
 //!   op id, role [`Tag`], replica index and [`Pass`] — that indexes a
 //!   per-graph [`NameTable`] held by one `Arc`; the device or link a
@@ -26,9 +27,11 @@
 //!   `add_dep` only appends and a splice copies a whole segment's edges
 //!   as one remapped range ([`TaskGraph::copy_deps`]). Building the
 //!   index checks that no edge repeats, with a stamp per task rather
-//!   than a hash, and panics naming both tasks if one does.
+//!   than a hash, and panics naming both tasks if one does. The stamps
+//!   borrow the predecessor offsets before those are filled, so an
+//!   indexed graph keeps no build scratch.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use heterog_graph::{OpId, OpKind};
 
@@ -364,51 +367,37 @@ impl Task {
     }
 }
 
-/// Compressed-sparse-row adjacency, built lazily from the edge list:
-/// each task's successors in insertion order, and its in-degree. The
-/// predecessor rows, which only a few readers want, are filled on the
-/// first [`TaskGraph::preds`] call.
+/// Compressed-sparse-row adjacency, built from the edge list: each
+/// task's successors and its predecessors, every row in insertion
+/// order. A task's in-degree is its predecessor row's length.
 #[derive(Debug, Default)]
 struct Csr {
     succs: Rows,
-    indeg: Vec<u32>,
-    preds: OnceLock<Rows>,
-    /// The buffers of the last cleared predecessor rows, which the next
-    /// fill reuses; behind a lock because that fill runs through `&self`.
-    spare_preds: Mutex<Rows>,
-    /// Per task, one more than the last source whose row named it: the
-    /// duplicate check's scratch, never read outside `rebuild`.
-    stamp: Vec<u32>,
+    preds: Rows,
 }
 
 /// One direction's rows: `idx[off[i]..off[i+1]]` are task `i`'s.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Rows {
     off: Vec<u32>,
     idx: Vec<TaskId>,
 }
 
 impl Rows {
-    /// Fills the rows of `edges` keyed by `key` (source or destination)
-    /// with `value` (the other end), each row in edge insertion order: a
-    /// stable counting sort over `counts`, the row lengths. Reuses the
-    /// buffers.
-    fn fill(
-        &mut self,
-        counts: &[u32],
-        edges: &[(u32, u32)],
-        key: impl Fn((u32, u32)) -> (u32, u32),
-    ) {
-        let n = counts.len();
+    /// Fills the `n` rows of `edges` keyed by `key` (source or
+    /// destination) with `value` (the other end), each row in edge
+    /// insertion order: a stable counting sort. Reuses the buffers.
+    fn fill(&mut self, n: usize, edges: &[(u32, u32)], key: impl Fn((u32, u32)) -> (u32, u32)) {
         let Rows { off, idx } = self;
-        // `off[i + 1]` ends row `i`.
+        // Row lengths, then running sums: `off[i + 1]` ends row `i`.
         off.clear();
-        off.push(0);
-        let mut end = 0;
-        off.extend(counts.iter().map(|&c| {
-            end += c;
-            end
-        }));
+        off.resize(n + 1, 0);
+        for &e in edges {
+            off[key(e).0 as usize + 1] += 1;
+        }
+        for i in 0..n {
+            off[i + 1] += off[i];
+        }
         idx.clear();
         idx.resize(edges.len(), TaskId(0));
         // Fill back to front, decrementing each row's end cursor: the
@@ -428,35 +417,35 @@ impl Rows {
     fn row(&self, i: usize) -> &[TaskId] {
         &self.idx[self.off[i] as usize..self.off[i + 1] as usize]
     }
+
+    /// Row lengths, in task order.
+    fn lens(&self) -> impl Iterator<Item = u32> + '_ {
+        self.off.windows(2).map(|w| w[1] - w[0])
+    }
+
+    /// `src`'s rows, into this one's buffers.
+    fn copy_from(&mut self, src: &Rows) {
+        self.off.clone_from(&src.off);
+        self.idx.clone_from(&src.idx);
+    }
 }
 
 impl Csr {
-    /// Builds the successor rows and in-degrees with a stable counting
+    /// Builds both directions' rows of `n` tasks with a stable counting
     /// sort: per-source order equals edge insertion order, matching the
     /// former `Vec<Vec<TaskId>>` push order exactly. Reuses this index's
-    /// buffers, and keeps the predecessor rows' for their next fill.
-    /// Returns the first repeated edge (by source, then row order), if
-    /// any.
+    /// buffers. Returns the first repeated edge (by source, then row
+    /// order), if any.
     fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) -> Option<(u32, u32)> {
-        self.clear_preds();
-        let Csr {
-            succs,
-            indeg,
-            stamp,
-            ..
-        } = self;
-        // Row lengths: out-degrees in `stamp`, for now, and in-degrees.
+        let Csr { succs, preds } = self;
+        succs.fill(n, edges, |e| e);
+        // A repeated edge repeats a successor within its source's row.
+        // Until the predecessor rows are filled, their offsets hold the
+        // check's stamps: per task, one more than the last source whose
+        // row named it.
+        let stamp = &mut preds.off;
         stamp.clear();
         stamp.resize(n, 0);
-        indeg.clear();
-        indeg.resize(n, 0);
-        for &(s, d) in edges {
-            stamp[s as usize] += 1;
-            indeg[d as usize] += 1;
-        }
-        succs.fill(stamp, edges, |e| e);
-        // A repeated edge repeats a successor within its source's row.
-        stamp.fill(0);
         for s in 0..n {
             for &d in succs.row(s) {
                 if stamp[d.index()] == s as u32 + 1 {
@@ -465,37 +454,8 @@ impl Csr {
                 stamp[d.index()] = s as u32 + 1;
             }
         }
+        preds.fill(n, edges, |(s, d)| (d, s));
         None
-    }
-
-    /// The spare predecessor buffers.
-    fn spare_rows(&mut self) -> &mut Rows {
-        self.spare_preds
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Empties the predecessor rows into their spare buffers.
-    fn clear_preds(&mut self) {
-        if let Some(rows) = self.preds.take() {
-            *self.spare_rows() = rows;
-        }
-    }
-
-    /// The predecessor rows, filled from `edges` on the first call.
-    #[inline]
-    fn preds(&self, edges: &[(u32, u32)]) -> &Rows {
-        self.preds.get_or_init(|| self.fill_preds(edges))
-    }
-
-    /// Fills the predecessor rows into the spare buffers. Kept out of
-    /// line: [`Csr::preds`] is read in the simulator's event loop.
-    #[cold]
-    #[inline(never)]
-    fn fill_preds(&self, edges: &[(u32, u32)]) -> Rows {
-        let mut rows = std::mem::take(&mut *heterog_telemetry::lock(&self.spare_preds));
-        rows.fill(&self.indeg, edges, |(s, d)| (d, s));
-        rows
     }
 }
 
@@ -535,14 +495,8 @@ impl Clone for TaskGraph {
         self.edges.clone_from(&src.edges);
         if let Some(c) = src.csr.get() {
             let spare = &mut self.spare;
-            spare.succs.clone_from(&c.succs);
-            spare.indeg.clone_from(&c.indeg);
-            spare.clear_preds();
-            if let Some(rows) = c.preds.get() {
-                let mut copy = std::mem::take(spare.spare_rows());
-                copy.clone_from(rows);
-                let _ = spare.preds.set(copy);
-            }
+            spare.succs.copy_from(&c.succs);
+            spare.preds.copy_from(&c.preds);
             let _ = self.csr.set(std::mem::take(spare));
         }
     }
@@ -714,10 +668,9 @@ impl TaskGraph {
         self.csr().succs.row(id.index())
     }
 
-    /// Predecessors of `id`. The first call after a mutation fills every
-    /// task's predecessor row.
+    /// Predecessors of `id`.
     pub fn preds(&self, id: TaskId) -> &[TaskId] {
-        self.csr().preds(&self.edges).row(id.index())
+        self.csr().preds.row(id.index())
     }
 
     /// Number of successors of `id`.
@@ -727,17 +680,22 @@ impl TaskGraph {
 
     /// Number of predecessors of `id`.
     pub fn in_degree(&self, id: TaskId) -> usize {
-        self.csr().indeg[id.index()] as usize
+        self.preds(id).len()
     }
 
-    /// Every task's number of predecessors, indexed by task.
-    pub fn in_degrees(&self) -> &[u32] {
-        &self.csr().indeg
+    /// Every task's number of predecessors, in task order.
+    pub fn in_degrees(&self) -> impl Iterator<Item = u32> + '_ {
+        self.csr().preds.lens()
     }
 
     /// Precedence edges `(src, dst)` in insertion order.
     pub fn edges(&self) -> impl Iterator<Item = (TaskId, TaskId)> + '_ {
         self.edges.iter().map(|&(s, d)| (TaskId(s), TaskId(d)))
+    }
+
+    /// Precedence edge `i` in insertion order, if there is one.
+    pub fn edge(&self, i: usize) -> Option<(TaskId, TaskId)> {
+        self.edges.get(i).map(|&(s, d)| (TaskId(s), TaskId(d)))
     }
 
     /// Number of precedence edges.
@@ -779,7 +737,7 @@ impl TaskGraph {
     pub fn topo_order_into(&self, indeg: &mut Vec<u32>, order: &mut Vec<TaskId>) {
         let n = self.len();
         indeg.clear();
-        indeg.extend_from_slice(self.in_degrees());
+        indeg.extend(self.in_degrees());
         order.clear();
         order.reserve(n);
         for t in self.task_ids() {

@@ -4,7 +4,8 @@
 //! (model spec, cluster fingerprint, *effective* planner, order policy).
 //! An entry holds the chosen [`Strategy`], packed ([`PackedStrategy`]:
 //! each distinct per-op decision once plus a `u32` index per op) and
-//! unpacked on a hit, and its [`Evaluation`] without per-task times.
+//! unpacked on a hit, and its [`Evaluation`] (which, like every
+//! evaluation, carries no per-task times).
 //! Tenants asking for the same deployment skip the search and the
 //! evaluation: a repeated plan is one memo lookup. Keys are compared
 //! whole, so two specs never share an entry. The entry remembers which
@@ -14,9 +15,11 @@
 //! evicts the least recently used one, so every cold cluster costs one
 //! slot, not one more strategy for the life of the daemon.
 //!
-//! An explain, which walks the schedule, compiles the task graph once:
-//! on a miss that compile and its simulation are the evaluation the
-//! memo keeps; on a hit it is simulated once more for its task times.
+//! An explain, which walks the schedule, compiles the task graph once
+//! and simulates it into its own report, task times included: on a
+//! miss that simulation is the evaluation the memo keeps, and on a hit
+//! it runs for the task times alone. The explain's what-if evaluator
+//! anchors on that graph and report.
 //! An elastic job plans and re-plans inside its fault script, so the
 //! memo does not apply to it; it evaluates its final deployment afresh.
 //!
@@ -44,6 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use heterog::sim::SimReport;
 use heterog_agent::HeteroGPlanner;
 use heterog_cluster::Cluster;
 use heterog_compile::{compile, PackedStrategy, Strategy};
@@ -133,7 +137,7 @@ impl MemoKey {
 
 struct MemoEntry {
     strategy: PackedStrategy,
-    /// The strategy's evaluation, without per-task times.
+    /// The strategy's evaluation (which carries no per-task times).
     eval: Evaluation,
     first_tenant: String,
     /// The memo's clock at the entry's last insert or hit.
@@ -150,9 +154,8 @@ struct Memo {
 }
 
 impl Memo {
-    /// The entry under `key`: its strategy, unpacked, its evaluation
-    /// without per-task times, and whether a tenant other than `tenant`
-    /// planted it.
+    /// The entry under `key`: its strategy, unpacked, its evaluation,
+    /// and whether a tenant other than `tenant` planted it.
     fn get(&mut self, key: &MemoKey, tenant: &str) -> Option<(Strategy, Evaluation, bool)> {
         let e = self.entries.get_mut(key)?;
         self.clock += 1;
@@ -164,11 +167,11 @@ impl Memo {
         ))
     }
 
-    /// Plants `strategy`, packed, and `eval`, without its per-task
-    /// times, under `key` unless an entry is already there (the first
-    /// tenant keeps the credit). A full memo first drops its least
-    /// recently used entry: a scan of at most `capacity` entries, paid
-    /// only on a miss, next to a whole planner run.
+    /// Plants `strategy`, packed, and `eval` under `key` unless an entry
+    /// is already there (the first tenant keeps the credit). A full
+    /// memo first drops its least recently used entry: a scan of at
+    /// most `capacity` entries, paid only on a miss, next to a whole
+    /// planner run.
     fn insert(&mut self, key: MemoKey, strategy: &Strategy, eval: &Evaluation, tenant: &str) {
         if self.entries.contains_key(&key) {
             return;
@@ -186,7 +189,7 @@ impl Memo {
         self.clock += 1;
         let entry = MemoEntry {
             strategy: PackedStrategy::pack(strategy),
-            eval: eval.clone().without_task_times(),
+            eval: eval.clone(),
             first_tenant: tenant.to_string(),
             last_used: self.clock,
         };
@@ -314,12 +317,14 @@ impl Engine {
             }
             JobKind::Explain { top_k, whatif } => {
                 let key = MemoKey::new(job, effective);
+                // Explain walks task times, which no evaluation carries:
+                // the compiled graph is simulated into its own report.
+                let mut report = SimReport::default();
                 let (strategy, task_graph, eval, memo) = match self.recall(job, &key) {
-                    Some((strategy, mut eval, cross_tenant)) => {
-                        // The memo keeps no task times: simulate them.
+                    Some((strategy, eval, cross_tenant)) => {
                         let tg = compile(&g, cluster, &GroundTruthCost, &strategy);
                         let caps = cluster.memory_capacities();
-                        eval.report = heterog::sim::simulate(&tg, &caps, &policy);
+                        report = heterog::sim::simulate(&tg, &caps, &policy);
                         (strategy, tg, eval, Some(cross_tenant))
                     }
                     None => {
@@ -327,7 +332,7 @@ impl Engine {
                         let _span = heterog_telemetry::span("evaluate");
                         let started = Instant::now();
                         let tg = compile(&g, cluster, &GroundTruthCost, &strategy);
-                        let eval = evaluate_compiled(&tg, cluster, &policy, started);
+                        let eval = evaluate_compiled(&tg, cluster, &policy, started, &mut report);
                         lock(&self.memo).insert(key, &strategy, &eval, &job.tenant);
                         (strategy, tg, eval, None)
                     }
@@ -343,7 +348,7 @@ impl Engine {
                     &strategy,
                     &task_graph,
                     &policy,
-                    &eval.report,
+                    &report,
                     &opts,
                 );
                 let rest = [

@@ -11,7 +11,7 @@ use heterog_cluster::Cluster;
 use heterog_compile::{compile, Strategy};
 use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
-use heterog_sched::{OrderPolicy, TaskGraph};
+use heterog_sched::{OrderPolicy, Schedule, TaskGraph};
 use heterog_sim::{simulate_into, SimReport, SimScratch};
 use heterog_telemetry::{tally, Counter};
 
@@ -110,21 +110,45 @@ pub struct Evaluation {
     pub iteration_time: f64,
     /// Whether any device overflowed its memory.
     pub oom: bool,
-    /// The simulator report. A fresh evaluation carries the whole
-    /// schedule; a memoized one ([`Evaluation::without_task_times`])
-    /// carries every field but the per-task times. A caller that needs
-    /// task times simulates the task graph it compiled.
+    /// The simulator report without its per-task times:
+    /// `report.schedule`'s `start` and `finish` are empty. Only a
+    /// simulation's own [`SimReport`] holds task times; a caller that
+    /// needs them simulates the task graph it compiled into one (or
+    /// passes one to [`evaluate_compiled`]).
     pub report: SimReport,
 }
 
 impl Evaluation {
-    /// This evaluation without its per-task times (`report.schedule`'s
-    /// `start` and `finish`, 16 bytes per task), as the serve plan memo
-    /// keeps it.
-    pub fn without_task_times(mut self) -> Evaluation {
-        self.report.schedule.start = Vec::new();
-        self.report.schedule.finish = Vec::new();
-        self
+    /// The evaluation of the simulation that wrote `report`: every field
+    /// but the per-task times, which are not copied.
+    pub fn of(report: &SimReport) -> Evaluation {
+        let SimReport {
+            iteration_time,
+            memory,
+            gpu_busy,
+            link_busy,
+            computation_time,
+            communication_time,
+            schedule,
+        } = report;
+        Evaluation {
+            iteration_time: *iteration_time,
+            oom: memory.any_oom(),
+            report: SimReport {
+                iteration_time: *iteration_time,
+                memory: memory.clone(),
+                gpu_busy: gpu_busy.clone(),
+                link_busy: link_busy.clone(),
+                computation_time: *computation_time,
+                communication_time: *communication_time,
+                schedule: Schedule {
+                    makespan: schedule.makespan,
+                    start: Vec::new(),
+                    finish: Vec::new(),
+                    proc_busy: schedule.proc_busy.clone(),
+                },
+            },
+        }
     }
 
     /// The paper's RL reward: `-sqrt(T)`, multiplied by 10 on OOM
@@ -167,33 +191,30 @@ pub fn evaluate_with_policy<C: CostEstimator>(
     let _span = heterog_telemetry::span("evaluate");
     let started = Instant::now();
     let tg = compile(g, cluster, cost, strategy);
-    evaluate_compiled(&tg, cluster, policy, started)
+    evaluate_compiled(&tg, cluster, policy, started, &mut SimReport::default())
 }
 
-/// Simulates the compiled task graph `tg` on `cluster` and counts one
-/// full evaluation that started at `started` (pass the instant before
-/// the compile, so the evaluation time covers it).
+/// Simulates the compiled task graph `tg` on `cluster` into `report`,
+/// task times included, and counts one full evaluation that started at
+/// `started` (pass the instant before the compile, so the evaluation
+/// time covers it). The returned evaluation carries no task times.
 pub fn evaluate_compiled(
     tg: &TaskGraph,
     cluster: &Cluster,
     policy: &OrderPolicy,
     started: Instant,
+    report: &mut SimReport,
 ) -> Evaluation {
-    let mut report = SimReport::default();
     SIM_SCRATCH.with(|s| {
         simulate_into(
             tg,
             &cluster.memory_capacities(),
             policy,
             &mut s.borrow_mut(),
-            &mut report,
+            report,
         )
     });
-    let eval = Evaluation {
-        iteration_time: report.iteration_time,
-        oom: report.memory.any_oom(),
-        report,
-    };
+    let eval = Evaluation::of(report);
     count_full_evaluation(started, &eval);
     eval
 }
@@ -274,6 +295,31 @@ mod tests {
         let e = evaluate(&g, &c, &GroundTruthCost, &s);
         assert!(e.iteration_time > 0.0 && e.iteration_time < 10.0);
         assert!(!e.oom);
+    }
+
+    /// An evaluation carries every report field but the per-task times,
+    /// which stay in the report its simulation wrote.
+    #[test]
+    fn evaluations_carry_no_task_times() {
+        let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+        let c = paper_testbed_8gpu();
+        let s = Strategy::even(g.len(), &c, CommMethod::AllReduce);
+        let e = evaluate(&g, &c, &GroundTruthCost, &s);
+        assert!(e.report.schedule.start.is_empty() && e.report.schedule.finish.is_empty());
+        let tg = heterog_compile::compile(&g, &c, &GroundTruthCost, &s);
+        let mut report = SimReport::default();
+        let pol = OrderPolicy::RankBased;
+        let e2 = evaluate_compiled(&tg, &c, &pol, Instant::now(), &mut report);
+        assert_eq!(report.schedule.finish.len(), tg.len());
+        assert!(e2.report.schedule.finish.is_empty());
+        assert_eq!(e2.iteration_time.to_bits(), e.iteration_time.to_bits());
+        assert_eq!(
+            e2.report.schedule.makespan.to_bits(),
+            report.schedule.makespan.to_bits()
+        );
+        assert_eq!(e2.report.schedule.proc_busy, report.schedule.proc_busy);
+        assert_eq!(e2.report.memory.peak_bytes, report.memory.peak_bytes);
+        assert_eq!(e2.report.gpu_busy, report.gpu_busy);
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! [`IncrementalEvaluator`] pins one *base* deployment (graph, cluster,
 //! strategy, order policy), compiles it once with a
 //! [`heterog_compile::PriceBook`] and simulates the result once, keeping
-//! the task graph and its report. Perturbed deployments are then
-//! evaluated by the cheapest sound path:
+//! the task graph and its evaluation ([`IncrementalEvaluator::new`]).
+//! A caller that already compiled and simulated the base anchors the
+//! evaluator on its own graph and report instead
+//! ([`IncrementalEvaluator::anchored`]), so the graph is held once.
+//! Perturbed deployments are then evaluated by the cheapest sound path:
 //!
 //! | [`Perturbation`]        | fast path                                   |
 //! |-------------------------|---------------------------------------------|
@@ -38,14 +41,15 @@
 //! `heterog_strategies_pruned_evals_total`. All are always-on counters
 //! that a run reads in its own scope ([`crate::run_eval_stats`]).
 
+use std::borrow::Cow;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use heterog_cluster::Cluster;
 use heterog_compile::{
-    compile_logged, reprice_into, resolve_group_into, resolve_placements, splice_into,
-    splice_loads, structure_compatible, OpPlacement, OpStrategy, PriceBook, SegmentLog, SpliceBase,
-    SpliceScratch, Strategy,
+    compile_logged, log_compiled, reprice_into, resolve_group_into, resolve_placements,
+    splice_into, splice_loads, structure_compatible, OpPlacement, OpStrategy, PriceBook,
+    SegmentLog, SpliceBase, SpliceScratch, Strategy,
 };
 use heterog_graph::{Graph, OpId};
 use heterog_profile::CostEstimator;
@@ -172,12 +176,14 @@ enum Moved<'p> {
     Group(&'p [OpId], &'p OpStrategy),
 }
 
-fn eval_of(report: &SimReport) -> Evaluation {
-    Evaluation {
-        iteration_time: report.iteration_time,
-        oom: report.memory.any_oom(),
-        report: report.clone(),
-    }
+/// A base deployment lowered and simulated: its task graph, owned or
+/// borrowed from the caller that compiled it, with the graph's price
+/// book, segment log and evaluation.
+struct Anchor<'a> {
+    tg: Cow<'a, TaskGraph>,
+    book: PriceBook,
+    log: SegmentLog,
+    base: Evaluation,
 }
 
 /// Cache of compiled artifacts for one base deployment, serving
@@ -197,12 +203,13 @@ pub struct IncrementalEvaluator<'a, C: CostEstimator> {
     /// splice from.
     log: SegmentLog,
     /// The base task graph: re-priced by cluster perturbations,
-    /// re-simulated by policy ones, spliced from by strategy ones.
-    tg: TaskGraph,
+    /// re-simulated by policy ones, spliced from by strategy ones. Owned
+    /// when the evaluator compiled it, borrowed when anchored.
+    tg: Cow<'a, TaskGraph>,
     /// The base task graph's per-processor loads, which a bounded
     /// strategy perturbation adjusts by its dirty segments.
     loads: Vec<f64>,
-    /// The base evaluation; its report is the one re-simulations reuse.
+    /// The base evaluation, which carries no task times.
     base: Evaluation,
     /// Idle patch buffers (see [`PatchScratch`]).
     patches: Mutex<Vec<PatchScratch>>,
@@ -222,6 +229,35 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         Self::build(g, cost, cluster, strategy, policy, Vec::new())
     }
 
+    /// An evaluator anchored on a base deployment its caller already
+    /// compiled and simulated: `tg` is `compile(g, cluster, cost,
+    /// strategy)` and `report` its simulation under `policy`. The
+    /// evaluator borrows `tg`, compiles and simulates nothing and counts
+    /// no evaluation; it lowers the base once more into a sink that
+    /// stores nothing, for the price book and segment log
+    /// ([`log_compiled`]). Panics unless that lowering numbers exactly
+    /// `tg`'s tasks and edges, and in debug builds unless it emits `tg`
+    /// itself, task for task and edge for edge.
+    pub fn anchored(
+        g: &'a Graph,
+        cost: &'a C,
+        cluster: &Cluster,
+        strategy: &Strategy,
+        policy: &OrderPolicy,
+        tg: &'a TaskGraph,
+        report: &SimReport,
+    ) -> Self {
+        let _span = heterog_telemetry::span("incremental_evaluator_anchored");
+        let (book, log) = log_compiled(g, cluster, cost, strategy, tg);
+        let anchor = Anchor {
+            tg: Cow::Borrowed(tg),
+            book,
+            log,
+            base: Evaluation::of(report),
+        };
+        Self::assemble(g, cost, cluster, strategy, policy, anchor, Vec::new())
+    }
+
     /// [`IncrementalEvaluator::new`] reusing `patches`.
     fn build(
         g: &'a Graph,
@@ -234,27 +270,48 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         let _span = heterog_telemetry::span("incremental_evaluator_new");
         let started = std::time::Instant::now();
         let (tg, book, log) = compile_logged(g, cluster, cost, strategy);
+        let mut ps = patches.pop().unwrap_or_default();
+        let capacities = cluster.memory_capacities();
+        let (sim, report) = (&mut ps.sim, &mut ps.report);
+        simulate_uncounted(&tg, &capacities, policy, f64::INFINITY, sim, report);
+        let base = Evaluation::of(report);
+        patches.push(ps);
+        count_full_evaluation(started, &base);
+        let anchor = Anchor {
+            tg: Cow::Owned(tg),
+            book,
+            log,
+            base,
+        };
+        Self::assemble(g, cost, cluster, strategy, policy, anchor, patches)
+    }
+
+    /// The evaluator of a lowered and simulated base deployment: both
+    /// constructors end here.
+    fn assemble(
+        g: &'a Graph,
+        cost: &'a C,
+        cluster: &Cluster,
+        strategy: &Strategy,
+        policy: &OrderPolicy,
+        anchor: Anchor<'a>,
+        patches: Vec<PatchScratch>,
+    ) -> Self {
+        let Anchor {
+            tg,
+            book,
+            log,
+            base,
+        } = anchor;
         let mut loads = Vec::new();
         busiest_processor_load(&tg, &mut loads);
-        let capacities = cluster.memory_capacities();
-        let mut ps = patches.pop().unwrap_or_default();
-        let mut report = SimReport::default();
-        let sim = &mut ps.sim;
-        simulate_uncounted(&tg, &capacities, policy, f64::INFINITY, sim, &mut report);
-        patches.push(ps);
-        let base = Evaluation {
-            iteration_time: report.iteration_time,
-            oom: report.memory.any_oom(),
-            report,
-        };
-        count_full_evaluation(started, &base);
         IncrementalEvaluator {
             g,
             cost,
             cluster: cluster.clone(),
             strategy: strategy.clone(),
             policy: policy.clone(),
-            capacities,
+            capacities: cluster.memory_capacities(),
             book,
             log,
             tg,
@@ -344,7 +401,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         match p {
             Perturbation::Policy(p2) => self.with_patch(|ps| {
                 simulate_into(&self.tg, &self.capacities, p2, &mut ps.sim, &mut ps.report);
-                Bounded::evaluated(eval_of(&ps.report), EvalMode::Reordered)
+                Bounded::evaluated(Evaluation::of(&ps.report), EvalMode::Reordered)
             }),
             Perturbation::Cluster(c2) => self.eval_cluster(c2),
             Perturbation::Strategy(s2) => {
@@ -387,7 +444,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 } else {
                     let (policy, sim, report) = (&self.policy, &mut ps.sim, &mut ps.report);
                     simulate_uncounted(&ps.tg, &capacities, policy, f64::INFINITY, sim, report);
-                    eval_of(&ps.report)
+                    Evaluation::of(&ps.report)
                 };
                 Some(Bounded::evaluated(eval, EvalMode::Repriced))
             });
@@ -471,7 +528,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             if let Some(bound) = simulate_within(tg, &self.capacities, policy, limit, sim, report) {
                 return Bounded::Pruned(bound);
             }
-            let eval = eval_of(report);
+            let eval = Evaluation::of(report);
             if reused == 0 {
                 count_full_evaluation(started, &eval);
                 return Bounded::evaluated(eval, EvalMode::Full);
@@ -565,7 +622,8 @@ mod tests {
 
     /// Shrinking one device's memory below its peak changes no duration:
     /// the base evaluation answers it, with that device's OOM flag set,
-    /// bit for bit as a full evaluation on the shrunk cluster.
+    /// bit for bit as a full evaluation on the shrunk cluster. The base
+    /// graph's schedule is the shrunk cluster's, task for task.
     #[test]
     fn unchanged_query_rederives_oom_for_new_capacities() {
         let (g, c, s) = setup();
@@ -599,14 +657,59 @@ mod tests {
         let mode = assert_matches_full(&ev, &g, p, &tight, &s, &pol);
         assert_eq!(mode, EvalMode::Repriced);
         let (got, _) = ev.evaluate_perturbed(p);
-        let want = evaluate_with_policy(&g, &tight, &GroundTruthCost, &s, &pol);
+        // Evaluations carry no task times: simulate both graphs here.
+        let caps = tight.memory_capacities();
+        let base_run = heterog_sim::simulate(&ev.tg, &caps, &pol);
+        let full_tg = heterog_compile::compile(&g, &tight, &GroundTruthCost, &s);
+        let want = heterog_sim::simulate(&full_tg, &caps, &pol);
         let times = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
-        let (gs, ws) = (&got.report.schedule, &want.report.schedule);
-        assert_eq!(gs.makespan.to_bits(), ws.makespan.to_bits());
-        assert_eq!(times(&gs.start), times(&ws.start));
-        assert_eq!(times(&gs.finish), times(&ws.finish));
+        let (bs, ws) = (&base_run.schedule, &want.schedule);
+        assert_eq!(
+            got.report.schedule.makespan.to_bits(),
+            ws.makespan.to_bits()
+        );
+        assert_eq!(times(&bs.start), times(&ws.start));
+        assert_eq!(times(&bs.finish), times(&ws.finish));
+        assert!(bitwise_eq(&got.report, &want));
         assert!(got.oom && got.report.memory.oom[2]);
         assert_eq!(got.report.memory.oom.iter().filter(|&&o| o).count(), 1);
+    }
+
+    /// An evaluator anchored on a compiled and simulated base answers
+    /// every perturbation kind bit for bit as one that compiled the
+    /// base itself, and counts no evaluation for the base.
+    #[test]
+    fn anchored_evaluator_matches_a_compiling_one() {
+        let (g, c, s) = setup();
+        let pol = OrderPolicy::RankBased;
+        let tg = heterog_compile::compile(&g, &c, &GroundTruthCost, &s);
+        let report = heterog_sim::simulate(&tg, &c.memory_capacities(), &pol);
+        let (anchored, stats) = crate::count_evaluations(|| {
+            IncrementalEvaluator::anchored(&g, &GroundTruthCost, &c, &s, &pol, &tg, &report)
+        });
+        assert_eq!(stats.evaluations, 0);
+        assert!(anchored.base().report.schedule.start.is_empty());
+        let compiling = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &s, &pol);
+        assert!(bitwise_eq(
+            &anchored.base().report,
+            &compiling.base().report
+        ));
+        let c2 = c.with_scaled_link(Some(LinkKind::Pcie), 0.5);
+        let s2 = switch_comm(&s, CommMethod::Ps);
+        let fifo = OrderPolicy::Fifo;
+        for p in [
+            Perturbation::Cluster(&c2),
+            Perturbation::Strategy(&s2),
+            Perturbation::Policy(&fifo),
+            Perturbation::Strategy(&s),
+        ] {
+            let ((a, am), (b, bm)) = (
+                anchored.evaluate_perturbed(p),
+                compiling.evaluate_perturbed(p),
+            );
+            assert_eq!(am, bm);
+            assert!(bitwise_eq(&a.report, &b.report), "{am:?}");
+        }
     }
 
     #[test]

@@ -331,6 +331,39 @@ fn failed_invocation_leaves_no_run_directory() {
     std::fs::remove_dir_all(&store).ok();
 }
 
+/// Every command archives the same quick digest, so a plan run and an
+/// explain run of one deployment diff clean.
+#[test]
+fn plan_and_explain_archives_of_one_deployment_diff_clean() {
+    let store = std::env::temp_dir().join(format!("heterog_cli_pe_store_{}", std::process::id()));
+    std::fs::remove_dir_all(&store).ok();
+    let archive = |command: &str, extra: &[&str]| {
+        let out = cli()
+            .args([command, "--model", "mobilenet", "--batch", "64"])
+            .args(extra)
+            .env("HETEROG_RUNS_DIR", &store)
+            .output()
+            .expect("run cli");
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        archived_id(&out.stderr)
+    };
+    let plan = archive("plan", &[]);
+    let explain = archive("explain", &["--no-whatif"]);
+    let out = cli()
+        .args(["runs", "diff", &plan, &explain])
+        .env("HETEROG_RUNS_DIR", &store)
+        .output()
+        .expect("run cli");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "plan vs explain diff: {stdout}");
+    assert!(stdout.contains("zero regressions"), "diff: {stdout}");
+    std::fs::remove_dir_all(&store).ok();
+}
+
 #[test]
 fn runs_store_archives_lists_diffs_and_gcs() {
     let store = std::env::temp_dir().join(format!("heterog_cli_store_{}", std::process::id()));

@@ -232,6 +232,27 @@ fn concurrent_plans_count_their_own_evaluations() {
     }
 }
 
+/// `DistRunner::explain` anchors its what-ifs on the runner's own
+/// compiled graph and report: the base deployment counts no full
+/// evaluation, and only device removal, which changes the cluster's
+/// structure, compiles and counts one.
+#[test]
+fn explain_counts_one_full_evaluation_per_device_removal_and_none_for_the_base() {
+    use heterog_explain::{default_interventions, Intervention};
+    use heterog_strategies::count_evaluations;
+    let g = || ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+    let runner = get_runner(g, paper_testbed_8gpu(), HeterogConfig::baseline("CP-AR"));
+    let (report, stats) = count_evaluations(|| runner.explain());
+    let removals = default_interventions(&runner.cluster, &runner.strategy)
+        .iter()
+        .filter(|iv| matches!(iv, Intervention::RemoveDevice { .. }))
+        .count() as u64;
+    assert!(removals > 0);
+    assert!(!report.whatif.is_empty());
+    assert_eq!(stats.evaluations, removals);
+    assert_eq!(report.eval_stats.evaluations, removals);
+}
+
 /// The trace's `transferred_bytes` counter sums the payloads of a
 /// compiled plan's transfers: on CP-PS every gradient is pushed and
 /// pulled over links, so its last value is the sum over Transfer tasks.

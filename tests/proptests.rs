@@ -690,7 +690,7 @@ mod shard_props {
 mod incremental_props {
     use super::*;
     use heterog_cluster::{paper_testbed_4gpu, Cluster, DeviceId, GpuModel, LinkKind};
-    use heterog_compile::{CommMethod, OpStrategy, Strategy as PlanStrategy};
+    use heterog_compile::{compile, CommMethod, OpStrategy, Strategy as PlanStrategy};
     use heterog_profile::GroundTruthCost;
     use heterog_strategies::{
         evaluate_with_policy, Evaluation, IncrementalEvaluator, Perturbation,
@@ -818,6 +818,52 @@ mod incremental_props {
                         assert_bits_eq(&got, &want);
                     }
                 }
+            }
+        });
+    }
+
+    /// The what-ifs `explain` ranks, through an evaluator anchored on
+    /// the deployment's own compiled graph and report, equal a fresh
+    /// compile+simulate of every default intervention, bit for bit, over
+    /// zoo models (language models at two layers), random strategies and
+    /// both order policies.
+    #[test]
+    fn anchored_explain_whatifs_match_fresh_evaluations() {
+        use heterog_explain::{default_interventions, explain, run_whatif_with, ExplainOptions};
+        use heterog_graph::{BenchmarkModel, ModelSpec};
+        let models = BenchmarkModel::all();
+        for_each_seed(16, |rng| {
+            let model = models[rng.gen_range(0..models.len())];
+            let batch = [16, 32, 64][rng.gen_range(0..3usize)];
+            let g = ModelSpec::with_layers(model, batch, 2).build();
+            let cluster = paper_testbed_4gpu();
+            let s = strategy_from(&cluster, g.len(), &super::choices(rng, 1..24, 8));
+            let policy = if rng.gen_range(0..2usize) == 1 {
+                OrderPolicy::Fifo
+            } else {
+                OrderPolicy::RankBased
+            };
+            let tg = compile(&g, &cluster, &GroundTruthCost, &s);
+            let report = simulate(&tg, &cluster.memory_capacities(), &policy);
+            let opts = ExplainOptions {
+                top_k: usize::MAX,
+                run_whatif: true,
+            };
+            let got = explain(&g, &cluster, &s, &tg, &policy, &report, &opts).whatif;
+            let ivs = default_interventions(&cluster, &s);
+            let base = report.iteration_time;
+            let want = run_whatif_with(&g, &cluster, &s, &policy, base, &ivs, usize::MAX, false);
+            assert_eq!(got.len(), want.len(), "{model}");
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.label, b.label, "{model}");
+                assert_eq!(
+                    a.makespan.to_bits(),
+                    b.makespan.to_bits(),
+                    "{model} {}",
+                    a.label
+                );
+                assert_eq!(a.delta.to_bits(), b.delta.to_bits(), "{model} {}", a.label);
+                assert_eq!(a.oom, b.oom, "{model} {}", a.label);
             }
         });
     }

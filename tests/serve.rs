@@ -545,6 +545,45 @@ fn an_explain_served_from_the_cache_equals_the_one_that_missed() {
     );
 }
 
+/// With what-ifs on, a served explain ranks the same interventions on a
+/// memo miss and on a memo hit: both anchor the what-if evaluator on the
+/// graph and report the job simulated. The miss counts its one base
+/// evaluation, the hit none, and each counts one full evaluation for
+/// the device-removal what-if.
+#[test]
+fn a_served_explain_ranks_the_same_whatifs_on_a_miss_and_a_hit() {
+    let (server, addr) = spawn(quick_cfg());
+    let mut bodies = Vec::new();
+    for tenant in ["alice", "bob"] {
+        let body = format!(
+            r#"{{"tenant":"{tenant}","model":"mobilenet","batch":48,"planner":"CP-AR","top_k":8,"whatif":true,"wait":true}}"#
+        );
+        let r = client::post_json(addr, "/v1/explain", &body).unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+        bodies.push(r.text());
+    }
+    let stats = server.stats();
+    server.shutdown();
+    assert_eq!((stats.memo_misses, stats.memo_hits), (1, 1), "{stats:?}");
+    assert_eq!(
+        report_without_eval_stats(&bodies[0]),
+        report_without_eval_stats(&bodies[1]),
+        "a memo hit's explain equals the miss's"
+    );
+    let evaluations = |body: &str| {
+        let v = heterog_telemetry::json::parse(body).expect("explain body parses");
+        assert!(
+            v["report"]["whatif"]
+                .as_array()
+                .is_some_and(|w| !w.is_empty()),
+            "{body}"
+        );
+        v["report"]["eval_stats"]["evaluations"].as_u64()
+    };
+    assert_eq!(evaluations(&bodies[0]), Some(2), "{}", bodies[0]);
+    assert_eq!(evaluations(&bodies[1]), Some(1), "{}", bodies[1]);
+}
+
 #[test]
 fn finished_jobs_past_max_pending_are_retired_with_410() {
     let cfg = ServeConfig {
