@@ -1,33 +1,43 @@
 //! Asserts the schedule+simulate hot path, under every order policy,
-//! and the search's bounded simulation, stopped or run to the end, are
-//! allocation-free after warm-up — the property the evaluation engine's
-//! scratch reuse exists to provide.
+//! the search's bounded simulation, stopped or run to the end, and a
+//! bounded group move the simulation stops are allocation-free after
+//! warm-up — the property the evaluation engine's scratch reuse exists
+//! to provide — and that a thread keeps one simulator scratch.
 //!
 //! Lives in its own integration-test binary because it installs a
-//! counting `#[global_allocator]`; a single `#[test]` keeps other
-//! threads from perturbing the counter.
+//! counting `#[global_allocator]`. It counts each thread's allocations
+//! apart, so tests running at once do not perturb each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use heterog_cluster::paper_testbed_8gpu;
-use heterog_compile::{compile, CommMethod, Strategy};
-use heterog_graph::{BenchmarkModel, ModelSpec};
+use heterog_cluster::{paper_testbed_8gpu, LinkKind};
+use heterog_compile::{compile, CommMethod, OpStrategy, Strategy};
+use heterog_graph::{BenchmarkModel, ModelSpec, OpId};
 use heterog_profile::GroundTruthCost;
 use heterog_sched::{list_schedule_into, OrderPolicy, Schedule, ScheduleScratch};
-use heterog_sim::{simulate_into, simulate_within, SimReport, SimScratch};
+use heterog_sim::{simulate, simulate_into, simulate_within, SimReport, SimScratch};
+use heterog_strategies::{Bounded, EvalMode, IncrementalEvaluator, Perturbation};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocations so far. Const-initialized and without
+    /// a destructor, so reading it allocates nothing.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
 struct CountingAlloc;
 
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -38,10 +48,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Runs `f` and returns it with the allocations it made on this thread.
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let r = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, r)
+    (ALLOCS.with(Cell::get) - before, r)
 }
 
 /// Every order policy by name, with `Priorities` drawn from a few values
@@ -128,4 +139,90 @@ fn schedule_and_simulate_are_allocation_free_after_warmup() {
 
         assert!(sim_out.iteration_time > 0.0);
     }
+}
+
+/// A search's bounded group move whose spliced graph `simulate_within`
+/// stops: after warm-up, resolving the moved placements, pricing the
+/// busiest load, splicing and the stopped simulation reuse the
+/// evaluator's per-candidate buffers and the thread's simulator scratch,
+/// and allocate nothing. The move flips the communication method of
+/// every op without parameters (their gradients, placed with them, are
+/// no parameter gradients), which no lowering segment reads, so the
+/// splice copies the base graph whole and re-lowers no segment:
+/// re-lowering one allocates its own temporaries (a gradient
+/// aggregation's per-device task lists, for one), which are not
+/// per-candidate buffers.
+#[test]
+fn bounded_group_move_stopped_by_the_simulation_is_allocation_free() {
+    let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+    let cluster = paper_testbed_8gpu();
+    let cost = &GroundTruthCost;
+    let s = Strategy::even(g.len(), &cluster, CommMethod::AllReduce);
+    let policy = OrderPolicy::RankBased;
+    let ev = IncrementalEvaluator::new(&g, cost, &cluster, &s, &policy);
+    let ops: Vec<OpId> = (g.iter())
+        .filter(|(_, n)| !n.has_params())
+        .map(|(id, _)| id)
+        .collect();
+    let to = OpStrategy::even(&cluster, CommMethod::Ps);
+    let p = Perturbation::Group { ops: &ops, to: &to };
+    // The busiest load, which the simulation then stops beyond: a
+    // load prune returns the load itself, a stopped simulation a larger
+    // bound.
+    let Bounded::Pruned(load) = ev.evaluate_bounded(p, 0.0) else {
+        panic!("a positive load exceeds a zero limit");
+    };
+    let stopped = |out: &Bounded| matches!(out, Bounded::Pruned(bound) if *bound > load);
+    for _ in 0..2 {
+        assert!(stopped(&ev.evaluate_bounded(p, load)));
+    }
+    let (allocs, out) = allocs_during(|| ev.evaluate_bounded(p, load));
+    assert!(stopped(&out));
+    assert_eq!(
+        allocs, 0,
+        "a stopped bounded group move allocated {allocs} times after warm-up"
+    );
+}
+
+/// A thread's one simulator scratch: evaluations through an
+/// `IncrementalEvaluator` warm the scratch `simulate` then uses, so a
+/// `simulate` of a graph that size allocates only the report it
+/// returns, as often as a second call and as a warm `simulate_into`
+/// into a fresh report do.
+#[test]
+fn a_thread_keeps_one_simulator_scratch() {
+    let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+    let cluster = paper_testbed_8gpu();
+    let cost = &GroundTruthCost;
+    let s = Strategy::even(g.len(), &cluster, CommMethod::AllReduce);
+    let policy = OrderPolicy::RankBased;
+    // Built on another thread, whose scratch simulates the base, so
+    // that this thread is warmed only by `evaluate_perturbed`.
+    let ev = std::thread::scope(|scope| {
+        scope
+            .spawn(|| IncrementalEvaluator::new(&g, cost, &cluster, &s, &policy))
+            .join()
+            .unwrap()
+    });
+    let slower = cluster.with_scaled_link(Some(LinkKind::Pcie), 0.5);
+    let (_, mode) = ev.evaluate_perturbed(Perturbation::Cluster(&slower));
+    assert_eq!(mode, EvalMode::Repriced);
+
+    // The re-priced graph the evaluation simulated, compiled afresh.
+    let tg = compile(&g, &slower, cost, &s);
+    let caps = slower.memory_capacities();
+    let (first, _) = allocs_during(|| simulate(&tg, &caps, &policy));
+    let (second, _) = allocs_during(|| simulate(&tg, &caps, &policy));
+    let mut scratch = SimScratch::default();
+    simulate_into(&tg, &caps, &policy, &mut scratch, &mut SimReport::default());
+    let (report_only, _) = allocs_during(|| {
+        let mut out = SimReport::default();
+        simulate_into(&tg, &caps, &policy, &mut scratch, &mut out);
+        out
+    });
+    assert_eq!(
+        (first, second),
+        (report_only, report_only),
+        "simulate after a warm evaluation allocated {first} times, then {second}; its report alone takes {report_only}"
+    );
 }

@@ -87,7 +87,7 @@ pub fn ps_estimate<C: CostEstimator>(
 /// each variable is served where its aggregation completes earliest
 /// *given the traffic already assigned* — §3.4's "minimizes completion
 /// time of gradient aggregation" applied greedily per tensor).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PsLoadTracker {
     /// Committed ingress seconds per server NIC.
     ingress: Vec<f64>,

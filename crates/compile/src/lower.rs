@@ -17,13 +17,16 @@
 //!
 //! All `R` segments come first, then all `W`, then all `A`, each in op
 //! order. Every edge is added once, by the segment that emits it.
+//! Every compile seals the graph it returns ([`TaskGraph::seal`]): its
+//! successor and predecessor rows are its only edges.
 //! [`compile_logged`] records where each segment's tasks, edges and PS
-//! rounds start and end. [`splice_into`] builds another placement's
-//! graph from that base: it copies every segment whose inputs are
-//! unchanged, each run of consecutive such segments as one range of
-//! tasks and one of the base's edges with task ids remapped, and
-//! re-runs only the dirty ones through the same `Lowerer` code a full
-//! compile runs. The result equals a fresh [`compile_priced`] graph
+//! rounds start and end, and keeps the edges in insertion order, the
+//! one copy of them that is not rows. [`splice_into`] builds another
+//! placement's graph from that base: it copies every segment whose
+//! inputs are unchanged, each run of consecutive such segments as one
+//! range of the base's tasks and one of the log's edges with task ids
+//! remapped, and re-runs only the dirty ones through the same `Lowerer`
+//! code a full compile runs. The result equals a fresh [`compile_priced`] graph
 //! task for task and edge for edge. A spliced graph has no price book:
 //! nothing re-prices it.
 //!
@@ -34,9 +37,9 @@
 //! which prices a candidate's busiest processor before any splice.
 //!
 //! [`log_compiled`] logs a graph [`compile`] already built: it re-runs
-//! the lowering into a sink that stores nothing and only numbers the
-//! tasks and edges as that graph numbers them, so the graph is held
-//! once.
+//! the lowering into a sink that stores no task and records each edge
+//! into the log, numbering tasks and edges as that graph numbers them,
+//! so the graph is held once.
 
 use std::sync::Arc;
 
@@ -150,13 +153,46 @@ impl Numbered for TaskGraph {
     }
 }
 
-/// A sink that stores nothing: it numbers the tasks and edges of a
-/// lowering of the placements `tg` was lowered from, which are `tg`'s,
-/// and in debug builds checks each against `tg`'s.
+/// A sink that stores no task: it numbers the tasks of a lowering of
+/// the placements `tg` was lowered from, which are `tg`'s, and records
+/// its edges in insertion order. In debug builds it checks each task
+/// against `tg`'s, and each edge against the next unread entry of its
+/// source's successor row (`next` holds each row's read count).
 struct Replay<'t> {
     tg: &'t TaskGraph,
     tasks: u32,
-    edges: u32,
+    edges: Vec<(u32, u32)>,
+    next: Vec<u32>,
+}
+
+impl<'t> Replay<'t> {
+    fn new(tg: &'t TaskGraph) -> Self {
+        let next = if cfg!(debug_assertions) {
+            vec![0; tg.len()]
+        } else {
+            Vec::new()
+        };
+        Replay {
+            tg,
+            tasks: 0,
+            edges: Vec::with_capacity(tg.num_edges()),
+            next,
+        }
+    }
+
+    /// In debug builds, panics unless every successor row was read to
+    /// its end.
+    fn check_rows_consumed(&self) {
+        if cfg!(debug_assertions) {
+            for s in self.tg.task_ids() {
+                assert_eq!(
+                    self.next[s.index()] as usize,
+                    self.tg.out_degree(s),
+                    "lowered edges from {s} differ from the logged graph's"
+                );
+            }
+        }
+    }
 }
 
 impl TaskSink for Replay<'_> {
@@ -171,19 +207,24 @@ impl TaskSink for Replay<'_> {
     }
 
     fn add_dep(&mut self, src: TaskId, dst: TaskId) {
-        debug_assert_eq!(
-            self.tg.edge(self.edges as usize),
-            Some((src, dst)),
-            "lowered edge {} differs from the logged graph's",
-            self.edges
-        );
-        self.edges += 1;
+        if cfg!(debug_assertions) {
+            let logged = self.next.get_mut(src.index()).and_then(|n| {
+                *n += 1;
+                self.tg.succs(src).get(*n as usize - 1)
+            });
+            assert_eq!(
+                logged,
+                Some(&dst),
+                "lowered edge {src} -> {dst} differs from the logged graph's"
+            );
+        }
+        self.edges.push((src.0, dst.0));
     }
 }
 
 impl Numbered for Replay<'_> {
     fn counts(&self) -> [u32; 2] {
-        [self.tasks, self.edges]
+        [self.tasks, self.edges.len() as u32]
     }
 }
 
@@ -285,13 +326,14 @@ pub fn compile_priced<C: CostEstimator>(
         &mut book,
         &mut SpliceScratch::default(),
     );
+    tg.seal();
     (tg, book)
 }
 
 /// Where one segment of a logged lowering put its output: half-open
-/// ranges of task ids, of the base graph's edge list, and of the price
-/// book's PS rounds, whose choices a splice replays.
-#[derive(Debug, Clone, Copy)]
+/// ranges of task ids, of the log's edge list, and of the price book's
+/// PS rounds, whose choices a splice replays.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct SegRecord {
     seg: Seg,
     tasks: [u32; 2],
@@ -301,15 +343,18 @@ struct SegRecord {
 
 /// The segment log of one lowering ([`compile_logged`]): the placements
 /// it lowered, where each segment's output starts and ends in the
-/// lowered graph's tasks, edges and PS rounds, and the PS load tracker
-/// before each aggregation segment. The lowering adds each edge once,
-/// so a segment's edges are one range of the graph's own edge list; the
-/// log keeps no copy of them.
-#[derive(Debug, Clone, Default)]
+/// lowered graph's tasks, edges and PS rounds, the PS load tracker
+/// before each aggregation segment, and the lowered edges in insertion
+/// order. The lowering adds each edge once, so a segment's edges are one
+/// range of that list. The lowered graph is sealed and keeps its edges
+/// only as rows, so the list is the log's: a splice, the one reader
+/// that needs insertion order, copies its ranges.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentLog {
     placements: Vec<OpPlacement>,
     segs: Vec<SegRecord>,
     trackers: Vec<PsLoadTracker>,
+    edges: Vec<(u32, u32)>,
 }
 
 impl SegmentLog {
@@ -327,10 +372,17 @@ impl SegmentLog {
     pub fn is_empty(&self) -> bool {
         self.segs.is_empty()
     }
+
+    /// The lowered graph's edges `(src, dst)` in insertion order.
+    pub fn edges(&self) -> impl Iterator<Item = (TaskId, TaskId)> + '_ {
+        self.edges.iter().map(|&(s, d)| (TaskId(s), TaskId(d)))
+    }
 }
 
 /// [`compile_priced`] that also records the [`SegmentLog`] other
-/// placements splice from ([`splice_into`]). Same graph and book.
+/// placements splice from ([`splice_into`]). Same graph, sealed, and
+/// book; the graph's edge list, trimmed to its length, moves into the
+/// log.
 pub fn compile_logged<C: CostEstimator>(
     g: &Graph,
     cluster: &Cluster,
@@ -355,17 +407,20 @@ pub fn compile_logged<C: CostEstimator>(
         &mut SpliceScratch::default(),
     );
     log.placements = placements;
+    log.edges = tg.seal();
+    log.edges.shrink_to_fit();
     (tg, book, log)
 }
 
 /// The price book and segment log [`compile_logged`] gives for
 /// `strategy`, where `tg` is the graph [`compile`] lowers `strategy` to
 /// (on the same graph, cluster and cost model): the lowering runs again
-/// into a sink that stores no task or edge, so `tg` is the only copy of
-/// the graph and its log's ranges index `tg`. Panics unless the
-/// lowering numbers exactly `tg`'s tasks and edges; in debug builds,
-/// also unless it emits `tg` itself, task for task and edge for edge.
-/// Not counted as a compilation.
+/// into a sink that stores no task and records its edges into the log,
+/// so `tg` is the only copy of the tasks and its log's ranges index
+/// `tg`. Panics unless the lowering numbers exactly `tg`'s tasks and
+/// edges; in debug builds, also unless it emits `tg` itself, task for
+/// task, and each edge as the next one of its source's successor row,
+/// every row to its end. Not counted as a compilation.
 pub fn log_compiled<C: CostEstimator>(
     g: &Graph,
     cluster: &Cluster,
@@ -383,11 +438,7 @@ pub fn log_compiled<C: CostEstimator>(
         cost,
         placements: &placements,
     };
-    let mut replay = Replay {
-        tg,
-        tasks: 0,
-        edges: 0,
-    };
+    let mut replay = Replay::new(tg);
     lowering
         .lowerer(&mut replay, &mut book, &mut op_tasks, &mut tracker)
         .emit_logged(&mut log);
@@ -396,12 +447,14 @@ pub fn log_compiled<C: CostEstimator>(
         [tg.len() as u32, tg.num_edges() as u32],
         "the lowering's task and edge counts differ from the logged graph's"
     );
+    replay.check_rows_consumed();
     log.placements = placements;
+    log.edges = replay.edges;
     (book, log)
 }
 
-/// A splice base: a graph [`compile_logged`] built, with its book and
-/// segment log.
+/// A splice base: a graph [`compile_logged`] built (or [`compile`],
+/// logged by [`log_compiled`]), with its book and segment log.
 #[derive(Debug, Clone, Copy)]
 pub struct SpliceBase<'b> {
     /// The base task graph.
@@ -678,6 +731,7 @@ pub fn compile_pipelined<C: CostEstimator>(
         &final_apply_tasks,
         &mut ps_loads,
     );
+    tg.seal();
     tg
 }
 
@@ -748,6 +802,7 @@ pub fn compile_iterations<C: CostEstimator>(
         }
         prev_tasks = Some(op_tasks);
     }
+    tg.seal();
     tg
 }
 
@@ -957,7 +1012,7 @@ impl<C: CostEstimator> Lowerer<'_, C> {
     }
 
     /// Appends a copy of the base's tasks `tasks` and, remapped, its
-    /// edges `edges`: one run of consecutive clean segments.
+    /// log's edges `edges`: one run of consecutive clean segments.
     fn copy_run(
         &mut self,
         base: SpliceBase<'_>,
@@ -969,7 +1024,8 @@ impl<C: CostEstimator> Lowerer<'_, C> {
         for (i, r) in remap[t0 as usize..t1 as usize].iter_mut().enumerate() {
             *r = start + i as u32;
         }
-        self.tg.copy_deps(base.tg, e0 as usize..e1 as usize, remap);
+        let edges = &base.log.edges[e0 as usize..e1 as usize];
+        self.tg.add_deps_remapped(edges, remap);
     }
 }
 
@@ -1972,8 +2028,34 @@ mod tests {
             let (book, log) = log_compiled(&g, &c, &GroundTruthCost, &s, &tg);
             let (_, lbook, llog) = compile_logged(&g, &c, &GroundTruthCost, &s);
             assert_eq!(book, lbook);
-            assert_eq!(format!("{log:?}"), format!("{llog:?}"));
+            assert_eq!(log, llog);
+            assert_eq!(log.edges.capacity(), tg.num_edges());
         }
+    }
+
+    /// Every compile seals the graph it returns: the rows are its only
+    /// edges, and a logged compile's insertion-ordered list is its log's.
+    #[test]
+    fn compiles_return_sealed_graphs() {
+        let g = tiny(64);
+        let c = paper_testbed_8gpu();
+        let s = Strategy::proportional(g.len(), &c, CommMethod::Ps);
+        let cost = &GroundTruthCost;
+        let (logged, _, log) = compile_logged(&g, &c, cost, &s);
+        for tg in [
+            compile(&g, &c, cost, &s),
+            compile_priced(&g, &c, cost, &s).0,
+            compile_pipelined(&g, &c, cost, &s, 1),
+            compile_pipelined(&g, &c, cost, &s, 3),
+            compile_iterations(&g, &c, cost, &s, 2),
+        ] {
+            assert!(tg.is_sealed(), "{}", tg.name);
+        }
+        assert!(logged.is_sealed());
+        assert_eq!(log.edges.len(), logged.num_edges());
+        let mut by_rows: Vec<_> = log.edges().collect();
+        by_rows.sort_by_key(|&(src, _)| src);
+        assert!(by_rows.into_iter().eq(logged.edges()));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use heterog_compile::{compile, CommMethod, OpStrategy, Strategy};
 use heterog_graph::Graph;
 use heterog_profile::GroundTruthCost;
 use heterog_sched::OrderPolicy;
-use heterog_sim::{simulate_into, SimReport, SimScratch};
+use heterog_sim::{simulate_into, with_scratch, SimReport};
 use heterog_strategies::{evaluate_with_policy, Evaluation, IncrementalEvaluator, Perturbation};
 
 // The perturbation operators started here and moved to
@@ -379,7 +379,6 @@ pub(crate) fn rank_interventions(
     top_k: usize,
     evaluator: Option<&IncrementalEvaluator<'_, GroundTruthCost>>,
 ) -> Vec<WhatIfOutcome> {
-    let mut scratch = SimScratch::default();
     let mut report = SimReport::default();
     let mut out = Vec::with_capacity(interventions.len());
     for iv in interventions {
@@ -409,7 +408,8 @@ pub(crate) fn rank_interventions(
             None => {
                 let (c2, s2, p2) = iv.apply(cluster, strategy, policy);
                 let tg = compile(g, &c2, &GroundTruthCost, &s2);
-                simulate_into(&tg, &c2.memory_capacities(), &p2, &mut scratch, &mut report);
+                let caps = c2.memory_capacities();
+                with_scratch(|s| simulate_into(&tg, &caps, &p2, s, &mut report));
                 (report.iteration_time, report.memory.any_oom())
             }
         };

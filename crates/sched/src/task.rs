@@ -5,13 +5,16 @@
 //! Two representation choices keep the compile -> schedule -> simulate
 //! reward path allocation-light:
 //!
-//! * **CSR adjacency.** Edges are stored as a flat insertion-ordered
-//!   list; the successor and predecessor rows are built together on
-//!   first traversal (or by [`TaskGraph::build_index`]) and invalidated
-//!   on mutation, and in-degrees are the predecessor rows' lengths.
-//!   Iteration order matches the old `Vec<Vec<TaskId>>` representation
-//!   exactly (per-source insertion order), so schedules are
-//!   bit-identical.
+//! * **CSR adjacency, each edge once.** A graph is built by appending
+//!   edges to an insertion-ordered list; the successor and predecessor
+//!   rows are built together from it on first traversal (or by
+//!   [`TaskGraph::build_index`]) and invalidated on mutation, and
+//!   in-degrees are the predecessor rows' lengths. Every row keeps
+//!   insertion order, so schedules match the old `Vec<Vec<TaskId>>`
+//!   representation bit for bit. A finished graph is *sealed*
+//!   ([`TaskGraph::seal`]): its rows are built and the list, build
+//!   scratch by then, is freed or handed to the caller, so the rows are
+//!   its only edges and it takes no more tasks or edges.
 //! * **Index task names.** A [`TaskName`] is 16 bytes of plain data —
 //!   op id, role [`Tag`], replica index and [`Pass`] — that indexes a
 //!   per-graph [`NameTable`] held by one `Arc`; the device or link a
@@ -25,11 +28,11 @@
 //!   bytes or a link task's payload.
 //! * **Edges appended, checked once.** Builders add each edge once, so
 //!   `add_dep` only appends and a splice copies a whole segment's edges
-//!   as one remapped range ([`TaskGraph::copy_deps`]). Building the
-//!   index checks that no edge repeats, with a stamp per task rather
+//!   as one remapped range ([`TaskGraph::add_deps_remapped`]). Building
+//!   the index checks that no edge repeats, with a stamp per task rather
 //!   than a hash, and panics naming both tasks if one does. The stamps
-//!   borrow the predecessor offsets before those are filled, so an
-//!   indexed graph keeps no build scratch.
+//!   borrow the predecessor offsets before those are filled, so the
+//!   check needs no buffer of its own.
 
 use std::sync::{Arc, OnceLock};
 
@@ -471,13 +474,18 @@ pub struct TaskGraph {
     /// The strings the tasks' [`TaskName`]s index.
     names: Arc<NameTable>,
     tasks: Vec<Task>,
-    /// `(src, dst)` precedence edges in insertion order, each once.
+    /// Build scratch: the `(src, dst)` precedence edges added so far, in
+    /// insertion order, each once. Empty once sealed.
     edges: Vec<(u32, u32)>,
-    /// Lazily-built CSR adjacency; cleared by any mutation.
+    /// Lazily-built CSR adjacency; cleared by any mutation. A sealed
+    /// graph's edges live here alone.
     csr: OnceLock<Csr>,
     /// The buffers of the last cleared index, reused by the next
     /// [`TaskGraph::build_index`].
     spare: Csr,
+    /// Set by [`TaskGraph::seal`]: the graph is finished and takes no
+    /// more tasks or edges. Cleared by [`TaskGraph::reset_like`].
+    sealed: bool,
 }
 
 impl Clone for TaskGraph {
@@ -488,7 +496,9 @@ impl Clone for TaskGraph {
     }
 
     /// Reuses `self`'s buffers: re-pricing clones the base graph into
-    /// one per-thread scratch graph per query.
+    /// one per-thread scratch graph per query. The clone of a sealed
+    /// graph is sealed: its tasks and rows are copied, and it holds no
+    /// edge list either.
     fn clone_from(&mut self, src: &Self) {
         self.reset_like(src);
         self.tasks.clone_from(&src.tasks);
@@ -499,6 +509,7 @@ impl Clone for TaskGraph {
             spare.preds.copy_from(&c.preds);
             let _ = self.csr.set(std::mem::take(spare));
         }
+        self.sealed = src.sealed;
     }
 }
 
@@ -545,7 +556,8 @@ impl TaskGraph {
     }
 
     /// Empties the graph into `like`'s label, processor counts and name
-    /// table, keeping every buffer's capacity.
+    /// table, keeping every buffer's capacity. The emptied graph is not
+    /// sealed, whether `self` or `like` was.
     pub fn reset_like(&mut self, like: &TaskGraph) {
         self.name.clone_from(&like.name);
         self.num_gpus = like.num_gpus;
@@ -556,11 +568,41 @@ impl TaskGraph {
         self.tasks.clear();
         self.edges.clear();
         self.invalidate();
+        self.sealed = false;
+    }
+
+    /// Finishes the graph: builds its index, after which the rows hold
+    /// its edges, and returns the insertion-ordered edge list, which the
+    /// graph no longer holds. A sealed graph takes no more tasks or
+    /// edges ([`TaskGraph::add_task`], [`TaskGraph::add_dep`],
+    /// [`TaskGraph::copy_tasks`] and [`TaskGraph::add_deps_remapped`]
+    /// panic) until [`TaskGraph::reset_like`] empties it; its durations
+    /// may still be changed. Panics on a repeated edge, as building the
+    /// index does.
+    pub fn seal(&mut self) -> Vec<(u32, u32)> {
+        self.build_index();
+        self.sealed = true;
+        std::mem::take(&mut self.edges)
+    }
+
+    /// Whether the graph is sealed ([`TaskGraph::seal`]).
+    pub fn is_sealed(&self) -> bool {
+        self.sealed
+    }
+
+    /// Panics when the graph is sealed: `what` may not be added to it.
+    fn assert_open(&self, what: &str) {
+        assert!(
+            !self.sealed,
+            "{what} added to sealed task graph {}: a finished graph's tasks and edges are fixed",
+            self.name
+        );
     }
 
     /// Adds a task, panicking if its processor is out of range (builder
-    /// misuse is a bug, not a runtime condition).
+    /// misuse is a bug, not a runtime condition) or the graph is sealed.
     pub fn add_task(&mut self, task: Task) -> TaskId {
+        self.assert_open("task");
         match task.proc {
             Proc::Gpu(i) => assert!(i < self.num_gpus, "GPU {i} out of range"),
             Proc::Link(i) => assert!(i < self.num_links, "link {i} out of range"),
@@ -572,8 +614,10 @@ impl TaskGraph {
     }
 
     /// Appends copies of `src`'s tasks `range` (processors already
-    /// checked there); returns the first copy's id.
+    /// checked there); returns the first copy's id. Panics when this
+    /// graph is sealed.
     pub fn copy_tasks(&mut self, src: &TaskGraph, range: std::ops::Range<usize>) -> TaskId {
+        self.assert_open("task");
         debug_assert!(self.num_gpus == src.num_gpus && self.num_links == src.num_links);
         let id = TaskId(self.tasks.len() as u32);
         self.tasks.extend_from_slice(&src.tasks[range]);
@@ -583,20 +627,22 @@ impl TaskGraph {
 
     /// Adds a precedence edge `src -> dst`. Each edge must be added
     /// once: building the index panics on a repeat (builder misuse, like
-    /// an out-of-range processor).
+    /// an out-of-range processor). Panics when the graph is sealed.
     pub fn add_dep(&mut self, src: TaskId, dst: TaskId) {
+        self.assert_open("edge");
         assert!(src.index() < self.tasks.len() && dst.index() < self.tasks.len());
         assert_ne!(src, dst, "self-dependency on {src}");
         self.edges.push((src.0, dst.0));
         self.invalidate();
     }
 
-    /// Appends copies of `src`'s edges `range`, in order, with both ends
-    /// mapped through `remap` (a `src` task id to one of this graph's):
-    /// the edges of a segment a splice copies. The mapped ends are
-    /// bounds-checked once for the whole range.
-    pub fn copy_deps(&mut self, src: &TaskGraph, range: std::ops::Range<usize>, remap: &[u32]) {
-        let edges = &src.edges[range];
+    /// Appends `edges`, in order, with both ends mapped through `remap`
+    /// (an id of the graph `edges` came from to one of this graph's):
+    /// the edges of a run of segments a splice copies from its base's
+    /// insertion-ordered list. The mapped ends are bounds-checked once
+    /// for the whole run. Panics when this graph is sealed.
+    pub fn add_deps_remapped(&mut self, edges: &[(u32, u32)], remap: &[u32]) {
+        self.assert_open("edge");
         let mut top = 0;
         self.edges.extend(edges.iter().map(|&(s, d)| {
             let e = (remap[s as usize], remap[d as usize]);
@@ -688,19 +734,21 @@ impl TaskGraph {
         self.csr().preds.lens()
     }
 
-    /// Precedence edges `(src, dst)` in insertion order.
+    /// Precedence edges `(src, dst)`, read from the successor rows:
+    /// source by source, each source's in insertion order.
     pub fn edges(&self) -> impl Iterator<Item = (TaskId, TaskId)> + '_ {
-        self.edges.iter().map(|&(s, d)| (TaskId(s), TaskId(d)))
+        let succs = &self.csr().succs;
+        self.task_ids()
+            .flat_map(move |s| succs.row(s.index()).iter().map(move |&d| (s, d)))
     }
 
-    /// Precedence edge `i` in insertion order, if there is one.
-    pub fn edge(&self, i: usize) -> Option<(TaskId, TaskId)> {
-        self.edges.get(i).map(|&(s, d)| (TaskId(s), TaskId(d)))
-    }
-
-    /// Number of precedence edges.
+    /// Number of precedence edges: the rows' when the index is built (as
+    /// it always is once sealed), else the edges added so far.
     pub fn num_edges(&self) -> usize {
-        self.edges.len()
+        match self.csr.get() {
+            Some(c) => c.succs.idx.len(),
+            None => self.edges.len(),
+        }
     }
 
     /// Total processor count `M + #links` (the paper bounds #links by `M^2`).
@@ -962,6 +1010,68 @@ mod tests {
             assert_eq!(tg.in_degree(id), other.preds(id).len());
         }
         assert_eq!(tg.preds(TaskId(2)), &[TaskId(1), TaskId(0)]);
+    }
+
+    /// Two tasks and an edge `a -> b`, sealed.
+    fn sealed_pair() -> TaskGraph {
+        let mut tg = TaskGraph::new("sealed", 1, 0);
+        let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
+        let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
+        tg.add_dep(a, b);
+        assert_eq!(tg.seal(), vec![(0, 1)]);
+        tg
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "edge added to sealed task graph sealed: a finished graph's tasks and edges are fixed"
+    )]
+    fn add_dep_on_a_sealed_graph_panics() {
+        let mut tg = sealed_pair();
+        tg.add_dep(TaskId(1), TaskId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "task added to sealed task graph sealed")]
+    fn add_task_on_a_sealed_graph_panics() {
+        sealed_pair().add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(0), 1.0));
+    }
+
+    /// A sealed graph holds its edges in its rows alone; its clone is
+    /// sealed with the same rows, and a reset graph takes edges again.
+    #[test]
+    fn sealed_graphs_keep_only_their_rows() {
+        let mut tg = TaskGraph::new("t", 1, 0);
+        let ids: Vec<TaskId> = (0..4)
+            .map(|i| tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, Proc::Gpu(0), 1.0)))
+            .collect();
+        let added = [(2, 3), (0, 3), (0, 1), (1, 3)];
+        for &(a, b) in &added {
+            tg.add_dep(ids[a], ids[b]);
+        }
+        let list = tg.seal();
+        assert_eq!(list, added.map(|(a, b)| (a as u32, b as u32)));
+        assert!(tg.is_sealed() && tg.edges.capacity() == 0);
+        assert_eq!(tg.num_edges(), 4);
+        // Source by source, each row in insertion order.
+        let by_rows = [(0, 3), (0, 1), (1, 3), (2, 3)].map(|(a, b)| (ids[a], ids[b]));
+        assert!(tg.edges().eq(by_rows));
+        assert_eq!(tg.preds(ids[3]), &[ids[2], ids[0], ids[1]]);
+
+        let mut copy = TaskGraph::default();
+        copy.clone_from(&tg);
+        assert!(copy.is_sealed() && copy.edges.is_empty());
+        assert!(copy.edges().eq(tg.edges()));
+        for id in tg.task_ids() {
+            assert_eq!(copy.preds(id), tg.preds(id));
+        }
+
+        copy.reset_like(&tg);
+        assert!(!copy.is_sealed() && copy.is_empty() && copy.num_edges() == 0);
+        let a = copy.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
+        let b = copy.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
+        copy.add_dep(a, b);
+        assert_eq!(copy.succs(a), &[b]);
     }
 
     #[test]

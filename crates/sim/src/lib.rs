@@ -26,8 +26,8 @@ pub mod trace;
 
 pub use memory::{memory_usage, MemoryReport};
 pub use report::{
-    simulate, simulate_into, simulate_uncounted, simulate_within, time_breakdown, SimReport,
-    SimScratch,
+    simulate, simulate_into, simulate_uncounted, simulate_within, time_breakdown, with_scratch,
+    SimReport, SimScratch,
 };
 pub use trace::{chrome_trace_events, chrome_trace_json};
 

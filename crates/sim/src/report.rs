@@ -1,14 +1,14 @@
 //! Simulation driver and the per-iteration report.
 //!
 //! [`simulate_into`] reuses a caller-owned [`SimScratch`] and output
-//! report ([`simulate`] a thread-local scratch) and fuses the
-//! reference-counted memory accounting (§5) into the scheduling event
-//! loop via a [`ScheduleHook`] — one pass over the graph, zero heap
-//! allocations after warm-up. The hook folds each allocation and free
-//! into per-GPU running totals as it happens and records link intervals
-//! in start order, so neither memory events nor intervals are stored
-//! and sorted. [`simulate_within`] stops once the schedule is sure to
-//! end after a limit.
+//! report ([`simulate`] the thread's one scratch, [`with_scratch`]) and
+//! fuses the reference-counted memory accounting (§5) into the
+//! scheduling event loop via a [`ScheduleHook`] — one pass over the
+//! graph, zero heap allocations after warm-up. The hook folds each
+//! allocation and free into per-GPU running totals as it happens and
+//! records link intervals in start order, so neither memory events nor
+//! intervals are stored and sorted. [`simulate_within`] stops once the
+//! schedule is sure to end after a limit.
 
 use heterog_sched::{
     list_schedule_observed, OrderPolicy, Proc, Schedule, ScheduleHook, ScheduleScratch, Task,
@@ -180,17 +180,34 @@ impl ScheduleHook for MemHook<'_> {
 /// * `policy` — execution-order policy (rank-based = HeteroG's scheduler;
 ///   FIFO = TensorFlow default, the §6.6 baseline).
 ///
-/// Delegates to [`simulate_into`] through a thread-local [`SimScratch`],
-/// so repeated calls are allocation-free after warm-up; hot loops that
-/// want explicit control still hold their own scratch and call
-/// [`simulate_into`].
+/// Delegates to [`simulate_into`] on the thread's [`SimScratch`]
+/// ([`with_scratch`]), so after warm-up a call allocates only the fresh
+/// [`SimReport`] it returns; hot loops that reuse a report call
+/// [`simulate_into`] instead.
 pub fn simulate(tg: &TaskGraph, capacities: &[u64], policy: &OrderPolicy) -> SimReport {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<SimScratch> = Default::default();
-    }
     let mut out = SimReport::default();
-    SCRATCH.with(|s| simulate_into(tg, capacities, policy, &mut s.borrow_mut(), &mut out));
+    with_scratch(|s| simulate_into(tg, capacities, policy, s, &mut out));
     out
+}
+
+thread_local! {
+    /// The thread's simulator scratch (see [`with_scratch`]).
+    static SCRATCH: std::cell::RefCell<SimScratch> = Default::default();
+}
+
+/// Runs `f` on the thread's one [`SimScratch`]. Every simulation on a
+/// thread that holds no scratch of its own ([`simulate`], and the
+/// evaluations of `heterog-strategies`) shares it, so a thread keeps
+/// one scratch, sized by the largest graph it simulated, and a
+/// simulation after warm-up allocates none. Panics if `f` calls
+/// `with_scratch` again (on this thread) while it holds the scratch.
+pub fn with_scratch<R>(f: impl FnOnce(&mut SimScratch) -> R) -> R {
+    SCRATCH.with(|s| {
+        let mut scratch = s
+            .try_borrow_mut()
+            .expect("simulator scratch already in use on this thread: with_scratch does not nest");
+        f(&mut scratch)
+    })
 }
 
 /// [`simulate`] into caller-owned scratch and output buffers, zero heap
@@ -617,6 +634,12 @@ mod tests {
             let tg = compile(&g, &cluster, &heterog_profile::GroundTruthCost, &s);
             check_against_post_hoc(&tg, &caps);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "simulator scratch already in use on this thread")]
+    fn nested_scratch_use_panics() {
+        with_scratch(|_| simulate(&demo_graph(), &[1 << 31; 3], &OrderPolicy::RankBased));
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! device, to set bad rewards for strategies leading to memory
 //! overflow").
 
-use std::cell::RefCell;
 use std::time::Instant;
 
 use heterog_cluster::Cluster;
@@ -12,7 +11,7 @@ use heterog_compile::{compile, Strategy};
 use heterog_graph::Graph;
 use heterog_profile::CostEstimator;
 use heterog_sched::{OrderPolicy, Schedule, TaskGraph};
-use heterog_sim::{simulate_into, SimReport, SimScratch};
+use heterog_sim::{simulate_into, with_scratch, SimReport};
 use heterog_telemetry::{tally, Counter};
 
 // Each outcome is one always-on counter: it is the process-wide metric
@@ -173,13 +172,6 @@ pub fn evaluate<C: CostEstimator>(
     evaluate_with_policy(g, cluster, cost, strategy, &OrderPolicy::RankBased)
 }
 
-thread_local! {
-    /// Per-thread simulator scratch: every evaluation on a thread reuses
-    /// the same event/heap buffers, so the schedule+simulate stage of the
-    /// hot path stops allocating after the first (largest) evaluation.
-    static SIM_SCRATCH: RefCell<SimScratch> = RefCell::new(SimScratch::default());
-}
-
 /// [`evaluate`] under an explicit execution-order policy.
 pub fn evaluate_with_policy<C: CostEstimator>(
     g: &Graph,
@@ -195,7 +187,8 @@ pub fn evaluate_with_policy<C: CostEstimator>(
 }
 
 /// Simulates the compiled task graph `tg` on `cluster` into `report`,
-/// task times included, and counts one full evaluation that started at
+/// task times included, on the thread's simulator scratch
+/// ([`with_scratch`]), and counts one full evaluation that started at
 /// `started` (pass the instant before the compile, so the evaluation
 /// time covers it). The returned evaluation carries no task times.
 pub fn evaluate_compiled(
@@ -205,15 +198,8 @@ pub fn evaluate_compiled(
     started: Instant,
     report: &mut SimReport,
 ) -> Evaluation {
-    SIM_SCRATCH.with(|s| {
-        simulate_into(
-            tg,
-            &cluster.memory_capacities(),
-            policy,
-            &mut s.borrow_mut(),
-            report,
-        )
-    });
+    let capacities = cluster.memory_capacities();
+    with_scratch(|s| simulate_into(tg, &capacities, policy, s, report));
     let eval = Evaluation::of(report);
     count_full_evaluation(started, &eval);
     eval

@@ -55,7 +55,7 @@ use heterog_graph::{Graph, OpId};
 use heterog_profile::CostEstimator;
 use heterog_sched::{busiest_processor_load, load_exceeds, OrderPolicy, TaskGraph};
 use heterog_sim::{
-    count_resim, simulate_into, simulate_uncounted, simulate_within, SimReport, SimScratch,
+    count_resim, simulate_into, simulate_uncounted, simulate_within, with_scratch, SimReport,
 };
 use heterog_telemetry::{lock, Counter};
 
@@ -151,19 +151,19 @@ impl Bounded {
 }
 
 /// Patch buffers: the candidate's placements, the spliced or re-priced
-/// task graph, the splice and simulator scratch, and the report each
-/// perturbed evaluation writes into, plus the per-processor loads a
-/// bounded one prices before splicing. An evaluator pools them, one per
-/// thread evaluating through it at once, so a `Sync` evaluator serves
-/// pool workers without sharing a buffer, the per-candidate path stops
+/// task graph, the splice scratch, and the report each perturbed
+/// evaluation writes into, plus the per-processor loads a bounded one
+/// prices before splicing. An evaluator pools them, one per thread
+/// evaluating through it at once, so a `Sync` evaluator serves pool
+/// workers without sharing a buffer, the per-candidate path stops
 /// allocating once they have grown, and their memory goes with the
-/// evaluator.
+/// evaluator. Simulations run on the thread's simulator scratch
+/// ([`with_scratch`]), which outlives the evaluator.
 #[derive(Debug, Default)]
 struct PatchScratch {
     placements: Vec<OpPlacement>,
     tg: TaskGraph,
     splice: SpliceScratch,
-    sim: SimScratch,
     report: SimReport,
     load: Vec<f64>,
 }
@@ -272,8 +272,8 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         let (tg, book, log) = compile_logged(g, cluster, cost, strategy);
         let mut ps = patches.pop().unwrap_or_default();
         let capacities = cluster.memory_capacities();
-        let (sim, report) = (&mut ps.sim, &mut ps.report);
-        simulate_uncounted(&tg, &capacities, policy, f64::INFINITY, sim, report);
+        let report = &mut ps.report;
+        with_scratch(|s| simulate_uncounted(&tg, &capacities, policy, f64::INFINITY, s, report));
         let base = Evaluation::of(report);
         patches.push(ps);
         count_full_evaluation(started, &base);
@@ -400,8 +400,9 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     fn dispatch(&self, p: Perturbation<'_>, limit: f64) -> Bounded {
         match p {
             Perturbation::Policy(p2) => self.with_patch(|ps| {
-                simulate_into(&self.tg, &self.capacities, p2, &mut ps.sim, &mut ps.report);
-                Bounded::evaluated(Evaluation::of(&ps.report), EvalMode::Reordered)
+                let report = &mut ps.report;
+                with_scratch(|s| simulate_into(&self.tg, &self.capacities, p2, s, report));
+                Bounded::evaluated(Evaluation::of(report), EvalMode::Reordered)
             }),
             Perturbation::Cluster(c2) => self.eval_cluster(c2),
             Perturbation::Strategy(s2) => {
@@ -442,9 +443,11 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                     eval.oom = memory.any_oom();
                     eval
                 } else {
-                    let (policy, sim, report) = (&self.policy, &mut ps.sim, &mut ps.report);
-                    simulate_uncounted(&ps.tg, &capacities, policy, f64::INFINITY, sim, report);
-                    Evaluation::of(&ps.report)
+                    let (tg, policy, report) = (&ps.tg, &self.policy, &mut ps.report);
+                    with_scratch(|s| {
+                        simulate_uncounted(tg, &capacities, policy, f64::INFINITY, s, report)
+                    });
+                    Evaluation::of(report)
                 };
                 Some(Bounded::evaluated(eval, EvalMode::Repriced))
             });
@@ -476,7 +479,6 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 placements,
                 tg,
                 splice,
-                sim,
                 report,
                 load,
             } = ps;
@@ -524,8 +526,10 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 splice,
             );
             tg.build_index();
-            let policy = &self.policy;
-            if let Some(bound) = simulate_within(tg, &self.capacities, policy, limit, sim, report) {
+            let (caps, policy) = (&self.capacities, &self.policy);
+            if let Some(bound) =
+                with_scratch(|s| simulate_within(tg, caps, policy, limit, s, report))
+            {
                 return Bounded::Pruned(bound);
             }
             let eval = Evaluation::of(report);

@@ -222,9 +222,28 @@ fn concurrent_tenants_each_get_their_own_plan() {
     server.shutdown();
 }
 
+/// Polls job `job`'s status until it reads `want`, returning the last
+/// status body.
+fn poll_job_until(addr: SocketAddr, job: &str, want: &str) -> String {
+    let needle = format!("\"status\":\"{want}\"");
+    loop {
+        let r = client::get(addr, &format!("/v1/jobs/{job}")).unwrap();
+        assert_eq!(r.status, 200, "{}", r.text());
+        let text = r.text().to_string();
+        if text.contains(&needle) {
+            return text;
+        }
+        assert!(
+            !text.contains("\"status\":\"done\"") && !text.contains("\"status\":\"failed\""),
+            "job {job} finished before it read {want}: {text}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn coalesced_identical_requests_return_identical_bytes() {
-    // One worker, blocked by a slow job: identical requests stack up
+    // One worker, held by a slow job: identical requests stack up
     // in-flight and must coalesce onto a single planning job.
     let cfg = ServeConfig {
         workers: 1,
@@ -232,17 +251,19 @@ fn coalesced_identical_requests_return_identical_bytes() {
     };
     let (server, addr) = spawn(cfg);
 
-    // Occupy the only worker (24-layer BERT takes a while even under
-    // the heuristic planner).
-    let blocker = std::thread::spawn(move || {
-        client::post_json(
-            addr,
-            "/v1/plan?wait=1",
-            r#"{"tenant":"alice","model":"bert","planner":"CP-AR"}"#,
-        )
-        .unwrap()
-    });
-    std::thread::sleep(std::time::Duration::from_millis(100));
+    // Occupy the only worker with a searched 48-layer BERT plan (about
+    // 0.3 s in release on a 2-vCPU VM, the three posts below about a
+    // millisecond), and wait until the worker runs it: only then are the
+    // identical requests sure to find the worker busy.
+    let blocker = client::post_json(
+        addr,
+        "/v1/plan",
+        r#"{"tenant":"alice","model":"bert","layers":48,"planner":"heterog"}"#,
+    )
+    .unwrap();
+    assert_eq!(blocker.status, 202, "{}", blocker.text());
+    let blocker = blocker.header("x-heterog-job").unwrap().to_string();
+    poll_job_until(addr, &blocker, "running");
 
     let identical = r#"{"tenant":"alice","model":"vgg19","planner":"CP-AR","wait":true}"#;
     let mut waiters = Vec::new();
@@ -252,7 +273,7 @@ fn coalesced_identical_requests_return_identical_bytes() {
         }));
     }
     let responses: Vec<_> = waiters.into_iter().map(|h| h.join().unwrap()).collect();
-    assert_eq!(blocker.join().unwrap().status, 200);
+    poll_job_until(addr, &blocker, "done");
 
     let bodies: HashSet<Vec<u8>> = responses.iter().map(|r| r.body.clone()).collect();
     assert_eq!(

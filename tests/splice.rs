@@ -3,30 +3,34 @@
 //! VGG-19 and Transformer-6L, plus uniform CP-PS and SH-CP deployments.
 //! One-group moves of the planner's action space (all of them for one
 //! model, a seeded sample of 100 for the others) are spliced with
-//! `splice_into` and compared with `compile` task by task and edge by
-//! edge in insertion order; a subset also goes through `IncrementalEvaluator::evaluate_perturbed`, whose
+//! `splice_into` and compared with `compile_logged` task by task, row by
+//! row (every task's successors and predecessors) and edge by edge in
+//! insertion order (the spliced graph's list against the fresh log's);
+//! a subset also goes through `IncrementalEvaluator::evaluate_perturbed`, whose
 //! report must equal `evaluate_with_policy`'s bit for bit. Every move's
 //! per-processor loads priced with `splice_loads`, before any splice,
 //! must equal the fresh compile's to within 1e-12 of its busiest load.
 //! A move whose segments `splice_loads` finds all clean splices to the
 //! incumbent's own graph, and a bounded evaluation answers it with the
 //! base evaluation.
-//! Splices copy a run of segments' edges as one range, which is sound
-//! because every lowering (plain, pipelined and multi-iteration) adds
-//! each edge once.
+//! Splices copy a run of segments' edges as one range of the base log's
+//! list, which is sound because every lowering (plain, pipelined and
+//! multi-iteration) adds each edge once. A compiled graph keeps its
+//! edges only as rows; logging it afresh (`log_compiled`) gives the log
+//! a logged compile gives, edges in insertion order included.
 
 use std::collections::HashSet;
 
 use heterog_agent::{actions_to_strategy, ActionSpace, HeteroGPlanner};
 use heterog_cluster::{paper_testbed_12gpu, paper_testbed_8gpu, Cluster, DeviceId};
 use heterog_compile::{
-    compile, compile_iterations, compile_logged, compile_pipelined, compile_priced,
+    compile, compile_iterations, compile_logged, compile_pipelined, compile_priced, log_compiled,
     resolve_placements, splice_into, splice_loads, CommMethod, OpStrategy, SpliceBase,
     SpliceScratch, Strategy,
 };
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
-use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph};
+use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph, TaskId};
 use heterog_strategies::{
     evaluate_with_policy, group_ops, grouping::avg_op_times, Bounded, EvalMode, Evaluation,
     Grouping, IncrementalEvaluator, Perturbation,
@@ -147,10 +151,19 @@ fn assert_same_graph(spliced: &TaskGraph, fresh: &TaskGraph, what: &str) {
             at()
         );
     }
-    assert!(
-        spliced.edges().eq(fresh.edges()),
-        "{what}: edges differ in content or insertion order"
-    );
+    for id in fresh.task_ids() {
+        assert_eq!(
+            spliced.succs(id),
+            fresh.succs(id),
+            "{what}: successors of {id}"
+        );
+        assert_eq!(
+            spliced.preds(id),
+            fresh.preds(id),
+            "{what}: predecessors of {id}"
+        );
+    }
+    assert!(spliced.edges().eq(fresh.edges()), "{what}: edges differ");
 }
 
 fn assert_same_eval(got: &Evaluation, want: &Evaluation, what: &str) {
@@ -195,8 +208,13 @@ fn check(case: &Case, moves: &[(usize, usize)], eval_every: usize) -> Vec<EvalMo
         loads.clone_from(&base_loads);
         splice_loads(g, c, cost, &placements, base, &mut loads, &mut scratch);
         splice_into(g, c, cost, &placements, base, &mut tg, &mut scratch);
-        let fresh = compile(g, c, cost, &s2);
+        let (fresh, _, fresh_log) = compile_logged(g, c, cost, &s2);
         assert_same_graph(&tg, &fresh, &what);
+        let in_order = tg.seal().into_iter().map(|(s, d)| (TaskId(s), TaskId(d)));
+        assert!(
+            in_order.eq(fresh_log.edges()),
+            "{what}: edges differ in insertion order"
+        );
         let busiest = busiest_processor_load(&fresh, &mut want_loads);
         for (p, (got, want)) in loads.iter().zip(&want_loads).enumerate() {
             assert!(
@@ -303,6 +321,52 @@ fn lowering_emits_each_edge_once() {
             let what = format!("{} on {m} GPUs, 2 iterations", g.name);
             let mut tg = compile_iterations(&g, &cluster, cost, &s, 2);
             assert_each_edge_once(&mut tg, &what);
+        }
+    }
+}
+
+/// The four uniform deployments of every zoo model on `cluster`:
+/// even AllReduce, proportional PS, proportional shard and MP on one
+/// device.
+fn uniform_deployments(g: &Graph, cluster: &Cluster) -> [(&'static str, Strategy); 4] {
+    let n = g.len();
+    [
+        ("even-AR", Strategy::even(n, cluster, CommMethod::AllReduce)),
+        (
+            "proportional-PS",
+            Strategy::proportional(n, cluster, CommMethod::Ps),
+        ),
+        (
+            "shard",
+            Strategy::uniform(n, OpStrategy::shard_proportional(cluster, 0)),
+        ),
+        ("MP", Strategy::uniform(n, OpStrategy::Mp(DeviceId(1)))),
+    ]
+}
+
+/// `log_compiled` of a compiled (sealed) graph gives the segment log
+/// and price book of a logged compile: segments, PS rounds, trackers,
+/// and the edges in insertion order.
+#[test]
+fn logging_a_compiled_graph_equals_a_logged_compile() {
+    let cost = &GroundTruthCost;
+    for cluster in [paper_testbed_8gpu(), paper_testbed_12gpu()] {
+        let m = cluster.num_devices();
+        for model in BenchmarkModel::all() {
+            let g = ModelSpec::new(model, model.default_batch_8gpu()).build();
+            for (name, s) in uniform_deployments(&g, &cluster) {
+                let what = format!("{} on {m} GPUs, {name}", g.name);
+                let tg = compile(&g, &cluster, cost, &s);
+                assert!(tg.is_sealed(), "{what}");
+                let (book, log) = log_compiled(&g, &cluster, cost, &s, &tg);
+                let (_, lbook, llog) = compile_logged(&g, &cluster, cost, &s);
+                assert_eq!(book, lbook, "{what}: price books");
+                assert!(
+                    log.edges().eq(llog.edges()),
+                    "{what}: edges in insertion order"
+                );
+                assert!(log == llog, "{what}: segment logs");
+            }
         }
     }
 }
