@@ -1613,7 +1613,7 @@ fn heaviest_device(p: &OpPlacement) -> DeviceId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heterog_cluster::paper_testbed_8gpu;
+    use heterog_cluster::{paper_testbed_12gpu, paper_testbed_8gpu};
     use heterog_graph::DType;
     use heterog_graph::{GraphBuilder, ModelSpec};
     use heterog_profile::GroundTruthCost;
@@ -1965,7 +1965,8 @@ mod tests {
 
     /// Asserts `ta` equals `tb` task for task (rendered name, kind,
     /// processor, duration bits, byte counts, origin, batch share) and
-    /// edge for edge in insertion order.
+    /// row for row: every task's successors and predecessors, each row
+    /// in insertion order.
     fn assert_same_graph(ta: &TaskGraph, tb: &TaskGraph) {
         assert_eq!(ta.len(), tb.len());
         for id in ta.task_ids() {
@@ -1975,8 +1976,19 @@ mod tests {
             assert_eq!(x.duration.to_bits(), y.duration.to_bits());
             assert_eq!((x.bytes, x.param_bytes), (y.bytes, y.param_bytes));
             assert_eq!((x.origin(), x.batch_share), (y.origin(), y.batch_share));
+            assert_eq!(ta.succs(id), tb.succs(id), "successors of {id}");
+            assert_eq!(ta.preds(id), tb.preds(id), "predecessors of {id}");
         }
-        assert!(ta.edges().eq(tb.edges()), "edge lists differ");
+    }
+
+    /// Asserts the spliced `tg` equals a fresh logged compile of `s`
+    /// ([`assert_same_graph`]), then seals it and asserts its edges equal
+    /// the fresh log's in insertion order.
+    fn assert_splices_like_a_compile(g: &Graph, c: &Cluster, s: &Strategy, mut tg: TaskGraph) {
+        let (fresh, _, log) = compile_logged(g, c, &GroundTruthCost, s);
+        assert_same_graph(&tg, &fresh);
+        let in_order = tg.seal().into_iter().map(|(s, d)| (TaskId(s), TaskId(d)));
+        assert!(in_order.eq(log.edges()), "edges differ in insertion order");
     }
 
     fn splice(g: &Graph, c: &Cluster, base: &Strategy, s: &Strategy) -> (TaskGraph, usize) {
@@ -2014,22 +2026,50 @@ mod tests {
         }
     }
 
-    /// Logging a compiled graph gives the book and log a logged compile
-    /// does, with no second graph.
+    /// The four uniform deployments of every zoo model on `cluster`:
+    /// even AllReduce, proportional PS, proportional shard and MP on one
+    /// device.
+    fn uniform_deployments(g: &Graph, cluster: &Cluster) -> [(&'static str, Strategy); 4] {
+        let n = g.len();
+        [
+            ("even-AR", Strategy::even(n, cluster, CommMethod::AllReduce)),
+            (
+                "proportional-PS",
+                Strategy::proportional(n, cluster, CommMethod::Ps),
+            ),
+            (
+                "shard",
+                Strategy::uniform(n, crate::OpStrategy::shard_proportional(cluster, 0)),
+            ),
+            (
+                "MP",
+                Strategy::uniform(n, crate::OpStrategy::Mp(DeviceId(1))),
+            ),
+        ]
+    }
+
+    /// Logging a compiled (sealed) graph gives the book and log a logged
+    /// compile does, with no second graph: segments, PS rounds, trackers,
+    /// and the edges in insertion order, in a list reserved exactly. Over
+    /// every zoo model's uniform deployments on both testbeds.
     #[test]
     fn logging_a_compiled_graph_equals_a_logged_compile() {
-        let g = tiny(64);
-        let c = paper_testbed_8gpu();
-        for s in [
-            shard_strategy(&g, &c),
-            Strategy::proportional(g.len(), &c, CommMethod::Ps),
-        ] {
-            let tg = compile(&g, &c, &GroundTruthCost, &s);
-            let (book, log) = log_compiled(&g, &c, &GroundTruthCost, &s, &tg);
-            let (_, lbook, llog) = compile_logged(&g, &c, &GroundTruthCost, &s);
-            assert_eq!(book, lbook);
-            assert_eq!(log, llog);
-            assert_eq!(log.edges.capacity(), tg.num_edges());
+        let cost = &GroundTruthCost;
+        for c in [paper_testbed_8gpu(), paper_testbed_12gpu()] {
+            let m = c.num_devices();
+            for model in heterog_graph::BenchmarkModel::all() {
+                let g = ModelSpec::new(model, model.default_batch_8gpu()).build();
+                for (name, s) in uniform_deployments(&g, &c) {
+                    let what = format!("{} on {m} GPUs, {name}", g.name);
+                    let tg = compile(&g, &c, cost, &s);
+                    let (book, log) = log_compiled(&g, &c, cost, &s, &tg);
+                    let (_, lbook, llog) = compile_logged(&g, &c, cost, &s);
+                    assert_eq!(book, lbook, "{what}: price books");
+                    assert!(log.edges().eq(llog.edges()), "{what}: edges in order");
+                    assert!(log == llog, "{what}: segment logs");
+                    assert_eq!(log.edges.capacity(), tg.num_edges(), "{what}");
+                }
+            }
         }
     }
 
@@ -2055,7 +2095,10 @@ mod tests {
         assert_eq!(log.edges.len(), logged.num_edges());
         let mut by_rows: Vec<_> = log.edges().collect();
         by_rows.sort_by_key(|&(src, _)| src);
-        assert!(by_rows.into_iter().eq(logged.edges()));
+        let rows = logged
+            .task_ids()
+            .flat_map(|s| logged.succs(s).iter().map(move |&d| (s, d)));
+        assert!(by_rows.into_iter().eq(rows));
     }
 
     #[test]
@@ -2078,7 +2121,7 @@ mod tests {
         s.per_op[l2.index()] = crate::OpStrategy::Mp(DeviceId(3));
         let (tg, reused) = splice(&g, &c, &base, &s);
         assert!(reused > 0, "unchanged segments must be copied");
-        assert_same_graph(&tg, &compile(&g, &c, &GroundTruthCost, &s));
+        assert_splices_like_a_compile(&g, &c, &s, tg);
     }
 
     #[test]
@@ -2089,7 +2132,7 @@ mod tests {
         let c = paper_testbed_8gpu();
         let dp = Strategy::proportional(g.len(), &c, CommMethod::AllReduce);
         let (tg, reused) = splice(&g, &c, &shard_strategy(&g, &c), &dp);
-        assert_same_graph(&tg, &compile(&g, &c, &GroundTruthCost, &dp));
+        assert_splices_like_a_compile(&g, &c, &dp, tg);
         assert!(reused < compile_logged(&g, &c, &GroundTruthCost, &dp).2.len());
     }
 
@@ -2105,7 +2148,7 @@ mod tests {
             s.per_op[id.index()] = crate::OpStrategy::even(&c, CommMethod::AllReduce);
         }
         let (tg, reused) = splice(&g, &c, &base, &s);
-        assert_same_graph(&tg, &compile(&g, &c, &GroundTruthCost, &s));
+        assert_splices_like_a_compile(&g, &c, &s, tg);
         let log = compile_logged(&g, &c, &GroundTruthCost, &base).2;
         // Every R and W segment is copied; at least the three flipped A
         // segments are not.

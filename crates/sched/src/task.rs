@@ -734,14 +734,6 @@ impl TaskGraph {
         self.csr().preds.lens()
     }
 
-    /// Precedence edges `(src, dst)`, read from the successor rows:
-    /// source by source, each source's in insertion order.
-    pub fn edges(&self) -> impl Iterator<Item = (TaskId, TaskId)> + '_ {
-        let succs = &self.csr().succs;
-        self.task_ids()
-            .flat_map(move |s| succs.row(s.index()).iter().map(move |&d| (s, d)))
-    }
-
     /// Number of precedence edges: the rows' when the index is built (as
     /// it always is once sealed), else the edges added so far.
     pub fn num_edges(&self) -> usize {
@@ -1053,16 +1045,16 @@ mod tests {
         assert_eq!(list, added.map(|(a, b)| (a as u32, b as u32)));
         assert!(tg.is_sealed() && tg.edges.capacity() == 0);
         assert_eq!(tg.num_edges(), 4);
-        // Source by source, each row in insertion order.
-        let by_rows = [(0, 3), (0, 1), (1, 3), (2, 3)].map(|(a, b)| (ids[a], ids[b]));
-        assert!(tg.edges().eq(by_rows));
+        // Each row in insertion order.
+        assert_eq!(tg.succs(ids[0]), &[ids[3], ids[1]]);
         assert_eq!(tg.preds(ids[3]), &[ids[2], ids[0], ids[1]]);
 
         let mut copy = TaskGraph::default();
         copy.clone_from(&tg);
         assert!(copy.is_sealed() && copy.edges.is_empty());
-        assert!(copy.edges().eq(tg.edges()));
+        assert_eq!(copy.num_edges(), 4);
         for id in tg.task_ids() {
+            assert_eq!(copy.succs(id), tg.succs(id));
             assert_eq!(copy.preds(id), tg.preds(id));
         }
 
