@@ -1,19 +1,21 @@
-//! The global bounded event bus.
+//! The global bounded event bus, and the run scopes that bypass it.
 //!
-//! Producers [`emit`] into one fixed-capacity ring buffer guarded by a
-//! `std::sync::Mutex`; sequence numbers are assigned under the same
-//! lock, so the stream is totally ordered and gap-free. When the ring
-//! is full the oldest event is dropped (and counted) — the hot path
-//! never blocks on a slow subscriber. Consumers hold cursor-based
-//! [`Subscription`]s and poll; a cursor that fell behind the ring
-//! reports exactly how many events it missed.
+//! An event emitted inside a run scope ([`record`]) is appended to that
+//! run's own log and never reaches the ring. Unscoped emitters [`emit`]
+//! into one fixed-capacity ring under a `std::sync::Mutex`, while it is
+//! enabled; sequence numbers are assigned under the same lock, so the
+//! stream is totally ordered and gap-free. A full ring drops (and
+//! counts) its oldest event — the hot path never blocks on a slow
+//! subscriber. Consumers poll cursor-based [`Subscription`]s, which
+//! report exactly how many events they missed.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, TryLockError};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::time::Instant;
 
 use heterog_telemetry::lock;
+use heterog_telemetry::tally;
 
 use crate::event::{Event, EventKind};
 
@@ -53,40 +55,52 @@ pub fn enable_with_capacity(capacity: usize) {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turn the bus off (the default). Emissions become one relaxed load;
-/// the ring keeps its contents for late drains/flight dumps.
+/// Turn the bus off (the default). Unscoped emissions then record
+/// nothing; the ring keeps its contents for late drains/flight dumps.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Whether the bus is currently accepting events.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// Whether an event emitted here is recorded: a run scope is open on
+/// this thread, or the ring is enabled.
+#[inline]
+pub fn recording() -> bool {
+    ENABLED.load(Ordering::Relaxed) || tally::recorder().is_some()
 }
 
-/// Emits an event, constructing it lazily: when the bus is disabled the
-/// closure never runs, so hot paths pay one atomic load and zero
+/// Runs `f` in a run scope ([`tally::run`]). Every event emitted inside
+/// it, on this thread or in `par_map` items it started, is appended to
+/// `log` with `seq` its index there.
+pub fn record<R>(log: &Arc<Mutex<Vec<Event>>>, f: impl FnOnce() -> R) -> R {
+    tally::run(Arc::clone(log) as tally::Recorder, f)
+}
+
+/// Emits an event, constructing it lazily: when nothing records the
+/// closure never runs, so hot paths pay two relaxed atomic loads (and a
+/// thread-local read while a run scope is open anywhere) and zero
 /// allocations. This is the form every pipeline crate uses.
 #[inline]
 pub fn emit_with(f: impl FnOnce() -> EventKind) {
-    if !enabled() {
-        return;
+    if recording() {
+        emit_now(f());
     }
-    emit_now(f());
 }
 
 /// Emits an already-built event (cold paths, tests).
 #[inline]
 pub fn emit(kind: EventKind) {
-    if !enabled() {
-        return;
-    }
-    emit_now(kind);
+    emit_with(|| kind);
 }
 
 fn emit_now(kind: EventKind) {
     let ts = origin().elapsed().as_secs_f64();
+    if let Some(recorder) = tally::recorder() {
+        let log: &Mutex<Vec<Event>> = recorder.downcast_ref().expect("a run records into its log");
+        let mut log = lock(log);
+        let seq = log.len() as u64;
+        log.push(Event { seq, ts, kind });
+        return;
+    }
     let capacity = CAPACITY.load(Ordering::Relaxed);
     let mut ring = lock(&RING);
     let seq = ring.next_seq;
@@ -156,24 +170,17 @@ pub fn subscribe() -> Subscription {
 }
 
 impl Subscription {
-    /// Copies every event at or past this cursor into `out` (oldest
-    /// first) and advances the cursor past them. Returns how many events
-    /// were missed because the ring overflowed past the cursor.
-    pub fn poll_into(&mut self, out: &mut Vec<Event>) -> u64 {
+    /// Every event at or past this cursor (oldest first), and how many
+    /// were missed because the ring overflowed past the cursor. Advances
+    /// the cursor past them.
+    pub fn poll(&mut self) -> (Vec<Event>, u64) {
         let ring = lock(&RING);
         let oldest = ring.buf.front().map(|e| e.seq).unwrap_or(ring.next_seq);
         let gap = oldest.saturating_sub(self.next);
         let skip = self.next.saturating_sub(oldest) as usize;
-        out.extend(ring.buf.iter().skip(skip).cloned());
+        let events = ring.buf.iter().skip(skip).cloned().collect();
         self.next = ring.next_seq;
-        gap
-    }
-
-    /// Convenience wrapper returning a fresh vec.
-    pub fn poll(&mut self) -> (Vec<Event>, u64) {
-        let mut out = Vec::new();
-        let gap = self.poll_into(&mut out);
-        (out, gap)
+        (events, gap)
     }
 }
 
@@ -269,7 +276,7 @@ mod tests {
             emit(probe(0, i));
         }
         reset();
-        assert!(!enabled());
+        assert!(!recording());
         assert_eq!(emitted(), 0);
         assert_eq!(dropped(), 0);
         assert!(snapshot_ring().0.is_empty());
@@ -298,6 +305,38 @@ mod tests {
         let seqs: Vec<u64> = window.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1]);
         assert_eq!(dropped, 0);
+    }
+
+    /// A run scope records its own events, numbered from 0, from its
+    /// thread, its `par_map` items and counting scopes inside it. It
+    /// takes no bus lock: whether another test has the ring enabled
+    /// does not matter to a scope.
+    #[test]
+    fn a_run_scope_records_its_own_events_from_0() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let items: Vec<u64> = (0..50).collect();
+        record(&log, || {
+            assert!(recording());
+            emit(probe(0, 0));
+            tally::tally(|| {
+                heterog_telemetry::par::par_map(&items, |&i| emit(probe(1, i)));
+            });
+            emit_with(|| probe(0, 1));
+        });
+        assert!(tally::recorder().is_none(), "the scope closed");
+        let log = lock(&log);
+        let seqs: Vec<u64> = log.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..52).collect::<Vec<u64>>());
+        let mut fanned: Vec<u64> = log[1..51]
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::Probe { producer: 1, index } => index,
+                ref other => panic!("{other:?}"),
+            })
+            .collect();
+        fanned.sort_unstable();
+        assert_eq!(fanned, items);
+        assert_eq!((&log[0].kind, &log[51].kind), (&probe(0, 0), &probe(0, 1)));
     }
 
     /// The "metrics-grade disabled cost" property: 10M disabled emits in

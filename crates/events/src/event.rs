@@ -3,14 +3,16 @@
 use heterog_telemetry::json::{ToJson, Value};
 use heterog_telemetry::json_object;
 
-/// One event on the bus: a monotone sequence number (assigned under the
-/// ring lock, so the full stream is gap-free 0..n), a timestamp in
-/// seconds since the bus was enabled, and the typed payload.
+/// One event: a monotone sequence number (assigned under the lock of
+/// the ring or of the run's log, so each stream is gap-free 0..n), a
+/// timestamp in seconds since the first recording, and the typed
+/// payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Position in the stream; assigned at emission, never reused.
     pub seq: u64,
-    /// Seconds since [`crate::enable`] (monotonic clock).
+    /// Seconds since the ring was first enabled or a run first
+    /// recorded (monotonic clock).
     pub ts: f64,
     /// The payload.
     pub kind: EventKind,

@@ -1,38 +1,30 @@
 //! # heterog-events
 //!
-//! Structured live-event stream for the HeteroG pipeline: a typed,
-//! bounded, lock-light event bus plus the three stock subscribers —
-//! a JSONL sink, a terminal progress renderer, and a crash flight
-//! recorder.
+//! Structured live-event stream for the HeteroG pipeline: typed events,
+//! per-run logs, a bounded process-wide ring, and the three stock ring
+//! subscribers — a JSONL sink, a terminal progress renderer, and a
+//! crash flight recorder. DESIGN §10 has the schema and the policies.
 //!
-//! ## Design
-//!
-//! * **One atomic load when disabled.** Like `heterog-telemetry`'s
-//!   metrics, emission is off by default; a disabled [`emit_with`] costs
-//!   a single relaxed `AtomicBool` load and never constructs the event.
-//!   The planner hot loops emit per strategy evaluation, so this is the
-//!   load-bearing property.
-//! * **Bounded, never blocking.** Events go MPSC into one fixed-capacity
-//!   ring buffer under a `std::sync::Mutex` held for a push/pop only.
-//!   When the ring is full the *oldest* event is dropped and a dropped-
-//!   events counter incremented — producers never block and never see an
-//!   error. Subscribers poll cursors and learn exactly how many events
-//!   they missed.
-//! * **Self-describing artifacts.** Every event serializes to one JSON
-//!   line carrying a monotone sequence number; a stream starts with a
-//!   [`RunManifest`] header (seed, model, cluster fingerprint, crate
-//!   version, CLI args) so any `events.jsonl` is reproducible on its
-//!   own.
+//! * **Run scopes.** An event emitted inside [`record`] (a served job)
+//!   goes to that run's own log, numbered from 0. Only unscoped
+//!   emitters (the CLI) reach the ring, its [`EventPump`] and the
+//!   flight recorder.
+//! * **Nearly free when nothing records.** An unrecorded [`emit_with`]
+//!   costs two relaxed atomic loads (plus a thread-local read while a
+//!   run scope is open) and never constructs the event; the planner hot
+//!   loops emit per strategy evaluation.
+//! * **Bounded, never blocking.** The ring is fixed-capacity under a
+//!   `Mutex` held for a push/pop only; when full it drops the *oldest*
+//!   event and counts it. Subscribers poll cursors ([`Subscription`],
+//!   or the pump's sinks via [`EventSink`], which the CLI uses for
+//!   `--events-out` / `--progress`) and learn exactly what they missed.
+//! * **Self-describing artifacts.** Every event is one JSON line with a
+//!   monotone `seq`; a stream starts with a [`RunManifest`] header, so
+//!   any `events.jsonl` is reproducible on its own.
 //! * **Flight recorder for free.** The ring *is* the last-N window: on
-//!   panic (see [`install_panic_hook`]) or on demand ([`dump_flight`])
-//!   its contents plus the run manifest and a telemetry snapshot are
-//!   written to `heterog-flight-<ts>.json`, turning a silent crash into
-//!   a post-mortem.
-//!
-//! The stream is consumed either through a polling [`Subscription`]
-//! (what a long-lived serve daemon would hold) or an [`EventPump`]
-//! background thread fanning events out to [`EventSink`]s (what the CLI
-//! uses for `--events-out` / `--progress`).
+//!   panic ([`install_panic_hook`]) or on demand ([`dump_flight`]) it
+//!   is written with the manifest and a telemetry snapshot to
+//!   `heterog-flight-<ts>.json`.
 
 pub mod bus;
 pub mod event;
@@ -43,8 +35,8 @@ pub mod reader;
 pub mod sink;
 
 pub use bus::{
-    disable, dropped, emit, emit_with, emitted, enable, enable_with_capacity, enabled, reset,
-    snapshot_ring, subscribe, Subscription, DEFAULT_CAPACITY,
+    disable, dropped, emit, emit_with, emitted, enable, enable_with_capacity, record, recording,
+    reset, snapshot_ring, subscribe, Subscription, DEFAULT_CAPACITY,
 };
 pub use event::{gap_line, Event, EventKind};
 pub use flight::{

@@ -80,14 +80,12 @@ impl EventPump {
         let handle = std::thread::Builder::new()
             .name("heterog-events-pump".into())
             .spawn(move || {
-                let mut batch = Vec::new();
                 loop {
                     // Read the stop flag BEFORE polling: anything emitted
                     // before finish() set the flag is caught by this last
                     // drain.
                     let stopping = stop_flag.load(Ordering::SeqCst);
-                    batch.clear();
-                    let gap = sub.poll_into(&mut batch);
+                    let (batch, gap) = sub.poll();
                     if gap > 0 {
                         for s in sinks.iter_mut() {
                             s.on_gap(gap);
@@ -114,22 +112,17 @@ impl EventPump {
         }
     }
 
-    /// Stops the pump after one final drain and waits for it to flush.
-    pub fn finish(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stops the pump after one final drain and waits for it to flush,
+    /// as dropping it does.
+    pub fn finish(self) {}
 }
 
 impl Drop for EventPump {
     fn drop(&mut self) {
-        self.shutdown();
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
     }
 }
 
@@ -189,8 +182,6 @@ mod tests {
 
     #[test]
     fn jsonl_sink_writes_manifest_header_then_events() {
-        let _g = lock(&TEST_LOCK);
-        reset();
         let path =
             std::env::temp_dir().join(format!("heterog-events-test-{}.jsonl", std::process::id()));
         let manifest = RunManifest {

@@ -32,13 +32,13 @@
 //! poison the full-search memo, and an explicitly requested baseline
 //! shares its memo slot with the degraded path.
 //!
-//! Every job's event window is captured off the global bus at stage
-//! boundaries and, when an archive root is configured, replayed through
+//! Every job runs in its own run scope ([`heterog_events::record`]):
+//! the events it emits, on its worker or on the pool threads its
+//! searches fan out to, are appended to [`Job::events`] as they are
+//! emitted, numbered from 0, and no other job's events land there. When
+//! an archive root is configured the finished log is replayed through
 //! [`RunArchiver`] into the run store — service traffic lands in the
-//! same `heterog-cli runs` history as local invocations. Window
-//! attribution is exact with one worker; with several, concurrent
-//! jobs' events may interleave into each other's windows (documented
-//! in DESIGN §14).
+//! same `heterog-cli runs` history as local invocations.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -242,9 +242,9 @@ impl Engine {
     /// observed at dequeue time — the degradation signal.
     pub fn execute(&self, job: &Job, queue_depth: usize) {
         job.set_running();
-        // One tally scope per job: its explain footer, search events and
-        // archive count this job's evaluations, not the daemon's.
-        let run = || heterog_telemetry::tally::tally(|| self.run(job, queue_depth)).0;
+        // One run scope per job: its events, explain footer and archive
+        // hold its own events and evaluations, also when it panics.
+        let run = || heterog_events::record(&job.events, || self.run(job, queue_depth));
         match catch_unwind(AssertUnwindSafe(run)) {
             Ok(result) => {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -275,13 +275,6 @@ impl Engine {
             OrderPolicy::RankBased
         };
 
-        // Capture this job's event window: drop everything already in
-        // the ring (other jobs' history), then poll at stage boundaries.
-        let mut sub = heterog_events::subscribe();
-        let mut scratch = Vec::new();
-        sub.poll_into(&mut scratch);
-        scratch.clear();
-
         let degraded = self.degrade_depth > 0
             && queue_depth >= self.degrade_depth
             && spec.planner == "heterog";
@@ -311,7 +304,6 @@ impl Engine {
                         (strategy, eval, None)
                     }
                 };
-                self.capture(job, &mut sub, &mut scratch);
                 let body = plan_body(spec, &g, cluster, effective, degraded, &strategy, &eval);
                 Stage { body, eval, memo }
             }
@@ -337,7 +329,6 @@ impl Engine {
                         (strategy, tg, eval, None)
                     }
                 };
-                self.capture(job, &mut sub, &mut scratch);
                 let opts = heterog_explain::ExplainOptions {
                     top_k: *top_k,
                     run_whatif: *whatif,
@@ -382,7 +373,6 @@ impl Engine {
                     &script,
                     &opts,
                 );
-                self.capture(job, &mut sub, &mut scratch);
                 let eval = evaluate_with_policy(
                     &g,
                     &outcome.cluster,
@@ -407,10 +397,9 @@ impl Engine {
         let (makespan, oom) = (result.eval.iteration_time, result.eval.oom);
         let outcome_str = if oom { "oom" } else { "ok" };
 
-        // Terminal signal + archive. mark_finished emits RunFinished on
-        // the bus; the final capture below folds it into the window.
-        let archive = self.archive_handle(job, cluster, effective);
-        if let Some(handle) = &archive {
+        // Terminal signal + archive. mark_finished emits RunFinished into
+        // the job's events, which the archive then replays.
+        if let Some(handle) = self.archive_handle(job, cluster, effective) {
             handle.set_digest(&heterog_explain::quick_digest(
                 &spec.model.label(),
                 &result.eval.report,
@@ -427,16 +416,6 @@ impl Engine {
                 wall_s: started.elapsed().as_secs_f64(),
             });
             handle.mark_finished(outcome_str, makespan, oom);
-        } else {
-            heterog_events::emit(EventKind::RunFinished {
-                outcome: outcome_str.to_string(),
-                makespan,
-                oom,
-            });
-        }
-        self.capture(job, &mut sub, &mut scratch);
-
-        if let Some(handle) = archive {
             let mut sink = RunArchiver::new(handle);
             for e in lock(&job.events).iter() {
                 sink.on_event(e);
@@ -444,6 +423,12 @@ impl Engine {
             heterog_events::EventSink::finish(&mut sink);
             self.counters.archived.fetch_add(1, Ordering::Relaxed);
             JOBS_ARCHIVED.inc();
+        } else {
+            heterog_events::emit(EventKind::RunFinished {
+                outcome: outcome_str.to_string(),
+                makespan,
+                oom,
+            });
         }
 
         JobResult {
@@ -495,19 +480,6 @@ impl Engine {
     /// Plans currently memoized (at most shards × contexts per shard).
     pub fn memo_len(&self) -> usize {
         lock(&self.memo).entries.len()
-    }
-
-    fn capture(
-        &self,
-        job: &Job,
-        sub: &mut heterog_events::Subscription,
-        scratch: &mut Vec<heterog_events::Event>,
-    ) {
-        scratch.clear();
-        sub.poll_into(scratch);
-        if !scratch.is_empty() {
-            job.push_events(scratch);
-        }
     }
 
     fn archive_handle(
@@ -619,6 +591,8 @@ mod tests {
     use heterog_graph::BenchmarkModel;
     use heterog_strategies::count_evaluations;
 
+    use crate::jobs::JobState;
+
     /// Serves a CP-AR MobileNet-v2 plan at `batch`.
     fn plan(engine: &Engine, table: &JobTable, batch: u64) -> Arc<JobResult> {
         let spec = JobSpec {
@@ -664,5 +638,33 @@ mod tests {
         assert_eq!(cold.evaluations, 1, "a miss evaluates the planned strategy");
         assert_eq!(warm.evaluations, 0, "a hit is one memo lookup");
         assert_eq!(first.body, second.body);
+    }
+
+    /// A job that panics keeps the events it emitted before the panic:
+    /// an elastic job whose policy admission would have rejected fails
+    /// at `RepairPolicy::parse`, after its `run_started`.
+    #[test]
+    fn a_failed_job_keeps_its_events() {
+        let engine = Engine::new(1, 4, 0, 4, 1, None);
+        let table = JobTable::new();
+        let spec = JobSpec {
+            kind: JobKind::Elastic {
+                iterations: 10,
+                faults: 1,
+                seed: 7,
+                policy: "no-such-policy".to_string(),
+            },
+            model: ModelSpec::new(BenchmarkModel::MobileNetV2, 64),
+            cluster: paper_testbed_8gpu(),
+            planner: "CP-AR".to_string(),
+            fifo: false,
+        };
+        let (job, _) = table.create_or_attach("alice", spec);
+        engine.execute(&job, 0);
+        assert!(matches!(job.state(), JobState::Failed(_)));
+        let events = lock(&job.events);
+        assert_eq!(events.len(), 1, "{events:?}");
+        assert_eq!(events[0].seq, 0);
+        assert!(matches!(events[0].kind, EventKind::RunStarted { .. }));
     }
 }

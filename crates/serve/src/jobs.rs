@@ -196,9 +196,9 @@ pub struct Job {
     pub cost: u64,
     state: Mutex<JobState>,
     done: Condvar,
-    /// The job's captured event window, appended at stage boundaries
-    /// while running; the `/events` endpoint streams from here.
-    pub events: Mutex<Vec<Event>>,
+    /// The job's events (`seq` from 0), appended by its run scope as they
+    /// are emitted; the `/events` endpoint streams from here.
+    pub events: Arc<Mutex<Vec<Event>>>,
 }
 
 impl Job {
@@ -213,7 +213,7 @@ impl Job {
             cost,
             state: Mutex::new(JobState::Queued),
             done: Condvar::new(),
-            events: Mutex::new(Vec::new()),
+            events: Arc::default(),
         }
     }
 
@@ -250,11 +250,6 @@ impl Job {
             JobState::Failed(e) => Err(e.clone()),
             _ => unreachable!("loop exits only on terminal states"),
         }
-    }
-
-    /// Appends captured events to the job's window.
-    pub fn push_events(&self, batch: &[Event]) {
-        lock(&self.events).extend_from_slice(batch);
     }
 }
 

@@ -40,7 +40,7 @@
 //! | `POST /v1/explain` | plan + explain report |
 //! | `POST /v1/elastic` | plan + simulated fault/repair run |
 //! | `GET /v1/jobs/<id>` | job status + result when done; `410` once retired |
-//! | `GET /v1/jobs/<id>/events` | the job's event window as chunked JSONL; `410` once retired |
+//! | `GET /v1/jobs/<id>/events` | the job's own events, live, as chunked JSONL; `410` once retired |
 //! | `GET /healthz` | liveness |
 //! | `GET /metrics` | Prometheus text from `heterog-telemetry` |
 //!

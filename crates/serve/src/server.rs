@@ -162,11 +162,9 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("cannot resolve bound address: {e}"))?;
-        // The daemon is an observability surface by construction: both
-        // the metrics endpoint and the per-job event windows need the
-        // global recorders on.
+        // The metrics endpoint needs the global recorders on; each job
+        // records its own events (see `exec`).
         heterog_telemetry::enable();
-        heterog_events::enable();
 
         let shared = Arc::new(Shared {
             engine: Engine::new(
@@ -485,8 +483,8 @@ fn handle_job_status(stream: &mut TcpStream, s: &Shared, id: &str) {
     let _ = respond(stream, 200, "application/json", &[], body.as_bytes());
 }
 
-/// Streams the job's captured event window as chunked JSONL, following
-/// a live job until it completes.
+/// Streams the job's events as chunked JSONL, following a live job
+/// until it completes.
 fn handle_events(stream: &mut TcpStream, s: &Shared, id: &str) {
     let Some(job) = find_job(stream, s, id) else {
         return;
@@ -496,32 +494,23 @@ fn handle_events(stream: &mut TcpStream, s: &Shared, id: &str) {
     };
     let mut cursor = 0usize;
     loop {
-        let (batch, terminal) = {
+        // A job appends events only while it runs, so reading its state
+        // before its events leaves none behind once it is terminal.
+        let terminal = job.state().is_terminal();
+        let batch: Vec<String> = {
             let events = lock(&job.events);
-            let batch: Vec<String> = events[cursor.min(events.len())..]
-                .iter()
-                .map(|e| e.to_json_line())
-                .collect();
+            let batch = events[cursor..].iter().map(|e| e.to_json_line()).collect();
             cursor = events.len();
-            (batch, job.state().is_terminal())
+            batch
         };
-        for line in &batch {
-            let mut chunk = line.clone().into_bytes();
+        for line in batch {
+            let mut chunk = line.into_bytes();
             chunk.push(b'\n');
             if w.chunk(&chunk).is_err() {
                 return; // client went away
             }
         }
         if terminal {
-            // One final drain in case events landed after the check.
-            let events = lock(&job.events);
-            for e in &events[cursor.min(events.len())..] {
-                let mut chunk = e.to_json_line().into_bytes();
-                chunk.push(b'\n');
-                if w.chunk(&chunk).is_err() {
-                    return;
-                }
-            }
             break;
         }
         std::thread::sleep(Duration::from_millis(25));

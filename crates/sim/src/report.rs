@@ -252,7 +252,7 @@ pub fn simulate_within(
     }
     ITERATION_TIME.observe(out.schedule.makespan);
 
-    if heterog_events::enabled() {
+    if heterog_events::recording() {
         heterog_events::emit(heterog_events::EventKind::SimEpoch {
             tasks: tg.len() as u64,
             makespan: out.schedule.makespan,

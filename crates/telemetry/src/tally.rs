@@ -7,8 +7,13 @@
 //! by the closure is counted too, while work that other threads run at
 //! the same time is not. [`read`] and [`current`] give the innermost
 //! open scope's counts, or the process-wide values when none is open.
+//!
+//! A *run scope* ([`run`]) also holds a [`Recorder`], found by
+//! [`recorder`], which `heterog-events` records the scope's events into.
 
+use std::any::Any;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::metrics::{registry, MetricRef};
@@ -19,12 +24,26 @@ use crate::Counter;
 /// The always-on counters that counted in one scope, with their counts.
 type Counts = Vec<CounterSnapshot>;
 
+/// What a run scope records into. Opaque here: `heterog-events`
+/// installs it and downcasts it back.
+pub type Recorder = Arc<dyn Any + Send + Sync>;
+
+/// One open scope: its counts and, for a run scope, its recorder.
+pub(crate) struct Scope {
+    counts: Mutex<Counts>,
+    recorder: Option<Recorder>,
+}
+
 /// The scopes open on one thread, innermost last.
-pub(crate) type Open = Vec<Arc<Mutex<Counts>>>;
+pub(crate) type Open = Vec<Arc<Scope>>;
 
 thread_local! {
     static OPEN: RefCell<Open> = const { RefCell::new(Vec::new()) };
 }
+
+/// Run scopes open on any thread: while there are none, [`recorder`]
+/// is one atomic load.
+static RUNS: AtomicUsize = AtomicUsize::new(0);
 
 /// What the always-on counters counted in one [`tally`] scope.
 #[derive(Clone)]
@@ -42,26 +61,54 @@ impl Tally {
 /// counted while it ran, on this thread or in `par_map` items it
 /// started. Scopes nest: a count lands in every scope open around it.
 pub fn tally<R>(f: impl FnOnce() -> R) -> (R, Tally) {
-    struct Close;
+    scoped(None, f)
+}
+
+/// Runs `f` in a run scope: a [`tally`] scope whose `recorder` is what
+/// [`recorder`] finds on this thread and in `par_map` items it started.
+pub fn run<R>(recorder: Recorder, f: impl FnOnce() -> R) -> R {
+    scoped(Some(recorder), f).0
+}
+
+fn scoped<R>(recorder: Option<Recorder>, f: impl FnOnce() -> R) -> (R, Tally) {
+    struct Close(bool);
     impl Drop for Close {
         fn drop(&mut self) {
             OPEN.with(|o| o.borrow_mut().pop());
+            if self.0 {
+                RUNS.fetch_sub(1, Ordering::Relaxed);
+            }
         }
     }
-    let scope = Arc::default();
+    let run = recorder.is_some();
+    let scope = Arc::new(Scope {
+        counts: Mutex::default(),
+        recorder,
+    });
     OPEN.with(|o| o.borrow_mut().push(Arc::clone(&scope)));
-    let close = Close;
+    if run {
+        RUNS.fetch_add(1, Ordering::Relaxed);
+    }
+    let close = Close(run);
     let r = f();
     drop(close);
-    let counts = std::mem::take(&mut *lock(&scope));
+    let counts = std::mem::take(&mut *lock(&scope.counts));
     (r, Tally(counts))
+}
+
+/// The recorder of the innermost run scope open on this thread, if any.
+pub fn recorder() -> Option<Recorder> {
+    if RUNS.load(Ordering::Relaxed) == 0 {
+        return None;
+    }
+    OPEN.with(|o| o.borrow().iter().rev().find_map(|s| s.recorder.clone()))
 }
 
 /// Adds `n` to `c`'s count in every scope open on this thread.
 pub(crate) fn add(c: &Counter, n: u64) {
     OPEN.with(|o| {
         for scope in o.borrow().iter() {
-            let mut counts = lock(scope);
+            let mut counts = lock(&scope.counts);
             match counts.iter_mut().find(|s| s.name == c.name) {
                 Some(s) => s.value += n,
                 None => counts.push(c.snapshot(n)),
@@ -72,7 +119,7 @@ pub(crate) fn add(c: &Counter, n: u64) {
 
 /// The innermost scope open on this thread, if any.
 fn innermost() -> Option<Tally> {
-    OPEN.with(|o| o.borrow().last().map(|s| Tally(lock(s).clone())))
+    OPEN.with(|o| o.borrow().last().map(|s| Tally(lock(&s.counts).clone())))
 }
 
 /// `c`'s count in the innermost scope open on this thread, or its
@@ -188,6 +235,24 @@ mod tests {
         });
         assert_eq!(sum, 299 * 300 / 2);
         assert_eq!(t.get(&A), 300);
+    }
+
+    #[test]
+    fn run_scopes_reach_par_map_items_through_counting_scopes() {
+        let seen = |expect| {
+            let items = [0u8; 64];
+            let got = par_map(&items, |_| {
+                recorder().and_then(|r| r.downcast_ref().copied())
+            });
+            assert!(got.iter().all(|&r| r == expect), "{got:?}");
+        };
+        seen(None);
+        run(Arc::new(7u32), || {
+            tally(|| seen(Some(7u32)));
+            run(Arc::new(8u32), || seen(Some(8)));
+            seen(Some(7));
+        });
+        seen(None);
     }
 
     #[test]

@@ -11,8 +11,9 @@ use heterog_cluster::paper_testbed_8gpu;
 use heterog_graph::{BenchmarkModel, ModelSpec};
 
 fn main() {
-    // 1. Turn the bus on (off by default, one atomic load when off) and
-    //    take a polling cursor — what a serve daemon would hold.
+    // 1. Turn the bus on (off by default, nearly free when off) and take
+    //    a polling cursor over the ring, which every unscoped emitter
+    //    (here, the trainer) feeds.
     ev::enable();
     let mut sub = ev::subscribe();
 

@@ -19,7 +19,7 @@
 //! count, and on VGG-19 and Transformer-6L fewer than pruning on the
 //! busiest load alone would.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use heterog_agent::fast::objective;
 use heterog_agent::{actions_to_strategy, ActionSpace, HeteroGPlanner};
@@ -33,9 +33,6 @@ use heterog_strategies::{
     evaluate, group_ops, grouping::avg_op_times, load_exceeds, Bounded, Evaluation,
     IncrementalEvaluator, Perturbation,
 };
-
-/// The event bus is process-global: tests that read it take turns.
-static BUS: Mutex<()> = Mutex::new(());
 
 struct Case {
     name: &'static str,
@@ -345,19 +342,15 @@ fn reference(case: &Case) -> (Outcome, Tally) {
 }
 
 /// `plan_detailed` on `case`, with its `SearchIteration` stream and
-/// its count of `StrategyEvaluated` events read off the event bus.
+/// its count of `StrategyEvaluated` events, recorded in a run scope of
+/// its own.
 fn planned(case: &Case) -> Outcome {
-    let _bus = BUS.lock().unwrap_or_else(|e| e.into_inner());
-    heterog_events::reset();
-    heterog_events::enable_with_capacity(1 << 20);
-    let mut sub = heterog_events::subscribe();
-    let (strategy, eval, actions) =
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let (strategy, eval, actions) = heterog_events::record(&log, || {
         case.planner
-            .plan_detailed(&case.g, &case.cluster, &GroundTruthCost);
-    heterog_events::disable();
-    let (events, missed) = sub.poll();
-    heterog_events::reset();
-    assert_eq!(missed, 0, "{}: the event ring overflowed", case.name);
+            .plan_detailed(&case.g, &case.cluster, &GroundTruthCost)
+    });
+    let events = std::mem::take(&mut *heterog_telemetry::lock(&log));
 
     let mut visits = Vec::new();
     let mut strategy_evaluated = 0;

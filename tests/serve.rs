@@ -8,13 +8,23 @@
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::path::PathBuf;
 
 use heterog_serve::{client, ServeConfig, Server};
 
-/// Spawns a daemon on an ephemeral port with the given config.
-fn spawn(mut cfg: ServeConfig) -> (Server, SocketAddr) {
+/// Spawns a daemon on an ephemeral port with the given config, not
+/// archiving.
+fn spawn(cfg: ServeConfig) -> (Server, SocketAddr) {
+    spawn_archiving(ServeConfig {
+        archive_root: None,
+        ..cfg
+    })
+}
+
+/// Spawns a daemon on an ephemeral port with the given config,
+/// archiving into its `archive_root`.
+fn spawn_archiving(mut cfg: ServeConfig) -> (Server, SocketAddr) {
     cfg.addr = "127.0.0.1:0".to_string();
-    cfg.archive_root = None;
     let server = Server::spawn(cfg).expect("daemon must bind an ephemeral port");
     let addr = server.local_addr();
     (server, addr)
@@ -337,49 +347,67 @@ fn deep_backlog_degrades_search_to_heuristic() {
     server.shutdown();
 }
 
-#[test]
-fn event_stream_seqs_are_gap_free() {
-    // One worker so the captured window belongs to this job alone.
-    let cfg = ServeConfig {
-        workers: 1,
-        ..quick_cfg()
-    };
-    let (server, addr) = spawn(cfg);
+/// Posts `body` to `/v1/plan` without waiting and returns the job id.
+fn submit_plan(addr: SocketAddr, body: &str) -> String {
+    let r = client::post_json(addr, "/v1/plan", body).unwrap();
+    assert_eq!(r.status, 202, "{}", r.text());
+    r.header("x-heterog-job").unwrap().to_string()
+}
 
-    let r = client::post_json(
-        addr,
-        "/v1/plan",
-        r#"{"tenant":"alice","model":"vgg19","planner":"CP-AR"}"#,
-    )
-    .unwrap();
-    assert_eq!(r.status, 202);
-    let job = r.header("x-heterog-job").unwrap().to_string();
-
-    // The events endpoint streams chunked JSONL until the job is done.
+/// Job `job`'s event stream: its JSON lines, once the job is done.
+fn event_lines(addr: SocketAddr, job: &str) -> Vec<String> {
     let stream = client::get(addr, &format!("/v1/jobs/{job}/events")).unwrap();
     assert_eq!(stream.status, 200);
     assert_eq!(stream.header("transfer-encoding"), Some("chunked"));
     let text = stream.text();
-    let lines: Vec<&str> = text.lines().filter(|l| !l.is_empty()).collect();
-    assert!(
-        lines.len() >= 2,
-        "a plan job must emit at least start/finish events: {text:?}"
-    );
-    let mut seqs = Vec::new();
-    for line in &lines {
+    text.lines()
+        .filter(|l| !l.is_empty())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Asserts that `lines` are one job's events: `seq` 0, 1, 2, ..., one
+/// `run_finished`, and one `run_started` per phase: the job's own
+/// (`serve-plan`) and, in a searched plan, its search's (`plan-search`).
+fn assert_one_run(lines: &[String], what: &str) {
+    let (mut seqs, mut phases, mut finished) = (Vec::new(), Vec::new(), 0);
+    for line in lines {
         let v = heterog_telemetry::json::parse(line)
-            .unwrap_or_else(|e| panic!("event line is not JSON ({e}): {line}"));
+            .unwrap_or_else(|e| panic!("{what}: event line is not JSON ({e}): {line}"));
         seqs.push(v.get("seq").and_then(|s| s.as_u64()).expect("seq field"));
+        match v.get("type").and_then(|t| t.as_str()) {
+            Some("run_started") => phases.push(v["phase"].as_str().unwrap().to_string()),
+            Some("run_finished") => finished += 1,
+            _ => {}
+        }
     }
-    for pair in seqs.windows(2) {
-        assert_eq!(
-            pair[1],
-            pair[0] + 1,
-            "event stream must be gap-free: {seqs:?}"
-        );
-    }
-    assert!(text.contains("\"type\":\"run_started\""), "{text}");
-    assert!(text.contains("\"type\":\"run_finished\""), "{text}");
+    let want: Vec<u64> = (0..lines.len() as u64).collect();
+    assert_eq!(seqs, want, "{what}: seqs must run gap-free from 0");
+    assert_eq!(finished, 1, "{what}: {lines:#?}");
+    assert_eq!(phases[0], "serve-plan", "{what}: {lines:#?}");
+    let distinct: HashSet<&String> = phases.iter().collect();
+    assert_eq!(distinct.len(), phases.len(), "{what}: {lines:#?}");
+}
+
+#[test]
+fn event_stream_seqs_are_gap_free() {
+    let (server, addr) = spawn(quick_cfg());
+
+    // A plan of another model runs at the same time; the stream holds
+    // only the VGG-19 job's events.
+    let job = submit_plan(
+        addr,
+        r#"{"tenant":"alice","model":"vgg19","planner":"CP-AR"}"#,
+    );
+    let other = submit_plan(
+        addr,
+        r#"{"tenant":"bob","model":"mobilenet","planner":"CP-AR"}"#,
+    );
+
+    // The events endpoint streams chunked JSONL until the job is done.
+    let lines = event_lines(addr, &job);
+    assert_one_run(&lines, &job);
+    assert_one_run(&event_lines(addr, &other), &other);
 
     // The completed job also answers a plain status poll.
     let status = client::get(addr, &format!("/v1/jobs/{job}")).unwrap();
@@ -390,6 +418,77 @@ fn event_stream_seqs_are_gap_free() {
         status.text()
     );
     server.shutdown();
+}
+
+/// Event lines without their `seq` and `ts`, sorted: a 2-thread search
+/// appends its candidates' events in a racy order.
+fn payloads<'a>(lines: impl IntoIterator<Item = &'a String>) -> Vec<String> {
+    let mut out: Vec<String> = lines
+        .into_iter()
+        .map(|l| l[l.find("\"type\"").expect("a typed event")..].to_string())
+        .collect();
+    out.sort();
+    out
+}
+
+/// Concurrent searched plans of two models on a two-worker daemon each
+/// stream and archive exactly their own events: one `run_started` per
+/// phase, one `run_finished`, and the same events as the request served
+/// alone by a one-worker daemon.
+#[test]
+fn concurrent_jobs_archive_only_their_own_events() {
+    let root = std::env::temp_dir().join(format!("heterog_serve_runs_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let request =
+        |model: &str| format!(r#"{{"tenant":"{model}","model":"{model}","planner":"heterog"}}"#);
+    let models = ["vgg19", "mobilenet"];
+
+    let (server, addr) = spawn_archiving(ServeConfig {
+        archive_root: Some(root.clone()),
+        ..quick_cfg()
+    });
+    let jobs: Vec<String> = models.map(|m| submit_plan(addr, &request(m))).to_vec();
+    let streams: Vec<Vec<String>> = jobs.iter().map(|j| event_lines(addr, j)).collect();
+    assert_eq!(server.stats().completed, 2);
+    server.shutdown();
+
+    let (alone, alone_addr) = spawn(ServeConfig {
+        workers: 1,
+        ..quick_cfg()
+    });
+    for ((model, job), stream) in models.iter().zip(&jobs).zip(&streams) {
+        assert_one_run(stream, job);
+        let solo = submit_plan(alone_addr, &request(model));
+        assert_eq!(
+            payloads(stream),
+            payloads(&event_lines(alone_addr, &solo)),
+            "{model}: served concurrently vs alone"
+        );
+    }
+    alone.shutdown();
+
+    let archived: Vec<(String, Vec<String>)> = std::fs::read_dir(&root)
+        .expect("the run store exists")
+        .map(|entry| {
+            let path: PathBuf = entry.unwrap().path().join("events.jsonl");
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let mut lines = text.lines().map(str::to_string);
+            let manifest = lines.next().expect("a manifest line");
+            (manifest, lines.collect())
+        })
+        .collect();
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(archived.len(), 2, "one run per job");
+    for (manifest, lines) in &archived {
+        // The manifest's argv names the tenant, here the model.
+        let stream = models
+            .iter()
+            .position(|m| manifest.contains(&format!("\"{m}\",")))
+            .map(|i| &streams[i])
+            .unwrap_or_else(|| panic!("no job for {manifest}"));
+        assert_eq!(lines, stream, "{manifest}: archived vs streamed");
+    }
 }
 
 /// Bob's repeat of alice's spec is a memo hit that returns her body byte
