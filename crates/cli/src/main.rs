@@ -29,8 +29,10 @@
 //! `--no-archive`). `heterog-cli runs` queries the store.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 use heterog::events as ev;
@@ -287,30 +289,32 @@ fn config_for(flags: &HashMap<String, String>) -> Result<HeterogConfig, String> 
     Ok(cfg)
 }
 
-/// A live-events session: holds the background sink pump while the
-/// command runs. [`EventsSession::finish`] drains and flushes it.
-struct EventsSession {
-    pump: Option<ev::EventPump>,
-    active: bool,
-    archive: Option<runs::ArchiveHandle>,
+/// A run the CLI recorded: its log and manifest, and where its flight
+/// recorder goes unless `--flight-out` names a file.
+struct Recorded {
+    log: Arc<ev::RunLog>,
+    manifest: ev::RunManifest,
+    flight_path: PathBuf,
 }
 
-impl EventsSession {
-    /// The archive handle, when this invocation archives itself.
-    fn archive(&self) -> Option<&runs::ArchiveHandle> {
-        self.archive.as_ref()
-    }
-
-    fn finish(self) {
-        if let Some(p) = self.pump {
-            p.finish();
-        }
-        if let Some(h) = &self.archive {
-            if let Some(dir) = h.archived_to() {
-                eprintln!("run archived: {} -> {}", h.run_id(), dir.display());
-            }
-        }
-    }
+/// Writes the flight recorder of the `recorded` run to `--flight-out`,
+/// or else to the run's own flight path. Nothing was recorded, and
+/// nothing is written, without a recorded run.
+fn dump_flight(
+    recorded: &Option<Recorded>,
+    flags: &HashMap<String, String>,
+    reason: &str,
+) -> Result<(), String> {
+    let Some(rec) = recorded else {
+        return Ok(());
+    };
+    let path = flags
+        .get("flight-out")
+        .map_or_else(|| rec.flight_path.clone(), PathBuf::from);
+    ev::dump_flight(&path, reason, &rec.log, &rec.manifest)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    eprintln!("flight recorder written to {}", path.display());
+    Ok(())
 }
 
 /// The run-store root for this invocation: `--runs-dir` beats
@@ -322,37 +326,15 @@ fn runs_root(flags: &HashMap<String, String>) -> PathBuf {
         .unwrap_or_else(runs::default_location)
 }
 
-/// Enables the event bus, registers the run manifest, installs the
-/// panic-time flight recorder, and starts the `--events-out` /
-/// `--progress` sinks plus (by default) the run archiver. With
-/// `--no-archive` and none of the live-events flags, the bus stays
-/// disabled (one relaxed atomic load per would-be event) and nothing
-/// changes.
-///
-/// The archiver only writes when the command later marks the run
-/// terminal via [`runs::ArchiveHandle::mark_finished`]; an invocation
-/// that errors out first leaves no run directory behind.
-fn setup_events(
+/// The manifest of a `command` run of `spec` on `cluster`.
+fn run_manifest(
     command: &str,
-    flags: &HashMap<String, String>,
     spec: &ModelSpec,
     cluster: &Cluster,
     planner: &str,
     seed: u64,
-) -> Result<EventsSession, String> {
-    let want_progress = flags.contains_key("progress");
-    let want_jsonl = flags.contains_key("events-out");
-    let want_flight = flags.contains_key("flight-out");
-    let want_archive = !flags.contains_key("no-archive");
-    if !want_progress && !want_jsonl && !want_flight && !want_archive {
-        return Ok(EventsSession {
-            pump: None,
-            active: false,
-            archive: None,
-        });
-    }
-    ev::enable();
-    let manifest = ev::RunManifest {
+) -> ev::RunManifest {
+    ev::RunManifest {
         command: command.to_string(),
         argv: std::env::args().collect(),
         model: spec.graph_name(),
@@ -367,38 +349,68 @@ fn setup_events(
             .map(|d| d.as_secs())
             .unwrap_or(0),
         events_capacity: ev::DEFAULT_CAPACITY,
-    };
-    ev::set_manifest(manifest.clone());
-    ev::install_panic_hook();
+    }
+}
+
+/// Runs a command's `body` inside a run scope, as serve runs a job: its
+/// events go to a run log whose sinks are the `--events-out` writer and
+/// the `--progress` renderer, and the panic-time flight recorder is
+/// installed over that log. By default `body` also gets the run's
+/// archive handle; when it returns `Ok` (having called
+/// [`runs::ArchiveHandle::mark_finished`]), the log is archived, so an
+/// invocation that errors out leaves no run directory behind.
+///
+/// With `--no-archive` and none of the live-events flags, `body` runs
+/// in no run scope (one relaxed atomic load per would-be event) and
+/// nothing is recorded.
+fn setup_events<T>(
+    flags: &HashMap<String, String>,
+    manifest: ev::RunManifest,
+    body: impl FnOnce(Option<&mut runs::ArchiveHandle>) -> Result<T, String>,
+) -> Result<(T, Option<Recorded>), String> {
+    let want_archive = !flags.contains_key("no-archive");
+    let live = ["progress", "events-out", "flight-out"];
+    if !want_archive && !live.iter().any(|f| flags.contains_key(*f)) {
+        return Ok((body(None)?, None));
+    }
     let mut sinks: Vec<Box<dyn ev::EventSink + Send>> = Vec::new();
     if let Some(path) = flags.get("events-out") {
         let sink = ev::JsonlSink::create(Path::new(path), &manifest)
             .map_err(|e| format!("cannot create {path}: {e}"))?;
         sinks.push(Box::new(sink));
     }
-    if want_progress {
+    if flags.contains_key("progress") {
         sinks.push(Box::new(ev::ProgressRenderer::new()));
     }
-    let archive = if want_archive {
-        let handle = runs::ArchiveHandle::new(runs_root(flags), manifest.clone());
-        // Route flight-recorder dumps (panic hook included) into the
-        // run's directory so a crash dump and its stream stay together.
-        ev::set_default_flight_file(Some(handle.flight_path()));
-        sinks.push(Box::new(runs::RunArchiver::new(handle.clone())));
-        Some(handle)
-    } else {
-        None
+    let mut archive =
+        want_archive.then(|| runs::ArchiveHandle::new(runs_root(flags), manifest.clone()));
+    // An archived run's flight dumps (panic hook included) land in its
+    // directory, so a crash dump and its stream stay together.
+    let flight_path = archive.as_ref().map_or_else(
+        || ev::default_flight_path(Path::new(".")),
+        runs::ArchiveHandle::flight_path,
+    );
+    let log = Arc::new(ev::RunLog::new(sinks));
+    ev::install_panic_hook(Arc::clone(&log), manifest.clone(), flight_path.clone());
+    // The sinks are flushed on a panic too: the panic hook keeps the
+    // log alive, so nothing else would flush them.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        ev::record(&log, || body(archive.as_mut()))
+    }));
+    log.finish();
+    let result = result.unwrap_or_else(|payload| panic::resume_unwind(payload))?;
+    if let Some(h) = &archive {
+        match h.archive(&log) {
+            Ok(dir) => eprintln!("run archived: {} -> {}", h.run_id(), dir.display()),
+            Err(e) => eprintln!("run archive failed: {e}"),
+        }
+    }
+    let recorded = Recorded {
+        log,
+        manifest,
+        flight_path,
     };
-    let pump = if sinks.is_empty() {
-        None
-    } else {
-        Some(ev::EventPump::spawn(sinks))
-    };
-    Ok(EventsSession {
-        pump,
-        active: true,
-        archive,
-    })
+    Ok((result, Some(recorded)))
 }
 
 fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -415,81 +427,81 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("planner")
         .map(String::as_str)
         .unwrap_or("heterog");
-    let session = setup_events("plan", flags, &spec, &cluster, planner_name, 0)?;
-    eprintln!(
-        "planning {} on {} GPUs ...",
-        spec.label(),
-        cluster.num_devices()
-    );
-    let runner = get_runner(|| spec.build(), cluster, cfg);
-    let stats = runner.run(1);
-    println!("model:             {}", spec.label());
-    println!(
-        "ops / tasks:       {} / {}",
-        runner.graph.len(),
-        runner.task_graph.len()
-    );
-    println!(
-        "per-iteration:     {:.4} s{}",
-        stats.per_iteration_s,
-        if stats.oom { "  (OOM!)" } else { "" }
-    );
-    println!(
-        "throughput:        {:.0} samples/s",
-        stats.samples_per_second
-    );
-    let (mp, dp) = runner.strategy.histogram(&runner.cluster);
-    let total = runner.graph.len() as f64;
-    let mp_total: usize = mp.iter().sum();
-    println!(
-        "strategy mix:      {:.1}% MP, {:.1}% EV-PS, {:.1}% EV-AR, {:.1}% CP-PS, {:.1}% CP-AR, {:.1}% shard",
-        100.0 * mp_total as f64 / total,
-        100.0 * dp[0] as f64 / total,
-        100.0 * dp[1] as f64 / total,
-        100.0 * dp[2] as f64 / total,
-        100.0 * dp[3] as f64 / total,
-        100.0 * dp[5] as f64 / total,
-    );
-    for (g, &bytes) in stats.peak_memory.iter().enumerate() {
-        println!(
-            "  G{g} peak memory: {:.2} GiB",
-            bytes as f64 / (1u64 << 30) as f64
+    let manifest = run_manifest("plan", &spec, &cluster, planner_name, 0);
+    let (stats, recorded) = setup_events(flags, manifest, |archive| {
+        eprintln!(
+            "planning {} on {} GPUs ...",
+            spec.label(),
+            cluster.num_devices()
         );
-    }
-    if let Some(path) = flags.get("metrics-out") {
-        let snap = runner.telemetry_snapshot();
-        std::fs::write(path, heterog_telemetry::prometheus_text(&snap))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let runner = get_runner(|| spec.build(), cluster, cfg);
+        let stats = runner.run(1);
+        println!("model:             {}", spec.label());
         println!(
-            "metrics:           {} metrics -> {path}",
-            snap.metric_count()
+            "ops / tasks:       {} / {}",
+            runner.graph.len(),
+            runner.task_graph.len()
         );
-    }
-    if let Some(path) = flags.get("trace-out") {
-        std::fs::write(path, runner.trace_json_with_spans())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("trace:             written to {path} (open in Perfetto)");
-    }
-    if let Some(h) = session.archive() {
-        let outcome = if stats.oom { "oom" } else { "ok" };
-        h.set_digest(&heterog::explain::quick_digest(
-            &spec.label(),
-            &runner.report,
-        ));
-        h.set_evaluation(runs::StoredEvaluation {
-            outcome: outcome.into(),
-            makespan: stats.per_iteration_s,
-            oom: stats.oom,
-            samples_per_second: stats.samples_per_second,
-            wall_s: started.elapsed().as_secs_f64(),
-        });
-        h.mark_finished(outcome, stats.per_iteration_s, stats.oom);
-    }
-    session.finish();
-    if let Some(path) = flags.get("flight-out") {
-        ev::dump_flight(Path::new(path), "requested")
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("flight recorder written to {path}");
+        println!(
+            "per-iteration:     {:.4} s{}",
+            stats.per_iteration_s,
+            if stats.oom { "  (OOM!)" } else { "" }
+        );
+        println!(
+            "throughput:        {:.0} samples/s",
+            stats.samples_per_second
+        );
+        let (mp, dp) = runner.strategy.histogram(&runner.cluster);
+        let total = runner.graph.len() as f64;
+        let mp_total: usize = mp.iter().sum();
+        println!(
+            "strategy mix:      {:.1}% MP, {:.1}% EV-PS, {:.1}% EV-AR, {:.1}% CP-PS, {:.1}% CP-AR, {:.1}% shard",
+            100.0 * mp_total as f64 / total,
+            100.0 * dp[0] as f64 / total,
+            100.0 * dp[1] as f64 / total,
+            100.0 * dp[2] as f64 / total,
+            100.0 * dp[3] as f64 / total,
+            100.0 * dp[5] as f64 / total,
+        );
+        for (g, &bytes) in stats.peak_memory.iter().enumerate() {
+            println!(
+                "  G{g} peak memory: {:.2} GiB",
+                bytes as f64 / (1u64 << 30) as f64
+            );
+        }
+        if let Some(path) = flags.get("metrics-out") {
+            let snap = runner.telemetry_snapshot();
+            std::fs::write(path, heterog_telemetry::prometheus_text(&snap))
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            println!(
+                "metrics:           {} metrics -> {path}",
+                snap.metric_count()
+            );
+        }
+        if let Some(path) = flags.get("trace-out") {
+            std::fs::write(path, runner.trace_json_with_spans())
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            println!("trace:             written to {path} (open in Perfetto)");
+        }
+        if let Some(h) = archive {
+            let outcome = if stats.oom { "oom" } else { "ok" };
+            h.set_digest(&heterog::explain::quick_digest(
+                &spec.label(),
+                &runner.report,
+            ));
+            h.set_evaluation(runs::StoredEvaluation {
+                outcome: outcome.into(),
+                makespan: stats.per_iteration_s,
+                oom: stats.oom,
+                samples_per_second: stats.samples_per_second,
+                wall_s: started.elapsed().as_secs_f64(),
+            });
+            h.mark_finished(outcome, stats.per_iteration_s, stats.oom);
+        }
+        Ok(stats)
+    })?;
+    if flags.contains_key("flight-out") {
+        dump_flight(&recorded, flags, "requested")?;
     }
     // A plan that overflows device memory would refuse to launch in a
     // real deployment; scripts relying on the exit code must see that.
@@ -519,48 +531,51 @@ fn cmd_explain(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("planner")
         .map(String::as_str)
         .unwrap_or("heterog");
-    let session = setup_events("explain", flags, &spec, &cluster, planner_name, 0)?;
-    eprintln!(
-        "planning {} on {} GPUs ...",
-        spec.label(),
-        cluster.num_devices()
-    );
-    let runner = get_runner(|| spec.build(), cluster, cfg);
-    let report = runner.explain_with(&opts);
-    print!("{}", heterog::explain::render_text(&report));
-    if let Some(path) = flags.get("json-out") {
-        std::fs::write(path, heterog::explain::to_json(&report))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("json report written to {path}");
-    }
-    if let Some(path) = flags.get("html-out") {
-        let html = heterog::explain::render_html(&report, &runner.trace_json());
-        std::fs::write(path, html).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("html report written to {path}");
-    }
-    if let Some(path) = flags.get("diff-against") {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let before = heterog::explain::digest_from_json(&json)?;
-        let d = heterog::explain::diff(&before, &report.digest());
-        println!("\ndiff against {path}:");
-        print!("{}", heterog::explain::render_diff_text(&d));
-    }
-    if let Some(h) = session.archive() {
-        // The quick digest every archived run stores, so that `runs diff`
-        // compares an explain run with a plan run of the same deployment.
-        let digest = heterog::explain::quick_digest(&spec.label(), &runner.report);
-        let outcome = if digest.oom { "oom" } else { "ok" };
-        h.set_evaluation(runs::StoredEvaluation {
-            outcome: outcome.into(),
-            makespan: digest.makespan,
-            oom: digest.oom,
-            samples_per_second: 0.0,
-            wall_s: started.elapsed().as_secs_f64(),
-        });
-        h.mark_finished(outcome, digest.makespan, digest.oom);
-        h.set_digest(&digest);
-    }
-    session.finish();
+    let manifest = run_manifest("explain", &spec, &cluster, planner_name, 0);
+    setup_events(flags, manifest, |archive| {
+        eprintln!(
+            "planning {} on {} GPUs ...",
+            spec.label(),
+            cluster.num_devices()
+        );
+        let runner = get_runner(|| spec.build(), cluster, cfg);
+        let report = runner.explain_with(&opts);
+        print!("{}", heterog::explain::render_text(&report));
+        if let Some(path) = flags.get("json-out") {
+            std::fs::write(path, heterog::explain::to_json(&report))
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("json report written to {path}");
+        }
+        if let Some(path) = flags.get("html-out") {
+            let html = heterog::explain::render_html(&report, &runner.trace_json());
+            std::fs::write(path, html).map_err(|e| format!("cannot write {path}: {e}"))?;
+            eprintln!("html report written to {path}");
+        }
+        if let Some(path) = flags.get("diff-against") {
+            let json =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let before = heterog::explain::digest_from_json(&json)?;
+            let d = heterog::explain::diff(&before, &report.digest());
+            println!("\ndiff against {path}:");
+            print!("{}", heterog::explain::render_diff_text(&d));
+        }
+        if let Some(h) = archive {
+            // The quick digest every archived run stores, so that `runs diff`
+            // compares an explain run with a plan run of the same deployment.
+            let digest = heterog::explain::quick_digest(&spec.label(), &runner.report);
+            let outcome = if digest.oom { "oom" } else { "ok" };
+            h.set_evaluation(runs::StoredEvaluation {
+                outcome: outcome.into(),
+                makespan: digest.makespan,
+                oom: digest.oom,
+                samples_per_second: 0.0,
+                wall_s: started.elapsed().as_secs_f64(),
+            });
+            h.mark_finished(outcome, digest.makespan, digest.oom);
+            h.set_digest(&digest);
+        }
+        Ok(())
+    })?;
     Ok(())
 }
 
@@ -633,55 +648,55 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
 
-    let session = setup_events("train", flags, &spec, &cluster, "learned", cfg.seed)?;
-    eprintln!(
-        "training the policy for {} episodes on {} ({} GPUs) ...",
-        cfg.episodes,
-        spec.label(),
-        cluster.num_devices()
-    );
-    let g = spec.build();
-    let mut agent = RlAgent::new(cfg.clone());
-    let recs = agent.train(&[&g], &cluster, &GroundTruthCost);
-    let rec = recs.first().ok_or("trainer returned no record")?;
+    let manifest = run_manifest("train", &spec, &cluster, "learned", cfg.seed);
+    let (eval, recorded) = setup_events(flags, manifest, |archive| {
+        eprintln!(
+            "training the policy for {} episodes on {} ({} GPUs) ...",
+            cfg.episodes,
+            spec.label(),
+            cluster.num_devices()
+        );
+        let g = spec.build();
+        let mut agent = RlAgent::new(cfg.clone());
+        let recs = agent.train(&[&g], &cluster, &GroundTruthCost);
+        let rec = recs.first().ok_or("trainer returned no record")?;
 
-    let learned = agent.plan(&g, &cluster, &GroundTruthCost);
-    let eval = evaluate(&g, &cluster, &GroundTruthCost, &learned);
+        let learned = agent.plan(&g, &cluster, &GroundTruthCost);
+        let eval = evaluate(&g, &cluster, &GroundTruthCost, &learned);
 
-    println!("model:             {}", spec.label());
-    println!("episodes:          {}", rec.rewards.len());
-    println!(
-        "best sampled:      {:.4} s/iter (episode {})",
-        rec.best_time,
-        rec.best_episode + 1
-    );
-    println!("learned plan:      {:.4} s/iter", eval.iteration_time);
-    println!(
-        "episodes to best:  {}",
-        rec.episodes_to_within(1e-9)
-            .map_or("never".to_string(), |n| n.to_string())
-    );
-    if let Some(h) = session.archive() {
-        let outcome = if eval.oom { "oom" } else { "ok" };
-        h.set_digest(&heterog::explain::quick_digest(&spec.label(), &eval.report));
-        h.set_evaluation(runs::StoredEvaluation {
-            outcome: outcome.into(),
-            makespan: eval.iteration_time,
-            oom: eval.oom,
-            samples_per_second: if eval.iteration_time > 0.0 {
-                spec.batch_size as f64 / eval.iteration_time
-            } else {
-                0.0
-            },
-            wall_s: started.elapsed().as_secs_f64(),
-        });
-        h.mark_finished(outcome, eval.iteration_time, eval.oom);
-    }
-    session.finish();
-    if let Some(path) = flags.get("flight-out") {
-        ev::dump_flight(Path::new(path), "requested")
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("flight recorder written to {path}");
+        println!("model:             {}", spec.label());
+        println!("episodes:          {}", rec.rewards.len());
+        println!(
+            "best sampled:      {:.4} s/iter (episode {})",
+            rec.best_time,
+            rec.best_episode + 1
+        );
+        println!("learned plan:      {:.4} s/iter", eval.iteration_time);
+        println!(
+            "episodes to best:  {}",
+            rec.episodes_to_within(1e-9)
+                .map_or("never".to_string(), |n| n.to_string())
+        );
+        if let Some(h) = archive {
+            let outcome = if eval.oom { "oom" } else { "ok" };
+            h.set_digest(&heterog::explain::quick_digest(&spec.label(), &eval.report));
+            h.set_evaluation(runs::StoredEvaluation {
+                outcome: outcome.into(),
+                makespan: eval.iteration_time,
+                oom: eval.oom,
+                samples_per_second: if eval.iteration_time > 0.0 {
+                    spec.batch_size as f64 / eval.iteration_time
+                } else {
+                    0.0
+                },
+                wall_s: started.elapsed().as_secs_f64(),
+            });
+            h.mark_finished(outcome, eval.iteration_time, eval.oom);
+        }
+        Ok(eval)
+    })?;
+    if flags.contains_key("flight-out") {
+        dump_flight(&recorded, flags, "requested")?;
     }
     if eval.oom {
         return Err("learned plan overflows device memory".into());
@@ -725,104 +740,95 @@ fn cmd_elastic(flags: &HashMap<String, String>) -> Result<(), String> {
         .get("planner")
         .map(String::as_str)
         .unwrap_or("heterog");
-    let session = setup_events("elastic", flags, &spec, &cluster, planner_name, seed)?;
-    eprintln!(
-        "planning {} on {} GPUs ...",
-        spec.label(),
-        cluster.num_devices()
-    );
-    let runner = get_runner(|| spec.build(), cluster, cfg);
+    let manifest = run_manifest("elastic", &spec, &cluster, planner_name, seed);
+    let (flight_reason, recorded) = setup_events(flags, manifest, |archive| {
+        eprintln!(
+            "planning {} on {} GPUs ...",
+            spec.label(),
+            cluster.num_devices()
+        );
+        let runner = get_runner(|| spec.build(), cluster, cfg);
 
-    let compare = matches!(flags.get("policy").map(String::as_str), Some("compare"))
-        || flags.contains_key("compare");
-    if compare {
-        // Sweep every policy over the same timeline and diff digests.
-        let mut reports = Vec::new();
-        for p in RepairPolicy::ALL {
-            opts.policy = p;
-            eprintln!("running {} iterations under {} ...", opts.iterations, p);
-            reports.push(runner.elastic_run(&script, &opts).report);
+        let compare = matches!(flags.get("policy").map(String::as_str), Some("compare"))
+            || flags.contains_key("compare");
+        if compare {
+            // Sweep every policy over the same timeline and diff digests.
+            let mut reports = Vec::new();
+            for p in RepairPolicy::ALL {
+                opts.policy = p;
+                eprintln!("running {} iterations under {} ...", opts.iterations, p);
+                reports.push(runner.elastic_run(&script, &opts).report);
+            }
+            for r in &reports {
+                println!("{}", r.summary());
+            }
+            println!();
+            print!("{}", render_policy_comparison(&reports[0], &reports[1]));
+            println!();
+            print!("{}", render_policy_comparison(&reports[0], &reports[2]));
+            if let Some(path) = flags.get("json-out") {
+                // `compare` writes the first (full-replan) report.
+                std::fs::write(path, reports[0].to_json())
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                eprintln!("json report written to {path}");
+            }
+            if let Some(h) = archive {
+                // `compare` archives the first (full-replan) report too.
+                let r = &reports[0];
+                let outcome = if r.final_oom { "oom" } else { "ok" };
+                h.set_digest(&r.digest);
+                h.set_evaluation(runs::StoredEvaluation {
+                    outcome: outcome.into(),
+                    makespan: r.final_makespan,
+                    oom: r.final_oom,
+                    samples_per_second: 0.0,
+                    wall_s: started.elapsed().as_secs_f64(),
+                });
+                h.mark_finished(outcome, r.final_makespan, r.final_oom);
+            }
+            return Ok(None);
         }
-        for r in &reports {
-            println!("{}", r.summary());
+
+        if let Some(p) = flags.get("policy") {
+            opts.policy = RepairPolicy::parse(p)?;
         }
-        println!();
-        print!("{}", render_policy_comparison(&reports[0], &reports[1]));
-        println!();
-        print!("{}", render_policy_comparison(&reports[0], &reports[2]));
+        eprintln!(
+            "running {} iterations under {} ...",
+            opts.iterations, opts.policy
+        );
+        let outcome = runner.elastic_run(&script, &opts);
+        print!("{}", outcome.report.render_text());
+        println!("{}", outcome.report.summary());
         if let Some(path) = flags.get("json-out") {
-            // `compare` writes the first (full-replan) report.
-            std::fs::write(path, reports[0].to_json())
+            std::fs::write(path, outcome.report.to_json())
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             eprintln!("json report written to {path}");
         }
-        if let Some(h) = session.archive() {
-            // `compare` archives the first (full-replan) report too.
-            let r = &reports[0];
-            let outcome = if r.final_oom { "oom" } else { "ok" };
+        if let Some(h) = archive {
+            let r = &outcome.report;
+            let verdict = if r.final_oom { "oom" } else { "ok" };
             h.set_digest(&r.digest);
             h.set_evaluation(runs::StoredEvaluation {
-                outcome: outcome.into(),
+                outcome: verdict.into(),
                 makespan: r.final_makespan,
                 oom: r.final_oom,
                 samples_per_second: 0.0,
                 wall_s: started.elapsed().as_secs_f64(),
             });
-            h.mark_finished(outcome, r.final_makespan, r.final_oom);
+            h.mark_finished(verdict, r.final_makespan, r.final_oom);
         }
-        session.finish();
-        return Ok(());
-    }
-
-    if let Some(p) = flags.get("policy") {
-        opts.policy = RepairPolicy::parse(p)?;
-    }
-    eprintln!(
-        "running {} iterations under {} ...",
-        opts.iterations, opts.policy
-    );
-    let outcome = runner.elastic_run(&script, &opts);
-    print!("{}", outcome.report.render_text());
-    println!("{}", outcome.report.summary());
-    if let Some(path) = flags.get("json-out") {
-        std::fs::write(path, outcome.report.to_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("json report written to {path}");
-    }
-    if let Some(h) = session.archive() {
-        let r = &outcome.report;
-        let verdict = if r.final_oom { "oom" } else { "ok" };
-        h.set_digest(&r.digest);
-        h.set_evaluation(runs::StoredEvaluation {
-            outcome: verdict.into(),
-            makespan: r.final_makespan,
-            oom: r.final_oom,
-            samples_per_second: 0.0,
-            wall_s: started.elapsed().as_secs_f64(),
-        });
-        h.mark_finished(verdict, r.final_makespan, r.final_oom);
-    }
-    let events_active = session.active;
-    session.finish();
-    if events_active {
         // Fault injection is the non-panic trigger for the flight
         // recorder: dump the last-N window whenever a scripted fault
         // actually applied (or unconditionally if a path was given).
         let fault_applied = outcome.report.faults.iter().any(|f| f.applied);
-        if fault_applied || flags.contains_key("flight-out") {
-            let path = match flags.get("flight-out") {
-                Some(p) => std::path::PathBuf::from(p),
-                None => ev::default_flight_path(Path::new(".")),
-            };
-            let reason = if fault_applied {
-                "fault-injected"
-            } else {
-                "requested"
-            };
-            ev::dump_flight(&path, reason)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            eprintln!("flight recorder written to {}", path.display());
-        }
+        Ok(if fault_applied {
+            Some("fault-injected")
+        } else {
+            flags.contains_key("flight-out").then_some("requested")
+        })
+    })?;
+    if let Some(reason) = flight_reason {
+        dump_flight(&recorded, flags, reason)?;
     }
     Ok(())
 }

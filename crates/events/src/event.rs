@@ -1,18 +1,16 @@
 //! Event types and their JSONL encoding.
 
 use heterog_telemetry::json::{ToJson, Value};
-use heterog_telemetry::json_object;
 
 /// One event: a monotone sequence number (assigned under the lock of
-/// the ring or of the run's log, so each stream is gap-free 0..n), a
-/// timestamp in seconds since the first recording, and the typed
-/// payload.
+/// the run's log, so each stream is gap-free 0..n), a timestamp in
+/// seconds since the first run log was made, and the typed payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Position in the stream; assigned at emission, never reused.
     pub seq: u64,
-    /// Seconds since the ring was first enabled or a run first
-    /// recorded (monotonic clock).
+    /// Seconds since the process made its first run log (monotonic
+    /// clock).
     pub ts: f64,
     /// The payload.
     pub kind: EventKind,
@@ -131,7 +129,7 @@ pub enum EventKind {
     },
     /// Test/benchmark probe carrying a producer id and the producer's
     /// own gap-free index; also the extension point for external
-    /// subscribers that need an opaque marker in the stream.
+    /// consumers that need an opaque marker in the stream.
     Probe {
         /// Producer (thread/tenant) identifier.
         producer: u64,
@@ -275,12 +273,6 @@ impl ToJson for Event {
         }
         Value::object(members)
     }
-}
-
-/// The `"type":"gap"` line a stream writer emits where the ring
-/// overflowed past it: `missed` events were lost there.
-pub fn gap_line(missed: u64) -> String {
-    json_object! { "type" => "gap", "missed" => missed }.to_string()
 }
 
 #[cfg(test)]

@@ -6,10 +6,8 @@
 //! version. It is written as the first line of every JSONL stream and
 //! embedded in every flight dump.
 
-use std::sync::Mutex;
-
 use heterog_telemetry::json::{self, ToJson, Value};
-use heterog_telemetry::{json_object, lock};
+use heterog_telemetry::json_object;
 
 /// Everything needed to reproduce the run this stream came from.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -34,7 +32,8 @@ pub struct RunManifest {
     pub version: String,
     /// Wall-clock start, seconds since the Unix epoch.
     pub started_unix: u64,
-    /// Event-ring capacity (the flight recorder's last-N window).
+    /// The flight recorder's window: how many of the run's last events
+    /// a flight dump holds.
     pub events_capacity: usize,
 }
 
@@ -106,24 +105,6 @@ impl RunManifest {
     }
 }
 
-static CURRENT: Mutex<Option<RunManifest>> = Mutex::new(None);
-
-/// Registers the manifest of the run in progress, so flight dumps (which
-/// may fire from a panic hook with no context) can embed it.
-pub fn set_manifest(m: RunManifest) {
-    *lock(&CURRENT) = Some(m);
-}
-
-/// The manifest of the run in progress, if one was registered.
-pub fn manifest() -> Option<RunManifest> {
-    lock(&CURRENT).clone()
-}
-
-/// Clears the registered manifest (tests).
-pub fn clear_manifest() {
-    *lock(&CURRENT) = None;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,15 +162,5 @@ mod tests {
     fn from_json_rejects_non_manifest_lines() {
         assert!(RunManifest::from_json("{\"type\":\"gap\",\"missed\":3}").is_err());
         assert!(RunManifest::from_json("not json").is_err());
-    }
-
-    #[test]
-    fn set_and_get_roundtrip() {
-        clear_manifest();
-        assert!(manifest().is_none());
-        set_manifest(sample());
-        assert_eq!(manifest(), Some(sample()));
-        clear_manifest();
-        assert!(manifest().is_none());
     }
 }

@@ -56,7 +56,7 @@ fn fmt_duration(secs: f64) -> String {
 }
 
 /// The `--progress` renderer. Create with [`ProgressRenderer::new`] and
-/// hand to an [`crate::EventPump`].
+/// put it among a [`crate::RunLog`]'s sinks.
 pub struct ProgressRenderer {
     phase: String,
     total: u64,

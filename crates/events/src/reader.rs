@@ -1,10 +1,11 @@
 //! Reading event streams back: the JSONL decoder.
 //!
 //! [`JsonlSink`](crate::JsonlSink) writes append-only streams that may
-//! end mid-line (the process crashed between `write` and `flush`), may
-//! carry `"type":"gap"` markers (the ring overflowed past the writer),
-//! and — when stitched together by external tooling — may interleave
-//! out-of-order sequence numbers. [`parse_jsonl`] decodes all of that
+//! end mid-line (the process crashed between `write` and `flush`);
+//! streams written by earlier builds may carry `"type":"gap"` markers
+//! (a bounded event ring overflowed past the writer); and streams
+//! stitched together by external tooling may interleave out-of-order
+//! sequence numbers. [`parse_jsonl`] decodes all of that
 //! into a well-formed prefix: every event line up to the first
 //! undecodable one, plus exact accounting of what was skipped.
 
@@ -22,7 +23,8 @@ pub struct EventLog {
     pub manifest: Option<RunManifest>,
     /// Decoded events, in file order.
     pub events: Vec<Event>,
-    /// Events lost to ring overflow, summed over `gap` lines.
+    /// Events lost to ring overflow, summed over the `gap` lines of
+    /// streams written by earlier builds (saturating at `u64::MAX`).
     pub missed: u64,
     /// Whether decoding stopped early (truncated final line, malformed
     /// JSON, or an event missing required fields) — the events above
@@ -187,7 +189,7 @@ pub fn parse_jsonl(text: &str) -> EventLog {
                 }
             }
             "gap" => {
-                log.missed += uint(&v, "missed").unwrap_or(0);
+                log.missed = log.missed.saturating_add(uint(&v, "missed").unwrap_or(0));
             }
             tag => {
                 let (Ok(seq), Ok(ts)) = (uint(&v, "seq"), num(&v, "ts")) else {

@@ -168,6 +168,16 @@ fn gap_lines_accumulate_missed_without_truncating() {
     assert_eq!(log.events.len(), 4);
 }
 
+/// Run stores hold whatever an earlier build wrote; gap counts too
+/// large to sum saturate instead of overflowing.
+#[test]
+fn gap_counts_saturate_instead_of_overflowing() {
+    let gap = "{\"type\":\"gap\",\"missed\":18446744073709551615}\n";
+    let log = parse_jsonl(&gap.repeat(2));
+    assert!(!log.truncated);
+    assert_eq!(log.missed, u64::MAX);
+}
+
 #[test]
 fn out_of_order_seqs_are_kept_and_counted() {
     // A stream stitched from two windows: seqs 5,6 then 2,3.

@@ -5,19 +5,20 @@
 //!
 //! ```text
 //! .heterog/runs/r1754650000-1a2b3c4d/
-//!   events.jsonl      # manifest header + full event stream (+ gap markers)
+//!   events.jsonl      # manifest header + the run's full event stream
 //!   digest.json       # heterog-explain ReportDigest of the final plan
 //!   evaluation.json   # terminal outcome: makespan, OOM, throughput
 //!   telemetry.json    # the run's own evaluation counts at mark_finished
 //!   flight.json       # only present when the flight recorder dumped
 //! ```
 //!
-//! The write path is [`ArchiveHandle`] + [`RunArchiver`] (an
-//! [`heterog_events::EventSink`] on the event pump): the archiver
-//! buffers the stream in memory and materializes the directory
-//! atomically (write to a `.tmp-` sibling, rename into place) *only*
-//! when the run reached a terminal state — aborted invocations leave
-//! the store untouched.
+//! The write path is [`ArchiveHandle`]: a command (CLI or served job)
+//! records its run into a [`heterog_events::RunLog`], attaches its
+//! results, calls [`ArchiveHandle::mark_finished`] inside the run's
+//! scope and then [`ArchiveHandle::archive`] over the log, which
+//! materializes the directory atomically (write to a `.tmp-` sibling,
+//! rename into place). Only a command's success path archives, so
+//! aborted invocations leave the store untouched.
 //!
 //! The read path is [`RunStore`] (`list` / `resolve` / `load` / `gc`)
 //! plus [`analytics`] (per-run [`TimelinePoint`]s, best-so-far
@@ -35,7 +36,7 @@ pub mod dashboard;
 pub mod store;
 
 pub use analytics::{search_progress, timeline_point, timelines, TimelinePoint};
-pub use archiver::{ArchiveHandle, RunArchiver};
+pub use archiver::ArchiveHandle;
 pub use dashboard::render_dashboard;
 pub use store::{
     allocate_run_id, default_location, RunParts, RunStore, RunSummary, StoredEvaluation, StoredRun,

@@ -5,7 +5,7 @@
 //!
 //! * `events.jsonl` — the [`RunManifest`] header line followed by the
 //!   run's event stream, bit-identical to what a `--events-out` sink
-//!   would have written (gap markers included).
+//!   wrote (streams written by earlier builds may hold `gap` markers).
 //! * `digest.json` — the [`ReportDigest`] of the final plan (compact
 //!   JSON, [`ReportDigest::to_json`]), when the command produced one.
 //!   This is what `runs diff` compares.
@@ -144,7 +144,7 @@ pub struct RunParts {
     pub run_id: String,
     /// The stream's manifest header.
     pub manifest: RunManifest,
-    /// Event and gap JSON lines, in stream order, without newlines.
+    /// Event JSON lines, in stream order, without newlines.
     pub lines: Vec<String>,
     /// Serialized [`ReportDigest`], when the command produced one.
     pub digest_json: Option<String>,

@@ -36,9 +36,9 @@
 //! the events it emits, on its worker or on the pool threads its
 //! searches fan out to, are appended to [`Job::events`] as they are
 //! emitted, numbered from 0, and no other job's events land there. When
-//! an archive root is configured the finished log is replayed through
-//! [`RunArchiver`] into the run store — service traffic lands in the
-//! same `heterog-cli runs` history as local invocations.
+//! an archive root is configured a finished job archives that log with
+//! [`ArchiveHandle::archive`], as the CLI does — service traffic lands
+//! in the same `heterog-cli runs` history as local invocations.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,10 +52,10 @@ use heterog_agent::HeteroGPlanner;
 use heterog_cluster::Cluster;
 use heterog_compile::{compile, PackedStrategy, Strategy};
 use heterog_elastic::{ElasticOptions, FaultScript, RepairPolicy};
-use heterog_events::{EventKind, EventSink, RunManifest};
+use heterog_events::{EventKind, RunManifest};
 use heterog_graph::{Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
-use heterog_runs::{ArchiveHandle, RunArchiver, StoredEvaluation};
+use heterog_runs::{ArchiveHandle, StoredEvaluation};
 use heterog_sched::OrderPolicy;
 use heterog_strategies::{evaluate_compiled, evaluate_with_policy, Evaluation};
 use heterog_telemetry::json::{ToJson, Value};
@@ -398,8 +398,8 @@ impl Engine {
         let outcome_str = if oom { "oom" } else { "ok" };
 
         // Terminal signal + archive. mark_finished emits RunFinished into
-        // the job's events, which the archive then replays.
-        if let Some(handle) = self.archive_handle(job, cluster, effective) {
+        // the job's events, which the archive then writes.
+        if let Some(mut handle) = self.archive_handle(job, cluster, effective) {
             handle.set_digest(&heterog_explain::quick_digest(
                 &spec.model.label(),
                 &result.eval.report,
@@ -416,13 +416,13 @@ impl Engine {
                 wall_s: started.elapsed().as_secs_f64(),
             });
             handle.mark_finished(outcome_str, makespan, oom);
-            let mut sink = RunArchiver::new(handle);
-            for e in lock(&job.events).iter() {
-                sink.on_event(e);
+            match handle.archive(&job.events) {
+                Ok(_) => {
+                    self.counters.archived.fetch_add(1, Ordering::Relaxed);
+                    JOBS_ARCHIVED.inc();
+                }
+                Err(e) => eprintln!("run archive failed: {e}"),
             }
-            heterog_events::EventSink::finish(&mut sink);
-            self.counters.archived.fetch_add(1, Ordering::Relaxed);
-            JOBS_ARCHIVED.inc();
         } else {
             heterog_events::emit(EventKind::RunFinished {
                 outcome: outcome_str.to_string(),
@@ -662,7 +662,7 @@ mod tests {
         let (job, _) = table.create_or_attach("alice", spec);
         engine.execute(&job, 0);
         assert!(matches!(job.state(), JobState::Failed(_)));
-        let events = lock(&job.events);
+        let events = job.events.read(<[heterog_events::Event]>::to_vec);
         assert_eq!(events.len(), 1, "{events:?}");
         assert_eq!(events[0].seq, 0);
         assert!(matches!(events[0].kind, EventKind::RunStarted { .. }));

@@ -25,7 +25,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use heterog_cluster::Cluster;
-use heterog_events::Event;
+use heterog_events::RunLog;
 use heterog_graph::ModelSpec;
 use heterog_telemetry::lock;
 
@@ -196,9 +196,10 @@ pub struct Job {
     pub cost: u64,
     state: Mutex<JobState>,
     done: Condvar,
-    /// The job's events (`seq` from 0), appended by its run scope as they
-    /// are emitted; the `/events` endpoint streams from here.
-    pub events: Arc<Mutex<Vec<Event>>>,
+    /// The job's run log (`seq` from 0, no sinks), appended by its run
+    /// scope as events are emitted; the `/events` endpoint streams from
+    /// here.
+    pub events: Arc<RunLog>,
 }
 
 impl Job {

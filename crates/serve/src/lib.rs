@@ -27,10 +27,11 @@
 //!   heuristic baseline. The response records `degraded: true` and
 //!   which planner actually ran; under load the service sheds *quality*,
 //!   not availability.
-//! * **Archiving** — every completed job is fed through the existing
-//!   [`RunArchiver`](heterog_runs::RunArchiver) into the content-addressed
-//!   run store, so `heterog-cli runs` browses service traffic exactly
-//!   like local invocations.
+//! * **Archiving** — every completed job archives its run log through
+//!   [`ArchiveHandle::archive`](heterog_runs::ArchiveHandle::archive),
+//!   the call the CLI makes, into the content-addressed run store, so
+//!   `heterog-cli runs` browses service traffic exactly like local
+//!   invocations.
 //!
 //! ## Endpoints
 //!

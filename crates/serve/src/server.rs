@@ -16,7 +16,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use heterog_telemetry::json::ToJson;
-use heterog_telemetry::{json_object, lock};
+use heterog_telemetry::json_object;
 
 use crate::api::{parse_request, ApiError};
 use crate::exec::Engine;
@@ -497,12 +497,11 @@ fn handle_events(stream: &mut TcpStream, s: &Shared, id: &str) {
         // A job appends events only while it runs, so reading its state
         // before its events leaves none behind once it is terminal.
         let terminal = job.state().is_terminal();
-        let batch: Vec<String> = {
-            let events = lock(&job.events);
+        let batch: Vec<String> = job.events.read(|events| {
             let batch = events[cursor..].iter().map(|e| e.to_json_line()).collect();
             cursor = events.len();
             batch
-        };
+        });
         for line in batch {
             let mut chunk = line.into_bytes();
             chunk.push(b'\n');

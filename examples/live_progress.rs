@@ -1,8 +1,11 @@
-//! Watch a run live from the raw event stream: train the RL agent on a
-//! background thread and render a progress bar from the events it emits
-//! — the same bus `heterog-cli --progress` consumes, minus the CLI.
+//! Watch a recorded run live: train the RL agent on a background thread
+//! inside a run scope, and render a progress bar from the events its
+//! run log holds — the events `heterog-cli --progress` renders, minus
+//! the CLI.
 //!
 //! Run: `cargo run --release -p heterog --example live_progress`
+
+use std::sync::Arc;
 
 use heterog::agent::{RlAgent, TrainerConfig};
 use heterog::events as ev;
@@ -11,31 +14,41 @@ use heterog_cluster::paper_testbed_8gpu;
 use heterog_graph::{BenchmarkModel, ModelSpec};
 
 fn main() {
-    // 1. Turn the bus on (off by default, nearly free when off) and take
-    //    a polling cursor over the ring, which every unscoped emitter
-    //    (here, the trainer) feeds.
-    ev::enable();
-    let mut sub = ev::subscribe();
+    // 1. The run's log. Nothing records outside a run scope, so emitting
+    //    is nearly free until one opens.
+    let log = Arc::new(ev::RunLog::default());
 
-    // 2. The run under observation, on its own thread.
-    let trainer = std::thread::spawn(|| {
-        let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
-        let cluster = paper_testbed_8gpu();
-        let cfg = TrainerConfig {
-            episodes: 40,
-            groups: 8,
-            ..TrainerConfig::default()
-        };
-        RlAgent::new(cfg).train(&[&g], &cluster, &GroundTruthCost);
-    });
+    // 2. The run under observation, on its own thread, in a run scope
+    //    over the log: every event the trainer emits, also from its
+    //    pool workers, is appended to it, numbered from 0.
+    let trainer = {
+        let log = Arc::clone(&log);
+        std::thread::spawn(move || {
+            let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+            let cluster = paper_testbed_8gpu();
+            let cfg = TrainerConfig {
+                episodes: 40,
+                groups: 8,
+                ..TrainerConfig::default()
+            };
+            ev::record(&log, || {
+                RlAgent::new(cfg).train(&[&g], &cluster, &GroundTruthCost)
+            });
+        })
+    };
 
-    // 3. Poll the cursor and render. One final drain after the trainer
-    //    exits catches everything emitted since the last poll.
+    // 3. Read the events past a cursor and render. One final read after
+    //    the trainer exits catches everything appended since the last.
     let (mut total, mut done, mut evals) = (0u64, 0u64, 0u64);
     let mut best = f64::INFINITY;
+    let mut cursor = 0;
     loop {
         let finished = trainer.is_finished();
-        let (events, missed) = sub.poll();
+        let events = log.read(|events| {
+            let new = events[cursor..].to_vec();
+            cursor = events.len();
+            new
+        });
         for e in events {
             match e.kind {
                 ev::EventKind::RunStarted { total_units, .. } => total = total_units,
@@ -48,9 +61,6 @@ fn main() {
                 ev::EventKind::StrategyEvaluated { .. } => evals += 1,
                 _ => {}
             }
-        }
-        if missed > 0 {
-            eprintln!("\n(consumer lagged: {missed} events dropped)");
         }
         let width = 30;
         if let Some(filled) = (done * width).checked_div(total) {

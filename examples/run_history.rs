@@ -14,18 +14,18 @@
 //! Run: `cargo run --release --example run_history`
 
 use std::path::Path;
+use std::sync::Arc;
 
 use heterog::events as ev;
-use heterog::runs::{search_progress, ArchiveHandle, RunArchiver, RunStore, StoredEvaluation};
+use heterog::runs::{search_progress, ArchiveHandle, RunStore, StoredEvaluation};
 use heterog::{get_runner, HeterogConfig};
 use heterog_cluster::paper_testbed_8gpu;
 use heterog_graph::{BenchmarkModel, ModelSpec};
 
-/// Plans mobilenet at `batch` with the archiver attached — the same
-/// wiring `heterog-cli plan` uses — and returns the archived run id.
+/// Plans mobilenet at `batch` in a run scope and archives its run log —
+/// the same wiring `heterog-cli plan` uses — and returns the archived
+/// run id.
 fn archive_plan(root: &Path, batch: u64) -> String {
-    ev::reset();
-    ev::enable();
     let spec = ModelSpec::new(BenchmarkModel::MobileNetV2, batch);
     let cluster = paper_testbed_8gpu();
     let manifest = ev::RunManifest {
@@ -42,32 +42,30 @@ fn archive_plan(root: &Path, batch: u64) -> String {
         events_capacity: ev::DEFAULT_CAPACITY,
         ..Default::default()
     };
-    ev::set_manifest(manifest.clone());
-    let handle = ArchiveHandle::new(root, manifest);
-    let sinks: Vec<Box<dyn ev::EventSink + Send>> =
-        vec![Box::new(RunArchiver::new(handle.clone()))];
-    let pump = ev::EventPump::spawn(sinks);
+    let mut handle = ArchiveHandle::new(root, manifest);
+    // The run's log: every event the plan emits, numbered from 0. The
+    // CLI adds its `--events-out` and `--progress` sinks here.
+    let log = Arc::new(ev::RunLog::default());
 
-    let runner = get_runner(|| spec.build(), cluster, HeterogConfig::quick());
-    let stats = runner.run(1);
-
-    let outcome = if stats.oom { "oom" } else { "ok" };
-    handle.set_digest(&heterog::explain::quick_digest(
-        &spec.label(),
-        &runner.report,
-    ));
-    handle.set_evaluation(StoredEvaluation {
-        outcome: outcome.into(),
-        makespan: stats.per_iteration_s,
-        oom: stats.oom,
-        samples_per_second: stats.samples_per_second,
-        wall_s: 0.0,
+    ev::record(&log, || {
+        let runner = get_runner(|| spec.build(), cluster, HeterogConfig::quick());
+        let stats = runner.run(1);
+        let outcome = if stats.oom { "oom" } else { "ok" };
+        handle.set_digest(&heterog::explain::quick_digest(
+            &spec.label(),
+            &runner.report,
+        ));
+        handle.set_evaluation(StoredEvaluation {
+            outcome: outcome.into(),
+            makespan: stats.per_iteration_s,
+            oom: stats.oom,
+            samples_per_second: stats.samples_per_second,
+            wall_s: 0.0,
+        });
+        // Inside the scope, so its `run_finished` closes the log.
+        handle.mark_finished(outcome, stats.per_iteration_s, stats.oom);
     });
-    handle.mark_finished(outcome, stats.per_iteration_s, stats.oom);
-    pump.finish();
-    ev::disable();
-    ev::reset();
-    ev::clear_manifest();
+    handle.archive(&log).expect("archive the run");
     handle.run_id().to_string()
 }
 

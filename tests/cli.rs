@@ -132,8 +132,9 @@ fn progress_and_events_do_not_change_plan_stdout() {
         "stdout must be byte-identical with and without live events"
     );
 
-    // The stream itself: manifest header first, then events with
-    // strictly monotone sequence numbers, every line valid JSON.
+    // The stream itself: manifest header first, then every event of the
+    // run, its `seq`s exactly 0..n (nothing dropped), every line valid
+    // JSON.
     let stream = std::fs::read_to_string(&events_path).expect("events file");
     std::fs::remove_file(&events_path).ok();
     let mut lines = stream.lines();
@@ -143,23 +144,55 @@ fn progress_and_events_do_not_change_plan_stdout() {
     assert_eq!(header["model"].as_str(), Some("mobilenet_v2"));
     assert!(header["cluster_fingerprint"].as_u64().is_some());
     assert!(header["argv"].as_array().is_some());
-    let mut prev_seq: Option<u64> = None;
-    let mut n_events = 0u64;
-    for line in lines {
-        let v = json::parse(line).expect("event line is JSON");
-        if v["type"].as_str() == Some("gap") {
-            continue;
-        }
-        let seq = v["seq"].as_u64().expect("event has seq");
-        if let Some(p) = prev_seq {
-            assert!(seq > p, "seq must be strictly monotone: {p} then {seq}");
-        }
-        prev_seq = Some(seq);
-        n_events += 1;
-    }
+    let seqs: Vec<u64> = lines
+        .map(|line| {
+            let v = json::parse(line).expect("event line is JSON");
+            v["seq"].as_u64().expect("event has seq")
+        })
+        .collect();
+    assert_eq!(seqs, (0..seqs.len() as u64).collect::<Vec<u64>>());
     assert!(
-        n_events > 10,
-        "a plan search should stream many events, got {n_events}"
+        seqs.len() > 10,
+        "a plan search should stream many events, got {}",
+        seqs.len()
+    );
+}
+
+/// A default (archiving) run with `--events-out` archives the stream it
+/// wrote: the archived `events.jsonl` equals the `--events-out` file
+/// line for line.
+#[test]
+fn archived_events_equal_the_events_out_stream() {
+    let store = std::env::temp_dir().join(format!("heterog_cli_evstore_{}", std::process::id()));
+    std::fs::remove_dir_all(&store).ok();
+    let events_path = store.with_extension("jsonl");
+    let out = cli()
+        .args([
+            "plan",
+            "--model",
+            "mobilenet",
+            "--batch",
+            "64",
+            "--events-out",
+        ])
+        .arg(&events_path)
+        .env("HETEROG_RUNS_DIR", &store)
+        .output()
+        .expect("run cli");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let id = archived_id(&out.stderr);
+    let streamed = std::fs::read_to_string(&events_path).expect("events file");
+    let archived = std::fs::read_to_string(store.join(&id).join(EVENTS_FILE)).expect("archive");
+    std::fs::remove_file(&events_path).ok();
+    std::fs::remove_dir_all(&store).ok();
+    assert!(streamed.lines().count() > 10, "stream: {streamed}");
+    assert!(
+        streamed.lines().eq(archived.lines()),
+        "archived {EVENTS_FILE} differs from the --events-out stream"
     );
 }
 
@@ -245,17 +278,68 @@ fn elastic_fault_writes_flight_recorder() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "stderr: {stderr}");
     let flight = std::fs::read_to_string(&flight_path).expect("flight artifact");
+    let events_path = dir.join(format!("heterog_cli_flight_{}.jsonl", std::process::id()));
+    let stream = std::fs::read_to_string(&events_path).expect("events file");
     std::fs::remove_file(&flight_path).ok();
-    std::fs::remove_file(dir.join(format!("heterog_cli_flight_{}.jsonl", std::process::id()))).ok();
+    std::fs::remove_file(&events_path).ok();
     let doc = json::parse(&flight).expect("flight is JSON");
     assert_eq!(doc["reason"].as_str(), Some("fault-injected"));
     assert_eq!(doc["manifest"]["command"].as_str(), Some("elastic"));
+    assert_eq!(doc["dropped_events"].as_u64(), Some(0));
     assert!(doc["window_len"].as_u64().unwrap() > 0);
     let events = doc["events"].as_array().expect("events window");
     assert!(
         events.iter().any(|e| e["type"].as_str() == Some("fault")),
         "flight window must contain the injected fault"
     );
+    // The window is the whole run: the streamed events, minus `ts`.
+    let untimed = |e: &json::Value| match e {
+        json::Value::Object(members) => {
+            let mut members = members.clone();
+            members.retain(|(k, _)| k != "ts");
+            members
+        }
+        other => panic!("an event is an object: {other:?}"),
+    };
+    let streamed: Vec<_> = stream
+        .lines()
+        .skip(1)
+        .map(|l| untimed(&json::parse(l).expect("event line is JSON")))
+        .collect();
+    assert_eq!(events.iter().map(untimed).collect::<Vec<_>>(), streamed);
+}
+
+/// With `--no-archive` and no events flags nothing records: a fault
+/// that would dump the flight recorder writes no file and no run.
+#[test]
+fn unrecorded_invocation_writes_no_flight_or_run() {
+    let cwd = std::env::temp_dir().join(format!("heterog_cli_unrecorded_{}", std::process::id()));
+    std::fs::remove_dir_all(&cwd).ok();
+    std::fs::create_dir_all(&cwd).unwrap();
+    let out = cli()
+        .args([
+            "elastic",
+            "--model",
+            "mobilenet",
+            "--iters",
+            "15",
+            "--faults",
+            "5:fail:2",
+            "--no-archive",
+        ])
+        .current_dir(&cwd)
+        .env("HETEROG_RUNS_DIR", cwd.join("runs"))
+        .output()
+        .expect("run cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let left: Vec<_> = std::fs::read_dir(&cwd)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    std::fs::remove_dir_all(&cwd).ok();
+    assert!(left.is_empty(), "an unrecorded run left {left:?}");
+    assert!(!stderr.contains("flight recorder"), "stderr: {stderr}");
 }
 
 #[test]
@@ -395,7 +479,7 @@ fn runs_store_archives_lists_diffs_and_gcs() {
     // The stored stream, loaded back and re-serialized, is the file
     // byte for byte.
     let run = RunStore::open(&store).load(&baseline).expect("load run");
-    assert_eq!(run.log.missed, 0, "a plan's stream fits the bus");
+    assert_eq!(run.log.missed, 0, "an archived run drops no events");
     let mut rebuilt = run.manifest().to_json() + "\n";
     for e in &run.log.events {
         rebuilt.push_str(&(e.to_json_line() + "\n"));

@@ -19,7 +19,7 @@
 //! count, and on VGG-19 and Transformer-6L fewer than pruning on the
 //! busiest load alone would.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use heterog_agent::fast::objective;
 use heterog_agent::{actions_to_strategy, ActionSpace, HeteroGPlanner};
@@ -345,12 +345,12 @@ fn reference(case: &Case) -> (Outcome, Tally) {
 /// its count of `StrategyEvaluated` events, recorded in a run scope of
 /// its own.
 fn planned(case: &Case) -> Outcome {
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::new(heterog_events::RunLog::default());
     let (strategy, eval, actions) = heterog_events::record(&log, || {
         case.planner
             .plan_detailed(&case.g, &case.cluster, &GroundTruthCost)
     });
-    let events = std::mem::take(&mut *heterog_telemetry::lock(&log));
+    let events = log.read(<[heterog_events::Event]>::to_vec);
 
     let mut visits = Vec::new();
     let mut strategy_evaluated = 0;
