@@ -256,14 +256,13 @@ pub fn objective(e: &Evaluation, cluster: &Cluster) -> f64 {
     if !e.oom {
         return e.iteration_time;
     }
-    let caps = cluster.memory_capacities();
     let overflow_gib: f64 = e
         .report
         .memory
         .peak_bytes
         .iter()
-        .zip(&caps)
-        .map(|(&p, &c)| p.saturating_sub(c) as f64 / (1u64 << 30) as f64)
+        .zip(cluster.devices())
+        .map(|(&p, d)| p.saturating_sub(d.memory_bytes) as f64 / (1u64 << 30) as f64)
         .sum();
     1.0e6 + overflow_gib * 1.0e3 + e.iteration_time
 }

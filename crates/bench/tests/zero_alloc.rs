@@ -1,6 +1,7 @@
 //! Asserts the schedule+simulate hot path, under every order policy,
-//! the search's bounded simulation, stopped or run to the end, and a
-//! bounded group move the simulation stops are allocation-free after
+//! the search's bounded simulation, stopped or run to the end, and
+//! bounded group moves the simulation stops, one re-lowering nothing and
+//! one re-lowering gradient aggregations, are allocation-free after
 //! warm-up — the property the evaluation engine's scratch reuse exists
 //! to provide — and that a thread keeps one simulator scratch.
 //!
@@ -181,6 +182,49 @@ fn bounded_group_move_stopped_by_the_simulation_is_allocation_free() {
     assert_eq!(
         allocs, 0,
         "a stopped bounded group move allocated {allocs} times after warm-up"
+    );
+}
+
+/// A bounded group move that re-lowers gradient aggregations and whose
+/// spliced graph `simulate_within` stops: every MobileNet-v2 op with
+/// parameters moves from even AllReduce to even PS. Their replicas stay
+/// where they were, so the splice copies every replica and wiring
+/// segment and re-lowers each moved gradient's aggregation as a PS
+/// round. After warm-up, the load pass, the splice with its per-device
+/// aggregation lists and written rows, the derived ranks and memory
+/// pre-pass, and the stopped simulation allocate nothing.
+#[test]
+fn bounded_group_move_relowering_aggregations_is_allocation_free() {
+    let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+    let cluster = paper_testbed_8gpu();
+    let cost = &GroundTruthCost;
+    let s = Strategy::even(g.len(), &cluster, CommMethod::AllReduce);
+    let policy = OrderPolicy::RankBased;
+    let ev = IncrementalEvaluator::new(&g, cost, &cluster, &s, &policy);
+    let ops: Vec<OpId> = (g.iter())
+        .filter(|(_, n)| n.has_params())
+        .map(|(id, _)| id)
+        .collect();
+    let to = OpStrategy::even(&cluster, CommMethod::Ps);
+    let p = Perturbation::Group { ops: &ops, to: &to };
+    // The move re-lowers aggregations into PS rounds.
+    let tg = ev.splice(p).expect("a group move splices").tg;
+    let rounds = (tg.task_ids())
+        .filter(|&t| tg.task_name(t).to_string().contains("/ps_agg@"))
+        .count();
+    assert!(rounds > 0, "no aggregation became a PS round");
+    let Bounded::Pruned(load) = ev.evaluate_bounded(p, 0.0) else {
+        panic!("a positive load exceeds a zero limit");
+    };
+    let stopped = |out: &Bounded| matches!(out, Bounded::Pruned(bound) if *bound > load);
+    for _ in 0..2 {
+        assert!(stopped(&ev.evaluate_bounded(p, load)));
+    }
+    let (allocs, out) = allocs_during(|| ev.evaluate_bounded(p, load));
+    assert!(stopped(&out));
+    assert_eq!(
+        allocs, 0,
+        "a stopped group move re-lowering {rounds} aggregations allocated {allocs} times after warm-up"
     );
 }
 

@@ -87,12 +87,28 @@ pub fn ps_estimate<C: CostEstimator>(
 /// each variable is served where its aggregation completes earliest
 /// *given the traffic already assigned* — §3.4's "minimizes completion
 /// time of gradient aggregation" applied greedily per tensor).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct PsLoadTracker {
     /// Committed ingress seconds per server NIC.
     ingress: Vec<f64>,
     /// Committed egress seconds per server NIC.
     egress: Vec<f64>,
+}
+
+impl Clone for PsLoadTracker {
+    fn clone(&self) -> Self {
+        PsLoadTracker {
+            ingress: self.ingress.clone(),
+            egress: self.egress.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffers: a splice restores the base's tracker
+    /// into its own before a dirty aggregation.
+    fn clone_from(&mut self, src: &Self) {
+        self.ingress.clone_from(&src.ingress);
+        self.egress.clone_from(&src.egress);
+    }
 }
 
 impl PsLoadTracker {
@@ -289,11 +305,11 @@ pub fn allreduce_choice<C: CostEstimator>(
 
 /// Emits PS aggregation into `tg`: pushes from each device's ready
 /// gradient into a `GradAggregate` on the PS, then pulls back out.
-/// `ready[d]` is the task holding device `d`'s locally-combined gradient;
-/// returns per-device tasks whose completion means "aggregated gradient
-/// available on this device" (same order as `devices`). The round's
-/// non-derivable pricing decisions are recorded into `book` (see
-/// [`crate::price`]).
+/// `ready[d]` is the task holding device `d`'s locally-combined gradient.
+/// Writes into `out` the per-device tasks whose completion means
+/// "aggregated gradient available on this device" (same order as
+/// `devices`). The round's non-derivable pricing decisions are recorded
+/// into `book`, when given (see [`crate::price`]).
 #[allow(clippy::too_many_arguments)]
 pub fn emit_ps<C: CostEstimator>(
     tg: &mut impl TaskSink,
@@ -304,8 +320,9 @@ pub fn emit_ps<C: CostEstimator>(
     ready: &[Vec<TaskId>],
     bytes: u64,
     tracker: &mut PsLoadTracker,
-    book: &mut PriceBook,
-) -> Vec<TaskId> {
+    book: Option<&mut PriceBook>,
+    out: &mut Vec<TaskId>,
+) {
     assert_eq!(devices.len(), ready.len());
     COLLECTIVES_PS.inc();
     let ps = choose_ps_balanced(cluster, cost, devices, bytes, tracker);
@@ -329,12 +346,14 @@ pub fn emit_ps<C: CostEstimator>(
         )
         .with_bytes(bytes),
     );
-    book.ps_rounds.push(PsRound {
-        devices: devices.to_vec(),
-        bytes,
-        chosen: ps,
-        agg,
-    });
+    if let Some(book) = book {
+        book.ps_rounds.push(PsRound {
+            devices: devices.to_vec(),
+            bytes,
+            chosen: ps,
+            agg,
+        });
+    }
     for &r in &ready[ps_pos] {
         tg.add_dep(r, agg);
     }
@@ -354,7 +373,8 @@ pub fn emit_ps<C: CostEstimator>(
     }
 
     // Pulls.
-    let mut out = vec![agg; devices.len()];
+    out.clear();
+    out.resize(devices.len(), agg);
     for (i, &d) in devices.iter().enumerate() {
         if d == ps {
             continue;
@@ -376,7 +396,6 @@ pub fn emit_ps<C: CostEstimator>(
         }
         out[i] = arrive;
     }
-    out
 }
 
 /// Emits an AllReduce (ring or hierarchical, whichever estimates faster)
@@ -385,7 +404,9 @@ pub fn emit_ps<C: CostEstimator>(
 /// prices the collective and serializes overlapping collectives (NCCL
 /// launches one collective at a time — §6.2's observed constraint;
 /// collectives over the same devices share the same channels and thus
-/// serialize naturally).
+/// serialize naturally). Writes one completion task per device into
+/// `out`, in `devices` order; records the collective into `book`, when
+/// given.
 #[allow(clippy::too_many_arguments)]
 pub fn emit_allreduce<C: CostEstimator>(
     tg: &mut impl TaskSink,
@@ -395,15 +416,18 @@ pub fn emit_allreduce<C: CostEstimator>(
     devices: &[DeviceId],
     ready: &[Vec<TaskId>],
     bytes: u64,
-    book: &mut PriceBook,
-) -> Vec<TaskId> {
+    book: Option<&mut PriceBook>,
+    out: &mut Vec<TaskId>,
+) {
     assert_eq!(devices.len(), ready.len());
+    out.clear();
     let n = devices.len();
     if n == 1 {
         // Single device: the replica gradients reduce locally in place;
-        // return a zero-cost join marker only if several replicas exist.
+        // hand out a zero-cost join marker only if several replicas exist.
         if ready[0].len() == 1 {
-            return vec![ready[0][0]];
+            out.push(ready[0][0]);
+            return;
         }
         let d = devices[0];
         let join = tg.add_task(Task::new(
@@ -418,7 +442,8 @@ pub fn emit_allreduce<C: CostEstimator>(
         for &r in &ready[0] {
             tg.add_dep(r, join);
         }
-        return vec![join];
+        out.push(join);
+        return;
     }
 
     let (dur, tag) = allreduce_choice(cluster, cost, devices, bytes);
@@ -451,12 +476,6 @@ pub fn emit_allreduce<C: CostEstimator>(
             ))
         })
         .collect();
-    book.collectives.push(CollectiveRec {
-        kind: CollectiveKind::AllReduce,
-        devices: devices.to_vec(),
-        bytes,
-        link_tasks: link_tasks.clone(),
-    });
 
     for rs in ready {
         for &r in rs {
@@ -468,7 +487,6 @@ pub fn emit_allreduce<C: CostEstimator>(
 
     // A zero-cost completion marker per device so consumers wait on the
     // whole collective.
-    let mut out = Vec::with_capacity(n);
     for &d in devices {
         // AllReduce updates the gradient buffer in place: the memory is
         // already accounted at the gradient producer.
@@ -486,7 +504,14 @@ pub fn emit_allreduce<C: CostEstimator>(
         }
         out.push(done);
     }
-    out
+    if let Some(book) = book {
+        book.collectives.push(CollectiveRec {
+            kind: CollectiveKind::AllReduce,
+            devices: devices.to_vec(),
+            bytes,
+            link_tasks,
+        });
+    }
 }
 
 /// Emits a one-pass ring collective (all-gather or reduce-scatter) over
@@ -496,8 +521,9 @@ pub fn emit_allreduce<C: CostEstimator>(
 /// tensor; `marker_bytes[i]` is charged to device `i`'s completion marker
 /// (the gathered remainder for an all-gather — the device already holds
 /// its own slice — and 0 for an in-place reduce-scatter). Returns one
-/// completion marker per device, in `devices` order. Recorded into `book`
-/// with the collective's kind so re-pricing patches the right formula.
+/// completion marker per device, in `devices` order. Recorded into `book`,
+/// when given, with the collective's kind so re-pricing patches the
+/// right formula.
 #[allow(clippy::too_many_arguments)]
 pub fn emit_one_pass_collective<C: CostEstimator>(
     tg: &mut impl TaskSink,
@@ -509,7 +535,7 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
     bytes: u64,
     kind: CollectiveKind,
     marker_bytes: &[u64],
-    book: &mut PriceBook,
+    book: Option<&mut PriceBook>,
 ) -> Vec<TaskId> {
     assert_eq!(devices.len(), ready.len());
     assert_eq!(devices.len(), marker_bytes.len());
@@ -571,12 +597,14 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
             ))
         })
         .collect();
-    book.collectives.push(CollectiveRec {
-        kind,
-        devices: devices.to_vec(),
-        bytes,
-        link_tasks: link_tasks.clone(),
-    });
+    if let Some(book) = book {
+        book.collectives.push(CollectiveRec {
+            kind,
+            devices: devices.to_vec(),
+            bytes,
+            link_tasks: link_tasks.clone(),
+        });
+    }
 
     for rs in ready {
         for &r in rs {
@@ -614,7 +642,9 @@ pub fn reduce_time<C: CostEstimator>(
     n: usize,
 ) -> f64 {
     let elems = bytes / 4;
-    let node = Node::new("reduce", OpKind::GradAggregate, Phase::Update)
+    // An unnamed node: pricing reads no name, and an empty one is not
+    // allocated.
+    let node = Node::new(String::new(), OpKind::GradAggregate, Phase::Update)
         .with_output(TensorMeta::fixed(elems))
         .with_flops(0.0, 2.0 * elems as f64 * n.saturating_sub(1) as f64);
     let device = cluster.device(dev);
@@ -709,8 +739,8 @@ mod tests {
             })
             .collect();
         let mut tr = PsLoadTracker::new(c.servers().len());
-        let mut book = PriceBook::default();
-        let out = emit_ps(
+        let (mut book, mut out) = (PriceBook::default(), Vec::new());
+        emit_ps(
             &mut tg,
             &c,
             &cost,
@@ -719,7 +749,8 @@ mod tests {
             &ready,
             4 << 20,
             &mut tr,
-            &mut book,
+            Some(&mut book),
+            &mut out,
         );
         assert_eq!(out.len(), 3);
         assert_eq!(book.ps_rounds.len(), 1);
@@ -759,8 +790,7 @@ mod tests {
             .collect();
         let bytes: u64 = 105 << 20; // ~0.01s per 100GbE NIC pass
         let mut tr = PsLoadTracker::new(c.servers().len());
-        let mut book = PriceBook::default();
-        let _ = emit_ps(
+        emit_ps(
             &mut tg,
             &c,
             &cost,
@@ -769,7 +799,8 @@ mod tests {
             &ready,
             bytes,
             &mut tr,
-            &mut book,
+            None,
+            &mut Vec::new(),
         );
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         // 6 cross-server pushes serialize into the PS box, then 6 pulls
@@ -795,8 +826,8 @@ mod tests {
                 ))]
             })
             .collect();
-        let mut book = PriceBook::default();
-        let out = emit_allreduce(
+        let (mut book, mut out) = (PriceBook::default(), Vec::new());
+        emit_allreduce(
             &mut tg,
             &c,
             &cost,
@@ -804,7 +835,8 @@ mod tests {
             &devices,
             &ready,
             4 << 20,
-            &mut book,
+            Some(&mut book),
+            &mut out,
         );
         assert_eq!(out.len(), 8);
         assert_eq!(book.collectives.len(), 1);
@@ -842,7 +874,8 @@ mod tests {
             Proc::Gpu(0),
             0.01,
         ))]];
-        let out = emit_allreduce(
+        let mut out = Vec::new();
+        emit_allreduce(
             &mut tg,
             &c,
             &GroundTruthCost,
@@ -850,7 +883,8 @@ mod tests {
             &[DeviceId(0)],
             &ready,
             1 << 20,
-            &mut PriceBook::default(),
+            None,
+            &mut out,
         );
         assert_eq!(out, ready[0]);
         assert_eq!(tg.len(), 1);
@@ -894,7 +928,7 @@ mod tests {
             8 << 20,
             CollectiveKind::AllGather,
             &[6 << 20, 2 << 20],
-            &mut book,
+            Some(&mut book),
         );
         assert_eq!(out.len(), 2);
         assert_eq!(book.collectives.len(), 1);

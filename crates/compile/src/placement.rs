@@ -37,12 +37,18 @@ impl OpPlacement {
     /// Distinct devices hosting replicas, in first-appearance order.
     pub fn devices(&self) -> Vec<DeviceId> {
         let mut seen = Vec::new();
+        self.devices_into(&mut seen);
+        seen
+    }
+
+    /// [`OpPlacement::devices`] into `out`, replacing its contents.
+    pub fn devices_into(&self, out: &mut Vec<DeviceId>) {
+        out.clear();
         for &(d, _) in &self.replicas {
-            if !seen.contains(&d) {
-                seen.push(d);
+            if !out.contains(&d) {
+                out.push(d);
             }
         }
-        seen
     }
 
     /// True when there is exactly one replica.

@@ -34,9 +34,41 @@ fn record_link_bytes(kind: LinkKind, bytes: u64) {
     }
 }
 
+/// The link tasks of one transfer, one per segment of its path: none
+/// when the devices coincide, else one intra-server link, or the egress
+/// and ingress NICs of a cross-server path. Held inline, so emitting a
+/// transfer allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Segments {
+    ids: [TaskId; Segments::MAX],
+    len: usize,
+}
+
+impl Segments {
+    /// The longest transfer path a cluster routes.
+    const MAX: usize = 2;
+}
+
+impl std::ops::Deref for Segments {
+    type Target = [TaskId];
+
+    fn deref(&self) -> &[TaskId] {
+        &self.ids[..self.len]
+    }
+}
+
+impl IntoIterator for Segments {
+    type Item = TaskId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<TaskId, { Segments::MAX }>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(self.len)
+    }
+}
+
 /// Emits the link tasks for a `from -> to` transfer of `bytes`.
 ///
-/// Returns the created tasks (empty when `from == to`). Each path
+/// Returns the created tasks (none when `from == to`). Each path
 /// segment gets a task of the segment's own transfer duration; segments
 /// are *not* chained — they overlap as a cut-through stream — so callers
 /// must make the producer feed every returned task and the consumer wait
@@ -55,26 +87,36 @@ pub fn emit_transfer<C: CostEstimator>(
     from: DeviceId,
     to: DeviceId,
     bytes: u64,
-) -> Vec<TaskId> {
+) -> Segments {
+    let mut segs = Segments {
+        ids: [TaskId(u32::MAX); Segments::MAX],
+        len: 0,
+    };
     if from == to {
-        return Vec::new();
+        return segs;
     }
     let path = cluster.path_between(from, to).expect("mesh path");
-    path.iter()
-        .map(|&lid| {
-            let link = cluster.link(lid);
-            record_link_bytes(link.kind, bytes);
-            tg.add_task(
-                Task::new(
-                    TaskName::OnLink { op, tag },
-                    OpKind::Transfer,
-                    Proc::Link(lid.0),
-                    cost.transfer_time(link, bytes),
-                )
-                .with_bytes(bytes),
+    assert!(
+        path.len() <= Segments::MAX,
+        "a {from} -> {to} path of {} links: transfers route over at most {}",
+        path.len(),
+        Segments::MAX
+    );
+    for (slot, &lid) in segs.ids.iter_mut().zip(path) {
+        let link = cluster.link(lid);
+        record_link_bytes(link.kind, bytes);
+        *slot = tg.add_task(
+            Task::new(
+                TaskName::OnLink { op, tag },
+                OpKind::Transfer,
+                Proc::Link(lid.0),
+                cost.transfer_time(link, bytes),
             )
-        })
-        .collect()
+            .with_bytes(bytes),
+        );
+    }
+    segs.len = path.len();
+    segs
 }
 
 /// Emits a transfer wired between a producer and a consumer task:

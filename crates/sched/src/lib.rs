@@ -31,6 +31,11 @@ pub use list::{
     list_schedule_observed, load_exceeds, makespan_lower_bound, NoHook, OrderPolicy, Schedule,
     ScheduleHook, ScheduleScratch,
 };
-pub use rank::{critical_path, critical_path_from, upward_ranks, upward_ranks_into, RankScratch};
+pub use rank::{
+    critical_path, critical_path_from, rerank_ancestors_into, upward_ranks, upward_ranks_into,
+    RankScratch,
+};
 pub use strict::strict_schedule;
-pub use task::{NameRef, NameTable, Pass, Proc, Tag, Task, TaskGraph, TaskId, TaskName};
+pub use task::{
+    Dir, NameRef, NameTable, Pass, Proc, RowWriter, Tag, Task, TaskGraph, TaskId, TaskName,
+};

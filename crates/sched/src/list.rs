@@ -208,13 +208,15 @@ pub fn list_schedule_into(
     scratch: &mut ScheduleScratch,
     out: &mut Schedule,
 ) {
-    let full = list_schedule_observed(tg, policy, f64::INFINITY, scratch, out, &mut NoHook);
+    let full = list_schedule_observed(tg, None, policy, f64::INFINITY, scratch, out, &mut NoHook);
     debug_assert!(full.is_ok(), "no bound exceeds an infinite limit");
 }
 
 /// [`list_schedule_into`] with a [`ScheduleHook`] observing every task
 /// start and finish (the hook does not influence the schedule), stopped
-/// once the schedule is sure to end after `limit`.
+/// once the schedule is sure to end after `limit`. The upward ranks
+/// that rank-based priorities and the bound read are `ranks` when given
+/// (which must equal [`upward_ranks`] bit for bit), else swept here.
 ///
 /// At a finite `limit` each dispatch of task `t` on processor `p` at
 /// `now` raises a running lower bound on the makespan to `now + rank(t)`
@@ -226,6 +228,7 @@ pub fn list_schedule_into(
 /// margin is cut; one that completes is the unbounded one, bit for bit.
 pub fn list_schedule_observed<H: ScheduleHook>(
     tg: &TaskGraph,
+    ranks: Option<&[f64]>,
     policy: &OrderPolicy,
     limit: f64,
     scratch: &mut ScheduleScratch,
@@ -239,16 +242,24 @@ pub fn list_schedule_observed<H: ScheduleHook>(
         events,
         proc,
         dur,
-        ranks,
+        ranks: swept,
         rank_scratch,
         loads: unstarted,
         ..
     } = scratch;
 
     let bounded = limit < f64::INFINITY;
-    if bounded || matches!(policy, OrderPolicy::RankBased) {
-        upward_ranks_into(tg, rank_scratch, ranks);
-    }
+    let ranks: &[f64] = match ranks {
+        Some(r) => {
+            assert_eq!(r.len(), tg.len(), "one rank per task");
+            r
+        }
+        None if bounded || matches!(policy, OrderPolicy::RankBased) => {
+            upward_ranks_into(tg, rank_scratch, swept);
+            swept
+        }
+        None => &[],
+    };
     // `None` under FIFO, whose order comes from arrival.
     let priorities: Option<&[f64]> = match policy {
         OrderPolicy::RankBased => Some(ranks),
@@ -474,7 +485,7 @@ pub fn head_body_tail_bound_into(tg: &TaskGraph, scratch: &mut ScheduleScratch) 
     } = scratch;
     upward_ranks_into(tg, rank_scratch, ranks);
     let mut best = critical_path_from(ranks);
-    let RankScratch { indeg, order } = rank_scratch;
+    let RankScratch { indeg, order, .. } = rank_scratch;
     heads.clear();
     heads.resize(tg.len(), 0.0);
     for &id in order.iter() {
@@ -1049,7 +1060,15 @@ mod tests {
             assert_eq!(want.makespan, 5.0);
             let mut out = Schedule::default();
             let mut run = |limit| {
-                list_schedule_observed(&tg, &policy, limit, &mut scratch, &mut out, &mut NoHook)
+                list_schedule_observed(
+                    &tg,
+                    None,
+                    &policy,
+                    limit,
+                    &mut scratch,
+                    &mut out,
+                    &mut NoHook,
+                )
             };
             assert_eq!(run(2.5), Err(3.0));
             assert_eq!(run(4.0), Err(5.0));
@@ -1085,7 +1104,8 @@ mod tests {
         let mut scratch = ScheduleScratch::default();
         let mut out = Schedule::default();
         let policy = OrderPolicy::RankBased;
-        let full = list_schedule_observed(&tg, &policy, 3.0, &mut scratch, &mut out, &mut hook);
+        let full =
+            list_schedule_observed(&tg, None, &policy, 3.0, &mut scratch, &mut out, &mut hook);
         assert_eq!(full, Ok(()));
         assert_eq!(hook.starts.len(), 3);
         assert_eq!(hook.finishes.len(), 3);

@@ -1,6 +1,6 @@
 //! Upward-rank computation (§4.2).
 
-use crate::task::{TaskGraph, TaskId};
+use crate::task::{Dir, TaskGraph, TaskId};
 
 static RANK_SECONDS: heterog_telemetry::Histogram = heterog_telemetry::Histogram::new(
     "heterog_sched_rank_seconds",
@@ -13,6 +13,12 @@ static RANK_SECONDS: heterog_telemetry::Histogram = heterog_telemetry::Histogram
 pub struct RankScratch {
     pub(crate) indeg: Vec<u32>,
     pub(crate) order: Vec<TaskId>,
+    /// [`rerank_ancestors_into`]'s place of each task in its walk.
+    places: Vec<u8>,
+    /// [`rerank_ancestors_into`]'s depth-first frames: a task, where
+    /// its next successor to read is among the successor entries, and
+    /// the largest successor rank read so far.
+    frames: Vec<(TaskId, u32, f64)>,
 }
 
 /// Computes the paper's rank for every task:
@@ -47,6 +53,96 @@ pub fn upward_ranks_into(tg: &TaskGraph, scratch: &mut RankScratch, rank: &mut V
             rank[id.index()] = tg.task(id).duration + best_succ;
         }
     })
+}
+
+/// A task's place in [`rerank_ancestors_into`]'s walk.
+const KEPT: u8 = 0;
+const QUEUED: u8 = 1;
+const OPEN: u8 = 2;
+const RANKED: u8 = 3;
+
+/// [`upward_ranks_into`] for a graph whose ranks `rank` already holds
+/// for every task with no path to a task of `changed`: those keep their
+/// entries, and the tasks of `changed` and all their ancestors are
+/// ranked afresh, bit for bit as [`upward_ranks`] ranks them. A task's
+/// rank reads only its duration and its successors' ranks, so `changed`
+/// must hold every task whose duration or successor row differs from
+/// the graph the kept ranks were computed on.
+///
+/// The ancestors are found by a walk over predecessor rows, then ranked
+/// depth first over their successor rows, each successor's rank read in
+/// row order as the full sweep reads it. A cycle of `tg` that passes
+/// through a task of `changed` panics as [`TaskGraph::topo_order`]
+/// does; the kept part is trusted to be acyclic. Allocation-free once
+/// the scratch has grown to the graph's size.
+pub fn rerank_ancestors_into(
+    tg: &TaskGraph,
+    changed: &[TaskId],
+    scratch: &mut RankScratch,
+    rank: &mut [f64],
+) {
+    assert_eq!(rank.len(), tg.len(), "one rank per task");
+    let RankScratch {
+        order: queued,
+        places: state,
+        frames,
+        ..
+    } = scratch;
+    state.clear();
+    state.resize(tg.len(), KEPT);
+    queued.clear();
+    for &t in changed {
+        if state[t.index()] == KEPT {
+            state[t.index()] = QUEUED;
+            queued.push(t);
+        }
+    }
+    let (pred_off, preds) = tg.raw_rows(Dir::Preds);
+    let mut head = 0;
+    while head < queued.len() {
+        let t = queued[head].index();
+        head += 1;
+        for &p in &preds[pred_off[t] as usize..pred_off[t + 1] as usize] {
+            if state[p.index()] == KEPT {
+                state[p.index()] = QUEUED;
+                queued.push(p);
+            }
+        }
+    }
+    let (succ_off, succs) = tg.raw_rows(Dir::Succs);
+    // The open task's frame lives in locals; its ancestors' on `frames`.
+    let open = |t: TaskId| (t, succ_off[t.index()], succ_off[t.index() + 1], 0.0f64);
+    frames.clear();
+    for &root in queued.iter() {
+        if state[root.index()] != QUEUED {
+            continue;
+        }
+        state[root.index()] = OPEN;
+        let (mut t, mut next, mut end, mut best) = open(root);
+        loop {
+            if next < end {
+                let s = succs[next as usize];
+                next += 1;
+                match state[s.index()] {
+                    QUEUED => {
+                        frames.push((t, next, best));
+                        state[s.index()] = OPEN;
+                        (t, next, end, best) = open(s);
+                    }
+                    OPEN => panic!("task graph contains a cycle"),
+                    _ => best = best.max(rank[s.index()]),
+                }
+                continue;
+            }
+            let r = tg.task(t).duration + best;
+            rank[t.index()] = r;
+            state[t.index()] = RANKED;
+            let Some((parent, at, parent_best)) = frames.pop() else {
+                break;
+            };
+            (t, next, end, best) = (parent, at, succ_off[parent.index() + 1], parent_best.max(r));
+        }
+    }
 }
 
 /// The critical-path length given an already-computed rank vector: the
@@ -125,5 +221,46 @@ mod tests {
             assert_eq!(rank, upward_ranks(&tg));
             assert_eq!(critical_path_from(&rank), critical_path(&tg));
         }
+    }
+
+    /// Ranks kept for the tasks with no path to a changed one and
+    /// re-ranked for the rest equal a full sweep, bit for bit: a diamond
+    /// whose one branch grows, on top of a chain that does not change.
+    #[test]
+    fn reranked_ancestors_equal_a_full_sweep() {
+        let build = |branch: f64| {
+            let mut tg = TaskGraph::new("d", 1, 0);
+            let ids: Vec<_> = [1.0, 2.0, branch, 0.5, 3.0, 0.25]
+                .into_iter()
+                .map(|d| tg.add_task(t(d)))
+                .collect();
+            for &(a, b) in &[(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (3, 5)] {
+                tg.add_dep(ids[a], ids[b]);
+            }
+            tg
+        };
+        let (before, after) = (build(0.1), build(7.0));
+        let mut rank = upward_ranks(&before);
+        let mut scratch = RankScratch::default();
+        rerank_ancestors_into(&after, &[TaskId(2)], &mut scratch, &mut rank);
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rank), bits(&upward_ranks(&after)));
+        // Task 4 reaches no changed task: its kept entry is never read.
+        let mut kept = upward_ranks(&after);
+        kept[4] = -1.0;
+        rerank_ancestors_into(&after, &[TaskId(2)], &mut scratch, &mut kept);
+        assert_eq!(kept[4], -1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "task graph contains a cycle")]
+    fn a_cycle_through_a_changed_task_panics() {
+        let mut tg = TaskGraph::new("c", 1, 0);
+        let ids: Vec<_> = (0..4).map(|i| tg.add_task(t(i as f64))).collect();
+        for &(a, b) in &[(0, 1), (1, 2), (2, 1), (2, 3)] {
+            tg.add_dep(ids[a], ids[b]);
+        }
+        let mut rank = vec![0.0; 4];
+        rerank_ancestors_into(&tg, &[ids[2]], &mut RankScratch::default(), &mut rank);
     }
 }

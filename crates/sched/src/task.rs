@@ -27,12 +27,19 @@
 //!   name ([`Task::origin`]), and one field holds a GPU task's output
 //!   bytes or a link task's payload.
 //! * **Edges appended, checked once.** Builders add each edge once, so
-//!   `add_dep` only appends and a splice copies a whole segment's edges
-//!   as one remapped range ([`TaskGraph::add_deps_remapped`]). Building
-//!   the index checks that no edge repeats, with a stamp per task rather
-//!   than a hash, and panics naming both tasks if one does. The stamps
-//!   borrow the predecessor offsets before those are filled, so the
-//!   check needs no buffer of its own.
+//!   `add_dep` only appends. Building the index checks that no edge
+//!   repeats, with a stamp per task rather than a hash, and panics
+//!   naming both tasks if one does. The stamps borrow the predecessor
+//!   offsets before those are filled, so the check needs no buffer of
+//!   its own.
+//! * **Rows written directly.** A graph spliced from a sealed base has
+//!   no edge list: [`TaskGraph::seal_with_rows`] lets its builder write
+//!   both directions' rows task by task ([`RowWriter`]), copying the
+//!   base's rows for whole runs of tasks with their ids remapped and
+//!   pushing the others entry by entry. Every pushed successor row is
+//!   checked for a repeated entry as the index build checks its rows; a
+//!   copied row is a base row, checked when the base was built, mapped
+//!   one to one.
 
 use std::sync::{Arc, OnceLock};
 
@@ -426,6 +433,13 @@ impl Rows {
         self.off.windows(2).map(|w| w[1] - w[0])
     }
 
+    /// Starts writing rows afresh, keeping the buffers: no row yet.
+    fn restart(&mut self) {
+        self.off.clear();
+        self.off.push(0);
+        self.idx.clear();
+    }
+
     /// `src`'s rows, into this one's buffers.
     fn copy_from(&mut self, src: &Rows) {
         self.off.clone_from(&src.off);
@@ -434,6 +448,14 @@ impl Rows {
 }
 
 impl Csr {
+    /// One direction's rows.
+    fn rows(&self, dir: Dir) -> &Rows {
+        match dir {
+            Dir::Succs => &self.succs,
+            Dir::Preds => &self.preds,
+        }
+    }
+
     /// Builds both directions' rows of `n` tasks with a stable counting
     /// sort: per-source order equals edge insertion order, matching the
     /// former `Vec<Vec<TaskId>>` push order exactly. Reuses this index's
@@ -459,6 +481,96 @@ impl Csr {
         }
         preds.fill(n, edges, |(s, d)| (d, s));
         None
+    }
+}
+
+/// Which of a task's rows: its successors or its predecessors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dir {
+    /// The tasks that wait on it.
+    Succs,
+    /// The tasks it waits on.
+    Preds,
+}
+
+/// Writes one direction's rows of a graph being sealed by
+/// [`TaskGraph::seal_with_rows`], task by task in id order: a run of
+/// rows copied from a sealed graph ([`RowWriter::copy_rows`]), or one
+/// row pushed entry by entry ([`RowWriter::push`], closed by
+/// [`RowWriter::end_row`]). Pushed successor rows are checked for a
+/// repeated entry, with a stamp per task.
+#[derive(Debug)]
+pub struct RowWriter<'a> {
+    dir: Dir,
+    rows: &'a mut Rows,
+    /// Successor rows only: per task, one more than the last pushed row
+    /// that named it.
+    stamps: Option<&'a mut Vec<u32>>,
+    /// The largest entry written so far.
+    top: u32,
+    /// The first repeated edge pushed, `(src, dst)`.
+    repeat: Option<(u32, u32)>,
+}
+
+impl<'a> RowWriter<'a> {
+    fn new(dir: Dir, rows: &'a mut Rows, stamps: Option<&'a mut Vec<u32>>) -> Self {
+        rows.restart();
+        RowWriter {
+            dir,
+            rows,
+            stamps,
+            top: 0,
+            repeat: None,
+        }
+    }
+
+    /// The rows this writer writes.
+    pub fn dir(&self) -> Dir {
+        self.dir
+    }
+
+    /// Appends `base`'s rows (this writer's direction) of `tasks`, each
+    /// entry mapped through `remap` (a `base` id to this graph's): the
+    /// rows of the next `tasks.len()` tasks. `base` must be sealed, or
+    /// at least indexed; its rows were checked when they were built, so
+    /// a copy is not checked again, and `remap` must map the entries one
+    /// to one.
+    pub fn copy_rows(&mut self, base: &TaskGraph, tasks: std::ops::Range<u32>, remap: &[u32]) {
+        let src = base.csr().rows(self.dir);
+        let (t0, t1) = (tasks.start as usize, tasks.end as usize);
+        let (o0, o1) = (src.off[t0], src.off[t1]);
+        let at = self.rows.idx.len() as u32;
+        self.rows
+            .off
+            .extend(src.off[t0 + 1..=t1].iter().map(|&o| o - o0 + at));
+        let mut top = self.top;
+        self.rows
+            .idx
+            .extend(src.idx[o0 as usize..o1 as usize].iter().map(|e| {
+                let m = remap[e.index()];
+                top = top.max(m);
+                TaskId(m)
+            }));
+        self.top = top;
+    }
+
+    /// Appends `t` to the open row.
+    pub fn push(&mut self, t: TaskId) {
+        let row = self.rows.off.len() as u32;
+        // An entry out of range has no stamp: sealing rejects it.
+        if let Some(stamp) = (self.stamps.as_deref_mut()).and_then(|s| s.get_mut(t.index())) {
+            if *stamp == row && self.repeat.is_none() {
+                self.repeat = Some((row - 1, t.0));
+            }
+            *stamp = row;
+        }
+        self.top = self.top.max(t.0);
+        self.rows.idx.push(t);
+    }
+
+    /// Closes the open row.
+    pub fn end_row(&mut self) {
+        self.rows.off.push(self.rows.idx.len() as u32);
     }
 }
 
@@ -572,17 +684,68 @@ impl TaskGraph {
     }
 
     /// Finishes the graph: builds its index, after which the rows hold
-    /// its edges, and returns the insertion-ordered edge list, which the
-    /// graph no longer holds. A sealed graph takes no more tasks or
-    /// edges ([`TaskGraph::add_task`], [`TaskGraph::add_dep`],
-    /// [`TaskGraph::copy_tasks`] and [`TaskGraph::add_deps_remapped`]
-    /// panic) until [`TaskGraph::reset_like`] empties it; its durations
-    /// may still be changed. Panics on a repeated edge, as building the
-    /// index does.
-    pub fn seal(&mut self) -> Vec<(u32, u32)> {
+    /// its edges, and frees the insertion-ordered edge list. A sealed
+    /// graph takes no more tasks or edges ([`TaskGraph::add_task`],
+    /// [`TaskGraph::add_dep`] and [`TaskGraph::copy_tasks`] panic) until
+    /// [`TaskGraph::reset_like`] empties it; its durations may still be
+    /// changed. Panics on a repeated edge, as building the index does.
+    pub fn seal(&mut self) {
         self.build_index();
         self.sealed = true;
-        std::mem::take(&mut self.edges)
+        self.edges = Vec::new();
+    }
+
+    /// Seals the graph with rows its builder writes instead of an index
+    /// built from added edges (none may have been added): `write` is
+    /// called once with a [`RowWriter`] of the successor rows, then once
+    /// with one of the predecessor rows, and must write one row per
+    /// task, each in the order a builder would have added its edges.
+    /// Reuses the buffers of the last cleared index. Panics naming both
+    /// tasks when a pushed successor row repeats an entry, as building
+    /// the index does for any row, and when the rows name a task out of
+    /// range, miss a task or disagree on the number of edges.
+    pub fn seal_with_rows(&mut self, mut write: impl FnMut(&mut RowWriter<'_>)) {
+        self.assert_open("edge");
+        assert!(
+            self.edges.is_empty(),
+            "rows written over added edges of {}",
+            self.name
+        );
+        self.invalidate();
+        let n = self.tasks.len();
+        let mut c = std::mem::take(&mut self.spare);
+        let Csr { succs, preds } = &mut c;
+        // Until the predecessor rows are written, their offsets hold the
+        // successor rows' stamps.
+        let stamps = &mut preds.off;
+        stamps.clear();
+        stamps.resize(n, 0);
+        let mut w = RowWriter::new(Dir::Succs, succs, Some(stamps));
+        write(&mut w);
+        let (succ_top, repeat) = (w.top, w.repeat);
+        let mut w = RowWriter::new(Dir::Preds, preds, None);
+        write(&mut w);
+        let pred_top = w.top;
+        for (dir, rows) in [("successor", &*succs), ("predecessor", &*preds)] {
+            let written = rows.off.len() - 1;
+            assert_eq!(
+                written, n,
+                "{written} {dir} rows written for a graph of {n} tasks"
+            );
+        }
+        assert_eq!(
+            succs.idx.len(),
+            preds.idx.len(),
+            "successor and predecessor rows hold different edge counts"
+        );
+        let top = succ_top.max(pred_top);
+        assert!(
+            succs.idx.is_empty() || (top as usize) < n,
+            "row entry t{top} out of range"
+        );
+        self.check_no_repeat(repeat);
+        let _ = self.csr.set(c);
+        self.sealed = true;
     }
 
     /// Whether the graph is sealed ([`TaskGraph::seal`]).
@@ -633,26 +796,6 @@ impl TaskGraph {
         assert!(src.index() < self.tasks.len() && dst.index() < self.tasks.len());
         assert_ne!(src, dst, "self-dependency on {src}");
         self.edges.push((src.0, dst.0));
-        self.invalidate();
-    }
-
-    /// Appends `edges`, in order, with both ends mapped through `remap`
-    /// (an id of the graph `edges` came from to one of this graph's):
-    /// the edges of a run of segments a splice copies from its base's
-    /// insertion-ordered list. The mapped ends are bounds-checked once
-    /// for the whole run. Panics when this graph is sealed.
-    pub fn add_deps_remapped(&mut self, edges: &[(u32, u32)], remap: &[u32]) {
-        self.assert_open("edge");
-        let mut top = 0;
-        self.edges.extend(edges.iter().map(|&(s, d)| {
-            let e = (remap[s as usize], remap[d as usize]);
-            top = top.max(e.0).max(e.1);
-            e
-        }));
-        assert!(
-            edges.is_empty() || (top as usize) < self.tasks.len(),
-            "copied edge to t{top} out of range"
-        );
         self.invalidate();
     }
 
@@ -709,6 +852,13 @@ impl TaskGraph {
         })
     }
 
+    /// One direction's rows whole, as offsets and entries: task `t`'s
+    /// row is `entries[offsets[t]..offsets[t + 1]]`.
+    pub(crate) fn raw_rows(&self, dir: Dir) -> (&[u32], &[TaskId]) {
+        let rows = self.csr().rows(dir);
+        (&rows.off, &rows.idx)
+    }
+
     /// Successors of `id`.
     pub fn succs(&self, id: TaskId) -> &[TaskId] {
         self.csr().succs.row(id.index())
@@ -732,6 +882,11 @@ impl TaskGraph {
     /// Every task's number of predecessors, in task order.
     pub fn in_degrees(&self) -> impl Iterator<Item = u32> + '_ {
         self.csr().preds.lens()
+    }
+
+    /// Every task's number of successors, in task order.
+    pub fn out_degrees(&self) -> impl Iterator<Item = u32> + '_ {
+        self.csr().succs.lens()
     }
 
     /// Number of precedence edges: the rows' when the index is built (as
@@ -1010,7 +1165,7 @@ mod tests {
         let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
         let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
         tg.add_dep(a, b);
-        assert_eq!(tg.seal(), vec![(0, 1)]);
+        tg.seal();
         tg
     }
 
@@ -1041,8 +1196,7 @@ mod tests {
         for &(a, b) in &added {
             tg.add_dep(ids[a], ids[b]);
         }
-        let list = tg.seal();
-        assert_eq!(list, added.map(|(a, b)| (a as u32, b as u32)));
+        tg.seal();
         assert!(tg.is_sealed() && tg.edges.capacity() == 0);
         assert_eq!(tg.num_edges(), 4);
         // Each row in insertion order.
@@ -1090,5 +1244,83 @@ mod tests {
                 assert_eq!(tg.preds(id), lazy.preds(id));
             }
         }
+    }
+
+    /// `n` tasks on one GPU, named `t0`, `t1`, ...
+    fn tasks(n: u32) -> TaskGraph {
+        let mut tg = TaskGraph::new("rows", 1, 0);
+        for i in 0..n {
+            tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, Proc::Gpu(0), 1.0));
+        }
+        tg
+    }
+
+    /// Rows written directly equal the index a graph with the same
+    /// edges builds: runs copied from a sealed graph through a remap, and
+    /// rows pushed entry by entry.
+    #[test]
+    fn written_rows_equal_built_ones() {
+        let edges = [(0, 3), (0, 1), (2, 4), (0, 4), (1, 5), (3, 5)];
+        let mut base = tasks(6);
+        for &(a, b) in &edges {
+            base.add_dep(TaskId(a), TaskId(b));
+        }
+        base.seal();
+        // The same graph with tasks 1 and 2 swapped: 0 and 3..6 copied,
+        // 1 and 2 pushed.
+        let remap = [0, 2, 1, 3, 4, 5];
+        let mut built = tasks(6);
+        for &(a, b) in &edges {
+            built.add_dep(TaskId(remap[a as usize]), TaskId(remap[b as usize]));
+        }
+        built.seal();
+        let mut tg = tasks(6);
+        tg.seal_with_rows(|w| {
+            w.copy_rows(&base, 0..1, &remap);
+            for b in [2, 1] {
+                let row = match w.dir() {
+                    Dir::Succs => base.succs(TaskId(b)),
+                    Dir::Preds => base.preds(TaskId(b)),
+                };
+                for t in row {
+                    w.push(TaskId(remap[t.index()]));
+                }
+                w.end_row();
+            }
+            w.copy_rows(&base, 3..6, &remap);
+        });
+        assert!(tg.is_sealed());
+        assert_eq!(tg.num_edges(), edges.len());
+        for id in tg.task_ids() {
+            assert_eq!(tg.succs(id), built.succs(id), "successors of {id}");
+            assert_eq!(tg.preds(id), built.preds(id), "predecessors of {id}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edge t0 -> t2 (t0 -> t2)")]
+    fn a_repeated_pushed_successor_panics() {
+        tasks(3).seal_with_rows(|w| {
+            let rows: [&[u32]; 3] = match w.dir() {
+                Dir::Succs => [&[2, 1, 2], &[], &[]],
+                Dir::Preds => [&[], &[0], &[0, 0]],
+            };
+            for row in rows {
+                for &t in row {
+                    w.push(TaskId(t));
+                }
+                w.end_row();
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "row entry t7 out of range")]
+    fn written_rows_stay_in_range() {
+        tasks(2).seal_with_rows(|w| {
+            w.push(TaskId(7));
+            w.end_row();
+            w.end_row();
+        });
     }
 }

@@ -8,7 +8,10 @@
 //! allocation and free into per-GPU running totals as it happens and
 //! records link intervals in start order, so neither memory events nor
 //! intervals are stored and sorted. [`simulate_within`] stops once the
-//! schedule is sure to end after a limit.
+//! schedule is sure to end after a limit. [`simulate_prepassed`] takes
+//! what the run reads of the graph before its first event (upward
+//! ranks, per-GPU parameter bytes and activity) from a caller that
+//! derived it from a simulated base, instead of sweeping the graph.
 
 use heterog_sched::{
     list_schedule_observed, OrderPolicy, Proc, Schedule, ScheduleHook, ScheduleScratch, Task,
@@ -223,6 +226,22 @@ pub fn simulate_into(
     simulate_within(tg, capacities, policy, f64::INFINITY, scratch, out);
 }
 
+/// What a simulation reads of its task graph before the first event,
+/// as a caller derived it: every task's upward rank, bit for bit what
+/// [`heterog_sched::upward_ranks`] gives, and per GPU the parameter
+/// bytes its tasks pin and whether any task runs on it. A graph spliced
+/// from a simulated base differs from it in a few segments, so its
+/// caller can derive these from the base's at the cost of what changed.
+#[derive(Debug, Clone, Copy)]
+pub struct Prepass<'a> {
+    /// Upward rank per task.
+    pub ranks: &'a [f64],
+    /// Pinned parameter bytes per GPU.
+    pub param_bytes: &'a [u64],
+    /// Per GPU, whether any task runs on it.
+    pub active: &'a [bool],
+}
+
 /// [`simulate_into`], stopped once the schedule is sure to end after
 /// `limit` (see [`list_schedule_observed`]): then it returns the running
 /// bound it stopped at, leaves `out` partial, counts no simulation and
@@ -235,8 +254,37 @@ pub fn simulate_within(
     scratch: &mut SimScratch,
     out: &mut SimReport,
 ) -> Option<f64> {
+    simulate_counted(tg, None, capacities, policy, limit, scratch, out)
+}
+
+/// [`simulate_within`] reading `prepass` instead of sweeping `tg` for
+/// its ranks, parameter bytes and active GPUs; the result is the same
+/// bit for bit when `prepass` is what a sweep finds.
+pub fn simulate_prepassed(
+    tg: &TaskGraph,
+    prepass: &Prepass<'_>,
+    capacities: &[u64],
+    policy: &OrderPolicy,
+    limit: f64,
+    scratch: &mut SimScratch,
+    out: &mut SimReport,
+) -> Option<f64> {
+    simulate_counted(tg, Some(prepass), capacities, policy, limit, scratch, out)
+}
+
+/// [`simulate_within`] or [`simulate_prepassed`]: one run, counted and
+/// reported as an event once it completes.
+fn simulate_counted(
+    tg: &TaskGraph,
+    prepass: Option<&Prepass<'_>>,
+    capacities: &[u64],
+    policy: &OrderPolicy,
+    limit: f64,
+    scratch: &mut SimScratch,
+    out: &mut SimReport,
+) -> Option<f64> {
     let _span = heterog_telemetry::span("simulate");
-    if let Some(bound) = simulate_uncounted(tg, capacities, policy, limit, scratch, out) {
+    if let Some(bound) = run(tg, prepass, capacities, policy, limit, scratch, out) {
         return Some(bound);
     }
     let memory = &out.memory;
@@ -284,6 +332,20 @@ pub fn simulate_uncounted(
     scratch: &mut SimScratch,
     out: &mut SimReport,
 ) -> Option<f64> {
+    run(tg, None, capacities, policy, limit, scratch, out)
+}
+
+/// The simulation itself: [`simulate_uncounted`], reading `prepass`
+/// when given.
+fn run(
+    tg: &TaskGraph,
+    prepass: Option<&Prepass<'_>>,
+    capacities: &[u64],
+    policy: &OrderPolicy,
+    limit: f64,
+    scratch: &mut SimScratch,
+    out: &mut SimReport,
+) -> Option<f64> {
     let num_gpus = tg.num_gpus as usize;
     assert!(capacities.len() >= num_gpus, "capacity per GPU required");
 
@@ -297,22 +359,31 @@ pub fn simulate_uncounted(
         intervals,
     } = scratch;
 
-    // Pinned parameters and per-GPU activity in one pre-pass; seed the
-    // reference counts with each task's consumer count.
+    // Pinned parameters and per-GPU activity, given or in one pre-pass;
+    // seed the reference counts with each task's consumer count.
     let memory = &mut out.memory;
     memory.param_bytes.clear();
-    memory.param_bytes.resize(num_gpus, 0);
     active.clear();
-    active.resize(num_gpus, false);
-    remaining.clear();
-    remaining.reserve(tg.len());
-    for (id, task) in tg.iter() {
-        remaining.push(tg.out_degree(id) as u32);
-        if let Proc::Gpu(g) = task.proc {
-            memory.param_bytes[g as usize] += task.param_bytes;
-            active[g as usize] = true;
+    match prepass {
+        Some(given) => {
+            memory
+                .param_bytes
+                .extend_from_slice(&given.param_bytes[..num_gpus]);
+            active.extend_from_slice(&given.active[..num_gpus]);
+        }
+        None => {
+            memory.param_bytes.resize(num_gpus, 0);
+            active.resize(num_gpus, false);
+            for (_, task) in tg.iter() {
+                if let Proc::Gpu(g) = task.proc {
+                    memory.param_bytes[g as usize] += task.param_bytes;
+                    active[g as usize] = true;
+                }
+            }
         }
     }
+    remaining.clear();
+    remaining.extend(tg.out_degrees());
 
     cur.clear();
     cur.extend(memory.param_bytes.iter().map(|&p| p as i64));
@@ -330,7 +401,9 @@ pub fn simulate_uncounted(
         intervals,
     };
     let schedule = &mut out.schedule;
-    if let Err(bound) = list_schedule_observed(tg, policy, limit, sched, schedule, &mut hook) {
+    let ranks = prepass.map(|p| p.ranks);
+    if let Err(bound) = list_schedule_observed(tg, ranks, policy, limit, sched, schedule, &mut hook)
+    {
         return Some(bound);
     }
 

@@ -14,9 +14,25 @@
 //! |-------------------------|---------------------------------------------|
 //! | `Policy`                | re-simulate the cached task graph (no compile) |
 //! | `Cluster`               | [`reprice_into`], then the base evaluation with its OOM flags re-derived when no duration changed bitwise, else one simulation of the re-priced graph |
-//! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments, re-lower the dirty ones) + simulate |
+//! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments and their rows, re-lower the dirty ones) + simulate with the pre-pass derived from the base's ([`simulate_prepassed`]) |
 //! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
-//! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated to the end: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); a candidate with no dirty segment is the base graph and gets the base evaluation; any other it leaves in is spliced and simulated by [`simulate_within`], which stops once its running bound exceeds the limit |
+//! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated to the end: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); a candidate with no dirty segment is the base graph and gets the base evaluation; any other it leaves in is spliced and simulated by [`simulate_prepassed`], which stops once its running bound exceeds the limit |
+//!
+//! What a candidate pays, pass by pass, before its simulation stops:
+//!
+//! | pass | cost |
+//! |------|------|
+//! | resolve | the moved group's ops, on a copy of the base's placements |
+//! | load bound ([`splice_loads`]) | a walk over the segment log, and the dirty segments' tasks |
+//! | splice ([`splice_into`]) | the segment walk, a copy of every clean task and of its rows (ids remapped), and the dirty segments re-lowered; the rows the dirty segments wire are merged, the rest copied |
+//! | ranks | the base's, copied run by run; the rewritten tasks and their ancestors ranked afresh ([`rerank_ancestors_into`]); one sweep when at least half the tasks were rewritten |
+//! | memory pre-pass | per GPU, the base's parameter bytes and task counts less the dropped tasks' plus the re-lowered ones' (a sweep when at least half were rewritten); each task's consumer count from its row length |
+//! | simulation | the scheduler's per-task columns, then the events up to the stop |
+//!
+//! No pass builds the graph's index from an edge list or sweeps every
+//! task for ranks or parameter bytes: those cost the dirty part and its
+//! ancestors, while copying the clean part's tasks and rows and the
+//! scheduler's columns still cost the whole graph.
 //!
 //! A strategy change resolves the candidate's placements once and
 //! diffs them against the base's: an op's replica tasks, the wiring of
@@ -42,20 +58,24 @@
 //! that a run reads in its own scope ([`crate::run_eval_stats`]).
 
 use std::borrow::Cow;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use heterog_cluster::Cluster;
 use heterog_compile::{
     compile_logged, log_compiled, reprice_into, resolve_group_into, resolve_placements,
-    splice_into, splice_loads, structure_compatible, OpPlacement, OpStrategy, PriceBook,
+    splice_into, splice_loads, structure_compatible, CopiedRun, OpPlacement, OpStrategy, PriceBook,
     SegmentLog, SpliceBase, SpliceScratch, Strategy,
 };
 use heterog_graph::{Graph, OpId};
 use heterog_profile::CostEstimator;
-use heterog_sched::{busiest_processor_load, load_exceeds, OrderPolicy, TaskGraph};
+use heterog_sched::{
+    busiest_processor_load, load_exceeds, rerank_ancestors_into, upward_ranks, upward_ranks_into,
+    OrderPolicy, Proc, RankScratch, TaskGraph,
+};
 use heterog_sim::{
-    count_resim, simulate_into, simulate_uncounted, simulate_within, with_scratch, SimReport,
+    count_resim, simulate_into, simulate_prepassed, simulate_uncounted, with_scratch, Prepass,
+    SimReport,
 };
 use heterog_telemetry::{lock, Counter};
 
@@ -139,7 +159,7 @@ pub enum Bounded {
     /// busiest processor's load as [`splice_loads`] prices it before any
     /// splice (summed in another order than over the graph, so it may
     /// differ from that sum in the last bits), or else the running bound
-    /// at which [`simulate_within`] stopped the spliced graph's
+    /// at which [`simulate_prepassed`] stopped the spliced graph's
     /// simulation, at most its iteration time but for rounding.
     Pruned(f64),
 }
@@ -153,12 +173,13 @@ impl Bounded {
 /// Patch buffers: the candidate's placements, the spliced or re-priced
 /// task graph, the splice scratch, and the report each perturbed
 /// evaluation writes into, plus the per-processor loads a bounded one
-/// prices before splicing. An evaluator pools them, one per thread
-/// evaluating through it at once, so a `Sync` evaluator serves pool
-/// workers without sharing a buffer, the per-candidate path stops
-/// allocating once they have grown, and their memory goes with the
-/// evaluator. Simulations run on the thread's simulator scratch
-/// ([`with_scratch`]), which outlives the evaluator.
+/// prices before splicing and the spliced graph's pre-pass derived from
+/// the base's. An evaluator pools them, one per thread evaluating
+/// through it at once, so a `Sync` evaluator serves pool workers
+/// without sharing a buffer, the per-candidate path stops allocating
+/// once they have grown, and their memory goes with the evaluator.
+/// Simulations run on the thread's simulator scratch ([`with_scratch`]),
+/// which outlives the evaluator.
 #[derive(Debug, Default)]
 struct PatchScratch {
     placements: Vec<OpPlacement>,
@@ -166,6 +187,100 @@ struct PatchScratch {
     splice: SpliceScratch,
     report: SimReport,
     load: Vec<f64>,
+    prepass: PrepassScratch,
+    /// The thread that used the buffers last.
+    user: Option<std::thread::ThreadId>,
+}
+
+/// A spliced graph's pre-pass ([`Prepass`]), derived from the base's:
+/// its ranks, and per GPU its parameter bytes, task count and activity.
+#[derive(Debug, Default)]
+struct PrepassScratch {
+    ranks: Vec<f64>,
+    rank_scratch: RankScratch,
+    gpus: GpuTotals,
+    active: Vec<bool>,
+}
+
+/// Per GPU, the parameter bytes a graph's tasks pin and its number of
+/// tasks: integer sums, so adding and removing tasks in any order gives
+/// the sums over the graph exactly.
+#[derive(Debug, Default)]
+struct GpuTotals {
+    param_bytes: Vec<u64>,
+    tasks: Vec<u32>,
+}
+
+impl GpuTotals {
+    /// `tg`'s totals.
+    fn of(tg: &TaskGraph) -> Self {
+        let mut out = GpuTotals::default();
+        out.sweep(tg);
+        out
+    }
+
+    /// Becomes `tg`'s totals, keeping the buffers.
+    fn sweep(&mut self, tg: &TaskGraph) {
+        self.param_bytes.clear();
+        self.param_bytes.resize(tg.num_gpus as usize, 0);
+        self.tasks.clear();
+        self.tasks.resize(tg.num_gpus as usize, 0);
+        self.add(tg, 0..tg.len() as u32);
+    }
+
+    /// Adds `tg`'s tasks `range`.
+    fn add(&mut self, tg: &TaskGraph, range: std::ops::Range<u32>) {
+        for t in range {
+            let task = tg.task(heterog_sched::TaskId(t));
+            if let Proc::Gpu(g) = task.proc {
+                self.param_bytes[g as usize] += task.param_bytes;
+                self.tasks[g as usize] += 1;
+            }
+        }
+    }
+
+    /// Takes `tg`'s tasks `range` out.
+    fn remove(&mut self, tg: &TaskGraph, range: std::ops::Range<u32>) {
+        for t in range {
+            let task = tg.task(heterog_sched::TaskId(t));
+            if let Proc::Gpu(g) = task.proc {
+                self.param_bytes[g as usize] -= task.param_bytes;
+                self.tasks[g as usize] -= 1;
+            }
+        }
+    }
+}
+
+/// Calls `f` on each range of `0..len` that no run's `range` covers;
+/// `runs` are in order and disjoint.
+fn for_each_gap(
+    runs: &[CopiedRun],
+    len: u32,
+    range: impl Fn(&CopiedRun) -> [u32; 2],
+    mut f: impl FnMut(std::ops::Range<u32>),
+) {
+    let mut next = 0;
+    for [start, end] in runs.iter().map(range).chain([[len, len]]) {
+        if next < start {
+            f(next..start);
+        }
+        next = end;
+    }
+}
+
+/// A candidate's spliced task graph and the pre-pass an
+/// [`IncrementalEvaluator`] derives for it from the base's
+/// ([`IncrementalEvaluator::splice`]).
+#[derive(Debug, Clone)]
+pub struct SplicedGraph {
+    /// The spliced task graph, sealed.
+    pub tg: TaskGraph,
+    /// Each task's upward rank.
+    pub ranks: Vec<f64>,
+    /// Each GPU's pinned parameter bytes.
+    pub param_bytes: Vec<u64>,
+    /// Per GPU, whether any task runs on it.
+    pub active: Vec<bool>,
 }
 
 /// The placements a strategy perturbation lowers: a whole strategy's,
@@ -209,6 +324,10 @@ pub struct IncrementalEvaluator<'a, C: CostEstimator> {
     /// The base task graph's per-processor loads, which a bounded
     /// strategy perturbation adjusts by its dirty segments.
     loads: Vec<f64>,
+    /// The base task graph's upward ranks and per-GPU totals, from which
+    /// a spliced graph's pre-pass is derived; swept on the first splice,
+    /// so an evaluator that splices nothing holds none.
+    base_prepass: OnceLock<(Vec<f64>, GpuTotals)>,
     /// The base evaluation, which carries no task times.
     base: Evaluation,
     /// Idle patch buffers (see [`PatchScratch`]).
@@ -316,6 +435,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             log,
             tg,
             loads,
+            base_prepass: OnceLock::new(),
             base,
             patches: Mutex::new(patches),
         }
@@ -338,10 +458,21 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         *self = Self::build(self.g, self.cost, cluster, strategy, policy, patches);
     }
 
-    /// Runs `f` on an idle patch buffer (a new one when every pooled
-    /// buffer is in use), then returns the buffer to the pool.
+    /// Runs `f` on an idle patch buffer, then returns the buffer to the
+    /// pool. A thread gets back the buffer it used last when that one is
+    /// idle, still warm in its core's cache (on VGG-19's default plan at
+    /// 2 threads, taking any idle one cost a third more candidate time);
+    /// else any idle one, or a new one when every buffer is in use.
     fn with_patch<R>(&self, f: impl FnOnce(&mut PatchScratch) -> R) -> R {
-        let mut ps = lock(&self.patches).pop().unwrap_or_default();
+        let me = std::thread::current().id();
+        let mut ps = {
+            let mut pool = lock(&self.patches);
+            match pool.iter().rposition(|p| p.user == Some(me)) {
+                Some(i) => pool.swap_remove(i),
+                None => pool.pop().unwrap_or_default(),
+            }
+        };
+        ps.user = Some(me);
         let out = f(&mut ps);
         lock(&self.patches).push(ps);
         out
@@ -363,9 +494,16 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// [`load_exceeds`] `limit`: then that bound is returned instead. The
     /// busiest processor's load, GPU or link, is tried first, priced from
     /// the base's loads and the dirty segments with no splice
-    /// ([`splice_loads`]); only when it does not prune is the graph
-    /// spliced, its index built and [`simulate_within`] run, which stops
-    /// as soon as its running bound exceeds `limit`. A candidate whose
+    /// ([`splice_loads`]); a candidate it prunes pays the segment walk
+    /// and its dirty segments alone. Only when it does not prune is the
+    /// graph spliced, with its rows written from the base's, its ranks
+    /// and memory pre-pass derived from the base's, and
+    /// [`simulate_prepassed`] run, which stops as soon as its running
+    /// bound exceeds `limit`: such a candidate pays the splice (a copy
+    /// of the clean tasks and rows), the ranks of the re-lowered tasks'
+    /// ancestors, the scheduler's per-task columns and the events up to
+    /// the stop, but no index build and no sweep of the whole graph for
+    /// ranks or parameter bytes. A candidate whose
     /// every lowering segment is clean (the move changed only decisions
     /// the lowering ignores, such as PS vs AllReduce for ops without
     /// parameter gradients) lowers to the base graph: it returns the
@@ -464,7 +602,12 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// busiest processor's load is priced before any splice
     /// ([`splice_loads`]), and only a candidate it leaves in is spliced;
     /// one whose segments are all clean is the base deployment's graph,
-    /// answered with the base evaluation ([`EvalMode::Base`]).
+    /// answered with the base evaluation ([`EvalMode::Base`]). A spliced
+    /// graph is sealed with rows written from the base's, and its ranks
+    /// and memory pre-pass are derived from the base's
+    /// ([`IncrementalEvaluator::derive_prepass`]), so a candidate the
+    /// simulation stops pays its splice, the re-lowered tasks' ancestors
+    /// and its schedule's prefix, not an index build or a rank sweep.
     /// A splice that reuses no segment was a full compile and, when
     /// simulated to the end, is counted as one.
     fn eval_spliced(&self, moved: Moved<'_>, limit: f64) -> Bounded {
@@ -481,17 +624,10 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 splice,
                 report,
                 load,
+                prepass,
+                ..
             } = ps;
-            {
-                let _span = heterog_telemetry::span("resolve");
-                let c = &self.cluster;
-                match moved {
-                    Moved::Strategy(s2) => *placements = resolve_placements(self.g, c, s2),
-                    Moved::Group(ops, to) => {
-                        resolve_group_into(self.g, c, self.log.placements(), ops, to, placements)
-                    }
-                }
-            }
+            self.resolve(moved, placements);
             if limit < f64::INFINITY {
                 let _span = heterog_telemetry::span("bound");
                 load.clone_from(&self.loads);
@@ -525,10 +661,10 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 tg,
                 splice,
             );
-            tg.build_index();
+            let prepass = self.derive_prepass(tg, splice, prepass);
             let (caps, policy) = (&self.capacities, &self.policy);
             if let Some(bound) =
-                with_scratch(|s| simulate_within(tg, caps, policy, limit, s, report))
+                with_scratch(|s| simulate_prepassed(tg, &prepass, caps, policy, limit, s, report))
             {
                 return Bounded::Pruned(bound);
             }
@@ -539,6 +675,106 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             }
             Bounded::evaluated(eval, EvalMode::Spliced)
         })
+    }
+
+    /// The placements of `moved`, into `out`.
+    fn resolve(&self, moved: Moved<'_>, out: &mut Vec<OpPlacement>) {
+        let _span = heterog_telemetry::span("resolve");
+        let (g, c) = (self.g, &self.cluster);
+        match moved {
+            Moved::Strategy(s2) => *out = resolve_placements(g, c, s2),
+            Moved::Group(ops, to) => resolve_group_into(g, c, self.log.placements(), ops, to, out),
+        }
+    }
+
+    /// The task graph a strategy or group perturbation splices to, as
+    /// [`IncrementalEvaluator::evaluate_perturbed`] simulates it, with
+    /// the pre-pass the evaluator derives for it from the base's. `None`
+    /// for cluster and policy perturbations, which splice nothing.
+    pub fn splice(&self, p: Perturbation<'_>) -> Option<SplicedGraph> {
+        let moved = match p {
+            Perturbation::Strategy(s2) => Moved::Strategy(s2),
+            Perturbation::Group { ops, to } => Moved::Group(ops, to),
+            Perturbation::Cluster(_) | Perturbation::Policy(_) => return None,
+        };
+        let base = SpliceBase {
+            tg: &self.tg,
+            book: &self.book,
+            log: &self.log,
+        };
+        self.with_patch(|ps| {
+            self.resolve(moved, &mut ps.placements);
+            let (g, c, cost) = (self.g, &self.cluster, self.cost);
+            splice_into(g, c, cost, &ps.placements, base, &mut ps.tg, &mut ps.splice);
+            let prepass = self.derive_prepass(&ps.tg, &ps.splice, &mut ps.prepass);
+            Some(SplicedGraph {
+                tg: ps.tg.clone(),
+                ranks: prepass.ranks.to_vec(),
+                param_bytes: prepass.param_bytes.to_vec(),
+                active: prepass.active.to_vec(),
+            })
+        })
+    }
+
+    /// The pre-pass of `tg`, which the last splice in `splice` built,
+    /// derived from the base's at the cost of what changed: the copied
+    /// tasks keep their base ranks, and the tasks whose successor rows
+    /// were rewritten and their ancestors are ranked afresh; each GPU's
+    /// parameter bytes and task count are the base's less the dropped
+    /// base tasks' plus the re-lowered ones'. When at least half the
+    /// tasks were rewritten, one sweep of `tg` costs less and gives the
+    /// same values.
+    fn derive_prepass<'p>(
+        &self,
+        tg: &TaskGraph,
+        splice: &SpliceScratch,
+        out: &'p mut PrepassScratch,
+    ) -> Prepass<'p> {
+        let _span = heterog_telemetry::span("prepass");
+        let PrepassScratch {
+            ranks,
+            rank_scratch,
+            gpus,
+            active,
+        } = out;
+        if 2 * splice.rewritten().len() >= tg.len() {
+            // Most tasks were re-lowered: their ancestors are about the
+            // whole graph, which one sweep ranks for less than a walk.
+            upward_ranks_into(tg, rank_scratch, ranks);
+            gpus.sweep(tg);
+        } else {
+            let (base_ranks, base_gpus) = self
+                .base_prepass
+                .get_or_init(|| (upward_ranks(&self.tg), GpuTotals::of(&self.tg)));
+            let runs = splice.copied();
+            ranks.resize(tg.len(), 0.0);
+            for run in runs {
+                let [b0, b1] = run.base.map(|b| b as usize);
+                let at = run.at as usize;
+                ranks[at..at + (b1 - b0)].copy_from_slice(&base_ranks[b0..b1]);
+            }
+            rerank_ancestors_into(tg, splice.rewritten(), rank_scratch, ranks);
+            gpus.param_bytes.clone_from(&base_gpus.param_bytes);
+            gpus.tasks.clone_from(&base_gpus.tasks);
+            let base_len = self.tg.len() as u32;
+            for_each_gap(
+                runs,
+                base_len,
+                |r| r.base,
+                |dropped| gpus.remove(&self.tg, dropped),
+            );
+            let spliced = |r: &CopiedRun| [r.at, r.at + (r.base[1] - r.base[0])];
+            for_each_gap(runs, tg.len() as u32, spliced, |emitted| {
+                gpus.add(tg, emitted)
+            });
+        }
+        active.clear();
+        active.extend(gpus.tasks.iter().map(|&n| n > 0));
+        Prepass {
+            ranks,
+            param_bytes: &gpus.param_bytes,
+            active,
+        }
     }
 }
 

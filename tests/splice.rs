@@ -3,19 +3,22 @@
 //! VGG-19 and Transformer-6L, plus uniform CP-PS and SH-CP deployments.
 //! One-group moves of the planner's action space (all of them for one
 //! model, a seeded sample of 100 for the others) are spliced with
-//! `splice_into` and compared with `compile_logged` task by task, row by
-//! row (every task's successors and predecessors) and edge by edge in
-//! insertion order (the spliced graph's list against the fresh log's);
-//! a subset also goes through `IncrementalEvaluator::evaluate_perturbed`, whose
-//! report must equal `evaluate_with_policy`'s bit for bit. Every move's
-//! per-processor loads priced with `splice_loads`, before any splice,
-//! must equal the fresh compile's to within 1e-12 of its busiest load.
-//! A move whose segments `splice_loads` finds all clean splices to the
-//! incumbent's own graph, and a bounded evaluation answers it with the
-//! base evaluation.
-//! Splices copy a run of segments' edges as one range of the base log's
-//! list, which is sound because every lowering (plain, pipelined and
-//! multi-iteration) adds each edge once.
+//! `splice_into` and compared with `compile_logged` task by task and row
+//! by row (every task's successors and predecessors, each row in the
+//! order a compile adds its edges); a subset also goes through
+//! `IncrementalEvaluator::evaluate_perturbed`, whose report must equal
+//! `evaluate_with_policy`'s bit for bit. For every move, the pre-pass
+//! the evaluator derives from the incumbent's must equal the fresh
+//! graph's: every task's upward rank bit for bit, and each GPU's
+//! parameter bytes and activity. Every move's per-processor loads
+//! priced with `splice_loads`, before any splice, must equal the fresh
+//! compile's to within 1e-12 of its busiest load. A move whose segments
+//! `splice_loads` finds all clean splices to the incumbent's own graph,
+//! and a bounded evaluation answers it with the base evaluation.
+//! Splices write rows rather than index an edge list, which checks only
+//! the rows they write for a repeated edge; every lowering (plain,
+//! pipelined and multi-iteration) adds each edge once, which indexing
+//! checks.
 
 use std::collections::HashSet;
 
@@ -27,7 +30,7 @@ use heterog_compile::{
 };
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
-use heterog_sched::{busiest_processor_load, OrderPolicy, TaskGraph, TaskId};
+use heterog_sched::{busiest_processor_load, upward_ranks, OrderPolicy, Proc, TaskGraph};
 use heterog_strategies::{
     evaluate_with_policy, group_ops, grouping::avg_op_times, Bounded, EvalMode, Evaluation,
     Grouping, IncrementalEvaluator, Perturbation,
@@ -162,6 +165,37 @@ fn assert_same_graph(spliced: &TaskGraph, fresh: &TaskGraph, what: &str) {
     }
 }
 
+/// Asserts the pre-pass `ev` derives for perturbation `p` equals a sweep
+/// of `fresh`, the graph `p` compiles to: every upward rank bit for bit,
+/// and per GPU the parameter bytes and whether any task runs there.
+fn assert_derived_prepass(
+    ev: &IncrementalEvaluator<'_, GroundTruthCost>,
+    p: Perturbation<'_>,
+    fresh: &TaskGraph,
+    what: &str,
+) {
+    let spliced = ev.splice(p).expect("a strategy perturbation splices");
+    assert_same_graph(&spliced.tg, fresh, what);
+    let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(&spliced.ranks) == bits(&upward_ranks(fresh)),
+        "{what}: derived ranks differ from a sweep's"
+    );
+    let gpus = fresh.num_gpus as usize;
+    let (mut params, mut active) = (vec![0u64; gpus], vec![false; gpus]);
+    for (_, t) in fresh.iter() {
+        if let Proc::Gpu(g) = t.proc {
+            params[g as usize] += t.param_bytes;
+            active[g as usize] = true;
+        }
+    }
+    assert_eq!(
+        spliced.param_bytes, params,
+        "{what}: parameter bytes per GPU"
+    );
+    assert_eq!(spliced.active, active, "{what}: active GPUs");
+}
+
 fn assert_same_eval(got: &Evaluation, want: &Evaluation, what: &str) {
     assert_eq!(
         got.iteration_time.to_bits(),
@@ -204,13 +238,10 @@ fn check(case: &Case, moves: &[(usize, usize)], eval_every: usize) -> Vec<EvalMo
         loads.clone_from(&base_loads);
         splice_loads(g, c, cost, &placements, base, &mut loads, &mut scratch);
         splice_into(g, c, cost, &placements, base, &mut tg, &mut scratch);
-        let (fresh, _, fresh_log) = compile_logged(g, c, cost, &s2);
+        let (fresh, _, _) = compile_logged(g, c, cost, &s2);
+        assert!(tg.is_sealed(), "{what}: a splice seals its graph");
         assert_same_graph(&tg, &fresh, &what);
-        let in_order = tg.seal().into_iter().map(|(s, d)| (TaskId(s), TaskId(d)));
-        assert!(
-            in_order.eq(fresh_log.edges()),
-            "{what}: edges differ in insertion order"
-        );
+        assert_derived_prepass(&ev, Perturbation::Strategy(&s2), &fresh, &what);
         let busiest = busiest_processor_load(&fresh, &mut want_loads);
         for (p, (got, want)) in loads.iter().zip(&want_loads).enumerate() {
             assert!(
@@ -326,7 +357,7 @@ fn lowering_emits_each_edge_once() {
 
 /// Checks every move in `moves` whose lowering segments `splice_loads`
 /// finds all clean: the splice equals the incumbent's own graph task for
-/// task, row for row and edge for edge in insertion order, and a bounded
+/// task and row for row, and a bounded
 /// group move answers it with the base evaluation, bit for bit a full
 /// evaluation of the moved strategy. Returns those moves.
 fn check_all_clean(case: &Case, moves: &[(usize, usize)]) -> Vec<(usize, usize)> {
@@ -356,11 +387,6 @@ fn check_all_clean(case: &Case, moves: &[(usize, usize)]) -> Vec<(usize, usize)>
         clean_moves.push((gi, a));
         splice_into(g, c, cost, &placements, base, &mut tg, &mut scratch);
         assert_same_graph(&tg, &btg, &what);
-        let in_order = tg.seal().into_iter().map(|(s, d)| (TaskId(s), TaskId(d)));
-        assert!(
-            in_order.eq(log.edges()),
-            "{what}: edges differ in insertion order"
-        );
         let to = space.decode(a, c);
         let ops = &case.grouping.members[gi];
         match ev.evaluate_bounded(Perturbation::Group { ops, to: &to }, f64::MAX) {
