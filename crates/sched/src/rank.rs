@@ -252,15 +252,29 @@ mod tests {
         assert_eq!(kept[4], -1.0);
     }
 
+    /// A graph whose rows a splice wrote with a cycle through a
+    /// rewritten task: re-ranking its ancestors panics as a sweep would.
     #[test]
     #[should_panic(expected = "task graph contains a cycle")]
     fn a_cycle_through_a_changed_task_panics() {
         let mut tg = TaskGraph::new("c", 1, 0);
-        let ids: Vec<_> = (0..4).map(|i| tg.add_task(t(i as f64))).collect();
-        for &(a, b) in &[(0, 1), (1, 2), (2, 1), (2, 3)] {
-            tg.add_dep(ids[a], ids[b]);
+        for i in 0..4 {
+            tg.add_task(t(i as f64));
         }
+        // 0 -> 1 -> 2 -> {1, 3}: 1 and 2 form a cycle.
+        tg.seal_with_rows(|w| {
+            let rows: [&[u32]; 4] = match w.dir() {
+                Dir::Succs => [&[1], &[2], &[1, 3], &[]],
+                Dir::Preds => [&[], &[0, 2], &[1], &[2]],
+            };
+            for row in rows {
+                for &s in row {
+                    w.push(TaskId(s));
+                }
+                w.end_row();
+            }
+        });
         let mut rank = vec![0.0; 4];
-        rerank_ancestors_into(&tg, &[ids[2]], &mut RankScratch::default(), &mut rank);
+        rerank_ancestors_into(&tg, &[TaskId(2)], &mut RankScratch::default(), &mut rank);
     }
 }

@@ -461,7 +461,8 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// Runs `f` on an idle patch buffer, then returns the buffer to the
     /// pool. A thread gets back the buffer it used last when that one is
     /// idle, still warm in its core's cache (on VGG-19's default plan at
-    /// 2 threads, taking any idle one cost a third more candidate time);
+    /// 2 threads, taking any idle one cost about a quarter more time in
+    /// the splice and the schedule);
     /// else any idle one, or a new one when every buffer is in use.
     fn with_patch<R>(&self, f: impl FnOnce(&mut PatchScratch) -> R) -> R {
         let me = std::thread::current().id();
