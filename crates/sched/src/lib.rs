@@ -32,8 +32,8 @@ pub use list::{
     ScheduleHook, ScheduleScratch,
 };
 pub use rank::{
-    critical_path, critical_path_from, rerank_ancestors_into, upward_ranks, upward_ranks_into,
-    RankScratch,
+    critical_path, critical_path_from, mark_ancestors, rerank_marked_into, upward_ranks,
+    upward_ranks_into, RankScratch,
 };
 pub use strict::strict_schedule;
 pub use task::{

@@ -13,9 +13,10 @@ static RANK_SECONDS: heterog_telemetry::Histogram = heterog_telemetry::Histogram
 pub struct RankScratch {
     pub(crate) indeg: Vec<u32>,
     pub(crate) order: Vec<TaskId>,
-    /// [`rerank_ancestors_into`]'s place of each task in its walk.
+    /// Each task's place in [`mark_ancestors`]' and
+    /// [`rerank_marked_into`]'s walks.
     places: Vec<u8>,
-    /// [`rerank_ancestors_into`]'s depth-first frames: a task, where
+    /// [`rerank_marked_into`]'s depth-first frames: a task, where
     /// its next successor to read is among the successor entries, and
     /// the largest successor rank read so far.
     frames: Vec<(TaskId, u32, f64)>,
@@ -55,37 +56,22 @@ pub fn upward_ranks_into(tg: &TaskGraph, scratch: &mut RankScratch, rank: &mut V
     })
 }
 
-/// A task's place in [`rerank_ancestors_into`]'s walk.
+/// A task's place in [`mark_ancestors`]' and [`rerank_marked_into`]'s
+/// walks.
 const KEPT: u8 = 0;
 const QUEUED: u8 = 1;
 const OPEN: u8 = 2;
 const RANKED: u8 = 3;
 
-/// [`upward_ranks_into`] for a graph whose ranks `rank` already holds
-/// for every task with no path to a task of `changed`: those keep their
-/// entries, and the tasks of `changed` and all their ancestors are
-/// ranked afresh, bit for bit as [`upward_ranks`] ranks them. A task's
-/// rank reads only its duration and its successors' ranks, so `changed`
-/// must hold every task whose duration or successor row differs from
-/// the graph the kept ranks were computed on.
-///
-/// The ancestors are found by a walk over predecessor rows, then ranked
-/// depth first over their successor rows, each successor's rank read in
-/// row order as the full sweep reads it. A cycle of `tg` that passes
-/// through a task of `changed` panics as [`TaskGraph::topo_order`]
-/// does; the kept part is trusted to be acyclic. Allocation-free once
-/// the scratch has grown to the graph's size.
-pub fn rerank_ancestors_into(
-    tg: &TaskGraph,
-    changed: &[TaskId],
-    scratch: &mut RankScratch,
-    rank: &mut [f64],
-) {
-    assert_eq!(rank.len(), tg.len(), "one rank per task");
+/// Marks the tasks of `changed` and all their ancestors, found by a
+/// walk over predecessor rows, for [`rerank_marked_into`], and returns
+/// how many tasks it marked: what re-ranking them costs, which a caller
+/// can weigh against one [`upward_ranks_into`] sweep before paying for
+/// it. Allocation-free once the scratch has grown to the graph's size.
+pub fn mark_ancestors(tg: &TaskGraph, changed: &[TaskId], scratch: &mut RankScratch) -> usize {
     let RankScratch {
         order: queued,
         places: state,
-        frames,
         ..
     } = scratch;
     state.clear();
@@ -109,6 +95,33 @@ pub fn rerank_ancestors_into(
             }
         }
     }
+    queued.len()
+}
+
+/// [`upward_ranks_into`] for a graph whose ranks `rank` already holds
+/// for every task with no path to a task of `changed`, the tasks
+/// [`mark_ancestors`] last marked in `scratch`: those keep their
+/// entries, and the marked tasks are ranked afresh, bit for bit as
+/// [`upward_ranks`] ranks them. A task's rank reads only its duration
+/// and its successors' ranks, so `changed` must hold every task whose
+/// duration or successor row differs from the graph the kept ranks were
+/// computed on.
+///
+/// The marked tasks are ranked depth first over their successor rows,
+/// each successor's rank read in row order as the full sweep reads it.
+/// A cycle of `tg` that passes through a task of `changed` panics as
+/// [`TaskGraph::topo_order`] does; the kept part is trusted to be
+/// acyclic. Allocation-free once the scratch has grown to the graph's
+/// size.
+pub fn rerank_marked_into(tg: &TaskGraph, scratch: &mut RankScratch, rank: &mut [f64]) {
+    assert_eq!(rank.len(), tg.len(), "one rank per task");
+    let RankScratch {
+        order: queued,
+        places: state,
+        frames,
+        ..
+    } = scratch;
+    assert_eq!(state.len(), tg.len(), "tasks marked on another graph");
     let (succ_off, succs) = tg.raw_rows(Dir::Succs);
     // The open task's frame lives in locals; its ancestors' on `frames`.
     let open = |t: TaskId| (t, succ_off[t.index()], succ_off[t.index() + 1], 0.0f64);
@@ -242,13 +255,15 @@ mod tests {
         let (before, after) = (build(0.1), build(7.0));
         let mut rank = upward_ranks(&before);
         let mut scratch = RankScratch::default();
-        rerank_ancestors_into(&after, &[TaskId(2)], &mut scratch, &mut rank);
+        assert_eq!(mark_ancestors(&after, &[TaskId(2)], &mut scratch), 2);
+        rerank_marked_into(&after, &mut scratch, &mut rank);
         let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&rank), bits(&upward_ranks(&after)));
         // Task 4 reaches no changed task: its kept entry is never read.
         let mut kept = upward_ranks(&after);
         kept[4] = -1.0;
-        rerank_ancestors_into(&after, &[TaskId(2)], &mut scratch, &mut kept);
+        mark_ancestors(&after, &[TaskId(2)], &mut scratch);
+        rerank_marked_into(&after, &mut scratch, &mut kept);
         assert_eq!(kept[4], -1.0);
     }
 
@@ -274,7 +289,8 @@ mod tests {
                 w.end_row();
             }
         });
-        let mut rank = vec![0.0; 4];
-        rerank_ancestors_into(&tg, &[TaskId(2)], &mut RankScratch::default(), &mut rank);
+        let mut scratch = RankScratch::default();
+        mark_ancestors(&tg, &[TaskId(2)], &mut scratch);
+        rerank_marked_into(&tg, &mut scratch, &mut [0.0; 4]);
     }
 }

@@ -320,19 +320,21 @@ fn simulate_counted(
     None
 }
 
-/// [`simulate_within`] without its counters and events: re-simulations
-/// of re-priced task graphs and the base runs they answer against use
-/// this at an infinite limit, so that `heterog_sim_simulations_total`,
-/// `SimEpoch` and `Oom` count plain simulations only.
+/// [`simulate_within`], or [`simulate_prepassed`] when `prepass` is
+/// given, without its counters and events: re-simulations of re-priced
+/// task graphs and the base runs they answer against use this at an
+/// infinite limit, so that `heterog_sim_simulations_total`, `SimEpoch`
+/// and `Oom` count plain simulations only.
 pub fn simulate_uncounted(
     tg: &TaskGraph,
+    prepass: Option<&Prepass<'_>>,
     capacities: &[u64],
     policy: &OrderPolicy,
     limit: f64,
     scratch: &mut SimScratch,
     out: &mut SimReport,
 ) -> Option<f64> {
-    run(tg, None, capacities, policy, limit, scratch, out)
+    run(tg, prepass, capacities, policy, limit, scratch, out)
 }
 
 /// The simulation itself: [`simulate_uncounted`], reading `prepass`

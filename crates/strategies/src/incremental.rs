@@ -25,8 +25,8 @@
 //! | resolve | the moved group's ops, on a copy of the base's placements |
 //! | load bound ([`splice_loads`]) | a walk over the segment log, and the dirty segments' tasks |
 //! | splice ([`splice_into`]) | the segment walk, a copy of every clean task and of its rows (ids remapped), and the dirty segments re-lowered; the rows the dirty segments wire are merged, the rest copied |
-//! | ranks | the base's, copied run by run; the rewritten tasks and their ancestors ranked afresh ([`rerank_ancestors_into`]); one sweep when at least half the tasks were rewritten |
-//! | memory pre-pass | per GPU, the base's parameter bytes and task counts less the dropped tasks' plus the re-lowered ones' (a sweep when at least half were rewritten); each task's consumer count from its row length |
+//! | ranks | the base's, copied run by run; the rewritten tasks and their ancestors ranked afresh ([`mark_ancestors`], [`rerank_marked_into`]); one sweep when those ancestors are at least four fifths of the tasks |
+//! | memory pre-pass | per GPU, the base's parameter bytes and task counts less the dropped tasks' plus the re-lowered ones' (a sweep when the ranks are swept); each task's consumer count from its row length |
 //! | simulation | the scheduler's per-task columns, then the events up to the stop |
 //!
 //! No pass builds the graph's index from an edge list or sweeps every
@@ -70,8 +70,8 @@ use heterog_compile::{
 use heterog_graph::{Graph, OpId};
 use heterog_profile::CostEstimator;
 use heterog_sched::{
-    busiest_processor_load, load_exceeds, rerank_ancestors_into, upward_ranks, upward_ranks_into,
-    OrderPolicy, Proc, RankScratch, TaskGraph,
+    busiest_processor_load, load_exceeds, mark_ancestors, rerank_marked_into, upward_ranks,
+    upward_ranks_into, OrderPolicy, Proc, RankScratch, TaskGraph,
 };
 use heterog_sim::{
     count_resim, simulate_into, simulate_prepassed, simulate_uncounted, with_scratch, Prepass,
@@ -299,6 +299,9 @@ struct Anchor<'a> {
     book: PriceBook,
     log: SegmentLog,
     base: Evaluation,
+    /// The graph's ranks and per-GPU totals, when the base simulation
+    /// read them.
+    prepass: Option<(Vec<f64>, GpuTotals)>,
 }
 
 /// Cache of compiled artifacts for one base deployment, serving
@@ -325,8 +328,9 @@ pub struct IncrementalEvaluator<'a, C: CostEstimator> {
     /// strategy perturbation adjusts by its dirty segments.
     loads: Vec<f64>,
     /// The base task graph's upward ranks and per-GPU totals, from which
-    /// a spliced graph's pre-pass is derived; swept on the first splice,
-    /// so an evaluator that splices nothing holds none.
+    /// a spliced graph's pre-pass is derived: the base simulation's when
+    /// the evaluator ran it, else swept on the first splice, so an
+    /// anchored evaluator that splices nothing holds none.
     base_prepass: OnceLock<(Vec<f64>, GpuTotals)>,
     /// The base evaluation, which carries no task times.
     base: Evaluation,
@@ -373,6 +377,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             book,
             log,
             base: Evaluation::of(report),
+            prepass: None,
         };
         Self::assemble(g, cost, cluster, strategy, policy, anchor, Vec::new())
     }
@@ -391,8 +396,18 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         let (tg, book, log) = compile_logged(g, cluster, cost, strategy);
         let mut ps = patches.pop().unwrap_or_default();
         let capacities = cluster.memory_capacities();
-        let report = &mut ps.report;
-        with_scratch(|s| simulate_uncounted(&tg, &capacities, policy, f64::INFINITY, s, report));
+        // The base's pre-pass, kept for the splices to derive theirs from.
+        let (ranks, gpus) = (upward_ranks(&tg), GpuTotals::of(&tg));
+        let active: Vec<bool> = gpus.tasks.iter().map(|&n| n > 0).collect();
+        let prepass = Prepass {
+            ranks: &ranks,
+            param_bytes: &gpus.param_bytes,
+            active: &active,
+        };
+        let (report, inf) = (&mut ps.report, f64::INFINITY);
+        with_scratch(|s| {
+            simulate_uncounted(&tg, Some(&prepass), &capacities, policy, inf, s, report)
+        });
         let base = Evaluation::of(report);
         patches.push(ps);
         count_full_evaluation(started, &base);
@@ -401,6 +416,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             book,
             log,
             base,
+            prepass: Some((ranks, gpus)),
         };
         Self::assemble(g, cost, cluster, strategy, policy, anchor, patches)
     }
@@ -421,6 +437,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             book,
             log,
             base,
+            prepass,
         } = anchor;
         let mut loads = Vec::new();
         busiest_processor_load(&tg, &mut loads);
@@ -435,7 +452,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             log,
             tg,
             loads,
-            base_prepass: OnceLock::new(),
+            base_prepass: prepass.map_or_else(OnceLock::new, OnceLock::from),
             base,
             patches: Mutex::new(patches),
         }
@@ -584,7 +601,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 } else {
                     let (tg, policy, report) = (&ps.tg, &self.policy, &mut ps.report);
                     with_scratch(|s| {
-                        simulate_uncounted(tg, &capacities, policy, f64::INFINITY, s, report)
+                        simulate_uncounted(tg, None, &capacities, policy, f64::INFINITY, s, report)
                     });
                     Evaluation::of(report)
                 };
@@ -722,9 +739,9 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// tasks keep their base ranks, and the tasks whose successor rows
     /// were rewritten and their ancestors are ranked afresh; each GPU's
     /// parameter bytes and task count are the base's less the dropped
-    /// base tasks' plus the re-lowered ones'. When at least half the
-    /// tasks were rewritten, one sweep of `tg` costs less and gives the
-    /// same values.
+    /// base tasks' plus the re-lowered ones'. When those ancestors are
+    /// at least four fifths of the tasks, one sweep of `tg` costs less
+    /// and gives the same values.
     fn derive_prepass<'p>(
         &self,
         tg: &TaskGraph,
@@ -738,9 +755,15 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             gpus,
             active,
         } = out;
-        if 2 * splice.rewritten().len() >= tg.len() {
-            // Most tasks were re-lowered: their ancestors are about the
-            // whole graph, which one sweep ranks for less than a walk.
+        // Re-ranking an ancestor costs about what the sweep costs per
+        // task, and an anchored evaluator's first re-ranking also sweeps
+        // the base: when the
+        // ancestors are four fifths of the graph or more (what-ifs and
+        // repairs that re-lower much of it), one sweep costs less. The
+        // rewritten tasks are ancestors, so that many skip the count.
+        let rewritten = splice.rewritten();
+        let most = |tasks: usize| 5 * tasks >= 4 * tg.len();
+        if most(rewritten.len()) || most(mark_ancestors(tg, rewritten, rank_scratch)) {
             upward_ranks_into(tg, rank_scratch, ranks);
             gpus.sweep(tg);
         } else {
@@ -754,7 +777,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 let at = run.at as usize;
                 ranks[at..at + (b1 - b0)].copy_from_slice(&base_ranks[b0..b1]);
             }
-            rerank_ancestors_into(tg, splice.rewritten(), rank_scratch, ranks);
+            rerank_marked_into(tg, rank_scratch, ranks);
             gpus.param_bytes.clone_from(&base_gpus.param_bytes);
             gpus.tasks.clone_from(&base_gpus.tasks);
             let base_len = self.tg.len() as u32;
