@@ -112,9 +112,25 @@ fn schedule_and_simulate_are_allocation_free_after_warmup() {
         // warms its buffer first.
         let makespan = sim_out.iteration_time;
         for (limit, stops) in [(makespan * (1.0 - 2e-9), true), (makespan, false)] {
-            simulate_within(&tg, &caps, policy, limit, &mut sim_scratch, &mut sim_out);
+            simulate_within(
+                &tg,
+                None,
+                &caps,
+                policy,
+                limit,
+                &mut sim_scratch,
+                &mut sim_out,
+            );
             let (bounded_allocs, stopped) = allocs_during(|| {
-                simulate_within(&tg, &caps, policy, limit, &mut sim_scratch, &mut sim_out)
+                simulate_within(
+                    &tg,
+                    None,
+                    &caps,
+                    policy,
+                    limit,
+                    &mut sim_scratch,
+                    &mut sim_out,
+                )
             });
             assert_eq!(stopped.is_some(), stops, "{name} at limit {limit}");
             assert_eq!(

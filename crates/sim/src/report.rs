@@ -8,10 +8,10 @@
 //! allocation and free into per-GPU running totals as it happens and
 //! records link intervals in start order, so neither memory events nor
 //! intervals are stored and sorted. [`simulate_within`] stops once the
-//! schedule is sure to end after a limit. [`simulate_prepassed`] takes
-//! what the run reads of the graph before its first event (upward
-//! ranks, per-GPU parameter bytes and activity) from a caller that
-//! derived it from a simulated base, instead of sweeping the graph.
+//! schedule is sure to end after a limit, and takes what the run reads
+//! of the graph before its first event (upward ranks, per-GPU parameter
+//! bytes and activity, a [`Prepass`]) from a caller that derived it
+//! from a simulated base, instead of sweeping the graph.
 
 use heterog_sched::{
     list_schedule_observed, OrderPolicy, Proc, Schedule, ScheduleHook, ScheduleScratch, Task,
@@ -223,7 +223,7 @@ pub fn simulate_into(
     scratch: &mut SimScratch,
     out: &mut SimReport,
 ) {
-    simulate_within(tg, capacities, policy, f64::INFINITY, scratch, out);
+    simulate_within(tg, None, capacities, policy, f64::INFINITY, scratch, out);
 }
 
 /// What a simulation reads of its task graph before the first event,
@@ -245,36 +245,11 @@ pub struct Prepass<'a> {
 /// [`simulate_into`], stopped once the schedule is sure to end after
 /// `limit` (see [`list_schedule_observed`]): then it returns the running
 /// bound it stopped at, leaves `out` partial, counts no simulation and
-/// emits no event. It returns `None` when it ran to the end.
+/// emits no event. It returns `None` when it ran to the end. With a
+/// `prepass` it reads the ranks, parameter bytes and active GPUs from
+/// it instead of sweeping `tg`; the result is the same bit for bit when
+/// `prepass` is what a sweep finds.
 pub fn simulate_within(
-    tg: &TaskGraph,
-    capacities: &[u64],
-    policy: &OrderPolicy,
-    limit: f64,
-    scratch: &mut SimScratch,
-    out: &mut SimReport,
-) -> Option<f64> {
-    simulate_counted(tg, None, capacities, policy, limit, scratch, out)
-}
-
-/// [`simulate_within`] reading `prepass` instead of sweeping `tg` for
-/// its ranks, parameter bytes and active GPUs; the result is the same
-/// bit for bit when `prepass` is what a sweep finds.
-pub fn simulate_prepassed(
-    tg: &TaskGraph,
-    prepass: &Prepass<'_>,
-    capacities: &[u64],
-    policy: &OrderPolicy,
-    limit: f64,
-    scratch: &mut SimScratch,
-    out: &mut SimReport,
-) -> Option<f64> {
-    simulate_counted(tg, Some(prepass), capacities, policy, limit, scratch, out)
-}
-
-/// [`simulate_within`] or [`simulate_prepassed`]: one run, counted and
-/// reported as an event once it completes.
-fn simulate_counted(
     tg: &TaskGraph,
     prepass: Option<&Prepass<'_>>,
     capacities: &[u64],
@@ -284,7 +259,7 @@ fn simulate_counted(
     out: &mut SimReport,
 ) -> Option<f64> {
     let _span = heterog_telemetry::span("simulate");
-    if let Some(bound) = run(tg, prepass, capacities, policy, limit, scratch, out) {
+    if let Some(bound) = simulate_uncounted(tg, prepass, capacities, policy, limit, scratch, out) {
         return Some(bound);
     }
     let memory = &out.memory;
@@ -320,26 +295,11 @@ fn simulate_counted(
     None
 }
 
-/// [`simulate_within`], or [`simulate_prepassed`] when `prepass` is
-/// given, without its counters and events: re-simulations of re-priced
-/// task graphs and the base runs they answer against use this at an
-/// infinite limit, so that `heterog_sim_simulations_total`, `SimEpoch`
-/// and `Oom` count plain simulations only.
+/// [`simulate_within`] without its counters and events: re-simulations
+/// of re-priced task graphs and the base runs they answer against use
+/// this at an infinite limit, so that `heterog_sim_simulations_total`,
+/// `SimEpoch` and `Oom` count plain simulations only.
 pub fn simulate_uncounted(
-    tg: &TaskGraph,
-    prepass: Option<&Prepass<'_>>,
-    capacities: &[u64],
-    policy: &OrderPolicy,
-    limit: f64,
-    scratch: &mut SimScratch,
-    out: &mut SimReport,
-) -> Option<f64> {
-    run(tg, prepass, capacities, policy, limit, scratch, out)
-}
-
-/// The simulation itself: [`simulate_uncounted`], reading `prepass`
-/// when given.
-fn run(
     tg: &TaskGraph,
     prepass: Option<&Prepass<'_>>,
     capacities: &[u64],

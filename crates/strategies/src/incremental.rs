@@ -14,9 +14,9 @@
 //! |-------------------------|---------------------------------------------|
 //! | `Policy`                | re-simulate the cached task graph (no compile) |
 //! | `Cluster`               | [`reprice_into`], then the base evaluation with its OOM flags re-derived when no duration changed bitwise, else one simulation of the re-priced graph |
-//! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments and their rows, re-lower the dirty ones) + simulate with the pre-pass derived from the base's ([`simulate_prepassed`]) |
+//! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments and their rows, re-lower the dirty ones) + simulate with the pre-pass derived from the base's ([`simulate_within`]) |
 //! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
-//! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated to the end: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); a candidate with no dirty segment is the base graph and gets the base evaluation; any other it leaves in is spliced and simulated by [`simulate_prepassed`], which stops once its running bound exceeds the limit |
+//! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated to the end: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); a candidate with no dirty segment is the base graph and gets the base evaluation; any other it leaves in is spliced and simulated by [`simulate_within`], which stops once its running bound exceeds the limit |
 //!
 //! What a candidate pays, pass by pass, before its simulation stops:
 //!
@@ -74,7 +74,7 @@ use heterog_sched::{
     upward_ranks_into, OrderPolicy, Proc, RankScratch, TaskGraph,
 };
 use heterog_sim::{
-    count_resim, simulate_into, simulate_prepassed, simulate_uncounted, with_scratch, Prepass,
+    count_resim, simulate_into, simulate_uncounted, simulate_within, with_scratch, Prepass,
     SimReport,
 };
 use heterog_telemetry::{lock, Counter};
@@ -159,7 +159,7 @@ pub enum Bounded {
     /// busiest processor's load as [`splice_loads`] prices it before any
     /// splice (summed in another order than over the graph, so it may
     /// differ from that sum in the last bits), or else the running bound
-    /// at which [`simulate_prepassed`] stopped the spliced graph's
+    /// at which [`simulate_within`] stopped the spliced graph's
     /// simulation, at most its iteration time but for rounding.
     Pruned(f64),
 }
@@ -188,8 +188,6 @@ struct PatchScratch {
     report: SimReport,
     load: Vec<f64>,
     prepass: PrepassScratch,
-    /// The thread that used the buffers last.
-    user: Option<std::thread::ThreadId>,
 }
 
 /// A spliced graph's pre-pass ([`Prepass`]), derived from the base's:
@@ -299,9 +297,6 @@ struct Anchor<'a> {
     book: PriceBook,
     log: SegmentLog,
     base: Evaluation,
-    /// The graph's ranks and per-GPU totals, when the base simulation
-    /// read them.
-    prepass: Option<(Vec<f64>, GpuTotals)>,
 }
 
 /// Cache of compiled artifacts for one base deployment, serving
@@ -328,9 +323,9 @@ pub struct IncrementalEvaluator<'a, C: CostEstimator> {
     /// strategy perturbation adjusts by its dirty segments.
     loads: Vec<f64>,
     /// The base task graph's upward ranks and per-GPU totals, from which
-    /// a spliced graph's pre-pass is derived: the base simulation's when
-    /// the evaluator ran it, else swept on the first splice, so an
-    /// anchored evaluator that splices nothing holds none.
+    /// a spliced graph's pre-pass is derived: swept on the first splice
+    /// that derives one, so an evaluator that splices nothing holds
+    /// none.
     base_prepass: OnceLock<(Vec<f64>, GpuTotals)>,
     /// The base evaluation, which carries no task times.
     base: Evaluation,
@@ -377,7 +372,6 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             book,
             log,
             base: Evaluation::of(report),
-            prepass: None,
         };
         Self::assemble(g, cost, cluster, strategy, policy, anchor, Vec::new())
     }
@@ -396,18 +390,8 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         let (tg, book, log) = compile_logged(g, cluster, cost, strategy);
         let mut ps = patches.pop().unwrap_or_default();
         let capacities = cluster.memory_capacities();
-        // The base's pre-pass, kept for the splices to derive theirs from.
-        let (ranks, gpus) = (upward_ranks(&tg), GpuTotals::of(&tg));
-        let active: Vec<bool> = gpus.tasks.iter().map(|&n| n > 0).collect();
-        let prepass = Prepass {
-            ranks: &ranks,
-            param_bytes: &gpus.param_bytes,
-            active: &active,
-        };
         let (report, inf) = (&mut ps.report, f64::INFINITY);
-        with_scratch(|s| {
-            simulate_uncounted(&tg, Some(&prepass), &capacities, policy, inf, s, report)
-        });
+        with_scratch(|s| simulate_uncounted(&tg, None, &capacities, policy, inf, s, report));
         let base = Evaluation::of(report);
         patches.push(ps);
         count_full_evaluation(started, &base);
@@ -416,7 +400,6 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             book,
             log,
             base,
-            prepass: Some((ranks, gpus)),
         };
         Self::assemble(g, cost, cluster, strategy, policy, anchor, patches)
     }
@@ -437,7 +420,6 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             book,
             log,
             base,
-            prepass,
         } = anchor;
         let mut loads = Vec::new();
         busiest_processor_load(&tg, &mut loads);
@@ -452,7 +434,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             log,
             tg,
             loads,
-            base_prepass: prepass.map_or_else(OnceLock::new, OnceLock::from),
+            base_prepass: OnceLock::new(),
             base,
             patches: Mutex::new(patches),
         }
@@ -475,22 +457,10 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         *self = Self::build(self.g, self.cost, cluster, strategy, policy, patches);
     }
 
-    /// Runs `f` on an idle patch buffer, then returns the buffer to the
-    /// pool. A thread gets back the buffer it used last when that one is
-    /// idle, still warm in its core's cache (on VGG-19's default plan at
-    /// 2 threads, taking any idle one cost about a quarter more time in
-    /// the splice and the schedule);
-    /// else any idle one, or a new one when every buffer is in use.
+    /// Runs `f` on an idle patch buffer (a new one when every buffer is
+    /// in use), then returns the buffer to the pool.
     fn with_patch<R>(&self, f: impl FnOnce(&mut PatchScratch) -> R) -> R {
-        let me = std::thread::current().id();
-        let mut ps = {
-            let mut pool = lock(&self.patches);
-            match pool.iter().rposition(|p| p.user == Some(me)) {
-                Some(i) => pool.swap_remove(i),
-                None => pool.pop().unwrap_or_default(),
-            }
-        };
-        ps.user = Some(me);
+        let mut ps = lock(&self.patches).pop().unwrap_or_default();
         let out = f(&mut ps);
         lock(&self.patches).push(ps);
         out
@@ -516,7 +486,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// and its dirty segments alone. Only when it does not prune is the
     /// graph spliced, with its rows written from the base's, its ranks
     /// and memory pre-pass derived from the base's, and
-    /// [`simulate_prepassed`] run, which stops as soon as its running
+    /// [`simulate_within`] run, which stops as soon as its running
     /// bound exceeds `limit`: such a candidate pays the splice (a copy
     /// of the clean tasks and rows), the ranks of the re-lowered tasks'
     /// ancestors, the scheduler's per-task columns and the events up to
@@ -681,9 +651,9 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             );
             let prepass = self.derive_prepass(tg, splice, prepass);
             let (caps, policy) = (&self.capacities, &self.policy);
-            if let Some(bound) =
-                with_scratch(|s| simulate_prepassed(tg, &prepass, caps, policy, limit, s, report))
-            {
+            if let Some(bound) = with_scratch(|s| {
+                simulate_within(tg, Some(&prepass), caps, policy, limit, s, report)
+            }) {
                 return Bounded::Pruned(bound);
             }
             let eval = Evaluation::of(report);
@@ -756,8 +726,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             active,
         } = out;
         // Re-ranking an ancestor costs about what the sweep costs per
-        // task, and an anchored evaluator's first re-ranking also sweeps
-        // the base: when the
+        // task, and the first re-ranking also sweeps the base: when the
         // ancestors are four fifths of the graph or more (what-ifs and
         // repairs that re-lower much of it), one sweep costs less. The
         // rewritten tasks are ancestors, so that many skip the count.

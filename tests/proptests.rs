@@ -171,7 +171,8 @@ fn bounded_simulation_completes_bit_for_bit_or_stops_beyond_the_limit() {
                     it * (1.0 - 2e-9),
                     f64::INFINITY,
                 ] {
-                    match simulate_within(&tg, &caps, &policy, limit, &mut scratch, &mut out) {
+                    match simulate_within(&tg, None, &caps, &policy, limit, &mut scratch, &mut out)
+                    {
                         None => {
                             completed += 1;
                             assert!(!load_exceeds(it, limit), "makespan {it}, limit {limit}");
