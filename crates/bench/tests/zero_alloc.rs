@@ -1,8 +1,8 @@
 //! Asserts the schedule+simulate hot path, under every order policy,
 //! the search's bounded simulation, stopped or run to the end, and
 //! bounded group moves the simulation stops, one re-lowering nothing and
-//! one re-lowering gradient aggregations, are allocation-free after
-//! warm-up — the property the evaluation engine's scratch reuse exists
+//! two re-lowering gradient aggregations (into PS rounds and into
+//! AllReduces), are allocation-free after warm-up — the property the evaluation engine's scratch reuse exists
 //! to provide — and that a thread keeps one simulator scratch.
 //!
 //! Lives in its own integration-test binary because it installs a
@@ -241,6 +241,48 @@ fn bounded_group_move_relowering_aggregations_is_allocation_free() {
     assert_eq!(
         allocs, 0,
         "a stopped group move re-lowering {rounds} aggregations allocated {allocs} times after warm-up"
+    );
+}
+
+/// A bounded group move that re-lowers gradient aggregations into
+/// AllReduces and whose spliced graph `simulate_within` stops: every
+/// MobileNet-v2 op with parameters moves from even PS to even
+/// AllReduce. After warm-up, pricing each AllReduce (its hierarchical
+/// estimate's server leaders), emitting its link tasks, the splice's
+/// written rows, the derived pre-pass and the stopped simulation
+/// allocate nothing.
+#[test]
+fn bounded_group_move_relowering_allreduces_is_allocation_free() {
+    let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+    let cluster = paper_testbed_8gpu();
+    let cost = &GroundTruthCost;
+    let s = Strategy::even(g.len(), &cluster, CommMethod::Ps);
+    let policy = OrderPolicy::RankBased;
+    let ev = IncrementalEvaluator::new(&g, cost, &cluster, &s, &policy);
+    let ops: Vec<OpId> = (g.iter())
+        .filter(|(_, n)| n.has_params())
+        .map(|(id, _)| id)
+        .collect();
+    let to = OpStrategy::even(&cluster, CommMethod::AllReduce);
+    let p = Perturbation::Group { ops: &ops, to: &to };
+    // The move re-lowers aggregations into AllReduces.
+    let tg = ev.splice(p).expect("a group move splices").tg;
+    let collectives = (tg.task_ids())
+        .filter(|&t| tg.task(t).kind == heterog_graph::OpKind::NcclAllReduce)
+        .count();
+    assert!(collectives > 0, "no aggregation became an AllReduce");
+    let Bounded::Pruned(load) = ev.evaluate_bounded(p, 0.0) else {
+        panic!("a positive load exceeds a zero limit");
+    };
+    let stopped = |out: &Bounded| matches!(out, Bounded::Pruned(bound) if *bound > load);
+    for _ in 0..2 {
+        assert!(stopped(&ev.evaluate_bounded(p, load)));
+    }
+    let (allocs, out) = allocs_during(|| ev.evaluate_bounded(p, load));
+    assert!(stopped(&out));
+    assert_eq!(
+        allocs, 0,
+        "a stopped group move re-lowering AllReduces ({collectives} link tasks) allocated {allocs} times after warm-up"
     );
 }
 

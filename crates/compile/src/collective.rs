@@ -257,50 +257,84 @@ pub fn one_pass_estimate(cluster: &Cluster, devices: &[DeviceId], bytes: u64) ->
 
 /// Hierarchical AllReduce duration: intra-server reduce to a leader,
 /// ring over leaders, intra-server broadcast (§3.4's second structure).
+/// A server's leader is its first device in `devices`; the leaders are
+/// written into `leaders`, in order, so that pricing one allocates
+/// nothing once the buffer has grown.
 pub fn hierarchical_estimate<C: CostEstimator>(
     cluster: &Cluster,
     cost: &C,
     devices: &[DeviceId],
     bytes: u64,
+    leaders: &mut Vec<DeviceId>,
 ) -> f64 {
-    let groups = group_by_server(cluster, devices);
-    if groups.len() < 2 {
+    server_leaders_into(cluster, devices, leaders);
+    if leaders.len() < 2 {
         // Single server: plain ring is the hierarchy.
         return ring_estimate(cluster, cost, devices, bytes);
     }
-    let leaders: Vec<DeviceId> = groups.iter().map(|g| g[0]).collect();
-    let intra = groups
+    let server = |d: DeviceId| cluster.device(d).server;
+    let intra = devices
         .iter()
-        .flat_map(|g| {
-            let leader = g[0];
-            g[1..].iter().map(move |&d| (d, leader))
+        .filter_map(|&d| {
+            let leader = *leaders.iter().find(|&&l| server(l) == server(d))?;
+            (leader != d).then_some((d, leader))
         })
         .map(|(d, leader)| {
             bytes as f64 / (path_bandwidth(cluster, d, leader) * NCCL_BUS_EFFICIENCY)
                 + NCCL_HOP_LATENCY_S
         })
         .fold(0.0f64, f64::max);
-    let ring = ring_estimate(cluster, cost, &leaders, bytes);
+    let ring = ring_estimate(cluster, cost, leaders, bytes);
     // Broadcast mirrors the reduce; intra stages run inside NCCL too.
     2.0 * intra + ring
 }
 
 /// The AllReduce structure a collective over `devices` runs and its
 /// duration: hierarchical when its estimate is strictly lower, else
-/// ring. Lowering and re-pricing both decide through this.
+/// ring. Lowering and re-pricing both decide through this; `leaders` is
+/// [`hierarchical_estimate`]'s buffer.
 pub fn allreduce_choice<C: CostEstimator>(
     cluster: &Cluster,
     cost: &C,
     devices: &[DeviceId],
     bytes: u64,
+    leaders: &mut Vec<DeviceId>,
 ) -> (f64, Tag) {
     let ring_t = ring_estimate(cluster, cost, devices, bytes);
-    let hier_t = hierarchical_estimate(cluster, cost, devices, bytes);
+    let hier_t = hierarchical_estimate(cluster, cost, devices, bytes, leaders);
     if hier_t < ring_t {
         (hier_t, Tag::Hier)
     } else {
         (ring_t, Tag::Ring)
     }
+}
+
+/// The link processors a ring over `devices` occupies, each once, in
+/// hop order, into `links`.
+fn ring_links_into(cluster: &Cluster, devices: &[DeviceId], links: &mut Vec<u32>) {
+    links.clear();
+    let n = devices.len();
+    for i in 0..n {
+        let (a, b) = (devices[i], devices[(i + 1) % n]);
+        for &lid in cluster.path_between(a, b).expect("mesh path") {
+            if !links.contains(&lid.0) {
+                links.push(lid.0);
+            }
+        }
+    }
+}
+
+/// Buffers an AllReduce is priced and emitted with, kept from one
+/// collective to the next, so that emitting one allocates nothing once
+/// they have grown (a price book, when given, still copies its record).
+#[derive(Debug, Default)]
+pub struct CollectiveScratch {
+    /// Each server's first device ([`hierarchical_estimate`]).
+    leaders: Vec<DeviceId>,
+    /// The link processors the ring's hops traverse.
+    links: Vec<u32>,
+    /// One link task per entry of `links`.
+    link_tasks: Vec<TaskId>,
 }
 
 /// Emits PS aggregation into `tg`: pushes from each device's ready
@@ -406,7 +440,7 @@ pub fn emit_ps<C: CostEstimator>(
 /// collectives over the same devices share the same channels and thus
 /// serialize naturally). Writes one completion task per device into
 /// `out`, in `devices` order; records the collective into `book`, when
-/// given.
+/// given. Its lists live in `scratch`.
 #[allow(clippy::too_many_arguments)]
 pub fn emit_allreduce<C: CostEstimator>(
     tg: &mut impl TaskSink,
@@ -417,6 +451,7 @@ pub fn emit_allreduce<C: CostEstimator>(
     ready: &[Vec<TaskId>],
     bytes: u64,
     book: Option<&mut PriceBook>,
+    scratch: &mut CollectiveScratch,
     out: &mut Vec<TaskId>,
 ) {
     assert_eq!(devices.len(), ready.len());
@@ -446,7 +481,12 @@ pub fn emit_allreduce<C: CostEstimator>(
         return;
     }
 
-    let (dur, tag) = allreduce_choice(cluster, cost, devices, bytes);
+    let CollectiveScratch {
+        leaders,
+        links,
+        link_tasks,
+    } = scratch;
+    let (dur, tag) = allreduce_choice(cluster, cost, devices, bytes, leaders);
     if tag == Tag::Hier {
         COLLECTIVES_HIER.inc();
     } else {
@@ -455,31 +495,20 @@ pub fn emit_allreduce<C: CostEstimator>(
 
     // Occupy every channel the ring's hops traverse for the collective's
     // duration (deduplicated — cross-server hops from one box share NICs).
-    let mut lids: Vec<u32> = Vec::new();
-    for i in 0..n {
-        let a = devices[i];
-        let b = devices[(i + 1) % n];
-        for &lid in cluster.path_between(a, b).expect("mesh path") {
-            if !lids.contains(&lid.0) {
-                lids.push(lid.0);
-            }
-        }
-    }
-    let link_tasks: Vec<TaskId> = lids
-        .into_iter()
-        .map(|lid| {
-            tg.add_task(Task::new(
-                TaskName::OnLink { op, tag },
-                OpKind::NcclAllReduce,
-                Proc::Link(lid),
-                dur,
-            ))
-        })
-        .collect();
+    ring_links_into(cluster, devices, links);
+    link_tasks.clear();
+    link_tasks.extend(links.iter().map(|&lid| {
+        tg.add_task(Task::new(
+            TaskName::OnLink { op, tag },
+            OpKind::NcclAllReduce,
+            Proc::Link(lid),
+            dur,
+        ))
+    }));
 
     for rs in ready {
         for &r in rs {
-            for &lt in &link_tasks {
+            for &lt in link_tasks.iter() {
                 tg.add_dep(r, lt);
             }
         }
@@ -499,7 +528,7 @@ pub fn emit_allreduce<C: CostEstimator>(
             Proc::Gpu(d.0),
             0.0,
         ));
-        for &lt in &link_tasks {
+        for &lt in link_tasks.iter() {
             tg.add_dep(lt, done);
         }
         out.push(done);
@@ -509,7 +538,7 @@ pub fn emit_allreduce<C: CostEstimator>(
             kind: CollectiveKind::AllReduce,
             devices: devices.to_vec(),
             bytes,
-            link_tasks,
+            link_tasks: link_tasks.clone(),
         });
     }
 }
@@ -576,16 +605,8 @@ pub fn emit_one_pass_collective<C: CostEstimator>(
     let dur = one_pass_estimate(cluster, devices, bytes);
     // Occupy every channel the ring's hops traverse (deduplicated), the
     // same link-occupancy model as `emit_allreduce`.
-    let mut lids: Vec<u32> = Vec::new();
-    for i in 0..n {
-        let a = devices[i];
-        let b = devices[(i + 1) % n];
-        for &lid in cluster.path_between(a, b).expect("mesh path") {
-            if !lids.contains(&lid.0) {
-                lids.push(lid.0);
-            }
-        }
-    }
+    let mut lids = Vec::new();
+    ring_links_into(cluster, devices, &mut lids);
     let link_tasks: Vec<TaskId> = lids
         .into_iter()
         .map(|lid| {
@@ -651,17 +672,15 @@ pub fn reduce_time<C: CostEstimator>(
     cost.op_time(&node, device.model, 0) / device.speed_factor
 }
 
-/// Groups `devices` by hosting server (order-preserving).
-pub fn group_by_server(cluster: &Cluster, devices: &[DeviceId]) -> Vec<Vec<DeviceId>> {
-    let mut groups: Vec<(u32, Vec<DeviceId>)> = Vec::new();
+/// Each server's first device in `devices`, in order, into `leaders`.
+pub fn server_leaders_into(cluster: &Cluster, devices: &[DeviceId], leaders: &mut Vec<DeviceId>) {
+    leaders.clear();
     for &d in devices {
-        let srv = cluster.device(d).server;
-        match groups.iter_mut().find(|(s, _)| *s == srv) {
-            Some((_, g)) => g.push(d),
-            None => groups.push((srv, vec![d])),
+        let server = cluster.device(d).server;
+        if !leaders.iter().any(|&l| cluster.device(l).server == server) {
+            leaders.push(d);
         }
     }
-    groups.into_iter().map(|(_, g)| g).collect()
 }
 
 #[cfg(test)]
@@ -708,7 +727,7 @@ mod tests {
         let c = Cluster::new(servers, devices);
         let d: Vec<DeviceId> = (0..8).map(DeviceId).collect();
         let ring = ring_estimate(&c, &GroundTruthCost, &d, 128 << 20);
-        let hier = hierarchical_estimate(&c, &GroundTruthCost, &d, 128 << 20);
+        let hier = hierarchical_estimate(&c, &GroundTruthCost, &d, 128 << 20, &mut Vec::new());
         assert!(hier < ring, "hier {hier} vs ring {ring}");
     }
 
@@ -836,6 +855,7 @@ mod tests {
             &ready,
             4 << 20,
             Some(&mut book),
+            &mut CollectiveScratch::default(),
             &mut out,
         );
         assert_eq!(out.len(), 8);
@@ -846,6 +866,7 @@ mod tests {
             &cost,
             &devices,
             4 << 20,
+            &mut Vec::new(),
         ));
         assert!(s.makespan >= 0.01 + est - 1e-9);
     }
@@ -859,8 +880,8 @@ mod tests {
         let d = all8();
         let bytes: u64 = 256 << 20;
         let ps = ps_estimate(&c, &cost, &d, choose_ps(&c, &cost, &d, bytes), bytes);
-        let ar =
-            ring_estimate(&c, &cost, &d, bytes).min(hierarchical_estimate(&c, &cost, &d, bytes));
+        let hier = hierarchical_estimate(&c, &cost, &d, bytes, &mut Vec::new());
+        let ar = ring_estimate(&c, &cost, &d, bytes).min(hier);
         assert!(ar < ps, "ar {ar} vs ps {ps}");
     }
 
@@ -884,6 +905,7 @@ mod tests {
             &ready,
             1 << 20,
             None,
+            &mut CollectiveScratch::default(),
             &mut out,
         );
         assert_eq!(out, ready[0]);
@@ -944,8 +966,10 @@ mod tests {
     #[test]
     fn group_by_server_partitions() {
         let c = paper_testbed_8gpu();
-        let groups = group_by_server(&c, &all8());
-        assert_eq!(groups.len(), 4);
-        assert_eq!(groups[0], vec![DeviceId(0), DeviceId(1)]);
+        let mut leaders = Vec::new();
+        server_leaders_into(&c, &all8(), &mut leaders);
+        assert_eq!(leaders, [0, 2, 4, 6].map(DeviceId));
+        server_leaders_into(&c, &[DeviceId(3), DeviceId(1), DeviceId(2)], &mut leaders);
+        assert_eq!(leaders, [DeviceId(3), DeviceId(1)]);
     }
 }

@@ -33,7 +33,7 @@ pub mod xfer;
 
 pub use lower::{
     compile, compile_iterations, compile_logged, compile_pipelined, compile_priced, log_compiled,
-    splice_into, splice_loads, CopiedRun, SegmentLog, SpliceBase, SpliceScratch, TaskSink,
+    splice_into, splice_loads, SegmentLog, SpliceBase, SpliceScratch, TaskSink,
 };
 pub use placement::{resolve_group_into, resolve_placements, OpPlacement};
 pub use price::{reprice, reprice_into, structure_compatible, PriceBook, RepriceError};

@@ -27,21 +27,30 @@
 //!
 //! [`compile_logged`] records where each segment's tasks and PS rounds
 //! start and end. [`splice_into`] builds another placement's graph from
-//! that base: it copies every segment whose inputs are unchanged, each
-//! run of consecutive such segments as one range of the base's tasks,
-//! and re-runs only the dirty ones through the same `Lowerer` code a
-//! full compile runs, keeping their edges apart. It then writes the
-//! graph's rows directly ([`TaskGraph::seal_with_rows`]): a copied task
-//! whose rows no dirty segment touches gets its base rows with ids
-//! remapped; the replicas a dirty segment wires get their base rows
-//! with that segment's base edges dropped and its new ones merged in
-//! segment order; a re-lowered task gets its new edges. The result
-//! equals a fresh [`compile_priced`] graph task for task and row for
-//! row. A spliced graph has no price book: nothing re-prices it. The
-//! splice also tells which base tasks it copied where and which tasks'
-//! successor rows it wrote afresh ([`SpliceScratch::copied`],
-//! [`SpliceScratch::rewritten`]), from which a caller derives the
-//! spliced graph's ranks and memory pre-pass from the base's.
+//! that base as a [`Patch`]: it copies every segment whose inputs are
+//! unchanged, each run of consecutive such segments as one range of the
+//! base's tasks that the patch reads in place, and re-runs only the
+//! dirty ones through the same `Lowerer` code a full compile runs,
+//! keeping their edges apart. It then writes only the rows that change:
+//! the replicas a dirty segment wires become the patch's own tasks,
+//! with their base rows with that segment's base edges dropped and its
+//! new ones merged in segment order; a re-lowered task gets its new
+//! edges. Every other copied task's rows are the base's, read through
+//! the patch's id map. Read over the base
+//! ([`heterog_sched::PatchView`]), the patch equals a fresh
+//! [`compile_priced`] graph task for task and row for row. A spliced
+//! graph has no price book: nothing re-prices it. The splice also tells
+//! which tasks' successor rows it wrote afresh
+//! ([`SpliceScratch::rewritten`]); with the patch's copied runs, a
+//! caller derives the spliced graph's ranks and memory pre-pass from
+//! the base's.
+//!
+//! Both walk only the segments the candidate's placements can make
+//! dirty: the moved ops' `R`, the `W` of those ops and their producers,
+//! and the `A` of each gradient whose placement changed or whose
+//! ApplyGradient moved (every later `A` too once a PS round diverged
+//! from the base's); the rest are clean, so a walk costs the move, not
+//! the log.
 //!
 //! [`splice_loads`] walks the same segments with the same clean/dirty
 //! decisions but builds nothing: it takes the dirty segments' base
@@ -53,10 +62,11 @@
 //! the lowering into a sink that stores no task or edge, numbering
 //! tasks as that graph numbers them, so the graph is held once.
 //!
-//! Re-lowering an aggregation keeps its per-device lists in buffers the
-//! splice reuses, and a splice and its load pass record no price-book
-//! entry, so re-lowering a gradient aggregation allocates nothing once
-//! the buffers have grown.
+//! Re-lowering an aggregation keeps its per-device lists, and an
+//! AllReduce's server leaders and link tasks, in buffers the splice
+//! reuses, as does re-lowering a broadcast its per-device feeders; a
+//! splice and its load pass record no price-book entry, so re-lowering a
+//! segment allocates nothing once the buffers have grown.
 
 use std::sync::Arc;
 
@@ -64,11 +74,11 @@ use heterog_cluster::{Cluster, DeviceId};
 use heterog_graph::{Graph, Node, OpId, OpKind, Phase, TensorMeta};
 use heterog_profile::CostEstimator;
 use heterog_sched::{
-    Dir, NameTable, Pass, Proc, RowWriter, Tag, Task, TaskGraph, TaskId, TaskName,
+    Dir, NameTable, Pass, Patch, PatchIds, Proc, RowWriter, Tag, Task, TaskGraph, TaskId, TaskName,
 };
 
 use crate::collective::{
-    emit_allreduce, emit_one_pass_collective, emit_ps, pick_ps, PsLoadTracker,
+    emit_allreduce, emit_one_pass_collective, emit_ps, pick_ps, CollectiveScratch, PsLoadTracker,
 };
 use crate::placement::{resolve_placements, OpPlacement};
 use crate::price::{CollectiveKind, PriceBook};
@@ -247,30 +257,30 @@ impl Numbered for Replay<'_> {
     }
 }
 
-/// The spliced graph's sink for the segments a splice re-lowers: tasks
-/// go into the graph, and edges, which the splice writes as rows once
-/// every segment is in, are kept apart as `[src, dst]`, with where each
-/// segment's edges start in `segs`.
-struct Patch<'t> {
-    tg: &'t mut TaskGraph,
+/// The patch's sink for the segments a splice re-lowers: tasks go into
+/// the patch as its own, and edges, which the splice writes as rows
+/// once every segment is in, are kept apart as `[src, dst]`, with where
+/// each segment's edges start in `segs`.
+struct PatchSink<'t> {
+    patch: &'t mut Patch,
     edges: &'t mut Vec<[u32; 2]>,
     segs: &'t mut Vec<[u32; 2]>,
 }
 
-impl Patch<'_> {
+impl PatchSink<'_> {
     /// Starts the edges of segment `seg`.
     fn start(&mut self, seg: usize) {
         self.segs.push([seg as u32, self.edges.len() as u32]);
     }
 }
 
-impl TaskSink for Patch<'_> {
+impl TaskSink for PatchSink<'_> {
     fn add_task(&mut self, task: Task) -> TaskId {
-        self.tg.add_task(task)
+        self.patch.add_task(task)
     }
 
     fn add_dep(&mut self, src: TaskId, dst: TaskId) {
-        assert!(src.index() < self.tg.len() && dst.index() < self.tg.len());
+        assert!(src.index() < self.patch.len() && dst.index() < self.patch.len());
         assert_ne!(src, dst, "self-dependency on {src}");
         self.edges.push([src.0, dst.0]);
     }
@@ -530,69 +540,57 @@ struct Buffers {
     op_tasks: Vec<Vec<TaskId>>,
     tracker: PsLoadTracker,
     lists: AggLists,
+    /// A splice's grouping keys, one per new edge.
+    keys: Vec<u32>,
 }
 
 /// What a gradient aggregation lowers from and to: its gradient's
-/// devices, per device the replica gradients it holds, and per device
-/// the task that hands it the aggregated gradient. Kept between
-/// aggregations, so re-lowering one allocates no list.
+/// devices, per device the replica gradients it holds, per device the
+/// task that hands it the aggregated gradient, and the AllReduce's
+/// buffers; and per consumer device, the task a broadcast feeds it
+/// from. Kept between segments, so re-lowering one allocates no list.
 #[derive(Debug, Default)]
 struct AggLists {
     devices: Vec<DeviceId>,
     ready: Vec<Vec<TaskId>>,
     avail: Vec<TaskId>,
-}
-
-/// A run of consecutive base tasks that a splice copied: base tasks
-/// `base[0]..base[1]` became the spliced graph's tasks from `at` on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CopiedRun {
-    /// The base task range.
-    pub base: [u32; 2],
-    /// The spliced id of the run's first task.
-    pub at: u32,
+    collective: CollectiveScratch,
+    feeders: Vec<(DeviceId, TaskId)>,
 }
 
 /// Buffers [`splice_into`] and [`splice_loads`] reuse from one call to
-/// the next, and what the last [`splice_into`] did: which base tasks it
-/// copied where ([`SpliceScratch::copied`]) and which tasks' successor
-/// rows it wrote afresh ([`SpliceScratch::rewritten`]).
+/// the next, and which tasks' successor rows the last [`splice_into`]
+/// wrote afresh ([`SpliceScratch::rewritten`]).
 #[derive(Debug, Default)]
 pub struct SpliceScratch {
     buffers: Buffers,
-    /// Base task id -> spliced task id, valid for copied segments.
-    remap: Vec<u32>,
-    /// Per-op: did the replicas (or shard marker) move from the base?
-    moved: Vec<bool>,
-    /// Per base segment, in log order: did the splice re-lower it?
+    /// What the placements changed from the base's.
+    moves: Moves,
+    /// Per base segment, in log order: did the last splice re-lower it?
+    /// False but for the segments in `emitted_segs`.
     dirty: Vec<bool>,
     /// The edges the re-lowered segments emitted, in emission order,
     /// as `[src, dst]`, and per re-lowered segment where its edges
     /// start, as `[segment, first edge]`.
     emitted: Vec<[u32; 2]>,
     emitted_segs: Vec<[u32; 2]>,
-    /// `emitted` grouped by the end the rows being written are keyed by
-    /// (the source, then the destination): each task's new edges, in
-    /// emission order.
+    /// `emitted` grouped by the own task at the end the rows being
+    /// written are keyed by (the source, then the destination): each own
+    /// task's new edges, in emission order.
     grouped: Grouped,
     /// Per base task, [`SUCCS_TOUCHED`] and [`PREDS_TOUCHED`]: a copied
     /// replica whose successor (predecessor) row a re-lowered segment
-    /// adds edges to or drops edges from.
+    /// adds edges to or drops edges from. Zero but for `touched_list`.
     touched: Vec<u8>,
-    runs: Vec<CopiedRun>,
+    /// The base tasks `touched` flags, in flagging order, then sorted:
+    /// the copied tasks the patch holds rows for.
+    touched_list: Vec<u32>,
     rewritten: Vec<TaskId>,
 }
 
 impl SpliceScratch {
-    /// The base tasks the last [`splice_into`] copied, run by run in
-    /// order; every other task of the spliced graph a re-lowered segment
-    /// emitted, and every other base task was dropped.
-    pub fn copied(&self) -> &[CopiedRun] {
-        &self.runs
-    }
-
     /// The tasks of the last [`splice_into`]'s graph whose successor
-    /// rows it did not copy from the base, in id order: every task a
+    /// rows it did not read from the base, in id order: every task a
     /// re-lowered segment emitted, and every copied replica that such a
     /// segment gave a successor or took one from. A copied task outside
     /// this list and with none of them downstream has the base task's
@@ -603,27 +601,28 @@ impl SpliceScratch {
     }
 }
 
-/// Lowers `placements` into `out` by splicing from `base`: segments
-/// whose inputs equal the base's are copied with task ids remapped,
-/// the rest re-lowered on `cluster`, which must be the cluster the base
-/// was compiled on; `base.tg` must be sealed. The result, sealed,
-/// equals the task graph [`compile_priced`] gives for a strategy
-/// resolving to `placements`, task for task and row for row. Returns
-/// the number of base segments reused; 0 means every segment was
-/// re-lowered.
+/// Lowers `placements` into the patch `out` over `base.tg` by splicing
+/// from `base`: segments whose inputs equal the base's are copied, the
+/// rest re-lowered on `cluster`, which must be the cluster the base was
+/// compiled on; `base.tg` must be sealed. Read over `base.tg`
+/// ([`heterog_sched::PatchView`]), the patch is the task graph
+/// [`compile_priced`] gives for a strategy resolving to `placements`,
+/// task for task and row for row, in the same ids. Returns the number
+/// of base segments reused; 0 means every segment was re-lowered.
 ///
-/// The rows are written, not built from an edge list: a copied task's
-/// rows are the base's unless a re-lowered segment wires it, in which
-/// case its base rows are merged with the segment's new edges. Only the
-/// written rows are checked for a repeated edge; a copied row is a base
-/// row, checked when the base was built, under a one-to-one remap.
+/// A copied task is read from the base in place, its rows through the
+/// patch's id map, unless a re-lowered segment wires it: then the patch
+/// holds the task and its rows, its base rows merged with the segment's
+/// new edges. The re-lowered tasks and their rows are the patch's too.
+/// Only the written rows are checked for a repeated edge; a base row is
+/// checked when the base was built, and mapped one to one.
 pub fn splice_into<C: CostEstimator>(
     g: &Graph,
     cluster: &Cluster,
     cost: &C,
     placements: &[OpPlacement],
     base: SpliceBase<'_>,
-    out: &mut TaskGraph,
+    out: &mut Patch,
     scratch: &mut SpliceScratch,
 ) -> usize {
     let _span = heterog_telemetry::span("splice");
@@ -665,13 +664,13 @@ pub fn splice_loads<C: CostEstimator>(
         cost,
         placements,
     };
-    let SpliceScratch { buffers, moved, .. } = scratch;
-    mark_moved(base.log, placements, moved);
+    let SpliceScratch { buffers, moves, .. } = scratch;
+    moves.mark(g, base.log, placements);
     let mut sum = LoadSum {
         loads,
         num_gpus: base.tg.num_gpus as usize,
     };
-    lowering.lowerer(&mut sum, None, buffers).price(base, moved)
+    lowering.lowerer(&mut sum, None, buffers).price(base, moves)
 }
 
 /// A copied replica's successor row is merged, not copied.
@@ -688,14 +687,24 @@ struct Grouped {
 }
 
 impl Grouped {
-    /// Groups `edges` of a graph of `n` tasks by their end `end` (0 the
-    /// source, 1 the destination) with a counting sort.
-    fn fill(&mut self, n: usize, edges: &[[u32; 2]], end: usize) {
+    /// Groups `edges` into `n` groups by `key` of their end `end` (0 the
+    /// source, 1 the destination) with a counting sort; `keys` holds
+    /// each edge's key.
+    fn fill(
+        &mut self,
+        n: usize,
+        edges: &[[u32; 2]],
+        end: usize,
+        keys: &mut Vec<u32>,
+        key: impl Fn(u32) -> u32,
+    ) {
         let Grouped { off, order } = self;
+        keys.clear();
+        keys.extend(edges.iter().map(|e| key(e[end])));
         off.clear();
         off.resize(n + 1, 0);
-        for e in edges {
-            off[e[end] as usize + 1] += 1;
+        for &k in keys.iter() {
+            off[k as usize + 1] += 1;
         }
         for t in 0..n {
             off[t + 1] += off[t];
@@ -704,8 +713,8 @@ impl Grouped {
         order.resize(edges.len(), 0);
         // Fill back to front from each group's end, which leaves every
         // group in order and its cursor at the group's start.
-        for (i, e) in edges.iter().enumerate().rev() {
-            let at = &mut off[e[end] as usize + 1];
+        for (i, &k) in keys.iter().enumerate().rev() {
+            let at = &mut off[k as usize + 1];
             *at -= 1;
             order[*at as usize] = i as u32;
         }
@@ -719,28 +728,88 @@ impl Grouped {
     }
 }
 
-/// Per op, whether `placements` moved its replicas (or shard marker)
-/// from the ones `log` lowered, into `moved`.
-fn mark_moved(log: &SegmentLog, placements: &[OpPlacement], moved: &mut Vec<bool>) {
-    moved.clear();
-    moved.extend(
-        log.placements
-            .iter()
-            .zip(placements)
-            .map(|(a, b)| a.replicas != b.replicas || a.shard_dim != b.shard_dim),
-    );
+/// What a candidate's placements change from the ones a [`SegmentLog`]
+/// lowered, and so which of its segments can re-lower: a walk visits
+/// those and skips the rest, which are clean.
+#[derive(Debug, Default)]
+struct Moves {
+    /// Per op: did its replicas (or shard marker) move?
+    moved: Vec<bool>,
+    /// The moved ops, in op order: their `R` segments re-lower.
+    ops: Vec<OpId>,
+    /// The moved ops and their producers, in op order: the `W`
+    /// segments that re-lower.
+    wired: Vec<u32>,
+    /// In log order, the `A` segments whose gradient's placement
+    /// changed (devices or aggregation method) or whose ApplyGradient
+    /// moved: those that re-lower while the PS tracker is the base's.
+    aggs: Vec<u32>,
+}
+
+impl Moves {
+    /// Compares `placements` with `log`'s, op by op.
+    fn mark(&mut self, g: &Graph, log: &SegmentLog, placements: &[OpPlacement]) {
+        let Moves {
+            moved,
+            ops,
+            wired,
+            aggs,
+        } = self;
+        moved.clear();
+        ops.clear();
+        wired.clear();
+        aggs.clear();
+        let aggregation = |op: OpId| log.aggregation_of.get(op.index()).copied();
+        for (i, (a, b)) in log.placements.iter().zip(placements).enumerate() {
+            let op = OpId(i as u32);
+            let m = a.replicas != b.replicas || a.shard_dim != b.shard_dim;
+            moved.push(m);
+            if m {
+                ops.push(op);
+            }
+            if m || a.comm != b.comm {
+                aggs.extend(aggregation(op).filter(|&k| k != u32::MAX));
+            }
+        }
+        for &m in ops.iter() {
+            wired.push(m.0);
+            for &p in g.preds(m) {
+                wired.push(p.0);
+                let into = Seg::Aggregate { grad: p, apply: m };
+                aggs.extend(
+                    aggregation(p)
+                        .filter(|&k| log.segs.get(k as usize).is_some_and(|r| r.seg == into)),
+                );
+            }
+        }
+        wired.sort_unstable();
+        wired.dedup();
+        aggs.sort_unstable();
+        aggs.dedup();
+    }
 }
 
 /// Flags in `touched` the copied base replicas whose rows re-lowering
 /// `seg` changes: a `W(u)` adds and drops edges from `u`'s replicas and
 /// into its consumers', an `A(g)` from `g`'s and into its
 /// ApplyGradient's. Replicas that moved are re-lowered, not copied, and
-/// not flagged.
-fn touch(g: &Graph, log: &SegmentLog, moved: &[bool], seg: Seg, touched: &mut [u8]) {
+/// not flagged. Pushes each newly flagged task onto `list`.
+fn touch(
+    g: &Graph,
+    log: &SegmentLog,
+    moved: &[bool],
+    seg: Seg,
+    touched: &mut [u8],
+    list: &mut Vec<u32>,
+) {
     let mut flag = |op: OpId, bit: u8| {
         if !moved[op.index()] {
             let [t0, t1] = log.replicas(op);
-            for f in &mut touched[t0 as usize..t1 as usize] {
+            for t in t0..t1 {
+                let f = &mut touched[t as usize];
+                if *f == 0 {
+                    list.push(t);
+                }
                 *f |= bit;
             }
         }
@@ -760,83 +829,44 @@ fn touch(g: &Graph, log: &SegmentLog, moved: &[bool], seg: Seg, touched: &mut [u
     }
 }
 
-/// Appends a copy of `run`'s base tasks to `out` and maps them in
-/// `remap`.
-fn copy_run(out: &mut TaskGraph, base: &TaskGraph, run: CopiedRun, remap: &mut [u32]) {
-    let [t0, t1] = run.base;
-    let start = out.copy_tasks(base, t0 as usize..t1 as usize).0;
-    debug_assert_eq!(start, run.at);
-    for (i, r) in remap[t0 as usize..t1 as usize].iter_mut().enumerate() {
-        *r = start + i as u32;
-    }
-}
-
-/// What a spliced graph's rows are written from: the base, its log and
-/// `remap`, which segments were re-lowered, and their new edges.
+/// What a patch's own rows are written from: the base, its log, the
+/// patch's id maps, which segments were re-lowered, and their new edges.
 struct RowSource<'a> {
     g: &'a Graph,
     base: &'a TaskGraph,
     log: &'a SegmentLog,
-    remap: &'a [u32],
+    ids: PatchIds<'a>,
     dirty: &'a [bool],
     emitted: &'a [[u32; 2]],
     emitted_segs: &'a [[u32; 2]],
 }
 
 impl RowSource<'_> {
-    /// Writes one direction's rows of a graph of `n` tasks spliced as
-    /// `runs`: a copied task's base row, remapped, unless `touched` has
-    /// its `bit` set, in which case its row is merged; a re-lowered
-    /// task's new edges, which `new` groups by this direction's end.
-    /// Pushes onto `rewritten` the tasks whose rows were not copied.
-    #[allow(clippy::too_many_arguments)]
+    /// Writes one direction's rows of the patch's own tasks, in own
+    /// order: first the `fresh` re-lowered tasks' new edges, which `new`
+    /// groups by own task; then, for each copied base task of `copied`,
+    /// its base row merged with its new edges when `touched` has its
+    /// `bit` set, else its base row.
     fn write(
         &self,
         w: &mut RowWriter<'_>,
-        n: u32,
-        runs: &[CopiedRun],
+        fresh: u32,
+        copied: &[u32],
         new: &Grouped,
         touched: &[u8],
         bit: u8,
-        mut rewritten: Option<&mut Vec<TaskId>>,
     ) {
         let mut written = 0;
-        let mut note = |i: u32| {
-            if let Some(r) = rewritten.as_deref_mut() {
-                r.push(TaskId(i));
+        for k in 0..fresh {
+            written += self.push_new(w, new.of(k), u32::MAX);
+            w.end_row();
+        }
+        for (k, &b) in (fresh..).zip(copied) {
+            if touched[b as usize] & bit != 0 {
+                written += self.merge(w, new.of(k), b);
+            } else {
+                w.copy_rows(self.base, b..b + 1, self.ids.remap());
             }
-        };
-        let mut next = 0;
-        let end = CopiedRun {
-            base: [0, 0],
-            at: n,
-        };
-        for &run in runs.iter().chain([&end]) {
-            for i in next..run.at {
-                written += self.push_new(w, new.of(i), u32::MAX);
-                w.end_row();
-                note(i);
-            }
-            let [b0, b1] = run.base;
-            let mut b = b0;
-            while b < b1 {
-                let span = &touched[b as usize..b1 as usize];
-                let stop = b + span
-                    .iter()
-                    .position(|&f| f & bit != 0)
-                    .unwrap_or(span.len()) as u32;
-                if stop > b {
-                    w.copy_rows(self.base, b..stop, self.remap);
-                }
-                if stop == b1 {
-                    break;
-                }
-                let i = run.at + (stop - b0);
-                written += self.merge(w, new.of(i), stop);
-                note(i);
-                b = stop + 1;
-            }
-            next = run.at + (b1 - b0);
         }
         assert_eq!(
             written,
@@ -855,6 +885,7 @@ impl RowSource<'_> {
             Dir::Succs => self.base.succs(TaskId(b)),
             Dir::Preds => self.base.preds(TaskId(b)),
         };
+        let remap = self.ids.remap();
         let mut k = 0;
         for &e in row {
             let seg = match dir {
@@ -865,7 +896,7 @@ impl RowSource<'_> {
                 continue;
             }
             k += self.push_new(w, &new[k..], seg as u32);
-            w.push(TaskId(self.remap[e.index()]));
+            w.push(TaskId(remap[e.index()]));
         }
         k += self.push_new(w, &new[k..], u32::MAX);
         w.end_row();
@@ -915,6 +946,7 @@ impl<C: CostEstimator> Lowering<'_, C> {
             op_tasks,
             tracker,
             lists,
+            ..
         } = buffers;
         op_tasks.resize_with(self.g.len(), Vec::new);
         tracker.reset(self.cluster.servers().len());
@@ -955,96 +987,115 @@ impl<C: CostEstimator> Lowering<'_, C> {
 
     /// Splices from `base` (see [`splice_into`]); returns the number of
     /// segments copied. Each run of consecutive clean segments is copied
-    /// as one range of tasks before the next dirty segment is emitted;
-    /// the rows are written once every task is in.
-    fn splice(
-        &self,
-        base: SpliceBase<'_>,
-        out: &mut TaskGraph,
-        scratch: &mut SpliceScratch,
-    ) -> usize {
+    /// as one range of base tasks before the next dirty segment is
+    /// emitted; the copied tasks a dirty segment wires become the
+    /// patch's own, and the own rows are written once every task is in.
+    fn splice(&self, base: SpliceBase<'_>, out: &mut Patch, scratch: &mut SpliceScratch) -> usize {
         let (g, log) = (self.g, base.log);
-        out.reset_like(base.tg);
+        out.start(base.tg);
         let SpliceScratch {
             buffers,
-            remap,
-            moved,
+            moves,
             dirty,
             emitted,
             emitted_segs,
             grouped,
             touched,
-            runs,
+            touched_list,
             rewritten,
         } = scratch;
-        mark_moved(log, self.placements, moved);
-        // Entries of re-lowered segments are reset below; copied
-        // segments only reference copied segments' tasks.
-        remap.resize(base.tg.len(), u32::MAX);
-        touched.clear();
+        moves.mark(g, log, self.placements);
+        // Unflag the last splice's tasks and segments, not the whole base.
+        for &b in touched_list.iter() {
+            touched[b as usize] = 0;
+        }
+        touched_list.clear();
         touched.resize(base.tg.len(), 0);
-        dirty.clear();
+        for &[seg, _] in emitted_segs.iter() {
+            dirty[seg as usize] = false;
+        }
+        dirty.resize(log.len(), false);
         emitted.clear();
         emitted_segs.clear();
-        runs.clear();
-        let mut sink = Patch {
-            tg: out,
+        let mut sink = PatchSink {
+            patch: out,
             edges: emitted,
             segs: emitted_segs,
         };
         let mut lw = self.lowerer(&mut sink, None, buffers);
-        // The pending run of clean segments.
-        let mut run: Option<CopiedRun> = None;
-        let reused = lw.walk(base, moved, |lw, i, rec, clean| {
-            dirty.push(!clean);
-            let [t0, t1] = rec.tasks;
+        // The base tasks before `copied` are copied or dropped: the
+        // clean segments between two dirty ones are one copied run.
+        let mut copied = 0;
+        let reused = lw.walk(base, moves, |lw, i, rec, clean| {
             if clean {
-                let pending = run.get_or_insert(CopiedRun {
-                    base: [t0, t0],
-                    at: lw.tg.tg.len() as u32,
-                });
-                if let Seg::Replicas(op) = rec.seg {
-                    let first = pending.at + (t0 - pending.base[0]);
-                    let ids = &mut lw.op_tasks[op.index()];
-                    ids.clear();
-                    ids.extend((first..first + (t1 - t0)).map(TaskId));
-                }
-                pending.base[1] = t1;
                 return;
             }
-            if let Some(r) = run.take().filter(|r| r.base[0] < r.base[1]) {
-                copy_run(lw.tg.tg, base.tg, r, remap);
-                runs.push(r);
+            let [t0, t1] = rec.tasks;
+            if copied < t0 {
+                lw.tg.patch.copy(base.tg, copied..t0);
             }
-            remap[t0 as usize..t1 as usize].fill(u32::MAX);
-            touch(g, log, moved, rec.seg, touched);
+            copied = t1;
+            dirty[i] = true;
+            touch(g, log, &moves.moved, rec.seg, touched, touched_list);
+            lw.read_copies(log, &moves.moved, rec.seg, |sink, t| {
+                sink.patch.copied_id(t)
+            });
             lw.tg.start(i);
             lw.emit(rec.seg);
         });
-        if let Some(r) = run.filter(|r| r.base[0] < r.base[1]) {
-            copy_run(sink.tg, base.tg, r, remap);
-            runs.push(r);
+        if copied < base.tg.len() as u32 {
+            sink.patch.copy(base.tg, copied..base.tg.len() as u32);
         }
 
-        let n = sink.tg.len() as u32;
-        rewritten.clear();
-        let rows = RowSource {
-            g,
-            base: base.tg,
-            log,
-            remap,
-            dirty,
-            emitted: sink.edges,
-            emitted_segs: sink.segs,
-        };
-        sink.tg.seal_with_rows(|w| {
-            let (end, bit, rewritten) = match w.dir() {
-                Dir::Succs => (0, SUCCS_TOUCHED, Some(&mut *rewritten)),
-                Dir::Preds => (1, PREDS_TOUCHED, None),
+        // Own the touched copied tasks in id order (the copy keeps the
+        // base's order), after the re-lowered ones.
+        let fresh = out.own_len() as u32;
+        touched_list.sort_unstable();
+        for &b in touched_list.iter() {
+            out.own(base.tg, b);
+        }
+        let mut keys = std::mem::take(&mut buffers.keys);
+        out.write_rows(base.tg, |w, ids| {
+            let (end, bit) = match w.dir() {
+                Dir::Succs => (0, SUCCS_TOUCHED),
+                Dir::Preds => (1, PREDS_TOUCHED),
             };
-            grouped.fill(n as usize, rows.emitted, end);
-            rows.write(w, n, runs, grouped, touched, bit, rewritten);
+            let own = |t: u32| {
+                ids.own_index(TaskId(t))
+                    .expect("a re-lowered segment's edge names a copied task whose row was copied")
+            };
+            let rows = RowSource {
+                g,
+                base: base.tg,
+                log,
+                ids,
+                dirty,
+                emitted,
+                emitted_segs,
+            };
+            let n = fresh as usize + touched_list.len();
+            grouped.fill(n, emitted, end, &mut keys, own);
+            rows.write(w, fresh, touched_list, grouped, touched, bit);
+            if w.dir() == Dir::Succs {
+                // The re-lowered tasks, and the copied ones whose
+                // successor rows changed, merged in id order.
+                rewritten.clear();
+                let mut copied = touched_list
+                    .iter()
+                    .filter(|&&b| touched[b as usize] & SUCCS_TOUCHED != 0)
+                    .map(|&b| TaskId(ids.remap()[b as usize]))
+                    .peekable();
+                for k in 0..fresh {
+                    let t = ids.own_id(k);
+                    while let Some(c) = copied.next_if(|&c| c < t) {
+                        rewritten.push(c);
+                    }
+                    rewritten.push(t);
+                }
+                rewritten.extend(copied);
+            }
         });
+        buffers.keys = keys;
         reused
     }
 }
@@ -1288,7 +1339,16 @@ fn emit_cross_micro_aggregation<C: CostEstimator>(
                 tg, cluster, cost, gid, &devices, &ready, bytes, ps_loads, None, &mut avail,
             ),
             CommMethod::AllReduce => emit_allreduce(
-                tg, cluster, cost, gid, &devices, &ready, bytes, None, &mut avail,
+                tg,
+                cluster,
+                cost,
+                gid,
+                &devices,
+                &ready,
+                bytes,
+                None,
+                &mut CollectiveScratch::default(),
+                &mut avail,
             ),
         }
         for (a, t) in avail.iter().zip(applies) {
@@ -1343,21 +1403,19 @@ impl<C: CostEstimator> Lowerer<'_, C, LoadSum<'_>> {
     /// The splice's load pass (see [`splice_loads`]): walks `base`'s
     /// segments as [`Lowerer::splice`] does, and for each dirty one
     /// takes its base tasks' durations out of the loads and emits its
-    /// re-lowered tasks into them. A clean `R(op)` leaves placeholder
-    /// ids, one per base replica. Returns the number of clean segments.
-    fn price(&mut self, base: SpliceBase<'_>, moved: &[bool]) -> usize {
-        self.walk(base, moved, |lw, _, rec, clean| {
-            let [t0, t1] = rec.tasks;
+    /// re-lowered tasks into them, reading placeholder ids, one per base
+    /// replica, for the copied ops it wires. Returns the number of clean
+    /// segments.
+    fn price(&mut self, base: SpliceBase<'_>, moves: &Moves) -> usize {
+        self.walk(base, moves, |lw, _, rec, clean| {
             if !clean {
+                let [t0, t1] = rec.tasks;
                 for i in t0..t1 {
                     let t = base.tg.task(TaskId(i));
                     *lw.tg.slot(t.proc) -= t.duration;
                 }
+                lw.read_copies(base.log, &moves.moved, rec.seg, |_, _| TaskId(u32::MAX));
                 lw.emit(rec.seg);
-            } else if let Seg::Replicas(op) = rec.seg {
-                let ids = &mut lw.op_tasks[op.index()];
-                ids.clear();
-                ids.resize((t1 - t0) as usize, TaskId(u32::MAX));
             }
         })
     }
@@ -1404,75 +1462,120 @@ impl<C: CostEstimator, O: TaskSink> Lowerer<'_, C, O> {
         }
     }
 
-    /// Walks `base`'s segments in order and hands each to `visit` with
-    /// its index and whether it is clean: its inputs equal the base's, so
-    /// the base's output for it stands. `moved` flags the ops whose
-    /// replicas moved ([`mark_moved`]). A dirty segment must be emitted
-    /// by `visit`, and a clean `R(op)` must leave `op`'s replica ids in
-    /// `op_tasks`. The walk keeps the PS load tracker: a dirty
-    /// aggregation starts from the base's snapshot when PS rounds are at
-    /// stake, and a clean one replays its base round once earlier rounds
-    /// diverged, turning dirty when the greedy chooser would now pick
-    /// another server. Returns the number of clean segments.
+    /// Walks `base`'s segments in order and hands to `visit` each one
+    /// that `moves` can re-lower ([`Moves::mark`]), with its index and
+    /// whether it is clean: its inputs equal the base's, so the base's
+    /// output for it stands. Every segment it skips is clean and changes
+    /// nothing, so a walk costs the moves, not the log. A dirty segment
+    /// must be emitted by `visit`, after [`Lowerer::read_copies`]. The
+    /// walk keeps the PS load tracker: a dirty aggregation starts from
+    /// the base's snapshot when PS rounds are at stake, and once earlier
+    /// rounds diverged every aggregation is visited, and a clean one
+    /// replays its base round, turning dirty when the greedy chooser
+    /// would now pick another server. Returns the number of clean
+    /// segments.
     fn walk(
         &mut self,
         base: SpliceBase<'_>,
-        moved: &[bool],
+        moves: &Moves,
         mut visit: impl FnMut(&mut Self, usize, &SegRecord, bool),
     ) -> usize {
-        let log = base.log;
+        let (log, n) = (base.log, self.g.len());
+        let mut dirty = 0;
+        // The moved ops' `R`, then the `W` of the moved ops and their
+        // producers: log order, and every one of them dirty.
+        let ops = moves.ops.iter().map(|op| op.index());
+        for i in ops.chain(moves.wired.iter().map(|&u| n + u as usize)) {
+            dirty += 1;
+            visit(self, i, &log.segs[i], false);
+        }
         // While true, every PS round so far chose and committed what the
         // base's did, so the tracker need not be maintained: the base's
-        // snapshot before a segment is exact.
+        // snapshot before a segment is exact, and an aggregation whose
+        // inputs are the base's is clean.
         let mut tracker_is_base = true;
-        let mut aggregations = 0;
-        let mut reused = 0;
-        for (i, rec) in log.segs.iter().enumerate() {
-            let clean = match rec.seg {
-                Seg::Replicas(op) => !moved[op.index()],
-                Seg::Wiring(u) => {
-                    !moved[u.index()] && self.g.succs(u).iter().all(|v| !moved[v.index()])
+        let mut aggs = moves.aggs.iter();
+        let mut next = 2 * n;
+        while next < log.len() {
+            let i = if tracker_is_base {
+                match aggs.next() {
+                    Some(&k) => k as usize,
+                    None => break,
                 }
-                Seg::Aggregate { grad, apply } => {
-                    let snapshot = &log.trackers[aggregations];
-                    aggregations += 1;
-                    let gp = &self.placements[grad.index()];
-                    let base_round = (rec.ps_rounds[0] < rec.ps_rounds[1])
-                        .then(|| &base.book.ps_rounds[rec.ps_rounds[0] as usize]);
-                    if log.placements[grad.index()] != *gp || moved[apply.index()] {
-                        if tracker_is_base && (base_round.is_some() || runs_ps_round(gp)) {
-                            self.ps_loads.clone_from(snapshot);
-                            tracker_is_base = false;
+            } else {
+                next
+            };
+            next = i + 1;
+            let rec = &log.segs[i];
+            let Seg::Aggregate { grad, apply } = rec.seg else {
+                unreachable!("the log's aggregations follow its {n} R and {n} W segments")
+            };
+            let snapshot = &log.trackers[i - 2 * n];
+            let gp = &self.placements[grad.index()];
+            let base_round = (rec.ps_rounds[0] < rec.ps_rounds[1])
+                .then(|| &base.book.ps_rounds[rec.ps_rounds[0] as usize]);
+            let clean = if log.placements[grad.index()] != *gp || moves.moved[apply.index()] {
+                if tracker_is_base && (base_round.is_some() || runs_ps_round(gp)) {
+                    self.ps_loads.clone_from(snapshot);
+                    tracker_is_base = false;
+                }
+                false
+            } else {
+                match base_round {
+                    // Earlier rounds committed different loads: the
+                    // base's choice stands only if the greedy chooser
+                    // still makes it.
+                    Some(r) if !tracker_is_base => {
+                        let pick =
+                            pick_ps(self.cluster, self.cost, &r.devices, r.bytes, self.ps_loads);
+                        if pick == r.chosen {
+                            self.ps_loads
+                                .commit(self.cluster, &r.devices, pick, r.bytes);
                         }
-                        false
-                    } else {
-                        match base_round {
-                            // Earlier rounds committed different loads:
-                            // the base's choice stands only if the
-                            // greedy chooser still makes it.
-                            Some(r) if !tracker_is_base => {
-                                let pick = pick_ps(
-                                    self.cluster,
-                                    self.cost,
-                                    &r.devices,
-                                    r.bytes,
-                                    self.ps_loads,
-                                );
-                                if pick == r.chosen {
-                                    self.ps_loads
-                                        .commit(self.cluster, &r.devices, pick, r.bytes);
-                                }
-                                pick == r.chosen
-                            }
-                            _ => true,
-                        }
+                        pick == r.chosen
                     }
+                    _ => true,
                 }
             };
-            reused += usize::from(clean);
+            dirty += usize::from(!clean);
             visit(self, i, rec, clean);
         }
-        reused
+        log.len() - dirty
+    }
+
+    /// Before dirty segment `seg` is emitted, sets the replica ids of
+    /// the ops it reads whose replicas did not move (`W(u)`: `u` and its
+    /// consumers; `A`: the gradient and its ApplyGradient) to their
+    /// copies' ids, `id` of each base replica task; a moved op's were
+    /// set when its `R` was emitted.
+    fn read_copies(
+        &mut self,
+        log: &SegmentLog,
+        moved: &[bool],
+        seg: Seg,
+        id: impl Fn(&O, u32) -> TaskId,
+    ) {
+        let read = |lw: &mut Self, op: OpId| {
+            if !moved[op.index()] {
+                let [t0, t1] = log.replicas(op);
+                let ids = &mut lw.op_tasks[op.index()];
+                ids.clear();
+                ids.extend((t0..t1).map(|t| id(lw.tg, t)));
+            }
+        };
+        match seg {
+            Seg::Replicas(_) => {}
+            Seg::Wiring(u) => {
+                read(self, u);
+                for &v in self.g.succs(u) {
+                    read(self, v);
+                }
+            }
+            Seg::Aggregate { grad, apply } => {
+                read(self, grad);
+                read(self, apply);
+            }
+        }
     }
 
     /// `R(id)`: the op's replica tasks.
@@ -1685,7 +1788,8 @@ impl<C: CostEstimator, O: TaskSink> Lowerer<'_, C, O> {
             } else {
                 // Broadcast a batch-less tensor to every consumer device.
                 let bytes = node_u.output.bytes(u_share);
-                let mut per_dev: Vec<(DeviceId, TaskId)> = Vec::new();
+                let mut per_dev = std::mem::take(&mut self.lists.feeders);
+                per_dev.clear();
                 for (i, &(d, _)) in pv.replicas.iter().enumerate() {
                     let feeder = match per_dev.iter().find(|(pd, _)| *pd == d) {
                         Some(&(_, t)) => t,
@@ -1725,6 +1829,7 @@ impl<C: CostEstimator, O: TaskSink> Lowerer<'_, C, O> {
                     };
                     self.tg.add_dep(feeder, tv[i]);
                 }
+                self.lists.feeders = per_dev;
             }
             return;
         }
@@ -1903,6 +2008,8 @@ impl<C: CostEstimator, O: TaskSink> Lowerer<'_, C, O> {
             devices,
             ready,
             avail,
+            collective,
+            ..
         } = &mut *self.lists;
         gp.devices_into(devices);
 
@@ -1968,9 +2075,9 @@ impl<C: CostEstimator, O: TaskSink> Lowerer<'_, C, O> {
                 book,
                 avail,
             ),
-            CommMethod::AllReduce => {
-                emit_allreduce(tg, cluster, cost, gid, devices, ready, bytes, book, avail)
-            }
+            CommMethod::AllReduce => emit_allreduce(
+                tg, cluster, cost, gid, devices, ready, bytes, book, collective, avail,
+            ),
         }
         for (a, t) in avail.iter().zip(apply_tasks) {
             tg.add_dep(*a, *t);
@@ -1998,7 +2105,7 @@ mod tests {
     use heterog_graph::DType;
     use heterog_graph::{GraphBuilder, ModelSpec};
     use heterog_profile::GroundTruthCost;
-    use heterog_sched::{list_schedule, OrderPolicy};
+    use heterog_sched::{list_schedule, OrderPolicy, PatchView};
 
     fn tiny(batch: u64) -> Graph {
         let mut b = GraphBuilder::new("tiny", batch);
@@ -2370,9 +2477,11 @@ mod tests {
         assert_same_graph(&tg, &compile(g, c, &GroundTruthCost, s));
     }
 
+    /// Splices `s` from a logged compile of `base`; returns the
+    /// materialized graph and the number of segments reused.
     fn splice(g: &Graph, c: &Cluster, base: &Strategy, s: &Strategy) -> (TaskGraph, usize) {
         let (btg, bbook, log) = compile_logged(g, c, &GroundTruthCost, base);
-        let mut tg = TaskGraph::default();
+        let mut patch = Patch::default();
         let reused = splice_into(
             g,
             c,
@@ -2383,9 +2492,11 @@ mod tests {
                 book: &bbook,
                 log: &log,
             },
-            &mut tg,
+            &mut patch,
             &mut SpliceScratch::default(),
         );
+        let mut tg = TaskGraph::default();
+        PatchView::new(&btg, &patch).materialize(&mut tg);
         (tg, reused)
     }
 
@@ -2469,7 +2580,7 @@ mod tests {
             assert!(tg.is_sealed(), "{}", tg.name);
         }
         assert!(logged.is_sealed());
-        let mut spliced = TaskGraph::default();
+        let (mut patch, mut spliced) = (Patch::default(), TaskGraph::default());
         let base = SpliceBase {
             tg: &logged,
             book: &book,
@@ -2477,7 +2588,8 @@ mod tests {
         };
         let placements = resolve_placements(&g, &c, &shard_strategy(&g, &c));
         let mut scratch = SpliceScratch::default();
-        splice_into(&g, &c, cost, &placements, base, &mut spliced, &mut scratch);
+        splice_into(&g, &c, cost, &placements, base, &mut patch, &mut scratch);
+        PatchView::new(&logged, &patch).materialize(&mut spliced);
         assert!(spliced.is_sealed());
     }
 

@@ -215,10 +215,12 @@ pub fn reprice_into<C: CostEstimator>(
             round.devices.len(),
         );
     }
+    let mut leaders = Vec::new();
     for coll in &book.collectives {
         let (dur, new_tag) = match coll.kind {
             CollectiveKind::AllReduce => {
-                let (dur, tag) = allreduce_choice(cluster, cost, &coll.devices, coll.bytes);
+                let (dur, tag) =
+                    allreduce_choice(cluster, cost, &coll.devices, coll.bytes, &mut leaders);
                 (dur, Some(tag))
             }
             CollectiveKind::AllGather | CollectiveKind::ReduceScatter => {

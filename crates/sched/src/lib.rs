@@ -24,6 +24,7 @@ pub mod list;
 pub mod rank;
 pub mod strict;
 pub mod task;
+pub mod view;
 
 pub use instance::{adversarial_priorities, worst_case_instance};
 pub use list::{
@@ -39,3 +40,4 @@ pub use strict::strict_schedule;
 pub use task::{
     Dir, NameRef, NameTable, Pass, Proc, RowWriter, Tag, Task, TaskGraph, TaskId, TaskName,
 };
+pub use view::{topo_order_into, CopiedRun, GraphRead, Patch, PatchIds, PatchRow, PatchView};

@@ -33,7 +33,8 @@
 use std::collections::BinaryHeap;
 
 use crate::rank::{critical_path_from, upward_ranks, upward_ranks_into, RankScratch};
-use crate::task::{TaskGraph, TaskId};
+use crate::task::{Dir, TaskGraph, TaskId};
+use crate::view::GraphRead;
 
 static TASKS_SCHEDULED: heterog_telemetry::Counter = heterog_telemetry::Counter::new(
     "heterog_sched_tasks_scheduled_total",
@@ -226,8 +227,8 @@ pub fn list_schedule_into(
 /// `out` and the hook partial. The last task to finish raises the bound
 /// to the makespan, so every schedule that ends beyond `limit` by the
 /// margin is cut; one that completes is the unbounded one, bit for bit.
-pub fn list_schedule_observed<H: ScheduleHook>(
-    tg: &TaskGraph,
+pub fn list_schedule_observed<G: GraphRead + ?Sized, H: ScheduleHook>(
+    tg: &G,
     ranks: Option<&[f64]>,
     policy: &OrderPolicy,
     limit: f64,
@@ -285,19 +286,18 @@ pub fn list_schedule_observed<H: ScheduleHook>(
     }
     busy.clear();
     busy.resize(num_procs, false);
-    indeg.clear();
-    indeg.extend(tg.in_degrees());
     events.clear();
     proc.clear();
     dur.clear();
     unstarted.clear();
     unstarted.resize(num_procs, 0.0);
-    for (_, t) in tg.iter() {
+    tg.degrees_into(Dir::Preds, indeg);
+    tg.for_each_task(|t| {
         let p = tg.proc_index(t.proc);
         proc.push(p as u32);
         dur.push(t.duration);
         unstarted[p] += t.duration;
-    }
+    });
     out.start.clear();
     out.start.resize(n, f64::NAN);
     out.finish.clear();
@@ -381,7 +381,7 @@ pub fn list_schedule_observed<H: ScheduleHook>(
         // next successor arrives and before its own offer. On an idle
         // processor the successor is swapped for the queue's best task
         // when that one is better, which is a push and a pop in one.
-        for &s in tg.succs(TaskId(t as u32)) {
+        for s in tg.succs(TaskId(t as u32)) {
             let s = s.index();
             indeg[s] -= 1;
             if indeg[s] > 0 {

@@ -1,6 +1,7 @@
 //! Upward-rank computation (§4.2).
 
-use crate::task::{Dir, TaskGraph, TaskId};
+use crate::task::{TaskGraph, TaskId};
+use crate::view::{topo_order_into, GraphRead};
 
 static RANK_SECONDS: heterog_telemetry::Histogram = heterog_telemetry::Histogram::new(
     "heterog_sched_rank_seconds",
@@ -40,17 +41,17 @@ pub fn upward_ranks(tg: &TaskGraph) -> Vec<f64> {
 
 /// [`upward_ranks`] into caller-owned buffers — allocation-free once the
 /// scratch and `rank` vector have grown to the graph's size.
-pub fn upward_ranks_into(tg: &TaskGraph, scratch: &mut RankScratch, rank: &mut Vec<f64>) {
+pub fn upward_ranks_into<G: GraphRead + ?Sized>(
+    tg: &G,
+    scratch: &mut RankScratch,
+    rank: &mut Vec<f64>,
+) {
     heterog_telemetry::metrics::time_closure(&RANK_SECONDS, || {
-        tg.topo_order_into(&mut scratch.indeg, &mut scratch.order);
+        topo_order_into(tg, &mut scratch.indeg, &mut scratch.order);
         rank.clear();
         rank.resize(tg.len(), 0.0);
         for &id in scratch.order.iter().rev() {
-            let best_succ = tg
-                .succs(id)
-                .iter()
-                .map(|s| rank[s.index()])
-                .fold(0.0f64, f64::max);
+            let best_succ = tg.succs(id).map(|s| rank[s.index()]).fold(0.0f64, f64::max);
             rank[id.index()] = tg.task(id).duration + best_succ;
         }
     })
@@ -68,7 +69,11 @@ const RANKED: u8 = 3;
 /// how many tasks it marked: what re-ranking them costs, which a caller
 /// can weigh against one [`upward_ranks_into`] sweep before paying for
 /// it. Allocation-free once the scratch has grown to the graph's size.
-pub fn mark_ancestors(tg: &TaskGraph, changed: &[TaskId], scratch: &mut RankScratch) -> usize {
+pub fn mark_ancestors<G: GraphRead + ?Sized>(
+    tg: &G,
+    changed: &[TaskId],
+    scratch: &mut RankScratch,
+) -> usize {
     let RankScratch {
         order: queued,
         places: state,
@@ -83,12 +88,11 @@ pub fn mark_ancestors(tg: &TaskGraph, changed: &[TaskId], scratch: &mut RankScra
             queued.push(t);
         }
     }
-    let (pred_off, preds) = tg.raw_rows(Dir::Preds);
     let mut head = 0;
     while head < queued.len() {
-        let t = queued[head].index();
+        let t = queued[head];
         head += 1;
-        for &p in &preds[pred_off[t] as usize..pred_off[t + 1] as usize] {
+        for p in tg.preds(t) {
             if state[p.index()] == KEPT {
                 state[p.index()] = QUEUED;
                 queued.push(p);
@@ -113,7 +117,11 @@ pub fn mark_ancestors(tg: &TaskGraph, changed: &[TaskId], scratch: &mut RankScra
 /// [`TaskGraph::topo_order`] does; the kept part is trusted to be
 /// acyclic. Allocation-free once the scratch has grown to the graph's
 /// size.
-pub fn rerank_marked_into(tg: &TaskGraph, scratch: &mut RankScratch, rank: &mut [f64]) {
+pub fn rerank_marked_into<G: GraphRead + ?Sized>(
+    tg: &G,
+    scratch: &mut RankScratch,
+    rank: &mut [f64],
+) {
     assert_eq!(rank.len(), tg.len(), "one rank per task");
     let RankScratch {
         order: queued,
@@ -122,25 +130,22 @@ pub fn rerank_marked_into(tg: &TaskGraph, scratch: &mut RankScratch, rank: &mut 
         ..
     } = scratch;
     assert_eq!(state.len(), tg.len(), "tasks marked on another graph");
-    let (succ_off, succs) = tg.raw_rows(Dir::Succs);
     // The open task's frame lives in locals; its ancestors' on `frames`.
-    let open = |t: TaskId| (t, succ_off[t.index()], succ_off[t.index() + 1], 0.0f64);
     frames.clear();
     for &root in queued.iter() {
         if state[root.index()] != QUEUED {
             continue;
         }
         state[root.index()] = OPEN;
-        let (mut t, mut next, mut end, mut best) = open(root);
+        let (mut t, mut row, mut next, mut best) = (root, tg.succs(root), 0u32, 0.0f64);
         loop {
-            if next < end {
-                let s = succs[next as usize];
+            if let Some(s) = row.next() {
                 next += 1;
                 match state[s.index()] {
                     QUEUED => {
                         frames.push((t, next, best));
                         state[s.index()] = OPEN;
-                        (t, next, end, best) = open(s);
+                        (t, row, next, best) = (s, tg.succs(s), 0, 0.0);
                     }
                     OPEN => panic!("task graph contains a cycle"),
                     _ => best = best.max(rank[s.index()]),
@@ -153,7 +158,11 @@ pub fn rerank_marked_into(tg: &TaskGraph, scratch: &mut RankScratch, rank: &mut 
             let Some((parent, at, parent_best)) = frames.pop() else {
                 break;
             };
-            (t, next, end, best) = (parent, at, succ_off[parent.index() + 1], parent_best.max(r));
+            // Resume the parent's row after the `at` entries it read.
+            (t, row, next, best) = (parent, tg.succs(parent), at, parent_best.max(r));
+            if at > 0 {
+                row.nth(at as usize - 1);
+            }
         }
     }
 }
@@ -175,7 +184,7 @@ pub fn critical_path(tg: &TaskGraph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{Proc, Task};
+    use crate::task::{Dir, Proc, Task};
     use heterog_graph::OpKind;
 
     fn t(d: f64) -> Task {

@@ -210,6 +210,15 @@ impl NameTable {
     pub fn new(ops: Vec<Box<str>>, links: Vec<Arc<str>>) -> Self {
         NameTable { ops, links }
     }
+
+    /// `task`'s name, rendered from this table.
+    pub(crate) fn name_of<'a>(&'a self, task: &'a Task) -> NameRef<'a> {
+        NameRef {
+            name: &task.name,
+            proc: task.proc,
+            table: self,
+        }
+    }
 }
 
 /// A task name as indices into its graph's [`NameTable`], rendered at
@@ -381,16 +390,16 @@ impl Task {
 /// task's successors and its predecessors, every row in insertion
 /// order. A task's in-degree is its predecessor row's length.
 #[derive(Debug, Default)]
-struct Csr {
-    succs: Rows,
-    preds: Rows,
+pub(crate) struct Csr {
+    pub(crate) succs: Rows,
+    pub(crate) preds: Rows,
 }
 
 /// One direction's rows: `idx[off[i]..off[i+1]]` are task `i`'s.
 #[derive(Debug, Default)]
-struct Rows {
-    off: Vec<u32>,
-    idx: Vec<TaskId>,
+pub(crate) struct Rows {
+    pub(crate) off: Vec<u32>,
+    pub(crate) idx: Vec<TaskId>,
 }
 
 impl Rows {
@@ -424,12 +433,13 @@ impl Rows {
         off[n] = edges.len() as u32;
     }
 
-    fn row(&self, i: usize) -> &[TaskId] {
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[TaskId] {
         &self.idx[self.off[i] as usize..self.off[i + 1] as usize]
     }
 
     /// Row lengths, in task order.
-    fn lens(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn lens(&self) -> impl Iterator<Item = u32> + '_ {
         self.off.windows(2).map(|w| w[1] - w[0])
     }
 
@@ -449,7 +459,8 @@ impl Rows {
 
 impl Csr {
     /// One direction's rows.
-    fn rows(&self, dir: Dir) -> &Rows {
+    #[inline]
+    pub(crate) fn rows(&self, dir: Dir) -> &Rows {
         match dir {
             Dir::Succs => &self.succs,
             Dir::Preds => &self.preds,
@@ -494,7 +505,8 @@ pub enum Dir {
 }
 
 /// Writes one direction's rows of a graph being sealed by
-/// [`TaskGraph::seal_with_rows`], task by task in id order: a run of
+/// [`TaskGraph::seal_with_rows`], task by task in id order, or of a
+/// [`crate::Patch`]'s own tasks ([`crate::Patch::write_rows`]): a run of
 /// rows copied from a sealed graph ([`RowWriter::copy_rows`]), or one
 /// row pushed entry by entry ([`RowWriter::push`], closed by
 /// [`RowWriter::end_row`]). Pushed successor rows are checked for a
@@ -503,25 +515,40 @@ pub enum Dir {
 pub struct RowWriter<'a> {
     dir: Dir,
     rows: &'a mut Rows,
-    /// Successor rows only: per task, one more than the last pushed row
-    /// that named it.
+    /// Successor rows only: per task, the stamp of the last pushed row
+    /// that named it. Row `r` (from 1) stamps `first_stamp + r`.
     stamps: Option<&'a mut Vec<u32>>,
+    first_stamp: u32,
     /// The largest entry written so far.
-    top: u32,
-    /// The first repeated edge pushed, `(src, dst)`.
-    repeat: Option<(u32, u32)>,
+    pub(crate) top: u32,
+    /// The first repeated edge pushed, `(row, entry)`: the row's index
+    /// among the rows written, and the entry it repeats.
+    pub(crate) repeat: Option<(u32, u32)>,
 }
 
 impl<'a> RowWriter<'a> {
-    fn new(dir: Dir, rows: &'a mut Rows, stamps: Option<&'a mut Vec<u32>>) -> Self {
+    /// A writer of `rows` from the first row on; `stamps`, when given,
+    /// must hold no stamp above `first_stamp`.
+    pub(crate) fn new(
+        dir: Dir,
+        rows: &'a mut Rows,
+        stamps: Option<&'a mut Vec<u32>>,
+        first_stamp: u32,
+    ) -> Self {
         rows.restart();
         RowWriter {
             dir,
             rows,
             stamps,
+            first_stamp,
             top: 0,
             repeat: None,
         }
+    }
+
+    /// The number of rows closed so far.
+    pub(crate) fn rows_written(&self) -> usize {
+        self.rows.off.len() - 1
     }
 
     /// The rows this writer writes.
@@ -557,12 +584,13 @@ impl<'a> RowWriter<'a> {
     /// Appends `t` to the open row.
     pub fn push(&mut self, t: TaskId) {
         let row = self.rows.off.len() as u32;
+        let mark = self.first_stamp + row;
         // An entry out of range has no stamp: sealing rejects it.
         if let Some(stamp) = (self.stamps.as_deref_mut()).and_then(|s| s.get_mut(t.index())) {
-            if *stamp == row && self.repeat.is_none() {
+            if *stamp == mark && self.repeat.is_none() {
                 self.repeat = Some((row - 1, t.0));
             }
-            *stamp = row;
+            *stamp = mark;
         }
         self.top = self.top.max(t.0);
         self.rows.idx.push(t);
@@ -637,6 +665,7 @@ impl TaskGraph {
     }
 
     /// Number of tasks.
+    #[inline]
     pub fn len(&self) -> usize {
         self.tasks.len()
     }
@@ -659,12 +688,12 @@ impl TaskGraph {
 
     /// Task `id`'s name, rendered by `Display`.
     pub fn task_name(&self, id: TaskId) -> NameRef<'_> {
-        let task = &self.tasks[id.index()];
-        NameRef {
-            name: &task.name,
-            proc: task.proc,
-            table: &self.names,
-        }
+        self.names.name_of(&self.tasks[id.index()])
+    }
+
+    /// The table this graph's task names index.
+    pub(crate) fn names(&self) -> &NameTable {
+        &self.names
     }
 
     /// Empties the graph into `like`'s label, processor counts and name
@@ -685,8 +714,8 @@ impl TaskGraph {
 
     /// Finishes the graph: builds its index, after which the rows hold
     /// its edges, and frees the insertion-ordered edge list. A sealed
-    /// graph takes no more tasks or edges ([`TaskGraph::add_task`],
-    /// [`TaskGraph::add_dep`] and [`TaskGraph::copy_tasks`] panic) until
+    /// graph takes no more tasks or edges ([`TaskGraph::add_task`] and
+    /// [`TaskGraph::add_dep`] panic) until
     /// [`TaskGraph::reset_like`] empties it; its durations may still be
     /// changed. Panics on a repeated edge, as building the index does.
     pub fn seal(&mut self) {
@@ -720,10 +749,10 @@ impl TaskGraph {
         let stamps = &mut preds.off;
         stamps.clear();
         stamps.resize(n, 0);
-        let mut w = RowWriter::new(Dir::Succs, succs, Some(stamps));
+        let mut w = RowWriter::new(Dir::Succs, succs, Some(stamps), 0);
         write(&mut w);
         let (succ_top, repeat) = (w.top, w.repeat);
-        let mut w = RowWriter::new(Dir::Preds, preds, None);
+        let mut w = RowWriter::new(Dir::Preds, preds, None, 0);
         write(&mut w);
         let pred_top = w.top;
         for (dir, rows) in [("successor", &*succs), ("predecessor", &*preds)] {
@@ -776,18 +805,6 @@ impl TaskGraph {
         id
     }
 
-    /// Appends copies of `src`'s tasks `range` (processors already
-    /// checked there); returns the first copy's id. Panics when this
-    /// graph is sealed.
-    pub fn copy_tasks(&mut self, src: &TaskGraph, range: std::ops::Range<usize>) -> TaskId {
-        self.assert_open("task");
-        debug_assert!(self.num_gpus == src.num_gpus && self.num_links == src.num_links);
-        let id = TaskId(self.tasks.len() as u32);
-        self.tasks.extend_from_slice(&src.tasks[range]);
-        self.invalidate();
-        id
-    }
-
     /// Adds a precedence edge `src -> dst`. Each edge must be added
     /// once: building the index panics on a repeat (builder misuse, like
     /// an out-of-range processor). Panics when the graph is sealed.
@@ -821,7 +838,13 @@ impl TaskGraph {
         }
     }
 
+    /// Every task, in id order.
+    pub(crate) fn tasks(&self) -> &[Task] {
+        &self.tasks
+    }
+
     /// Immutable task access.
+    #[inline]
     pub fn task(&self, id: TaskId) -> &Task {
         &self.tasks[id.index()]
     }
@@ -844,7 +867,8 @@ impl TaskGraph {
             .map(|(i, t)| (TaskId(i as u32), t))
     }
 
-    fn csr(&self) -> &Csr {
+    #[inline]
+    pub(crate) fn csr(&self) -> &Csr {
         self.csr.get_or_init(|| {
             let mut c = Csr::default();
             self.check_no_repeat(c.rebuild(self.tasks.len(), &self.edges));
@@ -852,19 +876,14 @@ impl TaskGraph {
         })
     }
 
-    /// One direction's rows whole, as offsets and entries: task `t`'s
-    /// row is `entries[offsets[t]..offsets[t + 1]]`.
-    pub(crate) fn raw_rows(&self, dir: Dir) -> (&[u32], &[TaskId]) {
-        let rows = self.csr().rows(dir);
-        (&rows.off, &rows.idx)
-    }
-
     /// Successors of `id`.
+    #[inline]
     pub fn succs(&self, id: TaskId) -> &[TaskId] {
         self.csr().succs.row(id.index())
     }
 
     /// Predecessors of `id`.
+    #[inline]
     pub fn preds(&self, id: TaskId) -> &[TaskId] {
         self.csr().preds.row(id.index())
     }
@@ -904,6 +923,7 @@ impl TaskGraph {
     }
 
     /// Dense processor index for array-based bookkeeping: GPUs first.
+    #[inline]
     pub fn proc_index(&self, p: Proc) -> usize {
         match p {
             Proc::Gpu(i) => i as usize,
@@ -921,37 +941,8 @@ impl TaskGraph {
     pub fn topo_order(&self) -> Vec<TaskId> {
         let mut indeg = Vec::new();
         let mut order = Vec::new();
-        self.topo_order_into(&mut indeg, &mut order);
+        crate::view::topo_order_into(self, &mut indeg, &mut order);
         order
-    }
-
-    /// [`TaskGraph::topo_order`] into caller-owned buffers — allocation
-    /// free after warm-up. `order` doubles as the FIFO work queue (a vec
-    /// with a head cursor visits tasks in exactly the order a `VecDeque`
-    /// would), so the sequence matches the allocating version.
-    pub fn topo_order_into(&self, indeg: &mut Vec<u32>, order: &mut Vec<TaskId>) {
-        let n = self.len();
-        indeg.clear();
-        indeg.extend(self.in_degrees());
-        order.clear();
-        order.reserve(n);
-        for t in self.task_ids() {
-            if indeg[t.index()] == 0 {
-                order.push(t);
-            }
-        }
-        let mut head = 0;
-        while head < order.len() {
-            let t = order[head];
-            head += 1;
-            for &s in self.succs(t) {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    order.push(s);
-                }
-            }
-        }
-        assert_eq!(order.len(), n, "task graph contains a cycle");
     }
 }
 
@@ -1234,7 +1225,9 @@ mod tests {
         for _ in 0..2 {
             let src = lazy.clone();
             tg.reset_like(&src);
-            tg.copy_tasks(&src, 0..src.len());
+            for (_, t) in src.iter() {
+                tg.add_task(t.clone());
+            }
             for &(a, b) in &[(0, 3), (0, 1), (2, 4), (0, 4), (1, 5), (3, 5)] {
                 tg.add_dep(ids[a], ids[b]);
             }

@@ -14,8 +14,8 @@
 //! from a simulated base, instead of sweeping the graph.
 
 use heterog_sched::{
-    list_schedule_observed, OrderPolicy, Proc, Schedule, ScheduleHook, ScheduleScratch, Task,
-    TaskGraph, TaskId,
+    list_schedule_observed, Dir, GraphRead, OrderPolicy, Proc, Schedule, ScheduleHook,
+    ScheduleScratch, Task, TaskGraph, TaskId,
 };
 use heterog_telemetry::{Counter, Gauge, Histogram};
 
@@ -119,8 +119,8 @@ pub struct SimScratch {
 /// at a later time, and once more at the end. The peaks are integers
 /// and equal the sweep's exactly. Each link task's interval is recorded
 /// at its start, which keeps the intervals in start order.
-struct MemHook<'a> {
-    tg: &'a TaskGraph,
+struct MemHook<'a, G: ?Sized> {
+    tg: &'a G,
     remaining: &'a mut [u32],
     cur: &'a mut [i64],
     peak: &'a mut [i64],
@@ -128,7 +128,7 @@ struct MemHook<'a> {
     intervals: &'a mut Vec<(f64, f64)>,
 }
 
-impl MemHook<'_> {
+impl<G: ?Sized> MemHook<'_, G> {
     /// Applies `sign` times `task`'s output bytes at `time` on its GPU.
     /// A link task holds none: in-flight bytes are accounted at endpoints.
     #[inline]
@@ -146,7 +146,7 @@ impl MemHook<'_> {
     }
 }
 
-impl ScheduleHook for MemHook<'_> {
+impl<G: GraphRead + ?Sized> ScheduleHook for MemHook<'_, G> {
     #[inline]
     fn on_start(&mut self, task: TaskId, time: f64) {
         let task = self.tg.task(task);
@@ -168,7 +168,7 @@ impl ScheduleHook for MemHook<'_> {
         if self.remaining[task.index()] == 0 {
             self.apply(tg.task(task), time, -1);
         }
-        for &p in tg.preds(task) {
+        for p in tg.preds(task) {
             self.remaining[p.index()] -= 1;
             if self.remaining[p.index()] == 0 {
                 self.apply(tg.task(p), time, -1);
@@ -249,8 +249,8 @@ pub struct Prepass<'a> {
 /// `prepass` it reads the ranks, parameter bytes and active GPUs from
 /// it instead of sweeping `tg`; the result is the same bit for bit when
 /// `prepass` is what a sweep finds.
-pub fn simulate_within(
-    tg: &TaskGraph,
+pub fn simulate_within<G: GraphRead + ?Sized>(
+    tg: &G,
     prepass: Option<&Prepass<'_>>,
     capacities: &[u64],
     policy: &OrderPolicy,
@@ -299,8 +299,8 @@ pub fn simulate_within(
 /// of re-priced task graphs and the base runs they answer against use
 /// this at an infinite limit, so that `heterog_sim_simulations_total`,
 /// `SimEpoch` and `Oom` count plain simulations only.
-pub fn simulate_uncounted(
-    tg: &TaskGraph,
+pub fn simulate_uncounted<G: GraphRead + ?Sized>(
+    tg: &G,
     prepass: Option<&Prepass<'_>>,
     capacities: &[u64],
     policy: &OrderPolicy,
@@ -308,7 +308,7 @@ pub fn simulate_uncounted(
     scratch: &mut SimScratch,
     out: &mut SimReport,
 ) -> Option<f64> {
-    let num_gpus = tg.num_gpus as usize;
+    let num_gpus = tg.num_gpus() as usize;
     assert!(capacities.len() >= num_gpus, "capacity per GPU required");
 
     let SimScratch {
@@ -336,16 +336,15 @@ pub fn simulate_uncounted(
         None => {
             memory.param_bytes.resize(num_gpus, 0);
             active.resize(num_gpus, false);
-            for (_, task) in tg.iter() {
+            tg.for_each_task(|task| {
                 if let Proc::Gpu(g) = task.proc {
                     memory.param_bytes[g as usize] += task.param_bytes;
                     active[g as usize] = true;
                 }
-            }
+            });
         }
     }
-    remaining.clear();
-    remaining.extend(tg.out_degrees());
+    tg.degrees_into(Dir::Succs, remaining);
 
     cur.clear();
     cur.extend(memory.param_bytes.iter().map(|&p| p as i64));

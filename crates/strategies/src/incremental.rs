@@ -14,7 +14,7 @@
 //! |-------------------------|---------------------------------------------|
 //! | `Policy`                | re-simulate the cached task graph (no compile) |
 //! | `Cluster`               | [`reprice_into`], then the base evaluation with its OOM flags re-derived when no duration changed bitwise, else one simulation of the re-priced graph |
-//! | `Strategy`              | [`splice_into`] (copy the base's clean lowering segments and their rows, re-lower the dirty ones) + simulate with the pre-pass derived from the base's ([`simulate_within`]) |
+//! | `Strategy`              | [`splice_into`] (a [`Patch`] over the base: its clean lowering segments read in place, the dirty ones re-lowered) + simulate through a [`PatchView`] with the pre-pass derived from the base's ([`simulate_within`]) |
 //! | `Group`                 | as `Strategy`, with only the moved group's placements resolved again ([`resolve_group_into`]) and no `Strategy` built |
 //! | `Strategy` or `Group`, through [`IncrementalEvaluator::evaluate_bounded`] | as above, but a candidate that a lower bound on its iteration time puts above the limit is not simulated to the end: [`Bounded::Pruned`]. The busiest processor's load is priced before any splice, from the base's loads and the dirty segments alone ([`splice_loads`]); a candidate with no dirty segment is the base graph and gets the base evaluation; any other it leaves in is spliced and simulated by [`simulate_within`], which stops once its running bound exceeds the limit |
 //!
@@ -23,16 +23,18 @@
 //! | pass | cost |
 //! |------|------|
 //! | resolve | the moved group's ops, on a copy of the base's placements |
-//! | load bound ([`splice_loads`]) | a walk over the segment log, and the dirty segments' tasks |
-//! | splice ([`splice_into`]) | the segment walk, a copy of every clean task and of its rows (ids remapped), and the dirty segments re-lowered; the rows the dirty segments wire are merged, the rest copied |
-//! | ranks | the base's, copied run by run; the rewritten tasks and their ancestors ranked afresh ([`mark_ancestors`], [`rerank_marked_into`]); one sweep when those ancestors are at least four fifths of the tasks |
+//! | load bound ([`splice_loads`]) | the placements compared op by op; a walk over the segments the move can make dirty (its moved ops' and their producers', and the aggregations they or a changed gradient touch), and the dirty segments' tasks |
+//! | splice ([`splice_into`]) | the same comparison and walk; the patch's id maps (4 bytes per task each way); the dirty segments re-lowered, and the rows they write: their own tasks', and the merged rows of the copied tasks they wire. No clean task or row is copied |
+//! | ranks | the base's, copied run by run; the rewritten tasks and their ancestors ranked afresh through the view ([`mark_ancestors`], [`rerank_marked_into`]); one sweep when those ancestors are at least four fifths of the tasks |
 //! | memory pre-pass | per GPU, the base's parameter bytes and task counts less the dropped tasks' plus the re-lowered ones' (a sweep when the ranks are swept); each task's consumer count from its row length |
-//! | simulation | the scheduler's per-task columns, then the events up to the stop |
+//! | simulation | the scheduler's per-task columns, read through the view (a copied run's from the base in place), then the events up to the stop |
 //!
-//! No pass builds the graph's index from an edge list or sweeps every
-//! task for ranks or parameter bytes: those cost the dirty part and its
-//! ancestors, while copying the clean part's tasks and rows and the
-//! scheduler's columns still cost the whole graph.
+//! No pass copies a clean task or row, builds an index or sweeps every
+//! task for ranks or parameter bytes, and no walk visits a segment the
+//! move cannot make dirty. What still costs the whole graph is a few
+//! words per task (the id maps, the copied ranks and the scheduler's
+//! columns) and per op (the candidate's placements, copied and
+//! compared with the base's).
 //!
 //! A strategy change resolves the candidate's placements once and
 //! diffs them against the base's: an op's replica tasks, the wiring of
@@ -64,14 +66,15 @@ use std::time::Instant;
 use heterog_cluster::Cluster;
 use heterog_compile::{
     compile_logged, log_compiled, reprice_into, resolve_group_into, resolve_placements,
-    splice_into, splice_loads, structure_compatible, CopiedRun, OpPlacement, OpStrategy, PriceBook,
+    splice_into, splice_loads, structure_compatible, OpPlacement, OpStrategy, PriceBook,
     SegmentLog, SpliceBase, SpliceScratch, Strategy,
 };
 use heterog_graph::{Graph, OpId};
 use heterog_profile::CostEstimator;
 use heterog_sched::{
     busiest_processor_load, load_exceeds, mark_ancestors, rerank_marked_into, upward_ranks,
-    upward_ranks_into, OrderPolicy, Proc, RankScratch, TaskGraph,
+    upward_ranks_into, CopiedRun, GraphRead, OrderPolicy, Patch, PatchView, Proc, RankScratch,
+    TaskGraph, TaskId,
 };
 use heterog_sim::{
     count_resim, simulate_into, simulate_uncounted, simulate_within, with_scratch, Prepass,
@@ -170,8 +173,9 @@ impl Bounded {
     }
 }
 
-/// Patch buffers: the candidate's placements, the spliced or re-priced
-/// task graph, the splice scratch, and the report each perturbed
+/// Patch buffers: the candidate's placements, the re-priced task graph,
+/// the spliced candidate's patch over the base, the splice scratch, and
+/// the report each perturbed
 /// evaluation writes into, plus the per-processor loads a bounded one
 /// prices before splicing and the spliced graph's pre-pass derived from
 /// the base's. An evaluator pools them, one per thread evaluating
@@ -184,6 +188,7 @@ impl Bounded {
 struct PatchScratch {
     placements: Vec<OpPlacement>,
     tg: TaskGraph,
+    patch: Patch,
     splice: SpliceScratch,
     report: SimReport,
     load: Vec<f64>,
@@ -218,18 +223,18 @@ impl GpuTotals {
     }
 
     /// Becomes `tg`'s totals, keeping the buffers.
-    fn sweep(&mut self, tg: &TaskGraph) {
+    fn sweep(&mut self, tg: &impl GraphRead) {
         self.param_bytes.clear();
-        self.param_bytes.resize(tg.num_gpus as usize, 0);
+        self.param_bytes.resize(tg.num_gpus() as usize, 0);
         self.tasks.clear();
-        self.tasks.resize(tg.num_gpus as usize, 0);
+        self.tasks.resize(tg.num_gpus() as usize, 0);
         self.add(tg, 0..tg.len() as u32);
     }
 
     /// Adds `tg`'s tasks `range`.
-    fn add(&mut self, tg: &TaskGraph, range: std::ops::Range<u32>) {
+    fn add(&mut self, tg: &impl GraphRead, range: std::ops::Range<u32>) {
         for t in range {
-            let task = tg.task(heterog_sched::TaskId(t));
+            let task = tg.task(TaskId(t));
             if let Proc::Gpu(g) = task.proc {
                 self.param_bytes[g as usize] += task.param_bytes;
                 self.tasks[g as usize] += 1;
@@ -240,7 +245,7 @@ impl GpuTotals {
     /// Takes `tg`'s tasks `range` out.
     fn remove(&mut self, tg: &TaskGraph, range: std::ops::Range<u32>) {
         for t in range {
-            let task = tg.task(heterog_sched::TaskId(t));
+            let task = tg.task(TaskId(t));
             if let Proc::Gpu(g) = task.proc {
                 self.param_bytes[g as usize] -= task.param_bytes;
                 self.tasks[g as usize] -= 1;
@@ -451,7 +456,9 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     }
 
     /// Re-anchors the evaluator on a new base deployment (full compile +
-    /// simulate). Elastic training calls this after committing a repair.
+    /// simulate). The HeteroG search calls this when its incumbent
+    /// moves; the elastic engine builds a new evaluator per fault
+    /// instead.
     pub fn rebase(&mut self, cluster: &Cluster, strategy: &Strategy, policy: &OrderPolicy) {
         let patches = std::mem::take(&mut *lock(&self.patches));
         *self = Self::build(self.g, self.cost, cluster, strategy, policy, patches);
@@ -482,16 +489,18 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// [`load_exceeds`] `limit`: then that bound is returned instead. The
     /// busiest processor's load, GPU or link, is tried first, priced from
     /// the base's loads and the dirty segments with no splice
-    /// ([`splice_loads`]); a candidate it prunes pays the segment walk
-    /// and its dirty segments alone. Only when it does not prune is the
-    /// graph spliced, with its rows written from the base's, its ranks
-    /// and memory pre-pass derived from the base's, and
-    /// [`simulate_within`] run, which stops as soon as its running
-    /// bound exceeds `limit`: such a candidate pays the splice (a copy
-    /// of the clean tasks and rows), the ranks of the re-lowered tasks'
-    /// ancestors, the scheduler's per-task columns and the events up to
-    /// the stop, but no index build and no sweep of the whole graph for
-    /// ranks or parameter bytes. A candidate whose
+    /// ([`splice_loads`]); a candidate it prunes pays a comparison of
+    /// its placements, a walk over the segments they can make dirty and
+    /// its dirty segments alone. Only when it does not prune is the
+    /// graph spliced into a patch over the base, its ranks and memory
+    /// pre-pass derived from the base's, and [`simulate_within`] run
+    /// through the patch's view, which stops as soon as its running
+    /// bound exceeds `limit`: such a candidate pays the splice (the id
+    /// maps, the re-lowered tasks and the rows they write), the ranks of
+    /// the re-lowered tasks' ancestors, the scheduler's per-task columns
+    /// and the events up to the stop, but no copy of a clean task or
+    /// row, no index build and no sweep of the whole graph for ranks or
+    /// parameter bytes. A candidate whose
     /// every lowering segment is clean (the move changed only decisions
     /// the lowering ignores, such as PS vs AllReduce for ops without
     /// parameter gradients) lowers to the base graph: it returns the
@@ -590,12 +599,13 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// busiest processor's load is priced before any splice
     /// ([`splice_loads`]), and only a candidate it leaves in is spliced;
     /// one whose segments are all clean is the base deployment's graph,
-    /// answered with the base evaluation ([`EvalMode::Base`]). A spliced
-    /// graph is sealed with rows written from the base's, and its ranks
-    /// and memory pre-pass are derived from the base's
+    /// answered with the base evaluation ([`EvalMode::Base`]). Every
+    /// other candidate, at any limit, is spliced into a [`Patch`] and
+    /// simulated through its [`PatchView`] over the base, with its
+    /// ranks and memory pre-pass derived from the base's
     /// ([`IncrementalEvaluator::derive_prepass`]), so a candidate the
-    /// simulation stops pays its splice, the re-lowered tasks' ancestors
-    /// and its schedule's prefix, not an index build or a rank sweep.
+    /// simulation stops pays its patch, the re-lowered tasks' ancestors
+    /// and its schedule's prefix, not a copy of the graph.
     /// A splice that reuses no segment was a full compile and, when
     /// simulated to the end, is counted as one.
     fn eval_spliced(&self, moved: Moved<'_>, limit: f64) -> Bounded {
@@ -608,7 +618,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         self.with_patch(|ps| {
             let PatchScratch {
                 placements,
-                tg,
+                patch,
                 splice,
                 report,
                 load,
@@ -646,13 +656,14 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
                 self.cost,
                 placements,
                 base,
-                tg,
+                patch,
                 splice,
             );
-            let prepass = self.derive_prepass(tg, splice, prepass);
+            let view = PatchView::new(&self.tg, patch);
+            let prepass = self.derive_prepass(&view, splice, prepass);
             let (caps, policy) = (&self.capacities, &self.policy);
             if let Some(bound) = with_scratch(|s| {
-                simulate_within(tg, Some(&prepass), caps, policy, limit, s, report)
+                simulate_within(&view, Some(&prepass), caps, policy, limit, s, report)
             }) {
                 return Bounded::Pruned(bound);
             }
@@ -675,10 +686,11 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         }
     }
 
-    /// The task graph a strategy or group perturbation splices to, as
-    /// [`IncrementalEvaluator::evaluate_perturbed`] simulates it, with
-    /// the pre-pass the evaluator derives for it from the base's. `None`
-    /// for cluster and policy perturbations, which splice nothing.
+    /// The task graph a strategy or group perturbation splices to,
+    /// materialized from the view
+    /// [`IncrementalEvaluator::evaluate_perturbed`] simulates, with the
+    /// pre-pass the evaluator derives for it from the base's. `None` for
+    /// cluster and policy perturbations, which splice nothing.
     pub fn splice(&self, p: Perturbation<'_>) -> Option<SplicedGraph> {
         let moved = match p {
             Perturbation::Strategy(s2) => Moved::Strategy(s2),
@@ -693,10 +705,21 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         self.with_patch(|ps| {
             self.resolve(moved, &mut ps.placements);
             let (g, c, cost) = (self.g, &self.cluster, self.cost);
-            splice_into(g, c, cost, &ps.placements, base, &mut ps.tg, &mut ps.splice);
-            let prepass = self.derive_prepass(&ps.tg, &ps.splice, &mut ps.prepass);
+            splice_into(
+                g,
+                c,
+                cost,
+                &ps.placements,
+                base,
+                &mut ps.patch,
+                &mut ps.splice,
+            );
+            let view = PatchView::new(&self.tg, &ps.patch);
+            let mut tg = TaskGraph::default();
+            view.materialize(&mut tg);
+            let prepass = self.derive_prepass(&view, &ps.splice, &mut ps.prepass);
             Some(SplicedGraph {
-                tg: ps.tg.clone(),
+                tg,
                 ranks: prepass.ranks.to_vec(),
                 param_bytes: prepass.param_bytes.to_vec(),
                 active: prepass.active.to_vec(),
@@ -704,7 +727,8 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         })
     }
 
-    /// The pre-pass of `tg`, which the last splice in `splice` built,
+    /// The pre-pass of `tg`, the view of the patch the last splice in
+    /// `splice` wrote,
     /// derived from the base's at the cost of what changed: the copied
     /// tasks keep their base ranks, and the tasks whose successor rows
     /// were rewritten and their ancestors are ranked afresh; each GPU's
@@ -714,7 +738,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
     /// and gives the same values.
     fn derive_prepass<'p>(
         &self,
-        tg: &TaskGraph,
+        tg: &PatchView<'_>,
         splice: &SpliceScratch,
         out: &'p mut PrepassScratch,
     ) -> Prepass<'p> {
@@ -739,7 +763,7 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
             let (base_ranks, base_gpus) = self
                 .base_prepass
                 .get_or_init(|| (upward_ranks(&self.tg), GpuTotals::of(&self.tg)));
-            let runs = splice.copied();
+            let runs = tg.copied();
             ranks.resize(tg.len(), 0.0);
             for run in runs {
                 let [b0, b1] = run.base.map(|b| b as usize);

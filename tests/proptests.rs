@@ -694,7 +694,7 @@ mod incremental_props {
     use heterog_compile::{compile, CommMethod, OpStrategy, Strategy as PlanStrategy};
     use heterog_profile::GroundTruthCost;
     use heterog_strategies::{
-        evaluate_with_policy, Evaluation, IncrementalEvaluator, Perturbation,
+        evaluate_with_policy, Bounded, EvalMode, Evaluation, IncrementalEvaluator, Perturbation,
     };
 
     const KINDS: [LinkKind; 4] = [
@@ -821,6 +821,87 @@ mod incremental_props {
                 }
             }
         });
+    }
+
+    /// A random group move, bounded by a random limit, through the
+    /// evaluator, which simulates a spliced candidate through a view of
+    /// its base. Evaluated, it equals a full evaluation of the moved
+    /// strategy bit for bit (a move that changes no decision is the
+    /// base, evaluated at any limit). Stopped by the simulation, its
+    /// bound is the one a bounded simulation of a fresh compile of that
+    /// strategy stops at, bit for bit. Pruned before any splice, its
+    /// bound is the busiest processor's load, and exceeds the limit.
+    #[test]
+    fn bounded_group_moves_match_fresh_compiles() {
+        let (mut loads, mut scratch, mut out) =
+            (Vec::new(), SimScratch::default(), SimReport::default());
+        let (mut evaluated, mut stopped, mut load_pruned) = (0, 0, 0);
+        for_each_seed(64, |rng| {
+            let g = super::compile_props::training_graph(rng);
+            let cluster = paper_testbed_4gpu();
+            let cost = GroundTruthCost;
+            let base_s = strategy_from(&cluster, g.len(), &super::choices(rng, 1..24, 8));
+            let policy = OrderPolicy::RankBased;
+            let ev = IncrementalEvaluator::new(&g, &cost, &cluster, &base_s, &policy);
+            let caps = cluster.memory_capacities();
+            for _ in 0..3 {
+                let mut ops: Vec<heterog_graph::OpId> = (g.iter())
+                    .map(|(id, _)| id)
+                    .filter(|_| rng.gen_range(0..3usize) == 0)
+                    .collect();
+                ops.sort();
+                let to = strategy_from(&cluster, 1, &[rng.gen_range(0..8usize)]).per_op[0].clone();
+                let mut moved = base_s.clone();
+                for op in &ops {
+                    moved.per_op[op.index()] = to.clone();
+                }
+                let want = evaluate_with_policy(&g, &cluster, &cost, &moved, &policy);
+                let fresh = compile(&g, &cluster, &cost, &moved);
+                let load = busiest_processor_load(&fresh, &mut loads);
+                let it = want.iteration_time;
+                let limit = match rng.gen_range(0..5usize) {
+                    0 => rng.gen_range(0.0..1.0) * load,
+                    1 => load + rng.gen_range(0.0..1.0) * (it - load),
+                    2 => it * (1.0 - 2e-9),
+                    3 => it,
+                    _ => f64::INFINITY,
+                };
+                let p = Perturbation::Group { ops: &ops, to: &to };
+                match ev.evaluate_bounded(p, limit) {
+                    Bounded::Evaluated(got, mode) => {
+                        evaluated += 1;
+                        // A move that changes no decision is the base,
+                        // which is never bounded.
+                        assert!(
+                            mode == EvalMode::Base || !load_exceeds(it, limit),
+                            "makespan {it}, limit {limit}"
+                        );
+                        assert_bits_eq(&got, &want);
+                    }
+                    Bounded::Pruned(bound) => {
+                        let fresh_stop = simulate_within(
+                            &fresh,
+                            None,
+                            &caps,
+                            &policy,
+                            limit,
+                            &mut scratch,
+                            &mut out,
+                        );
+                        if fresh_stop.map(f64::to_bits) == Some(bound.to_bits()) {
+                            stopped += 1;
+                        } else {
+                            load_pruned += 1;
+                            assert!(
+                                load_exceeds(bound, limit) && (bound - load).abs() <= 1e-12 * load,
+                                "pruned at {bound}, busiest load {load}, limit {limit}, fresh stop {fresh_stop:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        });
+        assert!(evaluated > 0 && stopped > 0 && load_pruned > 0);
     }
 
     /// The what-ifs `explain` ranks, through an evaluator anchored on

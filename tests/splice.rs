@@ -3,9 +3,14 @@
 //! VGG-19 and Transformer-6L, plus uniform CP-PS and SH-CP deployments.
 //! One-group moves of the planner's action space (all of them for one
 //! model, a seeded sample of 100 for the others) are spliced with
-//! `splice_into` and compared with `compile_logged` task by task and row
-//! by row (every task's successors and predecessors, each row in the
-//! order a compile adds its edges); a subset also goes through
+//! `splice_into`, and the patch read over the incumbent's graph
+//! (`PatchView`) is materialized and compared with `compile_logged` task
+//! by task and row by row (every task's successors and predecessors,
+//! each row in the order a compile adds its edges). The view itself
+//! reads the materialized graph's tasks, rows and degrees, and
+//! simulating it equals simulating the materialized graph bit for bit,
+//! run to the end and stopped at the incumbent's makespan, stop bound
+//! included. A subset also goes through
 //! `IncrementalEvaluator::evaluate_perturbed`, whose report must equal
 //! `evaluate_with_policy`'s bit for bit. For every move, the pre-pass
 //! the evaluator derives from the incumbent's must equal the fresh
@@ -30,7 +35,10 @@ use heterog_compile::{
 };
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
-use heterog_sched::{busiest_processor_load, upward_ranks, OrderPolicy, Proc, TaskGraph};
+use heterog_sched::{
+    busiest_processor_load, upward_ranks, GraphRead, OrderPolicy, Patch, PatchView, Proc, TaskGraph,
+};
+use heterog_sim::{simulate_within, SimReport, SimScratch};
 use heterog_strategies::{
     evaluate_with_policy, group_ops, grouping::avg_op_times, Bounded, EvalMode, Evaluation,
     Grouping, IncrementalEvaluator, Perturbation,
@@ -165,6 +173,54 @@ fn assert_same_graph(spliced: &TaskGraph, fresh: &TaskGraph, what: &str) {
     }
 }
 
+/// Asserts `view` reads `tg`, the graph it materializes to: every task's
+/// fields and rows, the degrees and the edge count; and that simulating
+/// `view` equals simulating `tg` bit for bit, at an infinite limit and
+/// at `limit`, where the same bound stops both or neither.
+fn assert_view_reads_like(view: &PatchView<'_>, tg: &TaskGraph, limit: f64, what: &str) {
+    assert_eq!(GraphRead::len(view), tg.len(), "{what}: task count");
+    assert_eq!(view.num_edges(), tg.num_edges(), "{what}: edge count");
+    let (mut in_degrees, mut out_degrees) = (tg.in_degrees(), tg.out_degrees());
+    for id in tg.task_ids() {
+        let (a, b) = (GraphRead::task(view, id), tg.task(id));
+        assert_eq!(
+            format!("{a:?} {}", view.task_name(id)),
+            format!("{b:?} {}", tg.task_name(id)),
+            "{what}: task {id}"
+        );
+        let succs: Vec<_> = GraphRead::succs(view, id).collect();
+        let preds: Vec<_> = GraphRead::preds(view, id).collect();
+        assert_eq!(succs, tg.succs(id), "{what}: successors of {id}");
+        assert_eq!(preds, tg.preds(id), "{what}: predecessors of {id}");
+        assert_eq!(
+            [
+                GraphRead::preds(view, id).len(),
+                GraphRead::succs(view, id).len()
+            ],
+            [in_degrees.next(), out_degrees.next()].map(|d| d.unwrap() as usize),
+            "{what}: degrees of {id}"
+        );
+    }
+    let caps = vec![u64::MAX / 2; tg.num_gpus as usize];
+    let policy = OrderPolicy::RankBased;
+    let mut scratch = SimScratch::default();
+    for limit in [f64::INFINITY, limit] {
+        let (mut a, mut b) = (SimReport::default(), SimReport::default());
+        let stop_a = simulate_within(view, None, &caps, &policy, limit, &mut scratch, &mut a);
+        let stop_b = simulate_within(tg, None, &caps, &policy, limit, &mut scratch, &mut b);
+        assert_eq!(
+            stop_a.map(f64::to_bits),
+            stop_b.map(f64::to_bits),
+            "{what}: stop bound at limit {limit}"
+        );
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "{what}: simulation at limit {limit}"
+        );
+    }
+}
+
 /// Asserts the pre-pass `ev` derives for perturbation `p` equals a sweep
 /// of `fresh`, the graph `p` compiles to: every upward rank bit for bit,
 /// and per GPU the parameter bytes and whether any task runs there.
@@ -226,7 +282,8 @@ fn check(case: &Case, moves: &[(usize, usize)], eval_every: usize) -> Vec<EvalMo
     };
     let policy = OrderPolicy::RankBased;
     let ev = IncrementalEvaluator::new(g, cost, c, &base_s, &policy);
-    let (mut tg, mut scratch) = (TaskGraph::default(), SpliceScratch::default());
+    let makespan = ev.base().iteration_time;
+    let (mut patch, mut tg, mut scratch) = <(Patch, TaskGraph, SpliceScratch)>::default();
     let mut base_loads = Vec::new();
     busiest_processor_load(&btg, &mut base_loads);
     let (mut loads, mut want_loads) = (Vec::new(), Vec::new());
@@ -237,10 +294,13 @@ fn check(case: &Case, moves: &[(usize, usize)], eval_every: usize) -> Vec<EvalMo
         let placements = resolve_placements(g, c, &s2);
         loads.clone_from(&base_loads);
         splice_loads(g, c, cost, &placements, base, &mut loads, &mut scratch);
-        splice_into(g, c, cost, &placements, base, &mut tg, &mut scratch);
+        splice_into(g, c, cost, &placements, base, &mut patch, &mut scratch);
+        let view = PatchView::new(&btg, &patch);
+        view.materialize(&mut tg);
         let (fresh, _, _) = compile_logged(g, c, cost, &s2);
-        assert!(tg.is_sealed(), "{what}: a splice seals its graph");
+        assert!(tg.is_sealed(), "{what}: a materialized patch is sealed");
         assert_same_graph(&tg, &fresh, &what);
+        assert_view_reads_like(&view, &tg, makespan, &what);
         assert_derived_prepass(&ev, Perturbation::Strategy(&s2), &fresh, &what);
         let busiest = busiest_processor_load(&fresh, &mut want_loads);
         for (p, (got, want)) in loads.iter().zip(&want_loads).enumerate() {
@@ -372,7 +432,7 @@ fn check_all_clean(case: &Case, moves: &[(usize, usize)]) -> Vec<(usize, usize)>
     let policy = OrderPolicy::RankBased;
     let ev = IncrementalEvaluator::new(g, cost, c, &base_s, &policy);
     let space = ActionSpace::new(c);
-    let (mut tg, mut scratch) = (TaskGraph::default(), SpliceScratch::default());
+    let (mut patch, mut tg, mut scratch) = <(Patch, TaskGraph, SpliceScratch)>::default();
     let (mut base_loads, mut loads) = (Vec::new(), Vec::new());
     busiest_processor_load(&btg, &mut base_loads);
     let mut clean_moves = Vec::new();
@@ -385,8 +445,11 @@ fn check_all_clean(case: &Case, moves: &[(usize, usize)]) -> Vec<(usize, usize)>
             continue;
         }
         clean_moves.push((gi, a));
-        splice_into(g, c, cost, &placements, base, &mut tg, &mut scratch);
+        splice_into(g, c, cost, &placements, base, &mut patch, &mut scratch);
+        let view = PatchView::new(&btg, &patch);
+        view.materialize(&mut tg);
         assert_same_graph(&tg, &btg, &what);
+        assert_view_reads_like(&view, &tg, ev.base().iteration_time, &what);
         let to = space.decode(a, c);
         let ops = &case.grouping.members[gi];
         match ev.evaluate_bounded(Perturbation::Group { ops, to: &to }, f64::MAX) {
