@@ -19,7 +19,7 @@
 //! stops as soon as a running lower bound on its iteration time (paper
 //! §4.2's upward rank, and each processor's unstarted work) exceeds it.
 //! Both bounds are sound, so every move equals scoring every candidate
-//! bit for bit (see [`best_candidate`]).
+//! bit for bit (see `best_candidate`).
 
 use heterog_cluster::Cluster;
 use heterog_compile::{OpStrategy, Strategy};

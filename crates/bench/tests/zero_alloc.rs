@@ -1,9 +1,11 @@
 //! Asserts the schedule+simulate hot path, under every order policy,
-//! the search's bounded simulation, stopped or run to the end, and
-//! bounded group moves the simulation stops, one re-lowering nothing and
-//! two re-lowering gradient aggregations (into PS rounds and into
-//! AllReduces), are allocation-free after warm-up — the property the evaluation engine's scratch reuse exists
-//! to provide — and that a thread keeps one simulator scratch.
+//! the search's bounded simulation, stopped or run to the end, bounded
+//! group moves the simulation stops, one re-lowering nothing and two
+//! re-lowering gradient aggregations (into PS rounds and into
+//! AllReduces), and the clone of a graph into a warm one that
+//! re-pricing makes, are allocation-free after warm-up — the property
+//! the evaluation engine's scratch reuse exists to provide — and that a
+//! thread keeps one simulator scratch.
 //!
 //! Lives in its own integration-test binary because it installs a
 //! counting `#[global_allocator]`. It counts each thread's allocations
@@ -16,7 +18,7 @@ use heterog_cluster::{paper_testbed_8gpu, LinkKind};
 use heterog_compile::{compile, CommMethod, OpStrategy, Strategy};
 use heterog_graph::{BenchmarkModel, ModelSpec, OpId};
 use heterog_profile::GroundTruthCost;
-use heterog_sched::{list_schedule_into, OrderPolicy, Schedule, ScheduleScratch};
+use heterog_sched::{list_schedule_into, OrderPolicy, Schedule, ScheduleScratch, TaskGraph};
 use heterog_sim::{simulate, simulate_into, simulate_within, SimReport, SimScratch};
 use heterog_strategies::{Bounded, EvalMode, IncrementalEvaluator, Perturbation};
 
@@ -158,6 +160,35 @@ fn schedule_and_simulate_are_allocation_free_after_warmup() {
     }
 }
 
+/// `s` with every op in `ops` re-decided as `to`: the strategy a group
+/// move evaluates.
+fn moved(s: &Strategy, ops: &[OpId], to: &OpStrategy) -> Strategy {
+    let mut out = s.clone();
+    for op in ops {
+        out.per_op[op.index()] = to.clone();
+    }
+    out
+}
+
+/// Re-pricing a cluster what-if clones the base graph into a warm
+/// scratch graph: once its buffers have grown, the clone allocates
+/// nothing.
+#[test]
+fn cloning_a_graph_into_a_warm_one_is_allocation_free() {
+    let g = ModelSpec::new(BenchmarkModel::MobileNetV2, 64).build();
+    let cluster = paper_testbed_8gpu();
+    let s = Strategy::even(g.len(), &cluster, CommMethod::AllReduce);
+    let tg = compile(&g, &cluster, &GroundTruthCost, &s);
+    let mut warm = TaskGraph::default();
+    warm.clone_from(&tg);
+    let (allocs, ()) = allocs_during(|| warm.clone_from(&tg));
+    assert_eq!(
+        allocs, 0,
+        "cloning a compiled graph into a warm one allocated {allocs} times"
+    );
+    assert_eq!((warm.len(), warm.num_edges()), (tg.len(), tg.num_edges()));
+}
+
 /// A search's bounded group move whose spliced graph `simulate_within`
 /// stops: after warm-up, resolving the moved placements, pricing the
 /// busiest load, splicing and the stopped simulation reuse the
@@ -224,7 +255,7 @@ fn bounded_group_move_relowering_aggregations_is_allocation_free() {
     let to = OpStrategy::even(&cluster, CommMethod::Ps);
     let p = Perturbation::Group { ops: &ops, to: &to };
     // The move re-lowers aggregations into PS rounds.
-    let tg = ev.splice(p).expect("a group move splices").tg;
+    let tg = compile(&g, &cluster, cost, &moved(&s, &ops, &to));
     let rounds = (tg.task_ids())
         .filter(|&t| tg.task_name(t).to_string().contains("/ps_agg@"))
         .count();
@@ -266,7 +297,7 @@ fn bounded_group_move_relowering_allreduces_is_allocation_free() {
     let to = OpStrategy::even(&cluster, CommMethod::AllReduce);
     let p = Perturbation::Group { ops: &ops, to: &to };
     // The move re-lowers aggregations into AllReduces.
-    let tg = ev.splice(p).expect("a group move splices").tg;
+    let tg = compile(&g, &cluster, cost, &moved(&s, &ops, &to));
     let collectives = (tg.task_ids())
         .filter(|&t| tg.task(t).kind == heterog_graph::OpKind::NcclAllReduce)
         .count();

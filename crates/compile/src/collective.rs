@@ -688,7 +688,7 @@ mod tests {
     use super::*;
     use heterog_cluster::paper_testbed_8gpu;
     use heterog_profile::GroundTruthCost;
-    use heterog_sched::{list_schedule, OrderPolicy, TaskGraph};
+    use heterog_sched::{list_schedule, OrderPolicy, TaskGraphBuilder};
 
     fn all8() -> Vec<DeviceId> {
         (0..8).map(DeviceId).collect()
@@ -744,7 +744,7 @@ mod tests {
     fn emit_ps_wires_push_reduce_pull() {
         let c = paper_testbed_8gpu();
         let cost = GroundTruthCost;
-        let mut tg = TaskGraph::new("t", 8, c.num_links() as u32);
+        let mut tg = TaskGraphBuilder::new("t", 8, c.num_links() as u32);
         let devices = vec![DeviceId(0), DeviceId(2), DeviceId(6)];
         let ready: Vec<Vec<TaskId>> = devices
             .iter()
@@ -773,7 +773,7 @@ mod tests {
         );
         assert_eq!(out.len(), 3);
         assert_eq!(book.ps_rounds.len(), 1);
-        let s = list_schedule(&tg, &OrderPolicy::RankBased);
+        let s = list_schedule(&tg.finish(), &OrderPolicy::RankBased);
         assert!(s.makespan > 0.01);
         // Completion reflects push + reduce + pull across the NICs.
         let est = ps_estimate(
@@ -794,7 +794,7 @@ mod tests {
     fn ps_pushes_serialize_on_ingress_nic() {
         let c = paper_testbed_8gpu();
         let cost = GroundTruthCost;
-        let mut tg = TaskGraph::new("t", 8, c.num_links() as u32);
+        let mut tg = TaskGraphBuilder::new("t", 8, c.num_links() as u32);
         let devices = all8();
         let ready: Vec<Vec<TaskId>> = devices
             .iter()
@@ -821,7 +821,7 @@ mod tests {
             None,
             &mut Vec::new(),
         );
-        let s = list_schedule(&tg, &OrderPolicy::RankBased);
+        let s = list_schedule(&tg.finish(), &OrderPolicy::RankBased);
         // 6 cross-server pushes serialize into the PS box, then 6 pulls
         // serialize out: >= 12 NIC passes of ~10ms each.
         let one = bytes as f64 / 10.5e9;
@@ -832,7 +832,7 @@ mod tests {
     fn emit_allreduce_occupies_shared_channels() {
         let c = paper_testbed_8gpu();
         let cost = GroundTruthCost;
-        let mut tg = TaskGraph::new("t", 8, c.num_links() as u32);
+        let mut tg = TaskGraphBuilder::new("t", 8, c.num_links() as u32);
         let devices = all8();
         let ready: Vec<Vec<TaskId>> = devices
             .iter()
@@ -860,7 +860,7 @@ mod tests {
         );
         assert_eq!(out.len(), 8);
         assert_eq!(book.collectives.len(), 1);
-        let s = list_schedule(&tg, &OrderPolicy::RankBased);
+        let s = list_schedule(&tg.finish(), &OrderPolicy::RankBased);
         let est = ring_estimate(&c, &cost, &devices, 4 << 20).min(hierarchical_estimate(
             &c,
             &cost,
@@ -888,7 +888,7 @@ mod tests {
     #[test]
     fn single_device_allreduce_is_noop() {
         let c = paper_testbed_8gpu();
-        let mut tg = TaskGraph::new("t", 8, c.num_links() as u32);
+        let mut tg = TaskGraphBuilder::new("t", 8, c.num_links() as u32);
         let ready = vec![vec![tg.add_task(Task::new(
             "g",
             OpKind::NoOp,
@@ -933,7 +933,7 @@ mod tests {
     fn emit_one_pass_records_kind_and_charges_markers() {
         let c = paper_testbed_8gpu();
         let cost = GroundTruthCost;
-        let mut tg = TaskGraph::new("t", 8, c.num_links() as u32);
+        let mut tg = TaskGraphBuilder::new("t", 8, c.num_links() as u32);
         let devices = vec![DeviceId(0), DeviceId(1)];
         let ready: Vec<Vec<TaskId>> = devices
             .iter()
@@ -959,7 +959,7 @@ mod tests {
         assert_eq!(tg.task(out[1]).bytes, 2 << 20);
         let link_dur = tg.task(book.collectives[0].link_tasks[0]).duration;
         assert!((link_dur - one_pass_estimate(&c, &devices, 8 << 20)).abs() < 1e-12);
-        let s = list_schedule(&tg, &OrderPolicy::RankBased);
+        let s = list_schedule(&tg.finish(), &OrderPolicy::RankBased);
         assert!(s.makespan >= 0.01 + link_dur - 1e-9);
     }
 

@@ -21,9 +21,10 @@
 //! segment, each segment's in the order it added them. A `W(u)` adds
 //! edges only among `u`'s replicas, its consumers' replicas and its own
 //! tasks, an `A(g)` only among `g`'s replicas, its ApplyGradient's and
-//! its own tasks, and an `R` adds none. Every compile seals the graph it
-//! returns ([`TaskGraph::seal`]): its successor and predecessor rows are
-//! its only edges.
+//! its own tasks, and an `R` adds none. Every compile lowers into a
+//! [`TaskGraphBuilder`] and returns the graph it finishes
+//! ([`TaskGraphBuilder::finish`]): its successor and predecessor rows
+//! are its only edges.
 //!
 //! [`compile_logged`] records where each segment's tasks and PS rounds
 //! start and end. [`splice_into`] builds another placement's graph from
@@ -74,7 +75,8 @@ use heterog_cluster::{Cluster, DeviceId};
 use heterog_graph::{Graph, Node, OpId, OpKind, Phase, TensorMeta};
 use heterog_profile::CostEstimator;
 use heterog_sched::{
-    Dir, NameTable, Pass, Patch, PatchIds, Proc, RowWriter, Tag, Task, TaskGraph, TaskId, TaskName,
+    Dir, NameTable, Pass, Patch, PatchIds, Proc, RowWriter, Tag, Task, TaskGraph, TaskGraphBuilder,
+    TaskId, TaskName,
 };
 
 use crate::collective::{
@@ -116,10 +118,10 @@ fn name_table(g: &Graph, cluster: &Cluster) -> Arc<NameTable> {
     ))
 }
 
-/// An empty task graph labelled `label`, over `cluster`'s processors,
-/// naming tasks from `g`.
-fn empty_graph(label: String, g: &Graph, cluster: &Cluster) -> TaskGraph {
-    let mut tg = TaskGraph::new(
+/// A builder of a task graph labelled `label`, over `cluster`'s
+/// processors, naming tasks from `g`.
+fn empty_graph(label: String, g: &Graph, cluster: &Cluster) -> TaskGraphBuilder {
+    let mut tg = TaskGraphBuilder::new(
         label,
         cluster.num_devices() as u32,
         cluster.num_links() as u32,
@@ -149,9 +151,9 @@ fn apply_of(g: &Graph, gid: OpId) -> Option<OpId> {
         .find(|&s| g.node(s).kind == OpKind::ApplyGradient)
 }
 
-/// Where a lowering puts the tasks and edges it emits: a [`TaskGraph`],
-/// or, in [`splice_loads`], a sum that keeps only each processor's
-/// work.
+/// Where a lowering puts the tasks and edges it emits: a
+/// [`TaskGraphBuilder`], a [`Patch`] in [`splice_into`], or, in
+/// [`splice_loads`], a sum that keeps only each processor's work.
 pub trait TaskSink {
     /// Adds a task; returns its id.
     fn add_task(&mut self, task: Task) -> TaskId;
@@ -159,13 +161,13 @@ pub trait TaskSink {
     fn add_dep(&mut self, src: TaskId, dst: TaskId);
 }
 
-impl TaskSink for TaskGraph {
+impl TaskSink for TaskGraphBuilder {
     fn add_task(&mut self, task: Task) -> TaskId {
-        TaskGraph::add_task(self, task)
+        TaskGraphBuilder::add_task(self, task)
     }
 
     fn add_dep(&mut self, src: TaskId, dst: TaskId) {
-        TaskGraph::add_dep(self, src, dst)
+        TaskGraphBuilder::add_dep(self, src, dst)
     }
 }
 
@@ -176,7 +178,7 @@ trait Numbered: TaskSink {
     fn tasks(&self) -> u32;
 }
 
-impl Numbered for TaskGraph {
+impl Numbered for TaskGraphBuilder {
     fn tasks(&self) -> u32 {
         self.len() as u32
     }
@@ -395,8 +397,8 @@ struct SegRecord {
 /// lowered graph's tasks and PS rounds, the PS load tracker before each
 /// aggregation segment, and each task's segment and each gradient's
 /// aggregation segment, by which a splice tells which segment added an
-/// edge. The lowered graph is sealed and holds its edges as rows alone,
-/// which a splice copies.
+/// edge. The lowered graph holds its edges as rows alone, which a splice
+/// copies.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SegmentLog {
     placements: Vec<OpPlacement>,
@@ -458,8 +460,7 @@ impl SegmentLog {
 }
 
 /// [`compile_priced`] that also records the [`SegmentLog`] other
-/// placements splice from ([`splice_into`]). Same graph, sealed, and
-/// book.
+/// placements splice from ([`splice_into`]). Same graph and book.
 pub fn compile_logged<C: CostEstimator>(
     g: &Graph,
     cluster: &Cluster,
@@ -604,7 +605,7 @@ impl SpliceScratch {
 /// Lowers `placements` into the patch `out` over `base.tg` by splicing
 /// from `base`: segments whose inputs equal the base's are copied, the
 /// rest re-lowered on `cluster`, which must be the cluster the base was
-/// compiled on; `base.tg` must be sealed. Read over `base.tg`
+/// compiled on. Read over `base.tg`
 /// ([`heterog_sched::PatchView`]), the patch is the task graph
 /// [`compile_priced`] gives for a strategy resolving to `placements`,
 /// task for task and row for row, in the same ids. Returns the number
@@ -969,7 +970,7 @@ impl<C: CostEstimator> Lowering<'_, C> {
         }
     }
 
-    /// Lowers every segment into a new sealed graph and its price book,
+    /// Lowers every segment into a new graph and its price book,
     /// recording each segment into `log` when given.
     fn compile(&self, log: Option<&mut SegmentLog>) -> (TaskGraph, PriceBook) {
         let g = self.g;
@@ -981,8 +982,7 @@ impl<C: CostEstimator> Lowering<'_, C> {
             Some(log) => lw.emit_logged(log),
             None => segments(g).for_each(|seg| lw.emit(seg)),
         }
-        tg.seal();
-        (tg, book)
+        (tg.finish(), book)
     }
 
     /// Splices from `base` (see [`splice_into`]); returns the number of
@@ -1197,8 +1197,7 @@ pub fn compile_pipelined<C: CostEstimator>(
         &final_apply_tasks,
         &mut ps_loads,
     );
-    tg.seal();
-    tg
+    tg.finish()
 }
 
 /// Compiles `iterations` back-to-back training iterations into one task
@@ -1268,15 +1267,14 @@ pub fn compile_iterations<C: CostEstimator>(
         }
         prev_tasks = Some(op_tasks);
     }
-    tg.seal();
-    tg
+    tg.finish()
 }
 
 /// Aggregates gradients accumulated across micro-batches and wires them
 /// into the (single) ApplyGradient tasks.
 #[allow(clippy::too_many_arguments)]
 fn emit_cross_micro_aggregation<C: CostEstimator>(
-    tg: &mut TaskGraph,
+    tg: &mut TaskGraphBuilder,
     g: &Graph,
     cluster: &Cluster,
     cost: &C,
@@ -1368,7 +1366,7 @@ fn runs_ps_round(gp: &OpPlacement) -> bool {
 /// The state one lowering pass emits with. Every path — full compile,
 /// logged compile, splice, the splice's load pass, pipelined and
 /// multi-iteration compiles — emits segments through [`Lowerer::emit`].
-struct Lowerer<'a, C: CostEstimator, O: TaskSink = TaskGraph> {
+struct Lowerer<'a, C: CostEstimator, O: TaskSink = TaskGraphBuilder> {
     g: &'a Graph,
     cluster: &'a Cluster,
     cost: &'a C,
@@ -2105,7 +2103,7 @@ mod tests {
     use heterog_graph::DType;
     use heterog_graph::{GraphBuilder, ModelSpec};
     use heterog_profile::GroundTruthCost;
-    use heterog_sched::{list_schedule, OrderPolicy, PatchView};
+    use heterog_sched::{list_schedule, GraphRead, OrderPolicy, PatchView};
 
     fn tiny(batch: u64) -> Graph {
         let mut b = GraphBuilder::new("tiny", batch);
@@ -2469,17 +2467,16 @@ mod tests {
         }
     }
 
-    /// Asserts the spliced `tg` is sealed and equals a fresh compile of
-    /// `s` ([`assert_same_graph`]): task for task and row for row, each
-    /// row in insertion order.
-    fn assert_splices_like_a_compile(g: &Graph, c: &Cluster, s: &Strategy, tg: TaskGraph) {
-        assert!(tg.is_sealed());
-        assert_same_graph(&tg, &compile(g, c, &GroundTruthCost, s));
-    }
-
-    /// Splices `s` from a logged compile of `base`; returns the
-    /// materialized graph and the number of segments reused.
-    fn splice(g: &Graph, c: &Cluster, base: &Strategy, s: &Strategy) -> (TaskGraph, usize) {
+    /// Splices `s` from a logged compile of `base` and asserts the patch,
+    /// read over the base, equals a fresh compile of `s` task for task
+    /// and row for row, each row in insertion order. Returns the number
+    /// of segments reused.
+    fn assert_splices_like_a_compile(
+        g: &Graph,
+        c: &Cluster,
+        base: &Strategy,
+        s: &Strategy,
+    ) -> usize {
         let (btg, bbook, log) = compile_logged(g, c, &GroundTruthCost, base);
         let mut patch = Patch::default();
         let reused = splice_into(
@@ -2495,9 +2492,25 @@ mod tests {
             &mut patch,
             &mut SpliceScratch::default(),
         );
-        let mut tg = TaskGraph::default();
-        PatchView::new(&btg, &patch).materialize(&mut tg);
-        (tg, reused)
+        let (view, fresh) = (
+            PatchView::new(&btg, &patch),
+            compile(g, c, &GroundTruthCost, s),
+        );
+        assert_eq!(GraphRead::len(&view), fresh.len());
+        assert_eq!(view.num_edges(), fresh.num_edges());
+        for id in fresh.task_ids() {
+            let (x, y) = (GraphRead::task(&view, id), fresh.task(id));
+            assert_eq!(
+                view.task_name(id).to_string(),
+                fresh.task_name(id).to_string()
+            );
+            assert!(same_task(x, y), "task {id}");
+            let succs: Vec<_> = GraphRead::succs(&view, id).collect();
+            let preds: Vec<_> = GraphRead::preds(&view, id).collect();
+            assert_eq!(succs, fresh.succs(id), "successors of {id}");
+            assert_eq!(preds, fresh.preds(id), "predecessors of {id}");
+        }
+        reused
     }
 
     #[test]
@@ -2538,7 +2551,7 @@ mod tests {
         ]
     }
 
-    /// Logging a compiled (sealed) graph gives the book and log a logged
+    /// Logging a compiled graph gives the book and log a logged
     /// compile does, with no second graph: segments, PS rounds and
     /// trackers. Over every zoo model's uniform deployments on both
     /// testbeds.
@@ -2561,38 +2574,6 @@ mod tests {
         }
     }
 
-    /// Every compile seals the graph it returns: the rows are its only
-    /// edges, and a splice's rows are written, not indexed.
-    #[test]
-    fn compiles_return_sealed_graphs() {
-        let g = tiny(64);
-        let c = paper_testbed_8gpu();
-        let s = Strategy::proportional(g.len(), &c, CommMethod::Ps);
-        let cost = &GroundTruthCost;
-        let (logged, book, log) = compile_logged(&g, &c, cost, &s);
-        for tg in [
-            compile(&g, &c, cost, &s),
-            compile_priced(&g, &c, cost, &s).0,
-            compile_pipelined(&g, &c, cost, &s, 1),
-            compile_pipelined(&g, &c, cost, &s, 3),
-            compile_iterations(&g, &c, cost, &s, 2),
-        ] {
-            assert!(tg.is_sealed(), "{}", tg.name);
-        }
-        assert!(logged.is_sealed());
-        let (mut patch, mut spliced) = (Patch::default(), TaskGraph::default());
-        let base = SpliceBase {
-            tg: &logged,
-            book: &book,
-            log: &log,
-        };
-        let placements = resolve_placements(&g, &c, &shard_strategy(&g, &c));
-        let mut scratch = SpliceScratch::default();
-        splice_into(&g, &c, cost, &placements, base, &mut patch, &mut scratch);
-        PatchView::new(&logged, &patch).materialize(&mut spliced);
-        assert!(spliced.is_sealed());
-    }
-
     #[test]
     #[should_panic(expected = "from the logged graph's")]
     fn logging_another_strategys_graph_panics() {
@@ -2611,9 +2592,8 @@ mod tests {
         let mut s = base.clone();
         let (l2, _) = g.iter().find(|(_, n)| n.name == "l2/matmul").unwrap();
         s.per_op[l2.index()] = crate::OpStrategy::Mp(DeviceId(3));
-        let (tg, reused) = splice(&g, &c, &base, &s);
+        let reused = assert_splices_like_a_compile(&g, &c, &base, &s);
         assert!(reused > 0, "unchanged segments must be copied");
-        assert_splices_like_a_compile(&g, &c, &s, tg);
     }
 
     #[test]
@@ -2623,8 +2603,7 @@ mod tests {
         let g = tiny(64);
         let c = paper_testbed_8gpu();
         let dp = Strategy::proportional(g.len(), &c, CommMethod::AllReduce);
-        let (tg, reused) = splice(&g, &c, &shard_strategy(&g, &c), &dp);
-        assert_splices_like_a_compile(&g, &c, &dp, tg);
+        let reused = assert_splices_like_a_compile(&g, &c, &shard_strategy(&g, &c), &dp);
         assert!(reused < compile_logged(&g, &c, &GroundTruthCost, &dp).2.len());
     }
 
@@ -2639,8 +2618,7 @@ mod tests {
         for (id, _) in g.iter().filter(|(_, n)| n.has_params()).take(3) {
             s.per_op[id.index()] = crate::OpStrategy::even(&c, CommMethod::AllReduce);
         }
-        let (tg, reused) = splice(&g, &c, &base, &s);
-        assert_splices_like_a_compile(&g, &c, &s, tg);
+        let reused = assert_splices_like_a_compile(&g, &c, &base, &s);
         let log = compile_logged(&g, &c, &GroundTruthCost, &base).2;
         // Every R and W segment is copied; at least the three flipped A
         // segments are not.

@@ -151,14 +151,14 @@ mod tests {
     use super::*;
     use heterog_cluster::paper_testbed_8gpu;
     use heterog_profile::GroundTruthCost;
-    use heterog_sched::{list_schedule, OrderPolicy, TaskGraph};
+    use heterog_sched::{list_schedule, OrderPolicy, TaskGraphBuilder};
 
     const X: OpId = OpId(0);
 
     #[test]
     fn same_device_transfer_is_empty() {
         let c = paper_testbed_8gpu();
-        let mut tg = TaskGraph::new("t", 8, c.num_links() as u32);
+        let mut tg = TaskGraphBuilder::new("t", 8, c.num_links() as u32);
         let segs = emit_transfer(
             &mut tg,
             &c,
@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn intra_server_transfer_is_one_segment() {
         let c = paper_testbed_8gpu();
-        let mut tg = TaskGraph::new("t", 8, c.num_links() as u32);
+        let mut tg = TaskGraphBuilder::new("t", 8, c.num_links() as u32);
         let segs = emit_transfer(
             &mut tg,
             &c,
@@ -194,7 +194,7 @@ mod tests {
             c.links().iter().map(|l| l.label.clone()).collect(),
         )));
         assert_eq!(
-            tg.task_name(segs[0]).to_string(),
+            tg.finish().task_name(segs[0]).to_string(),
             format!(
                 "x/xfer@{}",
                 c.link(c.path_between(DeviceId(0), DeviceId(1)).unwrap()[0])
@@ -207,7 +207,7 @@ mod tests {
     fn cross_server_transfer_occupies_two_nics_concurrently() {
         let c = paper_testbed_8gpu();
         let cost = GroundTruthCost;
-        let mut tg = TaskGraph::new("t", 8, c.num_links() as u32);
+        let mut tg = TaskGraphBuilder::new("t", 8, c.num_links() as u32);
         let src = tg.add_task(Task::new("p", OpKind::NoOp, Proc::Gpu(0), 0.0));
         let dst = tg.add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(2), 0.0));
         connect_via_transfer(
@@ -223,7 +223,7 @@ mod tests {
             53 << 20,
         );
         assert_eq!(tg.len(), 4);
-        let s = list_schedule(&tg, &OrderPolicy::RankBased);
+        let s = list_schedule(&tg.finish(), &OrderPolicy::RankBased);
         // End-to-end governed by the slower (50GbE) NIC, not the sum.
         let slow = (53u64 << 20) as f64 / 5.3e9;
         assert!(
@@ -240,7 +240,7 @@ mod tests {
         // box take ~6x one transfer.
         let c = paper_testbed_8gpu();
         let cost = GroundTruthCost;
-        let mut tg = TaskGraph::new("t", 8, c.num_links() as u32);
+        let mut tg = TaskGraphBuilder::new("t", 8, c.num_links() as u32);
         let dst_dev = DeviceId(0);
         let sink = tg.add_task(Task::new("sink", OpKind::NoOp, Proc::Gpu(0), 0.0));
 
@@ -259,7 +259,7 @@ mod tests {
                 105 << 20,
             );
         }
-        let s = list_schedule(&tg, &OrderPolicy::RankBased);
+        let s = list_schedule(&tg.finish(), &OrderPolicy::RankBased);
         let one = (105u64 << 20) as f64 / 10.5e9; // dst NIC is 100GbE
         assert!(
             s.makespan > 5.5 * one,

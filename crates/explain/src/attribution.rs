@@ -351,15 +351,16 @@ mod tests {
     use super::*;
     use crate::path::critical_path;
     use heterog_graph::OpKind;
-    use heterog_sched::{list_schedule, OrderPolicy, Task, TaskGraph};
+    use heterog_sched::{list_schedule, OrderPolicy, Task, TaskGraph, TaskGraphBuilder};
 
     fn demo() -> (TaskGraph, heterog_sched::Schedule) {
-        let mut tg = TaskGraph::new("demo", 2, 1);
+        let mut tg = TaskGraphBuilder::new("demo", 2, 1);
         let a = tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0));
         let x = tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5));
         let b = tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(1), 1.0));
         tg.add_dep(a, x);
         tg.add_dep(x, b);
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         (tg, s)
     }
@@ -377,11 +378,12 @@ mod tests {
 
     #[test]
     fn collective_breakdown_splits_by_kind() {
-        let mut tg = TaskGraph::new("coll", 2, 3);
+        let mut tg = TaskGraphBuilder::new("coll", 2, 3);
         tg.add_task(Task::new("ar", OpKind::NcclAllReduce, Proc::Link(0), 0.25));
         tg.add_task(Task::new("ag", OpKind::AllGather, Proc::Link(1), 0.5));
         tg.add_task(Task::new("rs", OpKind::ReduceScatter, Proc::Link(2), 0.125));
         tg.add_task(Task::new("c", OpKind::Conv2D, Proc::Gpu(0), 9.0));
+        let tg = tg.finish();
         let b = collective_breakdown(&tg);
         assert!((b.all_reduce_s - 0.25).abs() < 1e-12);
         assert!((b.all_gather_s - 0.5).abs() < 1e-12);

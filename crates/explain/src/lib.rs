@@ -13,7 +13,7 @@
 //!   strategy's replicas fit the hardware.
 //! * **What-if sensitivity** ([`whatif`]) — re-simulation under
 //!   perturbed clusters/strategies, ranked by predicted makespan delta.
-//! * **Run-diff** ([`diff`]) — regression/improvement comparison of two
+//! * **Run-diff** ([`diff`](mod@diff)) — regression/improvement comparison of two
 //!   reports, including ones reloaded from JSON artifacts.
 //! * **Rendering** ([`render`]) — terminal table, JSON, and a
 //!   self-contained HTML report embedding the Chrome-trace timeline.
@@ -127,7 +127,7 @@ pub struct ExplainReport {
 }
 
 impl ExplainReport {
-    /// The diffable scalar subset, for [`diff`].
+    /// The diffable scalar subset, for [`diff()`].
     pub fn digest(&self) -> ReportDigest {
         ReportDigest {
             model: self.model.clone(),

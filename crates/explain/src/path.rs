@@ -227,18 +227,18 @@ pub fn critical_path(tg: &TaskGraph, s: &Schedule) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heterog_sched::{list_schedule, OrderPolicy};
+    use heterog_sched::{list_schedule, OrderPolicy, TaskGraphBuilder};
 
     fn chain_graph() -> TaskGraph {
         // GPU0: a(1.0) -> link x(0.5) -> GPU1: b(1.0); GPU0 also c(2.0).
-        let mut tg = TaskGraph::new("demo", 2, 1);
+        let mut tg = TaskGraphBuilder::new("demo", 2, 1);
         let a = tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0));
         let x = tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5));
         let b = tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(1), 1.0));
         tg.add_task(Task::new("c", OpKind::Conv2D, Proc::Gpu(0), 2.0));
         tg.add_dep(a, x);
         tg.add_dep(x, b);
-        tg
+        tg.finish()
     }
 
     #[test]
@@ -272,9 +272,10 @@ mod tests {
     fn proc_order_edges_are_found() {
         // Two independent 1.0s tasks on one GPU: the second's start is
         // justified by the first freeing the processor, not by any dep.
-        let mut tg = TaskGraph::new("po", 1, 0);
+        let mut tg = TaskGraphBuilder::new("po", 1, 0);
         tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0));
         tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(0), 1.0));
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::Fifo);
         let cp = critical_path(&tg, &s);
         assert_eq!(cp.len(), 2);
@@ -301,7 +302,7 @@ mod tests {
 
     #[test]
     fn empty_graph_yields_empty_path() {
-        let tg = TaskGraph::new("empty", 1, 0);
+        let tg = TaskGraphBuilder::new("empty", 1, 0).finish();
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         let cp = critical_path(&tg, &s);
         assert!(cp.is_empty());

@@ -10,7 +10,7 @@
 //! * **Planner win table** — per model, which planner holds the best
 //!   archived makespan.
 //! * **Regression strip** — for every `(model, planner)` series with
-//!   at least two digest-bearing runs, the [`heterog_explain::diff`]
+//!   at least two digest-bearing runs, the [`heterog_explain::diff()`]
 //!   verdict of the latest run against its predecessor.
 
 use std::collections::BTreeMap;

@@ -13,7 +13,7 @@
 //! chains — serializing the per-batch `p`s into a staircase of length
 //! `≈ (k-1)(H-1)p + kp`, i.e. `T_LS / T* → H` as `k` grows and `e → 0`.
 
-use crate::task::{Proc, Task, TaskGraph, TaskId};
+use crate::task::{Proc, Task, TaskGraph, TaskGraphBuilder, TaskId};
 use heterog_graph::OpKind;
 
 /// Generates the worst-case instance for `h` processors with `k` batches
@@ -24,7 +24,7 @@ use heterog_graph::OpKind;
 pub fn worst_case_instance(h: usize, k: usize, p: f64, e: f64) -> (TaskGraph, f64) {
     assert!(h >= 3, "need at least 3 processors");
     assert!(k >= 1);
-    let mut tg = TaskGraph::new(format!("worst_case_h{h}_k{k}"), h as u32, 0);
+    let mut tg = TaskGraphBuilder::new(format!("worst_case_h{h}_k{k}"), h as u32, 0);
 
     // Chains j = 1..h-1.
     for j in 1..h {
@@ -49,6 +49,7 @@ pub fn worst_case_instance(h: usize, k: usize, p: f64, e: f64) -> (TaskGraph, f6
             p,
         ));
     }
+    let tg = tg.finish();
 
     let t_star = k as f64 * (p + (h as f64 - 1.0) * e) + (h as f64 - 2.0) * e;
     (tg, t_star)

@@ -38,6 +38,7 @@ pub use rank::{
 };
 pub use strict::strict_schedule;
 pub use task::{
-    Dir, NameRef, NameTable, Pass, Proc, RowWriter, Tag, Task, TaskGraph, TaskId, TaskName,
+    Dir, NameRef, NameTable, Pass, Proc, RowWriter, Tag, Task, TaskGraph, TaskGraphBuilder, TaskId,
+    TaskName,
 };
 pub use view::{topo_order_into, CopiedRun, GraphRead, Patch, PatchIds, PatchRow, PatchView};

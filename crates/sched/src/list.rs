@@ -547,7 +547,7 @@ pub fn head_body_tail_bound_into(tg: &TaskGraph, scratch: &mut ScheduleScratch) 
 /// The heaviest single processor's total work, summed into `per_proc`
 /// (one slot per dense processor index). Every processor runs one task
 /// at a time, so no schedule of `tg` finishes sooner. Reads only the
-/// task arena: it needs no [`TaskGraph::build_index`].
+/// task arena, not the rows.
 pub fn busiest_processor_load(tg: &TaskGraph, per_proc: &mut Vec<f64>) -> f64 {
     per_proc.clear();
     per_proc.resize(tg.num_procs(), 0.0);
@@ -560,7 +560,7 @@ pub fn busiest_processor_load(tg: &TaskGraph, per_proc: &mut Vec<f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{Proc, Task};
+    use crate::task::{Proc, Task, TaskGraphBuilder};
     use heterog_graph::OpKind;
 
     fn g(name: &str, proc: u32, d: f64) -> Task {
@@ -569,10 +569,11 @@ mod tests {
 
     #[test]
     fn single_chain_runs_serially() {
-        let mut tg = TaskGraph::new("c", 1, 0);
+        let mut tg = TaskGraphBuilder::new("c", 1, 0);
         let a = tg.add_task(g("a", 0, 1.0));
         let b = tg.add_task(g("b", 0, 2.0));
         tg.add_dep(a, b);
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         assert_eq!(s.makespan, 3.0);
         assert_eq!(s.start[b.index()], 1.0);
@@ -581,9 +582,10 @@ mod tests {
 
     #[test]
     fn independent_tasks_on_two_gpus_overlap() {
-        let mut tg = TaskGraph::new("p", 2, 0);
+        let mut tg = TaskGraphBuilder::new("p", 2, 0);
         tg.add_task(g("a", 0, 2.0));
         tg.add_task(g("b", 1, 2.0));
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         assert_eq!(s.makespan, 2.0);
     }
@@ -593,11 +595,12 @@ mod tests {
         // On one GPU: task `long_head` unlocks a long chain; `cheap` is
         // independent. Rank runs long_head first; FIFO (arrival: cheap
         // first by id) runs cheap first and pays for it.
-        let mut tg = TaskGraph::new("r", 2, 0);
+        let mut tg = TaskGraphBuilder::new("r", 2, 0);
         let cheap = tg.add_task(g("cheap", 0, 5.0));
         let long_head = tg.add_task(g("head", 0, 1.0));
         let tail = tg.add_task(g("tail", 1, 10.0));
         tg.add_dep(long_head, tail);
+        let tg = tg.finish();
         let rank = list_schedule(&tg, &OrderPolicy::RankBased);
         let fifo = list_schedule(&tg, &OrderPolicy::Fifo);
         assert_eq!(rank.makespan, 11.0); // head@0..1, tail@1..11, cheap@1..6
@@ -607,9 +610,10 @@ mod tests {
 
     #[test]
     fn explicit_priorities_respected() {
-        let mut tg = TaskGraph::new("e", 1, 0);
+        let mut tg = TaskGraphBuilder::new("e", 1, 0);
         let a = tg.add_task(g("a", 0, 1.0));
         let b = tg.add_task(g("b", 0, 1.0));
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::Priorities(vec![0.0, 1.0]));
         assert_eq!(s.start[b.index()], 0.0);
         assert_eq!(s.start[a.index()], 1.0);
@@ -619,13 +623,14 @@ mod tests {
     fn links_are_processors_too() {
         // GPU0 -> link -> GPU1; communication overlaps with independent
         // compute on GPU0.
-        let mut tg = TaskGraph::new("l", 2, 1);
+        let mut tg = TaskGraphBuilder::new("l", 2, 1);
         let a = tg.add_task(g("a", 0, 1.0));
         let x = tg.add_task(Task::new("xfer", OpKind::Transfer, Proc::Link(0), 2.0));
         let b = tg.add_task(g("b", 1, 1.0));
         let other = tg.add_task(g("other", 0, 3.0));
         tg.add_dep(a, x);
         tg.add_dep(x, b);
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         // a: 0..1, xfer: 1..3, b: 3..4; other overlaps on GPU0.
         assert_eq!(s.makespan, 4.0);
@@ -634,11 +639,12 @@ mod tests {
 
     #[test]
     fn makespan_never_below_lower_bound() {
-        let mut tg = TaskGraph::new("lb", 2, 0);
+        let mut tg = TaskGraphBuilder::new("lb", 2, 0);
         let a = tg.add_task(g("a", 0, 3.0));
         let b = tg.add_task(g("b", 0, 4.0));
         let c = tg.add_task(g("c", 1, 5.0));
         tg.add_dep(a, c);
+        let tg = tg.finish();
         let _ = b;
         let lb = makespan_lower_bound(&tg);
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
@@ -651,7 +657,7 @@ mod tests {
         // GPU 1 runs `b` and `c`, both released by `a` (3.0 on GPU 0) and
         // both followed by `d` (4.0 on GPU 0): 3 + (2 + 2) + 4 = 11,
         // above both the critical path (9) and the busiest load (7).
-        let mut tg = TaskGraph::new("hbt", 2, 0);
+        let mut tg = TaskGraphBuilder::new("hbt", 2, 0);
         let a = tg.add_task(g("a", 0, 3.0));
         let b = tg.add_task(g("b", 1, 2.0));
         let c = tg.add_task(g("c", 1, 2.0));
@@ -660,6 +666,7 @@ mod tests {
             tg.add_dep(a, t);
             tg.add_dep(t, d);
         }
+        let tg = tg.finish();
         assert_eq!(makespan_lower_bound(&tg), 9.0);
         let mut scratch = ScheduleScratch::default();
         assert_eq!(head_body_tail_bound_into(&tg, &mut scratch), 11.0);
@@ -678,7 +685,8 @@ mod tests {
     fn bound_by_index(tg: &TaskGraph) -> f64 {
         let mut ranks = upward_ranks(tg);
         let mut best = critical_path_from(&ranks);
-        let order = tg.topo_order();
+        let (mut indeg, mut order) = (Vec::new(), Vec::new());
+        crate::view::topo_order_into(tg, &mut indeg, &mut order);
         let mut heads = vec![0.0f64; tg.len()];
         for &id in &order {
             let i = id.index();
@@ -752,7 +760,7 @@ mod tests {
         let mut scratch = ScheduleScratch::default();
         for case in 0..200 {
             let (gpus, links) = (1 + case % 3, case % 2);
-            let mut tg = TaskGraph::new("ties", gpus, links);
+            let mut tg = TaskGraphBuilder::new("ties", gpus, links);
             let n = 2 + rng.below(40) as usize;
             for i in 0..n {
                 let d = [0.0, 0.5, 1.0, 2.0][rng.below(4) as usize];
@@ -769,6 +777,7 @@ mod tests {
                     }
                 }
             }
+            let tg = tg.finish();
             let want = bound_by_index(&tg);
             let got = head_body_tail_bound_into(&tg, &mut scratch);
             assert_eq!(
@@ -894,7 +903,8 @@ mod tests {
                     proc_busy: vec![0.0; num_procs],
                 },
             };
-            let mut indeg: Vec<u32> = tg.in_degrees().collect();
+            let mut indeg = Vec::new();
+            tg.degrees_into(Dir::Preds, &mut indeg);
             for t in tg.task_ids() {
                 if indeg[t.index()] == 0 {
                     st.push_ready(t);
@@ -935,7 +945,7 @@ mod tests {
         heterog_telemetry::rng::for_each_seed(300, |rng| {
             let gpus = rng.gen_range(1..4usize) as u32;
             let links = rng.gen_range(0..3usize) as u32;
-            let mut tg = TaskGraph::new("ref", gpus, links);
+            let mut tg = TaskGraphBuilder::new("ref", gpus, links);
             let n = rng.gen_range(1..60usize);
             for i in 0..n {
                 // Few distinct dyadic durations, zero among them: equal
@@ -954,6 +964,7 @@ mod tests {
                     }
                 }
             }
+            let tg = tg.finish();
             // Priorities drawn from a few values, so ties are frequent.
             let priorities = (0..n)
                 .map(|_| [-1.0, 0.0, 0.0, 2.0][rng.gen_range(0..4usize)])
@@ -979,12 +990,13 @@ mod tests {
 
     #[test]
     fn theorem1_bound_holds_on_small_graph() {
-        let mut tg = TaskGraph::new("t1", 2, 1);
+        let mut tg = TaskGraphBuilder::new("t1", 2, 1);
         let a = tg.add_task(g("a", 0, 1.0));
         let x = tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5));
         let b = tg.add_task(g("b", 1, 2.0));
         tg.add_dep(a, x);
         tg.add_dep(x, b);
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         let bound = (tg.num_procs() as f64) * makespan_lower_bound(&tg);
         assert!(s.makespan <= bound + 1e-12);
@@ -994,10 +1006,11 @@ mod tests {
 
     #[test]
     fn zero_duration_tasks_complete_instantly() {
-        let mut tg = TaskGraph::new("z", 1, 0);
+        let mut tg = TaskGraphBuilder::new("z", 1, 0);
         let a = tg.add_task(g("a", 0, 0.0));
         let b = tg.add_task(g("b", 0, 0.0));
         tg.add_dep(a, b);
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         assert_eq!(s.makespan, 0.0);
         assert_eq!(s.finish[b.index()], 0.0);
@@ -1005,10 +1018,11 @@ mod tests {
 
     #[test]
     fn busy_time_accounts_every_task() {
-        let mut tg = TaskGraph::new("b", 2, 1);
+        let mut tg = TaskGraphBuilder::new("b", 2, 1);
         tg.add_task(g("a", 0, 1.5));
         tg.add_task(g("b", 1, 2.5));
         tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.25));
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         let total: f64 = s.proc_busy.iter().sum();
         assert!((total - 4.25).abs() < 1e-12);
@@ -1021,7 +1035,7 @@ mod tests {
         // Alternate between a larger and a smaller graph to exercise
         // buffer shrink/regrow paths.
         for gpus in [3u32, 1, 2] {
-            let mut tg = TaskGraph::new("s", gpus, 1);
+            let mut tg = TaskGraphBuilder::new("s", gpus, 1);
             let mut prev = None;
             for i in 0..(gpus * 4) {
                 let id = tg.add_task(g("t", i % gpus, 1.0 + i as f64 * 0.25));
@@ -1030,6 +1044,7 @@ mod tests {
                 }
                 prev = Some(id);
             }
+            let tg = tg.finish();
             for policy in [
                 OrderPolicy::RankBased,
                 OrderPolicy::Fifo,
@@ -1049,11 +1064,12 @@ mod tests {
     fn bounded_schedule_stops_once_its_bound_exceeds_the_limit() {
         // GPU 0 runs `a` (1.0) then `b` (2.0); GPU 1 runs `c` (5.0). At
         // t = 0 `a` raises the bound to 3.0 and `c` to 5.0.
-        let mut tg = TaskGraph::new("b", 2, 0);
+        let mut tg = TaskGraphBuilder::new("b", 2, 0);
         let a = tg.add_task(g("a", 0, 1.0));
         let b = tg.add_task(g("b", 0, 2.0));
         tg.add_dep(a, b);
         tg.add_task(g("c", 1, 5.0));
+        let tg = tg.finish();
         let mut scratch = ScheduleScratch::default();
         for policy in [OrderPolicy::RankBased, OrderPolicy::Fifo] {
             let want = list_schedule(&tg, &policy);
@@ -1091,12 +1107,13 @@ mod tests {
                 self.finishes.push((task, time));
             }
         }
-        let mut tg = TaskGraph::new("h", 2, 0);
+        let mut tg = TaskGraphBuilder::new("h", 2, 0);
         let a = tg.add_task(g("a", 0, 1.0));
         let b = tg.add_task(g("b", 1, 2.0));
         let c = tg.add_task(g("c", 0, 1.0));
         tg.add_dep(a, c);
         tg.add_dep(b, c);
+        let tg = tg.finish();
         let mut hook = Recorder {
             starts: Vec::new(),
             finishes: Vec::new(),

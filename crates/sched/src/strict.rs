@@ -99,7 +99,7 @@ pub fn strict_schedule(tg: &TaskGraph, priorities: &[f64]) -> Schedule {
 mod tests {
     use super::*;
     use crate::rank::upward_ranks;
-    use crate::task::{Proc, Task};
+    use crate::task::{Proc, Task, TaskGraphBuilder};
     use heterog_graph::OpKind;
 
     fn g(name: &str, proc: u32, d: f64) -> Task {
@@ -110,11 +110,12 @@ mod tests {
     fn strict_device_idles_for_higher_priority_task() {
         // GPU1: task `late` (high priority) depends on `slow` (GPU0);
         // `early` (low priority) is ready at t=0 but must wait.
-        let mut tg = TaskGraph::new("s", 2, 0);
+        let mut tg = TaskGraphBuilder::new("s", 2, 0);
         let slow = tg.add_task(g("slow", 0, 5.0));
         let late = tg.add_task(g("late", 1, 1.0));
         let early = tg.add_task(g("early", 1, 1.0));
         tg.add_dep(slow, late);
+        let tg = tg.finish();
         let prio = vec![10.0, 9.0, 1.0];
         let s = strict_schedule(&tg, &prio);
         assert_eq!(s.start[late.index()], 5.0);
@@ -124,12 +125,13 @@ mod tests {
 
     #[test]
     fn rank_priorities_never_deadlock() {
-        let mut tg = TaskGraph::new("r", 2, 0);
+        let mut tg = TaskGraphBuilder::new("r", 2, 0);
         let a = tg.add_task(g("a", 0, 1.0));
         let b = tg.add_task(g("b", 1, 1.0));
         let c = tg.add_task(g("c", 0, 1.0));
         tg.add_dep(a, b);
         tg.add_dep(b, c);
+        let tg = tg.finish();
         let ranks = upward_ranks(&tg);
         let s = strict_schedule(&tg, &ranks);
         assert_eq!(s.makespan, 3.0);
@@ -137,9 +139,10 @@ mod tests {
 
     #[test]
     fn matches_work_conserving_when_no_contention() {
-        let mut tg = TaskGraph::new("m", 2, 0);
+        let mut tg = TaskGraphBuilder::new("m", 2, 0);
         tg.add_task(g("a", 0, 2.0));
         tg.add_task(g("b", 1, 3.0));
+        let tg = tg.finish();
         let ranks = upward_ranks(&tg);
         let strict = strict_schedule(&tg, &ranks);
         let wc = crate::list::list_schedule(&tg, &crate::list::OrderPolicy::RankBased);

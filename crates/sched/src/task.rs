@@ -5,16 +5,14 @@
 //! Two representation choices keep the compile -> schedule -> simulate
 //! reward path allocation-light:
 //!
-//! * **CSR adjacency, each edge once.** A graph is built by appending
-//!   edges to an insertion-ordered list; the successor and predecessor
-//!   rows are built together from it on first traversal (or by
-//!   [`TaskGraph::build_index`]) and invalidated on mutation, and
-//!   in-degrees are the predecessor rows' lengths. Every row keeps
-//!   insertion order, so schedules match the old `Vec<Vec<TaskId>>`
-//!   representation bit for bit. A finished graph is *sealed*
-//!   ([`TaskGraph::seal`]): its rows are built and the list, build
-//!   scratch by then, is freed or handed to the caller, so the rows are
-//!   its only edges and it takes no more tasks or edges.
+//! * **CSR adjacency, each edge once: built, then read.** A
+//!   [`TaskGraphBuilder`] appends tasks and edges to an
+//!   insertion-ordered list; [`TaskGraphBuilder::finish`] turns the list
+//!   into the successor and predecessor rows of an immutable
+//!   [`TaskGraph`], whose rows are its only edges. In-degrees are the
+//!   predecessor rows' lengths. Every row keeps insertion order, so
+//!   schedules match the old `Vec<Vec<TaskId>>` representation bit for
+//!   bit.
 //! * **Index task names.** A [`TaskName`] is 16 bytes of plain data —
 //!   op id, role [`Tag`], replica index and [`Pass`] — that indexes a
 //!   per-graph [`NameTable`] held by one `Arc`; the device or link a
@@ -27,21 +25,20 @@
 //!   name ([`Task::origin`]), and one field holds a GPU task's output
 //!   bytes or a link task's payload.
 //! * **Edges appended, checked once.** Builders add each edge once, so
-//!   `add_dep` only appends. Building the index checks that no edge
-//!   repeats, with a stamp per task rather than a hash, and panics
-//!   naming both tasks if one does. The stamps borrow the predecessor
-//!   offsets before those are filled, so the check needs no buffer of
-//!   its own.
-//! * **Rows written directly.** A graph spliced from a sealed base has
-//!   no edge list: [`TaskGraph::seal_with_rows`] lets its builder write
-//!   both directions' rows task by task ([`RowWriter`]), copying the
-//!   base's rows for whole runs of tasks with their ids remapped and
-//!   pushing the others entry by entry. Every pushed successor row is
-//!   checked for a repeated entry as the index build checks its rows; a
-//!   copied row is a base row, checked when the base was built, mapped
-//!   one to one.
+//!   `add_dep` only appends. Finishing checks that no edge repeats,
+//!   with a stamp per task rather than a hash, and panics naming both
+//!   tasks if one does. The stamps borrow the predecessor offsets before
+//!   those are filled, so the check needs no buffer of its own.
+//! * **Rows written directly.** A graph spliced from a finished base is
+//!   a [`crate::Patch`] over it, with no edge list: the splice writes
+//!   the patch's own tasks' rows in both directions task by task
+//!   ([`RowWriter`]), copying the base's rows for whole runs of tasks
+//!   with their ids remapped and pushing the others entry by entry.
+//!   Every pushed successor row is checked for a repeated entry as
+//!   finishing checks its rows; a copied row is a base row, checked when
+//!   the base was finished, mapped one to one.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use heterog_graph::{OpId, OpKind};
 
@@ -386,9 +383,9 @@ impl Task {
     }
 }
 
-/// Compressed-sparse-row adjacency, built from the edge list: each
-/// task's successors and its predecessors, every row in insertion
-/// order. A task's in-degree is its predecessor row's length.
+/// Compressed-sparse-row adjacency: each task's successors and its
+/// predecessors, every row in edge insertion order. A task's in-degree
+/// is its predecessor row's length.
 #[derive(Debug, Default)]
 pub(crate) struct Csr {
     pub(crate) succs: Rows,
@@ -405,7 +402,7 @@ pub(crate) struct Rows {
 impl Rows {
     /// Fills the `n` rows of `edges` keyed by `key` (source or
     /// destination) with `value` (the other end), each row in edge
-    /// insertion order: a stable counting sort. Reuses the buffers.
+    /// insertion order: a stable counting sort.
     fn fill(&mut self, n: usize, edges: &[(u32, u32)], key: impl Fn((u32, u32)) -> (u32, u32)) {
         let Rows { off, idx } = self;
         // Row lengths, then running sums: `off[i + 1]` ends row `i`.
@@ -467,31 +464,30 @@ impl Csr {
         }
     }
 
-    /// Builds both directions' rows of `n` tasks with a stable counting
-    /// sort: per-source order equals edge insertion order, matching the
-    /// former `Vec<Vec<TaskId>>` push order exactly. Reuses this index's
-    /// buffers. Returns the first repeated edge (by source, then row
-    /// order), if any.
-    fn rebuild(&mut self, n: usize, edges: &[(u32, u32)]) -> Option<(u32, u32)> {
-        let Csr { succs, preds } = self;
+    /// Both directions' rows of `n` tasks, with a stable counting sort:
+    /// per-source order equals edge insertion order, matching the former
+    /// `Vec<Vec<TaskId>>` push order exactly. Fails with the first
+    /// repeated edge (by source, then row order), if any.
+    fn build(n: usize, edges: &[(u32, u32)]) -> Result<Csr, (u32, u32)> {
+        let mut c = Csr::default();
+        let Csr { succs, preds } = &mut c;
         succs.fill(n, edges, |e| e);
         // A repeated edge repeats a successor within its source's row.
         // Until the predecessor rows are filled, their offsets hold the
         // check's stamps: per task, one more than the last source whose
         // row named it.
         let stamp = &mut preds.off;
-        stamp.clear();
         stamp.resize(n, 0);
         for s in 0..n {
             for &d in succs.row(s) {
                 if stamp[d.index()] == s as u32 + 1 {
-                    return Some((s as u32, d.0));
+                    return Err((s as u32, d.0));
                 }
                 stamp[d.index()] = s as u32 + 1;
             }
         }
         preds.fill(n, edges, |(s, d)| (d, s));
-        None
+        Ok(c)
     }
 }
 
@@ -504,11 +500,10 @@ pub enum Dir {
     Preds,
 }
 
-/// Writes one direction's rows of a graph being sealed by
-/// [`TaskGraph::seal_with_rows`], task by task in id order, or of a
-/// [`crate::Patch`]'s own tasks ([`crate::Patch::write_rows`]): a run of
-/// rows copied from a sealed graph ([`RowWriter::copy_rows`]), or one
-/// row pushed entry by entry ([`RowWriter::push`], closed by
+/// Writes one direction's rows of a [`crate::Patch`]'s own tasks
+/// ([`crate::Patch::write_rows`]), task by task: a run of rows copied
+/// from a finished graph ([`RowWriter::copy_rows`]), or one row pushed
+/// entry by entry ([`RowWriter::push`], closed by
 /// [`RowWriter::end_row`]). Pushed successor rows are checked for a
 /// repeated entry, with a stamp per task.
 #[derive(Debug)]
@@ -557,13 +552,12 @@ impl<'a> RowWriter<'a> {
     }
 
     /// Appends `base`'s rows (this writer's direction) of `tasks`, each
-    /// entry mapped through `remap` (a `base` id to this graph's): the
-    /// rows of the next `tasks.len()` tasks. `base` must be sealed, or
-    /// at least indexed; its rows were checked when they were built, so
-    /// a copy is not checked again, and `remap` must map the entries one
-    /// to one.
+    /// entry mapped through `remap` (a `base` id to the written graph's):
+    /// the rows of the next `tasks.len()` tasks. `base`'s rows were
+    /// checked when it was finished, so a copy is not checked again, and
+    /// `remap` must map the entries one to one.
     pub fn copy_rows(&mut self, base: &TaskGraph, tasks: std::ops::Range<u32>, remap: &[u32]) {
-        let src = base.csr().rows(self.dir);
+        let src = base.rows.rows(self.dir);
         let (t0, t1) = (tasks.start as usize, tasks.end as usize);
         let (o0, o1) = (src.off[t0], src.off[t1]);
         let at = self.rows.idx.len() as u32;
@@ -585,7 +579,7 @@ impl<'a> RowWriter<'a> {
     pub fn push(&mut self, t: TaskId) {
         let row = self.rows.off.len() as u32;
         let mark = self.first_stamp + row;
-        // An entry out of range has no stamp: sealing rejects it.
+        // An entry out of range has no stamp: the range check rejects it.
         if let Some(stamp) = (self.stamps.as_deref_mut()).and_then(|s| s.get_mut(t.index())) {
             if *stamp == mark && self.repeat.is_none() {
                 self.repeat = Some((row - 1, t.0));
@@ -602,7 +596,105 @@ impl<'a> RowWriter<'a> {
     }
 }
 
-/// The placed task DAG.
+/// A task graph under construction: tasks and precedence edges are
+/// added, then [`TaskGraphBuilder::finish`] returns the finished
+/// [`TaskGraph`].
+#[derive(Debug, Default)]
+pub struct TaskGraphBuilder {
+    name: String,
+    num_gpus: u32,
+    num_links: u32,
+    names: Arc<NameTable>,
+    tasks: Vec<Task>,
+    /// The `(src, dst)` precedence edges added so far, in insertion
+    /// order, each once.
+    edges: Vec<(u32, u32)>,
+}
+
+impl TaskGraphBuilder {
+    /// Empty task graph over `num_gpus` GPUs and `num_links` links.
+    pub fn new(name: impl Into<String>, num_gpus: u32, num_links: u32) -> Self {
+        TaskGraphBuilder {
+            name: name.into(),
+            num_gpus,
+            num_links,
+            ..TaskGraphBuilder::default()
+        }
+    }
+
+    /// Sets the table the task names index.
+    pub fn set_names(&mut self, names: Arc<NameTable>) {
+        self.names = names;
+    }
+
+    /// Number of tasks so far.
+    pub fn len(&self) -> usize {
+        self.tasks.len()
+    }
+
+    /// True when no task was added.
+    pub fn is_empty(&self) -> bool {
+        self.tasks.is_empty()
+    }
+
+    /// Task `id`.
+    pub fn task(&self, id: TaskId) -> &Task {
+        &self.tasks[id.index()]
+    }
+
+    /// Adds a task, panicking if its processor is out of range (builder
+    /// misuse is a bug, not a runtime condition).
+    pub fn add_task(&mut self, task: Task) -> TaskId {
+        match task.proc {
+            Proc::Gpu(i) => assert!(i < self.num_gpus, "GPU {i} out of range"),
+            Proc::Link(i) => assert!(i < self.num_links, "link {i} out of range"),
+        }
+        let id = TaskId(self.tasks.len() as u32);
+        self.tasks.push(task);
+        id
+    }
+
+    /// Adds a precedence edge `src -> dst`. Each edge must be added
+    /// once: [`TaskGraphBuilder::finish`] panics on a repeat (builder
+    /// misuse, like an out-of-range processor).
+    pub fn add_dep(&mut self, src: TaskId, dst: TaskId) {
+        assert!(src.index() < self.tasks.len() && dst.index() < self.tasks.len());
+        assert_ne!(src, dst, "self-dependency on {src}");
+        self.edges.push((src.0, dst.0));
+    }
+
+    /// The finished graph: the edges become its successor and
+    /// predecessor rows, each in insertion order, and the edge list is
+    /// dropped. Panics naming both tasks of a repeated edge.
+    pub fn finish(self) -> TaskGraph {
+        let TaskGraphBuilder {
+            name,
+            num_gpus,
+            num_links,
+            names,
+            tasks,
+            edges,
+        } = self;
+        match Csr::build(tasks.len(), &edges) {
+            Ok(rows) => TaskGraph {
+                name,
+                num_gpus,
+                num_links,
+                names,
+                tasks,
+                rows,
+            },
+            Err((s, d)) => {
+                let name = |t: u32| names.name_of(&tasks[t as usize]);
+                panic!("duplicate edge {} -> {} (t{s} -> t{d})", name(s), name(d))
+            }
+        }
+    }
+}
+
+/// The placed task DAG, finished by a [`TaskGraphBuilder`]: its tasks
+/// and rows are fixed, but re-pricing may set durations
+/// ([`TaskGraph::task_mut`]).
 #[derive(Debug, Default)]
 pub struct TaskGraph {
     /// Label (usually `<model>@<strategy>`).
@@ -614,18 +706,8 @@ pub struct TaskGraph {
     /// The strings the tasks' [`TaskName`]s index.
     names: Arc<NameTable>,
     tasks: Vec<Task>,
-    /// Build scratch: the `(src, dst)` precedence edges added so far, in
-    /// insertion order, each once. Empty once sealed.
-    edges: Vec<(u32, u32)>,
-    /// Lazily-built CSR adjacency; cleared by any mutation. A sealed
-    /// graph's edges live here alone.
-    csr: OnceLock<Csr>,
-    /// The buffers of the last cleared index, reused by the next
-    /// [`TaskGraph::build_index`].
-    spare: Csr,
-    /// Set by [`TaskGraph::seal`]: the graph is finished and takes no
-    /// more tasks or edges. Cleared by [`TaskGraph::reset_like`].
-    sealed: bool,
+    /// The successor and predecessor rows: the graph's only edges.
+    pub(crate) rows: Csr,
 }
 
 impl Clone for TaskGraph {
@@ -636,34 +718,21 @@ impl Clone for TaskGraph {
     }
 
     /// Reuses `self`'s buffers: re-pricing clones the base graph into
-    /// one per-thread scratch graph per query. The clone of a sealed
-    /// graph is sealed: its tasks and rows are copied, and it holds no
-    /// edge list either.
+    /// one per-thread scratch graph per query.
     fn clone_from(&mut self, src: &Self) {
-        self.reset_like(src);
-        self.tasks.clone_from(&src.tasks);
-        self.edges.clone_from(&src.edges);
-        if let Some(c) = src.csr.get() {
-            let spare = &mut self.spare;
-            spare.succs.copy_from(&c.succs);
-            spare.preds.copy_from(&c.preds);
-            let _ = self.csr.set(std::mem::take(spare));
+        self.name.clone_from(&src.name);
+        self.num_gpus = src.num_gpus;
+        self.num_links = src.num_links;
+        if !Arc::ptr_eq(&self.names, &src.names) {
+            self.names = src.names.clone();
         }
-        self.sealed = src.sealed;
+        self.tasks.clone_from(&src.tasks);
+        self.rows.succs.copy_from(&src.rows.succs);
+        self.rows.preds.copy_from(&src.rows.preds);
     }
 }
 
 impl TaskGraph {
-    /// Empty task graph over `num_gpus` GPUs and `num_links` links.
-    pub fn new(name: impl Into<String>, num_gpus: u32, num_links: u32) -> Self {
-        TaskGraph {
-            name: name.into(),
-            num_gpus,
-            num_links,
-            ..TaskGraph::default()
-        }
-    }
-
     /// Number of tasks.
     #[inline]
     pub fn len(&self) -> usize {
@@ -675,17 +744,6 @@ impl TaskGraph {
         self.tasks.is_empty()
     }
 
-    fn invalidate(&mut self) {
-        if let Some(c) = self.csr.take() {
-            self.spare = c;
-        }
-    }
-
-    /// Sets the table this graph's task names index.
-    pub fn set_names(&mut self, names: Arc<NameTable>) {
-        self.names = names;
-    }
-
     /// Task `id`'s name, rendered by `Display`.
     pub fn task_name(&self, id: TaskId) -> NameRef<'_> {
         self.names.name_of(&self.tasks[id.index()])
@@ -694,148 +752,6 @@ impl TaskGraph {
     /// The table this graph's task names index.
     pub(crate) fn names(&self) -> &NameTable {
         &self.names
-    }
-
-    /// Empties the graph into `like`'s label, processor counts and name
-    /// table, keeping every buffer's capacity. The emptied graph is not
-    /// sealed, whether `self` or `like` was.
-    pub fn reset_like(&mut self, like: &TaskGraph) {
-        self.name.clone_from(&like.name);
-        self.num_gpus = like.num_gpus;
-        self.num_links = like.num_links;
-        if !Arc::ptr_eq(&self.names, &like.names) {
-            self.names = like.names.clone();
-        }
-        self.tasks.clear();
-        self.edges.clear();
-        self.invalidate();
-        self.sealed = false;
-    }
-
-    /// Finishes the graph: builds its index, after which the rows hold
-    /// its edges, and frees the insertion-ordered edge list. A sealed
-    /// graph takes no more tasks or edges ([`TaskGraph::add_task`] and
-    /// [`TaskGraph::add_dep`] panic) until
-    /// [`TaskGraph::reset_like`] empties it; its durations may still be
-    /// changed. Panics on a repeated edge, as building the index does.
-    pub fn seal(&mut self) {
-        self.build_index();
-        self.sealed = true;
-        self.edges = Vec::new();
-    }
-
-    /// Seals the graph with rows its builder writes instead of an index
-    /// built from added edges (none may have been added): `write` is
-    /// called once with a [`RowWriter`] of the successor rows, then once
-    /// with one of the predecessor rows, and must write one row per
-    /// task, each in the order a builder would have added its edges.
-    /// Reuses the buffers of the last cleared index. Panics naming both
-    /// tasks when a pushed successor row repeats an entry, as building
-    /// the index does for any row, and when the rows name a task out of
-    /// range, miss a task or disagree on the number of edges.
-    pub fn seal_with_rows(&mut self, mut write: impl FnMut(&mut RowWriter<'_>)) {
-        self.assert_open("edge");
-        assert!(
-            self.edges.is_empty(),
-            "rows written over added edges of {}",
-            self.name
-        );
-        self.invalidate();
-        let n = self.tasks.len();
-        let mut c = std::mem::take(&mut self.spare);
-        let Csr { succs, preds } = &mut c;
-        // Until the predecessor rows are written, their offsets hold the
-        // successor rows' stamps.
-        let stamps = &mut preds.off;
-        stamps.clear();
-        stamps.resize(n, 0);
-        let mut w = RowWriter::new(Dir::Succs, succs, Some(stamps), 0);
-        write(&mut w);
-        let (succ_top, repeat) = (w.top, w.repeat);
-        let mut w = RowWriter::new(Dir::Preds, preds, None, 0);
-        write(&mut w);
-        let pred_top = w.top;
-        for (dir, rows) in [("successor", &*succs), ("predecessor", &*preds)] {
-            let written = rows.off.len() - 1;
-            assert_eq!(
-                written, n,
-                "{written} {dir} rows written for a graph of {n} tasks"
-            );
-        }
-        assert_eq!(
-            succs.idx.len(),
-            preds.idx.len(),
-            "successor and predecessor rows hold different edge counts"
-        );
-        let top = succ_top.max(pred_top);
-        assert!(
-            succs.idx.is_empty() || (top as usize) < n,
-            "row entry t{top} out of range"
-        );
-        self.check_no_repeat(repeat);
-        let _ = self.csr.set(c);
-        self.sealed = true;
-    }
-
-    /// Whether the graph is sealed ([`TaskGraph::seal`]).
-    pub fn is_sealed(&self) -> bool {
-        self.sealed
-    }
-
-    /// Panics when the graph is sealed: `what` may not be added to it.
-    fn assert_open(&self, what: &str) {
-        assert!(
-            !self.sealed,
-            "{what} added to sealed task graph {}: a finished graph's tasks and edges are fixed",
-            self.name
-        );
-    }
-
-    /// Adds a task, panicking if its processor is out of range (builder
-    /// misuse is a bug, not a runtime condition) or the graph is sealed.
-    pub fn add_task(&mut self, task: Task) -> TaskId {
-        self.assert_open("task");
-        match task.proc {
-            Proc::Gpu(i) => assert!(i < self.num_gpus, "GPU {i} out of range"),
-            Proc::Link(i) => assert!(i < self.num_links, "link {i} out of range"),
-        }
-        let id = TaskId(self.tasks.len() as u32);
-        self.tasks.push(task);
-        self.invalidate();
-        id
-    }
-
-    /// Adds a precedence edge `src -> dst`. Each edge must be added
-    /// once: building the index panics on a repeat (builder misuse, like
-    /// an out-of-range processor). Panics when the graph is sealed.
-    pub fn add_dep(&mut self, src: TaskId, dst: TaskId) {
-        self.assert_open("edge");
-        assert!(src.index() < self.tasks.len() && dst.index() < self.tasks.len());
-        assert_ne!(src, dst, "self-dependency on {src}");
-        self.edges.push((src.0, dst.0));
-        self.invalidate();
-    }
-
-    /// Builds the adjacency index now, into the buffers of the last
-    /// cleared one, so a graph rebuilt in place every query stops
-    /// allocating once its buffers have grown.
-    pub fn build_index(&mut self) {
-        if self.csr.get().is_none() {
-            let mut c = std::mem::take(&mut self.spare);
-            self.check_no_repeat(c.rebuild(self.tasks.len(), &self.edges));
-            let _ = self.csr.set(c);
-        }
-    }
-
-    /// Panics naming both tasks of a repeated edge.
-    fn check_no_repeat(&self, repeat: Option<(u32, u32)>) {
-        if let Some((s, d)) = repeat {
-            panic!(
-                "duplicate edge {} -> {} (t{s} -> t{d})",
-                self.task_name(TaskId(s)),
-                self.task_name(TaskId(d))
-            );
-        }
     }
 
     /// Every task, in id order.
@@ -849,7 +765,7 @@ impl TaskGraph {
         &self.tasks[id.index()]
     }
 
-    /// Mutable task access.
+    /// Mutable task access, for re-pricing.
     pub fn task_mut(&mut self, id: TaskId) -> &mut Task {
         &mut self.tasks[id.index()]
     }
@@ -867,25 +783,16 @@ impl TaskGraph {
             .map(|(i, t)| (TaskId(i as u32), t))
     }
 
-    #[inline]
-    pub(crate) fn csr(&self) -> &Csr {
-        self.csr.get_or_init(|| {
-            let mut c = Csr::default();
-            self.check_no_repeat(c.rebuild(self.tasks.len(), &self.edges));
-            c
-        })
-    }
-
     /// Successors of `id`.
     #[inline]
     pub fn succs(&self, id: TaskId) -> &[TaskId] {
-        self.csr().succs.row(id.index())
+        self.rows.succs.row(id.index())
     }
 
     /// Predecessors of `id`.
     #[inline]
     pub fn preds(&self, id: TaskId) -> &[TaskId] {
-        self.csr().preds.row(id.index())
+        self.rows.preds.row(id.index())
     }
 
     /// Number of successors of `id`.
@@ -893,28 +800,9 @@ impl TaskGraph {
         self.succs(id).len()
     }
 
-    /// Number of predecessors of `id`.
-    pub fn in_degree(&self, id: TaskId) -> usize {
-        self.preds(id).len()
-    }
-
-    /// Every task's number of predecessors, in task order.
-    pub fn in_degrees(&self) -> impl Iterator<Item = u32> + '_ {
-        self.csr().preds.lens()
-    }
-
-    /// Every task's number of successors, in task order.
-    pub fn out_degrees(&self) -> impl Iterator<Item = u32> + '_ {
-        self.csr().succs.lens()
-    }
-
-    /// Number of precedence edges: the rows' when the index is built (as
-    /// it always is once sealed), else the edges added so far.
+    /// Number of precedence edges.
     pub fn num_edges(&self) -> usize {
-        match self.csr.get() {
-            Some(c) => c.succs.idx.len(),
-            None => self.edges.len(),
-        }
+        self.rows.succs.idx.len()
     }
 
     /// Total processor count `M + #links` (the paper bounds #links by `M^2`).
@@ -935,92 +823,82 @@ impl TaskGraph {
     pub fn total_work(&self) -> f64 {
         self.tasks.iter().map(|t| t.duration).sum()
     }
-
-    /// Kahn topological order; panics on cyclic task graphs (the compiler
-    /// can never legally produce one).
-    pub fn topo_order(&self) -> Vec<TaskId> {
-        let mut indeg = Vec::new();
-        let mut order = Vec::new();
-        crate::view::topo_order_into(self, &mut indeg, &mut order);
-        order
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::{GraphRead, Patch, PatchIds, PatchView};
 
     #[test]
     fn build_and_query() {
-        let mut tg = TaskGraph::new("t", 2, 2);
+        let mut tg = TaskGraphBuilder::new("t", 2, 2);
         let a = tg.add_task(Task::new("a", OpKind::MatMul, Proc::Gpu(0), 1.0));
         let b = tg.add_task(Task::new("b", OpKind::Transfer, Proc::Link(1), 0.5));
         tg.add_dep(a, b);
+        let tg = tg.finish();
         assert_eq!(tg.len(), 2);
         assert_eq!(tg.succs(a), &[b]);
         assert_eq!(tg.preds(b), &[a]);
         assert_eq!(tg.total_work(), 1.5);
         assert_eq!(tg.out_degree(a), 1);
-        assert_eq!(tg.in_degree(b), 1);
+        assert_eq!(tg.num_edges(), 1);
     }
 
     #[test]
     #[should_panic(expected = "duplicate edge a -> b (t0 -> t1)")]
     fn duplicate_edge_panics_when_indexed() {
-        let mut tg = TaskGraph::new("t", 1, 0);
+        let mut tg = TaskGraphBuilder::new("t", 1, 0);
         let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
         let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
         tg.add_dep(a, b);
         tg.add_dep(a, b);
-        tg.build_index();
+        tg.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "self-dependency on t0")]
+    fn self_dependency_panics() {
+        let mut tg = TaskGraphBuilder::new("t", 1, 0);
+        let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
+        tg.add_dep(a, a);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn proc_bounds_enforced() {
-        let mut tg = TaskGraph::new("t", 1, 0);
+        let mut tg = TaskGraphBuilder::new("t", 1, 0);
         tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(5), 1.0));
     }
 
     #[test]
     fn proc_index_is_dense() {
-        let tg = TaskGraph::new("t", 3, 4);
+        let tg = TaskGraphBuilder::new("t", 3, 4).finish();
         assert_eq!(tg.proc_index(Proc::Gpu(2)), 2);
         assert_eq!(tg.proc_index(Proc::Link(0)), 3);
         assert_eq!(tg.proc_index(Proc::Link(3)), 6);
         assert_eq!(tg.num_procs(), 7);
     }
 
+    /// Kahn order through [`GraphRead`]: every task once, each after its
+    /// predecessors.
     #[test]
     fn topo_order_valid() {
-        let mut tg = TaskGraph::new("t", 1, 0);
+        let mut tg = TaskGraphBuilder::new("t", 1, 0);
         let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
         let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
         let c = tg.add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(0), 1.0));
         tg.add_dep(a, c);
         tg.add_dep(b, c);
-        let order = tg.topo_order();
-        assert_eq!(order.len(), 3);
-        assert_eq!(order[2], c);
-    }
-
-    #[test]
-    fn csr_invalidated_by_mutation_after_read() {
-        let mut tg = TaskGraph::new("t", 1, 0);
-        let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
-        let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
-        tg.add_dep(a, b);
-        assert_eq!(tg.succs(a), &[b]); // forces the CSR build
-        let c = tg.add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(0), 1.0));
-        tg.add_dep(a, c);
-        assert_eq!(tg.succs(a), &[b, c]);
-        assert_eq!(tg.preds(c), &[a]);
-        assert_eq!(tg.topo_order().len(), 3);
+        let tg = tg.finish();
+        let (mut indeg, mut order) = (Vec::new(), Vec::new());
+        crate::view::topo_order_into(&tg, &mut indeg, &mut order);
+        assert_eq!(order, [a, b, c]);
     }
 
     #[test]
     fn csr_preserves_insertion_order() {
-        let mut tg = TaskGraph::new("t", 1, 0);
+        let mut tg = TaskGraphBuilder::new("t", 1, 0);
         let ids: Vec<TaskId> = (0..5)
             .map(|i| tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, Proc::Gpu(0), 1.0)))
             .collect();
@@ -1029,13 +907,19 @@ mod tests {
         tg.add_dep(ids[0], ids[1]);
         tg.add_dep(ids[0], ids[4]);
         tg.add_dep(ids[2], ids[4]);
+        let tg = tg.finish();
         assert_eq!(tg.succs(ids[0]), &[ids[3], ids[1], ids[4]]);
         assert_eq!(tg.preds(ids[4]), &[ids[0], ids[2]]);
+        assert_eq!(tg.num_edges(), 4);
+        let (mut ins, mut outs) = (Vec::new(), Vec::new());
+        tg.degrees_into(Dir::Preds, &mut ins);
+        tg.degrees_into(Dir::Succs, &mut outs);
+        assert_eq!((ins, outs), (vec![0, 1, 0, 1, 2], vec![3, 0, 1, 0, 0]));
     }
 
     #[test]
     fn lazy_names_render_like_eager_formatting() {
-        let mut tg = TaskGraph::new("t", 4, 2);
+        let mut tg = TaskGraphBuilder::new("t", 4, 2);
         tg.set_names(Arc::new(NameTable::new(
             vec!["input".into(), "b3/conv2d_7".into()],
             vec![Arc::from("G0->G1"), Arc::from("srv1.in")],
@@ -1081,6 +965,7 @@ mod tests {
             },
             Proc::Gpu(1),
         );
+        let tg = tg.finish();
         assert_eq!(tg.task_name(replica).to_string(), "b3/conv2d_7~u2@G2#1");
         assert_eq!(tg.task_name(plain).to_string(), "b3/conv2d_7@G0#0");
         assert_eq!(tg.task_name(tagged).to_string(), "b3/conv2d_7/ps_agg@G0");
@@ -1126,7 +1011,7 @@ mod tests {
     #[test]
     fn predecessor_rows_follow_the_graph_they_were_cloned_from() {
         let chain = |n: u32, skip: bool| {
-            let mut tg = TaskGraph::new("t", 1, 0);
+            let mut tg = TaskGraphBuilder::new("t", 1, 0);
             for i in 0..n {
                 tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, Proc::Gpu(0), 1.0));
             }
@@ -1136,139 +1021,57 @@ mod tests {
                     tg.add_dep(TaskId(i - 2), TaskId(i));
                 }
             }
-            tg
+            tg.finish()
         };
-        let (mut tg, mut other) = (chain(4, false), chain(5, true));
-        tg.build_index();
-        other.build_index();
+        let (mut tg, other) = (chain(4, false), chain(5, true));
         assert_eq!(tg.preds(TaskId(2)), &[TaskId(1)]);
         tg.clone_from(&other);
+        assert_eq!(tg.num_edges(), other.num_edges());
         for id in other.task_ids() {
+            assert_eq!(tg.succs(id), other.succs(id));
             assert_eq!(tg.preds(id), other.preds(id));
-            assert_eq!(tg.in_degree(id), other.preds(id).len());
         }
         assert_eq!(tg.preds(TaskId(2)), &[TaskId(1), TaskId(0)]);
     }
 
-    /// Two tasks and an edge `a -> b`, sealed.
-    fn sealed_pair() -> TaskGraph {
-        let mut tg = TaskGraph::new("sealed", 1, 0);
-        let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
-        let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
-        tg.add_dep(a, b);
-        tg.seal();
-        tg
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "edge added to sealed task graph sealed: a finished graph's tasks and edges are fixed"
-    )]
-    fn add_dep_on_a_sealed_graph_panics() {
-        let mut tg = sealed_pair();
-        tg.add_dep(TaskId(1), TaskId(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "task added to sealed task graph sealed")]
-    fn add_task_on_a_sealed_graph_panics() {
-        sealed_pair().add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(0), 1.0));
-    }
-
-    /// A sealed graph holds its edges in its rows alone; its clone is
-    /// sealed with the same rows, and a reset graph takes edges again.
-    #[test]
-    fn sealed_graphs_keep_only_their_rows() {
-        let mut tg = TaskGraph::new("t", 1, 0);
-        let ids: Vec<TaskId> = (0..4)
-            .map(|i| tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, Proc::Gpu(0), 1.0)))
-            .collect();
-        let added = [(2, 3), (0, 3), (0, 1), (1, 3)];
-        for &(a, b) in &added {
-            tg.add_dep(ids[a], ids[b]);
-        }
-        tg.seal();
-        assert!(tg.is_sealed() && tg.edges.capacity() == 0);
-        assert_eq!(tg.num_edges(), 4);
-        // Each row in insertion order.
-        assert_eq!(tg.succs(ids[0]), &[ids[3], ids[1]]);
-        assert_eq!(tg.preds(ids[3]), &[ids[2], ids[0], ids[1]]);
-
-        let mut copy = TaskGraph::default();
-        copy.clone_from(&tg);
-        assert!(copy.is_sealed() && copy.edges.is_empty());
-        assert_eq!(copy.num_edges(), 4);
-        for id in tg.task_ids() {
-            assert_eq!(copy.succs(id), tg.succs(id));
-            assert_eq!(copy.preds(id), tg.preds(id));
-        }
-
-        copy.reset_like(&tg);
-        assert!(!copy.is_sealed() && copy.is_empty() && copy.num_edges() == 0);
-        let a = copy.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0));
-        let b = copy.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0));
-        copy.add_dep(a, b);
-        assert_eq!(copy.succs(a), &[b]);
-    }
-
-    #[test]
-    fn index_rebuilt_in_place_matches_lazy_build() {
-        let mut tg = TaskGraph::new("t", 1, 0);
-        let ids: Vec<TaskId> = (0..6)
-            .map(|i| tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, Proc::Gpu(0), 1.0)))
-            .collect();
-        for &(a, b) in &[(0, 3), (0, 1), (2, 4), (0, 4), (1, 5), (3, 5)] {
-            tg.add_dep(ids[a], ids[b]);
-        }
-        let lazy = tg.clone();
-        // Two rounds through the spare buffers: reset, refill, rebuild.
-        for _ in 0..2 {
-            let src = lazy.clone();
-            tg.reset_like(&src);
-            for (_, t) in src.iter() {
-                tg.add_task(t.clone());
-            }
-            for &(a, b) in &[(0, 3), (0, 1), (2, 4), (0, 4), (1, 5), (3, 5)] {
-                tg.add_dep(ids[a], ids[b]);
-            }
-            tg.build_index();
-            for id in tg.task_ids() {
-                assert_eq!(tg.succs(id), lazy.succs(id));
-                assert_eq!(tg.preds(id), lazy.preds(id));
-            }
-        }
-    }
-
-    /// `n` tasks on one GPU, named `t0`, `t1`, ...
-    fn tasks(n: u32) -> TaskGraph {
-        let mut tg = TaskGraph::new("rows", 1, 0);
+    /// `n` tasks on one GPU, named `t0`, `t1`, ..., with `edges`.
+    fn tasks(n: u32, edges: &[(u32, u32)]) -> TaskGraph {
+        let mut tg = TaskGraphBuilder::new("rows", 1, 0);
         for i in 0..n {
             tg.add_task(Task::new(format!("t{i}"), OpKind::NoOp, Proc::Gpu(0), 1.0));
         }
-        tg
+        for &(a, b) in edges {
+            tg.add_dep(TaskId(a), TaskId(b));
+        }
+        tg.finish()
     }
 
-    /// Rows written directly equal the index a graph with the same
-    /// edges builds: runs copied from a sealed graph through a remap, and
-    /// rows pushed entry by entry.
+    /// A patch over `base` that copies every task and owns it, with the
+    /// rows `write` writes.
+    fn rewritten(base: &TaskGraph, write: impl FnMut(&mut RowWriter<'_>, PatchIds<'_>)) -> Patch {
+        let mut p = Patch::default();
+        p.start(base);
+        p.copy(base, 0..base.len() as u32);
+        for b in 0..base.len() as u32 {
+            p.own(base, b);
+        }
+        p.write_rows(base, write);
+        p
+    }
+
+    /// Rows written directly equal the rows a graph with the same edges
+    /// finishes with: runs copied from a finished graph through a remap,
+    /// and rows pushed entry by entry.
     #[test]
     fn written_rows_equal_built_ones() {
         let edges = [(0, 3), (0, 1), (2, 4), (0, 4), (1, 5), (3, 5)];
-        let mut base = tasks(6);
-        for &(a, b) in &edges {
-            base.add_dep(TaskId(a), TaskId(b));
-        }
-        base.seal();
+        let base = tasks(6, &edges);
         // The same graph with tasks 1 and 2 swapped: 0 and 3..6 copied,
         // 1 and 2 pushed.
         let remap = [0, 2, 1, 3, 4, 5];
-        let mut built = tasks(6);
-        for &(a, b) in &edges {
-            built.add_dep(TaskId(remap[a as usize]), TaskId(remap[b as usize]));
-        }
-        built.seal();
-        let mut tg = tasks(6);
-        tg.seal_with_rows(|w| {
+        let swapped = edges.map(|(a, b)| (remap[a as usize], remap[b as usize]));
+        let built = tasks(6, &swapped);
+        let p = rewritten(&base, |w, _| {
             w.copy_rows(&base, 0..1, &remap);
             for b in [2, 1] {
                 let row = match w.dir() {
@@ -1282,18 +1085,19 @@ mod tests {
             }
             w.copy_rows(&base, 3..6, &remap);
         });
-        assert!(tg.is_sealed());
-        assert_eq!(tg.num_edges(), edges.len());
-        for id in tg.task_ids() {
-            assert_eq!(tg.succs(id), built.succs(id), "successors of {id}");
-            assert_eq!(tg.preds(id), built.preds(id), "predecessors of {id}");
+        let view = PatchView::new(&base, &p);
+        assert_eq!(view.num_edges(), edges.len());
+        for id in built.task_ids() {
+            let row = |r: crate::PatchRow<'_>| r.collect::<Vec<_>>();
+            assert_eq!(row(view.succs(id)), built.succs(id), "successors of {id}");
+            assert_eq!(row(view.preds(id)), built.preds(id), "predecessors of {id}");
         }
     }
 
     #[test]
     #[should_panic(expected = "duplicate edge t0 -> t2 (t0 -> t2)")]
     fn a_repeated_pushed_successor_panics() {
-        tasks(3).seal_with_rows(|w| {
+        rewritten(&tasks(3, &[]), |w, _| {
             let rows: [&[u32]; 3] = match w.dir() {
                 Dir::Succs => [&[2, 1, 2], &[], &[]],
                 Dir::Preds => [&[], &[0], &[0, 0]],
@@ -1310,7 +1114,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row entry t7 out of range")]
     fn written_rows_stay_in_range() {
-        tasks(2).seal_with_rows(|w| {
+        rewritten(&tasks(2, &[]), |w, _| {
             w.push(TaskId(7));
             w.end_row();
             w.end_row();

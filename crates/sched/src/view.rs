@@ -2,19 +2,20 @@
 //!
 //! The scheduler, the rank sweeps and the simulator read a task graph
 //! through [`GraphRead`]: task count, processor counts, each task's
-//! fields, and its successor and predecessor rows. A sealed
-//! [`TaskGraph`] implements it, and so does a [`PatchView`]: a sealed
+//! fields, and its successor and predecessor rows. A finished
+//! [`TaskGraph`] implements it, and so does a [`PatchView`]: a finished
 //! base graph plus a [`Patch`], which is how a graph spliced from the
-//! base is held without copying the base's clean part.
+//! base is held without copying the base's clean part. A spliced graph
+//! exists only as a view: nothing copies it into a [`TaskGraph`].
 //!
-//! A patch numbers its tasks as the materialized graph does. Most of
-//! them are *copied*: base tasks whose fields and rows it reads from the
-//! base in place, each row entry mapped through the patch's base→patch
-//! id map. The others are its *own* tasks, whose fields and both rows it
-//! stores: the tasks a splice re-lowered, and the copied tasks whose
-//! rows a re-lowered segment rewrote. Writing a patch costs its own
-//! tasks and rows plus the two id maps, not the graph.
-//! [`PatchView::materialize`] builds the sealed graph the view reads.
+//! A patch numbers its tasks as a fresh compile of the spliced
+//! placements does. Most of them are *copied*: base tasks whose fields
+//! and rows it reads from the base in place, each row entry mapped
+//! through the patch's base→patch id map. The others are its *own*
+//! tasks, whose fields and both rows it stores: the tasks a splice
+//! re-lowered, and the copied tasks whose rows a re-lowered segment
+//! rewrote. Writing a patch costs its own tasks and rows plus the two id
+//! maps, not the graph.
 
 use crate::task::{Csr, Dir, NameRef, Proc, RowWriter, Task, TaskGraph, TaskId};
 
@@ -121,7 +122,7 @@ impl GraphRead for TaskGraph {
     #[inline]
     fn degrees_into(&self, dir: Dir, out: &mut Vec<u32>) {
         out.clear();
-        out.extend(self.csr().rows(dir).lens());
+        out.extend(self.rows.rows(dir).lens());
     }
 }
 
@@ -207,7 +208,7 @@ pub struct CopiedRun {
 /// are its index among the patch's own tasks.
 const OWN: u32 = 1 << 31;
 
-/// A task graph written as the changes to a sealed base graph (see the
+/// A task graph written as the changes to a finished base graph (see the
 /// module docs): which base tasks it copies and where, its own tasks
 /// and their rows. A splice fills one per candidate and reuses its
 /// buffers, so writing one allocates nothing once they have grown.
@@ -215,7 +216,7 @@ const OWN: u32 = 1 << 31;
 ///
 /// It is written in task order: [`Patch::start`], then runs of copied
 /// base tasks ([`Patch::copy`]) and new tasks ([`Patch::add_task`]) in
-/// the materialized graph's order, then the copied tasks whose rows
+/// the spliced graph's order, then the copied tasks whose rows
 /// change ([`Patch::own`]), and last every own task's rows
 /// ([`Patch::write_rows`]).
 #[derive(Debug, Default)]
@@ -322,7 +323,7 @@ impl Patch {
         for (i, r) in self.remap[b0..b1].iter_mut().enumerate() {
             *r = at + i as u32;
         }
-        let csr = base.csr();
+        let csr = &base.rows;
         for (count, rows) in self.copied_edges.iter_mut().zip([&csr.succs, &csr.preds]) {
             *count += (rows.off[b1] - rows.off[b0]) as usize;
         }
@@ -369,7 +370,7 @@ impl Patch {
         self.src[id.index()] = OWN | k;
         self.tasks.push(base.task(TaskId(b)).clone());
         self.ids.push(id);
-        let csr = base.csr();
+        let csr = &base.rows;
         for (count, rows) in self.copied_edges.iter_mut().zip([&csr.succs, &csr.preds]) {
             *count -= rows.row(b as usize).len();
         }
@@ -468,7 +469,7 @@ impl<'a> PatchView<'a> {
         );
         PatchView {
             base,
-            base_rows: base.csr(),
+            base_rows: &base.rows,
             patch,
         }
     }
@@ -497,23 +498,6 @@ impl<'a> PatchView<'a> {
         } else {
             self.base.task(TaskId(s))
         }
-    }
-
-    /// The sealed task graph this view reads, into `out`: the same
-    /// tasks, rows and name table. Reuses `out`'s buffers.
-    pub fn materialize(&self, out: &mut TaskGraph) {
-        out.reset_like(self.base);
-        for t in 0..self.len() as u32 {
-            out.add_task(self.task_ref(TaskId(t)).clone());
-        }
-        out.seal_with_rows(|w| {
-            for t in 0..self.len() as u32 {
-                for s in self.patch_row(TaskId(t), w.dir()) {
-                    w.push(s);
-                }
-                w.end_row();
-            }
-        });
     }
 
     #[inline]
@@ -637,23 +621,23 @@ mod tests {
     use super::*;
     use crate::list::{list_schedule_observed, NoHook, OrderPolicy, Schedule, ScheduleScratch};
     use crate::rank::{upward_ranks, upward_ranks_into, RankScratch};
+    use crate::task::TaskGraphBuilder;
     use heterog_graph::OpKind;
 
     fn task(name: &str, gpu: u32, duration: f64) -> Task {
         Task::new(name, OpKind::NoOp, Proc::Gpu(gpu), duration)
     }
 
-    /// A sealed graph of `tasks` and `edges`, in that order.
+    /// A finished graph of `tasks` and `edges`, in that order.
     fn graph(tasks: &[Task], edges: &[(u32, u32)]) -> TaskGraph {
-        let mut tg = TaskGraph::new("g", 2, 0);
+        let mut tg = TaskGraphBuilder::new("g", 2, 0);
         for t in tasks {
             tg.add_task(t.clone());
         }
         for &(a, b) in edges {
             tg.add_dep(TaskId(a), TaskId(b));
         }
-        tg.seal();
-        tg
+        tg.finish()
     }
 
     fn base() -> TaskGraph {
@@ -687,8 +671,9 @@ mod tests {
     }
 
     /// A view with a copied task whose rows the patch rewrote reads the
-    /// graph it materializes, and the graph built from the same edges:
-    /// tasks, rows, degrees, ranks and a bounded schedule, bit for bit.
+    /// graph it stands for, built from the same tasks and edges: tasks,
+    /// names, rows, degrees, edge count, ranks and a bounded schedule,
+    /// bit for bit.
     #[test]
     fn a_patch_view_reads_its_materialized_graph() {
         let base = base();
@@ -698,8 +683,6 @@ mod tests {
             Dir::Preds => [&[1], &[], &[0], &[1, 2]],
         });
         let view = PatchView::new(&base, &p);
-        let mut tg = TaskGraph::default();
-        view.materialize(&mut tg);
         let tasks = [
             task("a", 0, 1.0),
             task("b", 0, 1.0),
@@ -708,23 +691,24 @@ mod tests {
             task("e", 0, 1.0),
         ];
         let built = graph(&tasks, &[(0, 1), (1, 3), (1, 2), (2, 3), (3, 4)]);
-        assert_eq!((view.num_edges(), tg.num_edges()), (5, 5));
-        for g in [&tg, &built] {
-            assert_eq!(GraphRead::len(&view), g.len());
-            for id in g.task_ids() {
-                let t = GraphRead::task(&view, id);
-                assert_eq!((t.proc, t.duration), (g.task(id).proc, g.task(id).duration));
-                assert_eq!(view.task_name(id).to_string(), g.task_name(id).to_string());
-                let row = |r: PatchRow<'_>| r.collect::<Vec<_>>();
-                assert_eq!(row(GraphRead::succs(&view, id)), g.succs(id), "{id}");
-                assert_eq!(row(GraphRead::preds(&view, id)), g.preds(id), "{id}");
-            }
-            for dir in [Dir::Succs, Dir::Preds] {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                view.degrees_into(dir, &mut a);
-                g.degrees_into(dir, &mut b);
-                assert_eq!(a, b, "{dir:?} degrees");
-            }
+        assert_eq!((view.num_edges(), built.num_edges()), (5, 5));
+        assert_eq!(GraphRead::len(&view), built.len());
+        for id in built.task_ids() {
+            let (t, b) = (GraphRead::task(&view, id), built.task(id));
+            assert_eq!((t.proc, t.duration), (b.proc, b.duration));
+            assert_eq!(
+                view.task_name(id).to_string(),
+                built.task_name(id).to_string()
+            );
+            let row = |r: PatchRow<'_>| r.collect::<Vec<_>>();
+            assert_eq!(row(GraphRead::succs(&view, id)), built.succs(id), "{id}");
+            assert_eq!(row(GraphRead::preds(&view, id)), built.preds(id), "{id}");
+        }
+        for dir in [Dir::Succs, Dir::Preds] {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            view.degrees_into(dir, &mut a);
+            built.degrees_into(dir, &mut b);
+            assert_eq!(a, b, "{dir:?} degrees");
         }
         let (mut ranks, mut scratch) = (Vec::new(), RankScratch::default());
         upward_ranks_into(&view, &mut scratch, &mut ranks);

@@ -106,7 +106,7 @@ fn release_time(tg: &TaskGraph, schedule: &Schedule, id: TaskId) -> f64 {
 mod tests {
     use super::*;
     use heterog_graph::OpKind;
-    use heterog_sched::{list_schedule, OrderPolicy, Task, TaskGraph};
+    use heterog_sched::{list_schedule, OrderPolicy, Task, TaskGraphBuilder};
 
     fn run(tg: &TaskGraph) -> Schedule {
         list_schedule(tg, &OrderPolicy::RankBased)
@@ -114,8 +114,9 @@ mod tests {
 
     #[test]
     fn params_always_pinned() {
-        let mut tg = TaskGraph::new("p", 1, 0);
+        let mut tg = TaskGraphBuilder::new("p", 1, 0);
         tg.add_task(Task::new("w", OpKind::Conv2D, Proc::Gpu(0), 1.0).with_param_bytes(1000));
+        let tg = tg.finish();
         let s = run(&tg);
         let m = memory_usage(&tg, &s, &[10_000]);
         assert_eq!(m.param_bytes[0], 1000);
@@ -130,12 +131,13 @@ mod tests {
         // with a's. Peak = 100 + 10 + 10? No: b finishes before c starts
         // on one GPU, but b's output lives to its release (no consumers =
         // own finish). Expected peak: a(100) + b(10) while b runs = 110.
-        let mut tg = TaskGraph::new("m", 1, 0);
+        let mut tg = TaskGraphBuilder::new("m", 1, 0);
         let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(100));
         let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(10));
         let c = tg.add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(10));
         tg.add_dep(a, b);
         tg.add_dep(a, c);
+        let tg = tg.finish();
         let s = run(&tg);
         let m = memory_usage(&tg, &s, &[1_000]);
         assert_eq!(m.peak_bytes[0], 110);
@@ -143,8 +145,9 @@ mod tests {
 
     #[test]
     fn oom_detected() {
-        let mut tg = TaskGraph::new("o", 1, 0);
+        let mut tg = TaskGraphBuilder::new("o", 1, 0);
         tg.add_task(Task::new("big", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(2_000));
+        let tg = tg.finish();
         let s = run(&tg);
         let m = memory_usage(&tg, &s, &[1_000]);
         assert!(m.any_oom());
@@ -153,8 +156,9 @@ mod tests {
 
     #[test]
     fn link_tasks_consume_no_gpu_memory() {
-        let mut tg = TaskGraph::new("l", 1, 1);
+        let mut tg = TaskGraphBuilder::new("l", 1, 1);
         tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 1.0).with_bytes(999));
+        let tg = tg.finish();
         let s = run(&tg);
         let m = memory_usage(&tg, &s, &[10]);
         assert_eq!(m.peak_bytes[0], 0);
@@ -165,12 +169,13 @@ mod tests {
     fn serial_chain_reuses_memory() {
         // a -> b -> c on one GPU, each 100B out: peak is 200 (producer +
         // consumer), not 300, because a frees when b finishes.
-        let mut tg = TaskGraph::new("s", 1, 0);
+        let mut tg = TaskGraphBuilder::new("s", 1, 0);
         let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(100));
         let b = tg.add_task(Task::new("b", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(100));
         let c = tg.add_task(Task::new("c", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(100));
         tg.add_dep(a, b);
         tg.add_dep(b, c);
+        let tg = tg.finish();
         let s = run(&tg);
         let m = memory_usage(&tg, &s, &[10_000]);
         assert_eq!(m.peak_bytes[0], 200);

@@ -441,18 +441,18 @@ mod tests {
     use super::*;
     use crate::memory::memory_usage;
     use heterog_graph::OpKind;
-    use heterog_sched::{list_schedule, Proc, Task};
+    use heterog_sched::{list_schedule, Proc, Task, TaskGraphBuilder};
 
     fn demo_graph() -> TaskGraph {
         // GPU0: a(1.0) -> link x(0.5) -> GPU1: b(1.0); GPU0 also c(2.0).
-        let mut tg = TaskGraph::new("demo", 2, 1);
+        let mut tg = TaskGraphBuilder::new("demo", 2, 1);
         let a = tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0).with_bytes(64));
         let x = tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5));
         let b = tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(1), 1.0));
         tg.add_task(Task::new("c", OpKind::Conv2D, Proc::Gpu(0), 2.0));
         tg.add_dep(a, x);
         tg.add_dep(x, b);
-        tg
+        tg.finish()
     }
 
     #[test]
@@ -479,12 +479,12 @@ mod tests {
     #[test]
     fn overlapping_link_intervals_union_correctly() {
         // Two links active [0,1] and [0.5,2]: union = 2.0.
-        let mut tg = TaskGraph::new("u", 1, 2);
+        let mut tg = TaskGraphBuilder::new("u", 1, 2);
         let a = tg.add_task(Task::new("a", OpKind::NoOp, Proc::Gpu(0), 0.5));
         tg.add_task(Task::new("x1", OpKind::Transfer, Proc::Link(0), 1.0));
         let x2 = tg.add_task(Task::new("x2", OpKind::Transfer, Proc::Link(1), 1.5));
         tg.add_dep(a, x2); // x2 starts at 0.5
-        let r = simulate(&tg, &[8 << 30], &OrderPolicy::RankBased);
+        let r = simulate(&tg.finish(), &[8 << 30], &OrderPolicy::RankBased);
         assert!((r.communication_time - 2.0).abs() < 1e-9);
     }
 
@@ -517,7 +517,7 @@ mod tests {
     #[test]
     fn empty_graph_simulation_has_finite_ratios() {
         // An empty task graph on one GPU: makespan 0, no busy time.
-        let tg = TaskGraph::new("empty", 1, 0);
+        let tg = TaskGraphBuilder::new("empty", 1, 0).finish();
         let r = simulate(&tg, &[1 << 30], &OrderPolicy::RankBased);
         assert_eq!(r.iteration_time, 0.0);
         assert!(r.overlap_ratio().is_finite());
@@ -528,15 +528,16 @@ mod tests {
 
     #[test]
     fn oom_propagates_into_report() {
-        let mut tg = TaskGraph::new("o", 1, 0);
+        let mut tg = TaskGraphBuilder::new("o", 1, 0);
         tg.add_task(Task::new("big", OpKind::NoOp, Proc::Gpu(0), 1.0).with_bytes(100));
+        let tg = tg.finish();
         let r = simulate(&tg, &[10], &OrderPolicy::RankBased);
         assert!(r.memory.any_oom());
     }
 
     #[test]
     fn phase_breakdown_buckets() {
-        let mut tg = TaskGraph::new("p", 1, 1);
+        let mut tg = TaskGraphBuilder::new("p", 1, 1);
         tg.add_task(Task::new("f", OpKind::Conv2D, Proc::Gpu(0), 1.0));
         tg.add_task(Task::new(
             "b",
@@ -546,6 +547,7 @@ mod tests {
         ));
         tg.add_task(Task::new("u", OpKind::ApplyGradient, Proc::Gpu(0), 0.25));
         tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5));
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         let bd = time_breakdown(&tg, &s);
         assert_eq!(bd, [1.0, 2.0, 0.25, 0.5]);
@@ -555,7 +557,7 @@ mod tests {
     /// GPU/link tasks, params, an idle GPU) to exercise the fused memory
     /// path against the reference post-hoc accounting.
     fn busy_graph() -> TaskGraph {
-        let mut tg = TaskGraph::new("busy", 3, 2);
+        let mut tg = TaskGraphBuilder::new("busy", 3, 2);
         let a = tg.add_task(
             Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0)
                 .with_bytes(100)
@@ -575,7 +577,7 @@ mod tests {
         tg.add_dep(y, c);
         tg.add_dep(c, d);
         tg.add_dep(b, d);
-        tg
+        tg.finish()
     }
 
     /// Union length of the link intervals, sorted by start: the
@@ -628,7 +630,7 @@ mod tests {
         heterog_telemetry::rng::for_each_seed(200, |rng| {
             let gpus = rng.gen_range(1..4usize) as u32;
             let links = rng.gen_range(0..3usize) as u32;
-            let mut tg = TaskGraph::new(format!("random{gpus}x{links}"), gpus, links);
+            let mut tg = TaskGraphBuilder::new(format!("random{gpus}x{links}"), gpus, links);
             let n = rng.gen_range(1..50usize);
             for i in 0..n {
                 // Zero durations make allocations and frees share
@@ -649,6 +651,7 @@ mod tests {
                     }
                 }
             }
+            let tg = tg.finish();
             check_against_post_hoc(&tg, &[1 << 31; 3]);
         });
     }

@@ -165,16 +165,17 @@ pub fn chrome_trace_json(tg: &TaskGraph, s: &Schedule) -> String {
 mod tests {
     use super::*;
     use heterog_graph::OpKind;
-    use heterog_sched::{list_schedule, OrderPolicy, Task, TaskGraph};
+    use heterog_sched::{list_schedule, OrderPolicy, Task, TaskGraph, TaskGraphBuilder};
     use heterog_telemetry::json;
 
     fn demo() -> (TaskGraph, Schedule) {
-        let mut tg = TaskGraph::new("t", 2, 1);
+        let mut tg = TaskGraphBuilder::new("t", 2, 1);
         let a = tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0).with_bytes(64));
         let x = tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5).with_bytes(64));
         let b = tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(1), 1.0));
         tg.add_dep(a, x);
         tg.add_dep(x, b);
+        let tg = tg.finish();
         let s = list_schedule(&tg, &OrderPolicy::RankBased);
         (tg, s)
     }

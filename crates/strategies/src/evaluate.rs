@@ -269,7 +269,7 @@ mod tests {
     }
 
     fn sim_stub() -> SimReport {
-        let tg = heterog_sched::TaskGraph::new("x", 1, 0);
+        let tg = heterog_sched::TaskGraphBuilder::new("x", 1, 0).finish();
         heterog_sim::simulate(&tg, &[1], &OrderPolicy::RankBased)
     }
 

@@ -271,21 +271,6 @@ fn for_each_gap(
     }
 }
 
-/// A candidate's spliced task graph and the pre-pass an
-/// [`IncrementalEvaluator`] derives for it from the base's
-/// ([`IncrementalEvaluator::splice`]).
-#[derive(Debug, Clone)]
-pub struct SplicedGraph {
-    /// The spliced task graph, sealed.
-    pub tg: TaskGraph,
-    /// Each task's upward rank.
-    pub ranks: Vec<f64>,
-    /// Each GPU's pinned parameter bytes.
-    pub param_bytes: Vec<u64>,
-    /// Per GPU, whether any task runs on it.
-    pub active: Vec<bool>,
-}
-
 /// The placements a strategy perturbation lowers: a whole strategy's,
 /// or the base's with one group moved.
 #[derive(Clone, Copy)]
@@ -686,47 +671,6 @@ impl<'a, C: CostEstimator> IncrementalEvaluator<'a, C> {
         }
     }
 
-    /// The task graph a strategy or group perturbation splices to,
-    /// materialized from the view
-    /// [`IncrementalEvaluator::evaluate_perturbed`] simulates, with the
-    /// pre-pass the evaluator derives for it from the base's. `None` for
-    /// cluster and policy perturbations, which splice nothing.
-    pub fn splice(&self, p: Perturbation<'_>) -> Option<SplicedGraph> {
-        let moved = match p {
-            Perturbation::Strategy(s2) => Moved::Strategy(s2),
-            Perturbation::Group { ops, to } => Moved::Group(ops, to),
-            Perturbation::Cluster(_) | Perturbation::Policy(_) => return None,
-        };
-        let base = SpliceBase {
-            tg: &self.tg,
-            book: &self.book,
-            log: &self.log,
-        };
-        self.with_patch(|ps| {
-            self.resolve(moved, &mut ps.placements);
-            let (g, c, cost) = (self.g, &self.cluster, self.cost);
-            splice_into(
-                g,
-                c,
-                cost,
-                &ps.placements,
-                base,
-                &mut ps.patch,
-                &mut ps.splice,
-            );
-            let view = PatchView::new(&self.tg, &ps.patch);
-            let mut tg = TaskGraph::default();
-            view.materialize(&mut tg);
-            let prepass = self.derive_prepass(&view, &ps.splice, &mut ps.prepass);
-            Some(SplicedGraph {
-                tg,
-                ranks: prepass.ranks.to_vec(),
-                param_bytes: prepass.param_bytes.to_vec(),
-                active: prepass.active.to_vec(),
-            })
-        })
-    }
-
     /// The pre-pass of `tg`, the view of the patch the last splice in
     /// `splice` wrote,
     /// derived from the base's at the cost of what changed: the copied
@@ -846,6 +790,109 @@ mod tests {
             "report mismatch under {mode:?}"
         );
         mode
+    }
+
+    /// Asserts the pre-pass `ev` derives from its base's for `moved`
+    /// equals a sweep of `fresh`, the graph `moved` compiles to: every
+    /// upward rank bit for bit, and per GPU the parameter bytes and
+    /// whether any task runs there.
+    fn assert_derived_prepass(
+        ev: &IncrementalEvaluator<'_, GroundTruthCost>,
+        moved: Moved<'_>,
+        fresh: &TaskGraph,
+        what: &str,
+    ) {
+        let base = SpliceBase {
+            tg: &ev.tg,
+            book: &ev.book,
+            log: &ev.log,
+        };
+        ev.with_patch(|ps| {
+            ev.resolve(moved, &mut ps.placements);
+            let (g, c, cost) = (ev.g, &ev.cluster, ev.cost);
+            splice_into(
+                g,
+                c,
+                cost,
+                &ps.placements,
+                base,
+                &mut ps.patch,
+                &mut ps.splice,
+            );
+            let view = PatchView::new(&ev.tg, &ps.patch);
+            let prepass = ev.derive_prepass(&view, &ps.splice, &mut ps.prepass);
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(prepass.ranks) == bits(&upward_ranks(fresh)),
+                "{what}: derived ranks differ from a sweep's"
+            );
+            let gpus = fresh.num_gpus as usize;
+            let (mut params, mut active) = (vec![0u64; gpus], vec![false; gpus]);
+            for (_, t) in fresh.iter() {
+                if let Proc::Gpu(g) = t.proc {
+                    params[g as usize] += t.param_bytes;
+                    active[g as usize] = true;
+                }
+            }
+            assert_eq!(
+                prepass.param_bytes, params,
+                "{what}: parameter bytes per GPU"
+            );
+            assert_eq!(prepass.active, active, "{what}: active GPUs");
+        });
+    }
+
+    /// Seeded moves of a run of 1 to 8 ops to MP on any device, EV or CP
+    /// with PS or AllReduce, or even or proportional sharding, as whole
+    /// strategies and as group moves: each pre-pass derived from the
+    /// even-AllReduce base's equals a sweep of the fresh compile, and
+    /// some moves derive theirs rather than sweep.
+    #[test]
+    fn derived_prepass_equals_a_sweep_of_the_fresh_graph() {
+        use heterog_telemetry::rng::SplitMix64;
+        let c = paper_testbed_8gpu();
+        let choices = [
+            OpStrategy::even(&c, CommMethod::Ps),
+            OpStrategy::even(&c, CommMethod::AllReduce),
+            OpStrategy::proportional(&c, CommMethod::Ps),
+            OpStrategy::proportional(&c, CommMethod::AllReduce),
+            OpStrategy::shard_even(&c, 0),
+            OpStrategy::shard_proportional(&c, 0),
+            OpStrategy::Mp(DeviceId(3)),
+            OpStrategy::Mp(DeviceId(6)),
+        ];
+        let policy = OrderPolicy::RankBased;
+        for (model, seed) in [
+            (BenchmarkModel::MobileNetV2, 2),
+            (BenchmarkModel::Vgg19, 19),
+        ] {
+            let g = ModelSpec::new(model, 64).build();
+            let base = Strategy::even(g.len(), &c, CommMethod::AllReduce);
+            let ev = IncrementalEvaluator::new(&g, &GroundTruthCost, &c, &base, &policy);
+            let mut rng = SplitMix64::new(seed);
+            for k in 0..24 {
+                let len = 1 + rng.below(8) as usize;
+                let first = rng.below((g.len() - len) as u64 + 1) as u32;
+                let ops: Vec<OpId> = (first..first + len as u32).map(OpId).collect();
+                let to = &choices[rng.below(choices.len() as u64) as usize];
+                let mut moved = base.clone();
+                for op in &ops {
+                    moved.per_op[op.index()] = to.clone();
+                }
+                let fresh = heterog_compile::compile(&g, &c, &GroundTruthCost, &moved);
+                let what = format!("{} move {k}: ops {ops:?} to {to:?}", g.name);
+                let m = match k % 2 {
+                    0 => Moved::Strategy(&moved),
+                    _ => Moved::Group(&ops, to),
+                };
+                assert_derived_prepass(&ev, m, &fresh, &what);
+            }
+            assert!(
+                ev.base_prepass.get().is_some(),
+                "{}: every move swept its pre-pass",
+                g.name
+            );
+        }
     }
 
     #[test]

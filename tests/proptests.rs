@@ -9,8 +9,8 @@ use heterog_graph::OpKind;
 use heterog_profile::LinearFit;
 use heterog_sched::{
     busiest_processor_load, critical_path, head_body_tail_bound_into, list_schedule,
-    makespan_lower_bound, strict_schedule, upward_ranks, OrderPolicy, Proc, ScheduleScratch, Task,
-    TaskGraph,
+    makespan_lower_bound, strict_schedule, topo_order_into, upward_ranks, OrderPolicy, Proc,
+    ScheduleScratch, Task, TaskGraph, TaskGraphBuilder,
 };
 use heterog_sim::memory::RUNTIME_WORKSPACE_BYTES;
 use heterog_sim::{memory_usage, simulate, simulate_within, SimReport, SimScratch};
@@ -28,7 +28,7 @@ fn choices(rng: &mut ChaCha8Rng, lens: std::ops::Range<usize>, below: usize) -> 
 /// acyclic), each present with probability 1/4.
 fn task_graph(rng: &mut ChaCha8Rng, max_tasks: usize, gpus: u32, links: u32) -> TaskGraph {
     let n = rng.gen_range(2..max_tasks);
-    let mut tg = TaskGraph::new("prop", gpus, links);
+    let mut tg = TaskGraphBuilder::new("prop", gpus, links);
     let ids: Vec<_> = (0..n)
         .map(|i| {
             let p = rng.gen_range(0..(gpus + links) as usize) as u32;
@@ -49,7 +49,7 @@ fn task_graph(rng: &mut ChaCha8Rng, max_tasks: usize, gpus: u32, links: u32) -> 
             }
         }
     }
-    tg
+    tg.finish()
 }
 
 /// List scheduling respects all precedence constraints and processor
@@ -325,7 +325,8 @@ fn linear_fit_recovers_affine() {
 fn generator_produces_acyclic_graphs() {
     for_each_seed(16, |rng| {
         let tg = task_graph(rng, 16, 2, 1);
-        let order = tg.topo_order();
+        let (mut indeg, mut order) = (Vec::new(), Vec::new());
+        topo_order_into(&tg, &mut indeg, &mut order);
         assert_eq!(order.len(), tg.len());
     });
 }

@@ -4,26 +4,21 @@
 //! One-group moves of the planner's action space (all of them for one
 //! model, a seeded sample of 100 for the others) are spliced with
 //! `splice_into`, and the patch read over the incumbent's graph
-//! (`PatchView`) is materialized and compared with `compile_logged` task
-//! by task and row by row (every task's successors and predecessors,
-//! each row in the order a compile adds its edges). The view itself
-//! reads the materialized graph's tasks, rows and degrees, and
-//! simulating it equals simulating the materialized graph bit for bit,
-//! run to the end and stopped at the incumbent's makespan, stop bound
-//! included. A subset also goes through
-//! `IncrementalEvaluator::evaluate_perturbed`, whose report must equal
-//! `evaluate_with_policy`'s bit for bit. For every move, the pre-pass
-//! the evaluator derives from the incumbent's must equal the fresh
-//! graph's: every task's upward rank bit for bit, and each GPU's
-//! parameter bytes and activity. Every move's per-processor loads
-//! priced with `splice_loads`, before any splice, must equal the fresh
-//! compile's to within 1e-12 of its busiest load. A move whose segments
-//! `splice_loads` finds all clean splices to the incumbent's own graph,
-//! and a bounded evaluation answers it with the base evaluation.
-//! Splices write rows rather than index an edge list, which checks only
-//! the rows they write for a repeated edge; every lowering (plain,
-//! pipelined and multi-iteration) adds each edge once, which indexing
-//! checks.
+//! (`PatchView`) is compared with `compile_logged`'s graph through
+//! `GraphRead`: every task's fields and name, both rows in the order a
+//! compile adds its edges, the degrees and the edge count. Simulating
+//! the view equals simulating the fresh graph bit for bit, run to the
+//! end and stopped at the incumbent's makespan, stop bound included. A
+//! subset also goes through `IncrementalEvaluator::evaluate_perturbed`,
+//! whose report must equal `evaluate_with_policy`'s bit for bit. Every
+//! move's per-processor loads priced with `splice_loads`, before any
+//! splice, must equal the fresh compile's to within 1e-12 of its
+//! busiest load. A move whose segments `splice_loads` finds all clean
+//! splices to the incumbent's own graph, and a bounded evaluation
+//! answers it with the base evaluation. Splices write rows rather than
+//! finish an edge list, which checks only the rows they write for a
+//! repeated edge; every lowering (plain, pipelined and multi-iteration)
+//! adds each edge once, which finishing checks.
 
 use std::collections::HashSet;
 
@@ -36,7 +31,7 @@ use heterog_compile::{
 use heterog_graph::{BenchmarkModel, Graph, ModelSpec};
 use heterog_profile::GroundTruthCost;
 use heterog_sched::{
-    busiest_processor_load, upward_ranks, GraphRead, OrderPolicy, Patch, PatchView, Proc, TaskGraph,
+    busiest_processor_load, Dir, GraphRead, OrderPolicy, Patch, PatchView, TaskGraph,
 };
 use heterog_sim::{simulate_within, SimReport, SimScratch};
 use heterog_strategies::{
@@ -133,81 +128,39 @@ impl Case {
     }
 }
 
-fn assert_same_graph(spliced: &TaskGraph, fresh: &TaskGraph, what: &str) {
-    assert_eq!(spliced.len(), fresh.len(), "{what}: task count");
+/// Asserts `view` reads `fresh`, the graph a compile gives: every
+/// task's fields and name, both rows in order, the degrees and the edge
+/// count; and that simulating `view` equals simulating `fresh` bit for
+/// bit, at an infinite limit and at `limit`, where the same bound stops
+/// both or neither.
+fn assert_view_reads_like(view: &PatchView<'_>, fresh: &TaskGraph, limit: f64, what: &str) {
+    assert_eq!(GraphRead::len(view), fresh.len(), "{what}: task count");
+    assert_eq!(view.num_edges(), fresh.num_edges(), "{what}: edge count");
     for id in fresh.task_ids() {
-        let (a, b) = (spliced.task(id), fresh.task(id));
-        let at = || format!("{what}: task {id} ({})", fresh.task_name(id));
-        assert_eq!(
-            spliced.task_name(id).to_string(),
-            fresh.task_name(id).to_string(),
-            "{}",
-            at()
-        );
-        assert_eq!((a.kind, a.proc), (b.kind, b.proc), "{}", at());
-        assert_eq!(a.duration.to_bits(), b.duration.to_bits(), "{}", at());
-        assert_eq!(
-            (a.bytes, a.param_bytes),
-            (b.bytes, b.param_bytes),
-            "{}",
-            at()
-        );
-        assert_eq!(
-            (a.origin(), a.batch_share),
-            (b.origin(), b.batch_share),
-            "{}",
-            at()
-        );
-    }
-    for id in fresh.task_ids() {
-        assert_eq!(
-            spliced.succs(id),
-            fresh.succs(id),
-            "{what}: successors of {id}"
-        );
-        assert_eq!(
-            spliced.preds(id),
-            fresh.preds(id),
-            "{what}: predecessors of {id}"
-        );
-    }
-}
-
-/// Asserts `view` reads `tg`, the graph it materializes to: every task's
-/// fields and rows, the degrees and the edge count; and that simulating
-/// `view` equals simulating `tg` bit for bit, at an infinite limit and
-/// at `limit`, where the same bound stops both or neither.
-fn assert_view_reads_like(view: &PatchView<'_>, tg: &TaskGraph, limit: f64, what: &str) {
-    assert_eq!(GraphRead::len(view), tg.len(), "{what}: task count");
-    assert_eq!(view.num_edges(), tg.num_edges(), "{what}: edge count");
-    let (mut in_degrees, mut out_degrees) = (tg.in_degrees(), tg.out_degrees());
-    for id in tg.task_ids() {
-        let (a, b) = (GraphRead::task(view, id), tg.task(id));
+        let (a, b) = (GraphRead::task(view, id), fresh.task(id));
         assert_eq!(
             format!("{a:?} {}", view.task_name(id)),
-            format!("{b:?} {}", tg.task_name(id)),
+            format!("{b:?} {}", fresh.task_name(id)),
             "{what}: task {id}"
         );
         let succs: Vec<_> = GraphRead::succs(view, id).collect();
         let preds: Vec<_> = GraphRead::preds(view, id).collect();
-        assert_eq!(succs, tg.succs(id), "{what}: successors of {id}");
-        assert_eq!(preds, tg.preds(id), "{what}: predecessors of {id}");
-        assert_eq!(
-            [
-                GraphRead::preds(view, id).len(),
-                GraphRead::succs(view, id).len()
-            ],
-            [in_degrees.next(), out_degrees.next()].map(|d| d.unwrap() as usize),
-            "{what}: degrees of {id}"
-        );
+        assert_eq!(succs, fresh.succs(id), "{what}: successors of {id}");
+        assert_eq!(preds, fresh.preds(id), "{what}: predecessors of {id}");
     }
-    let caps = vec![u64::MAX / 2; tg.num_gpus as usize];
+    for dir in [Dir::Succs, Dir::Preds] {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        view.degrees_into(dir, &mut got);
+        fresh.degrees_into(dir, &mut want);
+        assert_eq!(got, want, "{what}: {dir:?} degrees");
+    }
+    let caps = vec![u64::MAX / 2; fresh.num_gpus as usize];
     let policy = OrderPolicy::RankBased;
     let mut scratch = SimScratch::default();
     for limit in [f64::INFINITY, limit] {
         let (mut a, mut b) = (SimReport::default(), SimReport::default());
         let stop_a = simulate_within(view, None, &caps, &policy, limit, &mut scratch, &mut a);
-        let stop_b = simulate_within(tg, None, &caps, &policy, limit, &mut scratch, &mut b);
+        let stop_b = simulate_within(fresh, None, &caps, &policy, limit, &mut scratch, &mut b);
         assert_eq!(
             stop_a.map(f64::to_bits),
             stop_b.map(f64::to_bits),
@@ -219,37 +172,6 @@ fn assert_view_reads_like(view: &PatchView<'_>, tg: &TaskGraph, limit: f64, what
             "{what}: simulation at limit {limit}"
         );
     }
-}
-
-/// Asserts the pre-pass `ev` derives for perturbation `p` equals a sweep
-/// of `fresh`, the graph `p` compiles to: every upward rank bit for bit,
-/// and per GPU the parameter bytes and whether any task runs there.
-fn assert_derived_prepass(
-    ev: &IncrementalEvaluator<'_, GroundTruthCost>,
-    p: Perturbation<'_>,
-    fresh: &TaskGraph,
-    what: &str,
-) {
-    let spliced = ev.splice(p).expect("a strategy perturbation splices");
-    assert_same_graph(&spliced.tg, fresh, what);
-    let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert!(
-        bits(&spliced.ranks) == bits(&upward_ranks(fresh)),
-        "{what}: derived ranks differ from a sweep's"
-    );
-    let gpus = fresh.num_gpus as usize;
-    let (mut params, mut active) = (vec![0u64; gpus], vec![false; gpus]);
-    for (_, t) in fresh.iter() {
-        if let Proc::Gpu(g) = t.proc {
-            params[g as usize] += t.param_bytes;
-            active[g as usize] = true;
-        }
-    }
-    assert_eq!(
-        spliced.param_bytes, params,
-        "{what}: parameter bytes per GPU"
-    );
-    assert_eq!(spliced.active, active, "{what}: active GPUs");
 }
 
 fn assert_same_eval(got: &Evaluation, want: &Evaluation, what: &str) {
@@ -283,7 +205,7 @@ fn check(case: &Case, moves: &[(usize, usize)], eval_every: usize) -> Vec<EvalMo
     let policy = OrderPolicy::RankBased;
     let ev = IncrementalEvaluator::new(g, cost, c, &base_s, &policy);
     let makespan = ev.base().iteration_time;
-    let (mut patch, mut tg, mut scratch) = <(Patch, TaskGraph, SpliceScratch)>::default();
+    let (mut patch, mut scratch) = <(Patch, SpliceScratch)>::default();
     let mut base_loads = Vec::new();
     busiest_processor_load(&btg, &mut base_loads);
     let (mut loads, mut want_loads) = (Vec::new(), Vec::new());
@@ -296,12 +218,8 @@ fn check(case: &Case, moves: &[(usize, usize)], eval_every: usize) -> Vec<EvalMo
         splice_loads(g, c, cost, &placements, base, &mut loads, &mut scratch);
         splice_into(g, c, cost, &placements, base, &mut patch, &mut scratch);
         let view = PatchView::new(&btg, &patch);
-        view.materialize(&mut tg);
         let (fresh, _, _) = compile_logged(g, c, cost, &s2);
-        assert!(tg.is_sealed(), "{what}: a materialized patch is sealed");
-        assert_same_graph(&tg, &fresh, &what);
-        assert_view_reads_like(&view, &tg, makespan, &what);
-        assert_derived_prepass(&ev, Perturbation::Strategy(&s2), &fresh, &what);
+        assert_view_reads_like(&view, &fresh, makespan, &what);
         let busiest = busiest_processor_load(&fresh, &mut want_loads);
         for (p, (got, want)) in loads.iter().zip(&want_loads).enumerate() {
             assert!(
@@ -378,10 +296,9 @@ fn mixed_strategy(num_ops: usize, cluster: &Cluster, rng: &mut SplitMix64) -> St
     Strategy::from_per_op(per_op)
 }
 
-/// `tg` indexes without a repeated edge, and its edge count is the
-/// number of distinct pairs.
-fn assert_each_edge_once(tg: &mut TaskGraph, what: &str) {
-    tg.build_index();
+/// `tg`'s edge count is the number of distinct pairs: finishing it
+/// found no repeated edge.
+fn assert_each_edge_once(tg: &TaskGraph, what: &str) {
     let distinct: HashSet<_> = tg
         .task_ids()
         .flat_map(|s| tg.succs(s).iter().map(move |&d| (s, d)))
@@ -400,23 +317,21 @@ fn lowering_emits_each_edge_once() {
             for k in 0..2 {
                 let s = mixed_strategy(g.len(), &cluster, &mut rng);
                 let what = format!("{} on {m} GPUs, strategy {k}", g.name);
-                assert_each_edge_once(&mut compile_priced(&g, &cluster, cost, &s).0, &what);
+                assert_each_edge_once(&compile_priced(&g, &cluster, cost, &s).0, &what);
             }
             let s = mixed_strategy(g.len(), &cluster, &mut rng);
             for micros in [2, 4] {
                 let what = format!("{} on {m} GPUs, {micros} micro-batches", g.name);
-                let mut tg = compile_pipelined(&g, &cluster, cost, &s, micros);
-                assert_each_edge_once(&mut tg, &what);
+                assert_each_edge_once(&compile_pipelined(&g, &cluster, cost, &s, micros), &what);
             }
             let what = format!("{} on {m} GPUs, 2 iterations", g.name);
-            let mut tg = compile_iterations(&g, &cluster, cost, &s, 2);
-            assert_each_edge_once(&mut tg, &what);
+            assert_each_edge_once(&compile_iterations(&g, &cluster, cost, &s, 2), &what);
         }
     }
 }
 
 /// Checks every move in `moves` whose lowering segments `splice_loads`
-/// finds all clean: the splice equals the incumbent's own graph task for
+/// finds all clean: the splice reads the incumbent's own graph task for
 /// task and row for row, and a bounded
 /// group move answers it with the base evaluation, bit for bit a full
 /// evaluation of the moved strategy. Returns those moves.
@@ -432,7 +347,7 @@ fn check_all_clean(case: &Case, moves: &[(usize, usize)]) -> Vec<(usize, usize)>
     let policy = OrderPolicy::RankBased;
     let ev = IncrementalEvaluator::new(g, cost, c, &base_s, &policy);
     let space = ActionSpace::new(c);
-    let (mut patch, mut tg, mut scratch) = <(Patch, TaskGraph, SpliceScratch)>::default();
+    let (mut patch, mut scratch) = <(Patch, SpliceScratch)>::default();
     let (mut base_loads, mut loads) = (Vec::new(), Vec::new());
     busiest_processor_load(&btg, &mut base_loads);
     let mut clean_moves = Vec::new();
@@ -447,9 +362,7 @@ fn check_all_clean(case: &Case, moves: &[(usize, usize)]) -> Vec<(usize, usize)>
         clean_moves.push((gi, a));
         splice_into(g, c, cost, &placements, base, &mut patch, &mut scratch);
         let view = PatchView::new(&btg, &patch);
-        view.materialize(&mut tg);
-        assert_same_graph(&tg, &btg, &what);
-        assert_view_reads_like(&view, &tg, ev.base().iteration_time, &what);
+        assert_view_reads_like(&view, &btg, ev.base().iteration_time, &what);
         let to = space.decode(a, c);
         let ops = &case.grouping.members[gi];
         match ev.evaluate_bounded(Perturbation::Group { ops, to: &to }, f64::MAX) {

@@ -14,7 +14,7 @@ use heterog_cluster::{paper_testbed_8gpu, LinkKind};
 use heterog_compile::{CommMethod, Strategy};
 use heterog_graph::{BenchmarkModel, ModelSpec, OpKind};
 use heterog_profile::GroundTruthCost;
-use heterog_sched::{OrderPolicy, Proc, Task, TaskGraph};
+use heterog_sched::{OrderPolicy, Proc, Task, TaskGraph, TaskGraphBuilder};
 use heterog_sim::simulate;
 use heterog_strategies::{EvalMode, IncrementalEvaluator, Perturbation};
 
@@ -26,14 +26,14 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
 
 /// Two GPUs + one link with some overlap, generous memory.
 fn demo_graph() -> TaskGraph {
-    let mut tg = TaskGraph::new("demo", 2, 1);
+    let mut tg = TaskGraphBuilder::new("demo", 2, 1);
     let a = tg.add_task(Task::new("a", OpKind::Conv2D, Proc::Gpu(0), 1.0).with_bytes(64));
     let x = tg.add_task(Task::new("x", OpKind::Transfer, Proc::Link(0), 0.5));
     let b = tg.add_task(Task::new("b", OpKind::Conv2D, Proc::Gpu(1), 1.0));
     tg.add_task(Task::new("c", OpKind::Conv2D, Proc::Gpu(0), 2.0));
     tg.add_dep(a, x);
     tg.add_dep(x, b);
-    tg
+    tg.finish()
 }
 
 #[test]
@@ -145,7 +145,7 @@ fn oom_counter_matches_oom_flag_count() {
 #[test]
 fn empty_graph_report_has_no_division_by_zero() {
     let _g = locked();
-    let tg = TaskGraph::new("empty", 1, 0);
+    let tg = TaskGraphBuilder::new("empty", 1, 0).finish();
     let r = simulate(&tg, &[1], &OrderPolicy::RankBased);
     assert_eq!(r.iteration_time, 0.0);
     // Zero makespan must not produce NaN/inf ratios.
